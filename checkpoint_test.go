@@ -341,6 +341,71 @@ func TestManifestTornTail(t *testing.T) {
 	}
 }
 
+// TestManifestTornTailSecondInterruption is the torn tail met twice: a crash
+// leaves a fragment at the end of the manifest, the resumed process appends
+// "merged" entries after it and is itself interrupted, and a third process
+// must still find every one of those entries. A log that appended straight
+// after the fragment glued its first entry onto it; replay dropped the
+// glued line as torn, and with it the record of a merge whose inputs were
+// already removed — "durable run 1 is missing".
+func TestManifestTornTailSecondInterruption(t *testing.T) {
+	dir := t.TempDir()
+	s := ckptConfig(t, dir)
+	bound := s.MaxRecords(Threaded)
+	n := int(8 * bound)
+	raw := genRaw(n, 32, record.Uniform{Seed: 47})
+	ckptDir := filepath.Join(dir, "ckpt")
+	opts := func(cancelAt int64, cancel func()) []Option {
+		var once sync.Once
+		return []Option{WithRunFormation(FixedBatch), WithMergeFanIn(2), WithCheckpoint(ckptDir),
+			WithProgress(func(ev Progress) {
+				if ev.Pass == 0 && ev.MergedRecords > cancelAt {
+					once.Do(cancel)
+				}
+			})}
+	}
+
+	// First interruption: at the first merge event.
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	res, err := s.Sort(ctx, FromBytes(raw), Discard(), opts(0, cancel)...)
+	if err == nil {
+		res.Close()
+		t.Fatal("cancelled checkpointed sort returned no error")
+	}
+	f, err := os.OpenFile(filepath.Join(ckptDir, "manifest.wal"), os.O_WRONLY|os.O_APPEND, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := f.WriteString(`{"type":"merged","run":{"id":99`); err != nil {
+		t.Fatal(err)
+	}
+	f.Close()
+
+	// Second interruption: after the resumed process has logged at least
+	// three runs' worth of merged records (≥ 1 "merged" entry at fan-in 2).
+	ctx2, cancel2 := context.WithCancel(context.Background())
+	defer cancel2()
+	res, err = s.Resume(ctx2, ckptDir, FromBytes(raw), Discard(), opts(3*bound, cancel2)...)
+	if err == nil {
+		res.Close()
+		t.Fatal("cancelled resume returned no error")
+	}
+	if !errors.Is(err, context.Canceled) {
+		t.Fatalf("second interruption: err = %v, want context.Canceled", err)
+	}
+
+	var out bytes.Buffer
+	rres, err := s.Resume(context.Background(), ckptDir, FromBytes(raw), ToWriter(&out))
+	if err != nil {
+		t.Fatalf("Resume after a second interruption over a torn tail: %v", err)
+	}
+	defer rres.Close()
+	if !bytes.Equal(out.Bytes(), refSortBytes(t, raw, 32, KeySpec{})) {
+		t.Error("resumed output differs from the reference after two interruptions")
+	}
+}
+
 // TestWithDeadlineExceeded checks the per-job deadline end to end: the sort
 // fails with a wrapped context.DeadlineExceeded and unwinds leak-free — no
 // goroutines, no scratch files.

@@ -300,12 +300,6 @@ type job struct {
 	id     int64
 	m      pdm.Machine
 	faults pdm.FaultStats
-
-	// ckpt is the job's manifest WAL when the job runs under
-	// WithCheckpoint; nil otherwise. All manifestLog methods are
-	// nil-receiver-safe, so call sites never guard on it for logging —
-	// only for the extra fsync work that has no point without a WAL.
-	ckpt *manifestLog
 }
 
 // newJob builds the per-job machine: a value copy of the engine's machine
@@ -353,6 +347,32 @@ func (e *Engine) newJob(ctx context.Context, o sortOptions) *job {
 		j.m.SpillBackend = pdm.FileBackend{Dir: o.checkpoint, Prefix: ckptRunPrefix, Keep: true}
 	}
 	return j
+}
+
+// runJob is the lifecycle every admitted job shares: wait for ask bytes of
+// the engine's budget (the job's WithMaxMemory cap when it declared one),
+// run on a fresh per-job machine, stamp the result with the job's identity
+// and fault counters, and fold the outcome — success or failure — into the
+// engine's cumulative stats.
+func (e *Engine) runJob(ctx context.Context, o sortOptions, ask int64, run func(*job) (*Result, error)) (*Result, error) {
+	if o.maxMemory > 0 {
+		ask = o.maxMemory
+	}
+	l, err := e.admit(ctx, ask, o.noWait)
+	if err != nil {
+		return nil, err
+	}
+	defer l.release()
+
+	j := e.newJob(ctx, o)
+	res, err := run(j)
+	faults := j.faultStats()
+	if res != nil {
+		res.Faults = faults
+		res.JobID = j.id
+	}
+	e.finishJob(res, faults, err)
+	return res, err
 }
 
 // faultStats reads the job's fault counters into the public report.

@@ -136,10 +136,75 @@ func (e *Engine) PlanHierarchical(alg Algorithm, n int64, maxMemory int64) (runP
 	return runPlan, int((n + runPlan.N - 1) / runPlan.N), nil
 }
 
-// sortHierarchical executes the runs-plus-merge plan for n records arriving
-// on rd, on the job's machine. The caller has already compiled the codec,
-// validated the options, checked dst is non-nil, and chosen runPl; rd is
-// closed by Sort's defer.
+// hierRun is one live run of a hierarchical sort and the manifest id that
+// names it (0 when the job is not checkpointed).
+type hierRun struct {
+	run *merge.Run
+	id  int
+}
+
+// hierJob owns ALL the state of one hierarchical sort: what was asked
+// (options, codec, n, the run plan), what that resolves to (fan-in, merge
+// chunk, the redo policy), and what the sort accumulates — the spill-disk
+// sequence, the ingest checksum, stats, pass counters, the manifest log and
+// the live run set. The phases are its methods; the run set is closed once,
+// by sortHierarchical's defer, on every path.
+type hierJob struct {
+	*job
+	o     sortOptions
+	codec record.KeyCodec
+	n     int64
+	runPl core.Plan
+
+	fanIn, chunk, nBatches int
+
+	// Recovery policy: how many times a run may be re-produced and
+	// re-spilled, and whether every spilled run gets a post-spill CRC
+	// readback. The scrub is always on under chaos injection (the only way
+	// a torn spill write is caught while its run can still be redone) and
+	// opt-in otherwise — on healthy storage it costs one extra sequential
+	// read of every spilled byte to detect nothing.
+	redoBudget int
+	scrub      bool
+
+	// ckpt is the manifest WAL under WithCheckpoint; nil otherwise (see
+	// manifestLog for what a nil log still answers).
+	ckpt *manifestLog
+
+	spillSeq   int             // next spill-disk ordinal: one sequence for formation, redos and merge outputs
+	live       []hierRun       // the current run set, in merge order
+	want       record.Checksum // ingest multiset, in the codec's normalized key space
+	stats      *MergeStats
+	passCnts   [][]sim.Counters
+	formSpill  int64 // bytes the formation phase spilled, before any merge traffic
+	mergedBase int64 // records emitted by the completed intermediate merges
+	resumed    bool  // merge-phase resume: formation happened in a previous process
+}
+
+// newHierJob resolves the options of a hierarchical sort of n records in
+// runPl-sized runs into the job value its phases run on. The caller has
+// already compiled the codec, validated the options and chosen runPl.
+func (j *job) newHierJob(o sortOptions, codec record.KeyCodec, n int64, runPl core.Plan) *hierJob {
+	h := &hierJob{job: j, o: o, codec: codec, n: n, runPl: runPl,
+		fanIn: o.fanIn, redoBudget: defaultRedoBudget, scrub: j.m.Chaos != nil}
+	if h.fanIn == 0 {
+		h.fanIn = defaultMergeFanIn
+	}
+	h.chunk = j.e.mergeChunkRecs(o, h.fanIn)
+	h.nBatches = int((n + runPl.N - 1) / runPl.N)
+	h.stats = &MergeStats{FanIn: h.fanIn, RunRecords: runPl.N, Formation: o.formation.String()}
+	if o.retry != nil {
+		if o.retry.RedoBudget != 0 {
+			h.redoBudget = max(o.retry.RedoBudget, 0)
+		}
+		h.scrub = h.scrub || o.retry.Scrub
+	}
+	return h
+}
+
+// sortHierarchical executes the runs-plus-merge plan for the records
+// arriving on rd, streaming the merged output into dst (non-nil, checked by
+// the caller); rd is closed by the caller.
 //
 // rs, when non-nil, is a crash-resume: the live runs a previous process
 // spilled and verified (reopened from the checkpoint manifest) are adopted
@@ -149,529 +214,312 @@ func (e *Engine) PlanHierarchical(alg Algorithm, n int64, maxMemory int64) (runP
 // durable runs cover are skipped (their multiset verified against the
 // manifest) and only the unfinished batches are formed. rd may be nil only
 // when rs.ingestDone.
-func (j *job) sortHierarchical(ctx context.Context, rd RecordReader, dst Sink, o sortOptions, codec record.KeyCodec, n int64, runPl core.Plan, rs *resumeState) (*Result, error) {
-	fanIn := o.fanIn
-	if fanIn == 0 {
-		fanIn = defaultMergeFanIn
+func (h *hierJob) sortHierarchical(ctx context.Context, rd RecordReader, dst Sink, rs *resumeState) (*Result, error) {
+	defer h.closeRuns()
+	firstID := 0
+	if rs != nil {
+		h.live, rs.live = rs.live, nil // this job owns them now
+		h.spillSeq = len(h.live)       // reopenRuns wrapped them as ordinals 0..len-1
+		h.want = rs.want
+		h.stats.ResumedRuns = len(h.live)
+		h.resumed = rs.ingestDone
+		firstID = rs.maxID
 	}
-	chunk := j.e.mergeChunkRecs(o, fanIn)
-	nBatches := int((n + runPl.N - 1) / runPl.N)
-	stats := &MergeStats{FanIn: fanIn, RunRecords: runPl.N, Formation: o.formation.String()}
 
 	// Durability: open (or, on resume, reopen for appending) the manifest
-	// WAL. Every ckpt call below is a nil-safe no-op for ordinary jobs.
-	if o.checkpoint != "" {
-		firstID := 0
-		if rs != nil {
-			firstID = rs.maxID
-		}
-		ckpt, err := openManifestLog(o.checkpoint, firstID)
+	// WAL. Ordinary jobs keep h.ckpt nil.
+	if h.o.checkpoint != "" {
+		ckpt, err := openManifestLog(h.o.checkpoint, firstID)
 		if err != nil {
 			return nil, err
 		}
-		j.ckpt = ckpt
-		defer func() { j.ckpt.close() }() // failure path: keep state, release the handle
+		h.ckpt = ckpt
+		defer func() { h.ckpt.close() }() // failure path: keep state, release the handle
 		if rs == nil {
-			if err := ckpt.logBegin(o, j.e.cfg.RecordSize, n, runPl.N, fanIn); err != nil {
+			if err := ckpt.logBegin(h.o, h.e.cfg.RecordSize, h.n, h.runPl.N, h.fanIn); err != nil {
 				return nil, err
 			}
 		}
 	}
 
-	// Recovery policy: how many whole batches may be re-sorted and
-	// re-spilled, and whether every spilled run gets a post-spill CRC
-	// readback. The scrub is always on under chaos injection (the only way
-	// a torn spill write is caught while its batch can still be redone) and
-	// opt-in otherwise — on healthy storage it costs one extra sequential
-	// read of every spilled byte to detect nothing.
-	redoBudget := defaultRedoBudget
-	scrub := j.m.Chaos != nil
-	if o.retry != nil {
-		if o.retry.RedoBudget != 0 {
-			redoBudget = o.retry.RedoBudget
+	// A merge-phase resume skips formation: every run is durable and
+	// verified; nothing is ingested or sorted in this process.
+	if !h.resumed {
+		var err error
+		switch {
+		case h.o.formation == FixedBatch:
+			err = h.formFixedBatches(ctx, rd, rs)
+		case rs != nil:
+			// A formation-phase resume cannot reach replacement selection:
+			// its runs do not cover a contiguous source prefix (the heap's
+			// contents at the crash are unrecoverable), so Resume restarts
+			// RS formation from scratch and arrives with rs == nil.
+			err = fmt.Errorf("colsort: internal: formation-phase resume under replacement selection")
+		default:
+			err = h.formReplacementRuns(ctx, rd)
 		}
-		if redoBudget < 0 {
-			redoBudget = 0
-		}
-		scrub = scrub || o.retry.Scrub
-	}
-
-	spillSeq := 0
-	newSpill := func() (pdm.Disk, error) {
-		d, err := j.m.NewSpillDisk(spillSeq)
-		spillSeq++
-		return d, err
-	}
-
-	live := make([]*merge.Run, 0, nBatches)
-	var ids []int // manifest ids parallel to live; populated only under checkpointing
-	defer func() {
-		for _, r := range live {
-			if r != nil {
-				r.Close()
-			}
-		}
-	}()
-
-	var want record.Checksum
-	var passCnts [][]sim.Counters
-	resumed := false
-	if rs != nil {
-		live = append(live, rs.live...)
-		ids = append(ids, rs.ids...)
-		rs.live = nil // this job owns them now
-		want = rs.want
-		stats.ResumedRuns = len(live)
-		resumed = rs.ingestDone
-	}
-	switch {
-	case rs != nil && rs.ingestDone:
-		// Merge-phase resume: every run is durable and verified; nothing is
-		// ingested or sorted in this process.
-	case o.formation == FixedBatch:
-		// Fixed-batch run formation: ingest one maximal batch at a time
-		// (the tail of the last batch padded with maximal records), sort it
-		// on the persistent fabric, verify it, and spill its real prefix —
-		// still in the codec's normalized key space, so the merge compares
-		// at native speed — as one sorted run.
-		br, err := core.NewBatchRunner(ctx, runPl, j.m)
 		if err != nil {
 			return nil, err
 		}
-		defer br.Close()
-		remaining := n
-		startBatch := 0
-		if rs != nil {
-			// Formation-phase resume: the durable runs cover the source's
-			// first rs.consumed records. Skip them — verifying their multiset
-			// against the manifest's checksum, so a changed source cannot
-			// silently merge against the old runs — and form only the
-			// batches the crash interrupted.
-			if err := skipConsumed(ctx, rd, codec, j.e.cfg.RecordSize, rs.consumed, rs.want); err != nil {
-				return nil, err
-			}
-			remaining -= rs.consumed
-			startBatch = len(live)
-		}
-		for b := startBatch; b < nBatches; b++ {
-			real := remaining
-			if real > runPl.N {
-				real = runPl.N
-			}
-			remaining -= real
-			input, err := runPl.NewStore(j.m)
-			if err != nil {
-				return nil, err
-			}
-			cs, err := fillStore(ctx, input, rd, codec, real)
-			if err != nil {
-				input.Close()
-				return nil, err
-			}
-			want.Merge(cs)
-			var hooks core.Hooks
-			if o.progress != nil {
-				batch, total, fn := b+1, nBatches, o.progress
-				hooks.Progress = func(ev Progress) {
-					ev.Batch, ev.Batches = batch, total
-					fn(ev)
-				}
-			}
-			run, err := j.formRun(ctx, br, input, hooks, real, cs, newSpill, chunk,
-				scrub, redoBudget, &passCnts, b+1, nBatches)
-			input.Close()
-			if err != nil {
-				return nil, err
-			}
-			stats.BytesWritten += run.Bytes() // run-formation spill
-			if stats.MinRunRecords == 0 || real < stats.MinRunRecords {
-				stats.MinRunRecords = real
-			}
-			if real > stats.MaxRunRecords {
-				stats.MaxRunRecords = real
-			}
-			live = append(live, run)
-			// Durability point: the run's bytes reach stable storage before
-			// the manifest entry that claims them does.
-			if j.ckpt != nil {
-				if err := pdm.SyncDisk(run.Disk); err != nil {
-					return nil, err
-				}
-				id, err := j.ckpt.logRun(run, n-remaining, want)
-				if err != nil {
-					return nil, err
-				}
-				ids = append(ids, id)
-			}
-		}
-		br.Close() // run formation done: release the fabric before merging
-	default:
-		// Replacement selection: the heap owns the run boundaries and the
-		// engine's fabric never runs — order comes from the heap, and
-		// verification from the merge's in-stream order check plus the
-		// final multiset comparison against the ingest checksum.
-		//
-		// A formation-phase resume cannot reach here: replacement-selection
-		// runs do not cover a contiguous source prefix (the heap's contents
-		// at the crash are unrecoverable), so Resume restarts RS formation
-		// from scratch and arrives with rs == nil.
-		if rs != nil {
-			return nil, fmt.Errorf("colsort: internal: formation-phase resume under replacement selection")
-		}
-		if err := j.formRunsReplacement(ctx, rd, o, codec, n, runPl, &live, &ids,
-			newSpill, chunk, scrub, redoBudget, stats, &want); err != nil {
-			return nil, err
-		}
-	}
-	if !resumed {
 		// Durability point: formation is complete and every run durable;
 		// after this entry a resume never re-sorts a single record.
-		if err := j.ckpt.logIngestDone(want); err != nil {
+		if err := h.ckpt.logIngestDone(h.want); err != nil {
 			return nil, err
 		}
 	}
-	stats.Runs = len(live)
-	formSpill := stats.BytesWritten // formation-phase bytes, before any merge traffic
-	runs := live
-	live = nil // mergePhase owns the run set (and its close-on-error) now
-	return j.mergePhase(ctx, runs, ids, dst, o, codec, n, runPl, stats, want, passCnts, formSpill, nBatches, chunk, fanIn, resumed)
+	h.stats.Runs = len(h.live)
+	h.formSpill = h.stats.BytesWritten
+	return h.mergePhase(ctx, dst)
 }
 
-// mergePhase reduces the run set level by level and streams the final merge
-// into the sink, verifying order in-stream and the multiset at end of
-// stream. Under checkpointing each intermediate merge output becomes
-// durable (fsync + "merged" WAL entry) before its consumed inputs are
-// removed, so a crash at any point leaves a run set that re-merges to
-// byte-identical output; on success the checkpoint state is retired.
-// ids maps live runs to their manifest ids (parallel slice; nil when not
-// checkpointing). resumed marks a merge-phase resume, whose formation work
-// happened in a previous process.
-func (j *job) mergePhase(ctx context.Context, live []*merge.Run, ids []int, dst Sink, o sortOptions, codec record.KeyCodec, n int64, runPl core.Plan, stats *MergeStats, want record.Checksum, passCnts [][]sim.Counters, formSpill int64, nBatches, chunk, fanIn int, resumed bool) (*Result, error) {
-	defer func() {
-		for _, r := range live {
-			if r != nil {
-				r.Close()
-			}
-		}
-	}()
-	spillSeq := len(live)
-	newSpill := func() (pdm.Disk, error) {
-		d, err := j.m.NewSpillDisk(spillSeq)
-		spillSeq++
-		return d, err
-	}
-
-	// Merge progress is cumulative across EVERY level, against the total
-	// record count all merges together will emit — and clamped monotonic in
-	// the emitter: with variable-length runs (and pass-through leftovers)
-	// a per-level percent could otherwise regress between levels.
-	opt := merge.Options{ChunkRecs: chunk, Faults: &j.faults}
-	var mergedBase int64
-	if o.progress != nil {
-		var mergeTotal int64
-		sizes := make([]int64, len(live))
-		for i, r := range live {
-			sizes[i] = r.Records
-		}
-		for len(sizes) > fanIn {
-			var next []int64
-			for lo := 0; lo < len(sizes); lo += fanIn {
-				hi := lo + fanIn
-				if hi > len(sizes) {
-					hi = len(sizes)
-				}
-				if hi == lo+1 {
-					next = append(next, sizes[lo])
-					continue
-				}
-				var sum int64
-				for _, v := range sizes[lo:hi] {
-					sum += v
-				}
-				mergeTotal += sum
-				next = append(next, sum)
-			}
-			sizes = next
-		}
-		mergeTotal += n // the final merge emits every record
-		batches, fn := nBatches, o.progress
-		if o.formation != FixedBatch {
-			batches = len(live)
-		}
-		var lastEmitted int64
-		opt.Progress = func(merged int64) {
-			cum := mergedBase + merged
-			if cum < lastEmitted {
-				cum = lastEmitted
-			}
-			if cum > mergeTotal {
-				cum = mergeTotal
-			}
-			lastEmitted = cum
-			fn(Progress{Batches: batches, MergedRecords: cum, TotalRecords: mergeTotal})
+// closeRuns closes every run still in the live set.
+func (h *hierJob) closeRuns() {
+	for i, r := range h.live {
+		if r.run != nil {
+			r.run.Close()
+			h.live[i] = hierRun{}
 		}
 	}
-
-	// Merge tree: reduce the run set level by level until one merge fans
-	// into the sink. The merges verify every CRC frame they load, healing
-	// transient read corruption with a reread and counting both into the
-	// job's fault stats.
-	for len(live) > fanIn {
-		stats.Levels++
-		next := make([]*merge.Run, 0, (len(live)+fanIn-1)/fanIn)
-		var nextIDs []int
-		for lo := 0; lo < len(live); lo += fanIn {
-			hi := lo + fanIn
-			if hi > len(live) {
-				hi = len(live)
-			}
-			if hi == lo+1 { // a lone leftover run passes through unrewritten
-				next = append(next, live[lo])
-				live[lo] = nil
-				if j.ckpt != nil {
-					nextIDs = append(nextIDs, ids[lo])
-				}
-				continue
-			}
-			d, err := newSpill()
-			if err != nil {
-				live = append(next, live[lo:]...)
-				return nil, err
-			}
-			out, st, err := merge.MergeToRun(ctx, live[lo:hi], d, opt)
-			if err != nil {
-				d.Close()
-				live = append(next, live[lo:]...)
-				return nil, err
-			}
-			stats.BytesRead += st.BytesRead
-			stats.BytesWritten += st.BytesWritten
-			mergedBase += out.Records
-			var outID int
-			if j.ckpt != nil {
-				// Durability points, in order: the merged output reaches
-				// stable storage; the WAL records it (with the input ids it
-				// consumed); only then are the consumed input files removed.
-				// A crash between any two steps leaves either the inputs
-				// live (the merge is redone) or the output live with orphan
-				// inputs (swept at resume) — never a gap in the data.
-				if err := pdm.SyncDisk(out.Disk); err != nil {
-					out.Close()
-					live = append(next, live[lo:]...)
-					return nil, err
-				}
-				if outID, err = j.ckpt.logMerged(out, ids[lo:hi]); err != nil {
-					out.Close()
-					live = append(next, live[lo:]...)
-					return nil, err
-				}
-			}
-			for i := lo; i < hi; i++ {
-				j.closeConsumedRun(live[i])
-				live[i] = nil
-			}
-			next = append(next, out)
-			if j.ckpt != nil {
-				nextIDs = append(nextIDs, outID)
-			}
-		}
-		live = next
-		ids = nextIDs
-	}
-
-	// Final merge: stream straight into the sink, decoding each chunk on
-	// the write-behind worker so the sink's I/O and the codec's work
-	// overlap the compare/copy loop and the runs' prefetch. The emitted
-	// order is checked record by record and the emitted multiset compared
-	// to the ingest checksum at end of stream — streaming verification, at
-	// the cost that a late failure means the sink has already received
-	// bytes that must be discarded (Sort reports the error either way).
-	stats.Levels++
-	w, err := dst.Open(j.e.cfg.RecordSize)
-	if err != nil {
-		return nil, err
-	}
-	got, st, err := merge.Merge(ctx, live, func(c record.Slice) error {
-		codec.Decode(c)
-		return w.Write(c)
-	}, opt)
-	stats.BytesRead += st.BytesRead
-	stats.BytesWritten += st.BytesWritten
-	if err != nil {
-		w.Close()
-		return nil, err
-	}
-	if err := w.Close(); err != nil {
-		return nil, err
-	}
-	if !got.Equal(want) {
-		return nil, fmt.Errorf("colsort: streaming verification failed: the merged output's multiset (%d records) differs from the input's (%d); discard the sink's contents", got.Count, want.Count)
-	}
-	if j.ckpt != nil {
-		// The sink holds the verified output: record completion and retire
-		// the checkpoint state (manifest and remaining run files).
-		for i, r := range live {
-			if r != nil {
-				r.Close()
-				live[i] = nil
-			}
-		}
-		j.ckpt.complete()
-		j.ckpt = nil
-	}
-	if resumed {
-		// Only the merge ran in this process; account it as one synthetic
-		// pass so engine-wide counters reflect work actually performed here.
-		passCnts = [][]sim.Counters{
-			{{
-				CompareUnits:   (mergedBase + n) * int64(bits.Len64(uint64(fanIn))),
-				DiskReadBytes:  stats.BytesRead,
-				DiskReadOps:    int64(stats.Runs),
-				DiskWriteBytes: stats.BytesWritten,
-				DiskWriteOps:   int64(stats.Levels),
-				MovedBytes:     (mergedBase + n) * int64(runPl.Z),
-			}},
-		}
-	} else if o.formation != FixedBatch {
-		// The engine fabric never ran under replacement selection, so its
-		// real work — the selection heap and the merge tree — is accounted
-		// as two synthetic passes. Engine.Stats' cumulative counters (and
-		// the server's /metrics derived from them) stay meaningful under
-		// the default formation mode.
-		z := int64(runPl.Z)
-		mergeRecs := mergedBase + n // every record each merge level emitted
-		passCnts = [][]sim.Counters{
-			{{
-				CompareUnits:   n * int64(bits.Len64(uint64(runPl.N))),
-				DiskWriteBytes: formSpill,
-				DiskWriteOps:   int64(stats.Runs),
-				MovedBytes:     2 * n * z, // arena fill + run emit
-			}},
-			{{
-				CompareUnits:   mergeRecs * int64(bits.Len64(uint64(fanIn))),
-				DiskReadBytes:  stats.BytesRead,
-				DiskReadOps:    int64(stats.Runs),
-				DiskWriteBytes: stats.BytesWritten - formSpill,
-				DiskWriteOps:   int64(stats.Levels),
-				MovedBytes:     mergeRecs * z,
-			}},
-		}
-	}
-	return &Result{
-		Result: &core.Result{Plan: runPl, PassCounters: passCnts},
-		want:   want,
-		realN:  n,
-		codec:  codec,
-		Merge:  stats,
-	}, nil
 }
 
-// formRun turns one ingested batch into a verified, CRC-framed spilled run,
-// redoing the WHOLE batch — re-sort on the persistent fabric, re-verify,
-// re-spill onto a fresh spill disk — when the run cannot be trusted: the
-// sorted store fails verification (e.g. a bit flip on an input-store read),
-// the spill disk fails permanently mid-write, or the post-spill scrub finds
-// persistent corruption (a torn write). Each redo consumes one unit of
-// redoBudget; batch-level redo is what makes those failures survivable at
-// all, because the source stream that fed the batch is long gone — only the
-// batch's input store (preserved by br.Run across attempts) still holds the
-// records.
-//
-// An error from br.Run itself is terminal, not redone: a failed engine
-// batch poisons the fabric, and every later Run would return the fabric's
-// error anyway. Counters of every attempt accumulate into passCnts — redone
-// work is still work performed.
-func (j *job) formRun(ctx context.Context, br *core.BatchRunner, input *pdm.Store, hooks core.Hooks, real int64, cs record.Checksum, newSpill func() (pdm.Disk, error), chunk int, scrub bool, redoBudget int, passCnts *[][]sim.Counters, batch, batches int) (*merge.Run, error) {
+// newSpill allocates the job's next spill disk. Formation runs, redone
+// runs and merge outputs draw from the one sequence, so no two spills of a
+// job share an ordinal (which names the file and keys the chaos scripts).
+func (h *hierJob) newSpill() (pdm.Disk, error) {
+	d, err := h.m.NewSpillDisk(h.spillSeq)
+	h.spillSeq++
+	return d, err
+}
+
+// A chunkSource produces the records of one run, in spill order, by calling
+// emit with successive chunks (emit does not retain a chunk past its
+// return). It is what distinguishes the formation modes to the shared tail
+// (spillVerified, the redo policy, commitRun): fixed batches sort a batch
+// and scan its output store, replacement selection drains the former — and
+// "give me the chunks again" is re-sorting the preserved input store for
+// the one, replaying the retained chunks for the other.
+type chunkSource func(emit func(record.Slice) error) error
+
+// terminalError marks a chunkSource failure no redo can cure — a poisoned
+// engine fabric, a failed source stream. formRun returns its cause as is.
+type terminalError struct{ error }
+
+// spillVerified writes one run's chunks onto a fresh spill disk through the
+// CRC-framing writer and, when the scrub is armed, reads the spilled bytes
+// back against their frames NOW, while the run can still be redone — at
+// merge time its producer is gone and persistent spill corruption is fatal.
+// A spill disk that cannot be allocated behaves as one whose first write
+// fails: src still runs (a draining producer must see its whole run).
+func (h *hierJob) spillVerified(ctx context.Context, desc bool, src chunkSource) (*merge.Run, error) {
+	d, err := h.newSpill()
+	if err != nil {
+		if serr := src(func(record.Slice) error { return err }); serr != nil {
+			return nil, serr
+		}
+		return nil, err
+	}
+	w := merge.NewWriter(d, h.e.cfg.RecordSize, h.chunk)
+	if err := src(w.Append); err != nil {
+		d.Close()
+		return nil, err
+	}
+	run, err := w.Finish()
+	if err != nil {
+		d.Close()
+		return nil, err
+	}
+	run.Descending = desc
+	if h.scrub {
+		if err := run.Scrub(ctx, &h.faults); err != nil {
+			run.Close()
+			return nil, err
+		}
+	}
+	return run, nil
+}
+
+// formRun drives one run through spillVerified under the redo policy: a
+// run that cannot be trusted — its producer failed verification, the spill
+// disk failed permanently mid-write, the scrub found persistent corruption
+// (a torn write) — is produced again by redo and re-spilled onto a fresh
+// disk, each redo consuming one unit of the budget and counting in
+// BatchRedos. Redo is what makes those failures survivable at all, because
+// the source stream that fed the run is long gone. A nil redo means the
+// producer kept nothing to redo from: every failure is terminal.
+func (h *hierJob) formRun(ctx context.Context, label string, desc bool, first, redo chunkSource) (*merge.Run, error) {
+	src := first
 	for attempt := 0; ; attempt++ {
-		res, err := br.Run(input, hooks)
-		if err != nil {
-			return nil, err
+		run, err := h.spillVerified(ctx, desc, src)
+		if err == nil {
+			return run, nil
 		}
-		if *passCnts == nil {
-			*passCnts = res.PassCounters
-		} else {
-			for k := range *passCnts {
-				for p := range (*passCnts)[k] {
-					(*passCnts)[k][p].Add(res.PassCounters[k][p])
-				}
+		var te terminalError
+		if errors.As(err, &te) {
+			return nil, te.error
+		}
+		// A full filesystem cannot be redone onto: every retry re-spills
+		// into the same exhausted space. Fail fast without burning the redo
+		// budget so the job's error names the real cause.
+		if ctx.Err() != nil || redo == nil || h.redoBudget == 0 || errors.Is(err, pdm.ErrNoSpace) {
+			return nil, fmt.Errorf("colsort: %s: %w", label, err)
+		}
+		if attempt >= h.redoBudget {
+			return nil, fmt.Errorf("colsort: redo budget (%d) exhausted: %s: %w", h.redoBudget, label, err)
+		}
+		h.faults.BatchRedos.Add(1)
+		src = redo
+	}
+}
+
+// commitRun admits a formed, verified run to the live set and accounts it.
+// consumed is the fixed-batch cumulative ingest position the manifest
+// records with the run (0 under replacement selection, whose runs don't
+// cover a source prefix — see DESIGN.md §13).
+func (h *hierJob) commitRun(run *merge.Run, consumed int64) error {
+	h.live = append(h.live, hierRun{run: run})
+	h.stats.BytesWritten += run.Bytes() // run-formation spill
+	if run.Descending {
+		h.stats.DownRuns++
+	}
+	if h.stats.MinRunRecords == 0 || run.Records < h.stats.MinRunRecords {
+		h.stats.MinRunRecords = run.Records
+	}
+	if run.Records > h.stats.MaxRunRecords {
+		h.stats.MaxRunRecords = run.Records
+	}
+	if h.ckpt == nil {
+		return nil
+	}
+	// Durability point: the run's bytes (already scrubbed when armed) reach
+	// stable storage before the manifest entry that claims them does.
+	if err := pdm.SyncDisk(run.Disk); err != nil {
+		return err
+	}
+	id, err := h.ckpt.logRun(run, consumed, h.want)
+	h.live[len(h.live)-1].id = id
+	return err
+}
+
+// formFixedBatches is the fixed-batch run producer: ingest one maximal
+// batch at a time (the tail of the last batch padded with maximal records),
+// sort it on ONE persistent fabric, verify it, and spill its real prefix —
+// still in the codec's normalized key space, so the merge compares at
+// native speed — as one sorted run. The fabric is released on return,
+// before the merge phase starts.
+func (h *hierJob) formFixedBatches(ctx context.Context, rd RecordReader, rs *resumeState) error {
+	br, err := core.NewBatchRunner(ctx, h.runPl, h.m)
+	if err != nil {
+		return err
+	}
+	defer br.Close()
+	remaining := h.n
+	if rs != nil {
+		// Formation-phase resume: the durable runs cover the source's first
+		// rs.consumed records. Skip them — verifying their multiset against
+		// the manifest's checksum, so a changed source cannot silently merge
+		// against the old runs — and form only the batches the crash
+		// interrupted.
+		if err := h.skipConsumed(ctx, rd, rs.consumed, rs.want); err != nil {
+			return err
+		}
+		remaining -= rs.consumed
+	}
+	for b := len(h.live); b < h.nBatches; b++ {
+		real := min(remaining, h.runPl.N)
+		remaining -= real
+		input, err := h.runPl.NewStore(h.m)
+		if err != nil {
+			return err
+		}
+		cs, err := fillStore(ctx, input, rd, h.codec, real)
+		if err != nil {
+			input.Close()
+			return err
+		}
+		h.want.Merge(cs)
+		var hooks core.Hooks
+		if h.o.progress != nil {
+			batch, fn := b+1, h.o.progress
+			hooks.Progress = func(ev Progress) {
+				ev.Batch, ev.Batches = batch, h.nBatches
+				fn(ev)
 			}
 		}
-		run, ferr := func() (*merge.Run, error) {
+		// One attempt sorts the WHOLE batch again from its input store
+		// (preserved by br.Run across attempts). Counters of every attempt
+		// accumulate — redone work is still work performed.
+		sortBatch := func(emit func(record.Slice) error) error {
+			res, err := br.Run(input, hooks)
+			if err != nil {
+				// Not redone: a failed engine batch poisons the fabric, and
+				// every later Run would return the fabric's error anyway.
+				return terminalError{err}
+			}
+			defer res.Output.Close()
+			h.addPassCounters(res.PassCounters)
 			// Verify BEFORE trusting the run to the merge: a failed batch
 			// must never contribute a plausible-looking run.
 			if err := verifyRunStore(res.Output, real, cs); err != nil {
-				return nil, fmt.Errorf("run %d of %d failed verification: %w", batch, batches, err)
+				return fmt.Errorf("failed verification: %w", err)
 			}
-			r, err := spillRun(ctx, res.Output, real, newSpill, chunk)
-			if err != nil {
-				return nil, fmt.Errorf("run %d of %d: %w", batch, batches, err)
-			}
-			if scrub {
-				// Read the spilled bytes back against their CRC frames NOW,
-				// while the batch can still be redone — at merge time the
-				// input is gone and persistent spill corruption is fatal.
-				if err := r.Scrub(ctx, &j.faults); err != nil {
-					r.Close()
-					return nil, fmt.Errorf("run %d of %d: %w", batch, batches, err)
-				}
-			}
-			return r, nil
-		}()
-		res.Output.Close()
-		if ferr == nil {
-			return run, nil
+			return scanRealPrefix(ctx, res.Output, real, emit)
 		}
-		if ctx.Err() != nil {
-			return nil, fmt.Errorf("colsort: %w", ferr)
+		run, err := h.formRun(ctx, fmt.Sprintf("run %d of %d", b+1, h.nBatches), false, sortBatch, sortBatch)
+		input.Close()
+		if err != nil {
+			return err
 		}
-		if errors.Is(ferr, pdm.ErrNoSpace) {
-			// A full filesystem cannot be redone onto: every retry re-spills
-			// into the same exhausted space. Fail fast without burning the
-			// redo budget so the job's error names the real cause.
-			return nil, fmt.Errorf("colsort: %w", ferr)
+		if err := h.commitRun(run, h.n-remaining); err != nil {
+			return err
 		}
-		if attempt >= redoBudget {
-			if redoBudget > 0 {
-				return nil, fmt.Errorf("colsort: redo budget (%d) exhausted: %w", redoBudget, ferr)
-			}
-			return nil, fmt.Errorf("colsort: %w", ferr)
+	}
+	return nil
+}
+
+// addPassCounters accumulates one engine batch's per-pass counters.
+func (h *hierJob) addPassCounters(cnts [][]sim.Counters) {
+	if h.passCnts == nil {
+		h.passCnts = cnts
+		return
+	}
+	for k := range h.passCnts {
+		for p := range h.passCnts[k] {
+			h.passCnts[k][p].Add(cnts[k][p])
 		}
-		j.faults.BatchRedos.Add(1)
 	}
 }
 
-// formRunsReplacement forms and spills maximal variable-length runs by
-// heap-based replacement selection, consuming the source stream directly:
-// records are encoded into normalized key space as they arrive, the
-// former's heap (runPl.N records — the same budget one fixed batch would
-// hold, honest against the job's admission lease) emits each run in its
-// chosen direction, and each run streams through the CRC-framing writer
-// onto a fresh spill disk, descending runs marked for the reversed merge
-// reader. The engine's batch fabric is never involved: order comes from
-// the heap, and end-to-end verification from the merge's in-stream order
-// check plus the final multiset comparison against the ingest checksum.
+// formReplacementRuns is the replacement-selection run producer: maximal
+// variable-length runs formed by the heap, consuming the source stream
+// directly. Records are encoded into normalized key space as they arrive,
+// the former's heap (runPl.N records — the same budget one fixed batch
+// would hold, honest against the job's admission lease) emits each run in
+// its chosen direction, descending runs marked for the merge's backwards
+// read. The engine's batch fabric is never involved: order comes from the
+// heap, and end-to-end verification from the merge's in-stream order check
+// plus the final multiset comparison against the ingest checksum.
 //
-// Recovery differs from fixed batches by necessity. A fixed batch redoes
-// itself from its preserved input store; here the source stream that fed a
-// run is consumed as the run forms. So when the scrub is armed and the
-// redo budget is positive, each run's emitted chunks are RETAINED in
-// pooled memory until its spill has been verified — a permanent spill
-// failure or a scrub-detected corruption re-spills the retained copy onto
-// a fresh disk (counted in BatchRedos, like a batch redo). Retention is
-// bounded at 2× the heap (the expected run length on random input): a run
-// reaching the bound is cut there, so redo memory stays within one extra
-// run-store's worth — the same peak the fixed-batch path reaches with its
-// input and output stores — at the cost of splitting longer-than-expected
-// runs while scrubbing.
-func (j *job) formRunsReplacement(ctx context.Context, rd RecordReader, o sortOptions, codec record.KeyCodec, n int64, runPl core.Plan, live *[]*merge.Run, ids *[]int, newSpill func() (pdm.Disk, error), chunk int, scrub bool, redoBudget int, stats *MergeStats, want *record.Checksum) error {
-	z := j.e.cfg.RecordSize
+// Redo differs from fixed batches by necessity. A fixed batch redoes itself
+// from its preserved input store; here the source stream that fed a run is
+// consumed as the run forms. So when the scrub is armed and the redo budget
+// is positive, each run's emitted chunks are RETAINED in pooled memory
+// until its spill has been verified, and a redo replays the retained copy.
+// Retention is bounded at 2× the heap (the expected run length on random
+// input): a run reaching the bound is cut there, so redo memory stays
+// within one extra run-store's worth — the same peak the fixed-batch path
+// reaches with its input and output stores — at the cost of splitting
+// longer-than-expected runs while scrubbing. Without retention any
+// permanent spill or scrub failure is terminal — exactly the fixed-batch
+// contract with a zero redo budget.
+func (h *hierJob) formReplacementRuns(ctx context.Context, rd RecordReader) error {
+	z := h.e.cfg.RecordSize
 	var pool *record.Pool
-	if len(j.m.Pools) > 0 {
-		pool = j.m.Pools[0]
+	if len(h.m.Pools) > 0 {
+		pool = h.m.Pools[0]
 	}
 	var idx int64
 	read := func(rec []byte) (bool, error) {
-		if idx >= n {
+		if idx >= h.n {
 			return false, nil
 		}
 		if idx%4096 == 0 {
@@ -682,201 +530,315 @@ func (j *job) formRunsReplacement(ctx context.Context, rd RecordReader, o sortOp
 		if err := rd.ReadRecord(rec); err != nil {
 			return false, fmt.Errorf("colsort: reading record %d: %w", idx, err)
 		}
-		codec.EncodeRecord(rec)
-		want.Add(rec)
+		h.codec.EncodeRecord(rec)
+		h.want.Add(rec)
 		idx++
 		return true, nil
 	}
-	f := runform.New(int(runPl.N), z, pool, read)
+	f := runform.New(int(h.runPl.N), z, pool, read)
 	defer f.Close()
-	buf := pool.Get(chunk, z)
+	buf := pool.Get(h.chunk, z)
 	defer pool.Put(buf)
 
-	retain := scrub && redoBudget > 0
+	retain := h.scrub && h.redoBudget > 0
 	var formed int64
 	for runIdx := 1; ; runIdx++ {
 		desc, ok, err := f.NextRun()
-		if err != nil {
+		if err != nil || !ok {
 			return err
 		}
-		if !ok {
-			return nil
-		}
-		// Progress is emitted per drained chunk, not per completed run: a
-		// run's length is data-dependent and unbounded (a sorted stream is
-		// ONE run), so waiting for a run boundary could leave a streaming
-		// caller without any progress signal for the whole sort.
-		onChunk := func(got int) {
-			formed += int64(got)
-			if o.progress != nil {
-				o.progress(Progress{Batch: runIdx, FormedRecords: formed, TotalRecords: n})
+		var retained []record.Slice
+		// drain empties the former's current run into emit. With retention
+		// armed a permanent spill-write failure mid-run stops writing but
+		// KEEPS DRAINING (the retained copy is then the only copy of those
+		// records) and reports the failure once the run is complete.
+		drain := func(emit func(record.Slice) error) error {
+			var recs int64
+			var spillErr error
+			for {
+				got, err := f.Fill(buf)
+				if err != nil {
+					return terminalError{err}
+				}
+				if got == 0 {
+					return spillErr
+				}
+				c := buf.Sub(0, got)
+				recs += int64(got)
+				// Progress is emitted per drained chunk, not per completed
+				// run: a run's length is data-dependent and unbounded (a
+				// sorted stream is ONE run), so waiting for a run boundary
+				// could leave a streaming caller without any progress signal
+				// for the whole sort.
+				formed += int64(got)
+				if h.o.progress != nil {
+					h.o.progress(Progress{Batch: runIdx, FormedRecords: formed, TotalRecords: h.n})
+				}
+				if retain {
+					cp := pool.Get(got, z)
+					copy(cp.Data, c.Data)
+					retained = append(retained, cp)
+				}
+				if spillErr == nil {
+					if spillErr = emit(c); spillErr != nil && !retain {
+						return spillErr
+					}
+				}
+				if retain && recs >= 2*h.runPl.N {
+					f.BreakRun() // bound redo memory; the rest becomes the next run
+				}
 			}
 		}
-		run, recs, err := j.spillFormedRun(ctx, f, desc, buf, newSpill, chunk,
-			scrub, retain, 2*runPl.N, redoBudget, pool, runIdx, onChunk)
-		if err != nil {
-			return err
-		}
-		*live = append(*live, run)
-		// Durability point: the run (already scrubbed when armed) is fsync'd
-		// before the manifest claims it. RS runs record no consumed-prefix
-		// position — a formation-phase crash restarts formation (DESIGN.md
-		// §13); a merge-phase crash resumes from these runs with no re-sort.
-		if j.ckpt != nil {
-			if err := pdm.SyncDisk(run.Disk); err != nil {
-				return err
+		var replay chunkSource
+		if retain {
+			replay = func(emit func(record.Slice) error) error {
+				for _, c := range retained {
+					if err := emit(c); err != nil {
+						return err
+					}
+				}
+				return nil
 			}
-			id, err := j.ckpt.logRun(run, 0, record.Checksum{})
-			if err != nil {
-				return err
-			}
-			*ids = append(*ids, id)
 		}
-		stats.BytesWritten += run.Bytes()
-		if desc {
-			stats.DownRuns++
-		}
-		if stats.MinRunRecords == 0 || recs < stats.MinRunRecords {
-			stats.MinRunRecords = recs
-		}
-		if recs > stats.MaxRunRecords {
-			stats.MaxRunRecords = recs
-		}
-	}
-}
-
-// spillFormedRun drains the former's current run onto a fresh spill disk.
-// With retention armed, every emitted chunk is also copied into pooled
-// memory until the run is verified: a permanent spill-write failure mid-run
-// stops writing but KEEPS DRAINING the former (the retained copy is then
-// the only copy of those records), after which the whole run is re-spilled
-// onto fresh disks under the redo budget; a scrub failure re-spills the
-// same way. Without retention, any permanent spill or scrub failure is
-// terminal — exactly the fixed-batch contract with a zero redo budget.
-func (j *job) spillFormedRun(ctx context.Context, f *runform.Former, desc bool, buf record.Slice, newSpill func() (pdm.Disk, error), chunk int, scrub, retain bool, retainCap int64, redoBudget int, pool *record.Pool, runIdx int, onChunk func(got int)) (*merge.Run, int64, error) {
-	var retained []record.Slice
-	defer func() {
+		run, err := h.formRun(ctx, fmt.Sprintf("run %d", runIdx), desc, drain, replay)
 		for _, c := range retained {
 			pool.Put(c)
 		}
-	}()
-
-	d, err := newSpill()
-	if err != nil {
-		return nil, 0, err
-	}
-	w := merge.NewWriter(d, buf.Size, chunk)
-	var recs int64
-	var spillErr error
-	for {
-		got, err := f.Fill(buf)
 		if err != nil {
-			d.Close()
-			return nil, 0, err
+			return err
 		}
-		if got == 0 {
-			break
-		}
-		c := buf.Sub(0, got)
-		recs += int64(got)
-		onChunk(got)
-		if retain {
-			cp := pool.Get(got, buf.Size)
-			copy(cp.Data, c.Data)
-			retained = append(retained, cp)
-		}
-		if spillErr == nil {
-			if err := w.Append(c); err != nil {
-				if !retain {
-					d.Close()
-					return nil, 0, fmt.Errorf("colsort: run %d: %w", runIdx, err)
-				}
-				spillErr = err
-			}
-		}
-		if retain && recs >= retainCap {
-			f.BreakRun() // bound redo memory; the rest becomes the next run
+		// RS runs record no consumed-prefix position — a formation-phase
+		// crash restarts formation (DESIGN.md §13); a merge-phase crash
+		// resumes from these runs with no re-sort.
+		if err := h.commitRun(run, 0); err != nil {
+			return err
 		}
 	}
-
-	var run *merge.Run
-	if spillErr != nil {
-		d.Close() // the half-written first attempt
-	} else if run, err = w.Finish(); err != nil {
-		d.Close()
-		if !retain {
-			return nil, 0, fmt.Errorf("colsort: run %d: %w", runIdx, err)
-		}
-		run, spillErr = nil, err
-	} else {
-		run.Descending = desc
-		if scrub {
-			// Read the spilled bytes back against their CRC frames NOW,
-			// while the retained copy can still redo the run — at merge
-			// time persistent spill corruption is fatal.
-			if err := run.Scrub(ctx, &j.faults); err != nil {
-				run.Close()
-				if !retain {
-					return nil, 0, fmt.Errorf("colsort: run %d: %w", runIdx, err)
-				}
-				run, spillErr = nil, err
-			}
-		}
-	}
-	for attempt := 1; spillErr != nil; attempt++ {
-		if err := ctx.Err(); err != nil {
-			return nil, 0, fmt.Errorf("colsort: run %d: %w", runIdx, spillErr)
-		}
-		if errors.Is(spillErr, pdm.ErrNoSpace) {
-			// Out of space is not redoable: a fresh spill disk lives on the
-			// same full filesystem. Surface it without spending the budget.
-			return nil, 0, fmt.Errorf("colsort: run %d: %w", runIdx, spillErr)
-		}
-		if attempt > redoBudget {
-			return nil, 0, fmt.Errorf("colsort: redo budget (%d) exhausted: run %d: %w", redoBudget, runIdx, spillErr)
-		}
-		j.faults.BatchRedos.Add(1)
-		run, spillErr = respillRetained(ctx, retained, buf.Size, desc, newSpill, chunk, scrub, &j.faults)
-	}
-	return run, recs, nil
 }
 
-// respillRetained writes a formed run's retained chunks onto a fresh spill
-// disk and re-verifies it — the replacement-selection analogue of the
-// fixed-batch redo (which re-sorts from the preserved input store).
-func respillRetained(ctx context.Context, retained []record.Slice, z int, desc bool, newSpill func() (pdm.Disk, error), chunk int, scrub bool, faults *pdm.FaultStats) (*merge.Run, error) {
-	d, err := newSpill()
-	if err != nil {
-		return nil, err
+// span is one group [lo, hi) of a merge level.
+type span struct{ lo, hi int }
+
+// mergeGroups is the shape of one merge-tree level over k runs: consecutive
+// groups of up to fanIn. A group of one — the lone leftover — passes through
+// to the next level unrewritten.
+func mergeGroups(k, fanIn int) []span {
+	groups := make([]span, 0, (k+fanIn-1)/fanIn)
+	for lo := 0; lo < k; lo += fanIn {
+		groups = append(groups, span{lo, min(lo+fanIn, k)})
 	}
-	w := merge.NewWriter(d, z, chunk)
-	for _, c := range retained {
-		if err := w.Append(c); err != nil {
-			d.Close()
-			return nil, err
+	return groups
+}
+
+// mergeProgress builds the merge phase's progress emitter. Merge progress
+// is cumulative across EVERY level, against the total record count all
+// merges together will emit — and clamped monotonic in the emitter: with
+// variable-length runs (and pass-through leftovers) a per-level percent
+// could otherwise regress between levels.
+func (h *hierJob) mergeProgress() func(merged int64) {
+	sizes := make([]int64, len(h.live))
+	for i, r := range h.live {
+		sizes[i] = r.run.Records
+	}
+	mergeTotal := h.n // the final merge emits every record
+	for len(sizes) > h.fanIn {
+		var next []int64
+		for _, g := range mergeGroups(len(sizes), h.fanIn) {
+			var sum int64
+			for _, v := range sizes[g.lo:g.hi] {
+				sum += v
+			}
+			if g.hi-g.lo > 1 {
+				mergeTotal += sum
+			}
+			next = append(next, sum)
 		}
+		sizes = next
 	}
-	run, err := w.Finish()
+	batches := h.nBatches
+	if h.o.formation != FixedBatch {
+		batches = len(h.live)
+	}
+	var lastEmitted int64
+	return func(merged int64) {
+		cum := min(max(h.mergedBase+merged, lastEmitted), mergeTotal)
+		lastEmitted = cum
+		h.o.progress(Progress{Batches: batches, MergedRecords: cum, TotalRecords: mergeTotal})
+	}
+}
+
+// mergeLevel runs one intermediate level of the merge tree, rewriting
+// h.live in place: each group's output lands at or before the slots its
+// inputs vacate, so at every instant — an error return included — each
+// open run sits in h.live exactly once.
+func (h *hierJob) mergeLevel(ctx context.Context, opt merge.Options) error {
+	w := 0
+	for _, g := range mergeGroups(len(h.live), h.fanIn) {
+		out := h.live[g.lo]
+		if g.hi-g.lo > 1 {
+			var err error
+			if out, err = h.mergeGroup(ctx, h.live[g.lo:g.hi], opt); err != nil {
+				return err
+			}
+		}
+		for i := g.lo; i < g.hi; i++ {
+			h.live[i] = hierRun{}
+		}
+		h.live[w] = out
+		w++
+	}
+	h.live = h.live[:w]
+	return nil
+}
+
+// mergeGroup merges one group of live runs into a new spilled run and
+// retires the inputs. On error the inputs are untouched.
+func (h *hierJob) mergeGroup(ctx context.Context, in []hierRun, opt merge.Options) (hierRun, error) {
+	runs := make([]*merge.Run, len(in))
+	ids := make([]int, len(in))
+	for i, r := range in {
+		runs[i], ids[i] = r.run, r.id
+	}
+	d, err := h.newSpill()
+	if err != nil {
+		return hierRun{}, err
+	}
+	out, st, err := merge.MergeToRun(ctx, runs, d, opt)
 	if err != nil {
 		d.Close()
-		return nil, err
+		return hierRun{}, err
 	}
-	run.Descending = desc
-	if scrub {
-		if err := run.Scrub(ctx, faults); err != nil {
-			run.Close()
+	h.stats.BytesRead += st.BytesRead
+	h.stats.BytesWritten += st.BytesWritten
+	h.mergedBase += out.Records
+	merged := hierRun{run: out}
+	if h.ckpt != nil {
+		// Durability points, in order: the merged output reaches stable
+		// storage; the WAL records it (with the input ids it consumed);
+		// only then are the consumed input files removed. A crash between
+		// any two steps leaves either the inputs live (the merge is
+		// redone) or the output live with orphan inputs (swept at resume)
+		// — never a gap in the data.
+		if err := pdm.SyncDisk(out.Disk); err != nil {
+			out.Close()
+			return hierRun{}, err
+		}
+		if merged.id, err = h.ckpt.logMerged(out, ids); err != nil {
+			out.Close()
+			return hierRun{}, err
+		}
+	}
+	for _, r := range runs {
+		h.closeConsumedRun(r)
+	}
+	return merged, nil
+}
+
+// mergePhase reduces the run set level by level and streams the final merge
+// into the sink, verifying order in-stream and the multiset at end of
+// stream. Under checkpointing each intermediate merge output becomes
+// durable (fsync + "merged" WAL entry) before its consumed inputs are
+// removed, so a crash at any point leaves a run set that re-merges to
+// byte-identical output; on success the checkpoint state is retired.
+func (h *hierJob) mergePhase(ctx context.Context, dst Sink) (*Result, error) {
+	opt := merge.Options{ChunkRecs: h.chunk, Faults: &h.faults}
+	if h.o.progress != nil {
+		opt.Progress = h.mergeProgress()
+	}
+
+	// Merge tree: reduce the run set level by level until one merge fans
+	// into the sink. The merges verify every CRC frame they load, healing
+	// transient read corruption with a reread and counting both into the
+	// job's fault stats.
+	for len(h.live) > h.fanIn {
+		h.stats.Levels++
+		if err := h.mergeLevel(ctx, opt); err != nil {
 			return nil, err
 		}
 	}
-	return run, nil
+
+	// Final merge: stream straight into the sink, decoding each chunk on
+	// the write-behind worker so the sink's I/O and the codec's work
+	// overlap the compare/copy loop and the runs' prefetch. The emitted
+	// order is checked record by record and the emitted multiset compared
+	// to the ingest checksum at end of stream — streaming verification, at
+	// the cost that a late failure means the sink has already received
+	// bytes that must be discarded (Sort reports the error either way).
+	h.stats.Levels++
+	w, err := dst.Open(h.e.cfg.RecordSize)
+	if err != nil {
+		return nil, err
+	}
+	runs := make([]*merge.Run, len(h.live))
+	for i, r := range h.live {
+		runs[i] = r.run
+	}
+	got, st, err := merge.Merge(ctx, runs, func(c record.Slice) error {
+		h.codec.Decode(c)
+		return w.Write(c)
+	}, opt)
+	h.stats.BytesRead += st.BytesRead
+	h.stats.BytesWritten += st.BytesWritten
+	if err != nil {
+		w.Close()
+		return nil, err
+	}
+	if err := w.Close(); err != nil {
+		return nil, err
+	}
+	if !got.Equal(h.want) {
+		return nil, fmt.Errorf("colsort: streaming verification failed: the merged output's multiset (%d records) differs from the input's (%d); discard the sink's contents", got.Count, h.want.Count)
+	}
+	if h.ckpt != nil {
+		// The sink holds the verified output: record completion and retire
+		// the checkpoint state (manifest and remaining run files).
+		h.closeRuns()
+		h.ckpt.complete()
+		h.ckpt = nil
+	}
+	if h.resumed || h.o.formation != FixedBatch {
+		// The engine fabric did not run in this process — formation
+		// happened before the crash, or the selection heap did it — so the
+		// real work is accounted as synthetic passes: the merge tree, and
+		// under replacement selection the heap before it. Engine.Stats'
+		// cumulative counters (and the server's /metrics derived from them)
+		// stay meaningful on both paths.
+		z := int64(h.runPl.Z)
+		mergeRecs := h.mergedBase + h.n // every record each merge level emitted
+		mergePass := []sim.Counters{{
+			CompareUnits:   mergeRecs * int64(bits.Len64(uint64(h.fanIn))),
+			DiskReadBytes:  h.stats.BytesRead,
+			DiskReadOps:    int64(h.stats.Runs),
+			DiskWriteBytes: h.stats.BytesWritten - h.formSpill,
+			DiskWriteOps:   int64(h.stats.Levels),
+			MovedBytes:     mergeRecs * z,
+		}}
+		h.passCnts = [][]sim.Counters{mergePass}
+		if !h.resumed {
+			formPass := []sim.Counters{{
+				CompareUnits:   h.n * int64(bits.Len64(uint64(h.runPl.N))),
+				DiskWriteBytes: h.formSpill,
+				DiskWriteOps:   int64(h.stats.Runs),
+				MovedBytes:     2 * h.n * z, // arena fill + run emit
+			}}
+			h.passCnts = [][]sim.Counters{formPass, mergePass}
+		}
+	}
+	return &Result{
+		Result: &core.Result{Plan: h.runPl, PassCounters: h.passCnts},
+		want:   h.want,
+		realN:  h.n,
+		codec:  h.codec,
+		Merge:  h.stats,
+	}, nil
 }
 
 // closeConsumedRun closes a merge input run and, under checkpointing (whose
 // spill files survive Close), removes its durable file — legal only after
 // the WAL entry of the merge that consumed it is durable.
-func (j *job) closeConsumedRun(r *merge.Run) {
+func (h *hierJob) closeConsumedRun(r *merge.Run) {
 	var path string
-	if j.ckpt != nil {
+	if h.ckpt != nil {
 		path = pdm.DiskPath(r.Disk)
 	}
 	r.Close()
@@ -890,9 +852,9 @@ func (j *job) closeConsumedRun(r *merge.Run) {
 // manifest recorded — a resume must refuse a source that differs from the
 // one the crashed job ingested, or the merged output would silently mix two
 // inputs.
-func skipConsumed(ctx context.Context, rd RecordReader, codec record.KeyCodec, z int, consumed int64, want record.Checksum) error {
+func (h *hierJob) skipConsumed(ctx context.Context, rd RecordReader, consumed int64, want record.Checksum) error {
 	var cs record.Checksum
-	rec := make([]byte, z)
+	rec := make([]byte, h.e.cfg.RecordSize)
 	for i := int64(0); i < consumed; i++ {
 		if i%4096 == 0 {
 			if err := ctx.Err(); err != nil {
@@ -902,7 +864,7 @@ func skipConsumed(ctx context.Context, rd RecordReader, codec record.KeyCodec, z
 		if err := rd.ReadRecord(rec); err != nil {
 			return fmt.Errorf("colsort: resume: re-reading consumed record %d of %d: %w", i, consumed, err)
 		}
-		codec.EncodeRecord(rec)
+		h.codec.EncodeRecord(rec)
 		cs.Add(rec)
 	}
 	if !cs.Equal(want) {
@@ -918,25 +880,4 @@ func verifyRunStore(st *pdm.Store, real int64, cs record.Checksum) error {
 		return verify.OutputPrefix(st, real, cs)
 	}
 	return verify.Output(st, cs)
-}
-
-// spillRun streams the sorted store's real prefix onto a fresh spill disk
-// as one run, prefetching each segment one step ahead (scanRealPrefix)
-// while the writer's chunks retire through any write-behind layer.
-func spillRun(ctx context.Context, st *pdm.Store, real int64, newSpill func() (pdm.Disk, error), chunk int) (*merge.Run, error) {
-	d, err := newSpill()
-	if err != nil {
-		return nil, err
-	}
-	w := merge.NewWriter(d, st.RecSize, chunk)
-	if err := scanRealPrefix(ctx, st, real, w.Append); err != nil {
-		d.Close()
-		return nil, err
-	}
-	run, err := w.Finish()
-	if err != nil {
-		d.Close()
-		return nil, err
-	}
-	return run, nil
 }

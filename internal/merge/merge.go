@@ -82,12 +82,13 @@ func Merge(ctx context.Context, runs []*Run, emit func(record.Slice) error, opt 
 		chunkRecs = DefaultChunkRecs
 	}
 
-	readers := make([]runReader, len(runs))
+	readers := make([]Reader, len(runs))
 	for i, r := range runs {
-		readers[i] = newRunReader(r, chunkRecs, opt.Faults)
+		readers[i] = *NewReader(r, chunkRecs)
+		readers[i].faults = opt.Faults
 	}
-	for _, rd := range readers {
-		if err := rd.Prime(); err != nil {
+	for i := range readers {
+		if err := readers[i].Prime(); err != nil {
 			return cs, st, err
 		}
 	}
@@ -125,8 +126,8 @@ func Merge(ctx context.Context, runs []*Run, emit func(record.Slice) error, opt 
 	finish := func(err error) (record.Checksum, Stats, error) {
 		close(full)
 		done.Wait()
-		for _, rd := range readers {
-			st.BytesRead += rd.BytesRead()
+		for i := range readers {
+			st.BytesRead += readers[i].BytesRead()
 		}
 		if err == nil {
 			emitMu.Lock()
@@ -211,12 +212,12 @@ func MergeToRun(ctx context.Context, runs []*Run, d pdm.Disk, opt Options) (*Run
 // The leaf count is padded to a power of two with permanently exhausted
 // dummies. Ties break on run index for determinism.
 type tree struct {
-	readers []runReader
+	readers []Reader
 	node    []int
 	k       int
 }
 
-func (t *tree) init(readers []runReader) {
+func (t *tree) init(readers []Reader) {
 	t.readers = readers
 	t.k = 1
 	for t.k < len(readers) {
@@ -263,7 +264,7 @@ func (t *tree) beats(a, b int) bool {
 	// 8-byte prefix at each advance, so the common case is one uint64
 	// compare without touching the chunk bytes; ties fall back to the full
 	// record.
-	ra, rb := t.readers[a], t.readers[b]
+	ra, rb := &t.readers[a], &t.readers[b]
 	if ra.Key() != rb.Key() {
 		return ra.Key() < rb.Key()
 	}

@@ -46,7 +46,7 @@ func TestReverseReaderRoundTrip(t *testing.T) {
 		record.Fill(recs, record.Uniform{Seed: uint64(n)}, 0)
 		run := buildDescRun(t, m, recs, 32)
 		sortSlice(recs) // ascending reference
-		rd := NewReverseReader(run, 32)
+		rd := NewReader(run, 32)
 		if err := rd.Prime(); err != nil {
 			t.Fatal(err)
 		}
@@ -144,15 +144,16 @@ func TestReverseReaderAsyncPrefetch(t *testing.T) {
 	}
 }
 
-// FuzzReverseReader throws arbitrary record bytes and chunk geometries at
-// the reversed reader: whatever Writer spilled, ReverseReader must yield
-// exactly the spill order reversed, account every byte, and never read
-// off the frame grid (readFrameVerified rejects unaligned framed reads).
+// FuzzReverseReader throws arbitrary record bytes, chunk geometries and a
+// walk direction at the one Reader: whatever Writer spilled, a Descending
+// run must read back in exactly the spill order reversed and an ascending
+// one in spill order, account every byte, and never read off the frame
+// grid (readFrameVerified rejects unaligned framed reads).
 func FuzzReverseReader(f *testing.F) {
-	f.Add(uint8(0), uint8(3), []byte("0123456789abcdef0123456789abcdef"))
-	f.Add(uint8(1), uint8(1), []byte("hello world, this is a run payload!!"))
-	f.Add(uint8(2), uint8(7), make([]byte, 200))
-	f.Fuzz(func(t *testing.T, zSel, chunkSel uint8, data []byte) {
+	f.Add(uint8(0), uint8(3), true, []byte("0123456789abcdef0123456789abcdef"))
+	f.Add(uint8(1), uint8(1), false, []byte("hello world, this is a run payload!!"))
+	f.Add(uint8(2), uint8(7), true, make([]byte, 200))
+	f.Fuzz(func(t *testing.T, zSel, chunkSel uint8, desc bool, data []byte) {
 		z := 8 * (1 + int(zSel)%4) // 8, 16, 24, 32
 		writeChunk := 1 + int(chunkSel)%7
 		readChunk := 1 + int(chunkSel/8)%5
@@ -175,19 +176,23 @@ func FuzzReverseReader(f *testing.F) {
 			t.Fatal(err)
 		}
 		defer run.Close()
-		run.Descending = true
+		run.Descending = desc
 
-		rd := NewReverseReader(run, readChunk)
+		rd := NewReader(run, readChunk)
 		if err := rd.Prime(); err != nil {
 			t.Fatal(err)
 		}
-		for i := n - 1; i >= 0; i-- {
+		for k := 0; k < n; k++ {
+			i := k // spill position the k-th read must yield
+			if desc {
+				i = n - 1 - k
+			}
 			rec := rd.Cur()
 			if rec == nil {
-				t.Fatalf("exhausted with %d records left", i+1)
+				t.Fatalf("exhausted with %d records left", n-k)
 			}
 			if !bytes.Equal(rec, recs.Record(i)) {
-				t.Fatalf("record %d (reverse position) differs from the spill", i)
+				t.Fatalf("read %d differs from spill record %d (descending=%v)", k, i, desc)
 			}
 			if rd.Key() != record.Key(rec) {
 				t.Fatalf("cached key %x != record key %x", rd.Key(), record.Key(rec))

@@ -45,9 +45,9 @@ type Run struct {
 	Records int64
 
 	// Descending marks a run spilled in descending order (replacement
-	// selection's "down" runs). Such runs are consumed through a
-	// ReverseReader so every merge input is ascending; the on-disk layout
-	// and CRC framing are identical to an ascending run's.
+	// selection's "down" runs). A Reader walks such a run backwards, so
+	// every merge input is ascending; the on-disk layout and CRC framing
+	// are identical to an ascending run's.
 	Descending bool
 
 	// FrameBytes is the CRC frame length (0: unframed legacy run); crcs[i]
@@ -233,176 +233,38 @@ func (w *Writer) Finish() (*Run, error) {
 		FrameBytes: len(w.buf), crcs: w.crcs}, nil
 }
 
-// Reader streams a run's records in order. Each chunk load hints the NEXT
-// chunk (exact offset and length) to the disk's Prefetcher, so on
-// async-backed disks the blocking ReadAt of chunk i executes while chunk
-// i+1 is being staged — and across the k readers of a merge, k fetches are
-// in flight at once.
+// Reader streams a run's records in ASCENDING order, whichever way the run
+// was spilled: an ascending run is walked front to back, a Descending one
+// back to front. The two walks differ in a sign. Loads sit on one
+// frame-aligned grid anchored at offset 0 (only the last grid chunk may be
+// short), so CRC verification — the alignment invariant of
+// readFrameVerified and its one-reread healing — is identical both ways.
+// Each chunk load hints the NEXT chunk in walk order (exact offset and
+// length) to the disk's Prefetcher, so on async-backed disks the blocking
+// ReadAt of one chunk executes while the following one is being staged —
+// and across the k readers of a merge, k fetches are in flight at once.
 type Reader struct {
-	run       *Run
-	chunk     []byte
-	cur       []byte // current chunk's live bytes
-	pos       int    // byte position of the current record within cur
-	key       uint64 // 8-byte key prefix of the current record
-	off       int64  // disk offset of the next chunk to load
-	bytesLeft int64  // unread bytes beyond cur
-	bytesRead int64  // total bytes loaded (stats)
-	primed    bool
-
-	faults *pdm.FaultStats // CRC detection/heal counters; may be nil
-}
-
-// NewReader opens a sequential reader over run, loading chunkRecs records
-// per disk read. A CRC-framed run overrides the chunk size with its frame
-// length, so every load is exactly one verifiable frame.
-func NewReader(run *Run, chunkRecs int) *Reader {
-	if chunkRecs < 1 {
-		chunkRecs = 1
-	}
-	chunkBytes := chunkRecs * run.RecSize
-	if run.framed() {
-		chunkBytes = run.FrameBytes
-	}
-	return &Reader{
-		run:       run,
-		chunk:     make([]byte, chunkBytes),
-		bytesLeft: run.Bytes(),
-	}
-}
-
-// nextExtent returns the offset and length of the next chunk to load.
-func (r *Reader) nextExtent() (int64, int) {
-	n := int64(len(r.chunk))
-	if n > r.bytesLeft {
-		n = r.bytesLeft
-	}
-	return r.off, int(n)
-}
-
-// load reads the next chunk and hints the one after it.
-func (r *Reader) load() error {
-	off, n := r.nextExtent()
-	if n == 0 {
-		r.cur = nil
-		return nil
-	}
-	buf := r.chunk[:n]
-	if err := r.run.readFrameVerified(buf, off, r.faults); err != nil {
-		return err
-	}
-	r.off = off + int64(n)
-	r.bytesLeft -= int64(n)
-	r.bytesRead += int64(n)
-	r.cur, r.pos = buf, 0
-	r.key = binary.BigEndian.Uint64(buf)
-	if p, ok := r.run.Disk.(pdm.Prefetcher); ok {
-		if noff, nn := r.nextExtent(); nn > 0 {
-			p.Prefetch(noff, nn)
-		}
-	}
-	return nil
-}
-
-// Cur returns the current record's bytes, or nil when the run is exhausted.
-// The first call loads (and starts prefetching) the run.
-func (r *Reader) Cur() []byte {
-	if r.pos >= len(r.cur) {
-		return nil
-	}
-	return r.cur[r.pos : r.pos+r.run.RecSize]
-}
-
-// done reports run exhaustion without materializing the record slice.
-func (r *Reader) done() bool { return r.pos >= len(r.cur) }
-
-// Key returns the current record's 8-byte big-endian key prefix, cached at
-// each advance so merge comparisons need not touch the chunk bytes. Valid
-// only while done() is false.
-func (r *Reader) Key() uint64 { return r.key }
-
-// Prime loads the first chunk and hints the second; it must be called once
-// before Cur/Advance.
-func (r *Reader) Prime() error {
-	if r.primed {
-		return nil
-	}
-	r.primed = true
-	if p, ok := r.run.Disk.(pdm.Prefetcher); ok {
-		if off, n := r.nextExtent(); n > 0 {
-			p.Prefetch(off, n)
-		}
-	}
-	return r.load()
-}
-
-// Advance moves past the current record, loading the next chunk when the
-// current one is consumed and refreshing the cached key prefix.
-func (r *Reader) Advance() error {
-	r.pos += r.run.RecSize
-	if r.pos >= len(r.cur) {
-		if r.bytesLeft > 0 {
-			return r.load()
-		}
-		return nil
-	}
-	r.key = binary.BigEndian.Uint64(r.cur[r.pos:])
-	return nil
-}
-
-// BytesRead returns the bytes loaded so far (stats).
-func (r *Reader) BytesRead() int64 { return r.bytesRead }
-
-// runReader is the stream contract the loser tree merges over: Reader for
-// ascending runs, ReverseReader for descending ones. Both present records
-// in ASCENDING order with a cached 8-byte key prefix.
-type runReader interface {
-	Prime() error
-	Cur() []byte
-	Key() uint64
-	done() bool
-	Advance() error
-	BytesRead() int64
-}
-
-// newRunReader opens the appropriate reader for the run's spill
-// orientation, wiring the fault counters through.
-func newRunReader(run *Run, chunkRecs int, faults *pdm.FaultStats) runReader {
-	if run.Descending {
-		rr := NewReverseReader(run, chunkRecs)
-		rr.faults = faults
-		return rr
-	}
-	r := NewReader(run, chunkRecs)
-	r.faults = faults
-	return r
-}
-
-// ReverseReader streams a DESCENDING run's records in ASCENDING order by
-// walking the run backwards: chunks are loaded last to first and records
-// consumed back to front within each chunk. Loads stay on the same
-// frame-aligned grid a forward Reader uses (anchored at offset 0), so CRC
-// verification — including the alignment invariant of readFrameVerified
-// and its one-reread healing — applies unchanged; only the visit order
-// flips. Each load hints the PREVIOUS extent to the disk's Prefetcher, the
-// mirror image of the forward reader's one-ahead schedule.
-type ReverseReader struct {
 	run        *Run
 	chunk      []byte
 	cur        []byte // current chunk's live bytes
-	pos        int    // byte position of the current record within cur (walks down)
+	pos        int    // byte position of the current record within cur
+	step       int    // ±RecSize: the record walk
 	key        uint64 // 8-byte key prefix of the current record
-	frame      int64  // index of the next chunk to load, counting down; -1 when none left
+	frame      int64  // grid index of the next chunk to load
+	dir        int64  // ±1: the frame walk
+	frames     int64  // grid chunks in the run
 	chunkBytes int64
-	bytesRead  int64
+	bytesRead  int64 // total bytes loaded (stats)
 	primed     bool
 
 	faults *pdm.FaultStats // CRC detection/heal counters; may be nil
 }
 
-// NewReverseReader opens a backwards reader over run, loading chunkRecs
-// records per disk read. A CRC-framed run overrides the chunk size with its
-// frame length, so every load is exactly one verifiable frame.
-func NewReverseReader(run *Run, chunkRecs int) *ReverseReader {
+// NewReader opens a reader over run in the direction run.Descending
+// selects, loading chunkRecs records per disk read. A CRC-framed run
+// overrides the chunk size with its frame length, so every load is exactly
+// one verifiable frame.
+func NewReader(run *Run, chunkRecs int) *Reader {
 	if chunkRecs < 1 {
 		chunkRecs = 1
 	}
@@ -410,19 +272,29 @@ func NewReverseReader(run *Run, chunkRecs int) *ReverseReader {
 	if run.framed() {
 		chunkBytes = int64(run.FrameBytes)
 	}
-	frames := (run.Bytes() + chunkBytes - 1) / chunkBytes
-	return &ReverseReader{
+	r := &Reader{
 		run:        run,
 		chunk:      make([]byte, chunkBytes),
 		chunkBytes: chunkBytes,
-		frame:      frames - 1,
-		pos:        -1,
+		frames:     (run.Bytes() + chunkBytes - 1) / chunkBytes,
+		step:       run.RecSize,
+		dir:        1,
+	}
+	if run.Descending {
+		r.step, r.dir, r.frame = -run.RecSize, -1, r.frames-1
+	}
+	return r
+}
+
+// hint stages the next chunk to load, if any, with the disk's Prefetcher.
+func (r *Reader) hint() {
+	if p, ok := r.run.Disk.(pdm.Prefetcher); ok && uint64(r.frame) < uint64(r.frames) {
+		p.Prefetch(r.extentOf(r.frame))
 	}
 }
 
-// extentOf returns the offset and length of grid chunk i (only the last
-// chunk of the run may be short).
-func (r *ReverseReader) extentOf(i int64) (int64, int) {
+// extentOf returns the offset and length of grid chunk i.
+func (r *Reader) extentOf(i int64) (int64, int) {
 	off := i * r.chunkBytes
 	n := r.run.Bytes() - off
 	if n > r.chunkBytes {
@@ -431,11 +303,11 @@ func (r *ReverseReader) extentOf(i int64) (int64, int) {
 	return off, int(n)
 }
 
-// load reads the next chunk (one lower on the grid) and hints the one
-// before it, positioning on the chunk's LAST record.
-func (r *ReverseReader) load() error {
-	if r.frame < 0 {
-		r.cur, r.pos = nil, -1
+// load reads the next chunk in walk order, positions on its first record
+// in that order, and hints the chunk after it.
+func (r *Reader) load() error {
+	if uint64(r.frame) >= uint64(r.frames) {
+		r.cur, r.pos = nil, 0
 		return nil
 	}
 	off, n := r.extentOf(r.frame)
@@ -443,52 +315,51 @@ func (r *ReverseReader) load() error {
 	if err := r.run.readFrameVerified(buf, off, r.faults); err != nil {
 		return err
 	}
-	r.frame--
+	r.frame += r.dir
 	r.bytesRead += int64(n)
-	r.cur = buf
-	r.pos = n - r.run.RecSize
-	r.key = binary.BigEndian.Uint64(buf[r.pos:])
-	if p, ok := r.run.Disk.(pdm.Prefetcher); ok && r.frame >= 0 {
-		poff, pn := r.extentOf(r.frame)
-		p.Prefetch(poff, pn)
+	r.cur, r.pos = buf, 0
+	if r.step < 0 {
+		r.pos = n + r.step
 	}
+	r.key = binary.BigEndian.Uint64(buf[r.pos:])
+	r.hint()
 	return nil
 }
 
-// Prime loads the last chunk (the smallest records) and hints the one
-// before it; it must be called once before Cur/Advance.
-func (r *ReverseReader) Prime() error {
+// Prime loads the first chunk and hints the second; it must be called once
+// before Cur/Advance.
+func (r *Reader) Prime() error {
 	if r.primed {
 		return nil
 	}
 	r.primed = true
-	if p, ok := r.run.Disk.(pdm.Prefetcher); ok && r.frame >= 0 {
-		off, n := r.extentOf(r.frame)
-		p.Prefetch(off, n)
-	}
+	r.hint()
 	return r.load()
 }
 
+// done reports run exhaustion without materializing the record slice: pos
+// has walked off either end of cur (the unsigned compare covers both).
+func (r *Reader) done() bool { return uint(r.pos) >= uint(len(r.cur)) }
+
 // Cur returns the current record's bytes, or nil when the run is exhausted.
-func (r *ReverseReader) Cur() []byte {
-	if r.pos < 0 {
+func (r *Reader) Cur() []byte {
+	if r.done() {
 		return nil
 	}
 	return r.cur[r.pos : r.pos+r.run.RecSize]
 }
 
-// done reports run exhaustion without materializing the record slice.
-func (r *ReverseReader) done() bool { return r.pos < 0 }
+// Key returns the current record's 8-byte big-endian key prefix, cached at
+// each advance so merge comparisons need not touch the chunk bytes. Valid
+// only while done() is false.
+func (r *Reader) Key() uint64 { return r.key }
 
-// Key returns the current record's cached 8-byte big-endian key prefix.
-// Valid only while done() is false.
-func (r *ReverseReader) Key() uint64 { return r.key }
-
-// Advance moves to the previous on-disk record (the next in ascending
-// order), loading the preceding chunk when the current one is consumed.
-func (r *ReverseReader) Advance() error {
-	r.pos -= r.run.RecSize
-	if r.pos < 0 {
+// Advance moves to the next record in ascending order, loading the next
+// chunk when the current one is consumed and refreshing the cached key
+// prefix.
+func (r *Reader) Advance() error {
+	r.pos += r.step
+	if r.done() {
 		return r.load()
 	}
 	r.key = binary.BigEndian.Uint64(r.cur[r.pos:])
@@ -496,4 +367,4 @@ func (r *ReverseReader) Advance() error {
 }
 
 // BytesRead returns the bytes loaded so far (stats).
-func (r *ReverseReader) BytesRead() int64 { return r.bytesRead }
+func (r *Reader) BytesRead() int64 { return r.bytesRead }

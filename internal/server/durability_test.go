@@ -19,16 +19,18 @@ import (
 	"net/url"
 	"os"
 	"path/filepath"
+	"reflect"
 	"strings"
 	"sync"
 	"testing"
 
 	"colsort"
+	"colsort/internal/wal"
 )
 
 func TestJobsWALReplayAndCompaction(t *testing.T) {
 	data := t.TempDir()
-	wal, err := openJobsWAL(data)
+	jw, err := wal.Open(jobsWALPath(data))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -42,11 +44,11 @@ func TestJobsWALReplayAndCompaction(t *testing.T) {
 		{ID: "j000003", State: jobFailed, Error: "boom"},
 	}
 	for _, r := range recs {
-		if err := wal.append(r); err != nil {
+		if err := jw.Append(r); err != nil {
 			t.Fatal(err)
 		}
 	}
-	wal.close()
+	jw.Close()
 	path := filepath.Join(data, serverStateDir, jobsWALName)
 
 	// A torn final line — the crash hit mid-append — must be ignored.
@@ -57,7 +59,7 @@ func TestJobsWALReplayAndCompaction(t *testing.T) {
 	f.WriteString(`{"id":"j000004","state":"que`)
 	f.Close()
 
-	got, err := replayJobsWAL(path)
+	got, err := foldJobsWAL(path)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -76,10 +78,10 @@ func TestJobsWALReplayAndCompaction(t *testing.T) {
 	}
 
 	// Compaction keeps exactly the pending set.
-	if err := compactJobsWAL(data, []walRecord{got[1]}); err != nil {
+	if err := wal.Rewrite(path, []walRecord{got[1]}); err != nil {
 		t.Fatal(err)
 	}
-	after, err := replayJobsWAL(path)
+	after, err := foldJobsWAL(path)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -128,15 +130,15 @@ func TestBootReadoptsQueuedJob(t *testing.T) {
 	if err := os.WriteFile(filepath.Join(data, "in.dat"), input, 0o644); err != nil {
 		t.Fatal(err)
 	}
-	wal, err := openJobsWAL(data)
+	jw, err := wal.Open(jobsWALPath(data))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := wal.append(walRecord{ID: "j000007", State: jobQueued,
+	if err := jw.Append(walRecord{ID: "j000007", State: jobQueued,
 		Input: "in.dat", Output: "out.dat", Options: map[string]string{"order": "desc"}}); err != nil {
 		t.Fatal(err)
 	}
-	wal.close()
+	jw.Close()
 
 	env := newEnv(t, colsort.EngineConfig{Config: testBase(filepath.Join(dir, "scratch"))},
 		Config{DataDir: data})
@@ -217,14 +219,14 @@ func TestBootResumesMidMergeJob(t *testing.T) {
 		t.Fatalf("no manifest survived the interruption: %v", err)
 	}
 
-	wal, err := openJobsWAL(data)
+	jw, err := wal.Open(jobsWALPath(data))
 	if err != nil {
 		t.Fatal(err)
 	}
-	wal.append(walRecord{ID: id, State: jobQueued, Input: "in.dat", Output: "out.dat",
+	jw.Append(walRecord{ID: id, State: jobQueued, Input: "in.dat", Output: "out.dat",
 		Options: map[string]string{"merge-fanin": "2"}})
-	wal.append(walRecord{ID: id, State: jobRunning})
-	wal.close()
+	jw.Append(walRecord{ID: id, State: jobRunning})
+	jw.Close()
 
 	env := newEnv(t, colsort.EngineConfig{Config: testBase(filepath.Join(dir, "scratch2"))},
 		Config{DataDir: data})
@@ -328,5 +330,71 @@ func TestDeadlineParam(t *testing.T) {
 	}
 	if want := refSort(t, dir, input); !bytes.Equal(got, want) {
 		t.Error("sort after a deadline failure is not byte-identical to the reference")
+	}
+}
+
+// TestJobsWALFormatPin holds one jobs.wal line of every state exactly as
+// the commit before internal/wal existed wrote them: a job log left by any
+// earlier build must be re-adopted by this one, so each line has to decode
+// to the same record and re-encode — through both write paths, Append and
+// the compaction Rewrite — to the same bytes.
+func TestJobsWALFormatPin(t *testing.T) {
+	lines := []string{
+		`{"id":"j000001","state":"queued","input":"a.dat","output":"a.out","options":{"deadline":"30s","order":"desc"}}`,
+		`{"id":"j000001","state":"running"}`,
+		`{"id":"j000001","state":"done"}`,
+		`{"id":"j000002","state":"queued","input":"b.dat","output":"b.out"}`,
+		`{"id":"j000002","state":"failed","error":"boom"}`,
+	}
+	pinned := strings.Join(lines, "\n") + "\n"
+	path := jobsWALPath(t.TempDir())
+	if err := os.MkdirAll(filepath.Dir(path), 0o755); err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(path, []byte(pinned), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	got, err := foldJobsWAL(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := []walRecord{
+		{ID: "j000001", State: jobDone, Input: "a.dat", Output: "a.out", Options: map[string]string{"deadline": "30s", "order": "desc"}},
+		{ID: "j000002", State: jobFailed, Input: "b.dat", Output: "b.out", Error: "boom"},
+	}
+	if !reflect.DeepEqual(got, want) {
+		t.Errorf("pinned log folds to %+v, want %+v", got, want)
+	}
+
+	var recs []walRecord
+	for i, line := range lines {
+		var rec walRecord
+		if err := json.Unmarshal([]byte(line), &rec); err != nil {
+			t.Fatalf("line %d: %v", i+1, err)
+		}
+		recs = append(recs, rec)
+	}
+	appended, rewritten := jobsWALPath(t.TempDir()), jobsWALPath(t.TempDir())
+	jw, err := wal.Open(appended)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, rec := range recs {
+		if err := jw.Append(rec); err != nil {
+			t.Fatal(err)
+		}
+	}
+	jw.Close()
+	if err := wal.Rewrite(rewritten, recs); err != nil {
+		t.Fatal(err)
+	}
+	for _, p := range []string{appended, rewritten} {
+		b, err := os.ReadFile(p)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if string(b) != pinned {
+			t.Errorf("re-encoded jobs.wal differs from the pinned bytes:\n got %s\nwant %s", b, pinned)
+		}
 	}
 }

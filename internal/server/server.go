@@ -33,6 +33,7 @@ import (
 	"time"
 
 	"colsort"
+	"colsort/internal/wal"
 )
 
 // Config tunes the server around its engine.
@@ -72,7 +73,7 @@ type Server struct {
 
 	// Durable-job state (see wal.go): the jobs WAL, and the boot-time
 	// recovery counters /metrics exposes.
-	wal            *jobWAL
+	wal            *wal.Log
 	resumedJobs    atomic.Int64 // file jobs re-adopted from the WAL at startup
 	orphansCleaned atomic.Int64 // orphan job-scoped scratch files removed at startup
 }
@@ -137,7 +138,7 @@ func (s *Server) Drain(ctx context.Context) error {
 		<-done
 	}
 	err := s.eng.Close()
-	s.wal.close()
+	s.wal.Close() //nolint:errcheck // every appended entry is already fsync'd
 	return err
 }
 
@@ -386,7 +387,7 @@ func (s *Server) handleJobSubmit(w http.ResponseWriter, r *http.Request) {
 	// Durability point: the submission is recorded — with everything needed
 	// to restart it — before the job runs. A crash from here on re-adopts
 	// the job at the next boot.
-	s.wal.append(walRecord{ID: entry.info.ID, State: jobQueued, //nolint:errcheck // degrade, don't refuse
+	s.wal.Append(walRecord{ID: entry.info.ID, State: jobQueued, //nolint:errcheck // degrade, don't refuse
 		Input: req.Input, Output: req.Output, Options: req.Options})
 	s.launchFileJob(ctx, cancel, entry, in, out, opts, release, false)
 	info, _ := entry.snapshot()
@@ -411,7 +412,7 @@ func (s *Server) launchFileJob(ctx context.Context, cancel context.CancelFunc, e
 		defer s.jobs.wg.Done()
 		defer release()
 		defer cancel()
-		s.wal.append(walRecord{ID: id, State: jobRunning}) //nolint:errcheck // degrade, don't refuse
+		s.wal.Append(walRecord{ID: id, State: jobRunning}) //nolint:errcheck // degrade, don't refuse
 		var res *colsort.Result
 		var err error
 		if resume {
@@ -430,14 +431,14 @@ func (s *Server) launchFileJob(ctx context.Context, cancel context.CancelFunc, e
 				// boot resumes instead of rerunning.
 				return
 			}
-			s.wal.append(walRecord{ID: id, State: jobFailed, Error: err.Error()}) //nolint:errcheck // degrade
-			os.RemoveAll(ckpt)                                                   //nolint:errcheck // the failure is durable; the checkpoint is garbage
+			s.wal.Append(walRecord{ID: id, State: jobFailed, Error: err.Error()}) //nolint:errcheck // degrade
+			os.RemoveAll(ckpt)                                                    //nolint:errcheck // the failure is durable; the checkpoint is garbage
 			return
 		}
 		sum := res.Summary()
 		res.Close()
 		entry.finish(&sum, nil)
-		s.wal.append(walRecord{ID: id, State: jobDone}) //nolint:errcheck // degrade, don't refuse
+		s.wal.Append(walRecord{ID: id, State: jobDone}) //nolint:errcheck // degrade, don't refuse
 	}()
 }
 

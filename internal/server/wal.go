@@ -3,9 +3,12 @@ package server
 // Server-side job durability. File jobs (POST /v1/jobs) write their state
 // transitions through a JSON-lines WAL at DataDir/.colsort/jobs.wal —
 // queued (with the submitted paths and wire options), running, done/failed
-// — each line fsync'd before the transition is acted on. On startup the
-// server replays the WAL: jobs that were queued or running when the
-// process died are RE-ADOPTED — restarted under their original ids, via
+// — each line fsync'd before the transition is acted on. The log mechanics
+// (append+fsync, torn-tail replay and repair, compaction by rename) are
+// internal/wal's; this file holds the record type, its fold and recovery.
+//
+// On startup the server replays the WAL: jobs that were queued or running
+// when the process died are RE-ADOPTED — restarted under their original ids, via
 // Engine.Resume when the job's checkpoint manifest survived (so completed
 // run formation and merge work is not redone) and a fresh checkpointed
 // Sort otherwise — and the WAL is compacted down to the re-adopted
@@ -23,16 +26,18 @@ package server
 // admitted, so every job-prefixed file it sees is garbage by construction.
 
 import (
-	"bufio"
 	"context"
 	"encoding/json"
+	"errors"
 	"fmt"
+	"io/fs"
 	"os"
 	"path/filepath"
 	"regexp"
 	"strconv"
 	"strings"
-	"sync"
+
+	"colsort/internal/wal"
 )
 
 // serverStateDir is the DataDir subdirectory holding the server's durable
@@ -54,90 +59,28 @@ type walRecord struct {
 	Error   string            `json:"error,omitempty"`
 }
 
-// jobWAL is the append side of jobs.wal. A nil *jobWAL is a valid no-op
-// (the server runs without -data, or WAL setup failed and was reported).
-type jobWAL struct {
-	mu sync.Mutex
-	f  *os.File
+// jobsWALPath is where the job-state WAL of a server rooted at dataDir lives.
+func jobsWALPath(dataDir string) string {
+	return filepath.Join(dataDir, serverStateDir, jobsWALName)
 }
 
-// openJobsWAL opens (creating parents as needed) the WAL for appending.
-func openJobsWAL(dataDir string) (*jobWAL, error) {
-	dir := filepath.Join(dataDir, serverStateDir)
-	if err := os.MkdirAll(dir, 0o755); err != nil {
-		return nil, fmt.Errorf("jobs wal: %w", err)
-	}
-	f, err := os.OpenFile(filepath.Join(dir, jobsWALName), os.O_CREATE|os.O_WRONLY|os.O_APPEND, 0o644)
-	if err != nil {
-		return nil, fmt.Errorf("jobs wal: %w", err)
-	}
-	return &jobWAL{f: f}, nil
-}
-
-// append writes one record as a JSON line and fsyncs it.
-func (w *jobWAL) append(rec walRecord) error {
-	if w == nil {
-		return nil
-	}
-	data, err := json.Marshal(rec)
-	if err != nil {
-		return err
-	}
-	data = append(data, '\n')
-	w.mu.Lock()
-	defer w.mu.Unlock()
-	if _, err := w.f.Write(data); err != nil {
-		return err
-	}
-	return w.f.Sync()
-}
-
-func (w *jobWAL) close() {
-	if w == nil {
-		return
-	}
-	w.f.Close() //nolint:errcheck // read side replays from disk, not this handle
-}
-
-// replayJobsWAL folds the WAL into the last observed state of every job,
-// in first-seen order. A torn final line (the crash hit mid-append) is
-// ignored; the transition it recorded never took effect.
-func replayJobsWAL(path string) ([]walRecord, error) {
-	f, err := os.Open(path)
-	if err != nil {
-		if os.IsNotExist(err) {
-			return nil, nil
-		}
-		return nil, err
-	}
-	defer f.Close()
+// foldJobsWAL folds the WAL into the last observed state of every job, in
+// first-seen order (internal/wal skips a torn final line: the transition it
+// recorded never took effect). A WAL that does not exist yet folds to
+// nothing.
+func foldJobsWAL(path string) ([]walRecord, error) {
 	byID := make(map[string]*walRecord)
 	var order []string
-	sc := bufio.NewScanner(f)
-	sc.Buffer(make([]byte, 64<<10), 8<<20)
-	var lines []string
-	for sc.Scan() {
-		if s := strings.TrimSpace(sc.Text()); s != "" {
-			lines = append(lines, s)
-		}
-	}
-	if err := sc.Err(); err != nil {
-		return nil, err
-	}
-	for i, line := range lines {
+	err := wal.Replay(path, func(line []byte) error {
 		var rec walRecord
-		if err := json.Unmarshal([]byte(line), &rec); err != nil {
-			if i == len(lines)-1 {
-				break // torn tail
-			}
-			return nil, fmt.Errorf("jobs wal line %d: %w", i+1, err)
+		if err := json.Unmarshal(line, &rec); err != nil {
+			return err
 		}
 		prev, ok := byID[rec.ID]
 		if !ok {
-			r := rec
-			byID[rec.ID] = &r
+			byID[rec.ID] = &rec
 			order = append(order, rec.ID)
-			continue
+			return nil
 		}
 		// Later transitions update state but keep the queued record's
 		// restart parameters.
@@ -145,44 +88,16 @@ func replayJobsWAL(path string) ([]walRecord, error) {
 		if rec.Error != "" {
 			prev.Error = rec.Error
 		}
+		return nil
+	})
+	if err != nil && !errors.Is(err, fs.ErrNotExist) {
+		return nil, fmt.Errorf("jobs wal: %w", err)
 	}
 	out := make([]walRecord, 0, len(order))
 	for _, id := range order {
 		out = append(out, *byID[id])
 	}
 	return out, nil
-}
-
-// compactJobsWAL atomically rewrites the WAL to hold only keep's records.
-func compactJobsWAL(dataDir string, keep []walRecord) error {
-	dir := filepath.Join(dataDir, serverStateDir)
-	if err := os.MkdirAll(dir, 0o755); err != nil {
-		return err
-	}
-	tmp := filepath.Join(dir, jobsWALName+".tmp")
-	f, err := os.OpenFile(tmp, os.O_CREATE|os.O_WRONLY|os.O_TRUNC, 0o644)
-	if err != nil {
-		return err
-	}
-	for _, rec := range keep {
-		data, err := json.Marshal(rec)
-		if err != nil {
-			f.Close()
-			return err
-		}
-		if _, err := f.Write(append(data, '\n')); err != nil {
-			f.Close()
-			return err
-		}
-	}
-	if err := f.Sync(); err != nil {
-		f.Close()
-		return err
-	}
-	if err := f.Close(); err != nil {
-		return err
-	}
-	return os.Rename(tmp, filepath.Join(dir, jobsWALName))
 }
 
 // jobIDNum extracts the numeric part of a j%06d job id; 0 if malformed.
@@ -239,7 +154,8 @@ func (s *Server) recover() error {
 	if s.cfg.DataDir == "" {
 		return nil
 	}
-	records, err := replayJobsWAL(filepath.Join(s.cfg.DataDir, serverStateDir, jobsWALName))
+	path := jobsWALPath(s.cfg.DataDir)
+	records, err := foldJobsWAL(path)
 	if err != nil {
 		return err
 	}
@@ -254,14 +170,12 @@ func (s *Server) recover() error {
 		}
 	}
 	s.jobs.seedSeq(maxSeq)
-	if err := compactJobsWAL(s.cfg.DataDir, pending); err != nil {
-		return err
+	if err := wal.Rewrite(path, pending); err != nil {
+		return fmt.Errorf("jobs wal: %w", err)
 	}
-	wal, err := openJobsWAL(s.cfg.DataDir)
-	if err != nil {
-		return err
+	if s.wal, err = wal.Open(path); err != nil {
+		return fmt.Errorf("jobs wal: %w", err)
 	}
-	s.wal = wal
 
 	for _, rec := range pending {
 		if err := s.readoptJob(rec); err != nil {
@@ -270,7 +184,7 @@ func (s *Server) recover() error {
 			// next boot, and surface it through the registry.
 			entry := s.jobs.addWithID(rec.ID, jobInfo{Input: rec.Input, Output: rec.Output}, func() {})
 			entry.finish(nil, err)
-			s.wal.append(walRecord{ID: rec.ID, State: jobFailed, Error: err.Error()}) //nolint:errcheck // best effort
+			s.wal.Append(walRecord{ID: rec.ID, State: jobFailed, Error: err.Error()}) //nolint:errcheck // best effort
 		}
 	}
 	return nil

@@ -20,13 +20,13 @@ package colsort
 //	done         the sort completed and the sink holds the verified output
 //
 // Replay (readManifest) folds the log into the live run set: every "run"
-// and "merged" output not consumed by a later "merged" entry. A torn final
-// line — the crash hit mid-append — is ignored: the entry's durability
-// point was not reached, so whatever it described is redone or swept as an
-// orphan. See DESIGN.md §13 for the full durability contract.
+// and "merged" output not consumed by a later "merged" entry. The log
+// mechanics — fsync'd appends, the torn final line a crash mid-append leaves
+// (ignored on replay, truncated on reopen: the entry's durability point was
+// not reached, so whatever it described is redone or swept as an orphan) —
+// live in internal/wal. See DESIGN.md §13 for the full durability contract.
 
 import (
-	"bufio"
 	"encoding/json"
 	"fmt"
 	"os"
@@ -36,6 +36,7 @@ import (
 	"colsort/internal/merge"
 	"colsort/internal/pdm"
 	"colsort/internal/record"
+	"colsort/internal/wal"
 )
 
 // manifestName is the WAL's file name inside the checkpoint directory.
@@ -83,11 +84,14 @@ type manifestEntry struct {
 	Inputs []int `json:"inputs,omitempty"`
 }
 
-// manifestLog is the append side of the WAL. A nil *manifestLog is a valid
-// no-op logger, so the hierarchical path calls it unconditionally.
+// manifestLog is the append side of the WAL. A nil *manifestLog appends and
+// closes as a no-op, so a job that is not checkpointed logs its phase
+// boundaries unconditionally; logRun, logMerged and complete — which issue
+// ids and touch the directory — sit behind the caller's "checkpointing?"
+// guard together with the fsyncs they follow.
 type manifestLog struct {
 	dir    string
-	f      *os.File
+	w      *wal.Log
 	runSeq int
 }
 
@@ -95,41 +99,26 @@ type manifestLog struct {
 // appending. firstID seeds the run-id sequence — a resumed job continues
 // numbering after the ids already in the log.
 func openManifestLog(dir string, firstID int) (*manifestLog, error) {
-	if err := os.MkdirAll(dir, 0o755); err != nil {
-		return nil, fmt.Errorf("colsort: checkpoint dir: %w", err)
-	}
-	f, err := os.OpenFile(filepath.Join(dir, manifestName), os.O_CREATE|os.O_WRONLY|os.O_APPEND, 0o644)
+	w, err := wal.Open(filepath.Join(dir, manifestName))
 	if err != nil {
 		return nil, fmt.Errorf("colsort: checkpoint manifest: %w", err)
 	}
-	return &manifestLog{dir: dir, f: f, runSeq: firstID}, nil
+	return &manifestLog{dir: dir, w: w, runSeq: firstID}, nil
 }
 
-// append writes one entry as a JSON line and fsyncs it — the entry is
-// durable when append returns, not before.
+// append makes one entry durable (wal.Log.Append: one line, one fsync).
 func (l *manifestLog) append(e manifestEntry) error {
 	if l == nil {
 		return nil
 	}
-	data, err := json.Marshal(e)
-	if err != nil {
-		return fmt.Errorf("colsort: encoding manifest entry: %w", err)
-	}
-	data = append(data, '\n')
-	if _, err := l.f.Write(data); err != nil {
-		return fmt.Errorf("colsort: appending manifest entry: %w", err)
-	}
-	if err := l.f.Sync(); err != nil {
-		return fmt.Errorf("colsort: syncing manifest: %w", err)
+	if err := l.w.Append(e); err != nil {
+		return fmt.Errorf("colsort: checkpoint manifest: %w", err)
 	}
 	return nil
 }
 
 // logBegin records the job's resolved parameters.
 func (l *manifestLog) logBegin(o sortOptions, recordSize int, n, runRecords int64, fanIn int) error {
-	if l == nil {
-		return nil
-	}
 	e := manifestEntry{
 		Type:       "begin",
 		N:          n,
@@ -142,8 +131,7 @@ func (l *manifestLog) logBegin(o sortOptions, recordSize int, n, runRecords int6
 		MaxMemory:  o.maxMemory,
 	}
 	if o.keySpec != (KeySpec{}) {
-		ks := o.keySpec
-		e.KeySpec = &ks
+		e.KeySpec = &o.keySpec
 	}
 	return l.append(e)
 }
@@ -167,38 +155,27 @@ func describeRun(id int, r *merge.Run) *manifestRun {
 // values under replacement selection (whose runs don't cover a source
 // prefix — see DESIGN.md §13).
 func (l *manifestLog) logRun(r *merge.Run, consumed int64, want record.Checksum) (int, error) {
-	if l == nil {
-		return 0, nil
-	}
 	l.runSeq++
 	id := l.runSeq
 	e := manifestEntry{Type: "run", Run: describeRun(id, r), Consumed: consumed}
 	if consumed > 0 {
-		w := want
-		e.Want = &w
+		e.Want = &want
 	}
 	return id, l.append(e)
 }
 
 // logIngestDone marks run formation complete with the full ingest checksum.
 func (l *manifestLog) logIngestDone(want record.Checksum) error {
-	if l == nil {
-		return nil
-	}
-	w := want
-	return l.append(manifestEntry{Type: "ingest_done", Want: &w})
+	return l.append(manifestEntry{Type: "ingest_done", Want: &want})
 }
 
 // logMerged records one intermediate merge output and the input ids it
 // consumed, returning the output's manifest id. Call it after the output
 // is fsync'd and before the input files are removed.
 func (l *manifestLog) logMerged(out *merge.Run, inputs []int) (int, error) {
-	if l == nil {
-		return 0, nil
-	}
 	l.runSeq++
 	id := l.runSeq
-	return id, l.append(manifestEntry{Type: "merged", Run: describeRun(id, out), Inputs: append([]int(nil), inputs...)})
+	return id, l.append(manifestEntry{Type: "merged", Run: describeRun(id, out), Inputs: inputs})
 }
 
 // complete writes the done entry, closes the WAL, and best-effort removes
@@ -207,18 +184,10 @@ func (l *manifestLog) logMerged(out *merge.Run, inputs []int) (int, error) {
 // the output is already delivered and a leftover manifest recording "done"
 // is refused by Resume anyway.
 func (l *manifestLog) complete() {
-	if l == nil {
-		return
-	}
 	_ = l.append(manifestEntry{Type: "done"})
-	_ = l.f.Close()
-	if ents, err := os.ReadDir(l.dir); err == nil {
-		for _, de := range ents {
-			if !de.IsDir() && (strings.HasPrefix(de.Name(), ckptRunPrefix) || de.Name() == manifestName) {
-				_ = os.Remove(filepath.Join(l.dir, de.Name()))
-			}
-		}
-	}
+	l.close()
+	sweepOrphanRuns(l.dir, nil) // no run is live any more: every spill file goes
+	_ = os.Remove(filepath.Join(l.dir, manifestName))
 	_ = os.Remove(l.dir) // only if nothing else lives there
 }
 
@@ -228,88 +197,50 @@ func (l *manifestLog) close() {
 	if l == nil {
 		return
 	}
-	_ = l.f.Close()
+	_ = l.w.Close()
 }
 
 // manifestState is the fold of one WAL replay.
 type manifestState struct {
-	begin      manifestEntry
-	live       []*manifestRun // runs not consumed by a later merged entry, log order
-	consumed   int64          // fixed-batch: source records covered by durable runs
-	cumWant    record.Checksum
+	begin    manifestEntry
+	live     []*manifestRun // runs not consumed by a later merged entry, log order
+	consumed int64          // fixed-batch: source records covered by durable runs
+	// want is the latest ingest checksum the log recorded: the final one
+	// once ingestDone, else the fixed-batch cumulative one of the consumed
+	// prefix (run entries precede ingest_done, so "latest" is both).
+	want       record.Checksum
 	ingestDone bool
-	finalWant  record.Checksum
 	done       bool
 	maxID      int
-	runsLogged int // formation runs recorded (durable batches)
 }
 
 // readManifest replays the WAL at dir. A torn final line is ignored; any
-// earlier malformed line fails the replay (the file is corrupt, not merely
-// truncated by a crash).
+// complete line that does not decode or fold fails the replay with
+// wal.ErrCorrupt (the file is damaged, not merely truncated by a crash).
 func readManifest(dir string) (*manifestState, error) {
-	f, err := os.Open(filepath.Join(dir, manifestName))
-	if err != nil {
-		return nil, fmt.Errorf("colsort: no resumable manifest at %s: %w", dir, err)
-	}
-	defer f.Close()
-
-	var lines []string
-	sc := bufio.NewScanner(f)
-	sc.Buffer(make([]byte, 1<<20), 64<<20) // CRC sidecars make long lines
-	for sc.Scan() {
-		if s := strings.TrimSpace(sc.Text()); s != "" {
-			lines = append(lines, s)
-		}
-	}
-	if err := sc.Err(); err != nil {
-		return nil, fmt.Errorf("colsort: reading manifest: %w", err)
-	}
-
 	st := &manifestState{}
 	liveByID := make(map[int]*manifestRun)
 	order := []int{}
 	haveBegin := false
-	for i, line := range lines {
+	err := wal.Replay(filepath.Join(dir, manifestName), func(line []byte) error {
 		var e manifestEntry
-		if err := json.Unmarshal([]byte(line), &e); err != nil {
-			if i == len(lines)-1 {
-				break // torn final append: the entry never became durable
-			}
-			return nil, fmt.Errorf("colsort: corrupt manifest at %s line %d: %w", dir, i+1, err)
+		if err := json.Unmarshal(line, &e); err != nil {
+			return err
+		}
+		if e.Want != nil {
+			st.want = *e.Want
 		}
 		switch e.Type {
 		case "begin":
 			if haveBegin {
-				return nil, fmt.Errorf("colsort: corrupt manifest at %s: duplicate begin entry", dir)
+				return fmt.Errorf("duplicate begin entry")
 			}
 			st.begin, haveBegin = e, true
-		case "run":
+		case "run", "merged":
 			if e.Run == nil {
-				return nil, fmt.Errorf("colsort: corrupt manifest at %s: run entry without run", dir)
+				return fmt.Errorf("%s entry without run", e.Type)
 			}
-			liveByID[e.Run.ID] = e.Run
-			order = append(order, e.Run.ID)
-			if e.Run.ID > st.maxID {
-				st.maxID = e.Run.ID
-			}
-			st.runsLogged++
-			if e.Consumed > 0 {
-				st.consumed = e.Consumed
-				if e.Want != nil {
-					st.cumWant = *e.Want
-				}
-			}
-		case "ingest_done":
-			st.ingestDone = true
-			if e.Want != nil {
-				st.finalWant = *e.Want
-			}
-		case "merged":
-			if e.Run == nil {
-				return nil, fmt.Errorf("colsort: corrupt manifest at %s: merged entry without run", dir)
-			}
-			for _, id := range e.Inputs {
+			for _, id := range e.Inputs { // merged only
 				delete(liveByID, id)
 			}
 			liveByID[e.Run.ID] = e.Run
@@ -317,11 +248,20 @@ func readManifest(dir string) (*manifestState, error) {
 			if e.Run.ID > st.maxID {
 				st.maxID = e.Run.ID
 			}
+			if e.Type == "run" && e.Consumed > 0 {
+				st.consumed = e.Consumed
+			}
+		case "ingest_done":
+			st.ingestDone = true
 		case "done":
 			st.done = true
 		default:
-			return nil, fmt.Errorf("colsort: corrupt manifest at %s: unknown entry type %q", dir, e.Type)
+			return fmt.Errorf("unknown entry type %q", e.Type)
 		}
+		return nil
+	})
+	if err != nil {
+		return nil, fmt.Errorf("colsort: no resumable manifest at %s: %w", dir, err)
 	}
 	if !haveBegin {
 		return nil, fmt.Errorf("colsort: manifest at %s has no begin entry; nothing to resume", dir)
@@ -338,25 +278,19 @@ func readManifest(dir string) (*manifestState, error) {
 // sweepOrphanRuns removes every checkpoint spill file in dir that no live
 // manifest run references — the half-written run or merge output a crash
 // left behind, and the consumed inputs whose removal the crash interrupted.
-// It returns how many files were removed.
-func sweepOrphanRuns(dir string, live []*manifestRun) int {
+func sweepOrphanRuns(dir string, live []*manifestRun) {
 	referenced := make(map[string]bool, len(live))
 	for _, r := range live {
 		referenced[filepath.Base(r.Path)] = true
 	}
-	removed := 0
 	ents, err := os.ReadDir(dir)
 	if err != nil {
-		return 0
+		return
 	}
 	for _, de := range ents {
 		name := de.Name()
-		if de.IsDir() || !strings.HasPrefix(name, ckptRunPrefix) || referenced[name] {
-			continue
-		}
-		if os.Remove(filepath.Join(dir, name)) == nil {
-			removed++
+		if !de.IsDir() && strings.HasPrefix(name, ckptRunPrefix) && !referenced[name] {
+			_ = os.Remove(filepath.Join(dir, name))
 		}
 	}
-	return removed
 }

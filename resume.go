@@ -24,11 +24,10 @@ import (
 )
 
 // resumeState is what a manifest replay hands sortHierarchical: the reopened
-// live runs, their manifest ids, and where formation stood at the crash.
+// live runs under their manifest ids, and where formation stood at the crash.
 type resumeState struct {
-	live       []*merge.Run
-	ids        []int           // manifest ids parallel to live
-	want       record.Checksum // finalWant when ingestDone, else the cumulative fixed-batch checksum
+	live       []hierRun
+	want       record.Checksum // the full ingest checksum when ingestDone, else that of the consumed prefix
 	consumed   int64           // fixed-batch: source records the durable runs cover
 	ingestDone bool
 	maxID      int // highest manifest id issued; seeds the resumed WAL's sequence
@@ -131,7 +130,7 @@ func (e *Engine) Resume(ctx context.Context, manifestDir string, src Source, dst
 
 	// Sweep the orphans first: the half-written spill the crash interrupted,
 	// and consumed merge inputs whose removal did not complete.
-	swept := sweepOrphanRuns(manifestDir, st.live)
+	sweepOrphanRuns(manifestDir, st.live)
 	if rsRestart {
 		_ = os.Remove(filepath.Join(manifestDir, manifestName))
 	}
@@ -152,43 +151,17 @@ func (e *Engine) Resume(ctx context.Context, manifestDir string, src Source, dst
 		return nil, fmt.Errorf("colsort: the manifest at %s has unfinished run formation; Resume needs the original Source to form the remaining runs", manifestDir)
 	}
 
-	ask := runPl.N * int64(runPl.Z)
-	if o.maxMemory > 0 {
-		ask = o.maxMemory
-	}
-	l, err := e.admit(ctx, ask, o.noWait)
-	if err != nil {
-		return nil, err
-	}
-	defer l.release()
-
-	j := e.newJob(ctx, o)
-	var rs *resumeState
-	if !rsRestart {
-		rs = &resumeState{
-			consumed:   st.consumed,
-			ingestDone: st.ingestDone,
-			maxID:      st.maxID,
+	return e.runJob(ctx, o, runPl.N*int64(runPl.Z), func(j *job) (*Result, error) {
+		var rs *resumeState
+		if !rsRestart {
+			live, err := reopenRuns(j.m, st.live, e.cfg.RecordSize)
+			if err != nil {
+				return nil, err
+			}
+			rs = &resumeState{live: live, want: st.want, consumed: st.consumed, ingestDone: st.ingestDone, maxID: st.maxID}
 		}
-		if st.ingestDone {
-			rs.want = st.finalWant
-		} else {
-			rs.want = st.cumWant
-		}
-		if rs.live, rs.ids, err = reopenRuns(j.m, st.live, e.cfg.RecordSize); err != nil {
-			return nil, err
-		}
-	}
-	_ = swept // counted by callers that surface it (the server's metrics)
-
-	res, err := j.sortHierarchical(ctx, rd, dst, o, codec, n, runPl, rs)
-	faults := j.faultStats()
-	if res != nil {
-		res.Faults = faults
-		res.JobID = j.id
-	}
-	e.finishJob(res, faults, err)
-	return res, err
+		return j.newHierJob(o, codec, n, runPl).sortHierarchical(ctx, rd, dst, rs)
+	})
 }
 
 // Resume delegates to Engine.Resume.
@@ -201,34 +174,30 @@ func (s *Sorter) Resume(ctx context.Context, manifestDir string, src Source, dst
 // freshly spilled run would be, carrying the record count, direction, frame
 // geometry and CRC sidecar the manifest recorded. On any failure the runs
 // already opened are closed (keep-on-close: their files stay).
-func reopenRuns(m pdm.Machine, live []*manifestRun, recSize int) (runs []*merge.Run, ids []int, err error) {
+func reopenRuns(m pdm.Machine, live []*manifestRun, recSize int) (runs []hierRun, err error) {
 	defer func() {
 		if err != nil {
 			for _, r := range runs {
-				r.Close()
+				r.run.Close()
 			}
 		}
 	}()
 	for idx, mr := range live {
 		fi, statErr := os.Stat(mr.Path)
 		if statErr != nil {
-			return runs, ids, fmt.Errorf("colsort: resume: durable run %d is missing: %w", mr.ID, statErr)
+			return runs, fmt.Errorf("colsort: resume: durable run %d is missing: %w", mr.ID, statErr)
 		}
-		if want := runBytes(mr, recSize); fi.Size() < want {
-			return runs, ids, fmt.Errorf("colsort: resume: durable run %d holds %d bytes but the manifest recorded at least %d; the checkpoint directory is damaged", mr.ID, fi.Size(), want)
+		// The CRC sidecar travels in the manifest, not the file: the spill
+		// holds records only.
+		if want := mr.Records * int64(recSize); fi.Size() < want {
+			return runs, fmt.Errorf("colsort: resume: durable run %d holds %d bytes but the manifest recorded at least %d; the checkpoint directory is damaged", mr.ID, fi.Size(), want)
 		}
 		d, openErr := pdm.OpenFileDisk(mr.Path)
 		if openErr != nil {
-			return runs, ids, fmt.Errorf("colsort: resume: reopening run %d: %w", mr.ID, openErr)
+			return runs, fmt.Errorf("colsort: resume: reopening run %d: %w", mr.ID, openErr)
 		}
-		runs = append(runs, merge.Reopen(m.WrapSpillDisk(d, idx), recSize, mr.Records, mr.Descending, mr.FrameBytes, mr.CRCs))
-		ids = append(ids, mr.ID)
+		run := merge.Reopen(m.WrapSpillDisk(d, idx), recSize, mr.Records, mr.Descending, mr.FrameBytes, mr.CRCs)
+		runs = append(runs, hierRun{run: run, id: mr.ID})
 	}
-	return runs, ids, nil
-}
-
-// runBytes computes a durable run's on-disk payload size. The CRC sidecar
-// travels in the manifest, not the file: the spill holds records only.
-func runBytes(mr *manifestRun, recSize int) int64 {
-	return mr.Records * int64(recSize)
+	return runs, nil
 }

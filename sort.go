@@ -90,12 +90,11 @@ func (e *Engine) Sort(ctx context.Context, src Source, dst Sink, opts ...Option)
 		return nil, err
 	}
 
-	// Size the job's ask BEFORE admission: the caller's declared cap when
-	// given, otherwise the record bytes of the single run this job will
-	// execute. Plan-level failures (unplannable count, hierarchical sort
-	// without a Sink) surface here, before the job can occupy budget.
-	var runPl core.Plan
-	var ask int64
+	// Settle the plan of the one run this job holds in memory at a time —
+	// the whole sort below the bound, one batch above it — BEFORE admission:
+	// its record bytes are the job's ask. Plan-level failures (unplannable
+	// count, hierarchical sort without a Sink) surface here, before the job
+	// can occupy budget.
 	if hier {
 		if dst == nil {
 			// Wrap BOTH sentinels: ErrSinkRequired names what is missing,
@@ -104,42 +103,22 @@ func (e *Engine) Sort(ctx context.Context, src Source, dst Sink, opts ...Option)
 			// is a Sink.
 			return nil, fmt.Errorf("%w: %d records exceed the single-run bound (%w) and must stream through the hierarchical merge; pass a non-nil Sink (Discard() drops the output)", ErrSinkRequired, n, core.ErrTooLarge)
 		}
-		if runPl, err = e.planRun(o); err != nil {
+		if pl, err = e.planRun(o); err != nil {
 			return nil, err
 		}
-		ask = runPl.N * int64(runPl.Z)
-	} else {
-		if plErr != nil {
-			return nil, plErr
-		}
-		ask = pl.N * int64(pl.Z)
+	} else if plErr != nil {
+		return nil, plErr
 	}
-	if o.maxMemory > 0 {
-		ask = o.maxMemory
-	}
-
-	l, err := e.admit(ctx, ask, o.noWait)
-	if err != nil {
-		return nil, err
-	}
-	defer l.release()
-
-	j := e.newJob(ctx, o)
-	res, err := j.run(ctx, src, rd, dst, o, codec, n, pl, runPl, hier)
-	faults := j.faultStats()
-	if res != nil {
-		res.Faults = faults
-		res.JobID = j.id
-	}
-	e.finishJob(res, faults, err)
-	return res, err
+	return e.runJob(ctx, o, pl.N*int64(pl.Z), func(j *job) (*Result, error) {
+		return j.run(ctx, src, rd, dst, o, codec, n, pl, hier)
+	})
 }
 
-// run executes one admitted job: the hierarchical runs-plus-merge path
-// when hier is set, the single-run engine path otherwise.
-func (j *job) run(ctx context.Context, src Source, rd RecordReader, dst Sink, o sortOptions, codec record.KeyCodec, n int64, pl, runPl core.Plan, hier bool) (*Result, error) {
+// run executes one admitted job: the hierarchical runs-plus-merge path in
+// pl-sized runs when hier is set, the single pl run otherwise.
+func (j *job) run(ctx context.Context, src Source, rd RecordReader, dst Sink, o sortOptions, codec record.KeyCodec, n int64, pl core.Plan, hier bool) (*Result, error) {
 	if hier {
-		return j.sortHierarchical(ctx, rd, dst, o, codec, n, runPl, nil)
+		return j.newHierJob(o, codec, n, pl).sortHierarchical(ctx, rd, dst, nil)
 	}
 
 	// An existing store of exactly the planned shape under the native key
@@ -294,7 +273,7 @@ func (r *Result) drainTo(ctx context.Context, dst Sink) error {
 // global column-major order, invoking emit with successive record chunks.
 // The pad tail is neither read nor prefetched (ErrStopScan), and each owned
 // segment is prefetched one step ahead by ScanSegments. Shared by the sink
-// egress (drainTo) and the hierarchical run spill (spillRun).
+// egress (drainTo) and the fixed-batch run spill (formFixedBatches).
 func scanRealPrefix(ctx context.Context, st *pdm.Store, real int64, emit func(record.Slice) error) error {
 	var cnt sim.Counters
 	buf := record.Make(st.R, st.RecSize)
