@@ -411,12 +411,12 @@ func BenchmarkMergeSortFile(b *testing.B) {
 	}
 }
 
-// BenchmarkRunFormation compares the two hierarchical run-formation
-// strategies head to head on random and nearly-sorted input. Replacement
-// selection forms ~2× longer runs than a fixed batch on random input —
-// halving the merge fan-in pressure — and absorbs nearly-sorted input
-// into a single run, collapsing the merge entirely. The formed run count
-// is reported alongside the timings.
+// BenchmarkRunFormation times hierarchical run formation on random and
+// nearly-sorted input. Replacement selection forms runs ~2× the heap on
+// random input and absorbs nearly-sorted input into a single run,
+// collapsing the merge entirely. The formed run count is reported
+// alongside the timings. (The sub-benchmark names keep the
+// "replacement-select/" prefix the BENCH_n.json trajectory records.)
 func BenchmarkRunFormation(b *testing.B) {
 	const p, mem, z = 4, 1 << 10, 64
 	probe, err := New(Config{Procs: p, MemPerProc: mem, RecordSize: z})
@@ -427,13 +427,10 @@ func BenchmarkRunFormation(b *testing.B) {
 	n := 3 * bound
 	for _, bc := range []struct {
 		name string
-		form RunFormation
 		gen  record.Generator
 	}{
-		{"replacement-select/uniform", ReplacementSelect, record.Uniform{Seed: 3}},
-		{"fixed-batch/uniform", FixedBatch, record.Uniform{Seed: 3}},
-		{"replacement-select/nearly-sorted", ReplacementSelect, record.NearlySorted{Seed: 3, Window: 64}},
-		{"fixed-batch/nearly-sorted", FixedBatch, record.NearlySorted{Seed: 3, Window: 64}},
+		{"replacement-select/uniform", record.Uniform{Seed: 3}},
+		{"replacement-select/nearly-sorted", record.NearlySorted{Seed: 3, Window: 64}},
 	} {
 		b.Run(bc.name, func(b *testing.B) {
 			s, err := New(Config{Procs: p, MemPerProc: mem, RecordSize: z})
@@ -445,7 +442,7 @@ func BenchmarkRunFormation(b *testing.B) {
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
 				res, err := s.Sort(context.Background(), Generate(bc.gen, n), Discard(),
-					WithAlgorithm(Threaded), WithRunFormation(bc.form))
+					WithAlgorithm(Threaded))
 				if err != nil {
 					b.Fatal(err)
 				}

@@ -35,76 +35,114 @@ func ckptConfig(t *testing.T, dir string) *Sorter {
 	return s
 }
 
-// TestCheckpointResumeMidMerge crashes a checkpointed sort during the merge
-// phase and resumes it: the output must be byte-identical to the
-// uninterrupted sort and ZERO batches re-sorted — every run is adopted from
-// the manifest (ResumedRuns == the full live set, BatchRedos == 0).
-func TestCheckpointResumeMidMerge(t *testing.T) {
-	for _, form := range []RunFormation{FixedBatch, ReplacementSelect} {
-		form := form
-		t.Run(form.String(), func(t *testing.T) {
-			dir := t.TempDir()
-			s := ckptConfig(t, dir)
-			bound := s.MaxRecords(Threaded)
-			n := int(6 * bound)
-			raw := genRaw(n, 32, record.Uniform{Seed: 31})
-			want := refSortBytes(t, raw, 32, KeySpec{})
-			ckptDir := filepath.Join(dir, "ckpt")
-
-			// Crash once the merge is demonstrably running: fan-in 2 over ≥6
-			// runs guarantees intermediate merge levels, so the manifest holds
-			// a mix of formation runs and merged outputs at the crash.
-			ctx, cancel := context.WithCancel(context.Background())
-			defer cancel()
-			var once sync.Once
-			res, err := s.Sort(ctx, FromBytes(raw), Discard(),
-				WithRunFormation(form), WithMergeFanIn(2), WithCheckpoint(ckptDir),
-				WithProgress(func(ev Progress) {
-					if ev.Pass == 0 && ev.MergedRecords > 0 {
-						once.Do(cancel)
-					}
-				}))
-			if err == nil {
-				res.Close()
-				t.Fatal("cancelled checkpointed sort returned no error")
-			}
-			if !errors.Is(err, context.Canceled) {
-				t.Fatalf("err = %v, want context.Canceled", err)
-			}
-			if _, err := os.Stat(filepath.Join(ckptDir, "manifest.wal")); err != nil {
-				t.Fatalf("crashed job left no manifest: %v", err)
-			}
-
-			var out bytes.Buffer
-			rres, err := s.Resume(context.Background(), ckptDir, FromBytes(raw), ToWriter(&out))
+// checkFormationRestarted returns a progress callback for a Resume that must
+// restart formation. At the resumed job's first formation event — the one
+// place the restart is observable, since success retires the whole
+// checkpoint directory — it checks that the manifest was begun afresh (a
+// begin entry naming the one formation, no run entry yet) and that the
+// crashed job's run files, stale, were swept.
+func checkFormationRestarted(t *testing.T, ckptDir string, stale []string) func(Progress) {
+	var once sync.Once
+	return func(ev Progress) {
+		if ev.FormedRecords == 0 {
+			return
+		}
+		once.Do(func() {
+			fresh, err := os.ReadFile(filepath.Join(ckptDir, manifestName))
 			if err != nil {
-				t.Fatalf("Resume: %v", err)
+				t.Errorf("restarted job has no manifest: %v", err)
+				return
 			}
-			defer rres.Close()
-			if !bytes.Equal(out.Bytes(), want) {
-				t.Error("resumed output is not byte-identical to the uninterrupted sort")
+			if !bytes.HasPrefix(fresh, []byte(`{"type":"begin"`)) || bytes.Contains(fresh, []byte(`{"type":"run"`)) ||
+				!bytes.Contains(fresh, []byte(`"formation":"`+formationName+`"`)) {
+				t.Errorf("restarted formation did not re-begin the manifest:\n%s", fresh)
 			}
-			if rres.Merge == nil {
-				t.Fatal("resumed sort reports no merge stats")
-			}
-			if rres.Merge.ResumedRuns == 0 || rres.Merge.ResumedRuns != rres.Merge.Runs {
-				t.Errorf("ResumedRuns = %d, want the full live set (%d): a merge-phase resume re-sorts nothing",
-					rres.Merge.ResumedRuns, rres.Merge.Runs)
-			}
-			if rres.Faults.BatchRedos != 0 {
-				t.Errorf("BatchRedos = %d after a merge-phase resume, want 0", rres.Faults.BatchRedos)
-			}
-			// Success retires the checkpoint: manifest and run files are gone.
-			if _, err := os.Stat(filepath.Join(ckptDir, "manifest.wal")); !os.IsNotExist(err) {
-				t.Errorf("manifest survived a completed job (stat err %v)", err)
-			}
-			st := s.Engine().Stats()
-			if st.JobsResumed != 1 || st.RunsResumed != int64(rres.Merge.ResumedRuns) {
-				t.Errorf("engine stats JobsResumed=%d RunsResumed=%d, want 1/%d",
-					st.JobsResumed, st.RunsResumed, rres.Merge.ResumedRuns)
+			for _, path := range stale {
+				if _, err := os.Stat(path); !os.IsNotExist(err) {
+					t.Errorf("run file %s of the crashed job survived the restart (stat err %v)", path, err)
+				}
 			}
 		})
 	}
+}
+
+// TestCheckpointResumeMidMerge resumes a checkpoint whose job died during
+// the merge phase: the output must be byte-identical to the uninterrupted
+// sort and NOTHING re-sorted — every run is adopted from the manifest
+// (ResumedRuns == the full live set, BatchRedos == 0). The checkpoint is
+// either this build's ("replacement-select": a job crashed at its first
+// merge event) or one a ≤ PR 12 fixed-batch job left at the same point
+// ("fixed-batch": fixedBatchManifest, manifest_test.go) — the mode is gone,
+// its checkpoints still resume.
+func TestCheckpointResumeMidMerge(t *testing.T) {
+	resume := func(t *testing.T, s *Sorter, ckptDir string, raw []byte, z int) {
+		var out bytes.Buffer
+		rres, err := s.Resume(context.Background(), ckptDir, FromBytes(raw), ToWriter(&out))
+		if err != nil {
+			t.Fatalf("Resume: %v", err)
+		}
+		defer rres.Close()
+		if !bytes.Equal(out.Bytes(), refSortBytes(t, raw, z, KeySpec{})) {
+			t.Error("resumed output is not byte-identical to the uninterrupted sort")
+		}
+		if rres.Merge == nil {
+			t.Fatal("resumed sort reports no merge stats")
+		}
+		// Both checkpoints hold 4 runs at fan-in 2, so an intermediate merge
+		// level came first and the crash left formation runs live.
+		if rres.Merge.Runs != 4 || rres.Merge.ResumedRuns != rres.Merge.Runs {
+			t.Errorf("ResumedRuns = %d of %d runs, want all 4: a merge-phase resume re-sorts nothing",
+				rres.Merge.ResumedRuns, rres.Merge.Runs)
+		}
+		if rres.Faults.BatchRedos != 0 {
+			t.Errorf("BatchRedos = %d after a merge-phase resume, want 0", rres.Faults.BatchRedos)
+		}
+		// Success retires the checkpoint: manifest and run files are gone.
+		if _, err := os.Stat(filepath.Join(ckptDir, "manifest.wal")); !os.IsNotExist(err) {
+			t.Errorf("manifest survived a completed job (stat err %v)", err)
+		}
+		st := s.Engine().Stats()
+		if st.JobsResumed != 1 || st.RunsResumed != int64(rres.Merge.ResumedRuns) {
+			t.Errorf("engine stats JobsResumed=%d RunsResumed=%d, want 1/%d",
+				st.JobsResumed, st.RunsResumed, rres.Merge.ResumedRuns)
+		}
+	}
+
+	t.Run("replacement-select", func(t *testing.T) {
+		dir := t.TempDir()
+		s := ckptConfig(t, dir)
+		raw := genRaw(int(6*s.MaxRecords(Threaded)), 32, record.Uniform{Seed: 31}) // forms 4 runs
+		ckptDir := filepath.Join(dir, "ckpt")
+		ctx, cancel := context.WithCancel(context.Background())
+		defer cancel()
+		var once sync.Once
+		res, err := s.Sort(ctx, FromBytes(raw), Discard(),
+			WithMergeFanIn(2), WithCheckpoint(ckptDir),
+			WithProgress(func(ev Progress) {
+				if ev.Pass == 0 && ev.MergedRecords > 0 {
+					once.Do(cancel)
+				}
+			}))
+		if err == nil {
+			res.Close()
+			t.Fatal("cancelled checkpointed sort returned no error")
+		}
+		if !errors.Is(err, context.Canceled) {
+			t.Fatalf("err = %v, want context.Canceled", err)
+		}
+		if _, err := os.Stat(filepath.Join(ckptDir, "manifest.wal")); err != nil {
+			t.Fatalf("crashed job left no manifest: %v", err)
+		}
+		resume(t, s, ckptDir, raw, 32)
+	})
+
+	t.Run("fixed-batch", func(t *testing.T) {
+		dir := t.TempDir()
+		raw := genRaw(1024, 16, record.Uniform{Seed: 51})
+		ckptDir := filepath.Join(dir, "ckpt")
+		legacyCheckpoint(t, ckptDir, fixedBatchManifest, raw)
+		resume(t, legacySorter(t, filepath.Join(dir, "scratch")), ckptDir, raw, 16)
+	})
 }
 
 // TestCheckpointResumeMidMergeNilSource is the merge-phase resume with no
@@ -122,7 +160,7 @@ func TestCheckpointResumeMidMergeNilSource(t *testing.T) {
 	defer cancel()
 	var once sync.Once
 	res, err := s.Sort(ctx, FromBytes(raw), Discard(),
-		WithRunFormation(FixedBatch), WithMergeFanIn(2), WithCheckpoint(ckptDir),
+		WithMergeFanIn(2), WithCheckpoint(ckptDir),
 		WithProgress(func(ev Progress) {
 			if ev.Pass == 0 && ev.MergedRecords > 0 {
 				once.Do(cancel)
@@ -142,27 +180,32 @@ func TestCheckpointResumeMidMergeNilSource(t *testing.T) {
 	if !bytes.Equal(out.Bytes(), refSortBytes(t, raw, 32, KeySpec{})) {
 		t.Error("nil-source resumed output differs from the reference")
 	}
+	// 3 runs at fan-in 2: the crash hit the intermediate merge of runs 1+2.
+	if rres.Merge.Runs != 3 || rres.Merge.ResumedRuns != 3 || rres.Merge.Levels != 2 {
+		t.Errorf("resumed %d of %d runs over %d levels, want 3 of 3 over 2", rres.Merge.ResumedRuns, rres.Merge.Runs, rres.Merge.Levels)
+	}
 }
 
-// TestCheckpointResumeMidFormation crashes a fixed-batch job between
-// formation batches: Resume must skip (and checksum-verify) the source
-// prefix the durable runs cover, re-sort only the interrupted tail, and
-// still produce byte-identical output.
+// TestCheckpointResumeMidFormation crashes a job between formation runs,
+// with verified runs already durable in its manifest: those runs do not
+// cover a source prefix (the heap that formed them held records from well
+// past their end), so Resume adopts none of them — it sweeps them, re-begins
+// the manifest and forms every run again, byte-identical.
 func TestCheckpointResumeMidFormation(t *testing.T) {
 	dir := t.TempDir()
 	s := ckptConfig(t, dir)
 	bound := s.MaxRecords(Threaded)
-	n := int(6 * bound)
+	n := int(12 * bound) // this seed forms 7 runs
 	raw := genRaw(n, 32, record.Uniform{Seed: 35})
 	ckptDir := filepath.Join(dir, "ckpt")
+	manifest := filepath.Join(ckptDir, "manifest.wal")
 
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
 	var once sync.Once
-	res, err := s.Sort(ctx, FromBytes(raw), Discard(),
-		WithRunFormation(FixedBatch), WithCheckpoint(ckptDir),
+	res, err := s.Sort(ctx, FromBytes(raw), Discard(), WithCheckpoint(ckptDir),
 		WithProgress(func(ev Progress) {
-			if ev.Batch >= 3 { // at least two whole batches are durable
+			if ev.Batch >= 3 { // forming run 3 of 7: runs 1 and 2 are durable
 				once.Do(cancel)
 			}
 		}))
@@ -170,47 +213,39 @@ func TestCheckpointResumeMidFormation(t *testing.T) {
 		res.Close()
 		t.Fatal("cancelled checkpointed sort returned no error")
 	}
+	crashed, err := os.ReadFile(manifest)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := bytes.Count(crashed, []byte(`{"type":"run"`)); got < 2 || bytes.Contains(crashed, []byte(`"ingest_done"`)) {
+		t.Fatalf("crashed manifest holds %d run entries, want ≥ 2 durable runs and unfinished formation:\n%s", got, crashed)
+	}
+	stale, err := filepath.Glob(filepath.Join(ckptDir, ckptRunPrefix+"*"))
+	if err != nil || len(stale) < 2 {
+		t.Fatalf("crashed job left run files %v (%v), want at least its 2 durable runs", stale, err)
+	}
 
 	var out bytes.Buffer
-	rres, err := s.Resume(context.Background(), ckptDir, FromBytes(raw), ToWriter(&out))
+	rres, err := s.Resume(context.Background(), ckptDir, FromBytes(raw), ToWriter(&out),
+		WithProgress(checkFormationRestarted(t, ckptDir, stale)))
 	if err != nil {
 		t.Fatalf("Resume: %v", err)
 	}
 	defer rres.Close()
 	if !bytes.Equal(out.Bytes(), refSortBytes(t, raw, 32, KeySpec{})) {
-		t.Error("formation-resumed output is not byte-identical to the reference")
+		t.Error("formation-restarted output is not byte-identical to the reference")
 	}
-	if rres.Merge.ResumedRuns == 0 || rres.Merge.ResumedRuns >= rres.Merge.Runs {
-		t.Errorf("ResumedRuns = %d of %d runs; a formation-phase resume adopts some and forms the rest",
+	if rres.Merge.ResumedRuns != 0 || rres.Merge.Runs != 7 {
+		t.Errorf("ResumedRuns = %d of %d runs, want 0 of 7: a formation-phase resume forms every run again",
 			rres.Merge.ResumedRuns, rres.Merge.Runs)
-	}
-
-	// A changed source is refused, not silently merged against stale runs.
-	// (Resume after success already retired this manifest, so crash again.)
-	ctx2, cancel2 := context.WithCancel(context.Background())
-	defer cancel2()
-	var once2 sync.Once
-	res, err = s.Sort(ctx2, FromBytes(raw), Discard(),
-		WithRunFormation(FixedBatch), WithCheckpoint(ckptDir),
-		WithProgress(func(ev Progress) {
-			if ev.Batch >= 3 {
-				once2.Do(cancel2)
-			}
-		}))
-	if err == nil {
-		res.Close()
-		t.Fatal("second cancelled sort returned no error")
-	}
-	altered := append([]byte(nil), raw...)
-	altered[0] ^= 0xff
-	if _, err := s.Resume(context.Background(), ckptDir, FromBytes(altered), Discard()); err == nil {
-		t.Error("Resume accepted a source whose consumed prefix no longer matches the manifest")
 	}
 }
 
-// TestCheckpointRSFormationRestart crashes replacement-selection formation:
-// the heap's contents died with the process, so Resume restarts formation
-// from scratch — and the restarted job still ends byte-identical.
+// TestCheckpointRSFormationRestart crashes formation at its first chunk,
+// before any run is durable (TestCheckpointResumeMidFormation crashes it
+// after two are): the heap's contents died with the process, so Resume
+// restarts formation from scratch — and the restarted job still ends
+// byte-identical.
 func TestCheckpointRSFormationRestart(t *testing.T) {
 	dir := t.TempDir()
 	s := ckptConfig(t, dir)
@@ -223,7 +258,7 @@ func TestCheckpointRSFormationRestart(t *testing.T) {
 	defer cancel()
 	var once sync.Once
 	res, err := s.Sort(ctx, FromBytes(raw), Discard(),
-		WithRunFormation(ReplacementSelect), WithCheckpoint(ckptDir),
+		WithCheckpoint(ckptDir),
 		WithProgress(func(ev Progress) {
 			if ev.Pass == 0 && ev.FormedRecords > 0 && ev.MergedRecords == 0 {
 				once.Do(cancel)
@@ -277,7 +312,7 @@ func TestResumeValidation(t *testing.T) {
 	defer cancel()
 	var once sync.Once
 	res, err = s.Sort(ctx, FromBytes(raw), Discard(),
-		WithRunFormation(FixedBatch), WithCheckpoint(ckptDir),
+		WithCheckpoint(ckptDir),
 		WithProgress(func(ev Progress) {
 			if ev.Pass == 0 && ev.MergedRecords > 0 {
 				once.Do(cancel)
@@ -310,7 +345,7 @@ func TestManifestTornTail(t *testing.T) {
 	defer cancel()
 	var once sync.Once
 	res, err := s.Sort(ctx, FromBytes(raw), Discard(),
-		WithRunFormation(FixedBatch), WithMergeFanIn(2), WithCheckpoint(ckptDir),
+		WithMergeFanIn(2), WithCheckpoint(ckptDir),
 		WithProgress(func(ev Progress) {
 			if ev.Pass == 0 && ev.MergedRecords > 0 {
 				once.Do(cancel)
@@ -339,6 +374,11 @@ func TestManifestTornTail(t *testing.T) {
 	if !bytes.Equal(out.Bytes(), refSortBytes(t, raw, 32, KeySpec{})) {
 		t.Error("resumed output differs from the reference after a torn tail")
 	}
+	// 3 runs at fan-in 2: the crash (and the fragment) came during the
+	// intermediate merge of runs 1+2, before any "merged" entry.
+	if rres.Merge.Runs != 3 || rres.Merge.ResumedRuns != 3 {
+		t.Errorf("resumed %d of %d runs, want 3 of 3", rres.Merge.ResumedRuns, rres.Merge.Runs)
+	}
 }
 
 // TestManifestTornTailSecondInterruption is the torn tail met twice: a crash
@@ -352,12 +392,12 @@ func TestManifestTornTailSecondInterruption(t *testing.T) {
 	dir := t.TempDir()
 	s := ckptConfig(t, dir)
 	bound := s.MaxRecords(Threaded)
-	n := int(8 * bound)
+	n := int(16 * bound) // 9 runs: four intermediate merges at fan-in 2, then more levels
 	raw := genRaw(n, 32, record.Uniform{Seed: 47})
 	ckptDir := filepath.Join(dir, "ckpt")
 	opts := func(cancelAt int64, cancel func()) []Option {
 		var once sync.Once
-		return []Option{WithRunFormation(FixedBatch), WithMergeFanIn(2), WithCheckpoint(ckptDir),
+		return []Option{WithMergeFanIn(2), WithCheckpoint(ckptDir),
 			WithProgress(func(ev Progress) {
 				if ev.Pass == 0 && ev.MergedRecords > cancelAt {
 					once.Do(cancel)
@@ -382,17 +422,22 @@ func TestManifestTornTailSecondInterruption(t *testing.T) {
 	}
 	f.Close()
 
-	// Second interruption: after the resumed process has logged at least
-	// three runs' worth of merged records (≥ 1 "merged" entry at fan-in 2).
+	// Second interruption: once the resumed process has merged 6×bound
+	// records. No run is longer than ~2×bound, so the first merge (runs 1+2)
+	// is complete and logged by then, and a later one is in flight.
 	ctx2, cancel2 := context.WithCancel(context.Background())
 	defer cancel2()
-	res, err = s.Resume(ctx2, ckptDir, FromBytes(raw), Discard(), opts(3*bound, cancel2)...)
+	res, err = s.Resume(ctx2, ckptDir, FromBytes(raw), Discard(), opts(6*bound, cancel2)...)
 	if err == nil {
 		res.Close()
 		t.Fatal("cancelled resume returned no error")
 	}
 	if !errors.Is(err, context.Canceled) {
 		t.Fatalf("second interruption: err = %v, want context.Canceled", err)
+	}
+	if wal, err := os.ReadFile(filepath.Join(ckptDir, "manifest.wal")); err != nil ||
+		!bytes.Contains(wal, []byte("\n"+`{"type":"merged","run":{"id":10,`)) {
+		t.Fatalf("the resumed process logged no merged entry (as id 10, after 9 runs) before its interruption (%v):\n%s", err, wal)
 	}
 
 	var out bytes.Buffer

@@ -91,10 +91,9 @@ func main() {
 	outPath := flag.String("out", "", "write the sorted records to this file (requires -in)")
 	maxMemMiB := flag.Int64("max-memory-mib", 0, "cap one columnsort run at this many MiB of records; inputs above the cap (or the algorithm's bound) sort as runs + k-way merge (0: bound only)")
 	mergeFanIn := flag.Int("merge-fanin", 0, "maximum runs merged at once on the hierarchical path (0: default 16)")
-	runFormation := flag.String("run-formation", "replacement-select", "hierarchical run formation: replacement-select (heap-formed maximal up/down runs) or fixed-batch (engine-sorted batches of exactly the run-plan size)")
 	retries := flag.Int("retries", 0, "fault tolerance: attempts per disk operation before a transient fault escapes (0: default 4; 1 disables retries)")
 	retryBaseUS := flag.Int("retry-base-us", 0, "fault tolerance: first backoff delay in microseconds, doubling per attempt (0: default 200)")
-	redoBudget := flag.Int("redo-budget", 0, "fault tolerance: hierarchical batches that may be re-sorted and re-spilled (0: default 2; negative disables)")
+	redoBudget := flag.Int("redo-budget", 0, "fault tolerance: formed runs that may be re-spilled onto a fresh disk (0: default 2; negative disables)")
 	scrub := flag.Bool("scrub", false, "fault tolerance: CRC-read every spilled run back after writing it (always on under -chaos-*)")
 	chaosSeed := flag.Uint64("chaos-seed", 0, "chaos: fault-injection seed (0: $COLSORT_CHAOS_SEED, else 1)")
 	chaosPTransient := flag.Float64("chaos-p-transient", 0, "chaos: per-operation probability of a transient disk fault")
@@ -128,11 +127,6 @@ func main() {
 	g, ok := record.ByName(*gen, *seed)
 	if !ok {
 		fmt.Fprintf(os.Stderr, "unknown generator %q (have: %s)\n", *gen, strings.Join(record.Names(), ", "))
-		os.Exit(2)
-	}
-	formation, ok := colsort.RunFormationByName(*runFormation)
-	if !ok {
-		fmt.Fprintf(os.Stderr, "unknown -run-formation %q (have: replacement-select, fixed-batch)\n", *runFormation)
 		os.Exit(2)
 	}
 
@@ -210,7 +204,6 @@ func main() {
 	if *mergeFanIn > 0 {
 		opts = append(opts, colsort.WithMergeFanIn(*mergeFanIn))
 	}
-	opts = append(opts, colsort.WithRunFormation(formation))
 	if *checkpoint != "" {
 		opts = append(opts, colsort.WithCheckpoint(*checkpoint))
 	}
@@ -251,18 +244,13 @@ func main() {
 				return
 			}
 			if ev.Round == 0 || ev.Round == ev.Rounds {
-				if ev.Batches > 0 {
-					fmt.Fprintf(os.Stderr, "run %d/%d pass %d/%d: %d/%d rounds\n",
-						ev.Batch, ev.Batches, ev.Pass, ev.Passes, ev.Round, ev.Rounds)
-					return
-				}
 				fmt.Fprintf(os.Stderr, "pass %d/%d: %d/%d rounds\n", ev.Pass, ev.Passes, ev.Round, ev.Rounds)
 			}
 		}))
 	}
 
 	if *planOnly {
-		plan, err := planFor(engine, alg, *group, *inPath, *n, *z, *maxMemMiB<<20, formation)
+		plan, err := planFor(engine, alg, *group, *inPath, *n, *z, *maxMemMiB<<20)
 		if err != nil {
 			fmt.Fprintln(os.Stderr, err)
 			os.Exit(1)
@@ -440,7 +428,7 @@ func serveJobs(ctx context.Context, engine *colsort.Engine, n int,
 // planFor reports the plan the equivalent Sort call would execute,
 // including the hierarchical runs-plus-merge plan for inputs beyond the
 // single-run bound or a -max-memory-mib cap.
-func planFor(engine *colsort.Engine, alg colsort.Algorithm, group int, inPath string, n int64, z int, maxMem int64, formation colsort.RunFormation) (interface{ String() string }, error) {
+func planFor(engine *colsort.Engine, alg colsort.Algorithm, group int, inPath string, n int64, z int, maxMem int64) (interface{ String() string }, error) {
 	if alg == colsort.Hybrid {
 		if inPath != "" {
 			return engine.PlanFile(alg, inPath) // rejects hybrid file sorts, as the run would
@@ -481,23 +469,18 @@ func planFor(engine *colsort.Engine, alg colsort.Algorithm, group int, inPath st
 	if overCap && int64(batches) == 1 {
 		return single, nil // the cap admits the whole input in one run
 	}
-	return hierPlan{runPl: runPl, batches: batches, formation: formation}, nil
+	return hierPlan{runPl: runPl, batches: batches}, nil
 }
 
-// hierPlan pretty-prints a hierarchical execution plan. Under replacement
-// selection the batch count is a worst-case bound (maximal runs are at
-// least as long as fixed batches), so it renders as "≤ N runs"; fixed
-// batching executes exactly N.
+// hierPlan pretty-prints a hierarchical execution plan. The batch count is
+// a worst-case bound on replacement selection's run count (a maximal run is
+// at least one run plan long), so it renders as "≤ N runs".
 type hierPlan struct {
-	runPl     interface{ String() string }
-	batches   int
-	formation colsort.RunFormation
+	runPl   interface{ String() string }
+	batches int
 }
 
 func (h hierPlan) String() string {
-	if h.formation == colsort.FixedBatch {
-		return fmt.Sprintf("hierarchical: %d fixed-batch runs + k-way merge, each run [%s]", h.batches, h.runPl)
-	}
 	return fmt.Sprintf("hierarchical: ≤%d replacement-selection runs + k-way merge, each formed over [%s]", h.batches, h.runPl)
 }
 
@@ -506,7 +489,7 @@ func report(res *colsort.Result, wall time.Duration) {
 	fmt.Printf("wall clock: %v (simulated cluster in one process)\n", wall.Round(time.Millisecond))
 	if m := res.Merge; m != nil {
 		runs := fmt.Sprintf("%d runs × ≤%d records", m.Runs, m.RunRecords)
-		if m.Formation != "fixed-batch" && m.MaxRunRecords > 0 {
+		if m.MaxRunRecords > 0 {
 			runs = fmt.Sprintf("%d %s runs of %d–%d records (%d descending)",
 				m.Runs, m.Formation, m.MinRunRecords, m.MaxRunRecords, m.DownRuns)
 		}

@@ -300,18 +300,19 @@ type Result struct {
 	// during this sort: all zero on a healthy run. Any non-zero field means
 	// the storage stack misbehaved and the sort recovered (the output is
 	// verified either way); DiskGiveUps > 0 means some transient faults
-	// exhausted the retry budget (the sort failed unless a batch redo
+	// exhausted the retry budget (the sort failed unless a run redo
 	// covered them). Under an engine the counters are job-scoped: faults of
 	// concurrent jobs never bleed into each other's reports.
 	Faults FaultStats
 	// Merge, non-nil after a hierarchical (above-bound) sort, reports the
-	// run-formation and merge statistics. Hierarchical results have a nil
+	// run formation and merge statistics. Hierarchical results have a nil
 	// Output — the sorted records were streamed to the Sink, verified on
 	// the way — and their Plan describes ONE run of Merge.RunRecords
 	// records, not the whole input. PassCounters (and therefore Estimate /
-	// EstimateBeowulf) sum the engine passes of all run-formation batches
-	// only: the merge's own spill and sink traffic lives outside the cost
-	// model and is reported here in BytesRead/BytesWritten.
+	// EstimateBeowulf) hold two synthetic passes — the selection heap's
+	// formation work and the merge tree's — because no engine pass runs
+	// above the bound; the byte traffic itself is reported here in
+	// BytesRead/BytesWritten.
 	Merge *MergeStats
 }
 
@@ -324,7 +325,7 @@ type FaultStats struct {
 	DiskGiveUps   int64 `json:"disk_give_ups"`  // transient faults that exhausted the retry budget
 	CorruptChunks int64 `json:"corrupt_chunks"` // spill-run chunks that failed CRC32C verification
 	ChunkRereads  int64 `json:"chunk_rereads"`  // corrupt chunks healed by an invalidate-and-reread
-	BatchRedos    int64 `json:"batch_redos"`    // run-formation batches re-sorted and re-spilled
+	BatchRedos    int64 `json:"batch_redos"`    // formed runs re-spilled onto a fresh disk
 }
 
 // Any reports whether any fault-tolerance machinery fired.
@@ -347,23 +348,22 @@ func (r *Result) TotalCounters() sim.Counters {
 }
 
 // MergeStats describes the hierarchical execution of an above-bound sort:
-// how the input was cut into engine-sized runs and how the runs were merged
+// how the input was cut into sorted runs and how the runs were merged
 // back into one stream. The JSON tags are the wire representation of the
 // colsort-server's job summaries; TestWireEncodingGolden pins them.
 type MergeStats struct {
 	Runs       int   `json:"runs"`        // sorted runs formed
 	Levels     int   `json:"levels"`      // merge-tree levels, including the final merge into the Sink
 	FanIn      int   `json:"fan_in"`      // maximum runs merged at once
-	RunRecords int64 `json:"run_records"` // records one run's memory budget holds (the single-run plan's N); fixed-batch runs are exactly this long, replacement selection averages ~2× it
+	RunRecords int64 `json:"run_records"` // records one run's memory budget holds (the single-run plan's N, the selection heap's capacity); runs average ~2× it on random input
 
 	BytesRead    int64 `json:"bytes_read"`    // bytes read back from spilled runs by the merges
 	BytesWritten int64 `json:"bytes_written"` // bytes written to run spills (formation and intermediate levels) plus streamed to the Sink
 
-	// Formation names the run-formation mode that produced the runs
-	// ("replacement-select" or "fixed-batch").
+	// Formation names how the runs were formed: always "replacement-select".
 	Formation string `json:"formation,omitempty"`
 	// DownRuns counts runs formed (and spilled) in descending order —
-	// replacement selection's "down" runs; always 0 under fixed batches.
+	// replacement selection's "down" runs.
 	DownRuns int `json:"down_runs,omitempty"`
 	// MinRunRecords/MaxRunRecords bound the formed run lengths, making the
 	// data-dependence of replacement selection observable.
@@ -372,7 +372,7 @@ type MergeStats struct {
 	// ResumedRuns counts verified runs adopted from a persisted manifest by
 	// Engine.Resume instead of being re-sorted; always 0 on an
 	// uninterrupted sort. A merge-phase resume has ResumedRuns == Runs:
-	// zero batches were re-sorted.
+	// nothing was re-sorted.
 	ResumedRuns int `json:"resumed_runs,omitempty"`
 }
 
@@ -387,7 +387,7 @@ type ResultSummary struct {
 	// Records is the number of caller records sorted (padding excluded).
 	Records int64 `json:"records"`
 	// Plan is the human-readable execution plan. For hierarchical sorts it
-	// describes ONE run-formation batch; see Merge for the overall shape.
+	// describes ONE run's memory budget; see Merge for the overall shape.
 	Plan string `json:"plan"`
 	// Merge is non-nil after a hierarchical (above-bound) sort.
 	Merge *MergeStats `json:"merge,omitempty"`

@@ -2,13 +2,14 @@ package colsort
 
 // Hierarchical execution: the layer that takes Sort past any single
 // columnsort run's problem-size bound. When n exceeds what one run can hold
-// (the algorithm's restriction, or a WithMaxMemory cap), the source is
-// split into B maximal-size batches; each batch is sorted by the existing
-// engine on ONE persistent cluster fabric (warm buffer pools and pipeline
-// scratch across batches), verified, and spilled as a sorted run; and the
-// runs are combined by a loser-tree k-way merge with prefetch on the run
-// reads and write-behind on the merged output, streaming straight into the
-// Sink — no extra materialization pass. See DESIGN.md §7 for the contracts.
+// (the algorithm's restriction, or a WithMaxMemory cap), the source stream
+// is cut into maximal sorted runs by replacement selection over a heap one
+// run plan's records large (internal/runform), each run spilled CRC-framed
+// and verified; and the runs are combined by a loser-tree k-way merge with
+// prefetch on the run reads and write-behind on the merged output,
+// streaming straight into the Sink — no extra materialization pass. The
+// columnsort engine is not on this path: the paper's passes run below the
+// bound, replacement selection + merge above it. See DESIGN.md §7 and §12.
 
 import (
 	"errors"
@@ -24,7 +25,6 @@ import (
 	"colsort/internal/record"
 	"colsort/internal/runform"
 	"colsort/internal/sim"
-	"colsort/internal/verify"
 )
 
 // defaultMergeFanIn is the runs-per-merge bound when WithMergeFanIn is not
@@ -32,11 +32,16 @@ import (
 // level, narrow enough that the read streams' prefetch buffers stay small.
 const defaultMergeFanIn = 16
 
-// defaultRedoBudget is how many batch redos a hierarchical sort may spend
+// defaultRedoBudget is how many run redos a hierarchical sort may spend
 // when RetryPolicy does not set one: enough to survive a failed spill disk
 // plus one unlucky verification, small enough that a systematically failing
 // storage stack still fails the sort promptly.
 const defaultRedoBudget = 2
+
+// formationName is what MergeStats.Formation and the manifest's begin entry
+// record. There is one way to form runs; the fields stay so that Result JSON
+// and manifest.wal lines remain what earlier builds wrote and read.
+const formationName = "replacement-select"
 
 // wantHierarchical decides whether this Sort must take the hierarchical
 // (runs + merge) path: the record count exceeds the algorithm's single-run
@@ -56,11 +61,10 @@ func (e *Engine) wantHierarchical(o sortOptions, pl core.Plan, plErr error) (boo
 	return eligible && errors.Is(plErr, core.ErrTooLarge), nil
 }
 
-// planRun finds the run plan of a hierarchical sort — the batch sizing
-// rule: the largest power-of-two record count the algorithm can sort in ONE
-// run under the configuration and the WithMaxMemory cap. The last, partial
-// batch is padded up to this same shape (with maximal records, trimmed at
-// spill time), so every batch reuses one plan and one fabric.
+// planRun finds the run plan of a hierarchical sort — the sizing rule: the
+// largest power-of-two record count the algorithm can sort in ONE run under
+// the configuration and the WithMaxMemory cap. Its N is the selection
+// heap's capacity and the memory the job's admission lease charges.
 func (e *Engine) planRun(o sortOptions) (core.Plan, error) {
 	z := int64(e.cfg.RecordSize)
 	var best core.Plan
@@ -111,13 +115,13 @@ func (e *Engine) mergeChunkRecs(o sortOptions, fanIn int) int {
 }
 
 // PlanHierarchical reports how an above-bound Sort would execute n records
-// hierarchically: the single-run plan chosen by the batch sizing rule (the
+// hierarchically: the single-run plan chosen by the sizing rule (the
 // largest plannable run, optionally capped at maxMemory bytes of records;
-// 0 means no cap) and the number of run-formation batches. It lets callers
-// and `colsort -plan` price an above-bound sort without running it.
+// 0 means no cap) and the number of run-plan-sized batches the input spans.
+// It lets callers and `colsort -plan` price an above-bound sort without
+// running it.
 //
-// batches is exact for WithRunFormation(FixedBatch). Under the default
-// replacement selection, run count is data-dependent — typically about
+// Replacement selection's run count is data-dependent — typically about
 // half of batches on random input, as low as 1 on nearly-sorted input —
 // and batches is its worst-case BOUND (render it as "≤ batches", the way
 // `colsort -plan` does), reached only when every arrival breaks the
@@ -146,8 +150,8 @@ type hierRun struct {
 // hierJob owns ALL the state of one hierarchical sort: what was asked
 // (options, codec, n, the run plan), what that resolves to (fan-in, merge
 // chunk, the redo policy), and what the sort accumulates — the spill-disk
-// sequence, the ingest checksum, stats, pass counters, the manifest log and
-// the live run set. The phases are its methods; the run set is closed once,
+// sequence, the ingest checksum, stats, the manifest log and the live run
+// set. The phases are its methods; the run set is closed once,
 // by sortHierarchical's defer, on every path.
 type hierJob struct {
 	*job
@@ -156,7 +160,7 @@ type hierJob struct {
 	n     int64
 	runPl core.Plan
 
-	fanIn, chunk, nBatches int
+	fanIn, chunk int
 
 	// Recovery policy: how many times a run may be re-produced and
 	// re-spilled, and whether every spilled run gets a post-spill CRC
@@ -175,10 +179,9 @@ type hierJob struct {
 	live       []hierRun       // the current run set, in merge order
 	want       record.Checksum // ingest multiset, in the codec's normalized key space
 	stats      *MergeStats
-	passCnts   [][]sim.Counters
 	formSpill  int64 // bytes the formation phase spilled, before any merge traffic
 	mergedBase int64 // records emitted by the completed intermediate merges
-	resumed    bool  // merge-phase resume: formation happened in a previous process
+	resumed    bool  // formation happened in a previous process; this one only merges
 }
 
 // newHierJob resolves the options of a hierarchical sort of n records in
@@ -191,8 +194,7 @@ func (j *job) newHierJob(o sortOptions, codec record.KeyCodec, n int64, runPl co
 		h.fanIn = defaultMergeFanIn
 	}
 	h.chunk = j.e.mergeChunkRecs(o, h.fanIn)
-	h.nBatches = int((n + runPl.N - 1) / runPl.N)
-	h.stats = &MergeStats{FanIn: h.fanIn, RunRecords: runPl.N, Formation: o.formation.String()}
+	h.stats = &MergeStats{FanIn: h.fanIn, RunRecords: runPl.N, Formation: formationName}
 	if o.retry != nil {
 		if o.retry.RedoBudget != 0 {
 			h.redoBudget = max(o.retry.RedoBudget, 0)
@@ -206,14 +208,11 @@ func (j *job) newHierJob(o sortOptions, codec record.KeyCodec, n int64, runPl co
 // arriving on rd, streaming the merged output into dst (non-nil, checked by
 // the caller); rd is closed by the caller.
 //
-// rs, when non-nil, is a crash-resume: the live runs a previous process
-// spilled and verified (reopened from the checkpoint manifest) are adopted
-// instead of re-formed. With rs.ingestDone the formation phase is skipped
-// entirely — zero records are re-sorted — and the merge restarts from the
-// durable run set; otherwise (fixed-batch formation) the source records the
-// durable runs cover are skipped (their multiset verified against the
-// manifest) and only the unfinished batches are formed. rd may be nil only
-// when rs.ingestDone.
+// rs, when non-nil, is a merge-phase crash-resume: formation completed in a
+// previous process, and the live runs it spilled and verified (reopened
+// from the checkpoint manifest) are adopted. The formation phase is skipped
+// entirely — zero records are re-sorted, rd may be nil — and the merge
+// restarts from the durable run set.
 func (h *hierJob) sortHierarchical(ctx context.Context, rd RecordReader, dst Sink, rs *resumeState) (*Result, error) {
 	defer h.closeRuns()
 	firstID := 0
@@ -222,7 +221,7 @@ func (h *hierJob) sortHierarchical(ctx context.Context, rd RecordReader, dst Sin
 		h.spillSeq = len(h.live)       // reopenRuns wrapped them as ordinals 0..len-1
 		h.want = rs.want
 		h.stats.ResumedRuns = len(h.live)
-		h.resumed = rs.ingestDone
+		h.resumed = true
 		firstID = rs.maxID
 	}
 
@@ -242,23 +241,10 @@ func (h *hierJob) sortHierarchical(ctx context.Context, rd RecordReader, dst Sin
 		}
 	}
 
-	// A merge-phase resume skips formation: every run is durable and
-	// verified; nothing is ingested or sorted in this process.
+	// A resume skips formation: every run is durable and verified; nothing
+	// is ingested or sorted in this process.
 	if !h.resumed {
-		var err error
-		switch {
-		case h.o.formation == FixedBatch:
-			err = h.formFixedBatches(ctx, rd, rs)
-		case rs != nil:
-			// A formation-phase resume cannot reach replacement selection:
-			// its runs do not cover a contiguous source prefix (the heap's
-			// contents at the crash are unrecoverable), so Resume restarts
-			// RS formation from scratch and arrives with rs == nil.
-			err = fmt.Errorf("colsort: internal: formation-phase resume under replacement selection")
-		default:
-			err = h.formReplacementRuns(ctx, rd)
-		}
-		if err != nil {
+		if err := h.formReplacementRuns(ctx, rd); err != nil {
 			return nil, err
 		}
 		// Durability point: formation is complete and every run durable;
@@ -293,15 +279,12 @@ func (h *hierJob) newSpill() (pdm.Disk, error) {
 
 // A chunkSource produces the records of one run, in spill order, by calling
 // emit with successive chunks (emit does not retain a chunk past its
-// return). It is what distinguishes the formation modes to the shared tail
-// (spillVerified, the redo policy, commitRun): fixed batches sort a batch
-// and scan its output store, replacement selection drains the former — and
-// "give me the chunks again" is re-sorting the preserved input store for
-// the one, replaying the retained chunks for the other.
+// return). A run has two: the first drains the former, and "give me the
+// chunks again" replays the chunks the first one retained.
 type chunkSource func(emit func(record.Slice) error) error
 
-// terminalError marks a chunkSource failure no redo can cure — a poisoned
-// engine fabric, a failed source stream. formRun returns its cause as is.
+// terminalError marks a chunkSource failure no redo can cure — a failed
+// source stream. formRun returns its cause as is.
 type terminalError struct{ error }
 
 // spillVerified writes one run's chunks onto a fresh spill disk through the
@@ -339,11 +322,10 @@ func (h *hierJob) spillVerified(ctx context.Context, desc bool, src chunkSource)
 }
 
 // formRun drives one run through spillVerified under the redo policy: a
-// run that cannot be trusted — its producer failed verification, the spill
-// disk failed permanently mid-write, the scrub found persistent corruption
-// (a torn write) — is produced again by redo and re-spilled onto a fresh
-// disk, each redo consuming one unit of the budget and counting in
-// BatchRedos. Redo is what makes those failures survivable at all, because
+// run that cannot be trusted — the spill disk failed permanently mid-write,
+// the scrub found persistent corruption (a torn write) — is produced again
+// by redo and re-spilled onto a fresh disk, each redo consuming one unit of
+// the budget and counting in BatchRedos. Redo is what makes those failures survivable at all, because
 // the source stream that fed the run is long gone. A nil redo means the
 // producer kept nothing to redo from: every failure is terminal.
 func (h *hierJob) formRun(ctx context.Context, label string, desc bool, first, redo chunkSource) (*merge.Run, error) {
@@ -372,12 +354,9 @@ func (h *hierJob) formRun(ctx context.Context, label string, desc bool, first, r
 }
 
 // commitRun admits a formed, verified run to the live set and accounts it.
-// consumed is the fixed-batch cumulative ingest position the manifest
-// records with the run (0 under replacement selection, whose runs don't
-// cover a source prefix — see DESIGN.md §13).
-func (h *hierJob) commitRun(run *merge.Run, consumed int64) error {
+func (h *hierJob) commitRun(run *merge.Run) error {
 	h.live = append(h.live, hierRun{run: run})
-	h.stats.BytesWritten += run.Bytes() // run-formation spill
+	h.stats.BytesWritten += run.Bytes() // run formation's spill
 	if run.Descending {
 		h.stats.DownRuns++
 	}
@@ -395,122 +374,28 @@ func (h *hierJob) commitRun(run *merge.Run, consumed int64) error {
 	if err := pdm.SyncDisk(run.Disk); err != nil {
 		return err
 	}
-	id, err := h.ckpt.logRun(run, consumed, h.want)
+	id, err := h.ckpt.logRun(run)
 	h.live[len(h.live)-1].id = id
 	return err
 }
 
-// formFixedBatches is the fixed-batch run producer: ingest one maximal
-// batch at a time (the tail of the last batch padded with maximal records),
-// sort it on ONE persistent fabric, verify it, and spill its real prefix —
-// still in the codec's normalized key space, so the merge compares at
-// native speed — as one sorted run. The fabric is released on return,
-// before the merge phase starts.
-func (h *hierJob) formFixedBatches(ctx context.Context, rd RecordReader, rs *resumeState) error {
-	br, err := core.NewBatchRunner(ctx, h.runPl, h.m)
-	if err != nil {
-		return err
-	}
-	defer br.Close()
-	remaining := h.n
-	if rs != nil {
-		// Formation-phase resume: the durable runs cover the source's first
-		// rs.consumed records. Skip them — verifying their multiset against
-		// the manifest's checksum, so a changed source cannot silently merge
-		// against the old runs — and form only the batches the crash
-		// interrupted.
-		if err := h.skipConsumed(ctx, rd, rs.consumed, rs.want); err != nil {
-			return err
-		}
-		remaining -= rs.consumed
-	}
-	for b := len(h.live); b < h.nBatches; b++ {
-		real := min(remaining, h.runPl.N)
-		remaining -= real
-		input, err := h.runPl.NewStore(h.m)
-		if err != nil {
-			return err
-		}
-		cs, err := fillStore(ctx, input, rd, h.codec, real)
-		if err != nil {
-			input.Close()
-			return err
-		}
-		h.want.Merge(cs)
-		var hooks core.Hooks
-		if h.o.progress != nil {
-			batch, fn := b+1, h.o.progress
-			hooks.Progress = func(ev Progress) {
-				ev.Batch, ev.Batches = batch, h.nBatches
-				fn(ev)
-			}
-		}
-		// One attempt sorts the WHOLE batch again from its input store
-		// (preserved by br.Run across attempts). Counters of every attempt
-		// accumulate — redone work is still work performed.
-		sortBatch := func(emit func(record.Slice) error) error {
-			res, err := br.Run(input, hooks)
-			if err != nil {
-				// Not redone: a failed engine batch poisons the fabric, and
-				// every later Run would return the fabric's error anyway.
-				return terminalError{err}
-			}
-			defer res.Output.Close()
-			h.addPassCounters(res.PassCounters)
-			// Verify BEFORE trusting the run to the merge: a failed batch
-			// must never contribute a plausible-looking run.
-			if err := verifyRunStore(res.Output, real, cs); err != nil {
-				return fmt.Errorf("failed verification: %w", err)
-			}
-			return scanRealPrefix(ctx, res.Output, real, emit)
-		}
-		run, err := h.formRun(ctx, fmt.Sprintf("run %d of %d", b+1, h.nBatches), false, sortBatch, sortBatch)
-		input.Close()
-		if err != nil {
-			return err
-		}
-		if err := h.commitRun(run, h.n-remaining); err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
-// addPassCounters accumulates one engine batch's per-pass counters.
-func (h *hierJob) addPassCounters(cnts [][]sim.Counters) {
-	if h.passCnts == nil {
-		h.passCnts = cnts
-		return
-	}
-	for k := range h.passCnts {
-		for p := range h.passCnts[k] {
-			h.passCnts[k][p].Add(cnts[k][p])
-		}
-	}
-}
-
-// formReplacementRuns is the replacement-selection run producer: maximal
-// variable-length runs formed by the heap, consuming the source stream
-// directly. Records are encoded into normalized key space as they arrive,
-// the former's heap (runPl.N records — the same budget one fixed batch
-// would hold, honest against the job's admission lease) emits each run in
-// its chosen direction, descending runs marked for the merge's backwards
-// read. The engine's batch fabric is never involved: order comes from the
-// heap, and end-to-end verification from the merge's in-stream order check
-// plus the final multiset comparison against the ingest checksum.
+// formReplacementRuns is the run producer: maximal variable-length runs
+// formed by the heap, consuming the source stream directly. Records are
+// encoded into normalized key space as they arrive, the former's heap
+// (runPl.N records — the memory the job's admission lease charges) emits
+// each run in its chosen direction, descending runs marked for the merge's
+// backwards read. The engine's fabric is never involved: order comes from
+// the heap, and end-to-end verification from the merge's in-stream order
+// check plus the final multiset comparison against the ingest checksum.
 //
-// Redo differs from fixed batches by necessity. A fixed batch redoes itself
-// from its preserved input store; here the source stream that fed a run is
-// consumed as the run forms. So when the scrub is armed and the redo budget
-// is positive, each run's emitted chunks are RETAINED in pooled memory
-// until its spill has been verified, and a redo replays the retained copy.
-// Retention is bounded at 2× the heap (the expected run length on random
-// input): a run reaching the bound is cut there, so redo memory stays
-// within one extra run-store's worth — the same peak the fixed-batch path
-// reaches with its input and output stores — at the cost of splitting
-// longer-than-expected runs while scrubbing. Without retention any
-// permanent spill or scrub failure is terminal — exactly the fixed-batch
-// contract with a zero redo budget.
+// The source stream that fed a run is consumed as the run forms. So when
+// the scrub is armed and the redo budget is positive, each run's emitted
+// chunks are RETAINED in pooled memory until its spill has been verified,
+// and a redo replays the retained copy. Retention is bounded at 2× the heap
+// (the expected run length on random input): a run reaching the bound is
+// cut there, so redo memory stays within two extra heaps' worth, at the
+// cost of splitting longer-than-expected runs while scrubbing. Without
+// retention any permanent spill or scrub failure is terminal.
 func (h *hierJob) formReplacementRuns(ctx context.Context, rd RecordReader) error {
 	z := h.e.cfg.RecordSize
 	var pool *record.Pool
@@ -607,10 +492,7 @@ func (h *hierJob) formReplacementRuns(ctx context.Context, rd RecordReader) erro
 		if err != nil {
 			return err
 		}
-		// RS runs record no consumed-prefix position — a formation-phase
-		// crash restarts formation (DESIGN.md §13); a merge-phase crash
-		// resumes from these runs with no re-sort.
-		if err := h.commitRun(run, 0); err != nil {
+		if err := h.commitRun(run); err != nil {
 			return err
 		}
 	}
@@ -655,15 +537,12 @@ func (h *hierJob) mergeProgress() func(merged int64) {
 		}
 		sizes = next
 	}
-	batches := h.nBatches
-	if h.o.formation != FixedBatch {
-		batches = len(h.live)
-	}
+	runs := len(h.live)
 	var lastEmitted int64
 	return func(merged int64) {
 		cum := min(max(h.mergedBase+merged, lastEmitted), mergeTotal)
 		lastEmitted = cum
-		h.o.progress(Progress{Batches: batches, MergedRecords: cum, TotalRecords: mergeTotal})
+		h.o.progress(Progress{Batches: runs, MergedRecords: cum, TotalRecords: mergeTotal})
 	}
 }
 
@@ -796,36 +675,33 @@ func (h *hierJob) mergePhase(ctx context.Context, dst Sink) (*Result, error) {
 		h.ckpt.complete()
 		h.ckpt = nil
 	}
-	if h.resumed || h.o.formation != FixedBatch {
-		// The engine fabric did not run in this process — formation
-		// happened before the crash, or the selection heap did it — so the
-		// real work is accounted as synthetic passes: the merge tree, and
-		// under replacement selection the heap before it. Engine.Stats'
-		// cumulative counters (and the server's /metrics derived from them)
-		// stay meaningful on both paths.
-		z := int64(h.runPl.Z)
-		mergeRecs := h.mergedBase + h.n // every record each merge level emitted
-		mergePass := []sim.Counters{{
-			CompareUnits:   mergeRecs * int64(bits.Len64(uint64(h.fanIn))),
-			DiskReadBytes:  h.stats.BytesRead,
-			DiskReadOps:    int64(h.stats.Runs),
-			DiskWriteBytes: h.stats.BytesWritten - h.formSpill,
-			DiskWriteOps:   int64(h.stats.Levels),
-			MovedBytes:     mergeRecs * z,
+	// The engine fabric does not run on this path, so the real work is
+	// accounted as synthetic passes: the merge tree, and — unless formation
+	// happened before a crash — the selection heap before it. Engine.Stats'
+	// cumulative counters (and the server's /metrics derived from them) stay
+	// meaningful.
+	z := int64(h.runPl.Z)
+	mergeRecs := h.mergedBase + h.n // every record each merge level emitted
+	mergePass := []sim.Counters{{
+		CompareUnits:   mergeRecs * int64(bits.Len64(uint64(h.fanIn))),
+		DiskReadBytes:  h.stats.BytesRead,
+		DiskReadOps:    int64(h.stats.Runs),
+		DiskWriteBytes: h.stats.BytesWritten - h.formSpill,
+		DiskWriteOps:   int64(h.stats.Levels),
+		MovedBytes:     mergeRecs * z,
+	}}
+	passCnts := [][]sim.Counters{mergePass}
+	if !h.resumed {
+		formPass := []sim.Counters{{
+			CompareUnits:   h.n * int64(bits.Len64(uint64(h.runPl.N))),
+			DiskWriteBytes: h.formSpill,
+			DiskWriteOps:   int64(h.stats.Runs),
+			MovedBytes:     2 * h.n * z, // arena fill + run emit
 		}}
-		h.passCnts = [][]sim.Counters{mergePass}
-		if !h.resumed {
-			formPass := []sim.Counters{{
-				CompareUnits:   h.n * int64(bits.Len64(uint64(h.runPl.N))),
-				DiskWriteBytes: h.formSpill,
-				DiskWriteOps:   int64(h.stats.Runs),
-				MovedBytes:     2 * h.n * z, // arena fill + run emit
-			}}
-			h.passCnts = [][]sim.Counters{formPass, mergePass}
-		}
+		passCnts = [][]sim.Counters{formPass, mergePass}
 	}
 	return &Result{
-		Result: &core.Result{Plan: h.runPl, PassCounters: h.passCnts},
+		Result: &core.Result{Plan: h.runPl, PassCounters: passCnts},
 		want:   h.want,
 		realN:  h.n,
 		codec:  h.codec,
@@ -845,39 +721,4 @@ func (h *hierJob) closeConsumedRun(r *merge.Run) {
 	if path != "" {
 		_ = os.Remove(path)
 	}
-}
-
-// skipConsumed advances rd past the source records a resumed job's durable
-// runs already cover, verifying their multiset against the checksum the
-// manifest recorded — a resume must refuse a source that differs from the
-// one the crashed job ingested, or the merged output would silently mix two
-// inputs.
-func (h *hierJob) skipConsumed(ctx context.Context, rd RecordReader, consumed int64, want record.Checksum) error {
-	var cs record.Checksum
-	rec := make([]byte, h.e.cfg.RecordSize)
-	for i := int64(0); i < consumed; i++ {
-		if i%4096 == 0 {
-			if err := ctx.Err(); err != nil {
-				return err
-			}
-		}
-		if err := rd.ReadRecord(rec); err != nil {
-			return fmt.Errorf("colsort: resume: re-reading consumed record %d of %d: %w", i, consumed, err)
-		}
-		h.codec.EncodeRecord(rec)
-		cs.Add(rec)
-	}
-	if !cs.Equal(want) {
-		return fmt.Errorf("colsort: resume: the source's first %d records do not match the multiset the manifest recorded; resuming requires the original input", consumed)
-	}
-	return nil
-}
-
-// verifyRunStore applies the engine's output verification to one run store
-// (prefix form when the batch was padded).
-func verifyRunStore(st *pdm.Store, real int64, cs record.Checksum) error {
-	if real < int64(st.R)*int64(st.S) {
-		return verify.OutputPrefix(st, real, cs)
-	}
-	return verify.Output(st, cs)
 }

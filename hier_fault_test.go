@@ -61,10 +61,9 @@ func TestChaosAcceptance(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	// Spill ordinals under 4 formation batches: batch 1 spills to ordinal 1
-	// (torn → scrub fails → redo onto 2), batch 2 to 3 (dies mid-write →
-	// redo onto 4, whose first merge read is bit-flipped), batches 3-4 to
-	// 5-6.
+	// Spill ordinals: run 1 spills to ordinal 1 (torn → scrub fails →
+	// re-spilled onto 2), run 2 to 3 (dies mid-write → re-spilled onto 4,
+	// whose first merge read is bit-flipped), later runs from 5 on.
 	s := chaosSorter(t, dir, z, &ChaosConfig{
 		Seed:           uint64(1),
 		PTransient:     0.01,

@@ -74,56 +74,51 @@ func TestHierarchicalFileBacked3x(t *testing.T) {
 	raw := genRaw(n, z, record.Uniform{Seed: 21})
 
 	for _, order := range []Order{Ascending, Descending} {
-		for _, form := range []RunFormation{FixedBatch, ReplacementSelect} {
-			order, form := order, form
-			t.Run(fmt.Sprintf("%v/%v", order, form), func(t *testing.T) {
-				dir := t.TempDir()
-				testutil.CheckLeaks(t, filepath.Join(dir, "scratch"))
-				in := filepath.Join(dir, "in.dat")
-				out := filepath.Join(dir, "out.dat")
-				if err := os.WriteFile(in, raw, 0o644); err != nil {
-					t.Fatal(err)
-				}
-				fs, err := New(Config{Procs: p, MemPerProc: mem, RecordSize: z,
-					Dir: filepath.Join(dir, "scratch"), Async: true})
-				if err != nil {
-					t.Fatal(err)
-				}
-				ks := KeySpec{Offset: 8, Width: 8, Order: order}
-				res, err := fs.Sort(context.Background(), FromFile(in), ToFile(out),
-					WithAlgorithm(Threaded), WithKeySpec(ks), WithRunFormation(form))
-				if err != nil {
-					t.Fatal(err)
-				}
-				defer res.Close()
-				if res.Merge == nil {
-					t.Fatal("above-bound sort did not take the hierarchical path")
-				}
-				if res.Merge.Formation != form.String() {
-					t.Errorf("Merge.Formation = %q, want %q", res.Merge.Formation, form)
-				}
-				// Fixed batches split at exactly RunRecords; replacement
-				// selection forms maximal runs, so the batch arithmetic is only
-				// an upper bound for it.
-				wantRuns := (int64(n) + res.Merge.RunRecords - 1) / res.Merge.RunRecords
-				if form == FixedBatch && int64(res.Merge.Runs) != wantRuns {
-					t.Errorf("formed %d runs, want %d (run size %d)", res.Merge.Runs, wantRuns, res.Merge.RunRecords)
-				}
-				if form == ReplacementSelect && int64(res.Merge.Runs) > wantRuns {
-					t.Errorf("replacement selection formed %d runs, more than the fixed-batch bound %d", res.Merge.Runs, wantRuns)
-				}
-				if res.RealRecords() != int64(n) {
-					t.Errorf("RealRecords = %d, want %d", res.RealRecords(), n)
-				}
-				got, err := os.ReadFile(out)
-				if err != nil {
-					t.Fatal(err)
-				}
-				if !bytes.Equal(got, refSortBytes(t, raw, z, ks)) {
-					t.Error("hierarchical output is not byte-identical to the reference sort")
-				}
-			})
-		}
+		order := order
+		// The name's second segment is the Formation every result reports.
+		t.Run(fmt.Sprintf("%v/%s", order, formationName), func(t *testing.T) {
+			dir := t.TempDir()
+			testutil.CheckLeaks(t, filepath.Join(dir, "scratch"))
+			in := filepath.Join(dir, "in.dat")
+			out := filepath.Join(dir, "out.dat")
+			if err := os.WriteFile(in, raw, 0o644); err != nil {
+				t.Fatal(err)
+			}
+			fs, err := New(Config{Procs: p, MemPerProc: mem, RecordSize: z,
+				Dir: filepath.Join(dir, "scratch"), Async: true})
+			if err != nil {
+				t.Fatal(err)
+			}
+			ks := KeySpec{Offset: 8, Width: 8, Order: order}
+			res, err := fs.Sort(context.Background(), FromFile(in), ToFile(out),
+				WithAlgorithm(Threaded), WithKeySpec(ks))
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer res.Close()
+			if res.Merge == nil {
+				t.Fatal("above-bound sort did not take the hierarchical path")
+			}
+			if res.Merge.Formation != formationName {
+				t.Errorf("Merge.Formation = %q, want %q", res.Merge.Formation, formationName)
+			}
+			// Maximal runs are at least RunRecords long, so the batch
+			// arithmetic is an upper bound on their count.
+			maxRuns := (int64(n) + res.Merge.RunRecords - 1) / res.Merge.RunRecords
+			if int64(res.Merge.Runs) > maxRuns {
+				t.Errorf("formed %d runs, more than the bound %d (run size %d)", res.Merge.Runs, maxRuns, res.Merge.RunRecords)
+			}
+			if res.RealRecords() != int64(n) {
+				t.Errorf("RealRecords = %d, want %d", res.RealRecords(), n)
+			}
+			got, err := os.ReadFile(out)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !bytes.Equal(got, refSortBytes(t, raw, z, ks)) {
+				t.Error("hierarchical output is not byte-identical to the reference sort")
+			}
+		})
 	}
 }
 
@@ -173,7 +168,8 @@ func TestHierarchicalCancelMidMerge(t *testing.T) {
 }
 
 // TestHierarchicalFanInLevels forces a multi-level merge tree (fan-in 2
-// over 6+ runs) and checks the output still matches the reference exactly.
+// over the 7 runs this input forms) and checks the output still matches the
+// reference exactly.
 func TestHierarchicalFanInLevels(t *testing.T) {
 	testutil.CheckGoroutines(t)
 	const p, mem, z = 4, 256, 16
@@ -182,20 +178,20 @@ func TestHierarchicalFanInLevels(t *testing.T) {
 		t.Fatal(err)
 	}
 	bound := s.MaxRecords(Threaded)
-	n := int(6 * bound)
+	n := int(12 * bound)
 	raw := genRaw(n, z, record.Zipf{Seed: 8})
 	var out bytes.Buffer
 	res, err := s.Sort(context.Background(), FromBytes(raw), ToWriter(&out),
-		WithAlgorithm(Threaded), WithMergeFanIn(2), WithRunFormation(FixedBatch))
+		WithAlgorithm(Threaded), WithMergeFanIn(2))
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer res.Close()
-	if res.Merge.Runs != 6 {
-		t.Errorf("formed %d runs, want 6", res.Merge.Runs)
+	if res.Merge.Runs != 7 { // formation is deterministic for a seeded input
+		t.Errorf("formed %d runs, want 7", res.Merge.Runs)
 	}
-	if res.Merge.Levels < 3 {
-		t.Errorf("merge tree has %d levels, want ≥ 3 with fan-in 2 over 6 runs", res.Merge.Levels)
+	if res.Merge.Levels != 3 {
+		t.Errorf("merge tree has %d levels, want 3 with fan-in 2 over 7 runs", res.Merge.Levels)
 	}
 	if !bytes.Equal(out.Bytes(), refSortBytes(t, raw, z, KeySpec{})) {
 		t.Error("multi-level merge output differs from the reference sort")
@@ -218,26 +214,22 @@ func TestWithMaxMemoryForcesRuns(t *testing.T) {
 	}
 	raw := genRaw(n, z, record.Dup{Seed: 4})
 	want := refSortBytes(t, raw, z, KeySpec{})
-	for _, form := range []RunFormation{FixedBatch, ReplacementSelect} {
-		var out bytes.Buffer
-		res, err := s.Sort(context.Background(), FromBytes(raw), ToWriter(&out),
-			WithAlgorithm(Threaded), WithMaxMemory(int64(n/4)*z), WithRunFormation(form))
-		if err != nil {
-			t.Fatal(err)
-		}
-		if res.Merge == nil {
-			t.Fatalf("%v: WithMaxMemory did not force run formation", form)
-		}
-		if form == FixedBatch && res.Merge.Runs != 4 {
-			t.Fatalf("%v: formed %d runs, want 4: %+v", form, res.Merge.Runs, res.Merge)
-		}
-		if form == ReplacementSelect && (res.Merge.Runs < 1 || res.Merge.Runs > 4) {
-			t.Fatalf("%v: formed %d runs, want 1..4: %+v", form, res.Merge.Runs, res.Merge)
-		}
-		if !bytes.Equal(out.Bytes(), want) {
-			t.Errorf("%v: memory-capped output differs from the reference sort", form)
-		}
-		res.Close()
+	var out bytes.Buffer
+	res, err := s.Sort(context.Background(), FromBytes(raw), ToWriter(&out),
+		WithAlgorithm(Threaded), WithMaxMemory(int64(n/4)*z))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer res.Close()
+	if res.Merge == nil {
+		t.Fatal("WithMaxMemory did not force run formation")
+	}
+	if res.Merge.RunRecords != n/4 || res.Merge.Runs < 1 || res.Merge.Runs > 4 {
+		t.Fatalf("formed %d runs over a %d-record budget, want 1..4 over %d: %+v",
+			res.Merge.Runs, res.Merge.RunRecords, n/4, res.Merge)
+	}
+	if !bytes.Equal(out.Bytes(), want) {
+		t.Error("memory-capped output differs from the reference sort")
 	}
 }
 
@@ -264,9 +256,10 @@ func TestHierarchicalRequiresSink(t *testing.T) {
 	}
 }
 
-// TestHierarchicalProgress pins the new progress families: engine events
-// tagged with Batch/Batches in order, then merge events with monotone
-// MergedRecords ending at n.
+// TestHierarchicalProgress pins the shape of an above-bound sort's progress
+// stream: no engine pass event at all (the engine is not on this path),
+// every formation event before the first merge event, and merge events
+// that name the run count and climb monotonically to n.
 func TestHierarchicalProgress(t *testing.T) {
 	const p, mem, z = 4, 256, 16
 	s, err := New(Config{Procs: p, MemPerProc: mem, RecordSize: z})
@@ -275,31 +268,33 @@ func TestHierarchicalProgress(t *testing.T) {
 	}
 	bound := s.MaxRecords(Threaded)
 	n := 3 * bound
-	var batchSeen []int
 	var merged []int64
+	var mergeBatches int
+	formedAfterMerge := false
 	res, err := s.Sort(context.Background(), Generate(record.Uniform{Seed: 2}, n), Discard(),
-		WithRunFormation(FixedBatch),
 		WithProgress(func(ev Progress) {
-			if ev.Pass > 0 {
-				if ev.Batches != 3 {
-					t.Errorf("engine event with Batches = %d, want 3", ev.Batches)
-				}
-				if len(batchSeen) == 0 || batchSeen[len(batchSeen)-1] != ev.Batch {
-					batchSeen = append(batchSeen, ev.Batch)
-				}
-			} else {
+			switch {
+			case ev.Pass > 0:
+				t.Errorf("engine pass event above the bound: %+v", ev)
+			case ev.FormedRecords > 0:
+				formedAfterMerge = formedAfterMerge || len(merged) > 0
+			default:
 				if ev.TotalRecords != n {
 					t.Errorf("merge event TotalRecords = %d, want %d", ev.TotalRecords, n)
 				}
 				merged = append(merged, ev.MergedRecords)
+				mergeBatches = ev.Batches
 			}
 		}))
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer res.Close()
-	if want := []int{1, 2, 3}; len(batchSeen) != 3 || batchSeen[0] != 1 || batchSeen[2] != 3 {
-		t.Errorf("batch sequence %v, want %v", batchSeen, want)
+	if formedAfterMerge {
+		t.Error("a formation event arrived after the merge had started")
+	}
+	if mergeBatches != res.Merge.Runs {
+		t.Errorf("merge events carry Batches = %d, want the %d runs formed", mergeBatches, res.Merge.Runs)
 	}
 	if len(merged) == 0 || merged[len(merged)-1] != n {
 		t.Errorf("merge progress %v does not end at %d", merged, n)
@@ -312,7 +307,7 @@ func TestHierarchicalProgress(t *testing.T) {
 }
 
 // TestPlanHierarchical pins the planning API against what Sort actually
-// executes: same run plan, same batch count.
+// executes: same run plan, and a batch count that bounds the run count.
 func TestPlanHierarchical(t *testing.T) {
 	const p, mem, z = 4, 256, 16
 	s, err := New(Config{Procs: p, MemPerProc: mem, RecordSize: z})
@@ -331,25 +326,16 @@ func TestPlanHierarchical(t *testing.T) {
 	if batches != 4 {
 		t.Errorf("planned %d batches, want 4", batches)
 	}
-	res, err := s.Sort(context.Background(), Generate(record.Uniform{Seed: 3}, n), Discard(),
-		WithRunFormation(FixedBatch))
+	// The planned batch count is a worst-case bound on the run count, not
+	// an exact prediction.
+	res, err := s.Sort(context.Background(), Generate(record.Uniform{Seed: 3}, n), Discard())
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer res.Close()
-	if int64(res.Merge.Runs) != int64(batches) || res.Merge.RunRecords != runPl.N {
-		t.Errorf("Sort executed %d runs × %d, PlanHierarchical said %d × %d",
+	if res.Merge.Runs > batches || res.Merge.RunRecords != runPl.N {
+		t.Errorf("Sort formed %d runs over a %d-record budget, PlanHierarchical said ≤ %d over %d",
 			res.Merge.Runs, res.Merge.RunRecords, batches, runPl.N)
-	}
-	// Under the default replacement selection the planned batch count is a
-	// worst-case bound, not an exact prediction.
-	rs, err := s.Sort(context.Background(), Generate(record.Uniform{Seed: 3}, n), Discard())
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer rs.Close()
-	if int64(rs.Merge.Runs) > int64(batches) {
-		t.Errorf("replacement selection formed %d runs, above the planned bound %d", rs.Merge.Runs, batches)
 	}
 	// The capped form must agree with WithMaxMemory's batch sizing.
 	if _, capped, err := s.PlanHierarchical(Threaded, 2048, 1024*z); err != nil || capped != 2 {
@@ -381,8 +367,8 @@ func TestHierarchicalOptionValidation(t *testing.T) {
 
 // TestReplacementSelectFewerRuns is the run-length acceptance test: on
 // uniform random input well above the bound, replacement selection must form
-// at most 0.6× the runs of fixed batching (theory says ~0.5×), with output
-// byte-identical between the two modes.
+// at most 0.6× the run-plan-sized batches PlanHierarchical counts (theory
+// says ~0.5×: runs average twice the heap).
 func TestReplacementSelectFewerRuns(t *testing.T) {
 	testutil.CheckGoroutines(t)
 	const p, mem, z = 4, 256, 16
@@ -393,23 +379,22 @@ func TestReplacementSelectFewerRuns(t *testing.T) {
 	bound := s.MaxRecords(Threaded)
 	n := int(16*bound) + 123
 	raw := genRaw(n, z, record.Uniform{Seed: 17})
-	run := func(form RunFormation) (*MergeStats, []byte) {
-		var out bytes.Buffer
-		res, err := s.Sort(context.Background(), FromBytes(raw), ToWriter(&out),
-			WithAlgorithm(Threaded), WithRunFormation(form))
-		if err != nil {
-			t.Fatalf("%v: %v", form, err)
-		}
-		defer res.Close()
-		return res.Merge, out.Bytes()
+	_, batches, err := s.PlanHierarchical(Threaded, int64(n), 0)
+	if err != nil {
+		t.Fatal(err)
 	}
-	fb, fbOut := run(FixedBatch)
-	rs, rsOut := run(ReplacementSelect)
-	if !bytes.Equal(fbOut, rsOut) {
-		t.Error("the two formation modes produced different output bytes")
+	var out bytes.Buffer
+	res, err := s.Sort(context.Background(), FromBytes(raw), ToWriter(&out), WithAlgorithm(Threaded))
+	if err != nil {
+		t.Fatal(err)
 	}
-	if rs.Runs*10 > fb.Runs*6 {
-		t.Errorf("replacement selection formed %d runs vs %d fixed batches; want ≤ 0.6×", rs.Runs, fb.Runs)
+	defer res.Close()
+	if !bytes.Equal(out.Bytes(), refSortBytes(t, raw, z, KeySpec{})) {
+		t.Error("output differs from the reference sort")
+	}
+	rs := res.Merge
+	if rs.Runs*10 > batches*6 {
+		t.Errorf("replacement selection formed %d runs over %d batches; want ≤ 0.6×", rs.Runs, batches)
 	}
 	if rs.MaxRunRecords <= rs.RunRecords {
 		t.Errorf("longest run is %d records, no longer than the %d-record working set", rs.MaxRunRecords, rs.RunRecords)
@@ -533,7 +518,7 @@ func TestMergeProgressMonotoneMultiLevel(t *testing.T) {
 	var merged []int64
 	var total int64
 	res, err := s.Sort(context.Background(), Generate(record.Uniform{Seed: 11}, n), Discard(),
-		WithAlgorithm(Threaded), WithMergeFanIn(2), WithRunFormation(FixedBatch),
+		WithAlgorithm(Threaded), WithMergeFanIn(2),
 		WithProgress(func(ev Progress) {
 			if ev.Pass == 0 && ev.MergedRecords > 0 {
 				if total == 0 {
@@ -548,8 +533,8 @@ func TestMergeProgressMonotoneMultiLevel(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer res.Close()
-	if res.Merge.Levels < 2 {
-		t.Fatalf("merge tree has %d levels, want ≥ 2 (the test needs intermediate merges)", res.Merge.Levels)
+	if res.Merge.Runs != 5 || res.Merge.Levels != 3 { // formation is deterministic for a seeded input
+		t.Fatalf("formed %d runs merged over %d levels, want 5 over 3 (the test needs intermediate merges)", res.Merge.Runs, res.Merge.Levels)
 	}
 	// The cumulative total covers intermediate merge output plus the final
 	// merge's n records — strictly more than n with ≥ 2 levels.

@@ -14,10 +14,8 @@ import (
 // BatchRunner executes the same plan repeatedly on ONE persistent cluster
 // fabric: the P processor goroutines are spawned once and park at a barrier
 // between batches, and the per-processor buffer pools (and, through them,
-// every pass's pipeline scratch) stay warm across batches. It is the
-// run-formation engine of the hierarchical sort — B batches of one maximal
-// plan each — where per-batch fabric setup/teardown and cold pools would
-// otherwise be paid B times.
+// every pass's pipeline scratch) stay warm across batches, so B batches of
+// one plan pay fabric setup/teardown and cold pools once instead of B times.
 //
 // Consecutive batches alternate between two disjoint tag-window banks
 // (parity), so a message of batch b can never be mistaken for one of batch
@@ -60,6 +58,12 @@ type batchResult struct {
 // sequence once, and starts the persistent fabric under ctx. Cancelling ctx
 // aborts the in-flight batch (if any) and shuts the fabric down, with the
 // same no-leak guarantees as core.Run.
+//
+// No product code calls this any more: it was the engine of the batch-wise
+// run formation mode PR 13 removed. It stays, with its tests, because the
+// benchmark (bench/replay.go) measures core.batch_mb_s through it and that
+// PR could not touch bench/; the benchmark PR that retires the metric
+// deletes this file with it.
 func NewBatchRunner(ctx context.Context, pl Plan, m pdm.Machine) (*BatchRunner, error) {
 	if m.P != pl.P || m.D != pl.D {
 		return nil, fmt.Errorf("core: machine P=%d D=%d does not match plan P=%d D=%d", m.P, m.D, pl.P, pl.D)

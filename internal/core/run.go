@@ -46,11 +46,12 @@ func (res *Result) TotalCounters() sim.Counters {
 // rank 0 only (one processor's view; the passes are bulk-synchronous, so it
 // is representative).
 //
-// Hierarchical (above-bound) sorts add two event families on top: engine
-// events carry the run-formation batch they belong to in Batch/Batches
-// (both 0 for single-run sorts), and the final k-way merge emits events
-// with Pass == 0 whose MergedRecords/TotalRecords report the position of
-// the merged output stream.
+// Hierarchical (above-bound) sorts emit two event families of their own,
+// both with Pass == 0 (no engine pass runs above the bound): run formation
+// reports FormedRecords/TotalRecords with Batch naming the run being
+// formed, and the k-way merge reports MergedRecords/TotalRecords, the
+// position of the merged output stream, with Batches the runs it started
+// from.
 // The JSON tags are the wire representation of the colsort-server's SSE
 // progress push; TestWireEncodingGolden (root package) pins them.
 type Progress struct {
@@ -59,10 +60,10 @@ type Progress struct {
 	Round  int `json:"round"`  // rounds completed by rank 0 within this pass
 	Rounds int `json:"rounds"` // rounds per processor per pass
 
-	Batch   int `json:"batch,omitempty"`   // 1-based run-formation batch/run (hierarchical sorts only)
-	Batches int `json:"batches,omitempty"` // total run-formation batches (hierarchical sorts only)
+	Batch   int `json:"batch,omitempty"`   // 1-based run being formed (hierarchical formation events)
+	Batches int `json:"batches,omitempty"` // runs formed (hierarchical merge events)
 
-	// FormedRecords reports replacement-selection run formation: records
+	// FormedRecords reports run formation: records
 	// emitted into spilled runs so far (formation events have Pass == 0 and
 	// Batch set to the current run's 1-based index).
 	FormedRecords int64 `json:"formed_records,omitempty"`
@@ -158,7 +159,7 @@ func checkRunInput(pl Plan, m pdm.Machine, input *pdm.Store) error {
 // passJob is the shared state of ONE engine execution on a cluster fabric:
 // the input, the store chain, the per-pass counters and the hooks. Run
 // executes a single job on a fresh fabric; a BatchRunner executes a stream
-// of jobs on a persistent one (the hierarchical sort's run-formation loop).
+// of jobs on a persistent one.
 type passJob struct {
 	input      *pdm.Store
 	hooks      Hooks

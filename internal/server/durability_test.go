@@ -119,7 +119,9 @@ func scrapeMetric(t *testing.T, env *testEnv, name string) string {
 // job that never started — a WAL queued record and the input file — and
 // boots a server over it: the job must run to completion under its ORIGINAL
 // id, the output must match a reference sort with the persisted options, and
-// fresh submissions must mint ids beyond the re-adopted one.
+// fresh submissions must mint ids beyond the re-adopted one. The record is
+// one a ≤ PR 12 binary persisted: its "run-formation" option, which no
+// request may carry any more, must not fail the re-adoption.
 func TestBootReadoptsQueuedJob(t *testing.T) {
 	dir := t.TempDir()
 	data := filepath.Join(dir, "data")
@@ -135,7 +137,8 @@ func TestBootReadoptsQueuedJob(t *testing.T) {
 		t.Fatal(err)
 	}
 	if err := jw.Append(walRecord{ID: "j000007", State: jobQueued,
-		Input: "in.dat", Output: "out.dat", Options: map[string]string{"order": "desc"}}); err != nil {
+		Input: "in.dat", Output: "out.dat",
+		Options: map[string]string{"order": "desc", "run-formation": "fixed-batch"}}); err != nil {
 		t.Fatal(err)
 	}
 	jw.Close()

@@ -62,9 +62,6 @@ func eventOf(p colsort.Progress) progressEvent {
 		}
 		frac = pass / float64(p.Passes)
 	}
-	if p.Batches > 0 {
-		frac = (float64(p.Batch-1) + frac) / float64(p.Batches)
-	}
 	return progressEvent{Phase: "sort", Percent: math.Round(10000*frac) / 100, Progress: p}
 }
 

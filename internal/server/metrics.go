@@ -152,7 +152,7 @@ func writeMetrics(w io.Writer, st colsort.EngineStats, draining bool, m *metrics
 		name, help string
 		v          int64
 	}{
-		{"colsort_merge_runs_formed_total", "Sorted runs spilled by hierarchical jobs (both formation modes).", st.RunsFormed},
+		{"colsort_merge_runs_formed_total", "Sorted runs spilled by hierarchical jobs.", st.RunsFormed},
 		{"colsort_merge_down_runs_formed_total", "Descending runs formed by replacement selection.", st.DownRunsFormed},
 		{"colsort_merge_run_records_total", "Records that streamed through hierarchical run formation.", st.RunRecordsFormed},
 		{"colsort_merge_levels_total", "Merge-tree levels executed by hierarchical jobs.", st.MergeLevelsRun},
@@ -175,7 +175,7 @@ func writeMetrics(w io.Writer, st colsort.EngineStats, draining bool, m *metrics
 		{"colsort_faults_disk_give_ups_total", "Transient faults that exhausted the retry budget.", f.DiskGiveUps},
 		{"colsort_faults_corrupt_chunks_total", "Spill-run chunks that failed CRC32C verification.", f.CorruptChunks},
 		{"colsort_faults_chunk_rereads_total", "Corrupt chunks healed by an invalidate-and-reread.", f.ChunkRereads},
-		{"colsort_faults_batch_redos_total", "Run-formation batches re-sorted and re-spilled.", f.BatchRedos},
+		{"colsort_faults_batch_redos_total", "Formed runs re-spilled onto a fresh disk.", f.BatchRedos},
 	} {
 		counter(mc.name, mc.help, float64(mc.v))
 	}

@@ -30,7 +30,6 @@ var sortParams = map[string]struct{}{
 	"padding":           {},
 	"max-memory-mib":    {},
 	"merge-fanin":       {},
-	"run-formation":     {},
 	"fabric":            {},
 	"async":             {},
 	"nowait":            {},
@@ -223,13 +222,6 @@ func parseSortOptions(q url.Values, extra ...string) ([]colsort.Option, error) {
 		}
 		opts = append(opts, colsort.WithMergeFanIn(int(v)))
 	}
-	if has("run-formation") {
-		f, ok := colsort.RunFormationByName(get["run-formation"])
-		if !ok {
-			return nil, fmt.Errorf("option %q: want \"replacement-select\" or \"fixed-batch\", got %q", "run-formation", get["run-formation"])
-		}
-		opts = append(opts, colsort.WithRunFormation(f))
-	}
 
 	// Machine overrides (tri-state: absent inherits the engine's Config).
 	if has("fabric") {
@@ -329,22 +321,27 @@ func parseSortOptions(q url.Values, extra ...string) ([]colsort.Option, error) {
 			}
 			cc.Seed = uint64(v)
 		}
-		for k, dst := range map[string]*float64{
-			"chaos-p-transient": &cc.PTransient,
-			"chaos-p-bitflip":   &cc.PBitFlip,
-			"chaos-p-torn":      &cc.PTorn,
+		// A slice, not a map: with two bad probabilities the error must name
+		// the same one every time.
+		for _, p := range []struct {
+			key string
+			dst *float64
+		}{
+			{"chaos-p-transient", &cc.PTransient},
+			{"chaos-p-bitflip", &cc.PBitFlip},
+			{"chaos-p-torn", &cc.PTorn},
 		} {
-			if !has(k) {
+			if !has(p.key) {
 				continue
 			}
-			v, err := floatOf(k)
+			v, err := floatOf(p.key)
 			if err != nil {
 				return nil, err
 			}
 			if v < 0 || v > 1 {
-				return nil, fmt.Errorf("option %q: probability must be in [0, 1]", k)
+				return nil, fmt.Errorf("option %q: probability must be in [0, 1]", p.key)
 			}
-			*dst = v
+			*p.dst = v
 		}
 		opts = append(opts, colsort.WithChaos(cc))
 	}

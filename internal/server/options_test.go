@@ -22,8 +22,6 @@ func TestParseSortOptionsAccepts(t *testing.T) {
 		{"order only", "order=asc"},
 		{"padding", "padding=never"},
 		{"hierarchical knobs", "max-memory-mib=64&merge-fanin=8"},
-		{"run formation select", "run-formation=replacement-select"},
-		{"run formation fixed", "run-formation=fixed-batch"},
 		{"machine overrides", "fabric=zero-copy&async=true&nowait=true"},
 		{"retry policy", "retries=4&retry-base-us=50&redo-budget=2&scrub=true"},
 		{"redo disabled", "redo-budget=-1"},
@@ -67,12 +65,13 @@ func TestParseSortOptionsRejects(t *testing.T) {
 		{"max-memory with padding=never", "padding=never&max-memory-mib=64", "conflicts with padding=never"},
 		{"zero max-memory", "max-memory-mib=0", "must be ≥ 1"},
 		{"fan-in of one", "merge-fanin=1", "must be ≥ 2"},
-		{"bad run formation", "run-formation=heapsort", `want "replacement-select" or "fixed-batch"`},
+		{"bad run formation", "run-formation=fixed-batch", `unknown option "run-formation" (known: alg, `},
 		{"zero retries", "retries=0", "must be ≥ 1"},
 		{"chaos not off", "chaos=on", `the only value is "off"`},
 		{"chaos off with params", "chaos=off&chaos-seed=1", "conflicts with the chaos-"},
 		{"probability above one", "chaos-p-bitflip=1.5", "probability must be in [0, 1]"},
 		{"probability not a number", "chaos-p-torn=often", "not a number"},
+		{"two bad probabilities name the first", "chaos-p-torn=2&chaos-p-transient=3", `option "chaos-p-transient"`},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {

@@ -205,6 +205,10 @@ func (s *Server) readoptJob(rec walRecord) error {
 	if _, err := os.Stat(in); err != nil {
 		return fmt.Errorf("readopt %s: input: %w", rec.ID, err)
 	}
+	// Builds up to PR 12 accepted and persisted a "run-formation" option. It
+	// never changed a job's output bytes, so a job an older binary queued
+	// is re-adopted without it rather than failed as an unknown option.
+	delete(rec.Options, "run-formation")
 	opts, err := parseSortOptions(valuesFromMap(rec.Options))
 	if err != nil {
 		return fmt.Errorf("readopt %s: %w", rec.ID, err)

@@ -8,9 +8,8 @@ package colsort
 //	begin        the resolved job parameters (n, record size, run plan,
 //	             fan-in, formation, key spec, caps) — written once, first
 //	run          one verified spilled run: its file path, record count,
-//	             direction and CRC32C sidecar, plus (fixed-batch formation)
-//	             the cumulative source records consumed and their multiset
-//	             checksum — appended only AFTER the run's bytes are fsync'd
+//	             direction and CRC32C sidecar — appended only AFTER the
+//	             run's bytes are fsync'd
 //	ingest_done  run formation complete; carries the full ingest multiset
 //	             checksum the final merge must reproduce
 //	merged       one intermediate merge: the output run (same fields as
@@ -74,11 +73,7 @@ type manifestEntry struct {
 
 	// run and merged
 	Run *manifestRun `json:"run,omitempty"`
-	// run (fixed-batch formation): cumulative source records consumed once
-	// this run was durable, and their multiset checksum — what a
-	// formation-phase resume skips and verifies.
-	Consumed int64 `json:"consumed,omitempty"`
-	// run (cumulative), ingest_done (final): the ingest multiset checksum.
+	// ingest_done: the ingest multiset checksum.
 	Want *record.Checksum `json:"want,omitempty"`
 	// merged: ids of the input runs the output consumed.
 	Inputs []int `json:"inputs,omitempty"`
@@ -125,7 +120,7 @@ func (l *manifestLog) logBegin(o sortOptions, recordSize int, n, runRecords int6
 		RecordSize: recordSize,
 		RunRecords: runRecords,
 		FanIn:      fanIn,
-		Formation:  o.formation.String(),
+		Formation:  formationName,
 		Alg:        int(o.alg),
 		AlgName:    o.alg.String(),
 		MaxMemory:  o.maxMemory,
@@ -151,17 +146,10 @@ func describeRun(id int, r *merge.Run) *manifestRun {
 }
 
 // logRun records one verified formation run, returning its manifest id.
-// consumed/want carry the fixed-batch cumulative ingest position; zero
-// values under replacement selection (whose runs don't cover a source
-// prefix — see DESIGN.md §13).
-func (l *manifestLog) logRun(r *merge.Run, consumed int64, want record.Checksum) (int, error) {
+func (l *manifestLog) logRun(r *merge.Run) (int, error) {
 	l.runSeq++
 	id := l.runSeq
-	e := manifestEntry{Type: "run", Run: describeRun(id, r), Consumed: consumed}
-	if consumed > 0 {
-		e.Want = &want
-	}
-	return id, l.append(e)
+	return id, l.append(manifestEntry{Type: "run", Run: describeRun(id, r)})
 }
 
 // logIngestDone marks run formation complete with the full ingest checksum.
@@ -202,13 +190,9 @@ func (l *manifestLog) close() {
 
 // manifestState is the fold of one WAL replay.
 type manifestState struct {
-	begin    manifestEntry
-	live     []*manifestRun // runs not consumed by a later merged entry, log order
-	consumed int64          // fixed-batch: source records covered by durable runs
-	// want is the latest ingest checksum the log recorded: the final one
-	// once ingestDone, else the fixed-batch cumulative one of the consumed
-	// prefix (run entries precede ingest_done, so "latest" is both).
-	want       record.Checksum
+	begin      manifestEntry
+	live       []*manifestRun  // runs not consumed by a later merged entry, log order
+	want       record.Checksum // the full ingest checksum, meaningful once ingestDone
 	ingestDone bool
 	done       bool
 	maxID      int
@@ -228,12 +212,20 @@ func readManifest(dir string) (*manifestState, error) {
 			return err
 		}
 		if e.Want != nil {
-			st.want = *e.Want
+			st.want = *e.Want // ingest_done's is the last one a log carries
 		}
 		switch e.Type {
 		case "begin":
 			if haveBegin {
 				return fmt.Errorf("duplicate begin entry")
+			}
+			// Builds up to PR 12 had a second mode, "fixed-batch", whose
+			// manifests must keep resuming. Its runs are ordinary ascending
+			// runs (each logged with a "consumed" position and a cumulative
+			// "want" that nothing reads any more), so such a manifest resumes
+			// under the same two rules as any other.
+			if e.Formation != formationName && e.Formation != "fixed-batch" {
+				return fmt.Errorf("unknown formation %q", e.Formation)
 			}
 			st.begin, haveBegin = e, true
 		case "run", "merged":
@@ -247,9 +239,6 @@ func readManifest(dir string) (*manifestState, error) {
 			order = append(order, e.Run.ID)
 			if e.Run.ID > st.maxID {
 				st.maxID = e.Run.ID
-			}
-			if e.Type == "run" && e.Consumed > 0 {
-				st.consumed = e.Consumed
 			}
 		case "ingest_done":
 			st.ingestDone = true

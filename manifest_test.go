@@ -1,6 +1,8 @@
 package colsort
 
 import (
+	"bytes"
+	"context"
 	"encoding/json"
 	"os"
 	"path/filepath"
@@ -11,20 +13,21 @@ import (
 	"colsort/internal/record"
 )
 
-// manifestPinLines holds one manifest.wal line of every entry type, exactly
-// as the commit before internal/wal existed wrote them (a fixed-batch job
-// with a key spec and a memory cap; the replacement-selection "run" shape —
-// descending, no consumed/want — spliced in as id 3). A checkpoint written
-// by any earlier build must resume on this one, so these bytes are the
-// format: TestManifestFormatPin fails if a line stops decoding to the same
-// state or stops re-encoding to the same bytes.
+// manifestPinLines is the manifest.wal of one job, exactly as PR 12's build
+// wrote it: every entry type, a key spec and a memory cap in "begin", an
+// ascending and a descending "run". A checkpoint written by any earlier
+// build must resume on this one, so these bytes are the format:
+// TestManifestFormatPin fails if a line stops decoding to the same state or
+// stops re-encoding to the same bytes. (What the other mode of those builds
+// wrote — "fixed-batch", "consumed"/"want" on every run — is decode-only;
+// fixedBatchManifest below holds it.)
 var manifestPinLines = []string{
-	`{"type":"begin","n":1024,"record_size":16,"run_records":256,"fan_in":2,"formation":"fixed-batch","alg":1,"alg_name":"threaded","key_spec":{"Offset":4,"Width":8,"Order":1},"max_memory":1048576}`,
-	`{"type":"run","run":{"id":1,"path":"/ckpt/ckpt-disk000-g00021.dat","records":256,"frame_bytes":1024,"crcs":[3210146090,582497287,3143203146,3684026446]},"consumed":256,"want":{"Count":256,"Sum":1290155742498038579,"Mix":1813816355183343260}}`,
-	`{"type":"run","run":{"id":2,"path":"/ckpt/ckpt-disk001-g00038.dat","records":256,"frame_bytes":1024,"crcs":[2591126726,3497190585,590585304,261005152]},"consumed":512,"want":{"Count":512,"Sum":7886005237271399645,"Mix":4171185013142468878}}`,
-	`{"type":"run","run":{"id":3,"path":"/ckpt/ckpt-disk002-g00081.dat","records":108,"descending":true,"frame_bytes":1024,"crcs":[1411964464,1235614259]}}`,
-	`{"type":"ingest_done","want":{"Count":1024,"Sum":4016011241713154603,"Mix":11964335138710696973}}`,
-	`{"type":"merged","run":{"id":4,"path":"/ckpt/ckpt-disk004-g00073.dat","records":512,"frame_bytes":1024,"crcs":[2899117046,1634418474,1275431064,3860679374,2764001930,2284087125,935051013,3103677861]},"inputs":[1,2]}`,
+	`{"type":"begin","n":1536,"record_size":16,"run_records":256,"fan_in":2,"formation":"replacement-select","alg":1,"alg_name":"threaded","key_spec":{"Offset":4,"Width":8,"Order":1},"max_memory":1048576}`,
+	`{"type":"run","run":{"id":1,"path":"/ckpt/ckpt-disk000-g00003.dat","records":432,"frame_bytes":1024,"crcs":[1622404014,1420311273,3024216525,2851315998,1997045692,3957897115,1049784252]}}`,
+	`{"type":"run","run":{"id":2,"path":"/ckpt/ckpt-disk001-g00004.dat","records":568,"frame_bytes":1024,"crcs":[2714399257,1689457003,902703162,2590774014,2065676523,3207703307,3620636700,2576902384,636255809]}}`,
+	`{"type":"run","run":{"id":3,"path":"/ckpt/ckpt-disk002-g00005.dat","records":536,"descending":true,"frame_bytes":1024,"crcs":[2944054143,1357555252,2174168761,93596843,4088933049,985216075,2659548359,1014124391,4290847087]}}`,
+	`{"type":"ingest_done","want":{"Count":1536,"Sum":5407914062027800189,"Mix":3405972867518819415}}`,
+	`{"type":"merged","run":{"id":4,"path":"/ckpt/ckpt-disk003-g00006.dat","records":1000,"frame_bytes":1024,"crcs":[3924035181,604633197,3314041905,4262015790,3191472782,3575832540,1864128563,915850510,3946868867,3680641834,2681015624,2914646049,3968667735,763360577,4064271866,2616086514]},"inputs":[1,2]}`,
 	`{"type":"done"}`,
 }
 
@@ -41,7 +44,7 @@ func TestManifestFormatPin(t *testing.T) {
 		t.Fatal(err)
 	}
 	b := st.begin
-	if b.N != 1024 || b.RecordSize != 16 || b.RunRecords != 256 || b.FanIn != 2 || b.Formation != "fixed-batch" ||
+	if b.N != 1536 || b.RecordSize != 16 || b.RunRecords != 256 || b.FanIn != 2 || b.Formation != formationName ||
 		Algorithm(b.Alg) != Threaded || b.MaxMemory != 1<<20 || b.KeySpec == nil ||
 		*b.KeySpec != (KeySpec{Offset: 4, Width: 8, Order: Descending}) {
 		t.Errorf("begin folded to %+v (key spec %+v)", b, b.KeySpec)
@@ -53,14 +56,13 @@ func TestManifestFormatPin(t *testing.T) {
 	if !reflect.DeepEqual(liveIDs, []int{3, 4}) {
 		t.Errorf("live run ids = %v, want [3 4] (1 and 2 consumed by the merged entry)", liveIDs)
 	}
-	if r := st.live[0]; !r.Descending || r.Records != 108 || r.FrameBytes != 1024 ||
-		r.Path != "/ckpt/ckpt-disk002-g00081.dat" || !reflect.DeepEqual(r.CRCs, []uint32{1411964464, 1235614259}) {
+	if r := st.live[0]; !r.Descending || r.Records != 536 || r.FrameBytes != 1024 ||
+		r.Path != "/ckpt/ckpt-disk002-g00005.dat" || len(r.CRCs) != 9 || r.CRCs[8] != 4290847087 {
 		t.Errorf("run 3 folded to %+v", r)
 	}
-	want := record.Checksum{Count: 1024, Sum: 4016011241713154603, Mix: 11964335138710696973}
-	if st.consumed != 512 || !st.ingestDone || st.want != want || st.maxID != 4 || !st.done {
-		t.Errorf("fold = consumed %d ingestDone %v want %+v maxID %d done %v",
-			st.consumed, st.ingestDone, st.want, st.maxID, st.done)
+	want := record.Checksum{Count: 1536, Sum: 5407914062027800189, Mix: 3405972867518819415}
+	if !st.ingestDone || st.want != want || st.maxID != 4 || !st.done {
+		t.Errorf("fold = ingestDone %v want %+v maxID %d done %v", st.ingestDone, st.want, st.maxID, st.done)
 	}
 
 	// Re-encode: the same entries through the real append path are the
@@ -87,4 +89,98 @@ func TestManifestFormatPin(t *testing.T) {
 	if string(got) != pinned {
 		t.Errorf("re-encoded manifest differs from the pinned bytes:\n got %s\nwant %s", got, pinned)
 	}
+}
+
+// fixedBatchManifest is what PR 12's build logged for a fixed-batch job
+// (P=2, MemPerProc=64, 16-byte records, Uniform{Seed: 51}, 4×256 records,
+// fan-in 2) up to the moment it was killed at its first merge event — the
+// mode this build no longer has, whose manifests it must still resume.
+var fixedBatchManifest = []string{
+	`{"type":"begin","n":1024,"record_size":16,"run_records":256,"fan_in":2,"formation":"fixed-batch","alg":1,"alg_name":"threaded"}`,
+	`{"type":"run","run":{"id":1,"path":"/ckpt/ckpt-disk000-g00005.dat","records":256,"frame_bytes":1024,"crcs":[1160893933,557955388,3770670801,42478674]},"consumed":256,"want":{"Count":256,"Sum":150657351123244877,"Mix":10498265333998259962}}`,
+	`{"type":"run","run":{"id":2,"path":"/ckpt/ckpt-disk001-g00014.dat","records":256,"frame_bytes":1024,"crcs":[2779026189,2585021601,3993389118,2826461587]},"consumed":512,"want":{"Count":512,"Sum":9267754758240447532,"Mix":14220258636889188969}}`,
+	`{"type":"run","run":{"id":3,"path":"/ckpt/ckpt-disk002-g00023.dat","records":256,"frame_bytes":1024,"crcs":[1240922557,3824438625,1489289456,1946116916]},"consumed":768,"want":{"Count":768,"Sum":10046159279695104041,"Mix":14659790030842237799}}`,
+	`{"type":"run","run":{"id":4,"path":"/ckpt/ckpt-disk003-g00032.dat","records":256,"frame_bytes":1024,"crcs":[579457996,2989601150,411353397,1753157727]},"consumed":1024,"want":{"Count":1024,"Sum":11907893119199735009,"Mix":10085675905718907641}}`,
+	`{"type":"ingest_done","want":{"Count":1024,"Sum":11907893119199735009,"Mix":10085675905718907641}}`,
+}
+
+// legacyCheckpoint materializes in dir the checkpoint those lines describe:
+// the manifest (its "/ckpt/" paths re-rooted at dir) and the run files the
+// "run" lines name, rebuilt the way that mode made them — run k is the
+// sorted k-th 256-record batch of raw. The CRCs in the literal lines hold
+// the rebuild to the original bytes when a merge loads it.
+func legacyCheckpoint(t *testing.T, dir string, lines []string, raw []byte) (runFiles []string) {
+	t.Helper()
+	const z, runRecs = 16, 256
+	if err := os.MkdirAll(dir, 0o755); err != nil {
+		t.Fatal(err)
+	}
+	for _, line := range lines {
+		var e manifestEntry
+		if err := json.Unmarshal([]byte(line), &e); err != nil {
+			t.Fatal(err)
+		}
+		if e.Type != "run" {
+			continue
+		}
+		k := len(runFiles)
+		path := filepath.Join(dir, filepath.Base(e.Run.Path))
+		batch := raw[k*runRecs*z : (k+1)*runRecs*z]
+		if err := os.WriteFile(path, refSortBytes(t, batch, z, KeySpec{}), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		runFiles = append(runFiles, path)
+	}
+	log := strings.ReplaceAll(strings.Join(lines, "\n")+"\n", `"/ckpt/`, `"`+dir+`/`)
+	if err := os.WriteFile(filepath.Join(dir, manifestName), []byte(log), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	return runFiles
+}
+
+// legacySorter is the engine shape fixedBatchManifest was written on.
+func legacySorter(t *testing.T, scratch string) *Sorter {
+	t.Helper()
+	s, err := New(Config{Procs: 2, MemPerProc: 64, RecordSize: 16, Dir: scratch})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return s
+}
+
+// TestResumeLegacyManifest resumes what a ≤ PR 12 fixed-batch job killed
+// DURING FORMATION left behind (TestCheckpointResumeMidMerge/fixed-batch
+// holds the formation-complete case): the rule is the one every manifest
+// gets — the durable runs are swept, the manifest re-begun, formation
+// restarted, the output the reference sort's. A formation string no build
+// ever wrote is still refused.
+func TestResumeLegacyManifest(t *testing.T) {
+	raw := genRaw(1024, 16, record.Uniform{Seed: 51})
+	t.Run("killed after two runs", func(t *testing.T) {
+		tmp := t.TempDir()
+		dir := filepath.Join(tmp, "ckpt")
+		runFiles := legacyCheckpoint(t, dir, fixedBatchManifest[:3], raw)
+		var out bytes.Buffer
+		res, err := legacySorter(t, filepath.Join(tmp, "scratch")).Resume(context.Background(), dir, FromBytes(raw), ToWriter(&out),
+			WithProgress(checkFormationRestarted(t, dir, runFiles)))
+		if err != nil {
+			t.Fatalf("Resume: %v", err)
+		}
+		defer res.Close()
+		if !bytes.Equal(out.Bytes(), refSortBytes(t, raw, 16, KeySpec{})) {
+			t.Error("restarted output is not byte-identical to the reference sort")
+		}
+		if res.Merge.ResumedRuns != 0 {
+			t.Errorf("ResumedRuns = %d after a formation-phase resume, want 0", res.Merge.ResumedRuns)
+		}
+	})
+	t.Run("unknown formation", func(t *testing.T) {
+		tmp := t.TempDir()
+		dir := filepath.Join(tmp, "ckpt")
+		legacyCheckpoint(t, dir, []string{strings.Replace(fixedBatchManifest[0], "fixed-batch", "heapsort", 1)}, raw)
+		_, err := legacySorter(t, filepath.Join(tmp, "scratch")).Resume(context.Background(), dir, FromBytes(raw), Discard())
+		if err == nil || !strings.Contains(err.Error(), `unknown formation "heapsort"`) {
+			t.Fatalf("Resume: err = %v, want the unknown formation refused", err)
+		}
+	})
 }

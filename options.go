@@ -79,15 +79,15 @@ type RetryPolicy struct {
 	// jitter. Cancelling the sort's context interrupts any backoff sleep.
 	BaseDelay time.Duration
 	MaxDelay  time.Duration
-	// RedoBudget is how many times a hierarchical run-formation batch may
-	// be re-sorted and re-spilled onto a fresh disk after its spilled run
-	// fails verification or its spill disk fails permanently (default 2).
-	// Negative disables batch redo entirely.
+	// RedoBudget is how many times a hierarchical sort may re-spill a
+	// formed run onto a fresh disk after its spilled bytes fail
+	// verification or its spill disk fails permanently (default 2).
+	// Negative disables run redo entirely.
 	RedoBudget int
 	// Scrub forces the post-spill CRC readback of every run even when no
 	// chaos injection is configured (under chaos it is always on). It
 	// catches persistent write-path corruption — a torn write, bit rot —
-	// while the batch that produced the run can still be redone, at the
+	// while the run's retained chunks can still be re-spilled, at the
 	// cost of one extra sequential read of every spilled byte.
 	Scrub bool
 }
@@ -97,17 +97,16 @@ type RetryPolicy struct {
 // records that the option was passed at all, so a job can explicitly turn
 // a Config-enabled feature OFF, not just on.
 type sortOptions struct {
-	alg       Algorithm
-	group     int // hybrid group size; 0 selects the non-hybrid alg
-	keySpec   KeySpec
-	padding   PaddingPolicy
-	progress  func(Progress)
-	maxMemory int64        // bytes one run may hold; 0 = only the algorithm's bound
-	fanIn     int          // merge fan-in; 0 = defaultMergeFanIn
-	formation RunFormation // hierarchical run formation; zero value ReplacementSelect
-	fabric    Fabric
-	retry     *RetryPolicy
-	noWait    bool          // fail with ErrBusy instead of queueing for admission
+	alg        Algorithm
+	group      int // hybrid group size; 0 selects the non-hybrid alg
+	keySpec    KeySpec
+	padding    PaddingPolicy
+	progress   func(Progress)
+	maxMemory  int64 // bytes one run may hold; 0 = only the algorithm's bound
+	fanIn      int   // merge fan-in; 0 = defaultMergeFanIn
+	fabric     Fabric
+	retry      *RetryPolicy
+	noWait     bool          // fail with ErrBusy instead of queueing for admission
 	checkpoint string        // manifest directory of a durable job; "" = no checkpointing
 	deadline   time.Duration // per-job wall-clock budget; 0 = none
 
@@ -160,10 +159,12 @@ func WithPadding(p PaddingPolicy) Option {
 // WithMaxMemory caps, in bytes, the records one columnsort run may hold.
 // A sort whose input exceeds the cap — or the selected algorithm's own
 // problem-size bound — transparently takes the hierarchical path: the
-// input is split into maximal bounded runs, each sorted by the engine on
-// one persistent cluster fabric, and the sorted runs are streamed through
-// a loser-tree k-way merge into the Sink (see WithMergeFanIn). 0 (the
-// default) leaves only the algorithm's bound in force. The hierarchical
+// input stream is cut into maximal sorted runs by replacement selection
+// over a heap of one run's records (runs average ~2× the cap on random
+// input and collapse to one on nearly-sorted input, ascending or
+// descending), and the runs are streamed through a loser-tree k-way merge
+// into the Sink (see WithMergeFanIn). 0 (the default) leaves only the
+// algorithm's bound in force. The hierarchical
 // path requires PadAuto, a non-hybrid algorithm, and a non-nil Sink.
 func WithMaxMemory(bytes int64) Option {
 	return func(o *sortOptions) { o.maxMemory = bytes }
@@ -177,50 +178,6 @@ func WithMaxMemory(bytes int64) Option {
 // buffers) competing at once.
 func WithMergeFanIn(k int) Option {
 	return func(o *sortOptions) { o.fanIn = k }
-}
-
-// RunFormation selects how the hierarchical path cuts the input stream
-// into sorted runs before the k-way merge.
-type RunFormation int
-
-const (
-	// ReplacementSelect (the default) forms maximal variable-length runs by
-	// heap-based replacement selection: runs average ~2× the memory cap on
-	// random input and collapse to a single run on sorted or nearly-sorted
-	// input (ascending or descending — "down" runs are spilled descending
-	// and merged through a reversed reader). Run count becomes
-	// data-dependent; the fixed-batch arithmetic is its worst-case bound.
-	ReplacementSelect RunFormation = iota
-	// FixedBatch spills one run per memory-cap-sized batch, each sorted by
-	// a full engine execution — the PR 4 behaviour, kept as the exactly
-	// predictable equivalence baseline.
-	FixedBatch
-)
-
-// String returns the CLI/wire name of the formation mode.
-func (f RunFormation) String() string {
-	if f == FixedBatch {
-		return "fixed-batch"
-	}
-	return "replacement-select"
-}
-
-// RunFormationByName parses the CLI/wire name of a formation mode.
-func RunFormationByName(name string) (RunFormation, bool) {
-	switch name {
-	case "replacement-select", "replacement-selection", "rs":
-		return ReplacementSelect, true
-	case "fixed-batch", "fixed":
-		return FixedBatch, true
-	}
-	return 0, false
-}
-
-// WithRunFormation selects the hierarchical run-formation strategy
-// (default ReplacementSelect). It has no effect on sorts that fit a single
-// run. See RunFormation for the trade-off.
-func WithRunFormation(f RunFormation) Option {
-	return func(o *sortOptions) { o.formation = f }
 }
 
 // WithFabric selects the cluster interconnect mode for this sort (default
@@ -237,8 +194,8 @@ func WithFabric(f Fabric) Option {
 // Sort already runs with the default policy — transient disk faults are
 // retried under bounded exponential backoff with jitter, every escaping
 // disk error carries operation/disk/offset context, spilled runs are
-// CRC32C-framed, and a hierarchical batch whose run fails verification is
-// re-sorted and re-spilled within the redo budget — so WithRetry exists to
+// CRC32C-framed, and a hierarchical run whose spill fails verification is
+// re-spilled within the redo budget — so WithRetry exists to
 // tune the budgets (or, with MaxAttempts 1 and a negative RedoBudget, to
 // fail fast). Retries and redos are visible in Result.Faults and the
 // fault-tolerance fields of Result.TotalCounters.

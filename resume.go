@@ -6,11 +6,9 @@ package colsort
 // counts, CRC sidecars, frame geometry all come from the manifest — and the
 // sort continues from the last durability point instead of starting over:
 // a crash during the merge phase re-merges without re-sorting a single
-// batch; a crash during fixed-batch formation redoes only the batches the
-// crash interrupted; a crash during replacement-selection formation
-// restarts formation (the selection heap's contents died with the process —
-// its runs do not cover a contiguous source prefix, so there is no point to
-// skip to).
+// record; a crash during run formation restarts formation (the selection
+// heap's contents died with the process — its runs do not cover a
+// contiguous source prefix, so there is no point to skip to).
 
 import (
 	"context"
@@ -23,14 +21,12 @@ import (
 	"colsort/internal/record"
 )
 
-// resumeState is what a manifest replay hands sortHierarchical: the reopened
-// live runs under their manifest ids, and where formation stood at the crash.
+// resumeState is what the replay of a manifest whose formation completed
+// hands sortHierarchical: the reopened live runs under their manifest ids.
 type resumeState struct {
-	live       []hierRun
-	want       record.Checksum // the full ingest checksum when ingestDone, else that of the consumed prefix
-	consumed   int64           // fixed-batch: source records the durable runs cover
-	ingestDone bool
-	maxID      int // highest manifest id issued; seeds the resumed WAL's sequence
+	live  []hierRun
+	want  record.Checksum // the full ingest checksum
+	maxID int             // highest manifest id issued; seeds the resumed WAL's sequence
 }
 
 // Resume continues a checkpointed sort from the manifest at manifestDir —
@@ -41,16 +37,12 @@ type resumeState struct {
 //
 // src must be the SAME input the original job was reading. It may be nil
 // only when the crash hit the merge phase (the manifest records ingest as
-// complete): then no source record is read at all. For a crash during
-// fixed-batch formation, Resume re-reads the consumed prefix to position the
-// stream — verifying its multiset against the manifest, so a changed source
-// is refused rather than silently merged against stale runs. A crash during
-// replacement-selection formation restarts formation from the beginning
-// (still under the same checkpoint, so the restarted job is itself
-// resumable).
+// complete): then no source record is read at all. A crash during run
+// formation restarts formation from the beginning (still under the same
+// checkpoint, so the restarted job is itself resumable).
 //
-// The job's parameters — algorithm, key spec, formation, fan-in, memory cap
-// — come from the manifest, not from opts: they are part of the durable
+// The job's parameters — algorithm, key spec, fan-in, memory cap — come
+// from the manifest, not from opts: they are part of the durable
 // state, and changing them mid-job cannot produce the original job's output.
 // Options that do not shape the data (WithProgress, WithRetry, WithDeadline,
 // WithNoWait, machine overrides) apply normally. The engine must be
@@ -90,11 +82,6 @@ func (e *Engine) Resume(ctx context.Context, manifestDir string, src Source, dst
 	} else {
 		o.keySpec = KeySpec{}
 	}
-	form, ok := RunFormationByName(st.begin.Formation)
-	if !ok {
-		return nil, fmt.Errorf("colsort: manifest at %s records unknown formation %q", manifestDir, st.begin.Formation)
-	}
-	o.formation = form
 	if st.begin.RecordSize != e.cfg.RecordSize {
 		return nil, fmt.Errorf("colsort: manifest at %s was written for %d-byte records but the engine is configured for %d-byte records", manifestDir, st.begin.RecordSize, e.cfg.RecordSize)
 	}
@@ -120,18 +107,17 @@ func (e *Engine) Resume(ctx context.Context, manifestDir string, src Source, dst
 		defer cancel()
 	}
 
-	// A crash during replacement-selection formation is not skippable (see
-	// the Resume doc comment): discard the partial state and restart
-	// formation from record zero, still checkpointed.
-	rsRestart := !st.ingestDone && o.formation != FixedBatch
-	if rsRestart {
+	// A crash during formation is not skippable (see the Resume doc
+	// comment): discard the partial state and restart formation from record
+	// zero, still checkpointed.
+	if !st.ingestDone {
 		st.live = nil
 	}
 
 	// Sweep the orphans first: the half-written spill the crash interrupted,
 	// and consumed merge inputs whose removal did not complete.
 	sweepOrphanRuns(manifestDir, st.live)
-	if rsRestart {
+	if !st.ingestDone {
 		_ = os.Remove(filepath.Join(manifestDir, manifestName))
 	}
 
@@ -153,12 +139,12 @@ func (e *Engine) Resume(ctx context.Context, manifestDir string, src Source, dst
 
 	return e.runJob(ctx, o, runPl.N*int64(runPl.Z), func(j *job) (*Result, error) {
 		var rs *resumeState
-		if !rsRestart {
+		if st.ingestDone {
 			live, err := reopenRuns(j.m, st.live, e.cfg.RecordSize)
 			if err != nil {
 				return nil, err
 			}
-			rs = &resumeState{live: live, want: st.want, consumed: st.consumed, ingestDone: st.ingestDone, maxID: st.maxID}
+			rs = &resumeState{live: live, want: st.want, maxID: st.maxID}
 		}
 		return j.newHierJob(o, codec, n, runPl).sortHierarchical(ctx, rd, dst, rs)
 	})

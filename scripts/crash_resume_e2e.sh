@@ -8,9 +8,10 @@
 # The metrics surface proves HOW it finished:
 #   - merge-phase kill:   colsort_engine_runs_resumed_total equals
 #     colsort_merge_runs_formed_total — every run was adopted from the
-#     manifest, zero batches re-sorted;
-#   - formation kill:     0 < runs_resumed < runs_formed — the durable
-#     prefix was adopted, only the remaining batches were formed;
+#     manifest, nothing re-sorted;
+#   - formation kill:     runs_resumed is 0 and runs_formed is the whole
+#     job's run count — the durable runs were discarded (they cover no
+#     source prefix) and formation restarted under a re-begun manifest;
 #   - both:               colsort_server_jobs_readopted_total 1, and the
 #     orphan scratch sweep counter is exposed.
 #
@@ -61,12 +62,12 @@ sigkill_server() {
   SERVER_PID=""
 }
 
-# submit OUTPUT FORMATION -> job id. max-memory-mib=4 forces the 32 MiB
-# input through the hierarchical path as ~8 bounded runs + k-way merge
-# (4 MiB = 65536 records is the smallest plannable run at this shape).
+# submit OUTPUT -> job id. max-memory-mib=4 forces the 32 MiB input through
+# the hierarchical path as ~5 runs of ~8 MiB + k-way merge (4 MiB = 65536
+# records is the smallest plannable run at this shape, and the heap's size).
 submit() {
   curl -sf -X POST "$URL/v1/jobs" -H 'Content-Type: application/json' \
-    -d "{\"input\":\"input.dat\",\"output\":\"$1\",\"options\":{\"max-memory-mib\":\"4\",\"run-formation\":\"$2\"}}" \
+    -d "{\"input\":\"input.dat\",\"output\":\"$1\",\"options\":{\"max-memory-mib\":\"4\"}}" \
     | sed -n 's/.*"id": "\([^"]*\)".*/\1/p'
 }
 
@@ -121,9 +122,9 @@ dd if=/dev/urandom of="$DIR/data/input.dat" bs=64 count="$RECORDS" status=none
   -p 4 -mem 16384 -z 64 -dir "$DIR/scratch" -async \
   || fail "local reference sort"
 
-# ---- Scenario 1: SIGKILL mid-merge (replacement-selection formation) ----
+# ---- Scenario 1: SIGKILL mid-merge ----
 start_server
-id1=$(submit out-merge.dat replacement-select)
+id1=$(submit out-merge.dat)
 [ -n "$id1" ] || fail "scenario 1: job submission returned no id"
 # ingest_done in the manifest marks formation durably complete: from here
 # until the job finishes, the process is mid-merge.
@@ -140,33 +141,58 @@ curl -sf "$URL/metrics" >"$DIR/metrics1.txt" || fail "scenario 1: metrics scrape
 grep -q '^colsort_server_jobs_readopted_total 1$' "$DIR/metrics1.txt" \
   || fail "scenario 1: job was not re-adopted from the WAL"
 resumed=$(metric colsort_engine_runs_resumed_total "$DIR/metrics1.txt")
-formed=$(metric colsort_merge_runs_formed_total "$DIR/metrics1.txt")
+formed1=$(metric colsort_merge_runs_formed_total "$DIR/metrics1.txt")
 [ "$resumed" -ge 2 ] || fail "scenario 1: only $resumed runs resumed"
-[ "$resumed" -eq "$formed" ] \
-  || fail "scenario 1: $formed total runs but only $resumed adopted — batches were re-sorted after a merge-phase crash"
+[ "$resumed" -eq "$formed1" ] \
+  || fail "scenario 1: $formed1 total runs but only $resumed adopted — runs were re-formed after a merge-phase crash"
 metric colsort_orphan_scratch_cleaned_total "$DIR/metrics1.txt" >/dev/null
-echo "scenario 1 (mid-merge kill): resumed $resumed/$formed runs, zero re-sorts, output byte-identical"
+echo "scenario 1 (mid-merge kill): resumed $resumed/$formed1 runs, zero re-sorts, output byte-identical"
 
-# ---- Scenario 2: SIGKILL mid-formation (fixed-batch) ----
-id2=$(submit out-form.dat fixed-batch)
+# ---- Scenario 2: SIGKILL mid-formation ----
+id2=$(submit out-form.dat)
 [ -n "$id2" ] || fail "scenario 2: job submission returned no id"
-# Two verified runs in the manifest = mid-formation with a durable prefix.
-wait_manifest "$id2" '"type":"run"' 2 "two durable runs"
+manifest2="$DIR/data/.colsort/ckpt/$id2/manifest.wal"
+# A verified run in the manifest = mid-formation with durable state that the
+# restart has to discard.
+wait_manifest "$id2" '"type":"run"' 1 "a durable run"
 sigkill_server
+if grep -q '"type":"ingest_done"' "$manifest2"; then
+  fail "scenario 2: formation had already completed at the kill"
+fi
+# Hold the crashed manifest open across the restart: its inode cannot be
+# reused while fd 9 lives, so a manifest at the same path under another
+# inode is one the restarted job began afresh (a resume that adopted runs
+# appends to the old file).
+exec 9<"$manifest2"
+old_inode=$(stat -c %i "$manifest2")
 
 start_server
+rebegun=0
+for _ in $(seq 1 600); do
+  ino=$(stat -c %i "$manifest2" 2>/dev/null || true)
+  if [ -n "$ino" ] && [ "$ino" != "$old_inode" ]; then
+    rebegun=1
+    break
+  fi
+  if curl -sf "$URL/v1/jobs/$id2" | grep -q '"state": "done"'; then
+    break
+  fi
+  sleep 0.05
+done
+exec 9<&-
+[ "$rebegun" -eq 1 ] || fail "scenario 2: the restarted job never re-began its manifest"
 wait_job "$id2" '"state": "done"' "completion after the mid-formation restart"
 cmp "$DIR/data/out-form.dat" "$DIR/ref.dat" \
-  || fail "scenario 2: resumed output differs from the reference"
+  || fail "scenario 2: restarted output differs from the reference"
 curl -sf "$URL/metrics" >"$DIR/metrics2.txt" || fail "scenario 2: metrics scrape"
 grep -q '^colsort_server_jobs_readopted_total 1$' "$DIR/metrics2.txt" \
   || fail "scenario 2: job was not re-adopted from the WAL"
 resumed=$(metric colsort_engine_runs_resumed_total "$DIR/metrics2.txt")
 formed=$(metric colsort_merge_runs_formed_total "$DIR/metrics2.txt")
-[ "$resumed" -ge 1 ] || fail "scenario 2: no runs adopted from the formation-phase manifest"
-[ "$resumed" -lt "$formed" ] \
-  || fail "scenario 2: $resumed adopted of $formed — the interrupted formation formed nothing new?"
-echo "scenario 2 (mid-formation kill): adopted $resumed of $formed runs, output byte-identical"
+[ "$resumed" -eq 0 ] || fail "scenario 2: $resumed runs adopted from a formation-phase manifest"
+[ "$formed" -eq "$formed1" ] \
+  || fail "scenario 2: $formed runs formed after the restart, but the same job forms $formed1"
+echo "scenario 2 (mid-formation kill): formation restarted, all $formed runs formed again, output byte-identical"
 
 # A SIGTERM drain of the final server must still exit clean.
 kill -TERM "$SERVER_PID"
@@ -175,4 +201,4 @@ if wait "$SERVER_PID"; then drain_ok=1; fi
 SERVER_PID=""
 [ "$drain_ok" -eq 1 ] || fail "final SIGTERM drain exited nonzero"
 
-echo "crash resume e2e passed ($RECORDS records; mid-merge and mid-formation kills both resumed byte-identical)"
+echo "crash resume e2e passed ($RECORDS records; mid-merge and mid-formation kills both finished byte-identical)"

@@ -272,8 +272,7 @@ func (r *Result) drainTo(ctx context.Context, dst Sink) error {
 // scanRealPrefix streams the real (non-pad) prefix of a sorted store in
 // global column-major order, invoking emit with successive record chunks.
 // The pad tail is neither read nor prefetched (ErrStopScan), and each owned
-// segment is prefetched one step ahead by ScanSegments. Shared by the sink
-// egress (drainTo) and the fixed-batch run spill (formFixedBatches).
+// segment is prefetched one step ahead by ScanSegments.
 func scanRealPrefix(ctx context.Context, st *pdm.Store, real int64, emit func(record.Slice) error) error {
 	var cnt sim.Counters
 	buf := record.Make(st.R, st.RecSize)
