@@ -412,7 +412,7 @@ func BenchmarkMergeSortFile(b *testing.B) {
 }
 
 // BenchmarkRunFormation times hierarchical run formation on random and
-// nearly-sorted input. Replacement selection forms runs ~2× the heap on
+// nearly-sorted input. Replacement selection forms runs ~2× its capacity on
 // random input and absorbs nearly-sorted input into a single run,
 // collapsing the merge entirely. The formed run count is reported
 // alongside the timings. (The sub-benchmark names keep the

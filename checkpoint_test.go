@@ -188,7 +188,7 @@ func TestCheckpointResumeMidMergeNilSource(t *testing.T) {
 
 // TestCheckpointResumeMidFormation crashes a job between formation runs,
 // with verified runs already durable in its manifest: those runs do not
-// cover a source prefix (the heap that formed them held records from well
+// cover a source prefix (the former that cut them held records from well
 // past their end), so Resume adopts none of them — it sweeps them, re-begins
 // the manifest and forms every run again, byte-identical.
 func TestCheckpointResumeMidFormation(t *testing.T) {
@@ -243,7 +243,7 @@ func TestCheckpointResumeMidFormation(t *testing.T) {
 
 // TestCheckpointRSFormationRestart crashes formation at its first chunk,
 // before any run is durable (TestCheckpointResumeMidFormation crashes it
-// after two are): the heap's contents died with the process, so Resume
+// after two are): the former's resident records died with the process, so Resume
 // restarts formation from scratch — and the restarted job still ends
 // byte-identical.
 func TestCheckpointRSFormationRestart(t *testing.T) {

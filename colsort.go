@@ -309,8 +309,8 @@ type Result struct {
 	// Output — the sorted records were streamed to the Sink, verified on
 	// the way — and their Plan describes ONE run of Merge.RunRecords
 	// records, not the whole input. PassCounters (and therefore Estimate /
-	// EstimateBeowulf) hold two synthetic passes — the selection heap's
-	// formation work and the merge tree's — because no engine pass runs
+	// EstimateBeowulf) hold two synthetic passes — the former's
+	// selection work and the merge tree's — because no engine pass runs
 	// above the bound; the byte traffic itself is reported here in
 	// BytesRead/BytesWritten.
 	Merge *MergeStats
@@ -355,7 +355,7 @@ type MergeStats struct {
 	Runs       int   `json:"runs"`        // sorted runs formed
 	Levels     int   `json:"levels"`      // merge-tree levels, including the final merge into the Sink
 	FanIn      int   `json:"fan_in"`      // maximum runs merged at once
-	RunRecords int64 `json:"run_records"` // records one run's memory budget holds (the single-run plan's N, the selection heap's capacity); runs average ~2× it on random input
+	RunRecords int64 `json:"run_records"` // records one run's memory budget holds (the single-run plan's N, the former's capacity); runs average ~2× it on random input
 
 	BytesRead    int64 `json:"bytes_read"`    // bytes read back from spilled runs by the merges
 	BytesWritten int64 `json:"bytes_written"` // bytes written to run spills (formation and intermediate levels) plus streamed to the Sink

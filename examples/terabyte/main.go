@@ -77,7 +77,7 @@ func main() {
 	fmt.Println("\n== beyond the bound: hierarchical runs + k-way merge ==")
 	// The bounds above are per RUN. Sorter.Sort is unbounded: an input
 	// larger than any single run is cut into maximal sorted runs by
-	// replacement selection over a heap of one run's records and streamed
+	// replacement selection over a resident set of one run's records and streamed
 	// through a loser-tree merge into the Sink — here 4.3× the threaded
 	// bound of a deliberately tiny machine, verified in-stream.
 	tiny, err := colsort.New(colsort.Config{Procs: 4, MemPerProc: 1 << 10, RecordSize: 64})
@@ -96,7 +96,7 @@ func main() {
 	m := hier.Merge
 	fmt.Printf("threaded bound on this machine: %d records (%s)\n",
 		bound, bounds.HumanBytes(float64(bound)*64))
-	fmt.Printf("sorted %d records = %.2f× the bound, as %d runs of %d–%d records over a %d-record heap\n",
+	fmt.Printf("sorted %d records = %.2f× the bound, as %d runs of %d–%d records over %d resident records\n",
 		over, float64(over)/float64(bound), m.Runs, m.MinRunRecords, m.MaxRunRecords, m.RunRecords)
 	fmt.Printf("merged in %d level(s) at fan-in %d; %s of run reads, %s of spill+sink writes\n",
 		m.Levels, m.FanIn, bounds.HumanBytes(float64(m.BytesRead)), bounds.HumanBytes(float64(m.BytesWritten)))

@@ -3,17 +3,19 @@ package colsort
 // Hierarchical execution: the layer that takes Sort past any single
 // columnsort run's problem-size bound. When n exceeds what one run can hold
 // (the algorithm's restriction, or a WithMaxMemory cap), the source stream
-// is cut into maximal sorted runs by replacement selection over a heap one
-// run plan's records large (internal/runform), each run spilled CRC-framed
-// and verified; and the runs are combined by a loser-tree k-way merge with
-// prefetch on the run reads and write-behind on the merged output,
-// streaming straight into the Sink — no extra materialization pass. The
-// columnsort engine is not on this path: the paper's passes run below the
-// bound, replacement selection + merge above it. See DESIGN.md §7 and §12.
+// is cut into maximal sorted runs by replacement selection over a resident
+// set one run plan's records large (internal/runform), each run spilled
+// CRC-framed and verified; and the runs are combined by a loser-tree k-way
+// merge with prefetch on the run reads and write-behind on the merged
+// output, streaming straight into the Sink — no extra materialization
+// pass. The columnsort engine is not on this path: the paper's passes run
+// below the bound, replacement selection + merge above it. See DESIGN.md §7
+// and §12.
 
 import (
 	"errors"
 	"fmt"
+	"math"
 	"math/bits"
 	"os"
 
@@ -63,8 +65,9 @@ func (e *Engine) wantHierarchical(o sortOptions, pl core.Plan, plErr error) (boo
 
 // planRun finds the run plan of a hierarchical sort — the sizing rule: the
 // largest power-of-two record count the algorithm can sort in ONE run under
-// the configuration and the WithMaxMemory cap. Its N is the selection
-// heap's capacity and the memory the job's admission lease charges.
+// the configuration and the WithMaxMemory cap. Its N is the former's
+// capacity — the records replacement selection holds resident — and the
+// memory the job's admission lease charges.
 func (e *Engine) planRun(o sortOptions) (core.Plan, error) {
 	z := int64(e.cfg.RecordSize)
 	var best core.Plan
@@ -380,23 +383,27 @@ func (h *hierJob) commitRun(run *merge.Run) error {
 }
 
 // formReplacementRuns is the run producer: maximal variable-length runs
-// formed by the heap, consuming the source stream directly. Records are
-// encoded into normalized key space as they arrive, the former's heap
-// (runPl.N records — the memory the job's admission lease charges) emits
+// formed by the former, consuming the source stream directly. Records are
+// encoded into normalized key space as they arrive, the former's resident
+// set (runPl.N records — the memory the job's admission lease charges) emits
 // each run in its chosen direction, descending runs marked for the merge's
 // backwards read. The engine's fabric is never involved: order comes from
-// the heap, and end-to-end verification from the merge's in-stream order
+// the former, and end-to-end verification from the merge's in-stream order
 // check plus the final multiset comparison against the ingest checksum.
 //
 // The source stream that fed a run is consumed as the run forms. So when
 // the scrub is armed and the redo budget is positive, each run's emitted
 // chunks are RETAINED in pooled memory until its spill has been verified,
-// and a redo replays the retained copy. Retention is bounded at 2× the heap
-// (the expected run length on random input): a run reaching the bound is
-// cut there, so redo memory stays within two extra heaps' worth, at the
-// cost of splitting longer-than-expected runs while scrubbing. Without
-// retention any permanent spill or scrub failure is terminal.
+// and a redo replays the retained copy. Retention is bounded at 2× the
+// former's capacity (the expected run length on random input): a run
+// reaching the bound is cut there, so redo memory stays within two extra
+// resident sets' worth, at the cost of splitting longer-than-expected runs
+// while scrubbing. Without retention any permanent spill or scrub failure
+// is terminal.
 func (h *hierJob) formReplacementRuns(ctx context.Context, rd RecordReader) error {
+	if h.runPl.N > math.MaxInt32 { // the former's slot ids are int32
+		return fmt.Errorf("colsort: run plan of %d records exceeds the former's 2³¹−1 slots; set WithMaxMemory", h.runPl.N)
+	}
 	z := h.e.cfg.RecordSize
 	var pool *record.Pool
 	if len(h.m.Pools) > 0 {
@@ -677,7 +684,7 @@ func (h *hierJob) mergePhase(ctx context.Context, dst Sink) (*Result, error) {
 	}
 	// The engine fabric does not run on this path, so the real work is
 	// accounted as synthetic passes: the merge tree, and — unless formation
-	// happened before a crash — the selection heap before it. Engine.Stats'
+	// happened before a crash — the former's selection before it. Engine.Stats'
 	// cumulative counters (and the server's /metrics derived from them) stay
 	// meaningful.
 	z := int64(h.runPl.Z)

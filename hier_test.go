@@ -16,9 +16,11 @@ import (
 	"os"
 	"path/filepath"
 	"sort"
+	"strings"
 	"sync"
 	"testing"
 
+	"colsort/internal/core"
 	"colsort/internal/record"
 	"colsort/internal/testutil"
 )
@@ -368,7 +370,7 @@ func TestHierarchicalOptionValidation(t *testing.T) {
 // TestReplacementSelectFewerRuns is the run-length acceptance test: on
 // uniform random input well above the bound, replacement selection must form
 // at most 0.6× the run-plan-sized batches PlanHierarchical counts (theory
-// says ~0.5×: runs average twice the heap).
+// says ~0.5×: runs average twice the former's capacity).
 func TestReplacementSelectFewerRuns(t *testing.T) {
 	testutil.CheckGoroutines(t)
 	const p, mem, z = 4, 256, 16
@@ -548,5 +550,16 @@ func TestMergeProgressMonotoneMultiLevel(t *testing.T) {
 	}
 	if len(merged) == 0 || merged[len(merged)-1] != total {
 		t.Errorf("merge progress ends at %d, want the advertised total %d", merged[len(merged)-1], total)
+	}
+}
+
+// TestFormerCapacityGuard: the former's slot ids are int32, so a run plan
+// past 2³¹−1 records is refused before anything is read or allocated — the
+// job below has no engine, reader or pool to touch.
+func TestFormerCapacityGuard(t *testing.T) {
+	h := &hierJob{runPl: core.Plan{N: 1 << 31}}
+	err := h.formReplacementRuns(context.Background(), nil)
+	if err == nil || !strings.Contains(err.Error(), "run plan of 2147483648 records exceeds the former's 2³¹−1 slots; set WithMaxMemory") {
+		t.Fatalf("formReplacementRuns over a 2³¹-record plan: err = %v, want the capacity refusal", err)
 	}
 }

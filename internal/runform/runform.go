@@ -1,6 +1,6 @@
-// Package runform forms sorted runs from a record stream by heap-based
-// replacement selection (Knuth TAOCP vol. 3 §5.4.1; Bender, McCauley,
-// McGregor, Singh, Vu — "Run Generation Revisited").
+// Package runform forms sorted runs from a record stream by replacement
+// selection on a tournament tree (Knuth TAOCP vol. 3 §5.4.1, Algorithm R;
+// Bender, McCauley, McGregor, Singh, Vu — "Run Generation Revisited").
 //
 // A Former holds a working set of `capacity` normalized records. It
 // repeatedly emits the record that extends the current run, refills the
@@ -22,9 +22,14 @@
 // monotone in its declared direction.
 //
 // All comparisons happen in normalized key space: records are memcmp-
-// ordered after KeySpec encoding, and the cached 8-byte big-endian key
-// prefix resolves almost every heap comparison without touching the
-// record bytes (the same prefix discipline as the merge loser tree).
+// ordered after KeySpec encoding, and the 8-byte big-endian key prefix held
+// inline in the tournament resolves almost every match without touching the
+// record bytes. The tournament is internal/tournament's loser tree, the
+// kernel sortalg's in-memory merge runs on: one contestant per resident
+// slot, and emitting a record and admitting its replacement is ONE
+// leaf-to-root replay whose node addresses are known up front — where a
+// binary heap's sift-down chains a dependent load and a mispredicted branch
+// per level.
 package runform
 
 import (
@@ -32,26 +37,29 @@ import (
 	"encoding/binary"
 
 	"colsort/internal/record"
+	"colsort/internal/tournament"
 )
 
 // Former produces maximal sorted runs from a record stream via replacement
 // selection. It is single-goroutine; the caller drives it with NextRun /
 // Fill and must Close it to return the pooled arena.
 type Former struct {
-	z        int
-	capacity int
-	pool     *record.Pool
-	read     func(rec []byte) (bool, error)
+	pool *record.Pool
+	read func(rec []byte) (bool, error)
 
 	arena record.Slice // the capacity resident records, indexed by slot
-	keys  []uint64     // cached 8-byte big-endian prefix per slot
 
-	heap    []int32 // slots of the current run, ordered by (prefix, full bytes)
-	pending []int32 // arrivals deferred to the next run (they would break this one)
+	// The tournament over the slots (internal/tournament): a slot in the
+	// current run plays its key prefix XOR flip, so the smallest adjusted
+	// key is the run's next record in either direction; a parked or dead
+	// slot plays record.MaxKey and can never beat a live one. Which of the
+	// three a slot is rides in the tree's spare per-contestant word,
+	// node[slot].Aux: slotDead, slotParked or slotLive.
+	node   []tournament.Node
+	parked int // slots deferred to the next run (their arrival would break this one)
 
-	desc     bool   // current run emits in descending order
-	last     []byte // copy of the record most recently emitted into the current run
-	haveLast bool
+	desc bool   // current run emits in descending order
+	flip uint64 // 0 ascending, ^0 descending
 
 	// Direction heuristic state: up/down key steps between consecutive
 	// arrivals since the previous run started (the initial fill, for run 1).
@@ -61,32 +69,31 @@ type Former struct {
 	prevKey    uint64
 	haveSeen   bool
 
-	eof      bool
-	started  bool
-	consumed int64
+	eof     bool
+	started bool
 }
 
+const (
+	slotDead   uint32 = iota // holds no record (short input, or emitted after EOF)
+	slotParked               // holds a record of the NEXT run
+	slotLive                 // holds a record of the current run
+)
+
 // New builds a Former over a record stream. capacity is the number of
-// resident records (the replacement-selection heap size), z the record size
-// in bytes. read fills rec with the next input record, returning false at
-// end of stream; records must already be in normalized (memcmp-ordered) key
-// space. The arena is taken from pool (which may be nil).
+// resident records (the tournament's width), z the record size in bytes.
+// read fills rec with the next input record, returning false at end of
+// stream; records must already be in normalized (memcmp-ordered) key space.
+// The arena is taken from pool (which may be nil).
 func New(capacity, z int, pool *record.Pool, read func(rec []byte) (bool, error)) *Former {
 	if capacity < 1 {
 		capacity = 1
 	}
-	f := &Former{
-		z:        z,
-		capacity: capacity,
-		pool:     pool,
-		read:     read,
-		keys:     make([]uint64, capacity),
-		heap:     make([]int32, 0, capacity),
-		pending:  make([]int32, 0, capacity),
-		last:     make([]byte, z),
+	return &Former{
+		pool:  pool,
+		read:  read,
+		arena: pool.Get(capacity, z),
+		node:  make([]tournament.Node, capacity),
 	}
-	f.arena = pool.Get(capacity, z)
-	return f
 }
 
 // Close returns the arena to the pool. The Former must not be used after.
@@ -97,23 +104,20 @@ func (f *Former) Close() {
 	}
 }
 
-// Consumed reports how many records have been read from the input so far.
-func (f *Former) Consumed() int64 { return f.consumed }
-
-// readInto refills slot from the input, caching its key prefix and feeding
-// the direction heuristic. Returns false (and latches eof) at end of stream.
-func (f *Former) readInto(slot int32) (bool, error) {
+// readInto refills slot from the input, feeding the direction heuristic,
+// and returns the arrival's key prefix. ok is false (and eof latched) at
+// end of stream.
+func (f *Former) readInto(slot int32) (k uint64, ok bool, err error) {
 	rec := f.arena.Record(int(slot))
-	ok, err := f.read(rec)
+	ok, err = f.read(rec)
 	if err != nil {
-		return false, err
+		return 0, false, err
 	}
 	if !ok {
 		f.eof = true
-		return false, nil
+		return 0, false, nil
 	}
-	k := binary.BigEndian.Uint64(rec)
-	f.keys[slot] = k
+	k = binary.BigEndian.Uint64(rec)
 	if f.haveSeen {
 		if k > f.prevKey {
 			f.ups++
@@ -123,8 +127,7 @@ func (f *Former) readInto(slot int32) (bool, error) {
 	}
 	f.prevKey = k
 	f.haveSeen = true
-	f.consumed++
-	return true, nil
+	return k, true, nil
 }
 
 // NextRun starts the next run, choosing its direction from the arrival
@@ -133,61 +136,94 @@ func (f *Former) readInto(slot int32) (bool, error) {
 func (f *Former) NextRun() (desc, ok bool, err error) {
 	if !f.started {
 		f.started = true
-		for i := 0; i < f.capacity && !f.eof; i++ {
-			ok, err := f.readInto(int32(i))
+		for i := range f.node {
+			_, ok, err := f.readInto(int32(i))
 			if err != nil {
 				return false, false, err
 			}
 			if !ok {
 				break
 			}
-			f.pending = append(f.pending, int32(i))
+			f.node[i].Aux = slotParked
+			f.parked++
 		}
 	}
-	if len(f.pending) == 0 {
+	if f.parked == 0 {
 		return false, false, nil
 	}
 	f.desc = f.downs > 4*f.ups
+	f.flip = 0
+	if f.desc {
+		f.flip = ^uint64(0)
+	}
 	f.ups, f.downs, f.haveSeen = 0, 0, false
-	f.heap, f.pending = f.pending, f.heap[:0]
-	f.heapify()
-	f.haveLast = false
+	f.parked = 0
+	tournament.Play(f.node, f.enter, f.tieBeats)
 	return f.desc, true, nil
+}
+
+// enter admits slot to the run now starting — every parked record joins it
+// — and returns the slot's tournament entry.
+func (f *Former) enter(slot int32) tournament.Node {
+	if f.node[slot].Aux == slotDead {
+		return tournament.Node{Key: record.MaxKey, ID: slot}
+	}
+	f.node[slot].Aux = slotLive
+	return tournament.Node{Key: f.arena.Key(int(slot)) ^ f.flip, ID: slot}
+}
+
+// tieBeats resolves an adjusted-prefix tie between slots o and w: a slot
+// outside the current run loses to everything (its maximal key can tie a
+// live record's, so liveness is re-checked here) and live ties compare the
+// full records in the run's direction.
+func (f *Former) tieBeats(o, w int32) bool {
+	if f.node[o].Aux != slotLive {
+		return false
+	}
+	if f.node[w].Aux != slotLive {
+		return true
+	}
+	c := bytes.Compare(f.arena.Record(int(o)), f.arena.Record(int(w)))
+	if f.desc {
+		return c > 0
+	}
+	return c < 0
 }
 
 // Fill emits up to out.Len() records of the current run, in the run's
 // direction, replacing each emitted record from the input. It returns 0
 // when the run is complete (call NextRun for the next one).
 func (f *Former) Fill(out record.Slice) (int, error) {
-	n := 0
-	for n < out.Len() && len(f.heap) > 0 {
-		slot := f.heap[0]
+	n, tie := 0, f.tieBeats
+	for room := out.Len(); n < room; {
+		w := f.node[0]
+		slot := w.ID
+		if f.node[slot].Aux != slotLive {
+			break // the winner is not of this run: the run is over
+		}
 		rec := f.arena.Record(int(slot))
-		copy(out.Record(n), rec)
-		copy(f.last, rec)
-		f.haveLast = true
+		last := out.Record(n) // the run's last record so far lives on in out
+		copy(last, rec)
 		n++
+		// The arrival replacing the emitted record in its slot either
+		// extends the run or is parked for the next; past EOF the slot dies.
+		key, st := record.MaxKey, slotDead
 		if !f.eof {
-			ok, err := f.readInto(slot)
+			k, ok, err := f.readInto(slot)
 			if err != nil {
 				return n, err
 			}
-			if ok {
-				if f.extends(f.arena.Record(int(slot))) {
-					// The arrival replaces the emitted root in place.
-					f.siftDown(0)
-					continue
-				}
-				f.pending = append(f.pending, slot)
+			switch k ^= f.flip; {
+			case !ok: // end of input
+			case f.extends(rec, k, last, w.Key):
+				key, st = k, slotLive
+			default:
+				st = slotParked
+				f.parked++
 			}
 		}
-		// Pop the root: the slot now belongs to pending (or is dead at EOF).
-		top := len(f.heap) - 1
-		f.heap[0] = f.heap[top]
-		f.heap = f.heap[:top]
-		if len(f.heap) > 1 {
-			f.siftDown(0)
-		}
+		f.node[slot].Aux = st
+		tournament.Replay(f.node, slot, key, tie)
 	}
 	return n, nil
 }
@@ -196,70 +232,24 @@ func (f *Former) Fill(out record.Slice) (int, error) {
 // to the next run, so the next Fill returns 0. Callers use it to bound run
 // length when each spilled run must also be retained in memory for redo.
 func (f *Former) BreakRun() {
-	f.pending = append(f.pending, f.heap...)
-	f.heap = f.heap[:0]
+	for i := range f.node {
+		if f.node[i].Aux == slotLive {
+			f.node[i].Aux = slotParked
+			f.parked++
+		}
+	}
 }
 
-// extends reports whether rec can join the current run after the last
-// emitted record without violating the run's direction.
-func (f *Former) extends(rec []byte) bool {
-	if !f.haveLast {
-		return true
+// extends reports whether the arrival rec (adjusted key prefix k) can join
+// the current run after the last emitted record without violating the run's
+// direction.
+func (f *Former) extends(rec []byte, k uint64, last []byte, lastKey uint64) bool {
+	if k != lastKey {
+		return k > lastKey
 	}
-	k := binary.BigEndian.Uint64(rec)
-	lk := binary.BigEndian.Uint64(f.last)
-	if k != lk {
-		if f.desc {
-			return k < lk
-		}
-		return k > lk
-	}
-	c := bytes.Compare(rec, f.last)
+	c := bytes.Compare(rec, last)
 	if f.desc {
 		return c <= 0
 	}
 	return c >= 0
-}
-
-// less orders two slots by the current run's direction: cached prefixes
-// first, full normalized bytes only on prefix ties.
-func (f *Former) less(a, b int32) bool {
-	ka, kb := f.keys[a], f.keys[b]
-	if ka != kb {
-		if f.desc {
-			return ka > kb
-		}
-		return ka < kb
-	}
-	c := bytes.Compare(f.arena.Record(int(a)), f.arena.Record(int(b)))
-	if f.desc {
-		return c > 0
-	}
-	return c < 0
-}
-
-func (f *Former) heapify() {
-	for i := len(f.heap)/2 - 1; i >= 0; i-- {
-		f.siftDown(i)
-	}
-}
-
-func (f *Former) siftDown(i int) {
-	h := f.heap
-	n := len(h)
-	for {
-		l := 2*i + 1
-		if l >= n {
-			return
-		}
-		m := l
-		if r := l + 1; r < n && f.less(h[r], h[l]) {
-			m = r
-		}
-		if !f.less(h[m], h[i]) {
-			return
-		}
-		h[i], h[m] = h[m], h[i]
-		i = m
-	}
 }

@@ -2,22 +2,25 @@ package runform
 
 import (
 	"bytes"
+	"encoding/binary"
 	"errors"
+	"fmt"
+	"math/rand"
 	"sort"
 	"testing"
 
 	"colsort/internal/record"
 )
 
-// sliceReader feeds the records of s to a Former one at a time.
-func sliceReader(s record.Slice) func(rec []byte) (bool, error) {
-	i := 0
+// sliceReader feeds the records of s to a former one at a time; *read
+// counts the records handed out.
+func sliceReader(s record.Slice, read *int) func(rec []byte) (bool, error) {
 	return func(rec []byte) (bool, error) {
-		if i >= s.Len() {
+		if *read >= s.Len() {
 			return false, nil
 		}
-		copy(rec, s.Record(i))
-		i++
+		copy(rec, s.Record(*read))
+		*read++
 		return true, nil
 	}
 }
@@ -27,43 +30,65 @@ type formedRun struct {
 	recs record.Slice
 }
 
-// formAll drives a Former to exhaustion and returns every run it emits.
-func formAll(t *testing.T, capacity int, in record.Slice) []formedRun {
+// former is the surface the drivers below need, so one driver runs both the
+// Former and the heap oracle it is checked against.
+type former interface {
+	NextRun() (desc, ok bool, err error)
+	Fill(out record.Slice) (int, error)
+	BreakRun()
+	Close()
+}
+
+// drive runs f to exhaustion through a chunk-record buffer and returns every
+// run it emits. breakAt, when non-nil, is asked after each Fill (with the
+// records emitted so far) whether to BreakRun there.
+func drive(t testing.TB, f former, z, chunk int, breakAt func(emitted int) bool) []formedRun {
 	t.Helper()
-	f := New(capacity, in.Size, nil, sliceReader(in))
 	defer f.Close()
-	buf := record.Make(64, in.Size)
+	buf := record.Make(chunk, z)
 	var runs []formedRun
+	emitted := 0
 	for {
 		desc, ok, err := f.NextRun()
 		if err != nil {
-			t.Fatal(err)
+			t.Fatalf("NextRun: %v", err)
 		}
 		if !ok {
-			break
+			return runs
 		}
 		var out bytes.Buffer
 		for {
 			n, err := f.Fill(buf)
 			if err != nil {
-				t.Fatal(err)
+				t.Fatalf("Fill: %v", err)
 			}
 			if n == 0 {
 				break
 			}
 			out.Write(buf.Sub(0, n).Data)
+			emitted += n
+			if breakAt != nil && breakAt(emitted) {
+				f.BreakRun()
+			}
 		}
-		runs = append(runs, formedRun{desc: desc, recs: record.NewSlice(out.Bytes(), in.Size)})
+		runs = append(runs, formedRun{desc: desc, recs: record.NewSlice(out.Bytes(), z)})
 	}
-	if got := f.Consumed(); got != int64(in.Len()) {
-		t.Fatalf("Consumed() = %d, want %d", got, in.Len())
+}
+
+// formAll drives a Former over in and returns every run it emits.
+func formAll(t *testing.T, capacity int, in record.Slice) []formedRun {
+	t.Helper()
+	read := 0
+	runs := drive(t, New(capacity, in.Size, nil, sliceReader(in, &read)), in.Size, 64, nil)
+	if read != in.Len() {
+		t.Fatalf("the former read %d records of %d", read, in.Len())
 	}
 	return runs
 }
 
 // checkRuns verifies every run is monotone in its declared direction and
 // that the emitted multiset is exactly the input.
-func checkRuns(t *testing.T, in record.Slice, runs []formedRun) {
+func checkRuns(t testing.TB, in record.Slice, runs []formedRun) {
 	t.Helper()
 	total := 0
 	var all bytes.Buffer
@@ -92,7 +117,7 @@ func checkRuns(t *testing.T, in record.Slice, runs []formedRun) {
 	sortSlice(got)
 	sortSlice(ref)
 	if !bytes.Equal(got.Data, ref.Data) {
-		t.Fatal("emitted records are not a permutation of the input")
+		t.Fatalf("emitted records are not a permutation of the input")
 	}
 }
 
@@ -113,7 +138,7 @@ func sortSlice(s record.Slice) {
 }
 
 // TestRandomRunsNearTwiceCapacity pins the headline property: on random
-// input, replacement selection forms runs averaging ~2× the heap capacity,
+// input, replacement selection forms runs averaging ~2× the capacity,
 // so clearly fewer runs than the n/capacity fixed batches.
 func TestRandomRunsNearTwiceCapacity(t *testing.T) {
 	const n, capacity, z = 10000, 500, 16
@@ -156,7 +181,7 @@ func TestReverseInputSingleDescendingRun(t *testing.T) {
 }
 
 // TestNearlySortedStaysFewRuns: bounded-displacement disorder smaller than
-// the heap is absorbed entirely (the emitted frontier trails the arrival
+// the capacity is absorbed entirely (the emitted frontier trails the arrival
 // frontier by ~capacity positions).
 func TestNearlySortedStaysFewRuns(t *testing.T) {
 	const n, z = 8000, 16
@@ -199,7 +224,7 @@ func TestEdgeSizes(t *testing.T) {
 	checkRuns(t, in, runs)
 
 	empty := record.Make(0, z)
-	f := New(8, z, nil, sliceReader(empty))
+	f := New(8, z, nil, sliceReader(empty, new(int)))
 	defer f.Close()
 	if _, ok, err := f.NextRun(); err != nil || ok {
 		t.Fatalf("empty input: NextRun = (ok=%v, err=%v), want no run", ok, err)
@@ -220,7 +245,7 @@ func TestReadErrorPropagates(t *testing.T) {
 
 	in := record.Make(50, z)
 	record.Fill(in, record.Uniform{Seed: 1}, 0)
-	next := sliceReader(in)
+	next := sliceReader(in, new(int))
 	n := 0
 	flaky := func(rec []byte) (bool, error) {
 		if n == 20 {
@@ -248,5 +273,399 @@ func TestReadErrorPropagates(t *testing.T) {
 				t.Fatalf("NextRun = (ok=%v, err=%v) before the input's error surfaced", ok, err)
 			}
 		}
+	}
+}
+
+// oracleInputs are the distributions the differential table and the
+// benchmarks draw from. The two "dup" inputs have only four distinct key
+// prefixes — 0, 1, MaxKey−1, MaxKey — so nearly every match is a prefix tie
+// and live records carry the very prefix parked slots play (MaxKey
+// ascending, 0 descending); dup-down steps down through them once, which
+// tips later runs descending.
+var oracleInputs = []struct {
+	name string
+	gen  func(rec []byte, i, n int)
+}{
+	{"uniform", func(rec []byte, i, n int) { record.Uniform{Seed: 5}.Gen(rec, int64(i)) }},
+	{"sorted", func(rec []byte, i, n int) { record.Sorted{Seed: 5}.Gen(rec, int64(i)) }},
+	{"reverse", func(rec []byte, i, n int) { record.Reverse{Seed: 5}.Gen(rec, int64(i)) }},
+	{"nearly-sorted", func(rec []byte, i, n int) { record.NearlySorted{Seed: 5, Window: 64}.Gen(rec, int64(i)) }},
+	{"nearly-reverse", func(rec []byte, i, n int) { record.NearlyReverse{Seed: 5, Window: 64}.Gen(rec, int64(i)) }},
+	{"dup", func(rec []byte, i, n int) {
+		record.Uniform{Seed: 5}.Gen(rec, int64(i))
+		record.PutKey(rec, dupPrefixes[rec[0]&3])
+	}},
+	{"dup-down", func(rec []byte, i, n int) {
+		record.Uniform{Seed: 5}.Gen(rec, int64(i))
+		record.PutKey(rec, dupPrefixes[3-4*i/n])
+	}},
+}
+
+var dupPrefixes = [4]uint64{0, 1, record.MaxKey - 1, record.MaxKey}
+
+func makeInput(gen func(rec []byte, i, n int), n, z int) record.Slice {
+	in := record.Make(n, z)
+	for i := 0; i < n; i++ {
+		gen(in.Record(i), i, n)
+	}
+	return in
+}
+
+// sameRuns requires got to equal the oracle's runs in direction, length and
+// bytes.
+func sameRuns(t testing.TB, got, want []formedRun) {
+	t.Helper()
+	if len(got) != len(want) {
+		t.Fatalf("formed %d runs, the heap oracle %d", len(got), len(want))
+	}
+	for i := range got {
+		if got[i].desc != want[i].desc || got[i].recs.Len() != want[i].recs.Len() {
+			t.Fatalf("run %d: desc=%v len=%d, the heap oracle desc=%v len=%d",
+				i, got[i].desc, got[i].recs.Len(), want[i].desc, want[i].recs.Len())
+		}
+		if !bytes.Equal(got[i].recs.Data, want[i].recs.Data) {
+			t.Fatalf("run %d: bytes differ from the heap oracle's", i)
+		}
+	}
+}
+
+// TestOracleDifferential: the tournament Former and the heap former it
+// replaced emit the same runs — same direction, same length, same bytes —
+// on every distribution, at degenerate and odd capacities, at the input
+// lengths around a capacity boundary, with and without BreakRun injected at
+// seeded points.
+func TestOracleDifferential(t *testing.T) {
+	for _, in := range oracleInputs {
+		t.Run(in.name, func(t *testing.T) {
+			sawDesc := false
+			for _, capacity := range []int{1, 2, 3, 5, 1000, 4096} {
+				for _, z := range []int{16, 64} {
+					for _, n := range []int{0, 1, capacity - 1, capacity, capacity + 1, 7*capacity + 321} {
+						src := makeInput(in.gen, n, z)
+						for _, breaks := range []bool{false, true} {
+							// Break points are a function of (seed, records
+							// emitted), so both formers are cut at the same ones.
+							breakAt := func() func(int) bool {
+								if !breaks {
+									return nil
+								}
+								rng := rand.New(rand.NewSource(int64(capacity*131 + n)))
+								next := rng.Intn(2*capacity + 1)
+								return func(emitted int) bool {
+									if emitted < next {
+										return false
+									}
+									next = emitted + 1 + rng.Intn(3*capacity)
+									return true
+								}
+							}
+							tc := inCase{t, fmt.Sprintf("cap=%d z=%d n=%d breaks=%v", capacity, z, n, breaks)}
+							read := 0
+							got := drive(tc, New(capacity, z, nil, sliceReader(src, &read)), z, 37, breakAt())
+							want := drive(tc, newHeapFormer(capacity, z, nil, sliceReader(src, new(int))), z, 37, breakAt())
+							if read != n {
+								tc.Fatalf("the former read %d records", read)
+							}
+							checkRuns(tc, src, got)
+							sameRuns(tc, got, want)
+							for _, r := range got {
+								sawDesc = sawDesc || r.desc
+							}
+						}
+					}
+				}
+			}
+			if in.name == "dup-down" && !sawDesc {
+				t.Error("no descending run formed: the descending tie path went untested")
+			}
+		})
+	}
+}
+
+// inCase prefixes a table case's failures with its parameters.
+type inCase struct {
+	testing.TB
+	name string
+}
+
+func (c inCase) Fatalf(format string, args ...any) {
+	c.Helper()
+	c.TB.Fatalf(c.name+": "+format, args...)
+}
+
+// FuzzFormer: arbitrary records (drawn from few prefixes, so ties and the
+// maximal-prefix cases are common), capacity and break cadence. Every run is
+// monotone in its declared direction, the multiset is preserved, and the
+// runs equal the heap oracle's; nothing panics.
+func FuzzFormer(f *testing.F) {
+	f.Add([]byte{}, uint16(4), uint8(0))
+	f.Add([]byte("\x07a\x07b\x00c\x07a\x06z\x00c\x07a"), uint16(3), uint8(2))
+	f.Add([]byte("9876543210zyxwvutsrqponmlkjihgfedcba"), uint16(5), uint8(0))
+	f.Add([]byte("abcabcabcabcabcabc"), uint16(1), uint8(3))
+	prefixes := [8]uint64{0, 1, 2, 1 << 32, 1 << 63, record.MaxKey - 2, record.MaxKey - 1, record.MaxKey}
+	f.Fuzz(func(t *testing.T, data []byte, width uint16, breakEvery uint8) {
+		const z = 16
+		capacity := int(width % 300) // wider tournaments are the table's job; keep execs fast
+		in := record.Make(len(data)/2, z)
+		for i := 0; i < in.Len(); i++ {
+			in.SetKey(i, prefixes[data[2*i]&7])
+			in.Record(i)[record.KeyBytes] = data[2*i+1]
+		}
+		breakAt := func() func(int) bool {
+			fills := 0
+			return func(int) bool {
+				fills++
+				return breakEvery > 0 && fills%int(breakEvery) == 0
+			}
+		}
+		got := drive(t, New(capacity, z, nil, sliceReader(in, new(int))), z, 7, breakAt())
+		want := drive(t, newHeapFormer(capacity, z, nil, sliceReader(in, new(int))), z, 7, breakAt())
+		checkRuns(t, in, got)
+		sameRuns(t, got, want)
+	})
+}
+
+// TestFillAllocsPerRun: a steady-state Fill touches the allocator not at all.
+func TestFillAllocsPerRun(t *testing.T) {
+	const capacity, z = 1 << 10, 64
+	src := makeInput(oracleInputs[0].gen, 64*capacity, z)
+	f := New(capacity, z, nil, sliceReader(src, new(int)))
+	defer f.Close()
+	buf := record.Make(64, z)
+	fill := func() {
+		n, err := f.Fill(buf)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if n == 0 {
+			if _, ok, err := f.NextRun(); err != nil || !ok {
+				t.Fatalf("NextRun = (ok=%v, err=%v) with input left", ok, err)
+			}
+		}
+	}
+	fill() // first run started
+	if allocs := testing.AllocsPerRun(200, fill); allocs != 0 {
+		t.Errorf("%v allocs per steady-state Fill, want 0", allocs)
+	}
+}
+
+// heapFormer is the binary-heap replacement-selection former this package
+// shipped before the tournament kernel, kept verbatim (minus its unused
+// Consumed counter) as the reference the Former is cross-checked against —
+// the way heapMergeRunsInto cross-checks sortalg's loser tree.
+type heapFormer struct {
+	z        int
+	capacity int
+	pool     *record.Pool
+	read     func(rec []byte) (bool, error)
+
+	arena record.Slice // the capacity resident records, indexed by slot
+	keys  []uint64     // cached 8-byte big-endian prefix per slot
+
+	heap    []int32 // slots of the current run, ordered by (prefix, full bytes)
+	pending []int32 // arrivals deferred to the next run (they would break this one)
+
+	desc     bool   // current run emits in descending order
+	last     []byte // copy of the record most recently emitted into the current run
+	haveLast bool
+
+	// Direction heuristic state: up/down key steps between consecutive
+	// arrivals since the previous run started (the initial fill, for run 1).
+	// The next run goes descending only on a decisive supermajority of
+	// downward steps; anything noisier defaults to ascending.
+	ups, downs int64
+	prevKey    uint64
+	haveSeen   bool
+
+	eof     bool
+	started bool
+}
+
+func newHeapFormer(capacity, z int, pool *record.Pool, read func(rec []byte) (bool, error)) *heapFormer {
+	if capacity < 1 {
+		capacity = 1
+	}
+	f := &heapFormer{
+		z:        z,
+		capacity: capacity,
+		pool:     pool,
+		read:     read,
+		keys:     make([]uint64, capacity),
+		heap:     make([]int32, 0, capacity),
+		pending:  make([]int32, 0, capacity),
+		last:     make([]byte, z),
+	}
+	f.arena = pool.Get(capacity, z)
+	return f
+}
+
+// Close returns the arena to the pool. The Former must not be used after.
+func (f *heapFormer) Close() {
+	if f.arena.Data != nil {
+		f.pool.Put(f.arena)
+		f.arena = record.Slice{}
+	}
+}
+
+// readInto refills slot from the input, caching its key prefix and feeding
+// the direction heuristic. Returns false (and latches eof) at end of stream.
+func (f *heapFormer) readInto(slot int32) (bool, error) {
+	rec := f.arena.Record(int(slot))
+	ok, err := f.read(rec)
+	if err != nil {
+		return false, err
+	}
+	if !ok {
+		f.eof = true
+		return false, nil
+	}
+	k := binary.BigEndian.Uint64(rec)
+	f.keys[slot] = k
+	if f.haveSeen {
+		if k > f.prevKey {
+			f.ups++
+		} else if k < f.prevKey {
+			f.downs++
+		}
+	}
+	f.prevKey = k
+	f.haveSeen = true
+	return true, nil
+}
+
+// NextRun starts the next run, choosing its direction from the arrival
+// drift, and returns that direction. ok is false when the input is
+// exhausted and every resident record has been emitted.
+func (f *heapFormer) NextRun() (desc, ok bool, err error) {
+	if !f.started {
+		f.started = true
+		for i := 0; i < f.capacity && !f.eof; i++ {
+			ok, err := f.readInto(int32(i))
+			if err != nil {
+				return false, false, err
+			}
+			if !ok {
+				break
+			}
+			f.pending = append(f.pending, int32(i))
+		}
+	}
+	if len(f.pending) == 0 {
+		return false, false, nil
+	}
+	f.desc = f.downs > 4*f.ups
+	f.ups, f.downs, f.haveSeen = 0, 0, false
+	f.heap, f.pending = f.pending, f.heap[:0]
+	f.heapify()
+	f.haveLast = false
+	return f.desc, true, nil
+}
+
+// Fill emits up to out.Len() records of the current run, in the run's
+// direction, replacing each emitted record from the input. It returns 0
+// when the run is complete (call NextRun for the next one).
+func (f *heapFormer) Fill(out record.Slice) (int, error) {
+	n := 0
+	for n < out.Len() && len(f.heap) > 0 {
+		slot := f.heap[0]
+		rec := f.arena.Record(int(slot))
+		copy(out.Record(n), rec)
+		copy(f.last, rec)
+		f.haveLast = true
+		n++
+		if !f.eof {
+			ok, err := f.readInto(slot)
+			if err != nil {
+				return n, err
+			}
+			if ok {
+				if f.extends(f.arena.Record(int(slot))) {
+					// The arrival replaces the emitted root in place.
+					f.siftDown(0)
+					continue
+				}
+				f.pending = append(f.pending, slot)
+			}
+		}
+		// Pop the root: the slot now belongs to pending (or is dead at EOF).
+		top := len(f.heap) - 1
+		f.heap[0] = f.heap[top]
+		f.heap = f.heap[:top]
+		if len(f.heap) > 1 {
+			f.siftDown(0)
+		}
+	}
+	return n, nil
+}
+
+// BreakRun force-ends the current run: every resident record is deferred
+// to the next run, so the next Fill returns 0. Callers use it to bound run
+// length when each spilled run must also be retained in memory for redo.
+func (f *heapFormer) BreakRun() {
+	f.pending = append(f.pending, f.heap...)
+	f.heap = f.heap[:0]
+}
+
+// extends reports whether rec can join the current run after the last
+// emitted record without violating the run's direction.
+func (f *heapFormer) extends(rec []byte) bool {
+	if !f.haveLast {
+		return true
+	}
+	k := binary.BigEndian.Uint64(rec)
+	lk := binary.BigEndian.Uint64(f.last)
+	if k != lk {
+		if f.desc {
+			return k < lk
+		}
+		return k > lk
+	}
+	c := bytes.Compare(rec, f.last)
+	if f.desc {
+		return c <= 0
+	}
+	return c >= 0
+}
+
+// less orders two slots by the current run's direction: cached prefixes
+// first, full normalized bytes only on prefix ties.
+func (f *heapFormer) less(a, b int32) bool {
+	ka, kb := f.keys[a], f.keys[b]
+	if ka != kb {
+		if f.desc {
+			return ka > kb
+		}
+		return ka < kb
+	}
+	c := bytes.Compare(f.arena.Record(int(a)), f.arena.Record(int(b)))
+	if f.desc {
+		return c > 0
+	}
+	return c < 0
+}
+
+func (f *heapFormer) heapify() {
+	for i := len(f.heap)/2 - 1; i >= 0; i-- {
+		f.siftDown(i)
+	}
+}
+
+func (f *heapFormer) siftDown(i int) {
+	h := f.heap
+	n := len(h)
+	for {
+		l := 2*i + 1
+		if l >= n {
+			return
+		}
+		m := l
+		if r := l + 1; r < n && f.less(h[r], h[l]) {
+			m = r
+		}
+		if !f.less(h[m], h[i]) {
+			return
+		}
+		h[i], h[m] = h[m], h[i]
+		i = m
 	}
 }

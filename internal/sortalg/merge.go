@@ -4,6 +4,7 @@ import (
 	"fmt"
 
 	"colsort/internal/record"
+	"colsort/internal/tournament"
 )
 
 // Run describes a sorted subsequence of a record buffer: records at
@@ -142,94 +143,53 @@ func merge2(dst, src record.Slice, ra, rb Run) {
 	}
 }
 
-// loserTree is a tournament tree for k-way merging: internal nodes hold the
-// loser of each match and node[0] holds the overall winner, giving
-// ⌈log₂ k⌉ comparisons per extracted record — the standard structure for
-// external-memory merge stages. The run count is padded to a power of two
-// with permanently exhausted dummy runs so the tree is perfect and the
-// leaf-to-parent arithmetic stays trivial. All arrays are caller-supplied
-// (a Scratch lends its reusable buffers) so that a merge stage allocates
-// nothing in steady state.
-//
-// Each node carries the loser's current 8-byte key prefix INLINE next to
-// its run id, loaded once each time a run's front advances, and exhausted
-// runs carry the maximal key. The common-case match is then one 16-byte
-// node load and one uint64 compare — no pointer-chased record loads from a
-// buffer arbitrarily larger than cache, no per-run indirection. Only key
-// ties (including the genuine-maximal-key vs exhausted ambiguity) fall
-// back to the rem/pos arrays and the record bytes. This is what keeps wide
-// merges (k = 64) near the throughput of narrow ones.
+// loserTree is the k-way merge over the runs of one buffer, on the shared
+// tournament kernel (internal/tournament): contestant r is run r, its key
+// the 8-byte prefix of the run's front record — loaded once each time the
+// front advances — or record.MaxKey once the run is exhausted. The
+// common-case match is then one 16-byte node load and one uint64 compare —
+// no pointer-chased record loads from a buffer arbitrarily larger than
+// cache, no per-run indirection; only key ties (including the
+// genuine-maximal-key vs exhausted ambiguity) fall back to the cursors and
+// the record bytes. This is what keeps wide merges (k = 64) near the
+// throughput of narrow ones. Both arrays are caller-supplied (a Scratch
+// lends its reusable buffers) so that a merge stage allocates nothing in
+// steady state.
 type loserTree struct {
 	src  record.Slice
-	node []treeNode  // node[i≥1] = loser at internal node i; node[0] = winner
-	cur  []runCursor // per-run cursor (position, remaining, stride)
-	k    int         // padded (power-of-two) leaf count
-}
-
-// treeNode is one tournament entry: a run id and its current key prefix
-// (record.MaxKey once the run is exhausted).
-type treeNode struct {
-	key uint64
-	id  int32
+	node []tournament.Node // the tournament, one entry per run
+	cur  []runCursor       // per-run cursor (position, remaining, stride)
 }
 
 // runCursor is one run's live state, packed into 16 bytes so a pop touches
 // a single cache line of cursor state.
 type runCursor struct {
 	pos    int32 // current source position (records)
-	rem    int32 // records remaining; 0 = exhausted (padding runs stay 0)
+	rem    int32 // records remaining; 0 = exhausted
 	stride int32 // cursor advance per pop
 }
 
-// init wires the tree onto the given state: node and cur must have length k
-// (the power of two ≥ len(runs)).
-func (t *loserTree) init(src record.Slice, runs []Run, node []treeNode, cur []runCursor, k int) {
-	t.src, t.node, t.cur, t.k = src, node, cur, k
-	for r := 0; r < k; r++ {
-		t.cur[r] = runCursor{}
-	}
+// init wires the tree onto the given state (node and cur of length
+// len(runs)) and plays the initial tournament.
+func (t *loserTree) init(src record.Slice, runs []Run, node []tournament.Node, cur []runCursor) {
+	t.src, t.node, t.cur = src, node, cur
 	for r := range runs {
-		if runs[r].Count == 0 {
-			continue
-		}
 		t.cur[r] = runCursor{
 			pos:    int32(runs[r].Start),
 			rem:    int32(runs[r].Count),
 			stride: int32(runs[r].Stride),
 		}
 	}
-	// Full tournament initialization: internal node i has children 2i and
-	// 2i+1; leaves are node indices k..2k-1 standing for runs 0..k-1
-	// (padding leaves are permanently exhausted runs).
-	t.node[0] = t.play(1)
+	tournament.Play(node, t.front, t.tieBeats)
 }
 
-// play recursively resolves the initial tournament below internal node i,
-// storing losers and returning the winning entry.
-func (t *loserTree) play(i int) treeNode {
-	if i >= t.k {
-		r := int32(i - t.k)
-		if t.cur[r].rem == 0 {
-			return treeNode{key: record.MaxKey, id: r}
-		}
-		return treeNode{key: t.src.Key(int(t.cur[r].pos)), id: r}
+// front is run r's tournament entry: its front record's key prefix, or the
+// maximal key once it is exhausted.
+func (t *loserTree) front(r int32) tournament.Node {
+	if t.cur[r].rem == 0 {
+		return tournament.Node{Key: record.MaxKey, ID: r}
 	}
-	wl, wr := t.play(2*i), t.play(2*i+1)
-	if t.beats(wl, wr) {
-		t.node[i] = wr
-		return wl
-	}
-	t.node[i] = wl
-	return wr
-}
-
-// beats reports whether entry a's current record should be emitted before
-// entry b's: by cached key prefix, with ties resolved by tieBeats.
-func (t *loserTree) beats(a, b treeNode) bool {
-	if a.key != b.key {
-		return a.key < b.key
-	}
-	return t.tieBeats(a.id, b.id)
+	return tournament.Node{Key: t.src.Key(int(t.cur[r].pos)), ID: r}
 }
 
 // tieBeats resolves a key-prefix tie between runs o and w: exhausted runs
@@ -251,37 +211,11 @@ func (t *loserTree) tieBeats(o, w int32) bool {
 	return o < w
 }
 
-// replay pushes run w up from its leaf after its front record changed to
-// wKey, swapping with stored losers that now beat it, and records the new
-// winner. Each match is one node load and one uint64 compare; the swap is
-// written branchlessly (the loser is stored unconditionally, the winner
-// selected by conditional moves) because match outcomes on random data are
-// inherently unpredictable and a mispredicted swap branch would dominate
-// the compare itself.
-func (t *loserTree) replay(w int32, wKey uint64) {
-	node := t.node
-	wk, wid := wKey, w
-	for i := (int(w) + t.k) >> 1; i > 0; i >>= 1 {
-		o := node[i]
-		oBeats := o.key < wk
-		if o.key == wk { // rare: prefix tie (or both exhausted)
-			oBeats = t.tieBeats(o.id, wid)
-		}
-		lk, lid := o.key, o.id
-		if oBeats {
-			lk, lid = wk, wid
-			wk, wid = o.key, o.id
-		}
-		node[i] = treeNode{key: lk, id: lid}
-	}
-	node[0] = treeNode{key: wk, id: wid}
-}
-
 // pop returns the source position of the next record in merge order and
 // advances its run (reloading its cached key). Calling pop more times than
 // there are records panics.
 func (t *loserTree) pop() int {
-	w := t.node[0].id
+	w := t.node[0].ID
 	c := &t.cur[w]
 	if c.rem == 0 {
 		panic("sortalg: loser tree exhausted")
@@ -294,7 +228,7 @@ func (t *loserTree) pop() int {
 		c.pos = int32(np)
 		key = t.src.Key(np)
 	}
-	t.replay(w, key)
+	tournament.Replay(t.node, w, key, t.tieBeats)
 	return p
 }
 

@@ -7,7 +7,10 @@
 
 package sortalg
 
-import "colsort/internal/record"
+import (
+	"colsort/internal/record"
+	"colsort/internal/tournament"
+)
 
 // Scratch holds the reusable working memory of one sorting client. It is
 // NOT safe for concurrent use: give each pipeline-stage goroutine its own
@@ -16,11 +19,11 @@ import "colsort/internal/record"
 //
 // The zero value is ready to use.
 type Scratch struct {
-	kvs   []kv        // (key, index) pairs of the buffer being sorted
-	tmp   []kv        // radix ping-pong buffer
-	count []int       // radix digit histogram (radixBuckets wide)
-	node  []treeNode  // loser tree: internal nodes (key + run id)
-	cur   []runCursor // loser tree: per-run cursors
+	kvs   []kv              // (key, index) pairs of the buffer being sorted
+	tmp   []kv              // radix ping-pong buffer
+	count []int             // radix digit histogram (radixBuckets wide)
+	node  []tournament.Node // loser tree: the tournament (key + run id)
+	cur   []runCursor       // loser tree: per-run cursors
 }
 
 func (sc *Scratch) kvBuf(n int) []kv {
@@ -38,9 +41,9 @@ func (sc *Scratch) tmpBuf(n int) []kv {
 }
 
 // treeBufs lends the loser tree its two k-wide state arrays.
-func (sc *Scratch) treeBufs(k int) (node []treeNode, cur []runCursor) {
+func (sc *Scratch) treeBufs(k int) (node []tournament.Node, cur []runCursor) {
 	if cap(sc.node) < k {
-		sc.node = make([]treeNode, k)
+		sc.node = make([]tournament.Node, k)
 		sc.cur = make([]runCursor, k)
 	}
 	return sc.node[:k], sc.cur[:k]
@@ -106,13 +109,9 @@ func (sc *Scratch) MergeRunsInto(dst, src record.Slice, runs []Run) {
 		merge2(dst, src, runs[0], runs[1])
 		return
 	}
-	k := 1
-	for k < len(runs) {
-		k *= 2
-	}
-	node, cur := sc.treeBufs(k)
+	node, cur := sc.treeBufs(len(runs))
 	var t loserTree
-	t.init(src, runs, node, cur, k)
+	t.init(src, runs, node, cur)
 	for i := 0; i < total; i++ {
 		dst.CopyRecord(i, src, t.pop())
 	}

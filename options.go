@@ -160,7 +160,7 @@ func WithPadding(p PaddingPolicy) Option {
 // A sort whose input exceeds the cap — or the selected algorithm's own
 // problem-size bound — transparently takes the hierarchical path: the
 // input stream is cut into maximal sorted runs by replacement selection
-// over a heap of one run's records (runs average ~2× the cap on random
+// over a resident set of one run's records (runs average ~2× the cap on random
 // input and collapse to one on nearly-sorted input, ascending or
 // descending), and the runs are streamed through a loser-tree k-way merge
 // into the Sink (see WithMergeFanIn). 0 (the default) leaves only the

@@ -6,8 +6,8 @@ package colsort
 // counts, CRC sidecars, frame geometry all come from the manifest — and the
 // sort continues from the last durability point instead of starting over:
 // a crash during the merge phase re-merges without re-sorting a single
-// record; a crash during run formation restarts formation (the selection
-// heap's contents died with the process — its runs do not cover a
+// record; a crash during run formation restarts formation (the former's
+// resident records died with the process — its runs do not cover a
 // contiguous source prefix, so there is no point to skip to).
 
 import (

@@ -35,7 +35,7 @@ else
 	OUT="BENCH_$i.json"
 fi
 BENCHTIME="${BENCHTIME:-3x}"
-BENCH="${BENCH:-^(BenchmarkLocalSort|BenchmarkMergeRuns|BenchmarkE6InCore|BenchmarkFigure2|BenchmarkFigure2File|BenchmarkMergeSortFile|BenchmarkRunFormation|BenchmarkConcurrentJobs)$}"
+BENCH="${BENCH:-^(BenchmarkLocalSort|BenchmarkMergeRuns|BenchmarkFormer|BenchmarkE6InCore|BenchmarkFigure2|BenchmarkFigure2File|BenchmarkMergeSortFile|BenchmarkRunFormation|BenchmarkConcurrentJobs)$}"
 
 RAW=$(mktemp "${TMPDIR:-/tmp}/bench.XXXXXX")
 trap 'rm -f "$RAW"' EXIT INT TERM
@@ -49,8 +49,12 @@ if [ "${COLSORT_BENCH_PROFILE:-0}" = "1" ]; then
 	echo "profiling to $base.cpu.prof / $base.mem.prof" >&2
 fi
 
+# The root package holds every benchmark but BenchmarkFormer, which lives
+# beside the former (internal/runform); two runs because the profile flags
+# take one package.
 # shellcheck disable=SC2086 # PROFILE_FLAGS intentionally word-splits
 go test -run '^$' -bench "$BENCH" -benchmem -benchtime "$BENCHTIME" -count 1 $PROFILE_FLAGS . >"$RAW"
+go test -run '^$' -bench "$BENCH" -benchmem -benchtime "$BENCHTIME" -count 1 ./internal/runform >>"$RAW"
 cat "$RAW" >&2
 
 awk -v goversion="$(go env GOVERSION)" -v benchtime="$BENCHTIME" '

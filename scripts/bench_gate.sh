@@ -39,7 +39,7 @@ echo "bench_gate: gating against $BASELINE" >&2
 # (new benchmarks have no baseline to regress against).
 BASE_BT=$(sed -n 's/.*"benchtime": "\([^"]*\)".*/\1/p' "$BASELINE" | head -n 1)
 BENCHTIME="${BENCHTIME:-${BASE_BT:-3x}}"
-BENCH="${BENCH:-^(BenchmarkLocalSort|BenchmarkMergeRuns|BenchmarkE6InCore|BenchmarkFigure2|BenchmarkMergeSortFile|BenchmarkRunFormation|BenchmarkConcurrentJobs)$}"
+BENCH="${BENCH:-^(BenchmarkLocalSort|BenchmarkMergeRuns|BenchmarkFormer|BenchmarkE6InCore|BenchmarkFigure2|BenchmarkMergeSortFile|BenchmarkRunFormation|BenchmarkConcurrentJobs)$}"
 export BENCHTIME BENCH
 
 scripts/bench.sh "$FRESH"
