@@ -165,7 +165,10 @@ type Config struct {
 	// service time on every disk (seek per discontiguous access plus
 	// bytes/bandwidth), modeling physical disks on hardware whose page
 	// cache would otherwise hide I/O cost. The delay sits below the async
-	// layer, so prefetch and write-behind genuinely overlap it.
+	// layer, so prefetch and write-behind genuinely overlap it. DiskMBps is
+	// the rate of ONE disk, in MiB/s: a store sees Disks of them, and so
+	// does the hierarchical path — every spilled run is striped over all
+	// Disks disks, which all the runs of a job share (DESIGN.md §14).
 	// Overridable per job with WithDiskModel.
 	DiskSeekMicros int
 	DiskMBps       int

@@ -331,6 +331,12 @@ func (e *Engine) newJob(ctx context.Context, o sortOptions) *job {
 	if o.chaosSet {
 		m.Chaos = chaosToPDM(o.chaos)
 	}
+	if m.Delay != nil {
+		// The job's D modeled disks, as its spilled runs see them: every run
+		// is striped over the same D heads, so formation and merge together
+		// never move spill bytes faster than D disks would.
+		m.Heads = pdm.NewHeads(m.D)
+	}
 	rc := pdm.RetryConfig{Cancel: ctx.Done(), Stats: &j.faults}
 	if p := o.retry; p != nil {
 		rc.MaxAttempts = p.MaxAttempts

@@ -179,6 +179,7 @@ type hierJob struct {
 	ckpt *manifestLog
 
 	spillSeq   int             // next spill-disk ordinal: one sequence for formation, redos and merge outputs
+	w          *merge.Writer   // the job's one run writer (and frame buffer), re-armed per spill
 	live       []hierRun       // the current run set, in merge order
 	want       record.Checksum // ingest multiset, in the codec's normalized key space
 	stats      *MergeStats
@@ -271,13 +272,23 @@ func (h *hierJob) closeRuns() {
 	}
 }
 
-// newSpill allocates the job's next spill disk. Formation runs, redone
-// runs and merge outputs draw from the one sequence, so no two spills of a
-// job share an ordinal (which names the file and keys the chaos scripts).
-func (h *hierJob) newSpill() (pdm.Disk, error) {
+// newSpill allocates the job's next spill disk and arms the job's writer on
+// it. Formation runs, redone runs and merge outputs draw from the one
+// sequence, so no two spills of a job share an ordinal (which names the file
+// and keys the chaos scripts); they are written one at a time, so they also
+// share one writer and its frame buffer.
+func (h *hierJob) newSpill() (pdm.Disk, *merge.Writer, error) {
 	d, err := h.m.NewSpillDisk(h.spillSeq)
 	h.spillSeq++
-	return d, err
+	if err != nil {
+		return nil, nil, err
+	}
+	if h.w == nil {
+		h.w = merge.NewWriter(d, h.e.cfg.RecordSize, h.chunk)
+	} else {
+		h.w.Reset(d)
+	}
+	return d, h.w, nil
 }
 
 // A chunkSource produces the records of one run, in spill order, by calling
@@ -297,14 +308,13 @@ type terminalError struct{ error }
 // A spill disk that cannot be allocated behaves as one whose first write
 // fails: src still runs (a draining producer must see its whole run).
 func (h *hierJob) spillVerified(ctx context.Context, desc bool, src chunkSource) (*merge.Run, error) {
-	d, err := h.newSpill()
+	d, w, err := h.newSpill()
 	if err != nil {
 		if serr := src(func(record.Slice) error { return err }); serr != nil {
 			return nil, serr
 		}
 		return nil, err
 	}
-	w := merge.NewWriter(d, h.e.cfg.RecordSize, h.chunk)
 	if err := src(w.Append); err != nil {
 		d.Close()
 		return nil, err
@@ -585,11 +595,11 @@ func (h *hierJob) mergeGroup(ctx context.Context, in []hierRun, opt merge.Option
 	for i, r := range in {
 		runs[i], ids[i] = r.run, r.id
 	}
-	d, err := h.newSpill()
+	d, w, err := h.newSpill()
 	if err != nil {
 		return hierRun{}, err
 	}
-	out, st, err := merge.MergeToRun(ctx, runs, d, opt)
+	out, st, err := merge.MergeToRun(ctx, runs, w, opt)
 	if err != nil {
 		d.Close()
 		return hierRun{}, err

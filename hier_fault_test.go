@@ -63,9 +63,13 @@ func TestChaosAcceptance(t *testing.T) {
 
 	// Spill ordinals: run 1 spills to ordinal 1 (torn → scrub fails →
 	// re-spilled onto 2), run 2 to 3 (dies mid-write → re-spilled onto 4,
-	// whose first merge read is bit-flipped), later runs from 5 on.
+	// whose first merge read is bit-flipped), later runs from 5 on. Each spill
+	// is striped over the machine's four disks (Async): the scripted faults
+	// sit on a spill's first lane, the transient draws run per lane — the
+	// seed is one under which the ~200 operations of this small sort draw at
+	// least one.
 	s := chaosSorter(t, dir, z, &ChaosConfig{
-		Seed:           uint64(1),
+		Seed:           uint64(2),
 		PTransient:     0.01,
 		TornSpillWrite: 1,
 		DeadSpillDisk:  3,

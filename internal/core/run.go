@@ -20,13 +20,25 @@ import (
 type Result struct {
 	Plan   Plan
 	Output *pdm.Store
-	// PassCounters[k][p] holds the operations of processor p in pass k.
+	// PassCounters[k][p] holds the operations of processor p in pass k. A
+	// hierarchical sort's synthetic passes (run formation, the merge tree)
+	// carry ONE counter set each: one stream of work, striped over all D
+	// disks.
 	PassCounters [][]sim.Counters
 }
 
 // Estimate applies a cost model to the measured counters (experiment E1).
+// The counter sets of a pass split the machine's D disks evenly: each of an
+// engine pass's P sets is served by its processor's D/P disks, the single
+// set of a hierarchical pass by all D.
 func (res *Result) Estimate(cm sim.CostModel) sim.RunEstimate {
-	return cm.EstimateRun(res.PassCounters, res.Plan.D/res.Plan.P)
+	var run sim.RunEstimate
+	for _, pass := range res.PassCounters {
+		e := cm.EstimatePass(pass, res.Plan.D/max(len(pass), 1))
+		run.Passes = append(run.Passes, e)
+		run.Total += e.Total
+	}
+	return run
 }
 
 // TotalCounters sums all passes and processors.

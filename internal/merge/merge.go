@@ -185,18 +185,13 @@ func Merge(ctx context.Context, runs []*Run, emit func(record.Slice) error, opt 
 	return finish(nil)
 }
 
-// MergeToRun merges runs into a new run on disk d — one node of a
-// multi-level merge tree. On success the returned Run owns d; on error the
-// caller still owns d.
-func MergeToRun(ctx context.Context, runs []*Run, d pdm.Disk, opt Options) (*Run, Stats, error) {
+// MergeToRun merges runs into the new run w writes — one node of a
+// multi-level merge tree. On success the returned Run owns w's disk; on
+// error the caller still owns it.
+func MergeToRun(ctx context.Context, runs []*Run, w *Writer, opt Options) (*Run, Stats, error) {
 	if len(runs) == 0 {
 		return nil, Stats{}, fmt.Errorf("merge: no runs to merge")
 	}
-	chunkRecs := opt.ChunkRecs
-	if chunkRecs < 1 {
-		chunkRecs = DefaultChunkRecs
-	}
-	w := NewWriter(d, runs[0].RecSize, chunkRecs)
 	_, st, err := Merge(ctx, runs, w.Append, opt)
 	if err != nil {
 		return nil, st, err

@@ -148,7 +148,7 @@ func TestMergeToRunLevels(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		out, _, err := MergeToRun(context.Background(), runs[i:i+2], d, Options{ChunkRecs: 64})
+		out, _, err := MergeToRun(context.Background(), runs[i:i+2], NewWriter(d, runs[i].RecSize, 64), Options{ChunkRecs: 64})
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -5,13 +5,18 @@
 // I/O — the classic external-sort structure (run formation + multiway merge)
 // engineered on top of the paper's algorithms.
 //
-// A Run lives on ONE pdm.Disk as a flat sequence of fixed-size records in
-// sorted order. Writers buffer records into large sequential WriteAt calls
-// (which an AsyncDisk retires in the background — write-behind); Readers
-// stream chunks back, hinting each next chunk to the disk's Prefetcher one
-// step ahead of consumption, so the merge's compare/copy work overlaps every
-// run's disk service time — the multi-run prefetch schedule is simply
-// one-ahead per run, k-wide.
+// A Run lives on one pdm.Disk as a flat sequence of fixed-size records in
+// sorted order. What that disk is, is the machine's business
+// (pdm.Machine.WrapSpillDisk): one backing file either way, but where the
+// machine has asynchronous or modeled disks the run is STRIPED over all D of
+// them, so nothing here knows or asks. Writers buffer records into large
+// sequential WriteAt calls (which the disk retires in the background, a
+// stripe per disk at a time — write-behind); Readers stream chunks back,
+// hinting each next chunk to the disk's Prefetcher one step ahead of
+// consumption (the hint decomposes per stripe, so the D disks stage it
+// together), so the merge's compare/copy work overlaps the disks' service
+// time — the multi-run prefetch schedule is simply one-ahead per run, k-wide,
+// over the D disks the runs share.
 package merge
 
 import (
@@ -119,27 +124,34 @@ func (r *Run) readFrameVerified(buf []byte, off int64, faults *pdm.FaultStats) e
 // (with the same one-reread fallback the merge readers use, so only
 // PERSISTENT corruption — a torn write, on-disk bit rot — fails it). It is
 // the post-spill readback that catches silent write-path corruption while
-// the batch that produced the run can still be redone.
+// the batch that produced the run can still be redone. Each frame's
+// successor is hinted to the disk's Prefetcher before the frame is read and
+// verified — Reader.load's one-ahead rule — so the readback of one frame
+// overlaps the staging of the next, on every disk the run is striped over.
 func (r *Run) Scrub(ctx context.Context, faults *pdm.FaultStats) error {
 	if !r.framed() {
 		return nil
 	}
+	pf, _ := r.Disk.(pdm.Prefetcher)
 	buf := make([]byte, r.FrameBytes)
-	left := r.Bytes()
-	var off int64
-	for left > 0 {
+	// frame returns the length of the frame at off (0 past the end).
+	frame := func(off int64) int { return int(min(int64(len(buf)), r.Bytes()-off)) }
+	hint := func(off int64) {
+		if n := frame(off); pf != nil && n > 0 {
+			pf.Prefetch(off, n)
+		}
+	}
+	hint(0)
+	for off := int64(0); off < r.Bytes(); {
 		if err := ctx.Err(); err != nil {
 			return err
 		}
-		n := int64(len(buf))
-		if n > left {
-			n = left
-		}
+		n := frame(off)
+		hint(off + int64(n))
 		if err := r.readFrameVerified(buf[:n], off, faults); err != nil {
 			return fmt.Errorf("scrub: %w", err)
 		}
-		off += n
-		left -= n
+		off += int64(n)
 	}
 	return nil
 }
@@ -160,7 +172,9 @@ func (r *Run) Close() error {
 // Writer appends records sequentially onto a disk, coalescing them into
 // chunkRecs-record WriteAt calls so the disk sees large sequential writes
 // (and an async disk overlaps them with the producer). The caller owns the
-// disk until Finish succeeds, after which the returned Run does.
+// disk until Finish succeeds, after which the returned Run does. A Writer
+// writes one run at a time and any number of them in turn: Reset re-arms it
+// on the next disk with the frame buffer it already has.
 type Writer struct {
 	d       pdm.Disk
 	recSize int
@@ -178,6 +192,14 @@ func NewWriter(d pdm.Disk, recSize, chunkRecs int) *Writer {
 		chunkRecs = 1
 	}
 	return &Writer{d: d, recSize: recSize, buf: make([]byte, chunkRecs*recSize)}
+}
+
+// Reset abandons whatever the writer holds and starts a new run on d, with
+// the same record size and frame length. The previous run, finished or
+// failed, is unaffected: a Run owns its CRC index, and the disk layers
+// snapshot what they defer, so nothing still references the frame buffer.
+func (w *Writer) Reset(d pdm.Disk) {
+	*w = Writer{d: d, recSize: w.recSize, buf: w.buf}
 }
 
 // Append adds the records of recs to the run.

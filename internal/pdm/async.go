@@ -471,38 +471,91 @@ type DelayConfig struct {
 	BytesPerSec int64
 }
 
+// Head is the service-time clock of one modeled physical disk. A head serves
+// one operation at a time and is busy for exactly the time it charges, so
+// every DelayDisk charging the same head shares one disk's bandwidth between
+// them, however many goroutines drive them. It also accumulates what it
+// charged, so the model can be audited: over any workload the heads' busy
+// time sums to bytes ÷ rate + seeks × seek.
+type Head struct {
+	mu    sync.Mutex
+	last  *DelayDisk // the disk served last: a switch moves the arm
+	busy  time.Duration
+	seeks int64
+}
+
+// NewHeads returns the heads of a machine with d modeled disks.
+func NewHeads(d int) []*Head {
+	heads := make([]*Head, d)
+	for i := range heads {
+		heads[i] = new(Head)
+	}
+	return heads
+}
+
+// Charged returns the total service time the head has charged and the
+// number of seeks within it.
+func (h *Head) Charged() (busy time.Duration, seeks int64) {
+	h.mu.Lock()
+	defer h.mu.Unlock()
+	return h.busy, h.seeks
+}
+
+// serve charges d's n-byte access and holds the head for that long. The
+// access seeks unless it continues d's previous one AND d is the disk the
+// head served last: two sequential streams interleaved on one head pay a
+// seek per switch, as they would on one arm.
+func (h *Head) serve(d *DelayDisk, contiguous bool, n int) {
+	h.mu.Lock()
+	defer h.mu.Unlock()
+	var t time.Duration
+	if !contiguous || h.last != d {
+		t = d.Cfg.Seek
+		h.seeks++
+	}
+	h.last = d
+	if d.Cfg.BytesPerSec > 0 {
+		t += time.Duration(float64(n) / float64(d.Cfg.BytesPerSec) * float64(time.Second))
+	}
+	h.busy += t
+	if t > 0 {
+		time.Sleep(t)
+	}
+}
+
 // DelayDisk imposes DelayConfig's service time on every operation of the
 // wrapped disk. Wrapped under an AsyncDisk it turns the overlap won by
 // prefetch and write-behind into measurable wall-clock time — the
 // laptop-scale stand-in for the reference machine's 40 MB/s SCSI disks —
-// while the sync path pays the same charges inline. A DelayDisk must be
-// driven by one goroutine at a time (DiskArray's single-owner rule, or
-// AsyncDisk's serialization).
+// while the sync path pays the same charges inline. The time is charged to
+// a Head: a head of the disk's own (NewDelayDisk — an array disk), or one
+// of the machine's D heads that every spilled run's lane shares (see
+// Machine.Heads). One DelayDisk must be driven by one goroutine at a time
+// (DiskArray's single-owner rule, or AsyncDisk's serialization) — its
+// contiguity cursors are unlocked; the head it charges may be charged by any
+// number of DelayDisks concurrently. Construct with NewDelayDisk.
 type DelayDisk struct {
 	Inner Disk
 	Cfg   DelayConfig
 
+	head      *Head
 	lastRead  int64
 	lastWrite int64
 }
 
-// NewDelayDisk wraps inner with the service-time model.
+// NewDelayDisk wraps inner with the service-time model on a head of its own.
 func NewDelayDisk(inner Disk, cfg DelayConfig) *DelayDisk {
-	return &DelayDisk{Inner: inner, Cfg: cfg, lastRead: -1, lastWrite: -1}
+	return newDelayDisk(inner, cfg, new(Head))
+}
+
+// newDelayDisk wraps inner with the service-time model, charging head.
+func newDelayDisk(inner Disk, cfg DelayConfig, head *Head) *DelayDisk {
+	return &DelayDisk{Inner: inner, Cfg: cfg, head: head, lastRead: -1, lastWrite: -1}
 }
 
 func (d *DelayDisk) charge(n int, off int64, last *int64) {
-	var t time.Duration
-	if *last != off {
-		t += d.Cfg.Seek
-	}
-	if d.Cfg.BytesPerSec > 0 {
-		t += time.Duration(float64(n) / float64(d.Cfg.BytesPerSec) * float64(time.Second))
-	}
+	d.head.serve(d, *last == off, n)
 	*last = off + int64(n)
-	if t > 0 {
-		time.Sleep(t)
-	}
 }
 
 func (d *DelayDisk) ReadAt(p []byte, off int64) error {

@@ -79,6 +79,20 @@ func (c ChaosConfig) enabled() bool {
 		c.TornSpillWrite > 0 || c.FlipSpillRead > 0 || c.DeadSpillDisk > 0
 }
 
+// forLane returns the configuration of lane l of a striped spill disk. Lane
+// 0 is the disk's own: a run's first stripe, so the scripted triggers — "the
+// first write of that spill disk", its first DeadSpillAfter bytes — keep
+// their meaning there, and fire once per spill rather than once per lane.
+// The other lanes inject the probabilistic faults only, each from a stream
+// of its own.
+func (c ChaosConfig) forLane(l int) ChaosConfig {
+	if l > 0 {
+		c.Seed += uint64(l) * 0x9e3779b97f4a7c15
+		c.TornSpillWrite, c.FlipSpillRead, c.DeadSpillDisk = 0, 0, 0
+	}
+	return c
+}
+
 // ErrDiskDead is the permanent failure of a chaos-killed disk.
 var ErrDiskDead = errors.New("pdm: disk failed permanently")
 

@@ -170,7 +170,7 @@ func TestChaosZeroConfigInjectsNothing(t *testing.T) {
 	var m Machine
 	m.P, m.D = 1, 1
 	m.Chaos = &ChaosConfig{}
-	d := m.wrapFaultLayers(NewMemDisk(), 0, false)
+	d := m.wrapFaultLayers(NewMemDisk(), 0, 0, false)
 	if _, ok := d.(*ChaosDisk); ok {
 		t.Error("disabled chaos config still wrapped the disk")
 	}

@@ -349,8 +349,9 @@ type Namespacer interface {
 	Namespaced(prefix string) Backend
 }
 
-// DiskFile walks a wrapped disk stack — async, retry, chaos, delay and
-// fault layers in any order — down to its backing *FileDisk. It returns nil
+// DiskFile walks a wrapped disk stack — a striped spill's one backing disk,
+// async, retry, chaos, delay and fault layers in any order — down to its
+// backing *FileDisk. It returns nil
 // when the stack bottoms out on anything else (a MemDisk): the caller's
 // durability machinery has nothing to persist there.
 func DiskFile(d Disk) *FileDisk {
@@ -358,6 +359,8 @@ func DiskFile(d Disk) *FileDisk {
 		switch v := d.(type) {
 		case *FileDisk:
 			return v
+		case *stripedDisk:
+			d = v.backing
 		case *AsyncDisk:
 			d = v.inner
 		case *RetryDisk:

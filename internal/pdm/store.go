@@ -275,6 +275,16 @@ type Machine struct {
 	// hide it), modeling physical disks on page-cached hardware.
 	Delay *DelayConfig
 
+	// Heads, when non-nil, holds the D service-time heads the spilled runs
+	// of ONE job charge, so all the spills of a job together move at most D
+	// disks' modeled bandwidth, in run formation and in the merge alike (see
+	// stripedDisk). Lane l of spill idx charges Heads[(idx+l) mod D]:
+	// consecutive spills start on consecutive disks, so runs shorter than a
+	// row of stripes do not pile up on disk 0. Meaningful only with Delay;
+	// without it each spill lane models a head of its own. Array disks are
+	// not affected: each models its own head, as ever.
+	Heads []*Head
+
 	// Retry, when non-nil, wraps every disk in a RetryDisk: transient
 	// faults are re-issued under the bounded backoff policy and every
 	// escaping error carries op/disk/offset context. The wrapper sits
@@ -332,7 +342,7 @@ func (m Machine) NewArrays() ([]*DiskArray, error) {
 			if err != nil {
 				return nil, err
 			}
-			d = m.wrapFaultLayers(d, p+k*m.P, false)
+			d = m.wrapFaultLayers(d, p+k*m.P, 0, false)
 			if m.Async != nil {
 				cfg := *m.Async
 				if cfg.Pool == nil && m.Pools != nil {
@@ -347,13 +357,11 @@ func (m Machine) NewArrays() ([]*DiskArray, error) {
 	return arrays, nil
 }
 
-// NewSpillDisk builds one standalone disk on the machine's backend — the
-// backing of a hierarchical-merge run — wrapped with the machine's delay and
-// async layers exactly as the array disks are, so run reads follow prefetch
-// hints and run writes retire in the background whenever the machine's
-// stores do. idx only names the backing file; the backend's generation
-// suffix keeps concurrent spills distinct. The caller owns Close (which
-// removes a file-backed spill).
+// NewSpillDisk builds the disk of one hierarchical-merge run on the
+// machine's spill backend, wrapped by WrapSpillDisk. idx only names the
+// backing file (and keys the chaos scripts); the backend's generation suffix
+// keeps concurrent spills distinct. The caller owns Close (which removes a
+// file-backed spill).
 func (m Machine) NewSpillDisk(idx int) (Disk, error) {
 	backend := m.SpillBackend
 	if backend == nil {
@@ -369,16 +377,35 @@ func (m Machine) NewSpillDisk(idx int) (Disk, error) {
 	return m.WrapSpillDisk(d, idx), nil
 }
 
-// WrapSpillDisk stacks the machine's fault and async layers over an
-// already-open disk exactly as NewSpillDisk wraps a fresh one — the resume
-// path's way to give a reopened checkpoint run the same retry policy,
-// prefetch and write-behind a freshly spilled run gets.
+// WrapSpillDisk builds the machine's spill stack over one backing disk — the
+// one constructor behind a fresh spill (NewSpillDisk) and a checkpoint run
+// the resume path reopened. Where the machine has a per-disk layer to
+// multiply (an async layer or a disk model) and D > 1, the run is striped
+// over D lanes, each with the machine's delay → chaos → retry → async stack
+// of its own (see stripedDisk): run writes retire, and run reads are staged,
+// on D disks at once. Otherwise the stack sits on the backing disk directly —
+// with neither layer there is nothing per-disk to stripe.
 func (m Machine) WrapSpillDisk(d Disk, idx int) Disk {
-	d = m.wrapFaultLayers(d, idx, true)
+	if m.D > 1 && (m.Async != nil || m.Delay != nil) {
+		stripe := m.StripeBytes
+		if stripe == 0 {
+			stripe = DefaultStripeBytes
+		}
+		return newStripedDisk(d, m.D, stripe, func(view Disk, lane int) Disk {
+			return m.spillLane(view, idx, lane)
+		})
+	}
+	return m.spillLane(d, idx, 0)
+}
+
+// spillLane stacks one lane's layers over d: the fault layers, then the
+// async layer on top, its buffers drawn from the processor pools in turn.
+func (m Machine) spillLane(d Disk, idx, lane int) Disk {
+	d = m.wrapFaultLayers(d, idx, lane, true)
 	if m.Async != nil {
 		cfg := *m.Async
 		if cfg.Pool == nil && m.Pools != nil {
-			cfg.Pool = m.Pools[idx%m.P]
+			cfg.Pool = m.Pools[(idx+lane)%m.P]
 		}
 		d = NewAsyncDisk(d, cfg)
 	}
@@ -389,13 +416,21 @@ func (m Machine) WrapSpillDisk(d Disk, idx int) Disk {
 // the retry policy under one disk, in that order: delay models the physical
 // disk (so a retried attempt pays service time again), chaos stands in for
 // its failures, and retry heals the transient ones before the async layer
-// above can latch them.
-func (m Machine) wrapFaultLayers(d Disk, idx int, spill bool) Disk {
+// above can latch them. A spill lane charges one of the machine's shared
+// heads (see Machine.Heads), when it has them; an array disk (lane 0) a head
+// of its own.
+func (m Machine) wrapFaultLayers(d Disk, idx, lane int, spill bool) Disk {
 	if m.Delay != nil {
-		d = NewDelayDisk(d, *m.Delay)
+		head := new(Head)
+		if spill && len(m.Heads) > 0 {
+			head = m.Heads[(idx+lane)%len(m.Heads)]
+		}
+		d = newDelayDisk(d, *m.Delay, head)
 	}
-	if m.Chaos != nil && m.Chaos.enabled() {
-		d = NewChaosDisk(d, *m.Chaos, idx, spill)
+	if m.Chaos != nil {
+		if c := m.Chaos.forLane(lane); c.enabled() {
+			d = NewChaosDisk(d, c, idx, spill)
+		}
 	}
 	if m.Retry != nil {
 		d = NewRetryDisk(d, *m.Retry, idx, spill)

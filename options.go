@@ -221,8 +221,10 @@ func WithAsync(on bool) Option {
 
 // WithDiskModel imposes a per-operation disk service time on this job's
 // disks (seek per discontiguous access plus bytes/bandwidth), overriding
-// Config.DiskSeekMicros/DiskMBps. A zero seek AND zero mbps removes any
-// engine-configured delay model for this job.
+// Config.DiskSeekMicros/DiskMBps. mbps is the rate of one disk, in MiB/s;
+// the job's stores and its spilled runs are striped over Config.Disks of
+// them. A zero seek AND zero mbps removes any engine-configured delay model
+// for this job.
 func WithDiskModel(seek time.Duration, mbps int) Option {
 	return func(o *sortOptions) { o.delaySet, o.delaySeek, o.delayMBps = true, seek, mbps }
 }
