@@ -5,14 +5,14 @@ package colsort
 // algorithms on the simulated cluster at laptop scale and reports, besides
 // wall-clock time, the calibrated Beowulf-2003 estimate ("est-s") whose
 // paper-scale counterpart appears in EXPERIMENTS.md. Shapes — who wins, by
-// what factor — are the reproduction targets, not absolute times.
+// what factor — are the reproduction targets, not absolute times. Below them
+// sit the kernel micro-benchmarks. End-to-end throughput — file-backed,
+// hierarchical, concurrent — is measured at size by bench/ (bench/README.md),
+// not here.
 
 import (
 	"context"
 	"fmt"
-	"os"
-	"path/filepath"
-	"sync"
 	"testing"
 
 	"colsort/internal/bounds"
@@ -220,7 +220,7 @@ func BenchmarkE3E4E9Bounds(b *testing.B) {
 // --- substrate micro-benchmarks -------------------------------------------
 
 func BenchmarkLocalSort(b *testing.B) {
-	for _, alg := range []sortalg.Algorithm{sortalg.Intro, sortalg.Radix, sortalg.Heap} {
+	for _, alg := range []sortalg.Algorithm{sortalg.Intro, sortalg.Radix} {
 		for _, z := range []int{16, 64} {
 			b.Run(fmt.Sprintf("%v/z=%d", alg, z), func(b *testing.B) {
 				const n = 1 << 15
@@ -287,176 +287,6 @@ func BenchmarkAllToAll(b *testing.B) {
 	}
 }
 
-// BenchmarkFileBacked runs a genuinely out-of-core sort per iteration.
-func BenchmarkFileBacked(b *testing.B) {
-	s, err := New(Config{Procs: 2, MemPerProc: 1 << 12, RecordSize: 64, Dir: b.TempDir()})
-	if err != nil {
-		b.Fatal(err)
-	}
-	const n = (1 << 12) * 8
-	b.SetBytes(n * 64)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		res, err := s.Sort(context.Background(), Generate(record.Uniform{Seed: uint64(i)}, n), nil,
-			WithAlgorithm(Threaded), WithPadding(PadNever))
-		if err != nil {
-			b.Fatal(err)
-		}
-		res.Close()
-	}
-}
-
-// BenchmarkFigure2File is the file-backed counterpart of experiment E1 for
-// the async I/O layer: ingest → threaded 3-pass sort → verify, end to end
-// on FileDisk-backed stores, synchronous vs asynchronous. The "-modeled"
-// variants impose the physical-disk service-time model (100 µs effective
-// seek, 256 MiB/s per disk) below the async layer; on the bare variants the
-// page cache makes file I/O nearly free, so they mostly measure wrapper
-// overhead. The modeled pair is where prefetch and write-behind show up as
-// wall clock: the serial ingest and verify scans engage the P disk arrays
-// concurrently instead of one at a time.
-func BenchmarkFigure2File(b *testing.B) {
-	const p, mem, z = 4, 1 << 12, 64
-	const n = int64(mem) * 16
-	for _, mode := range []struct {
-		name    string
-		async   bool
-		modeled bool
-	}{
-		{"sync", false, false},
-		{"async", true, false},
-		{"sync-modeled", false, true},
-		{"async-modeled", true, true},
-	} {
-		b.Run(mode.name, func(b *testing.B) {
-			cfg := Config{Procs: p, MemPerProc: mem, RecordSize: z,
-				Dir: b.TempDir(), Async: mode.async}
-			if mode.modeled {
-				cfg.DiskSeekMicros = 100
-				cfg.DiskMBps = 256
-			}
-			s, err := New(cfg)
-			if err != nil {
-				b.Fatal(err)
-			}
-			b.SetBytes(n * z)
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				res, err := s.Sort(context.Background(), Generate(record.Uniform{Seed: uint64(i)}, n), nil,
-					WithAlgorithm(Threaded), WithPadding(PadNever))
-				if err != nil {
-					b.Fatal(err)
-				}
-				if err := res.Verify(); err != nil {
-					b.Fatal(err)
-				}
-				res.Close()
-			}
-		})
-	}
-}
-
-// BenchmarkMergeSortFile is the hierarchical path end to end: a file-backed
-// input 3× the threaded single-run bound, sorted file-to-file as runs plus
-// a loser-tree k-way merge, synchronous vs asynchronous (prefetch and
-// write-behind on the stores, the run spills AND the merged output stream).
-func BenchmarkMergeSortFile(b *testing.B) {
-	const p, mem, z = 4, 1 << 10, 64
-	probe, err := New(Config{Procs: p, MemPerProc: mem, RecordSize: z})
-	if err != nil {
-		b.Fatal(err)
-	}
-	bound := probe.MaxRecords(Threaded)
-	n := 3 * bound
-	for _, mode := range []struct {
-		name  string
-		async bool
-		gen   record.Generator
-	}{
-		{"sync", false, record.Uniform{Seed: 7}},
-		{"async", true, record.Uniform{Seed: 7}},
-		// Nearly-sorted input: replacement selection (the default) forms
-		// one maximal run, so the "merge" collapses to a verified stream.
-		{"async-nearly-sorted", true, record.NearlySorted{Seed: 7, Window: 64}},
-	} {
-		b.Run(mode.name, func(b *testing.B) {
-			dir := b.TempDir()
-			in := filepath.Join(dir, "in.dat")
-			raw := record.Make(int(n), z)
-			record.Fill(raw, mode.gen, 0)
-			if err := os.WriteFile(in, raw.Data, 0o644); err != nil {
-				b.Fatal(err)
-			}
-			s, err := New(Config{Procs: p, MemPerProc: mem, RecordSize: z,
-				Dir: filepath.Join(dir, "scratch"), Async: mode.async})
-			if err != nil {
-				b.Fatal(err)
-			}
-			b.SetBytes(n * z)
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				out := filepath.Join(dir, "out.dat")
-				res, err := s.Sort(context.Background(), FromFile(in), ToFile(out),
-					WithAlgorithm(Threaded))
-				if err != nil {
-					b.Fatal(err)
-				}
-				if res.Merge == nil {
-					b.Fatal("benchmark input did not take the hierarchical path")
-				}
-				res.Close()
-				os.Remove(out)
-			}
-		})
-	}
-}
-
-// BenchmarkRunFormation times hierarchical run formation on random and
-// nearly-sorted input. Replacement selection forms runs ~2× its capacity on
-// random input and absorbs nearly-sorted input into a single run,
-// collapsing the merge entirely. The formed run count is reported
-// alongside the timings. (The sub-benchmark names keep the
-// "replacement-select/" prefix the BENCH_n.json trajectory records.)
-func BenchmarkRunFormation(b *testing.B) {
-	const p, mem, z = 4, 1 << 10, 64
-	probe, err := New(Config{Procs: p, MemPerProc: mem, RecordSize: z})
-	if err != nil {
-		b.Fatal(err)
-	}
-	bound := probe.MaxRecords(Threaded)
-	n := 3 * bound
-	for _, bc := range []struct {
-		name string
-		gen  record.Generator
-	}{
-		{"replacement-select/uniform", record.Uniform{Seed: 3}},
-		{"replacement-select/nearly-sorted", record.NearlySorted{Seed: 3, Window: 64}},
-	} {
-		b.Run(bc.name, func(b *testing.B) {
-			s, err := New(Config{Procs: p, MemPerProc: mem, RecordSize: z})
-			if err != nil {
-				b.Fatal(err)
-			}
-			var runs float64
-			b.SetBytes(n * z)
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				res, err := s.Sort(context.Background(), Generate(bc.gen, n), Discard(),
-					WithAlgorithm(Threaded))
-				if err != nil {
-					b.Fatal(err)
-				}
-				if res.Merge == nil {
-					b.Fatal("benchmark input did not take the hierarchical path")
-				}
-				runs = float64(res.Merge.Runs)
-				res.Close()
-			}
-			b.ReportMetric(runs, "runs")
-		})
-	}
-}
-
 // TestBenchmarkConfigsEligible guards the benchmark grid: every non-skipped
 // configuration above must plan successfully so `go test -bench` exercises
 // what it claims to.
@@ -477,68 +307,4 @@ func TestBenchmarkConfigsEligible(t *testing.T) {
 		check(MColumn, int64(mem)*16, 4, mem, 64)
 	}
 	check(Combined, int64(4*(1<<10))*16, 4, 1<<10, 16)
-}
-
-// BenchmarkConcurrentJobs measures sort-as-a-service throughput: J
-// concurrent file-backed hierarchical sorts (each 3× the single-run bound)
-// sharing one Engine whose TotalMemory admits two jobs at a time, so the
-// admission queue is part of the measured path. Bytes/op counts the total
-// record bytes sorted across all J jobs.
-func BenchmarkConcurrentJobs(b *testing.B) {
-	const p, mem, z = 4, 1 << 10, 64
-	probe, err := New(Config{Procs: p, MemPerProc: mem, RecordSize: z})
-	if err != nil {
-		b.Fatal(err)
-	}
-	bound := probe.MaxRecords(Threaded)
-	n := 3 * bound
-	ask := bound * z
-	for _, jobs := range []int{1, 4, 8} {
-		b.Run(fmt.Sprintf("jobs=%d", jobs), func(b *testing.B) {
-			dir := b.TempDir()
-			inputs := make([]string, jobs)
-			for j := range inputs {
-				raw := record.Make(int(n), z)
-				record.Fill(raw, record.Uniform{Seed: uint64(7 + j)}, 0)
-				inputs[j] = filepath.Join(dir, fmt.Sprintf("in%d.dat", j))
-				if err := os.WriteFile(inputs[j], raw.Data, 0o644); err != nil {
-					b.Fatal(err)
-				}
-			}
-			e, err := NewEngine(EngineConfig{
-				Config: Config{Procs: p, MemPerProc: mem, RecordSize: z,
-					Dir: filepath.Join(dir, "scratch"), Async: true},
-				TotalMemory: 2 * ask,
-			})
-			if err != nil {
-				b.Fatal(err)
-			}
-			defer e.Close()
-			b.SetBytes(int64(jobs) * n * z)
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				var wg sync.WaitGroup
-				for j := 0; j < jobs; j++ {
-					j := j
-					wg.Add(1)
-					go func() {
-						defer wg.Done()
-						out := filepath.Join(dir, fmt.Sprintf("out%d.dat", j))
-						res, err := e.Sort(context.Background(), FromFile(inputs[j]), ToFile(out),
-							WithMaxMemory(ask))
-						if err != nil {
-							b.Error(err)
-							return
-						}
-						if res.Merge == nil {
-							b.Error("job did not take the hierarchical path")
-						}
-						res.Close()
-						os.Remove(out)
-					}()
-				}
-				wg.Wait()
-			}
-		})
-	}
 }

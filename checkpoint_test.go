@@ -101,7 +101,7 @@ func TestCheckpointResumeMidMerge(t *testing.T) {
 		if _, err := os.Stat(filepath.Join(ckptDir, "manifest.wal")); !os.IsNotExist(err) {
 			t.Errorf("manifest survived a completed job (stat err %v)", err)
 		}
-		st := s.Engine().Stats()
+		st := s.Stats()
 		if st.JobsResumed != 1 || st.RunsResumed != int64(rres.Merge.ResumedRuns) {
 			t.Errorf("engine stats JobsResumed=%d RunsResumed=%d, want 1/%d",
 				st.JobsResumed, st.RunsResumed, rres.Merge.ResumedRuns)

@@ -1,8 +1,3 @@
-// Command bounds prints the paper's problem-size restrictions and the
-// analytic claims built on them (experiments E3, E4, E9, E11):
-// restrictions (1)–(3), the Section-6 combined bound, the subblock
-// doubling claim, the one-terabyte claim, and the M-columnsort-vs-subblock
-// crossover M < 32·P^10.
 package main
 
 import (
@@ -15,13 +10,18 @@ import (
 	"colsort/internal/sim"
 )
 
-func main() {
-	terabyte := flag.Bool("terabyte", false, "reproduce the 1 TB claim of Section 1 (E4)")
-	crossover := flag.Bool("crossover", false, "crossover table M < 32·P^10 (E9)")
-	combined := flag.Bool("combined", false, "Section-6 combined-algorithm bounds (E11)")
-	hybridF := flag.Bool("hybrid", false, "Section-6 hybrid group-size trade-off (E11)")
-	z := flag.Int("z", 64, "record size in bytes for byte-denominated rows")
-	flag.Parse()
+// bounds prints the paper's problem-size restrictions and the analytic
+// claims built on them (experiments E3, E4, E9, E11): restrictions (1)–(3),
+// the Section-6 combined bound, the subblock doubling claim, the
+// one-terabyte claim, and the M-columnsort-vs-subblock crossover
+// M < 32·P^10.
+func boundsCmd(fs *flag.FlagSet, args []string) {
+	terabyte := fs.Bool("terabyte", false, "reproduce the 1 TB claim of Section 1 (E4)")
+	crossover := fs.Bool("crossover", false, "crossover table M < 32·P^10 (E9)")
+	combined := fs.Bool("combined", false, "Section-6 combined-algorithm bounds (E11)")
+	hybridF := fs.Bool("hybrid", false, "Section-6 hybrid group-size trade-off (E11)")
+	z := fs.Int("z", 64, "record size in bytes for byte-denominated rows")
+	_ = fs.Parse(args) // ExitOnError: a bad flag exits inside Parse
 
 	switch {
 	case *terabyte:
@@ -88,7 +88,7 @@ func printCrossover() {
 			f := bounds.CrossoverFormula(m, p)
 			d := bounds.CrossoverDirect(m, p)
 			fmt.Printf("  P=%d M=2^%.1f: formula=%v direct=%v\n",
-				p, lg(m), f, d)
+				p, float64(log2(m)), f, d)
 		}
 	}
 }
@@ -138,22 +138,4 @@ func printHybrid(z int) {
 	}
 	fmt.Println("\nThe bound grows as g^{3/2} while sort-stage communication grows")
 	fmt.Println("toward g = P — choose the smallest g that fits the problem.")
-}
-
-func log2(x int64) int64 {
-	var n int64
-	for x > 1 {
-		x >>= 1
-		n++
-	}
-	return n
-}
-
-func lg(x int64) float64 {
-	n := 0.0
-	for x > 1 {
-		x >>= 1
-		n++
-	}
-	return n
 }

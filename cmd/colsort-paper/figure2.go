@@ -1,11 +1,3 @@
-// Command figure2 regenerates Figure 2 of the paper and its companion
-// analyses (experiments E1, E7, E8, E10): execution seconds per
-// GiB/processor for threaded, subblock and M-columnsort at buffer sizes
-// 2^24 and 2^25 bytes, over 4–32 GiB of 64-byte records, plus the 3- and
-// 4-pass baseline I/O floors.
-//
-// The numbers come from the validated operation-count predictor evaluated
-// at paper scale under the Beowulf-2003 cost model (see internal/figure2).
 package main
 
 import (
@@ -18,11 +10,18 @@ import (
 	"colsort/internal/sim"
 )
 
-func main() {
-	sweep := flag.Bool("sweep-buffer", false, "sweep buffer sizes 2^20..2^26 at fixed volume (E7)")
-	elig := flag.Bool("eligibility", false, "print the eligibility matrix only (E8)")
-	passes := flag.Bool("passes", false, "compare 3-pass and 4-pass threaded columnsort (E10)")
-	flag.Parse()
+// figure2 regenerates Figure 2 of the paper and its companion analyses
+// (experiments E1, E7, E8, E10): execution seconds per GiB/processor for
+// threaded, subblock and M-columnsort at buffer sizes 2^24 and 2^25 bytes,
+// over 4–32 GiB of 64-byte records, plus the 3- and 4-pass baseline I/O
+// floors. The numbers come from the validated operation-count predictor
+// evaluated at paper scale under the Beowulf-2003 cost model (see
+// internal/figure2).
+func figure2Cmd(fs *flag.FlagSet, args []string) {
+	sweep := fs.Bool("sweep-buffer", false, "sweep buffer sizes 2^20..2^26 at fixed volume (E7)")
+	elig := fs.Bool("eligibility", false, "print the eligibility matrix only (E8)")
+	passes := fs.Bool("passes", false, "compare 3-pass and 4-pass threaded columnsort (E10)")
+	_ = fs.Parse(args) // ExitOnError: a bad flag exits inside Parse
 	cm := sim.Beowulf2003()
 
 	switch {

@@ -1,8 +1,3 @@
-// Command incore compares the three distributed in-core sorts of Section 4
-// (experiment E6): in-core columnsort, bitonic sort, and radix sort, at
-// sort-stage-representative sizes. It reports wall-clock time on the
-// goroutine cluster and the per-processor network traffic, whose ordering
-// is the paper's reason for choosing in-core columnsort.
 package main
 
 import (
@@ -17,12 +12,17 @@ import (
 	"colsort/internal/sim"
 )
 
-func main() {
-	p := flag.Int("p", 8, "processors (power of 2)")
-	n := flag.Int("n", 1<<16, "records per processor")
-	z := flag.Int("z", 64, "record size in bytes")
-	reps := flag.Int("reps", 3, "repetitions (best time reported)")
-	flag.Parse()
+// incore compares the three distributed in-core sorts of Section 4
+// (experiment E6): in-core columnsort, bitonic sort, and radix sort, at
+// sort-stage-representative sizes. It reports wall-clock time on the
+// goroutine cluster and the per-processor network traffic, whose ordering
+// is the paper's reason for choosing in-core columnsort.
+func incoreCmd(fs *flag.FlagSet, args []string) {
+	p := fs.Int("p", 8, "processors (power of 2)")
+	n := fs.Int("n", 1<<16, "records per processor")
+	z := fs.Int("z", 64, "record size in bytes")
+	reps := fs.Int("reps", 3, "repetitions (best time reported)")
+	_ = fs.Parse(args) // ExitOnError: a bad flag exits inside Parse
 
 	fmt.Printf("Distributed in-core sorts: P=%d, n=%d records/processor, %d-byte records\n", *p, *n, *z)
 	fmt.Printf("%-20s %12s %16s %14s\n", "algorithm", "best time", "net bytes/proc", "msgs/proc")

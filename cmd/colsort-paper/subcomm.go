@@ -1,10 +1,3 @@
-// Command subcomm demonstrates Section 3's communication properties of the
-// subblock pass (experiments E2 and E5): each processor sends ⌈P/√s⌉
-// messages per round, none of which cross the network when √s ≥ P, and the
-// Figure-1 bit permutation equals the arithmetic subblock permutation.
-//
-// The "measured" column comes from actually running subblock columnsort on
-// the simulated cluster and counting messages.
 package main
 
 import (
@@ -19,11 +12,17 @@ import (
 	"colsort/internal/record"
 )
 
-func main() {
-	showBits := flag.Bool("show-bits", false, "print the Figure-1 bit permutation for one shape")
-	r := flag.Int("r", 256, "records per column for -show-bits")
-	s := flag.Int("s", 16, "columns for -show-bits (power of 4)")
-	flag.Parse()
+// subcomm demonstrates Section 3's communication properties of the subblock
+// pass (experiments E2 and E5): each processor sends ⌈P/√s⌉ messages per
+// round, none of which cross the network when √s ≥ P, and the Figure-1 bit
+// permutation equals the arithmetic subblock permutation. The "measured"
+// column comes from actually running subblock columnsort on the simulated
+// cluster and counting messages.
+func subcommCmd(fs *flag.FlagSet, args []string) {
+	showBits := fs.Bool("show-bits", false, "print the Figure-1 bit permutation for one shape")
+	r := fs.Int("r", 256, "records per column for -show-bits")
+	s := fs.Int("s", 16, "columns for -show-bits (power of 4)")
+	_ = fs.Parse(args) // ExitOnError: a bad flag exits inside Parse
 
 	if *showBits {
 		printBitForm(*r, *s)
@@ -36,7 +35,7 @@ func printCommTable() {
 	fmt.Println("Subblock-pass communication (Section 3, properties 1-2)")
 	fmt.Printf("%4s %6s %6s | %18s %18s %12s\n", "P", "s", "√s", "msgs/round (pred)", "msgs/round (meas)", "net bytes")
 	for _, s := range []int{16, 64, 256} {
-		r := 4 * s * sqrt(s) // minimum legal height, kept small
+		r := 4 * s * bitperm.Sqrt(s) // minimum legal height, kept small
 		if r < 2*s*s {
 			// Also need enough height for the surrounding threaded passes'
 			// height restriction? No — only the subblock restriction
@@ -55,7 +54,7 @@ func printCommTable() {
 				noNet = "  (√s ≥ P: no network traffic)"
 			}
 			fmt.Printf("%4d %6d %6d | %18d %18d %12d%s\n",
-				p, s, sqrt(s), pred, meas, netBytes, noNet)
+				p, s, bitperm.Sqrt(s), pred, meas, netBytes, noNet)
 		}
 	}
 	fmt.Println("\nProperty 3 (optimality): any permutation with the subblock property")
@@ -128,8 +127,6 @@ func printBitForm(r, s int) {
 	fmt.Println("an element WITHIN its √s×√s subblock, which is what guarantees the")
 	fmt.Println("subblock property (all s entries of a subblock reach all s columns).")
 }
-
-func sqrt(s int) int { return bitperm.Sqrt(s) }
 
 func lcmPow2(a, b int) int {
 	for a%b != 0 {

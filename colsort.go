@@ -32,9 +32,8 @@
 // To serve many sorts from one process, construct an Engine (NewEngine): a
 // long-lived service owning the machine, the warm buffer pools and the
 // scratch directory, admitting concurrent Sort jobs against a TotalMemory
-// budget. A Sorter is a thin facade over a private engine — same machine
-// lifecycle, same results — kept so single-job callers need not name the
-// engine at all.
+// budget. New builds the same engine without a budget, for callers that
+// sort one input at a time (Sorter is an alias of Engine).
 //
 // The cluster (goroutine processors, message passing), the parallel disk
 // model (memory- or file-backed disks with exact operation accounting) and
@@ -44,7 +43,6 @@
 package colsort
 
 import (
-	"context"
 	"errors"
 	"fmt"
 
@@ -127,7 +125,7 @@ const (
 // construction-time only: a Config is consumed by New / NewEngine to build
 // the machine, and nothing mutates it afterwards. Per-job knobs have
 // functional-option counterparts (WithAsync, WithDiskModel, WithChaos,
-// WithFabric, WithRetry); when a job passes one, the option overrides the
+// WithRetry); when a job passes one, the option overrides the
 // corresponding Config field for that job alone — the engine's Config and
 // every other job are untouched. Knobs with no option (Procs, Disks,
 // MemPerProc, RecordSize, Dir, StripeBytes) define the machine itself and
@@ -210,36 +208,13 @@ type ChaosConfig struct {
 	DeadSpillAfter int64
 }
 
-// Sorter is a configured out-of-core sorting engine for one caller: a thin
-// facade over a private Engine with no admission budget, kept so code that
-// sorts one input at a time need not manage an engine. All methods
-// delegate; Engine exposes the underlying service for callers that grow
-// into concurrent jobs.
-type Sorter struct {
-	e *Engine
-}
+// Sorter is the engine under the name single-job callers have always used:
+// New builds one with no admission budget.
+type Sorter = Engine
 
-// New validates the configuration and builds a Sorter (a facade over a
-// private, unbudgeted Engine).
+// New validates the configuration and builds an unbudgeted Engine.
 func New(cfg Config) (*Sorter, error) {
-	e, err := NewEngine(EngineConfig{Config: cfg})
-	if err != nil {
-		return nil, err
-	}
-	return &Sorter{e: e}, nil
-}
-
-// Engine returns the Sorter's underlying engine, for callers that want the
-// service interface (concurrent jobs, admission control, Stats) without
-// reconstructing the machine.
-func (s *Sorter) Engine() *Engine { return s.e }
-
-// Sort submits one job to the Sorter's private engine; see Engine.Sort for
-// the full contract. Unlike the pre-engine Sorter, concurrent Sort calls
-// on one Sorter are safe: each is an isolated job sharing only the warm
-// buffer pools.
-func (s *Sorter) Sort(ctx context.Context, src Source, dst Sink, opts ...Option) (*Result, error) {
-	return s.e.Sort(ctx, src, dst, opts...)
+	return NewEngine(EngineConfig{Config: cfg})
 }
 
 // Plan validates that the algorithm can sort n records under the
@@ -249,22 +224,11 @@ func (e *Engine) Plan(alg Algorithm, n int64) (core.Plan, error) {
 	return core.NewPlan(alg, n, e.cfg.Procs, e.cfg.Disks, e.cfg.MemPerProc, e.cfg.RecordSize)
 }
 
-// Plan delegates to Engine.Plan.
-func (s *Sorter) Plan(alg Algorithm, n int64) (core.Plan, error) { return s.e.Plan(alg, n) }
-
 // PlanHybrid validates hybrid group columnsort with group size g: column
 // height r = g·MemPerProc, interpolating between Threaded (g = 1) and
 // MColumn (g = P).
 func (e *Engine) PlanHybrid(g int, n int64) (core.Plan, error) {
 	return core.NewHybridPlan(n, e.cfg.Procs, e.cfg.Disks, e.cfg.MemPerProc, e.cfg.RecordSize, g)
-}
-
-// PlanHybrid delegates to Engine.PlanHybrid.
-func (s *Sorter) PlanHybrid(g int, n int64) (core.Plan, error) { return s.e.PlanHybrid(g, n) }
-
-// PlanHierarchical delegates to Engine.PlanHierarchical.
-func (s *Sorter) PlanHierarchical(alg Algorithm, n int64, maxMemory int64) (core.Plan, int, error) {
-	return s.e.PlanHierarchical(alg, n, maxMemory)
 }
 
 // MaxRecords returns the largest power-of-two record count the algorithm
@@ -279,9 +243,6 @@ func (e *Engine) MaxRecords(alg Algorithm) int64 {
 	}
 	return best
 }
-
-// MaxRecords delegates to Engine.MaxRecords.
-func (s *Sorter) MaxRecords(alg Algorithm) int64 { return s.e.MaxRecords(alg) }
 
 // Result is a completed sort: the sorted output store plus exact operation
 // counts and the means to verify and cost it.
@@ -473,11 +434,6 @@ func (e *Engine) PlanPadded(alg Algorithm, n int64) (core.Plan, error) {
 	return e.planPadded(alg, n)
 }
 
-// PlanPadded delegates to Engine.PlanPadded.
-func (s *Sorter) PlanPadded(alg Algorithm, n int64) (core.Plan, error) {
-	return s.e.PlanPadded(alg, n)
-}
-
 // planPadded finds the plan a padded sort of n records would execute: the
 // smallest covering power of two the planner accepts. The covering power
 // may still violate a divisibility condition (or be smaller than one
@@ -522,11 +478,6 @@ func (e *Engine) InputStore(alg Algorithm, n int64) (*pdm.Store, error) {
 	return e.m.NewStore(pl.R, pl.S, pl.Z, pl.Layout)
 }
 
-// InputStore delegates to Engine.InputStore.
-func (s *Sorter) InputStore(alg Algorithm, n int64) (*pdm.Store, error) {
-	return s.e.InputStore(alg, n)
-}
-
 // Bound returns the paper's real-valued problem-size bound, in records, for
 // the algorithm under this configuration, treating MemPerProc as M/P.
 func (e *Engine) Bound(alg Algorithm) (float64, error) {
@@ -544,6 +495,3 @@ func (e *Engine) Bound(alg Algorithm) (float64, error) {
 	}
 	return 0, fmt.Errorf("colsort: no problem-size bound for %v", alg)
 }
-
-// Bound delegates to Engine.Bound.
-func (s *Sorter) Bound(alg Algorithm) (float64, error) { return s.e.Bound(alg) }

@@ -83,8 +83,8 @@ func TestNewValidation(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if s.e.cfg.Disks != 2 {
-		t.Fatalf("Disks defaulted to %d", s.e.cfg.Disks)
+	if s.cfg.Disks != 2 {
+		t.Fatalf("Disks defaulted to %d", s.cfg.Disks)
 	}
 }
 

@@ -37,7 +37,7 @@ var ErrBusy = errors.New("colsort: engine at capacity")
 var ErrEngineClosed = errors.New("colsort: engine closed")
 
 // EngineConfig configures an Engine: the simulated cluster (Config, the
-// same construction-time description a Sorter takes) plus the engine-wide
+// same construction-time description New takes) plus the engine-wide
 // admission budget.
 type EngineConfig struct {
 	Config
@@ -303,15 +303,14 @@ type job struct {
 }
 
 // newJob builds the per-job machine: a value copy of the engine's machine
-// — sharing the concurrency-safe buffer pools and the backend — with the
-// job's fabric choice, any per-job Config overrides (WithAsync,
-// WithDiskModel, WithChaos), a retry layer wired to the job's context and
-// fault counters, and scratch namespaced by the job id so concurrent jobs
-// can never collide in a shared scratch directory.
+// — sharing the concurrency-safe buffer pools and the backend — with any
+// per-job Config overrides (WithAsync, WithDiskModel, WithChaos), a retry
+// layer wired to the job's context and fault counters, and scratch
+// namespaced by the job id so concurrent jobs can never collide in a shared
+// scratch directory.
 func (e *Engine) newJob(ctx context.Context, o sortOptions) *job {
 	j := &job{e: e, id: e.jobSeq.Add(1)}
 	m := e.m
-	m.CopyFabric = o.fabric == FabricCopying
 	if o.asyncSet {
 		if o.async {
 			if m.Async == nil {

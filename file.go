@@ -25,11 +25,6 @@ func (e *Engine) PlanFile(alg Algorithm, inPath string) (core.Plan, error) {
 	return e.planPadded(alg, info.Size()/int64(z))
 }
 
-// PlanFile delegates to Engine.PlanFile.
-func (s *Sorter) PlanFile(alg Algorithm, inPath string) (core.Plan, error) {
-	return s.e.PlanFile(alg, inPath)
-}
-
 // WriteFile streams the sorted records (excluding any power-of-two padding,
 // and decoded back to the caller's key layout) into a newly created file at
 // path, in the global column-major sorted order. Each owned row segment is

@@ -132,7 +132,7 @@ func TestStripedLaneWriteErrors(t *testing.T) {
 	sortWith := func(t *testing.T, b pdm.Backend) (*Sorter, []byte, []byte, *Result, error) {
 		testutil.CheckGoroutines(t)
 		s := sorterOf(t, cfg)
-		s.e.m.Backend = b // the hierarchical path allocates spill disks only
+		s.m.Backend = b // the hierarchical path allocates spill disks only
 		raw := genRaw(int(4*s.MaxRecords(Threaded)), stripedZ, record.Uniform{Seed: 43})
 		var out bytes.Buffer
 		res, err := s.Sort(context.Background(), FromBytes(raw), ToWriter(&out),
@@ -165,7 +165,7 @@ func TestStripedLaneWriteErrors(t *testing.T) {
 		if !errors.Is(err, pdm.ErrNoSpace) {
 			t.Errorf("err = %v, want errors.Is(err, pdm.ErrNoSpace)", err)
 		}
-		if f := s.Engine().Stats().Faults; f.BatchRedos != 0 || f.DiskRetries != 0 {
+		if f := s.Stats().Faults; f.BatchRedos != 0 || f.DiskRetries != 0 {
 			t.Errorf("faults %+v: a full disk must burn neither the redo budget nor the retry budget", f)
 		}
 	})

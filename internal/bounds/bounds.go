@@ -118,7 +118,7 @@ func InCoreOK(mOverP, p int64) bool {
 	return mOverP >= 2*p*p
 }
 
-// Row is one line of the bounds table printed by cmd/bounds.
+// Row is one line of the bounds table printed by `colsort-paper bounds`.
 type Row struct {
 	MOverP   int64
 	P        int64

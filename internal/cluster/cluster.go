@@ -16,13 +16,14 @@
 // Because every "processor" lives in one address space, a message need not
 // copy its payload: Send RELINQUISHES the sender's buffer and the receiver
 // adopts the very same bytes (recycling them into its own pool when the
-// records have moved on). That zero-copy discipline is the default fabric.
-// The Copying fabric deep-copies every payload through a fabric-owned pool
-// at send time — the memcpy an MPI transport would perform — for
-// MPI-fidelity simulations; the caller-visible contract is identical in
-// both modes (the sender must not touch a buffer after sending it), and so
-// is every sim.Counters charge, so the two fabrics are byte- and
-// counter-equivalent and differ only in wall-clock cost. See DESIGN.md §8.
+// records have moved on). That zero-copy discipline is the fabric every job
+// runs on. The Copying fabric deep-copies every payload through a
+// fabric-owned pool at send time — the memcpy an MPI transport would perform
+// — and exists as the reference the ownership transfer is tested against:
+// the caller-visible contract is identical in both modes (the sender must
+// not touch a buffer after sending it), and so is every sim.Counters charge,
+// so the two are byte- and counter-equivalent (core.TestFabricEquivalence,
+// TestFabricAliasing). See DESIGN.md §8.
 //
 // All traffic is counted into caller-supplied sim.Counters: messages between
 // distinct processors charge network bytes, self-destined messages charge
@@ -49,12 +50,12 @@ type Fabric int
 
 const (
 	// ZeroCopy transfers buffer ownership: the receiver adopts the
-	// sender's buffer. The default.
+	// sender's buffer. What every job runs on.
 	ZeroCopy Fabric = iota
 	// Copying deep-copies every payload through a fabric-owned pool at
 	// send time, as an MPI transport would; the sender's buffer is
 	// recycled into that pool. Counters and outputs are identical to
-	// ZeroCopy.
+	// ZeroCopy, which is what the tests that select it check.
 	Copying
 )
 

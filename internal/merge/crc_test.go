@@ -11,11 +11,12 @@ import (
 	"colsort/internal/testutil"
 )
 
-// corruptReadDisk flips one bit of the first read that passes through it,
-// then behaves cleanly — transient read-path corruption (a damaged staging
+// corruptReadDisk lets skip reads through, flips one bit of the next, then
+// behaves cleanly — transient read-path corruption (a damaged staging
 // buffer), which the CRC layer must detect and heal with a reread.
 type corruptReadDisk struct {
 	pdm.Disk
+	skip int
 	done bool
 }
 
@@ -23,7 +24,9 @@ func (d *corruptReadDisk) ReadAt(p []byte, off int64) error {
 	if err := d.Disk.ReadAt(p, off); err != nil {
 		return err
 	}
-	if !d.done && len(p) > 0 {
+	if d.skip > 0 {
+		d.skip--
+	} else if !d.done && len(p) > 0 {
 		d.done = true
 		p[len(p)/2] ^= 0x04
 	}

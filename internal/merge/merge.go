@@ -9,6 +9,7 @@ import (
 
 	"colsort/internal/pdm"
 	"colsort/internal/record"
+	"colsort/internal/tournament"
 )
 
 // ErrOrder reports a merge input that was not actually sorted — streaming
@@ -92,8 +93,7 @@ func Merge(ctx context.Context, runs []*Run, emit func(record.Slice) error, opt 
 			return cs, st, err
 		}
 	}
-	var t tree
-	t.init(readers)
+	t := newTourney(readers)
 
 	// Emit write-behind: the worker drains full chunks and recycles the
 	// buffers; after its first error it stops calling emit but keeps
@@ -200,92 +200,58 @@ func MergeToRun(ctx context.Context, runs []*Run, w *Writer, opt Options) (*Run,
 	return out, st, err
 }
 
-// tree is a tournament (loser) tree over the runs' readers: node[0] holds
-// the current overall winner and every internal node the loser of its
-// match, so replacing the winner costs ⌈log₂ k⌉ comparisons — the same
-// structure sortalg uses in-memory, re-derived here over streaming readers.
-// The leaf count is padded to a power of two with permanently exhausted
-// dummies. Ties break on run index for determinism.
-type tree struct {
+// tourney is the k-way tournament over the runs' readers, on the shared
+// loser-tree kernel (internal/tournament): contestant r is reader r and its
+// key the 8-byte prefix the reader caches at each advance — record.MaxKey
+// once the run is exhausted — so the common match is one 16-byte node load
+// and one uint64 compare that never touches the chunk bytes. The kernel sees
+// keys only: the fallible, blocking part of a pop (Reader.Advance loading
+// and CRC-checking the next chunk) happens before the replay, outside it.
+type tourney struct {
 	readers []Reader
-	node    []int
-	k       int
+	node    []tournament.Node
 }
 
-func (t *tree) init(readers []Reader) {
-	t.readers = readers
-	t.k = 1
-	for t.k < len(readers) {
-		t.k *= 2
-	}
-	t.node = make([]int, t.k)
-	t.node[0] = t.play(1)
+// newTourney plays the initial tournament over primed readers.
+func newTourney(readers []Reader) *tourney {
+	t := &tourney{readers: readers, node: make([]tournament.Node, len(readers))}
+	tournament.Play(t.node, func(r int32) tournament.Node {
+		return tournament.Node{Key: t.readers[r].Key(), ID: r}
+	}, t.tieBeats)
+	return t
 }
 
-func (t *tree) play(i int) int {
-	if i >= t.k {
-		r := i - t.k
-		if r >= len(t.readers) {
-			return -1
-		}
-		return r
-	}
-	wl, wr := t.play(2*i), t.play(2*i+1)
-	if t.beats(wl, wr) {
-		t.node[i] = wr
-		return wl
-	}
-	t.node[i] = wl
-	return wr
-}
-
-func (t *tree) cur(r int) []byte {
-	if r < 0 {
-		return nil
-	}
-	return t.readers[r].Cur()
-}
-
-func (t *tree) beats(a, b int) bool {
-	if a < 0 || t.readers[a].done() {
+// tieBeats resolves a key-prefix tie between readers o and w. An exhausted
+// reader's sentinel can tie a live record whose prefix is all ones, so
+// liveness is re-checked here: exhausted loses to everything. Record order
+// is plain lexicographic byte order — the engine's key is the first 8 bytes
+// big-endian with payload tie-break, which coincides with bytes.Compare over
+// the whole record — and whole-record duplicates break on run index, so a
+// merge is deterministic.
+func (t *tourney) tieBeats(o, w int32) bool {
+	ro, rw := &t.readers[o], &t.readers[w]
+	if ro.done() {
 		return false
 	}
-	if b < 0 || t.readers[b].done() {
+	if rw.done() {
 		return true
 	}
-	// Record order is plain lexicographic byte order: the engine's key is
-	// the first 8 bytes big-endian with payload tie-break, which coincides
-	// with bytes.Compare over the whole record. The readers cache that
-	// 8-byte prefix at each advance, so the common case is one uint64
-	// compare without touching the chunk bytes; ties fall back to the full
-	// record.
-	ra, rb := &t.readers[a], &t.readers[b]
-	if ra.Key() != rb.Key() {
-		return ra.Key() < rb.Key()
-	}
-	c := bytes.Compare(ra.Cur(), rb.Cur())
-	if c != 0 {
+	if c := bytes.Compare(ro.Cur(), rw.Cur()); c != 0 {
 		return c < 0
 	}
-	return a < b
+	return o < w
 }
 
 // winner returns the current smallest record, or nil when all runs are
 // exhausted.
-func (t *tree) winner() []byte { return t.cur(t.node[0]) }
+func (t *tourney) winner() []byte { return t.readers[t.node[0].ID].Cur() }
 
 // pop advances the winning run and replays its path to the root.
-func (t *tree) pop() error {
-	w := t.node[0]
+func (t *tourney) pop() error {
+	w := t.node[0].ID
 	if err := t.readers[w].Advance(); err != nil {
 		return fmt.Errorf("merge: run %d: %w", w, err)
 	}
-	winner := w
-	for i := (w + t.k) / 2; i > 0; i /= 2 {
-		if t.beats(t.node[i], winner) {
-			t.node[i], winner = winner, t.node[i]
-		}
-	}
-	t.node[0] = winner
+	tournament.Replay(t.node, w, t.readers[w].Key(), t.tieBeats)
 	return nil
 }

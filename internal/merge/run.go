@@ -3,7 +3,10 @@
 // sorted RUNS (each produced by one engine execution) spilled onto simulated
 // disks, then combined by a loser-tree k-way streaming merge with overlapped
 // I/O — the classic external-sort structure (run formation + multiway merge)
-// engineered on top of the paper's algorithms.
+// engineered on top of the paper's algorithms. The tree is the shared kernel
+// (internal/tournament, one of its three users); what this package adds is
+// everything around a pop: chunked reads that can block and fail, CRC
+// verification with one healing reread, prefetch hints, the order check.
 //
 // A Run lives on one pdm.Disk as a flat sequence of fixed-size records in
 // sorted order. What that disk is, is the machine's business
@@ -329,7 +332,7 @@ func (r *Reader) extentOf(i int64) (int64, int) {
 // in that order, and hints the chunk after it.
 func (r *Reader) load() error {
 	if uint64(r.frame) >= uint64(r.frames) {
-		r.cur, r.pos = nil, 0
+		r.cur, r.pos, r.key = nil, 0, record.MaxKey
 		return nil
 	}
 	off, n := r.extentOf(r.frame)
@@ -372,8 +375,9 @@ func (r *Reader) Cur() []byte {
 }
 
 // Key returns the current record's 8-byte big-endian key prefix, cached at
-// each advance so merge comparisons need not touch the chunk bytes. Valid
-// only while done() is false.
+// each advance so merge comparisons need not touch the chunk bytes; once the
+// run is exhausted it is record.MaxKey, which a live record can carry too —
+// done() tells the two apart.
 func (r *Reader) Key() uint64 { return r.key }
 
 // Advance moves to the next record in ascending order, loading the next

@@ -297,11 +297,11 @@ type Machine struct {
 	// failing hardware). Production configurations leave it nil.
 	Chaos *ChaosConfig
 
-	// CopyFabric selects the MPI-fidelity copying interconnect: message
-	// payloads are deep-copied through a fabric pool at send time instead
-	// of transferring buffer ownership. Outputs and operation counts are
-	// identical to the default zero-copy fabric; only wall-clock cost
-	// differs.
+	// CopyFabric selects the copying interconnect: message payloads are
+	// deep-copied through a fabric pool at send time instead of transferring
+	// buffer ownership. No job sets it — it is the reference the
+	// ownership-transfer fabric is tested against (core.TestFabricEquivalence:
+	// same bytes, same operation counts).
 	CopyFabric bool
 }
 

@@ -120,8 +120,8 @@ func scrapeMetric(t *testing.T, env *testEnv, name string) string {
 // boots a server over it: the job must run to completion under its ORIGINAL
 // id, the output must match a reference sort with the persisted options, and
 // fresh submissions must mint ids beyond the re-adopted one. The record is
-// one a ≤ PR 12 binary persisted: its "run-formation" option, which no
-// request may carry any more, must not fail the re-adoption.
+// one a ≤ PR 12 binary persisted: its "run-formation" and "fabric" options,
+// which no request may carry any more, must not fail the re-adoption.
 func TestBootReadoptsQueuedJob(t *testing.T) {
 	dir := t.TempDir()
 	data := filepath.Join(dir, "data")
@@ -138,7 +138,7 @@ func TestBootReadoptsQueuedJob(t *testing.T) {
 	}
 	if err := jw.Append(walRecord{ID: "j000007", State: jobQueued,
 		Input: "in.dat", Output: "out.dat",
-		Options: map[string]string{"order": "desc", "run-formation": "fixed-batch"}}); err != nil {
+		Options: map[string]string{"order": "desc", "run-formation": "fixed-batch", "fabric": "copying"}}); err != nil {
 		t.Fatal(err)
 	}
 	jw.Close()

@@ -30,7 +30,6 @@ var sortParams = map[string]struct{}{
 	"padding":           {},
 	"max-memory-mib":    {},
 	"merge-fanin":       {},
-	"fabric":            {},
 	"async":             {},
 	"nowait":            {},
 	"retries":           {},
@@ -224,16 +223,6 @@ func parseSortOptions(q url.Values, extra ...string) ([]colsort.Option, error) {
 	}
 
 	// Machine overrides (tri-state: absent inherits the engine's Config).
-	if has("fabric") {
-		switch get["fabric"] {
-		case "zero-copy":
-			opts = append(opts, colsort.WithFabric(colsort.FabricZeroCopy))
-		case "copying":
-			opts = append(opts, colsort.WithFabric(colsort.FabricCopying))
-		default:
-			return nil, fmt.Errorf("option %q: want \"zero-copy\" or \"copying\", got %q", "fabric", get["fabric"])
-		}
-	}
 	if has("async") {
 		v, err := boolOf("async")
 		if err != nil {

@@ -22,7 +22,7 @@ func TestParseSortOptionsAccepts(t *testing.T) {
 		{"order only", "order=asc"},
 		{"padding", "padding=never"},
 		{"hierarchical knobs", "max-memory-mib=64&merge-fanin=8"},
-		{"machine overrides", "fabric=zero-copy&async=true&nowait=true"},
+		{"machine overrides", "async=true&nowait=true"},
 		{"retry policy", "retries=4&retry-base-us=50&redo-budget=2&scrub=true"},
 		{"redo disabled", "redo-budget=-1"},
 		{"chaos off", "chaos=off"},
@@ -53,7 +53,7 @@ func TestParseSortOptionsRejects(t *testing.T) {
 		{"empty value", "order=", "empty value"},
 		{"bad order", "order=sideways", `want "asc" or "desc"`},
 		{"bad padding", "padding=sometimes", `want "auto" or "never"`},
-		{"bad fabric", "fabric=carrier-pigeon", `want "zero-copy" or "copying"`},
+		{"bad fabric", "fabric=zero-copy", `unknown option "fabric" (known: alg, `},
 		{"bad bool", "async=maybe", "not a boolean"},
 		{"bad int", "key-offset=three", "not an integer"},
 		{"negative key offset", "key-offset=-1", "must be ≥ 0"},

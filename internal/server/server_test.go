@@ -330,8 +330,12 @@ func TestClientDisconnectCancelsSort(t *testing.T) {
 				time.Sleep(2 * time.Millisecond)
 			}
 
-			cancel()   // abort the HTTP request mid-stream
-			pw.Close() //nolint:errcheck // unblock any writer-side copy
+			// Abort the HTTP request mid-stream. The pipe must fail, not end: a
+			// clean EOF would let the transport finish the chunked upload, and
+			// the server could answer the short body (400) before the transport
+			// saw the cancel.
+			cancel()
+			pw.CloseWithError(context.Canceled) //nolint:errcheck // unblock any writer-side copy
 
 			select {
 			case err := <-errCh:

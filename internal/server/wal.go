@@ -205,10 +205,12 @@ func (s *Server) readoptJob(rec walRecord) error {
 	if _, err := os.Stat(in); err != nil {
 		return fmt.Errorf("readopt %s: input: %w", rec.ID, err)
 	}
-	// Builds up to PR 12 accepted and persisted a "run-formation" option. It
-	// never changed a job's output bytes, so a job an older binary queued
-	// is re-adopted without it rather than failed as an unknown option.
+	// Older builds accepted and persisted a "run-formation" option (up to
+	// PR 12) and a "fabric" option (up to PR 16). Neither ever changed a job's
+	// output bytes, so a job an older binary queued is re-adopted without
+	// them rather than failed as an unknown option.
 	delete(rec.Options, "run-formation")
+	delete(rec.Options, "fabric")
 	opts, err := parseSortOptions(valuesFromMap(rec.Options))
 	if err != nil {
 		return fmt.Errorf("readopt %s: %w", rec.ID, err)

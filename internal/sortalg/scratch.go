@@ -73,8 +73,6 @@ func (sc *Scratch) SortIntoAlg(dst, src record.Slice, alg Algorithm) {
 			sc.count = make([]int, radixBuckets)
 		}
 		radixKV(kvs, src, sc.tmpBuf(n), sc.count)
-	case Heap:
-		heapsortKV(kvs, src)
 	case Insertion:
 		insertionKV(kvs, src, 0, n)
 	default:

@@ -38,9 +38,6 @@ const (
 	// with comparison refinement of equal-key runs so the result respects
 	// the full total order.
 	Radix
-	// Heap is heapsort, used standalone mostly for testing and as the
-	// introsort fallback.
-	Heap
 	// Insertion is plain binary insertion sort; only sensible for tiny
 	// inputs and as the introsort base case.
 	Insertion
@@ -52,8 +49,6 @@ func (a Algorithm) String() string {
 		return "intro"
 	case Radix:
 		return "radix"
-	case Heap:
-		return "heap"
 	case Insertion:
 		return "insertion"
 	}

@@ -1,6 +1,7 @@
 // Package tournament is the loser-tree kernel shared by the in-memory
-// k-way merge (internal/sortalg) and replacement-selection run formation
-// (internal/runform): Knuth's tree of losers (TAOCP vol. 3 §5.4.1) over n
+// k-way merge (internal/sortalg), replacement-selection run formation
+// (internal/runform) and the streaming merge of spilled runs
+// (internal/merge): Knuth's tree of losers (TAOCP vol. 3 §5.4.1) over n
 // contestants, with each contestant's 8-byte key prefix held INLINE in the
 // tree so the common match is one 16-byte node load and one uint64 compare.
 //

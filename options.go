@@ -51,22 +51,6 @@ const (
 	PadNever
 )
 
-// Fabric selects how the simulated cluster moves message payloads between
-// its goroutine processors; see WithFabric.
-type Fabric int
-
-const (
-	// FabricZeroCopy (the default) transfers buffer ownership: a sent
-	// buffer is adopted by the receiver outright and recycled into its
-	// pool, so the communicate stages move pointers, not bytes.
-	FabricZeroCopy Fabric = iota
-	// FabricCopying deep-copies every message payload through a fabric
-	// pool at send time — the memcpy an MPI transport performs — for
-	// simulations that should charge wall-clock for the copy. Outputs and
-	// sim counters are identical to FabricZeroCopy.
-	FabricCopying
-)
-
 // RetryPolicy tunes the storage fault-tolerance layers of one Sort call;
 // see WithRetry. The zero value of each field selects its default.
 type RetryPolicy struct {
@@ -104,7 +88,6 @@ type sortOptions struct {
 	progress   func(Progress)
 	maxMemory  int64 // bytes one run may hold; 0 = only the algorithm's bound
 	fanIn      int   // merge fan-in; 0 = defaultMergeFanIn
-	fabric     Fabric
 	retry      *RetryPolicy
 	noWait     bool          // fail with ErrBusy instead of queueing for admission
 	checkpoint string        // manifest directory of a durable job; "" = no checkpointing
@@ -178,16 +161,6 @@ func WithMaxMemory(bytes int64) Option {
 // buffers) competing at once.
 func WithMergeFanIn(k int) Option {
 	return func(o *sortOptions) { o.fanIn = k }
-}
-
-// WithFabric selects the cluster interconnect mode for this sort (default
-// FabricZeroCopy). FabricCopying is the MPI-fidelity simulation: every
-// message payload is physically copied at send time, as it would be on a
-// real distributed-memory machine, at identical operation counts and
-// byte-identical output — useful when the simulated wall clock should
-// include the transport's memory traffic.
-func WithFabric(f Fabric) Option {
-	return func(o *sortOptions) { o.fabric = f }
 }
 
 // WithRetry overrides the sort's storage fault-tolerance policy. Every

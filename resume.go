@@ -150,11 +150,6 @@ func (e *Engine) Resume(ctx context.Context, manifestDir string, src Source, dst
 	})
 }
 
-// Resume delegates to Engine.Resume.
-func (s *Sorter) Resume(ctx context.Context, manifestDir string, src Source, dst Sink, opts ...Option) (*Result, error) {
-	return s.e.Resume(ctx, manifestDir, src, dst, opts...)
-}
-
 // reopenRuns reopens the manifest's live runs as merge inputs: each durable
 // spill file, wrapped with the machine's fault and async layers exactly as a
 // freshly spilled run would be, carrying the record count, direction, frame

@@ -174,7 +174,7 @@ func (r *bytesReader) ReadRecord(rec []byte) error {
 func (r *bytesReader) Close() error { return nil }
 
 // FromStore sorts the records of an existing simulated-disk store (for
-// example one built with Sorter.InputStore and filled by the caller). The
+// example one built with Engine.InputStore and filled by the caller). The
 // store is preserved — the caller keeps ownership and must Close it.
 //
 // When the store's shape already matches the plan and the sort uses the

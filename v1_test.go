@@ -37,16 +37,16 @@ func rawEngineRun(t *testing.T, s *Sorter, alg Algorithm, n int64, g record.Gene
 	if err != nil {
 		t.Fatal(err)
 	}
-	input, err := pl.NewInput(s.e.m, g)
+	input, err := pl.NewInput(s.m, g)
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer input.Close()
-	res, err := core.Run(context.Background(), pl, s.e.m, input, core.Hooks{})
+	res, err := core.Run(context.Background(), pl, s.m, input, core.Hooks{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	return &Result{Result: res, want: record.OfGenerated(g, n, s.e.cfg.RecordSize)}
+	return &Result{Result: res, want: record.OfGenerated(g, n, s.cfg.RecordSize)}
 }
 
 func TestSortMatchesLegacyEngine(t *testing.T) {
@@ -94,12 +94,12 @@ func TestSortHybridMatchesLegacyEngine(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	input, err := pl.NewInput(s1.e.m, gen)
+	input, err := pl.NewInput(s1.m, gen)
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer input.Close()
-	res, err := core.Run(context.Background(), pl, s1.e.m, input, core.Hooks{})
+	res, err := core.Run(context.Background(), pl, s1.m, input, core.Hooks{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -413,11 +413,11 @@ func TestSortSteadyStateAllocs(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		input, err := pl.NewInput(legacy.e.m, gen)
+		input, err := pl.NewInput(legacy.m, gen)
 		if err != nil {
 			t.Fatal(err)
 		}
-		res, err := core.Run(context.Background(), pl, legacy.e.m, input, core.Hooks{})
+		res, err := core.Run(context.Background(), pl, legacy.m, input, core.Hooks{})
 		if err != nil {
 			t.Fatal(err)
 		}
