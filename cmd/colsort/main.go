@@ -429,10 +429,18 @@ func serveJobs(ctx context.Context, engine *colsort.Engine, n int,
 // including the hierarchical runs-plus-merge plan for inputs beyond the
 // single-run bound or a -max-memory-mib cap.
 func planFor(engine *colsort.Engine, alg colsort.Algorithm, group int, inPath string, n int64, z int, maxMem int64) (interface{ String() string }, error) {
-	if alg == colsort.Hybrid {
-		if inPath != "" {
-			return engine.PlanFile(alg, inPath) // rejects hybrid file sorts, as the run would
+	if inPath != "" {
+		// The record count the run would open, under the run's own checks.
+		fn, rd, err := colsort.FromFile(inPath).Open(z)
+		if err != nil {
+			return nil, err
 		}
+		rd.Close()
+		n = fn
+	}
+	if alg == colsort.Hybrid {
+		// The group size fixes the shape, so the run plans the count as it
+		// is — generated or a file's — and never pads.
 		pl, err := engine.PlanHybrid(group, n)
 		if err == nil && maxMem > 0 && pl.N*int64(z) > maxMem {
 			// Match the run's rejection: hybrid cannot take the
@@ -441,20 +449,9 @@ func planFor(engine *colsort.Engine, alg colsort.Algorithm, group int, inPath st
 		}
 		return pl, err
 	}
-	var single interface{ String() string }
-	var err error
-	if inPath != "" {
-		info, serr := os.Stat(inPath)
-		if serr != nil {
-			return nil, serr
-		}
-		n = info.Size() / int64(z)
-		single, err = engine.PlanFile(alg, inPath)
-	} else {
-		// PlanPadded mirrors the PadAuto decision the run makes, so -plan
-		// agrees with the run for non-power-of-two counts too.
-		single, err = engine.PlanPadded(alg, n)
-	}
+	// PlanPadded mirrors the PadAuto decision the run makes, so -plan agrees
+	// with the run for non-power-of-two counts too.
+	single, err := engine.PlanPadded(alg, n)
 	overCap := err == nil && maxMem > 0 // a cap forces runs even when one run would fit
 	if err == nil && !overCap {
 		return single, nil

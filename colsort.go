@@ -124,12 +124,12 @@ const (
 // Config describes the simulated cluster and the memory budget. It is
 // construction-time only: a Config is consumed by New / NewEngine to build
 // the machine, and nothing mutates it afterwards. Per-job knobs have
-// functional-option counterparts (WithAsync, WithDiskModel, WithChaos,
-// WithRetry); when a job passes one, the option overrides the
-// corresponding Config field for that job alone — the engine's Config and
-// every other job are untouched. Knobs with no option (Procs, Disks,
-// MemPerProc, RecordSize, Dir, StripeBytes) define the machine itself and
-// can only be chosen at construction.
+// functional-option counterparts (WithAsync, WithChaos, WithRetry); when a
+// job passes one, the option overrides the corresponding Config field for
+// that job alone — the engine's Config and every other job are untouched.
+// Knobs with no option (Procs, Disks, MemPerProc, RecordSize, Dir,
+// StripeBytes) define the machine itself and can only be chosen at
+// construction.
 type Config struct {
 	// Procs is P, the number of processors (a power of 2).
 	Procs int
@@ -167,7 +167,6 @@ type Config struct {
 	// the rate of ONE disk, in MiB/s: a store sees Disks of them, and so
 	// does the hierarchical path — every spilled run is striped over all
 	// Disks disks, which all the runs of a job share (DESIGN.md §14).
-	// Overridable per job with WithDiskModel.
 	DiskSeekMicros int
 	DiskMBps       int
 	// Chaos, when non-nil, injects seeded storage faults under every disk
@@ -180,33 +179,8 @@ type Config struct {
 }
 
 // ChaosConfig configures the seeded storage-fault injection harness; see
-// Config.Chaos. The same Seed over the same workload reproduces the same
-// fault pattern (the chaos soak prints the seed of a failing run so it can
-// be replayed via COLSORT_CHAOS_SEED).
-type ChaosConfig struct {
-	// Seed drives every probabilistic draw.
-	Seed uint64
-	// PTransient is the per-operation probability of a transient fault on
-	// reads and writes — healed by the retry policy (see WithRetry).
-	PTransient float64
-	// PBitFlip is the per-read probability of silently flipping one bit
-	// of the returned data; only integrity checks can notice.
-	PBitFlip float64
-	// PTorn is the per-write probability of a silent torn write: only a
-	// prefix of the buffer persists and no error is reported.
-	PTorn float64
-	// Scripted faults, keyed by 1-based spill-disk ordinal (0 disables):
-	// TornSpillWrite tears that spill disk's first write (caught by the
-	// post-spill scrub, driving a batch redo); FlipSpillRead flips one bit
-	// of that spill disk's first read (caught by the merge's CRC check and
-	// healed by a reread); DeadSpillDisk permanently fails that spill disk
-	// once DeadSpillAfter bytes have been written to it (driving a batch
-	// redo onto a fresh disk).
-	TornSpillWrite int
-	FlipSpillRead  int
-	DeadSpillDisk  int
-	DeadSpillAfter int64
-}
+// Config.Chaos.
+type ChaosConfig = pdm.ChaosConfig
 
 // Sorter is the engine under the name single-job callers have always used:
 // New builds one with no admission budget.
@@ -475,7 +449,7 @@ func (e *Engine) InputStore(alg Algorithm, n int64) (*pdm.Store, error) {
 	if err != nil {
 		return nil, err
 	}
-	return e.m.NewStore(pl.R, pl.S, pl.Z, pl.Layout)
+	return pl.NewStore(e.m)
 }
 
 // Bound returns the paper's real-valued problem-size bound, in records, for

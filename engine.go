@@ -141,7 +141,7 @@ func NewEngine(cfg EngineConfig) (*Engine, error) {
 			BytesPerSec: int64(c.DiskMBps) << 20,
 		}
 	}
-	m.Chaos = chaosToPDM(c.Chaos)
+	m.Chaos = c.Chaos
 	probe, err := m.NewArrays()
 	if err != nil {
 		return nil, err
@@ -152,24 +152,6 @@ func NewEngine(cfg EngineConfig) (*Engine, error) {
 	e := &Engine{cfg: c, total: cfg.TotalMemory, m: m}
 	e.drained = sync.NewCond(&e.mu)
 	return e, nil
-}
-
-// chaosToPDM converts the public chaos configuration to the pdm layer's;
-// nil stays nil (chaos disabled).
-func chaosToPDM(c *ChaosConfig) *pdm.ChaosConfig {
-	if c == nil {
-		return nil
-	}
-	return &pdm.ChaosConfig{
-		Seed:           c.Seed,
-		PTransient:     c.PTransient,
-		PBitFlip:       c.PBitFlip,
-		PTorn:          c.PTorn,
-		TornSpillWrite: c.TornSpillWrite,
-		FlipSpillRead:  c.FlipSpillRead,
-		DeadSpillDisk:  c.DeadSpillDisk,
-		DeadSpillAfter: c.DeadSpillAfter,
-	}
 }
 
 // Close marks the engine closed, fails every queued job with
@@ -304,7 +286,7 @@ type job struct {
 
 // newJob builds the per-job machine: a value copy of the engine's machine
 // — sharing the concurrency-safe buffer pools and the backend — with any
-// per-job Config overrides (WithAsync, WithDiskModel, WithChaos), a retry
+// per-job Config overrides (WithAsync, WithChaos), a retry
 // layer wired to the job's context and fault counters, and scratch
 // namespaced by the job id so concurrent jobs can never collide in a shared
 // scratch directory.
@@ -320,15 +302,8 @@ func (e *Engine) newJob(ctx context.Context, o sortOptions) *job {
 			m.Async = nil
 		}
 	}
-	if o.delaySet {
-		if o.delaySeek > 0 || o.delayMBps > 0 {
-			m.Delay = &pdm.DelayConfig{Seek: o.delaySeek, BytesPerSec: int64(o.delayMBps) << 20}
-		} else {
-			m.Delay = nil
-		}
-	}
 	if o.chaosSet {
-		m.Chaos = chaosToPDM(o.chaos)
+		m.Chaos = o.chaos
 	}
 	if m.Delay != nil {
 		// The job's D modeled disks, as its spilled runs see them: every run

@@ -1,8 +1,16 @@
 // Package core implements the paper's out-of-core sorting algorithms on the
 // simulated cluster: 4-pass columnsort [CCW01], 3-pass threaded columnsort
 // [CC02], subblock columnsort (Section 3), M-columnsort (Section 4), the
-// 3- and 4-pass baseline I/O programs used in Figure 2, and the Section-6
-// future-work combination of subblock and M-columnsort.
+// 3- and 4-pass baseline I/O programs used in Figure 2, and Section 6's two
+// future-work items: the combination of subblock and M-columnsort, and
+// column heights between M/P and M (hybrid group columnsort).
+//
+// Two families of pass programs realize them. A column owned by ONE
+// processor (threaded, 4-pass, subblock) is sorted locally by the programs
+// of scatter.go and mergepass.go. A column SHARED by a group of g processors
+// is sorted by the distributed in-core columnsort, by the one group program
+// of group.go: M-columnsort and Combined are that program at g = P, Hybrid
+// at 2 ≤ g ≤ P/2.
 //
 // # Arrival-order intermediate layout
 //
@@ -56,7 +64,8 @@ const (
 	Subblock
 	// MColumn is M-columnsort: the 3-pass program with the column height
 	// reinterpreted as r = M, each column sorted by a distributed in-core
-	// sort (restriction (3)).
+	// sort (restriction (3)) — group columnsort with all P processors in
+	// one group.
 	MColumn
 	// Combined is the Section-6 future-work algorithm: the subblock pass
 	// structure with r = M, giving N ≤ M^{5/3}/4^{2/3}.
@@ -66,9 +75,9 @@ const (
 	BaselineIO3
 	BaselineIO4
 	// Hybrid is group columnsort (Section-6 future work): column height
-	// r = g·(M/P) for a group size 2 ≤ g ≤ P/2, interpolating between
-	// threaded columnsort (g = 1) and M-columnsort (g = P). Plans are
-	// built with NewHybridPlan.
+	// r = g·(M/P) for a group size 2 ≤ g ≤ P/2, between threaded columnsort
+	// (g = 1, its own programs) and M-columnsort (g = P, the same program).
+	// Plans are built with NewHybridPlan.
 	Hybrid
 )
 
@@ -123,19 +132,49 @@ type Plan struct {
 	// columnsort uses R = MemPerProc·Group.
 	MemPerProc int
 
-	// Group is the hybrid group size g (set only for Alg == Hybrid).
+	// Group is the number of processors sharing a column: 1 for the
+	// column-owned algorithms, P for M-columnsort and Combined, the hybrid's
+	// g in between. It fixes the layout of every store the algorithm touches.
 	Group int
 
-	// Layout of every store the algorithm touches.
+	// Layout is the name of that layout.
 	Layout pdm.Layout
 }
 
 // NewPlan validates a configuration, applying each algorithm's height
 // restriction and divisibility requirements (Section 2 assumes all
 // parameters are powers of 2, and subblock columnsort needs s to be a
-// power of 4).
+// power of 4). The algorithm fixes the group size: 1 for the column-owned
+// programs, P for M-columnsort and Combined.
 func NewPlan(alg Algorithm, n int64, p, d, memPerProc, recSize int) (Plan, error) {
-	pl := Plan{Alg: alg, N: n, P: p, D: d, MemPerProc: memPerProc, Z: recSize}
+	switch alg {
+	case Threaded4, Threaded, Subblock, BaselineIO3, BaselineIO4:
+		return newPlan(alg, n, p, d, memPerProc, recSize, 1, pdm.ColumnOwned)
+	case MColumn, Combined:
+		if p < 2 {
+			return Plan{}, fmt.Errorf("core: %v needs P ≥ 2 (with P = 1 it degenerates to threaded columnsort)", alg)
+		}
+		return newPlan(alg, n, p, d, memPerProc, recSize, p, pdm.RowBlocked)
+	case Hybrid:
+		return Plan{}, fmt.Errorf("core: hybrid plans need NewHybridPlan (a group size is required)")
+	}
+	return Plan{}, fmt.Errorf("core: unknown algorithm %v", alg)
+}
+
+// NewHybridPlan validates hybrid group columnsort with group size g. The
+// planner accepts 2 ≤ g ≤ P/2: the ends of the range have names of their own.
+func NewHybridPlan(n int64, p, d, memPerProc, recSize, g int) (Plan, error) {
+	if !bitperm.IsPow2(g) || g < 2 || g > p/2 {
+		return Plan{}, fmt.Errorf("core: hybrid group size g=%d must be a power of 2 with 2 ≤ g ≤ P/2=%d (use threaded for g=1, m-columnsort for g=P)", g, p/2)
+	}
+	return newPlan(Hybrid, n, p, d, memPerProc, recSize, g, pdm.GroupBlocked)
+}
+
+// newPlan is the one validation of every plan: the P processors form P/g
+// groups of g, a column holds r = g·(M/P) records, and layout is the name
+// that group size goes by.
+func newPlan(alg Algorithm, n int64, p, d, memPerProc, recSize, g int, layout pdm.Layout) (Plan, error) {
+	pl := Plan{Alg: alg, N: n, P: p, D: d, MemPerProc: memPerProc, Z: recSize, Group: g, Layout: layout}
 	if err := record.CheckSize(recSize); err != nil {
 		return pl, err
 	}
@@ -152,25 +191,8 @@ func NewPlan(alg Algorithm, n int64, p, d, memPerProc, recSize int) (Plan, error
 		return pl, fmt.Errorf("core: N=%d must be a positive power of 2", n)
 	}
 
-	switch alg {
-	case Threaded4, Threaded, Subblock, BaselineIO3, BaselineIO4:
-		pl.R = memPerProc
-		pl.Layout = pdm.ColumnOwned
-	case MColumn, Combined:
-		pl.R = memPerProc * p
-		pl.Layout = pdm.RowBlocked
-	case Hybrid:
-		return pl, fmt.Errorf("core: hybrid plans need NewHybridPlan (a group size is required)")
-	default:
-		return pl, fmt.Errorf("core: unknown algorithm %v", alg)
-	}
-
+	pl.R = g * memPerProc
 	if int64(pl.R) > n {
-		// Degenerate single-column problems are legal only if exactly one
-		// column results.
-		if alg == MColumn || alg == Combined {
-			return pl, fmt.Errorf("core: N=%d smaller than one column r=%d", n, pl.R)
-		}
 		return pl, fmt.Errorf("core: N=%d smaller than one column r=%d; shrink the buffer", n, pl.R)
 	}
 	s64 := n / int64(pl.R)
@@ -184,7 +206,7 @@ func NewPlan(alg Algorithm, n int64, p, d, memPerProc, recSize int) (Plan, error
 	}
 
 	switch alg {
-	case Threaded4, Threaded, MColumn:
+	case Threaded4, Threaded, MColumn, Hybrid:
 		if !bounds.HeightOK(bounds.Threaded, int64(pl.R), int64(pl.S)) {
 			return pl, fmt.Errorf("core: %v %w: r=%d < 2s²=%d (%w)",
 				alg, ErrHeightRestriction, pl.R, 2*pl.S*pl.S, ErrTooLarge)
@@ -202,50 +224,37 @@ func NewPlan(alg Algorithm, n int64, p, d, memPerProc, recSize int) (Plan, error
 		// No height restriction: baselines just stream the data.
 	}
 
-	switch pl.Layout {
-	case pdm.ColumnOwned:
-		if pl.S%p != 0 {
-			return pl, fmt.Errorf("core: P=%d must divide s=%d for the column-owned layout", p, pl.S)
+	if ng := p / g; pl.S%ng != 0 {
+		return pl, fmt.Errorf("core: the %d processor groups must evenly share the columns (%d must divide s=%d)", ng, ng, pl.S)
+	}
+	if g > 1 {
+		// A shared column: each of its g holders writes an equal block of
+		// every target column, takes part in the boundary half-swaps, and
+		// sorts by the distributed in-core columnsort — itself a columnsort
+		// on an (M/P)×g matrix.
+		if memPerProc%pl.S != 0 {
+			return pl, fmt.Errorf("core: s=%d must divide M/P=%d for balanced block writes", pl.S, memPerProc)
 		}
-	case pdm.RowBlocked:
-		if p < 2 {
-			return pl, fmt.Errorf("core: %v needs P ≥ 2 (with P = 1 it degenerates to threaded columnsort)", alg)
+		if memPerProc%2 != 0 {
+			return pl, fmt.Errorf("core: M/P=%d must be even for boundary merges", memPerProc)
 		}
-		rb := pl.R / p
-		if rb%pl.S != 0 {
-			return pl, fmt.Errorf("core: s=%d must divide r/P=%d for the row-blocked layout", pl.S, rb)
-		}
-		if rb%2 != 0 {
-			return pl, fmt.Errorf("core: r/P=%d must be even for boundary merges", rb)
-		}
-		// The distributed in-core sort is itself a columnsort on an
-		// (M/P)×P matrix.
-		if pl.S > 1 && !bounds.InCoreOK(int64(memPerProc), int64(p)) {
-			return pl, fmt.Errorf("core: in-core %w: M/P=%d < 2P²=%d", ErrHeightRestriction, memPerProc, 2*p*p)
+		if pl.S > 1 && !bounds.InCoreOK(int64(memPerProc), int64(g)) {
+			return pl, fmt.Errorf("core: in-core %w: M/P=%d < 2g²=%d (g=%d)", ErrHeightRestriction, memPerProc, 2*g*g, g)
 		}
 	}
 	return pl, nil
 }
 
-// Rounds returns the number of pipeline rounds per pass: s/P rounds of P
-// columns for the column-owned algorithms, s single-column rounds for the
-// row-blocked ones, and s/(P/g) group rounds for the hybrid.
+// Rounds returns the number of pipeline rounds per pass: one column per
+// group per round — s/P rounds for the column-owned algorithms, s for
+// M-columnsort and Combined, s/(P/g) for the hybrid.
 func (pl Plan) Rounds() int {
-	switch pl.Layout {
-	case pdm.ColumnOwned:
-		return pl.S / pl.P
-	case pdm.GroupBlocked:
-		return pl.S / (pl.P / pl.Group)
-	}
-	return pl.S
+	return pl.S / (pl.P / pl.Group)
 }
 
 // NewStore allocates an empty store shaped for the plan.
 func (pl Plan) NewStore(m pdm.Machine) (*pdm.Store, error) {
-	if pl.Layout == pdm.GroupBlocked {
-		return m.NewGroupStore(pl.R, pl.S, pl.Z, pl.Group)
-	}
-	return m.NewStore(pl.R, pl.S, pl.Z, pl.Layout)
+	return m.NewGroupStore(pl.R, pl.S, pl.Z, pl.Group)
 }
 
 // NewInput allocates and fills the input store for the plan on the given

@@ -7,7 +7,6 @@ import (
 
 	"colsort/internal/bitperm"
 	"colsort/internal/cluster"
-	"colsort/internal/incore"
 	"colsort/internal/matrix"
 	"colsort/internal/pdm"
 	"colsort/internal/pipeline"
@@ -103,11 +102,11 @@ type passFunc func(pr *cluster.Proc, in, out *pdm.Store, tagBase int, pool *reco
 
 // passTagWindow returns the width of the tag space one pass may use, so
 // that consecutive passes sharing one cluster fabric can never collide.
-// The widest users are the m-column and hybrid passes: (s+2) windows of
-// 4·incore.TagSpan plus 8·s cross-round boundary tags; the column-owned
+// The widest user is the group boundary pass: at most s+1 round windows of
+// groupTagStride plus 4·s cross-round boundary tags; the column-owned
 // passes use at most 2s+2 tags.
 func passTagWindow(pl Plan) int {
-	return (pl.S+3)*4*incore.TagSpan + 8*pl.S + 16
+	return (pl.S+3)*groupTagStride + 8*pl.S + 16
 }
 
 // Run executes the planned algorithm on the machine, consuming columns of
@@ -157,8 +156,7 @@ func fabricOf(m pdm.Machine) cluster.Fabric {
 // checkRunInput validates the input store and machine against the plan.
 func checkRunInput(pl Plan, m pdm.Machine, input *pdm.Store) error {
 	if input.R != pl.R || input.S != pl.S || input.RecSize != pl.Z ||
-		input.P != pl.P || input.Layout != pl.Layout ||
-		(pl.Layout == pdm.GroupBlocked && input.G != pl.Group) {
+		input.P != pl.P || input.G != pl.Group {
 		return fmt.Errorf("core: input store %d×%d z=%d P=%d %v does not match plan %s",
 			input.R, input.S, input.RecSize, input.P, input.Layout, pl)
 	}
@@ -265,12 +263,16 @@ func runPasses(ctx context.Context, pr *cluster.Proc, pl Plan, m pdm.Machine, pa
 
 // passList builds the pass sequence realizing the planned algorithm.
 func passList(pl Plan) ([]passFunc, error) {
+	switch pl.Alg {
+	case MColumn, Combined, Hybrid:
+		return groupPasses(pl), nil
+	}
 	r, s := pl.R, pl.S
 
 	// Degenerate single-column problems: each "pass" reduces to read,
 	// sort, write; run the same number of passes so baselines and I/O
 	// accounting stay comparable.
-	if s == 1 && pl.Layout == pdm.ColumnOwned && pl.Alg != BaselineIO3 && pl.Alg != BaselineIO4 {
+	if s == 1 && pl.Alg != BaselineIO3 && pl.Alg != BaselineIO4 {
 		n := pl.Alg.Passes()
 		passes := make([]passFunc, n)
 		for k := range passes {
@@ -341,63 +343,6 @@ func passList(pl Plan) ([]passFunc, error) {
 			merge(r / s),
 		}, nil
 
-	case MColumn:
-		mScatter := func(spec mcolSpec) passFunc {
-			return func(pr *cluster.Proc, in, out *pdm.Store, tagBase int, pool *record.Pool, cnt *sim.Counters, onRound func()) error {
-				return runMColScatterPass(pr, pl, spec, in, out, tagBase, pool, cnt, onRound)
-			}
-		}
-		return []passFunc{
-			mScatter(mcolSpec{name: "m-steps 1-2", chunk: r / s, colInvariant: true,
-				destCol: func(rank int64, j int) int { return int(rank % int64(s)) }}),
-			mScatter(mcolSpec{name: "m-steps 3-4", chunk: r / s, redistribute: true, colInvariant: true,
-				destCol: func(rank int64, j int) int { return int(rank / (int64(r) / int64(s))) }}),
-			func(pr *cluster.Proc, in, out *pdm.Store, tagBase int, pool *record.Pool, cnt *sim.Counters, onRound func()) error {
-				return runMColMergePass(pr, pl, in, out, tagBase, pool, cnt, onRound)
-			},
-		}, nil
-
-	case Combined:
-		sb := bitperm.MustSubblock(r, s)
-		q := sb.SqrtS()
-		mScatter := func(spec mcolSpec) passFunc {
-			return func(pr *cluster.Proc, in, out *pdm.Store, tagBase int, pool *record.Pool, cnt *sim.Counters, onRound func()) error {
-				return runMColScatterPass(pr, pl, spec, in, out, tagBase, pool, cnt, onRound)
-			}
-		}
-		return []passFunc{
-			mScatter(mcolSpec{name: "c-steps 1-2", chunk: r / s, colInvariant: true,
-				destCol: func(rank int64, j int) int { return int(rank % int64(s)) }}),
-			mScatter(mcolSpec{name: "c-subblock (3, 3.1)", chunk: r / q,
-				destCol: func(rank int64, j int) int {
-					return j%q + int(rank%int64(q))*q
-				}}),
-			mScatter(mcolSpec{name: "c-steps 3.2-4", chunk: r / s, redistribute: true, colInvariant: true,
-				destCol: func(rank int64, j int) int { return int(rank / (int64(r) / int64(s))) }}),
-			func(pr *cluster.Proc, in, out *pdm.Store, tagBase int, pool *record.Pool, cnt *sim.Counters, onRound func()) error {
-				return runMColMergePass(pr, pl, in, out, tagBase, pool, cnt, onRound)
-			},
-		}, nil
-
-	case Hybrid:
-		c := int64(r / s)
-		hScatter := func(spec hybridSpec) passFunc {
-			return func(pr *cluster.Proc, in, out *pdm.Store, tagBase int, pool *record.Pool, cnt *sim.Counters, onRound func()) error {
-				return runHybridScatterPass(pr, pl, spec, in, out, tagBase, pool, cnt, onRound)
-			}
-		}
-		return []passFunc{
-			hScatter(hybridSpec{name: "h-steps 1-2",
-				destCol: func(gi int64) int { return int(gi % int64(s)) },
-				occ:     func(gi int64) int64 { return gi / int64(s) }}),
-			hScatter(hybridSpec{name: "h-steps 3-4",
-				destCol: func(gi int64) int { return int(gi / c) },
-				occ:     func(gi int64) int64 { return gi % c }}),
-			func(pr *cluster.Proc, in, out *pdm.Store, tagBase int, pool *record.Pool, cnt *sim.Counters, onRound func()) error {
-				return runHybridMergePass(pr, pl, in, out, tagBase, pool, cnt, onRound)
-			},
-		}, nil
-
 	case BaselineIO3:
 		return []passFunc{baseline, baseline, baseline}, nil
 	case BaselineIO4:
@@ -408,9 +353,11 @@ func passList(pl Plan) ([]passFunc, error) {
 
 // runBaselinePass reads every owned column and writes it back out — the
 // pure-I/O program whose 3- and 4-pass times form the floor lines of
-// Figure 2. It works on both layouts.
+// Figure 2. It works on every layout: a processor touches one column of its
+// group per round.
 func runBaselinePass(pr *cluster.Proc, pl Plan, in, out *pdm.Store, pool *record.Pool, cnt *sim.Counters, onRound func()) error {
 	p := pr.Rank()
+	ng := pl.P / pl.Group
 	var cRead, cWrite sim.Counters
 
 	type round struct {
@@ -420,11 +367,7 @@ func runBaselinePass(pr *cluster.Proc, pl Plan, in, out *pdm.Store, pool *record
 	}
 
 	read := func(rd round) (round, error) {
-		next := rd.col + 1
-		if pl.Layout == pdm.ColumnOwned {
-			next = rd.col + pl.P
-		}
-		if next < pl.S {
+		if next := rd.col + ng; next < pl.S {
 			nlo, nhi := in.OwnedRows(p, next)
 			in.PrefetchRows(p, next, nlo, nhi-nlo)
 		}
@@ -448,16 +391,8 @@ func runBaselinePass(pr *cluster.Proc, pl Plan, in, out *pdm.Store, pool *record
 		return nil
 	}
 	src := func(emit func(round) error) error {
-		if pl.Layout == pdm.ColumnOwned {
-			for t := 0; t < pl.S/pl.P; t++ {
-				if err := emit(round{col: t*pl.P + p}); err != nil {
-					return err
-				}
-			}
-			return nil
-		}
-		for j := 0; j < pl.S; j++ {
-			if err := emit(round{col: j}); err != nil {
+		for t := 0; t < pl.Rounds(); t++ {
+			if err := emit(round{col: t*ng + p/pl.Group}); err != nil {
 				return err
 			}
 		}

@@ -281,7 +281,7 @@ func redistributionTraffic(pl core.Plan) (netMsgs, netBytes, localMsgs, localByt
 	return netMsgs, netBytes, localMsgs, localBytes
 }
 
-// mcolScatterTotals mirrors runMColScatterPass: s rounds, each with one
+// mcolScatterTotals mirrors runGroupScatterPass at g = P: s rounds, each with one
 // distributed in-core sort, optional redistribution, grouping, and writes.
 func mcolScatterTotals(pl core.Plan, redistribute bool) sim.Counters {
 	s64 := int64(pl.S)
@@ -306,7 +306,7 @@ func mcolScatterTotals(pl core.Plan, redistribute bool) sim.Counters {
 	return c
 }
 
-// mcolMergeTotals mirrors runMColMergePass: per round one in-core sort of
+// mcolMergeTotals mirrors runGroupMergePass at g = P: per round one in-core sort of
 // the column; for rounds j ≥ 1 additionally a half-swap, an in-core sort of
 // the overlap, and a half-rotation.
 func mcolMergeTotals(pl core.Plan) sim.Counters {

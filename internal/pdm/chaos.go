@@ -40,7 +40,9 @@ type ChaosDisk struct {
 }
 
 // ChaosConfig configures one machine's fault injection. The zero value
-// injects nothing.
+// injects nothing. The same Seed over the same workload reproduces the same
+// fault pattern (the chaos soak prints the seed of a failing run so it can
+// be replayed via COLSORT_CHAOS_SEED).
 type ChaosConfig struct {
 	// Seed drives every probabilistic draw; the same seed over the same
 	// per-disk operation sequence reproduces the same fault pattern.
@@ -60,7 +62,8 @@ type ChaosConfig struct {
 	// deterministic triggers for the recovery paths that probabilities
 	// alone cannot target precisely.
 	//
-	// TornSpillWrite tears the first write of that spill disk.
+	// TornSpillWrite tears the first write of that spill disk (caught by the
+	// post-spill scrub, driving a batch redo).
 	TornSpillWrite int
 	// FlipSpillRead silently flips one bit of the first read of that spill
 	// disk — the deterministic trigger for a CRC detection healed by an
@@ -68,7 +71,8 @@ type ChaosConfig struct {
 	// intact, so the reread returns clean data).
 	FlipSpillRead int
 	// DeadSpillDisk permanently fails that spill disk once its write
-	// traffic reaches DeadSpillAfter bytes.
+	// traffic reaches DeadSpillAfter bytes (driving a batch redo onto a
+	// fresh disk).
 	DeadSpillDisk  int
 	DeadSpillAfter int64
 }

@@ -50,43 +50,53 @@ func TestGroupBlockedLayout(t *testing.T) {
 	}
 }
 
+// TestGroupBlockedDegenerateEquivalence pins the one ownership formula, at
+// the two ends of G, to the closed forms the column-owned and row-blocked
+// layouts were written as: owner, owned rows and byte offset of every cell.
 func TestGroupBlockedDegenerateEquivalence(t *testing.T) {
-	// G = 1 must agree with ColumnOwned ownership; G = P with RowBlocked.
-	m := Machine{P: 4, D: 4}
-	co, err := m.NewStore(32, 8, 16, ColumnOwned)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer co.Close()
-	g1, err := m.NewGroupStore(32, 8, 16, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer g1.Close()
-	rb, err := m.NewStore(32, 8, 16, RowBlocked)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer rb.Close()
-	gp, err := m.NewGroupStore(32, 8, 16, 4)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer gp.Close()
-	for j := 0; j < 8; j++ {
-		for i := 0; i < 32; i++ {
-			if co.Owner(i, j) != g1.Owner(i, j) {
-				t.Fatalf("G=1 owner mismatch at (%d,%d)", i, j)
-			}
-			if rb.Owner(i, j) != gp.Owner(i, j) {
-				t.Fatalf("G=P owner mismatch at (%d,%d)", i, j)
-			}
+	const z = 16
+	for _, c := range []struct{ r, s, p int }{
+		{32, 8, 4}, {32, 4, 4}, {64, 6, 2}, {16, 3, 1}, {128, 16, 8}, {48, 8, 8},
+	} {
+		m := Machine{P: c.p, D: c.p}
+		co, err := m.NewStore(c.r, c.s, z, ColumnOwned)
+		if err != nil {
+			t.Fatal(err)
 		}
-		for p := 0; p < 4; p++ {
-			al, ah := co.OwnedRows(p, j)
-			bl, bh := g1.OwnedRows(p, j)
-			if al != bl || ah != bh {
-				t.Fatalf("G=1 rows mismatch p=%d j=%d", p, j)
+		defer co.Close()
+		rb, err := m.NewStore(c.r, c.s, z, RowBlocked)
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer rb.Close()
+		if co.G != 1 || rb.G != c.p {
+			t.Fatalf("%+v: column-owned G=%d, row-blocked G=%d", c, co.G, rb.G)
+		}
+		blk := c.r / c.p
+		for j := 0; j < c.s; j++ {
+			for p := 0; p < c.p; p++ {
+				wantHi := 0
+				if j%c.p == p {
+					wantHi = c.r
+				}
+				if lo, hi := co.OwnedRows(p, j); lo != 0 || hi != wantHi {
+					t.Fatalf("%+v: G=1 proc %d owns [%d,%d) of column %d, want [0,%d)", c, p, lo, hi, j, wantHi)
+				}
+				if lo, hi := rb.OwnedRows(p, j); lo != p*blk || hi != (p+1)*blk {
+					t.Fatalf("%+v: G=P proc %d owns [%d,%d) of column %d", c, p, lo, hi, j)
+				}
+			}
+			for i := 0; i < c.r; i++ {
+				if p := co.Owner(i, j); p != j%c.p {
+					t.Fatalf("%+v: G=1 owner of (%d,%d) = %d", c, i, j, p)
+				} else if got, want := co.offset(p, i, j), int64(j/c.p*c.r+i)*z; got != want {
+					t.Fatalf("%+v: G=1 offset of (%d,%d) = %d, want %d", c, i, j, got, want)
+				}
+				if p := rb.Owner(i, j); p != i/blk {
+					t.Fatalf("%+v: G=P owner of (%d,%d) = %d", c, i, j, p)
+				} else if got, want := rb.offset(p, i, j), int64(j*blk+i-p*blk)*z; got != want {
+					t.Fatalf("%+v: G=P offset of (%d,%d) = %d, want %d", c, i, j, got, want)
+				}
 			}
 		}
 	}

@@ -9,26 +9,26 @@ import (
 	"colsort/internal/sim"
 )
 
-// Layout selects how the rows of each column of an r×s matrix are assigned
-// to processors.
+// Layout names how the rows of each column of an r×s matrix are assigned to
+// processors. There is ONE assignment, keyed by the group size G: the P
+// processors form P/G groups of G, column j is owned by group j mod (P/G),
+// and member m of that group holds rows [m·r/G, (m+1)·r/G). The three names
+// are what plans and benchmarks print and pass for its three ranges of G.
 type Layout int
 
 const (
-	// ColumnOwned is the paper's layout for threaded and subblock
+	// ColumnOwned is G = 1, the paper's layout for threaded and subblock
 	// columnsort: processor j mod P owns all of column j, stored
 	// contiguously (striped across its own disks). With columns assigned
 	// round-robin this is also the PDM striped ordering at column
 	// granularity, so the final output satisfies footnote 6.
 	ColumnOwned Layout = iota
-	// RowBlocked is M-columnsort's layout: every processor owns an equal
-	// contiguous block of rows of every column (processor p holds rows
-	// [p·r/P, (p+1)·r/P)), since a column of r = M records is shared by
-	// the whole cluster.
+	// RowBlocked is G = P, M-columnsort's layout: every processor owns an
+	// equal contiguous block of rows of every column (processor p holds rows
+	// [p·r/P, (p+1)·r/P)), since a column of r = M records is shared by the
+	// whole cluster.
 	RowBlocked
-	// GroupBlocked generalizes both for hybrid group columnsort: the P
-	// processors form P/G groups of G; column j is owned by group
-	// j mod (P/G), whose member m holds rows [m·r/G, (m+1)·r/G).
-	// G = 1 coincides with ColumnOwned and G = P with RowBlocked.
+	// GroupBlocked is every G in between, hybrid group columnsort's layout.
 	GroupBlocked
 )
 
@@ -49,40 +49,16 @@ type Store struct {
 	R, S    int
 	RecSize int
 	P       int
-	Layout  Layout
-	G       int          // group size; meaningful for GroupBlocked only
+	G       int          // processors sharing a column
+	Layout  Layout       // the name G goes by
 	Arrays  []*DiskArray // one per processor
 
 	closeOnce sync.Once
 	closeErr  error
 }
 
-// NewStore validates the shape against the layout and wraps the arrays.
-func NewStore(r, s, recSize, p int, layout Layout, arrays []*DiskArray) (*Store, error) {
-	if err := record.CheckSize(recSize); err != nil {
-		return nil, err
-	}
-	if len(arrays) != p {
-		return nil, fmt.Errorf("pdm: %d arrays for %d processors", len(arrays), p)
-	}
-	switch layout {
-	case ColumnOwned:
-		if s%p != 0 {
-			return nil, fmt.Errorf("pdm: P=%d must divide s=%d for column-owned layout", p, s)
-		}
-	case RowBlocked:
-		if r%p != 0 {
-			return nil, fmt.Errorf("pdm: P=%d must divide r=%d for row-blocked layout", p, r)
-		}
-	case GroupBlocked:
-		return nil, fmt.Errorf("pdm: group-blocked stores need NewGroupStore")
-	default:
-		return nil, fmt.Errorf("pdm: unknown layout %v", layout)
-	}
-	return &Store{R: r, S: s, RecSize: recSize, P: p, Layout: layout, Arrays: arrays}, nil
-}
-
-// NewGroupStore builds a GroupBlocked store for group size g.
+// NewGroupStore validates the shape against the group size g and wraps the
+// arrays.
 func NewGroupStore(r, s, recSize, p, g int, arrays []*DiskArray) (*Store, error) {
 	if err := record.CheckSize(recSize); err != nil {
 		return nil, err
@@ -99,60 +75,43 @@ func NewGroupStore(r, s, recSize, p, g int, arrays []*DiskArray) (*Store, error)
 	if s%(p/g) != 0 {
 		return nil, fmt.Errorf("pdm: the %d groups must evenly share s=%d columns", p/g, s)
 	}
-	return &Store{R: r, S: s, RecSize: recSize, P: p, Layout: GroupBlocked, G: g, Arrays: arrays}, nil
+	layout := GroupBlocked
+	switch g {
+	case 1:
+		layout = ColumnOwned
+	case p:
+		layout = RowBlocked
+	}
+	return &Store{R: r, S: s, RecSize: recSize, P: p, G: g, Layout: layout, Arrays: arrays}, nil
 }
 
 // Owner returns the processor owning row i of column j.
 func (st *Store) Owner(i, j int) int {
-	switch st.Layout {
-	case ColumnOwned:
-		return j % st.P
-	case GroupBlocked:
-		ng := st.P / st.G
-		return (j%ng)*st.G + i/(st.R/st.G)
-	}
-	return i / (st.R / st.P)
+	ng := st.P / st.G
+	return (j%ng)*st.G + i/(st.R/st.G)
 }
 
 // OwnedRows returns the half-open row range of column j stored on
 // processor p; empty when p owns none of the column.
 func (st *Store) OwnedRows(p, j int) (lo, hi int) {
-	switch st.Layout {
-	case ColumnOwned:
-		if j%st.P != p {
-			return 0, 0
-		}
-		return 0, st.R
-	case GroupBlocked:
-		ng := st.P / st.G
-		if j%ng != p/st.G {
-			return 0, 0
-		}
-		m := p % st.G
-		rb := st.R / st.G
-		return m * rb, (m + 1) * rb
+	ng := st.P / st.G
+	if j%ng != p/st.G {
+		return 0, 0
 	}
-	rb := st.R / st.P
-	return p * rb, (p + 1) * rb
+	m := p % st.G
+	rb := st.R / st.G
+	return m * rb, (m + 1) * rb
 }
 
 // offset computes the logical byte offset, within processor p's array, of
 // (row, col) — which must be owned by p (checked by callers via OwnedRows).
+// A processor stores its blocks of its group's columns back to back.
 func (st *Store) offset(p, row, col int) int64 {
-	z := int64(st.RecSize)
-	switch st.Layout {
-	case ColumnOwned:
-		slot := int64(col / st.P)
-		return (slot*int64(st.R) + int64(row)) * z
-	case GroupBlocked:
-		ng := st.P / st.G
-		slot := int64(col / ng)
-		rb := int64(st.R / st.G)
-		m := int64(p % st.G)
-		return (slot*rb + int64(row) - m*rb) * z
-	}
-	rb := int64(st.R / st.P)
-	return (int64(col)*rb + int64(row) - int64(p)*rb) * z
+	ng := st.P / st.G
+	slot := int64(col / ng)
+	rb := int64(st.R / st.G)
+	m := int64(p % st.G)
+	return (slot*rb + int64(row) - m*rb) * int64(st.RecSize)
 }
 
 // ReadRows reads rows [rowLo, rowLo+dst.Len()) of column j from processor
@@ -438,16 +397,21 @@ func (m Machine) wrapFaultLayers(d Disk, idx, lane int, spill bool) Disk {
 	return d
 }
 
-// NewStore allocates a fresh store for an r×s matrix on new arrays.
+// NewStore allocates a fresh store for an r×s matrix under a layout name:
+// ColumnOwned is G = 1 and RowBlocked is G = P.
 func (m Machine) NewStore(r, s, recSize int, layout Layout) (*Store, error) {
-	arrays, err := m.NewArrays()
-	if err != nil {
-		return nil, err
+	switch layout {
+	case ColumnOwned:
+		return m.NewGroupStore(r, s, recSize, 1)
+	case RowBlocked:
+		return m.NewGroupStore(r, s, recSize, m.P)
+	case GroupBlocked:
+		return nil, fmt.Errorf("pdm: group-blocked stores need NewGroupStore")
 	}
-	return NewStore(r, s, recSize, m.P, layout, arrays)
+	return nil, fmt.Errorf("pdm: unknown layout %v", layout)
 }
 
-// NewGroupStore allocates a fresh GroupBlocked store on new arrays.
+// NewGroupStore allocates a fresh store for group size g on new arrays.
 func (m Machine) NewGroupStore(r, s, recSize, g int) (*Store, error) {
 	arrays, err := m.NewArrays()
 	if err != nil {

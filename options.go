@@ -77,7 +77,7 @@ type RetryPolicy struct {
 }
 
 // sortOptions collects the functional options of one Sort call. The
-// machine-override fields (async, delay, chaos) are tri-state: a set flag
+// machine-override fields (async, chaos) are tri-state: a set flag
 // records that the option was passed at all, so a job can explicitly turn
 // a Config-enabled feature OFF, not just on.
 type sortOptions struct {
@@ -93,23 +93,20 @@ type sortOptions struct {
 	checkpoint string        // manifest directory of a durable job; "" = no checkpointing
 	deadline   time.Duration // per-job wall-clock budget; 0 = none
 
-	asyncSet  bool
-	async     bool
-	delaySet  bool
-	delaySeek time.Duration
-	delayMBps int
-	chaosSet  bool
-	chaos     *ChaosConfig
+	asyncSet bool
+	async    bool
+	chaosSet bool
+	chaos    *ChaosConfig
 }
 
 // Option customizes one Sort call; see the With* constructors.
 //
 // Precedence rule: Config fields describe the engine at construction time;
 // an Option that names the same knob (WithAsync over Config.Async,
-// WithDiskModel over DiskSeekMicros/DiskMBps, WithChaos over Config.Chaos,
-// WithRetry over the default retry policy) overrides the Config for THAT
-// JOB ONLY — the engine's configuration and every concurrent job keep the
-// Config's behavior. Options never mutate the engine.
+// WithChaos over Config.Chaos, WithRetry over the default retry policy)
+// overrides the Config for THAT JOB ONLY — the engine's configuration and
+// every concurrent job keep the Config's behavior. Options never mutate the
+// engine.
 type Option func(*sortOptions)
 
 // WithAlgorithm selects the out-of-core sorting program (default Threaded).
@@ -190,16 +187,6 @@ func WithNoWait() Option {
 // counts are identical either way.
 func WithAsync(on bool) Option {
 	return func(o *sortOptions) { o.asyncSet, o.async = true, on }
-}
-
-// WithDiskModel imposes a per-operation disk service time on this job's
-// disks (seek per discontiguous access plus bytes/bandwidth), overriding
-// Config.DiskSeekMicros/DiskMBps. mbps is the rate of one disk, in MiB/s;
-// the job's stores and its spilled runs are striped over Config.Disks of
-// them. A zero seek AND zero mbps removes any engine-configured delay model
-// for this job.
-func WithDiskModel(seek time.Duration, mbps int) Option {
-	return func(o *sortOptions) { o.delaySet, o.delaySeek, o.delayMBps = true, seek, mbps }
 }
 
 // WithChaos injects seeded storage faults under this job's disks,

@@ -190,8 +190,7 @@ func ingest(ctx context.Context, m pdm.Machine, src Source, rd RecordReader, pl 
 
 // storeMatchesPlan mirrors core.Run's input-shape check.
 func storeMatchesPlan(st *pdm.Store, pl core.Plan) bool {
-	return st.R == pl.R && st.S == pl.S && st.RecSize == pl.Z && st.P == pl.P &&
-		st.Layout == pl.Layout && (pl.Layout != pdm.GroupBlocked || st.G == pl.Group)
+	return st.R == pl.R && st.S == pl.S && st.RecSize == pl.Z && st.P == pl.P && st.G == pl.Group
 }
 
 // fillStore streams the source's records into the store in global
