@@ -31,15 +31,29 @@ import (
 //     N ≤ (g·M/P)^{3/2}/√2 against sort-stage communication exactly as
 //     internal/hybrid's analytic model predicts.
 //
+// Like the g = 1 programs, this one is run-aware in the sense of the paper's
+// footnote 5: a distribution pass leaves each member's block of a column as
+// a concatenation of ascending runs — chunk/g records per source column, in
+// arrival order — so every pass after the first declares that length
+// (groupSpec.runLen) to its in-group sorter, which merges the runs instead
+// of sorting them, as the sorter's own steps 3 and 5 merge the chunks its
+// transposes deliver. Only the first pass's step 1 sorts.
+//
 // g = 1 (a column owned by one processor) is NOT served here: its sort stage
-// is local and run-aware (scatter.go, mergepass.go), measured at about three
-// times this program's throughput (DESIGN.md §3).
+// is local (scatter.go, mergepass.go) and pays neither the in-core sort's
+// two all-to-alls nor the boundary pass's second sort (DESIGN.md §3).
 
-// groupSpec is one distribution pass: where the records of a sorted column
-// go. After the in-group sort, member m holds sorted ranks
-// [m·r/g, (m+1)·r/g) of its group's column.
+// groupSpec is one pass of the group program: the run structure of the blocks
+// it reads and, for a distribution pass, where the records of a sorted column
+// go. After the in-group sort, member m holds sorted ranks [m·r/g, (m+1)·r/g)
+// of its group's column. The boundary pass (fused steps 5–8) distributes
+// nothing: its destCol is nil.
 type groupSpec struct {
 	name string
+	// runLen is the length of the ascending runs this pass's INPUT blocks
+	// consist of: 0 for the first pass (unsorted input), the previous pass's
+	// chunk/g after it. The in-group sorter's step 1 merges them.
+	runLen int
 	// destCol maps a sorted rank of source column j to its target column.
 	destCol func(rank int64, j int) int
 	// occ is the rank's index among the records its target column receives
@@ -68,34 +82,47 @@ type groupSpec struct {
 // may run two full in-core sorts plus the exchange.
 const groupTagStride = 4 * incore.TagSpan
 
-// groupPasses builds the pass sequence of a row-sharing plan: steps 1–2 and
-// 3–4 as scatter passes and the fused steps 5–8 boundary pass, with the
-// subblock permutation (3, 3.1) between the scatters for Combined.
-func groupPasses(pl Plan) []passFunc {
+// groupSpecs lists the passes of a row-sharing plan: steps 1–2 and 3–4 as
+// distribution passes, with the subblock permutation (3, 3.1) between them
+// for Combined, and the fused steps 5–8 boundary pass. Each pass's input run
+// length is what the pass before it wrote.
+func groupSpecs(pl Plan) []groupSpec {
 	r, s := int64(pl.R), int64(pl.S)
 	c := r / s
-	scatter := func(spec groupSpec) passFunc {
-		return func(pr *cluster.Proc, in, out *pdm.Store, tagBase int, pool *record.Pool, cnt *sim.Counters, onRound func()) error {
-			return runGroupScatterPass(pr, pl, spec, in, out, tagBase, pool, cnt, onRound)
+	specs := []groupSpec{
+		{name: "steps 1-2", chunk: int(c), colInvariant: true,
+			destCol: func(rank int64, _ int) int { return int(rank % s) },
+			occ:     func(rank int64) int64 { return rank / s }},
+		{name: "steps 3-4", chunk: int(c), colInvariant: true, redistribute: true,
+			destCol: func(rank int64, _ int) int { return int(rank / c) },
+			occ:     func(rank int64) int64 { return rank % c }},
+		{name: "steps 5-8"},
+	}
+	if pl.Alg == Combined {
+		q := bitperm.MustSubblock(pl.R, pl.S).SqrtS()
+		specs = slices.Insert(specs, 1, groupSpec{name: "subblock pass (3, 3.1)", chunk: pl.R / q,
+			destCol: func(rank int64, j int) int { return j%q + int(rank%int64(q))*q },
+			occ:     func(rank int64) int64 { return rank / int64(q) }})
+	}
+	for k := 1; k < len(specs); k++ {
+		specs[k].runLen = specs[k-1].chunk / pl.Group
+	}
+	return specs
+}
+
+// groupPasses turns the specs into pass functions.
+func groupPasses(pl Plan, specs []groupSpec) []passFunc {
+	passes := make([]passFunc, len(specs))
+	for k, spec := range specs {
+		run := runGroupScatterPass
+		if spec.destCol == nil {
+			run = runGroupMergePass
+		}
+		passes[k] = func(pr *cluster.Proc, in, out *pdm.Store, tagBase int, pool *record.Pool, cnt *sim.Counters, onRound func()) error {
+			return run(pr, pl, spec, in, out, tagBase, pool, cnt, onRound)
 		}
 	}
-	step2 := scatter(groupSpec{name: "steps 1-2", chunk: int(c), colInvariant: true,
-		destCol: func(rank int64, _ int) int { return int(rank % s) },
-		occ:     func(rank int64) int64 { return rank / s }})
-	step4 := scatter(groupSpec{name: "steps 3-4", chunk: int(c), colInvariant: true, redistribute: true,
-		destCol: func(rank int64, _ int) int { return int(rank / c) },
-		occ:     func(rank int64) int64 { return rank % c }})
-	boundary := func(pr *cluster.Proc, in, out *pdm.Store, tagBase int, pool *record.Pool, cnt *sim.Counters, onRound func()) error {
-		return runGroupMergePass(pr, pl, in, out, tagBase, pool, cnt, onRound)
-	}
-	if pl.Alg != Combined {
-		return []passFunc{step2, step4, boundary}
-	}
-	q := bitperm.MustSubblock(pl.R, pl.S).SqrtS()
-	subblock := scatter(groupSpec{name: "subblock pass (3, 3.1)", chunk: pl.R / q,
-		destCol: func(rank int64, j int) int { return j%q + int(rank%int64(q))*q },
-		occ:     func(rank int64) int64 { return rank / int64(q) }})
-	return []passFunc{step2, subblock, step4, boundary}
+	return passes
 }
 
 // blockWrite is one block of a column bound for the output store.
@@ -118,14 +145,15 @@ type groupRound struct {
 
 // groupStages are the stages both group passes open with: the round source
 // (one column of my group per round), the read of my block of the column,
-// and the group's distributed in-core sort of it.
+// and the group's distributed in-core sort of it, told the run length of the
+// blocks the pass reads.
 type groupStages struct {
 	grp        *cluster.Group
 	src        func(emit func(groupRound) error) error
 	read, sort func(groupRound) (groupRound, error)
 }
 
-func newGroupStages(pr *cluster.Proc, pl Plan, in *pdm.Store, tagBase int, pool *record.Pool, cRead, cSort *sim.Counters) (groupStages, error) {
+func newGroupStages(pr *cluster.Proc, pl Plan, runLen int, in *pdm.Store, tagBase int, pool *record.Pool, cRead, cSort *sim.Counters) (groupStages, error) {
 	q, g := pr.Rank(), pl.Group
 	ng := pl.P / g
 	rb := pl.R / g
@@ -135,7 +163,7 @@ func newGroupStages(pr *cluster.Proc, pl Plan, in *pdm.Store, tagBase int, pool 
 	if err != nil {
 		return groupStages{}, err
 	}
-	sorter := incore.Columnsort{Pool: pool, Scratch: new(sortalg.Scratch)}
+	sorter := incore.Columnsort{Pool: pool, Scratch: new(sortalg.Scratch), RunLen: runLen}
 	return groupStages{
 		grp: grp,
 		src: func(emit func(groupRound) error) error {
@@ -187,7 +215,7 @@ func runGroupScatterPass(pr *cluster.Proc, pl Plan, spec groupSpec, in, out *pdm
 	share := spec.chunk / g // records per (target column, member, source column)
 
 	var cRead, cSort, cComm, cWrite sim.Counters
-	st, err := newGroupStages(pr, pl, in, tagBase, pool, &cRead, &cSort)
+	st, err := newGroupStages(pr, pl, spec.runLen, in, tagBase, pool, &cRead, &cSort)
 	if err != nil {
 		return err
 	}
@@ -353,8 +381,10 @@ func runGroupScatterPass(pr *cluster.Proc, pl Plan, spec groupSpec, in, out *pdm
 // of column j−1's group, top pieces shift up within the group), the group
 // sorts O (step 7 — the paper's "each of the two sort stages turns into eight
 // in-core sort stages"), and a rotation returns each final half-column to the
-// owners of its rows, which write it in TRUE row order.
-func runGroupMergePass(pr *cluster.Proc, pl Plan, in, out *pdm.Store, tagBase int, pool *record.Pool, cnt *sim.Counters, onRound func()) error {
+// owners of its rows, which write it in TRUE row order. The pieces of O are
+// blocks the step-5 sort produced — one run each, so the overlap sort's own
+// step 1 has nothing to do.
+func runGroupMergePass(pr *cluster.Proc, pl Plan, spec groupSpec, in, out *pdm.Store, tagBase int, pool *record.Pool, cnt *sim.Counters, onRound func()) error {
 	q := pr.Rank()
 	g, s := pl.Group, pl.S
 	ng := pl.P / g
@@ -372,13 +402,13 @@ func runGroupMergePass(pr *cluster.Proc, pl Plan, in, out *pdm.Store, tagBase in
 	tagTG := func(j int) int { return crossBase + 4*j + 3 } // final tops down within the group
 
 	var cRead, cSort, cBound, cWrite sim.Counters
-	st, err := newGroupStages(pr, pl, in, tagBase, pool, &cRead, &cSort)
+	st, err := newGroupStages(pr, pl, spec.runLen, in, tagBase, pool, &cRead, &cSort)
 	if err != nil {
 		return err
 	}
 
 	var boundSc sortalg.Scratch
-	boundSorter := incore.Columnsort{Pool: pool, Scratch: &boundSc}
+	boundSorter := incore.Columnsort{Pool: pool, Scratch: &boundSc, RunLen: pl.R / g}
 	// deferred is the column whose final bottom this processor collects after
 	// the NEXT round's boundary sort (−1: none) — see collect below.
 	deferred := -1

@@ -59,10 +59,8 @@ func groupCases(t *testing.T) []groupCase {
 	return cases
 }
 
-// run sorts the case's input under a deadline — a protocol deadlock between
-// the pipeline stages of the boundary pass fails here instead of hanging —
-// and renders the output digest and every per-pass per-processor counter.
-func (c groupCase) run(t *testing.T, gen record.Generator) []string {
+// plan builds the case's plan (16-byte records throughout).
+func (c groupCase) plan(t *testing.T) Plan {
 	t.Helper()
 	const z = 16
 	var pl Plan
@@ -75,6 +73,15 @@ func (c groupCase) run(t *testing.T, gen record.Generator) []string {
 	if err != nil {
 		t.Fatalf("%+v: %v", c, err)
 	}
+	return pl
+}
+
+// run sorts the case's input under a deadline — a protocol deadlock between
+// the pipeline stages of the boundary pass fails here instead of hanging —
+// and renders the output digest and every per-pass per-processor counter.
+func (c groupCase) run(t *testing.T, gen record.Generator) []string {
+	t.Helper()
+	pl := c.plan(t)
 	m := pdm.Machine{P: c.p, D: c.p}
 	input, err := pl.NewInput(m, gen)
 	if err != nil {
@@ -88,7 +95,7 @@ func (c groupCase) run(t *testing.T, gen record.Generator) []string {
 		t.Fatalf("%s gen=%s: %v", pl, gen.Name(), err)
 	}
 	defer res.Output.Close()
-	if err := verify.Output(res.Output, record.OfGenerated(gen, pl.N, z)); err != nil {
+	if err := verify.Output(res.Output, record.OfGenerated(gen, pl.N, pl.Z)); err != nil {
 		t.Fatalf("%s gen=%s: %v", pl, gen.Name(), err)
 	}
 	out, err := res.Output.Snapshot()

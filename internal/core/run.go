@@ -128,6 +128,11 @@ func Run(ctx context.Context, pl Plan, m pdm.Machine, input *pdm.Store, hooks Ho
 	if err != nil {
 		return nil, err
 	}
+	return runPassList(ctx, pl, m, input, hooks, passes)
+}
+
+// runPassList is Run on an explicit pass sequence (tests substitute one).
+func runPassList(ctx context.Context, pl Plan, m pdm.Machine, input *pdm.Store, hooks Hooks, passes []passFunc) (*Result, error) {
 	// One buffer pool per processor, persisting across passes (and across
 	// runs, when the machine carries them): buffers allocated in pass 1
 	// serve every later pass's — and every later sort's — pipeline rounds.
@@ -136,7 +141,7 @@ func Run(ctx context.Context, pl Plan, m pdm.Machine, input *pdm.Store, hooks Ho
 		pools = record.NewPools(pl.P)
 	}
 	job := newPassJob(pl, input, hooks, len(passes), 0)
-	err = cluster.RunCtxFabric(ctx, pl.P, fabricOf(m), func(pr *cluster.Proc) error {
+	err := cluster.RunCtxFabric(ctx, pl.P, fabricOf(m), func(pr *cluster.Proc) error {
 		return runPasses(ctx, pr, pl, m, passes, pools, passTagWindow(pl), job)
 	})
 	if err != nil {
@@ -265,7 +270,7 @@ func runPasses(ctx context.Context, pr *cluster.Proc, pl Plan, m pdm.Machine, pa
 func passList(pl Plan) ([]passFunc, error) {
 	switch pl.Alg {
 	case MColumn, Combined, Hybrid:
-		return groupPasses(pl), nil
+		return groupPasses(pl, groupSpecs(pl)), nil
 	}
 	r, s := pl.R, pl.S
 

@@ -85,17 +85,19 @@ func predictTotals(pl core.Plan) ([]sim.Counters, error) {
 			mergePassTotals(pl, mergeRS),
 		}, nil
 	case core.MColumn:
+		run := pl.R / pl.S / pl.P // what steps 2 and 4 leave: chunk/g, g = P
 		return []sim.Counters{
-			mcolScatterTotals(pl, false),
-			mcolScatterTotals(pl, true),
-			mcolMergeTotals(pl),
+			mcolScatterTotals(pl, 0, false),
+			mcolScatterTotals(pl, run, true),
+			mcolMergeTotals(pl, run),
 		}, nil
 	case core.Combined:
+		run := pl.R / pl.S / pl.P
 		return []sim.Counters{
-			mcolScatterTotals(pl, false),
-			mcolScatterTotals(pl, false), // subblock pass: no redistribution
-			mcolScatterTotals(pl, true),
-			mcolMergeTotals(pl),
+			mcolScatterTotals(pl, 0, false),
+			mcolScatterTotals(pl, run, false), // subblock pass: no redistribution
+			mcolScatterTotals(pl, pl.R/bitperm.Sqrt(pl.S)/pl.P, true),
+			mcolMergeTotals(pl, run),
 		}, nil
 	case core.BaselineIO3, core.BaselineIO4:
 		pass := ioOnlyTotals(pl)
@@ -209,18 +211,28 @@ func mergePassTotals(pl core.Plan, kind interface{}) sim.Counters {
 }
 
 // incoreSortTotals mirrors one distributed in-core columnsort of the whole
-// cluster on blocks of n records (incore.Columnsort.Sort).
-func incoreSortTotals(n, p, z int) sim.Counters {
+// cluster on blocks of n records made of sorted runs of runLen (0: unsorted)
+// — incore.Columnsort.Sort with that RunLen: step 1 sorts, merges n/runLen
+// runs or, at one run, takes the block as it is (no gather either); steps 3
+// and 5 are P-way merges.
+func incoreSortTotals(n, p, z, runLen int) sim.Counters {
 	var c sim.Counters
 	nz := int64(n) * int64(z)
-	if p == 1 {
-		c.CompareUnits = sim.SortWork(n)
-		c.MovedBytes = nz
-		return c
+	step1, gather := sim.SortWork(n), nz
+	switch {
+	case runLen == n:
+		step1, gather = 0, 0
+	case runLen > 0:
+		step1 = sim.MergeWork(n, n/runLen)
 	}
 	p64 := int64(p)
-	c.CompareUnits = 3*p64*sim.SortWork(n) + (p64-1)*sim.MergeWork(n, 2)
-	c.MovedBytes = 7*p64*nz + 2*(p64-1)*nz
+	c.CompareUnits = p64 * step1
+	c.MovedBytes = p64 * gather
+	if p == 1 {
+		return c
+	}
+	c.CompareUnits += 2*p64*sim.MergeWork(n, p) + (p64-1)*sim.MergeWork(n, 2)
+	c.MovedBytes += 6*p64*nz + 2*(p64-1)*nz
 	// Two all-to-alls (steps 2 and 4) plus the neighbour boundary merges.
 	c.LocalMsgs = 2 * p64
 	c.LocalBytes = 2 * nz
@@ -282,15 +294,15 @@ func redistributionTraffic(pl core.Plan) (netMsgs, netBytes, localMsgs, localByt
 }
 
 // mcolScatterTotals mirrors runGroupScatterPass at g = P: s rounds, each with one
-// distributed in-core sort, optional redistribution, grouping, and writes.
-func mcolScatterTotals(pl core.Plan, redistribute bool) sim.Counters {
+// distributed in-core sort (of blocks in runs of runLen, as the pass before
+// left them), optional redistribution, grouping, and writes.
+func mcolScatterTotals(pl core.Plan, runLen int, redistribute bool) sim.Counters {
 	s64 := int64(pl.S)
 	rb := pl.R / pl.P
 	rbz := int64(rb) * int64(pl.Z)
 	c := ioOnlyTotals(pl)
 	c.DiskWriteOps = s64 * s64 // each processor appends to s columns per round
-	ic := incoreSortTotals(rb, pl.P, pl.Z)
-	addScaled(&c, ic, s64)
+	addScaled(&c, incoreSortTotals(rb, pl.P, pl.Z, runLen), s64)
 	if redistribute {
 		nm, nb, lm, lb := redistributionTraffic(pl)
 		c.NetMsgs += s64 * nm
@@ -308,16 +320,15 @@ func mcolScatterTotals(pl core.Plan, redistribute bool) sim.Counters {
 
 // mcolMergeTotals mirrors runGroupMergePass at g = P: per round one in-core sort of
 // the column; for rounds j ≥ 1 additionally a half-swap, an in-core sort of
-// the overlap, and a half-rotation.
-func mcolMergeTotals(pl core.Plan) sim.Counters {
+// the overlap — whose pieces are sorted blocks already — and a half-rotation.
+func mcolMergeTotals(pl core.Plan, runLen int) sim.Counters {
 	s64 := int64(pl.S)
 	rb := pl.R / pl.P
 	rbz := int64(rb) * int64(pl.Z)
 	c := ioOnlyTotals(pl)
 	c.DiskWriteOps = 2 * s64
-	ic := incoreSortTotals(rb, pl.P, pl.Z)
-	addScaled(&c, ic, s64)   // step-5 sort every round
-	addScaled(&c, ic, s64-1) // overlap sort for rounds 1..s−1
+	addScaled(&c, incoreSortTotals(rb, pl.P, pl.Z, runLen), s64) // step-5 sort every round
+	addScaled(&c, incoreSortTotals(rb, pl.P, pl.Z, rb), s64-1)   // overlap sort for rounds 1..s−1
 	if pl.P > 1 && s64 > 1 {
 		// Swap and rotation: every processor sends one rb-record message
 		// in each, both always off-processor.

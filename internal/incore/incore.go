@@ -12,6 +12,10 @@
 // caller-supplied tag window so that concurrent pipeline rounds never
 // collide.
 //
+// In-core columnsort additionally accepts a declaration of the run structure
+// of its input blocks (Columnsort.RunLen) and merges wherever a sort would
+// only rediscover order it already knows — see the type's comment.
+//
 // Each sorter optionally carries a buffer Pool and a sort Scratch; when
 // set, the sorter consumes its input buffer into the pool, draws every
 // working and message buffer from it, and recycles received messages, so
@@ -73,9 +77,23 @@ func scratchOf(sc *sortalg.Scratch) *sortalg.Scratch {
 // P | n and the height restriction n ≥ 2P² (checked at run time), and
 // sends ~2.5 column volumes over the network per sort — the least of the
 // three algorithms.
+//
+// It is run-aware end to end (the paper's footnote 5): only step 1 ever
+// sorts, and only when the caller knows nothing about its blocks. The
+// transposes of steps 2 and 4 each deliver P sorted chunks — one per source
+// processor, the records it sent in rank order — so steps 3 and 5 are P-way
+// merges of the chunks laid end to end (a sort does not care where a chunk
+// lands, so step 4's reshape is a bulk copy per source, not an interleave).
 type Columnsort struct {
 	Pool    *record.Pool     // optional buffer pool (nil: allocate per call)
 	Scratch *sortalg.Scratch // optional sort scratch; NOT concurrency-safe
+	// RunLen declares the structure of every input block: a concatenation of
+	// ascending runs of RunLen records, so step 1 merges n/RunLen runs — or,
+	// at RunLen = n, takes the block as it is. Zero, or a length that does
+	// not divide n, means structure unknown: step 1 sorts from scratch. A
+	// declaration the blocks do not honour yields unsorted output (which
+	// verification catches), never a fault.
+	RunLen int
 }
 
 func (Columnsort) Name() string { return "incore-columnsort" }
@@ -92,17 +110,53 @@ func (Columnsort) CheckShape(n, p int) error {
 	return nil
 }
 
+// sortLocal is step 1: it consumes local and returns it in sorted order,
+// doing only the work the declared run structure leaves.
+func (cs Columnsort) sortLocal(sc *sortalg.Scratch, cnt *sim.Counters, local record.Slice) record.Slice {
+	n, k := local.Len(), 0
+	if cs.RunLen > 0 && n%cs.RunLen == 0 {
+		k = n / cs.RunLen
+	}
+	if k == 1 {
+		return local // one run: already sorted
+	}
+	out := cs.Pool.Get(n, local.Size)
+	if k > 1 {
+		sc.MergeChunksInto(out, local, k)
+		cnt.CompareUnits += sim.MergeWork(n, k)
+	} else {
+		sc.SortInto(out, local)
+		cnt.CompareUnits += sim.SortWork(n)
+	}
+	cs.Pool.Put(local)
+	cnt.MovedBytes += int64(len(out.Data))
+	return out
+}
+
+// exchangeChunks runs one of the two transposes: out[d] goes to processor d,
+// and the chunk from source q lands at [q·n/P, (q+1)·n/P) of cur. Every
+// chunk arrives sorted, so cur is left as P contiguous sorted runs.
+func (cs Columnsort) exchangeChunks(pr Comm, cnt *sim.Counters, tag int, out []record.Slice, cur record.Slice) error {
+	in, err := pr.AllToAll(cnt, tag, out)
+	if err != nil {
+		return err
+	}
+	off := 0
+	for _, msg := range in {
+		off += copy(cur.Data[off:], msg.Data)
+		cs.Pool.Put(msg)
+	}
+	record.PutHeaders(in)
+	cnt.MovedBytes += int64(len(cur.Data))
+	return nil
+}
+
 func (cs Columnsort) Sort(pr Comm, cnt *sim.Counters, tagBase int, local record.Slice) (record.Slice, error) {
 	p := pr.NProcs()
 	n := local.Len()
 	pool, sc := cs.Pool, scratchOf(cs.Scratch)
 	if p == 1 {
-		out := pool.Get(n, local.Size)
-		sc.SortInto(out, local)
-		pool.Put(local)
-		cnt.CompareUnits += sim.SortWork(n)
-		cnt.MovedBytes += int64(len(out.Data))
-		return out, nil
+		return cs.sortLocal(sc, cnt, local), nil
 	}
 	if err := cs.CheckShape(n, p); err != nil {
 		return record.Slice{}, err
@@ -111,17 +165,14 @@ func (cs Columnsort) Sort(pr Comm, cnt *sim.Counters, tagBase int, local record.
 	chunk := n / p
 
 	// Step 1: local sort.
-	cur := pool.Get(n, z)
-	sc.SortInto(cur, local)
-	pool.Put(local)
-	cnt.CompareUnits += sim.SortWork(n)
-	cnt.MovedBytes += int64(len(cur.Data))
+	cur := cs.sortLocal(sc, cnt, local)
 
 	// Step 2: transpose & reshape. Local position i of in-core column q
 	// goes to column (i mod P) at local position q·(n/P) + ⌊i/P⌋. Send the
 	// records with i ≡ d (mod P) to processor d, in increasing i order;
 	// the batch from source q lands contiguously at [q·n/P, (q+1)·n/P).
 	out := record.GetHeaders(p)
+	defer record.PutHeaders(out)
 	for d := 0; d < p; d++ {
 		buf := pool.Get(chunk, z)
 		for k := 0; k < chunk; k++ {
@@ -130,53 +181,37 @@ func (cs Columnsort) Sort(pr Comm, cnt *sim.Counters, tagBase int, local record.
 		cnt.MovedBytes += int64(len(buf.Data))
 		out[d] = buf
 	}
-	in, err := pr.AllToAll(cnt, tagBase+0, out)
-	if err != nil {
-		record.PutHeaders(out)
+	if err := cs.exchangeChunks(pr, cnt, tagBase+0, out, cur); err != nil {
 		return record.Slice{}, err
 	}
-	for q := 0; q < p; q++ {
-		copy(cur.Data[q*chunk*z:(q+1)*chunk*z], in[q].Data)
-		pool.Put(in[q])
-	}
-	record.PutHeaders(in)
-	cnt.MovedBytes += int64(len(cur.Data))
 
-	// Step 3: local sort.
+	// Step 3: local sort — a merge of the P chunks step 2 delivered.
 	tmp := pool.Get(n, z)
-	sc.SortInto(tmp, cur)
+	sc.MergeChunksInto(tmp, cur, p)
 	cur, tmp = tmp, cur
-	cnt.CompareUnits += sim.SortWork(n)
+	cnt.CompareUnits += sim.MergeWork(n, p)
 	cnt.MovedBytes += int64(len(cur.Data))
 
 	// Step 4: reshape & transpose. Chunk d (positions [d·n/P, (d+1)·n/P))
-	// of column q goes to column d, landing at local positions ≡ q (mod P)
-	// in chunk order.
+	// of column q goes to column d. Its rows there are those ≡ q (mod P),
+	// but step 5 sorts the column whatever the rows, so the chunk lands
+	// where step 2's did and stays one run.
 	for d := 0; d < p; d++ {
 		buf := pool.Get(chunk, z)
 		copy(buf.Data, cur.Data[d*chunk*z:(d+1)*chunk*z])
 		cnt.MovedBytes += int64(len(buf.Data))
 		out[d] = buf
 	}
-	in, err = pr.AllToAll(cnt, tagBase+1, out)
-	record.PutHeaders(out)
-	if err != nil {
+	if err := cs.exchangeChunks(pr, cnt, tagBase+1, out, cur); err != nil {
 		return record.Slice{}, err
 	}
-	for q := 0; q < p; q++ {
-		for k := 0; k < chunk; k++ {
-			cur.CopyRecord(k*p+q, in[q], k)
-		}
-		pool.Put(in[q])
-	}
-	record.PutHeaders(in)
-	cnt.MovedBytes += int64(len(cur.Data))
 
-	// Steps 5–8: local sort, then fused boundary merges with neighbours.
-	sc.SortInto(tmp, cur)
+	// Steps 5–8: local sort — again a P-way merge — then fused boundary
+	// merges with neighbours.
+	sc.MergeChunksInto(tmp, cur, p)
 	cur, tmp = tmp, cur
 	pool.Put(tmp)
-	cnt.CompareUnits += sim.SortWork(n)
+	cnt.CompareUnits += sim.MergeWork(n, p)
 	cnt.MovedBytes += int64(len(cur.Data))
 	if err := boundaryMerge(pr, cnt, tagBase+2, cur, pool); err != nil {
 		return record.Slice{}, err
@@ -184,18 +219,13 @@ func (cs Columnsort) Sort(pr Comm, cnt *sim.Counters, tagBase int, local record.
 	return cur, nil
 }
 
-// BoundaryMerge performs the fused steps 5–8 of columnsort across a row of
+// boundaryMerge performs the fused steps 5–8 of columnsort across a row of
 // processors, in place on each processor's locally sorted block: the final
 // top half of block q is the high half of merge(bottom(q−1), top(q)), and
 // the final bottom half is the low half of merge(bottom(q), top(q+1)).
 // It uses two tags: tagBase (bottom halves moving right) and tagBase+1
-// (final bottoms moving left).
-func BoundaryMerge(pr Comm, cnt *sim.Counters, tagBase int, local record.Slice) error {
-	return boundaryMerge(pr, cnt, tagBase, local, nil)
-}
-
-// boundaryMerge is BoundaryMerge drawing its half-column and merge buffers
-// from pool (nil: allocate per call).
+// (final bottoms moving left). Its half-column and merge buffers come from
+// pool (nil: allocate per call).
 func boundaryMerge(pr Comm, cnt *sim.Counters, tagBase int, local record.Slice, pool *record.Pool) error {
 	p, q := pr.NProcs(), pr.Rank()
 	n := local.Len()

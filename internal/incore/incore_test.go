@@ -16,29 +16,12 @@ import (
 // the concatenated global result plus per-processor counters.
 func runSort(t *testing.T, s Sorter, p, n, z int, gen record.Generator) (record.Slice, []sim.Counters) {
 	t.Helper()
-	results := make([]record.Slice, p)
-	cnts := make([]sim.Counters, p)
-	err := cluster.Run(p, func(pr *cluster.Proc) error {
-		local := record.Make(n, z)
-		record.Fill(local, gen, int64(pr.Rank())*int64(n))
-		out, err := s.Sort(pr, &cnts[pr.Rank()], 0, local)
-		if err != nil {
-			return err
-		}
-		if out.Len() != n {
-			return fmt.Errorf("rank %d: got %d records, want %d", pr.Rank(), out.Len(), n)
-		}
-		results[pr.Rank()] = out
-		return nil
-	})
-	if err != nil {
-		t.Fatalf("%s P=%d n=%d: %v", s.Name(), p, n, err)
+	blocks := make([]record.Slice, p)
+	for q := range blocks {
+		blocks[q] = record.Make(n, z)
+		record.Fill(blocks[q], gen, int64(q)*int64(n))
 	}
-	global := record.Make(p*n, z)
-	for q := 0; q < p; q++ {
-		copy(global.Data[q*n*z:(q+1)*n*z], results[q].Data)
-	}
-	return global, cnts
+	return sortBlocks(t, s, blocks)
 }
 
 func wantChecksum(gen record.Generator, total, z int) record.Checksum {
@@ -175,7 +158,7 @@ func TestCommunicationOrdering(t *testing.T) {
 }
 
 func TestBoundaryMergeStandalone(t *testing.T) {
-	// Each processor holds a sorted block; after BoundaryMerge, adjacent
+	// Each processor holds a sorted block; after boundaryMerge, adjacent
 	// blocks must interleave correctly for inputs where block q's range
 	// overlaps q+1's (the half-column shift case columnsort produces).
 	const p, n, z = 4, 32, 16
@@ -188,7 +171,7 @@ func TestBoundaryMergeStandalone(t *testing.T) {
 		for i := 0; i < n; i++ {
 			local.SetKey(i, uint64(100*pr.Rank()+i*150/n))
 		}
-		if err := BoundaryMerge(pr, &cnt, 0, local); err != nil {
+		if err := boundaryMerge(pr, &cnt, 0, local, nil); err != nil {
 			return err
 		}
 		results[pr.Rank()] = local
@@ -224,7 +207,7 @@ func TestBoundaryMergeStandalone(t *testing.T) {
 func TestBoundaryMergeOddLength(t *testing.T) {
 	err := cluster.Run(2, func(pr *cluster.Proc) error {
 		var cnt sim.Counters
-		return BoundaryMerge(pr, &cnt, 0, record.Make(3, 16))
+		return boundaryMerge(pr, &cnt, 0, record.Make(3, 16), nil)
 	})
 	if err == nil {
 		t.Fatal("odd block length accepted")

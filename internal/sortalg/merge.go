@@ -33,13 +33,15 @@ func (r Run) validate(n int) {
 func Contiguous(start, count int) Run { return Run{Start: start, Stride: 1, Count: count} }
 
 // ContiguousRuns cuts n records into k equal contiguous runs.
-func ContiguousRuns(n, k int) []Run {
+func ContiguousRuns(n, k int) []Run { return appendContiguousRuns(nil, n, k) }
+
+// appendContiguousRuns appends ContiguousRuns(n, k) to runs.
+func appendContiguousRuns(runs []Run, n, k int) []Run {
 	if k <= 0 || n%k != 0 {
 		panic(fmt.Sprintf("sortalg: cannot cut %d records into %d equal runs", n, k))
 	}
-	runs := make([]Run, k)
-	for i := range runs {
-		runs[i] = Contiguous(i*(n/k), n/k)
+	for i := 0; i < k; i++ {
+		runs = append(runs, Contiguous(i*(n/k), n/k))
 	}
 	return runs
 }
@@ -56,24 +58,6 @@ func StridedRuns(n, k int) []Run {
 		runs[i] = Run{Start: i, Stride: k, Count: n / k}
 	}
 	return runs
-}
-
-// DetectRuns scans s and returns its maximal ascending contiguous runs.
-// Used when the run structure is not known statically.
-func DetectRuns(s record.Slice) []Run {
-	n := s.Len()
-	if n == 0 {
-		return nil
-	}
-	var runs []Run
-	start := 0
-	for i := 1; i < n; i++ {
-		if s.Less(i, i-1) {
-			runs = append(runs, Contiguous(start, i-start))
-			start = i
-		}
-	}
-	return append(runs, Contiguous(start, n-start))
 }
 
 // MergeRunsInto merges the sorted runs of src into dst in total order.
@@ -230,59 +214,4 @@ func (t *loserTree) pop() int {
 	}
 	tournament.Replay(t.node, w, key, t.tieBeats)
 	return p
-}
-
-// heapMergeRunsInto is a simple binary-heap k-way merge used as a reference
-// implementation to cross-check the loser tree in tests.
-func heapMergeRunsInto(dst, src record.Slice, runs []Run) {
-	checkInto(dst, src)
-	type cur struct{ run, next int }
-	h := make([]cur, 0, len(runs))
-	pos := func(c cur) int { return runs[c.run].Start + c.next*runs[c.run].Stride }
-	lessCur := func(a, b cur) bool {
-		c := record.Compare(src, pos(a), src, pos(b))
-		if c != 0 {
-			return c < 0
-		}
-		return a.run < b.run
-	}
-	var down func(i int)
-	down = func(i int) {
-		for {
-			c := 2*i + 1
-			if c >= len(h) {
-				return
-			}
-			if c+1 < len(h) && lessCur(h[c+1], h[c]) {
-				c++
-			}
-			if !lessCur(h[c], h[i]) {
-				return
-			}
-			h[i], h[c] = h[c], h[i]
-			i = c
-		}
-	}
-	for r := range runs {
-		if runs[r].Count > 0 {
-			h = append(h, cur{run: r})
-		}
-	}
-	for i := len(h)/2 - 1; i >= 0; i-- {
-		down(i)
-	}
-	k := 0
-	for len(h) > 0 {
-		top := h[0]
-		dst.CopyRecord(k, src, pos(top))
-		k++
-		top.next++
-		if top.next < runs[top.run].Count {
-			h[0] = top
-		} else {
-			h[0] = h[len(h)-1]
-			h = h[:len(h)-1]
-		}
-		down(0)
-	}
 }

@@ -24,6 +24,7 @@ type Scratch struct {
 	count []int             // radix digit histogram (radixBuckets wide)
 	node  []tournament.Node // loser tree: the tournament (key + run id)
 	cur   []runCursor       // loser tree: per-run cursors
+	runs  []Run             // MergeChunksInto: descriptors of the last shape merged
 }
 
 func (sc *Scratch) kvBuf(n int) []kv {
@@ -113,4 +114,16 @@ func (sc *Scratch) MergeRunsInto(dst, src record.Slice, runs []Run) {
 	for i := 0; i < total; i++ {
 		dst.CopyRecord(i, src, t.pop())
 	}
+}
+
+// MergeChunksInto merges src, which consists of k equal contiguous sorted
+// chunks, into dst. The chunk descriptors live in the scratch and are rebuilt
+// only when the shape (records, chunks) changes, so a stage that merges
+// same-shaped buffers round after round neither allocates nor recomputes
+// them. k must divide src.Len().
+func (sc *Scratch) MergeChunksInto(dst, src record.Slice, k int) {
+	if n := src.Len(); k < 1 || len(sc.runs) != k || sc.runs[0].Count*k != n {
+		sc.runs = appendContiguousRuns(sc.runs[:0], n, k)
+	}
+	sc.MergeRunsInto(dst, src, sc.runs)
 }

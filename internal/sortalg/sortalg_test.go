@@ -305,7 +305,7 @@ func TestDetectRuns(t *testing.T) {
 	for i, k := range keys {
 		s.SetKey(i, k)
 	}
-	runs := DetectRuns(s)
+	runs := detectRuns(s)
 	want := []Run{Contiguous(0, 3), Contiguous(3, 2), Contiguous(5, 4)}
 	if len(runs) != len(want) {
 		t.Fatalf("got %d runs %v, want %v", len(runs), runs, want)
@@ -315,8 +315,8 @@ func TestDetectRuns(t *testing.T) {
 			t.Fatalf("run %d = %+v, want %+v", i, runs[i], want[i])
 		}
 	}
-	if got := DetectRuns(record.Make(0, 16)); got != nil {
-		t.Fatal("DetectRuns on empty should be nil")
+	if got := detectRuns(record.Make(0, 16)); got != nil {
+		t.Fatal("detectRuns on empty should be nil")
 	}
 }
 
@@ -330,7 +330,7 @@ func TestDetectRunsThenMergeEqualsSort(t *testing.T) {
 		if len(keys) == 0 {
 			return true
 		}
-		MergeRunsInto(dst, src, DetectRuns(src))
+		MergeRunsInto(dst, src, detectRuns(src))
 		return dst.IsSorted()
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {
