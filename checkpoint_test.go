@@ -13,8 +13,10 @@ import (
 	"bytes"
 	"context"
 	"errors"
+	"fmt"
 	"os"
 	"path/filepath"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -321,6 +323,17 @@ func TestResumeValidation(t *testing.T) {
 	if err == nil {
 		res.Close()
 		t.Fatal("cancelled checkpointed sort returned no error")
+	}
+	// An engine that resolves the job differently — twice the memory per
+	// processor — must refuse: the durable runs were formed over a capacity
+	// it would not choose.
+	other, err := New(Config{Procs: 4, MemPerProc: 512, RecordSize: 32, Dir: filepath.Join(dir, "scratch-other")})
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := fmt.Sprintf("was written with %d-record runs but this engine plans %d-record runs", bound, other.MaxRecords(Threaded))
+	if _, err := other.Resume(context.Background(), ckptDir, FromBytes(raw), Discard()); err == nil || !strings.Contains(err.Error(), want) {
+		t.Errorf("Resume on a differently sized engine: err = %v, want %q", err, want)
 	}
 	short := raw[:len(raw)-32]
 	if _, err := s.Resume(context.Background(), ckptDir, FromBytes(short), Discard()); err == nil {

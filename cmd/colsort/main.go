@@ -26,9 +26,10 @@
 // page-cached hardware.
 //
 // Inputs beyond the selected algorithm's problem-size bound — or beyond a
-// -max-memory-mib cap — sort hierarchically: bounded runs, each a full
-// columnsort, streamed through a loser-tree k-way merge (-merge-fanin) into
-// the output file.
+// -max-memory-mib cap — sort hierarchically: replacement-selection runs
+// formed over one run's memory, streamed through a loser-tree k-way merge
+// (-merge-fanin) into the output file. -plan prints which of the two a
+// command line would execute (Engine.PlanSort) and exits.
 //
 // Every sort retries transient disk faults under bounded backoff and
 // CRC32C-frames its spilled runs; -retries, -retry-base-us, -redo-budget and
@@ -42,17 +43,6 @@
 // the sort back up from that manifest, adopting the durable runs instead of
 // re-sorting them (see DESIGN.md §13). -deadline bounds the whole sort's
 // wall clock, failing it cleanly when exceeded.
-//
-// -jobs N serves N concurrent sorts from ONE shared engine (warm buffer
-// pools, shared scratch, per-job fault isolation); -total-memory-mib caps
-// the engine's aggregate record-buffer budget, queueing jobs that do not
-// fit until earlier ones finish:
-//
-//	colsort -jobs 4 -total-memory-mib 64 -n 1048576 -p 4 -mem 4096 \
-//	        -dir /tmp/colsort -async
-//
-// Generated inputs get per-job seeds (-seed, -seed+1, …); with -in, every
-// job sorts the same input and job J writes <out>.jobJ.
 package main
 
 import (
@@ -64,7 +54,6 @@ import (
 	"os/signal"
 	"strconv"
 	"strings"
-	"sync"
 	"time"
 
 	"colsort"
@@ -111,8 +100,6 @@ func main() {
 	checkpoint := flag.String("checkpoint", "", "hierarchical sorts: persist a run manifest under this directory so a crashed or cancelled sort can be picked back up with -resume")
 	resume := flag.Bool("resume", false, "resume the checkpointed sort whose manifest -checkpoint holds, adopting its durable runs instead of re-sorting (requires -checkpoint, -in and -out)")
 	deadline := flag.Duration("deadline", 0, "fail the sort if it has not completed within this duration (0: none)")
-	jobs := flag.Int("jobs", 1, "serve this many concurrent sorts from one shared engine (generated inputs get per-job seeds; with -in, job J writes <out>.jobJ)")
-	totalMemMiB := flag.Int64("total-memory-mib", 0, "engine-wide record-buffer budget in MiB; jobs over the remaining budget queue until earlier jobs finish (0: unlimited)")
 	flag.Parse()
 
 	alg, ok := algByName(*algName)
@@ -163,10 +150,6 @@ func main() {
 		// Always print the seed: a failing chaos run must be replayable.
 		fmt.Fprintf(os.Stderr, "chaos: fault injection enabled, seed %d\n", seed)
 	}
-	if *jobs < 1 {
-		fmt.Fprintln(os.Stderr, "-jobs must be at least 1")
-		os.Exit(2)
-	}
 	if *resume && *checkpoint == "" {
 		fmt.Fprintln(os.Stderr, "-resume needs the manifest directory: pass -checkpoint DIR")
 		os.Exit(2)
@@ -175,14 +158,7 @@ func main() {
 		fmt.Fprintln(os.Stderr, "-resume requires -in and -out (the original input, and a file to stream the output into)")
 		os.Exit(2)
 	}
-	if *checkpoint != "" && *jobs > 1 {
-		fmt.Fprintln(os.Stderr, "-checkpoint holds one job's manifest; it cannot be shared across -jobs")
-		os.Exit(2)
-	}
-	engine, err := colsort.NewEngine(colsort.EngineConfig{
-		Config:      cfg,
-		TotalMemory: *totalMemMiB << 20,
-	})
+	engine, err := colsort.New(cfg)
 	if err != nil {
 		fmt.Fprintln(os.Stderr, err)
 		os.Exit(1)
@@ -249,64 +225,36 @@ func main() {
 		}))
 	}
 
-	if *planOnly {
-		plan, err := planFor(engine, alg, *group, *inPath, *n, *z, *maxMemMiB<<20)
+	// What the run will execute, asked of the resolver Sort itself asks, with
+	// the very options the run gets: -plan prints it, and a generated input
+	// (no -out) keeps its sorted store exactly when one run holds it — a
+	// hierarchical sort's output only exists as a stream.
+	src, dst := colsort.Generate(g, *n), colsort.Sink(nil)
+	if *inPath != "" {
+		src, dst = colsort.FromFile(*inPath), colsort.ToFile(*outPath)
+	}
+	if *planOnly || dst == nil {
+		plan, err := planSort(engine, src, *z, opts)
 		if err != nil {
 			fmt.Fprintln(os.Stderr, err)
 			os.Exit(1)
 		}
-		fmt.Println("plan:", plan)
-		return
-	}
-
-	// padNever: exactly plannable (or hybrid, which plans its own shape) —
-	// keep the strict no-padding contract of the legacy CLI. Otherwise
-	// Sort decides under PadAuto — possibly hierarchically, whose merged
-	// output only exists as a stream, so generated input (no -out) sinks
-	// to Discard.
-	padNever := false
-	if *inPath == "" {
-		_, perr := engine.Plan(alg, *n)
-		padNever = *maxMemMiB == 0 && (alg == colsort.Hybrid || perr == nil)
-		if padNever {
-			opts = append(opts, colsort.WithPadding(colsort.PadNever))
+		if *planOnly {
+			fmt.Println("plan:", plan)
+			return
 		}
-	}
-	srcFor := func(j int) colsort.Source {
-		if *inPath != "" {
-			return colsort.FromFile(*inPath)
-		}
-		if j == 0 {
-			return colsort.Generate(g, *n)
-		}
-		gj, _ := record.ByName(*gen, *seed+uint64(j))
-		return colsort.Generate(gj, *n)
-	}
-	dstFor := func(j int) colsort.Sink {
-		switch {
-		case *inPath == "" && padNever:
-			return nil
-		case *inPath == "":
-			return colsort.Discard()
-		case *jobs > 1:
-			return colsort.ToFile(fmt.Sprintf("%s.job%d", *outPath, j))
-		default:
-			return colsort.ToFile(*outPath)
+		if plan.MaxRuns > 0 {
+			dst = colsort.Discard()
 		}
 	}
 	isBaseline := alg == colsort.BaselineIO3 || alg == colsort.BaselineIO4
 
-	if *jobs > 1 {
-		serveJobs(ctx, engine, *jobs, srcFor, dstFor, opts, isBaseline, *inPath != "")
-		return
-	}
-
 	start := time.Now()
 	var res *colsort.Result
 	if *resume {
-		res, err = engine.Resume(ctx, *checkpoint, srcFor(0), dstFor(0), opts...)
+		res, err = engine.Resume(ctx, *checkpoint, src, dst, opts...)
 	} else {
-		res, err = engine.Sort(ctx, srcFor(0), dstFor(0), opts...)
+		res, err = engine.Sort(ctx, src, dst, opts...)
 	}
 	if err != nil {
 		if errors.Is(err, context.Canceled) {
@@ -348,137 +296,15 @@ func main() {
 	report(res, wall)
 }
 
-// serveJobs runs n concurrent sorts on the shared engine and prints one
-// summary line per job plus the engine's aggregate stats. Exits nonzero if
-// any job failed or failed verification.
-func serveJobs(ctx context.Context, engine *colsort.Engine, n int,
-	srcFor func(int) colsort.Source, dstFor func(int) colsort.Sink,
-	opts []colsort.Option, isBaseline, fileBacked bool) {
-	type outcome struct {
-		res  *colsort.Result
-		wall time.Duration
-		err  error
+// planSort reports what sorting src would execute: the record count is the
+// one the run would open, under the run's own checks.
+func planSort(engine *colsort.Engine, src colsort.Source, z int, opts []colsort.Option) (colsort.SortPlan, error) {
+	n, rd, err := src.Open(z)
+	if err != nil {
+		return colsort.SortPlan{}, err
 	}
-	results := make([]outcome, n)
-	start := time.Now()
-	var wg sync.WaitGroup
-	for j := 0; j < n; j++ {
-		j := j
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			js := time.Now()
-			res, err := engine.Sort(ctx, srcFor(j), dstFor(j), opts...)
-			results[j] = outcome{res: res, wall: time.Since(js), err: err}
-		}()
-	}
-	wg.Wait()
-	wall := time.Since(start)
-
-	failed := false
-	for j, r := range results {
-		if r.err != nil {
-			failed = true
-			fmt.Fprintf(os.Stderr, "job %d: %v\n", j, r.err)
-			continue
-		}
-		status := "verified"
-		switch {
-		case isBaseline:
-			status = "done (baseline, unsorted by design)"
-		case r.res.Merge != nil || fileBacked:
-			status = "verified in-stream"
-		default:
-			if err := r.res.Verify(); err != nil {
-				failed = true
-				status = "VERIFICATION FAILED: " + err.Error()
-			}
-		}
-		line := fmt.Sprintf("job %d: %s in %v (plan: %s)", j, status, r.wall.Round(time.Millisecond), r.res.Plan.String())
-		if f := r.res.Faults; f.Any() {
-			line += fmt.Sprintf("; faults: %d retried, %d corrupt chunks, %d redos", f.DiskRetries, f.CorruptChunks, f.BatchRedos)
-		}
-		fmt.Println(line)
-		r.res.Close()
-	}
-	st := engine.Stats()
-	budget := "unlimited"
-	if st.TotalMemory > 0 {
-		budget = fmt.Sprintf("%d MiB", st.TotalMemory>>20)
-	}
-	// One line of Engine.Stats parity with colsort-server's /metrics: the
-	// admission picture (who ran, who queued, how much of the budget the
-	// peak lease took — the numbers that explain an admission stall) plus
-	// the cumulative sim/fault counters of the completed jobs.
-	line := fmt.Sprintf("engine: %d completed, %d failed, %d queued at exit in %v; peak lease %d MiB of %s; pool holds %d buffers (%d MiB); disk %d MiB read / %d MiB written, net %d MiB, %d MiB moved",
-		st.CompletedJobs, st.FailedJobs, st.QueuedJobs, wall.Round(time.Millisecond),
-		st.PeakLeasedBytes>>20, budget, st.PoolFreeBuffers, st.PoolFreeBytes>>20,
-		st.Counters.DiskReadBytes>>20, st.Counters.DiskWriteBytes>>20,
-		st.Counters.NetBytes>>20, st.Counters.MovedBytes>>20)
-	if f := st.Faults; f.Any() {
-		line += fmt.Sprintf("; faults: %d retried (%d gave up), %d corrupt chunks (%d rereads), %d redos",
-			f.DiskRetries, f.DiskGiveUps, f.CorruptChunks, f.ChunkRereads, f.BatchRedos)
-	}
-	fmt.Println(line)
-	if failed {
-		os.Exit(1)
-	}
-}
-
-// planFor reports the plan the equivalent Sort call would execute,
-// including the hierarchical runs-plus-merge plan for inputs beyond the
-// single-run bound or a -max-memory-mib cap.
-func planFor(engine *colsort.Engine, alg colsort.Algorithm, group int, inPath string, n int64, z int, maxMem int64) (interface{ String() string }, error) {
-	if inPath != "" {
-		// The record count the run would open, under the run's own checks.
-		fn, rd, err := colsort.FromFile(inPath).Open(z)
-		if err != nil {
-			return nil, err
-		}
-		rd.Close()
-		n = fn
-	}
-	if alg == colsort.Hybrid {
-		// The group size fixes the shape, so the run plans the count as it
-		// is — generated or a file's — and never pads.
-		pl, err := engine.PlanHybrid(group, n)
-		if err == nil && maxMem > 0 && pl.N*int64(z) > maxMem {
-			// Match the run's rejection: hybrid cannot take the
-			// hierarchical path a run-size cap requires.
-			return nil, fmt.Errorf("-max-memory-mib needs the hierarchical path, which supports only non-hybrid algorithms")
-		}
-		return pl, err
-	}
-	// PlanPadded mirrors the PadAuto decision the run makes, so -plan agrees
-	// with the run for non-power-of-two counts too.
-	single, err := engine.PlanPadded(alg, n)
-	overCap := err == nil && maxMem > 0 // a cap forces runs even when one run would fit
-	if err == nil && !overCap {
-		return single, nil
-	}
-	if err != nil && !errors.Is(err, colsort.ErrTooLarge) {
-		return nil, err
-	}
-	runPl, batches, herr := engine.PlanHierarchical(alg, n, maxMem)
-	if herr != nil {
-		return nil, herr
-	}
-	if overCap && int64(batches) == 1 {
-		return single, nil // the cap admits the whole input in one run
-	}
-	return hierPlan{runPl: runPl, batches: batches}, nil
-}
-
-// hierPlan pretty-prints a hierarchical execution plan. The batch count is
-// a worst-case bound on replacement selection's run count (a maximal run is
-// at least one run plan long), so it renders as "≤ N runs".
-type hierPlan struct {
-	runPl   interface{ String() string }
-	batches int
-}
-
-func (h hierPlan) String() string {
-	return fmt.Sprintf("hierarchical: ≤%d replacement-selection runs + k-way merge, each formed over [%s]", h.batches, h.runPl)
+	rd.Close()
+	return engine.PlanSort(n, opts...)
 }
 
 func report(res *colsort.Result, wall time.Duration) {

@@ -22,8 +22,8 @@
 //	res.Close()
 //
 // Sort is the single entry point of the v1 API: a context-aware streaming
-// call from a Source (generator, file, byte buffer, io.Reader, existing
-// store) to a Sink (file, io.Writer, discard), with functional options for
+// call from a Source (generator, file, byte buffer, io.Reader) to a Sink
+// (file, io.Writer, discard), with functional options for
 // the algorithm, hybrid group size, padding policy, progress reporting and
 // a pluggable key schema (KeySpec). The v0 SortGenerated / SortStore /
 // SortFile family, deprecated since the v1 surface landed, has been
@@ -44,9 +44,7 @@ package colsort
 
 import (
 	"errors"
-	"fmt"
 
-	"colsort/internal/bounds"
 	"colsort/internal/core"
 	"colsort/internal/pdm"
 	"colsort/internal/record"
@@ -58,9 +56,9 @@ import (
 type Algorithm = core.Algorithm
 
 // ErrTooLarge marks planning failures where N exceeds the algorithm's
-// problem-size restriction — the condition under which Sort (with PadAuto
-// and a non-hybrid algorithm) takes the hierarchical runs-plus-merge path
-// instead. Detect with errors.Is.
+// problem-size restriction — the condition under which Sort takes the
+// hierarchical runs-plus-merge path instead (PlanSort states the rule).
+// Detect with errors.Is.
 var ErrTooLarge = core.ErrTooLarge
 
 // ErrHeightRestriction marks plan failures caused specifically by a
@@ -88,25 +86,6 @@ var ErrMemoryTooSmall = errors.New("colsort: the WithMaxMemory cap is too small"
 // errors.Is.
 var ErrNoSpace = pdm.ErrNoSpace
 
-// PaddingError reports that no power-of-two padded record count makes n
-// sortable with the requested algorithm. It records the range the planner
-// searched; Unwrap yields the planner's final verdict (which wraps
-// ErrTooLarge when growing further cannot help), so errors.Is/As both work.
-type PaddingError struct {
-	Alg     Algorithm
-	Records int64 // the requested record count
-	First   int64 // the smallest padded count tried (n rounded up to a power of two)
-	Last    int64 // the largest padded count tried before giving up
-	Err     error // the planner's final verdict
-}
-
-func (e *PaddingError) Error() string {
-	return fmt.Sprintf("colsort: no power-of-two padding of %d records is sortable with %v (tried N = %d up to %d): %v",
-		e.Records, e.Alg, e.First, e.Last, e.Err)
-}
-
-func (e *PaddingError) Unwrap() error { return e.Err }
-
 // The available algorithms. See the package comment for their bounds.
 const (
 	Threaded4   = core.Threaded4
@@ -117,7 +96,7 @@ const (
 	BaselineIO3 = core.BaselineIO3
 	BaselineIO4 = core.BaselineIO4
 	// Hybrid is group columnsort with 2 ≤ g ≤ P/2 (Section-6 future
-	// work); use PlanHybrid or WithHybridGroup, which take g.
+	// work); select it with WithHybridGroup, which takes g.
 	Hybrid = core.Hybrid
 )
 
@@ -189,33 +168,6 @@ type Sorter = Engine
 // New validates the configuration and builds an unbudgeted Engine.
 func New(cfg Config) (*Sorter, error) {
 	return NewEngine(EngineConfig{Config: cfg})
-}
-
-// Plan validates that the algorithm can sort n records under the
-// configuration and returns the resulting execution plan (matrix shape,
-// layout, pass structure). The error explains any violated restriction.
-func (e *Engine) Plan(alg Algorithm, n int64) (core.Plan, error) {
-	return core.NewPlan(alg, n, e.cfg.Procs, e.cfg.Disks, e.cfg.MemPerProc, e.cfg.RecordSize)
-}
-
-// PlanHybrid validates hybrid group columnsort with group size g: column
-// height r = g·MemPerProc, interpolating between Threaded (g = 1) and
-// MColumn (g = P).
-func (e *Engine) PlanHybrid(g int, n int64) (core.Plan, error) {
-	return core.NewHybridPlan(n, e.cfg.Procs, e.cfg.Disks, e.cfg.MemPerProc, e.cfg.RecordSize, g)
-}
-
-// MaxRecords returns the largest power-of-two record count the algorithm
-// can sort under this configuration (the practical counterpart of the
-// paper's real-valued bounds; see the bounds package for those).
-func (e *Engine) MaxRecords(alg Algorithm) int64 {
-	var best int64
-	for n := int64(e.cfg.MemPerProc); n > 0 && n <= int64(1)<<52; n *= 2 {
-		if _, err := e.Plan(alg, n); err == nil && n > best {
-			best = n
-		}
-	}
-	return best
 }
 
 // Result is a completed sort: the sorted output store plus exact operation
@@ -396,76 +348,4 @@ func (r *Result) Close() error {
 		return nil
 	}
 	return r.Output.Close()
-}
-
-// PlanPadded reports the plan a PadAuto Sort of n records would execute:
-// n itself when directly plannable, otherwise the smallest covering power
-// of two the planner accepts — the probe `colsort -plan` uses to predict a
-// run without executing it. Above-bound counts fail with ErrTooLarge (the
-// condition under which Sort switches to the hierarchical path; see
-// PlanHierarchical for that plan).
-func (e *Engine) PlanPadded(alg Algorithm, n int64) (core.Plan, error) {
-	return e.planPadded(alg, n)
-}
-
-// planPadded finds the plan a padded sort of n records would execute: the
-// smallest covering power of two the planner accepts. The covering power
-// may still violate a divisibility condition (or be smaller than one
-// column); growing continues until the planner accepts, or the
-// problem-size restriction says growing cannot help.
-func (e *Engine) planPadded(alg Algorithm, n int64) (core.Plan, error) {
-	if n < 1 {
-		return core.Plan{}, fmt.Errorf("colsort: cannot sort %d records", n)
-	}
-	if alg == Hybrid {
-		// Plan(Hybrid) can never succeed (it needs a group size), so the
-		// doubling search below would fail with a misleading error.
-		return core.Plan{}, fmt.Errorf("colsort: hybrid group columnsort is not supported for padded or file sorts; use WithHybridGroup with a power-of-two record count")
-	}
-	n2 := int64(1)
-	for n2 < n {
-		n2 *= 2
-	}
-	var lastErr error
-	last := n2
-	for try := n2; try > 0 && try <= 1<<52; try *= 2 {
-		pl, err := e.Plan(alg, try)
-		if err == nil {
-			return pl, nil
-		}
-		lastErr = err
-		last = try
-		if errors.Is(err, core.ErrTooLarge) {
-			break
-		}
-	}
-	return core.Plan{}, &PaddingError{Alg: alg, Records: n, First: n2, Last: last, Err: lastErr}
-}
-
-// InputStore allocates an input store shaped for the algorithm and n, to be
-// filled by the caller (e.g. via its Fill method).
-func (e *Engine) InputStore(alg Algorithm, n int64) (*pdm.Store, error) {
-	pl, err := e.Plan(alg, n)
-	if err != nil {
-		return nil, err
-	}
-	return pl.NewStore(e.m)
-}
-
-// Bound returns the paper's real-valued problem-size bound, in records, for
-// the algorithm under this configuration, treating MemPerProc as M/P.
-func (e *Engine) Bound(alg Algorithm) (float64, error) {
-	m := int64(e.cfg.MemPerProc) * int64(e.cfg.Procs)
-	p := int64(e.cfg.Procs)
-	switch alg {
-	case Threaded, Threaded4:
-		return bounds.MaxN(bounds.Threaded, m, p), nil
-	case Subblock:
-		return bounds.MaxN(bounds.Subblock, m, p), nil
-	case MColumn:
-		return bounds.MaxN(bounds.MColumnsort, m, p), nil
-	case Combined:
-		return bounds.MaxN(bounds.Combined, m, p), nil
-	}
-	return 0, fmt.Errorf("colsort: no problem-size bound for %v", alg)
 }

@@ -5,6 +5,7 @@ import (
 	"errors"
 	"testing"
 
+	"colsort/internal/bounds"
 	"colsort/internal/record"
 )
 
@@ -52,15 +53,7 @@ func TestSortGeneratedAllAlgorithms(t *testing.T) {
 
 func TestSortStoreRoundTrip(t *testing.T) {
 	s := newTestSorter(t, 2, 512)
-	input, err := s.InputStore(Threaded, 512*4)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer input.Close()
-	if err := input.Fill(record.Zipf{Seed: 4}); err != nil {
-		t.Fatal(err)
-	}
-	res, err := s.Sort(context.Background(), FromStore(input), nil,
+	res, err := s.Sort(context.Background(), Generate(record.Zipf{Seed: 4}, 512*4), nil,
 		WithAlgorithm(Threaded), WithPadding(PadNever))
 	if err != nil {
 		t.Fatal(err)
@@ -126,25 +119,24 @@ func TestMaxRecords(t *testing.T) {
 	}
 }
 
+// TestBound: the practical maxima MaxRecords finds respect the paper's
+// real-valued bounds, which keep their ordering.
 func TestBound(t *testing.T) {
 	s := newTestSorter(t, 4, 512)
-	b1, err := s.Bound(Threaded)
-	if err != nil {
-		t.Fatal(err)
-	}
-	b2, _ := s.Bound(Subblock)
-	b3, _ := s.Bound(MColumn)
-	b4, _ := s.Bound(Combined)
+	const m, p = 4 * 512, 4
+	b1 := bounds.MaxN(bounds.Threaded, m, p)
+	b2 := bounds.MaxN(bounds.Subblock, m, p)
+	b3 := bounds.MaxN(bounds.MColumnsort, m, p)
+	b4 := bounds.MaxN(bounds.Combined, m, p)
 	if !(b1 < b2 && b2 < b4 && b1 < b3) {
 		t.Fatalf("bound ordering wrong: %g %g %g %g", b1, b2, b3, b4)
 	}
-	if _, err := s.Bound(BaselineIO3); err == nil {
-		t.Fatal("baseline should have no bound")
-	}
-	// MaxRecords must respect the real-valued bound (the integer maximum
-	// can sit exactly on it, so allow float rounding).
-	if got := float64(s.MaxRecords(Threaded)); got > b1*(1+1e-9) {
-		t.Fatalf("max records %g exceeds bound %g", got, b1)
+	// The integer maximum can sit exactly on the bound, so allow float
+	// rounding.
+	for alg, b := range map[Algorithm]float64{Threaded: b1, Threaded4: b1, Subblock: b2, MColumn: b3, Combined: b4} {
+		if got := float64(s.MaxRecords(alg)); got <= 0 || got > b*(1+1e-9) {
+			t.Errorf("%v: max records %g outside (0, bound %g]", alg, got, b)
+		}
 	}
 }
 

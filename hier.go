@@ -45,57 +45,6 @@ const defaultRedoBudget = 2
 // and manifest.wal lines remain what earlier builds wrote and read.
 const formationName = "replacement-select"
 
-// wantHierarchical decides whether this Sort must take the hierarchical
-// (runs + merge) path: the record count exceeds the algorithm's single-run
-// problem-size bound, or a WithMaxMemory cap forces smaller runs. Hybrid
-// group runs and PadNever sorts keep their strict single-run contracts.
-func (e *Engine) wantHierarchical(o sortOptions, pl core.Plan, plErr error) (bool, error) {
-	eligible := o.group == 0 && o.padding == PadAuto
-	if plErr == nil {
-		if o.maxMemory > 0 && pl.N*int64(pl.Z) > o.maxMemory {
-			if !eligible {
-				return false, fmt.Errorf("colsort: WithMaxMemory(%d) needs the hierarchical path, which supports only PadAuto and non-hybrid algorithms", o.maxMemory)
-			}
-			return true, nil
-		}
-		return false, nil
-	}
-	return eligible && errors.Is(plErr, core.ErrTooLarge), nil
-}
-
-// planRun finds the run plan of a hierarchical sort — the sizing rule: the
-// largest power-of-two record count the algorithm can sort in ONE run under
-// the configuration and the WithMaxMemory cap. Its N is the former's
-// capacity — the records replacement selection holds resident — and the
-// memory the job's admission lease charges.
-func (e *Engine) planRun(o sortOptions) (core.Plan, error) {
-	z := int64(e.cfg.RecordSize)
-	var best core.Plan
-	var smallest int64 // smallest plannable run, for the error message
-	found := false
-	for try := int64(1); try > 0 && try <= 1<<52; try *= 2 {
-		pl, err := e.Plan(o.alg, try)
-		if err != nil {
-			continue
-		}
-		if smallest == 0 {
-			smallest = try
-		}
-		if o.maxMemory > 0 && try*z > o.maxMemory {
-			continue // plannable but over the cap: only the error message cares
-		}
-		best, found = pl, true
-	}
-	if !found {
-		if o.maxMemory > 0 && smallest > 0 {
-			return core.Plan{}, fmt.Errorf("%w: WithMaxMemory(%d) admits no single %v run (the smallest plannable run is %d records × %d B = %d bytes); raise the cap or shrink MemPerProc",
-				ErrMemoryTooSmall, o.maxMemory, o.alg, smallest, e.cfg.RecordSize, smallest*z)
-		}
-		return core.Plan{}, fmt.Errorf("colsort: no single-run plan exists for %v under this configuration", o.alg)
-	}
-	return best, nil
-}
-
 // mergeChunkRecs sizes the per-run read chunk and the emit chunk of the
 // merges: half a column buffer by default, shrunk so that fanIn read
 // streams plus the emit queue stay within a WithMaxMemory cap, clamped so
@@ -115,32 +64,6 @@ func (e *Engine) mergeChunkRecs(o sortOptions, fanIn int) int {
 		c = 1 << 16
 	}
 	return c
-}
-
-// PlanHierarchical reports how an above-bound Sort would execute n records
-// hierarchically: the single-run plan chosen by the sizing rule (the
-// largest plannable run, optionally capped at maxMemory bytes of records;
-// 0 means no cap) and the number of run-plan-sized batches the input spans.
-// It lets callers and `colsort -plan` price an above-bound sort without
-// running it.
-//
-// Replacement selection's run count is data-dependent — typically about
-// half of batches on random input, as low as 1 on nearly-sorted input —
-// and batches is its worst-case BOUND (render it as "≤ batches", the way
-// `colsort -plan` does), reached only when every arrival breaks the
-// current run.
-func (e *Engine) PlanHierarchical(alg Algorithm, n int64, maxMemory int64) (runPlan core.Plan, batches int, err error) {
-	if n < 1 {
-		return core.Plan{}, 0, fmt.Errorf("colsort: cannot sort %d records", n)
-	}
-	if maxMemory < 0 {
-		return core.Plan{}, 0, fmt.Errorf("colsort: negative run-size cap %d", maxMemory)
-	}
-	runPlan, err = e.planRun(sortOptions{alg: alg, maxMemory: maxMemory})
-	if err != nil {
-		return core.Plan{}, 0, err
-	}
-	return runPlan, int((n + runPlan.N - 1) / runPlan.N), nil
 }
 
 // hierRun is one live run of a hierarchical sort and the manifest id that

@@ -308,46 +308,6 @@ func TestHierarchicalProgress(t *testing.T) {
 	}
 }
 
-// TestPlanHierarchical pins the planning API against what Sort actually
-// executes: same run plan, and a batch count that bounds the run count.
-func TestPlanHierarchical(t *testing.T) {
-	const p, mem, z = 4, 256, 16
-	s, err := New(Config{Procs: p, MemPerProc: mem, RecordSize: z})
-	if err != nil {
-		t.Fatal(err)
-	}
-	bound := s.MaxRecords(Threaded)
-	n := 3*bound + 7
-	runPl, batches, err := s.PlanHierarchical(Threaded, n, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if runPl.N != bound {
-		t.Errorf("planned run of %d records, want the bound %d", runPl.N, bound)
-	}
-	if batches != 4 {
-		t.Errorf("planned %d batches, want 4", batches)
-	}
-	// The planned batch count is a worst-case bound on the run count, not
-	// an exact prediction.
-	res, err := s.Sort(context.Background(), Generate(record.Uniform{Seed: 3}, n), Discard())
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer res.Close()
-	if res.Merge.Runs > batches || res.Merge.RunRecords != runPl.N {
-		t.Errorf("Sort formed %d runs over a %d-record budget, PlanHierarchical said ≤ %d over %d",
-			res.Merge.Runs, res.Merge.RunRecords, batches, runPl.N)
-	}
-	// The capped form must agree with WithMaxMemory's batch sizing.
-	if _, capped, err := s.PlanHierarchical(Threaded, 2048, 1024*z); err != nil || capped != 2 {
-		t.Errorf("capped plan = %d batches (%v), want 2", capped, err)
-	}
-	if _, _, err := s.PlanHierarchical(Threaded, n, 1); err == nil {
-		t.Error("a 1-byte run cap planned successfully")
-	}
-}
-
 // TestHierarchicalOptionValidation covers the new options' error paths.
 func TestHierarchicalOptionValidation(t *testing.T) {
 	s, err := New(Config{Procs: 2, MemPerProc: 256, RecordSize: 16})
@@ -369,8 +329,8 @@ func TestHierarchicalOptionValidation(t *testing.T) {
 
 // TestReplacementSelectFewerRuns is the run-length acceptance test: on
 // uniform random input well above the bound, replacement selection must form
-// at most 0.6× the run-plan-sized batches PlanHierarchical counts (theory
-// says ~0.5×: runs average twice the former's capacity).
+// at most 0.6× the worst-case run count PlanSort reports (theory says
+// ~0.5×: runs average twice the former's capacity).
 func TestReplacementSelectFewerRuns(t *testing.T) {
 	testutil.CheckGoroutines(t)
 	const p, mem, z = 4, 256, 16
@@ -381,10 +341,11 @@ func TestReplacementSelectFewerRuns(t *testing.T) {
 	bound := s.MaxRecords(Threaded)
 	n := int(16*bound) + 123
 	raw := genRaw(n, z, record.Uniform{Seed: 17})
-	_, batches, err := s.PlanHierarchical(Threaded, int64(n), 0)
+	sp, err := s.PlanSort(int64(n), WithAlgorithm(Threaded))
 	if err != nil {
 		t.Fatal(err)
 	}
+	batches := sp.MaxRuns
 	var out bytes.Buffer
 	res, err := s.Sort(context.Background(), FromBytes(raw), ToWriter(&out), WithAlgorithm(Threaded))
 	if err != nil {

@@ -190,12 +190,9 @@ type Cluster struct {
 	abortCause error // first cause passed to abort; read after Run's wait
 }
 
-// New builds a zero-copy cluster fabric for p processors. The whole fabric
-// is a handful of allocations — a run constructs one per sort, so setup
-// must not scale with P² allocator calls.
-func New(p int) *Cluster { return NewFabric(p, ZeroCopy) }
-
 // NewFabric builds a cluster fabric with an explicit payload-transfer mode.
+// The whole fabric is a handful of allocations — a run constructs one per
+// sort, so setup must not scale with P² allocator calls.
 func NewFabric(p int, fabric Fabric) *Cluster {
 	if p < 1 {
 		panic(fmt.Sprintf("cluster: need at least one processor, got %d", p))
@@ -219,9 +216,6 @@ func (c *Cluster) box(dst, src int) *mailbox { return &c.boxes[dst*c.p+src] }
 
 // P returns the number of processors.
 func (c *Cluster) P() int { return c.p }
-
-// Fabric returns the payload-transfer mode.
-func (c *Cluster) Fabric() Fabric { return c.fabric }
 
 // wireCopy realizes the Copying fabric's transport memcpy: the payload is
 // duplicated through the fabric pool and the sender's buffer recycled into
@@ -510,34 +504,6 @@ func (pr *Proc) Gather(cnt *sim.Counters, root, tag int, recs record.Slice) ([]r
 		all[q] = r
 	}
 	return all, nil
-}
-
-// AllReduceUint64 folds one uint64 per processor with op (assumed
-// associative and commutative) and returns the result on every processor.
-// It rides on the record fabric with 8-byte records.
-func (pr *Proc) AllReduceUint64(cnt *sim.Counters, tag int, x uint64, op func(a, b uint64) uint64) (uint64, error) {
-	buf := record.Make(1, record.MinSize)
-	buf.SetKey(0, x)
-	all, err := pr.Gather(cnt, 0, tag, buf)
-	if err != nil {
-		return 0, err
-	}
-	var result record.Slice
-	if pr.rank == 0 {
-		acc := all[0].Key(0)
-		for q := 1; q < pr.c.p; q++ {
-			acc = op(acc, all[q].Key(0))
-		}
-		res := record.Make(1, record.MinSize)
-		res.SetKey(0, acc)
-		result, err = pr.Broadcast(cnt, 0, tag+1, res)
-	} else {
-		result, err = pr.Broadcast(cnt, 0, tag+1, record.Slice{})
-	}
-	if err != nil {
-		return 0, err
-	}
-	return result.Key(0), nil
 }
 
 // Run executes fn as rank 0..p−1 on p goroutine processors and waits for

@@ -424,3 +424,31 @@ func TestRunManyProcs(t *testing.T) {
 		t.Fatal(err)
 	}
 }
+
+// AllReduceUint64 folds one uint64 per processor with op (assumed
+// associative and commutative) and returns the result on every processor.
+// It rides on the record fabric with 8-byte records.
+func (pr *Proc) AllReduceUint64(cnt *sim.Counters, tag int, x uint64, op func(a, b uint64) uint64) (uint64, error) {
+	buf := record.Make(1, record.MinSize)
+	buf.SetKey(0, x)
+	all, err := pr.Gather(cnt, 0, tag, buf)
+	if err != nil {
+		return 0, err
+	}
+	var result record.Slice
+	if pr.rank == 0 {
+		acc := all[0].Key(0)
+		for q := 1; q < pr.c.p; q++ {
+			acc = op(acc, all[q].Key(0))
+		}
+		res := record.Make(1, record.MinSize)
+		res.SetKey(0, acc)
+		result, err = pr.Broadcast(cnt, 0, tag+1, res)
+	} else {
+		result, err = pr.Broadcast(cnt, 0, tag+1, record.Slice{})
+	}
+	if err != nil {
+		return 0, err
+	}
+	return result.Key(0), nil
+}

@@ -14,7 +14,7 @@ import (
 // allocator work at all on any processor.
 func TestAllToAllPlanZeroAllocSteadyState(t *testing.T) {
 	const P, r, z = 4, 256, 32
-	c := New(P)
+	c := NewFabric(P, ZeroCopy)
 	pools := record.NewPools(P)
 
 	// A plan with single-record extents (the worst packing granularity).

@@ -2,6 +2,7 @@ package core
 
 import (
 	"context"
+	"errors"
 	"strings"
 	"testing"
 
@@ -254,6 +255,40 @@ func TestPlanValidation(t *testing.T) {
 		}
 		if !strings.Contains(err.Error(), c.wantErr) {
 			t.Errorf("%s: error %q does not mention %q", c.name, err, c.wantErr)
+		}
+	}
+}
+
+// TestPlanTooLargeBeyondSquare: N > r² (more columns than rows) is beyond
+// every height restriction — ErrTooLarge, not a divisibility failure a
+// larger N might repair — and stays so however far N grows. The baselines
+// have no height restriction, but N ≤ r² bounds them too.
+func TestPlanTooLargeBeyondSquare(t *testing.T) {
+	const p, mem, z = 4, 256, 64
+	plan := func(alg Algorithm, n int64) error {
+		if alg == Hybrid {
+			_, err := NewHybridPlan(n, p, p, mem, z, 2)
+			return err
+		}
+		_, err := NewPlan(alg, n, p, p, mem, z)
+		return err
+	}
+	for _, alg := range []Algorithm{Threaded4, Threaded, Subblock, MColumn, Combined, Hybrid, BaselineIO3, BaselineIO4} {
+		r := int64(mem)
+		switch alg {
+		case MColumn, Combined:
+			r *= p
+		case Hybrid:
+			r *= 2
+		}
+		for n := 2 * r * r; n > 0 && n <= 1<<62; n *= 2 {
+			err := plan(alg, n)
+			if !errors.Is(err, ErrTooLarge) {
+				t.Fatalf("%v N=%d (s=%d > r=%d): err = %v, want ErrTooLarge", alg, n, n/r, r, err)
+			}
+			if restricted := alg != BaselineIO3 && alg != BaselineIO4; errors.Is(err, ErrHeightRestriction) != restricted {
+				t.Fatalf("%v N=%d: errors.Is(ErrHeightRestriction) = %v, want %v: %v", alg, n, !restricted, restricted, err)
+			}
 		}
 	}
 }

@@ -196,10 +196,20 @@ func newPlan(alg Algorithm, n int64, p, d, memPerProc, recSize, g int, layout pd
 		return pl, fmt.Errorf("core: N=%d smaller than one column r=%d; shrink the buffer", n, pl.R)
 	}
 	s64 := n / int64(pl.R)
-	if s64*int64(pl.R) != n || s64 > int64(1)<<30 {
+	if s64*int64(pl.R) != n {
 		return pl, fmt.Errorf("core: r=%d must divide N=%d", pl.R, n)
 	}
-	pl.S = int(s64)
+	if s64 > int64(pl.R) {
+		// N > r²: s cannot divide r, and r < 2s², r < 4s^{3/2} both follow —
+		// this is beyond the bound, not a shape a larger N could repair. The
+		// baselines have no height restriction, but their passes need s | r
+		// too, so N ≤ r² bounds them as well.
+		if alg == BaselineIO3 || alg == BaselineIO4 {
+			return pl, fmt.Errorf("core: %v: s=%d cannot divide r=%d (N=%d > r²; %w)", alg, s64, pl.R, n, ErrTooLarge)
+		}
+		return pl, fmt.Errorf("core: %v %w: s=%d > r=%d (N=%d > r²; %w)", alg, ErrHeightRestriction, s64, pl.R, n, ErrTooLarge)
+	}
+	pl.S = int(s64) // s ≤ r, an int
 
 	if pl.R%pl.S != 0 {
 		return pl, fmt.Errorf("core: s=%d must divide r=%d", pl.S, pl.R)

@@ -12,7 +12,7 @@ import (
 // multi-hour sorts over many disks see transient read/write errors that a
 // bounded retry absorbs and permanent failures that must surface fast; the
 // distinction is an explicit error taxonomy (MarkTransient / MarkPermanent,
-// queried by Transient / Permanent) rather than a guess, because the disks
+// queried by Transient) rather than a guess, because the disks
 // here are simulated and every fault has a known producer (ChaosDisk, the
 // OS, a test). RetryDisk applies the policy — bounded exponential backoff
 // with jitter, cancellable between attempts — and wraps every escaping
@@ -67,10 +67,6 @@ func Transient(err error) bool {
 	return errors.As(err, &ce) && ce.transient
 }
 
-// Permanent reports whether err is a disk fault that retrying cannot heal —
-// any non-nil error that is not classified transient.
-func Permanent(err error) bool { return err != nil && !Transient(err) }
-
 // OpError attributes a disk failure to the exact operation that suffered
 // it: the op kind, the disk (global index for array disks, spill ordinal
 // for hierarchical-merge spills), and the byte extent.
@@ -123,23 +119,6 @@ func (s *FaultStats) Snapshot() FaultCounts {
 		Rereads:       s.Rereads.Load(),
 		BatchRedos:    s.BatchRedos.Load(),
 	}
-}
-
-// Sub returns c - o field by field (the delta attributable to one sort on
-// a shared machine).
-func (c FaultCounts) Sub(o FaultCounts) FaultCounts {
-	return FaultCounts{
-		Retries:       c.Retries - o.Retries,
-		GaveUps:       c.GaveUps - o.GaveUps,
-		CorruptChunks: c.CorruptChunks - o.CorruptChunks,
-		Rereads:       c.Rereads - o.Rereads,
-		BatchRedos:    c.BatchRedos - o.BatchRedos,
-	}
-}
-
-// Any reports whether any fault activity was recorded.
-func (c FaultCounts) Any() bool {
-	return c.Retries != 0 || c.GaveUps != 0 || c.CorruptChunks != 0 || c.Rereads != 0 || c.BatchRedos != 0
 }
 
 // RetryConfig is the transient-fault retry policy of one machine's disks.

@@ -188,3 +188,7 @@ func TestRetryBelowAsyncHealsBeforeLatch(t *testing.T) {
 		t.Error("no retry recorded; the fault cannot have been healed below the latch")
 	}
 }
+
+// Permanent reports whether err is a disk fault that retrying cannot heal —
+// any non-nil error that is not classified transient.
+func Permanent(err error) bool { return err != nil && !Transient(err) }

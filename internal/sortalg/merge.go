@@ -46,20 +46,6 @@ func appendContiguousRuns(runs []Run, n, k int) []Run {
 	return runs
 }
 
-// StridedRuns describes n records as k interleaved runs of stride k:
-// run i is positions i, i+k, i+2k, .... This is the run structure left in
-// each column by the reshape-transpose write of columnsort step 4.
-func StridedRuns(n, k int) []Run {
-	if k <= 0 || n%k != 0 {
-		panic(fmt.Sprintf("sortalg: cannot view %d records as %d strided runs", n, k))
-	}
-	runs := make([]Run, k)
-	for i := range runs {
-		runs[i] = Run{Start: i, Stride: k, Count: n / k}
-	}
-	return runs
-}
-
 // MergeRunsInto merges the sorted runs of src into dst in total order.
 // The runs must cover src exactly (the merge checks total count only, since
 // overlapping-run bugs surface immediately in sortedness tests). For k ≤ 2

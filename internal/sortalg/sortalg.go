@@ -81,11 +81,6 @@ func Sort(s record.Slice) {
 	s.Copy(tmp)
 }
 
-// IsSortedTotal reports whether s is sorted under the full total order
-// (key, then payload). record.Slice.IsSorted already checks this; the alias
-// keeps call sites readable.
-func IsSortedTotal(s record.Slice) bool { return s.IsSorted() }
-
 func checkInto(dst, src record.Slice) {
 	if dst.Size != src.Size || dst.Len() != src.Len() {
 		panic(fmt.Sprintf("sortalg: dst %d×%dB and src %d×%dB mismatch",

@@ -2,6 +2,7 @@ package sortalg
 
 import (
 	"bytes"
+	"fmt"
 	"math/rand"
 	"testing"
 	"testing/quick"
@@ -345,4 +346,18 @@ func TestAlgorithmString(t *testing.T) {
 	if Algorithm(99).String() != "Algorithm(99)" {
 		t.Fatal("unknown Algorithm.String wrong")
 	}
+}
+
+// StridedRuns describes n records as k interleaved runs of stride k:
+// run i is positions i, i+k, i+2k, .... This is the run structure left in
+// each column by the reshape-transpose write of columnsort step 4.
+func StridedRuns(n, k int) []Run {
+	if k <= 0 || n%k != 0 {
+		panic(fmt.Sprintf("sortalg: cannot view %d records as %d strided runs", n, k))
+	}
+	runs := make([]Run, k)
+	for i := range runs {
+		runs[i] = Run{Start: i, Stride: k, Count: n / k}
+	}
+	return runs
 }

@@ -99,6 +99,15 @@ type sortOptions struct {
 	chaos    *ChaosConfig
 }
 
+// newSortOptions applies opts over the defaults.
+func newSortOptions(opts []Option) sortOptions {
+	o := sortOptions{alg: Threaded, padding: PadAuto}
+	for _, opt := range opts {
+		opt(&o)
+	}
+	return o
+}
+
 // Option customizes one Sort call; see the With* constructors.
 //
 // Precedence rule: Config fields describe the engine at construction time;
@@ -144,8 +153,8 @@ func WithPadding(p PaddingPolicy) Option {
 // input and collapse to one on nearly-sorted input, ascending or
 // descending), and the runs are streamed through a loser-tree k-way merge
 // into the Sink (see WithMergeFanIn). 0 (the default) leaves only the
-// algorithm's bound in force. The hierarchical
-// path requires PadAuto, a non-hybrid algorithm, and a non-nil Sink.
+// algorithm's bound in force. Engine.PlanSort states what the hierarchical
+// path requires.
 func WithMaxMemory(bytes int64) Option {
 	return func(o *sortOptions) { o.maxMemory = bytes }
 }

@@ -129,7 +129,7 @@ func TestHybridThroughFacade(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := s.PlanHybrid(1, 1024); err == nil {
+	if _, err := s.PlanSort(1024, WithHybridGroup(1)); err == nil {
 		t.Fatal("g=1 accepted")
 	}
 	res, err := s.Sort(context.Background(), Generate(record.Zipf{Seed: 8}, 512*4), nil,

@@ -1,0 +1,161 @@
+package colsort
+
+// Planning: the ONE place that decides what a Sort will execute. Sort,
+// Resume and PlanSort all ask resolve; resolve, Plan and MaxRecords all ask
+// search, the only caller of the core planner and the only loop over record
+// counts. See DESIGN.md §7 ("Sizing rule").
+
+import (
+	"errors"
+	"fmt"
+	"math/bits"
+
+	"colsort/internal/core"
+	"colsort/internal/record"
+)
+
+// maxPlanRecords ends the search for configurations the planner rejects
+// whatever N is (it otherwise ends at the first ErrTooLarge).
+const maxPlanRecords = int64(1) << 52
+
+// SortPlan is what a Sort of some record count under some options would
+// execute; see Engine.PlanSort.
+type SortPlan struct {
+	// Plan is the columnsort run the job holds in memory: the whole
+	// (possibly padded) sort when MaxRuns is 0; otherwise the largest single
+	// run the algorithm and the WithMaxMemory cap admit, whose N is the
+	// capacity replacement selection forms its runs over
+	// (MergeStats.RunRecords). Its record bytes are the job's admission ask.
+	core.Plan
+	// MaxRuns is 0 for a single columnsort run. Above the bound it is the
+	// worst-case number of replacement-selection runs, ⌈n / Plan.N⌉: the
+	// run count is data-dependent — about half of it on random input, 1 on
+	// nearly-sorted input — and reaches MaxRuns only when every arrival
+	// breaks the current run.
+	MaxRuns int
+}
+
+func (sp SortPlan) String() string {
+	if sp.MaxRuns == 0 {
+		return sp.Plan.String()
+	}
+	return fmt.Sprintf("hierarchical: ≤%d replacement-selection runs + k-way merge, each formed over [%s]", sp.MaxRuns, sp.Plan)
+}
+
+// PlanSort reports what Sort would execute for n records under opts,
+// without running it — the same resolver Sort and Resume ask, so the answer
+// (or the error) is the run's own; `colsort -plan` prints it.
+//
+// The rule: a record count the algorithm can sort in one run — n itself, or
+// under PadAuto the smallest power of two ≥ n the planner accepts — whose
+// record bytes fit the WithMaxMemory cap is ONE columnsort run. Otherwise,
+// when n is beyond the algorithm's problem-size bound (ErrTooLarge) or its
+// run beyond the cap, the sort is hierarchical: replacement-selection runs
+// over the largest single-run plan under the cap, then a k-way merge. The
+// hierarchical path requires PadAuto, a sorting algorithm without a hybrid
+// group, and — of Sort, which PlanSort cannot see — a non-nil Sink; every
+// other planning failure is returned as the planner states it.
+func (e *Engine) PlanSort(n int64, opts ...Option) (SortPlan, error) {
+	sp, _, err := e.resolve(newSortOptions(opts), n)
+	return sp, err
+}
+
+// Plan validates that the algorithm can sort exactly n records in one run
+// under the configuration and returns the resulting execution plan (matrix
+// shape, layout, pass structure). The error explains any violated
+// restriction.
+func (e *Engine) Plan(alg Algorithm, n int64) (core.Plan, error) {
+	pl, _, err := e.search(sortOptions{alg: alg}, n, n, 0)
+	return pl, err
+}
+
+// MaxRecords returns the largest power-of-two record count the algorithm
+// can sort in one run under this configuration (the practical counterpart of
+// the paper's real-valued bounds; see the bounds package for those).
+func (e *Engine) MaxRecords(alg Algorithm) int64 {
+	_, largest, _ := e.search(sortOptions{alg: alg}, 1, maxPlanRecords, 0)
+	return largest.N
+}
+
+// resolve is the preamble Sort, Resume and PlanSort share: it validates the
+// options, compiles the key codec, and decides what a sort of n records
+// executes (see PlanSort for the rule).
+func (e *Engine) resolve(o sortOptions, n int64) (SortPlan, record.KeyCodec, error) {
+	fail := func(err error) (SortPlan, record.KeyCodec, error) { return SortPlan{}, record.KeyCodec{}, err }
+	if o.maxMemory < 0 {
+		return fail(fmt.Errorf("colsort: WithMaxMemory(%d): the cap must be ≥ 0", o.maxMemory))
+	}
+	if o.fanIn < 0 || o.fanIn == 1 {
+		return fail(fmt.Errorf("colsort: WithMergeFanIn(%d): the fan-in must be ≥ 2", o.fanIn))
+	}
+	codec, err := o.keySpec.Compile(e.cfg.RecordSize)
+	if err != nil {
+		return fail(fmt.Errorf("colsort: %w", err))
+	}
+	if n < 1 {
+		return fail(fmt.Errorf("colsort: cannot sort %d records", n))
+	}
+
+	// One run: of n as it is where the shape is fixed (a hybrid group,
+	// PadNever), of n's smallest accepted power-of-two cover under PadAuto.
+	exact := o.group > 0 || o.padding == PadNever
+	lo, hi := n, n
+	if !exact {
+		lo, hi = int64(1)<<bits.Len64(uint64(n-1)), maxPlanRecords
+	}
+	single, _, err := e.search(o, lo, hi, 0)
+	planned := single.N > 0
+	if planned && (o.maxMemory == 0 || single.N*int64(single.Z) <= o.maxMemory) {
+		return SortPlan{Plan: single}, codec, nil
+	}
+
+	// Runs + merge: past the bound, or past the cap. The baselines only move
+	// data, so a "baseline" that sorted by replacement selection would
+	// measure nothing.
+	if exact || o.alg == BaselineIO3 || o.alg == BaselineIO4 {
+		if planned {
+			err = fmt.Errorf("colsort: WithMaxMemory(%d) needs the hierarchical path, which supports only PadAuto and non-hybrid sorting algorithms", o.maxMemory)
+		}
+		return fail(err)
+	}
+	if !planned && !errors.Is(err, ErrTooLarge) {
+		return fail(err)
+	}
+	smallest, run, _ := e.search(o, 1, maxPlanRecords, o.maxMemory)
+	if run.N == 0 {
+		if smallest.N == 0 {
+			return fail(fmt.Errorf("colsort: no single-run plan exists for %v under this configuration", o.alg))
+		}
+		return fail(fmt.Errorf("%w: WithMaxMemory(%d) admits no single %v run (the smallest plannable run is %d records × %d B = %d bytes); raise the cap or shrink MemPerProc",
+			ErrMemoryTooSmall, o.maxMemory, o.alg, smallest.N, smallest.Z, smallest.N*int64(smallest.Z)))
+	}
+	return SortPlan{Plan: run, MaxRuns: int((n + run.N - 1) / run.N)}, codec, nil
+}
+
+// search asks the planner about lo, 2·lo, 4·lo, … up to hi, stopping early
+// once it says growing cannot help (ErrTooLarge), and returns the first plan
+// it accepted (the smallest accepted cover of lo), the last accepted plan
+// whose records fit limit bytes (0: no limit) — the largest single run, a
+// hierarchical sort's run capacity — and its verdict on the last count asked.
+func (e *Engine) search(o sortOptions, lo, hi, limit int64) (first, last core.Plan, err error) {
+	c := e.cfg
+	for n := lo; ; n *= 2 {
+		var pl core.Plan
+		if o.group > 0 {
+			pl, err = core.NewHybridPlan(n, c.Procs, c.Disks, c.MemPerProc, c.RecordSize, o.group)
+		} else {
+			pl, err = core.NewPlan(o.alg, n, c.Procs, c.Disks, c.MemPerProc, c.RecordSize)
+		}
+		if err == nil {
+			if first.N == 0 {
+				first = pl
+			}
+			if limit == 0 || n*int64(pl.Z) <= limit {
+				last = pl
+			}
+		}
+		if errors.Is(err, ErrTooLarge) || n < 1 || n > hi/2 {
+			return first, last, err
+		}
+	}
+}

@@ -53,10 +53,7 @@ type resumeState struct {
 // Sort does, with Result.Merge.ResumedRuns counting the adopted runs. A
 // manifest whose job already completed is refused.
 func (e *Engine) Resume(ctx context.Context, manifestDir string, src Source, dst Sink, opts ...Option) (*Result, error) {
-	o := sortOptions{alg: Threaded, padding: PadAuto}
-	for _, opt := range opts {
-		opt(&o)
-	}
+	o := newSortOptions(opts)
 	if dst == nil {
 		return nil, fmt.Errorf("%w: a resumed hierarchical sort streams its output", ErrSinkRequired)
 	}
@@ -85,20 +82,18 @@ func (e *Engine) Resume(ctx context.Context, manifestDir string, src Source, dst
 	if st.begin.RecordSize != e.cfg.RecordSize {
 		return nil, fmt.Errorf("colsort: manifest at %s was written for %d-byte records but the engine is configured for %d-byte records", manifestDir, st.begin.RecordSize, e.cfg.RecordSize)
 	}
-	codec, err := o.keySpec.Compile(e.cfg.RecordSize)
-	if err != nil {
-		return nil, fmt.Errorf("colsort: %w", err)
-	}
-	runPl, err := e.planRun(o)
-	if err != nil {
-		return nil, err
-	}
-	if runPl.N != st.begin.RunRecords {
-		return nil, fmt.Errorf("colsort: manifest at %s was written with %d-record runs but this engine plans %d-record runs; resume on an identically configured engine", manifestDir, st.begin.RunRecords, runPl.N)
-	}
 	n := st.begin.N
 	if n < 1 {
 		return nil, fmt.Errorf("colsort: manifest at %s records no input size", manifestDir)
+	}
+	// The runs on disk were formed over the capacity the original job
+	// resolved; this engine must resolve the same job the same way.
+	sp, codec, err := e.resolve(o, n)
+	if err != nil {
+		return nil, err
+	}
+	if sp.MaxRuns == 0 || sp.N != st.begin.RunRecords {
+		return nil, fmt.Errorf("colsort: manifest at %s was written with %d-record runs but this engine plans %d-record runs; resume on an identically configured engine", manifestDir, st.begin.RunRecords, sp.N)
 	}
 
 	if o.deadline > 0 {
@@ -137,7 +132,7 @@ func (e *Engine) Resume(ctx context.Context, manifestDir string, src Source, dst
 		return nil, fmt.Errorf("colsort: the manifest at %s has unfinished run formation; Resume needs the original Source to form the remaining runs", manifestDir)
 	}
 
-	return e.runJob(ctx, o, runPl.N*int64(runPl.Z), func(j *job) (*Result, error) {
+	return e.runJob(ctx, o, sp.N*int64(sp.Z), func(j *job) (*Result, error) {
 		var rs *resumeState
 		if st.ingestDone {
 			live, err := reopenRuns(j.m, st.live, e.cfg.RecordSize)
@@ -146,7 +141,7 @@ func (e *Engine) Resume(ctx context.Context, manifestDir string, src Source, dst
 			}
 			rs = &resumeState{live: live, want: st.want, maxID: st.maxID}
 		}
-		return j.newHierJob(o, codec, n, runPl).sortHierarchical(ctx, rd, dst, rs)
+		return j.newHierJob(o, codec, n, sp.Plan).sortHierarchical(ctx, rd, dst, rs)
 	})
 }
 

@@ -26,13 +26,13 @@ import (
 //
 // Sort is unbounded in n: when the record count exceeds the selected
 // algorithm's problem-size bound (or a WithMaxMemory cap), the input is
-// transparently split into maximal bounded runs, each sorted on one
-// persistent cluster fabric, and the runs are combined by a loser-tree
-// k-way merge (WithMergeFanIn) streaming straight into dst with prefetch
-// on the run reads, write-behind on the output, and in-stream verification
-// — see Result.Merge and DESIGN.md §7. This path requires a non-nil dst
-// (the merged output only exists as a stream), the default PadAuto policy,
-// and a non-hybrid algorithm.
+// transparently cut into maximal sorted runs by replacement selection, and
+// the runs are combined by a loser-tree k-way merge (WithMergeFanIn)
+// streaming straight into dst with prefetch on the run reads, write-behind
+// on the output, and in-stream verification — see Result.Merge and
+// DESIGN.md §7. PlanSort tells beforehand which of the two a call executes
+// and states the rule; the merged output only exists as a stream, so a
+// hierarchical Sort with a nil dst fails with ErrSinkRequired.
 //
 // Concurrent Sort calls are admitted against the engine's TotalMemory
 // budget: each job's ask is its WithMaxMemory cap when given, otherwise
@@ -52,10 +52,7 @@ import (
 // The returned Result carries the exact operation counts and the cost
 // model; the caller owns Close.
 func (e *Engine) Sort(ctx context.Context, src Source, dst Sink, opts ...Option) (*Result, error) {
-	o := sortOptions{alg: Threaded, padding: PadAuto}
-	for _, opt := range opts {
-		opt(&o)
-	}
+	o := newSortOptions(opts)
 	if src == nil {
 		return nil, fmt.Errorf("colsort: nil Source")
 	}
@@ -66,71 +63,51 @@ func (e *Engine) Sort(ctx context.Context, src Source, dst Sink, opts ...Option)
 		ctx, cancel = context.WithTimeout(ctx, o.deadline)
 		defer cancel()
 	}
-	if o.maxMemory < 0 {
-		return nil, fmt.Errorf("colsort: WithMaxMemory(%d): the cap must be ≥ 0", o.maxMemory)
-	}
-	if o.fanIn < 0 || o.fanIn == 1 {
-		return nil, fmt.Errorf("colsort: WithMergeFanIn(%d): the fan-in must be ≥ 2", o.fanIn)
-	}
-	codec, err := o.keySpec.Compile(e.cfg.RecordSize)
-	if err != nil {
-		return nil, fmt.Errorf("colsort: %w", err)
-	}
 	n, rd, err := src.Open(e.cfg.RecordSize)
 	if err != nil {
 		return nil, err
 	}
 	defer rd.Close()
-	if n < 1 {
-		return nil, fmt.Errorf("colsort: cannot sort %d records", n)
-	}
-	pl, plErr := e.planOpts(o, n)
-	hier, err := e.wantHierarchical(o, pl, plErr)
+
+	// Settle the plan of the one run this job holds in memory at a time —
+	// the whole sort below the bound, one run's capacity above it — BEFORE
+	// admission: its record bytes are the job's ask. Plan-level failures
+	// (unplannable count, hierarchical sort without a Sink) surface here,
+	// before the job can occupy budget.
+	sp, codec, err := e.resolve(o, n)
 	if err != nil {
 		return nil, err
 	}
-
-	// Settle the plan of the one run this job holds in memory at a time —
-	// the whole sort below the bound, one batch above it — BEFORE admission:
-	// its record bytes are the job's ask. Plan-level failures (unplannable
-	// count, hierarchical sort without a Sink) surface here, before the job
-	// can occupy budget.
-	if hier {
-		if dst == nil {
-			// Wrap BOTH sentinels: ErrSinkRequired names what is missing,
-			// and callers branching on ErrTooLarge (the legacy above-bound
-			// failure mode) must keep matching when the only thing missing
-			// is a Sink.
-			return nil, fmt.Errorf("%w: %d records exceed the single-run bound (%w) and must stream through the hierarchical merge; pass a non-nil Sink (Discard() drops the output)", ErrSinkRequired, n, core.ErrTooLarge)
-		}
-		if pl, err = e.planRun(o); err != nil {
-			return nil, err
-		}
-	} else if plErr != nil {
-		return nil, plErr
+	if sp.MaxRuns > 0 && dst == nil {
+		// Wrap BOTH sentinels: ErrSinkRequired names what is missing, and
+		// callers branching on ErrTooLarge (the legacy above-bound failure
+		// mode) must keep matching when the only thing missing is a Sink.
+		return nil, fmt.Errorf("%w: %d records exceed the single-run bound (%w) and must stream through the hierarchical merge; pass a non-nil Sink (Discard() drops the output)", ErrSinkRequired, n, core.ErrTooLarge)
 	}
-	return e.runJob(ctx, o, pl.N*int64(pl.Z), func(j *job) (*Result, error) {
-		return j.run(ctx, src, rd, dst, o, codec, n, pl, hier)
+	return e.runJob(ctx, o, sp.N*int64(sp.Z), func(j *job) (*Result, error) {
+		if sp.MaxRuns > 0 {
+			return j.newHierJob(o, codec, n, sp.Plan).sortHierarchical(ctx, rd, dst, nil)
+		}
+		return j.sortSingle(ctx, rd, dst, o, codec, n, sp.Plan)
 	})
 }
 
-// run executes one admitted job: the hierarchical runs-plus-merge path in
-// pl-sized runs when hier is set, the single pl run otherwise.
-func (j *job) run(ctx context.Context, src Source, rd RecordReader, dst Sink, o sortOptions, codec record.KeyCodec, n int64, pl core.Plan, hier bool) (*Result, error) {
-	if hier {
-		return j.newHierJob(o, codec, n, pl).sortHierarchical(ctx, rd, dst, nil)
-	}
-
-	// An existing store of exactly the planned shape under the native key
-	// is consumed in place — no ingest copy.
-	input, ownInput, want, err := ingest(ctx, j.m, src, rd, pl, codec, n)
+// sortSingle executes one admitted single-run job: ingest into a fresh store
+// of the plan's shape, the pl columnsort run, verify, and drain into dst.
+func (j *job) sortSingle(ctx context.Context, rd RecordReader, dst Sink, o sortOptions, codec record.KeyCodec, n int64, pl core.Plan) (*Result, error) {
+	input, err := pl.NewStore(j.m)
 	if err != nil {
 		return nil, err
 	}
-	res, err := core.Run(ctx, pl, j.m, input, core.Hooks{Progress: o.progress})
-	if ownInput {
+	// want is the multiset checksum of the real records in the engine's
+	// normalized key space.
+	want, err := fillStore(ctx, input, rd, codec, n)
+	if err != nil {
 		input.Close()
+		return nil, err
 	}
+	res, err := core.Run(ctx, pl, j.m, input, core.Hooks{Progress: o.progress})
+	input.Close()
 	if err != nil {
 		return nil, err
 	}
@@ -151,46 +128,6 @@ func (j *job) run(ctx context.Context, src Source, rd RecordReader, dst Sink, o 
 		}
 	}
 	return out, nil
-}
-
-// planOpts turns the options into a validated plan for n records.
-func (e *Engine) planOpts(o sortOptions, n int64) (core.Plan, error) {
-	if o.group > 0 {
-		// Hybrid group columnsort: padding is not supported (the group size
-		// fixes the shape), so the count must be directly plannable.
-		return e.PlanHybrid(o.group, n)
-	}
-	if o.padding == PadNever {
-		return e.Plan(o.alg, n)
-	}
-	return e.planPadded(o.alg, n)
-}
-
-// ingest materializes the plan's input store on machine m: either the
-// source's own store consumed in place (ownInput = false), or a fresh
-// store filled from the source's record stream (ownInput = true). want is
-// the multiset checksum of the real records in the engine's normalized key
-// space.
-func ingest(ctx context.Context, m pdm.Machine, src Source, rd RecordReader, pl core.Plan, codec record.KeyCodec, n int64) (input *pdm.Store, ownInput bool, want record.Checksum, err error) {
-	if ss, ok := src.(*storeSource); ok && codec.Identity() && n == pl.N && storeMatchesPlan(ss.st, pl) {
-		want, err = ss.st.Checksum()
-		return ss.st, false, want, err
-	}
-	input, err = pl.NewStore(m)
-	if err != nil {
-		return nil, false, want, err
-	}
-	want, err = fillStore(ctx, input, rd, codec, n)
-	if err != nil {
-		input.Close()
-		return nil, false, want, err
-	}
-	return input, true, want, nil
-}
-
-// storeMatchesPlan mirrors core.Run's input-shape check.
-func storeMatchesPlan(st *pdm.Store, pl core.Plan) bool {
-	return st.R == pl.R && st.S == pl.S && st.RecSize == pl.Z && st.P == pl.P && st.G == pl.Group
 }
 
 // fillStore streams the source's records into the store in global
@@ -266,6 +203,13 @@ func (r *Result) drainTo(ctx context.Context, dst Sink) error {
 		return err
 	}
 	return w.Close()
+}
+
+// WriteFile streams the sorted records (excluding any power-of-two padding,
+// and decoded back to the caller's key layout) into a newly created file at
+// path, in the global column-major sorted order.
+func (r *Result) WriteFile(path string) error {
+	return r.drainTo(context.Background(), ToFile(path))
 }
 
 // scanRealPrefix streams the real (non-pad) prefix of a sorted store in

@@ -6,15 +6,12 @@ import (
 	"io"
 	"os"
 
-	"colsort/internal/pdm"
 	"colsort/internal/record"
-	"colsort/internal/sim"
 )
 
 // A Source supplies the records a Sort consumes. Implementations adapt
 // generators (Generate), real files (FromFile), byte buffers (FromBytes),
-// arbitrary streams (FromReader) and existing simulated-disk stores
-// (FromStore); third parties can implement their own.
+// and arbitrary streams (FromReader); third parties can implement their own.
 type Source interface {
 	// Open prepares the source for a sorter whose records are recSize
 	// bytes, returning the exact number of records and a reader positioned
@@ -172,79 +169,3 @@ func (r *bytesReader) ReadRecord(rec []byte) error {
 }
 
 func (r *bytesReader) Close() error { return nil }
-
-// FromStore sorts the records of an existing simulated-disk store (for
-// example one built with Engine.InputStore and filled by the caller). The
-// store is preserved — the caller keeps ownership and must Close it.
-//
-// When the store's shape already matches the plan and the sort uses the
-// native key, the engine consumes it in place with no ingest copy;
-// otherwise its records are streamed into a fresh input store of the
-// planned shape.
-func FromStore(st *pdm.Store) Source {
-	return &storeSource{st: st}
-}
-
-type storeSource struct{ st *pdm.Store }
-
-func (s *storeSource) Open(recSize int) (int64, RecordReader, error) {
-	if s.st == nil {
-		return 0, nil, fmt.Errorf("colsort: nil store")
-	}
-	if s.st.RecSize != recSize {
-		return 0, nil, fmt.Errorf("colsort: store record size %d != sorter record size %d", s.st.RecSize, recSize)
-	}
-	return int64(s.st.R) * int64(s.st.S), &storeReader{
-		st:  s.st,
-		cur: record.Slice{Size: s.st.RecSize}, // empty: first read loads a segment
-	}, nil
-}
-
-// storeReader streams a store's records in global column-major index order
-// by walking its owned segments — the same order ScanSegments visits.
-type storeReader struct {
-	st  *pdm.Store
-	cnt sim.Counters
-	buf record.Slice
-	j   int // next column to load
-	p   int // next processor within column j
-	cur record.Slice
-	pos int
-}
-
-func (r *storeReader) ReadRecord(rec []byte) error {
-	for r.pos >= r.cur.Len() {
-		if err := r.nextSegment(); err != nil {
-			return err
-		}
-	}
-	copy(rec, r.cur.Record(r.pos))
-	r.pos++
-	return nil
-}
-
-func (r *storeReader) nextSegment() error {
-	st := r.st
-	for ; r.j < st.S; r.j++ {
-		for ; r.p < st.P; r.p++ {
-			lo, hi := st.OwnedRows(r.p, r.j)
-			if lo == hi {
-				continue
-			}
-			if r.buf.Size == 0 || r.buf.Len() < hi-lo {
-				r.buf = record.Make(hi-lo, st.RecSize)
-			}
-			r.cur = r.buf.Sub(0, hi-lo)
-			if err := st.ReadRows(&r.cnt, r.p, r.j, lo, r.cur); err != nil {
-				return err
-			}
-			r.pos = 0
-			r.p++
-			return nil
-		}
-		r.p = 0
-	}
-	return io.ErrUnexpectedEOF
-}
-
-func (r *storeReader) Close() error { return nil } // the caller owns the store
