@@ -16,24 +16,34 @@ import (
 
 const groupGoldenPath = "testdata/group_counters.golden"
 
-// groupCase is one row-sharing configuration: M-columnsort and Combined are
-// the group program at g = P (g == 0 here: the plan comes from NewPlan),
-// Hybrid at 2 ≤ g ≤ P/2.
+// groupCase is one configuration of the group pass program: the column-owned
+// algorithms are group columnsort at g = 1 and M-columnsort and Combined at
+// g = P (g == 0 here: the plan comes from NewPlan), Hybrid at 2 ≤ g ≤ P/2.
 type groupCase struct {
 	alg          Algorithm
 	p, g, mem, s int
 }
 
-// groupCases lists every shape the golden pins. The M-columnsort and
-// Combined buffers are the smallest the planner accepts for (P, s), found by
-// doubling from the in-core sort's own floor M/P = 2P² (which the planner
-// waives at s = 1 though the sort does not); the file shows the plan each
-// case ran.
+// columnOwned reports whether NewPlan gives alg a group of one.
+func columnOwned(alg Algorithm) bool {
+	return alg == Threaded || alg == Threaded4 || alg == Subblock
+}
+
+// groupCases lists every shape the golden pins. The buffers are the smallest
+// the planner accepts for (P, s), found by doubling — for M-columnsort and
+// Combined from the in-core sort's own floor M/P = 2P² (which the planner
+// waives at s = 1 though the sort does not), for the column-owned algorithms
+// from 16 records; the file shows the plan each case ran. New shapes go at the
+// END of the list, so the sections before them never move.
 func groupCases(t *testing.T) []groupCase {
 	var cases []groupCase
 	smallest := func(alg Algorithm, p, s int) {
-		for mem := 2 * p * p; mem <= 1<<12; mem *= 2 {
-			if _, err := NewPlan(alg, int64(mem)*int64(p)*int64(s), p, p, mem, 16); err == nil {
+		from, cols := 2*p*p, p*s
+		if columnOwned(alg) {
+			from, cols = 16, s
+		}
+		for mem := from; mem <= 1<<12; mem *= 2 {
+			if _, err := NewPlan(alg, int64(mem)*int64(cols), p, p, mem, 16); err == nil {
 				cases = append(cases, groupCase{alg: alg, p: p, mem: mem, s: s})
 				return
 			}
@@ -56,6 +66,19 @@ func groupCases(t *testing.T) []groupCase {
 	} {
 		cases = append(cases, groupCase{alg: Hybrid, p: c.p, g: c.g, mem: c.mem, s: c.s})
 	}
+	// g = 1: a column owned by one processor. One round a pass (s = P) and
+	// several; the single column at P = 1; for Subblock both sides of √s = P
+	// (√s ≥ P keeps the subblock pass off the network, √s < P sends ⌈P/√s⌉
+	// messages a round).
+	for _, c := range []struct{ p, s int }{{1, 1}, {1, 4}, {2, 4}, {4, 8}, {8, 8}, {8, 16}} {
+		smallest(Threaded, c.p, c.s)
+	}
+	for _, c := range []struct{ p, s int }{{1, 2}, {2, 4}, {4, 8}, {8, 8}} {
+		smallest(Threaded4, c.p, c.s)
+	}
+	for _, c := range []struct{ p, s int }{{1, 4}, {2, 4}, {2, 16}, {4, 4}, {4, 16}, {8, 16}, {8, 64}} {
+		smallest(Subblock, c.p, c.s)
+	}
 	return cases
 }
 
@@ -65,9 +88,12 @@ func (c groupCase) plan(t *testing.T) Plan {
 	const z = 16
 	var pl Plan
 	var err error
-	if c.alg == Hybrid {
+	switch {
+	case c.alg == Hybrid:
 		pl, err = NewHybridPlan(int64(c.g)*int64(c.mem)*int64(c.s), c.p, c.p, c.mem, z, c.g)
-	} else {
+	case columnOwned(c.alg):
+		pl, err = NewPlan(c.alg, int64(c.mem)*int64(c.s), c.p, c.p, c.mem, z)
+	default:
 		pl, err = NewPlan(c.alg, int64(c.p)*int64(c.mem)*int64(c.s), c.p, c.p, c.mem, z)
 	}
 	if err != nil {
@@ -114,9 +140,9 @@ func (c groupCase) run(t *testing.T, gen record.Generator) []string {
 	return lines
 }
 
-// TestGroupProgramGolden pins the row-sharing algorithms — M-columnsort,
-// Combined and Hybrid — to the committed golden: output bytes and every
-// counter of every processor in every pass. The file is regenerated only
+// TestGroupProgramGolden pins every sorting algorithm — the column-owned
+// three, M-columnsort, Combined and Hybrid — to the committed golden: output
+// bytes and every counter of every processor in every pass. The file is regenerated only
 // under COLSORT_UPDATE_GOLDEN=1, at a commit known good, so a change to the
 // group pass program proves its identity by passing against a file it did
 // not write.
