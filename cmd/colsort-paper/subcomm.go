@@ -35,13 +35,7 @@ func printCommTable() {
 	fmt.Println("Subblock-pass communication (Section 3, properties 1-2)")
 	fmt.Printf("%4s %6s %6s | %18s %18s %12s\n", "P", "s", "√s", "msgs/round (pred)", "msgs/round (meas)", "net bytes")
 	for _, s := range []int{16, 64, 256} {
-		r := 4 * s * bitperm.Sqrt(s) // minimum legal height, kept small
-		if r < 2*s*s {
-			// Also need enough height for the surrounding threaded passes'
-			// height restriction? No — only the subblock restriction
-			// applies; but s | r must hold.
-			r = lcmPow2(r, s)
-		}
+		r := 4 * s * bitperm.Sqrt(s) // minimum legal height (a multiple of s), kept small
 		for p := 2; p <= 16 && p <= s; p *= 2 {
 			pred := bitperm.MessagesPerRound(p, s)
 			meas, netBytes, err := measure(p, r, s)
@@ -126,11 +120,4 @@ func printBitForm(r, s int) {
 	fmt.Println("\nThe target column bits (x, z) come entirely from the bits that locate")
 	fmt.Println("an element WITHIN its √s×√s subblock, which is what guarantees the")
 	fmt.Println("subblock property (all s entries of a subblock reach all s columns).")
-}
-
-func lcmPow2(a, b int) int {
-	for a%b != 0 {
-		a *= 2
-	}
-	return a
 }

@@ -387,11 +387,23 @@ func (pr *Proc) Barrier() error {
 	return nil
 }
 
+// chargeAllToAll counts what one participant sends in an all-to-all: a
+// message is a NON-EMPTY buffer — a sparse pattern (the subblock pass's
+// ⌈P/√s⌉ targets, a redistribution with s < P) costs what a hand-written
+// targeted send would — and the buffer addressed to oneself is local.
+func chargeAllToAll(cnt *sim.Counters, me int, out []record.Slice) {
+	for d := range out {
+		if len(out[d].Data) > 0 {
+			chargeMsg(cnt, d == me, len(out[d].Data))
+		}
+	}
+}
+
 // AllToAll performs the personalized all-to-all exchange at the heart of
 // the communicate stages: out[q] is sent to processor q, and the returned
 // slice holds in[q] received from every q (including this processor's own
-// contribution, which never touches the network). All processors must call
-// it with the same tag. The round goes through the exchange board — one
+// contribution, which never touches the network). Only non-empty buffers
+// count as messages. All processors must call it with the same tag. The round goes through the exchange board — one
 // synchronization per processor per round — and ownership semantics match
 // Send/Recv. The returned header array comes from the shared header free
 // list; callers done with it may record.PutHeaders it.
@@ -399,8 +411,8 @@ func (pr *Proc) AllToAll(cnt *sim.Counters, tag int, out []record.Slice) ([]reco
 	if len(out) != pr.c.p {
 		return nil, fmt.Errorf("cluster: all-to-all with %d buffers on %d processors", len(out), pr.c.p)
 	}
+	chargeAllToAll(cnt, pr.rank, out)
 	for d := range out {
-		chargeMsg(cnt, d == pr.rank, len(out[d].Data))
 		out[d] = pr.c.wireCopy(out[d])
 	}
 	return pr.c.exchangeRound(xkey{tag: tag, base: 0, n: pr.c.p}, pr.rank, out)

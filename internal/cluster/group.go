@@ -99,16 +99,16 @@ func (g *Group) AllToAll(cnt *sim.Counters, tag int, out []record.Slice) ([]reco
 	if len(out) != len(g.members) {
 		return nil, fmt.Errorf("cluster: group all-to-all with %d buffers on %d members", len(out), len(g.members))
 	}
+	chargeAllToAll(cnt, g.myRank, out)
 	if g.contig {
 		c := g.pr.c
 		for d := range out {
-			chargeMsg(cnt, d == g.myRank, len(out[d].Data))
 			out[d] = c.wireCopy(out[d])
 		}
 		return c.exchangeRound(xkey{tag: tag, base: g.members[0], n: len(g.members)}, g.myRank, out)
 	}
 	for d := range g.members {
-		if err := g.Send(cnt, d, tag, out[d]); err != nil {
+		if err := g.Send(nil, d, tag, out[d]); err != nil {
 			return nil, err
 		}
 	}

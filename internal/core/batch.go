@@ -68,16 +68,12 @@ func NewBatchRunner(ctx context.Context, pl Plan, m pdm.Machine) (*BatchRunner, 
 	if m.P != pl.P || m.D != pl.D {
 		return nil, fmt.Errorf("core: machine P=%d D=%d does not match plan P=%d D=%d", m.P, m.D, pl.P, pl.D)
 	}
-	passes, err := passList(pl)
-	if err != nil {
-		return nil, err
-	}
 	pools := m.Pools
 	if pools == nil {
 		pools = record.NewPools(pl.P)
 	}
 	br := &BatchRunner{
-		pl: pl, m: m, passes: passes, pools: pools, window: passTagWindow(pl),
+		pl: pl, m: m, passes: passList(pl), pools: pools, window: passTagWindow(pl),
 		jobs:       make(chan *batchJob),
 		fabricDone: make(chan struct{}),
 	}

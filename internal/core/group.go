@@ -15,57 +15,68 @@ import (
 	"colsort/internal/sortalg"
 )
 
-// Group columnsort is the ONE pass program of every layout in which
-// processors share a column. The P processors form P/g groups of g; each
-// column holds r = g·(M/P) records owned by one group (column j by group
-// j mod P/g, member m holding rows [m·r/g, (m+1)·r/g)) and is sorted by the
-// distributed in-core columnsort of internal/incore WITHIN the group, one
-// column per group per round. The group size is the whole difference between
-// the algorithms built on it:
+// Group columnsort is the ONE pass program of every sorting algorithm. The P
+// processors form P/g groups of g; each column holds r = g·(M/P) records owned
+// by one group (column j by group j mod P/g, member m holding rows
+// [m·r/g, (m+1)·r/g)) and is sorted by the distributed in-core columnsort of
+// internal/incore WITHIN the group, one column per group per round. The group
+// size is the whole difference between the algorithms built on it:
 //
+//   - g = 1 is a column owned by one processor — 3-pass threaded columnsort
+//     [CC02], 4-pass columnsort [CCW01] (one more spec: step 5 alone) and
+//     subblock columnsort (Section 3: the subblock spec). A group of one
+//     returns from the in-core sort after its step 1, so it pays none of that
+//     sort's communication.
 //   - g = P is the paper's M-columnsort (Section 4) and, with the subblock
-//     pass added, the Combined algorithm (Section 6): one group, r = M, every
-//     column shared by the whole cluster.
+//     spec, the Combined algorithm (Section 6): one group, r = M, every column
+//     shared by the whole cluster.
 //   - 2 ≤ g ≤ P/2 is the hybrid of Section 6's second future-work item:
 //     column heights BETWEEN M/P and M, trading the problem-size bound
 //     N ≤ (g·M/P)^{3/2}/√2 against sort-stage communication exactly as
 //     internal/hybrid's analytic model predicts.
 //
-// Like the g = 1 programs, this one is run-aware in the sense of the paper's
-// footnote 5: a distribution pass leaves each member's block of a column as
-// a concatenation of ascending runs — chunk/g records per source column, in
-// arrival order — so every pass after the first declares that length
-// (groupSpec.runLen) to its in-group sorter, which merges the runs instead
-// of sorting them, as the sorter's own steps 3 and 5 merge the chunks its
-// transposes deliver. Only the first pass's step 1 sorts.
+// The program is run-aware in the sense of the paper's footnote 5: a
+// distribution pass leaves each member's block of a column as a concatenation
+// of ascending runs — chunk/g records per source column, in arrival order — so
+// every pass after the first declares that length (groupSpec.runLen) to its
+// in-group sorter, which merges the runs instead of sorting them, as the
+// sorter's own steps 3 and 5 merge the chunks its transposes deliver. Only the
+// first pass's step 1 sorts.
 //
-// g = 1 (a column owned by one processor) is NOT served here: its sort stage
-// is local (scatter.go, mergepass.go) and pays neither the in-core sort's
-// two all-to-alls nor the boundary pass's second sort (DESIGN.md §3).
+// Every distribution pass is runGroupScatterPass. The boundary pass (fused
+// steps 5–8) opens with the same stages and then resolves each overlap where
+// its two halves meet: on ONE processor at g = 1, in a two-way merge
+// (runMergePass), on a group at g ≥ 2, in a second distributed sort and a
+// rotation (runGroupMergePass). One body for both would branch on g at every
+// send.
+
+// pipeDepth is the channel capacity between pipeline stages; 2 keeps a few
+// rounds in flight (enough to overlap I/O, sort and communication) while
+// bounding buffer memory, like the paper's fixed buffer pools.
+const pipeDepth = 2
 
 // groupSpec is one pass of the group program: the run structure of the blocks
 // it reads and, for a distribution pass, where the records of a sorted column
 // go. After the in-group sort, member m holds sorted ranks [m·r/g, (m+1)·r/g)
 // of its group's column. The boundary pass (fused steps 5–8) distributes
-// nothing: its destCol is nil.
+// nothing: its dest is nil.
 type groupSpec struct {
 	name string
 	// runLen is the length of the ascending runs this pass's INPUT blocks
 	// consist of: 0 for the first pass (unsorted input), the previous pass's
 	// chunk/g after it. The in-group sorter's step 1 merges them.
 	runLen int
-	// destCol maps a sorted rank of source column j to its target column.
-	destCol func(rank int64, j int) int
-	// occ is the rank's index among the records its target column receives
-	// from one source column, in rank order. The member of the target
-	// column's group that writes the record is occ ÷ (chunk/g): each member
-	// takes an equal consecutive share. Computed from the rank itself, so
-	// sender and receiver agree even where a rank block straddles target
-	// columns (s < g).
-	occ func(rank int64) int64
-	// colInvariant marks destCol as independent of j, letting the
-	// distribution tables be computed once per pass.
-	colInvariant bool
+	// dest maps a sorted rank of source column j to its target column and to
+	// occ, the rank's index among the records that column receives from one
+	// source column, in rank order. The member of the target column's group
+	// that writes the record is occ ÷ (chunk/g): each member takes an equal
+	// consecutive share. Computed from the rank itself, so sender and receiver
+	// agree even where a rank block straddles target columns (s < g).
+	dest func(rank int64, j int) (col int, occ int64)
+	// period says how dest depends on the source column: only through
+	// j mod period (a power of two; 1: not at all). Rounds whose source
+	// columns agree mod period share their distribution tables.
+	period int
 	// redistribute marks the pass whose rank blocks do not evenly cover the
 	// target columns (step 4): its communicate stage is an all-to-all in
 	// every shape, which is what the cost model charges it
@@ -74,7 +85,7 @@ type groupSpec struct {
 	redistribute bool
 	// chunk is the number of records a target column receives from one
 	// source column (r/s for steps 2 and 4, r/√s for the subblock
-	// permutation).
+	// permutation, r for step 5 alone).
 	chunk int
 }
 
@@ -82,27 +93,35 @@ type groupSpec struct {
 // may run two full in-core sorts plus the exchange.
 const groupTagStride = 4 * incore.TagSpan
 
-// groupSpecs lists the passes of a row-sharing plan: steps 1–2 and 3–4 as
-// distribution passes, with the subblock permutation (3, 3.1) between them
-// for Combined, and the fused steps 5–8 boundary pass. Each pass's input run
-// length is what the pass before it wrote.
+// groupSpecs lists the passes of a plan: steps 1–2 and 3–4 as distribution
+// passes — with the subblock permutation (3, 3.1) between them for Subblock
+// and Combined, and step 5 as a pass of its own after them for the 4-pass
+// program (I/O-faithful to [CCW01]; its steps regroup as [1,2], [3,4], [5],
+// [6–8], see DESIGN.md) — and the fused steps 5–8 boundary pass. Each pass's
+// input run length is what the pass before it wrote.
 func groupSpecs(pl Plan) []groupSpec {
-	r, s := int64(pl.R), int64(pl.S)
-	c := r / s
+	// Every shape parameter is a power of two (newPlan), so the maps are
+	// shifts and masks: a column-dependent pass asks them P·r/g times a round.
+	c := pl.R / pl.S
+	lgS, lgC := bitperm.Log2(pl.S), bitperm.Log2(c)
+	sMask, cMask := int64(pl.S-1), int64(c-1)
 	specs := []groupSpec{
-		{name: "steps 1-2", chunk: int(c), colInvariant: true,
-			destCol: func(rank int64, _ int) int { return int(rank % s) },
-			occ:     func(rank int64) int64 { return rank / s }},
-		{name: "steps 3-4", chunk: int(c), colInvariant: true, redistribute: true,
-			destCol: func(rank int64, _ int) int { return int(rank / c) },
-			occ:     func(rank int64) int64 { return rank % c }},
+		{name: "steps 1-2", chunk: c, period: 1, // column rank mod s, occurrence ⌊rank/s⌋
+			dest: func(rank int64, _ int) (int, int64) { return int(rank & sMask), rank >> lgS }},
+		{name: "steps 3-4", chunk: c, period: 1, redistribute: true, // column ⌊rank/c⌋, occurrence rank mod c
+			dest: func(rank int64, _ int) (int, int64) { return int(rank >> lgC), rank & cMask }},
 		{name: "steps 5-8"},
 	}
-	if pl.Alg == Combined {
+	switch pl.Alg {
+	case Subblock, Combined:
 		q := bitperm.MustSubblock(pl.R, pl.S).SqrtS()
-		specs = slices.Insert(specs, 1, groupSpec{name: "subblock pass (3, 3.1)", chunk: pl.R / q,
-			destCol: func(rank int64, j int) int { return j%q + int(rank%int64(q))*q },
-			occ:     func(rank int64) int64 { return rank / int64(q) }})
+		lgQ, qMask := bitperm.Log2(q), q-1
+		specs = slices.Insert(specs, 1, groupSpec{name: "subblock pass (3, 3.1)", chunk: pl.R / q, period: q,
+			// column (j mod √s) + (rank mod √s)·√s, occurrence ⌊rank/√s⌋
+			dest: func(rank int64, j int) (int, int64) { return j&qMask | (int(rank)&qMask)<<lgQ, rank >> lgQ }})
+	case Threaded4:
+		specs = slices.Insert(specs, 2, groupSpec{name: "step 5", chunk: pl.R, period: pl.S,
+			dest: func(rank int64, j int) (int, int64) { return j, rank }})
 	}
 	for k := 1; k < len(specs); k++ {
 		specs[k].runLen = specs[k-1].chunk / pl.Group
@@ -110,13 +129,17 @@ func groupSpecs(pl Plan) []groupSpec {
 	return specs
 }
 
-// groupPasses turns the specs into pass functions.
+// groupPasses turns the specs into pass functions. The boundary pass is the
+// one place the group size picks code: see the file comment.
 func groupPasses(pl Plan, specs []groupSpec) []passFunc {
 	passes := make([]passFunc, len(specs))
 	for k, spec := range specs {
 		run := runGroupScatterPass
-		if spec.destCol == nil {
+		if spec.dest == nil {
 			run = runGroupMergePass
+			if pl.Group == 1 {
+				run = runMergePass
+			}
 		}
 		passes[k] = func(pr *cluster.Proc, in, out *pdm.Store, tagBase int, pool *record.Pool, cnt *sim.Counters, onRound func()) error {
 			return run(pr, pl, spec, in, out, tagBase, pool, cnt, onRound)
@@ -136,11 +159,19 @@ type blockWrite struct {
 type groupRound struct {
 	t, col int
 	buf    record.Slice // my block of the column: read, then sorted
-	// perCol (scatter pass) holds, per target column, this round's arrival
-	// chunk; nil entries receive nothing.
+
+	// Scatter pass: the round's tables, the buffers the exchange delivered
+	// (one per source processor) and, per target column, this round's arrival
+	// chunk (nil entries receive nothing).
+	tab    *scatterTables
+	inMsgs []record.Slice
 	perCol []record.Slice
-	// writes (boundary pass) holds the final blocks this round completed.
+
+	// Boundary pass at g ≥ 2: the final blocks this round completed.
 	writes []blockWrite
+	// Boundary pass at g = 1: the sorted overlap and my column's two final
+	// halves — views of buf, of merged, or a received buffer.
+	merged, finalTop, finalBot record.Slice
 }
 
 // groupStages are the stages both group passes open with: the round source
@@ -175,8 +206,11 @@ func newGroupStages(pr *cluster.Proc, pl Plan, runLen int, in *pdm.Store, tagBas
 			return nil
 		},
 		read: func(rd groupRound) (groupRound, error) {
+			// The round → column map IS the pass's future access sequence:
+			// hint the next round's block so an async disk stages it while
+			// this round's sort and communication proceed.
 			if next := rd.col + ng; next < pl.S {
-				in.PrefetchRows(q, next, lo, rb) // stage the next round's block
+				in.PrefetchRows(q, next, lo, rb)
 			}
 			rd.buf = pool.Get(rb, pl.Z)
 			if err := in.ReadRows(cRead, q, rd.col, lo, rd.buf); err != nil {
@@ -196,144 +230,226 @@ func newGroupStages(pr *cluster.Proc, pl Plan, runLen int, in *pdm.Store, tagBas
 	}, nil
 }
 
+// scatterTables are one processor's compiled distribution tables for one
+// round of a scatter pass — the oblivious permutation asked once per rank and
+// replayed as batched copies. send packs my sorted rank block per destination
+// processor, in rank order. keep[k] replays the rank block of one source,
+// keeping the records destined here and mapping them to target columns:
+// sources with the same in-group position share a rank range, hence — when the
+// map ignores the source column — a plan (k = src mod g); a column-dependent
+// map needs one plan per source processor, built for that source's column of
+// the round. colTotal is what each target column receives here in the round.
+type scatterTables struct {
+	send     sendPlan
+	keep     []colPlan
+	colTotal []int32
+	// direct: every processor's send plan is all-self — each of the round's
+	// ng·r records is routed to the processor that already holds it, so the
+	// pack and the collective are skipped (the paper designs M-columnsort's
+	// in-core sort to finish in exactly that distribution, and the subblock
+	// pass at √s ≥ P sends nothing off-processor). Every processor scans every
+	// source's rank block identically, so all of them skip or none does.
+	direct bool
+}
+
+// groupScatter is processor q's shape of one distribution pass.
+type groupScatter struct {
+	spec                      groupSpec
+	q, P, g, ng, s, rb, share int
+	lgG, lgShare              int
+}
+
+func newGroupScatter(pl Plan, spec groupSpec, q int) (groupScatter, error) {
+	g := pl.Group
+	if spec.chunk%g != 0 {
+		return groupScatter{}, fmt.Errorf("core: %s: per-round chunk %d not divisible by g=%d", spec.name, spec.chunk, g)
+	}
+	share := spec.chunk / g // records per (target column, member, source column)
+	return groupScatter{spec: spec, q: q, P: pl.P, g: g, ng: pl.P / g, s: pl.S, rb: pl.R / g,
+		share: share, lgG: bitperm.Log2(g), lgShare: bitperm.Log2(share)}, nil
+}
+
+// classes is the number of distinct table sets of the pass: round t's set is
+// that of round t mod classes.
+func (gs *groupScatter) classes() int { return max(1, gs.spec.period/gs.ng) }
+
+// build compiles the tables of round t, reusing tb's backing arrays.
+func (gs *groupScatter) build(tb *scatterTables, t int) error {
+	q, g, ng, rb := gs.q, gs.g, gs.ng, gs.rb
+	// The sources to scan. A column-invariant map sends member m of every
+	// group the same way, so group 0's g sources stand for all of them (and
+	// cannot all stay where they are unless there is one group).
+	nKeep := gs.P
+	if gs.spec.period == 1 {
+		nKeep = g
+	}
+	if len(tb.keep) != nKeep {
+		tb.keep = make([]colPlan, nKeep)
+		tb.colTotal = make([]int32, gs.s)
+	}
+	// proc is the processor a rank of source column j goes to: the member of
+	// the target column's group whose share the rank's occurrence falls in.
+	// (tj mod ng)·g + ⌊occ/share⌋, on powers of two.
+	dest, grpMask, lgG, lgShare := gs.spec.dest, ng-1, gs.lgG, gs.lgShare
+	proc := func(rank int64, j int) (d, tj int) {
+		tj, occ := dest(rank, j)
+		return (tj&grpMask)<<lgG | int(occ>>lgShare), tj
+	}
+	stay := 0
+	for src := 0; src < nKeep; src++ {
+		j := t*ng + src/g // the column src holds a block of this round
+		lo := int64(src%g) * int64(rb)
+		kp := &tb.keep[src]
+		kp.reset(gs.s)
+		for i := int64(0); i < int64(rb); i++ {
+			d, tj := proc(lo+i, j)
+			if d == q {
+				kp.add(tj)
+			}
+			if d == src {
+				stay++
+			}
+		}
+	}
+	tb.direct = stay == gs.P*rb && !gs.spec.redistribute // all ng·r records of the round
+	if !tb.direct {
+		j, lo := t*ng+q/g, int64(q%g)*int64(rb)
+		buildSendPlan(&tb.send, func(i int) int { d, _ := proc(lo+int64(i), j); return d }, rb, gs.P)
+	}
+	// Each source column of the round contributes either nothing or exactly
+	// its share to my block of a target column.
+	for tj := range tb.colTotal {
+		tb.colTotal[tj] = 0
+		for a := 0; a < ng; a++ {
+			n := 0
+			for m := 0; m < g; m++ {
+				n += int(tb.keep[(a*g+m)%nKeep].counts[tj])
+			}
+			if n != 0 && n != gs.share {
+				return fmt.Errorf("core: %s: column %d would receive %d records of column %d here, not %d",
+					gs.spec.name, tj, n, t*ng+a, gs.share)
+			}
+			tb.colTotal[tj] += int32(n)
+		}
+	}
+	return nil
+}
+
 // runGroupScatterPass executes one distribution pass: per round, each group
 // reads one of its columns, sorts it with the in-group distributed
 // columnsort, and scatters the records to the blocks of the target columns'
 // owners across all groups, which append them in arrival order.
 func runGroupScatterPass(pr *cluster.Proc, pl Plan, spec groupSpec, in, out *pdm.Store, tagBase int, pool *record.Pool, cnt *sim.Counters, onRound func()) error {
 	q := pr.Rank()
-	P, g := pl.P, pl.Group
-	ng := P / g
-	r, s, z := pl.R, pl.S, pl.Z
-	rb := r / g
-	a, m := q/g, q%g
-	lo := m * rb
-
-	if spec.chunk%g != 0 {
-		return fmt.Errorf("core: %s: per-round chunk %d not divisible by g=%d", spec.name, spec.chunk, g)
+	gs, err := newGroupScatter(pl, spec, q)
+	if err != nil {
+		return err
 	}
-	share := spec.chunk / g // records per (target column, member, source column)
+	P, g, ng, s, z := gs.P, gs.g, gs.ng, gs.s, pl.Z
+	a, lo := q/g, q%g*gs.rb
 
-	var cRead, cSort, cComm, cWrite sim.Counters
+	var cRead, cSort, cComm, cPerm, cWrite sim.Counters
 	st, err := newGroupStages(pr, pl, spec.runLen, in, tagBase, pool, &cRead, &cSort)
 	if err != nil {
 		return err
 	}
-	written := make([]int, s) // per target column, block-local rows written
 
-	// Distribution tables of source column j. The send plan packs my sorted
-	// rank block [lo, lo+rb) per destination processor; keepPlans[m'] replays
-	// the rank range of source member m', keeping the records destined here and
-	// mapping them to target columns (sources with the same in-group position
-	// share a rank range, hence a plan); colTotal is what each target column
-	// receives here per round. Built once per pass for column-invariant maps,
-	// rebuilt per round into the same backing arrays otherwise.
-	var sendPl sendPlan
-	keepPlans := make([]colPlan, g)
-	colTotal := make([]int32, s)
-	// direct: every processor's send plan is all-self — each of the round's
-	// ng·r records is routed to the processor that already holds it, so the
-	// communicate stage is eliminated (the paper designs M-columnsort's
-	// in-core sort to finish in exactly that distribution). The count runs
-	// over every source's rank block, which all processors scan identically,
-	// so all of them skip the collective or none does.
-	direct := false
-	build := func(j int) error {
-		dest := func(gi int64) (proc, tj int) {
-			tj = spec.destCol(gi, j)
-			return (tj%ng)*g + int(spec.occ(gi)/int64(share)), tj
-		}
-		stay := 0
-		for mm := 0; mm < g; mm++ {
-			kp := &keepPlans[mm]
-			kp.reset(s)
-			srcLo := int64(mm) * int64(rb)
-			for i := 0; i < rb; i++ {
-				d, tj := dest(srcLo + int64(i))
-				if d == q {
-					kp.add(tj)
-				}
-				if d%g == mm { // kept by the one holder of this rank in group d/g
-					stay++
-				}
-			}
-		}
-		direct = stay == ng*r && !spec.redistribute
-		if !direct {
-			buildSendPlan(&sendPl, func(i, _ int) int { d, _ := dest(int64(lo) + int64(i)); return d }, 0, rb, P)
-		}
-		// Every target column a round touches must receive exactly its
-		// ng·share-record chunk.
-		for tj := range colTotal {
-			colTotal[tj] = 0
-		}
-		for src := 0; src < P; src++ {
-			for tj, c := range keepPlans[src%g].counts {
-				colTotal[tj] += c
-			}
-		}
-		for tj, n := range colTotal {
-			if n != 0 && int(n) != ng*share {
-				return fmt.Errorf("core: %s: column %d would receive %d of %d records per round", spec.name, tj, n, ng*share)
-			}
-		}
-		return nil
+	// Round t's tables depend on t only through the classes j mod period of its
+	// source columns t·ng … t·ng+ng−1, that is (both are powers of two)
+	// through t mod classes. A pass with few classes — a column-invariant map
+	// has one, the subblock permutation √s/ng — builds each set once, in the
+	// exchange stage of the first round that needs it, and shares it read-only
+	// thereafter. One with more (step 5 alone: every round its own) rebuilds a
+	// set per round; the set travels with the round and returns through spare
+	// once the replay stage is done with it. Either way at most pipeDepth+2
+	// sets exist: the replay stage holds one round, the exchange stage
+	// another, and pipeDepth wait between them.
+	classes := gs.classes()
+	few := classes <= pipeDepth+2
+	var cached []*scatterTables
+	if few {
+		cached = make([]*scatterTables, classes)
 	}
-	if spec.colInvariant {
-		if err := build(0); err != nil {
-			return err
+	spare := make(chan *scatterTables, pipeDepth+2)
+	tables := func(t int) (*scatterTables, error) {
+		var tab *scatterTables
+		if few {
+			if tab = cached[t%classes]; tab != nil {
+				return tab, nil
+			}
+			tab = new(scatterTables)
+			cached[t%classes] = tab
+		} else {
+			select {
+			case tab = <-spare:
+			default:
+				tab = new(scatterTables)
+			}
 		}
+		return tab, gs.build(tab, t)
 	}
 
-	fillCol := make([]int32, s)
-	distribute := func(rd groupRound) (groupRound, error) {
-		if !spec.colInvariant {
-			if err := build(rd.col); err != nil {
-				return rd, err
-			}
+	exchange := func(rd groupRound) (groupRound, error) {
+		var err error
+		if rd.tab, err = tables(rd.t); err != nil {
+			return rd, err
 		}
-		var inMsgs []record.Slice
-		if direct {
-			inMsgs = record.GetHeaders(P)
-			inMsgs[q] = rd.buf
+		if rd.tab.direct {
+			// The one message of the round is the block I hand myself.
+			rd.inMsgs = record.GetHeaders(P)
+			rd.inMsgs[q] = rd.buf
+			cComm.LocalMsgs++
+			cComm.LocalBytes += int64(len(rd.buf.Data))
 		} else {
 			// Planned collective: pack per destination processor in rank
 			// order, straight from the sorted block, and exchange with one
 			// synchronization.
-			var err error
-			inMsgs, err = pr.AllToAllPlan(&cComm, tagBase+rd.t*groupTagStride+incore.TagSpan, rd.buf, &sendPl, pool)
+			rd.inMsgs, err = pr.AllToAllPlan(&cComm, tagBase+rd.t*groupTagStride+incore.TagSpan, rd.buf, &rd.tab.send, pool)
 			pool.Put(rd.buf)
 			if err != nil {
 				return rd, err
 			}
 		}
 		rd.buf = record.Slice{}
+		return rd, nil
+	}
 
+	fillCol := make([]int32, s)
+	replay := func(rd groupRound) (groupRound, error) {
 		// Replay every source's rank range in order; my arrivals for each
 		// target column land contiguously in (source group, occurrence)
 		// order — one block-local segment per column per round.
+		tab := rd.tab
 		rd.perCol = record.GetHeaders(s)
 		for tj := 0; tj < s; tj++ {
-			if colTotal[tj] > 0 {
-				rd.perCol[tj] = pool.Get(int(colTotal[tj]), z)
+			if tab.colTotal[tj] > 0 {
+				rd.perCol[tj] = pool.Get(int(tab.colTotal[tj]), z)
 			}
 			fillCol[tj] = 0
 		}
 		for src := 0; src < P; src++ {
-			msg := inMsgs[src]
-			kp := &keepPlans[src%g]
+			msg := rd.inMsgs[src]
+			kp := &tab.keep[src%len(tab.keep)]
 			if len(msg.Data) != kp.total*z {
 				return rd, fmt.Errorf("core: %s: message from %d has %d records, pattern wants %d",
 					spec.name, src, len(msg.Data)/z, kp.total)
 			}
 			replayExtents(rd.perCol, fillCol, msg, kp.exts, z)
-			cComm.MovedBytes += int64(len(msg.Data))
+			cPerm.MovedBytes += int64(len(msg.Data))
 			pool.Put(msg)
 		}
-		record.PutHeaders(inMsgs)
+		record.PutHeaders(rd.inMsgs)
+		rd.inMsgs, rd.tab = nil, nil
+		if !few {
+			select {
+			case spare <- tab:
+			default:
+			}
+		}
 		return rd, nil
 	}
 
+	written := make([]int, s) // per target column, block-local rows written
 	write := func(rd groupRound) error {
 		for tj := 0; tj < s; tj++ {
 			chunk := rd.perCol[tj]
@@ -356,8 +472,8 @@ func runGroupScatterPass(pr *cluster.Proc, pl Plan, spec groupSpec, in, out *pdm
 
 	err = pipeline.RunDrain(pipeDepth, st.src, write,
 		func() error { return out.Flush(q) },
-		st.read, st.sort, distribute)
-	for _, ct := range []sim.Counters{cRead, cSort, cComm, cWrite} {
+		st.read, st.sort, exchange, replay)
+	for _, ct := range []sim.Counters{cRead, cSort, cComm, cPerm, cWrite} {
 		cnt.Add(ct)
 	}
 	if err != nil {
@@ -366,7 +482,7 @@ func runGroupScatterPass(pr *cluster.Proc, pl Plan, spec groupSpec, in, out *pdm
 	for tj, n := range written {
 		want := 0
 		if tj%ng == a { // a column of my group: my whole block of it
-			want = rb
+			want = gs.rb
 		}
 		if n != want {
 			return fmt.Errorf("core: %s pass: block of column %d received %d of %d records", spec.name, tj, n, want)

@@ -11,63 +11,40 @@ import (
 	"colsort/internal/sortalg"
 )
 
-// runMergePass executes the fused steps 5–8 on the column-owned layout —
-// the final pass of the 3-pass threaded program and of subblock columnsort.
+// runMergePass executes the fused steps 5–8 at g = 1 — the final pass of
+// threaded, 4-pass and subblock columnsort. It opens like every group pass
+// (newGroupStages: read, then step 5 as a merge of the declared runs) and
+// resolves the boundaries where a group of one can: both halves of an overlap
+// meet on ONE processor.
 //
-// Per round, each processor sorts its column (step 5) and then resolves the
-// two column boundaries it touches: writing [L; H] for the sorted merge of
-// (bottom of column j−1, top of column j), the final top of column j is H
-// and the final bottom of column j−1 is L (steps 6–8 compressed into
-// adjacent-half merges). Bottom halves travel to the right-hand neighbour;
-// final bottoms travel back. This is the paper's 7-stage pipeline: read,
-// sort, communicate, sort, communicate, permute, write.
+// Per round, each processor resolves the two column boundaries its sorted
+// column touches: writing [L; H] for the sorted merge of (bottom of column
+// j−1, top of column j), the final top of column j is H and the final bottom
+// of column j−1 is L (steps 6–8 compressed into adjacent-half merges). Bottom
+// halves travel to the right-hand neighbour; final bottoms travel back. This
+// is the paper's 7-stage pipeline: read, sort, communicate, sort, communicate,
+// permute, write.
 //
 // The pass writes TRUE row order — its output is the sorted file.
-func runMergePass(pr *cluster.Proc, pl Plan, runLen int, in, out *pdm.Store, tagBase int, pool *record.Pool, cnt *sim.Counters, onRound func()) error {
+func runMergePass(pr *cluster.Proc, pl Plan, spec groupSpec, in, out *pdm.Store, tagBase int, pool *record.Pool, cnt *sim.Counters, onRound func()) error {
 	p := pr.Rank()
 	P := pl.P
 	r, s, z := pl.R, pl.S, pl.Z
 	h := r / 2
-	rounds := pl.Rounds()
 
 	var cRead, cSort, cComm1, cMerge, cComm2, cWrite sim.Counters
-	// Tags: boundary b uses tagBase+2b for the bottom half moving right
-	// and tagBase+2b+1 for the final bottom moving left. Boundary b sits
-	// between columns b and b+1.
-	tagB := func(b int) int { return tagBase + 2*b }
-	tagF := func(b int) int { return tagBase + 2*b + 1 }
-
-	type round struct {
-		t, col   int
-		buf      record.Slice // sorted column [top; bottom]
-		merged   record.Slice // boundary merge result (aliased by finalTop)
-		finalTop record.Slice
-		finalBot record.Slice
+	st, err := newGroupStages(pr, pl, spec.runLen, in, tagBase, pool, &cRead, &cSort)
+	if err != nil {
+		return err
 	}
+	// Boundary b sits between columns b and b+1: its bottom half moves right
+	// under tagB(b), its final bottom moves back under tagF(b). Both live
+	// beyond every round window.
+	crossBase := tagBase + (pl.Rounds()+1)*groupTagStride
+	tagB := func(b int) int { return crossBase + 2*b }
+	tagF := func(b int) int { return crossBase + 2*b + 1 }
 
-	read := func(rd round) (round, error) {
-		if next := rd.col + P; next < s {
-			in.PrefetchColumn(p, next) // stage the next round's column
-		}
-		rd.buf = pool.Get(r, z)
-		if err := in.ReadColumn(&cRead, p, rd.col, rd.buf); err != nil {
-			return rd, err
-		}
-		cRead.Rounds++
-		return rd, nil
-	}
-
-	var sortSc sortalg.Scratch
-	sortRuns := sortRunsFor(r, runLen)
-	sortStage := func(rd round) (round, error) { // step 5
-		sorted := pool.Get(r, z)
-		sortColumn(sorted, rd.buf, runLen, sortRuns, &sortSc, &cSort)
-		pool.Put(rd.buf)
-		rd.buf = sorted
-		return rd, nil
-	}
-
-	comm1 := func(rd round) (round, error) { // step 6: ship bottoms right
+	comm1 := func(rd groupRound) (groupRound, error) { // step 6: ship bottoms right
 		if rd.col+1 < s {
 			bot := pool.Get(h, z)
 			bot.Copy(rd.buf.Sub(h, r))
@@ -79,7 +56,7 @@ func runMergePass(pr *cluster.Proc, pl Plan, runLen int, in, out *pdm.Store, tag
 		return rd, nil
 	}
 
-	mergeStage := func(rd round) (round, error) { // step 7 at boundary col−1|col
+	mergeStage := func(rd groupRound) (groupRound, error) { // step 7 at boundary col−1|col
 		if rd.col == 0 {
 			rd.finalTop = rd.buf.Sub(0, h)
 			return rd, nil
@@ -104,7 +81,7 @@ func runMergePass(pr *cluster.Proc, pl Plan, runLen int, in, out *pdm.Store, tag
 		return rd, nil
 	}
 
-	comm2 := func(rd round) (round, error) { // step 8: collect final bottom
+	comm2 := func(rd groupRound) (groupRound, error) { // step 8: collect final bottom
 		if rd.col+1 < s {
 			fin, err := pr.Recv((p+1)%P, tagF(rd.col))
 			if err != nil {
@@ -117,7 +94,7 @@ func runMergePass(pr *cluster.Proc, pl Plan, runLen int, in, out *pdm.Store, tag
 		return rd, nil
 	}
 
-	write := func(rd round) error {
+	write := func(rd groupRound) error {
 		if err := out.WriteRows(&cWrite, p, rd.col, 0, rd.finalTop); err != nil {
 			return err
 		}
@@ -138,18 +115,9 @@ func runMergePass(pr *cluster.Proc, pl Plan, runLen int, in, out *pdm.Store, tag
 		return nil
 	}
 
-	src := func(emit func(round) error) error {
-		for t := 0; t < rounds; t++ {
-			if err := emit(round{t: t, col: t*P + p}); err != nil {
-				return err
-			}
-		}
-		return nil
-	}
-
-	err := pipeline.RunDrain(pipeDepth, src, write,
+	err = pipeline.RunDrain(pipeDepth, st.src, write,
 		func() error { return out.Flush(p) },
-		read, sortStage, comm1, mergeStage, comm2)
+		st.read, st.sort, comm1, mergeStage, comm2)
 	for _, c := range []sim.Counters{cRead, cSort, cComm1, cMerge, cComm2, cWrite} {
 		cnt.Add(c)
 	}
@@ -157,36 +125,4 @@ func runMergePass(pr *cluster.Proc, pl Plan, runLen int, in, out *pdm.Store, tag
 		return fmt.Errorf("core: merge pass: %w", err)
 	}
 	return nil
-}
-
-// runSortPass is the degenerate pass used for single-column problems
-// (s = 1): read, sort, write true order.
-func runSortPass(pr *cluster.Proc, pl Plan, in, out *pdm.Store, pool *record.Pool, cnt *sim.Counters, onRound func()) error {
-	p := pr.Rank()
-	if pl.S != 1 {
-		return fmt.Errorf("core: sort pass requires s=1, got s=%d", pl.S)
-	}
-	if p != 0 {
-		return nil // column 0 belongs to processor 0
-	}
-	buf := pool.Get(pl.R, pl.Z)
-	if err := in.ReadColumn(cnt, 0, 0, buf); err != nil {
-		return err
-	}
-	cnt.Rounds++
-	sorted := pool.Get(pl.R, pl.Z)
-	var sc sortalg.Scratch
-	sc.SortInto(sorted, buf)
-	cnt.CompareUnits += sim.SortWork(pl.R)
-	cnt.MovedBytes += int64(len(sorted.Data))
-	err := out.WriteColumn(cnt, 0, 0, sorted)
-	pool.Put(buf)
-	pool.Put(sorted)
-	if err != nil {
-		return err
-	}
-	if onRound != nil {
-		onRound()
-	}
-	return out.Flush(0)
 }

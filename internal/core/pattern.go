@@ -5,32 +5,31 @@ import (
 	"colsort/internal/record"
 )
 
-// Precomputed permutation tables for the scatter passes.
+// Precomputed permutation tables for the scatter pass.
 //
-// The communicate and permute stages of a scatter pass replay the pass's
-// oblivious permutation record by record: for every sorted position i of a
-// source column they ask destCol(i, j) where a record goes. The answers
-// depend only on (r, s, P) and — for steps 2 and 4 — not even on the source
-// column j, so the whole question-and-answer session can be computed ONCE
-// per pass and compiled into flat tables: per-destination counts, maximal
-// contiguous-run extents (consecutive sorted positions with the same
-// destination), and receiver-side fill offsets. The per-round work then
-// collapses from r (or r·P) closure calls plus per-record CopyRecord loops
-// and map lookups into batched copies of runs over dense slices.
+// The exchange and replay stages of a scatter pass apply the pass's oblivious
+// permutation: for every sorted rank of a source column, groupSpec.dest says
+// where the record goes. The answers depend only on the plan and — for steps 2
+// and 4 — not even on the source column j, so the whole question-and-answer
+// session is computed ONCE per pass and compiled into flat tables
+// (scatterTables): per-destination counts and maximal contiguous-run extents
+// (consecutive sorted positions with the same destination). The per-round
+// work then collapses from closure calls plus per-record copies into batched
+// copies of runs over dense slices.
 //
-// The send-side tables use the fabric's own plan type (cluster.SendPlan),
-// so the communicate stage hands the whole plan to the planned all-to-all
-// collective, which packs per-destination pooled buffers in one pass over
-// the sorted column and runs the round through the exchange board.
+// The send-side tables use the fabric's own plan type (cluster.SendPlan), so
+// the exchange stage hands the whole plan to the planned all-to-all
+// collective, which packs per-destination pooled buffers in one pass over the
+// sorted block and runs the round through the exchange board.
 //
 // For passes whose destination map does depend on the source column (the
-// subblock permutation, the targeted step-5 pass), the plans are rebuilt
-// per round into stage-local scratch, which reuses the same backing arrays
-// and therefore still allocates nothing in steady state.
+// subblock permutation, step 5 alone), the tables are rebuilt per round into
+// recycled table sets, which reuse their backing arrays and therefore still
+// allocate nothing in steady state.
 
 // extent is a maximal run of consecutive sorted positions sharing one
-// destination: Dst is a destination processor on the send side and an
-// owned-column slot (or target column) on the receive side.
+// destination: Dst is a destination processor on the send side and a target
+// column on the receive side.
 type extent = cluster.Extent
 
 // replayExtents executes a compiled plan: for each extent, one batched copy
@@ -48,15 +47,15 @@ func replayExtents(dst []record.Slice, fill []int32, src record.Slice, exts []ex
 	}
 }
 
-// sendPlan is the communicate stage's packing pattern for one source
-// column: how many records go to each destination processor, and the
-// contiguous-run extents of the sorted column in scan order. It IS the
-// fabric's plan type, handed to Proc.AllToAllPlan verbatim.
+// sendPlan is the exchange stage's packing pattern for one sorted block: how
+// many records go to each destination processor, and the contiguous-run
+// extents of the block in scan order. It IS the fabric's plan type, handed to
+// Proc.AllToAllPlan verbatim.
 type sendPlan = cluster.SendPlan
 
-// buildSendPlan compiles the plan for source column col, reusing the plan's
-// backing arrays.
-func buildSendPlan(sp *sendPlan, destCol func(i, j int) int, col, r, P int) {
+// buildSendPlan compiles the plan of a block of n positions, position i going
+// to processor dest(i), reusing the plan's backing arrays.
+func buildSendPlan(sp *sendPlan, dest func(i int) int, n, P int) {
 	if cap(sp.Counts) < P {
 		sp.Counts = make([]int32, P)
 	}
@@ -65,12 +64,12 @@ func buildSendPlan(sp *sendPlan, destCol func(i, j int) int, col, r, P int) {
 		sp.Counts[d] = 0
 	}
 	if cap(sp.Exts) == 0 {
-		sp.Exts = make([]extent, 0, r) // extents never outnumber positions
+		sp.Exts = make([]extent, 0, n) // extents never outnumber positions
 	}
 	sp.Exts = sp.Exts[:0]
 	prev := int32(-1)
-	for i := 0; i < r; i++ {
-		d := int32(destCol(i, col) % P)
+	for i := 0; i < n; i++ {
+		d := int32(dest(i))
 		sp.Counts[d]++
 		if d == prev {
 			sp.Exts[len(sp.Exts)-1].Count++
@@ -82,11 +81,11 @@ func buildSendPlan(sp *sendPlan, destCol func(i, j int) int, col, r, P int) {
 }
 
 // colPlan is the distribution pattern of one scan of sorted ranks over
-// target columns — the rank-keyed counterpart of recvPlan used by the
-// m-column and hybrid passes: per-column counts plus extents of consecutive
-// scanned positions sharing a column, accumulated via add so callers can
-// apply arbitrary keep predicates. Built once per pass for rank-invariant
-// destination maps, rebuilt into stage scratch otherwise.
+// target columns: per-column counts plus extents of consecutive KEPT positions
+// sharing a column, accumulated via add so the caller applies its keep
+// predicate. Because a message carries exactly the records destined to one
+// processor, in source order, consecutive kept records with the same column
+// form one extent even when skipped records separate them in the scan.
 type colPlan struct {
 	total  int
 	counts []int32 // per target column
@@ -106,8 +105,8 @@ func (cp *colPlan) reset(s int) {
 }
 
 // add accumulates the next kept scan position, coalescing same-column runs
-// into one extent — the same run-length encoding buildSendPlan and
-// recvPlan.build inline in their scan loops.
+// into one extent — the run-length encoding buildSendPlan inlines in its scan
+// loop.
 func (cp *colPlan) add(tj int) {
 	cp.counts[tj]++
 	cp.total++
@@ -115,51 +114,5 @@ func (cp *colPlan) add(tj int) {
 		cp.exts[n-1].Count++
 	} else {
 		cp.exts = append(cp.exts, extent{Dst: int32(tj), Count: 1})
-	}
-}
-
-// recvPlan is the permute stage's replay pattern for one (source column,
-// receiving processor) pair: of the records of the sorted source column, in
-// order, which ones arrive here and into which owned-column slot they fall.
-// Slot k is owned column p + k·P. Because a message carries exactly the
-// records destined here, in source order, consecutive kept records with the
-// same slot form one extent even when skipped records separate them in the
-// source column.
-type recvPlan struct {
-	total  int     // records this processor receives from the column
-	counts []int32 // per owned-column slot
-	exts   []extent
-}
-
-// build compiles the plan for source column srcCol as seen by processor p,
-// reusing the plan's backing arrays. nSlots is s/P.
-func (rp *recvPlan) build(destCol func(i, j int) int, srcCol, r, nSlots, P, p int) {
-	if cap(rp.counts) < nSlots {
-		rp.counts = make([]int32, nSlots)
-	}
-	rp.counts = rp.counts[:nSlots]
-	for k := range rp.counts {
-		rp.counts[k] = 0
-	}
-	if cap(rp.exts) == 0 {
-		rp.exts = make([]extent, 0, r)
-	}
-	rp.exts = rp.exts[:0]
-	rp.total = 0
-	prev := int32(-1)
-	for i := 0; i < r; i++ {
-		tj := destCol(i, srcCol)
-		if tj%P != p {
-			continue // skipped records are not in the message: no extent break
-		}
-		slot := int32(tj / P)
-		rp.counts[slot]++
-		rp.total++
-		if slot == prev {
-			rp.exts[len(rp.exts)-1].Count++
-		} else {
-			rp.exts = append(rp.exts, extent{Dst: slot, Count: 1})
-			prev = slot
-		}
 	}
 }

@@ -5,12 +5,14 @@
 // future-work items: the combination of subblock and M-columnsort, and
 // column heights between M/P and M (hybrid group columnsort).
 //
-// Two families of pass programs realize them. A column owned by ONE
-// processor (threaded, 4-pass, subblock) is sorted locally by the programs
-// of scatter.go and mergepass.go. A column SHARED by a group of g processors
-// is sorted by the distributed in-core columnsort, by the one group program
-// of group.go: M-columnsort and Combined are that program at g = P, Hybrid
-// at 2 ≤ g ≤ P/2.
+// One pass program realizes all of them: group columnsort (group.go). The P
+// processors form P/g groups of g, a column is shared by one group and sorted
+// by the distributed in-core columnsort within it, and the algorithms differ
+// in the group size of their plan — 1 for threaded, 4-pass and subblock
+// columnsort (a column owned by ONE processor, sorted locally), P for
+// M-columnsort and Combined, 2 ≤ g ≤ P/2 for Hybrid — and in their list of
+// pass specs. Only the final boundary pass has two resolvers, one for g = 1
+// (mergepass.go) and one for g ≥ 2.
 //
 // # Arrival-order intermediate layout
 //
@@ -57,7 +59,8 @@ const (
 	// passes [1,2], [3,4], [5,6], [7,8].
 	Threaded4 Algorithm = iota
 	// Threaded is the 3-pass threaded columnsort of [CC02], the paper's
-	// baseline: passes [1,2], [3,4], [5–8].
+	// baseline: passes [1,2], [3,4], [5–8] — group columnsort with every
+	// processor a group of its own.
 	Threaded
 	// Subblock is subblock columnsort: [1,2], [3,3.1], [3.2,4], [5–8],
 	// with the relaxed height restriction r ≥ 4·s^{3/2} (restriction (2)).
@@ -76,8 +79,8 @@ const (
 	BaselineIO4
 	// Hybrid is group columnsort (Section-6 future work): column height
 	// r = g·(M/P) for a group size 2 ≤ g ≤ P/2, between threaded columnsort
-	// (g = 1, its own programs) and M-columnsort (g = P, the same program).
-	// Plans are built with NewHybridPlan.
+	// (g = 1) and M-columnsort (g = P) — the same program at every g. Plans
+	// are built with NewHybridPlan.
 	Hybrid
 )
 
@@ -132,9 +135,11 @@ type Plan struct {
 	// columnsort uses R = MemPerProc·Group.
 	MemPerProc int
 
-	// Group is the number of processors sharing a column: 1 for the
-	// column-owned algorithms, P for M-columnsort and Combined, the hybrid's
-	// g in between. It fixes the layout of every store the algorithm touches.
+	// Group is the number of processors sharing a column — the g of group
+	// columnsort: 1 for threaded, 4-pass and subblock columnsort and the
+	// baselines, P for M-columnsort and Combined, the hybrid's g in between.
+	// It fixes the layout of every store the algorithm touches and is the one
+	// thing the pass program reads off the plan besides its shape.
 	Group int
 
 	// Layout is the name of that layout.
@@ -145,7 +150,7 @@ type Plan struct {
 // restriction and divisibility requirements (Section 2 assumes all
 // parameters are powers of 2, and subblock columnsort needs s to be a
 // power of 4). The algorithm fixes the group size: 1 for the column-owned
-// programs, P for M-columnsort and Combined.
+// algorithms, P for M-columnsort and Combined.
 func NewPlan(alg Algorithm, n int64, p, d, memPerProc, recSize int) (Plan, error) {
 	switch alg {
 	case Threaded4, Threaded, Subblock, BaselineIO3, BaselineIO4:

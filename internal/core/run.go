@@ -5,9 +5,7 @@ import (
 	"fmt"
 	"sync/atomic"
 
-	"colsort/internal/bitperm"
 	"colsort/internal/cluster"
-	"colsort/internal/matrix"
 	"colsort/internal/pdm"
 	"colsort/internal/pipeline"
 	"colsort/internal/record"
@@ -103,8 +101,7 @@ type passFunc func(pr *cluster.Proc, in, out *pdm.Store, tagBase int, pool *reco
 // passTagWindow returns the width of the tag space one pass may use, so
 // that consecutive passes sharing one cluster fabric can never collide.
 // The widest user is the group boundary pass: at most s+1 round windows of
-// groupTagStride plus 4·s cross-round boundary tags; the column-owned
-// passes use at most 2s+2 tags.
+// groupTagStride plus 4·s cross-round boundary tags (2·s at g = 1).
 func passTagWindow(pl Plan) int {
 	return (pl.S+3)*groupTagStride + 8*pl.S + 16
 }
@@ -124,11 +121,7 @@ func Run(ctx context.Context, pl Plan, m pdm.Machine, input *pdm.Store, hooks Ho
 	if err := checkRunInput(pl, m, input); err != nil {
 		return nil, err
 	}
-	passes, err := passList(pl)
-	if err != nil {
-		return nil, err
-	}
-	return runPassList(ctx, pl, m, input, hooks, passes)
+	return runPassList(ctx, pl, m, input, hooks, passList(pl))
 }
 
 // runPassList is Run on an explicit pass sequence (tests substitute one).
@@ -266,94 +259,20 @@ func runPasses(ctx context.Context, pr *cluster.Proc, pl Plan, m pdm.Machine, pa
 	return nil
 }
 
-// passList builds the pass sequence realizing the planned algorithm.
-func passList(pl Plan) ([]passFunc, error) {
+// passList builds the pass sequence realizing the planned algorithm: the
+// pure-I/O baselines, or the group program on the algorithm's pass specs.
+func passList(pl Plan) []passFunc {
 	switch pl.Alg {
-	case MColumn, Combined, Hybrid:
-		return groupPasses(pl, groupSpecs(pl)), nil
-	}
-	r, s := pl.R, pl.S
-
-	// Degenerate single-column problems: each "pass" reduces to read,
-	// sort, write; run the same number of passes so baselines and I/O
-	// accounting stay comparable.
-	if s == 1 && pl.Alg != BaselineIO3 && pl.Alg != BaselineIO4 {
-		n := pl.Alg.Passes()
-		passes := make([]passFunc, n)
+	case BaselineIO3, BaselineIO4:
+		passes := make([]passFunc, pl.Alg.Passes())
 		for k := range passes {
 			passes[k] = func(pr *cluster.Proc, in, out *pdm.Store, _ int, pool *record.Pool, cnt *sim.Counters, onRound func()) error {
-				return runSortPass(pr, pl, in, out, pool, cnt, onRound)
+				return runBaselinePass(pr, pl, in, out, pool, cnt, onRound)
 			}
 		}
-		return passes, nil
+		return passes
 	}
-
-	step2 := func(i, j int) int { return matrix.Step2ColOf(r, s, i) }
-	step4 := func(i, j int) int { return matrix.Step4ColOf(r, s, i) }
-	identity := func(i, j int) int { return j }
-
-	scatter := func(spec scatterSpec) passFunc {
-		return func(pr *cluster.Proc, in, out *pdm.Store, tagBase int, pool *record.Pool, cnt *sim.Counters, onRound func()) error {
-			return runScatterPass(pr, pl, spec, in, out, tagBase, pool, cnt, onRound)
-		}
-	}
-	merge := func(runLen int) passFunc {
-		return func(pr *cluster.Proc, in, out *pdm.Store, tagBase int, pool *record.Pool, cnt *sim.Counters, onRound func()) error {
-			return runMergePass(pr, pl, runLen, in, out, tagBase, pool, cnt, onRound)
-		}
-	}
-	baseline := func(pr *cluster.Proc, in, out *pdm.Store, _ int, pool *record.Pool, cnt *sim.Counters, onRound func()) error {
-		return runBaselinePass(pr, pl, in, out, pool, cnt, onRound)
-	}
-
-	switch pl.Alg {
-	case Threaded:
-		return []passFunc{
-			scatter(scatterSpec{name: "steps 1-2", runLen: 0, destCol: step2, colInvariant: true}),
-			scatter(scatterSpec{name: "steps 3-4", runLen: r / s, destCol: step4, colInvariant: true}),
-			merge(r / s),
-		}, nil
-
-	case Threaded4:
-		// Faithful in I/O volume to [CCW01]'s 4 passes; steps regroup as
-		// [1,2], [3,4], [5], [6–8] (see DESIGN.md).
-		return []passFunc{
-			scatter(scatterSpec{name: "steps 1-2", runLen: 0, destCol: step2, colInvariant: true}),
-			scatter(scatterSpec{name: "steps 3-4", runLen: r / s, destCol: step4, colInvariant: true}),
-			scatter(scatterSpec{name: "step 5", runLen: r / s, destCol: identity,
-				targetProcs: func(j int) []int { return []int{j % pl.P} }}),
-			merge(r),
-		}, nil
-
-	case Subblock:
-		sb := bitperm.MustSubblock(r, s)
-		q := sb.SqrtS()
-		subblockDest := func(i, j int) int { return sb.TargetColumn(i, j) }
-		var targets func(j int) []int
-		targets = func(j int) []int {
-			procs := sb.TargetProcs(j, pl.P)
-			list := make([]int, 0, len(procs))
-			for d := 0; d < pl.P; d++ {
-				if procs[d] {
-					list = append(list, d)
-				}
-			}
-			return list
-		}
-		return []passFunc{
-			scatter(scatterSpec{name: "steps 1-2", runLen: 0, destCol: step2, colInvariant: true}),
-			scatter(scatterSpec{name: "subblock pass (3, 3.1)", runLen: r / s,
-				destCol: subblockDest, targetProcs: targets}),
-			scatter(scatterSpec{name: "steps 3.2-4", runLen: r / q, destCol: step4, colInvariant: true}),
-			merge(r / s),
-		}, nil
-
-	case BaselineIO3:
-		return []passFunc{baseline, baseline, baseline}, nil
-	case BaselineIO4:
-		return []passFunc{baseline, baseline, baseline, baseline}, nil
-	}
-	return nil, fmt.Errorf("core: unknown algorithm %v", pl.Alg)
+	return groupPasses(pl, groupSpecs(pl))
 }
 
 // runBaselinePass reads every owned column and writes it back out — the

@@ -60,44 +60,34 @@ func scaleDown(c sim.Counters, p int) sim.Counters {
 }
 
 // predictTotals returns whole-cluster totals per pass, with the Rounds
-// field holding per-processor rounds.
+// field holding per-processor rounds. The pass lists are core's groupSpecs:
+// every sorting algorithm is group columnsort at its group size g, and a
+// distribution pass is told apart by the run length of the blocks it reads,
+// the number of groups a sorted block spreads over, and whether it is step
+// 4's redistribution. Validated at g = 1 and g = P.
 func predictTotals(pl core.Plan) ([]sim.Counters, error) {
+	g := pl.Group
+	ng := pl.P / g
+	run := pl.R / pl.S / g // what steps 2 and 4 leave: chunk/g
+	steps12 := groupScatterTotals(pl, 0, ng, false)
 	switch pl.Alg {
-	case core.Threaded:
-		return []sim.Counters{
-			scatterTotals(pl, sortFull, allToAllComm),
-			scatterTotals(pl, mergeRS, allToAllComm),
-			mergePassTotals(pl, mergeRS),
+	case core.Threaded, core.MColumn:
+		return []sim.Counters{steps12,
+			groupScatterTotals(pl, run, 0, true),
+			boundaryTotals(pl, run),
 		}, nil
 	case core.Threaded4:
-		return []sim.Counters{
-			scatterTotals(pl, sortFull, allToAllComm),
-			scatterTotals(pl, mergeRS, allToAllComm),
-			scatterTotals(pl, mergeRS, selfComm),
-			mergePassTotals(pl, alreadySorted),
+		return []sim.Counters{steps12,
+			groupScatterTotals(pl, run, 0, true),
+			groupScatterTotals(pl, run, 1, false), // step 5 alone: every block stays
+			boundaryTotals(pl, pl.R),
 		}, nil
-	case core.Subblock:
+	case core.Subblock, core.Combined:
 		q := bitperm.Sqrt(pl.S)
-		return []sim.Counters{
-			scatterTotals(pl, sortFull, allToAllComm),
-			scatterTotals(pl, mergeRS, subblockComm),
-			scatterTotals(pl, mergeK(pl.R/q), allToAllComm),
-			mergePassTotals(pl, mergeRS),
-		}, nil
-	case core.MColumn:
-		run := pl.R / pl.S / pl.P // what steps 2 and 4 leave: chunk/g, g = P
-		return []sim.Counters{
-			mcolScatterTotals(pl, 0, false),
-			mcolScatterTotals(pl, run, true),
-			mcolMergeTotals(pl, run),
-		}, nil
-	case core.Combined:
-		run := pl.R / pl.S / pl.P
-		return []sim.Counters{
-			mcolScatterTotals(pl, 0, false),
-			mcolScatterTotals(pl, run, false), // subblock pass: no redistribution
-			mcolScatterTotals(pl, pl.R/bitperm.Sqrt(pl.S)/pl.P, true),
-			mcolMergeTotals(pl, run),
+		return []sim.Counters{steps12,
+			groupScatterTotals(pl, run, bitperm.CeilDiv(ng, q), false), // Section 3, property 1
+			groupScatterTotals(pl, pl.R/q/g, 0, true),
+			boundaryTotals(pl, run),
 		}, nil
 	case core.BaselineIO3, core.BaselineIO4:
 		pass := ioOnlyTotals(pl)
@@ -110,47 +100,6 @@ func predictTotals(pl core.Plan) ([]sim.Counters, error) {
 	return nil, fmt.Errorf("figure2: unknown algorithm %v", pl.Alg)
 }
 
-// Sort-stage cost kinds for column-owned passes.
-type sortKind int
-
-const (
-	sortFull sortKind = iota
-	mergeRS           // merge s runs of r/s
-	alreadySorted
-)
-
-func mergeK(runLen int) func(pl core.Plan) int64 {
-	return func(pl core.Plan) int64 {
-		return int64(pl.S) * sim.MergeWork(pl.R, pl.R/runLen)
-	}
-}
-
-func sortCost(pl core.Plan, kind interface{}) int64 {
-	switch k := kind.(type) {
-	case sortKind:
-		switch k {
-		case sortFull:
-			return int64(pl.S) * sim.SortWork(pl.R)
-		case mergeRS:
-			return int64(pl.S) * sim.MergeWork(pl.R, pl.S)
-		case alreadySorted:
-			return 0
-		}
-	case func(pl core.Plan) int64:
-		return k(pl)
-	}
-	panic("figure2: bad sort kind")
-}
-
-// Communicate-stage kinds for column-owned scatter passes.
-type commKind int
-
-const (
-	allToAllComm commKind = iota
-	subblockComm
-	selfComm
-)
-
 func ioOnlyTotals(pl core.Plan) sim.Counters {
 	nz := pl.N * int64(pl.Z)
 	return sim.Counters{
@@ -160,54 +109,6 @@ func ioOnlyTotals(pl core.Plan) sim.Counters {
 		DiskWriteOps:   int64(pl.D),
 		Rounds:         int64(pl.Rounds()),
 	}
-}
-
-// scatterTotals mirrors runScatterPass's charges exactly (see the
-// validation tests): per column, the sort gather, the message packing and
-// the permute placement each move r·Z bytes.
-func scatterTotals(pl core.Plan, kind interface{}, comm commKind) sim.Counters {
-	s64 := int64(pl.S)
-	rz := int64(pl.R) * int64(pl.Z)
-	c := ioOnlyTotals(pl)
-	c.DiskWriteOps = int64(pl.S) * int64(pl.S) / int64(pl.P) // chunked column appends
-	c.CompareUnits = sortCost(pl, kind)
-	c.MovedBytes = 3 * s64 * rz
-	switch comm {
-	case allToAllComm:
-		c.LocalMsgs = s64
-		c.LocalBytes = s64 * rz / int64(pl.P)
-		c.NetMsgs = s64 * int64(pl.P-1)
-		c.NetBytes = s64 * rz * int64(pl.P-1) / int64(pl.P)
-	case selfComm:
-		c.LocalMsgs = s64
-		c.LocalBytes = s64 * rz
-	case subblockComm:
-		t := int64(bitperm.MessagesPerRound(pl.P, pl.S))
-		c.LocalMsgs = s64 // the self-destined message of property 2
-		c.LocalBytes = s64 * rz / t
-		c.NetMsgs = s64 * (t - 1)
-		c.NetBytes = s64 * rz * (t - 1) / t
-	}
-	return c
-}
-
-// mergePassTotals mirrors runMergePass: s−1 interior boundaries each ship
-// half a column forward and half back and merge two half-columns.
-func mergePassTotals(pl core.Plan, kind interface{}) sim.Counters {
-	s64 := int64(pl.S)
-	rz := int64(pl.R) * int64(pl.Z)
-	c := ioOnlyTotals(pl)
-	c.DiskWriteOps = 2 * s64
-	c.CompareUnits = sortCost(pl, kind) + (s64-1)*sim.MergeWork(pl.R, 2)
-	c.MovedBytes = s64*rz + (s64-1)*rz/2 + (s64-1)*rz
-	if pl.P > 1 {
-		c.NetMsgs = 2 * (s64 - 1)
-		c.NetBytes = (s64 - 1) * rz
-	} else {
-		c.LocalMsgs = 2 * (s64 - 1)
-		c.LocalBytes = (s64 - 1) * rz
-	}
-	return c
 }
 
 // incoreSortTotals mirrors one distributed in-core columnsort of the whole
@@ -241,79 +142,99 @@ func incoreSortTotals(n, p, z, runLen int) sim.Counters {
 	return c
 }
 
-// rangeModCount counts {x ∈ [lo,hi): x mod m ∈ [a,b)} for 0 ≤ a < b ≤ m.
-func rangeModCount(lo, hi, m, a, b int64) int64 {
-	if hi <= lo {
-		return 0
-	}
-	full := (hi - lo) / m
-	count := full * (b - a)
-	inWindow := func(x int64) int64 { // |[0,x) ∩ [a,b)| within one cycle
-		if x <= a {
-			return 0
-		}
-		if x >= b {
-			return b - a
-		}
-		return x - a
-	}
-	loM := lo % m
-	hiM := loM + (hi-lo)%m
-	if hiM <= m {
-		count += inWindow(hiM) - inWindow(loM)
-	} else {
-		count += (inWindow(m) - inWindow(loM)) + inWindow(hiM-m)
-	}
-	return count
-}
-
-// redistributionTraffic computes the exact per-round message matrix of the
-// step-4 redistribution: source processor q (holding global ranks
-// [q·rb, (q+1)·rb)) sends to destination d the records whose occurrence
-// index within their target column's chunk c = r/s lies in d's share.
-func redistributionTraffic(pl core.Plan) (netMsgs, netBytes, localMsgs, localBytes int64) {
-	p := int64(pl.P)
-	r := int64(pl.R)
-	rb := r / p
-	chunk := r / int64(pl.S)
-	share := chunk / p
-	// The implementation uses a full AllToAll: P messages per processor
-	// per round regardless of emptiness; only the self-destined share
-	// (records gi ∈ q's range with (gi mod chunk) ∈ q's share window)
-	// stays off the network.
-	bytesPerRound := r * int64(pl.Z)
-	var selfBytes int64
-	for q := int64(0); q < p; q++ {
-		selfBytes += rangeModCount(q*rb, (q+1)*rb, chunk, q*share, (q+1)*share) * int64(pl.Z)
-	}
-	localMsgs = p
-	localBytes = selfBytes
-	netMsgs = p * (p - 1)
-	netBytes = bytesPerRound - selfBytes
-	return netMsgs, netBytes, localMsgs, localBytes
-}
-
-// mcolScatterTotals mirrors runGroupScatterPass at g = P: s rounds, each with one
-// distributed in-core sort (of blocks in runs of runLen, as the pass before
-// left them), optional redistribution, grouping, and writes.
-func mcolScatterTotals(pl core.Plan, runLen int, redistribute bool) sim.Counters {
-	s64 := int64(pl.S)
-	rb := pl.R / pl.P
-	rbz := int64(rb) * int64(pl.Z)
+// groupScatterTotals mirrors runGroupScatterPass: one in-group sort per column
+// (of blocks in runs of runLen, as the pass before left them), the exchange,
+// the replay into per-column chunks, and the writes. Outside the
+// redistribution, every sorted block spreads evenly over the same member of
+// `targets` groups, its own among them; alone (targets = 1) it is handed over
+// without pack or collective.
+func groupScatterTotals(pl core.Plan, runLen, targets int, redistribute bool) sim.Counters {
+	s64, g := int64(pl.S), int64(pl.Group)
+	rz := int64(pl.R) * int64(pl.Z)
 	c := ioOnlyTotals(pl)
-	c.DiskWriteOps = s64 * s64 // each processor appends to s columns per round
-	addScaled(&c, incoreSortTotals(rb, pl.P, pl.Z, runLen), s64)
+	// Chunked column appends: s/P columns a round at g = 1, s at g = P.
+	c.DiskWriteOps = s64 * s64 * g / int64(pl.P)
+	addScaled(&c, incoreSortTotals(pl.R/pl.Group, pl.Group, pl.Z, runLen), s64)
+	c.MovedBytes += s64 * rz // replay
+	if redistribute || targets > 1 {
+		c.MovedBytes += s64 * rz // pack
+	}
 	if redistribute {
-		nm, nb, lm, lb := redistributionTraffic(pl)
-		c.NetMsgs += s64 * nm
-		c.NetBytes += s64 * nb
-		c.LocalMsgs += s64 * lm
-		c.LocalBytes += s64 * lb
-		// Pack + reassemble: 2·rb·Z per processor per round.
-		c.MovedBytes += s64 * 2 * rbz * int64(pl.P)
+		c.Add(redistributionTraffic(pl))
+		return c
+	}
+	t := int64(targets)
+	c.LocalMsgs += s64 * g
+	c.LocalBytes += s64 * rz / t
+	c.NetMsgs += s64 * g * (t - 1)
+	c.NetBytes += s64 * rz * (t - 1) / t
+	return c
+}
+
+// redistributionTraffic computes the exact messages of the step-4
+// redistribution over the whole pass. Member m of a column's group holds
+// sorted ranks [m·rb, (m+1)·rb); rank x goes to target column k = ⌊x/c⌋
+// (c = r/s), to the member of group k mod P/g whose share holds its
+// occurrence x mod c. A message is a non-empty (source, destination) pair,
+// and the pair is the source itself in the columns its own group owns.
+func redistributionTraffic(pl core.Plan) (c sim.Counters) {
+	g, s, z := int64(pl.Group), int64(pl.S), int64(pl.Z)
+	ng := int64(pl.P) / g
+	rb := int64(pl.R) / g
+	chunk := int64(pl.R) / s
+	share := chunk / g
+	toProc := make([]int64, pl.P) // records member m sends each processor, per source column
+	for m := int64(0); m < g; m++ {
+		clear(toProc)
+		for x := m * rb; x < (m+1)*rb; {
+			k, occ := x/chunk, x%chunk
+			n := min(share-occ%share, (m+1)*rb-x) // to the end of the share or of the block
+			toProc[k%ng*g+occ/share] += n
+			x += n
+		}
+		for d, n := range toProc {
+			if n == 0 {
+				continue
+			}
+			self := int64(0) // source columns in which processor d IS the source
+			if int64(d)%g == m {
+				self = s / ng
+			}
+			c.LocalMsgs += self
+			c.LocalBytes += self * n * z
+			c.NetMsgs += s - self
+			c.NetBytes += (s - self) * n * z
+		}
+	}
+	return c
+}
+
+// boundaryTotals is the fused steps 5–8 pass under the resolver core picks
+// for the plan's group size.
+func boundaryTotals(pl core.Plan, runLen int) sim.Counters {
+	if pl.Group == 1 {
+		return mergePassTotals(pl, runLen)
+	}
+	return mcolMergeTotals(pl, runLen)
+}
+
+// mergePassTotals mirrors runMergePass (g = 1): step 5 merges each column's
+// declared runs, and s−1 interior boundaries each ship half a column forward
+// and half back and merge two half-columns.
+func mergePassTotals(pl core.Plan, runLen int) sim.Counters {
+	s64 := int64(pl.S)
+	rz := int64(pl.R) * int64(pl.Z)
+	c := ioOnlyTotals(pl)
+	c.DiskWriteOps = 2 * s64
+	addScaled(&c, incoreSortTotals(pl.R, 1, pl.Z, runLen), s64)
+	c.CompareUnits += (s64 - 1) * sim.MergeWork(pl.R, 2)
+	c.MovedBytes += (s64-1)*rz/2 + (s64-1)*rz
+	if pl.P > 1 {
+		c.NetMsgs = 2 * (s64 - 1)
+		c.NetBytes = (s64 - 1) * rz
 	} else {
-		// Grouping into per-column chunks: rb·Z per processor per round.
-		c.MovedBytes += s64 * rbz * int64(pl.P)
+		c.LocalMsgs = 2 * (s64 - 1)
+		c.LocalBytes = (s64 - 1) * rz
 	}
 	return c
 }

@@ -60,12 +60,15 @@ func validationPlans(t *testing.T) []core.Plan {
 	return []core.Plan{
 		mk(core.Threaded, 512*8, 4, 4, 512, 16),
 		mk(core.Threaded, 512*16, 2, 4, 512, 64),
+		mk(core.Threaded, 32*4, 1, 1, 32, 16), // P = 1: steps 1-2 hand every block over
 		mk(core.Threaded4, 512*8, 4, 4, 512, 16),
 		mk(core.Subblock, 256*16, 4, 4, 256, 16),
-		mk(core.Subblock, 256*16, 8, 8, 256, 16), // P > √s: network messages
+		mk(core.Subblock, 256*16, 8, 8, 256, 16), // P > √s: ⌈P/√s⌉ = 2 messages a round
 		mk(core.Subblock, 256*16, 2, 2, 256, 16), // √s ≥ P: no network
 		mk(core.MColumn, 256*8, 4, 4, 64, 16),
 		mk(core.MColumn, 256*4, 2, 2, 128, 16),
+		mk(core.MColumn, 128*2, 4, 4, 32, 16), // s < P: the redistribution leaves buffers empty
+		mk(core.MColumn, 1024*4, 8, 8, 128, 16),
 		mk(core.Combined, 256*16, 4, 4, 64, 16),
 		mk(core.BaselineIO3, 512*8, 4, 4, 512, 16),
 	}
@@ -296,29 +299,5 @@ func TestEvaluateIneligible(t *testing.T) {
 	}
 	if err := Evaluate(&pt, sim.Beowulf2003()); err == nil {
 		t.Fatal("Evaluate accepted ineligible point")
-	}
-}
-
-func TestRangeModCount(t *testing.T) {
-	// Brute-force cross-check.
-	brute := func(lo, hi, m, a, b int64) int64 {
-		var n int64
-		for x := lo; x < hi; x++ {
-			if r := x % m; r >= a && r < b {
-				n++
-			}
-		}
-		return n
-	}
-	cases := [][5]int64{
-		{0, 10, 4, 1, 3}, {5, 29, 8, 0, 8}, {7, 7, 4, 0, 2},
-		{3, 100, 7, 2, 5}, {0, 64, 16, 12, 16}, {13, 14, 4, 1, 2},
-	}
-	for _, c := range cases {
-		got := rangeModCount(c[0], c[1], c[2], c[3], c[4])
-		want := brute(c[0], c[1], c[2], c[3], c[4])
-		if got != want {
-			t.Errorf("rangeModCount(%v) = %d, want %d", c, got, want)
-		}
 	}
 }

@@ -7,8 +7,8 @@
 //     internal/core: every out-of-core pass permutation is tested against the
 //     step maps here, and whole-algorithm outputs are compared.
 //  2. They define the step permutations (steps 2, 4, 6, 8 and the subblock
-//     step 3.1) as pure (i, j) → (i', j') functions reused by the
-//     out-of-core communicate/permute stages.
+//     step 3.1) as pure (i, j) → (i', j') functions — the definition the
+//     out-of-core pass specs (core.groupSpecs) restate on sorted ranks.
 //  3. The in-core columnsort reference is the basis of the distributed
 //     in-core sort that M-columnsort uses for its sort stage (Section 4).
 //
@@ -141,13 +141,6 @@ func Step8Map(r, i, j int) (ti, tj int) {
 	}
 	return i + r/2, j - 1
 }
-
-// Step2ColOf is the target-column projection of Step2Map; the out-of-core
-// communicate stages route records by destination column alone.
-func Step2ColOf(r, s, i int) int { return i % s }
-
-// Step4ColOf is the target-column projection of Step4Map.
-func Step4ColOf(r, s, i int) int { return i / (r / s) }
 
 // MapFunc is a step permutation on (row, column) positions.
 type MapFunc func(i, j int) (ti, tj int)
