@@ -18,6 +18,7 @@ import (
 	"math"
 	"math/bits"
 	"os"
+	"sync"
 
 	"context"
 
@@ -87,6 +88,7 @@ type hierJob struct {
 	runPl core.Plan
 
 	fanIn, chunk int
+	pool         *record.Pool // chunk buffers: formation's pipeline, the merges' run readers
 
 	// Recovery policy: how many times a run may be re-produced and
 	// re-spilled, and whether every spilled run gets a post-spill CRC
@@ -102,7 +104,7 @@ type hierJob struct {
 	ckpt *manifestLog
 
 	spillSeq   int             // next spill-disk ordinal: one sequence for formation, redos and merge outputs
-	w          *merge.Writer   // the job's one run writer (and frame buffer), re-armed per spill
+	w          *merge.Writer   // the job's one run writer (and frame buffer), armed on a disk per spill
 	live       []hierRun       // the current run set, in merge order
 	want       record.Checksum // ingest multiset, in the codec's normalized key space
 	stats      *MergeStats
@@ -115,12 +117,13 @@ type hierJob struct {
 // runPl-sized runs into the job value its phases run on. The caller has
 // already compiled the codec, validated the options and chosen runPl.
 func (j *job) newHierJob(o sortOptions, codec record.KeyCodec, n int64, runPl core.Plan) *hierJob {
-	h := &hierJob{job: j, o: o, codec: codec, n: n, runPl: runPl,
+	h := &hierJob{job: j, o: o, codec: codec, n: n, runPl: runPl, pool: j.m.Pools[0],
 		fanIn: o.fanIn, redoBudget: defaultRedoBudget, scrub: j.m.Chaos != nil}
 	if h.fanIn == 0 {
 		h.fanIn = defaultMergeFanIn
 	}
 	h.chunk = j.e.mergeChunkRecs(o, h.fanIn)
+	h.w = merge.NewWriter(nil, j.e.cfg.RecordSize, h.chunk)
 	h.stats = &MergeStats{FanIn: h.fanIn, RunRecords: runPl.N, Formation: formationName}
 	if o.retry != nil {
 		if o.retry.RedoBudget != 0 {
@@ -200,93 +203,13 @@ func (h *hierJob) closeRuns() {
 // sequence, so no two spills of a job share an ordinal (which names the file
 // and keys the chaos scripts); they are written one at a time, so they also
 // share one writer and its frame buffer.
-func (h *hierJob) newSpill() (pdm.Disk, *merge.Writer, error) {
+func (h *hierJob) newSpill() (pdm.Disk, error) {
 	d, err := h.m.NewSpillDisk(h.spillSeq)
 	h.spillSeq++
-	if err != nil {
-		return nil, nil, err
-	}
-	if h.w == nil {
-		h.w = merge.NewWriter(d, h.e.cfg.RecordSize, h.chunk)
-	} else {
+	if err == nil {
 		h.w.Reset(d)
 	}
-	return d, h.w, nil
-}
-
-// A chunkSource produces the records of one run, in spill order, by calling
-// emit with successive chunks (emit does not retain a chunk past its
-// return). A run has two: the first drains the former, and "give me the
-// chunks again" replays the chunks the first one retained.
-type chunkSource func(emit func(record.Slice) error) error
-
-// terminalError marks a chunkSource failure no redo can cure — a failed
-// source stream. formRun returns its cause as is.
-type terminalError struct{ error }
-
-// spillVerified writes one run's chunks onto a fresh spill disk through the
-// CRC-framing writer and, when the scrub is armed, reads the spilled bytes
-// back against their frames NOW, while the run can still be redone — at
-// merge time its producer is gone and persistent spill corruption is fatal.
-// A spill disk that cannot be allocated behaves as one whose first write
-// fails: src still runs (a draining producer must see its whole run).
-func (h *hierJob) spillVerified(ctx context.Context, desc bool, src chunkSource) (*merge.Run, error) {
-	d, w, err := h.newSpill()
-	if err != nil {
-		if serr := src(func(record.Slice) error { return err }); serr != nil {
-			return nil, serr
-		}
-		return nil, err
-	}
-	if err := src(w.Append); err != nil {
-		d.Close()
-		return nil, err
-	}
-	run, err := w.Finish()
-	if err != nil {
-		d.Close()
-		return nil, err
-	}
-	run.Descending = desc
-	if h.scrub {
-		if err := run.Scrub(ctx, &h.faults); err != nil {
-			run.Close()
-			return nil, err
-		}
-	}
-	return run, nil
-}
-
-// formRun drives one run through spillVerified under the redo policy: a
-// run that cannot be trusted — the spill disk failed permanently mid-write,
-// the scrub found persistent corruption (a torn write) — is produced again
-// by redo and re-spilled onto a fresh disk, each redo consuming one unit of
-// the budget and counting in BatchRedos. Redo is what makes those failures survivable at all, because
-// the source stream that fed the run is long gone. A nil redo means the
-// producer kept nothing to redo from: every failure is terminal.
-func (h *hierJob) formRun(ctx context.Context, label string, desc bool, first, redo chunkSource) (*merge.Run, error) {
-	src := first
-	for attempt := 0; ; attempt++ {
-		run, err := h.spillVerified(ctx, desc, src)
-		if err == nil {
-			return run, nil
-		}
-		var te terminalError
-		if errors.As(err, &te) {
-			return nil, te.error
-		}
-		// A full filesystem cannot be redone onto: every retry re-spills
-		// into the same exhausted space. Fail fast without burning the redo
-		// budget so the job's error names the real cause.
-		if ctx.Err() != nil || redo == nil || h.redoBudget == 0 || errors.Is(err, pdm.ErrNoSpace) {
-			return nil, fmt.Errorf("colsort: %s: %w", label, err)
-		}
-		if attempt >= h.redoBudget {
-			return nil, fmt.Errorf("colsort: redo budget (%d) exhausted: %s: %w", h.redoBudget, label, err)
-		}
-		h.faults.BatchRedos.Add(1)
-		src = redo
-	}
+	return d, err
 }
 
 // commitRun admits a formed, verified run to the live set and accounts it.
@@ -315,126 +238,284 @@ func (h *hierJob) commitRun(run *merge.Run) error {
 	return err
 }
 
+// Run formation is a pipeline of three stages, each on its own goroutine,
+// joined by bounded channels of pooled chunk buffers (DESIGN.md §12):
+//
+//	ingest ──chunks──▶ select ──formMsgs──▶ spill-and-commit
+//
+// The channel bounds are the memory bound: two ingest chunks (one filling,
+// one being consumed) and three emit chunks (one filling, one queued, one
+// being written) — four more than the one buffer a single goroutine needs.
+
+// A formMsg is what the select stage hands the spill stage: the next chunk
+// of the current run, or — with no chunk — that run's end and direction.
+type formMsg struct {
+	chunk record.Slice
+	desc  bool
+}
+
 // formReplacementRuns is the run producer: maximal variable-length runs
 // formed by the former, consuming the source stream directly. Records are
-// encoded into normalized key space as they arrive, the former's resident
-// set (runPl.N records — the memory the job's admission lease charges) emits
-// each run in its chosen direction, descending runs marked for the merge's
-// backwards read. The engine's fabric is never involved: order comes from
-// the former, and end-to-end verification from the merge's in-stream order
-// check plus the final multiset comparison against the ingest checksum.
+// encoded into normalized key space as they arrive (ingest), the former's
+// resident set (runPl.N records — the memory the job's admission lease
+// charges) emits each run in its chosen direction (select, on the calling
+// goroutine: the former, BreakRun and every Progress call stay here, in one
+// order whatever the scheduler does), descending runs marked for the merge's
+// backwards read, and each run is spilled, verified and committed in run
+// order (spillRuns) while the next one is being selected. The engine's
+// fabric is never involved: order comes from the former, and end-to-end
+// verification from the merge's in-stream order check plus the final
+// multiset comparison against the ingest checksum.
 //
-// The source stream that fed a run is consumed as the run forms. So when
-// the scrub is armed and the redo budget is positive, each run's emitted
-// chunks are RETAINED in pooled memory until its spill has been verified,
-// and a redo replays the retained copy. Retention is bounded at 2× the
-// former's capacity (the expected run length on random input): a run
-// reaching the bound is cut there, so redo memory stays within two extra
-// resident sets' worth, at the cost of splitting longer-than-expected runs
-// while scrubbing. Without retention any permanent spill or scrub failure
-// is terminal.
+// The first failure of any stage — or the caller's cancellation — is the
+// pipeline context's cause: it stops the other stages, every channel wait
+// selects on it, and it is what the call returns, once both goroutines have
+// exited. The ingest stage is the only code that touches rd, so the caller
+// may then close it.
 func (h *hierJob) formReplacementRuns(ctx context.Context, rd RecordReader) error {
 	if h.runPl.N > math.MaxInt32 { // the former's slot ids are int32
 		return fmt.Errorf("colsort: run plan of %d records exceeds the former's 2³¹−1 slots; set WithMaxMemory", h.runPl.N)
 	}
-	z := h.e.cfg.RecordSize
-	var pool *record.Pool
-	if len(h.m.Pools) > 0 {
-		pool = h.m.Pools[0]
-	}
-	var idx int64
-	read := func(rec []byte) (bool, error) {
-		if idx >= h.n {
-			return false, nil
-		}
-		if idx%4096 == 0 {
-			if err := ctx.Err(); err != nil {
-				return false, err
+	ctx, cancel := context.WithCancelCause(ctx)
+	defer cancel(nil)
+	var stages sync.WaitGroup
+	stage := func(run func() error) {
+		stages.Add(1)
+		go func() {
+			defer stages.Done()
+			if err := run(); err != nil {
+				cancel(err)
 			}
+		}()
+	}
+	chunks := make(chan record.Slice)
+	msgs := make(chan formMsg, 1)
+	stage(func() error { return h.ingest(ctx, rd, chunks) })
+	stage(func() error { return h.spillRuns(ctx, msgs) })
+	h.selectRuns(ctx, chunks, msgs)
+	close(msgs)
+	stages.Wait()
+	return context.Cause(ctx)
+}
+
+// ingest is the first formation stage and the only reader of rd: it fills
+// pooled chunks of up to h.chunk records, encodes them into normalized key
+// space, folds them into the ingest checksum and sends them on, closing the
+// channel behind the last one.
+func (h *hierJob) ingest(ctx context.Context, rd RecordReader, out chan<- record.Slice) error {
+	for idx := int64(0); idx < h.n; {
+		if ctx.Err() != nil {
+			return context.Cause(ctx)
 		}
-		if err := rd.ReadRecord(rec); err != nil {
-			return false, fmt.Errorf("colsort: reading record %d: %w", idx, err)
+		buf := h.pool.Get(int(min(int64(h.chunk), h.n-idx)), h.e.cfg.RecordSize)
+		got, err := readRecords(rd, buf)
+		if err != nil {
+			return fmt.Errorf("colsort: reading record %d: %w", idx+int64(got), err)
 		}
-		h.codec.EncodeRecord(rec)
-		h.want.Add(rec)
-		idx++
+		for i := 0; i < got; i++ {
+			rec := buf.Record(i)
+			h.codec.EncodeRecord(rec)
+			h.want.Add(rec)
+		}
+		idx += int64(got)
+		select {
+		case out <- buf:
+		case <-ctx.Done():
+			return context.Cause(ctx)
+		}
+	}
+	close(out)
+	return nil
+}
+
+// selectRuns is the middle formation stage: replacement selection over the
+// ingested chunks, until the stream or ctx ends. The former reads by copying
+// the next record of the current ingest chunk into the slot it refills; each
+// Fill goes into a fresh pooled h.chunk-record buffer that the spill stage
+// recycles.
+//
+// With retention armed (see spillRuns) a run is cut at 2× the former's
+// capacity — the expected run length on random input — so the memory a redo
+// needs stays within two extra resident sets' worth, at the cost of splitting
+// longer-than-expected runs while scrubbing.
+func (h *hierJob) selectRuns(ctx context.Context, in <-chan record.Slice, out chan<- formMsg) {
+	var cur record.Slice
+	pos, end := 0, 0 // the next record of cur, and its length
+	read := func(rec []byte) (bool, error) {
+		if pos == end {
+			h.pool.Put(cur)
+			var ok bool
+			select {
+			case cur, ok = <-in:
+			case <-ctx.Done():
+			}
+			if pos, end = 0, 0; !ok {
+				return false, context.Cause(ctx) // nil: the ingest stage closed the stream behind its last record
+			}
+			end = cur.Len()
+		}
+		copy(rec, cur.Record(pos))
+		pos++
 		return true, nil
 	}
-	f := runform.New(int(h.runPl.N), z, pool, read)
+	sent := func(m formMsg) bool {
+		select {
+		case out <- m:
+			return true
+		case <-ctx.Done():
+			return false
+		}
+	}
+	f := runform.New(int(h.runPl.N), h.e.cfg.RecordSize, h.pool, read)
 	defer f.Close()
-	buf := pool.Get(h.chunk, z)
-	defer pool.Put(buf)
-
-	retain := h.scrub && h.redoBudget > 0
 	var formed int64
 	for runIdx := 1; ; runIdx++ {
 		desc, ok, err := f.NextRun()
 		if err != nil || !ok {
-			return err
+			return
 		}
-		var retained []record.Slice
-		// drain empties the former's current run into emit. With retention
-		// armed a permanent spill-write failure mid-run stops writing but
-		// KEEPS DRAINING (the retained copy is then the only copy of those
-		// records) and reports the failure once the run is complete.
-		drain := func(emit func(record.Slice) error) error {
-			var recs int64
-			var spillErr error
-			for {
-				got, err := f.Fill(buf)
-				if err != nil {
-					return terminalError{err}
-				}
-				if got == 0 {
-					return spillErr
-				}
-				c := buf.Sub(0, got)
-				recs += int64(got)
-				// Progress is emitted per drained chunk, not per completed
-				// run: a run's length is data-dependent and unbounded (a
-				// sorted stream is ONE run), so waiting for a run boundary
-				// could leave a streaming caller without any progress signal
-				// for the whole sort.
-				formed += int64(got)
-				if h.o.progress != nil {
-					h.o.progress(Progress{Batch: runIdx, FormedRecords: formed, TotalRecords: h.n})
-				}
-				if retain {
-					cp := pool.Get(got, z)
-					copy(cp.Data, c.Data)
-					retained = append(retained, cp)
-				}
-				if spillErr == nil {
-					if spillErr = emit(c); spillErr != nil && !retain {
-						return spillErr
-					}
-				}
-				if retain && recs >= 2*h.runPl.N {
-					f.BreakRun() // bound redo memory; the rest becomes the next run
-				}
+		for recs := int64(0); ; {
+			buf := h.pool.Get(h.chunk, h.e.cfg.RecordSize)
+			got, err := f.Fill(buf)
+			if err != nil {
+				return
+			}
+			if got == 0 {
+				h.pool.Put(buf)
+				break
+			}
+			recs += int64(got)
+			// Progress is emitted per drained chunk, not per completed
+			// run: a run's length is data-dependent and unbounded (a
+			// sorted stream is ONE run), so waiting for a run boundary
+			// could leave a streaming caller without any progress signal
+			// for the whole sort.
+			formed += int64(got)
+			if h.o.progress != nil {
+				h.o.progress(Progress{Batch: runIdx, FormedRecords: formed, TotalRecords: h.n})
+			}
+			if !sent(formMsg{chunk: buf.Sub(0, got)}) {
+				return
+			}
+			if h.retain() && recs >= 2*h.runPl.N {
+				f.BreakRun() // bound redo memory; the rest becomes the next run
 			}
 		}
-		var replay chunkSource
-		if retain {
-			replay = func(emit func(record.Slice) error) error {
-				for _, c := range retained {
-					if err := emit(c); err != nil {
-						return err
-					}
-				}
-				return nil
+		if !sent(formMsg{desc: desc}) {
+			return
+		}
+	}
+}
+
+// retain reports whether each run's chunks are kept in memory until its
+// spill has been verified: the source stream that fed a run is consumed as
+// the run forms, so a redo can only replay what was kept. Without it any
+// permanent spill or scrub failure is terminal.
+func (h *hierJob) retain() bool { return h.scrub && h.redoBudget > 0 }
+
+// spillRuns is the last formation stage. For the duration of formation it
+// owns the job's run writer, spill sequence, live set, stats and manifest
+// log: it writes each run's chunks onto a fresh spill disk through the
+// CRC-framing writer and, at the run's end, drains the write-behind queue,
+// reads the spilled bytes back against their frames when the scrub is armed
+// — NOW, while the run can still be redone; at merge time its producer is
+// gone and persistent spill corruption is fatal — and commits the run
+// (fsync, then the manifest line), in run order, while the select stage is
+// already forming the next run.
+//
+// A run that cannot be trusted — the spill disk failed permanently
+// mid-write, the scrub found persistent corruption (a torn write) — is
+// re-spilled onto a fresh disk from the chunks retention kept (they are the
+// select stage's own buffers, recycled only once the run has verified; the
+// bounded channel is what stops the select stage running further ahead),
+// each redo consuming one unit of the budget and counting in BatchRedos. A
+// spill failure with retention armed stops writing and keeps receiving: the
+// kept chunks are then the only copy of those records. A spill disk that
+// cannot be allocated behaves as one whose first write fails.
+func (h *hierJob) spillRuns(ctx context.Context, in <-chan formMsg) error {
+	var d pdm.Disk // the current attempt's disk, nil before its first chunk and once it failed
+	var werr error // why the current attempt cannot be trusted
+	var kept []record.Slice
+	defer func() {
+		if d != nil {
+			d.Close()
+		}
+	}()
+	write := func(c record.Slice) {
+		if d == nil && werr == nil {
+			d, werr = h.newSpill()
+		}
+		if werr == nil {
+			werr = h.w.Append(c)
+		}
+	}
+	// verify ends the current attempt: the finished, scrubbed run, or the
+	// attempt's failure with its disk closed.
+	verify := func(desc bool) (run *merge.Run, err error) {
+		if err = werr; err == nil {
+			run, err = h.w.Finish()
+		}
+		if err == nil {
+			run.Descending = desc
+			if h.scrub {
+				err = run.Scrub(ctx, &h.faults)
 			}
 		}
-		run, err := h.formRun(ctx, fmt.Sprintf("run %d", runIdx), desc, drain, replay)
-		for _, c := range retained {
-			pool.Put(c)
+		if err != nil && d != nil {
+			d.Close()
 		}
-		if err != nil {
-			return err
+		d, werr = nil, nil
+		return run, err
+	}
+	runIdx := 1
+	for {
+		var m formMsg
+		var ok bool
+		select {
+		case m, ok = <-in:
+		case <-ctx.Done():
+			return context.Cause(ctx)
 		}
+		if !ok {
+			return nil
+		}
+		if m.chunk.Data != nil {
+			write(m.chunk)
+			if h.retain() {
+				kept = append(kept, m.chunk)
+				continue
+			}
+			h.pool.Put(m.chunk)
+			if werr == nil {
+				continue
+			}
+			// Nothing was kept to redo from: the run is lost where it failed.
+		}
+		run, err := verify(m.desc)
+		for attempt := 0; err != nil; attempt++ {
+			// A full filesystem cannot be redone onto: every retry re-spills
+			// into the same exhausted space. Fail fast without burning the redo
+			// budget so the job's error names the real cause.
+			if ctx.Err() != nil || !h.retain() || errors.Is(err, pdm.ErrNoSpace) {
+				return fmt.Errorf("colsort: run %d: %w", runIdx, err)
+			}
+			if attempt >= h.redoBudget {
+				return fmt.Errorf("colsort: redo budget (%d) exhausted: run %d: %w", h.redoBudget, runIdx, err)
+			}
+			h.faults.BatchRedos.Add(1)
+			for _, c := range kept {
+				write(c)
+			}
+			run, err = verify(m.desc)
+		}
+		for _, c := range kept {
+			h.pool.Put(c)
+		}
+		kept = kept[:0]
 		if err := h.commitRun(run); err != nil {
 			return err
 		}
+		runIdx++
 	}
 }
 
@@ -518,11 +599,11 @@ func (h *hierJob) mergeGroup(ctx context.Context, in []hierRun, opt merge.Option
 	for i, r := range in {
 		runs[i], ids[i] = r.run, r.id
 	}
-	d, w, err := h.newSpill()
+	d, err := h.newSpill()
 	if err != nil {
 		return hierRun{}, err
 	}
-	out, st, err := merge.MergeToRun(ctx, runs, w, opt)
+	out, st, err := merge.MergeToRun(ctx, runs, h.w, opt)
 	if err != nil {
 		d.Close()
 		return hierRun{}, err
@@ -560,7 +641,7 @@ func (h *hierJob) mergeGroup(ctx context.Context, in []hierRun, opt merge.Option
 // removed, so a crash at any point leaves a run set that re-merges to
 // byte-identical output; on success the checkpoint state is retired.
 func (h *hierJob) mergePhase(ctx context.Context, dst Sink) (*Result, error) {
-	opt := merge.Options{ChunkRecs: h.chunk, Faults: &h.faults}
+	opt := merge.Options{ChunkRecs: h.chunk, Faults: &h.faults, Pool: h.pool}
 	if h.o.progress != nil {
 		opt.Progress = h.mergeProgress()
 	}

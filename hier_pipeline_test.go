@@ -1,0 +1,354 @@
+package colsort
+
+// Tests of the run-formation pipeline (DESIGN.md §12: ingest ‖ select ‖
+// spill-and-commit): what it promises a RecordReader, how it stops, what
+// every fault does on its way through the stages, and that none of it —
+// output, counters, progress, manifest — depends on how the scheduler
+// interleaves the three goroutines.
+
+import (
+	"bytes"
+	"context"
+	"crypto/sha256"
+	"errors"
+	"fmt"
+	"io"
+	"os"
+	"path/filepath"
+	"reflect"
+	"runtime"
+	"strings"
+	"sync/atomic"
+	"testing"
+	"testing/iotest"
+
+	"colsort/internal/pdm"
+	"colsort/internal/record"
+	"colsort/internal/testutil"
+)
+
+// strictSource is a third party's Source (its reader has no bulk method)
+// that holds Sort to the RecordReader contract: it reports overlapping
+// ReadRecord calls, any call after Close, a Close during a call, and a
+// missing or second Close.
+type strictSource struct {
+	t      *testing.T
+	raw    []byte
+	z      int
+	failAt int           // record whose read fails with errSource; -1: none
+	at     func(rec int) // called inside every ReadRecord; may be nil
+
+	pos    int
+	busy   atomic.Int32
+	closes atomic.Int32
+}
+
+var errSource = errors.New("source went away")
+
+func (s *strictSource) Open(recSize int) (int64, RecordReader, error) {
+	return int64(len(s.raw) / recSize), s, nil
+}
+
+func (s *strictSource) ReadRecord(rec []byte) error {
+	if s.busy.Add(1) != 1 {
+		s.t.Error("overlapping ReadRecord calls")
+	}
+	defer s.busy.Add(-1)
+	if s.closes.Load() != 0 {
+		s.t.Error("ReadRecord after Close")
+	}
+	k := s.pos / s.z
+	if s.at != nil {
+		s.at(k)
+	}
+	runtime.Gosched() // widen the window an overlapping call or an early Close would need
+	if k == s.failAt {
+		return errSource
+	}
+	s.pos += copy(rec, s.raw[s.pos:])
+	return nil
+}
+
+func (s *strictSource) Close() error {
+	if s.busy.Load() != 0 {
+		s.t.Error("Close while a ReadRecord call is in flight")
+	}
+	s.closes.Add(1)
+	return nil
+}
+
+// TestRecordReaderContract: above the bound the reader is driven from the
+// ingest goroutine — strictly sequentially, and never after Sort has
+// returned and closed it, whichever way Sort ends.
+func TestRecordReaderContract(t *testing.T) {
+	const z = 32
+	s := newSorter(t, 4, 256, z)
+	n := int(5*s.MaxRecords(Threaded)) + 7
+	raw := genRaw(n, z, record.Uniform{Seed: 61})
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	for _, tc := range []struct {
+		name   string
+		failAt int
+		at     func(int)
+		check  func(t *testing.T, out []byte, err error)
+	}{
+		{"success", -1, nil, func(t *testing.T, out []byte, err error) {
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !bytes.Equal(out, refSortBytes(t, raw, z, KeySpec{})) {
+				t.Error("output differs from the reference sort")
+			}
+		}},
+		{"source error", n / 2, nil, func(t *testing.T, _ []byte, err error) {
+			if want := fmt.Sprintf("colsort: reading record %d: %v", n/2, errSource); !errors.Is(err, errSource) || err.Error() != want {
+				t.Errorf("err = %v, want %q as is", err, want)
+			}
+		}},
+		{"cancellation", -1, func(k int) {
+			if k == n/2 {
+				cancel()
+			}
+		}, func(t *testing.T, _ []byte, err error) {
+			if !errors.Is(err, context.Canceled) {
+				t.Errorf("err = %v, want context.Canceled", err)
+			}
+		}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			testutil.CheckGoroutines(t)
+			src := &strictSource{t: t, raw: raw, z: z, failAt: tc.failAt, at: tc.at}
+			var out bytes.Buffer
+			res, err := s.Sort(ctx, src, ToWriter(&out), WithAlgorithm(Threaded))
+			if err == nil {
+				defer res.Close()
+			}
+			tc.check(t, out.Bytes(), err)
+			if c := src.closes.Load(); c != 1 {
+				t.Errorf("reader closed %d times, want once", c)
+			}
+		})
+	}
+}
+
+// TestHierarchicalCancelMidFormation cancels while all three formation
+// stages are live (half the input has been selected, so runs are being
+// spilled behind it and chunks read ahead of it): the sort must unwind with
+// context.Canceled, no stage parked on a channel, no scratch or spill file.
+func TestHierarchicalCancelMidFormation(t *testing.T) {
+	dir := t.TempDir()
+	testutil.CheckLeaks(t, dir)
+	s, err := New(Config{Procs: 4, MemPerProc: 256, RecordSize: 32, Dir: dir, Async: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	bound := s.MaxRecords(Threaded)
+	n := 6 * bound
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	sawMerge := false
+	res, err := s.Sort(ctx, Generate(record.Uniform{Seed: 5}, n), Discard(),
+		WithAlgorithm(Threaded),
+		WithProgress(func(ev Progress) {
+			if ev.FormedRecords >= n/2 {
+				cancel()
+			}
+			sawMerge = sawMerge || ev.MergedRecords > 0
+		}))
+	if err == nil {
+		res.Close()
+		t.Fatal("cancelled hierarchical sort returned no error")
+	}
+	if !errors.Is(err, context.Canceled) {
+		t.Fatalf("err = %v, want errors.Is(err, context.Canceled)", err)
+	}
+	if sawMerge {
+		t.Error("the merge started: formation outran its own cancellation")
+	}
+
+	// The sorter remains usable after the cancelled formation.
+	ok, err := s.Sort(context.Background(), Generate(record.Uniform{Seed: 6}, 2*bound), Discard())
+	if err != nil {
+		t.Fatalf("Sort after cancel: %v", err)
+	}
+	ok.Close()
+}
+
+// TestFormationFaultPaths drives every failure formation knows through the
+// stages it now crosses: the error text, what is retried and what is not,
+// and the redo count are the sequential loop's; no row may leave a stage
+// behind.
+func TestFormationFaultPaths(t *testing.T) {
+	const z = 32
+	lost := errors.New("spill disk lost")
+	full := fmt.Errorf("write spill: %w", pdm.ErrNoSpace)
+	scrub := WithRetry(RetryPolicy{Scrub: true}) // arms retention: a failed spill can be redone
+	first := map[int]bool{0: true}
+	all := map[int]bool{0: true, 1: true, 2: true} // the first spill and both redos the default budget buys
+	midRun := int64(3 * 256 * z)                   // inside the first run, a few frames in
+
+	probe := newSorter(t, 4, 256, z)
+	n := int(4*probe.MaxRecords(Threaded)) + 11
+	raw := genRaw(n, z, record.Uniform{Seed: 47})
+	cut := (n/2)*z + 5 // the stream dies inside record n/2
+
+	for _, tc := range []struct {
+		name    string
+		backend pdm.Backend
+		src     Source
+		opt     Option
+		wantErr string // the error's text up to the cause; "": the sort succeeds
+		cause   error
+		redos   int64
+	}{
+		{name: "source error mid-run is terminal and returned as is",
+			src:     FromReader(io.MultiReader(bytes.NewReader(raw[:cut]), iotest.ErrReader(errSource)), int64(n)),
+			opt:     scrub,
+			wantErr: fmt.Sprintf("colsort: reading record %d: colsort: read input: ", n/2), cause: errSource},
+		{name: "spill disk dies mid-run, retained run is redone",
+			backend: laneFaultBackend{ordinals: first, at: midRun, err: lost}, opt: scrub, redos: 1},
+		{name: "spill failure without retention is terminal",
+			backend: laneFaultBackend{ordinals: first, at: midRun, err: lost},
+			wantErr: "colsort: run 1: merge: write run: ", cause: lost},
+		{name: "redo budget exhausted",
+			backend: laneFaultBackend{ordinals: all, at: midRun, err: lost}, opt: scrub,
+			wantErr: "colsort: redo budget (2) exhausted: run 1: merge: write run: ", cause: lost, redos: 2},
+		{name: "no space fails fast, budget untouched",
+			backend: laneFaultBackend{ordinals: all, at: midRun, err: full}, opt: scrub,
+			wantErr: "colsort: run 1: merge: write run: ", cause: pdm.ErrNoSpace},
+		{name: "unallocatable spill disk is a first-write failure: redone",
+			backend: laneFaultBackend{refuse: first, err: lost}, opt: scrub, redos: 1},
+		{name: "unallocatable spill disk is a first-write failure: terminal without retention",
+			backend: laneFaultBackend{refuse: first, err: lost},
+			wantErr: "colsort: run 1: ", cause: lost},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			testutil.CheckGoroutines(t)
+			s := newSorter(t, 4, 256, z)
+			s.m.Backend = tc.backend // the hierarchical path allocates spill disks only
+			if tc.src == nil {
+				tc.src = FromBytes(raw)
+			}
+			opts := []Option{WithAlgorithm(Threaded)}
+			if tc.opt != nil {
+				opts = append(opts, tc.opt)
+			}
+			var out bytes.Buffer
+			res, err := s.Sort(context.Background(), tc.src, ToWriter(&out), opts...)
+			if err == nil {
+				defer res.Close()
+			}
+			switch {
+			case tc.wantErr == "" && err != nil:
+				t.Fatalf("sort failed: %v", err)
+			case tc.wantErr == "" && !bytes.Equal(out.Bytes(), refSortBytes(t, raw, z, KeySpec{})):
+				t.Error("output differs from the reference sort")
+			case tc.wantErr != "" && (err == nil || !errors.Is(err, tc.cause) || !strings.HasPrefix(err.Error(), tc.wantErr)):
+				t.Errorf("err = %v, want %q… wrapping %v", err, tc.wantErr, tc.cause)
+			}
+			if f := s.Stats().Faults; f.BatchRedos != tc.redos {
+				t.Errorf("BatchRedos = %d, want %d (faults %+v)", f.BatchRedos, tc.redos, f)
+			}
+		})
+	}
+}
+
+// formationOutcome is everything a hierarchical sort lets its caller see.
+type formationOutcome struct {
+	sha      [32]byte
+	summary  ResultSummary
+	progress []Progress
+	wal      string // manifest.wal as formation left it; "" without WithCheckpoint
+}
+
+// TestFormationSchedulingNotObservable sorts one input under GOMAXPROCS 1, 2
+// and 8, ten times each, with and without WithCheckpoint: the output, the
+// result summary (counters and merge shape included), the progress stream
+// and the manifest must be the same every time. The GOMAXPROCS = 1 leg is
+// also the proof that no stage spins or waits on parallelism it does not
+// have.
+func TestFormationSchedulingNotObservable(t *testing.T) {
+	testutil.CheckGoroutines(t)
+	dir := t.TempDir()
+	s := ckptConfig(t, dir)
+	raw := genRaw(int(6*s.MaxRecords(Threaded))+17, 32, record.Uniform{Seed: 83})
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(0))
+	for _, ckptDir := range []string{"", filepath.Join(dir, "ckpt")} {
+		sortOnce := func() formationOutcome {
+			var o formationOutcome
+			opts := []Option{WithAlgorithm(Threaded), WithMergeFanIn(2), WithProgress(func(ev Progress) {
+				if ckptDir != "" && ev.MergedRecords > 0 && o.wal == "" { // formation is over, nothing merged yet
+					wal, err := os.ReadFile(filepath.Join(ckptDir, manifestName))
+					if err != nil {
+						t.Error(err)
+					}
+					o.wal = generation.ReplaceAllString(string(wal), "-g#.dat")
+				}
+				o.progress = append(o.progress, ev)
+			})}
+			if ckptDir != "" {
+				opts = append(opts, WithCheckpoint(ckptDir))
+			}
+			var out bytes.Buffer
+			res, err := s.Sort(context.Background(), FromBytes(raw), ToWriter(&out), opts...)
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer res.Close()
+			o.sha, o.summary = sha256.Sum256(out.Bytes()), res.Summary()
+			o.summary.JobID = 0
+			return o
+		}
+		want := sortOnce()
+		if want.summary.Merge.Runs < 3 || (ckptDir != "") != (strings.Count(want.wal, `{"type":"run"`) == want.summary.Merge.Runs) {
+			t.Fatalf("reference sort formed %d runs, manifest:\n%s", want.summary.Merge.Runs, want.wal)
+		}
+		for _, procs := range []int{1, 2, 8} {
+			runtime.GOMAXPROCS(procs)
+			for i := 0; i < 10; i++ {
+				if got := sortOnce(); !reflect.DeepEqual(got, want) {
+					t.Fatalf("GOMAXPROCS=%d, checkpoint %q, sort %d differs from the reference:\n got %+v\nwant %+v", procs, ckptDir, i, got, want)
+				}
+			}
+		}
+	}
+}
+
+// TestHierarchicalSortAllocBytes pins what a warm engine allocates for one
+// above-bound sort: the former's arena and tree, the writer's frame buffer
+// and per-run bookkeeping — not the ingest buffer, the pipeline's chunks or
+// the merge's read chunks, which are the job's pooled buffers. The shape is
+// the benchmark's hier-uniform at one eighth (input 8× the memory cap).
+func TestHierarchicalSortAllocBytes(t *testing.T) {
+	const z = 64
+	const capBytes = 1 << 20
+	s, err := New(Config{Procs: 4, MemPerProc: 2048, RecordSize: z, Dir: t.TempDir()})
+	if err != nil {
+		t.Fatal(err)
+	}
+	in := filepath.Join(t.TempDir(), "in.dat")
+	if err := os.WriteFile(in, genRaw(8*capBytes/z, z, record.Uniform{Seed: 9}), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	sortOnce := func() {
+		res, err := s.Sort(context.Background(), FromFile(in), Discard(), WithAlgorithm(Threaded), WithMaxMemory(capBytes))
+		if err != nil {
+			t.Fatal(err)
+		}
+		res.Close()
+	}
+	sortOnce() // warm the pools
+	const sorts = 4
+	var m0, m1 runtime.MemStats
+	runtime.ReadMemStats(&m0)
+	for i := 0; i < sorts; i++ {
+		sortOnce()
+	}
+	runtime.ReadMemStats(&m1)
+	perSort := float64(m1.TotalAlloc-m0.TotalAlloc) / sorts
+	t.Logf("%.2f MiB allocated per sort of %d MiB under a %d MiB cap", perSort/(1<<20), 8*capBytes>>20, capBytes>>20)
+	if perSort > 0.75*capBytes {
+		t.Errorf("a warm hierarchical sort allocates %.0f bytes, more than ¾ of its %d-byte memory cap: a chunk buffer has left the pool", perSort, capBytes)
+	}
+}

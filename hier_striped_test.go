@@ -93,15 +93,19 @@ func TestStripedChaosRecovery(t *testing.T) {
 }
 
 // laneFaultBackend builds memory spill disks of which the chosen ordinals
-// fail — permanently, with err — every write touching the given byte.
+// fail — permanently, with err — every write touching the given byte, and
+// the refused ones cannot be allocated at all.
 type laneFaultBackend struct {
-	ordinals map[int]bool
-	at       int64
-	err      error
+	ordinals, refuse map[int]bool
+	at               int64
+	err              error
 }
 
 func (b laneFaultBackend) Name() string { return "lane-fault" }
 func (b laneFaultBackend) NewDisk(idx int) (pdm.Disk, error) {
+	if b.refuse[idx] {
+		return nil, b.err
+	}
 	if !b.ordinals[idx] {
 		return pdm.NewMemDisk(), nil
 	}

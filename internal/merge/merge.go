@@ -33,6 +33,9 @@ type Options struct {
 	// Faults, when non-nil, counts CRC corruption detections and
 	// reread heals observed while loading the input runs.
 	Faults *pdm.FaultStats
+	// Pool, when non-nil, lends the run readers their chunk buffers for the
+	// duration of the merge.
+	Pool *record.Pool
 }
 
 // DefaultChunkRecs is the chunk size used when Options does not set one.
@@ -85,7 +88,7 @@ func Merge(ctx context.Context, runs []*Run, emit func(record.Slice) error, opt 
 
 	readers := make([]Reader, len(runs))
 	for i, r := range runs {
-		readers[i] = *NewReader(r, chunkRecs)
+		readers[i] = *NewReader(r, chunkRecs, opt.Pool)
 		readers[i].faults = opt.Faults
 	}
 	for i := range readers {
@@ -128,6 +131,7 @@ func Merge(ctx context.Context, runs []*Run, emit func(record.Slice) error, opt 
 		done.Wait()
 		for i := range readers {
 			st.BytesRead += readers[i].BytesRead()
+			opt.Pool.PutBytes(readers[i].chunk)
 		}
 		if err == nil {
 			emitMu.Lock()

@@ -46,7 +46,7 @@ func TestReverseReaderRoundTrip(t *testing.T) {
 		record.Fill(recs, record.Uniform{Seed: uint64(n)}, 0)
 		run := buildDescRun(t, m, recs, 32)
 		sortSlice(recs) // ascending reference
-		rd := NewReader(run, 32)
+		rd := NewReader(run, 32, nil)
 		if err := rd.Prime(); err != nil {
 			t.Fatal(err)
 		}
@@ -178,7 +178,7 @@ func FuzzReverseReader(f *testing.F) {
 		defer run.Close()
 		run.Descending = desc
 
-		rd := NewReader(run, readChunk)
+		rd := NewReader(run, readChunk, nil)
 		if err := rd.Prime(); err != nil {
 			t.Fatal(err)
 		}

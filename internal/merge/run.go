@@ -205,13 +205,23 @@ func (w *Writer) Reset(d pdm.Disk) {
 	*w = Writer{d: d, recSize: w.recSize, buf: w.buf}
 }
 
-// Append adds the records of recs to the run.
+// Append adds the records of recs to the run. A whole frame that arrives
+// contiguous and on the frame grid — the producers hand over chunkRecs-record
+// chunks — is framed and written from where it lies: WriteAt does not keep
+// its argument (the disk layers snapshot what they defer), so only a chunk
+// that straddles a frame boundary is staged through the frame buffer.
 func (w *Writer) Append(recs record.Slice) error {
 	if recs.Size != w.recSize {
 		return fmt.Errorf("merge: appending %d-byte records to a %d-byte run", recs.Size, w.recSize)
 	}
-	data := recs.Data
-	for len(data) > 0 {
+	for data := recs.Data; len(data) > 0; {
+		if w.used == 0 && len(data) >= len(w.buf) {
+			if err := w.writeFrame(data[:len(w.buf)]); err != nil {
+				return err
+			}
+			data = data[len(w.buf):]
+			continue
+		}
 		n := copy(w.buf[w.used:], data)
 		w.used += n
 		data = data[n:]
@@ -225,20 +235,27 @@ func (w *Writer) Append(recs record.Slice) error {
 	return nil
 }
 
+// flush writes the staged partial frame, if any.
 func (w *Writer) flush() error {
 	if w.used == 0 {
 		return nil
 	}
+	err := w.writeFrame(w.buf[:w.used])
+	w.used = 0
+	return err
+}
+
+// writeFrame appends one frame to the run.
+func (w *Writer) writeFrame(p []byte) error {
 	// Frame the chunk BEFORE it enters the write path: the CRC fingerprints
 	// what the merge handed us, so anything the storage stack loses or
 	// mangles afterwards — a torn write-behind, bit rot on the spill disk,
 	// corruption on the later read — fails verification.
-	w.crcs = append(w.crcs, crc32.Checksum(w.buf[:w.used], castagnoli))
-	if err := w.d.WriteAt(w.buf[:w.used], w.off); err != nil {
+	w.crcs = append(w.crcs, crc32.Checksum(p, castagnoli))
+	if err := w.d.WriteAt(p, w.off); err != nil {
 		return fmt.Errorf("merge: write run: %w", err)
 	}
-	w.off += int64(w.used)
-	w.used = 0
+	w.off += int64(len(p))
 	return nil
 }
 
@@ -288,8 +305,9 @@ type Reader struct {
 // NewReader opens a reader over run in the direction run.Descending
 // selects, loading chunkRecs records per disk read. A CRC-framed run
 // overrides the chunk size with its frame length, so every load is exactly
-// one verifiable frame.
-func NewReader(run *Run, chunkRecs int) *Reader {
+// one verifiable frame. The chunk buffer is drawn from pool (nil: the heap);
+// whoever passes one returns the reader's chunk to it when done.
+func NewReader(run *Run, chunkRecs int, pool *record.Pool) *Reader {
 	if chunkRecs < 1 {
 		chunkRecs = 1
 	}
@@ -299,7 +317,7 @@ func NewReader(run *Run, chunkRecs int) *Reader {
 	}
 	r := &Reader{
 		run:        run,
-		chunk:      make([]byte, chunkBytes),
+		chunk:      pool.GetBytes(int(chunkBytes)),
 		chunkBytes: chunkBytes,
 		frames:     (run.Bytes() + chunkBytes - 1) / chunkBytes,
 		step:       run.RecSize,

@@ -114,7 +114,7 @@ func primedReaders(t *testing.T, runs []*Run, chunkRecs int) []Reader {
 	t.Helper()
 	readers := make([]Reader, len(runs))
 	for i, r := range runs {
-		readers[i] = *NewReader(r, chunkRecs)
+		readers[i] = *NewReader(r, chunkRecs, nil)
 		if err := readers[i].Prime(); err != nil {
 			t.Fatal(err)
 		}

@@ -21,11 +21,39 @@ type Source interface {
 }
 
 // RecordReader streams a Source's records in index order.
+//
+// Sort calls ReadRecord strictly sequentially — never two calls at once —
+// but not necessarily from the goroutine that called Sort: above the bound
+// a dedicated ingest goroutine reads while the caller's goroutine selects.
+// Close is called once, after the last ReadRecord has returned, on every
+// path out of Sort (success, a failed read, cancellation); a reader needs
+// no locking of its own.
 type RecordReader interface {
 	// ReadRecord fills rec (one record) with the next record's bytes.
 	ReadRecord(rec []byte) error
 	// Close releases the reader's resources.
 	Close() error
+}
+
+// bulkReader is what the built-in readers add to RecordReader: the next
+// dst.Len() records in one call, straight into dst. It returns how many
+// whole records it delivered, short only with the error that stopped it.
+type bulkReader interface {
+	readRecords(dst record.Slice) (int, error)
+}
+
+// readRecords is bulkReader's call for any reader: record by record where
+// rd is a third party's.
+func readRecords(rd RecordReader, dst record.Slice) (int, error) {
+	if b, ok := rd.(bulkReader); ok {
+		return b.readRecords(dst)
+	}
+	for i := 0; i < dst.Len(); i++ {
+		if err := rd.ReadRecord(dst.Record(i)); err != nil {
+			return i, err
+		}
+	}
+	return dst.Len(), nil
 }
 
 // Generate adapts a deterministic record generator as a Source of n
@@ -55,6 +83,14 @@ func (r *generatorReader) ReadRecord(rec []byte) error {
 	r.g.Gen(rec, r.idx)
 	r.idx++
 	return nil
+}
+
+func (r *generatorReader) readRecords(dst record.Slice) (int, error) {
+	for i := 0; i < dst.Len(); i++ {
+		r.g.Gen(dst.Record(i), r.idx)
+		r.idx++
+	}
+	return dst.Len(), nil
 }
 
 func (r *generatorReader) Close() error { return nil }
@@ -89,27 +125,45 @@ func (s *fileSource) Open(recSize int) (int64, RecordReader, error) {
 // readChunkBytes is the ingest read-chunk size of stream sources.
 const readChunkBytes = 1 << 20
 
-// chunkedReader turns an io.Reader into a RecordReader through a buffered
-// reader, so file and stream ingest costs one read syscall per chunk and
-// zero allocations per record. io.ReadFull supplies the io.Reader-contract
-// care (transient (0, nil) returns, short reads across chunk boundaries).
+// chunkedReader turns an io.Reader into a RecordReader, so file and stream
+// ingest costs one read syscall per chunk and zero allocations per record:
+// ReadRecord goes through a buffered reader (made on first use — the bulk
+// path, whose destination IS a chunk, never needs it). io.ReadFull supplies
+// the io.Reader-contract care (transient (0, nil) returns, short reads
+// across chunk boundaries).
 type chunkedReader struct {
-	br    *bufio.Reader
+	r     io.Reader     // the stream; br, once ReadRecord has run
+	br    *bufio.Reader // ReadRecord's buffer over the stream
 	close func() error
 }
 
 func newChunkedReader(r io.Reader, close func() error) *chunkedReader {
-	return &chunkedReader{br: bufio.NewReaderSize(r, readChunkBytes), close: close}
+	return &chunkedReader{r: r, close: close}
 }
 
 func (c *chunkedReader) ReadRecord(rec []byte) error {
-	if _, err := io.ReadFull(c.br, rec); err != nil {
+	if c.br == nil {
+		c.br = bufio.NewReaderSize(c.r, readChunkBytes)
+		c.r = c.br
+	}
+	_, err := c.readFull(rec)
+	return err
+}
+
+func (c *chunkedReader) readRecords(dst record.Slice) (int, error) {
+	n, err := c.readFull(dst.Data)
+	return n / dst.Size, err
+}
+
+func (c *chunkedReader) readFull(p []byte) (int, error) {
+	n, err := io.ReadFull(c.r, p)
+	if err != nil {
 		if err == io.EOF {
 			err = io.ErrUnexpectedEOF
 		}
-		return fmt.Errorf("colsort: read input: %w", err)
+		err = fmt.Errorf("colsort: read input: %w", err)
 	}
-	return nil
+	return n, err
 }
 
 func (c *chunkedReader) Close() error {
@@ -160,12 +214,17 @@ type bytesReader struct {
 }
 
 func (r *bytesReader) ReadRecord(rec []byte) error {
-	if r.pos+len(rec) > len(r.b) {
-		return io.ErrUnexpectedEOF
+	_, err := r.readRecords(record.Slice{Data: rec, Size: len(rec)})
+	return err
+}
+
+func (r *bytesReader) readRecords(dst record.Slice) (int, error) {
+	n := copy(dst.Data, r.b[r.pos:]) / dst.Size
+	r.pos += n * dst.Size
+	if n < dst.Len() {
+		return n, io.ErrUnexpectedEOF
 	}
-	copy(rec, r.b[r.pos:])
-	r.pos += len(rec)
-	return nil
+	return n, nil
 }
 
 func (r *bytesReader) Close() error { return nil }

@@ -418,6 +418,9 @@ func TestIngestReaderAllocs(t *testing.T) {
 	var want record.Checksum
 	src := bytes.NewReader(raw)
 	rd := newChunkedReader(src, nil)
+	if err := rd.ReadRecord(rec); err != nil { // the buffered reader is made on first use
+		t.Fatal(err)
+	}
 	allocs := testing.AllocsPerRun(10, func() {
 		if _, err := src.Seek(0, io.SeekStart); err != nil {
 			t.Fatal(err)
