@@ -67,7 +67,7 @@ func main() {
 	d := flag.Int("d", 0, "disks (default P)")
 	mem := flag.Int("mem", 1<<14, "records of column buffer per processor")
 	z := flag.Int("z", 64, "record size in bytes")
-	group := flag.Int("g", 2, "group size for -alg hybrid (2 ≤ g ≤ P/2)")
+	group := flag.Int("g", 0, "group size for -alg hybrid (a power of 2, 2 ≤ g ≤ P/2); only with -alg hybrid")
 	gen := flag.String("gen", "uniform", "input distribution: "+strings.Join(record.Names(), ", "))
 	seed := flag.Uint64("seed", 1, "generator seed")
 	dir := flag.String("dir", "", "back disks with files under this directory (default: in memory)")
@@ -122,34 +122,38 @@ func main() {
 		Async: *async, ReadAhead: *readahead, WriteBehind: *writebehind,
 		DiskSeekMicros: *diskSeekUS, DiskMBps: *diskMBps,
 	}
-	if *chaosPTransient > 0 || *chaosPBitFlip > 0 || *chaosPTorn > 0 ||
-		*chaosTornSpill > 0 || *chaosFlipSpill > 0 || *chaosDeadSpill > 0 {
-		seed := *chaosSeed
-		if seed == 0 {
-			if env := os.Getenv("COLSORT_CHAOS_SEED"); env != "" {
-				s, err := strconv.ParseUint(env, 10, 64)
-				if err != nil {
-					fmt.Fprintf(os.Stderr, "bad COLSORT_CHAOS_SEED %q: %v\n", env, err)
-					os.Exit(2)
-				}
-				seed = s
-			} else {
-				seed = 1
-			}
-		}
-		cfg.Chaos = &colsort.ChaosConfig{
-			Seed:           seed,
-			PTransient:     *chaosPTransient,
-			PBitFlip:       *chaosPBitFlip,
-			PTorn:          *chaosPTorn,
-			TornSpillWrite: *chaosTornSpill,
-			FlipSpillRead:  *chaosFlipSpill,
-			DeadSpillDisk:  *chaosDeadSpill,
-			DeadSpillAfter: *chaosDeadAfterKiB << 10,
-		}
-		// Always print the seed: a failing chaos run must be replayable.
-		fmt.Fprintf(os.Stderr, "chaos: fault injection enabled, seed %d\n", seed)
+	chaos := colsort.ChaosConfig{
+		PTransient:     *chaosPTransient,
+		PBitFlip:       *chaosPBitFlip,
+		PTorn:          *chaosPTorn,
+		TornSpillWrite: *chaosTornSpill,
+		FlipSpillRead:  *chaosFlipSpill,
+		DeadSpillDisk:  *chaosDeadSpill,
+		DeadSpillAfter: *chaosDeadAfterKiB << 10,
 	}
+	if chaos != (colsort.ChaosConfig{}) { // some -chaos-* flag was given; the library says what it may hold
+		chaos.Seed = *chaosSeed
+		if env := os.Getenv("COLSORT_CHAOS_SEED"); chaos.Seed == 0 && env != "" {
+			s, err := strconv.ParseUint(env, 10, 64)
+			if err != nil {
+				fmt.Fprintf(os.Stderr, "bad COLSORT_CHAOS_SEED %q: %v\n", env, err)
+				os.Exit(2)
+			}
+			chaos.Seed = s
+		}
+		if chaos.Seed == 0 {
+			chaos.Seed = 1
+		}
+		cfg.Chaos = &chaos
+		// Always print the seed: a failing chaos run must be replayable.
+		fmt.Fprintf(os.Stderr, "chaos: fault injection enabled, seed %d\n", chaos.Seed)
+	}
+	flag.Visit(func(f *flag.Flag) {
+		if f.Name == "g" && alg != colsort.Hybrid {
+			fmt.Fprintln(os.Stderr, "-g only applies to -alg hybrid")
+			os.Exit(2)
+		}
+	})
 	if *resume && *checkpoint == "" {
 		fmt.Fprintln(os.Stderr, "-resume needs the manifest directory: pass -checkpoint DIR")
 		os.Exit(2)
@@ -170,36 +174,29 @@ func main() {
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt)
 	defer stop()
 
-	opts := []colsort.Option{colsort.WithAlgorithm(alg)}
-	if alg == colsort.Hybrid {
-		opts = []colsort.Option{colsort.WithHybridGroup(*group)}
+	// The flags only spell the options: every value goes to the library as
+	// given (0 is each option's default), and what a value may be is the
+	// library's to say — the sentence a refused command prints is Sort's own.
+	ks := colsort.KeySpec{Offset: *keyOffset, Width: *keyWidth}
+	if *desc {
+		ks.Order = colsort.Descending
 	}
-	if *maxMemMiB > 0 {
-		opts = append(opts, colsort.WithMaxMemory(*maxMemMiB<<20))
-	}
-	if *mergeFanIn > 0 {
-		opts = append(opts, colsort.WithMergeFanIn(*mergeFanIn))
-	}
-	if *checkpoint != "" {
-		opts = append(opts, colsort.WithCheckpoint(*checkpoint))
-	}
-	if *deadline > 0 {
-		opts = append(opts, colsort.WithDeadline(*deadline))
-	}
-	if *retries != 0 || *retryBaseUS != 0 || *redoBudget != 0 || *scrub {
-		opts = append(opts, colsort.WithRetry(colsort.RetryPolicy{
+	opts := []colsort.Option{
+		colsort.WithAlgorithm(alg),
+		colsort.WithMaxMemory(*maxMemMiB << 20),
+		colsort.WithMergeFanIn(*mergeFanIn),
+		colsort.WithCheckpoint(*checkpoint),
+		colsort.WithDeadline(*deadline),
+		colsort.WithKeySpec(ks),
+		colsort.WithRetry(colsort.RetryPolicy{
 			MaxAttempts: *retries,
 			BaseDelay:   time.Duration(*retryBaseUS) * time.Microsecond,
 			RedoBudget:  *redoBudget,
 			Scrub:       *scrub,
-		}))
+		}),
 	}
-	if *keyOffset != 0 || *keyWidth != 0 || *desc {
-		ks := colsort.KeySpec{Offset: *keyOffset, Width: *keyWidth}
-		if *desc {
-			ks.Order = colsort.Descending
-		}
-		opts = append(opts, colsort.WithKeySpec(ks))
+	if alg == colsort.Hybrid {
+		opts[0] = colsort.WithHybridGroup(*group)
 	}
 	if *progress {
 		lastPct := -10 // one decade below 0 so the first merge event prints

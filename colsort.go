@@ -103,7 +103,7 @@ const (
 // Config describes the simulated cluster and the memory budget. It is
 // construction-time only: a Config is consumed by New / NewEngine to build
 // the machine, and nothing mutates it afterwards. Per-job knobs have
-// functional-option counterparts (WithAsync, WithChaos, WithRetry); when a
+// functional-option counterparts (WithChaos, WithRetry); when a
 // job passes one, the option overrides the corresponding Config field for
 // that job alone — the engine's Config and every other job are untouched.
 // Knobs with no option (Procs, Disks, MemPerProc, RecordSize, Dir,
@@ -131,8 +131,7 @@ type Config struct {
 	// Async enables the asynchronous disk layer: the passes' known future
 	// access sequence drives read-ahead, and writes retire in the
 	// background with errors surfaced at each pass's flush and at Close.
-	// Operation counts are identical to a synchronous run. Overridable
-	// per job with WithAsync.
+	// Operation counts are identical to a synchronous run.
 	Async bool
 	// ReadAhead and WriteBehind bound the per-disk async queues (staged
 	// prefetch extents / buffered writes); 0 selects the defaults.
@@ -207,21 +206,8 @@ type Result struct {
 }
 
 // FaultStats reports the fault-tolerance activity of one sort; see
-// Result.Faults and DESIGN.md §9 for the failure model. The JSON tags are
-// the wire representation of the colsort-server's job summaries;
-// TestWireEncodingGolden pins them.
-type FaultStats struct {
-	DiskRetries   int64 `json:"disk_retries"`   // transient disk faults healed by retry
-	DiskGiveUps   int64 `json:"disk_give_ups"`  // transient faults that exhausted the retry budget
-	CorruptChunks int64 `json:"corrupt_chunks"` // spill-run chunks that failed CRC32C verification
-	ChunkRereads  int64 `json:"chunk_rereads"`  // corrupt chunks healed by an invalidate-and-reread
-	BatchRedos    int64 `json:"batch_redos"`    // formed runs re-spilled onto a fresh disk
-}
-
-// Any reports whether any fault-tolerance machinery fired.
-func (f FaultStats) Any() bool {
-	return f != FaultStats{}
-}
+// Result.Faults and DESIGN.md §9 for the failure model.
+type FaultStats = pdm.FaultCounts
 
 // TotalCounters sums all passes and processors, folding the sort's
 // fault-tolerance activity (Result.Faults) into the counters' fault fields —

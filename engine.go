@@ -286,25 +286,14 @@ type job struct {
 
 // newJob builds the per-job machine: a value copy of the engine's machine
 // — sharing the concurrency-safe buffer pools and the backend — with any
-// per-job Config overrides (WithAsync, WithChaos), a retry
+// per-job Config override (WithChaos), a retry
 // layer wired to the job's context and fault counters, and scratch
 // namespaced by the job id so concurrent jobs can never collide in a shared
 // scratch directory.
 func (e *Engine) newJob(ctx context.Context, o sortOptions) *job {
 	j := &job{e: e, id: e.jobSeq.Add(1)}
 	m := e.m
-	if o.asyncSet {
-		if o.async {
-			if m.Async == nil {
-				m.Async = &pdm.AsyncConfig{ReadAhead: e.cfg.ReadAhead, WriteBehind: e.cfg.WriteBehind}
-			}
-		} else {
-			m.Async = nil
-		}
-	}
-	if o.chaosSet {
-		m.Chaos = o.chaos
-	}
+	m.Chaos = e.chaosFor(o)
 	if m.Delay != nil {
 		// The job's D modeled disks, as its spilled runs see them: every run
 		// is striped over the same D heads, so formation and merge together
@@ -346,25 +335,13 @@ func (e *Engine) runJob(ctx context.Context, o sortOptions, ask int64, run func(
 
 	j := e.newJob(ctx, o)
 	res, err := run(j)
-	faults := j.faultStats()
+	faults := j.faults.Snapshot()
 	if res != nil {
 		res.Faults = faults
 		res.JobID = j.id
 	}
 	e.finishJob(res, faults, err)
 	return res, err
-}
-
-// faultStats reads the job's fault counters into the public report.
-func (j *job) faultStats() FaultStats {
-	d := j.faults.Snapshot()
-	return FaultStats{
-		DiskRetries:   d.Retries,
-		DiskGiveUps:   d.GaveUps,
-		CorruptChunks: d.CorruptChunks,
-		ChunkRereads:  d.Rereads,
-		BatchRedos:    d.BatchRedos,
-	}
 }
 
 // finishJob folds one finished job into the engine's cumulative stats.
@@ -389,16 +366,7 @@ func (e *Engine) finishJob(res *Result, faults FaultStats, err error) {
 			e.runsResumed += int64(res.Merge.ResumedRuns)
 		}
 	}
-	e.cumFaults.accumulate(faults)
-}
-
-// accumulate adds d's fields into f.
-func (f *FaultStats) accumulate(d FaultStats) {
-	f.DiskRetries += d.DiskRetries
-	f.DiskGiveUps += d.DiskGiveUps
-	f.CorruptChunks += d.CorruptChunks
-	f.ChunkRereads += d.ChunkRereads
-	f.BatchRedos += d.BatchRedos
+	e.cumFaults.Add(faults)
 }
 
 // EngineStats is a point-in-time snapshot of an Engine; see Engine.Stats.

@@ -77,58 +77,72 @@ func (s *strictSource) Close() error {
 	return nil
 }
 
-// TestRecordReaderContract: above the bound the reader is driven from the
-// ingest goroutine — strictly sequentially, and never after Sort has
-// returned and closed it, whichever way Sort ends.
+// TestRecordReaderContract: the reader is driven strictly sequentially —
+// above the bound from the ingest goroutine, below it from Sort's own — and
+// never after Sort has returned and closed it, whichever way Sort ends. A
+// third party's reader (no bulk method) is read record by record on both
+// sides of the bound, and a failed read names its record.
 func TestRecordReaderContract(t *testing.T) {
 	const z = 32
 	s := newSorter(t, 4, 256, z)
-	n := int(5*s.MaxRecords(Threaded)) + 7
-	raw := genRaw(n, z, record.Uniform{Seed: 61})
-	ctx, cancel := context.WithCancel(context.Background())
-	defer cancel()
-	for _, tc := range []struct {
-		name   string
-		failAt int
-		at     func(int)
-		check  func(t *testing.T, out []byte, err error)
+	bound := int(s.MaxRecords(Threaded))
+	for _, leg := range []struct {
+		prefix, reading string
+		n               int
 	}{
-		{"success", -1, nil, func(t *testing.T, out []byte, err error) {
-			if err != nil {
-				t.Fatal(err)
-			}
-			if !bytes.Equal(out, refSortBytes(t, raw, z, KeySpec{})) {
-				t.Error("output differs from the reference sort")
-			}
-		}},
-		{"source error", n / 2, nil, func(t *testing.T, _ []byte, err error) {
-			if want := fmt.Sprintf("colsort: reading record %d: %v", n/2, errSource); !errors.Is(err, errSource) || err.Error() != want {
-				t.Errorf("err = %v, want %q as is", err, want)
-			}
-		}},
-		{"cancellation", -1, func(k int) {
-			if k == n/2 {
-				cancel()
-			}
-		}, func(t *testing.T, _ []byte, err error) {
-			if !errors.Is(err, context.Canceled) {
-				t.Errorf("err = %v, want context.Canceled", err)
-			}
-		}},
+		{"", "reading", 5*bound + 7},
+		{"below-bound ", "input", bound - 7}, // pads to the bound: the last chunk is part real, part pad
 	} {
-		t.Run(tc.name, func(t *testing.T) {
-			testutil.CheckGoroutines(t)
-			src := &strictSource{t: t, raw: raw, z: z, failAt: tc.failAt, at: tc.at}
-			var out bytes.Buffer
-			res, err := s.Sort(ctx, src, ToWriter(&out), WithAlgorithm(Threaded))
-			if err == nil {
-				defer res.Close()
-			}
-			tc.check(t, out.Bytes(), err)
-			if c := src.closes.Load(); c != 1 {
-				t.Errorf("reader closed %d times, want once", c)
-			}
-		})
+		n := leg.n
+		raw := genRaw(n, z, record.Uniform{Seed: 61})
+		ctx, cancel := context.WithCancel(context.Background())
+		defer cancel()
+		for _, tc := range []struct {
+			name   string
+			failAt int
+			at     func(int)
+			check  func(t *testing.T, out []byte, err error)
+		}{
+			{"success", -1, nil, func(t *testing.T, out []byte, err error) {
+				if err != nil {
+					t.Fatal(err)
+				}
+				if !bytes.Equal(out, refSortBytes(t, raw, z, KeySpec{})) {
+					t.Error("output differs from the reference sort")
+				}
+			}},
+			{"source error", n / 2, nil, func(t *testing.T, _ []byte, err error) {
+				if want := fmt.Sprintf("colsort: %s record %d: %v", leg.reading, n/2, errSource); !errors.Is(err, errSource) || err.Error() != want {
+					t.Errorf("err = %v, want %q as is", err, want)
+				}
+			}},
+			{"cancellation", -1, func(k int) {
+				if k == n/2 {
+					cancel()
+				}
+			}, func(t *testing.T, _ []byte, err error) {
+				if !errors.Is(err, context.Canceled) {
+					t.Errorf("err = %v, want context.Canceled", err)
+				}
+			}},
+		} {
+			t.Run(leg.prefix+tc.name, func(t *testing.T) {
+				testutil.CheckGoroutines(t)
+				src := &strictSource{t: t, raw: raw, z: z, failAt: tc.failAt, at: tc.at}
+				var out bytes.Buffer
+				res, err := s.Sort(ctx, src, ToWriter(&out), WithAlgorithm(Threaded))
+				if err == nil {
+					defer res.Close()
+					if (res.Merge != nil) != (n > bound) {
+						t.Errorf("n = %d, bound %d: Merge = %v", n, bound, res.Merge)
+					}
+				}
+				tc.check(t, out.Bytes(), err)
+				if c := src.closes.Load(); c != 1 {
+					t.Errorf("reader closed %d times, want once", c)
+				}
+			})
+		}
 	}
 }
 

@@ -100,23 +100,39 @@ type FaultStats struct {
 	BatchRedos    atomic.Int64 // hierarchical batches re-sorted/re-spilled
 }
 
-// FaultCounts is a plain snapshot of FaultStats.
+// FaultCounts is a plain snapshot of FaultStats — and, under the name
+// colsort.FaultStats, the public report of one sort's fault-tolerance
+// activity (Result.Faults; DESIGN.md §9 holds the failure model). The JSON
+// tags are the wire representation of the colsort-server's job summaries;
+// TestWireEncodingGolden (root package) pins them.
 type FaultCounts struct {
-	Retries       int64
-	GaveUps       int64
-	CorruptChunks int64
-	Rereads       int64
-	BatchRedos    int64
+	DiskRetries   int64 `json:"disk_retries"`   // transient disk faults healed by retry
+	DiskGiveUps   int64 `json:"disk_give_ups"`  // transient faults that exhausted the retry budget
+	CorruptChunks int64 `json:"corrupt_chunks"` // spill-run chunks that failed CRC32C verification
+	ChunkRereads  int64 `json:"chunk_rereads"`  // corrupt chunks healed by an invalidate-and-reread
+	BatchRedos    int64 `json:"batch_redos"`    // formed runs re-spilled onto a fresh disk
+}
+
+// Any reports whether any fault-tolerance machinery fired.
+func (f FaultCounts) Any() bool { return f != FaultCounts{} }
+
+// Add accumulates o into f.
+func (f *FaultCounts) Add(o FaultCounts) {
+	f.DiskRetries += o.DiskRetries
+	f.DiskGiveUps += o.DiskGiveUps
+	f.CorruptChunks += o.CorruptChunks
+	f.ChunkRereads += o.ChunkRereads
+	f.BatchRedos += o.BatchRedos
 }
 
 // Snapshot reads the counters atomically (each counter individually; the
 // set is not a consistent cut, which reporting does not need).
 func (s *FaultStats) Snapshot() FaultCounts {
 	return FaultCounts{
-		Retries:       s.Retries.Load(),
-		GaveUps:       s.GaveUps.Load(),
+		DiskRetries:   s.Retries.Load(),
+		DiskGiveUps:   s.GaveUps.Load(),
 		CorruptChunks: s.CorruptChunks.Load(),
-		Rereads:       s.Rereads.Load(),
+		ChunkRereads:  s.Rereads.Load(),
 		BatchRedos:    s.BatchRedos.Load(),
 	}
 }

@@ -301,15 +301,7 @@ func (m Machine) NewArrays() ([]*DiskArray, error) {
 			if err != nil {
 				return nil, err
 			}
-			d = m.wrapFaultLayers(d, p+k*m.P, 0, false)
-			if m.Async != nil {
-				cfg := *m.Async
-				if cfg.Pool == nil && m.Pools != nil {
-					cfg.Pool = m.Pools[p] // owning processor's pool
-				}
-				d = NewAsyncDisk(d, cfg)
-			}
-			disks[k] = d
+			disks[k] = m.diskStack(d, p+k*m.P, 0, false)
 		}
 		arrays[p] = NewDiskArray(disks, stripe)
 	}
@@ -351,16 +343,19 @@ func (m Machine) WrapSpillDisk(d Disk, idx int) Disk {
 			stripe = DefaultStripeBytes
 		}
 		return newStripedDisk(d, m.D, stripe, func(view Disk, lane int) Disk {
-			return m.spillLane(view, idx, lane)
+			return m.diskStack(view, idx, lane, true)
 		})
 	}
-	return m.spillLane(d, idx, 0)
+	return m.diskStack(d, idx, 0, true)
 }
 
-// spillLane stacks one lane's layers over d: the fault layers, then the
-// async layer on top, its buffers drawn from the processor pools in turn.
-func (m Machine) spillLane(d Disk, idx, lane int) Disk {
-	d = m.wrapFaultLayers(d, idx, lane, true)
+// diskStack is the one constructor of the machine's per-disk stack, for an
+// array disk (global index idx, lane 0) and for lane `lane` of spill idx
+// alike: the fault layers, then the async layer on top, its buffers drawn
+// from processor (idx+lane) mod P's pool — the owning processor of an array
+// disk, the processors in turn for a spill's lanes.
+func (m Machine) diskStack(d Disk, idx, lane int, spill bool) Disk {
+	d = m.wrapFaultLayers(d, idx, lane, spill)
 	if m.Async != nil {
 		cfg := *m.Async
 		if cfg.Pool == nil && m.Pools != nil {

@@ -1,17 +1,22 @@
 package server
 
-// Option mapping: the wire representation of a Sort call's functional
-// options. Query parameters of POST /v1/sort (and, identically, the
-// "options" object of a POST /v1/jobs submission) map one-to-one onto the
-// colsort.With* constructors. The mapping is STRICT: unknown keys,
-// repeated keys, malformed values and conflicting combinations are
-// rejected with an error naming the offender — a typo must never silently
-// select a default. DESIGN.md §11 holds the full table.
+// Option mapping: the wire spelling of a Sort call's functional options.
+// Query parameters of POST /v1/sort (and, identically, the "options" object
+// of a POST /v1/jobs submission) spell the colsort.With* options through ONE
+// table, wireKeys: name, value type, setter. This file checks spelling only
+// — a closed key set, each key once, non-empty and well-typed, and the two
+// places the wire spells one Go option with several keys (alg=hybrid ⇔ group,
+// chaos=off vs chaos-*) — so a typo never silently selects a default. What a
+// value may BE is the library's to say (colsort's resolve, plan.go): both
+// endpoints ask it before a body byte or a 202 leaves, and answer 400 with its
+// sentence. A zero means what it means in Go: the option's default.
+// DESIGN.md §11 holds the table.
 
 import (
 	"fmt"
+	"maps"
 	"net/url"
-	"sort"
+	"slices"
 	"strconv"
 	"strings"
 	"time"
@@ -19,39 +24,64 @@ import (
 	"colsort"
 )
 
-// sortParams is the closed set of wire option keys.
-var sortParams = map[string]struct{}{
-	"alg":               {},
-	"group":             {},
-	"deadline-ms":       {},
-	"key-offset":        {},
-	"key-width":         {},
-	"order":             {},
-	"padding":           {},
-	"max-memory-mib":    {},
-	"merge-fanin":       {},
-	"async":             {},
-	"nowait":            {},
-	"retries":           {},
-	"retry-base-us":     {},
-	"redo-budget":       {},
-	"scrub":             {},
-	"chaos":             {},
-	"chaos-seed":        {},
-	"chaos-p-transient": {},
-	"chaos-p-bitflip":   {},
-	"chaos-p-torn":      {},
+// wireKey is one wire option key: its name, what a well-typed value is (for
+// the error message), and the setter that stores a value on the accumulator,
+// reporting false when it is not of that type.
+type wireKey struct {
+	name string
+	typ  string
+	set  func(a *accumulator, v string) bool
 }
 
-// knownParamList renders the closed key set for error messages, sorted so
-// the message is deterministic.
-func knownParamList() string {
-	keys := make([]string, 0, len(sortParams))
-	for k := range sortParams {
-		keys = append(keys, k)
-	}
-	sort.Strings(keys)
-	return strings.Join(keys, ", ")
+// accumulator collects what the keys spell: options a key emits on its own,
+// and the fields of the options several keys spell together.
+type accumulator struct {
+	opts    []colsort.Option
+	alg     colsort.Algorithm
+	group   int
+	ks      colsort.KeySpec
+	retry   colsort.RetryPolicy
+	chaos   colsort.ChaosConfig
+	chaosOn bool // some chaos-* key was given
+}
+
+func (a *accumulator) add(o colsort.Option) { a.opts = append(a.opts, o) }
+
+// key builds a wireKey from a value parser and a setter.
+func key[T any](name, typ string, parse func(string) (T, error), put func(*accumulator, T)) wireKey {
+	return wireKey{name, typ, func(a *accumulator, s string) bool {
+		v, err := parse(s)
+		if err == nil {
+			put(a, v)
+		}
+		return err == nil
+	}}
+}
+
+func intKey(name string, put func(*accumulator, int64)) wireKey {
+	return key(name, "an integer", func(s string) (int64, error) { return strconv.ParseInt(s, 10, 64) }, put)
+}
+
+func boolKey(name string, put func(*accumulator, bool)) wireKey {
+	return key(name, "a boolean", strconv.ParseBool, put)
+}
+
+// probKey is a chaos-p-* key: any number is well-typed here; the library says
+// which numbers are probabilities.
+func probKey(name string, field func(*colsort.ChaosConfig) *float64) wireKey {
+	return key(name, "a number", func(s string) (float64, error) { return strconv.ParseFloat(s, 64) },
+		func(a *accumulator, v float64) { *field(&a.chaos), a.chaosOn = v, true })
+}
+
+// enumKey is a key whose values are a closed set of names.
+func enumKey[T any](name string, values map[string]T, put func(*accumulator, T)) wireKey {
+	return key(name, strings.Join(slices.Sorted(maps.Keys(values)), " | "), func(s string) (T, error) {
+		v, ok := values[s]
+		if !ok {
+			return v, strconv.ErrSyntax
+		}
+		return v, nil
+	}, put)
 }
 
 // wireAlgorithms maps wire algorithm names onto the library's. The
@@ -66,280 +96,101 @@ var wireAlgorithms = map[string]colsort.Algorithm{
 	"hybrid":         colsort.Hybrid,
 }
 
-// parseSortOptions validates the wire options strictly and compiles them
-// into colsort functional options. extra names caller-handled keys (e.g.
+// wireKeys is the closed set of wire option keys, in the order a request's
+// values are read (so of two ill-typed values the same one is named every
+// time).
+var wireKeys = []wireKey{
+	enumKey("alg", wireAlgorithms, func(a *accumulator, v colsort.Algorithm) { a.alg = v }),
+	intKey("group", func(a *accumulator, v int64) { a.group = int(v) }),
+	intKey("deadline-ms", func(a *accumulator, v int64) { a.add(colsort.WithDeadline(time.Duration(v) * time.Millisecond)) }),
+	intKey("key-offset", func(a *accumulator, v int64) { a.ks.Offset = int(v) }),
+	intKey("key-width", func(a *accumulator, v int64) { a.ks.Width = int(v) }),
+	enumKey("order", map[string]colsort.Order{"asc": colsort.Ascending, "desc": colsort.Descending},
+		func(a *accumulator, v colsort.Order) { a.ks.Order = v }),
+	enumKey("padding", map[string]colsort.PaddingPolicy{"auto": colsort.PadAuto, "never": colsort.PadNever},
+		func(a *accumulator, v colsort.PaddingPolicy) { a.add(colsort.WithPadding(v)) }),
+	intKey("max-memory-mib", func(a *accumulator, v int64) { a.add(colsort.WithMaxMemory(v << 20)) }),
+	intKey("merge-fanin", func(a *accumulator, v int64) { a.add(colsort.WithMergeFanIn(int(v))) }),
+	boolKey("nowait", func(a *accumulator, v bool) {
+		if v {
+			a.add(colsort.WithNoWait())
+		}
+	}),
+	intKey("retries", func(a *accumulator, v int64) { a.retry.MaxAttempts = int(v) }),
+	intKey("retry-base-us", func(a *accumulator, v int64) { a.retry.BaseDelay = time.Duration(v) * time.Microsecond }),
+	intKey("redo-budget", func(a *accumulator, v int64) { a.retry.RedoBudget = int(v) }),
+	boolKey("scrub", func(a *accumulator, v bool) { a.retry.Scrub = v }),
+	// chaos=off shields the job from engine-configured chaos; any chaos-* key
+	// enables job-scoped injection.
+	enumKey("chaos", map[string]bool{"off": true}, func(*accumulator, bool) {}),
+	intKey("chaos-seed", func(a *accumulator, v int64) { a.chaos.Seed, a.chaosOn = uint64(v), true }),
+	probKey("chaos-p-transient", func(c *colsort.ChaosConfig) *float64 { return &c.PTransient }),
+	probKey("chaos-p-bitflip", func(c *colsort.ChaosConfig) *float64 { return &c.PBitFlip }),
+	probKey("chaos-p-torn", func(c *colsort.ChaosConfig) *float64 { return &c.PTorn }),
+}
+
+// knownParamList renders the closed key set for error messages.
+func knownParamList() string {
+	names := make([]string, len(wireKeys))
+	for i, k := range wireKeys {
+		names[i] = k.name
+	}
+	return strings.Join(names, ", ")
+}
+
+// parseSortOptions reads the wire options strictly and spells them as
+// colsort functional options. extra names caller-handled keys (e.g.
 // "records" on the streaming endpoint) that are legal but contribute no
 // option.
 func parseSortOptions(q url.Values, extra ...string) ([]colsort.Option, error) {
-	callerKeys := make(map[string]bool, len(extra))
-	for _, k := range extra {
-		callerKeys[k] = true
-	}
-	get := make(map[string]string, len(q))
-	for k, vs := range q {
-		if callerKeys[k] {
-			continue
-		}
-		if _, ok := sortParams[k]; !ok {
+	for _, k := range slices.Sorted(maps.Keys(q)) {
+		if !slices.Contains(extra, k) && !slices.ContainsFunc(wireKeys, func(w wireKey) bool { return w.name == k }) {
 			return nil, fmt.Errorf("unknown option %q (known: %s)", k, knownParamList())
 		}
-		if len(vs) != 1 {
-			return nil, fmt.Errorf("option %q given %d times; each option may appear once", k, len(vs))
+	}
+	a := accumulator{alg: colsort.Threaded, chaos: colsort.ChaosConfig{Seed: 1}}
+	for _, k := range wireKeys {
+		switch vs, given := q[k.name]; {
+		case !given:
+		case len(vs) != 1:
+			return nil, fmt.Errorf("option %q given %d times; each option may appear once", k.name, len(vs))
+		case vs[0] == "":
+			return nil, fmt.Errorf("option %q has an empty value", k.name)
+		case !k.set(&a, vs[0]):
+			return nil, fmt.Errorf("option %q: want %s, got %q", k.name, k.typ, vs[0])
 		}
-		if vs[0] == "" {
-			return nil, fmt.Errorf("option %q has an empty value", k)
-		}
-		get[k] = vs[0]
 	}
 
-	has := func(k string) bool { _, ok := get[k]; return ok }
-	intOf := func(k string) (int64, error) {
-		v, err := strconv.ParseInt(get[k], 10, 64)
-		if err != nil {
-			return 0, fmt.Errorf("option %q: %q is not an integer", k, get[k])
-		}
-		return v, nil
-	}
-	boolOf := func(k string) (bool, error) {
-		v, err := strconv.ParseBool(get[k])
-		if err != nil {
-			return false, fmt.Errorf("option %q: %q is not a boolean", k, get[k])
-		}
-		return v, nil
-	}
-	floatOf := func(k string) (float64, error) {
-		v, err := strconv.ParseFloat(get[k], 64)
-		if err != nil {
-			return 0, fmt.Errorf("option %q: %q is not a number", k, get[k])
-		}
-		return v, nil
-	}
-
-	var opts []colsort.Option
-
-	// Algorithm selection. hybrid requires a group size; a group size
-	// requires hybrid.
-	alg, haveAlg := colsort.Threaded, false
-	if has("alg") {
-		a, ok := wireAlgorithms[get["alg"]]
-		if !ok {
-			names := make([]string, 0, len(wireAlgorithms))
-			for n := range wireAlgorithms {
-				names = append(names, n)
-			}
-			sort.Strings(names)
-			return nil, fmt.Errorf("option %q: unknown algorithm %q (known: %s)", "alg", get["alg"], strings.Join(names, ", "))
-		}
-		alg, haveAlg = a, true
-	}
+	// The two Go options the wire spells with more than one key.
+	hybrid := a.alg == colsort.Hybrid
 	switch {
-	case alg == colsort.Hybrid && !has("group"):
-		return nil, fmt.Errorf("alg=hybrid requires a group size: pass group=G (2 ≤ G ≤ P/2)")
-	case alg != colsort.Hybrid && has("group"):
+	case hybrid && !q.Has("group"):
+		return nil, fmt.Errorf("alg=hybrid requires a group size: pass group=G")
+	case !hybrid && q.Has("group"):
 		return nil, fmt.Errorf("option %q only applies to alg=hybrid", "group")
-	case alg == colsort.Hybrid:
-		g, err := intOf("group")
-		if err != nil {
-			return nil, err
-		}
-		opts = append(opts, colsort.WithHybridGroup(int(g)))
-	case haveAlg:
-		opts = append(opts, colsort.WithAlgorithm(alg))
+	case q.Has("chaos") && a.chaosOn:
+		return nil, fmt.Errorf("chaos=off conflicts with the chaos-* parameters")
+	case hybrid:
+		a.add(colsort.WithHybridGroup(a.group))
+	case q.Has("alg"):
+		a.add(colsort.WithAlgorithm(a.alg))
 	}
-
-	// Key schema.
-	var ks colsort.KeySpec
-	haveKS := false
-	if has("key-offset") {
-		v, err := intOf("key-offset")
-		if err != nil {
-			return nil, err
-		}
-		if v < 0 {
-			return nil, fmt.Errorf("option %q: must be ≥ 0", "key-offset")
-		}
-		ks.Offset, haveKS = int(v), true
+	if a.ks != (colsort.KeySpec{}) {
+		a.add(colsort.WithKeySpec(a.ks))
 	}
-	if has("key-width") {
-		v, err := intOf("key-width")
-		if err != nil {
-			return nil, err
-		}
-		if v < 1 {
-			return nil, fmt.Errorf("option %q: must be ≥ 1", "key-width")
-		}
-		ks.Width, haveKS = int(v), true
+	if a.retry != (colsort.RetryPolicy{}) {
+		a.add(colsort.WithRetry(a.retry))
 	}
-	if has("order") {
-		switch get["order"] {
-		case "asc":
-		case "desc":
-			ks.Order = colsort.Descending
-		default:
-			return nil, fmt.Errorf("option %q: want \"asc\" or \"desc\", got %q", "order", get["order"])
-		}
-		haveKS = true
+	if q.Has("chaos") {
+		a.add(colsort.WithChaos(nil))
+	} else if a.chaosOn {
+		a.add(colsort.WithChaos(&a.chaos))
 	}
-	if haveKS {
-		opts = append(opts, colsort.WithKeySpec(ks))
-	}
-
-	// Padding policy and the hierarchical knobs it conflicts with.
-	if has("padding") {
-		switch get["padding"] {
-		case "auto":
-			opts = append(opts, colsort.WithPadding(colsort.PadAuto))
-		case "never":
-			opts = append(opts, colsort.WithPadding(colsort.PadNever))
-		default:
-			return nil, fmt.Errorf("option %q: want \"auto\" or \"never\", got %q", "padding", get["padding"])
-		}
-	}
-	if has("max-memory-mib") {
-		if alg == colsort.Hybrid {
-			return nil, fmt.Errorf("max-memory-mib conflicts with alg=hybrid: the hierarchical path supports only non-hybrid algorithms")
-		}
-		if get["padding"] == "never" {
-			return nil, fmt.Errorf("max-memory-mib conflicts with padding=never: the hierarchical path requires automatic padding")
-		}
-		v, err := intOf("max-memory-mib")
-		if err != nil {
-			return nil, err
-		}
-		if v < 1 {
-			return nil, fmt.Errorf("option %q: must be ≥ 1", "max-memory-mib")
-		}
-		opts = append(opts, colsort.WithMaxMemory(v<<20))
-	}
-	if has("merge-fanin") {
-		v, err := intOf("merge-fanin")
-		if err != nil {
-			return nil, err
-		}
-		if v < 2 {
-			return nil, fmt.Errorf("option %q: must be ≥ 2", "merge-fanin")
-		}
-		opts = append(opts, colsort.WithMergeFanIn(int(v)))
-	}
-
-	// Machine overrides (tri-state: absent inherits the engine's Config).
-	if has("async") {
-		v, err := boolOf("async")
-		if err != nil {
-			return nil, err
-		}
-		opts = append(opts, colsort.WithAsync(v))
-	}
-	if has("nowait") {
-		v, err := boolOf("nowait")
-		if err != nil {
-			return nil, err
-		}
-		if v {
-			opts = append(opts, colsort.WithNoWait())
-		}
-	}
-	if has("deadline-ms") {
-		v, err := intOf("deadline-ms")
-		if err != nil {
-			return nil, err
-		}
-		if v < 1 {
-			return nil, fmt.Errorf("option %q: must be ≥ 1", "deadline-ms")
-		}
-		opts = append(opts, colsort.WithDeadline(time.Duration(v)*time.Millisecond))
-	}
-
-	// Retry policy: any retry key present builds one WithRetry.
-	if has("retries") || has("retry-base-us") || has("redo-budget") || has("scrub") {
-		var p colsort.RetryPolicy
-		if has("retries") {
-			v, err := intOf("retries")
-			if err != nil {
-				return nil, err
-			}
-			if v < 1 {
-				return nil, fmt.Errorf("option %q: must be ≥ 1 (1 disables retries)", "retries")
-			}
-			p.MaxAttempts = int(v)
-		}
-		if has("retry-base-us") {
-			v, err := intOf("retry-base-us")
-			if err != nil {
-				return nil, err
-			}
-			if v < 1 {
-				return nil, fmt.Errorf("option %q: must be ≥ 1", "retry-base-us")
-			}
-			p.BaseDelay = time.Duration(v) * time.Microsecond
-		}
-		if has("redo-budget") {
-			v, err := intOf("redo-budget")
-			if err != nil {
-				return nil, err
-			}
-			p.RedoBudget = int(v) // negative disables batch redo, by contract
-		}
-		if has("scrub") {
-			v, err := boolOf("scrub")
-			if err != nil {
-				return nil, err
-			}
-			p.Scrub = v
-		}
-		opts = append(opts, colsort.WithRetry(p))
-	}
-
-	// Chaos (tri-state): chaos=off disables engine-configured chaos for
-	// this job; any chaos-* parameter enables job-scoped injection.
-	haveChaosParam := has("chaos-seed") || has("chaos-p-transient") || has("chaos-p-bitflip") || has("chaos-p-torn")
-	if has("chaos") {
-		if get["chaos"] != "off" {
-			return nil, fmt.Errorf("option %q: the only value is \"off\" (chaos-seed/chaos-p-* enable injection)", "chaos")
-		}
-		if haveChaosParam {
-			return nil, fmt.Errorf("chaos=off conflicts with the chaos-* parameters")
-		}
-		opts = append(opts, colsort.WithChaos(nil))
-	} else if haveChaosParam {
-		cc := &colsort.ChaosConfig{Seed: 1}
-		if has("chaos-seed") {
-			v, err := intOf("chaos-seed")
-			if err != nil {
-				return nil, err
-			}
-			cc.Seed = uint64(v)
-		}
-		// A slice, not a map: with two bad probabilities the error must name
-		// the same one every time.
-		for _, p := range []struct {
-			key string
-			dst *float64
-		}{
-			{"chaos-p-transient", &cc.PTransient},
-			{"chaos-p-bitflip", &cc.PBitFlip},
-			{"chaos-p-torn", &cc.PTorn},
-		} {
-			if !has(p.key) {
-				continue
-			}
-			v, err := floatOf(p.key)
-			if err != nil {
-				return nil, err
-			}
-			if v < 0 || v > 1 {
-				return nil, fmt.Errorf("option %q: probability must be in [0, 1]", p.key)
-			}
-			*p.dst = v
-		}
-		opts = append(opts, colsort.WithChaos(cc))
-	}
-
-	return opts, nil
+	return a.opts, nil
 }
 
 // valuesFromMap adapts a job submission's options object to the query
-// parameter mapping, so both entry points share one validator.
+// parameter mapping, so both entry points share one reader.
 func valuesFromMap(m map[string]string) url.Values {
 	q := make(url.Values, len(m))
 	for k, v := range m {

@@ -1,13 +1,19 @@
 package server
 
-// Tests of the strict wire→option mapping: every accepted combination
-// compiles, every malformed or conflicting one is refused with an error
-// naming the offending key — a typo must never silently select a default.
+// Tests of the wire→option spelling: every well-spelled combination yields
+// options, every misspelled one is refused with an error naming the
+// offending key — a typo must never silently select a default. What a value
+// may be is not this file's: the rule book is the library's (colsort's
+// TestRuleBook holds it, against both endpoints).
 
 import (
 	"net/url"
+	"os"
+	"path/filepath"
 	"strings"
 	"testing"
+
+	"colsort"
 )
 
 func TestParseSortOptionsAccepts(t *testing.T) {
@@ -22,12 +28,16 @@ func TestParseSortOptionsAccepts(t *testing.T) {
 		{"order only", "order=asc"},
 		{"padding", "padding=never"},
 		{"hierarchical knobs", "max-memory-mib=64&merge-fanin=8"},
-		{"machine overrides", "async=true&nowait=true"},
+		{"machine overrides", "nowait=true&chaos=off"},
 		{"retry policy", "retries=4&retry-base-us=50&redo-budget=2&scrub=true"},
 		{"redo disabled", "redo-budget=-1"},
 		{"chaos off", "chaos=off"},
 		{"chaos on", "chaos-seed=7&chaos-p-transient=0.01&chaos-p-bitflip=0.001&chaos-p-torn=0"},
 		{"caller-handled extra", "records=100"},
+		// Spelled fine: whether the job may run is resolve's to say.
+		{"cap with hybrid", "alg=hybrid&group=2&max-memory-mib=64"},
+		{"cap with padding=never", "padding=never&max-memory-mib=64"},
+		{"a zero is the default", "max-memory-mib=0&merge-fanin=0&retries=0&retry-base-us=0&key-width=0&deadline-ms=0"},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -42,36 +52,44 @@ func TestParseSortOptionsAccepts(t *testing.T) {
 	}
 }
 
+// TestParseSortOptionsRejects: a misspelled request is refused by the parse
+// loop; a well-spelled one whose VALUE the library refuses passes the loop
+// untouched (the wire restates no rule) and is refused by the resolver both
+// endpoints ask, naming the Go option.
 func TestParseSortOptionsRejects(t *testing.T) {
+	eng, err := colsort.New(testBase(filepath.Join(t.TempDir(), "scratch")))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer eng.Close()
 	cases := []struct {
 		name    string
 		query   string
+		library bool // parse accepts; Engine.PlanSort refuses
 		wantMsg string
 	}{
-		{"unknown key", "allg=threaded", `unknown option "allg"`},
-		{"baseline algorithms are not wired", "alg=baseline-io", "unknown algorithm"},
-		{"empty value", "order=", "empty value"},
-		{"bad order", "order=sideways", `want "asc" or "desc"`},
-		{"bad padding", "padding=sometimes", `want "auto" or "never"`},
-		{"bad fabric", "fabric=zero-copy", `unknown option "fabric" (known: alg, `},
-		{"bad bool", "async=maybe", "not a boolean"},
-		{"bad int", "key-offset=three", "not an integer"},
-		{"negative key offset", "key-offset=-1", "must be ≥ 0"},
-		{"zero key width", "key-width=0", "must be ≥ 1"},
-		{"hybrid without group", "alg=hybrid", "requires a group size"},
-		{"group without hybrid", "group=2", `only applies to alg=hybrid`},
-		{"group with non-hybrid", "alg=threaded&group=2", `only applies to alg=hybrid`},
-		{"max-memory with hybrid", "alg=hybrid&group=2&max-memory-mib=64", "conflicts with alg=hybrid"},
-		{"max-memory with padding=never", "padding=never&max-memory-mib=64", "conflicts with padding=never"},
-		{"zero max-memory", "max-memory-mib=0", "must be ≥ 1"},
-		{"fan-in of one", "merge-fanin=1", "must be ≥ 2"},
-		{"bad run formation", "run-formation=fixed-batch", `unknown option "run-formation" (known: alg, `},
-		{"zero retries", "retries=0", "must be ≥ 1"},
-		{"chaos not off", "chaos=on", `the only value is "off"`},
-		{"chaos off with params", "chaos=off&chaos-seed=1", "conflicts with the chaos-"},
-		{"probability above one", "chaos-p-bitflip=1.5", "probability must be in [0, 1]"},
-		{"probability not a number", "chaos-p-torn=often", "not a number"},
-		{"two bad probabilities name the first", "chaos-p-torn=2&chaos-p-transient=3", `option "chaos-p-transient"`},
+		{"unknown key", "allg=threaded", false, `unknown option "allg"`},
+		{"baseline algorithms are not wired", "alg=baseline-io", false, `option "alg": want combined | hybrid | m-columnsort | subblock | threaded | threaded-4pass, got "baseline-io"`},
+		{"empty value", "order=", false, "empty value"},
+		{"bad order", "order=sideways", false, `want asc | desc`},
+		{"bad padding", "padding=sometimes", false, `want auto | never`},
+		{"bad fabric", "fabric=zero-copy", false, `unknown option "fabric" (known: alg, `},
+		{"async is gone", "async=true", false, `unknown option "async" (known: alg, `},
+		{"bad bool", "nowait=maybe", false, "want a boolean"},
+		{"bad int", "key-offset=three", false, "want an integer"},
+		{"hybrid without group", "alg=hybrid", false, "requires a group size"},
+		{"group without hybrid", "group=2", false, `only applies to alg=hybrid`},
+		{"group with non-hybrid", "alg=threaded&group=2", false, `only applies to alg=hybrid`},
+		{"bad run formation", "run-formation=fixed-batch", false, `unknown option "run-formation" (known: alg, `},
+		{"chaos not off", "chaos=on", false, `option "chaos": want off, got "on"`},
+		{"chaos off with params", "chaos=off&chaos-seed=1", false, "conflicts with the chaos-"},
+		{"probability not a number", "chaos-p-torn=often", false, "want a number"},
+		{"two bad types name the first", "scrub=2&nowait=3", false, `option "nowait"`},
+
+		{"negative key offset", "key-offset=-1", true, "colsort: record: key field [-1:7) outside"},
+		{"fan-in of one", "merge-fanin=1", true, "colsort: WithMergeFanIn(1)"},
+		{"probability above one", "chaos-p-bitflip=1.5", true, "colsort: ChaosConfig.PBitFlip = 1.5"},
+		{"two bad probabilities name the first", "chaos-p-torn=2&chaos-p-transient=3", true, "colsort: ChaosConfig.PTransient = 3"},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -79,7 +97,13 @@ func TestParseSortOptionsRejects(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			_, err = parseSortOptions(q)
+			opts, err := parseSortOptions(q)
+			if tc.library {
+				if err != nil {
+					t.Fatalf("%q refused by the parse loop (%v): the wire must not restate a rule of resolve", tc.query, err)
+				}
+				_, err = eng.PlanSort(1024, opts...)
+			}
 			if err == nil {
 				t.Fatalf("%q accepted, want an error mentioning %q", tc.query, tc.wantMsg)
 			}
@@ -104,5 +128,28 @@ func TestValuesFromMapSharesValidator(t *testing.T) {
 	_, err := parseSortOptions(valuesFromMap(map[string]string{"colour": "red"}))
 	if err == nil || !strings.Contains(err.Error(), `unknown option "colour"`) {
 		t.Errorf("unknown map key: got %v", err)
+	}
+}
+
+// TestWireKeysDocumented: every key of the wire table has its row in
+// DESIGN.md §11's option mapping — a key added, renamed or removed in
+// wireKeys must move there too.
+func TestWireKeysDocumented(t *testing.T) {
+	design, err := os.ReadFile("../../DESIGN.md")
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, sec, ok := strings.Cut(string(design), "\n## 11. ")
+	if !ok {
+		t.Fatal("DESIGN.md has no §11")
+	}
+	sec, _, _ = strings.Cut(sec, "\n## ")
+	for _, k := range wireKeys {
+		if !strings.Contains(sec, "| `"+k.name+"` |") {
+			t.Errorf("wire key %q has no row in DESIGN.md §11's option table", k.name)
+		}
+	}
+	if strings.Contains(sec, "`async`") {
+		t.Error("DESIGN.md §11 still documents the removed wire key `async`")
 	}
 }

@@ -17,7 +17,7 @@
 //	GET    /healthz               200 ok; 503 while draining
 //
 // Sort options arrive as query parameters (or the job submission's
-// "options" object) under a strict validator; see options.go.
+// "options" object), spelled through one table; see options.go.
 package server
 
 import (
@@ -372,6 +372,9 @@ func (s *Server) handleJobSubmit(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	opts, err := parseSortOptions(valuesFromMap(req.Options))
+	if err == nil {
+		err = s.planFileJob(in, opts)
+	}
 	if err != nil {
 		writeError(w, http.StatusBadRequest, "%v", err)
 		return
@@ -392,6 +395,20 @@ func (s *Server) handleJobSubmit(w http.ResponseWriter, r *http.Request) {
 	s.launchFileJob(ctx, cancel, entry, in, out, opts, release, false)
 	info, _ := entry.snapshot()
 	writeJSON(w, http.StatusAccepted, info)
+}
+
+// planFileJob asks the resolver Sort itself asks what sorting the file would
+// execute — the record count is the one the run would open — so a job the
+// library would refuse is refused at submit, with the library's sentence,
+// instead of failing after its 202.
+func (s *Server) planFileJob(in string, opts []colsort.Option) error {
+	n, rd, err := colsort.FromFile(in).Open(s.recSize)
+	if err != nil {
+		return err
+	}
+	rd.Close() //nolint:errcheck // opened read-only, nothing to lose
+	_, err = s.eng.PlanSort(n, opts...)
+	return err
 }
 
 // launchFileJob runs one file job in the background: fresh submissions sort

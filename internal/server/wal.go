@@ -206,11 +206,13 @@ func (s *Server) readoptJob(rec walRecord) error {
 		return fmt.Errorf("readopt %s: input: %w", rec.ID, err)
 	}
 	// Older builds accepted and persisted a "run-formation" option (up to
-	// PR 12) and a "fabric" option (up to PR 16). Neither ever changed a job's
-	// output bytes, so a job an older binary queued is re-adopted without
-	// them rather than failed as an unknown option.
+	// PR 12), a "fabric" option (up to PR 16) and an "async" option (up to
+	// PR 22). None ever changed a job's output bytes, so a job an older binary
+	// queued is re-adopted without them rather than failed as an unknown
+	// option.
 	delete(rec.Options, "run-formation")
 	delete(rec.Options, "fabric")
+	delete(rec.Options, "async")
 	opts, err := parseSortOptions(valuesFromMap(rec.Options))
 	if err != nil {
 		return fmt.Errorf("readopt %s: %w", rec.ID, err)

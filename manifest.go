@@ -68,6 +68,7 @@ type manifestEntry struct {
 	Formation  string   `json:"formation,omitempty"`
 	Alg        int      `json:"alg,omitempty"`
 	AlgName    string   `json:"alg_name,omitempty"` // display only; Alg is parsed
+	Group      int      `json:"group,omitempty"`    // the hybrid's group size
 	KeySpec    *KeySpec `json:"key_spec,omitempty"`
 	MaxMemory  int64    `json:"max_memory,omitempty"`
 
@@ -123,6 +124,7 @@ func (l *manifestLog) logBegin(o sortOptions, recordSize int, n, runRecords int6
 		Formation:  formationName,
 		Alg:        int(o.alg),
 		AlgName:    o.alg.String(),
+		Group:      o.group,
 		MaxMemory:  o.maxMemory,
 	}
 	if o.keySpec != (KeySpec{}) {

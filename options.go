@@ -52,7 +52,8 @@ const (
 )
 
 // RetryPolicy tunes the storage fault-tolerance layers of one Sort call;
-// see WithRetry. The zero value of each field selects its default.
+// see WithRetry. The zero value of each field selects its default; negative
+// attempts and delays are refused.
 type RetryPolicy struct {
 	// MaxAttempts is the number of times each disk operation is issued
 	// before a transient fault is given up on (default 4). 1 disables
@@ -76,13 +77,13 @@ type RetryPolicy struct {
 	Scrub bool
 }
 
-// sortOptions collects the functional options of one Sort call. The
-// machine-override fields (async, chaos) are tri-state: a set flag
-// records that the option was passed at all, so a job can explicitly turn
-// a Config-enabled feature OFF, not just on.
+// sortOptions collects the functional options of one Sort call, as given:
+// what they may hold is checked once, by resolve (plan.go). chaos is
+// tri-state: chaosSet records that WithChaos was passed at all, so a job can
+// turn an engine-configured injector OFF, not just on.
 type sortOptions struct {
 	alg        Algorithm
-	group      int // hybrid group size; 0 selects the non-hybrid alg
+	group      int // the hybrid's group size; meaningful when alg is Hybrid
 	keySpec    KeySpec
 	padding    PaddingPolicy
 	progress   func(Progress)
@@ -93,8 +94,6 @@ type sortOptions struct {
 	checkpoint string        // manifest directory of a durable job; "" = no checkpointing
 	deadline   time.Duration // per-job wall-clock budget; 0 = none
 
-	asyncSet bool
-	async    bool
 	chaosSet bool
 	chaos    *ChaosConfig
 }
@@ -111,9 +110,8 @@ func newSortOptions(opts []Option) sortOptions {
 // Option customizes one Sort call; see the With* constructors.
 //
 // Precedence rule: Config fields describe the engine at construction time;
-// an Option that names the same knob (WithAsync over Config.Async,
-// WithChaos over Config.Chaos, WithRetry over the default retry policy)
-// overrides the Config for THAT JOB ONLY — the engine's configuration and
+// an Option that names the same knob (WithChaos over Config.Chaos, WithRetry
+// over the default retry policy) overrides the Config for THAT JOB ONLY — the engine's configuration and
 // every concurrent job keep the Config's behavior. Options never mutate the
 // engine.
 type Option func(*sortOptions)
@@ -126,9 +124,10 @@ func WithAlgorithm(alg Algorithm) Option {
 }
 
 // WithHybridGroup selects hybrid group columnsort with group size g
-// (2 ≤ g ≤ P/2), the Section-6 interpolation between Threaded (g = 1) and
-// MColumn (g = P). Hybrid runs require a directly plannable power-of-two
-// record count (padding is not supported for it).
+// (a power of two, 2 ≤ g ≤ P/2), the Section-6 interpolation between
+// Threaded (g = 1) and MColumn (g = P) — and a g like any other: the input
+// pads to the planner's next accepted power of two, and above the bound the
+// g-plan sizes the replacement-selection run.
 func WithHybridGroup(g int) Option {
 	return func(o *sortOptions) { o.alg, o.group = Hybrid, g }
 }
@@ -160,7 +159,7 @@ func WithMaxMemory(bytes int64) Option {
 }
 
 // WithMergeFanIn sets the maximum number of sorted runs the hierarchical
-// merge combines at once (default 16, minimum 2). When run formation
+// merge combines at once (0: the default, 16; otherwise at least 2). When run formation
 // produces more runs than the fan-in, intermediate merge levels reduce the
 // set until one final merge streams into the Sink. Larger fan-ins mean
 // fewer passes over the spilled data but more read streams (and prefetch
@@ -190,14 +189,6 @@ func WithNoWait() Option {
 	return func(o *sortOptions) { o.noWait = true }
 }
 
-// WithAsync enables (or, with false, disables) the asynchronous disk layer
-// for this job, overriding Config.Async. Enabling on a sync-configured
-// engine uses the engine's ReadAhead/WriteBehind queue bounds. Operation
-// counts are identical either way.
-func WithAsync(on bool) Option {
-	return func(o *sortOptions) { o.asyncSet, o.async = true, on }
-}
-
 // WithChaos injects seeded storage faults under this job's disks,
 // overriding Config.Chaos for this job only — concurrent jobs on the same
 // engine stay healthy. A nil c disables chaos for this job on a
@@ -224,8 +215,9 @@ func WithCheckpoint(dir string) Option {
 // call (admission queueing included). A job past its deadline is torn down
 // exactly like a cancelled one — goroutines unwind, write-behind drains,
 // scratch is removed — and Sort returns an error satisfying
-// errors.Is(err, context.DeadlineExceeded). 0 (the default) imposes none;
-// an earlier deadline on the caller's context still applies either way.
+// errors.Is(err, context.DeadlineExceeded). 0 (the default) imposes none, a
+// negative one is refused; an earlier deadline on the caller's context still
+// applies either way.
 func WithDeadline(d time.Duration) Option {
 	return func(o *sortOptions) { o.deadline = d }
 }

@@ -11,6 +11,7 @@ import (
 	"math/bits"
 
 	"colsort/internal/core"
+	"colsort/internal/pdm"
 	"colsort/internal/record"
 )
 
@@ -52,9 +53,11 @@ func (sp SortPlan) String() string {
 // when n is beyond the algorithm's problem-size bound (ErrTooLarge) or its
 // run beyond the cap, the sort is hierarchical: replacement-selection runs
 // over the largest single-run plan under the cap, then a k-way merge. The
-// hierarchical path requires PadAuto, a sorting algorithm without a hybrid
-// group, and — of Sort, which PlanSort cannot see — a non-nil Sink; every
-// other planning failure is returned as the planner states it.
+// hierarchical path requires PadAuto, a sorting algorithm (not a baseline)
+// and — of Sort, which PlanSort cannot see — a non-nil Sink; a hybrid group
+// is a g like any other: it pads, and above the bound its plan sizes the run.
+// Options the rule book refuses (resolve's check) and every other planning
+// failure are returned as stated there.
 func (e *Engine) PlanSort(n int64, opts ...Option) (SortPlan, error) {
 	sp, _, err := e.resolve(newSortOptions(opts), n)
 	return sp, err
@@ -77,28 +80,81 @@ func (e *Engine) MaxRecords(alg Algorithm) int64 {
 	return largest.N
 }
 
-// resolve is the preamble Sort, Resume and PlanSort share: it validates the
-// options, compiles the key codec, and decides what a sort of n records
-// executes (see PlanSort for the rule).
-func (e *Engine) resolve(o sortOptions, n int64) (SortPlan, record.KeyCodec, error) {
-	fail := func(err error) (SortPlan, record.KeyCodec, error) { return SortPlan{}, record.KeyCodec{}, err }
-	if o.maxMemory < 0 {
-		return fail(fmt.Errorf("colsort: WithMaxMemory(%d): the cap must be ≥ 0", o.maxMemory))
+// check is the rule book: every rule about what a job may ask for, stated
+// once, each sentence naming the Go option it constrains. The wire keys, the
+// CLI flags and Resume only spell options; none of them restates a rule, so
+// a refusal reads the same from every front end. 0 is every numeric option's
+// "the default". What remains outside is the planner's (core.NewPlan: the
+// shape, the bound, the hybrid group size) and resolve's own two refusals
+// below. It also compiles the key codec, whose own checks are the KeySpec's
+// rules.
+func (e *Engine) check(o sortOptions) (record.KeyCodec, error) {
+	var retry RetryPolicy
+	if o.retry != nil {
+		retry = *o.retry
 	}
-	if o.fanIn < 0 || o.fanIn == 1 {
-		return fail(fmt.Errorf("colsort: WithMergeFanIn(%d): the fan-in must be ≥ 2", o.fanIn))
+	var chaos ChaosConfig // the job's own WithChaos, else the engine's Config.Chaos
+	if c := e.chaosFor(o); c != nil {
+		chaos = *c
+	}
+	probability := func(field string, p float64) error {
+		return fmt.Errorf("ChaosConfig.%s = %v: a probability must be in [0, 1]", field, p)
+	}
+	var err error
+	switch {
+	case o.maxMemory < 0:
+		err = fmt.Errorf("WithMaxMemory(%d): the cap must be ≥ 0 (0: only the algorithm's bound)", o.maxMemory)
+	case o.fanIn < 0 || o.fanIn == 1:
+		err = fmt.Errorf("WithMergeFanIn(%d): the fan-in must be ≥ 2 (0: the default, %d)", o.fanIn, defaultMergeFanIn)
+	case o.deadline < 0:
+		err = fmt.Errorf("WithDeadline(%v): the deadline must be ≥ 0 (0: none)", o.deadline)
+	case retry.MaxAttempts < 0:
+		err = fmt.Errorf("WithRetry: MaxAttempts %d must be ≥ 0 (0: the default, %d; 1 disables retries)", retry.MaxAttempts, pdm.DefaultRetryAttempts)
+	case retry.BaseDelay < 0 || retry.MaxDelay < 0:
+		err = fmt.Errorf("WithRetry: BaseDelay %v and MaxDelay %v must be ≥ 0 (0: the defaults, %v and %v)", retry.BaseDelay, retry.MaxDelay, pdm.DefaultRetryBaseDelay, pdm.DefaultRetryMaxDelay)
+	case !(chaos.PTransient >= 0 && chaos.PTransient <= 1):
+		err = probability("PTransient", chaos.PTransient)
+	case !(chaos.PBitFlip >= 0 && chaos.PBitFlip <= 1):
+		err = probability("PBitFlip", chaos.PBitFlip)
+	case !(chaos.PTorn >= 0 && chaos.PTorn <= 1):
+		err = probability("PTorn", chaos.PTorn)
+	}
+	if err != nil {
+		return record.KeyCodec{}, fmt.Errorf("colsort: %w", err)
 	}
 	codec, err := o.keySpec.Compile(e.cfg.RecordSize)
 	if err != nil {
-		return fail(fmt.Errorf("colsort: %w", err))
+		return codec, fmt.Errorf("colsort: %w", err)
+	}
+	return codec, nil
+}
+
+// chaosFor is the fault injection a job under o runs with: its own WithChaos
+// (nil shields it), else the engine's.
+func (e *Engine) chaosFor(o sortOptions) *ChaosConfig {
+	if o.chaosSet {
+		return o.chaos
+	}
+	return e.cfg.Chaos
+}
+
+// resolve is the preamble Sort, Resume and PlanSort share: it checks the
+// options against the rule book, compiles the key codec, and decides what a
+// sort of n records executes (see PlanSort for the rule).
+func (e *Engine) resolve(o sortOptions, n int64) (SortPlan, record.KeyCodec, error) {
+	fail := func(err error) (SortPlan, record.KeyCodec, error) { return SortPlan{}, record.KeyCodec{}, err }
+	codec, err := e.check(o)
+	if err != nil {
+		return fail(err)
 	}
 	if n < 1 {
 		return fail(fmt.Errorf("colsort: cannot sort %d records", n))
 	}
 
-	// One run: of n as it is where the shape is fixed (a hybrid group,
-	// PadNever), of n's smallest accepted power-of-two cover under PadAuto.
-	exact := o.group > 0 || o.padding == PadNever
+	// One run: of n as it is under PadNever, of n's smallest accepted
+	// power-of-two cover under PadAuto — at every group size, the hybrid's
+	// included.
+	exact := o.padding == PadNever
 	lo, hi := n, n
 	if !exact {
 		lo, hi = int64(1)<<bits.Len64(uint64(n-1)), maxPlanRecords
@@ -109,12 +165,12 @@ func (e *Engine) resolve(o sortOptions, n int64) (SortPlan, record.KeyCodec, err
 		return SortPlan{Plan: single}, codec, nil
 	}
 
-	// Runs + merge: past the bound, or past the cap. The baselines only move
-	// data, so a "baseline" that sorted by replacement selection would
-	// measure nothing.
+	// Runs + merge: past the bound, or past the cap. The algorithm only sizes
+	// the replacement-selection run. The baselines only move data, so a
+	// "baseline" that sorted by replacement selection would measure nothing.
 	if exact || o.alg == BaselineIO3 || o.alg == BaselineIO4 {
 		if planned {
-			err = fmt.Errorf("colsort: WithMaxMemory(%d) needs the hierarchical path, which supports only PadAuto and non-hybrid sorting algorithms", o.maxMemory)
+			err = fmt.Errorf("colsort: WithMaxMemory(%d): the one run of %d records holds %d bytes, and cutting it into runs + merge needs PadAuto and a sorting algorithm", o.maxMemory, single.N, single.N*int64(single.Z))
 		}
 		return fail(err)
 	}
@@ -141,7 +197,7 @@ func (e *Engine) search(o sortOptions, lo, hi, limit int64) (first, last core.Pl
 	c := e.cfg
 	for n := lo; ; n *= 2 {
 		var pl core.Plan
-		if o.group > 0 {
+		if o.alg == Hybrid {
 			pl, err = core.NewHybridPlan(n, c.Procs, c.Disks, c.MemPerProc, c.RecordSize, o.group)
 		} else {
 			pl, err = core.NewPlan(o.alg, n, c.Procs, c.Disks, c.MemPerProc, c.RecordSize)

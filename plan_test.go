@@ -11,6 +11,10 @@ import (
 	"colsort/internal/record"
 )
 
+// hybridResolves is how the rows a hybrid group used to refuse resolve now
+// (true: hierarchical).
+var hybridResolves = map[string]bool{"padded": false, "above-bound": true, "above-r²": true, "capped-over": true, "capped-over-plannable": true}
+
 // planClasses are the error classes PlanSort and Sort must agree on.
 var planClasses = []error{ErrTooLarge, ErrHeightRestriction, ErrSinkRequired, ErrMemoryTooSmall}
 
@@ -72,6 +76,13 @@ func TestPlanSortMatchesSort(t *testing.T) {
 						name := fmt.Sprintf("%v/g%d/%s/pad%d/sink=%v", alg, group, rw.name, pad, sink != nil)
 						sp, perr := s.PlanSort(rw.n, opts...)
 						res, serr := s.Sort(ctx, Generate(record.Uniform{Seed: 5}, rw.n), sink, opts...)
+						// A hybrid group is a g like any other: under PadAuto it
+						// pads, and past the bound or the cap its plan sizes the run.
+						if hier, ok := hybridResolves[rw.name]; ok && alg == Hybrid && group > 0 && pad == PadAuto {
+							if perr != nil || (sp.MaxRuns > 0) != hier || sp.Alg != Hybrid || sp.Group != g {
+								t.Errorf("%s: PlanSort = %v, %v; want a g = %d plan, hierarchical = %v", name, sp, perr, g, hier)
+							}
+						}
 						switch {
 						case perr != nil:
 							seen["refused"]++

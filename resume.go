@@ -41,8 +41,8 @@ type resumeState struct {
 // formation restarts formation from the beginning (still under the same
 // checkpoint, so the restarted job is itself resumable).
 //
-// The job's parameters — algorithm, key spec, fan-in, memory cap — come
-// from the manifest, not from opts: they are part of the durable
+// The job's parameters — algorithm, hybrid group size, key spec, fan-in,
+// memory cap — come from the manifest, not from opts: they are part of the durable
 // state, and changing them mid-job cannot produce the original job's output.
 // Options that do not shape the data (WithProgress, WithRetry, WithDeadline,
 // WithNoWait, machine overrides) apply normally. The engine must be
@@ -69,8 +69,7 @@ func (e *Engine) Resume(ctx context.Context, manifestDir string, src Source, dst
 	// the data. Caller options for those knobs are overridden, not rejected:
 	// front ends (the server's boot re-adoption) pass their defaults.
 	o.checkpoint = manifestDir
-	o.alg = Algorithm(st.begin.Alg)
-	o.group = 0
+	o.alg, o.group = Algorithm(st.begin.Alg), st.begin.Group
 	o.padding = PadAuto
 	o.fanIn = st.begin.FanIn
 	o.maxMemory = st.begin.MaxMemory

@@ -131,8 +131,9 @@ func (j *job) sortSingle(ctx context.Context, rd RecordReader, dst Sink, o sortO
 }
 
 // fillStore streams the source's records into the store in global
-// column-major index order (the order Store.Fill assigns), normalizing each
-// record through the codec, folding the real records into the returned
+// column-major index order (the order Store.Fill assigns) — one bulk read per
+// owned-rows chunk, as the formation pipeline's ingest stage reads —
+// normalizing each record through the codec, folding the real records into the returned
 // checksum, and padding any remainder with all-0xFF records — which are
 // maximal in the normalized space, so they sort to the end for every
 // KeySpec.
@@ -154,21 +155,20 @@ func fillStore(ctx context.Context, st *pdm.Store, rd RecordReader, codec record
 				buf = record.Make(hi-lo, st.RecSize)
 			}
 			chunk := buf.Sub(0, hi-lo)
-			for i := 0; i < chunk.Len(); i++ {
-				rec := chunk.Record(i)
-				if idx < n {
-					if err := rd.ReadRecord(rec); err != nil {
-						return want, fmt.Errorf("colsort: input record %d: %w", idx, err)
-					}
-					codec.EncodeRecord(rec)
-					want.Add(rec)
-				} else {
-					for k := range rec {
-						rec[k] = 0xff
-					}
-				}
-				idx++
+			real := chunk.Sub(0, int(min(int64(chunk.Len()), max(n-idx, 0))))
+			if got, err := readRecords(rd, real); err != nil {
+				return want, fmt.Errorf("colsort: input record %d: %w", idx+int64(got), err)
 			}
+			for i := 0; i < real.Len(); i++ {
+				rec := real.Record(i)
+				codec.EncodeRecord(rec)
+				want.Add(rec)
+			}
+			pad := chunk.Data[len(real.Data):]
+			for k := range pad {
+				pad[k] = 0xff
+			}
+			idx += int64(chunk.Len())
 			if err := st.WriteRows(&cnt, p, j, lo, chunk); err != nil {
 				return want, err
 			}

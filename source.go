@@ -1,7 +1,6 @@
 package colsort
 
 import (
-	"bufio"
 	"fmt"
 	"io"
 	"os"
@@ -97,7 +96,7 @@ func (r *generatorReader) Close() error { return nil }
 
 // FromFile reads records from the file at path; the file size must be a
 // positive multiple of the sorter's record size. Reads are chunked (one
-// pread per megabyte, not per record).
+// read per ingest chunk, not per record).
 func FromFile(path string) Source {
 	return &fileSource{path: path}
 }
@@ -122,18 +121,14 @@ func (s *fileSource) Open(recSize int) (int64, RecordReader, error) {
 	return info.Size() / int64(recSize), newChunkedReader(f, f.Close), nil
 }
 
-// readChunkBytes is the ingest read-chunk size of stream sources.
-const readChunkBytes = 1 << 20
-
-// chunkedReader turns an io.Reader into a RecordReader, so file and stream
-// ingest costs one read syscall per chunk and zero allocations per record:
-// ReadRecord goes through a buffered reader (made on first use — the bulk
-// path, whose destination IS a chunk, never needs it). io.ReadFull supplies
-// the io.Reader-contract care (transient (0, nil) returns, short reads
-// across chunk boundaries).
+// chunkedReader turns an io.Reader into a RecordReader. Sort reads it in
+// bulk on both sides of the bound — one io.ReadFull per ingest chunk,
+// straight into the chunk, zero allocations per record — and ReadRecord is
+// the same read at one record's length. io.ReadFull supplies the
+// io.Reader-contract care (transient (0, nil) returns, short reads across
+// chunk boundaries).
 type chunkedReader struct {
-	r     io.Reader     // the stream; br, once ReadRecord has run
-	br    *bufio.Reader // ReadRecord's buffer over the stream
+	r     io.Reader
 	close func() error
 }
 
@@ -142,28 +137,19 @@ func newChunkedReader(r io.Reader, close func() error) *chunkedReader {
 }
 
 func (c *chunkedReader) ReadRecord(rec []byte) error {
-	if c.br == nil {
-		c.br = bufio.NewReaderSize(c.r, readChunkBytes)
-		c.r = c.br
-	}
-	_, err := c.readFull(rec)
+	_, err := c.readRecords(record.Slice{Data: rec, Size: len(rec)})
 	return err
 }
 
 func (c *chunkedReader) readRecords(dst record.Slice) (int, error) {
-	n, err := c.readFull(dst.Data)
-	return n / dst.Size, err
-}
-
-func (c *chunkedReader) readFull(p []byte) (int, error) {
-	n, err := io.ReadFull(c.r, p)
+	n, err := io.ReadFull(c.r, dst.Data)
 	if err != nil {
 		if err == io.EOF {
 			err = io.ErrUnexpectedEOF
 		}
 		err = fmt.Errorf("colsort: read input: %w", err)
 	}
-	return n, err
+	return n / dst.Size, err
 }
 
 func (c *chunkedReader) Close() error {

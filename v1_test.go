@@ -404,9 +404,9 @@ func TestSortSteadyStateAllocs(t *testing.T) {
 	}
 }
 
-// TestIngestReaderAllocs pins that the streaming ingest inner loop —
-// chunked reads, codec encode, checksum — performs no per-record
-// allocation.
+// TestIngestReaderAllocs pins that the ingest inner loop both sides of the
+// bound run — one bulk read into the chunk, codec encode, checksum —
+// performs no per-record allocation.
 func TestIngestReaderAllocs(t *testing.T) {
 	const z = 64
 	raw := make([]byte, 512*z)
@@ -414,22 +414,19 @@ func TestIngestReaderAllocs(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	rec := make([]byte, z)
+	chunk := record.Make(512, z)
 	var want record.Checksum
 	src := bytes.NewReader(raw)
 	rd := newChunkedReader(src, nil)
-	if err := rd.ReadRecord(rec); err != nil { // the buffered reader is made on first use
-		t.Fatal(err)
-	}
 	allocs := testing.AllocsPerRun(10, func() {
 		if _, err := src.Seek(0, io.SeekStart); err != nil {
 			t.Fatal(err)
 		}
-		rd.br.Reset(src)
+		if got, err := readRecords(rd, chunk); err != nil || got != 512 {
+			t.Fatalf("read %d records: %v", got, err)
+		}
 		for i := 0; i < 512; i++ {
-			if err := rd.ReadRecord(rec); err != nil {
-				t.Fatal(err)
-			}
+			rec := chunk.Record(i)
 			codec.EncodeRecord(rec)
 			want.Add(rec)
 		}
