@@ -312,11 +312,8 @@ func (h *hierJob) ingest(ctx context.Context, rd RecordReader, out chan<- record
 		if err != nil {
 			return fmt.Errorf("colsort: reading record %d: %w", idx+int64(got), err)
 		}
-		for i := 0; i < got; i++ {
-			rec := buf.Record(i)
-			h.codec.EncodeRecord(rec)
-			h.want.Add(rec)
-		}
+		h.codec.Encode(buf)
+		h.want.AddSlice(buf)
 		idx += int64(got)
 		select {
 		case out <- buf:

@@ -13,6 +13,7 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"math"
 	"os"
 	"path/filepath"
 	"reflect"
@@ -364,5 +365,44 @@ func TestHierarchicalSortAllocBytes(t *testing.T) {
 	t.Logf("%.2f MiB allocated per sort of %d MiB under a %d MiB cap", perSort/(1<<20), 8*capBytes>>20, capBytes>>20)
 	if perSort > 0.75*capBytes {
 		t.Errorf("a warm hierarchical sort allocates %.0f bytes, more than ¾ of its %d-byte memory cap: a chunk buffer has left the pool", perSort, capBytes)
+	}
+}
+
+// TestSingleRunSortAllocBytes is the same pin below the bound: on a warm
+// engine the ingest, verify and drain scans borrow their column buffer from
+// the pool and the sort stages their (key, index) arrays from sortalg's free
+// list, so what a sort still allocates — pattern tables, stores, goroutines —
+// stays under five column buffers (before ISSUE 24: 1.8, 2.3 and 4.3 MiB).
+func TestSingleRunSortAllocBytes(t *testing.T) {
+	const r, z = 4096, 64
+	raw := genRaw(16*r, z, record.Uniform{Seed: 9})
+	for _, alg := range []Algorithm{Threaded, Subblock, MColumn} {
+		s, err := New(Config{Procs: 4, MemPerProc: r, RecordSize: z})
+		if err != nil {
+			t.Fatal(err)
+		}
+		sortOnce := func() {
+			res, err := s.Sort(context.Background(), FromBytes(raw), Discard(), WithAlgorithm(alg))
+			if err != nil {
+				t.Fatal(err)
+			}
+			res.Close()
+		}
+		sortOnce() // warm the pools
+		sortOnce()
+		// The least of six sorts: TotalAlloc is the whole process's, and what
+		// earlier tests left running can only add to it.
+		perSort := math.Inf(1)
+		for i := 0; i < 6; i++ {
+			var m0, m1 runtime.MemStats
+			runtime.ReadMemStats(&m0)
+			sortOnce()
+			runtime.ReadMemStats(&m1)
+			perSort = min(perSort, float64(m1.TotalAlloc-m0.TotalAlloc))
+		}
+		t.Logf("%v: %.2f MiB allocated per warm sort of %d MiB", alg, perSort/(1<<20), len(raw)>>20)
+		if perSort > 5*r*z {
+			t.Errorf("%v: a warm single-run sort allocates %.0f bytes, more than five %d-byte column buffers: a scan buffer or a sort scratch has left its pool", alg, perSort, r*z)
+		}
 	}
 }

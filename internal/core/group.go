@@ -179,6 +179,7 @@ type groupRound struct {
 // and the group's distributed in-core sort of it, told the run length of the
 // blocks the pass reads.
 type groupStages struct {
+	sc         *sortalg.Scratch // the sort stage's; the pass hands it back (sortalg.PutScratch)
 	grp        *cluster.Group
 	src        func(emit func(groupRound) error) error
 	read, sort func(groupRound) (groupRound, error)
@@ -194,8 +195,9 @@ func newGroupStages(pr *cluster.Proc, pl Plan, runLen int, in *pdm.Store, tagBas
 	if err != nil {
 		return groupStages{}, err
 	}
-	sorter := incore.Columnsort{Pool: pool, Scratch: new(sortalg.Scratch), RunLen: runLen}
+	sorter := incore.Columnsort{Pool: pool, Scratch: sortalg.GetScratch(), RunLen: runLen}
 	return groupStages{
+		sc:  sorter.Scratch,
 		grp: grp,
 		src: func(emit func(groupRound) error) error {
 			for t := 0; t < pl.Rounds(); t++ {
@@ -353,6 +355,7 @@ func runGroupScatterPass(pr *cluster.Proc, pl Plan, spec groupSpec, in, out *pdm
 	if err != nil {
 		return err
 	}
+	defer sortalg.PutScratch(st.sc)
 
 	// Round t's tables depend on t only through the classes j mod period of its
 	// source columns t·ng … t·ng+ng−1, that is (both are powers of two)
@@ -522,9 +525,11 @@ func runGroupMergePass(pr *cluster.Proc, pl Plan, spec groupSpec, in, out *pdm.S
 	if err != nil {
 		return err
 	}
+	defer sortalg.PutScratch(st.sc)
 
-	var boundSc sortalg.Scratch
-	boundSorter := incore.Columnsort{Pool: pool, Scratch: &boundSc, RunLen: pl.R / g}
+	boundSc := sortalg.GetScratch()
+	defer sortalg.PutScratch(boundSc)
+	boundSorter := incore.Columnsort{Pool: pool, Scratch: boundSc, RunLen: pl.R / g}
 	// deferred is the column whose final bottom this processor collects after
 	// the NEXT round's boundary sort (−1: none) — see collect below.
 	deferred := -1

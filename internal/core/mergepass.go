@@ -37,6 +37,7 @@ func runMergePass(pr *cluster.Proc, pl Plan, spec groupSpec, in, out *pdm.Store,
 	if err != nil {
 		return err
 	}
+	defer sortalg.PutScratch(st.sc)
 	// Boundary b sits between columns b and b+1: its bottom half moves right
 	// under tagB(b), its final bottom moves back under tagF(b). Both live
 	// beyond every round window.

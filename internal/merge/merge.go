@@ -173,12 +173,12 @@ func Merge(ctx context.Context, runs []*Run, emit func(record.Slice) error, opt 
 			}
 			copy(prev, rec)
 			havePrev = true
-			cs.Add(rec)
 			copy(out.Record(i), rec)
 			if err := t.pop(); err != nil {
 				return finish(err)
 			}
 		}
+		cs.AddSlice(out)
 		st.Records += int64(want)
 		st.BytesWritten += int64(want * z)
 		full <- out

@@ -52,6 +52,10 @@ type Store struct {
 	G       int          // processors sharing a column
 	Layout  Layout       // the name G goes by
 	Arrays  []*DiskArray // one per processor
+	// Pool, when non-nil, lends the serial scans their one-column buffer
+	// (ScanRows; the ingest of the root package): a machine's stores share
+	// its processor-0 pool, so a warm engine scans without allocating.
+	Pool *record.Pool
 
 	closeOnce sync.Once
 	closeErr  error
@@ -412,7 +416,11 @@ func (m Machine) NewGroupStore(r, s, recSize, g int) (*Store, error) {
 	if err != nil {
 		return nil, err
 	}
-	return NewGroupStore(r, s, recSize, m.P, g, arrays)
+	st, err := NewGroupStore(r, s, recSize, m.P, g, arrays)
+	if err == nil && m.Pools != nil {
+		st.Pool = m.Pools[0]
+	}
+	return st, err
 }
 
 // Close closes every array of the store. It is idempotent: the run loop
@@ -468,9 +476,9 @@ var ErrStopScan = errors.New("pdm: stop scan")
 // records appear — prefetching each segment one step ahead of the visit, so
 // on async-backed disks the caller's per-segment processing overlaps the
 // next segment's read. All the store's serial scans (Snapshot, Checksum,
-// verification, output streaming) are built on it. A visitor returning
-// ErrStopScan ends the scan without error and without staging further
-// prefetches (the stopping visit's one-ahead hint has already been issued;
+// verification, output streaming) are built on it, through ScanRows. A
+// visitor returning ErrStopScan ends the scan without error and without
+// staging further prefetches (the stopping visit's one-ahead hint has already been issued;
 // at most that one staged extent goes unconsumed until Close).
 func (st *Store) ScanSegments(visit func(p, j, lo, hi int) error) error {
 	type seg struct{ p, j, lo, hi int }
@@ -497,19 +505,26 @@ func (st *Store) ScanSegments(visit func(p, j, lo, hi int) error) error {
 	return nil
 }
 
-// Snapshot reads the whole matrix into memory (tests and verification).
-func (st *Store) Snapshot() (record.Slice, error) {
+// ScanRows is ScanSegments with each segment read: visit receives the records
+// of rows lo… of column j, in a buffer it may use until it returns.
+func (st *Store) ScanRows(visit func(j, lo int, chunk record.Slice) error) error {
 	var cnt sim.Counters
-	out := record.Make(st.R*st.S, st.RecSize)
-	buf := record.Make(st.R, st.RecSize)
-	err := st.ScanSegments(func(p, j, lo, hi int) error {
+	buf := st.Pool.Get(st.R, st.RecSize)
+	defer st.Pool.Put(buf)
+	return st.ScanSegments(func(p, j, lo, hi int) error {
 		chunk := buf.Sub(0, hi-lo)
 		if err := st.ReadRows(&cnt, p, j, lo, chunk); err != nil {
 			return err
 		}
-		for i := lo; i < hi; i++ {
-			out.CopyRecord(j*st.R+i, chunk, i-lo)
-		}
+		return visit(j, lo, chunk)
+	})
+}
+
+// Snapshot reads the whole matrix into memory (tests and verification).
+func (st *Store) Snapshot() (record.Slice, error) {
+	out := record.Make(st.R*st.S, st.RecSize)
+	err := st.ScanRows(func(j, lo int, chunk record.Slice) error {
+		out.Sub(j*st.R+lo, j*st.R+lo+chunk.Len()).Copy(chunk)
 		return nil
 	})
 	if err != nil {
@@ -521,14 +536,8 @@ func (st *Store) Snapshot() (record.Slice, error) {
 // Checksum computes the order-independent multiset checksum of the store's
 // contents without holding more than one column in memory.
 func (st *Store) Checksum() (record.Checksum, error) {
-	var cnt sim.Counters
 	var c record.Checksum
-	buf := record.Make(st.R, st.RecSize)
-	err := st.ScanSegments(func(p, j, lo, hi int) error {
-		chunk := buf.Sub(0, hi-lo)
-		if err := st.ReadRows(&cnt, p, j, lo, chunk); err != nil {
-			return err
-		}
+	err := st.ScanRows(func(_, _ int, chunk record.Slice) error {
 		c.AddSlice(chunk)
 		return nil
 	})

@@ -280,6 +280,30 @@ func TestChecksumMergeMatchesWhole(t *testing.T) {
 	}
 }
 
+// TestAddSliceMatchesAdd: AddSlice hashes four records at a time; every
+// count around its groups of four, at every record size class and from
+// sub-slices that start mid-buffer, must give Add's values record by record
+// (manifests persist them).
+func TestAddSliceMatchesAdd(t *testing.T) {
+	for _, z := range []int{8, 16, 24, 32, 64, 128, 136} {
+		buf := Make(12, z)
+		Fill(buf, Uniform{Seed: uint64(z)}, 0)
+		for lo := 0; lo <= 3; lo++ {
+			for n := 0; n <= 9; n++ {
+				s := buf.Sub(lo, lo+n)
+				var bulk, one Checksum
+				bulk.AddSlice(s)
+				for i := 0; i < n; i++ {
+					one.Add(s.Record(i))
+				}
+				if bulk != one {
+					t.Fatalf("z=%d records [%d,%d): AddSlice %+v, Add %+v", z, lo, lo+n, bulk, one)
+				}
+			}
+		}
+	}
+}
+
 func TestOfGeneratedMatchesFill(t *testing.T) {
 	g := Uniform{Seed: 123}
 	s := Make(500, 64)

@@ -11,22 +11,49 @@ import (
 // pooling cannot silently regress.
 
 func TestScratchSortIntoAllocs(t *testing.T) {
-	const n, z = 1 << 12, 64
+	const n, z = 1 << 14, 64
 	src := record.Make(n, z)
 	dst := record.Make(n, z)
-	record.Fill(src, record.Uniform{Seed: 7}, 0)
-	for _, alg := range []Algorithm{Intro, Radix} {
-		var sc Scratch
-		sc.SortIntoAlg(dst, src, alg) // warm the scratch
-		allocs := testing.AllocsPerRun(5, func() {
-			sc.SortIntoAlg(dst, src, alg)
-		})
-		if allocs != 0 {
-			t.Errorf("%v: %v allocs per warm SortIntoAlg, want 0", alg, allocs)
+	// Zipf sends the radix kernel through every path it has — full-width
+	// histogram, ping-pong buffer, recursion, the introsort base case.
+	for _, g := range []record.Generator{record.Uniform{Seed: 7}, record.Zipf{Seed: 7}} {
+		record.Fill(src, g, 0)
+		for _, alg := range []Algorithm{Intro, Radix} {
+			var sc Scratch
+			sc.SortIntoAlg(dst, src, alg) // warm the scratch
+			allocs := testing.AllocsPerRun(5, func() {
+				sc.SortIntoAlg(dst, src, alg)
+			})
+			if allocs != 0 {
+				t.Errorf("%s %v: %v allocs per warm SortIntoAlg, want 0", g.Name(), alg, allocs)
+			}
+			if !dst.IsSorted() {
+				t.Fatalf("%s %v: output not sorted", g.Name(), alg)
+			}
 		}
-		if !dst.IsSorted() {
-			t.Fatalf("%v: output not sorted", alg)
-		}
+	}
+}
+
+// TestScratchFreeList: a Scratch handed back comes out again warm, and the
+// list stays bounded.
+func TestScratchFreeList(t *testing.T) {
+	sc := GetScratch()
+	src, dst := record.Make(256, 16), record.Make(256, 16)
+	record.Fill(src, record.Uniform{Seed: 1}, 0)
+	sc.SortInto(dst, src)
+	PutScratch(sc)
+	if again := GetScratch(); again != sc || cap(again.kvs) < 256 {
+		t.Fatal("GetScratch did not return the warm scratch just put")
+	}
+	for i := 0; i < 2*maxFreeScratch; i++ {
+		PutScratch(new(Scratch))
+	}
+	scratchMu.Lock()
+	held := len(scratchFree)
+	scratchFree = nil
+	scratchMu.Unlock()
+	if held != maxFreeScratch {
+		t.Fatalf("free list holds %d scratches, want the bound %d", held, maxFreeScratch)
 	}
 }
 

@@ -75,6 +75,9 @@ func TestAgainstStdlibReference(t *testing.T) {
 func FuzzSortInto(f *testing.F) {
 	f.Add([]byte{1, 2, 3, 4, 5, 6, 7, 8, 8, 7, 6, 5, 4, 3, 2, 1})
 	f.Add(make([]byte, 64))
+	for _, src := range kernelCases() {
+		f.Add(src.Data)
+	}
 	f.Fuzz(func(t *testing.T, raw []byte) {
 		n := len(raw) / 16
 		if n == 0 {

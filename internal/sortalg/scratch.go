@@ -8,6 +8,8 @@
 package sortalg
 
 import (
+	"sync"
+
 	"colsort/internal/record"
 	"colsort/internal/tournament"
 )
@@ -21,24 +23,63 @@ import (
 type Scratch struct {
 	kvs   []kv              // (key, index) pairs of the buffer being sorted
 	tmp   []kv              // radix ping-pong buffer
-	count []int             // radix digit histogram (radixBuckets wide)
+	count []int             // radix digit histogram
 	node  []tournament.Node // loser tree: the tournament (key + run id)
 	cur   []runCursor       // loser tree: per-run cursors
 	runs  []Run             // MergeChunksInto: descriptors of the last shape merged
 }
 
-func (sc *Scratch) kvBuf(n int) []kv {
-	if cap(sc.kvs) < n {
-		sc.kvs = make([]kv, n)
+// scratchFree keeps the Scratches of finished passes for the next pass — of
+// this job or any other — so the pair arrays are allocated once per pipeline
+// slot of the process, not once per pass of every sort. A plain bounded free
+// list, as record.GetHeaders: sync.Pool would drop them at every collection.
+var (
+	scratchMu   sync.Mutex
+	scratchFree []*Scratch
+)
+
+// maxFreeScratch covers the sort stages of eight P = 4 jobs in flight; a warm
+// Scratch of a 16384-record column holds about half a MiB.
+const maxFreeScratch = 32
+
+// GetScratch returns a Scratch for one sorting client, warm when a finished
+// one is available. Hand it back with PutScratch.
+func GetScratch() *Scratch {
+	scratchMu.Lock()
+	defer scratchMu.Unlock()
+	if n := len(scratchFree); n > 0 {
+		sc := scratchFree[n-1]
+		scratchFree[n-1] = nil
+		scratchFree = scratchFree[:n-1]
+		return sc
 	}
-	return sc.kvs[:n]
+	return new(Scratch)
 }
 
-func (sc *Scratch) tmpBuf(n int) []kv {
-	if cap(sc.tmp) < n {
-		sc.tmp = make([]kv, n)
+// PutScratch recycles a Scratch no goroutine uses any more.
+func PutScratch(sc *Scratch) {
+	scratchMu.Lock()
+	if len(scratchFree) < maxFreeScratch {
+		scratchFree = append(scratchFree, sc)
 	}
-	return sc.tmp[:n]
+	scratchMu.Unlock()
+}
+
+// pairs returns *buf at length n, reallocated when it is too short.
+func pairs(buf *[]kv, n int) []kv {
+	if cap(*buf) < n {
+		*buf = make([]kv, n)
+	}
+	return (*buf)[:n]
+}
+
+// countBuf returns radixKV's histogram for n pairs: its digit has under n/4
+// values, so a small sort does not pay for a large one's 32 KiB.
+func (sc *Scratch) countBuf(n int) []int {
+	if w := min(n, 1<<radixMaxBits); cap(sc.count) < w {
+		sc.count = make([]int, w)
+	}
+	return sc.count[:cap(sc.count)]
 }
 
 // treeBufs lends the loser tree its two k-wide state arrays.
@@ -50,11 +91,11 @@ func (sc *Scratch) treeBufs(k int) (node []tournament.Node, cur []runCursor) {
 	return sc.node[:k], sc.cur[:k]
 }
 
-// SortInto sorts the records of src into dst using introsort, reusing the
-// scratch buffers. dst and src must have the same record size and length
-// and must not alias.
+// SortInto sorts the records of src into dst with the adaptive radix kernel
+// (radixKV), reusing the scratch buffers. dst and src must have the same
+// record size and length and must not alias.
 func (sc *Scratch) SortInto(dst, src record.Slice) {
-	sc.SortIntoAlg(dst, src, Intro)
+	sc.SortIntoAlg(dst, src, Radix)
 }
 
 // SortIntoAlg sorts src into dst with an explicit algorithm choice, reusing
@@ -62,18 +103,21 @@ func (sc *Scratch) SortInto(dst, src record.Slice) {
 func (sc *Scratch) SortIntoAlg(dst, src record.Slice, alg Algorithm) {
 	n := src.Len()
 	checkInto(dst, src)
-	kvs := sc.kvBuf(n)
-	for i := 0; i < n; i++ {
-		kvs[i] = kv{key: src.Key(i), idx: int32(i)}
+	kvs := pairs(&sc.kvs, n)
+	// and/or fold to the bits on which the keys do not all agree — what the
+	// radix kernel picks its digit from — at no extra pass over src.
+	and, or := ^uint64(0), uint64(0)
+	for i := range kvs {
+		k := src.Key(i)
+		kvs[i] = kv{key: k, idx: int32(i)}
+		and &= k
+		or |= k
 	}
 	switch alg {
 	case Intro:
 		introsort(kvs, src, maxDepth(n))
 	case Radix:
-		if sc.count == nil {
-			sc.count = make([]int, radixBuckets)
-		}
-		radixKV(kvs, src, sc.tmpBuf(n), sc.count)
+		kvs = radixKV(kvs, pairs(&sc.tmp, n), and^or, src, sc.countBuf(n))
 	case Insertion:
 		insertionKV(kvs, src, 0, n)
 	default:

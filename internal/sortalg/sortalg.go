@@ -14,6 +14,7 @@ package sortalg
 
 import (
 	"fmt"
+	"math/bits"
 
 	"colsort/internal/record"
 )
@@ -32,11 +33,12 @@ type Algorithm int
 const (
 	// Intro is pattern-defeating introsort: quicksort with median-of-three
 	// pivots, insertion sort on small partitions, and heapsort when the
-	// recursion depth degenerates. The default.
+	// recursion depth degenerates. The radix kernel's base case, and the
+	// comparison sort the tests hold it against.
 	Intro Algorithm = iota
-	// Radix is LSD radix sort on the 64-bit key (four 16-bit digit passes),
-	// with comparison refinement of equal-key runs so the result respects
-	// the full total order.
+	// Radix is adaptive MSD radix sort on the key bits the records do not
+	// share (radixKV), finished by comparison inside the buckets so the
+	// result respects the full total order. What SortInto runs.
 	Radix
 	// Insertion is plain binary insertion sort; only sensible for tiny
 	// inputs and as the introsort base case.
@@ -55,11 +57,11 @@ func (a Algorithm) String() string {
 	return fmt.Sprintf("Algorithm(%d)", int(a))
 }
 
-// SortInto sorts the records of src into dst using introsort.
+// SortInto sorts the records of src into dst with the adaptive radix kernel.
 // dst and src must have the same record size and length and must not alias.
 // It allocates per call; pipeline code should prefer Scratch.SortInto.
 func SortInto(dst, src record.Slice) {
-	SortIntoAlg(dst, src, Intro)
+	SortIntoAlg(dst, src, Radix)
 }
 
 // SortIntoAlg sorts src into dst with an explicit algorithm choice. It
@@ -212,60 +214,66 @@ func siftDown(kvs []kv, root, end int, src record.Slice) {
 	}
 }
 
-// radixBuckets is the histogram width of the 16-bit-digit radix passes.
-const radixBuckets = 1 << 16
+// Limits of radixKV, set by BenchmarkLocalSort's matrix: a pass distributes on
+// at most radixMaxBits bits (a 32 KiB histogram: one bit less leaves a
+// 16384-record column buckets of eight, one more doubles the histogram for no
+// measured gain at 65536), and up to radixSmall pairs insertion beats another
+// pass — at twice that a reversed bucket loses to introsort.
+const (
+	radixMaxBits = 12
+	radixSmall   = 16
+)
 
-// radixKV sorts kvs by key with 4 LSD passes of 16-bit digits, then refines
-// equal-key runs with introsort so payload ties respect the total order.
-// tmp is the caller-supplied ping-pong buffer, len(tmp) ≥ len(kvs), and
-// count the caller-supplied histogram (the array is 512 KiB — far past the
-// stack limit — so a per-call local would charge the allocator every sort).
-func radixKV(kvs []kv, src record.Slice, tmp []kv, count []int) {
-	n := len(kvs)
-	if n < 2 {
-		return
+// radixKV sorts a in the total order and returns the buffer that holds the
+// result: a, or its ping-pong partner b (len(b) == len(a)). It is MSD radix
+// sort whose digit comes from the data. diff has a bit set wherever two keys
+// of a differ, so the bits above its highest one are a prefix every key
+// shares and carry no order: one counting pass and one scatter distribute on
+// the b ≈ lg n − 2 bits just below it (buckets of about four pairs), and the
+// order inside a bucket is finished by insertion when it is small, by this
+// function on the bucket's own remaining bits when it is large, and by
+// introsort once the key bits are spent — payload ties, which no digit can
+// see. Every level consumes at least one key bit before it recurses and the
+// last resort is introsort, so the worst case stays O(n lg n). count is the
+// caller's histogram, min(n, 1<<radixMaxBits) wide or more; no level needs it
+// once its scatter is done, so the recursion shares it.
+func radixKV(a, b []kv, diff uint64, src record.Slice, count []int) []kv {
+	n := len(a)
+	top := bits.Len64(diff)
+	if n <= radixSmall || top == 0 {
+		introsort(a, src, maxDepth(n))
+		return a
 	}
-	const bits = 16
-	const buckets = radixBuckets
-	count = count[:buckets]
-	a, b := kvs, tmp[:n]
-	for shift := uint(0); shift < 64; shift += bits {
-		for i := range count {
-			count[i] = 0
-		}
-		for _, e := range a {
-			count[(e.key>>shift)&(buckets-1)]++
-		}
-		// Skip passes where all keys share the digit.
-		if count[(a[0].key>>shift)&(buckets-1)] == n {
-			continue
-		}
-		sum := 0
-		for i := range count {
-			c := count[i]
-			count[i] = sum
-			sum += c
-		}
-		for _, e := range a {
-			d := (e.key >> shift) & (buckets - 1)
-			b[count[d]] = e
-			count[d]++
-		}
-		a, b = b, a
+	nb := min(bits.Len(uint(n))-3, radixMaxBits, top)
+	shift := uint(top - nb)
+	mask := uint64(1)<<nb - 1
+	count = count[:mask+1]
+	clear(count)
+	for _, e := range a {
+		count[e.key>>shift&mask]++
 	}
-	if &a[0] != &kvs[0] {
-		copy(kvs, a)
+	sum := 0
+	for d, c := range count {
+		count[d] = sum
+		sum += c
 	}
-	// Refine runs of equal keys by payload.
-	i := 0
-	for i < n {
-		j := i + 1
-		for j < n && kvs[j].key == kvs[i].key {
-			j++
-		}
-		if j-i > 1 {
-			introsort(kvs[i:j], src, maxDepth(j-i))
-		}
-		i = j
+	for _, e := range a {
+		d := e.key >> shift & mask
+		b[count[d]] = e
+		count[d]++
 	}
+	// Buckets are found by their digit, not read back from count: the
+	// recursion below has reused it by then.
+	for lo, hi := 0, 0; lo < n; lo = hi {
+		d, bdiff := b[lo].key>>shift, uint64(0)
+		for hi = lo + 1; hi < n && b[hi].key>>shift == d; hi++ {
+			bdiff |= b[hi].key ^ b[lo].key
+		}
+		if hi-lo <= radixSmall {
+			insertionKV(b, src, lo, hi)
+		} else if r := radixKV(b[lo:hi], a[lo:hi], bdiff, src, count); &r[0] != &b[lo] {
+			copy(b[lo:hi], r)
+		}
+	}
+	return b
 }

@@ -2,10 +2,13 @@ package sortalg
 
 import (
 	"bytes"
+	"encoding/binary"
 	"fmt"
+	"math/bits"
 	"math/rand"
 	"testing"
 	"testing/quick"
+	"time"
 
 	"colsort/internal/record"
 )
@@ -117,18 +120,131 @@ func TestIntroQuicksortKiller(t *testing.T) {
 	}
 }
 
-func TestRadixSkipsUniformDigits(t *testing.T) {
-	// Keys differing only in the low 16 bits exercise the digit-skip path.
-	n := 1000
-	src := record.Make(n, 16)
+// kernelCases are the hand-built inputs that each steer radixKV down one of
+// its paths; FuzzSortInto seeds its corpus from them too.
+func kernelCases() map[string]record.Slice {
+	const z = 16
 	rng := rand.New(rand.NewSource(4))
-	for i := 0; i < n; i++ {
-		src.SetKey(i, uint64(rng.Intn(65536)))
+	build := func(n int, key func(i int) uint64) record.Slice {
+		s := record.Make(n, z)
+		for i := 0; i < n; i++ {
+			s.SetKey(i, key(i))
+			binary.BigEndian.PutUint64(s.Record(i)[8:], uint64(rng.Int63n(5)))
+		}
+		return s
 	}
-	dst := record.Make(n, 16)
+	organ := func(i int) uint64 { // the quicksort killer of TestIntroQuicksortKiller
+		if i%2 == 0 {
+			return uint64(i)
+		}
+		return uint64(4096 - i)
+	}
+	return map[string]record.Slice{
+		// No key bit differs: the payload refinement alone orders them.
+		"all-equal": build(1000, func(int) uint64 { return 42 }),
+		// A digit narrower than lg n − 2: eight buckets, ties inside each.
+		"low-3-bits": build(1000, func(int) uint64 { return 0xabcd0000 | uint64(rng.Intn(8)) }),
+		// One bucket holds n−1 pairs: it must recurse on its own low bits.
+		"two-clusters": build(5000, func(i int) uint64 {
+			if i == 77 {
+				return 3
+			}
+			return 1<<63 | uint64(rng.Intn(1<<20))
+		}),
+		// 48 shared prefix bits: the digit starts at bit 15, not bit 63.
+		"common-prefix": build(1000, func(int) uint64 { return 0xfeedfacecafe0000 | uint64(rng.Intn(65536)) }),
+		"organ-pipe":    build(4096, organ),
+	}
+}
+
+func TestRadixSkipsUniformDigits(t *testing.T) {
+	// Keys sharing their high 48 bits: the kernel's first (and only) digit
+	// comes from the 16 bits that differ.
+	src := kernelCases()["common-prefix"]
+	and, or := ^uint64(0), uint64(0)
+	for i := 0; i < src.Len(); i++ {
+		and &= src.Key(i)
+		or |= src.Key(i)
+	}
+	if top := bits.Len64(and ^ or); top != 16 {
+		t.Fatalf("keys differ up to bit %d, want 16", top)
+	}
+	dst := record.Make(src.Len(), src.Size)
 	SortIntoAlg(dst, src, Radix)
-	if !dst.IsSorted() {
+	if !bytes.Equal(dst.Data, referenceSort(src).Data) {
 		t.Fatal("radix failed with identical high digits")
+	}
+}
+
+// TestRadixKernelPaths runs the hand-built cases through the kernel and
+// holds each against introsort and the stdlib reference, byte for byte.
+func TestRadixKernelPaths(t *testing.T) {
+	for name, src := range kernelCases() {
+		want := referenceSort(src)
+		for _, alg := range []Algorithm{Radix, Intro} {
+			dst := record.Make(src.Len(), src.Size)
+			SortIntoAlg(dst, src, alg)
+			if !bytes.Equal(dst.Data, want.Data) {
+				t.Errorf("%s: %v differs from the stdlib reference", name, alg)
+			}
+		}
+	}
+}
+
+// TestRadixMatrix is the kernel's acceptance table: every generator at the
+// lengths around its thresholds and at the column lengths the passes use.
+func TestRadixMatrix(t *testing.T) {
+	lens := []int{0, 1, 2, radixSmall, radixSmall + 1, 63, 64, 65, 4096, 16384, 65536}
+	if testing.Short() {
+		lens = lens[:len(lens)-2]
+	}
+	for _, name := range record.Names() {
+		g, _ := record.ByName(name, 9)
+		for _, n := range lens {
+			for _, z := range []int{16, 64, 128} {
+				src := record.Make(n, z)
+				record.Fill(src, g, 0)
+				intro, radix := record.Make(n, z), record.Make(n, z)
+				SortIntoAlg(intro, src, Intro)
+				SortIntoAlg(radix, src, Radix)
+				if !bytes.Equal(radix.Data, intro.Data) {
+					t.Fatalf("%s n=%d z=%d: radix differs from intro", name, n, z)
+				}
+				if !bytes.Equal(radix.Data, referenceSort(src).Data) {
+					t.Fatalf("%s n=%d z=%d: radix differs from the stdlib reference", name, n, z)
+				}
+			}
+		}
+	}
+}
+
+// TestRadixLargeBucketRecurses: with all but one key in a far cluster, the
+// first pass leaves one bucket of n−1 pairs. Finishing it by insertion would
+// be quadratic (about 10⁹ comparisons here, a thousand times the uniform
+// sort); the bound below only has to tell those apart.
+func TestRadixLargeBucketRecurses(t *testing.T) {
+	const n, z = 1 << 16, 16
+	rng := rand.New(rand.NewSource(8))
+	skew, flat := record.Make(n, z), record.Make(n, z)
+	for i := 0; i < n; i++ {
+		skew.SetKey(i, 1<<63|uint64(rng.Intn(1<<30)))
+		flat.SetKey(i, rng.Uint64())
+	}
+	skew.SetKey(n/2, 1)
+	dst := record.Make(n, z)
+	var sc Scratch
+	timeOf := func(src record.Slice) time.Duration {
+		sc.SortInto(dst, src) // warm
+		start := time.Now()
+		sc.SortInto(dst, src)
+		return time.Since(start)
+	}
+	base, got := timeOf(flat), timeOf(skew)
+	if !dst.IsSorted() {
+		t.Fatal("two-cluster input not sorted")
+	}
+	if got > 50*base+50*time.Millisecond {
+		t.Fatalf("two-cluster sort took %v against %v uniform: the large bucket was not recursed on", got, base)
 	}
 }
 

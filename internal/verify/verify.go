@@ -9,7 +9,6 @@ import (
 
 	"colsort/internal/pdm"
 	"colsort/internal/record"
-	"colsort/internal/sim"
 )
 
 // Error describes a verification failure with enough position information
@@ -30,27 +29,8 @@ func (e *Error) Error() string {
 // ColumnOwned layout this is exactly the PDM striped ordering of footnote 6
 // (columns are the stripe blocks, assigned round-robin to disks).
 func StoreSorted(st *pdm.Store) error {
-	var cnt sim.Counters
-	var lastValid bool
-	last := record.Make(1, st.RecSize)
-	buf := record.Make(st.R, st.RecSize)
-	// ScanSegments prefetches one segment ahead, so on async disks the
-	// comparisons below overlap the next segment's read.
-	return st.ScanSegments(func(p, j, lo, hi int) error {
-		chunk := buf.Sub(0, hi-lo)
-		if err := st.ReadRows(&cnt, p, j, lo, chunk); err != nil {
-			return err
-		}
-		for i := 0; i < chunk.Len(); i++ {
-			if lastValid && record.Compare(chunk, i, last, 0) < 0 {
-				return &Error{Kind: "order violation", Column: j, Row: lo + i,
-					Detail: fmt.Sprintf("key %x follows %x", chunk.Key(i), last.Key(0))}
-			}
-			last.CopyRecord(0, chunk, i)
-			lastValid = true
-		}
-		return nil
-	})
+	_, err := scanPrefix(st, int64(st.R)*int64(st.S))
+	return err
 }
 
 // Multiset checks that the store holds exactly the claimed multiset of
@@ -60,6 +40,10 @@ func Multiset(st *pdm.Store, want record.Checksum) error {
 	if err != nil {
 		return err
 	}
+	return multiset(got, want)
+}
+
+func multiset(got, want record.Checksum) error {
 	if !got.Equal(want) {
 		return &Error{Kind: "multiset violation",
 			Detail: fmt.Sprintf("checksum (count=%d sum=%x) != expected (count=%d sum=%x)",
@@ -68,13 +52,10 @@ func Multiset(st *pdm.Store, want record.Checksum) error {
 	return nil
 }
 
-// Output runs both checks; it is the standard postcondition of every sorter
-// test and of the cmd/colsort verify subcommand.
+// Output runs both checks in one scan of the store; it is the standard
+// postcondition of every sorter test and of the cmd/colsort verify subcommand.
 func Output(st *pdm.Store, want record.Checksum) error {
-	if err := Multiset(st, want); err != nil {
-		return err
-	}
-	return StoreSorted(st)
+	return OutputPrefix(st, int64(st.R)*int64(st.S), want)
 }
 
 // OutputPrefix checks a padded sort: the first n records (in column-major
@@ -84,47 +65,51 @@ func Output(st *pdm.Store, want record.Checksum) error {
 // records, making prefix trimming exact. Used by the non-power-of-two
 // support in the public API.
 func OutputPrefix(st *pdm.Store, n int64, want record.Checksum) error {
-	var cnt sim.Counters
-	var got record.Checksum
-	var lastValid bool
-	last := record.Make(1, st.RecSize)
-	buf := record.Make(st.R, st.RecSize)
-	var seen int64
-	err := st.ScanSegments(func(p, j, lo, hi int) error {
-		chunk := buf.Sub(0, hi-lo)
-		if err := st.ReadRows(&cnt, p, j, lo, chunk); err != nil {
-			return err
-		}
-		for i := 0; i < chunk.Len(); i++ {
-			rec := chunk.Record(i)
-			if seen < n {
-				if lastValid && record.Compare(chunk, i, last, 0) < 0 {
-					return &Error{Kind: "order violation", Column: j, Row: lo + i,
-						Detail: fmt.Sprintf("key %x follows %x", chunk.Key(i), last.Key(0))}
-				}
-				last.CopyRecord(0, chunk, i)
-				lastValid = true
-				got.Add(rec)
-			} else {
-				for _, b := range rec {
-					if b != 0xff {
-						return &Error{Kind: "pad violation", Column: j, Row: lo + i,
-							Detail: "non-pad record beyond the real prefix"}
-					}
-				}
-			}
-			seen++
-		}
-		return nil
-	})
+	got, err := scanPrefix(st, n)
 	if err != nil {
 		return err
 	}
-	if !got.Equal(want) {
-		return &Error{Kind: "multiset violation",
-			Detail: fmt.Sprintf("prefix checksum (count=%d) != expected (count=%d)", got.Count, want.Count)}
+	return multiset(got, want)
+}
+
+// scanPrefix is the one scan every store check is: the order of the first n
+// records — record to record inside a segment, against a copy of the previous
+// segment's last record across a boundary — their checksum, and the pads
+// behind them. ScanRows prefetches one segment ahead, so on async disks the
+// checks overlap the next segment's read.
+func scanPrefix(st *pdm.Store, n int64) (record.Checksum, error) {
+	var got record.Checksum
+	var lastValid bool
+	last := record.Make(1, st.RecSize)
+	follows := func(j, row int, key, prev uint64) error {
+		return &Error{Kind: "order violation", Column: j, Row: row,
+			Detail: fmt.Sprintf("key %x follows %x", key, prev)}
 	}
-	return nil
+	err := st.ScanRows(func(j, lo int, chunk record.Slice) error {
+		real := chunk.Sub(0, int(min(int64(chunk.Len()), n)))
+		n -= int64(real.Len())
+		if real.Len() > 0 {
+			if lastValid && record.Compare(real, 0, last, 0) < 0 {
+				return follows(j, lo, real.Key(0), last.Key(0))
+			}
+			for i := 1; i < real.Len(); i++ {
+				if real.Less(i, i-1) {
+					return follows(j, lo+i, real.Key(i), real.Key(i-1))
+				}
+			}
+			last.CopyRecord(0, real, real.Len()-1)
+			lastValid = true
+			got.AddSlice(real)
+		}
+		for k, b := range chunk.Data[len(real.Data):] {
+			if b != 0xff {
+				return &Error{Kind: "pad violation", Column: j, Row: lo + real.Len() + k/st.RecSize,
+					Detail: "non-pad record beyond the real prefix"}
+			}
+		}
+		return nil
+	})
+	return got, err
 }
 
 // SliceSorted checks an in-memory snapshot; a convenience for tests.

@@ -92,6 +92,61 @@ func TestOutput(t *testing.T) {
 	}
 }
 
+// TestOutputOneScan: Output is one scan doing both checks. Swaps keep the
+// multiset, so only the order check can object — inside a segment, across
+// the segment boundary inside a row-blocked column, across a column boundary
+// — and a flipped payload byte keeps the order, so only the checksum can.
+func TestOutputOneScan(t *testing.T) {
+	want := record.OfGenerated(record.Sorted{Seed: 1}, 32*4, 16)
+	swap := func(st *pdm.Store, ja, ia, jb, ib int) {
+		t.Helper()
+		var cnt sim.Counters
+		a, b := record.Make(1, 16), record.Make(1, 16)
+		for _, e := range []error{
+			st.ReadRows(&cnt, st.Owner(ia, ja), ja, ia, a), st.ReadRows(&cnt, st.Owner(ib, jb), jb, ib, b),
+			st.WriteRows(&cnt, st.Owner(ia, ja), ja, ia, b), st.WriteRows(&cnt, st.Owner(ib, jb), jb, ib, a),
+		} {
+			if e != nil {
+				t.Fatal(e)
+			}
+		}
+	}
+	for _, c := range []struct {
+		name           string
+		layout         pdm.Layout
+		ja, ia, jb, ib int // the two positions swapped
+		col, row       int // where the violation is reported
+	}{
+		{"inside a segment", pdm.ColumnOwned, 2, 10, 2, 11, 2, 11},
+		{"segment boundary", pdm.RowBlocked, 1, 7, 1, 8, 1, 8}, // P=4, r=32: segments of 8 rows
+		{"column boundary", pdm.ColumnOwned, 0, 31, 1, 0, 1, 0},
+	} {
+		st := sortedStore(t, c.layout)
+		swap(st, c.ja, c.ia, c.jb, c.ib)
+		ve, ok := Output(st, want).(*Error)
+		if !ok || ve.Kind != "order violation" || ve.Column != c.col || ve.Row != c.row {
+			t.Errorf("%s: Output returned %v, want an order violation at column %d row %d", c.name, ve, c.col, c.row)
+		}
+	}
+
+	st := sortedStore(t, pdm.RowBlocked)
+	var cnt sim.Counters
+	rec := record.Make(1, 16)
+	if err := st.ReadRows(&cnt, st.Owner(20, 3), 3, 20, rec); err != nil {
+		t.Fatal(err)
+	}
+	rec.Data[15] ^= 1
+	if err := st.WriteRows(&cnt, st.Owner(20, 3), 3, 20, rec); err != nil {
+		t.Fatal(err)
+	}
+	if err := StoreSorted(st); err != nil {
+		t.Fatalf("a payload flip under distinct keys must keep the order: %v", err)
+	}
+	if ve, ok := Output(st, want).(*Error); !ok || ve.Kind != "multiset violation" {
+		t.Fatalf("Output returned %v, want a multiset violation", ve)
+	}
+}
+
 func TestSliceSorted(t *testing.T) {
 	s := record.Make(10, 16)
 	record.Fill(s, record.Sorted{Seed: 2}, 0)

@@ -3,10 +3,12 @@
 # non-test Go lines that are neither blank nor a // comment, outside bench/
 # (its own module), examples/ and the benchmark's build cache; plus the
 # exported API golden's line count. It is a gate: CI fails above the number
-# the last simplicity PR landed (ISSUE 23), so a PR that grows the tree says
-# so by raising it here, with the reason in its CHANGES.md line.
+# the last simplicity PR landed (ISSUE 23: 10334), so a PR that grows the tree
+# says so by raising it here, with the reason in its CHANGES.md line (ISSUE 24:
+# +5 — the radix kernel and one-scan verify paid for themselves; the Scratch
+# free list and the four-lane AddSlice did not quite).
 set -euo pipefail
-max_go_lines=10334
+max_go_lines=10339
 cd "$(dirname "$0")/.."
 go_lines=$(find . -name '*.go' ! -name '*_test.go' \
   ! -path './bench/*' ! -path './examples/*' ! -path './.bench_build/*' -print0 |

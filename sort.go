@@ -140,7 +140,8 @@ func (j *job) sortSingle(ctx context.Context, rd RecordReader, dst Sink, o sortO
 func fillStore(ctx context.Context, st *pdm.Store, rd RecordReader, codec record.KeyCodec, n int64) (record.Checksum, error) {
 	var cnt sim.Counters
 	var want record.Checksum
-	var buf record.Slice
+	buf := st.Pool.Get(st.R, st.RecSize)
+	defer st.Pool.Put(buf)
 	var idx int64
 	for j := 0; j < st.S; j++ {
 		for p := 0; p < st.P; p++ {
@@ -151,19 +152,13 @@ func fillStore(ctx context.Context, st *pdm.Store, rd RecordReader, codec record
 			if err := ctx.Err(); err != nil {
 				return want, err
 			}
-			if buf.Size == 0 || buf.Len() < hi-lo {
-				buf = record.Make(hi-lo, st.RecSize)
-			}
 			chunk := buf.Sub(0, hi-lo)
 			real := chunk.Sub(0, int(min(int64(chunk.Len()), max(n-idx, 0))))
 			if got, err := readRecords(rd, real); err != nil {
 				return want, fmt.Errorf("colsort: input record %d: %w", idx+int64(got), err)
 			}
-			for i := 0; i < real.Len(); i++ {
-				rec := real.Record(i)
-				codec.EncodeRecord(rec)
-				want.Add(rec)
-			}
+			codec.Encode(real)
+			want.AddSlice(real)
 			pad := chunk.Data[len(real.Data):]
 			for k := range pad {
 				pad[k] = 0xff
@@ -214,31 +209,21 @@ func (r *Result) WriteFile(path string) error {
 
 // scanRealPrefix streams the real (non-pad) prefix of a sorted store in
 // global column-major order, invoking emit with successive record chunks.
-// The pad tail is neither read nor prefetched (ErrStopScan), and each owned
-// segment is prefetched one step ahead by ScanSegments.
+// The scan stops behind the last real record (ErrStopScan), so the pad tail
+// is not read, and each owned segment is prefetched one step ahead by
+// ScanSegments.
 func scanRealPrefix(ctx context.Context, st *pdm.Store, real int64, emit func(record.Slice) error) error {
-	var cnt sim.Counters
-	buf := record.Make(st.R, st.RecSize)
-	remaining := real
-	return st.ScanSegments(func(p, j, lo, hi int) error {
-		if remaining <= 0 {
-			return pdm.ErrStopScan
-		}
+	return st.ScanRows(func(_, _ int, chunk record.Slice) error {
 		if err := ctx.Err(); err != nil {
 			return err
 		}
-		chunk := buf.Sub(0, hi-lo)
-		if err := st.ReadRows(&cnt, p, j, lo, chunk); err != nil {
+		chunk = chunk.Sub(0, int(min(int64(chunk.Len()), real)))
+		if err := emit(chunk); err != nil {
 			return err
 		}
-		recs := int64(chunk.Len())
-		if recs > remaining {
-			recs = remaining
+		if real -= int64(chunk.Len()); real == 0 {
+			return pdm.ErrStopScan
 		}
-		if err := emit(chunk.Sub(0, int(recs))); err != nil {
-			return err
-		}
-		remaining -= recs
 		return nil
 	})
 }
