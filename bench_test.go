@@ -164,7 +164,9 @@ func BenchmarkE11Combined(b *testing.B) {
 
 // BenchmarkE11HybridGroupSweep runs hybrid group columnsort across group
 // sizes on the same problem, exposing the Section-6 bound/communication
-// trade-off at runtime (complementing internal/hybrid's analytic model).
+// trade-off at runtime. `colsort-paper bounds -hybrid` prints the same
+// trade-off at paper scale from figure2's counter predictor, which
+// TestPredictorMatchesMeasured holds to measured runs at g = 1, between and P.
 func BenchmarkE11HybridGroupSweep(b *testing.B) {
 	const n, p, mem, z = 4096, 8, 512, 16
 	for _, g := range []int{2, 4} {

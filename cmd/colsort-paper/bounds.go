@@ -6,7 +6,8 @@ import (
 	"os"
 
 	"colsort/internal/bounds"
-	"colsort/internal/hybrid"
+	"colsort/internal/core"
+	"colsort/internal/figure2"
 	"colsort/internal/sim"
 )
 
@@ -110,32 +111,62 @@ func printCombined(z int) {
 	fmt.Println("colsort.Combined) trades one extra pass for the larger bound.")
 }
 
+// printHybrid is the Section-6 trade-off on printTerabyte's machine: every
+// group size plans one N, and the validated counter predictor
+// (internal/figure2) prices each pass of the plan under the Beowulf-2003
+// cost model, as it prices Figure 2.
 func printHybrid(z int) {
+	const p, mp, n = 16, 1 << 19, 1 << 28
 	fmt.Println("Section 6 future work: hybrid group columnsort, r = g·(M/P)")
 	fmt.Println("(g = 1 is threaded columnsort, g = P is M-columnsort)")
-	c := hybrid.Config{P: 16, Mem: 1 << 19, Z: z}
-	pts, err := c.Sweep()
-	if err != nil {
-		fmt.Fprintln(os.Stderr, err)
-		os.Exit(1)
-	}
+	fmt.Printf("P = %d, M/P = 2^19, N = 2^28 records (%s): network bytes per processor\n",
+		p, bounds.HumanBytes(float64(n)*float64(z)))
 	cm := sim.Beowulf2003()
-	fmt.Printf("%4s %16s %18s %20s %14s\n", "g", "bound N", "sort net B/proc", "scatter net B/proc", "est comm s")
-	for _, pt := range pts {
-		fmt.Printf("%4d %16s %18d %20d %14.2f\n", pt.G,
-			bounds.HumanBytes(pt.MaxN*float64(z)),
-			pt.SortNetBytesPerPass, pt.ScatterNetBytesPerPass,
-			pt.EstimateSortSeconds(cm))
+	fmt.Printf("%4s %12s %6s %12s %12s %12s %12s %8s %8s\n",
+		"g", "bound N", "s", "pass 1", "pass 2", "pass 3", "total", "net s", "est s")
+	for g := 1; g <= p; g *= 2 {
+		pl, err := groupPlan(n, p, mp, z, g)
+		if err != nil {
+			fmt.Fprintln(os.Stderr, err)
+			os.Exit(1)
+		}
+		passes, err := figure2.PredictPassCounters(pl)
+		if err != nil {
+			fmt.Fprintln(os.Stderr, err)
+			os.Exit(1)
+		}
+		est := cm.EstimateRun(passes, pl.D/pl.P)
+		fmt.Printf("%4d %12s %6d", g, bounds.HumanBytes(bounds.MaxBytes(bounds.Threaded, int64(g)*mp*p, p, z)), pl.S)
+		var total int64
+		var netS float64
+		for k, pass := range passes {
+			total += pass[0].NetBytes
+			netS += est.Passes[k].Net
+			fmt.Printf(" %12s", bounds.HumanBytes(float64(pass[0].NetBytes)))
+		}
+		fmt.Printf(" %12s %8.1f %8.1f\n", bounds.HumanBytes(float64(total)), netS, est.Total)
 	}
 	for _, n := range []int64{1 << 28, 1 << 31, 1 << 33} {
-		g, err := c.ChooseGroup(n)
-		if err != nil {
-			fmt.Printf("N = %s: %v\n", bounds.HumanBytes(float64(n)*float64(z)), err)
-			continue
+		for g := 1; g <= p; g *= 2 {
+			if _, err := groupPlan(n, p, mp, z, g); err == nil {
+				fmt.Printf("N = %s → smallest group size the planner accepts: g = %d\n",
+					bounds.HumanBytes(float64(n)*float64(z)), g)
+				break
+			}
 		}
-		fmt.Printf("N = %s → smallest eligible group size g = %d\n",
-			bounds.HumanBytes(float64(n)*float64(z)), g)
 	}
-	fmt.Println("\nThe bound grows as g^{3/2} while sort-stage communication grows")
-	fmt.Println("toward g = P — choose the smallest g that fits the problem.")
+	fmt.Println("\nThe bound grows as g^{3/2} while the network traffic grows")
+	fmt.Println("toward g = P — choose the smallest g that plans the problem.")
+}
+
+// groupPlan plans group columnsort at group size g: threaded columnsort at
+// g = 1, M-columnsort at g = P, the hybrid between.
+func groupPlan(n int64, p, mem, z, g int) (core.Plan, error) {
+	switch g {
+	case 1:
+		return core.NewPlan(core.Threaded, n, p, p, mem, z)
+	case p:
+		return core.NewPlan(core.MColumn, n, p, p, mem, z)
+	}
+	return core.NewHybridPlan(n, p, p, mem, z, g)
 }

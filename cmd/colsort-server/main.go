@@ -33,6 +33,7 @@ import (
 	"errors"
 	"flag"
 	"fmt"
+	"math"
 	"net/http"
 	"os"
 	"os/signal"
@@ -51,8 +52,6 @@ func main() {
 	z := flag.Int("z", 64, "record size in bytes")
 	dir := flag.String("dir", "", "back disks with files under this directory (default: in memory)")
 	async := flag.Bool("async", false, "asynchronous disk layer: prefetch read-ahead + write-behind")
-	readahead := flag.Int("readahead", 0, "async: max prefetched extents per disk (0: default)")
-	writebehind := flag.Int("writebehind", 0, "async: max buffered writes per disk (0: default)")
 	diskSeekUS := flag.Int("disk-seek-us", 0, "model: microseconds per discontiguous disk access (0: off)")
 	diskMBps := flag.Int("disk-mbps", 0, "model: sustained disk bandwidth in MiB/s (0: off)")
 	jobs := flag.Int("jobs", 4, "wire jobs in flight at once; excess submissions get HTTP 429 (0: unbounded)")
@@ -63,12 +62,17 @@ func main() {
 	writeTimeout := flag.Duration("write-timeout", time.Minute, "per-write deadline on streaming responses and SSE pushes (0: none)")
 	idleTimeout := flag.Duration("idle-timeout", 2*time.Minute, "keep-alive idle connection timeout (0: none)")
 	flag.Parse()
+	// A count of MiB whose byte count overflows int64 is a bad flag value, not
+	// a wrapped (and silently accepted) budget.
+	if limit := int64(math.MaxInt64 >> 20); *totalMemMiB > limit || *totalMemMiB < -limit {
+		fmt.Fprintf(os.Stderr, "invalid value %d for flag -total-memory-mib: want an integer in [-%d, %d]\n", *totalMemMiB, limit, limit)
+		os.Exit(2)
+	}
 
 	eng, err := colsort.NewEngine(colsort.EngineConfig{
 		Config: colsort.Config{
 			Procs: *p, Disks: *d, MemPerProc: *mem, RecordSize: *z, Dir: *dir,
-			Async: *async, ReadAhead: *readahead, WriteBehind: *writebehind,
-			DiskSeekMicros: *diskSeekUS, DiskMBps: *diskMBps,
+			Async: *async, DiskSeekMicros: *diskSeekUS, DiskMBps: *diskMBps,
 		},
 		TotalMemory: *totalMemMiB << 20,
 	})

@@ -20,10 +20,9 @@
 // prints pass/round completion as the sort runs. Ctrl-C cancels the run,
 // tearing down all processors and scratch files before exiting.
 //
-// -async enables the prefetch/write-behind disk layer (-readahead and
-// -writebehind size its per-disk queues); -disk-seek-us/-disk-mbps impose a
-// physical-disk service-time model so the overlap is visible on
-// page-cached hardware.
+// -async enables the prefetch/write-behind disk layer; -disk-seek-us and
+// -disk-mbps impose a physical-disk service-time model so the overlap is
+// visible on page-cached hardware.
 //
 // Inputs beyond the selected algorithm's problem-size bound — or beyond a
 // -max-memory-mib cap — sort hierarchically: replacement-selection runs
@@ -50,6 +49,7 @@ import (
 	"errors"
 	"flag"
 	"fmt"
+	"math"
 	"os"
 	"os/signal"
 	"strconv"
@@ -72,8 +72,6 @@ func main() {
 	seed := flag.Uint64("seed", 1, "generator seed")
 	dir := flag.String("dir", "", "back disks with files under this directory (default: in memory)")
 	async := flag.Bool("async", false, "asynchronous disk layer: prefetch read-ahead + write-behind")
-	readahead := flag.Int("readahead", 0, "async: max prefetched extents per disk (0: default)")
-	writebehind := flag.Int("writebehind", 0, "async: max buffered writes per disk (0: default)")
 	diskSeekUS := flag.Int("disk-seek-us", 0, "model: microseconds per discontiguous disk access (0: off)")
 	diskMBps := flag.Int("disk-mbps", 0, "model: sustained disk bandwidth in MiB/s (0: off)")
 	inPath := flag.String("in", "", "sort the records of this file (any count ≥ 1) instead of generating input")
@@ -116,11 +114,17 @@ func main() {
 		fmt.Fprintf(os.Stderr, "unknown generator %q (have: %s)\n", *gen, strings.Join(record.Names(), ", "))
 		os.Exit(2)
 	}
+	maxMem, err1 := scaled("max-memory-mib", *maxMemMiB, 1<<20)
+	retryBase, err2 := scaled("retry-base-us", int64(*retryBaseUS), int64(time.Microsecond))
+	deadAfter, err3 := scaled("chaos-dead-after-kib", *chaosDeadAfterKiB, 1<<10)
+	if err := errors.Join(err1, err2, err3); err != nil {
+		fmt.Fprintln(os.Stderr, err)
+		os.Exit(2)
+	}
 
 	cfg := colsort.Config{
 		Procs: *p, Disks: *d, MemPerProc: *mem, RecordSize: *z, Dir: *dir,
-		Async: *async, ReadAhead: *readahead, WriteBehind: *writebehind,
-		DiskSeekMicros: *diskSeekUS, DiskMBps: *diskMBps,
+		Async: *async, DiskSeekMicros: *diskSeekUS, DiskMBps: *diskMBps,
 	}
 	chaos := colsort.ChaosConfig{
 		PTransient:     *chaosPTransient,
@@ -129,7 +133,7 @@ func main() {
 		TornSpillWrite: *chaosTornSpill,
 		FlipSpillRead:  *chaosFlipSpill,
 		DeadSpillDisk:  *chaosDeadSpill,
-		DeadSpillAfter: *chaosDeadAfterKiB << 10,
+		DeadSpillAfter: deadAfter,
 	}
 	if chaos != (colsort.ChaosConfig{}) { // some -chaos-* flag was given; the library says what it may hold
 		chaos.Seed = *chaosSeed
@@ -183,14 +187,14 @@ func main() {
 	}
 	opts := []colsort.Option{
 		colsort.WithAlgorithm(alg),
-		colsort.WithMaxMemory(*maxMemMiB << 20),
+		colsort.WithMaxMemory(maxMem),
 		colsort.WithMergeFanIn(*mergeFanIn),
 		colsort.WithCheckpoint(*checkpoint),
 		colsort.WithDeadline(*deadline),
 		colsort.WithKeySpec(ks),
 		colsort.WithRetry(colsort.RetryPolicy{
 			MaxAttempts: *retries,
-			BaseDelay:   time.Duration(*retryBaseUS) * time.Microsecond,
+			BaseDelay:   time.Duration(retryBase),
 			RedoBudget:  *redoBudget,
 			Scrub:       *scrub,
 		}),
@@ -333,6 +337,17 @@ func report(res *colsort.Result, wall time.Duration) {
 		fmt.Printf("  pass %d: %v\n", k+1, e)
 	}
 	fmt.Printf("  total: %.1fs\n", est.Total)
+}
+
+// scaled returns count·unit, a flag counted in MiB, KiB or µs as the bytes or
+// nanoseconds the library takes. A count whose product overflows int64 is a
+// bad flag value: wrapped, it would spell some other value, and 2^44 MiB would
+// be no cap at all.
+func scaled(flagName string, count, unit int64) (int64, error) {
+	if limit := math.MaxInt64 / unit; count > limit || count < -limit {
+		return 0, fmt.Errorf("invalid value %d for flag -%s: want an integer in [-%d, %d]", count, flagName, limit, limit)
+	}
+	return count * unit, nil
 }
 
 func algByName(name string) (colsort.Algorithm, bool) {

@@ -133,10 +133,6 @@ type Config struct {
 	// background with errors surfaced at each pass's flush and at Close.
 	// Operation counts are identical to a synchronous run.
 	Async bool
-	// ReadAhead and WriteBehind bound the per-disk async queues (staged
-	// prefetch extents / buffered writes); 0 selects the defaults.
-	ReadAhead   int
-	WriteBehind int
 	// DiskSeekMicros and DiskMBps, when positive, impose a per-operation
 	// service time on every disk (seek per discontiguous access plus
 	// bytes/bandwidth), modeling physical disks on hardware whose page

@@ -133,7 +133,7 @@ func NewEngine(cfg EngineConfig) (*Engine, error) {
 		m.Backend = pdm.FileBackend{Dir: c.Dir}
 	}
 	if c.Async {
-		m.Async = &pdm.AsyncConfig{ReadAhead: c.ReadAhead, WriteBehind: c.WriteBehind}
+		m.Async = &pdm.AsyncConfig{}
 	}
 	if c.DiskSeekMicros > 0 || c.DiskMBps > 0 {
 		m.Delay = &pdm.DelayConfig{
@@ -304,7 +304,6 @@ func (e *Engine) newJob(ctx context.Context, o sortOptions) *job {
 	if p := o.retry; p != nil {
 		rc.MaxAttempts = p.MaxAttempts
 		rc.BaseDelay = p.BaseDelay
-		rc.MaxDelay = p.MaxDelay
 	}
 	m.Retry = &rc
 	j.m = m.Namespaced(pdm.JobScratchPrefix(j.id))

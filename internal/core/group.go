@@ -32,8 +32,8 @@ import (
 //     shared by the whole cluster.
 //   - 2 ≤ g ≤ P/2 is the hybrid of Section 6's second future-work item:
 //     column heights BETWEEN M/P and M, trading the problem-size bound
-//     N ≤ (g·M/P)^{3/2}/√2 against sort-stage communication exactly as
-//     internal/hybrid's analytic model predicts.
+//     N ≤ (g·M/P)^{3/2}/√2 against network traffic (internal/figure2's
+//     predictor counts it exactly at every g).
 //
 // The program is run-aware in the sense of the paper's footnote 5: a
 // distribution pass leaves each member's block of a column as a concatenation

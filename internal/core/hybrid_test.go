@@ -147,6 +147,51 @@ func TestHybridPlanValidation(t *testing.T) {
 	}
 }
 
+// TestHybridPlanRejectsBadGroup: a group size must be a power of two
+// strictly between 1 and P — g = 1 and g = P are the threaded and
+// M-columnsort plans, and anything else names no grid of groups.
+func TestHybridPlanRejectsBadGroup(t *testing.T) {
+	const p = 8
+	for _, g := range []int{0, -1, 1, 3, p, 2 * p} {
+		_, err := NewHybridPlan(512, p, p, 64, 16, g)
+		if err == nil {
+			t.Errorf("group size %d accepted", g)
+			continue
+		}
+		if !strings.Contains(err.Error(), "group size") {
+			t.Errorf("group size %d: error %q does not mention the group size", g, err)
+		}
+	}
+}
+
+// TestHybridPlanRejectsBadMachine: the hybrid plan checks the machine the
+// way every plan does — P and M/P powers of two, a record wide enough for
+// its key — and accepts the machine `colsort-paper bounds -hybrid` prints.
+func TestHybridPlanRejectsBadMachine(t *testing.T) {
+	cases := []struct {
+		name      string
+		p, mem, z int
+		wantErr   string
+	}{
+		{"P not pow2", 3, 1 << 10, 64, "power of 2"},
+		{"mem not pow2", 4, 1000, 64, "power of 2"},
+		{"record too small", 4, 1 << 10, 4, "record"},
+	}
+	for _, c := range cases {
+		_, err := NewHybridPlan(1<<16, c.p, c.p, c.mem, c.z, 2)
+		if err == nil {
+			t.Errorf("%s: accepted", c.name)
+			continue
+		}
+		if !strings.Contains(err.Error(), c.wantErr) {
+			t.Errorf("%s: error %q does not mention %q", c.name, err, c.wantErr)
+		}
+	}
+	if _, err := NewHybridPlan(1<<28, 16, 16, 1<<19, 64, 2); err != nil {
+		t.Fatal(err)
+	}
+}
+
 func TestHybridString(t *testing.T) {
 	if Hybrid.String() != "hybrid" {
 		t.Fatal("Hybrid.String wrong")

@@ -64,14 +64,15 @@ func scaleDown(c sim.Counters, p int) sim.Counters {
 // every sorting algorithm is group columnsort at its group size g, and a
 // distribution pass is told apart by the run length of the blocks it reads,
 // the number of groups a sorted block spreads over, and whether it is step
-// 4's redistribution. Validated at g = 1 and g = P.
+// 4's redistribution. Validated at g = 1, at g = P and at the hybrid's
+// 2 ≤ g ≤ P/2 (P ∈ {4, 8}, g ∈ {2, 4}).
 func predictTotals(pl core.Plan) ([]sim.Counters, error) {
 	g := pl.Group
 	ng := pl.P / g
 	run := pl.R / pl.S / g // what steps 2 and 4 leave: chunk/g
 	steps12 := groupScatterTotals(pl, 0, ng, false)
 	switch pl.Alg {
-	case core.Threaded, core.MColumn:
+	case core.Threaded, core.MColumn, core.Hybrid:
 		return []sim.Counters{steps12,
 			groupScatterTotals(pl, run, 0, true),
 			boundaryTotals(pl, run),
@@ -215,7 +216,7 @@ func boundaryTotals(pl core.Plan, runLen int) sim.Counters {
 	if pl.Group == 1 {
 		return mergePassTotals(pl, runLen)
 	}
-	return mcolMergeTotals(pl, runLen)
+	return groupMergeTotals(pl, runLen)
 }
 
 // mergePassTotals mirrors runMergePass (g = 1): step 5 merges each column's
@@ -239,23 +240,21 @@ func mergePassTotals(pl core.Plan, runLen int) sim.Counters {
 	return c
 }
 
-// mcolMergeTotals mirrors runGroupMergePass at g = P: per round one in-core sort of
-// the column; for rounds j ≥ 1 additionally a half-swap, an in-core sort of
-// the overlap — whose pieces are sorted blocks already — and a half-rotation.
-func mcolMergeTotals(pl core.Plan, runLen int) sim.Counters {
-	s64 := int64(pl.S)
-	rb := pl.R / pl.P
-	rbz := int64(rb) * int64(pl.Z)
+// groupMergeTotals mirrors runGroupMergePass (g ≥ 2): every column is sorted
+// in-core by its group; each of the s−1 boundaries adds a half-swap, an
+// in-group sort of the overlap — whose pieces are sorted blocks already — and
+// a half-rotation.
+func groupMergeTotals(pl core.Plan, runLen int) sim.Counters {
+	s64, g := int64(pl.S), int64(pl.Group)
+	rb := pl.R / pl.Group
 	c := ioOnlyTotals(pl)
 	c.DiskWriteOps = 2 * s64
-	addScaled(&c, incoreSortTotals(rb, pl.P, pl.Z, runLen), s64) // step-5 sort every round
-	addScaled(&c, incoreSortTotals(rb, pl.P, pl.Z, rb), s64-1)   // overlap sort for rounds 1..s−1
-	if pl.P > 1 && s64 > 1 {
-		// Swap and rotation: every processor sends one rb-record message
-		// in each, both always off-processor.
-		c.NetMsgs += 2 * (s64 - 1) * int64(pl.P)
-		c.NetBytes += 2 * (s64 - 1) * int64(pl.P) * rbz
-	}
+	addScaled(&c, incoreSortTotals(rb, pl.Group, pl.Z, runLen), s64) // step-5 sort of every column
+	addScaled(&c, incoreSortTotals(rb, pl.Group, pl.Z, rb), s64-1)   // overlap sort of every boundary
+	// Swap and rotation: every member of the group sends one rb-record message
+	// in each, both always off-processor.
+	c.NetMsgs += 2 * (s64 - 1) * g
+	c.NetBytes += 2 * (s64 - 1) * g * int64(rb) * int64(pl.Z)
 	return c
 }
 

@@ -57,6 +57,13 @@ func validationPlans(t *testing.T) []core.Plan {
 		}
 		return pl
 	}
+	hybrid := func(n int64, p, mem, g int) core.Plan {
+		pl, err := core.NewHybridPlan(n, p, p, mem, 16, g)
+		if err != nil {
+			t.Fatalf("hybrid g=%d: %v", g, err)
+		}
+		return pl
+	}
 	return []core.Plan{
 		mk(core.Threaded, 512*8, 4, 4, 512, 16),
 		mk(core.Threaded, 512*16, 2, 4, 512, 64),
@@ -71,6 +78,10 @@ func validationPlans(t *testing.T) []core.Plan {
 		mk(core.MColumn, 1024*4, 8, 8, 128, 16),
 		mk(core.Combined, 256*16, 4, 4, 64, 16),
 		mk(core.BaselineIO3, 512*8, 4, 4, 512, 16),
+		hybrid(2048, 4, 128, 2),
+		hybrid(2048, 8, 128, 2),
+		hybrid(8192, 8, 128, 4),
+		hybrid(1024, 8, 64, 2), // r = 2s²: at the bound
 	}
 }
 

@@ -49,12 +49,12 @@ type AsyncConfig struct {
 	// disk; a full queue applies back-pressure to WriteAt. ≤0 selects
 	// DefaultWriteBehind.
 	WriteBehind int
-	// Pool, when non-nil, supplies the prefetch staging and write-behind
-	// snapshot buffers. Machine wires each disk to its owning processor's
-	// record pool, so the buffers survive the per-pass store lifecycle
-	// (stores — and their AsyncDisks — are created and closed once per
-	// pass, and a per-disk free list would be cold every time). A nil Pool
-	// falls back to a disk-local free list.
+	// Pool supplies the prefetch staging and write-behind snapshot buffers.
+	// Machine wires each disk to its owning processor's record pool, so the
+	// buffers survive the per-pass store lifecycle (stores — and their
+	// AsyncDisks — are created and closed once per pass). A nil Pool
+	// allocates every buffer. The disk calls it under its own lock: the
+	// pool's lock is a leaf.
 	Pool *record.Pool
 }
 
@@ -126,13 +126,9 @@ type AsyncDisk struct {
 	maxEnd  int64     // end of the furthest write ever queued
 	fetches map[int64]*fetch
 	fetchq  []*fetch // FIFO of queued fetches
-	free    [][]byte // recycled staging buffers
 	closing bool
 	done    chan struct{}
 }
-
-// maxFreeAsyncBufs bounds the staging buffers an idle AsyncDisk retains.
-const maxFreeAsyncBufs = 32
 
 // NewAsyncDisk wraps inner and starts its worker. The caller must Close the
 // AsyncDisk (which drains pending writes and closes inner).
@@ -168,7 +164,7 @@ func (d *AsyncDisk) worker() {
 			copy(d.writes, d.writes[1:])
 			d.writes[len(d.writes)-1] = writeOp{}
 			d.writes = d.writes[:len(d.writes)-1]
-			d.putBuf(op.data)
+			d.cfg.Pool.PutBytes(op.data)
 			d.cond.Broadcast()
 			continue
 		}
@@ -222,7 +218,7 @@ func (d *AsyncDisk) discardFetch(f *fetch) {
 	}
 	f.doomed = true
 	if f.data != nil {
-		d.putBuf(f.data)
+		d.cfg.Pool.PutBytes(f.data)
 		f.data = nil
 	}
 }
@@ -260,7 +256,7 @@ func (d *AsyncDisk) Prefetch(off int64, n int) {
 	if d.overlapsPendingWrite(off, n) {
 		return
 	}
-	f := &fetch{off: off, data: d.getBuf(n)}
+	f := &fetch{off: off, data: d.cfg.Pool.GetBytes(n)}
 	d.fetches[off] = f
 	d.fetchq = append(d.fetchq, f)
 	d.cond.Broadcast()
@@ -300,7 +296,7 @@ func (d *AsyncDisk) ReadAt(p []byte, off int64) error {
 			// live done entry is coherent with the queue.
 			copy(p, f.data[:len(p)])
 			delete(d.fetches, f.off)
-			d.putBuf(f.data)
+			d.cfg.Pool.PutBytes(f.data)
 			d.mu.Unlock()
 			return nil
 		}
@@ -312,7 +308,7 @@ func (d *AsyncDisk) ReadAt(p []byte, off int64) error {
 		if f.state == fetchDone && !f.doomed {
 			copy(p, f.data[:len(p)])
 			delete(d.fetches, f.off)
-			d.putBuf(f.data)
+			d.cfg.Pool.PutBytes(f.data)
 			d.mu.Unlock()
 			return nil
 		}
@@ -366,7 +362,7 @@ func (d *AsyncDisk) WriteAt(p []byte, off int64) error {
 		}
 		d.cond.Wait()
 	}
-	buf := d.getBuf(len(p))
+	buf := d.cfg.Pool.GetBytes(len(p))
 	copy(buf, p)
 	d.writes = append(d.writes, writeOp{off: off, data: buf})
 	if end > d.maxEnd {
@@ -427,37 +423,6 @@ func (d *AsyncDisk) Close() error {
 		return werr
 	}
 	return err
-}
-
-// getBuf returns a staging buffer of length n, preferring the shared
-// record pool (warm across the per-pass disk lifecycle) over the
-// disk-local free list. Caller holds mu; the pool's lock is a leaf.
-func (d *AsyncDisk) getBuf(n int) []byte {
-	if d.cfg.Pool != nil {
-		return d.cfg.Pool.GetBytes(n)
-	}
-	for i := len(d.free) - 1; i >= 0; i-- {
-		if cap(d.free[i]) >= n {
-			buf := d.free[i][:n]
-			d.free[i] = d.free[len(d.free)-1]
-			d.free[len(d.free)-1] = nil
-			d.free = d.free[:len(d.free)-1]
-			return buf
-		}
-	}
-	return make([]byte, n)
-}
-
-// putBuf recycles a staging buffer. Caller holds mu.
-func (d *AsyncDisk) putBuf(b []byte) {
-	if d.cfg.Pool != nil {
-		d.cfg.Pool.PutBytes(b)
-		return
-	}
-	if cap(b) == 0 || len(d.free) >= maxFreeAsyncBufs {
-		return
-	}
-	d.free = append(d.free, b[:0])
 }
 
 // DelayConfig is the service-time model of one physical disk, used to make

@@ -4,7 +4,8 @@ package server
 // Query parameters of POST /v1/sort (and, identically, the "options" object
 // of a POST /v1/jobs submission) spell the colsort.With* options through ONE
 // table, wireKeys: name, value type, setter. This file checks spelling only
-// — a closed key set, each key once, non-empty and well-typed, and the two
+// — a closed key set, each key once, non-empty and well-typed (a count of
+// MiB, ms or µs is an int64 once scaled), and the two
 // places the wire spells one Go option with several keys (alg=hybrid ⇔ group,
 // chaos=off vs chaos-*) — so a typo never silently selects a default. What a
 // value may BE is the library's to say (colsort's resolve, plan.go): both
@@ -15,6 +16,7 @@ package server
 import (
 	"fmt"
 	"maps"
+	"math"
 	"net/url"
 	"slices"
 	"strconv"
@@ -62,6 +64,21 @@ func intKey(name string, put func(*accumulator, int64)) wireKey {
 	return key(name, "an integer", func(s string) (int64, error) { return strconv.ParseInt(s, 10, 64) }, put)
 }
 
+// scaledKey is an integer key counted in units of unit (a MiB, a millisecond,
+// a microsecond), put as the bytes or nanoseconds the option takes. A count
+// whose product would overflow int64 is ill-typed: wrapped, it would spell
+// some other value, and 2^44 MiB would be no cap at all.
+func scaledKey(name string, unit int64, put func(*accumulator, int64)) wireKey {
+	limit := math.MaxInt64 / unit
+	return key(name, fmt.Sprintf("an integer in [-%d, %d]", limit, limit), func(s string) (int64, error) {
+		v, err := strconv.ParseInt(s, 10, 64)
+		if err == nil && (v > limit || v < -limit) {
+			err = strconv.ErrRange
+		}
+		return v * unit, err
+	}, put)
+}
+
 func boolKey(name string, put func(*accumulator, bool)) wireKey {
 	return key(name, "a boolean", strconv.ParseBool, put)
 }
@@ -102,14 +119,14 @@ var wireAlgorithms = map[string]colsort.Algorithm{
 var wireKeys = []wireKey{
 	enumKey("alg", wireAlgorithms, func(a *accumulator, v colsort.Algorithm) { a.alg = v }),
 	intKey("group", func(a *accumulator, v int64) { a.group = int(v) }),
-	intKey("deadline-ms", func(a *accumulator, v int64) { a.add(colsort.WithDeadline(time.Duration(v) * time.Millisecond)) }),
+	scaledKey("deadline-ms", int64(time.Millisecond), func(a *accumulator, v int64) { a.add(colsort.WithDeadline(time.Duration(v))) }),
 	intKey("key-offset", func(a *accumulator, v int64) { a.ks.Offset = int(v) }),
 	intKey("key-width", func(a *accumulator, v int64) { a.ks.Width = int(v) }),
 	enumKey("order", map[string]colsort.Order{"asc": colsort.Ascending, "desc": colsort.Descending},
 		func(a *accumulator, v colsort.Order) { a.ks.Order = v }),
 	enumKey("padding", map[string]colsort.PaddingPolicy{"auto": colsort.PadAuto, "never": colsort.PadNever},
 		func(a *accumulator, v colsort.PaddingPolicy) { a.add(colsort.WithPadding(v)) }),
-	intKey("max-memory-mib", func(a *accumulator, v int64) { a.add(colsort.WithMaxMemory(v << 20)) }),
+	scaledKey("max-memory-mib", 1<<20, func(a *accumulator, v int64) { a.add(colsort.WithMaxMemory(v)) }),
 	intKey("merge-fanin", func(a *accumulator, v int64) { a.add(colsort.WithMergeFanIn(int(v))) }),
 	boolKey("nowait", func(a *accumulator, v bool) {
 		if v {
@@ -117,7 +134,7 @@ var wireKeys = []wireKey{
 		}
 	}),
 	intKey("retries", func(a *accumulator, v int64) { a.retry.MaxAttempts = int(v) }),
-	intKey("retry-base-us", func(a *accumulator, v int64) { a.retry.BaseDelay = time.Duration(v) * time.Microsecond }),
+	scaledKey("retry-base-us", int64(time.Microsecond), func(a *accumulator, v int64) { a.retry.BaseDelay = time.Duration(v) }),
 	intKey("redo-budget", func(a *accumulator, v int64) { a.retry.RedoBudget = int(v) }),
 	boolKey("scrub", func(a *accumulator, v bool) { a.retry.Scrub = v }),
 	// chaos=off shields the job from engine-configured chaos; any chaos-* key

@@ -38,6 +38,7 @@ func TestParseSortOptionsAccepts(t *testing.T) {
 		{"cap with hybrid", "alg=hybrid&group=2&max-memory-mib=64"},
 		{"cap with padding=never", "padding=never&max-memory-mib=64"},
 		{"a zero is the default", "max-memory-mib=0&merge-fanin=0&retries=0&retry-base-us=0&key-width=0&deadline-ms=0"},
+		{"scaled counts at their limits", "max-memory-mib=8796093022207&deadline-ms=9223372036854&retry-base-us=9223372036854775"},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -85,6 +86,12 @@ func TestParseSortOptionsRejects(t *testing.T) {
 		{"chaos off with params", "chaos=off&chaos-seed=1", false, "conflicts with the chaos-"},
 		{"probability not a number", "chaos-p-torn=often", false, "want a number"},
 		{"two bad types name the first", "scrub=2&nowait=3", false, `option "nowait"`},
+		// A count whose scaled form overflows int64 is ill-typed, not wrapped
+		// into another value (2^44 MiB would be 0: no cap).
+		{"max-memory-mib overflows", "max-memory-mib=17592186044416", false, `option "max-memory-mib": want an integer in [-8796093022207, 8796093022207], got "17592186044416"`},
+		{"deadline-ms overflows", "deadline-ms=18446744073709", false, `option "deadline-ms": want an integer in [-9223372036854, 9223372036854]`},
+		{"retry-base-us overflows", "retry-base-us=-9223372036854776", false, `option "retry-base-us": want an integer in [-9223372036854775, 9223372036854775]`},
+		{"negative deadline at its limit", "deadline-ms=-9223372036854", true, "colsort: WithDeadline(-2562047h47m16.854s)"},
 
 		{"negative key offset", "key-offset=-1", true, "colsort: record: key field [-1:7) outside"},
 		{"fan-in of one", "merge-fanin=1", true, "colsort: WithMergeFanIn(1)"},

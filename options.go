@@ -60,10 +60,9 @@ type RetryPolicy struct {
 	// retries: the first failure escapes immediately.
 	MaxAttempts int
 	// BaseDelay is the backoff before the first re-issue (default 200µs);
-	// it doubles per attempt up to MaxDelay (default 10ms), with ±50%
-	// jitter. Cancelling the sort's context interrupts any backoff sleep.
+	// it doubles per attempt up to 10ms, with ±50% jitter. Cancelling the
+	// sort's context interrupts any backoff sleep.
 	BaseDelay time.Duration
-	MaxDelay  time.Duration
 	// RedoBudget is how many times a hierarchical sort may re-spill a
 	// formed run onto a fresh disk after its spilled bytes fail
 	// verification or its spill disk fails permanently (default 2).

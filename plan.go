@@ -110,8 +110,8 @@ func (e *Engine) check(o sortOptions) (record.KeyCodec, error) {
 		err = fmt.Errorf("WithDeadline(%v): the deadline must be ≥ 0 (0: none)", o.deadline)
 	case retry.MaxAttempts < 0:
 		err = fmt.Errorf("WithRetry: MaxAttempts %d must be ≥ 0 (0: the default, %d; 1 disables retries)", retry.MaxAttempts, pdm.DefaultRetryAttempts)
-	case retry.BaseDelay < 0 || retry.MaxDelay < 0:
-		err = fmt.Errorf("WithRetry: BaseDelay %v and MaxDelay %v must be ≥ 0 (0: the defaults, %v and %v)", retry.BaseDelay, retry.MaxDelay, pdm.DefaultRetryBaseDelay, pdm.DefaultRetryMaxDelay)
+	case retry.BaseDelay < 0:
+		err = fmt.Errorf("WithRetry: BaseDelay %v must be ≥ 0 (0: the default, %v)", retry.BaseDelay, pdm.DefaultRetryBaseDelay)
 	case !(chaos.PTransient >= 0 && chaos.PTransient <= 1):
 		err = probability("PTransient", chaos.PTransient)
 	case !(chaos.PBitFlip >= 0 && chaos.PBitFlip <= 1):

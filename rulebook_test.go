@@ -117,7 +117,7 @@ func TestRuleBook(t *testing.T) {
 		{"negative attempts", 1000, []colsort.Option{colsort.WithRetry(colsort.RetryPolicy{MaxAttempts: -7})}, "retries=-7",
 			"colsort: WithRetry: MaxAttempts -7 must be ≥ 0"},
 		{"negative backoff", 1000, []colsort.Option{colsort.WithRetry(colsort.RetryPolicy{BaseDelay: -time.Microsecond})}, "retry-base-us=-1",
-			"colsort: WithRetry: BaseDelay -1µs and MaxDelay 0s must be ≥ 0"},
+			"colsort: WithRetry: BaseDelay -1µs must be ≥ 0 (0: the default, 200µs)"},
 		{"probability 1.5", 1000, []colsort.Option{colsort.WithChaos(&colsort.ChaosConfig{Seed: 1, PTransient: 1.5})}, "chaos-p-transient=1.5",
 			"colsort: ChaosConfig.PTransient = 1.5: a probability must be in [0, 1]"},
 		{"key field past the record's end", 1000, []colsort.Option{colsort.WithKeySpec(colsort.KeySpec{Offset: 60, Width: 8})}, "key-offset=60&key-width=8",
