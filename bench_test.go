@@ -247,24 +247,31 @@ func BenchmarkLocalSort(b *testing.B) {
 	}
 }
 
+// BenchmarkMergeRuns is the k-way merge kernel on the shapes the passes run:
+// a column of n records of z bytes made of k sorted runs (step 1 of every
+// pass after the first at g = 1 merges s runs; the in-core sort's steps 3 and
+// 5 merge P).
 func BenchmarkMergeRuns(b *testing.B) {
-	for _, k := range []int{2, 8, 64} {
-		b.Run(fmt.Sprintf("k=%d", k), func(b *testing.B) {
-			const n = 1 << 15
-			src := record.Make(n, 16)
-			record.Fill(src, record.Uniform{Seed: 1}, 0)
-			for i := 0; i < k; i++ {
-				sortalg.Sort(src.Sub(i*n/k, (i+1)*n/k))
+	for _, k := range []int{2, 4, 32, 64} {
+		for _, n := range []int{1 << 12, 1 << 14} {
+			for _, z := range []int{16, 64} {
+				b.Run(fmt.Sprintf("k=%d/n=%d/z=%d", k, n, z), func(b *testing.B) {
+					src := record.Make(n, z)
+					record.Fill(src, record.Uniform{Seed: 1}, 0)
+					for i := 0; i < k; i++ {
+						sortalg.Sort(src.Sub(i*n/k, (i+1)*n/k))
+					}
+					dst := record.Make(n, z)
+					runs := sortalg.ContiguousRuns(n, k)
+					var sc sortalg.Scratch
+					b.SetBytes(int64(n) * int64(z))
+					b.ResetTimer()
+					for i := 0; i < b.N; i++ {
+						sc.MergeRunsInto(dst, src, runs)
+					}
+				})
 			}
-			dst := record.Make(n, 16)
-			runs := sortalg.ContiguousRuns(n, k)
-			var sc sortalg.Scratch
-			b.SetBytes(int64(n) * 16)
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				sc.MergeRunsInto(dst, src, runs)
-			}
-		})
+		}
 	}
 }
 

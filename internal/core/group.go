@@ -169,9 +169,9 @@ type groupRound struct {
 
 	// Boundary pass at g ≥ 2: the final blocks this round completed.
 	writes []blockWrite
-	// Boundary pass at g = 1: the sorted overlap and my column's two final
-	// halves — views of buf, of merged, or a received buffer.
-	merged, finalTop, finalBot record.Slice
+	// Boundary pass at g = 1: my column's two final halves — views of buf, or
+	// a received buffer.
+	finalTop, finalBot record.Slice
 }
 
 // groupStages are the stages both group passes open with: the round source

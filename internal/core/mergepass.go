@@ -66,16 +66,17 @@ func runMergePass(pr *cluster.Proc, pl Plan, spec groupSpec, in, out *pdm.Store,
 		if err != nil {
 			return rd, err
 		}
-		merged := pool.Get(r, z)
-		sortalg.MergeInto(merged, prevBot, rd.buf.Sub(0, h))
+		// The low half of the overlap is column col−1's final bottom: it is
+		// merged straight into the buffer that carries it back. The high half,
+		// column col's final top, is merged in place into the top half.
+		top := rd.buf.Sub(0, h)
+		back := pool.Get(h, z)
+		sortalg.MergeLow(back, prevBot, top)
+		sortalg.MergeHigh(top, prevBot, top)
 		pool.Put(prevBot)
 		cMerge.CompareUnits += sim.MergeWork(r, 2)
-		cMerge.MovedBytes += int64(len(merged.Data))
-		rd.merged = merged
-		rd.finalTop = merged.Sub(h, r)
-		// The low half is column col−1's final bottom; send it back.
-		back := pool.Get(h, z)
-		back.Copy(merged.Sub(0, h))
+		cMerge.MovedBytes += int64(r * z)
+		rd.finalTop = top
 		if err := pr.Send(&cMerge, (p+P-1)%P, tagF(rd.col-1), back); err != nil {
 			return rd, err
 		}
@@ -103,12 +104,11 @@ func runMergePass(pr *cluster.Proc, pl Plan, spec groupSpec, in, out *pdm.Store,
 			return err
 		}
 		// Recycle this round's buffers: finalTop and finalBot are views of
-		// buf or merged (or a received buffer, for finalBot off the last
-		// column), so only the owning buffers go back.
+		// buf (or a received buffer, for finalBot off the last column), so
+		// only the owning buffers go back.
 		if rd.col+1 < s {
 			pool.Put(rd.finalBot) // received whole-message buffer
 		}
-		pool.Put(rd.merged) // zero Slice for column 0: no-op
 		pool.Put(rd.buf)
 		if onRound != nil {
 			onRound()

@@ -115,15 +115,20 @@ func ioOnlyTotals(pl core.Plan) sim.Counters {
 // incoreSortTotals mirrors one distributed in-core columnsort of the whole
 // cluster on blocks of n records made of sorted runs of runLen (0: unsorted)
 // — incore.Columnsort.Sort with that RunLen: step 1 sorts, merges n/runLen
-// runs or, at one run, takes the block as it is (no gather either); steps 3
-// and 5 are P-way merges.
+// runs or, at one run, takes the block as it is; steps 3 and 5 are P-way
+// merges. Every record is copied once by each of the three (step 1's output is
+// dealt straight into the step-2 send buffers — even a block taken as it is,
+// except at P = 1, where it is handed back untouched) and by the boundary
+// merges.
 func incoreSortTotals(n, p, z, runLen int) sim.Counters {
 	var c sim.Counters
 	nz := int64(n) * int64(z)
 	step1, gather := sim.SortWork(n), nz
 	switch {
-	case runLen == n:
+	case runLen == n && p == 1:
 		step1, gather = 0, 0
+	case runLen == n:
+		step1 = 0
 	case runLen > 0:
 		step1 = sim.MergeWork(n, n/runLen)
 	}
@@ -134,7 +139,7 @@ func incoreSortTotals(n, p, z, runLen int) sim.Counters {
 		return c
 	}
 	c.CompareUnits += 2*p64*sim.MergeWork(n, p) + (p64-1)*sim.MergeWork(n, 2)
-	c.MovedBytes += 6*p64*nz + 2*(p64-1)*nz
+	c.MovedBytes += 2*p64*nz + 2*(p64-1)*nz
 	// Two all-to-alls (steps 2 and 4) plus the neighbour boundary merges.
 	c.LocalMsgs = 2 * p64
 	c.LocalBytes = 2 * nz

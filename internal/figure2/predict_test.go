@@ -86,9 +86,8 @@ func validationPlans(t *testing.T) []core.Plan {
 }
 
 // TestPredictorMatchesMeasured pins the closed-form counters to reality:
-// disk bytes, message counts and network bytes must match EXACTLY;
-// comparison work and memory movement within a small tolerance (they
-// differ only in boundary-column terms).
+// disk bytes, message counts, network bytes, comparison work and memory
+// movement must all match EXACTLY.
 func TestPredictorMatchesMeasured(t *testing.T) {
 	for _, pl := range validationPlans(t) {
 		got := measure(t, pl)
@@ -110,24 +109,16 @@ func TestPredictorMatchesMeasured(t *testing.T) {
 				t.Errorf("%s pass %d: bytes measured net=%d local=%d predicted net=%d local=%d",
 					pl, k+1, g.NetBytes, g.LocalBytes, w.NetBytes, w.LocalBytes)
 			}
-			if !within(g.CompareUnits, w.CompareUnits, 0.05) {
+			if g.CompareUnits != w.CompareUnits {
 				t.Errorf("%s pass %d: compare units measured %d predicted %d",
 					pl, k+1, g.CompareUnits, w.CompareUnits)
 			}
-			if !within(g.MovedBytes, w.MovedBytes, 0.15) {
+			if g.MovedBytes != w.MovedBytes {
 				t.Errorf("%s pass %d: moved bytes measured %d predicted %d",
 					pl, k+1, g.MovedBytes, w.MovedBytes)
 			}
 		}
 	}
-}
-
-func within(a, b int64, tol float64) bool {
-	if a == b {
-		return true
-	}
-	fa, fb := float64(a), float64(b)
-	return math.Abs(fa-fb) <= tol*math.Max(math.Abs(fa), math.Abs(fb))
 }
 
 // TestEligibilityMatrix is experiment E8: the planner reproduces exactly

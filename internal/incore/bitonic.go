@@ -41,7 +41,6 @@ func (bs Bitonic) Sort(pr Comm, cnt *sim.Counters, tagBase int, local record.Sli
 		return record.Slice{}, fmt.Errorf("incore: bitonic needs a power-of-two processor count, got %d", p)
 	}
 
-	merged := pool.Get(2*n, z)
 	tag := tagBase
 	for k := 2; k <= p; k <<= 1 {
 		for j := k >> 1; j > 0; j >>= 1 {
@@ -62,18 +61,20 @@ func (bs Bitonic) Sort(pr Comm, cnt *sim.Counters, tagBase int, local record.Sli
 			}
 			tag++
 
-			sortalg.MergeInto(merged, cur, theirs)
-			pool.Put(theirs)
-			cnt.CompareUnits += sim.MergeWork(2*n, 2)
-			cnt.MovedBytes += int64(len(merged.Data))
+			// Merge-split: merge only the half this processor keeps.
+			kept := pool.Get(n, z)
 			if keepLow {
-				cur.Copy(merged.Sub(0, n))
+				sortalg.MergeLow(kept, cur, theirs)
 			} else {
-				cur.Copy(merged.Sub(n, 2*n))
+				sortalg.MergeHigh(kept, cur, theirs)
 			}
+			pool.Put(theirs)
+			pool.Put(cur)
+			cur = kept
+			cnt.CompareUnits += sim.MergeWork(n, 2)
+			cnt.MovedBytes += int64(len(kept.Data))
 		}
 	}
-	pool.Put(merged)
 	return cur, nil
 }
 

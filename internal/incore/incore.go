@@ -82,8 +82,10 @@ func scratchOf(sc *sortalg.Scratch) *sortalg.Scratch {
 // sorts, and only when the caller knows nothing about its blocks. The
 // transposes of steps 2 and 4 each deliver P sorted chunks — one per source
 // processor, the records it sent in rank order — so steps 3 and 5 are P-way
-// merges of the chunks laid end to end (a sort does not care where a chunk
-// lands, so step 4's reshape is a bulk copy per source, not an interleave).
+// merges of the chunks where they arrived (a sort does not care where a chunk
+// lands, so step 4's reshape needs no interleave). No record is copied except
+// by a sort or merge: each writes its records straight into the buffers they
+// leave in.
 type Columnsort struct {
 	Pool    *record.Pool     // optional buffer pool (nil: allocate per call)
 	Scratch *sortalg.Scratch // optional sort scratch; NOT concurrency-safe
@@ -110,113 +112,88 @@ func (Columnsort) CheckShape(n, p int) error {
 	return nil
 }
 
-// sortLocal is step 1: it consumes local and returns it in sorted order,
-// doing only the work the declared run structure leaves.
-func (cs Columnsort) sortLocal(sc *sortalg.Scratch, cnt *sim.Counters, local record.Slice) record.Slice {
-	n, k := local.Len(), 0
+// runs is the number of declared runs in a block of n records (0: unknown).
+func (cs Columnsort) runs(n int) int {
 	if cs.RunLen > 0 && n%cs.RunLen == 0 {
-		k = n / cs.RunLen
+		return n / cs.RunLen
 	}
-	if k == 1 {
-		return local // one run: already sorted
-	}
-	out := cs.Pool.Get(n, local.Size)
-	if k > 1 {
-		sc.MergeChunksInto(out, local, k)
-		cnt.CompareUnits += sim.MergeWork(n, k)
-	} else {
-		sc.SortInto(out, local)
-		cnt.CompareUnits += sim.SortWork(n)
-	}
-	cs.Pool.Put(local)
-	cnt.MovedBytes += int64(len(out.Data))
-	return out
-}
-
-// exchangeChunks runs one of the two transposes: out[d] goes to processor d,
-// and the chunk from source q lands at [q·n/P, (q+1)·n/P) of cur. Every
-// chunk arrives sorted, so cur is left as P contiguous sorted runs.
-func (cs Columnsort) exchangeChunks(pr Comm, cnt *sim.Counters, tag int, out []record.Slice, cur record.Slice) error {
-	in, err := pr.AllToAll(cnt, tag, out)
-	if err != nil {
-		return err
-	}
-	off := 0
-	for _, msg := range in {
-		off += copy(cur.Data[off:], msg.Data)
-		cs.Pool.Put(msg)
-	}
-	record.PutHeaders(in)
-	cnt.MovedBytes += int64(len(cur.Data))
-	return nil
+	return 0
 }
 
 func (cs Columnsort) Sort(pr Comm, cnt *sim.Counters, tagBase int, local record.Slice) (record.Slice, error) {
 	p := pr.NProcs()
-	n := local.Len()
+	n, z := local.Len(), local.Size
 	pool, sc := cs.Pool, scratchOf(cs.Scratch)
-	if p == 1 {
-		return cs.sortLocal(sc, cnt, local), nil
+	k := cs.runs(n)
+	if p == 1 && k == 1 {
+		return local, nil // one run: already sorted
 	}
 	if err := cs.CheckShape(n, p); err != nil {
 		return record.Slice{}, err
 	}
-	z := local.Size
 	chunk := n / p
 
-	// Step 1: local sort.
-	cur := cs.sortLocal(sc, cnt, local)
-
-	// Step 2: transpose & reshape. Local position i of in-core column q
-	// goes to column (i mod P) at local position q·(n/P) + ⌊i/P⌋. Send the
-	// records with i ≡ d (mod P) to processor d, in increasing i order;
-	// the batch from source q lands contiguously at [q·n/P, (q+1)·n/P).
+	// Steps 1–2: local sort, transpose & reshape. Local position i of in-core
+	// column q goes to column (i mod P) at local position q·(n/P) + ⌊i/P⌋, so
+	// the sort (or the merge of the declared runs, or at one run the block as
+	// it is) deals its output round-robin straight into the P send buffers.
 	out := record.GetHeaders(p)
 	defer record.PutHeaders(out)
-	for d := 0; d < p; d++ {
-		buf := pool.Get(chunk, z)
-		for k := 0; k < chunk; k++ {
-			buf.CopyRecord(k, cur, k*p+d)
-		}
-		cnt.MovedBytes += int64(len(buf.Data))
-		out[d] = buf
+	for d := range out {
+		out[d] = pool.Get(chunk, z)
 	}
-	if err := cs.exchangeChunks(pr, cnt, tagBase+0, out, cur); err != nil {
+	if k >= 1 {
+		sc.MergeSlices(out, true, sc.Chunks(local, k))
+		cnt.CompareUnits += sim.MergeWork(n, k)
+	} else {
+		sc.SortDealt(out, local)
+		cnt.CompareUnits += sim.SortWork(n)
+	}
+	pool.Put(local)
+	cnt.MovedBytes += int64(n * z)
+	if p == 1 {
+		return out[0], nil
+	}
+	in, err := pr.AllToAll(cnt, tagBase+0, out)
+	if err != nil {
 		return record.Slice{}, err
 	}
 
-	// Step 3: local sort — a merge of the P chunks step 2 delivered.
-	tmp := pool.Get(n, z)
-	sc.MergeChunksInto(tmp, cur, p)
-	cur, tmp = tmp, cur
-	cnt.CompareUnits += sim.MergeWork(n, p)
-	cnt.MovedBytes += int64(len(cur.Data))
-
-	// Step 4: reshape & transpose. Chunk d (positions [d·n/P, (d+1)·n/P))
-	// of column q goes to column d. Its rows there are those ≡ q (mod P),
-	// but step 5 sorts the column whatever the rows, so the chunk lands
-	// where step 2's did and stays one run.
-	for d := 0; d < p; d++ {
-		buf := pool.Get(chunk, z)
-		copy(buf.Data, cur.Data[d*chunk*z:(d+1)*chunk*z])
-		cnt.MovedBytes += int64(len(buf.Data))
-		out[d] = buf
+	// Step 3: local sort — a merge of the P chunks step 2 delivered, read
+	// where they arrived. Step 4 sends chunk d of the result (positions
+	// [d·n/P, (d+1)·n/P)) to column d, so the merge fills processor d's send
+	// buffer with it. Its rows there are those ≡ q (mod P), but step 5 sorts
+	// the column whatever the rows, so the chunk stays one run.
+	for d := range out {
+		out[d] = pool.Get(chunk, z)
 	}
-	if err := cs.exchangeChunks(pr, cnt, tagBase+1, out, cur); err != nil {
+	cs.mergeArrivals(sc, cnt, out, in, n, z)
+	if in, err = pr.AllToAll(cnt, tagBase+1, out); err != nil {
 		return record.Slice{}, err
 	}
 
-	// Steps 5–8: local sort — again a P-way merge — then fused boundary
-	// merges with neighbours.
-	sc.MergeChunksInto(tmp, cur, p)
-	cur, tmp = tmp, cur
-	pool.Put(tmp)
-	cnt.CompareUnits += sim.MergeWork(n, p)
-	cnt.MovedBytes += int64(len(cur.Data))
+	// Steps 5–8: local sort — again a P-way merge, into the block — then fused
+	// boundary merges with neighbours.
+	out[0] = pool.Get(n, z)
+	cur := out[0]
+	cs.mergeArrivals(sc, cnt, out[:1], in, n, z)
 	if err := boundaryMerge(pr, cnt, tagBase+2, cur, pool); err != nil {
 		return record.Slice{}, err
 	}
 	return cur, nil
+}
+
+// mergeArrivals is steps 3 and 5: the P-way merge of an all-to-all's n sorted
+// arrivals of z bytes into lanes, filled one after another; the arrivals go
+// back to the pool.
+func (cs Columnsort) mergeArrivals(sc *sortalg.Scratch, cnt *sim.Counters, lanes, in []record.Slice, n, z int) {
+	sc.MergeSlices(lanes, false, in)
+	for _, msg := range in {
+		cs.Pool.Put(msg)
+	}
+	cnt.CompareUnits += sim.MergeWork(n, len(in))
+	cnt.MovedBytes += int64(n * z)
+	record.PutHeaders(in)
 }
 
 // boundaryMerge performs the fused steps 5–8 of columnsort across a row of
@@ -224,8 +201,8 @@ func (cs Columnsort) Sort(pr Comm, cnt *sim.Counters, tagBase int, local record.
 // top half of block q is the high half of merge(bottom(q−1), top(q)), and
 // the final bottom half is the low half of merge(bottom(q), top(q+1)).
 // It uses two tags: tagBase (bottom halves moving right) and tagBase+1
-// (final bottoms moving left). Its half-column and merge buffers come from
-// pool (nil: allocate per call).
+// (final bottoms moving left). Its half-column buffers come from pool (nil:
+// allocate per call).
 func boundaryMerge(pr Comm, cnt *sim.Counters, tagBase int, local record.Slice, pool *record.Pool) error {
 	p, q := pr.NProcs(), pr.Rank()
 	n := local.Len()
@@ -247,23 +224,21 @@ func boundaryMerge(pr Comm, cnt *sim.Counters, tagBase int, local record.Slice, 
 			return err
 		}
 	}
-	// Merge my top half with the left neighbour's bottom half.
+	// Merge my top half with the left neighbour's bottom half: the low half
+	// goes straight into the buffer that carries it back as the left
+	// neighbour's final bottom, the high half in place into my top.
 	if q > 0 {
 		prevBot, err := pr.Recv(q-1, tagBase)
 		if err != nil {
 			return err
 		}
-		merged := pool.Get(n, z)
-		sortalg.MergeInto(merged, prevBot, local.Sub(0, h))
+		top := local.Sub(0, h)
+		back := pool.Get(h, z)
+		sortalg.MergeLow(back, prevBot, top)
+		sortalg.MergeHigh(top, prevBot, top)
 		pool.Put(prevBot)
 		cnt.CompareUnits += sim.MergeWork(n, 2)
-		cnt.MovedBytes += int64(len(merged.Data))
-		// High half becomes my final top; low half is the left
-		// neighbour's final bottom.
-		local.Sub(0, h).Copy(merged.Sub(h, n))
-		back := pool.Get(h, z)
-		back.Copy(merged.Sub(0, h))
-		pool.Put(merged)
+		cnt.MovedBytes += int64(n * z)
 		if err := pr.Send(cnt, q-1, tagBase+1, back); err != nil {
 			return err
 		}

@@ -206,15 +206,12 @@ func columnsortSteps(m Matrix) {
 func (m Matrix) shiftSortShift() {
 	m.SortColumns() // step 5 (and step 7's sortedness precondition)
 	r, h := m.R, m.R/2
-	merged := record.Make(r, m.Recs.Size)
-	prevBottom := record.Make(h, m.Recs.Size)
+	low := record.Make(h, m.Recs.Size)
 	for j := 1; j < m.S; j++ {
-		left := m.Column(j - 1)
-		right := m.Column(j)
-		prevBottom.Copy(left.Sub(h, r))
-		sortalg.MergeInto(merged, prevBottom, right.Sub(0, h))
-		left.Sub(h, r).Copy(merged.Sub(0, h))
-		right.Sub(0, h).Copy(merged.Sub(h, r))
+		bottom, top := m.Column(j-1).Sub(h, r), m.Column(j).Sub(0, h)
+		sortalg.MergeLow(low, bottom, top)
+		sortalg.MergeHigh(top, bottom, top)
+		bottom.Copy(low)
 	}
 }
 

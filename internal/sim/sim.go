@@ -43,7 +43,10 @@ type Counters struct {
 
 	// CPU work. CompareUnits approximates comparison work (n·⌈lg n⌉ for a
 	// sort of n, n·⌈lg k⌉ for a k-way merge); MovedBytes counts record
-	// bytes copied by sort gathers, permute stages and message packing.
+	// bytes copied in memory — by sort gathers, merges (half merges
+	// included), permute stages, message packing and half-column copies —
+	// each copy charged once, where it happens. A fabric's transport copy
+	// is network traffic, not a move.
 	CompareUnits int64 `json:"compare_units"`
 	MovedBytes   int64 `json:"moved_bytes"`
 

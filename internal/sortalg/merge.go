@@ -7,68 +7,107 @@ import (
 	"colsort/internal/tournament"
 )
 
-// Run describes a sorted subsequence of a record buffer: records at
-// positions Start, Start+Stride, ..., Start+(Count-1)*Stride. The write
-// patterns of columnsort passes leave each column as a set of such runs
-// (contiguous runs after pass 1, stride-s interleaved runs after pass 2),
-// and the next pass's sort stage exploits them by merging instead of
-// sorting from scratch — the optimization footnote 5 of the paper describes.
+// Run describes a sorted block [Start, Start+Count) of a record buffer. The
+// passes know the run structure of what they read (the paper's footnote 5) and
+// merge instead of sorting from scratch; Run is how a caller holding one
+// buffer names its runs (MergeRunsInto).
 type Run struct {
-	Start, Stride, Count int
+	Start, Count int
 }
-
-// validate panics on malformed run descriptors; these are always produced
-// by pass planners, so errors are programmer bugs.
-func (r Run) validate(n int) {
-	if r.Count < 0 || r.Stride < 1 || r.Start < 0 {
-		panic(fmt.Sprintf("sortalg: bad run %+v", r))
-	}
-	if r.Count > 0 && r.Start+(r.Count-1)*r.Stride >= n {
-		panic(fmt.Sprintf("sortalg: run %+v exceeds buffer of %d records", r, n))
-	}
-}
-
-// Contiguous returns the run descriptor for a plain sorted block [start,
-// start+count).
-func Contiguous(start, count int) Run { return Run{Start: start, Stride: 1, Count: count} }
 
 // ContiguousRuns cuts n records into k equal contiguous runs.
-func ContiguousRuns(n, k int) []Run { return appendContiguousRuns(nil, n, k) }
-
-// appendContiguousRuns appends ContiguousRuns(n, k) to runs.
-func appendContiguousRuns(runs []Run, n, k int) []Run {
+func ContiguousRuns(n, k int) []Run {
 	if k <= 0 || n%k != 0 {
 		panic(fmt.Sprintf("sortalg: cannot cut %d records into %d equal runs", n, k))
 	}
-	for i := 0; i < k; i++ {
-		runs = append(runs, Contiguous(i*(n/k), n/k))
+	runs := make([]Run, k)
+	for i := range runs {
+		runs[i] = Run{Start: i * (n / k), Count: n / k}
 	}
 	return runs
 }
 
-// MergeRunsInto merges the sorted runs of src into dst in total order.
-// The runs must cover src exactly (the merge checks total count only, since
-// overlapping-run bugs surface immediately in sortedness tests). For k ≤ 2
-// it uses direct merges; otherwise a loser tree. It allocates tree state
-// per call; pipeline code should prefer Scratch.MergeRunsInto.
+// MergeRunsInto merges the sorted runs of src into dst in total order. The
+// runs must cover src exactly (the merge checks total count only, since
+// overlapping-run bugs surface immediately in sortedness tests). It allocates
+// tree state per call; pipeline code should prefer Scratch.MergeRunsInto.
 func MergeRunsInto(dst, src record.Slice, runs []Run) {
 	var sc Scratch
 	sc.MergeRunsInto(dst, src, runs)
 }
 
-func mergeCoverage(total, n int) string {
-	return fmt.Sprintf("sortalg: runs cover %d of %d records", total, n)
+// checkLanes panics unless lanes can hold exactly n records of the given size
+// in the chosen layout: any lengths summing to n when filled one after
+// another; when dealt, the lengths a round-robin deal of n records produces
+// (lane d holds ranks d, d+L, d+2L, …).
+func checkLanes(lanes []record.Slice, deal bool, n, size int) {
+	if n > 1<<31-1 {
+		panic("sortalg: buffer exceeds 2^31 records")
+	}
+	total, L := 0, len(lanes)
+	for d, l := range lanes {
+		if n > 0 && l.Size != size {
+			panic(fmt.Sprintf("sortalg: lane of %d-byte records for %d-byte records", l.Size, size))
+		}
+		if deal && l.Len() != (n-d+L-1)/L {
+			panic(fmt.Sprintf("sortalg: lane %d of %d holds %d records, a deal of %d gives it %d", d, L, l.Len(), n, (n-d+L-1)/L))
+		}
+		total += l.Len()
+	}
+	if total != n {
+		panic(fmt.Sprintf("sortalg: lanes hold %d records, the input has %d", total, n))
+	}
 }
 
-// MergeInto merges two independently stored sorted slices a and b into dst.
-// Used by the fused steps 5–8 boundary merges, where the two halves come
-// from different columns (and often different processors).
-func MergeInto(dst, a, b record.Slice) {
-	if dst.Len() != a.Len()+b.Len() || dst.Size != a.Size || a.Size != b.Size {
-		panic("sortalg: MergeInto size mismatch")
+// MergeLow writes the dst.Len() smallest records of the merge of the sorted
+// slices a and b into dst, in order: the low half of a boundary merge, the
+// half a merge-split keeps on the low side, or — at dst.Len() = a.Len() +
+// b.Len() — the whole merge. dst must not alias a or b.
+func MergeLow(dst, a, b record.Slice) {
+	checkHalf(dst, a, b)
+	mergeFront(dst, a, b)
+}
+
+// MergeHigh writes the dst.Len() largest records of the merge of the sorted
+// slices a and b into dst, in order. dst may be b itself (the same records of
+// the same buffer): the merge then runs in place, which is how a boundary
+// merge leaves its high half where the top half of the block was — after
+// MergeLow has taken the low half out of it. Otherwise dst must not alias a
+// or b.
+func MergeHigh(dst, a, b record.Slice) {
+	checkHalf(dst, a, b)
+	// Split the merge at rank m = |a|+|b|−|dst| (the co-rank search of a
+	// merge-path split), then merge the tails front to back. In place this is
+	// safe: while a lasts, the write position stays behind b's read position
+	// (the tail of a holds exactly as many records as b's low part freed), and
+	// once a is spent the rest of b is already where it belongs.
+	m := a.Len() + b.Len() - dst.Len()
+	lo, hi := max(0, m-b.Len()), min(m, a.Len())
+	for lo < hi {
+		i := int(uint(lo+hi) >> 1)
+		if record.Compare(a, i, b, m-i-1) <= 0 {
+			lo = i + 1 // a[i] precedes b[m−i−1]: among the low m
+		} else {
+			hi = i
+		}
 	}
+	mergeFront(dst, a.Sub(lo, a.Len()), b.Sub(m-lo, b.Len()))
+}
+
+func checkHalf(dst, a, b record.Slice) {
+	if dst.Len() > a.Len()+b.Len() || dst.Size != a.Size || a.Size != b.Size {
+		panic(fmt.Sprintf("sortalg: half merge of %d+%d records into %d, sizes %d/%d/%d",
+			a.Len(), b.Len(), dst.Len(), a.Size, b.Size, dst.Size))
+	}
+}
+
+// mergeFront fills dst with the first dst.Len() records of the merge of a and
+// b; on a tie a's record goes first. Whatever one side leaves once the other
+// is spent moves as one copy.
+func mergeFront(dst, a, b record.Slice) {
+	z, n := dst.Size, dst.Len()
 	i, j, k := 0, 0, 0
-	for i < a.Len() && j < b.Len() {
+	for ; k < n && i < a.Len() && j < b.Len(); k++ {
 		if record.Compare(b, j, a, i) < 0 {
 			dst.CopyRecord(k, b, j)
 			j++
@@ -76,79 +115,45 @@ func MergeInto(dst, a, b record.Slice) {
 			dst.CopyRecord(k, a, i)
 			i++
 		}
-		k++
 	}
-	for ; i < a.Len(); i++ {
-		dst.CopyRecord(k, a, i)
-		k++
-	}
-	for ; j < b.Len(); j++ {
-		dst.CopyRecord(k, b, j)
-		k++
-	}
-}
-
-func merge2(dst, src record.Slice, ra, rb Run) {
-	ai, bi := 0, 0
-	k := 0
-	for ai < ra.Count && bi < rb.Count {
-		pa := ra.Start + ai*ra.Stride
-		pb := rb.Start + bi*rb.Stride
-		if src.Less(pb, pa) {
-			dst.CopyRecord(k, src, pb)
-			bi++
-		} else {
-			dst.CopyRecord(k, src, pa)
-			ai++
+	if k < n {
+		rest := b.Data[j*z:]
+		if i < a.Len() {
+			rest = a.Data[i*z:]
 		}
-		k++
-	}
-	for ; ai < ra.Count; ai++ {
-		dst.CopyRecord(k, src, ra.Start+ai*ra.Stride)
-		k++
-	}
-	for ; bi < rb.Count; bi++ {
-		dst.CopyRecord(k, src, rb.Start+bi*rb.Stride)
-		k++
+		copy(dst.Data[k*z:], rest)
 	}
 }
 
-// loserTree is the k-way merge over the runs of one buffer, on the shared
-// tournament kernel (internal/tournament): contestant r is run r, its key
-// the 8-byte prefix of the run's front record — loaded once each time the
-// front advances — or record.MaxKey once the run is exhausted. The
-// common-case match is then one 16-byte node load and one uint64 compare —
-// no pointer-chased record loads from a buffer arbitrarily larger than
-// cache, no per-run indirection; only key ties (including the
-// genuine-maximal-key vs exhausted ambiguity) fall back to the cursors and
+// loserTree is the k-way merge over sorted slices, on the shared tournament
+// kernel (internal/tournament): contestant r is run r, its key the 8-byte
+// prefix of the run's front record — loaded once each time the front advances
+// — or record.MaxKey once the run is exhausted. The common-case match is then
+// one 16-byte node load and one uint64 compare — no pointer-chased record
+// loads from buffers arbitrarily larger than cache; only key ties (including
+// the genuine-maximal-key vs exhausted ambiguity) fall back to the cursors and
 // the record bytes. This is what keeps wide merges (k = 64) near the
-// throughput of narrow ones. Both arrays are caller-supplied (a Scratch
+// throughput of narrow ones. Both state arrays are caller-supplied (a Scratch
 // lends its reusable buffers) so that a merge stage allocates nothing in
 // steady state.
 type loserTree struct {
-	src  record.Slice
+	runs []record.Slice
 	node []tournament.Node // the tournament, one entry per run
-	cur  []runCursor       // per-run cursor (position, remaining, stride)
+	cur  []runCursor       // per-run cursor
 }
 
-// runCursor is one run's live state, packed into 16 bytes so a pop touches
-// a single cache line of cursor state.
+// runCursor is one run's live state.
 type runCursor struct {
-	pos    int32 // current source position (records)
-	rem    int32 // records remaining; 0 = exhausted
-	stride int32 // cursor advance per pop
+	pos int32 // index of the run's front record
+	rem int32 // records remaining; 0 = exhausted
 }
 
 // init wires the tree onto the given state (node and cur of length
 // len(runs)) and plays the initial tournament.
-func (t *loserTree) init(src record.Slice, runs []Run, node []tournament.Node, cur []runCursor) {
-	t.src, t.node, t.cur = src, node, cur
-	for r := range runs {
-		t.cur[r] = runCursor{
-			pos:    int32(runs[r].Start),
-			rem:    int32(runs[r].Count),
-			stride: int32(runs[r].Stride),
-		}
+func (t *loserTree) init(runs []record.Slice, node []tournament.Node, cur []runCursor) {
+	t.runs, t.node, t.cur = runs, node, cur
+	for r, run := range runs {
+		t.cur[r] = runCursor{rem: int32(run.Len())}
 	}
 	tournament.Play(node, t.front, t.tieBeats)
 }
@@ -159,7 +164,7 @@ func (t *loserTree) front(r int32) tournament.Node {
 	if t.cur[r].rem == 0 {
 		return tournament.Node{Key: record.MaxKey, ID: r}
 	}
-	return tournament.Node{Key: t.src.Key(int(t.cur[r].pos)), ID: r}
+	return tournament.Node{Key: t.runs[r].Key(int(t.cur[r].pos)), ID: r}
 }
 
 // tieBeats resolves a key-prefix tie between runs o and w: exhausted runs
@@ -174,17 +179,17 @@ func (t *loserTree) tieBeats(o, w int32) bool {
 	if cw.rem == 0 {
 		return true
 	}
-	c := record.Compare(t.src, int(co.pos), t.src, int(cw.pos))
+	c := record.Compare(t.runs[o], int(co.pos), t.runs[w], int(cw.pos))
 	if c != 0 {
 		return c < 0
 	}
 	return o < w
 }
 
-// pop returns the source position of the next record in merge order and
-// advances its run (reloading its cached key). Calling pop more times than
+// pop returns the run and position of the next record in merge order and
+// advances that run (reloading its cached key). Calling pop more times than
 // there are records panics.
-func (t *loserTree) pop() int {
+func (t *loserTree) pop() (int32, int) {
 	w := t.node[0].ID
 	c := &t.cur[w]
 	if c.rem == 0 {
@@ -194,10 +199,9 @@ func (t *loserTree) pop() int {
 	c.rem--
 	key := record.MaxKey
 	if c.rem > 0 {
-		np := p + int(c.stride)
-		c.pos = int32(np)
-		key = t.src.Key(np)
+		c.pos++
+		key = t.runs[w].Key(p + 1)
 	}
 	tournament.Replay(t.node, w, key, t.tieBeats)
-	return p
+	return w, p
 }

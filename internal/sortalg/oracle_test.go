@@ -13,22 +13,20 @@ func detectRuns(s record.Slice) []Run {
 	start := 0
 	for i := 1; i < n; i++ {
 		if s.Less(i, i-1) {
-			runs = append(runs, Contiguous(start, i-start))
+			runs = append(runs, Run{start, i - start})
 			start = i
 		}
 	}
-	return append(runs, Contiguous(start, n-start))
+	return append(runs, Run{start, n - start})
 }
 
-// heapMergeRunsInto is a simple binary-heap k-way merge used as a reference
-// implementation to cross-check the loser tree in tests.
-func heapMergeRunsInto(dst, src record.Slice, runs []Run) {
-	checkInto(dst, src)
+// heapMerge is a simple binary-heap k-way merge of sorted slices into dst,
+// the reference the loser tree is cross-checked against in tests.
+func heapMerge(dst record.Slice, runs []record.Slice) {
 	type cur struct{ run, next int }
 	h := make([]cur, 0, len(runs))
-	pos := func(c cur) int { return runs[c.run].Start + c.next*runs[c.run].Stride }
 	lessCur := func(a, b cur) bool {
-		c := record.Compare(src, pos(a), src, pos(b))
+		c := record.Compare(runs[a.run], a.next, runs[b.run], b.next)
 		if c != 0 {
 			return c < 0
 		}
@@ -52,7 +50,7 @@ func heapMergeRunsInto(dst, src record.Slice, runs []Run) {
 		}
 	}
 	for r := range runs {
-		if runs[r].Count > 0 {
+		if len(runs[r].Data) > 0 {
 			h = append(h, cur{run: r})
 		}
 	}
@@ -62,10 +60,10 @@ func heapMergeRunsInto(dst, src record.Slice, runs []Run) {
 	k := 0
 	for len(h) > 0 {
 		top := h[0]
-		dst.CopyRecord(k, src, pos(top))
+		dst.CopyRecord(k, runs[top.run], top.next)
 		k++
 		top.next++
-		if top.next < runs[top.run].Count {
+		if top.next < runs[top.run].Len() {
 			h[0] = top
 		} else {
 			h[0] = h[len(h)-1]
@@ -73,4 +71,16 @@ func heapMergeRunsInto(dst, src record.Slice, runs []Run) {
 		}
 		down(0)
 	}
+	if k != dst.Len() {
+		panic("heapMerge: runs do not fill dst")
+	}
+}
+
+// cut returns the runs of src as slices.
+func cut(src record.Slice, runs []Run) []record.Slice {
+	v := make([]record.Slice, len(runs))
+	for i, r := range runs {
+		v[i] = src.Sub(r.Start, r.Start+r.Count)
+	}
+	return v
 }

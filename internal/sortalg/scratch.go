@@ -26,7 +26,7 @@ type Scratch struct {
 	count []int             // radix digit histogram
 	node  []tournament.Node // loser tree: the tournament (key + run id)
 	cur   []runCursor       // loser tree: per-run cursors
-	runs  []Run             // MergeChunksInto: descriptors of the last shape merged
+	runs  []record.Slice    // views of one buffer's runs (Chunks, MergeRunsInto)
 }
 
 // scratchFree keeps the Scratches of finished passes for the next pass — of
@@ -91,6 +91,15 @@ func (sc *Scratch) treeBufs(k int) (node []tournament.Node, cur []runCursor) {
 	return sc.node[:k], sc.cur[:k]
 }
 
+// views returns the scratch's slice-header buffer at length k, for cutting one
+// buffer into the runs the merge reads.
+func (sc *Scratch) views(k int) []record.Slice {
+	if cap(sc.runs) < k {
+		sc.runs = make([]record.Slice, k)
+	}
+	return sc.runs[:k]
+}
+
 // SortInto sorts the records of src into dst with the adaptive radix kernel
 // (radixKV), reusing the scratch buffers. dst and src must have the same
 // record size and length and must not alias.
@@ -101,8 +110,21 @@ func (sc *Scratch) SortInto(dst, src record.Slice) {
 // SortIntoAlg sorts src into dst with an explicit algorithm choice, reusing
 // the scratch buffers.
 func (sc *Scratch) SortIntoAlg(dst, src record.Slice, alg Algorithm) {
+	sc.sortDealt([]record.Slice{dst}, src, alg)
+}
+
+// SortDealt sorts src with the radix kernel and deals the result round-robin
+// over lanes: rank i lands in lanes[i mod L] at position ⌊i/L⌋, so each lane
+// is itself sorted. Dealt over one lane it is SortInto. The lanes must have
+// src's record size and the lengths the deal gives them, and must not alias
+// src.
+func (sc *Scratch) SortDealt(lanes []record.Slice, src record.Slice) {
+	sc.sortDealt(lanes, src, Radix)
+}
+
+func (sc *Scratch) sortDealt(lanes []record.Slice, src record.Slice, alg Algorithm) {
 	n := src.Len()
-	checkInto(dst, src)
+	checkLanes(lanes, true, n, src.Size)
 	kvs := pairs(&sc.kvs, n)
 	// and/or fold to the bits on which the keys do not all agree — what the
 	// radix kernel picks its digit from — at no extra pass over src.
@@ -123,51 +145,71 @@ func (sc *Scratch) SortIntoAlg(dst, src record.Slice, alg Algorithm) {
 	default:
 		panic(badAlg(alg))
 	}
-	gather(dst, src, kvs)
+	gather(lanes, src, kvs)
 }
 
-// MergeRunsInto merges the sorted runs of src into dst in total order,
-// reusing the scratch's loser-tree state. Semantics match the package-level
-// MergeRunsInto.
-func (sc *Scratch) MergeRunsInto(dst, src record.Slice, runs []Run) {
-	checkInto(dst, src)
-	total := 0
-	for _, r := range runs {
-		r.validate(src.Len())
-		total += r.Count
-	}
-	if total != src.Len() {
-		panic(mergeCoverage(total, src.Len()))
-	}
-	switch len(runs) {
-	case 0:
-		return
-	case 1:
-		r := runs[0]
-		for i := 0; i < r.Count; i++ {
-			dst.CopyRecord(i, src, r.Start+i*r.Stride)
+// gather deals the records of src, in the order kvs lists them, round-robin
+// over lanes.
+func gather(lanes []record.Slice, src record.Slice, kvs []kv) {
+	d, row := 0, 0
+	for _, e := range kvs {
+		lanes[d].CopyRecord(row, src, int(e.idx))
+		if d++; d == len(lanes) {
+			d, row = 0, row+1
 		}
-		return
-	case 2:
-		merge2(dst, src, runs[0], runs[1])
+	}
+}
+
+// MergeSlices is the one k-way merge: it merges the sorted slices runs, in
+// total order, into lanes — filled one after another, or (deal) dealt
+// round-robin as SortDealt deals — reading every record where it lies and
+// writing it once, straight into the buffer it leaves in. Runs may be empty
+// but carry their record size, the lanes must hold exactly the records of the
+// runs, and no lane may alias a run. It reuses the scratch's loser-tree state.
+func (sc *Scratch) MergeSlices(lanes []record.Slice, deal bool, runs []record.Slice) {
+	n, size := 0, 0
+	for _, r := range runs {
+		n, size = n+r.Len(), r.Size
+	}
+	checkLanes(lanes, deal, n, size)
+	if n == 0 {
 		return
 	}
 	node, cur := sc.treeBufs(len(runs))
 	var t loserTree
-	t.init(src, runs, node, cur)
-	for i := 0; i < total; i++ {
-		dst.CopyRecord(i, src, t.pop())
+	t.init(runs, node, cur)
+	d, row, end := 0, 0, lanes[0].Len()
+	for range n {
+		for !deal && row == end { // filled: on to the next lane
+			d, row, end = d+1, 0, lanes[d+1].Len()
+		}
+		w, p := t.pop()
+		lanes[d].CopyRecord(row, runs[w], p)
+		if !deal {
+			row++
+		} else if d++; d == len(lanes) {
+			d, row = 0, row+1
+		}
 	}
 }
 
-// MergeChunksInto merges src, which consists of k equal contiguous sorted
-// chunks, into dst. The chunk descriptors live in the scratch and are rebuilt
-// only when the shape (records, chunks) changes, so a stage that merges
-// same-shaped buffers round after round neither allocates nor recomputes
-// them. k must divide src.Len().
-func (sc *Scratch) MergeChunksInto(dst, src record.Slice, k int) {
-	if n := src.Len(); k < 1 || len(sc.runs) != k || sc.runs[0].Count*k != n {
-		sc.runs = appendContiguousRuns(sc.runs[:0], n, k)
+// MergeRunsInto merges the sorted runs of src into dst in total order — the
+// one-buffer spelling of MergeSlices. The runs must cover src exactly.
+func (sc *Scratch) MergeRunsInto(dst, src record.Slice, runs []Run) {
+	v := sc.views(len(runs))
+	for i, r := range runs {
+		v[i] = src.Sub(r.Start, r.Start+r.Count)
 	}
-	sc.MergeRunsInto(dst, src, sc.runs)
+	sc.MergeSlices([]record.Slice{dst}, false, v)
+}
+
+// Chunks cuts src into k equal contiguous views — the runs of a block that
+// consists of k sorted chunks — in the scratch's header buffer, valid until
+// the next Chunks or MergeRunsInto. k must divide src.Len().
+func (sc *Scratch) Chunks(src record.Slice, k int) []record.Slice {
+	v, c := sc.views(k), src.Len()/k
+	for i := range v {
+		v[i] = src.Sub(i*c, (i+1)*c)
+	}
+	return v
 }

@@ -83,22 +83,6 @@ func Sort(s record.Slice) {
 	s.Copy(tmp)
 }
 
-func checkInto(dst, src record.Slice) {
-	if dst.Size != src.Size || dst.Len() != src.Len() {
-		panic(fmt.Sprintf("sortalg: dst %d×%dB and src %d×%dB mismatch",
-			dst.Len(), dst.Size, src.Len(), src.Size))
-	}
-	if src.Len() > 1<<31-1 {
-		panic("sortalg: buffer exceeds 2^31 records")
-	}
-}
-
-func gather(dst, src record.Slice, kvs []kv) {
-	for i, e := range kvs {
-		dst.CopyRecord(i, src, int(e.idx))
-	}
-}
-
 // less orders kv pairs by key then by the underlying record payload.
 func less(a, b kv, src record.Slice) bool {
 	if a.key != b.key {

@@ -3,7 +3,6 @@ package sortalg
 import (
 	"bytes"
 	"encoding/binary"
-	"fmt"
 	"math/bits"
 	"math/rand"
 	"testing"
@@ -274,6 +273,7 @@ func TestSortIntoMismatchPanics(t *testing.T) {
 	SortInto(record.Make(3, 16), record.Make(4, 16))
 }
 
+// TestMergeInto: a full-width MergeLow is the whole two-way merge.
 func TestMergeInto(t *testing.T) {
 	a := record.Make(10, 16)
 	b := record.Make(15, 16)
@@ -282,7 +282,7 @@ func TestMergeInto(t *testing.T) {
 	Sort(a)
 	Sort(b)
 	dst := record.Make(25, 16)
-	MergeInto(dst, a, b)
+	MergeLow(dst, a, b)
 	if !dst.IsSorted() {
 		t.Fatal("MergeInto not sorted")
 	}
@@ -299,11 +299,11 @@ func TestMergeIntoEmptyHalves(t *testing.T) {
 	fillRandom(b, 3)
 	Sort(b)
 	dst := record.Make(5, 16)
-	MergeInto(dst, a, b)
+	MergeLow(dst, a, b)
 	if !dst.IsSorted() {
 		t.Fatal("MergeInto with empty a failed")
 	}
-	MergeInto(dst, b, a)
+	MergeLow(dst, b, a)
 	if !dst.IsSorted() {
 		t.Fatal("MergeInto with empty b failed")
 	}
@@ -330,32 +330,49 @@ func TestMergeRunsContiguous(t *testing.T) {
 	}
 }
 
+// TestMergeRunsStrided: the strided runs a round-robin deal leaves — lane d
+// holds ranks d, d+k, d+2k, … — merge back into the sort, and a merge dealt
+// over k lanes deals exactly as the sort does.
 func TestMergeRunsStrided(t *testing.T) {
-	// Strided runs: sort positions i, i+k, ... for each i, then merge.
-	k, per := 8, 64
-	n := k * per
-	src := record.Make(n, 16)
-	fillRandom(src, 5)
-	// Sort each strided run by extracting, sorting, writing back.
-	for i := 0; i < k; i++ {
-		tmp := record.Make(per, 16)
-		for j := 0; j < per; j++ {
-			tmp.CopyRecord(j, src, i+j*k)
+	for _, k := range []int{1, 2, 3, 8} {
+		for _, n := range []int{0, 1, 7, 8 * 64, 8*64 + 5} {
+			src := record.Make(n, 16)
+			fillRandom(src, uint64(n+k))
+			want := record.Make(n, 16)
+			SortInto(want, src)
+			var sc Scratch
+			lanes := dealLanes(n, k, 16)
+			sc.SortDealt(lanes, src)
+			for d, l := range lanes {
+				for i := 0; i < l.Len(); i++ {
+					if !bytes.Equal(l.Record(i), want.Record(d+i*k)) {
+						t.Fatalf("k=%d n=%d: lane %d position %d is not rank %d", k, n, d, i, d+i*k)
+					}
+				}
+			}
+			got := record.Make(n, 16)
+			sc.MergeSlices([]record.Slice{got}, false, lanes)
+			if !bytes.Equal(got.Data, want.Data) {
+				t.Fatalf("k=%d n=%d: merge of the dealt lanes is not the sort", k, n)
+			}
+			again := dealLanes(n, k, 16)
+			sc.MergeSlices(again, true, lanes)
+			for d := range lanes {
+				if !bytes.Equal(again[d].Data, lanes[d].Data) {
+					t.Fatalf("k=%d n=%d: a dealt merge differs from the dealt sort in lane %d", k, n, d)
+				}
+			}
 		}
-		Sort(tmp)
-		for j := 0; j < per; j++ {
-			src.CopyRecord(i+j*k, tmp, j)
-		}
 	}
-	want := checksum(src)
-	dst := record.Make(n, 16)
-	MergeRunsInto(dst, src, StridedRuns(n, k))
-	if !dst.IsSorted() {
-		t.Fatal("strided merge not sorted")
+}
+
+// dealLanes makes the k lanes a deal of n records of size z fills.
+func dealLanes(n, k, z int) []record.Slice {
+	lanes := make([]record.Slice, k)
+	for d := range lanes {
+		lanes[d] = record.Make((n-d+k-1)/k, z)
 	}
-	if !checksum(dst).Equal(want) {
-		t.Fatal("strided merge changed multiset")
-	}
+	return lanes
 }
 
 func TestLoserTreeMatchesHeapMerge(t *testing.T) {
@@ -373,7 +390,7 @@ func TestLoserTreeMatchesHeapMerge(t *testing.T) {
 		a := record.Make(n, 16)
 		b := record.Make(n, 16)
 		MergeRunsInto(a, src, runs)
-		heapMergeRunsInto(b, src, runs)
+		heapMerge(b, cut(src, runs))
 		for i := range a.Data {
 			if a.Data[i] != b.Data[i] {
 				t.Fatalf("trial %d: loser tree and heap merge disagree at byte %d", trial, i)
@@ -386,7 +403,7 @@ func TestMergeRunsWithEmptyRuns(t *testing.T) {
 	src := record.Make(10, 16)
 	fillRandom(src, 8)
 	Sort(src)
-	runs := []Run{Contiguous(0, 4), {Start: 4, Stride: 1, Count: 0}, Contiguous(4, 6), {Start: 0, Stride: 1, Count: 0}}
+	runs := []Run{{0, 4}, {Start: 4, Count: 0}, {4, 6}, {Start: 0, Count: 0}}
 	dst := record.Make(10, 16)
 	MergeRunsInto(dst, src, runs)
 	if !dst.IsSorted() {
@@ -402,7 +419,7 @@ func TestMergeRunsCoverageMismatchPanics(t *testing.T) {
 	}()
 	src := record.Make(10, 16)
 	dst := record.Make(10, 16)
-	MergeRunsInto(dst, src, []Run{Contiguous(0, 4)})
+	MergeRunsInto(dst, src, []Run{{0, 4}})
 }
 
 func TestRunValidatePanics(t *testing.T) {
@@ -413,7 +430,7 @@ func TestRunValidatePanics(t *testing.T) {
 	}()
 	src := record.Make(4, 16)
 	dst := record.Make(4, 16)
-	MergeRunsInto(dst, src, []Run{{Start: 0, Stride: 2, Count: 4}})
+	MergeRunsInto(dst, src, []Run{{Start: 2, Count: 4}})
 }
 
 func TestDetectRuns(t *testing.T) {
@@ -423,7 +440,7 @@ func TestDetectRuns(t *testing.T) {
 		s.SetKey(i, k)
 	}
 	runs := detectRuns(s)
-	want := []Run{Contiguous(0, 3), Contiguous(3, 2), Contiguous(5, 4)}
+	want := []Run{{0, 3}, {3, 2}, {5, 4}}
 	if len(runs) != len(want) {
 		t.Fatalf("got %d runs %v, want %v", len(runs), runs, want)
 	}
@@ -462,18 +479,4 @@ func TestAlgorithmString(t *testing.T) {
 	if Algorithm(99).String() != "Algorithm(99)" {
 		t.Fatal("unknown Algorithm.String wrong")
 	}
-}
-
-// StridedRuns describes n records as k interleaved runs of stride k:
-// run i is positions i, i+k, i+2k, .... This is the run structure left in
-// each column by the reshape-transpose write of columnsort step 4.
-func StridedRuns(n, k int) []Run {
-	if k <= 0 || n%k != 0 {
-		panic(fmt.Sprintf("sortalg: cannot view %d records as %d strided runs", n, k))
-	}
-	runs := make([]Run, k)
-	for i := range runs {
-		runs[i] = Run{Start: i, Stride: k, Count: n / k}
-	}
-	return runs
 }
