@@ -1,7 +1,7 @@
 package colsort
 
-// Tests of the hierarchical (above-bound) Sort path: run formation on a
-// persistent fabric, spilled sorted runs, and the streaming k-way merge.
+// Tests of the hierarchical (above-bound) Sort path: replacement-selection
+// run formation, spilled sorted runs, and the streaming k-way merge.
 //
 // The acceptance bar (ISSUE 4): a file-backed input at least 3× larger than
 // the largest single-run bound sorts via Sorter.Sort with output

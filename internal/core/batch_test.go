@@ -22,9 +22,9 @@ func batchPlan(t *testing.T) (Plan, pdm.Machine) {
 	return pl, pdm.Machine{P: p, D: p, Pools: record.NewPools(p)}
 }
 
-// TestBatchRunnerMatchesRun pins that B batches on one persistent fabric
-// produce byte-identical outputs and identical counters to B independent
-// core.Run calls.
+// TestBatchRunnerMatchesRun pins that B batches through one runner produce
+// byte-identical outputs and identical counters to B independent core.Run
+// calls, and that a closed runner refuses work.
 func TestBatchRunnerMatchesRun(t *testing.T) {
 	testutil.CheckGoroutines(t)
 	pl, m := batchPlan(t)
@@ -67,17 +67,13 @@ func TestBatchRunnerMatchesRun(t *testing.T) {
 	if err := br.Close(); err != nil {
 		t.Fatal(err)
 	}
-	// Run after Close must report the shutdown, never panic on the closed
-	// jobs channel (run several times: the select race was probabilistic).
-	for i := 0; i < 8; i++ {
-		in, err := pl.NewInput(m, record.Uniform{Seed: 9})
-		if err != nil {
-			t.Fatal(err)
-		}
-		if _, err := br.Run(in, Hooks{}); err == nil {
-			t.Fatal("Run on a closed BatchRunner returned no error")
-		}
-		in.Close()
+	in, err := pl.NewInput(m, record.Uniform{Seed: 9})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer in.Close()
+	if _, err := br.Run(in, Hooks{}); err == nil {
+		t.Fatal("Run on a closed BatchRunner returned no error")
 	}
 }
 
@@ -120,7 +116,7 @@ func TestBatchRunnerCancel(t *testing.T) {
 	}
 	defer in2.Close()
 	if _, err := br.Run(in2, Hooks{}); err == nil {
-		t.Fatal("Run on a dead fabric returned no error")
+		t.Fatal("Run under a cancelled context returned no error")
 	}
 	br.Close()
 }

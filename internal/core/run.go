@@ -133,9 +133,9 @@ func runPassList(ctx context.Context, pl Plan, m pdm.Machine, input *pdm.Store, 
 	if pools == nil {
 		pools = record.NewPools(pl.P)
 	}
-	job := newPassJob(pl, input, hooks, len(passes), 0)
+	job := newPassJob(pl, input, hooks, len(passes))
 	err := cluster.RunCtxFabric(ctx, pl.P, fabricOf(m), func(pr *cluster.Proc) error {
-		return runPasses(ctx, pr, pl, m, passes, pools, passTagWindow(pl), job)
+		return runPasses(ctx, pr, pl, m, passes, pools, job)
 	})
 	if err != nil {
 		return nil, job.fail(pl, err)
@@ -164,22 +164,18 @@ func checkRunInput(pl Plan, m pdm.Machine, input *pdm.Store) error {
 	return nil
 }
 
-// passJob is the shared state of ONE engine execution on a cluster fabric:
-// the input, the store chain, the per-pass counters and the hooks. Run
-// executes a single job on a fresh fabric; a BatchRunner executes a stream
-// of jobs on a persistent one.
+// passJob is what the ranks of one Run share: the store chain (stores[0] is
+// the input), the per-pass counters, the hooks and the first failed pass.
 type passJob struct {
-	input      *pdm.Store
 	hooks      Hooks
-	tagBase    int // start of this job's tag space on the shared fabric
 	stores     []*pdm.Store
 	cnts       [][]sim.Counters
 	storeErr   error
 	failedPass atomic.Int64
 }
 
-func newPassJob(pl Plan, input *pdm.Store, hooks Hooks, nPasses, tagBase int) *passJob {
-	j := &passJob{input: input, hooks: hooks, tagBase: tagBase}
+func newPassJob(pl Plan, input *pdm.Store, hooks Hooks, nPasses int) *passJob {
+	j := &passJob{hooks: hooks}
 	j.stores = make([]*pdm.Store, nPasses+1)
 	j.stores[0] = input
 	j.cnts = make([][]sim.Counters, nPasses)
@@ -215,8 +211,8 @@ func (j *passJob) fail(pl Plan, err error) error {
 // confirms the pass is globally complete, so at most three stores are ever
 // open — file-backed machines would otherwise hold every pass's disk files
 // at once.
-func runPasses(ctx context.Context, pr *cluster.Proc, pl Plan, m pdm.Machine, passes []passFunc, pools []*record.Pool, window int, job *passJob) error {
-	rounds := pl.Rounds()
+func runPasses(ctx context.Context, pr *cluster.Proc, pl Plan, m pdm.Machine, passes []passFunc, pools []*record.Pool, job *passJob) error {
+	rounds, window := pl.Rounds(), passTagWindow(pl)
 	for k, pass := range passes {
 		// A cancellation between passes is caught here even when the
 		// pass itself performs no communication (the baselines).
@@ -245,7 +241,7 @@ func runPasses(ctx context.Context, pr *cluster.Proc, pl Plan, m pdm.Machine, pa
 				hooks.Progress(Progress{Pass: kk + 1, Passes: len(passes), Round: done, Rounds: rounds})
 			}
 		}
-		if err := pass(pr, job.stores[k], job.stores[k+1], job.tagBase+k*window, pools[pr.Rank()], &job.cnts[k][pr.Rank()], onRound); err != nil {
+		if err := pass(pr, job.stores[k], job.stores[k+1], k*window, pools[pr.Rank()], &job.cnts[k][pr.Rank()], onRound); err != nil {
 			job.failedPass.CompareAndSwap(-1, int64(k))
 			return err
 		}

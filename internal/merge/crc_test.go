@@ -132,29 +132,41 @@ func TestScrubCatchesTornWrite(t *testing.T) {
 	}
 }
 
-// TestUnframedRunCompatibility: a Run constructed without a CRC sidecar
-// (the legacy on-disk shape) still merges — verification simply does not
-// engage.
-func TestUnframedRunCompatibility(t *testing.T) {
-	testutil.CheckLeaks(t, "")
-	const n, z, chunk = 256, 16, 32
+// TestReopenRefusesBadGeometry: every run is CRC-framed, so a persisted
+// geometry no Writer produces — no frame, a frame that splits records, a
+// sidecar short of or beyond the run's frames — is refused when the run is
+// reopened, never read unverified.
+func TestReopenRefusesBadGeometry(t *testing.T) {
+	const n, z, chunk = 100, 16, 32
 	recs := record.Make(n, z)
 	record.Fill(recs, record.Uniform{Seed: 11}, 0)
-	sortSlice(recs)
-	d := pdm.NewMemDisk()
-	if err := d.WriteAt(recs.Data, 0); err != nil {
-		t.Fatal(err)
-	}
-	run := &Run{Disk: d, RecSize: z, Records: int64(n)}
+	run := buildRun(t, pdm.Machine{P: 1, D: 1}, recs, chunk)
 	defer run.Close()
-	if run.framed() {
-		t.Fatal("hand-built run reports framed")
-	}
-	out, _, _, err := collect(t, context.Background(), []*Run{run}, z, Options{ChunkRecs: chunk})
-	if err != nil {
-		t.Fatalf("unframed merge: %v", err)
-	}
-	if !bytes.Equal(out.Data, recs.Data) {
-		t.Fatal("unframed merge produced wrong bytes")
+	crcs := run.CRCs() // 4 frames: 32 + 32 + 32 + 4 records
+	for _, tc := range []struct {
+		name    string
+		records int64
+		frame   int
+		crcs    []uint32
+		ok      bool
+	}{
+		{"as written", n, chunk * z, crcs, true},
+		{"no frame", n, 0, nil, false},
+		{"frame splits a record", n, chunk*z + z/2, crcs, false},
+		{"sidecar short a frame", n, chunk * z, crcs[:3], false},
+		{"sidecar a frame long", n, chunk * z, append(crcs[:4:4], 0), false},
+		{"negative length", -1, chunk * z, nil, false},
+	} {
+		got, err := Reopen(run.Disk, z, tc.records, false, tc.frame, tc.crcs)
+		if (err == nil) != tc.ok {
+			t.Errorf("%s: Reopen err = %v, want ok = %v", tc.name, err, tc.ok)
+			continue
+		}
+		if tc.ok {
+			out, _, _, err := collect(t, context.Background(), []*Run{got}, z, Options{ChunkRecs: chunk})
+			if err != nil || !bytes.Equal(out.Data, recs.Data) {
+				t.Errorf("%s: the reopened run does not merge back to its records (err %v)", tc.name, err)
+			}
+		}
 	}
 }

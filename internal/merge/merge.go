@@ -23,9 +23,10 @@ var ErrCorrupt = errors.New("merge: run chunk failed CRC verification")
 
 // Options tunes one merge.
 type Options struct {
-	// ChunkRecs is the records per emitted chunk and per run-read chunk
-	// (< 1 selects DefaultChunkRecs). Peak merge memory is roughly
-	// (k + emitDepth + 1) · ChunkRecs · recSize bytes for k runs.
+	// ChunkRecs is the records per emitted chunk (< 1 selects
+	// DefaultChunkRecs); each run reader loads one CRC frame at a time. Peak
+	// merge memory is roughly k frames plus (emitDepth + 1) · ChunkRecs ·
+	// recSize bytes for k runs.
 	ChunkRecs int
 	// Progress, when non-nil, receives the cumulative emitted record count
 	// after each chunk. Called from the merge goroutine, sequentially.
@@ -88,7 +89,7 @@ func Merge(ctx context.Context, runs []*Run, emit func(record.Slice) error, opt 
 
 	readers := make([]Reader, len(runs))
 	for i, r := range runs {
-		readers[i] = *NewReader(r, chunkRecs, opt.Pool)
+		readers[i] = *NewReader(r, opt.Pool)
 		readers[i].faults = opt.Faults
 	}
 	for i := range readers {

@@ -290,7 +290,7 @@ func TestWriterReaderRoundTrip(t *testing.T) {
 		recs := record.Make(n, z)
 		record.Fill(recs, record.Uniform{Seed: uint64(n)}, 0)
 		run := buildRun(t, m, recs, 32)
-		rd := NewReader(run, 32, nil)
+		rd := NewReader(run, nil)
 		if err := rd.Prime(); err != nil {
 			t.Fatal(err)
 		}

@@ -46,7 +46,7 @@ func TestReverseReaderRoundTrip(t *testing.T) {
 		record.Fill(recs, record.Uniform{Seed: uint64(n)}, 0)
 		run := buildDescRun(t, m, recs, 32)
 		sortSlice(recs) // ascending reference
-		rd := NewReader(run, 32, nil)
+		rd := NewReader(run, nil)
 		if err := rd.Prime(); err != nil {
 			t.Fatal(err)
 		}
@@ -156,7 +156,6 @@ func FuzzReverseReader(f *testing.F) {
 	f.Fuzz(func(t *testing.T, zSel, chunkSel uint8, desc bool, data []byte) {
 		z := 8 * (1 + int(zSel)%4) // 8, 16, 24, 32
 		writeChunk := 1 + int(chunkSel)%7
-		readChunk := 1 + int(chunkSel/8)%5
 		n := len(data) / z
 		if n == 0 {
 			return
@@ -178,7 +177,7 @@ func FuzzReverseReader(f *testing.F) {
 		defer run.Close()
 		run.Descending = desc
 
-		rd := NewReader(run, readChunk, nil)
+		rd := NewReader(run, nil)
 		if err := rd.Prime(); err != nil {
 			t.Fatal(err)
 		}

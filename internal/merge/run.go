@@ -41,10 +41,10 @@ var castagnoli = crc32.MakeTable(crc32.Castagnoli)
 // contiguously from offset 0 of Disk. The Run owns the disk; Close releases
 // it (removing a file-backed spill).
 //
-// Runs written by Writer are CRC-framed: every FrameBytes-aligned chunk
-// (the last one shorter) has its CRC32C recorded in a sidecar index that
-// lives with the Run, computed from the writer's buffer BEFORE the bytes
-// enter the write path. Readers verify each chunk as it is loaded, so bit
+// Every Run is CRC-framed: each FrameBytes-aligned chunk (the last one
+// shorter) has its CRC32C recorded in a sidecar index that lives with the
+// Run, computed from the writer's buffer BEFORE the bytes enter the write
+// path. Readers verify each chunk as it is loaded, so bit
 // rot, torn writes and in-flight corruption on the spill path are detected
 // (ErrCorrupt) instead of flowing silently into "verified" output.
 type Run struct {
@@ -58,34 +58,34 @@ type Run struct {
 	// are identical to an ascending run's.
 	Descending bool
 
-	// FrameBytes is the CRC frame length (0: unframed legacy run); crcs[i]
+	// FrameBytes is the CRC frame length, a whole number of records; crcs[i]
 	// is the CRC32C of bytes [i·FrameBytes, min((i+1)·FrameBytes, Bytes())).
 	FrameBytes int
 	crcs       []uint32
 }
 
-// framed reports whether the run carries a CRC sidecar index.
-func (r *Run) framed() bool { return r.FrameBytes > 0 && r.crcs != nil }
-
-// CRCs returns the run's CRC32C sidecar index (nil for an unframed run).
-// The caller must not mutate it; it is exposed so a durability layer can
-// persist the sidecar alongside the run and hand it back to Reopen.
+// CRCs returns the run's CRC32C sidecar index. The caller must not mutate
+// it; it is exposed so a durability layer can persist the sidecar alongside
+// the run and hand it back to Reopen.
 func (r *Run) CRCs() []uint32 { return r.crcs }
 
 // Reopen reconstructs a Run around an already-written disk from persisted
 // metadata — the resume path's counterpart to Writer.Finish. The crcs slice
 // is the sidecar a manifest recorded when the run was spilled; the reopened
 // run verifies every frame against it on read, so a run damaged between the
-// crash and the resume is detected exactly like in-flight corruption.
-func Reopen(d pdm.Disk, recSize int, records int64, descending bool, frameBytes int, crcs []uint32) *Run {
-	return &Run{
-		Disk:       d,
-		RecSize:    recSize,
-		Records:    records,
-		Descending: descending,
-		FrameBytes: frameBytes,
-		crcs:       crcs,
+// crash and the resume is detected exactly like in-flight corruption. A
+// geometry no Writer produces — a frame that is not a positive whole number
+// of records, or a sidecar that does not cover the run frame for frame — is
+// refused: reading it would leave bytes unverified or records split.
+func Reopen(d pdm.Disk, recSize int, records int64, descending bool, frameBytes int, crcs []uint32) (*Run, error) {
+	if records < 0 || recSize < 1 || frameBytes < recSize || frameBytes%recSize != 0 {
+		return nil, fmt.Errorf("merge: reopen: %d records in frames of %d bytes is no run of %d-byte records", records, frameBytes, recSize)
 	}
+	r := &Run{Disk: d, RecSize: recSize, Records: records, Descending: descending, FrameBytes: frameBytes, crcs: crcs}
+	if frames := (r.Bytes() + int64(frameBytes) - 1) / int64(frameBytes); int64(len(crcs)) != frames {
+		return nil, fmt.Errorf("merge: reopen: %d CRCs for a run of %d frames", len(crcs), frames)
+	}
+	return r, nil
 }
 
 // readFrameVerified reads the frame-aligned extent [off, off+len(buf)) and
@@ -97,9 +97,6 @@ func Reopen(d pdm.Disk, recSize int, records int64, descending bool, frameBytes 
 func (r *Run) readFrameVerified(buf []byte, off int64, faults *pdm.FaultStats) error {
 	if err := r.Disk.ReadAt(buf, off); err != nil {
 		return fmt.Errorf("merge: read run: %w", err)
-	}
-	if !r.framed() {
-		return nil
 	}
 	idx := int(off / int64(r.FrameBytes))
 	if idx >= len(r.crcs) || off%int64(r.FrameBytes) != 0 {
@@ -132,9 +129,6 @@ func (r *Run) readFrameVerified(buf []byte, off int64, faults *pdm.FaultStats) e
 // verified — Reader.load's one-ahead rule — so the readback of one frame
 // overlaps the staging of the next, on every disk the run is striped over.
 func (r *Run) Scrub(ctx context.Context, faults *pdm.FaultStats) error {
-	if !r.framed() {
-		return nil
-	}
 	pf, _ := r.Disk.(pdm.Prefetcher)
 	buf := make([]byte, r.FrameBytes)
 	// frame returns the length of the frame at off (0 past the end).
@@ -303,18 +297,11 @@ type Reader struct {
 }
 
 // NewReader opens a reader over run in the direction run.Descending
-// selects, loading chunkRecs records per disk read. A CRC-framed run
-// overrides the chunk size with its frame length, so every load is exactly
-// one verifiable frame. The chunk buffer is drawn from pool (nil: the heap);
+// selects, loading one CRC frame per disk read, so every load is exactly one
+// verifiable frame. The chunk buffer is drawn from pool (nil: the heap);
 // whoever passes one returns the reader's chunk to it when done.
-func NewReader(run *Run, chunkRecs int, pool *record.Pool) *Reader {
-	if chunkRecs < 1 {
-		chunkRecs = 1
-	}
-	chunkBytes := int64(chunkRecs * run.RecSize)
-	if run.framed() {
-		chunkBytes = int64(run.FrameBytes)
-	}
+func NewReader(run *Run, pool *record.Pool) *Reader {
+	chunkBytes := int64(run.FrameBytes)
 	r := &Reader{
 		run:        run,
 		chunk:      pool.GetBytes(int(chunkBytes)),

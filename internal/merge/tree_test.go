@@ -110,11 +110,11 @@ func (t *refTree) pop() error {
 }
 
 // primedReaders opens one primed reader per run.
-func primedReaders(t *testing.T, runs []*Run, chunkRecs int) []Reader {
+func primedReaders(t *testing.T, runs []*Run) []Reader {
 	t.Helper()
 	readers := make([]Reader, len(runs))
 	for i, r := range runs {
-		readers[i] = *NewReader(r, chunkRecs, nil)
+		readers[i] = *NewReader(r, nil)
 		if err := readers[i].Prime(); err != nil {
 			t.Fatal(err)
 		}
@@ -163,8 +163,8 @@ func FuzzMergeTree(f *testing.F) {
 		}
 
 		var ref refTree
-		ref.init(primedReaders(t, runs, chunk))
-		got := newTourney(primedReaders(t, runs, chunk))
+		ref.init(primedReaders(t, runs))
+		got := newTourney(primedReaders(t, runs))
 		var want bytes.Buffer
 		for n := 0; ; n++ {
 			a, b := ref.winner(), got.winner()
@@ -228,7 +228,7 @@ func TestMergeTreeEdges(t *testing.T) {
 			}
 			var boundary []byte // last record of run 1's first chunk
 			if tc.wrap != nil {
-				boundary = append(boundary, primedReaders(t, runs[1:2], chunk)[0].chunk[(chunk-1)*z:chunk*z]...)
+				boundary = append(boundary, primedReaders(t, runs[1:2])[0].chunk[(chunk-1)*z:chunk*z]...)
 				runs[1].Disk = tc.wrap(runs[1].Disk)
 			}
 			var faults pdm.FaultStats

@@ -184,3 +184,26 @@ func TestResumeLegacyManifest(t *testing.T) {
 		}
 	})
 }
+
+// TestResumeRefusesDamagedSidecar: every spilled run is CRC-framed, so a
+// manifest run whose frame geometry or CRC sidecar no writer produced is
+// refused before the merge reads a byte of it — never merged unverified.
+func TestResumeRefusesDamagedSidecar(t *testing.T) {
+	raw := genRaw(1024, 16, record.Uniform{Seed: 51})
+	for _, tc := range []struct{ name, old, new string }{
+		{"no frame", `"frame_bytes":1024,"crcs":[1160893933,557955388,3770670801,42478674]`, `"frame_bytes":0,"crcs":null`},
+		{"sidecar short a frame", `,42478674]`, `]`},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			tmp := t.TempDir()
+			dir := filepath.Join(tmp, "ckpt")
+			lines := append([]string(nil), fixedBatchManifest...)
+			lines[1] = strings.Replace(lines[1], tc.old, tc.new, 1)
+			legacyCheckpoint(t, dir, lines, raw)
+			_, err := legacySorter(t, filepath.Join(tmp, "scratch")).Resume(context.Background(), dir, nil, Discard())
+			if err == nil || !strings.Contains(err.Error(), "durable run 1:") {
+				t.Fatalf("Resume: err = %v, want durable run 1 refused", err)
+			}
+		})
+	}
+}

@@ -147,8 +147,9 @@ func (e *Engine) Resume(ctx context.Context, manifestDir string, src Source, dst
 // reopenRuns reopens the manifest's live runs as merge inputs: each durable
 // spill file, wrapped with the machine's fault and async layers exactly as a
 // freshly spilled run would be, carrying the record count, direction, frame
-// geometry and CRC sidecar the manifest recorded. On any failure the runs
-// already opened are closed (keep-on-close: their files stay).
+// geometry and CRC sidecar the manifest recorded; a geometry no writer
+// produces is refused. On any failure the runs already opened are closed
+// (keep-on-close: their files stay).
 func reopenRuns(m pdm.Machine, live []*manifestRun, recSize int) (runs []hierRun, err error) {
 	defer func() {
 		if err != nil {
@@ -171,7 +172,12 @@ func reopenRuns(m pdm.Machine, live []*manifestRun, recSize int) (runs []hierRun
 		if openErr != nil {
 			return runs, fmt.Errorf("colsort: resume: reopening run %d: %w", mr.ID, openErr)
 		}
-		run := merge.Reopen(m.WrapSpillDisk(d, idx), recSize, mr.Records, mr.Descending, mr.FrameBytes, mr.CRCs)
+		wd := m.WrapSpillDisk(d, idx)
+		run, reopenErr := merge.Reopen(wd, recSize, mr.Records, mr.Descending, mr.FrameBytes, mr.CRCs)
+		if reopenErr != nil {
+			wd.Close()
+			return runs, fmt.Errorf("colsort: resume: durable run %d: %w; the checkpoint directory is damaged", mr.ID, reopenErr)
+		}
 		runs = append(runs, hierRun{run: run, id: mr.ID})
 	}
 	return runs, nil
