@@ -40,7 +40,10 @@ func TestCheckDistributed(t *testing.T) {
 		t.Fatal("a lost record accepted")
 	}
 	unsorted := blocks()
-	unsorted[0].Swap(0, n-1)
+	first := record.Make(1, z)
+	first.CopyRecord(0, unsorted[0], 0)
+	unsorted[0].CopyRecord(0, unsorted[0], n-1) // the block's first and last exchanged
+	unsorted[0].CopyRecord(n-1, first, 0)
 	if err := checkDistributed(unsorted, want); err == nil {
 		t.Fatal("an unsorted block accepted")
 	}

@@ -79,22 +79,10 @@ type Engine struct {
 	active  int
 	queue   []*waiter
 
-	completed int64
-	failed    int64
-	cum       sim.Counters // engine passes of completed jobs
-	cumFaults FaultStats   // fault-tolerance activity of all jobs, failed included
-
-	// Hierarchical run-formation accounting of completed jobs (see the
-	// matching EngineStats fields).
-	runsFormed       int64
-	downRunsFormed   int64
-	runRecordsFormed int64
-	mergeLevelsRun   int64
-
-	// Durable-job accounting: jobs that resumed from a manifest, and the
-	// verified runs they adopted without re-sorting.
-	jobsResumed int64
-	runsResumed int64
+	// cum is the ledger of finished jobs: its cumulative fields (job
+	// counts, Counters, Faults, the run-formation and resume tallies) are
+	// what Stats reports; its live fields stay zero.
+	cum EngineStats
 }
 
 // waiter is one queued admission request. granted and err are written
@@ -347,25 +335,26 @@ func (e *Engine) runJob(ctx context.Context, o sortOptions, ask int64, run func(
 func (e *Engine) finishJob(res *Result, faults FaultStats, err error) {
 	e.mu.Lock()
 	defer e.mu.Unlock()
+	c := &e.cum
 	if err != nil {
-		e.failed++
+		c.FailedJobs++
 	} else {
-		e.completed++
+		c.CompletedJobs++
 	}
 	if res != nil && res.Result != nil {
-		e.cum.Add(res.Result.TotalCounters())
+		c.Counters.Add(res.Result.TotalCounters())
 	}
 	if res != nil && res.Merge != nil {
-		e.runsFormed += int64(res.Merge.Runs)
-		e.downRunsFormed += int64(res.Merge.DownRuns)
-		e.runRecordsFormed += res.RealRecords()
-		e.mergeLevelsRun += int64(res.Merge.Levels)
+		c.RunsFormed += int64(res.Merge.Runs)
+		c.DownRunsFormed += int64(res.Merge.DownRuns)
+		c.RunRecordsFormed += res.RealRecords()
+		c.MergeLevelsRun += int64(res.Merge.Levels)
 		if res.Merge.ResumedRuns > 0 {
-			e.jobsResumed++
-			e.runsResumed += int64(res.Merge.ResumedRuns)
+			c.JobsResumed++
+			c.RunsResumed += int64(res.Merge.ResumedRuns)
 		}
 	}
-	e.cumFaults.Add(faults)
+	c.Faults.Add(faults)
 }
 
 // EngineStats is a point-in-time snapshot of an Engine; see Engine.Stats.
@@ -425,23 +414,9 @@ func (e *Engine) Config() Config { return e.cfg }
 // cumulative accounting, plus the current buffer-pool occupancy.
 func (e *Engine) Stats() EngineStats {
 	e.mu.Lock()
-	st := EngineStats{
-		ActiveJobs:       e.active,
-		QueuedJobs:       len(e.queue),
-		CompletedJobs:    e.completed,
-		FailedJobs:       e.failed,
-		LeasedBytes:      e.leased,
-		PeakLeasedBytes:  e.peak,
-		TotalMemory:      e.total,
-		Counters:         e.cum,
-		Faults:           e.cumFaults,
-		RunsFormed:       e.runsFormed,
-		DownRunsFormed:   e.downRunsFormed,
-		RunRecordsFormed: e.runRecordsFormed,
-		MergeLevelsRun:   e.mergeLevelsRun,
-		JobsResumed:      e.jobsResumed,
-		RunsResumed:      e.runsResumed,
-	}
+	st := e.cum
+	st.ActiveJobs, st.QueuedJobs = e.active, len(e.queue)
+	st.LeasedBytes, st.PeakLeasedBytes, st.TotalMemory = e.leased, e.peak, e.total
 	e.mu.Unlock()
 	for _, p := range e.m.Pools {
 		st.PoolFreeBuffers += p.FreeBuffers()

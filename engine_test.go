@@ -11,6 +11,7 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
+	"reflect"
 	"sync"
 	"testing"
 	"time"
@@ -476,34 +477,102 @@ func TestConfigOptionPrecedence(t *testing.T) {
 	})
 }
 
-// TestEngineStatsAccumulate pins the counter-attribution contract: the
-// engine's cumulative counters are the sum over completed jobs, and the
-// warm pool arena reports occupancy after jobs return their buffers.
+// TestEngineStatsAccumulate pins the ledger: after a mix of jobs —
+// single-run, hierarchical (a multi-level merge, and descending runs), a
+// checkpointed job cancelled mid-merge and its resume, a job whose source
+// fails, and a chaos-faulted job that heals — every cumulative EngineStats
+// field is the sum over those jobs' Results (a failed job counts once and
+// returns none; no failed job here runs under chaos, so none has faults to
+// add), and the warm pool arena reports occupancy after jobs return their
+// buffers.
 func TestEngineStatsAccumulate(t *testing.T) {
-	e, err := NewEngine(EngineConfig{Config: Config{Procs: 2, MemPerProc: 256, RecordSize: 16}})
+	const z, n = 16, 4096
+	dir := t.TempDir()
+	e, err := NewEngine(EngineConfig{Config: Config{Procs: 2, MemPerProc: 256, RecordSize: z,
+		Dir: filepath.Join(dir, "scratch")}})
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer e.Close()
-	var want int64
-	for i := 0; i < 3; i++ {
-		res, err := e.Sort(context.Background(), Generate(record.Uniform{Seed: uint64(i)}, 1024),
-			nil, WithPadding(PadNever))
+	var want EngineStats
+	fold := func(res *Result, err error) {
+		t.Helper()
 		if err != nil {
-			t.Fatal(err)
+			want.FailedJobs++
+			return
 		}
-		want += res.Result.TotalCounters().CompareUnits
-		res.Close()
+		defer res.Close()
+		want.CompletedJobs++
+		want.Counters.Add(res.Result.TotalCounters())
+		want.Faults.Add(res.Faults)
+		if m := res.Merge; m != nil {
+			want.RunsFormed += int64(m.Runs)
+			want.DownRunsFormed += int64(m.DownRuns)
+			want.RunRecordsFormed += res.RealRecords()
+			want.MergeLevelsRun += int64(m.Levels)
+			if m.ResumedRuns > 0 {
+				want.JobsResumed++
+				want.RunsResumed += int64(m.ResumedRuns)
+			}
+		}
+	}
+	ctx := context.Background()
+	hier := []Option{WithMaxMemory(512 * z)} // several spilled runs of n
+	for i := 0; i < 3; i++ {
+		fold(e.Sort(ctx, Generate(record.Uniform{Seed: uint64(i)}, 1024), nil, WithPadding(PadNever)))
+	}
+	fold(e.Sort(ctx, Generate(record.Uniform{Seed: 3}, n), Discard(), append(hier, WithMergeFanIn(2))...))
+	fold(e.Sort(ctx, Generate(record.NearlyReverse{Seed: 9, Window: 64}, n), Discard(), hier...))
+
+	ckptDir := filepath.Join(dir, "ckpt")
+	cctx, cancel := context.WithCancel(ctx)
+	defer cancel()
+	var once sync.Once
+	res, err := e.Sort(cctx, Generate(record.Uniform{Seed: 4}, n), Discard(),
+		append(hier, WithMergeFanIn(2), WithCheckpoint(ckptDir), WithProgress(func(ev Progress) {
+			if ev.Pass == 0 && ev.MergedRecords > 0 {
+				once.Do(cancel)
+			}
+		}))...)
+	if !errors.Is(err, context.Canceled) {
+		t.Fatalf("checkpointed sort: err = %v, want context.Canceled", err)
+	}
+	fold(res, err)
+	fold(e.Resume(ctx, ckptDir, Generate(record.Uniform{Seed: 4}, n), Discard()))
+
+	short := make([]byte, 100*z)
+	res, err = e.Sort(ctx, FromReader(bytes.NewReader(short), 1024), Discard())
+	if err == nil {
+		t.Fatal("a source 924 records short was sorted")
+	}
+	fold(res, err)
+	fold(e.Sort(ctx, Generate(record.Uniform{Seed: 5}, n), Discard(),
+		append(hier, WithChaos(&ChaosConfig{Seed: 11, FlipSpillRead: 1}))...))
+
+	// The mix reaches every cumulative field, so a field the ledger dropped
+	// or double-counted shows.
+	for name, v := range map[string]int64{
+		"CompletedJobs": want.CompletedJobs, "FailedJobs": want.FailedJobs,
+		"Counters.CompareUnits": want.Counters.CompareUnits, "Faults.CorruptChunks": want.Faults.CorruptChunks,
+		"RunsFormed": want.RunsFormed, "DownRunsFormed": want.DownRunsFormed,
+		"RunRecordsFormed": want.RunRecordsFormed, "MergeLevelsRun": want.MergeLevelsRun,
+		"JobsResumed": want.JobsResumed, "RunsResumed": want.RunsResumed,
+	} {
+		if v == 0 {
+			t.Errorf("the job mix leaves %s at 0", name)
+		}
 	}
 	st := e.Stats()
-	if st.CompletedJobs != 3 {
-		t.Fatalf("CompletedJobs = %d, want 3", st.CompletedJobs)
-	}
-	if got := st.Counters.CompareUnits; got != want {
-		t.Errorf("cumulative CompareUnits = %d, want the sum over jobs %d", got, want)
-	}
 	if st.PoolFreeBuffers == 0 || st.PoolFreeBytes == 0 {
-		t.Errorf("pool occupancy empty after 3 jobs: %+v buffers, %d bytes",
+		t.Errorf("pool occupancy empty after the jobs: %+v buffers, %d bytes",
 			st.PoolFreeBuffers, st.PoolFreeBytes)
+	}
+	if st.ActiveJobs != 0 || st.QueuedJobs != 0 || st.LeasedBytes != 0 {
+		t.Errorf("live fields after every job returned: %+v", st)
+	}
+	// What remains once the live fields are cleared is the ledger.
+	st.PeakLeasedBytes, st.TotalMemory, st.PoolFreeBuffers, st.PoolFreeBytes = 0, 0, 0, 0
+	if !reflect.DeepEqual(st, want) {
+		t.Errorf("cumulative stats differ from the sum over the jobs' Results:\n got %+v\nwant %+v", st, want)
 	}
 }

@@ -50,12 +50,14 @@ const formationName = "replacement-select"
 // merges: half a column buffer by default, shrunk so that fanIn read
 // streams plus the emit queue stay within a WithMaxMemory cap, clamped so
 // chunks stay large enough to amortize per-chunk costs yet bounded in
-// memory.
+// memory. The cap m is divided step by step, ⌊⌊m/z⌋/(fanIn+4)⌋, which equals
+// ⌊m/((fanIn+4)·z)⌋ but never forms that product: any fan-in ≥ 2 is legal,
+// and a huge one would overflow it.
 func (e *Engine) mergeChunkRecs(o sortOptions, fanIn int) int {
 	c := e.cfg.MemPerProc / 2
 	if o.maxMemory > 0 {
-		if byBudget := int(o.maxMemory / int64((fanIn+4)*e.cfg.RecordSize)); byBudget < c {
-			c = byBudget
+		if byBudget := uint64(o.maxMemory/int64(e.cfg.RecordSize)) / (uint64(fanIn) + 4); byBudget < uint64(c) {
+			c = int(byBudget)
 		}
 	}
 	if c < 64 {

@@ -13,6 +13,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"math"
 	"os"
 	"path/filepath"
 	"sort"
@@ -197,6 +198,44 @@ func TestHierarchicalFanInLevels(t *testing.T) {
 	}
 	if !bytes.Equal(out.Bytes(), refSortBytes(t, raw, z, KeySpec{})) {
 		t.Error("multi-level merge output differs from the reference sort")
+	}
+}
+
+// TestHugeMergeFanIn: any fan-in ≥ 2 is legal, so the merge-chunk budget
+// must not overflow on one that wraps (fanIn+4)·z. Such a fan-in covers every
+// run, so the sort is one merge and its output the default fan-in's; and
+// wherever the product fits, the budget is what it always was.
+func TestHugeMergeFanIn(t *testing.T) {
+	testutil.CheckGoroutines(t)
+	s, err := New(Config{Procs: 2, MemPerProc: 256, RecordSize: 64})
+	if err != nil {
+		t.Fatal(err)
+	}
+	sortBytes := func(opts ...Option) []byte {
+		t.Helper()
+		var out bytes.Buffer
+		opts = append(opts, WithMaxMemory(64<<10))
+		res, err := s.Sort(context.Background(), Generate(record.Uniform{Seed: 1}, 5000), ToWriter(&out), opts...)
+		if err != nil {
+			t.Fatal(err)
+		}
+		res.Close()
+		return out.Bytes()
+	}
+	want := sortBytes()
+	for _, fanIn := range []int{1<<58 - 4, math.MaxInt - 3, math.MaxInt} {
+		if got := sortBytes(WithMergeFanIn(fanIn)); !bytes.Equal(got, want) {
+			t.Errorf("fan-in %d: output differs from the default fan-in's", fanIn)
+		}
+	}
+	for _, fanIn := range []int{2, 16, 1000, 1 << 20} {
+		for _, maxMem := range []int64{1, 64 << 10, 1 << 30} {
+			o := sortOptions{maxMemory: maxMem}
+			old := max(min(s.cfg.MemPerProc/2, int(maxMem/int64((fanIn+4)*64))), 64)
+			if got := s.mergeChunkRecs(o, fanIn); got != min(old, 1<<16) {
+				t.Errorf("fan-in %d, cap %d: chunk %d records, was %d", fanIn, maxMem, got, min(old, 1<<16))
+			}
+		}
 	}
 }
 

@@ -209,8 +209,10 @@ func TestBaselinePreservesData(t *testing.T) {
 		}
 		defer res.Output.Close()
 		// Baselines copy, not sort.
-		if err := verify.Multiset(res.Output, record.OfGenerated(g, pl.N, pl.Z)); err != nil {
+		if got, err := res.Output.Checksum(); err != nil {
 			t.Fatal(err)
+		} else if !got.Equal(record.OfGenerated(g, pl.N, pl.Z)) {
+			t.Fatalf("%v lost or changed records", alg)
 		}
 		if len(res.PassCounters) != alg.Passes() {
 			t.Fatalf("%v ran %d passes", alg, len(res.PassCounters))

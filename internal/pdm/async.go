@@ -40,15 +40,8 @@ type Flusher interface {
 	Flush() error
 }
 
-// AsyncConfig sizes the per-disk queues of the asynchronous I/O layer.
+// AsyncConfig configures the asynchronous I/O layer.
 type AsyncConfig struct {
-	// ReadAhead is the maximum number of prefetched extents staged per
-	// disk; further hints are dropped. ≤0 selects DefaultReadAhead.
-	ReadAhead int
-	// WriteBehind is the maximum number of buffered write operations per
-	// disk; a full queue applies back-pressure to WriteAt. ≤0 selects
-	// DefaultWriteBehind.
-	WriteBehind int
 	// Pool supplies the prefetch staging and write-behind snapshot buffers.
 	// Machine wires each disk to its owning processor's record pool, so the
 	// buffers survive the per-pass store lifecycle (stores — and their
@@ -58,23 +51,16 @@ type AsyncConfig struct {
 	Pool *record.Pool
 }
 
-// Default queue depths: enough to keep one column extent in flight per
+// The per-disk queue depths: enough to keep one column extent in flight per
 // direction ahead of the pipeline (a column is split into a handful of
 // stripe-sized chunks) without growing memory beyond a few stripes.
+// DefaultReadAhead bounds the prefetched extents staged per disk (further
+// hints are dropped); DefaultWriteBehind the buffered write operations (a
+// full queue applies back-pressure to WriteAt).
 const (
 	DefaultReadAhead   = 8
 	DefaultWriteBehind = 16
 )
-
-func (c AsyncConfig) withDefaults() AsyncConfig {
-	if c.ReadAhead <= 0 {
-		c.ReadAhead = DefaultReadAhead
-	}
-	if c.WriteBehind <= 0 {
-		c.WriteBehind = DefaultWriteBehind
-	}
-	return c
-}
 
 const (
 	fetchQueued = iota
@@ -135,7 +121,7 @@ type AsyncDisk struct {
 func NewAsyncDisk(inner Disk, cfg AsyncConfig) *AsyncDisk {
 	d := &AsyncDisk{
 		inner:   inner,
-		cfg:     cfg.withDefaults(),
+		cfg:     cfg,
 		fetches: make(map[int64]*fetch),
 		done:    make(chan struct{}),
 	}
@@ -236,7 +222,7 @@ func (d *AsyncDisk) overlapsPendingWrite(off int64, n int) bool {
 }
 
 // Prefetch stages a background read of [off, off+n). Hints beyond the
-// ReadAhead budget, duplicates, and hints shadowed by pending writes are
+// DefaultReadAhead budget, duplicates, and hints shadowed by pending writes are
 // dropped: correctness never depends on a hint.
 func (d *AsyncDisk) Prefetch(off int64, n int) {
 	if off < 0 || n <= 0 {
@@ -250,7 +236,7 @@ func (d *AsyncDisk) Prefetch(off int64, n int) {
 	if _, ok := d.fetches[off]; ok {
 		return
 	}
-	if len(d.fetches) >= d.cfg.ReadAhead {
+	if len(d.fetches) >= DefaultReadAhead {
 		return
 	}
 	if d.overlapsPendingWrite(off, n) {
@@ -357,7 +343,7 @@ func (d *AsyncDisk) WriteAt(p []byte, off int64) error {
 				}
 			}
 		}
-		if len(d.writes) < d.cfg.WriteBehind {
+		if len(d.writes) < DefaultWriteBehind {
 			break
 		}
 		d.cond.Wait()

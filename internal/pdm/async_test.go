@@ -124,10 +124,16 @@ func TestAsyncDiskWriteInvalidatesPrefetch(t *testing.T) {
 }
 
 func TestAsyncDiskDropsExcessHints(t *testing.T) {
-	d := NewAsyncDisk(NewMemDisk(), AsyncConfig{ReadAhead: 2})
+	d := NewAsyncDisk(NewMemDisk(), AsyncConfig{})
 	defer d.Close()
-	for i := 0; i < 10; i++ {
+	for i := 0; i < 4*DefaultReadAhead; i++ {
 		d.Prefetch(int64(i)*64, 64) // must not block or grow unboundedly
+	}
+	d.mu.Lock()
+	staged := len(d.fetches)
+	d.mu.Unlock()
+	if staged > DefaultReadAhead {
+		t.Fatalf("%d extents staged, over the read-ahead depth %d", staged, DefaultReadAhead)
 	}
 	got := make([]byte, 64)
 	if err := d.ReadAt(got, 0); err != nil {
@@ -162,7 +168,7 @@ func TestAsyncDiskWriteErrorPropagation(t *testing.T) {
 
 func TestAsyncDiskCloseDrainsWrites(t *testing.T) {
 	inner := &countingDisk{Disk: NewMemDisk()}
-	d := NewAsyncDisk(inner, AsyncConfig{WriteBehind: 8})
+	d := NewAsyncDisk(inner, AsyncConfig{})
 	for i := 0; i < 6; i++ {
 		if err := d.WriteAt(make([]byte, 64), int64(i)*64); err != nil {
 			t.Fatal(err)
@@ -180,17 +186,23 @@ func TestAsyncDiskCloseDrainsWrites(t *testing.T) {
 }
 
 func TestAsyncDiskBackpressure(t *testing.T) {
-	// A slow inner disk with a tiny queue: WriteAt must block rather than
-	// grow the queue, and every byte must still arrive in order.
+	// A slow inner disk fed four queues' worth of writes: WriteAt must block
+	// rather than grow the queue, and every byte must still arrive in order.
 	slow := NewDelayDisk(NewMemDisk(), DelayConfig{Seek: 0, BytesPerSec: 4 << 20})
-	d := NewAsyncDisk(slow, AsyncConfig{WriteBehind: 1})
-	data := make([]byte, 16<<10)
+	d := NewAsyncDisk(slow, AsyncConfig{})
+	data := make([]byte, 4*DefaultWriteBehind<<10)
 	for i := range data {
 		data[i] = byte(i * 7)
 	}
 	for off := 0; off < len(data); off += 1024 {
 		if err := d.WriteAt(data[off:off+1024], int64(off)); err != nil {
 			t.Fatal(err)
+		}
+		d.mu.Lock()
+		queued := len(d.writes)
+		d.mu.Unlock()
+		if queued > DefaultWriteBehind {
+			t.Fatalf("%d writes queued, over the write-behind depth %d", queued, DefaultWriteBehind)
 		}
 	}
 	if err := d.Flush(); err != nil {
@@ -230,7 +242,7 @@ func TestDelayDiskRoundTrip(t *testing.T) {
 
 func TestMachineAsyncStoreRoundTrip(t *testing.T) {
 	m := Machine{P: 2, D: 4, StripeBytes: 256,
-		Async: &AsyncConfig{ReadAhead: 4, WriteBehind: 4}}
+		Async: &AsyncConfig{}}
 	st, err := m.NewStore(32, 4, 16, ColumnOwned)
 	if err != nil {
 		t.Fatal(err)
@@ -242,7 +254,7 @@ func TestMachineAsyncStoreRoundTrip(t *testing.T) {
 	}
 	// Prefetch hints ahead of the snapshot reads must not perturb contents.
 	for j := 0; j < 4; j++ {
-		st.PrefetchColumn(j%2, j)
+		st.PrefetchRows(j%2, j, 0, st.R)
 	}
 	snap, err := st.Snapshot()
 	if err != nil {
@@ -263,8 +275,8 @@ func TestMachineAsyncStoreRoundTrip(t *testing.T) {
 func TestStorePrefetchRejectsForeign(t *testing.T) {
 	st := newTestStore(t, 64, 8, 16, 4, ColumnOwned)
 	// None of these may panic or touch foreign state: advisory no-ops.
-	st.PrefetchColumn(1, 0)  // column 0 belongs to processor 0
-	st.PrefetchColumn(0, 99) // out of range
+	st.PrefetchRows(1, 0, 0, st.R)  // column 0 belongs to processor 0
+	st.PrefetchRows(0, 99, 0, st.R) // out of range
 	st.PrefetchRows(0, 0, 60, 10)
 	st.PrefetchRows(9, 0, 0, 1)
 	var cnt sim.Counters

@@ -274,8 +274,6 @@ func (d *FaultDisk) Close() error { return d.Inner.Close() }
 type Backend interface {
 	// NewDisk creates disk number idx (0 ≤ idx < D).
 	NewDisk(idx int) (Disk, error)
-	// Name identifies the backend in reports.
-	Name() string
 }
 
 // MemBackend builds memory disks. When Pools is set (Machine wires its
@@ -291,7 +289,6 @@ func (b MemBackend) NewDisk(idx int) (Disk, error) {
 	}
 	return NewMemDisk(), nil
 }
-func (MemBackend) Name() string { return "mem" }
 
 // FileBackend builds file disks under Dir. Several stores (input, the
 // intermediate file of each pass, output) coexist on the same simulated
@@ -329,24 +326,6 @@ func (b FileBackend) NewDisk(idx int) (Disk, error) {
 		}
 		return NewFileDisk(path)
 	}
-}
-func (b FileBackend) Name() string { return "file" }
-
-// Namespaced returns a copy of the backend whose disks carry the given
-// scratch-file name prefix (see FileBackend.Prefix).
-func (b FileBackend) Namespaced(prefix string) Backend {
-	b.Prefix = prefix
-	return b
-}
-
-// Namespacer is implemented by backends whose scratch lives in a shared
-// location and can be namespaced per client. Backends without shareable
-// scratch (MemBackend) simply don't implement it.
-type Namespacer interface {
-	// Namespaced returns a backend equivalent to the receiver whose
-	// created disks are identifiable by (and cannot collide outside of)
-	// the given namespace prefix.
-	Namespaced(prefix string) Backend
 }
 
 // DiskFile walks a wrapped disk stack — a striped spill's one backing disk,

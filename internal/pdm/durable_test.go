@@ -99,7 +99,7 @@ func TestDiskWalkersThroughWrappers(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	m := Machine{P: 1, D: 1, Async: &AsyncConfig{ReadAhead: 1, WriteBehind: 1}, Retry: &RetryConfig{}}
+	m := Machine{P: 1, D: 1, Async: &AsyncConfig{}, Retry: &RetryConfig{}}
 	d := m.WrapSpillDisk(fd, 0)
 	if got := DiskFile(d); got != fd {
 		t.Errorf("DiskFile through the wrapper stack = %v, want the base FileDisk", got)

@@ -341,6 +341,51 @@ func TestStoreFillSnapshotChecksum(t *testing.T) {
 	}
 }
 
+// TestFillOverwritesPooledBuffer: FillRows hands its callback a pooled
+// buffer it does not zero. Through pools whose free buffers are all 0xAA,
+// Fill must leave the store exactly as through fresh pools — a generator
+// writes all z bytes of every record, so no stale byte may survive.
+func TestFillOverwritesPooledBuffer(t *testing.T) {
+	g := record.Uniform{Seed: 12}
+	for _, layout := range []Layout{ColumnOwned, RowBlocked} {
+		fill := func(dirty bool) []byte {
+			pools := record.NewPools(4)
+			if dirty {
+				dirtyPools(pools)
+			}
+			m := Machine{P: 4, D: 8, StripeBytes: 256, Pools: pools}
+			st, err := m.NewStore(32, 4, 16, layout)
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer st.Close()
+			if err := st.Fill(g); err != nil {
+				t.Fatal(err)
+			}
+			snap, err := st.Snapshot()
+			if err != nil {
+				t.Fatal(err)
+			}
+			return snap.Data
+		}
+		if !bytes.Equal(fill(true), fill(false)) {
+			t.Errorf("%v: a fill through dirty pools differs from one through fresh pools", layout)
+		}
+	}
+}
+
+// dirtyPools stocks every pool with 0xAA-filled free buffers of each class a
+// test store asks for.
+func dirtyPools(pools []*record.Pool) {
+	for _, p := range pools {
+		for k := 4; k <= 16; k++ {
+			for range 4 {
+				p.PutBytes(bytes.Repeat([]byte{0xAA}, 1<<k))
+			}
+		}
+	}
+}
+
 func TestStoreFileBackend(t *testing.T) {
 	m := Machine{P: 2, D: 2, Backend: FileBackend{Dir: t.TempDir()}}
 	st, err := m.NewStore(16, 2, 16, ColumnOwned)

@@ -313,10 +313,23 @@ func FuzzStripedSpill(f *testing.F) {
 	f.Add(uint8(2), uint32(1000-1), append(append(op(0, 10, 5000, 1), op(1, 0, 4096, 0)...), op(2, 0, 4096, 0)...))
 	f.Add(uint8(1), uint32(7-1), append(op(0, 100, 50, 9), op(2, 90, 70, 0)...))
 	f.Add(uint8(0), uint32(512-1), append(op(1, 0, 2048, 0), op(0, 512, 1024, 4)...))
+	// Past both queue depths: more writes than DefaultWriteBehind before a
+	// flush (back-pressure) and more hints than DefaultReadAhead (dropped).
+	var deep []byte
+	for i := 0; i < 2*DefaultWriteBehind; i++ {
+		deep = append(deep, op(0, i*300, 300, byte(i))...)
+	}
+	for i := 0; i < 2*DefaultReadAhead; i++ {
+		deep = append(deep, op(1, i*300, 300, 0)...)
+	}
+	for i := 0; i < 2*DefaultReadAhead; i++ {
+		deep = append(deep, op(2, i*300, 300, 0)...)
+	}
+	f.Add(uint8(0), uint32(1024-1), append(deep, op(3, 0, 0, 0)...)) // D = 1: one queue takes them all
 
 	f.Fuzz(func(t *testing.T, lanes uint8, stripe uint32, script []byte) {
 		m := Machine{P: 1, D: 1 + int(lanes%4), StripeBytes: 1 + int(stripe%(1<<16)),
-			Async: &AsyncConfig{ReadAhead: 4, WriteBehind: 3}, Retry: &RetryConfig{}}
+			Async: &AsyncConfig{}, Retry: &RetryConfig{}}
 		backing, oracle := NewMemDisk(), NewMemDisk()
 		d := m.WrapSpillDisk(backing, 0)
 		for ; len(script) >= 8; script = script[8:] {

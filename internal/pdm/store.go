@@ -152,14 +152,6 @@ func (st *Store) PrefetchRows(p, j, rowLo, n int) {
 	st.Arrays[p].Prefetch(st.offset(p, rowLo, j), n*st.RecSize)
 }
 
-// PrefetchColumn hints the whole of column j (ColumnOwned only).
-func (st *Store) PrefetchColumn(p, j int) {
-	if st.Layout != ColumnOwned || j < 0 || j >= st.S || p != j%st.P {
-		return
-	}
-	st.PrefetchRows(p, j, 0, st.R)
-}
-
 // Flush drains processor p's write-behind queues, surfacing any deferred
 // write error. Passes call it when their write stage completes so a
 // background failure is attributed to the pass that issued the writes.
@@ -271,14 +263,15 @@ type Machine struct {
 // DefaultStripeBytes is the striping unit used when none is specified.
 const DefaultStripeBytes = 64 << 10
 
-// Namespaced returns a copy of the machine whose backend prefixes every
-// scratch resource it creates with ns (when the backend supports
-// namespacing — see Namespacer). An engine running concurrent jobs gives
-// each job's machine copy its own namespace so the jobs' scratch files
-// can never collide in a shared directory and leftovers are attributable.
+// Namespaced returns a copy of the machine whose file backend prefixes every
+// scratch file it creates with ns (FileBackend.Prefix; memory disks share no
+// location and need none). An engine running concurrent jobs gives each
+// job's machine copy its own namespace so the jobs' scratch files can never
+// collide in a shared directory and leftovers are attributable.
 func (m Machine) Namespaced(ns string) Machine {
-	if b, ok := m.Backend.(Namespacer); ok {
-		m.Backend = b.Namespaced(ns)
+	if b, ok := m.Backend.(FileBackend); ok {
+		b.Prefix = ns
+		m.Backend = b
 	}
 	return m
 }
@@ -441,22 +434,28 @@ func (st *Store) Close() error {
 // j·r + i to the record at (row i, column j) — i.e. generator order is
 // column-major, matching the input convention of the sorters.
 func (st *Store) Fill(g record.Generator) error {
+	return st.FillRows(func(j, lo int, chunk record.Slice) error {
+		record.Fill(chunk, g, int64(j)*int64(st.R)+int64(lo))
+		return nil
+	})
+}
+
+// FillRows is ScanRows' writing counterpart: it visits every owned segment
+// in global column-major order with one pooled buffer of its rows, writes
+// what fill left there to rows lo… of column j, and flushes every processor
+// at the end. fill must overwrite the whole chunk: the buffer is not zeroed.
+// Nothing is prefetched — the store is being written, not read.
+func (st *Store) FillRows(fill func(j, lo int, chunk record.Slice) error) error {
 	var cnt sim.Counters
-	buf := record.Make(1, st.RecSize)
-	for j := 0; j < st.S; j++ {
-		for p := 0; p < st.P; p++ {
-			lo, hi := st.OwnedRows(p, j)
-			if lo == hi {
-				continue
-			}
-			chunk := record.Make(hi-lo, st.RecSize)
-			for i := lo; i < hi; i++ {
-				g.Gen(buf.Record(0), int64(j)*int64(st.R)+int64(i))
-				chunk.CopyRecord(i-lo, buf, 0)
-			}
-			if err := st.WriteRows(&cnt, p, j, lo, chunk); err != nil {
-				return err
-			}
+	buf := st.Pool.Get(st.R, st.RecSize)
+	defer st.Pool.Put(buf)
+	for _, sg := range st.segments() {
+		chunk := buf.Sub(0, sg.hi-sg.lo)
+		if err := fill(sg.j, sg.lo, chunk); err != nil {
+			return err
+		}
+		if err := st.WriteRows(&cnt, sg.p, sg.j, sg.lo, chunk); err != nil {
+			return err
 		}
 	}
 	for p := 0; p < st.P; p++ {
@@ -465,6 +464,23 @@ func (st *Store) Fill(g record.Generator) error {
 		}
 	}
 	return nil
+}
+
+// segment is one processor's owned rows [lo, hi) of column j.
+type segment struct{ p, j, lo, hi int }
+
+// segments lists the store's owned segments in global column-major order —
+// the order in which the sorted records appear.
+func (st *Store) segments() []segment {
+	segs := make([]segment, 0, st.S*st.P)
+	for j := 0; j < st.S; j++ {
+		for p := 0; p < st.P; p++ {
+			if lo, hi := st.OwnedRows(p, j); lo < hi {
+				segs = append(segs, segment{p, j, lo, hi})
+			}
+		}
+	}
+	return segs
 }
 
 // ErrStopScan, returned by a ScanSegments visitor, ends the scan early and
@@ -481,15 +497,7 @@ var ErrStopScan = errors.New("pdm: stop scan")
 // staging further prefetches (the stopping visit's one-ahead hint has already been issued;
 // at most that one staged extent goes unconsumed until Close).
 func (st *Store) ScanSegments(visit func(p, j, lo, hi int) error) error {
-	type seg struct{ p, j, lo, hi int }
-	segs := make([]seg, 0, st.S*st.P)
-	for j := 0; j < st.S; j++ {
-		for p := 0; p < st.P; p++ {
-			if lo, hi := st.OwnedRows(p, j); lo < hi {
-				segs = append(segs, seg{p, j, lo, hi})
-			}
-		}
-	}
+	segs := st.segments()
 	for i, sg := range segs {
 		if i+1 < len(segs) {
 			nx := segs[i+1]

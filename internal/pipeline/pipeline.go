@@ -19,24 +19,20 @@ import (
 // concurrently with each other; a given stage sees items in source order.
 type Stage[T any] func(item T) (T, error)
 
-// Run drives items from source through the stages into sink.
+// RunDrain drives items from source through the stages into sink.
 //
 // source calls emit once per item and returns; each stage runs in its own
 // goroutine; sink consumes items in order. chanCap bounds the items queued
 // between adjacent stages (the paper's buffer-pool depth); the total number
 // of in-flight rounds is at most (stages+1)·(chanCap+1).
 //
-// The first error from any stage, the source, or the sink cancels the whole
-// pipeline and is returned.
-func Run[T any](chanCap int, source func(emit func(T) error) error, sink func(T) error, stages ...Stage[T]) error {
-	return RunDrain(chanCap, source, sink, nil, stages...)
-}
-
-// RunDrain is Run with an I/O-completion hook: after the sink has consumed
-// every item of an otherwise error-free run, drain is invoked inside the
-// pipeline scope, so its error — typically a write-behind Flush surfacing a
-// deferred disk failure — is reported as the pipeline's error. A nil drain
-// degenerates to Run.
+// drain, when non-nil, is the I/O-completion hook: after the sink has
+// consumed every item of an otherwise error-free run, it is invoked inside
+// the pipeline scope, so its error — typically a write-behind Flush
+// surfacing a deferred disk failure — is reported as the pipeline's error.
+//
+// The first error from any stage, the source, the sink or drain cancels the
+// whole pipeline and is returned.
 func RunDrain[T any](chanCap int, source func(emit func(T) error) error, sink func(T) error, drain func() error, stages ...Stage[T]) error {
 	if chanCap < 0 {
 		return fmt.Errorf("pipeline: negative channel capacity %d", chanCap)
@@ -135,16 +131,4 @@ func firstErrLocked(once *sync.Once, firstErr *error) error {
 		return *firstErr
 	}
 	return fmt.Errorf("pipeline: canceled")
-}
-
-// Rounds is a convenience source emitting the integers [0, n).
-func Rounds(n int) func(emit func(int) error) error {
-	return func(emit func(int) error) error {
-		for t := 0; t < n; t++ {
-			if err := emit(t); err != nil {
-				return err
-			}
-		}
-		return nil
-	}
 }

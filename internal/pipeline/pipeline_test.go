@@ -8,12 +8,24 @@ import (
 	"time"
 )
 
+// rounds is a source emitting the integers [0, n).
+func rounds(n int) func(emit func(int) error) error {
+	return func(emit func(int) error) error {
+		for t := 0; t < n; t++ {
+			if err := emit(t); err != nil {
+				return err
+			}
+		}
+		return nil
+	}
+}
+
 func TestOrderPreserved(t *testing.T) {
 	var got []int
 	double := func(x int) (int, error) { return x * 2, nil }
 	inc := func(x int) (int, error) { return x + 1, nil }
-	err := Run(1, Rounds(100),
-		func(x int) error { got = append(got, x); return nil },
+	err := RunDrain(1, rounds(100),
+		func(x int) error { got = append(got, x); return nil }, nil,
 		double, inc)
 	if err != nil {
 		t.Fatal(err)
@@ -30,7 +42,7 @@ func TestOrderPreserved(t *testing.T) {
 
 func TestNoStages(t *testing.T) {
 	sum := 0
-	err := Run(0, Rounds(10), func(x int) error { sum += x; return nil })
+	err := RunDrain(0, rounds(10), func(x int) error { sum += x; return nil }, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -45,7 +57,7 @@ func TestStagesOverlap(t *testing.T) {
 	const n, d = 8, 10 * time.Millisecond
 	slow := func(x int) (int, error) { time.Sleep(d); return x, nil }
 	start := time.Now()
-	err := Run(1, Rounds(n), func(int) error { return nil }, slow, slow)
+	err := RunDrain(1, rounds(n), func(int) error { return nil }, nil, slow, slow)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -58,8 +70,8 @@ func TestStagesOverlap(t *testing.T) {
 
 func TestStageErrorPropagates(t *testing.T) {
 	boom := errors.New("boom")
-	err := Run(1, Rounds(1000),
-		func(int) error { return nil },
+	err := RunDrain(1, rounds(1000),
+		func(int) error { return nil }, nil,
 		func(x int) (int, error) {
 			if x == 5 {
 				return 0, boom
@@ -73,8 +85,8 @@ func TestStageErrorPropagates(t *testing.T) {
 
 func TestSourceErrorPropagates(t *testing.T) {
 	boom := errors.New("src")
-	err := Run(1, func(emit func(int) error) error { return boom },
-		func(int) error { return nil },
+	err := RunDrain(1, func(emit func(int) error) error { return boom },
+		func(int) error { return nil }, nil,
 		func(x int) (int, error) { return x, nil })
 	if !errors.Is(err, boom) {
 		t.Fatalf("want src error, got %v", err)
@@ -83,13 +95,13 @@ func TestSourceErrorPropagates(t *testing.T) {
 
 func TestSinkErrorPropagates(t *testing.T) {
 	boom := errors.New("sink")
-	err := Run(2, Rounds(1000),
+	err := RunDrain(2, rounds(1000),
 		func(x int) error {
 			if x == 3 {
 				return boom
 			}
 			return nil
-		},
+		}, nil,
 		func(x int) (int, error) { return x, nil })
 	if !errors.Is(err, boom) {
 		t.Fatalf("want sink error, got %v", err)
@@ -102,8 +114,8 @@ func TestErrorUnblocksFastSource(t *testing.T) {
 	boom := errors.New("early")
 	done := make(chan error, 1)
 	go func() {
-		done <- Run(0, Rounds(1_000_000),
-			func(x int) error { return boom },
+		done <- RunDrain(0, rounds(1_000_000),
+			func(x int) error { return boom }, nil,
 			func(x int) (int, error) { return x, nil })
 	}()
 	select {
@@ -117,7 +129,7 @@ func TestErrorUnblocksFastSource(t *testing.T) {
 }
 
 func TestNegativeCapacity(t *testing.T) {
-	if err := Run(-1, Rounds(1), func(int) error { return nil }); err == nil {
+	if err := RunDrain(-1, rounds(1), func(int) error { return nil }, nil); err == nil {
 		t.Fatal("negative capacity accepted")
 	}
 }
@@ -140,7 +152,7 @@ func TestBoundedInFlight(t *testing.T) {
 		atomic.AddInt64(&inFlight, -1)
 		return nil
 	}
-	err := Run(1, Rounds(200), leave, enter,
+	err := RunDrain(1, rounds(200), leave, nil, enter,
 		func(x int) (int, error) { time.Sleep(time.Microsecond); return x, nil },
 		func(x int) (int, error) { return x, nil })
 	if err != nil {
@@ -162,8 +174,8 @@ func TestConcurrentPipelines(t *testing.T) {
 		go func(k int) {
 			defer wg.Done()
 			sum := 0
-			errs[k] = Run(1, Rounds(50),
-				func(x int) error { sum += x; return nil },
+			errs[k] = RunDrain(1, rounds(50),
+				func(x int) error { sum += x; return nil }, nil,
 				func(x int) (int, error) { return x + k, nil })
 			if errs[k] == nil && sum != 50*49/2+50*k {
 				errs[k] = errors.New("bad sum")
@@ -182,7 +194,7 @@ func TestRunDrainCalledAfterSink(t *testing.T) {
 	var mu sync.Mutex
 	var consumed int
 	drained := false
-	err := RunDrain(1, Rounds(5),
+	err := RunDrain(1, rounds(5),
 		func(int) error {
 			mu.Lock()
 			defer mu.Unlock()
@@ -212,7 +224,7 @@ func TestRunDrainCalledAfterSink(t *testing.T) {
 
 func TestRunDrainErrorPropagates(t *testing.T) {
 	want := errors.New("deferred write failure")
-	err := RunDrain(1, Rounds(3),
+	err := RunDrain(1, rounds(3),
 		func(int) error { return nil },
 		func() error { return want })
 	if !errors.Is(err, want) {
@@ -223,7 +235,7 @@ func TestRunDrainErrorPropagates(t *testing.T) {
 func TestRunDrainSkippedOnFailure(t *testing.T) {
 	boom := errors.New("stage failure")
 	var drainRan atomic.Bool
-	err := RunDrain(1, Rounds(10),
+	err := RunDrain(1, rounds(10),
 		func(int) error { return nil },
 		func() error { drainRan.Store(true); return nil },
 		func(x int) (int, error) {

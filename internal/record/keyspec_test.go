@@ -100,7 +100,7 @@ func TestKeyCodecOrderEquivalence(t *testing.T) {
 
 			// Sort normalized records with the engine's native comparison.
 			c.Encode(s)
-			sort.Sort(engineOrder{s})
+			s = engineSort(s)
 			c.Decode(s)
 
 			// The result must be nondecreasing in the spec'd field order.
@@ -120,11 +120,21 @@ func TestKeyCodecOrderEquivalence(t *testing.T) {
 	}
 }
 
-// engineOrder sorts a Slice exactly as the engine does: Less (8-byte
-// big-endian key at offset 0, payload tie-break).
-type engineOrder struct{ Slice }
-
-func (e engineOrder) Less(i, j int) bool { return e.Slice.Less(i, j) }
+// engineSort returns s sorted exactly as the engine orders records: Less
+// (8-byte big-endian key at offset 0, payload tie-break), by sorting indices
+// and gathering.
+func engineSort(s Slice) Slice {
+	idx := make([]int, s.Len())
+	for i := range idx {
+		idx[i] = i
+	}
+	sort.Slice(idx, func(a, b int) bool { return s.Less(idx[a], idx[b]) })
+	out := Make(s.Len(), s.Size)
+	for i, k := range idx {
+		out.CopyRecord(i, s, k)
+	}
+	return out
+}
 
 func TestKeyCodecPadIsMaximal(t *testing.T) {
 	// Padded sorts append all-0xFF records in NORMALIZED space; they must

@@ -12,7 +12,6 @@ import (
 	"encoding/binary"
 	"errors"
 	"fmt"
-	"sync"
 )
 
 // KeyBytes is the size of the key prefix of every record.
@@ -118,42 +117,6 @@ func (s Slice) CopyRecord(i int, src Slice, j int) {
 	copy(s.Data[i*s.Size:(i+1)*s.Size], src.Data[j*src.Size:(j+1)*src.Size])
 }
 
-// swapScratch recycles the temporary buffer of wide-record swaps so that
-// Swap never allocates in steady state, whatever the record size. (The
-// sorting package avoids whole-record swaps for wide records anyway — it
-// sorts (key, index) pairs and gathers — but Swap is needed by small
-// helpers and by sort.Interface adapters, which must not pay an allocation
-// per call.)
-var swapScratch = sync.Pool{New: func() any { return new([]byte) }}
-
-// Swap exchanges records i and j in place. Records up to 512 bytes swap
-// through a stack buffer; wider records borrow a pooled scratch buffer.
-func (s Slice) Swap(i, j int) {
-	if i == j {
-		return
-	}
-	var tmp [512]byte
-	a := s.Data[i*s.Size : (i+1)*s.Size]
-	b := s.Data[j*s.Size : (j+1)*s.Size]
-	if s.Size <= len(tmp) {
-		copy(tmp[:s.Size], a)
-		copy(a, b)
-		copy(b, tmp[:s.Size])
-		return
-	}
-	tp := swapScratch.Get().(*[]byte)
-	t := *tp
-	if cap(t) < s.Size {
-		t = make([]byte, s.Size)
-	}
-	t = t[:s.Size]
-	copy(t, a)
-	copy(a, b)
-	copy(b, t)
-	*tp = t
-	swapScratch.Put(tp)
-}
-
 // Less reports whether record i's key is strictly smaller than record j's.
 // Ties on the key compare the remaining payload bytes so that sorting is a
 // total order and stability questions cannot produce distinct valid outputs
@@ -210,16 +173,6 @@ func (s Slice) IsSorted() bool {
 		}
 	}
 	return true
-}
-
-// Keys extracts all keys into a fresh []uint64, mostly for tests.
-func (s Slice) Keys() []uint64 {
-	n := s.Len()
-	out := make([]uint64, n)
-	for i := range out {
-		out[i] = s.Key(i)
-	}
-	return out
 }
 
 // MinKey and MaxKey are the extreme key values, used by the ±∞ boundary

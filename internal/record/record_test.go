@@ -64,34 +64,61 @@ func TestSliceBasics(t *testing.T) {
 	if s.IsSorted() {
 		t.Fatal("descending slice reported sorted")
 	}
-	s.Swap(0, 3)
-	s.Swap(1, 2)
+	for i := 0; i < 4; i++ {
+		s.SetKey(i, uint64(7+i))
+	}
 	if !s.IsSorted() {
-		t.Fatalf("ascending slice not sorted: keys %v", s.Keys())
+		t.Fatal("ascending slice not sorted")
 	}
 	sub := s.Sub(1, 3)
 	if sub.Len() != 2 || sub.Key(0) != 8 || sub.Key(1) != 9 {
-		t.Fatalf("Sub wrong: keys %v", sub.Keys())
+		t.Fatalf("Sub wrong: keys %d %d", sub.Key(0), sub.Key(1))
 	}
 }
 
-func TestSwapWideRecords(t *testing.T) {
-	// Exercise the heap-allocated fallback path for records wider than the
-	// stack buffer.
-	s := Make(2, 1024)
-	for i := range s.Record(0) {
-		s.Record(0)[i] = 1
+func TestCopyEdgeCases(t *testing.T) {
+	src := Make(4, 16)
+	Fill(src, Uniform{Seed: 1}, 0)
+
+	// Equal sizes: all records copied.
+	dst := Make(4, 16)
+	if n := dst.Copy(src); n != 4 {
+		t.Fatalf("Copy equal: %d records, want 4", n)
 	}
-	for i := range s.Record(1) {
-		s.Record(1)[i] = 2
+	if !bytes.Equal(dst.Data, src.Data) {
+		t.Fatal("Copy equal: contents differ")
 	}
-	s.Swap(0, 1)
-	if s.Record(0)[100] != 2 || s.Record(1)[100] != 1 {
-		t.Fatal("wide swap did not exchange payloads")
+
+	// Shorter destination: truncates to destination length.
+	short := Make(2, 16)
+	if n := short.Copy(src); n != 2 {
+		t.Fatalf("Copy into shorter: %d records, want 2", n)
 	}
-	s.Swap(0, 0) // no-op must not corrupt
-	if s.Record(0)[100] != 2 {
-		t.Fatal("self-swap corrupted record")
+	if !bytes.Equal(short.Data, src.Data[:2*16]) {
+		t.Fatal("Copy into shorter: wrong prefix")
+	}
+
+	// Longer destination: copies only the source records.
+	long := Make(6, 16)
+	if n := long.Copy(src); n != 4 {
+		t.Fatalf("Copy into longer: %d records, want 4", n)
+	}
+
+	// Empty source and destination are no-ops.
+	if n := dst.Copy(Slice{Size: 16}); n != 0 {
+		t.Fatalf("Copy from empty: %d records, want 0", n)
+	}
+	if n := (Slice{Size: 16}).Copy(src); n != 0 {
+		t.Fatalf("Copy into empty: %d records, want 0", n)
+	}
+
+	// CopyRecord between different positions, aliasing-free.
+	a := Make(2, 16)
+	Fill(a, Uniform{Seed: 2}, 0)
+	b := Make(2, 16)
+	b.CopyRecord(1, a, 0)
+	if !bytes.Equal(b.Record(1), a.Record(0)) {
+		t.Fatal("CopyRecord copied wrong bytes")
 	}
 }
 

@@ -20,6 +20,7 @@ import (
 	"os"
 	"path/filepath"
 	"reflect"
+	"strconv"
 	"strings"
 	"sync"
 	"testing"
@@ -253,6 +254,53 @@ func TestBootResumesMidMergeJob(t *testing.T) {
 	// Success retires the checkpoint directory.
 	if _, err := os.Stat(filepath.Join(ckpt, "manifest.wal")); !os.IsNotExist(err) {
 		t.Errorf("manifest survived the completed resume (stat err %v)", err)
+	}
+}
+
+// TestHugeMergeFanInFileJob: a fan-in whose product with the record size
+// wraps is a legal wire value, so a file job carrying it passes the 202 and
+// runs on a background goroutine with no recover. It must reach a terminal
+// state — done, byte-identical to the reference — with the server still
+// answering, not take the process down (and, re-adopted from the jobs WAL,
+// down again at every boot).
+func TestHugeMergeFanInFileJob(t *testing.T) {
+	dir := t.TempDir()
+	data := filepath.Join(dir, "data")
+	if err := os.MkdirAll(data, 0o755); err != nil {
+		t.Fatal(err)
+	}
+	env := newEnv(t, colsort.EngineConfig{Config: testBase(filepath.Join(dir, "scratch"))}, Config{DataDir: data})
+	input := makeInput(3*env.eng.MaxRecords(colsort.Threaded), 5)
+	if err := os.WriteFile(filepath.Join(data, "in.dat"), input, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	opts := map[string]string{"merge-fanin": strconv.Itoa(1<<59 - 4), "max-memory-mib": "1"} // (2⁵⁹)·testZ wraps to 0
+	body, _ := json.Marshal(jobRequest{Input: "in.dat", Output: "out.dat", Options: opts})
+	resp, err := env.ts.Client().Post(env.ts.URL+"/v1/jobs", "application/json", bytes.NewReader(body))
+	if err != nil {
+		t.Fatal(err)
+	}
+	var info jobInfo
+	err = json.NewDecoder(resp.Body).Decode(&info)
+	resp.Body.Close()
+	if err != nil || resp.StatusCode != http.StatusAccepted {
+		t.Fatalf("POST /v1/jobs: status %d, err %v", resp.StatusCode, err)
+	}
+	waitJobState(t, env, info.ID, jobDone)
+	got, err := os.ReadFile(filepath.Join(data, "out.dat"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(got, refSort(t, dir, input)) {
+		t.Error("huge fan-in job's output differs from the reference")
+	}
+	resp, err = env.ts.Client().Get(env.ts.URL + "/healthz")
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusOK {
+		t.Fatalf("/healthz after the job: status %d", resp.StatusCode)
 	}
 }
 

@@ -86,7 +86,6 @@ type jobEntry struct {
 	info   jobInfo
 	seq    int64         // bumped on every update; SSE dedupes on it
 	notify chan struct{} // closed and replaced on every update (broadcast)
-	done   chan struct{} // closed once on reaching a terminal state
 	cancel context.CancelFunc
 }
 
@@ -139,7 +138,6 @@ func (e *jobEntry) finish(sum *colsort.ResultSummary, err error) {
 	}
 	e.info.Finished = &now
 	e.broadcast()
-	close(e.done)
 	e.mu.Unlock()
 }
 
@@ -188,7 +186,6 @@ func (r *jobRegistry) addLocked(id string, info jobInfo, cancel context.CancelFu
 	e := &jobEntry{
 		info:   info,
 		notify: make(chan struct{}),
-		done:   make(chan struct{}),
 		cancel: cancel,
 	}
 	r.jobs[info.ID] = e

@@ -346,10 +346,17 @@ func TestClientDisconnectCancelsSort(t *testing.T) {
 				t.Fatal("aborted request did not return within the deadline")
 			}
 			entry := env.srv.jobs.get(id)
-			select {
-			case <-entry.done:
-			case <-time.After(30 * time.Second):
-				t.Fatal("job did not reach a terminal state after the disconnect")
+			timeout := time.After(30 * time.Second)
+			for {
+				wake := entry.wait()
+				if info, _ := entry.snapshot(); info.Finished != nil {
+					break
+				}
+				select {
+				case <-wake:
+				case <-timeout:
+					t.Fatal("job did not reach a terminal state after the disconnect")
+				}
 			}
 			if info, _ := entry.snapshot(); info.State != jobFailed {
 				t.Fatalf("job state %q after disconnect, want failed", info.State)

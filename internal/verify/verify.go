@@ -24,34 +24,6 @@ func (e *Error) Error() string {
 	return fmt.Sprintf("verify: %s at column %d row %d: %s", e.Kind, e.Column, e.Row, e.Detail)
 }
 
-// StoreSorted checks that the store's contents are sorted in column-major
-// order: within each column and across each column boundary. For the
-// ColumnOwned layout this is exactly the PDM striped ordering of footnote 6
-// (columns are the stripe blocks, assigned round-robin to disks).
-func StoreSorted(st *pdm.Store) error {
-	_, err := scanPrefix(st, int64(st.R)*int64(st.S))
-	return err
-}
-
-// Multiset checks that the store holds exactly the claimed multiset of
-// records.
-func Multiset(st *pdm.Store, want record.Checksum) error {
-	got, err := st.Checksum()
-	if err != nil {
-		return err
-	}
-	return multiset(got, want)
-}
-
-func multiset(got, want record.Checksum) error {
-	if !got.Equal(want) {
-		return &Error{Kind: "multiset violation",
-			Detail: fmt.Sprintf("checksum (count=%d sum=%x) != expected (count=%d sum=%x)",
-				got.Count, got.Sum, want.Count, want.Sum)}
-	}
-	return nil
-}
-
 // Output runs both checks in one scan of the store; it is the standard
 // postcondition of every sorter test and of the cmd/colsort verify subcommand.
 func Output(st *pdm.Store, want record.Checksum) error {
@@ -69,7 +41,12 @@ func OutputPrefix(st *pdm.Store, n int64, want record.Checksum) error {
 	if err != nil {
 		return err
 	}
-	return multiset(got, want)
+	if !got.Equal(want) {
+		return &Error{Kind: "multiset violation",
+			Detail: fmt.Sprintf("checksum (count=%d sum=%x) != expected (count=%d sum=%x)",
+				got.Count, got.Sum, want.Count, want.Sum)}
+	}
+	return nil
 }
 
 // scanPrefix is the one scan every store check is: the order of the first n
@@ -110,16 +87,4 @@ func scanPrefix(st *pdm.Store, n int64) (record.Checksum, error) {
 		return nil
 	})
 	return got, err
-}
-
-// SliceSorted checks an in-memory snapshot; a convenience for tests.
-func SliceSorted(s record.Slice) error {
-	n := s.Len()
-	for i := 1; i < n; i++ {
-		if s.Less(i, i-1) {
-			return &Error{Kind: "order violation", Row: i,
-				Detail: fmt.Sprintf("key %x follows %x", s.Key(i), s.Key(i-1))}
-		}
-	}
-	return nil
 }

@@ -25,9 +25,12 @@ func sortedStore(t *testing.T, layout pdm.Layout) *pdm.Store {
 	return st
 }
 
+// sortedWant is the multiset every sortedStore holds.
+var sortedWant = record.OfGenerated(record.Sorted{Seed: 1}, 32*4, 16)
+
 func TestStoreSortedAccepts(t *testing.T) {
 	for _, layout := range []pdm.Layout{pdm.ColumnOwned, pdm.RowBlocked} {
-		if err := StoreSorted(sortedStore(t, layout)); err != nil {
+		if err := Output(sortedStore(t, layout), sortedWant); err != nil {
 			t.Fatalf("%v: %v", layout, err)
 		}
 	}
@@ -41,7 +44,7 @@ func TestStoreSortedDetectsIntraColumnViolation(t *testing.T) {
 	if err := st.WriteRows(&cnt, st.Owner(0, 2), 2, 10, bad); err != nil {
 		t.Fatal(err)
 	}
-	err := StoreSorted(st)
+	err := Output(st, sortedWant)
 	if err == nil {
 		t.Fatal("missorted store accepted")
 	}
@@ -63,7 +66,7 @@ func TestStoreSortedDetectsBoundaryViolation(t *testing.T) {
 	if err := st.WriteRows(&cnt, st.Owner(0, 1), 1, 0, bad); err != nil {
 		t.Fatal(err)
 	}
-	err := StoreSorted(st)
+	err := Output(st, sortedWant)
 	if err == nil {
 		t.Fatal("boundary violation accepted")
 	}
@@ -74,20 +77,18 @@ func TestStoreSortedDetectsBoundaryViolation(t *testing.T) {
 
 func TestMultiset(t *testing.T) {
 	st := sortedStore(t, pdm.ColumnOwned)
-	want := record.OfGenerated(record.Sorted{Seed: 1}, 32*4, 16)
-	if err := Multiset(st, want); err != nil {
+	if err := Output(st, sortedWant); err != nil {
 		t.Fatal(err)
 	}
 	var wrong record.Checksum
-	if err := Multiset(st, wrong); err == nil {
-		t.Fatal("wrong checksum accepted")
+	if ve, ok := Output(st, wrong).(*Error); !ok || ve.Kind != "multiset violation" {
+		t.Fatalf("wrong checksum: Output returned %v, want a multiset violation", ve)
 	}
 }
 
 func TestOutput(t *testing.T) {
 	st := sortedStore(t, pdm.RowBlocked)
-	want := record.OfGenerated(record.Sorted{Seed: 1}, 32*4, 16)
-	if err := Output(st, want); err != nil {
+	if err := Output(st, sortedWant); err != nil {
 		t.Fatal(err)
 	}
 }
@@ -97,7 +98,7 @@ func TestOutput(t *testing.T) {
 // the segment boundary inside a row-blocked column, across a column boundary
 // — and a flipped payload byte keeps the order, so only the checksum can.
 func TestOutputOneScan(t *testing.T) {
-	want := record.OfGenerated(record.Sorted{Seed: 1}, 32*4, 16)
+	want := sortedWant
 	swap := func(st *pdm.Store, ja, ia, jb, ib int) {
 		t.Helper()
 		var cnt sim.Counters
@@ -139,9 +140,8 @@ func TestOutputOneScan(t *testing.T) {
 	if err := st.WriteRows(&cnt, st.Owner(20, 3), 3, 20, rec); err != nil {
 		t.Fatal(err)
 	}
-	if err := StoreSorted(st); err != nil {
-		t.Fatalf("a payload flip under distinct keys must keep the order: %v", err)
-	}
+	// Distinct keys: the flip keeps the order, so the scan reaches the end
+	// and only the checksum objects.
 	if ve, ok := Output(st, want).(*Error); !ok || ve.Kind != "multiset violation" {
 		t.Fatalf("Output returned %v, want a multiset violation", ve)
 	}
@@ -150,16 +150,12 @@ func TestOutputOneScan(t *testing.T) {
 func TestSliceSorted(t *testing.T) {
 	s := record.Make(10, 16)
 	record.Fill(s, record.Sorted{Seed: 2}, 0)
-	if err := SliceSorted(s); err != nil {
-		t.Fatal(err)
+	if !s.IsSorted() {
+		t.Fatal("sorted slice refused")
 	}
 	s.SetKey(5, 0)
-	err := SliceSorted(s)
-	if err == nil {
+	if s.IsSorted() {
 		t.Fatal("missorted slice accepted")
-	}
-	if !strings.Contains(err.Error(), "order violation") {
-		t.Fatalf("unhelpful error: %v", err)
 	}
 }
 

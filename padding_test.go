@@ -1,10 +1,12 @@
 package colsort
 
 import (
+	"bytes"
 	"context"
 	"testing"
 	"testing/quick"
 
+	"colsort/internal/pdm"
 	"colsort/internal/record"
 )
 
@@ -143,5 +145,58 @@ func TestHybridThroughFacade(t *testing.T) {
 	}
 	if res.Plan.Group != 2 || res.Plan.R != 512 {
 		t.Fatalf("plan %+v", res.Plan)
+	}
+}
+
+// TestIngestOverwritesPooledBuffer: Sort's ingest (fillStore, through
+// Store.FillRows) writes a padded count's real records and 0xFF pads into a
+// pooled buffer it does not zero. Through pools whose free buffers are all
+// 0xAA, the input store must be exactly what fresh pools give — the real
+// records, then pads — in either layout, the pad starting mid-segment.
+func TestIngestOverwritesPooledBuffer(t *testing.T) {
+	const z, n = 16, 100 // into a 64×2 store: 28 pads
+	raw := genRaw(n, z, record.Uniform{Seed: 13})
+	codec, err := KeySpec{}.Compile(z)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, layout := range []pdm.Layout{pdm.ColumnOwned, pdm.RowBlocked} {
+		ingest := func(dirty bool) []byte {
+			pools := record.NewPools(2)
+			if dirty {
+				for _, p := range pools {
+					for k := 4; k <= 16; k++ {
+						for range 4 {
+							p.PutBytes(bytes.Repeat([]byte{0xAA}, 1<<k))
+						}
+					}
+				}
+			}
+			m := pdm.Machine{P: 2, D: 2, Pools: pools}
+			st, err := m.NewStore(64, 2, z, layout)
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer st.Close()
+			_, rd, err := FromBytes(raw).Open(z)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if _, err := fillStore(context.Background(), st, rd, codec, n); err != nil {
+				t.Fatal(err)
+			}
+			snap, err := st.Snapshot()
+			if err != nil {
+				t.Fatal(err)
+			}
+			return snap.Data
+		}
+		fresh := ingest(false)
+		if want := append(bytes.Clone(raw), bytes.Repeat([]byte{0xff}, (128-n)*z)...); !bytes.Equal(fresh, want) {
+			t.Fatalf("%v: the ingested store is not the records then the pads", layout)
+		}
+		if !bytes.Equal(ingest(true), fresh) {
+			t.Errorf("%v: an ingest through dirty pools differs from one through fresh pools", layout)
+		}
 	}
 }

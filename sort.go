@@ -7,7 +7,6 @@ import (
 	"colsort/internal/core"
 	"colsort/internal/pdm"
 	"colsort/internal/record"
-	"colsort/internal/sim"
 )
 
 // Sort submits one sorting job to the engine: the records of src are
@@ -131,50 +130,32 @@ func (j *job) sortSingle(ctx context.Context, rd RecordReader, dst Sink, o sortO
 }
 
 // fillStore streams the source's records into the store in global
-// column-major index order (the order Store.Fill assigns) — one bulk read per
-// owned-rows chunk, as the formation pipeline's ingest stage reads —
-// normalizing each record through the codec, folding the real records into the returned
-// checksum, and padding any remainder with all-0xFF records — which are
-// maximal in the normalized space, so they sort to the end for every
-// KeySpec.
+// column-major index order — the order Store.Fill assigns, through the same
+// Store.FillRows loop, one bulk read per owned-rows chunk — normalizing each
+// record through the codec, folding the real records into the returned
+// checksum, and padding any remainder with all-0xFF records, which are
+// maximal in the normalized space, so they sort to the end for every KeySpec.
 func fillStore(ctx context.Context, st *pdm.Store, rd RecordReader, codec record.KeyCodec, n int64) (record.Checksum, error) {
-	var cnt sim.Counters
 	var want record.Checksum
-	buf := st.Pool.Get(st.R, st.RecSize)
-	defer st.Pool.Put(buf)
 	var idx int64
-	for j := 0; j < st.S; j++ {
-		for p := 0; p < st.P; p++ {
-			lo, hi := st.OwnedRows(p, j)
-			if lo == hi {
-				continue
-			}
-			if err := ctx.Err(); err != nil {
-				return want, err
-			}
-			chunk := buf.Sub(0, hi-lo)
-			real := chunk.Sub(0, int(min(int64(chunk.Len()), max(n-idx, 0))))
-			if got, err := readRecords(rd, real); err != nil {
-				return want, fmt.Errorf("colsort: input record %d: %w", idx+int64(got), err)
-			}
-			codec.Encode(real)
-			want.AddSlice(real)
-			pad := chunk.Data[len(real.Data):]
-			for k := range pad {
-				pad[k] = 0xff
-			}
-			idx += int64(chunk.Len())
-			if err := st.WriteRows(&cnt, p, j, lo, chunk); err != nil {
-				return want, err
-			}
+	err := st.FillRows(func(_, _ int, chunk record.Slice) error {
+		if err := ctx.Err(); err != nil {
+			return err
 		}
-	}
-	for p := 0; p < st.P; p++ {
-		if err := st.Flush(p); err != nil {
-			return want, err
+		real := chunk.Sub(0, int(min(int64(chunk.Len()), max(n-idx, 0))))
+		if got, err := readRecords(rd, real); err != nil {
+			return fmt.Errorf("colsort: input record %d: %w", idx+int64(got), err)
 		}
-	}
-	return want, nil
+		codec.Encode(real)
+		want.AddSlice(real)
+		pad := chunk.Data[len(real.Data):]
+		for k := range pad {
+			pad[k] = 0xff
+		}
+		idx += int64(chunk.Len())
+		return nil
+	})
+	return want, err
 }
 
 // drainTo streams the result's real records into the sink, decoding each
