@@ -3,6 +3,7 @@ package main
 import (
 	"testing"
 
+	"colsort/internal/incore"
 	"colsort/internal/record"
 	"colsort/internal/sortalg"
 )
@@ -46,5 +47,22 @@ func TestCheckDistributed(t *testing.T) {
 	unsorted[0].CopyRecord(n-1, first, 0)
 	if err := checkDistributed(unsorted, want); err == nil {
 		t.Fatal("an unsorted block accepted")
+	}
+}
+
+// TestCheckTraffic: E6 concludes only what its traffic column shows, and
+// refuses a table in which in-core columnsort does not move the fewest bytes.
+func TestCheckTraffic(t *testing.T) {
+	sorters := []incore.Sorter{incore.Columnsort{}, incore.Radix{}, incore.Bitonic{}}
+	if err := checkTraffic(sorters, []int64{2_880_000, 7_800_000, 6_290_000}); err != nil {
+		t.Fatalf("a table that supports the conclusion was refused: %v", err)
+	}
+	for _, net := range [][]int64{
+		{7_000_000, 7_800_000, 6_290_000}, // bitonic moves fewer
+		{6_290_000, 7_800_000, 6_290_000}, // bitonic ties
+	} {
+		if err := checkTraffic(sorters, net); err == nil {
+			t.Errorf("net bytes %v accepted: in-core columnsort does not move the fewest", net)
+		}
 	}
 }

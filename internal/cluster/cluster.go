@@ -3,6 +3,13 @@
 // MPI), exchanging record buffers through tagged point-to-point messages and
 // a few collectives.
 //
+// A processor's handle, Proc, speaks for a window [base, base+n) of the
+// cluster: the handle Run passes speaks for all P processors, and Sub narrows
+// it to a contiguous sub-communicator (the MPI communicator-split analogue)
+// — how hybrid group columnsort runs a distributed in-core sort inside each
+// group of g processors. Ranks, widths and collectives are the window's;
+// disjoint windows may use the same tags concurrently.
+//
 // Each processor is a goroutine; within a processor, the pipeline stages of
 // the out-of-core algorithms are further goroutines that may communicate
 // concurrently, so receives are matched MPI-style by (source, tag) rather
@@ -214,9 +221,6 @@ func NewFabric(p int, fabric Fabric) *Cluster {
 // box returns the mailbox holding messages from src destined to dst.
 func (c *Cluster) box(dst, src int) *mailbox { return &c.boxes[dst*c.p+src] }
 
-// P returns the number of processors.
-func (c *Cluster) P() int { return c.p }
-
 // wireCopy realizes the Copying fabric's transport memcpy: the payload is
 // duplicated through the fabric pool and the sender's buffer recycled into
 // it (the sender relinquished the buffer either way). A no-op on the
@@ -307,18 +311,38 @@ func (c *Cluster) exchangeRound(key xkey, me int, out []record.Slice) ([]record.
 	return in, nil
 }
 
-// Proc is one processor's handle onto the cluster.
+// Proc is one processor's handle onto a window [base, base+n) of the
+// cluster's processors: its rank, every peer rank it names and every
+// collective's width are window ranks, cluster rank base+rank.
 type Proc struct {
-	rank     int
+	rank     int // within the window
+	base, n  int
 	c        *Cluster
 	packOffs []int32 // planned all-to-all packing scratch
 }
 
-// Rank returns this processor's id in [0, P).
+// Rank returns this processor's rank in its window, [0, NProcs()).
 func (pr *Proc) Rank() int { return pr.rank }
 
-// NProcs returns the cluster size P.
-func (pr *Proc) NProcs() int { return pr.c.p }
+// NProcs returns the window's size: P for the handle Run passes.
+func (pr *Proc) NProcs() int { return pr.n }
+
+// Sub returns this processor's handle onto the window ranks [base,
+// base+size) of pr's own window, renumbered from 0. The window must lie
+// inside pr's and contain the caller. A Sub of a Sub composes: the bases
+// add. Its traffic shares the parent's mailboxes, so it must use tags
+// disjoint from any concurrent point-to-point traffic among the same
+// processors; its all-to-all rounds are keyed by window and may share tags
+// with those of other windows.
+func (pr *Proc) Sub(base, size int) (*Proc, error) {
+	if size < 1 || base < 0 || base+size > pr.n {
+		return nil, fmt.Errorf("cluster: window [%d, %d) outside [0, %d)", base, base+size, pr.n)
+	}
+	if pr.rank < base || pr.rank >= base+size {
+		return nil, fmt.Errorf("cluster: rank %d is not in the window [%d, %d)", pr.rank, base, base+size)
+	}
+	return &Proc{rank: pr.rank - base, base: pr.base + base, n: size, c: pr.c}, nil
+}
 
 // chargeMsg counts one message from the calling processor: network traffic
 // unless self is true, which costs only a local handoff. Identical in both
@@ -343,11 +367,11 @@ func chargeMsg(cnt *sim.Counters, self bool, bytes int) {
 // touch recs afterwards. Network traffic is charged to cnt unless dst is
 // the sender itself, which costs only a local handoff.
 func (pr *Proc) Send(cnt *sim.Counters, dst, tag int, recs record.Slice) error {
-	if dst < 0 || dst >= pr.c.p {
-		return fmt.Errorf("cluster: send to rank %d of %d", dst, pr.c.p)
+	if dst < 0 || dst >= pr.n {
+		return fmt.Errorf("cluster: send to rank %d of %d", dst, pr.n)
 	}
 	chargeMsg(cnt, dst == pr.rank, len(recs.Data))
-	return pr.c.box(dst, pr.rank).put(tag, pr.c.wireCopy(recs))
+	return pr.c.box(pr.base+dst, pr.base+pr.rank).put(tag, pr.c.wireCopy(recs))
 }
 
 // Recv blocks until a message from src with the given tag arrives and
@@ -355,14 +379,16 @@ func (pr *Proc) Send(cnt *sim.Counters, dst, tag int, recs record.Slice) error {
 // any pool once the records have moved on). Messages from one source under
 // one tag arrive in send order.
 func (pr *Proc) Recv(src, tag int) (record.Slice, error) {
-	if src < 0 || src >= pr.c.p {
-		return record.Slice{}, fmt.Errorf("cluster: recv from rank %d of %d", src, pr.c.p)
+	if src < 0 || src >= pr.n {
+		return record.Slice{}, fmt.Errorf("cluster: recv from rank %d of %d", src, pr.n)
 	}
-	return pr.c.box(pr.rank, src).get(tag)
+	return pr.c.box(pr.base+pr.rank, pr.base+src).get(tag)
 }
 
-// Barrier blocks until all P processors have entered it. The out-of-core
-// algorithms use it only between passes, never inside the pipelines.
+// Barrier blocks until all P processors of the CLUSTER have entered it,
+// whatever pr's window: only the whole-cluster handle Run passes calls it.
+// The out-of-core algorithms use it only between passes, never inside the
+// pipelines.
 func (pr *Proc) Barrier() error {
 	c := pr.c
 	c.barrierMu.Lock()
@@ -400,22 +426,23 @@ func chargeAllToAll(cnt *sim.Counters, me int, out []record.Slice) {
 }
 
 // AllToAll performs the personalized all-to-all exchange at the heart of
-// the communicate stages: out[q] is sent to processor q, and the returned
+// the communicate stages: out[q] is sent to window rank q, and the returned
 // slice holds in[q] received from every q (including this processor's own
 // contribution, which never touches the network). Only non-empty buffers
-// count as messages. All processors must call it with the same tag. The round goes through the exchange board — one
-// synchronization per processor per round — and ownership semantics match
-// Send/Recv. The returned header array comes from the shared header free
-// list; callers done with it may record.PutHeaders it.
+// count as messages. All processors of the window must call it with the
+// same tag. The round goes through the exchange board, keyed by (tag,
+// window) — one synchronization per processor per round — and ownership
+// semantics match Send/Recv. The returned header array comes from the
+// shared header free list; callers done with it may record.PutHeaders it.
 func (pr *Proc) AllToAll(cnt *sim.Counters, tag int, out []record.Slice) ([]record.Slice, error) {
-	if len(out) != pr.c.p {
-		return nil, fmt.Errorf("cluster: all-to-all with %d buffers on %d processors", len(out), pr.c.p)
+	if len(out) != pr.n {
+		return nil, fmt.Errorf("cluster: all-to-all with %d buffers on %d processors", len(out), pr.n)
 	}
 	chargeAllToAll(cnt, pr.rank, out)
 	for d := range out {
 		out[d] = pr.c.wireCopy(out[d])
 	}
-	return pr.c.exchangeRound(xkey{tag: tag, base: 0, n: pr.c.p}, pr.rank, out)
+	return pr.c.exchangeRound(xkey{tag: tag, base: pr.base, n: pr.n}, pr.rank, out)
 }
 
 // Extent is a maximal run of consecutive records (in some scan order)
@@ -442,7 +469,7 @@ type SendPlan struct {
 // exchange board. src is still owned by the caller when it returns; the
 // received buffers are owned by the caller as with AllToAll.
 func (pr *Proc) AllToAllPlan(cnt *sim.Counters, tag int, src record.Slice, plan *SendPlan, pool *record.Pool) ([]record.Slice, error) {
-	p := pr.c.p
+	p := pr.n
 	if len(plan.Counts) != p {
 		return nil, fmt.Errorf("cluster: planned all-to-all with %d destinations on %d processors", len(plan.Counts), p)
 	}
@@ -480,11 +507,11 @@ func (pr *Proc) packInto(out []record.Slice, src record.Slice, plan *SendPlan, p
 	}
 }
 
-// Broadcast sends root's buffer to every processor and returns each
-// processor's copy (the root's own buffer is returned as-is).
+// Broadcast sends root's buffer to every processor of the window and
+// returns each processor's copy (the root's own buffer is returned as-is).
 func (pr *Proc) Broadcast(cnt *sim.Counters, root, tag int, recs record.Slice) (record.Slice, error) {
 	if pr.rank == root {
-		for q := 0; q < pr.c.p; q++ {
+		for q := 0; q < pr.n; q++ {
 			if q == root {
 				continue
 			}
@@ -499,7 +526,8 @@ func (pr *Proc) Broadcast(cnt *sim.Counters, root, tag int, recs record.Slice) (
 	return pr.Recv(root, tag)
 }
 
-// Gather collects every processor's buffer at root; non-roots receive nil.
+// Gather collects every window processor's buffer at root; non-roots
+// receive nil.
 func (pr *Proc) Gather(cnt *sim.Counters, root, tag int, recs record.Slice) ([]record.Slice, error) {
 	if err := pr.Send(cnt, root, tag, recs); err != nil {
 		return nil, err
@@ -507,8 +535,8 @@ func (pr *Proc) Gather(cnt *sim.Counters, root, tag int, recs record.Slice) ([]r
 	if pr.rank != root {
 		return nil, nil
 	}
-	all := make([]record.Slice, pr.c.p)
-	for q := 0; q < pr.c.p; q++ {
+	all := make([]record.Slice, pr.n)
+	for q := 0; q < pr.n; q++ {
 		r, err := pr.Recv(q, tag)
 		if err != nil {
 			return nil, err
@@ -567,7 +595,7 @@ func RunCtxFabric(ctx context.Context, p int, fabric Fabric, fn func(*Proc) erro
 					c.abort(errs[rank])
 				}
 			}()
-			if err := fn(&Proc{rank: rank, c: c}); err != nil {
+			if err := fn(&Proc{rank: rank, n: p, c: c}); err != nil {
 				errs[rank] = err
 				c.abort(err)
 			}

@@ -35,7 +35,7 @@ func TestAllToAllPlanZeroAllocSteadyState(t *testing.T) {
 		wg.Add(1)
 		go func(rank int) {
 			defer wg.Done()
-			pr := &Proc{rank: rank, c: c}
+			pr := &Proc{rank: rank, n: P, c: c}
 			src := pools[rank].Get(r, z)
 			for tag := range start[rank] {
 				in, err := pr.AllToAllPlan(nil, tag, src, &plan, pools[rank])

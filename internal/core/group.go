@@ -19,8 +19,9 @@ import (
 // processors form P/g groups of g; each column holds r = g·(M/P) records owned
 // by one group (column j by group j mod P/g, member m holding rows
 // [m·r/g, (m+1)·r/g)) and is sorted by the distributed in-core columnsort of
-// internal/incore WITHIN the group, one column per group per round. The group
-// size is the whole difference between the algorithms built on it:
+// internal/incore WITHIN the group — group a's handle is the cluster window
+// pr.Sub(a·g, g) — one column per group per round. The group size is the
+// whole difference between the algorithms built on it:
 //
 //   - g = 1 is a column owned by one processor — 3-pass threaded columnsort
 //     [CC02], 4-pass columnsort [CCW01] (one more spec: step 5 alone) and
@@ -180,7 +181,7 @@ type groupRound struct {
 // blocks the pass reads.
 type groupStages struct {
 	sc         *sortalg.Scratch // the sort stage's; the pass hands it back (sortalg.PutScratch)
-	grp        *cluster.Group
+	grp        *cluster.Proc    // my group's window [a·g, (a+1)·g)
 	src        func(emit func(groupRound) error) error
 	read, sort func(groupRound) (groupRound, error)
 }
@@ -191,7 +192,7 @@ func newGroupStages(pr *cluster.Proc, pl Plan, runLen int, in *pdm.Store, tagBas
 	rb := pl.R / g
 	a, lo := q/g, q%g*rb
 
-	grp, err := cluster.ContiguousGroup(pr, a*g, g)
+	grp, err := pr.Sub(a*g, g)
 	if err != nil {
 		return groupStages{}, err
 	}

@@ -4,6 +4,7 @@ import (
 	"fmt"
 
 	"colsort/internal/bitperm"
+	"colsort/internal/cluster"
 	"colsort/internal/record"
 	"colsort/internal/sim"
 	"colsort/internal/sortalg"
@@ -15,8 +16,8 @@ import (
 // merged records). Substituting merge-split into any sorting network sorts
 // block-distributed data, so correctness follows from the network's.
 //
-// It performs lg P·(lg P+1)/2 full-block exchanges, which is why the paper
-// found it consistently slower than in-core columnsort (experiment E6).
+// It performs lg P·(lg P+1)/2 full-block exchanges, so it moves more bytes
+// per processor than in-core columnsort (experiment E6).
 type Bitonic struct {
 	Pool    *record.Pool     // optional buffer pool (nil: allocate per call)
 	Scratch *sortalg.Scratch // optional sort scratch; NOT concurrency-safe
@@ -24,7 +25,7 @@ type Bitonic struct {
 
 func (Bitonic) Name() string { return "bitonic" }
 
-func (bs Bitonic) Sort(pr Comm, cnt *sim.Counters, tagBase int, local record.Slice) (record.Slice, error) {
+func (bs Bitonic) Sort(pr *cluster.Proc, cnt *sim.Counters, tagBase int, local record.Slice) (record.Slice, error) {
 	p, rank := pr.NProcs(), pr.Rank()
 	n := local.Len()
 	z := local.Size
@@ -76,16 +77,4 @@ func (bs Bitonic) Sort(pr Comm, cnt *sim.Counters, tagBase int, local record.Sli
 		}
 	}
 	return cur, nil
-}
-
-// ExchangeCount returns the number of full-block merge-split exchanges
-// block bitonic performs on p processors: lg p·(lg p+1)/2. Used by the E6
-// analysis to predict the communication-volume ordering of the three
-// in-core sorts.
-func (Bitonic) ExchangeCount(p int) int {
-	if p <= 1 {
-		return 0
-	}
-	lg := bitperm.Log2(p)
-	return lg * (lg + 1) / 2
 }

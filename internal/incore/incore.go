@@ -3,7 +3,9 @@
 // out-of-core column of r = M records held collectively by all P
 // processors (M/P records each); the paper implemented three candidates —
 // in-core columnsort, bitonic sort, and radix sort — and chose in-core
-// columnsort on an (M/P)×P matrix.
+// columnsort on an (M/P)×P matrix. Section 6's hybrid runs the same sorts
+// inside groups of g processors: a sorter sorts over whatever window of the
+// cluster its *cluster.Proc speaks for (cluster.Proc.Sub), P or g.
 //
 // All three sorters share the same contract: every processor enters with n
 // local records (the same n everywhere) and leaves with the n records of
@@ -37,30 +39,17 @@ import (
 // Callers hand successive invocations tag bases at least TagSpan apart.
 const TagSpan = 256
 
-// Comm is the communicator surface the distributed in-core sorts need.
-// *cluster.Proc satisfies it directly; *cluster.Group satisfies it for a
-// subset of processors, which is how hybrid group columnsort runs an
-// in-core sort inside each group.
-type Comm interface {
-	Rank() int
-	NProcs() int
-	Send(cnt *sim.Counters, dst, tag int, recs record.Slice) error
-	Recv(src, tag int) (record.Slice, error)
-	AllToAll(cnt *sim.Counters, tag int, out []record.Slice) ([]record.Slice, error)
-	Gather(cnt *sim.Counters, root, tag int, recs record.Slice) ([]record.Slice, error)
-	Broadcast(cnt *sim.Counters, root, tag int, recs record.Slice) (record.Slice, error)
-}
-
-var _ Comm = (*cluster.Proc)(nil)
-
 // Sorter is a distributed in-core sort.
 type Sorter interface {
 	// Name identifies the algorithm in reports and benchmarks.
 	Name() string
-	// Sort sorts the distributed array. It consumes local (ownership may
-	// move into messages or, for pooled sorters, back into the pool) and
-	// returns the processor's sorted block, which the caller owns.
-	Sort(pr Comm, cnt *sim.Counters, tagBase int, local record.Slice) (record.Slice, error)
+	// Sort sorts the array distributed over pr's window of processors —
+	// the whole cluster, or a group of it (cluster.Proc.Sub), which is how
+	// hybrid group columnsort sorts inside each group. It consumes local
+	// (ownership may move into messages or, for pooled sorters, back into
+	// the pool) and returns the processor's sorted block, which the caller
+	// owns.
+	Sort(pr *cluster.Proc, cnt *sim.Counters, tagBase int, local record.Slice) (record.Slice, error)
 }
 
 // scratchOf returns sc, or a transient scratch when the sorter was built
@@ -120,7 +109,7 @@ func (cs Columnsort) runs(n int) int {
 	return 0
 }
 
-func (cs Columnsort) Sort(pr Comm, cnt *sim.Counters, tagBase int, local record.Slice) (record.Slice, error) {
+func (cs Columnsort) Sort(pr *cluster.Proc, cnt *sim.Counters, tagBase int, local record.Slice) (record.Slice, error) {
 	p := pr.NProcs()
 	n, z := local.Len(), local.Size
 	pool, sc := cs.Pool, scratchOf(cs.Scratch)
@@ -203,7 +192,7 @@ func (cs Columnsort) mergeArrivals(sc *sortalg.Scratch, cnt *sim.Counters, lanes
 // It uses two tags: tagBase (bottom halves moving right) and tagBase+1
 // (final bottoms moving left). Its half-column buffers come from pool (nil:
 // allocate per call).
-func boundaryMerge(pr Comm, cnt *sim.Counters, tagBase int, local record.Slice, pool *record.Pool) error {
+func boundaryMerge(pr *cluster.Proc, cnt *sim.Counters, tagBase int, local record.Slice, pool *record.Pool) error {
 	p, q := pr.NProcs(), pr.Rank()
 	n := local.Len()
 	if p == 1 || n == 0 {

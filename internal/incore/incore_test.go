@@ -117,15 +117,6 @@ func TestBitonicRejectsNonPow2(t *testing.T) {
 	}
 }
 
-func TestBitonicExchangeCount(t *testing.T) {
-	b := Bitonic{}
-	for p, want := range map[int]int{1: 0, 2: 1, 4: 3, 8: 6, 16: 10, 32: 15} {
-		if got := b.ExchangeCount(p); got != want {
-			t.Fatalf("ExchangeCount(%d) = %d, want %d", p, got, want)
-		}
-	}
-}
-
 // TestCommunicationOrdering is the analytic half of experiment E6: per
 // processor, in-core columnsort must move the fewest bytes over the
 // network, radix somewhat more (envelope overhead and histograms), and

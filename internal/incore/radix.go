@@ -3,6 +3,7 @@ package incore
 import (
 	"fmt"
 
+	"colsort/internal/cluster"
 	"colsort/internal/record"
 	"colsort/internal/sim"
 )
@@ -32,7 +33,7 @@ const (
 	radixPasses  = 64 / radixBits
 )
 
-func (rs Radix) Sort(pr Comm, cnt *sim.Counters, tagBase int, local record.Slice) (record.Slice, error) {
+func (rs Radix) Sort(pr *cluster.Proc, cnt *sim.Counters, tagBase int, local record.Slice) (record.Slice, error) {
 	p, rank := pr.NProcs(), pr.Rank()
 	n := local.Len()
 	z := local.Size
@@ -57,9 +58,7 @@ func (rs Radix) Sort(pr Comm, cnt *sim.Counters, tagBase int, local record.Slice
 		tag := tagBase + pass*8
 
 		// Local histogram of this digit.
-		for i := range hist {
-			hist[i] = 0
-		}
+		clear(hist)
 		for i := 0; i < n; i++ {
 			hist[(cur.Key(i)>>shift)&(radixBuckets-1)]++
 		}
@@ -72,9 +71,8 @@ func (rs Radix) Sort(pr Comm, cnt *sim.Counters, tagBase int, local record.Slice
 		// Compute each record's destination rank (stable: local order
 		// preserved within a bucket) and pack (rank, record) envelopes
 		// per destination processor.
-		for q := 0; q < p; q++ {
-			counts[q], fill[q] = 0, 0
-		}
+		clear(counts)
+		clear(fill)
 		for i := 0; i < n; i++ {
 			b := (cur.Key(i) >> shift) & (radixBuckets - 1)
 			dests[i] = starts[b]
@@ -134,7 +132,7 @@ func (rs Radix) Sort(pr Comm, cnt *sim.Counters, tagBase int, local record.Slice
 // the start offsets back to their owners. Each processor moves O(B) bytes
 // regardless of P. Tags used: tag..tag+3. Message buffers cycle through
 // pool (nil: allocate per call).
-func globalStarts(pr Comm, cnt *sim.Counters, tag int, hist []int64, pool *record.Pool) ([]int64, error) {
+func globalStarts(pr *cluster.Proc, cnt *sim.Counters, tag int, hist []int64, pool *record.Pool) ([]int64, error) {
 	p, rank := pr.NProcs(), pr.Rank()
 	b := len(hist)
 	if p == 1 {

@@ -20,14 +20,6 @@ const KeyBytes = 8
 // MinSize is the smallest legal record size (a bare key).
 const MinSize = KeyBytes
 
-// Common record sizes, matching the paper's experimental range.
-const (
-	Size16  = 16
-	Size32  = 32
-	Size64  = 64
-	Size128 = 128
-)
-
 // ErrBadSize reports an unusable record size.
 var ErrBadSize = errors.New("record: size must be a multiple of 8 and >= 8")
 

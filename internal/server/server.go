@@ -25,6 +25,7 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"math"
 	"net/http"
 	"os"
 	"path/filepath"
@@ -237,6 +238,11 @@ func (s *Server) handleSortStream(w http.ResponseWriter, r *http.Request) {
 			return
 		}
 		n = parsed
+		if n > math.MaxInt64/z {
+			writeError(w, http.StatusBadRequest,
+				"records=%d overflows a 64-bit byte count at %d bytes a record", n, z)
+			return
+		}
 		if r.ContentLength >= 0 && r.ContentLength != n*z {
 			writeError(w, http.StatusBadRequest,
 				"records=%d disagrees with Content-Length %d (want %d×%d = %d bytes)",

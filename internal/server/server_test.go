@@ -222,6 +222,9 @@ func TestStreamSortRejections(t *testing.T) {
 		{"empty body", "", bytes.NewReader(nil), "not a positive multiple"},
 		{"records disagrees with length", "?records=3", bytes.NewReader(make([]byte, testZ)), "disagrees with Content-Length"},
 		{"records not positive", "?records=0", bytes.NewReader(make([]byte, testZ)), "not a positive integer"},
+		// (2⁵⁹+1)·32 wraps to 32 in int64: a one-record body must not pass
+		// for 2⁵⁹+1 records.
+		{"records overflows the byte count", "?records=576460752303423489", bytes.NewReader(make([]byte, testZ)), "records=576460752303423489 overflows"},
 		{"unknown option", "?colour=red", bytes.NewReader(make([]byte, testZ)), "unknown option"},
 		{"conflicting options", "?chaos=off&chaos-seed=1", bytes.NewReader(make([]byte, testZ)), "conflicts with the chaos-"},
 	}
