@@ -1,13 +1,14 @@
 package colsort
 
 // Tests of the durable-job path: WithCheckpoint's persisted run manifest,
-// Engine.Resume after a mid-merge and mid-formation crash, the deadline
-// option, and the manifest replay's crash-tolerance. The "crash" is a
-// context cancellation fired from a progress callback — the same abrupt
-// teardown a SIGKILL inflicts on the checkpoint state, since the WAL is
-// fsync'd at every durability point and never repaired on the way down
-// (scripts/crash_resume_e2e.sh kills a real process for the end-to-end
-// version of the same contract).
+// the same Sort called again after a mid-merge and mid-formation crash (one
+// entry point: a Sort under WithCheckpoint(dir) continues whatever job dir
+// holds), the deadline option, and the manifest replay's crash-tolerance.
+// The "crash" is a context cancellation fired from a progress callback —
+// the same abrupt teardown a SIGKILL inflicts on the checkpoint state, since
+// the WAL is fsync'd at every durability point and never repaired on the
+// way down (scripts/crash_resume_e2e.sh kills a real process for the
+// end-to-end version of the same contract).
 
 import (
 	"bytes"
@@ -16,6 +17,7 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
+	"reflect"
 	"strings"
 	"sync"
 	"testing"
@@ -37,9 +39,9 @@ func ckptConfig(t *testing.T, dir string) *Sorter {
 	return s
 }
 
-// checkFormationRestarted returns a progress callback for a Resume that must
-// restart formation. At the resumed job's first formation event — the one
-// place the restart is observable, since success retires the whole
+// checkFormationRestarted returns a progress callback for a continuation
+// that must restart formation. At the resumed job's first formation event —
+// the one place the restart is observable, since success retires the whole
 // checkpoint directory — it checks that the manifest was begun afresh (a
 // begin entry naming the one formation, no run entry yet) and that the
 // crashed job's run files, stale, were swept.
@@ -68,20 +70,20 @@ func checkFormationRestarted(t *testing.T, ckptDir string, stale []string) func(
 	}
 }
 
-// TestCheckpointResumeMidMerge resumes a checkpoint whose job died during
-// the merge phase: the output must be byte-identical to the uninterrupted
-// sort and NOTHING re-sorted — every run is adopted from the manifest
-// (ResumedRuns == the full live set, BatchRedos == 0). The checkpoint is
-// either this build's ("replacement-select": a job crashed at its first
-// merge event) or one a ≤ PR 12 fixed-batch job left at the same point
-// ("fixed-batch": fixedBatchManifest, manifest_test.go) — the mode is gone,
-// its checkpoints still resume.
+// TestCheckpointResumeMidMerge calls a Sort again over a checkpoint whose
+// job died during the merge phase: the output must be byte-identical to the
+// uninterrupted sort and NOTHING re-sorted — every run is adopted from the
+// manifest (ResumedRuns == the full live set, BatchRedos == 0). The
+// checkpoint is either this build's ("replacement-select": a job crashed at
+// its first merge event) or one an older fixed-batch job left at the same
+// point ("fixed-batch": fixedBatchManifest, manifest_test.go) — the mode is
+// gone, its checkpoints still resume.
 func TestCheckpointResumeMidMerge(t *testing.T) {
 	resume := func(t *testing.T, s *Sorter, ckptDir string, raw []byte, z int) {
 		var out bytes.Buffer
-		rres, err := s.Resume(context.Background(), ckptDir, FromBytes(raw), ToWriter(&out))
+		rres, err := s.Sort(context.Background(), FromBytes(raw), ToWriter(&out), WithMergeFanIn(2), WithCheckpoint(ckptDir))
 		if err != nil {
-			t.Fatalf("Resume: %v", err)
+			t.Fatalf("Sort over the checkpoint: %v", err)
 		}
 		defer rres.Close()
 		if !bytes.Equal(out.Bytes(), refSortBytes(t, raw, z, KeySpec{})) {
@@ -147,9 +149,10 @@ func TestCheckpointResumeMidMerge(t *testing.T) {
 	})
 }
 
-// TestCheckpointResumeMidMergeNilSource is the merge-phase resume with no
-// Source at all: once the manifest records ingest_done, the input is never
-// read again.
+// TestCheckpointResumeMidMergeNilSource: once the manifest records
+// ingest_done, the input is never read again — the continuing Sort opens
+// its Source (for the record count its begin entry must match) and reads
+// zero records from it.
 func TestCheckpointResumeMidMergeNilSource(t *testing.T) {
 	dir := t.TempDir()
 	s := ckptConfig(t, dir)
@@ -174,13 +177,17 @@ func TestCheckpointResumeMidMergeNilSource(t *testing.T) {
 	}
 
 	var out bytes.Buffer
-	rres, err := s.Resume(context.Background(), ckptDir, nil, ToWriter(&out))
+	src := &countingSource{Source: FromBytes(raw)}
+	rres, err := s.Sort(context.Background(), src, ToWriter(&out), WithMergeFanIn(2), WithCheckpoint(ckptDir))
 	if err != nil {
-		t.Fatalf("Resume with nil Source: %v", err)
+		t.Fatalf("Sort over the checkpoint: %v", err)
 	}
 	defer rres.Close()
+	if src.read != 0 {
+		t.Errorf("a merge-phase continuation read %d records from its Source, want 0", src.read)
+	}
 	if !bytes.Equal(out.Bytes(), refSortBytes(t, raw, 32, KeySpec{})) {
-		t.Error("nil-source resumed output differs from the reference")
+		t.Error("resumed output differs from the reference")
 	}
 	// 3 runs at fan-in 2: the crash hit the intermediate merge of runs 1+2.
 	if rres.Merge.Runs != 3 || rres.Merge.ResumedRuns != 3 || rres.Merge.Levels != 2 {
@@ -191,8 +198,8 @@ func TestCheckpointResumeMidMergeNilSource(t *testing.T) {
 // TestCheckpointResumeMidFormation crashes a job between formation runs,
 // with verified runs already durable in its manifest: those runs do not
 // cover a source prefix (the former that cut them held records from well
-// past their end), so Resume adopts none of them — it sweeps them, re-begins
-// the manifest and forms every run again, byte-identical.
+// past their end), so the Sort called again adopts none of them — it sweeps
+// them, re-begins the manifest and forms every run again, byte-identical.
 func TestCheckpointResumeMidFormation(t *testing.T) {
 	dir := t.TempDir()
 	s := ckptConfig(t, dir)
@@ -231,10 +238,10 @@ func TestCheckpointResumeMidFormation(t *testing.T) {
 	}
 
 	var out bytes.Buffer
-	rres, err := s.Resume(context.Background(), ckptDir, FromBytes(raw), ToWriter(&out),
+	rres, err := s.Sort(context.Background(), FromBytes(raw), ToWriter(&out), WithCheckpoint(ckptDir),
 		WithProgress(checkFormationRestarted(t, ckptDir, stale)))
 	if err != nil {
-		t.Fatalf("Resume: %v", err)
+		t.Fatalf("Sort over the checkpoint: %v", err)
 	}
 	defer rres.Close()
 	if !bytes.Equal(out.Bytes(), refSortBytes(t, raw, 32, KeySpec{})) {
@@ -248,9 +255,9 @@ func TestCheckpointResumeMidFormation(t *testing.T) {
 
 // TestCheckpointRSFormationRestart crashes formation at its first chunk,
 // before any run is durable (TestCheckpointResumeMidFormation crashes it
-// after two are): the former's resident records died with the process, so Resume
-// restarts formation from scratch — and the restarted job still ends
-// byte-identical.
+// after two are): the former's resident records died with the process, so
+// the Sort called again restarts formation from scratch — and the restarted
+// job still ends byte-identical.
 func TestCheckpointRSFormationRestart(t *testing.T) {
 	dir := t.TempDir()
 	s := ckptConfig(t, dir)
@@ -275,9 +282,9 @@ func TestCheckpointRSFormationRestart(t *testing.T) {
 	}
 
 	var out bytes.Buffer
-	rres, err := s.Resume(context.Background(), ckptDir, FromBytes(raw), ToWriter(&out))
+	rres, err := s.Sort(context.Background(), FromBytes(raw), ToWriter(&out), WithCheckpoint(ckptDir))
 	if err != nil {
-		t.Fatalf("Resume: %v", err)
+		t.Fatalf("Sort over the checkpoint: %v", err)
 	}
 	defer rres.Close()
 	if !bytes.Equal(out.Bytes(), refSortBytes(t, raw, 32, KeySpec{})) {
@@ -288,35 +295,22 @@ func TestCheckpointRSFormationRestart(t *testing.T) {
 	}
 }
 
-// TestResumeValidation covers the refusals: no manifest, a completed job,
-// and a mismatched source size.
+// TestResumeValidation covers what a Sort over a crashed job's checkpoint
+// refuses — an engine that resolves the job differently, a source of another
+// record count, a nil Sink — and the one leftover it sweeps: a manifest
+// whose job completed but whose cleanup failed is a fresh sort.
 func TestResumeValidation(t *testing.T) {
 	dir := t.TempDir()
 	s := ckptConfig(t, dir)
-
-	if _, err := s.Resume(context.Background(), filepath.Join(dir, "nope"), nil, Discard()); err == nil {
-		t.Error("Resume on a nonexistent manifest dir succeeded")
-	}
-
-	// A completed checkpointed job retires its state; resuming it must fail.
 	bound := s.MaxRecords(Threaded)
 	n := int(3 * bound)
 	raw := genRaw(n, 32, record.Uniform{Seed: 39})
 	ckptDir := filepath.Join(dir, "ckpt")
-	res, err := s.Sort(context.Background(), FromBytes(raw), Discard(), WithCheckpoint(ckptDir))
-	if err != nil {
-		t.Fatal(err)
-	}
-	res.Close()
-	if _, err := s.Resume(context.Background(), ckptDir, FromBytes(raw), Discard()); err == nil {
-		t.Error("Resume after successful completion succeeded")
-	}
 
-	// Crash one, then offer a source of the wrong size.
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
 	var once sync.Once
-	res, err = s.Sort(ctx, FromBytes(raw), Discard(),
+	res, err := s.Sort(ctx, FromBytes(raw), Discard(),
 		WithCheckpoint(ckptDir),
 		WithProgress(func(ev Progress) {
 			if ev.Pass == 0 && ev.MergedRecords > 0 {
@@ -327,23 +321,170 @@ func TestResumeValidation(t *testing.T) {
 		res.Close()
 		t.Fatal("cancelled checkpointed sort returned no error")
 	}
-	// An engine that resolves the job differently — twice the memory per
+	// An engine that resolves the job differently — half the memory per
 	// processor — must refuse: the durable runs were formed over a capacity
 	// it would not choose.
-	other, err := New(Config{Procs: 4, MemPerProc: 512, RecordSize: 32, Dir: filepath.Join(dir, "scratch-other")})
+	other, err := New(Config{Procs: 4, MemPerProc: 128, RecordSize: 32, Dir: filepath.Join(dir, "scratch-other")})
 	if err != nil {
 		t.Fatal(err)
 	}
-	want := fmt.Sprintf("was written with %d-record runs but this engine plans %d-record runs", bound, other.MaxRecords(Threaded))
-	if _, err := other.Resume(context.Background(), ckptDir, FromBytes(raw), Discard()); err == nil || !strings.Contains(err.Error(), want) {
-		t.Errorf("Resume on a differently sized engine: err = %v, want %q", err, want)
+	_, err = other.Sort(context.Background(), FromBytes(raw), Discard(), WithCheckpoint(ckptDir))
+	for _, want := range []string{ckptDir, fmt.Sprintf("run_records=%d ", bound), fmt.Sprintf("run_records=%d ", other.MaxRecords(Threaded))} {
+		if err == nil || !strings.Contains(err.Error(), want) {
+			t.Errorf("Sort on a differently sized engine: err = %v, want it to name %q", err, want)
+		}
 	}
 	short := raw[:len(raw)-32]
-	if _, err := s.Resume(context.Background(), ckptDir, FromBytes(short), Discard()); err == nil {
-		t.Error("Resume accepted a source with the wrong record count")
+	if _, err := s.Sort(context.Background(), FromBytes(short), Discard(), WithCheckpoint(ckptDir)); err == nil {
+		t.Error("a checkpoint was continued from a source with another record count")
 	}
-	if _, err := s.Resume(context.Background(), ckptDir, FromBytes(raw), nil); !errors.Is(err, ErrSinkRequired) {
-		t.Errorf("Resume with nil Sink: err = %v, want ErrSinkRequired", err)
+	if _, err := s.Sort(context.Background(), FromBytes(raw), nil, WithCheckpoint(ckptDir)); !errors.Is(err, ErrSinkRequired) {
+		t.Errorf("Sort with nil Sink: err = %v, want ErrSinkRequired", err)
+	}
+
+	// A done entry is only left behind when the completed job's cleanup
+	// failed: its runs are swept and the job sorts afresh.
+	f, err := os.OpenFile(filepath.Join(ckptDir, manifestName), os.O_WRONLY|os.O_APPEND, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := f.WriteString(`{"type":"done"}` + "\n"); err != nil {
+		t.Fatal(err)
+	}
+	f.Close()
+	var out bytes.Buffer
+	res, err = s.Sort(context.Background(), FromBytes(raw), ToWriter(&out), WithCheckpoint(ckptDir))
+	if err != nil {
+		t.Fatalf("Sort over a completed job's manifest: %v", err)
+	}
+	defer res.Close()
+	if res.Merge.ResumedRuns != 0 || !bytes.Equal(out.Bytes(), refSortBytes(t, raw, 32, KeySpec{})) {
+		t.Errorf("Sort over a completed job's manifest adopted %d runs (want 0) or differs from the reference", res.Merge.ResumedRuns)
+	}
+	if _, err := os.Stat(ckptDir); !os.IsNotExist(err) {
+		t.Errorf("checkpoint directory survived the completed sort (stat err %v)", err)
+	}
+}
+
+// TestCheckpointCrashTwice is "the same command that crashed resumes" taken
+// at its word: a checkpointed Sort crashed mid-merge, the SAME call crashed
+// again mid-merge, then the same call run to completion. Each continuation
+// adopts the runs the previous process left — no second begin entry, no
+// orphaned runs — so the last one re-sorts nothing (ResumedRuns == Runs),
+// its output is byte-identical, and the checkpoint directory is gone.
+func TestCheckpointCrashTwice(t *testing.T) {
+	dir := t.TempDir()
+	s := ckptConfig(t, dir)
+	raw := genRaw(int(6*s.MaxRecords(Threaded)), 32, record.Uniform{Seed: 31}) // forms 4 runs
+	ckptDir := filepath.Join(dir, "ckpt")
+	sortOnce := func(ctx context.Context, dst Sink, progress func(Progress)) (*Result, error) {
+		return s.Sort(ctx, FromBytes(raw), dst, WithMergeFanIn(2), WithCheckpoint(ckptDir), WithProgress(progress))
+	}
+	for crash := 1; crash <= 2; crash++ {
+		ctx, cancel := context.WithCancel(context.Background())
+		var once sync.Once
+		res, err := sortOnce(ctx, Discard(), func(ev Progress) {
+			if ev.Pass == 0 && ev.MergedRecords > 0 {
+				once.Do(cancel)
+			}
+		})
+		cancel()
+		if !errors.Is(err, context.Canceled) {
+			if err == nil {
+				res.Close()
+			}
+			t.Fatalf("crash %d: err = %v, want context.Canceled", crash, err)
+		}
+		wal, err := os.ReadFile(filepath.Join(ckptDir, manifestName))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if begins := bytes.Count(wal, []byte(`{"type":"begin"`)); begins != 1 {
+			t.Fatalf("after crash %d the manifest holds %d begin entries, want 1:\n%s", crash, begins, wal)
+		}
+		// The 4 runs, and at most the merge output the crash cut short.
+		if files, _ := filepath.Glob(filepath.Join(ckptDir, ckptRunPrefix+"*")); len(files) > 5 {
+			t.Errorf("after crash %d the checkpoint holds %d run files for a 4-run job: %v", crash, len(files), files)
+		}
+	}
+
+	var out bytes.Buffer
+	res, err := sortOnce(context.Background(), ToWriter(&out), nil)
+	if err != nil {
+		t.Fatalf("Sort after two crashes: %v", err)
+	}
+	defer res.Close()
+	if !bytes.Equal(out.Bytes(), refSortBytes(t, raw, 32, KeySpec{})) {
+		t.Error("output after two crashes is not byte-identical to the uninterrupted sort")
+	}
+	if m := res.Merge; m.ResumedRuns == 0 || m.ResumedRuns != m.Runs {
+		t.Errorf("ResumedRuns = %d of %d runs, want all: the second crash left the first job's runs adoptable", m.ResumedRuns, m.Runs)
+	}
+	if ents, err := os.ReadDir(ckptDir); len(ents) != 0 || !os.IsNotExist(err) {
+		t.Errorf("checkpoint directory after completion: %d entries (err %v), want it gone", len(ents), err)
+	}
+}
+
+// TestCheckpointForeignJobRefused: a Sort whose parameters differ from those
+// of the job its checkpoint directory holds — another record count, another
+// fan-in — is refused with both parameter sets named, and leaves every byte
+// of that job's manifest and run files as it found them.
+func TestCheckpointForeignJobRefused(t *testing.T) {
+	dir := t.TempDir()
+	s := ckptConfig(t, dir)
+	bound := s.MaxRecords(Threaded)
+	raw := genRaw(int(4*bound), 32, record.Uniform{Seed: 33})
+	ckptDir := filepath.Join(dir, "ckpt")
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	var once sync.Once
+	res, err := s.Sort(ctx, FromBytes(raw), Discard(), WithMergeFanIn(2), WithCheckpoint(ckptDir),
+		WithProgress(func(ev Progress) {
+			if ev.Pass == 0 && ev.MergedRecords > 0 {
+				once.Do(cancel)
+			}
+		}))
+	if !errors.Is(err, context.Canceled) {
+		if err == nil {
+			res.Close()
+		}
+		t.Fatalf("crash: err = %v, want context.Canceled", err)
+	}
+	snapshot := func() map[string]string {
+		ents, err := os.ReadDir(ckptDir)
+		if err != nil {
+			t.Fatal(err)
+		}
+		files := make(map[string]string, len(ents))
+		for _, de := range ents {
+			b, err := os.ReadFile(filepath.Join(ckptDir, de.Name()))
+			if err != nil {
+				t.Fatal(err)
+			}
+			files[de.Name()] = string(b)
+		}
+		return files
+	}
+	before := snapshot()
+
+	for _, tc := range []struct {
+		name  string
+		raw   []byte
+		fanIn int
+		want  []string
+	}{
+		{"another n", raw[:len(raw)-5*32], 2, []string{fmt.Sprintf("n=%d ", 4*bound), fmt.Sprintf("n=%d ", 4*bound-5)}},
+		{"another fan-in", raw, 3, []string{"fan_in=2 ", "fan_in=3 "}},
+	} {
+		_, err := s.Sort(context.Background(), FromBytes(tc.raw), Discard(), WithMergeFanIn(tc.fanIn), WithCheckpoint(ckptDir))
+		for _, want := range append(tc.want, ckptDir) {
+			if err == nil || !strings.Contains(err.Error(), want) {
+				t.Errorf("%s: err = %v, want a refusal naming %q", tc.name, err, want)
+			}
+		}
+		if after := snapshot(); !reflect.DeepEqual(after, before) {
+			t.Errorf("%s: the refused Sort changed the checkpoint directory", tc.name)
+		}
 	}
 }
 
@@ -382,9 +523,9 @@ func TestManifestTornTail(t *testing.T) {
 	f.Close()
 
 	var out bytes.Buffer
-	rres, err := s.Resume(context.Background(), ckptDir, FromBytes(raw), ToWriter(&out))
+	rres, err := s.Sort(context.Background(), FromBytes(raw), ToWriter(&out), WithMergeFanIn(2), WithCheckpoint(ckptDir))
 	if err != nil {
-		t.Fatalf("Resume over a torn manifest tail: %v", err)
+		t.Fatalf("Sort over a torn manifest tail: %v", err)
 	}
 	defer rres.Close()
 	if !bytes.Equal(out.Bytes(), refSortBytes(t, raw, 32, KeySpec{})) {
@@ -443,7 +584,7 @@ func TestManifestTornTailSecondInterruption(t *testing.T) {
 	// is complete and logged by then, and a later one is in flight.
 	ctx2, cancel2 := context.WithCancel(context.Background())
 	defer cancel2()
-	res, err = s.Resume(ctx2, ckptDir, FromBytes(raw), Discard(), opts(6*bound, cancel2)...)
+	res, err = s.Sort(ctx2, FromBytes(raw), Discard(), opts(6*bound, cancel2)...)
 	if err == nil {
 		res.Close()
 		t.Fatal("cancelled resume returned no error")
@@ -457,9 +598,9 @@ func TestManifestTornTailSecondInterruption(t *testing.T) {
 	}
 
 	var out bytes.Buffer
-	rres, err := s.Resume(context.Background(), ckptDir, FromBytes(raw), ToWriter(&out))
+	rres, err := s.Sort(context.Background(), FromBytes(raw), ToWriter(&out), WithMergeFanIn(2), WithCheckpoint(ckptDir))
 	if err != nil {
-		t.Fatalf("Resume after a second interruption over a torn tail: %v", err)
+		t.Fatalf("Sort after a second interruption over a torn tail: %v", err)
 	}
 	defer rres.Close()
 	if !bytes.Equal(out.Bytes(), refSortBytes(t, raw, 32, KeySpec{})) {
@@ -511,4 +652,27 @@ func TestCheckpointSingleRunIgnored(t *testing.T) {
 	if _, err := os.Stat(filepath.Join(dir, "ckpt", "manifest.wal")); !os.IsNotExist(err) {
 		t.Errorf("single-run sort wrote a manifest (stat err %v)", err)
 	}
+}
+
+// countingSource is a Source whose reader counts the records Sort reads from
+// it — record by record, since it does not offer the built-in readers' bulk
+// path.
+type countingSource struct {
+	Source
+	read int64
+}
+
+func (c *countingSource) Open(recSize int) (int64, RecordReader, error) {
+	n, rd, err := c.Source.Open(recSize)
+	return n, &countingReader{RecordReader: rd, read: &c.read}, err
+}
+
+type countingReader struct {
+	RecordReader
+	read *int64
+}
+
+func (r *countingReader) ReadRecord(rec []byte) error {
+	*r.read++
+	return r.RecordReader.ReadRecord(rec)
 }

@@ -38,10 +38,10 @@
 // COLSORT_CHAOS_SEED (or -chaos-seed) replays it.
 //
 // -checkpoint DIR persists a run manifest while a hierarchical sort spills
-// its runs; after a crash or Ctrl-C, the same command with -resume picks
-// the sort back up from that manifest, adopting the durable runs instead of
-// re-sorting them (see DESIGN.md §13). -deadline bounds the whole sort's
-// wall clock, failing it cleanly when exceeded.
+// its runs; after a crash or Ctrl-C, the same command picks the sort back
+// up from that manifest, adopting the durable runs instead of re-sorting
+// them (see DESIGN.md §13). -deadline bounds the whole sort's wall clock,
+// failing it cleanly when exceeded.
 package main
 
 import (
@@ -95,8 +95,7 @@ func main() {
 	desc := flag.Bool("desc", false, "sort the key field in descending order")
 	progress := flag.Bool("progress", false, "print pass/round completion as the sort runs")
 	planOnly := flag.Bool("plan", false, "print the plan and exit")
-	checkpoint := flag.String("checkpoint", "", "hierarchical sorts: persist a run manifest under this directory so a crashed or cancelled sort can be picked back up with -resume")
-	resume := flag.Bool("resume", false, "resume the checkpointed sort whose manifest -checkpoint holds, adopting its durable runs instead of re-sorting (requires -checkpoint, -in and -out)")
+	checkpoint := flag.String("checkpoint", "", "hierarchical sorts: persist a run manifest under this directory; the same command run again continues a crashed or cancelled sort from it")
 	deadline := flag.Duration("deadline", 0, "fail the sort if it has not completed within this duration (0: none)")
 	flag.Parse()
 
@@ -158,14 +157,6 @@ func main() {
 			os.Exit(2)
 		}
 	})
-	if *resume && *checkpoint == "" {
-		fmt.Fprintln(os.Stderr, "-resume needs the manifest directory: pass -checkpoint DIR")
-		os.Exit(2)
-	}
-	if *resume && (*inPath == "" || *outPath == "") {
-		fmt.Fprintln(os.Stderr, "-resume requires -in and -out (the original input, and a file to stream the output into)")
-		os.Exit(2)
-	}
 	engine, err := colsort.New(cfg)
 	if err != nil {
 		fmt.Fprintln(os.Stderr, err)
@@ -251,12 +242,7 @@ func main() {
 	isBaseline := alg == colsort.BaselineIO3 || alg == colsort.BaselineIO4
 
 	start := time.Now()
-	var res *colsort.Result
-	if *resume {
-		res, err = engine.Resume(ctx, *checkpoint, src, dst, opts...)
-	} else {
-		res, err = engine.Sort(ctx, src, dst, opts...)
-	}
+	res, err := engine.Sort(ctx, src, dst, opts...)
 	if err != nil {
 		if errors.Is(err, context.Canceled) {
 			fmt.Fprintln(os.Stderr, "interrupted: sort cancelled, scratch cleaned up")

@@ -241,10 +241,10 @@ type MergeStats struct {
 	// data-dependence of replacement selection observable.
 	MinRunRecords int64 `json:"min_run_records,omitempty"`
 	MaxRunRecords int64 `json:"max_run_records,omitempty"`
-	// ResumedRuns counts verified runs adopted from a persisted manifest by
-	// Engine.Resume instead of being re-sorted; always 0 on an
-	// uninterrupted sort. A merge-phase resume has ResumedRuns == Runs:
-	// nothing was re-sorted.
+	// ResumedRuns counts verified runs adopted from a persisted manifest (a
+	// Sort continuing the job its WithCheckpoint directory holds) instead
+	// of being re-sorted; always 0 on an uninterrupted sort. A merge-phase
+	// resume has ResumedRuns == Runs: nothing was re-sorted.
 	ResumedRuns int `json:"resumed_runs,omitempty"`
 }
 

@@ -297,9 +297,10 @@ func (e *Engine) newJob(ctx context.Context, o sortOptions) *job {
 	j.m = m.Namespaced(pdm.JobScratchPrefix(j.id))
 	if o.checkpoint != "" {
 		// Checkpointed jobs spill their hierarchical runs into the manifest
-		// directory as keep-on-close files — the durable state Resume
-		// reopens. Array disks (ingest stores, pipeline scratch) stay on the
-		// ordinary scratch backend: they are recomputed, never resumed.
+		// directory as keep-on-close files — the durable state a later Sort
+		// under the same directory reopens. Array disks (ingest stores,
+		// pipeline scratch) stay on the ordinary scratch backend: they are
+		// recomputed, never resumed.
 		j.m.SpillBackend = pdm.FileBackend{Dir: o.checkpoint, Prefix: ckptRunPrefix, Keep: true}
 	}
 	return j
@@ -396,7 +397,7 @@ type EngineStats struct {
 	DownRunsFormed   int64 `json:"down_runs_formed,omitempty"`
 	RunRecordsFormed int64 `json:"run_records_formed,omitempty"`
 	MergeLevelsRun   int64 `json:"merge_levels_run,omitempty"`
-	// JobsResumed counts jobs that completed via Engine.Resume from a
+	// JobsResumed counts jobs that completed by adopting runs from a
 	// persisted manifest; RunsResumed the verified runs those jobs adopted
 	// without re-sorting a single batch.
 	JobsResumed int64 `json:"jobs_resumed,omitempty"`

@@ -538,7 +538,7 @@ func TestEngineStatsAccumulate(t *testing.T) {
 		t.Fatalf("checkpointed sort: err = %v, want context.Canceled", err)
 	}
 	fold(res, err)
-	fold(e.Resume(ctx, ckptDir, Generate(record.Uniform{Seed: 4}, n), Discard()))
+	fold(e.Sort(ctx, Generate(record.Uniform{Seed: 4}, n), Discard(), append(hier, WithMergeFanIn(2), WithCheckpoint(ckptDir))...))
 
 	short := make([]byte, 100*z)
 	res, err = e.Sort(ctx, FromReader(bytes.NewReader(short), 1024), Discard())

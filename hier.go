@@ -140,36 +140,17 @@ func (j *job) newHierJob(o sortOptions, codec record.KeyCodec, n int64, runPl co
 // arriving on rd, streaming the merged output into dst (non-nil, checked by
 // the caller); rd is closed by the caller.
 //
-// rs, when non-nil, is a merge-phase crash-resume: formation completed in a
-// previous process, and the live runs it spilled and verified (reopened
-// from the checkpoint manifest) are adopted. The formation phase is skipped
-// entirely — zero records are re-sorted, rd may be nil — and the merge
-// restarts from the durable run set.
-func (h *hierJob) sortHierarchical(ctx context.Context, rd RecordReader, dst Sink, rs *resumeState) (*Result, error) {
+// Under WithCheckpoint the manifest the checkpoint directory already holds
+// is read first (resume): when it is this job's, with formation complete,
+// the live runs it records are adopted — formation is skipped entirely,
+// zero records are read or re-sorted — and the merge restarts from the
+// durable run set.
+func (h *hierJob) sortHierarchical(ctx context.Context, rd RecordReader, dst Sink) (*Result, error) {
 	defer h.closeRuns()
-	firstID := 0
-	if rs != nil {
-		h.live, rs.live = rs.live, nil // this job owns them now
-		h.spillSeq = len(h.live)       // reopenRuns wrapped them as ordinals 0..len-1
-		h.want = rs.want
-		h.stats.ResumedRuns = len(h.live)
-		h.resumed = true
-		firstID = rs.maxID
-	}
-
-	// Durability: open (or, on resume, reopen for appending) the manifest
-	// WAL. Ordinary jobs keep h.ckpt nil.
+	defer func() { h.ckpt.close() }() // failure path: keep state, release the handle
 	if h.o.checkpoint != "" {
-		ckpt, err := openManifestLog(h.o.checkpoint, firstID)
-		if err != nil {
+		if err := h.resume(); err != nil {
 			return nil, err
-		}
-		h.ckpt = ckpt
-		defer func() { h.ckpt.close() }() // failure path: keep state, release the handle
-		if rs == nil {
-			if err := ckpt.logBegin(h.o, h.e.cfg.RecordSize, h.n, h.runPl.N, h.fanIn); err != nil {
-				return nil, err
-			}
 		}
 	}
 

@@ -2,8 +2,8 @@ package colsort
 
 // A hybrid group is a g like any other above the bound too: its plan sizes
 // the replacement-selection run, the manifest's begin line carries the group
-// size, and Resume restores it (it used to zero it, and a hybrid job could
-// not go hierarchical at all).
+// size, and a Sort over the checkpoint continues the job only when it asks
+// for the same group (a hybrid job once could not go hierarchical at all).
 
 import (
 	"bytes"
@@ -11,6 +11,7 @@ import (
 	"errors"
 	"os"
 	"path/filepath"
+	"strings"
 	"sync"
 	"testing"
 
@@ -18,8 +19,9 @@ import (
 )
 
 // TestHybridHierarchicalResume: a WithHybridGroup(2) job over its cap under
-// WithCheckpoint, crashed after formation, resumes to byte-identical output
-// adopting every run, on the run capacity the g = 2 plan resolved.
+// WithCheckpoint, crashed after formation, is continued by the same Sort to
+// byte-identical output adopting every run, on the run capacity the g = 2
+// plan resolved; the same Sort without the hybrid options is refused.
 func TestHybridHierarchicalResume(t *testing.T) {
 	const z, g, runRecs = 32, 2, 2048
 	dir := t.TempDir()
@@ -61,11 +63,16 @@ func TestHybridHierarchicalResume(t *testing.T) {
 	}
 	runs := bytes.Count(wal, []byte(`{"type":"run"`))
 
-	// The caller's options do not shape a resumed job: the manifest does.
+	// The manifest records the job's options; a call without them is
+	// another job, refused before it touches the checkpoint.
+	if _, err := s.Sort(context.Background(), FromBytes(raw), Discard(), WithCheckpoint(ckptDir)); err == nil ||
+		!strings.Contains(err.Error(), "alg=hybrid group=2 ") {
+		t.Errorf("Sort without the hybrid options: err = %v, want the checkpoint's hybrid job refused", err)
+	}
 	var out bytes.Buffer
-	rres, err := s.Resume(context.Background(), ckptDir, nil, ToWriter(&out))
+	rres, err := s.Sort(context.Background(), FromBytes(raw), ToWriter(&out), append(hybrid, WithCheckpoint(ckptDir))...)
 	if err != nil {
-		t.Fatalf("Resume: %v", err)
+		t.Fatalf("Sort over the checkpoint: %v", err)
 	}
 	defer rres.Close()
 	if !bytes.Equal(out.Bytes(), refSortBytes(t, raw, z, KeySpec{})) {

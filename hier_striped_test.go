@@ -276,9 +276,9 @@ func TestStripedCheckpointResume(t *testing.T) {
 	}
 
 	var out bytes.Buffer
-	res, err := s.Resume(context.Background(), ckptDir, nil, ToWriter(&out))
+	res, err := s.Sort(context.Background(), FromBytes(raw), ToWriter(&out), WithMergeFanIn(2), WithCheckpoint(ckptDir))
 	if err != nil {
-		t.Fatalf("Resume: %v", err)
+		t.Fatalf("Sort over the checkpoint: %v", err)
 	}
 	defer res.Close()
 	if res.Merge.ResumedRuns != 4 || res.Faults.BatchRedos != 0 {

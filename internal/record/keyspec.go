@@ -75,7 +75,7 @@ func (ks KeySpec) Compile(recSize int) (KeyCodec, error) {
 		return KeyCodec{}, fmt.Errorf("record: key field [%d:%d) outside %d-byte record",
 			ks.Offset, ks.Offset+w, recSize)
 	}
-	return KeyCodec{off: ks.Offset, width: w, desc: ks.Order == Descending, size: recSize}, nil
+	return KeyCodec{off: ks.Offset, width: w, desc: ks.Order == Descending}, nil
 }
 
 // KeyCodec is a compiled KeySpec: an in-place, allocation-free, reversible
@@ -93,15 +93,10 @@ type KeyCodec struct {
 	off   int
 	width int
 	desc  bool
-	size  int
 }
 
 // Identity reports whether the codec is a no-op (native key layout).
 func (c KeyCodec) Identity() bool { return c.off == 0 && !c.desc }
-
-// RecSize returns the record size the codec was compiled for (0 for the
-// zero codec, which is identity at any size).
-func (c KeyCodec) RecSize() int { return c.size }
 
 // EncodeRecord normalizes one record in place.
 func (c KeyCodec) EncodeRecord(rec []byte) {

@@ -181,7 +181,8 @@ func TestBootReadoptsQueuedJob(t *testing.T) {
 
 // TestBootResumesMidMergeJob is the strongest recovery claim over the wire:
 // a checkpointed hierarchical job cancelled mid-merge (durable manifest, all
-// runs spilled) is re-adopted at boot via Engine.Resume — finishing with the
+// runs spilled) is re-adopted at boot as the same checkpointed Sort, which
+// continues from the manifest — finishing with the
 // engine reporting adopted runs and the output byte-identical to the
 // uninterrupted reference.
 func TestBootResumesMidMergeJob(t *testing.T) {
@@ -194,7 +195,8 @@ func TestBootResumesMidMergeJob(t *testing.T) {
 	}
 
 	// Interrupt a checkpointed sort mid-merge on a throwaway engine with the
-	// SAME shape the server will boot with (Resume requires it).
+	// SAME shape and options the server will boot with (a checkpoint is
+	// continued only by the job that began it).
 	eng1, err := colsort.NewEngine(colsort.EngineConfig{Config: testBase(filepath.Join(dir, "scratch1"))})
 	if err != nil {
 		t.Fatal(err)
@@ -219,8 +221,8 @@ func TestBootResumesMidMergeJob(t *testing.T) {
 		t.Fatalf("interrupted sort: err = %v, want context.Canceled", err)
 	}
 	eng1.Close()
-	if _, err := os.Stat(filepath.Join(ckpt, "manifest.wal")); err != nil {
-		t.Fatalf("no manifest survived the interruption: %v", err)
+	if ents, err := os.ReadDir(ckpt); len(ents) == 0 {
+		t.Fatalf("no checkpoint survived the interruption (%v)", err)
 	}
 
 	jw, err := wal.Open(jobsWALPath(data))
@@ -252,8 +254,8 @@ func TestBootResumesMidMergeJob(t *testing.T) {
 		t.Errorf("runs-resumed metric stayed zero: %q", line)
 	}
 	// Success retires the checkpoint directory.
-	if _, err := os.Stat(filepath.Join(ckpt, "manifest.wal")); !os.IsNotExist(err) {
-		t.Errorf("manifest survived the completed resume (stat err %v)", err)
+	if _, err := os.Stat(ckpt); !os.IsNotExist(err) {
+		t.Errorf("checkpoint directory survived the completed resume (stat err %v)", err)
 	}
 }
 

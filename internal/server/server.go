@@ -398,7 +398,7 @@ func (s *Server) handleJobSubmit(w http.ResponseWriter, r *http.Request) {
 	// the job at the next boot.
 	s.wal.Append(walRecord{ID: entry.info.ID, State: jobQueued, //nolint:errcheck // degrade, don't refuse
 		Input: req.Input, Output: req.Output, Options: req.Options})
-	s.launchFileJob(ctx, cancel, entry, in, out, opts, release, false)
+	s.launchFileJob(ctx, cancel, entry, in, out, opts, release)
 	info, _ := entry.snapshot()
 	writeJSON(w, http.StatusAccepted, info)
 }
@@ -417,32 +417,23 @@ func (s *Server) planFileJob(in string, opts []colsort.Option) error {
 	return err
 }
 
-// launchFileJob runs one file job in the background: fresh submissions sort
-// under a per-job checkpoint; re-adopted jobs with a surviving manifest go
-// through Engine.Resume instead, adopting the durable runs the dead process
+// launchFileJob runs one file job in the background, a Sort under the job's
+// own checkpoint directory — so a re-adopted job continues from whatever
+// that directory holds, adopting the durable runs the dead process
 // verified. State transitions are written through the jobs WAL — except
 // when a drain cancels the job, which deliberately leaves the WAL at
 // "running" so the next boot picks the job back up from its checkpoint.
-func (s *Server) launchFileJob(ctx context.Context, cancel context.CancelFunc, entry *jobEntry, in, out string, opts []colsort.Option, release func(), resume bool) {
+func (s *Server) launchFileJob(ctx context.Context, cancel context.CancelFunc, entry *jobEntry, in, out string, opts []colsort.Option, release func()) {
 	id := entry.info.ID
 	ckpt := s.ckptDir(id)
-	opts = append(opts, colsort.WithProgress(entry.onProgress))
-	if s.cfg.DataDir != "" {
-		opts = append(opts, colsort.WithCheckpoint(ckpt))
-	}
+	opts = append(opts, colsort.WithProgress(entry.onProgress), colsort.WithCheckpoint(ckpt))
 	s.jobs.wg.Add(1)
 	go func() {
 		defer s.jobs.wg.Done()
 		defer release()
 		defer cancel()
 		s.wal.Append(walRecord{ID: id, State: jobRunning}) //nolint:errcheck // degrade, don't refuse
-		var res *colsort.Result
-		var err error
-		if resume {
-			res, err = s.eng.Resume(ctx, ckpt, colsort.FromFile(in), colsort.ToFile(out), opts...)
-		} else {
-			res, err = s.eng.Sort(ctx, colsort.FromFile(in), colsort.ToFile(out), opts...)
-		}
+		res, err := s.eng.Sort(ctx, colsort.FromFile(in), colsort.ToFile(out), opts...)
 		if err != nil {
 			// A failed sort must not leave a plausible-looking output
 			// file behind (the Sink contract: on error, discard).

@@ -8,12 +8,12 @@ package server
 // internal/wal's; this file holds the record type, its fold and recovery.
 //
 // On startup the server replays the WAL: jobs that were queued or running
-// when the process died are RE-ADOPTED — restarted under their original ids, via
-// Engine.Resume when the job's checkpoint manifest survived (so completed
-// run formation and merge work is not redone) and a fresh checkpointed
-// Sort otherwise — and the WAL is compacted down to the re-adopted
-// entries. Terminal entries are dropped: the registry's retained tail is
-// an in-memory convenience, not durable state.
+// when the process died are RE-ADOPTED — restarted under their original ids
+// as the same checkpointed Sort, which continues from the job's checkpoint
+// manifest when one survived (so completed run formation and merge work is
+// not redone) — and the WAL is compacted down to the re-adopted entries.
+// Terminal entries are dropped: the registry's retained tail is an
+// in-memory convenience, not durable state.
 //
 // Streaming jobs (POST /v1/sort) are deliberately absent: their output is
 // the response body of a connection that died with the process — there is
@@ -190,9 +190,9 @@ func (s *Server) recover() error {
 	return nil
 }
 
-// readoptJob restarts one interrupted file job under its original id: via
-// Engine.Resume when its checkpoint manifest survived, a fresh checkpointed
-// Sort otherwise.
+// readoptJob restarts one interrupted file job under its original id, as
+// the checkpointed Sort it was: the library continues from whatever the
+// job's checkpoint directory holds.
 func (s *Server) readoptJob(rec walRecord) error {
 	in, err := s.resolveDataPath(rec.Input)
 	if err != nil {
@@ -217,14 +217,9 @@ func (s *Server) readoptJob(rec walRecord) error {
 	if err != nil {
 		return fmt.Errorf("readopt %s: %w", rec.ID, err)
 	}
-	ckpt := s.ckptDir(rec.ID)
-	resume := false
-	if _, err := os.Stat(filepath.Join(ckpt, "manifest.wal")); err == nil {
-		resume = true
-	}
 	ctx, cancel := context.WithCancel(context.Background())
 	entry := s.jobs.addWithID(rec.ID, jobInfo{Input: rec.Input, Output: rec.Output}, cancel)
 	s.resumedJobs.Add(1)
-	s.launchFileJob(ctx, cancel, entry, in, out, opts, func() {}, resume)
+	s.launchFileJob(ctx, cancel, entry, in, out, opts, func() {})
 	return nil
 }

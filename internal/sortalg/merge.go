@@ -27,15 +27,6 @@ func ContiguousRuns(n, k int) []Run {
 	return runs
 }
 
-// MergeRunsInto merges the sorted runs of src into dst in total order. The
-// runs must cover src exactly (the merge checks total count only, since
-// overlapping-run bugs surface immediately in sortedness tests). It allocates
-// tree state per call; pipeline code should prefer Scratch.MergeRunsInto.
-func MergeRunsInto(dst, src record.Slice, runs []Run) {
-	var sc Scratch
-	sc.MergeRunsInto(dst, src, runs)
-}
-
 // checkLanes panics unless lanes can hold exactly n records of the given size
 // in the chosen layout: any lengths summing to n when filled one after
 // another; when dealt, the lengths a round-robin deal of n records produces

@@ -62,7 +62,7 @@ func TestAgainstStdlibReference(t *testing.T) {
 		// Merging detected runs must also match.
 		if n > 0 {
 			dst := record.Make(n, z)
-			MergeRunsInto(dst, src, detectRuns(src))
+			new(Scratch).MergeRunsInto(dst, src, detectRuns(src))
 			if !bytes.Equal(dst.Data, want.Data) {
 				t.Fatalf("trial %d: run-merge differs from stdlib reference", trial)
 			}

@@ -320,7 +320,7 @@ func TestMergeRunsContiguous(t *testing.T) {
 		}
 		want := checksum(src)
 		dst := record.Make(n, 16)
-		MergeRunsInto(dst, src, ContiguousRuns(n, k))
+		new(Scratch).MergeRunsInto(dst, src, ContiguousRuns(n, k))
 		if !dst.IsSorted() {
 			t.Fatalf("k=%d: merge of contiguous runs not sorted", k)
 		}
@@ -389,7 +389,7 @@ func TestLoserTreeMatchesHeapMerge(t *testing.T) {
 		}
 		a := record.Make(n, 16)
 		b := record.Make(n, 16)
-		MergeRunsInto(a, src, runs)
+		new(Scratch).MergeRunsInto(a, src, runs)
 		heapMerge(b, cut(src, runs))
 		for i := range a.Data {
 			if a.Data[i] != b.Data[i] {
@@ -405,7 +405,7 @@ func TestMergeRunsWithEmptyRuns(t *testing.T) {
 	Sort(src)
 	runs := []Run{{0, 4}, {Start: 4, Count: 0}, {4, 6}, {Start: 0, Count: 0}}
 	dst := record.Make(10, 16)
-	MergeRunsInto(dst, src, runs)
+	new(Scratch).MergeRunsInto(dst, src, runs)
 	if !dst.IsSorted() {
 		t.Fatal("merge with empty runs failed")
 	}
@@ -419,7 +419,7 @@ func TestMergeRunsCoverageMismatchPanics(t *testing.T) {
 	}()
 	src := record.Make(10, 16)
 	dst := record.Make(10, 16)
-	MergeRunsInto(dst, src, []Run{{0, 4}})
+	new(Scratch).MergeRunsInto(dst, src, []Run{{0, 4}})
 }
 
 func TestRunValidatePanics(t *testing.T) {
@@ -430,7 +430,7 @@ func TestRunValidatePanics(t *testing.T) {
 	}()
 	src := record.Make(4, 16)
 	dst := record.Make(4, 16)
-	MergeRunsInto(dst, src, []Run{{Start: 2, Count: 4}})
+	new(Scratch).MergeRunsInto(dst, src, []Run{{Start: 2, Count: 4}})
 }
 
 func TestDetectRuns(t *testing.T) {
@@ -464,7 +464,7 @@ func TestDetectRunsThenMergeEqualsSort(t *testing.T) {
 		if len(keys) == 0 {
 			return true
 		}
-		MergeRunsInto(dst, src, detectRuns(src))
+		new(Scratch).MergeRunsInto(dst, src, detectRuns(src))
 		return dst.IsSorted()
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {

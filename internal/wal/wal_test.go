@@ -10,6 +10,7 @@ import (
 	"testing"
 
 	"colsort"
+	"colsort/internal/record"
 	"colsort/internal/server"
 	"colsort/internal/wal"
 )
@@ -118,9 +119,11 @@ func TestLogContract(t *testing.T) {
 //     the new entry (the torn tail neither hides nor swallows it);
 //   - after a flip, Replay returns a clean result or ErrCorrupt, and so do
 //     the folds, driven through their owners' entry points: the manifest
-//     fold is Engine.Resume's first step, the jobs fold is server.New's
-//     recovery. A flip that leaves the JSON valid is the CRC sidecar's and
-//     reopenRuns' job to catch, not the log's.
+//     fold is the first step of a Sort under WithCheckpoint — called with
+//     the seed job's record count and options, so an intact begin entry is
+//     this job's — the jobs fold is server.New's recovery. A flip that
+//     leaves the JSON valid is the CRC sidecar's and reopenRuns' job to
+//     catch, not the log's.
 func FuzzReplay(f *testing.F) {
 	seeds := map[bool][]byte{}
 	for isJobs, name := range map[bool]string{false: "manifest.wal", true: "jobs.wal"} {
@@ -133,9 +136,12 @@ func FuzzReplay(f *testing.F) {
 		f.Add(isJobs, uint16(len(data)-9), uint16(0), uint8(0))  // torn mid-line
 		f.Add(isJobs, uint16(len(data)), uint16(40), uint8(0x1)) // one flipped bit
 		f.Add(isJobs, uint16(len(data)/2), uint16(7), uint8(0x80))
+		f.Add(isJobs, uint16(len(data)-16), uint16(len(data)-40), uint8(0x1)) // no done line, one digit changed
 	}
 	engCfg := colsort.EngineConfig{Config: colsort.Config{Procs: 4, MemPerProc: 64, RecordSize: 16}}
-	eng, err := colsort.NewEngine(engCfg)
+	// The shape the manifest seed was written on: its 1024 records sort as
+	// 256-record runs.
+	eng, err := colsort.NewEngine(colsort.EngineConfig{Config: colsort.Config{Procs: 2, MemPerProc: 64, RecordSize: 16}})
 	if err != nil {
 		f.Fatal(err)
 	}
@@ -211,12 +217,19 @@ func FuzzReplay(f *testing.F) {
 			}
 			return
 		}
-		// The manifest's run files do not exist, so a fold that succeeds
-		// still ends in a refusal — what must not happen is a panic, or a
-		// Result over a log that names missing runs.
-		if res, err := eng.Resume(context.Background(), dir, nil, colsort.Discard()); err == nil {
-			res.Close()
-			t.Fatal("Resume succeeded over a manifest whose runs do not exist")
+		// The manifest's run files do not exist, so the sort may refuse the
+		// log, or sort afresh where the log says there is nothing to adopt —
+		// what must not happen is a panic, or a Result that adopted runs
+		// the log names but nothing holds.
+		res, err := eng.Sort(context.Background(), colsort.Generate(record.Uniform{Seed: 1}, 1024), colsort.Discard(),
+			colsort.WithMergeFanIn(2), colsort.WithMaxMemory(1<<20),
+			colsort.WithKeySpec(colsort.KeySpec{Offset: 4, Width: 8, Order: colsort.Descending}),
+			colsort.WithCheckpoint(dir))
+		if err == nil {
+			defer res.Close()
+			if res.Merge == nil || res.Merge.ResumedRuns != 0 {
+				t.Fatalf("Sort over a manifest whose runs do not exist: merge stats %+v, want a fresh hierarchical sort", res.Merge)
+			}
 		}
 	})
 }

@@ -113,24 +113,39 @@ func (l *manifestLog) append(e manifestEntry) error {
 	return nil
 }
 
-// logBegin records the job's resolved parameters.
-func (l *manifestLog) logBegin(o sortOptions, recordSize int, n, runRecords int64, fanIn int) error {
+// begin is the begin entry this job writes — and, under WithCheckpoint,
+// compares with the one a manifest already in its directory holds (resume).
+func (h *hierJob) begin() manifestEntry {
 	e := manifestEntry{
 		Type:       "begin",
-		N:          n,
-		RecordSize: recordSize,
-		RunRecords: runRecords,
-		FanIn:      fanIn,
+		N:          h.n,
+		RecordSize: h.e.cfg.RecordSize,
+		RunRecords: h.runPl.N,
+		FanIn:      h.fanIn,
 		Formation:  formationName,
-		Alg:        int(o.alg),
-		AlgName:    o.alg.String(),
-		Group:      o.group,
-		MaxMemory:  o.maxMemory,
+		Alg:        int(h.o.alg),
+		AlgName:    h.o.alg.String(),
+		Group:      h.o.group,
+		MaxMemory:  h.o.maxMemory,
 	}
-	if o.keySpec != (KeySpec{}) {
-		e.KeySpec = &o.keySpec
+	if h.o.keySpec != (KeySpec{}) {
+		e.KeySpec = &h.o.keySpec
 	}
-	return l.append(e)
+	return e
+}
+
+// params renders a begin entry's job parameters: everything that shapes the
+// job's runs, so two begin entries describe the same job exactly when their
+// params are equal. formation and alg_name are left out — they only name
+// things — so a manifest an older build began as "fixed-batch" still
+// continues.
+func (e manifestEntry) params() string {
+	var ks KeySpec
+	if e.KeySpec != nil {
+		ks = *e.KeySpec
+	}
+	return fmt.Sprintf("n=%d record_size=%d run_records=%d alg=%v group=%d fan_in=%d key_spec=%+v max_memory=%d",
+		e.N, e.RecordSize, e.RunRecords, Algorithm(e.Alg), e.Group, e.FanIn, ks, e.MaxMemory)
 }
 
 // describeRun captures a spilled run's durable identity. The run's disk
@@ -171,8 +186,8 @@ func (l *manifestLog) logMerged(out *merge.Run, inputs []int) (int, error) {
 // complete writes the done entry, closes the WAL, and best-effort removes
 // the checkpoint directory's contents — the sort succeeded, so the
 // checkpoint state has served its purpose. Cleanup failures are swallowed:
-// the output is already delivered and a leftover manifest recording "done"
-// is refused by Resume anyway.
+// the output is already delivered, and the next Sort under the same
+// directory sweeps a leftover manifest recording "done".
 func (l *manifestLog) complete() {
 	_ = l.append(manifestEntry{Type: "done"})
 	l.close()
@@ -182,7 +197,8 @@ func (l *manifestLog) complete() {
 }
 
 // close releases the WAL file handle without cleanup — the failure path,
-// which must leave every durable byte in place for a later Resume.
+// which must leave every durable byte in place for the Sort that continues
+// the job.
 func (l *manifestLog) close() {
 	if l == nil {
 		return

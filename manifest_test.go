@@ -148,9 +148,9 @@ func legacySorter(t *testing.T, scratch string) *Sorter {
 	return s
 }
 
-// TestResumeLegacyManifest resumes what a ≤ PR 12 fixed-batch job killed
-// DURING FORMATION left behind (TestCheckpointResumeMidMerge/fixed-batch
-// holds the formation-complete case): the rule is the one every manifest
+// TestResumeLegacyManifest continues what an older build's fixed-batch job
+// killed DURING FORMATION left behind (TestCheckpointResumeMidMerge/
+// fixed-batch holds the formation-complete case): the rule is the one every manifest
 // gets — the durable runs are swept, the manifest re-begun, formation
 // restarted, the output the reference sort's. A formation string no build
 // ever wrote is still refused.
@@ -161,10 +161,10 @@ func TestResumeLegacyManifest(t *testing.T) {
 		dir := filepath.Join(tmp, "ckpt")
 		runFiles := legacyCheckpoint(t, dir, fixedBatchManifest[:3], raw)
 		var out bytes.Buffer
-		res, err := legacySorter(t, filepath.Join(tmp, "scratch")).Resume(context.Background(), dir, FromBytes(raw), ToWriter(&out),
-			WithProgress(checkFormationRestarted(t, dir, runFiles)))
+		res, err := legacySorter(t, filepath.Join(tmp, "scratch")).Sort(context.Background(), FromBytes(raw), ToWriter(&out),
+			WithMergeFanIn(2), WithCheckpoint(dir), WithProgress(checkFormationRestarted(t, dir, runFiles)))
 		if err != nil {
-			t.Fatalf("Resume: %v", err)
+			t.Fatalf("Sort over the checkpoint: %v", err)
 		}
 		defer res.Close()
 		if !bytes.Equal(out.Bytes(), refSortBytes(t, raw, 16, KeySpec{})) {
@@ -178,9 +178,10 @@ func TestResumeLegacyManifest(t *testing.T) {
 		tmp := t.TempDir()
 		dir := filepath.Join(tmp, "ckpt")
 		legacyCheckpoint(t, dir, []string{strings.Replace(fixedBatchManifest[0], "fixed-batch", "heapsort", 1)}, raw)
-		_, err := legacySorter(t, filepath.Join(tmp, "scratch")).Resume(context.Background(), dir, FromBytes(raw), Discard())
+		_, err := legacySorter(t, filepath.Join(tmp, "scratch")).Sort(context.Background(), FromBytes(raw), Discard(),
+			WithMergeFanIn(2), WithCheckpoint(dir))
 		if err == nil || !strings.Contains(err.Error(), `unknown formation "heapsort"`) {
-			t.Fatalf("Resume: err = %v, want the unknown formation refused", err)
+			t.Fatalf("Sort over the checkpoint: err = %v, want the unknown formation refused", err)
 		}
 	})
 }
@@ -200,9 +201,10 @@ func TestResumeRefusesDamagedSidecar(t *testing.T) {
 			lines := append([]string(nil), fixedBatchManifest...)
 			lines[1] = strings.Replace(lines[1], tc.old, tc.new, 1)
 			legacyCheckpoint(t, dir, lines, raw)
-			_, err := legacySorter(t, filepath.Join(tmp, "scratch")).Resume(context.Background(), dir, nil, Discard())
+			_, err := legacySorter(t, filepath.Join(tmp, "scratch")).Sort(context.Background(), FromBytes(raw), Discard(),
+				WithMergeFanIn(2), WithCheckpoint(dir))
 			if err == nil || !strings.Contains(err.Error(), "durable run 1:") {
-				t.Fatalf("Resume: err = %v, want durable run 1 refused", err)
+				t.Fatalf("Sort over the checkpoint: err = %v, want durable run 1 refused", err)
 			}
 		})
 	}

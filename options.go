@@ -198,14 +198,16 @@ func WithChaos(c *ChaosConfig) Option {
 
 // WithCheckpoint makes a hierarchical sort crash-safe: every verified
 // spilled run is recorded — path, record count, direction, CRC32C sidecar —
-// in a fsync'd JSON-lines manifest under dir, the run files themselves are
-// kept in dir (instead of the engine's scratch directory) and survive the
-// process, and after a crash Engine.Resume(ctx, dir, ...) continues the
-// sort from the manifest without re-sorting any verified run. The directory
-// belongs to ONE job: it is created if missing, must not be shared between
-// concurrent jobs, and is removed when the sort completes. Sorts that fit a
-// single run ignore the option (there is nothing spilled to checkpoint).
-// See DESIGN.md §13 for the durability contract.
+// in a fsync'd JSON-lines manifest under dir, and the run files themselves
+// are kept in dir (instead of the engine's scratch directory) and survive
+// the process. A Sort under WithCheckpoint(dir) continues whatever job dir
+// holds: after a crash, the same call — same Source, same options — picks
+// the job up from its manifest without re-sorting any verified run, while a
+// call whose job parameters differ from the manifest's is refused without
+// touching dir. The directory belongs to ONE job: it is created if missing,
+// must not be shared between concurrent jobs, and is removed when the sort
+// completes. Sorts that fit a single run ignore the option (there is nothing
+// spilled to checkpoint). See DESIGN.md §13 for the durability contract.
 func WithCheckpoint(dir string) Option {
 	return func(o *sortOptions) { o.checkpoint = dir }
 }

@@ -1,9 +1,8 @@
 package colsort
 
-// Planning: the ONE place that decides what a Sort will execute. Sort,
-// Resume and PlanSort all ask resolve; resolve, Plan and MaxRecords all ask
-// search, the only caller of the core planner and the only loop over record
-// counts. See DESIGN.md §7 ("Sizing rule").
+// Planning: the ONE place that decides what a Sort will execute. Sort and
+// PlanSort both ask resolve; resolve, Plan and MaxRecords all ask search,
+// the only caller of the core planner and the only loop over record counts. See DESIGN.md §7 ("Sizing rule").
 
 import (
 	"errors"
@@ -44,8 +43,8 @@ func (sp SortPlan) String() string {
 }
 
 // PlanSort reports what Sort would execute for n records under opts,
-// without running it — the same resolver Sort and Resume ask, so the answer
-// (or the error) is the run's own; `colsort -plan` prints it.
+// without running it — the same resolver Sort asks, so the answer (or the
+// error) is the run's own; `colsort -plan` prints it.
 //
 // The rule: a record count the algorithm can sort in one run — n itself, or
 // under PadAuto the smallest power of two ≥ n the planner accepts — whose
@@ -81,9 +80,9 @@ func (e *Engine) MaxRecords(alg Algorithm) int64 {
 }
 
 // check is the rule book: every rule about what a job may ask for, stated
-// once, each sentence naming the Go option it constrains. The wire keys, the
-// CLI flags and Resume only spell options; none of them restates a rule, so
-// a refusal reads the same from every front end. 0 is every numeric option's
+// once, each sentence naming the Go option it constrains. The wire keys and
+// the CLI flags only spell options; none of them restates a rule, so a
+// refusal reads the same from every front end. 0 is every numeric option's
 // "the default". What remains outside is the planner's (core.NewPlan: the
 // shape, the bound, the hybrid group size) and resolve's own two refusals
 // below. It also compiles the key codec, whose own checks are the KeySpec's
@@ -138,7 +137,7 @@ func (e *Engine) chaosFor(o sortOptions) *ChaosConfig {
 	return e.cfg.Chaos
 }
 
-// resolve is the preamble Sort, Resume and PlanSort share: it checks the
+// resolve is the preamble Sort and PlanSort share: it checks the
 // options against the rule book, compiles the key codec, and decides what a
 // sort of n records executes (see PlanSort for the rule).
 func (e *Engine) resolve(o sortOptions, n int64) (SortPlan, record.KeyCodec, error) {

@@ -85,7 +85,7 @@ func (e *Engine) Sort(ctx context.Context, src Source, dst Sink, opts ...Option)
 	}
 	return e.runJob(ctx, o, sp.N*int64(sp.Z), func(j *job) (*Result, error) {
 		if sp.MaxRuns > 0 {
-			return j.newHierJob(o, codec, n, sp.Plan).sortHierarchical(ctx, rd, dst, nil)
+			return j.newHierJob(o, codec, n, sp.Plan).sortHierarchical(ctx, rd, dst)
 		}
 		return j.sortSingle(ctx, rd, dst, o, codec, n, sp.Plan)
 	})
