@@ -366,6 +366,59 @@ func TestResumeValidation(t *testing.T) {
 	}
 }
 
+// TestCheckpointTornBeginIsNoJob: a manifest with no complete line — empty,
+// or only the fragment of a begin entry the crash tore — is no job, so the
+// Sort sweeps it and sorts afresh; a log with complete lines but no begin
+// entry is damaged, and refused without touching it.
+func TestCheckpointTornBeginIsNoJob(t *testing.T) {
+	dir := t.TempDir()
+	s := ckptConfig(t, dir)
+	raw := genRaw(int(3*s.MaxRecords(Threaded)), 32, record.Uniform{Seed: 47})
+	want := refSortBytes(t, raw, 32, KeySpec{})
+	for _, tc := range []struct{ name, manifest string }{
+		{"empty", ""},
+		{"torn begin", `{"type":"beg`},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			ckptDir := filepath.Join(dir, "ckpt-"+strings.ReplaceAll(tc.name, " ", "-"))
+			if err := os.MkdirAll(ckptDir, 0o755); err != nil {
+				t.Fatal(err)
+			}
+			if err := os.WriteFile(filepath.Join(ckptDir, manifestName), []byte(tc.manifest), 0o644); err != nil {
+				t.Fatal(err)
+			}
+			var out bytes.Buffer
+			res, err := s.Sort(context.Background(), FromBytes(raw), ToWriter(&out), WithCheckpoint(ckptDir))
+			if err != nil {
+				t.Fatalf("Sort over a manifest with no complete line: %v", err)
+			}
+			defer res.Close()
+			if res.Merge.ResumedRuns != 0 || !bytes.Equal(out.Bytes(), want) {
+				t.Errorf("adopted %d runs (want 0), or the output differs from the unchecked sort", res.Merge.ResumedRuns)
+			}
+			if _, err := os.Stat(ckptDir); !os.IsNotExist(err) {
+				t.Errorf("checkpoint directory survived the sort (stat err %v)", err)
+			}
+		})
+	}
+
+	ckptDir := filepath.Join(dir, "ckpt-no-begin")
+	if err := os.MkdirAll(ckptDir, 0o755); err != nil {
+		t.Fatal(err)
+	}
+	damaged := []byte(`{"type":"ingest_done"}` + "\n")
+	if err := os.WriteFile(filepath.Join(ckptDir, manifestName), damaged, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	_, err := s.Sort(context.Background(), FromBytes(raw), Discard(), WithCheckpoint(ckptDir))
+	if err == nil || !strings.Contains(err.Error(), "has no begin entry") {
+		t.Errorf("Sort over a log without a begin entry: err = %v, want it refused", err)
+	}
+	if got, _ := os.ReadFile(filepath.Join(ckptDir, manifestName)); !bytes.Equal(got, damaged) {
+		t.Errorf("the refused manifest was rewritten to %q", got)
+	}
+}
+
 // TestCheckpointCrashTwice is "the same command that crashed resumes" taken
 // at its word: a checkpointed Sort crashed mid-merge, the SAME call crashed
 // again mid-merge, then the same call run to completion. Each continuation

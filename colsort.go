@@ -102,13 +102,9 @@ const (
 
 // Config describes the simulated cluster and the memory budget. It is
 // construction-time only: a Config is consumed by New / NewEngine to build
-// the machine, and nothing mutates it afterwards. Per-job knobs have
-// functional-option counterparts (WithChaos, WithRetry); when a
-// job passes one, the option overrides the corresponding Config field for
-// that job alone — the engine's Config and every other job are untouched.
-// Knobs with no option (Procs, Disks, MemPerProc, RecordSize, Dir,
-// StripeBytes) define the machine itself and can only be chosen at
-// construction.
+// the machine, and nothing mutates it afterwards. Every field defines the
+// machine itself; what one job asks of it (the algorithm, a memory cap,
+// retries, fault injection) is that Sort call's Options.
 type Config struct {
 	// Procs is P, the number of processors (a power of 2).
 	Procs int
@@ -143,17 +139,10 @@ type Config struct {
 	// Disks disks, which all the runs of a job share (DESIGN.md §14).
 	DiskSeekMicros int
 	DiskMBps       int
-	// Chaos, when non-nil, injects seeded storage faults under every disk
-	// (below the retry layer): transient read/write errors, silent
-	// bit-flip and torn-write corruption, and scripted permanent spill
-	// disk death. It exists to exercise the fault-tolerance layers —
-	// production configurations leave it nil. Overridable per job with
-	// WithChaos. See DESIGN.md §9.
-	Chaos *ChaosConfig
 }
 
 // ChaosConfig configures the seeded storage-fault injection harness; see
-// Config.Chaos.
+// WithChaos.
 type ChaosConfig = pdm.ChaosConfig
 
 // Sorter is the engine under the name single-job callers have always used:

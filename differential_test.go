@@ -65,12 +65,11 @@ func diffCases() []diffCase {
 		}
 	}
 
-	chaos := base
-	chaos.Chaos = &ChaosConfig{Seed: 7, PTransient: 0.02, TornSpillWrite: 1, FlipSpillRead: 2, DeadSpillDisk: 3, DeadSpillAfter: 8192}
+	chaos := WithChaos(&ChaosConfig{Seed: 7, PTransient: 0.02, TornSpillWrite: 1, FlipSpillRead: 2, DeadSpillDisk: 3, DeadSpillAfter: 8192})
 	scrub := WithRetry(RetryPolicy{Scrub: true})
 	add(diffCase{name: "mem", cfg: base}, gens...)
 	add(diffCase{name: "file", cfg: base, onFiles: true}, gens...)
-	add(diffCase{name: "chaos", cfg: chaos, onFiles: true}, gens...)
+	add(diffCase{name: "chaos", cfg: base, onFiles: true, opts: []Option{chaos}}, gens...)
 	add(diffCase{name: "scrub", cfg: base, onFiles: true, opts: []Option{scrub}}, gens...)
 	add(diffCase{name: "checkpoint", cfg: base, onFiles: true, ckpt: true}, gens...)
 

@@ -129,7 +129,6 @@ func NewEngine(cfg EngineConfig) (*Engine, error) {
 			BytesPerSec: int64(c.DiskMBps) << 20,
 		}
 	}
-	m.Chaos = c.Chaos
 	probe, err := m.NewArrays()
 	if err != nil {
 		return nil, err
@@ -273,15 +272,15 @@ type job struct {
 }
 
 // newJob builds the per-job machine: a value copy of the engine's machine
-// — sharing the concurrency-safe buffer pools and the backend — with any
-// per-job Config override (WithChaos), a retry
+// — sharing the concurrency-safe buffer pools and the backend — with the
+// job's own fault injection (WithChaos), a retry
 // layer wired to the job's context and fault counters, and scratch
 // namespaced by the job id so concurrent jobs can never collide in a shared
 // scratch directory.
 func (e *Engine) newJob(ctx context.Context, o sortOptions) *job {
 	j := &job{e: e, id: e.jobSeq.Add(1)}
 	m := e.m
-	m.Chaos = e.chaosFor(o)
+	m.Chaos = o.chaos
 	if m.Delay != nil {
 		// The job's D modeled disks, as its spilled runs see them: every run
 		// is striped over the same D heads, so formation and merge together

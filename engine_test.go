@@ -12,6 +12,7 @@ import (
 	"os"
 	"path/filepath"
 	"reflect"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -399,11 +400,10 @@ func hierOpts(cap int64) []Option {
 	return []Option{WithMaxMemory(cap)}
 }
 
-// TestConfigOptionPrecedence pins the precedence rule in both directions:
-// a per-job WithChaos injects faults on a chaos-free engine (option
-// overrides Config ON), and WithChaos(nil) silences a chaos-configured
-// engine for that job (option overrides Config OFF) while a plain job on
-// the same engine still sees the Config's chaos.
+// TestConfigOptionPrecedence pins that fault injection is job-scoped: a
+// per-job WithChaos injects faults while a concurrent clean job on the same
+// engine sees none, and after a chaotic job the next one — WithChaos(nil),
+// the default spelled out — runs clean.
 func TestConfigOptionPrecedence(t *testing.T) {
 	const p, mem, z, n = 2, 256, 16, 4096
 	cap := int64(512 * z) // run cap: forces the hierarchical path with several runs
@@ -448,23 +448,22 @@ func TestConfigOptionPrecedence(t *testing.T) {
 	})
 
 	t.Run("option-disables-chaos", func(t *testing.T) {
-		cfg := Config{Procs: p, MemPerProc: mem, RecordSize: z, Chaos: chaos}
-		e, err := NewEngine(EngineConfig{Config: cfg})
+		e, err := NewEngine(EngineConfig{Config: Config{Procs: p, MemPerProc: mem, RecordSize: z}})
 		if err != nil {
 			t.Fatal(err)
 		}
 		defer e.Close()
-		// A plain job inherits the Config's chaos (the rule's default arm).
 		res, err := e.Sort(context.Background(), Generate(record.Uniform{Seed: 22}, n),
-			Discard(), hierOpts(cap)...)
+			Discard(), append(hierOpts(cap), WithChaos(chaos))...)
 		if err != nil {
 			t.Fatal(err)
 		}
 		if res.Faults.CorruptChunks == 0 {
-			t.Errorf("Config.Chaos did not reach a plain job: %+v", res.Faults)
+			t.Errorf("WithChaos did not reach its job: %+v", res.Faults)
 		}
 		res.Close()
-		// WithChaos(nil) overrides it off for this job only.
+		// The next job's WithChaos(nil) is no injection: nothing of the
+		// chaotic job's injector outlives it.
 		res, err = e.Sort(context.Background(), Generate(record.Uniform{Seed: 23}, n),
 			Discard(), append(hierOpts(cap), WithChaos(nil))...)
 		if err != nil {
@@ -475,6 +474,36 @@ func TestConfigOptionPrecedence(t *testing.T) {
 			t.Errorf("WithChaos(nil) job still saw faults: %+v", res.Faults)
 		}
 	})
+}
+
+// TestBaselineRefusesSink: a baseline moves records without sorting them,
+// so Sort refuses one that would emit output — before a record is read and
+// before admission — while a baseline with a nil Sink runs.
+func TestBaselineRefusesSink(t *testing.T) {
+	e, err := NewEngine(EngineConfig{Config: Config{Procs: 2, MemPerProc: 256, RecordSize: 16}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer e.Close()
+	for _, alg := range []Algorithm{BaselineIO3, BaselineIO4} {
+		src := &countingSource{Source: Generate(record.Uniform{Seed: 5}, 1024)}
+		_, err := e.Sort(context.Background(), src, Discard(), WithAlgorithm(alg))
+		want := fmt.Sprintf("colsort: WithAlgorithm(%v) with a Sink: a baseline moves records without sorting them", alg)
+		if err == nil || !strings.HasPrefix(err.Error(), want) {
+			t.Errorf("%v with a Sink: err = %v, want %q", alg, err, want)
+		}
+		if src.read != 0 {
+			t.Errorf("%v with a Sink: %d records read before the refusal", alg, src.read)
+		}
+	}
+	if st := e.Stats(); st.PeakLeasedBytes != 0 || st.CompletedJobs+st.FailedJobs != 0 {
+		t.Errorf("a refused baseline reached admission: %+v", st)
+	}
+	res, err := e.Sort(context.Background(), Generate(record.Uniform{Seed: 5}, 1024), nil, WithAlgorithm(BaselineIO3))
+	if err != nil {
+		t.Fatalf("baseline with a nil Sink: %v", err)
+	}
+	res.Close()
 }
 
 // TestEngineStatsAccumulate pins the ledger: after a mix of jobs —

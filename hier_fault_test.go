@@ -23,12 +23,12 @@ import (
 	"colsort/internal/testutil"
 )
 
-// chaosSorter builds a file-backed async sorter with the given chaos config
-// under dir/scratch.
-func chaosSorter(t *testing.T, dir string, z int, chaos *ChaosConfig) *Sorter {
+// chaosSorter builds a file-backed async sorter under dir/scratch, for
+// jobs run WithChaos.
+func chaosSorter(t *testing.T, dir string, z int) *Sorter {
 	t.Helper()
 	s, err := New(Config{Procs: 4, MemPerProc: 256, RecordSize: z,
-		Dir: filepath.Join(dir, "scratch"), Async: true, Chaos: chaos})
+		Dir: filepath.Join(dir, "scratch"), Async: true})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -68,16 +68,16 @@ func TestChaosAcceptance(t *testing.T) {
 	// sit on a spill's first lane, the transient draws run per lane — the
 	// seed is one under which the ~200 operations of this small sort draw at
 	// least one.
-	s := chaosSorter(t, dir, z, &ChaosConfig{
-		Seed:           uint64(2),
-		PTransient:     0.01,
-		TornSpillWrite: 1,
-		DeadSpillDisk:  3,
-		DeadSpillAfter: 16 << 10,
-		FlipSpillRead:  4,
-	})
+	s := chaosSorter(t, dir, z)
 	res, err := s.Sort(context.Background(), FromFile(in), ToFile(out),
-		WithAlgorithm(Threaded))
+		WithAlgorithm(Threaded), WithChaos(&ChaosConfig{
+			Seed:           uint64(2),
+			PTransient:     0.01,
+			TornSpillWrite: 1,
+			DeadSpillDisk:  3,
+			DeadSpillAfter: 16 << 10,
+			FlipSpillRead:  4,
+		}))
 	if err != nil {
 		t.Fatalf("sort under chaos: %v", err)
 	}
@@ -126,13 +126,13 @@ func TestChaosTransientsHealMidMerge(t *testing.T) {
 	const z = 32
 	dir := t.TempDir()
 	testutil.CheckLeaks(t, filepath.Join(dir, "scratch"))
-	s := chaosSorter(t, dir, z, &ChaosConfig{Seed: 2, PTransient: 0.01})
+	s := chaosSorter(t, dir, z)
 	bound := s.MaxRecords(Threaded)
 	n := int(3 * bound)
 	raw := genRaw(n, z, record.Zipf{Seed: 13})
 	var out bytes.Buffer
 	res, err := s.Sort(context.Background(), FromBytes(raw), ToWriter(&out),
-		WithAlgorithm(Threaded))
+		WithAlgorithm(Threaded), WithChaos(&ChaosConfig{Seed: 2, PTransient: 0.01}))
 	if err != nil {
 		t.Fatalf("sort under transient chaos: %v", err)
 	}
@@ -154,8 +154,7 @@ func TestChaosTransientsHealMidMerge(t *testing.T) {
 func TestChaosBatchRedoAfterDeadSpillDisk(t *testing.T) {
 	testutil.CheckGoroutines(t)
 	const z = 16
-	s, err := New(Config{Procs: 2, MemPerProc: 256, RecordSize: z,
-		Chaos: &ChaosConfig{Seed: 3, DeadSpillDisk: 1, DeadSpillAfter: 1 << 10}})
+	s, err := New(Config{Procs: 2, MemPerProc: 256, RecordSize: z})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -164,7 +163,7 @@ func TestChaosBatchRedoAfterDeadSpillDisk(t *testing.T) {
 	raw := genRaw(n, z, record.Uniform{Seed: 17})
 	var out bytes.Buffer
 	res, err := s.Sort(context.Background(), FromBytes(raw), ToWriter(&out),
-		WithAlgorithm(Threaded))
+		WithAlgorithm(Threaded), WithChaos(&ChaosConfig{Seed: 3, DeadSpillDisk: 1, DeadSpillAfter: 1 << 10}))
 	if err != nil {
 		t.Fatalf("sort across a dead spill disk: %v", err)
 	}
@@ -183,8 +182,7 @@ func TestChaosBatchRedoAfterDeadSpillDisk(t *testing.T) {
 func TestChaosCorruptionNeverSilent(t *testing.T) {
 	testutil.CheckGoroutines(t)
 	const z = 16
-	s, err := New(Config{Procs: 2, MemPerProc: 256, RecordSize: z,
-		Chaos: &ChaosConfig{Seed: 4, TornSpillWrite: 1}})
+	s, err := New(Config{Procs: 2, MemPerProc: 256, RecordSize: z})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -193,7 +191,8 @@ func TestChaosCorruptionNeverSilent(t *testing.T) {
 	res, err := s.Sort(context.Background(),
 		Generate(record.Uniform{Seed: 19}, int64(n)), Discard(),
 		WithAlgorithm(Threaded),
-		WithRetry(RetryPolicy{RedoBudget: -1}))
+		WithRetry(RetryPolicy{RedoBudget: -1}),
+		WithChaos(&ChaosConfig{Seed: 4, TornSpillWrite: 1}))
 	if err == nil {
 		res.Close()
 		t.Fatal("torn spill write with redo disabled produced a 'successful' sort")
@@ -209,14 +208,14 @@ func TestChaosCorruptionNeverSilent(t *testing.T) {
 // sentinel.
 func TestRetryGiveUpCarriesContext(t *testing.T) {
 	testutil.CheckGoroutines(t)
-	s, err := New(Config{Procs: 2, MemPerProc: 256, RecordSize: 16,
-		Chaos: &ChaosConfig{Seed: 5, PTransient: 1}})
+	s, err := New(Config{Procs: 2, MemPerProc: 256, RecordSize: 16})
 	if err != nil {
 		t.Fatal(err)
 	}
 	res, err := s.Sort(context.Background(),
 		Generate(record.Uniform{Seed: 23}, 1024), nil,
-		WithRetry(RetryPolicy{MaxAttempts: 1, RedoBudget: -1}))
+		WithRetry(RetryPolicy{MaxAttempts: 1, RedoBudget: -1}),
+		WithChaos(&ChaosConfig{Seed: 5, PTransient: 1}))
 	if err == nil {
 		res.Close()
 		t.Fatal("sort succeeded with every disk operation failing")

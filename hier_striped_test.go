@@ -74,12 +74,10 @@ func TestStripedChaosRecovery(t *testing.T) {
 		t.Run(tc.name, func(t *testing.T) {
 			dir := t.TempDir()
 			testutil.CheckLeaks(t, dir)
-			cfg := stripedConfig(dir)
-			cfg.Chaos = &tc.chaos
-			s := sorterOf(t, cfg)
+			s := sorterOf(t, stripedConfig(dir))
 			raw := genRaw(int(6*s.MaxRecords(Threaded))+77, stripedZ, record.Uniform{Seed: 41})
 			var out bytes.Buffer
-			res, err := s.Sort(context.Background(), FromBytes(raw), ToWriter(&out), WithAlgorithm(Threaded))
+			res, err := s.Sort(context.Background(), FromBytes(raw), ToWriter(&out), WithAlgorithm(Threaded), WithChaos(&tc.chaos))
 			if err != nil {
 				t.Fatalf("sort under chaos: %v", err)
 			}

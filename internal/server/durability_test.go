@@ -26,6 +26,7 @@ import (
 	"testing"
 
 	"colsort"
+	"colsort/internal/optspell"
 	"colsort/internal/wal"
 )
 
@@ -120,9 +121,10 @@ func scrapeMetric(t *testing.T, env *testEnv, name string) string {
 // job that never started — a WAL queued record and the input file — and
 // boots a server over it: the job must run to completion under its ORIGINAL
 // id, the output must match a reference sort with the persisted options, and
-// fresh submissions must mint ids beyond the re-adopted one. The record is
-// one a ≤ PR 12 binary persisted: its "run-formation" and "fabric" options,
-// which no request may carry any more, must not fail the re-adoption.
+// fresh submissions must mint ids beyond the re-adopted one. The record
+// carries options older binaries persisted — "run-formation", "fabric" and
+// "chaos=off" — which no request may carry any more: they must not fail the
+// re-adoption.
 func TestBootReadoptsQueuedJob(t *testing.T) {
 	dir := t.TempDir()
 	data := filepath.Join(dir, "data")
@@ -139,7 +141,7 @@ func TestBootReadoptsQueuedJob(t *testing.T) {
 	}
 	if err := jw.Append(walRecord{ID: "j000007", State: jobQueued,
 		Input: "in.dat", Output: "out.dat",
-		Options: map[string]string{"order": "desc", "run-formation": "fixed-batch", "fabric": "copying"}}); err != nil {
+		Options: map[string]string{"order": "desc", "run-formation": "fixed-batch", "fabric": "copying", "chaos": "off"}}); err != nil {
 		t.Fatal(err)
 	}
 	jw.Close()
@@ -342,10 +344,10 @@ func TestBootSweepsOrphanScratch(t *testing.T) {
 // deadline may be is the library's rule: TestRuleBook), and a streaming sort whose 1 ms deadline must
 // fail cleanly before any output byte leaves.
 func TestDeadlineParam(t *testing.T) {
-	if _, err := parseSortOptions(url.Values{"deadline-ms": {"soon"}}); err == nil {
+	if _, err := optspell.Parse(url.Values{"deadline-ms": {"soon"}}); err == nil {
 		t.Error(`deadline-ms="soon" accepted`)
 	}
-	if opts, err := parseSortOptions(url.Values{"deadline-ms": {"30000"}}); err != nil || len(opts) != 1 {
+	if opts, err := optspell.Parse(url.Values{"deadline-ms": {"30000"}}); err != nil || len(opts) != 1 {
 		t.Errorf("deadline-ms=30000: opts=%d err=%v", len(opts), err)
 	}
 

@@ -17,7 +17,8 @@
 //	GET    /healthz               200 ok; 503 while draining
 //
 // Sort options arrive as query parameters (or the job submission's
-// "options" object), spelled through one table; see options.go.
+// "options" object), spelled through the table cmd/colsort's flags share:
+// internal/optspell.
 package server
 
 import (
@@ -27,6 +28,7 @@ import (
 	"fmt"
 	"math"
 	"net/http"
+	"net/url"
 	"os"
 	"path/filepath"
 	"strconv"
@@ -34,6 +36,7 @@ import (
 	"time"
 
 	"colsort"
+	"colsort/internal/optspell"
 	"colsort/internal/wal"
 )
 
@@ -262,7 +265,7 @@ func (s *Server) handleSortStream(w http.ResponseWriter, r *http.Request) {
 		}
 		n = r.ContentLength / z
 	}
-	opts, err := parseSortOptions(r.URL.Query(), "records")
+	opts, err := optspell.Parse(r.URL.Query(), "records")
 	if err != nil {
 		writeError(w, http.StatusBadRequest, "%v", err)
 		return
@@ -331,6 +334,16 @@ type jobRequest struct {
 	Options map[string]string `json:"options,omitempty"`
 }
 
+// valuesFromMap adapts a job submission's options object to the query
+// parameter mapping, so both entry points share one reader.
+func valuesFromMap(m map[string]string) url.Values {
+	q := make(url.Values, len(m))
+	for k, v := range m {
+		q.Set(k, v)
+	}
+	return q
+}
+
 // resolveDataPath resolves a submitted path under the data directory,
 // refusing absolute paths and any traversal out of it.
 func (s *Server) resolveDataPath(p string) (string, error) {
@@ -377,7 +390,7 @@ func (s *Server) handleJobSubmit(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusBadRequest, "input: %v", err)
 		return
 	}
-	opts, err := parseSortOptions(valuesFromMap(req.Options))
+	opts, err := optspell.Parse(valuesFromMap(req.Options))
 	if err == nil {
 		err = s.planFileJob(in, opts)
 	}

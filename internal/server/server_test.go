@@ -226,7 +226,7 @@ func TestStreamSortRejections(t *testing.T) {
 		// for 2⁵⁹+1 records.
 		{"records overflows the byte count", "?records=576460752303423489", bytes.NewReader(make([]byte, testZ)), "records=576460752303423489 overflows"},
 		{"unknown option", "?colour=red", bytes.NewReader(make([]byte, testZ)), "unknown option"},
-		{"conflicting options", "?chaos=off&chaos-seed=1", bytes.NewReader(make([]byte, testZ)), "conflicts with the chaos-"},
+		{"conflicting options", "?alg=threaded&group=2", bytes.NewReader(make([]byte, testZ)), `option "group" only applies to alg=hybrid`},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -260,6 +260,76 @@ func TestStreamSortRejections(t *testing.T) {
 	if !strings.Contains(e.Error, "records=N") {
 		t.Errorf("chunked error %q does not point at ?records=N", e.Error)
 	}
+}
+
+// TestBaselineRefusedOnTheWire: the wire spells the baselines, and Sort
+// refuses one with a Sink — a baseline moves records without sorting them.
+// POST /v1/sort answers 400 with that sentence before asking for the body
+// (Expect: 100-continue); a POST /v1/jobs file job is accepted, then fails
+// with the same sentence without admission or an output file.
+func TestBaselineRefusedOnTheWire(t *testing.T) {
+	dir := t.TempDir()
+	data := filepath.Join(dir, "data")
+	env := newEnv(t, colsort.EngineConfig{Config: testBase(filepath.Join(dir, "scratch"))}, Config{DataDir: data})
+	const want = "colsort: WithAlgorithm(baseline-io-3pass) with a Sink: a baseline moves records without sorting them"
+
+	client := &http.Client{Transport: &http.Transport{ExpectContinueTimeout: time.Minute}}
+	defer client.CloseIdleConnections()
+	req, err := http.NewRequest("POST", env.ts.URL+"/v1/sort?records=1024&alg=baseline-io-3pass", unsent{t})
+	if err != nil {
+		t.Fatal(err)
+	}
+	req.Header.Set("Expect", "100-continue")
+	resp, err := client.Do(req)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var e apiError
+	if err := json.NewDecoder(resp.Body).Decode(&e); err != nil {
+		t.Fatal(err)
+	}
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusBadRequest || !strings.HasPrefix(e.Error, want) {
+		t.Errorf("POST /v1/sort?alg=baseline-io-3pass: %d %q, want 400 %q", resp.StatusCode, e.Error, want)
+	}
+
+	if err := os.MkdirAll(data, 0o755); err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(filepath.Join(data, "in.dat"), makeInput(1024, 3), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	body, _ := json.Marshal(jobRequest{Input: "in.dat", Output: "out.dat", Options: map[string]string{"alg": "baseline-io-3pass"}})
+	resp, err = env.ts.Client().Post(env.ts.URL+"/v1/jobs", "application/json", bytes.NewReader(body))
+	if err != nil {
+		t.Fatal(err)
+	}
+	var info jobInfo
+	if err := json.NewDecoder(resp.Body).Decode(&info); err != nil {
+		t.Fatal(err)
+	}
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusAccepted {
+		t.Fatalf("POST /v1/jobs: status %d, want 202", resp.StatusCode)
+	}
+	if final := waitJobState(t, env, info.ID, jobFailed); !strings.HasPrefix(final.Error, want) {
+		t.Errorf("job failed with %q, want %q", final.Error, want)
+	}
+	if _, err := os.Stat(filepath.Join(data, "out.dat")); !os.IsNotExist(err) {
+		t.Errorf("the refused job left an output file (stat err %v)", err)
+	}
+	if st := env.eng.Stats(); st.PeakLeasedBytes != 0 {
+		t.Errorf("a refused baseline was admitted: %+v", st)
+	}
+}
+
+// unsent is a request body the client must never be asked to send: the
+// refusal has to come first.
+type unsent struct{ t *testing.T }
+
+func (b unsent) Read([]byte) (int, error) {
+	b.t.Error("the endpoint asked for the body of a refused job")
+	return 0, io.EOF
 }
 
 // TestClientDisconnectCancelsSort is the leak acceptance test: a client

@@ -37,6 +37,7 @@ import (
 	"strconv"
 	"strings"
 
+	"colsort/internal/optspell"
 	"colsort/internal/wal"
 )
 
@@ -205,15 +206,15 @@ func (s *Server) readoptJob(rec walRecord) error {
 	if _, err := os.Stat(in); err != nil {
 		return fmt.Errorf("readopt %s: input: %w", rec.ID, err)
 	}
-	// Older builds accepted and persisted a "run-formation" option (up to
-	// PR 12), a "fabric" option (up to PR 16) and an "async" option (up to
-	// PR 22). None ever changed a job's output bytes, so a job an older binary
-	// queued is re-adopted without them rather than failed as an unknown
-	// option.
-	delete(rec.Options, "run-formation")
-	delete(rec.Options, "fabric")
-	delete(rec.Options, "async")
-	opts, err := parseSortOptions(valuesFromMap(rec.Options))
+	// Older builds accepted and persisted options this one no longer has:
+	// "run-formation", "fabric", "async", and "chaos" (chaos=off, a no-op on
+	// a server, whose engine never injected chaos). None ever changed a job's
+	// output bytes, so a job an older binary queued is re-adopted without
+	// them rather than failed as an unknown option.
+	for _, gone := range []string{"run-formation", "fabric", "async", "chaos"} {
+		delete(rec.Options, gone)
+	}
+	opts, err := optspell.Parse(valuesFromMap(rec.Options))
 	if err != nil {
 		return fmt.Errorf("readopt %s: %w", rec.ID, err)
 	}

@@ -216,15 +216,17 @@ type manifestState struct {
 	maxID      int
 }
 
-// readManifest replays the WAL at dir. A torn final line is ignored; any
-// complete line that does not decode or fold fails the replay with
-// wal.ErrCorrupt (the file is damaged, not merely truncated by a crash).
+// readManifest replays the WAL at dir. A torn final line is ignored, and a
+// log with no complete line holds no job: the state is nil. Any complete
+// line that does not decode or fold fails the replay with wal.ErrCorrupt
+// (the file is damaged, not merely truncated by a crash).
 func readManifest(dir string) (*manifestState, error) {
 	st := &manifestState{}
 	liveByID := make(map[int]*manifestRun)
 	order := []int{}
-	haveBegin := false
+	haveBegin, lines := false, 0
 	err := wal.Replay(filepath.Join(dir, manifestName), func(line []byte) error {
+		lines++
 		var e manifestEntry
 		if err := json.Unmarshal(line, &e); err != nil {
 			return err
@@ -269,6 +271,9 @@ func readManifest(dir string) (*manifestState, error) {
 	})
 	if err != nil {
 		return nil, fmt.Errorf("colsort: no resumable manifest at %s: %w", dir, err)
+	}
+	if lines == 0 {
+		return nil, nil
 	}
 	if !haveBegin {
 		return nil, fmt.Errorf("colsort: manifest at %s has no begin entry; nothing to resume", dir)

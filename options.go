@@ -77,9 +77,7 @@ type RetryPolicy struct {
 }
 
 // sortOptions collects the functional options of one Sort call, as given:
-// what they may hold is checked once, by resolve (plan.go). chaos is
-// tri-state: chaosSet records that WithChaos was passed at all, so a job can
-// turn an engine-configured injector OFF, not just on.
+// what they may hold is checked once, by resolve (plan.go).
 type sortOptions struct {
 	alg        Algorithm
 	group      int // the hybrid's group size; meaningful when alg is Hybrid
@@ -92,9 +90,7 @@ type sortOptions struct {
 	noWait     bool          // fail with ErrBusy instead of queueing for admission
 	checkpoint string        // manifest directory of a durable job; "" = no checkpointing
 	deadline   time.Duration // per-job wall-clock budget; 0 = none
-
-	chaosSet bool
-	chaos    *ChaosConfig
+	chaos      *ChaosConfig  // seeded fault injection; nil = none
 }
 
 // newSortOptions applies opts over the defaults.
@@ -108,11 +104,9 @@ func newSortOptions(opts []Option) sortOptions {
 
 // Option customizes one Sort call; see the With* constructors.
 //
-// Precedence rule: Config fields describe the engine at construction time;
-// an Option that names the same knob (WithChaos over Config.Chaos, WithRetry
-// over the default retry policy) overrides the Config for THAT JOB ONLY — the engine's configuration and
-// every concurrent job keep the Config's behavior. Options never mutate the
-// engine.
+// Config fields describe the machine at construction time; an Option
+// describes one job on it and holds for THAT JOB ONLY — every concurrent job
+// keeps its own options. Options never mutate the engine.
 type Option func(*sortOptions)
 
 // WithAlgorithm selects the out-of-core sorting program (default Threaded).
@@ -188,12 +182,13 @@ func WithNoWait() Option {
 	return func(o *sortOptions) { o.noWait = true }
 }
 
-// WithChaos injects seeded storage faults under this job's disks,
-// overriding Config.Chaos for this job only — concurrent jobs on the same
-// engine stay healthy. A nil c disables chaos for this job on a
-// chaos-configured engine. See Config.Chaos and DESIGN.md §9.
+// WithChaos injects seeded storage faults under this job's disks, below the
+// retry layer: transient read/write errors, silent bit-flip and torn-write
+// corruption, and scripted permanent spill-disk death. It exists to exercise
+// the fault-tolerance layers; concurrent jobs on the same engine stay
+// healthy, and a nil c (the default) injects nothing. See DESIGN.md §9.
 func WithChaos(c *ChaosConfig) Option {
-	return func(o *sortOptions) { o.chaosSet, o.chaos = true, c }
+	return func(o *sortOptions) { o.chaos = c }
 }
 
 // WithCheckpoint makes a hierarchical sort crash-safe: every verified

@@ -92,9 +92,9 @@ func (e *Engine) check(o sortOptions) (record.KeyCodec, error) {
 	if o.retry != nil {
 		retry = *o.retry
 	}
-	var chaos ChaosConfig // the job's own WithChaos, else the engine's Config.Chaos
-	if c := e.chaosFor(o); c != nil {
-		chaos = *c
+	var chaos ChaosConfig
+	if o.chaos != nil {
+		chaos = *o.chaos
 	}
 	probability := func(field string, p float64) error {
 		return fmt.Errorf("ChaosConfig.%s = %v: a probability must be in [0, 1]", field, p)
@@ -126,15 +126,6 @@ func (e *Engine) check(o sortOptions) (record.KeyCodec, error) {
 		return codec, fmt.Errorf("colsort: %w", err)
 	}
 	return codec, nil
-}
-
-// chaosFor is the fault injection a job under o runs with: its own WithChaos
-// (nil shields it), else the engine's.
-func (e *Engine) chaosFor(o sortOptions) *ChaosConfig {
-	if o.chaosSet {
-		return o.chaos
-	}
-	return e.cfg.Chaos
 }
 
 // resolve is the preamble Sort and PlanSort share: it checks the

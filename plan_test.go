@@ -101,9 +101,9 @@ func TestPlanSortMatchesSort(t *testing.T) {
 								t.Errorf("%s: hierarchical without a Sink returned %v", name, serr)
 							}
 						case alg == BaselineIO3 && group == 0 && sink != nil:
-							// Unsorted by design: the verify-before-emit gate refuses.
+							// Unsorted by design: Sort refuses the Sink before admission.
 							seen["baseline-not-emitted"]++
-							if serr == nil || !strings.Contains(serr.Error(), "refusing to emit output") {
+							if serr == nil || !strings.Contains(serr.Error(), "a baseline moves records without sorting them") {
 								t.Errorf("%s: a baseline emitted into a Sink: %v", name, serr)
 							}
 						case serr != nil:

@@ -26,7 +26,8 @@ import (
 // from what dir already holds, whether this job starts fresh or continues:
 //
 //   - no manifest: a fresh job;
-//   - a manifest whose job completed (its cleanup failed): swept, a fresh job;
+//   - a manifest with no complete line (the crash tore its begin entry), or
+//     whose job completed (its cleanup failed): swept, a fresh job;
 //   - a manifest begun with other parameters: refused, no file touched;
 //   - the same job with formation complete: its live runs are adopted
 //     (reopenRuns) and formation is skipped — the source is never read;
@@ -38,14 +39,15 @@ func (h *hierJob) resume() error {
 	begin := h.begin()
 	firstID := 0
 	st, err := readManifest(dir)
+	job := err == nil && st != nil && !st.done // a job to continue
 	switch {
 	case errors.Is(err, fs.ErrNotExist):
 	case err != nil:
 		return err
-	case !st.done && st.begin.params() != begin.params():
+	case job && st.begin.params() != begin.params():
 		return fmt.Errorf("colsort: the checkpoint at %s holds another job (%s); this Sort would begin (%s): repeat the crashed call's options, or checkpoint under another directory",
 			dir, st.begin.params(), begin.params())
-	case !st.done && st.ingestDone:
+	case job && st.ingestDone:
 		// Sweep the orphans first: the half-written spill the crash
 		// interrupted, and consumed merge inputs whose removal did not
 		// complete.

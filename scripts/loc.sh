@@ -10,10 +10,12 @@
 # persistent-fabric BatchRunner's deletion: 10152; the audit of pdm, verify,
 # pipeline, record and server: 10015; one communicator, cluster.Group and
 # incore.Comm deleted: 9900; one entry point for a checkpointed job,
-# Engine.Resume deleted: 9815). It also prints the same count per
-# package, largest first — the numbers ROADMAP's largest-packages line quotes.
+# Engine.Resume deleted: 9815; one spelling per sort option, the CLI's
+# hand-written option flags and Config.Chaos deleted: 9739). It also
+# prints the same count per package, largest first — the numbers ROADMAP's
+# largest-packages line quotes.
 set -euo pipefail
-max_go_lines=9815
+max_go_lines=9739
 cd "$(dirname "$0")/.."
 per_pkg=$(find . -name '*.go' ! -name '*_test.go' \
   ! -path './bench/*' ! -path './examples/*' ! -path './.bench_build/*' -print0 |

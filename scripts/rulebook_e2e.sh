@@ -44,9 +44,9 @@ refused() {
 }
 refused -merge-fanin -3 -- "colsort: WithMergeFanIn(-3): the fan-in must be ≥ 2"
 refused -max-memory-mib -1 -- "colsort: WithMaxMemory(-1048576): the cap must be ≥ 0"
-refused -g 4 -- "-g only applies to -alg hybrid"
+refused -group 4 -- 'option "group" only applies to alg=hybrid'
 refused -retries -7 -- "colsort: WithRetry: MaxAttempts -7 must be ≥ 0"
-refused -deadline -5s -- "colsort: WithDeadline(-5s): the deadline must be ≥ 0"
+refused -deadline-ms -5000 -- "colsort: WithDeadline(-5s): the deadline must be ≥ 0"
 refused -chaos-p-transient 1.5 -- "colsort: ChaosConfig.PTransient = 1.5: a probability must be in [0, 1]"
 
 "$DIR/colsort-server" -listen "localhost:$PORT" -mem 1024 -data "$DIR/data" >"$DIR/server.log" 2>&1 &

@@ -50,7 +50,7 @@ dd if=/dev/urandom of="$DIR/input.dat" bs=64 count="$RECORDS" status=none
   -p 4 -mem 16384 -z 64 -dir "$DIR/scratch" -async \
   || fail "local ascending reference"
 "$DIR/colsort-bin" -alg threaded -in "$DIR/input.dat" -out "$DIR/ref-desc.dat" \
-  -p 4 -mem 16384 -z 64 -dir "$DIR/scratch" -async -key-offset 0 -key-width 8 -desc \
+  -p 4 -mem 16384 -z 64 -dir "$DIR/scratch" -async -key-offset 0 -key-width 8 -order desc \
   || fail "local descending reference"
 
 "$DIR/colsort-server" -listen ":$PORT" -p 4 -mem 16384 -z 64 \

@@ -21,7 +21,10 @@ import (
 // configured algorithm, verified (global sortedness in PDM column-major
 // order plus multiset preservation) and — when dst is non-nil — streamed
 // into the sink with any padding trimmed and any KeySpec normalization
-// undone. A nil dst keeps the sorted data in Result.Output only.
+// undone. A nil dst keeps the sorted data in Result.Output only. The
+// baselines (BaselineIO3, BaselineIO4) move records without sorting them, so
+// they take only a nil dst: with a Sink they are refused before a record is
+// read.
 //
 // Sort is unbounded in n: when the record count exceeds the selected
 // algorithm's problem-size bound (or a WithMaxMemory cap), the input is
@@ -71,8 +74,8 @@ func (e *Engine) Sort(ctx context.Context, src Source, dst Sink, opts ...Option)
 	// Settle the plan of the one run this job holds in memory at a time —
 	// the whole sort below the bound, one run's capacity above it — BEFORE
 	// admission: its record bytes are the job's ask. Plan-level failures
-	// (unplannable count, hierarchical sort without a Sink) surface here,
-	// before the job can occupy budget.
+	// (unplannable count, hierarchical sort without a Sink, a baseline with
+	// one) surface here, before the job can occupy budget.
 	sp, codec, err := e.resolve(o, n)
 	if err != nil {
 		return nil, err
@@ -82,6 +85,9 @@ func (e *Engine) Sort(ctx context.Context, src Source, dst Sink, opts ...Option)
 		// callers branching on ErrTooLarge (the legacy above-bound failure
 		// mode) must keep matching when the only thing missing is a Sink.
 		return nil, fmt.Errorf("%w: %d records exceed the single-run bound (%w) and must stream through the hierarchical merge; pass a non-nil Sink (Discard() drops the output)", ErrSinkRequired, n, core.ErrTooLarge)
+	}
+	if dst != nil && (o.alg == BaselineIO3 || o.alg == BaselineIO4) {
+		return nil, fmt.Errorf("colsort: WithAlgorithm(%v) with a Sink: a baseline moves records without sorting them, so it has no output to emit; pass a nil Sink", o.alg)
 	}
 	return e.runJob(ctx, o, sp.N*int64(sp.Z), func(j *job) (*Result, error) {
 		if sp.MaxRuns > 0 {
