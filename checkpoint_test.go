@@ -204,7 +204,7 @@ func TestCheckpointResumeMidFormation(t *testing.T) {
 	dir := t.TempDir()
 	s := ckptConfig(t, dir)
 	bound := s.MaxRecords(Threaded)
-	n := int(12 * bound) // this seed forms 7 runs
+	n := int(12 * bound) // this seed forms 8 runs
 	raw := genRaw(n, 32, record.Uniform{Seed: 35})
 	ckptDir := filepath.Join(dir, "ckpt")
 	manifest := filepath.Join(ckptDir, "manifest.wal")
@@ -214,7 +214,7 @@ func TestCheckpointResumeMidFormation(t *testing.T) {
 	var once sync.Once
 	res, err := s.Sort(ctx, FromBytes(raw), Discard(), WithCheckpoint(ckptDir),
 		WithProgress(func(ev Progress) {
-			// Forming run 4 of 7: runs 1 and 2 are durable. Run 3 need not
+			// Forming run 4 of 8: runs 1 and 2 are durable. Run 3 need not
 			// be — the spill stage commits a run while the next is being
 			// selected, at most one end-of-run message behind (§12).
 			if ev.Batch >= 4 {
@@ -247,8 +247,8 @@ func TestCheckpointResumeMidFormation(t *testing.T) {
 	if !bytes.Equal(out.Bytes(), refSortBytes(t, raw, 32, KeySpec{})) {
 		t.Error("formation-restarted output is not byte-identical to the reference")
 	}
-	if rres.Merge.ResumedRuns != 0 || rres.Merge.Runs != 7 {
-		t.Errorf("ResumedRuns = %d of %d runs, want 0 of 7: a formation-phase resume forms every run again",
+	if rres.Merge.ResumedRuns != 0 || rres.Merge.Runs != 8 {
+		t.Errorf("ResumedRuns = %d of %d runs, want 0 of 8: a formation-phase resume forms every run again",
 			rres.Merge.ResumedRuns, rres.Merge.Runs)
 	}
 }
@@ -602,7 +602,7 @@ func TestManifestTornTailSecondInterruption(t *testing.T) {
 	dir := t.TempDir()
 	s := ckptConfig(t, dir)
 	bound := s.MaxRecords(Threaded)
-	n := int(16 * bound) // 9 runs: four intermediate merges at fan-in 2, then more levels
+	n := int(16 * bound) // 10 runs: five intermediate merges at fan-in 2, then more levels
 	raw := genRaw(n, 32, record.Uniform{Seed: 47})
 	ckptDir := filepath.Join(dir, "ckpt")
 	opts := func(cancelAt int64, cancel func()) []Option {
@@ -646,8 +646,8 @@ func TestManifestTornTailSecondInterruption(t *testing.T) {
 		t.Fatalf("second interruption: err = %v, want context.Canceled", err)
 	}
 	if wal, err := os.ReadFile(filepath.Join(ckptDir, "manifest.wal")); err != nil ||
-		!bytes.Contains(wal, []byte("\n"+`{"type":"merged","run":{"id":10,`)) {
-		t.Fatalf("the resumed process logged no merged entry (as id 10, after 9 runs) before its interruption (%v):\n%s", err, wal)
+		!bytes.Contains(wal, []byte("\n"+`{"type":"merged","run":{"id":11,`)) {
+		t.Fatalf("the resumed process logged no merged entry (as id 11, after 10 runs) before its interruption (%v):\n%s", err, wal)
 	}
 
 	var out bytes.Buffer

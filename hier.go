@@ -3,9 +3,10 @@ package colsort
 // Hierarchical execution: the layer that takes Sort past any single
 // columnsort run's problem-size bound. When n exceeds what one run can hold
 // (the algorithm's restriction, or a WithMaxMemory cap), the source stream
-// is cut into maximal sorted runs by replacement selection over a resident
-// set one run plan's records large (internal/runform), each run spilled
-// CRC-framed and verified; and the runs are combined by a loser-tree k-way
+// is cut into sorted runs by batched replacement selection over a resident
+// set one run plan's records large (internal/runform: sorted chunks split at
+// the run's last record, merged as mini-runs), each run spilled CRC-framed
+// and verified; and the runs are combined by a loser-tree k-way
 // merge with prefetch on the run reads and write-behind on the merged
 // output, streaming straight into the Sink — no extra materialization
 // pass. The columnsort engine is not on this path: the paper's passes run
@@ -226,9 +227,12 @@ func (h *hierJob) commitRun(run *merge.Run) error {
 //
 //	ingest ──chunks──▶ select ──formMsgs──▶ spill-and-commit
 //
-// The channel bounds are the memory bound: two ingest chunks (one filling,
-// one being consumed) and three emit chunks (one filling, one queued, one
-// being written) — four more than the one buffer a single goroutine needs.
+// The channel bounds are the memory bound: three ingest chunks (one filling,
+// one queued, one being consumed) and three emit chunks (one filling, one
+// queued, one being written) — five more than the one buffer a single
+// goroutine needs. The queued ingest chunk is there because the former reads
+// in bursts: it stages an eighth of its capacity at a time, which is more
+// than one ingest chunk, and would otherwise wait for ingest at every burst.
 
 // A formMsg is what the select stage hands the spill stage: the next chunk
 // of the current run, or — with no chunk — that run's end and direction.
@@ -237,7 +241,7 @@ type formMsg struct {
 	desc  bool
 }
 
-// formReplacementRuns is the run producer: maximal variable-length runs
+// formReplacementRuns is the run producer: variable-length sorted runs
 // formed by the former, consuming the source stream directly. Records are
 // encoded into normalized key space as they arrive (ingest), the former's
 // resident set (runPl.N records — the memory the job's admission lease
@@ -256,7 +260,7 @@ type formMsg struct {
 // exited. The ingest stage is the only code that touches rd, so the caller
 // may then close it.
 func (h *hierJob) formReplacementRuns(ctx context.Context, rd RecordReader) error {
-	if h.runPl.N > math.MaxInt32 { // the former's slot ids are int32
+	if h.runPl.N > math.MaxInt32 { // the former's arena indices are int32
 		return fmt.Errorf("colsort: run plan of %d records exceeds the former's 2³¹−1 slots; set WithMaxMemory", h.runPl.N)
 	}
 	ctx, cancel := context.WithCancelCause(ctx)
@@ -271,7 +275,7 @@ func (h *hierJob) formReplacementRuns(ctx context.Context, rd RecordReader) erro
 			}
 		}()
 	}
-	chunks := make(chan record.Slice)
+	chunks := make(chan record.Slice, 1)
 	msgs := make(chan formMsg, 1)
 	stage(func() error { return h.ingest(ctx, rd, chunks) })
 	stage(func() error { return h.spillRuns(ctx, msgs) })
@@ -308,14 +312,17 @@ func (h *hierJob) ingest(ctx context.Context, rd RecordReader, out chan<- record
 	return nil
 }
 
-// selectRuns is the middle formation stage: replacement selection over the
-// ingested chunks, until the stream or ctx ends. The former reads by copying
-// the next record of the current ingest chunk into the slot it refills; each
-// Fill goes into a fresh pooled h.chunk-record buffer that the spill stage
-// recycles.
+// selectRuns is the middle formation stage: batched replacement selection
+// over the ingested chunks, until the stream or ctx ends. The former reads by
+// copying the next record of the current ingest chunk into its staging
+// buffer, and sorts and admits its own chunk of arrivals — an eighth of its
+// pages — whenever that many pages are free, inside Fill on this goroutine:
+// a rule of page state alone, so how far ingest has run ahead never changes
+// a run. Each Fill goes into a fresh pooled h.chunk-record buffer that the
+// spill stage recycles.
 //
 // With retention armed (see spillRuns) a run is cut at 2× the former's
-// capacity — the expected run length on random input — so the memory a redo
+// capacity — above the ~1.9× random input forms — so the memory a redo
 // needs stays within two extra resident sets' worth, at the cost of splitting
 // longer-than-expected runs while scrubbing.
 func (h *hierJob) selectRuns(ctx context.Context, in <-chan record.Slice, out chan<- formMsg) {
@@ -697,7 +704,7 @@ func (h *hierJob) mergePhase(ctx context.Context, dst Sink) (*Result, error) {
 			CompareUnits:   h.n * int64(bits.Len64(uint64(h.runPl.N))),
 			DiskWriteBytes: h.formSpill,
 			DiskWriteOps:   int64(h.stats.Runs),
-			MovedBytes:     2 * h.n * z, // arena fill + run emit
+			MovedBytes:     2 * h.n * z, // arrival + run emit; the chunk sort's gather is not charged
 		}}
 		passCnts = [][]sim.Counters{formPass, mergePass}
 	}

@@ -171,7 +171,7 @@ func TestHierarchicalCancelMidMerge(t *testing.T) {
 }
 
 // TestHierarchicalFanInLevels forces a multi-level merge tree (fan-in 2
-// over the 7 runs this input forms) and checks the output still matches the
+// over the 8 runs this input forms) and checks the output still matches the
 // reference exactly.
 func TestHierarchicalFanInLevels(t *testing.T) {
 	testutil.CheckGoroutines(t)
@@ -190,11 +190,11 @@ func TestHierarchicalFanInLevels(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer res.Close()
-	if res.Merge.Runs != 7 { // formation is deterministic for a seeded input
-		t.Errorf("formed %d runs, want 7", res.Merge.Runs)
+	if res.Merge.Runs != 8 { // formation is deterministic for a seeded input
+		t.Errorf("formed %d runs, want 8", res.Merge.Runs)
 	}
 	if res.Merge.Levels != 3 {
-		t.Errorf("merge tree has %d levels, want 3 with fan-in 2 over 7 runs", res.Merge.Levels)
+		t.Errorf("merge tree has %d levels, want 3 with fan-in 2 over 8 runs", res.Merge.Levels)
 	}
 	if !bytes.Equal(out.Bytes(), refSortBytes(t, raw, z, KeySpec{})) {
 		t.Error("multi-level merge output differs from the reference sort")

@@ -135,7 +135,7 @@ func (cs Columnsort) Sort(pr *cluster.Proc, cnt *sim.Counters, tagBase int, loca
 		sc.MergeSlices(out, true, sc.Chunks(local, k))
 		cnt.CompareUnits += sim.MergeWork(n, k)
 	} else {
-		sc.SortDealt(out, local)
+		sc.SortSlices(out, true, local)
 		cnt.CompareUnits += sim.SortWork(n)
 	}
 	pool.Put(local)

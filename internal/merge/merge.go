@@ -48,7 +48,6 @@ const emitDepth = 3
 
 // Stats reports what one merge moved.
 type Stats struct {
-	Records      int64 // records emitted
 	BytesRead    int64 // bytes loaded from the input runs
 	BytesWritten int64 // bytes handed to emit
 }
@@ -144,11 +143,11 @@ func Merge(ctx context.Context, runs []*Run, emit func(record.Slice) error, opt 
 
 	prev := make([]byte, z) // last emitted record, for the order check
 	havePrev := false
-	var total int64
+	var emitted, total int64
 	for _, r := range runs {
 		total += r.Records
 	}
-	for st.Records < total {
+	for emitted < total {
 		if err := ctx.Err(); err != nil {
 			return finish(err)
 		}
@@ -160,17 +159,17 @@ func Merge(ctx context.Context, runs []*Run, emit func(record.Slice) error, opt 
 		}
 		buf := <-free
 		want := chunkRecs
-		if left := total - st.Records; left < int64(want) {
+		if left := total - emitted; left < int64(want) {
 			want = int(left)
 		}
 		out := buf.Sub(0, want)
 		for i := 0; i < want; i++ {
 			rec := t.winner()
 			if rec == nil {
-				return finish(fmt.Errorf("merge: runs exhausted after %d of %d records (inconsistent run lengths)", st.Records+int64(i), total))
+				return finish(fmt.Errorf("merge: runs exhausted after %d of %d records (inconsistent run lengths)", emitted+int64(i), total))
 			}
 			if havePrev && bytes.Compare(rec, prev) < 0 {
-				return finish(fmt.Errorf("%w at record %d", ErrOrder, st.Records+int64(i)))
+				return finish(fmt.Errorf("%w at record %d", ErrOrder, emitted+int64(i)))
 			}
 			copy(prev, rec)
 			havePrev = true
@@ -180,11 +179,11 @@ func Merge(ctx context.Context, runs []*Run, emit func(record.Slice) error, opt 
 			}
 		}
 		cs.AddSlice(out)
-		st.Records += int64(want)
+		emitted += int64(want)
 		st.BytesWritten += int64(want * z)
 		full <- out
 		if opt.Progress != nil {
-			opt.Progress(st.Records)
+			opt.Progress(emitted)
 		}
 	}
 	return finish(nil)
@@ -194,9 +193,6 @@ func Merge(ctx context.Context, runs []*Run, emit func(record.Slice) error, opt 
 // multi-level merge tree. On success the returned Run owns w's disk; on
 // error the caller still owns it.
 func MergeToRun(ctx context.Context, runs []*Run, w *Writer, opt Options) (*Run, Stats, error) {
-	if len(runs) == 0 {
-		return nil, Stats{}, fmt.Errorf("merge: no runs to merge")
-	}
 	_, st, err := Merge(ctx, runs, w.Append, opt)
 	if err != nil {
 		return nil, st, err

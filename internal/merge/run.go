@@ -291,7 +291,6 @@ type Reader struct {
 	frames     int64  // grid chunks in the run
 	chunkBytes int64
 	bytesRead  int64 // total bytes loaded (stats)
-	primed     bool
 
 	faults *pdm.FaultStats // CRC detection/heal counters; may be nil
 }
@@ -356,13 +355,9 @@ func (r *Reader) load() error {
 	return nil
 }
 
-// Prime loads the first chunk and hints the second; it must be called once
+// Prime loads the first chunk and hints the second; it must be called once,
 // before Cur/Advance.
 func (r *Reader) Prime() error {
-	if r.primed {
-		return nil
-	}
-	r.primed = true
 	r.hint()
 	return r.load()
 }

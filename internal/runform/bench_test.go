@@ -8,17 +8,23 @@ import (
 )
 
 // BenchmarkFormer times the Former alone, fed from memory and drained into
-// memory: capacity 2¹⁷ slots over 2²⁰ records (8 capacities — the shape of
-// the bench/ hier-* workloads), at both record sizes, on the three inputs
-// that use the tournament differently: uniform (every replay path random),
-// nearly-sorted (one run, winners nearly sequential) and heavy-dup (every
-// match a prefix tie).
+// memory: capacity 2¹⁷ records over 2²⁰ (8 capacities — the shape of the
+// bench/ hier-* workloads), at both record sizes, on the inputs that use it
+// differently: uniform (a merge of ~20 mini-runs, chunks split in the
+// middle), nearly-sorted (one ascending run), reverse (one descending run,
+// every mini-run read backwards) and heavy-dup (every match a prefix tie).
+// It reports the runs formed and their mean length over the capacity, so
+//
+//	go test -run '^$' -bench 'BenchmarkFormer/z=64/uniform' ./internal/runform
+//
+// is the former alone at hier-uniform's shape, comparable with the bench's
+// runform.form_mb_s, runform.runs and runform.run_len_over_cap.
 func BenchmarkFormer(b *testing.B) {
 	const capacity, n, chunk = 1 << 17, 1 << 20, 1 << 13
 	for _, z := range []int{16, 64} {
 		for _, in := range oracleInputs {
 			switch in.name {
-			case "uniform", "nearly-sorted", "dup":
+			case "uniform", "nearly-sorted", "reverse", "dup":
 			default:
 				continue
 			}
@@ -43,6 +49,7 @@ func BenchmarkFormer(b *testing.B) {
 					f.Close()
 				}
 				b.ReportMetric(float64(runs), "runs")
+				b.ReportMetric(float64(n)/float64(runs)/capacity, "run_len_over_cap")
 			})
 		}
 	}

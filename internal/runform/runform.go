@@ -1,13 +1,24 @@
-// Package runform forms sorted runs from a record stream by replacement
-// selection on a tournament tree (Knuth TAOCP vol. 3 §5.4.1, Algorithm R;
-// Bender, McCauley, McGregor, Singh, Vu — "Run Generation Revisited").
+// Package runform forms sorted runs from a record stream by batched
+// replacement selection (Larson, "External Sorting: Run Formation
+// Revisited", IEEE TKDE 2003; Bender, McCauley, McGregor, Singh, Vu — "Run
+// Generation Revisited"): replacement selection whose unit of admission is a
+// sorted chunk instead of a record, so that every record is moved by the
+// radix sort and k-way merge kernels, over a tournament as wide as the
+// chunks in play rather than as memory.
 //
-// A Former holds a working set of `capacity` normalized records. It
-// repeatedly emits the record that extends the current run, refills the
-// freed slot from the input, and defers records that would break the run
-// to the next one. On random input this yields runs of expected length
-// ~2×capacity (vs exactly capacity for fixed batches); on already-sorted
-// input it yields a single run.
+// A Former holds `capacity` normalized records in one arena cut into pages
+// of clamp(capacity/2048, 1, 64) records. It stages a chunk of arrivals — an
+// eighth of the pages' worth — radix-sorts it into free pages and splits it
+// by one binary search at the run's last emitted record: the part that can
+// still extend the run becomes a mini-run of this run, the rest is parked
+// for the next. The run itself is a k-way merge of its live mini-runs on
+// internal/tournament's loser tree — k is at most ~20 on random input —
+// each mini-run read sequentially through its pages; a
+// page returns to the free list when its last record is emitted, and the
+// next chunk is admitted as soon as a chunk's worth of pages is free. On
+// random input runs come out at ~1.9× the capacity in steady state (classic
+// replacement selection: 2×; fixed batches: 1×); on sorted input the former
+// yields a single run.
 //
 // Runs may be ascending or descending: before each run starts, the
 // key-step tally of the arrivals observed since the previous run began
@@ -16,47 +27,55 @@
 // nearly-sorted production case) collapse to one run, while random input
 // always forms ascending runs. The supermajority matters: on random input
 // the direction signal is a coin flip, and alternating run directions cuts
-// the expected run length from 2×capacity to 1.5×capacity (Knuth §5.4.1).
-// Descending runs are spilled as written and consumed through a reversed
-// run reader downstream; the Former itself only guarantees each run is
-// monotone in its declared direction.
+// the expected run length (Knuth TAOCP vol. 3 §5.4.1). A descending run
+// reads its mini-runs backwards. Descending runs are spilled as written and
+// consumed through a reversed run reader downstream; the Former itself only
+// guarantees each run is monotone in its declared direction.
 //
 // All comparisons happen in normalized key space: records are memcmp-
 // ordered after KeySpec encoding, and the 8-byte big-endian key prefix held
 // inline in the tournament resolves almost every match without touching the
-// record bytes. The tournament is internal/tournament's loser tree, the
-// kernel sortalg's in-memory merge runs on: one contestant per resident
-// slot, and emitting a record and admitting its replacement is ONE
-// leaf-to-root replay whose node addresses are known up front — where a
-// binary heap's sift-down chains a dependent load and a mispredicted branch
-// per level.
+// record bytes. Byte-identical records go first from the mini-run admitted
+// earlier, so the runs are a function of the input alone.
 package runform
 
 import (
 	"bytes"
 	"encoding/binary"
+	"slices"
+	"sort"
 
 	"colsort/internal/record"
+	"colsort/internal/sortalg"
 	"colsort/internal/tournament"
 )
 
-// Former produces maximal sorted runs from a record stream via replacement
+// Former produces sorted runs from a record stream by batched replacement
 // selection. It is single-goroutine; the caller drives it with NextRun /
-// Fill and must Close it to return the pooled arena.
+// Fill and must Close it to return the pooled arena, staging buffer and
+// sort scratch.
 type Former struct {
 	pool *record.Pool
 	read func(rec []byte) (bool, error)
+	sc   *sortalg.Scratch
 
-	arena record.Slice // the capacity resident records, indexed by slot
+	arena record.Slice   // the resident records: len(holders) pages of `page` records
+	page  int            // records per page
+	stage record.Slice   // the next chunk's arrivals, in arrival order
+	lanes []record.Slice // the free pages a staged chunk is sorted into
+	need  int            // free pages that admit a chunk: stage.Len() / page
 
-	// The tournament over the slots (internal/tournament): a slot in the
-	// current run plays its key prefix XOR flip, so the smallest adjusted
-	// key is the run's next record in either direction; a parked or dead
-	// slot plays record.MaxKey and can never beat a live one. Which of the
-	// three a slot is rides in the tree's spare per-contestant word,
-	// node[slot].Aux: slotDead, slotParked or slotLive.
-	node   []tournament.Node
-	parked int // slots deferred to the next run (their arrival would break this one)
+	// The page table. A chunk's pages are linked in its sorted order (next,
+	// prev); holders[p] counts the mini-runs with records not yet emitted
+	// in page p — 0 (free), 1, or 2 for the page a split cuts.
+	free       []int32
+	next, prev []int32
+	holders    []uint8
+
+	live   []miniRun         // the current run's mini-runs: contestant i is live[i]
+	parked []miniRun         // mini-runs of the next run
+	node   []tournament.Node // the tournament over live: prefix XOR flip, or MaxKey once exhausted
+	chunks uint64            // chunks admitted: the last one's sequence number
 
 	desc bool   // current run emits in descending order
 	flip uint64 // 0 ascending, ^0 descending
@@ -73,51 +92,71 @@ type Former struct {
 	started bool
 }
 
-const (
-	slotDead   uint32 = iota // holds no record (short input, or emitted after EOF)
-	slotParked               // holds a record of the NEXT run
-	slotLive                 // holds a record of the current run
-)
-
-// New builds a Former over a record stream. capacity is the number of
-// resident records (the tournament's width), z the record size in bytes.
-// read fills rec with the next input record, returning false at end of
-// stream; records must already be in normalized (memcmp-ordered) key space.
-// The arena is taken from pool (which may be nil).
-func New(capacity, z int, pool *record.Pool, read func(rec []byte) (bool, error)) *Former {
-	if capacity < 1 {
-		capacity = 1
-	}
-	return &Former{
-		pool:  pool,
-		read:  read,
-		arena: pool.Get(capacity, z),
-		node:  make([]tournament.Node, capacity),
-	}
+// miniRun is the remaining part of one sorted chunk that belongs to one run:
+// records lo..hi of the arena in ascending order, through the chunk's page
+// links. A run reads it from lo up, or — descending — from hi down.
+type miniRun struct {
+	lo, hi int32  // arena index of the first and the last remaining record
+	rem    int32  // records remaining; 0 once exhausted
+	left   int32  // of those, the ones in the front's page (live mini-runs only)
+	seq    uint64 // the chunk's admission number: equal records go older first
 }
 
-// Close returns the arena to the pool. The Former must not be used after.
+// New builds a Former over a record stream. capacity is the number of
+// resident records, z the record size in bytes. read fills rec with the next
+// input record, returning false at end of stream; records must already be in
+// normalized (memcmp-ordered) key space. The arena and the staging buffer
+// are taken from pool (which may be nil).
+func New(capacity, z int, pool *record.Pool, read func(rec []byte) (bool, error)) *Former {
+	capacity = max(capacity, 1)
+	page := min(max(capacity/2048, 1), 64)
+	pages := capacity / page
+	need := max(pages/8, 1)
+	f := &Former{
+		pool:    pool,
+		read:    read,
+		sc:      sortalg.GetScratch(),
+		arena:   pool.Get(pages*page, z),
+		page:    page,
+		stage:   pool.Get(need*page, z),
+		lanes:   make([]record.Slice, need),
+		need:    need,
+		free:    make([]int32, pages),
+		next:    make([]int32, pages),
+		prev:    make([]int32, pages),
+		holders: make([]uint8, pages),
+		live:    make([]miniRun, 0, 64),
+		parked:  make([]miniRun, 0, 64),
+		node:    make([]tournament.Node, 0, 64),
+	}
+	for i := range f.free {
+		f.free[i] = int32(pages - 1 - i) // page 0 on top
+	}
+	return f
+}
+
+// Close returns the arena, the staging buffer and the sort scratch. The
+// Former must not be used after.
 func (f *Former) Close() {
 	if f.arena.Data != nil {
 		f.pool.Put(f.arena)
-		f.arena = record.Slice{}
+		f.pool.Put(f.stage)
+		sortalg.PutScratch(f.sc)
+		f.arena, f.stage, f.sc = record.Slice{}, record.Slice{}, nil
 	}
 }
 
-// readInto refills slot from the input, feeding the direction heuristic,
-// and returns the arrival's key prefix. ok is false (and eof latched) at
-// end of stream.
-func (f *Former) readInto(slot int32) (k uint64, ok bool, err error) {
-	rec := f.arena.Record(int(slot))
-	ok, err = f.read(rec)
-	if err != nil {
-		return 0, false, err
+// readInto fills rec from the input, feeding the direction heuristic. ok is
+// false (and eof latched) at end of stream.
+func (f *Former) readInto(rec []byte) (ok bool, err error) {
+	if ok, err = f.read(rec); err != nil {
+		return false, err
 	}
 	if !ok {
 		f.eof = true
-		return 0, false, nil
+		return false, nil
 	}
-	k = binary.BigEndian.Uint64(rec)
+	k := binary.BigEndian.Uint64(rec)
 	if f.haveSeen {
 		if k > f.prevKey {
 			f.ups++
@@ -127,7 +166,7 @@ func (f *Former) readInto(slot int32) (k uint64, ok bool, err error) {
 	}
 	f.prevKey = k
 	f.haveSeen = true
-	return k, true, nil
+	return true, nil
 }
 
 // NextRun starts the next run, choosing its direction from the arrival
@@ -136,19 +175,14 @@ func (f *Former) readInto(slot int32) (k uint64, ok bool, err error) {
 func (f *Former) NextRun() (desc, ok bool, err error) {
 	if !f.started {
 		f.started = true
-		for i := range f.node {
-			_, ok, err := f.readInto(int32(i))
-			if err != nil {
+		for len(f.free) >= f.need && !f.eof {
+			if err := f.admit(nil); err != nil {
 				return false, false, err
 			}
-			if !ok {
-				break
-			}
-			f.node[i].Aux = slotParked
-			f.parked++
 		}
 	}
-	if f.parked == 0 {
+	f.BreakRun() // a run abandoned unfinished rejoins the parked records
+	if len(f.parked) == 0 {
 		return false, false, nil
 	}
 	f.desc = f.downs > 4*f.ups
@@ -157,99 +191,216 @@ func (f *Former) NextRun() (desc, ok bool, err error) {
 		f.flip = ^uint64(0)
 	}
 	f.ups, f.downs, f.haveSeen = 0, 0, false
-	f.parked = 0
-	tournament.Play(f.node, f.enter, f.tieBeats)
+	f.live, f.parked = f.parked, f.live[:0]
+	for i := range f.live {
+		f.aim(&f.live[i])
+	}
+	f.play()
 	return f.desc, true, nil
 }
 
-// enter admits slot to the run now starting — every parked record joins it
-// — and returns the slot's tournament entry.
-func (f *Former) enter(slot int32) tournament.Node {
-	if f.node[slot].Aux == slotDead {
-		return tournament.Node{Key: record.MaxKey, ID: slot}
+// aim sets m's page count for reading it in the run's direction.
+func (f *Former) aim(m *miniRun) {
+	if f.desc {
+		m.left = min(m.hi%int32(f.page)+1, m.rem)
+	} else {
+		m.left = min(int32(f.page)-m.lo%int32(f.page), m.rem)
 	}
-	f.node[slot].Aux = slotLive
-	return tournament.Node{Key: f.arena.Key(int(slot)) ^ f.flip, ID: slot}
 }
 
-// tieBeats resolves an adjusted-prefix tie between slots o and w: a slot
-// outside the current run loses to everything (its maximal key can tie a
-// live record's, so liveness is re-checked here) and live ties compare the
-// full records in the run's direction.
+// front returns the arena index of m's next record in the run's direction.
+func (f *Former) front(m *miniRun) int {
+	if f.desc {
+		return int(m.hi)
+	}
+	return int(m.lo)
+}
+
+// play drops the exhausted mini-runs and plays the tournament over the rest.
+func (f *Former) play() {
+	f.live = slices.DeleteFunc(f.live, func(m miniRun) bool { return m.rem == 0 })
+	f.node = append(f.node[:0], make([]tournament.Node, len(f.live))...)
+	if len(f.live) > 0 {
+		tournament.Play(f.node, f.enter, f.tieBeats)
+	}
+}
+
+// enter is mini-run i's tournament entry.
+func (f *Former) enter(i int32) tournament.Node {
+	return tournament.Node{Key: f.arena.Key(f.front(&f.live[i])) ^ f.flip, ID: i}
+}
+
+// tieBeats resolves an adjusted-prefix tie between mini-runs o and w: an
+// exhausted one loses to everything (its maximal key can tie a live
+// record's), live ones compare their fronts in the run's direction, and
+// equal records go first from the older chunk.
 func (f *Former) tieBeats(o, w int32) bool {
-	if f.node[o].Aux != slotLive {
+	mo, mw := &f.live[o], &f.live[w]
+	if mo.rem == 0 {
 		return false
 	}
-	if f.node[w].Aux != slotLive {
+	if mw.rem == 0 {
 		return true
 	}
-	c := bytes.Compare(f.arena.Record(int(o)), f.arena.Record(int(w)))
+	c := bytes.Compare(f.arena.Record(f.front(mo)), f.arena.Record(f.front(mw)))
 	if f.desc {
-		return c > 0
+		c = -c
 	}
-	return c < 0
+	if c != 0 {
+		return c < 0
+	}
+	return mo.seq < mw.seq
 }
 
 // Fill emits up to out.Len() records of the current run, in the run's
-// direction, replacing each emitted record from the input. It returns 0
-// when the run is complete (call NextRun for the next one).
+// direction, admitting the next staged chunk whenever a chunk's worth of
+// pages is free. It returns 0 when the run is complete (call NextRun for
+// the next one).
 func (f *Former) Fill(out record.Slice) (int, error) {
 	n, tie := 0, f.tieBeats
-	for room := out.Len(); n < room; {
-		w := f.node[0]
-		slot := w.ID
-		if f.node[slot].Aux != slotLive {
-			break // the winner is not of this run: the run is over
+	for room := out.Len(); n < room && len(f.node) > 0; {
+		w := f.node[0].ID
+		m := &f.live[w]
+		if m.rem == 0 {
+			break // every mini-run of the run is exhausted: the run is over
 		}
-		rec := f.arena.Record(int(slot))
 		last := out.Record(n) // the run's last record so far lives on in out
-		copy(last, rec)
+		copy(last, f.arena.Record(f.front(m)))
 		n++
-		// The arrival replacing the emitted record in its slot either
-		// extends the run or is parked for the next; past EOF the slot dies.
-		key, st := record.MaxKey, slotDead
-		if !f.eof {
-			k, ok, err := f.readInto(slot)
-			if err != nil {
+		key := record.MaxKey
+		if f.advance(m) {
+			key = f.arena.Key(f.front(m)) ^ f.flip
+		}
+		tournament.Replay(f.node, w, key, tie)
+		if len(f.free) >= f.need && !f.eof {
+			if err := f.admit(last); err != nil {
 				return n, err
 			}
-			switch k ^= f.flip; {
-			case !ok: // end of input
-			case f.extends(rec, k, last, w.Key):
-				key, st = k, slotLive
-			default:
-				st = slotParked
-				f.parked++
-			}
 		}
-		f.node[slot].Aux = st
-		tournament.Replay(f.node, slot, key, tie)
 	}
 	return n, nil
+}
+
+// advance steps m past its emitted front, releasing the page it leaves, and
+// reports whether m has records left.
+func (f *Former) advance(m *miniRun) bool {
+	m.rem--
+	if m.left--; m.left > 0 {
+		if f.desc {
+			m.hi--
+		} else {
+			m.lo++
+		}
+		return true
+	}
+	pg := int32(f.front(m) / f.page)
+	f.release(pg)
+	if m.rem == 0 {
+		return false
+	}
+	if f.desc {
+		pg = f.prev[pg]
+		m.hi = (pg+1)*int32(f.page) - 1 // a chunk's pages are full but its last
+	} else {
+		pg = f.next[pg]
+		m.lo = pg * int32(f.page)
+	}
+	m.left = min(int32(f.page), m.rem)
+	return true
+}
+
+// release drops one mini-run's hold on page pg, freeing it with the last.
+func (f *Former) release(pg int32) {
+	if f.holders[pg]--; f.holders[pg] == 0 {
+		f.free = append(f.free, pg)
+	}
+}
+
+// admit stages the next chunk of arrivals, sorts it into free pages and
+// splits it at last, the run's last emitted record: what can still extend
+// the run joins it as a mini-run, the rest is parked for the next run. With
+// no last (the initial fill) the whole chunk is parked.
+func (f *Former) admit(last []byte) error {
+	got, room := 0, f.stage.Len()
+	for ; got < room; got++ {
+		ok, err := f.readInto(f.stage.Record(got))
+		if err != nil {
+			return err
+		}
+		if !ok {
+			break
+		}
+	}
+	if got == 0 {
+		return nil
+	}
+	np := (got + f.page - 1) / f.page
+	pages := f.free[len(f.free)-np:]
+	f.free = f.free[:len(f.free)-np]
+	lanes := f.lanes[:np]
+	for i, pg := range pages {
+		lo := int(pg) * f.page
+		lanes[i] = f.arena.Sub(lo, lo+min(f.page, got-i*f.page))
+		f.holders[pg] = 1
+		if i > 0 {
+			f.next[pages[i-1]], f.prev[pg] = pg, pages[i-1]
+		}
+	}
+	f.sc.SortSlices(lanes, false, f.stage.Sub(0, got))
+	f.chunks++
+	if last == nil {
+		f.parked = append(f.parked, f.part(pages, 0, got))
+		return nil
+	}
+
+	// Sorted positions [0, s) of the chunk precede last (descending: do not
+	// follow it) and [s, got) do not: an ascending run takes the upper part,
+	// a descending one the lower.
+	s := f.split(lanes, last)
+	if s%f.page != 0 && s < got {
+		f.holders[pages[s/f.page]] = 2 // the split page holds both parts
+	}
+	run, park := [2]int{s, got}, [2]int{0, s}
+	if f.desc {
+		run, park = park, run
+	}
+	if park[0] < park[1] {
+		f.parked = append(f.parked, f.part(pages, park[0], park[1]))
+	}
+	if run[0] < run[1] {
+		m := f.part(pages, run[0], run[1])
+		f.aim(&m)
+		f.live = append(f.live, m)
+		f.play()
+	}
+	return nil
+}
+
+// split returns the number of records of the sorted lanes that precede last
+// in the run's direction: those below it, and for a descending run those
+// equal to it too.
+func (f *Former) split(lanes []record.Slice, last []byte) int {
+	n := (len(lanes)-1)*f.page + lanes[len(lanes)-1].Len()
+	return sort.Search(n, func(i int) bool {
+		c := bytes.Compare(lanes[i/f.page].Record(i%f.page), last)
+		return c > 0 || c == 0 && !f.desc
+	})
+}
+
+// part is the mini-run of sorted positions [a, b) of the chunk on pages.
+func (f *Former) part(pages []int32, a, b int) miniRun {
+	at := func(i int) int32 { return pages[i/f.page]*int32(f.page) + int32(i%f.page) }
+	return miniRun{lo: at(a), hi: at(b - 1), rem: int32(b - a), seq: f.chunks}
 }
 
 // BreakRun force-ends the current run: every resident record is deferred
 // to the next run, so the next Fill returns 0. Callers use it to bound run
 // length when each spilled run must also be retained in memory for redo.
 func (f *Former) BreakRun() {
-	for i := range f.node {
-		if f.node[i].Aux == slotLive {
-			f.node[i].Aux = slotParked
-			f.parked++
+	for _, m := range f.live {
+		if m.rem > 0 {
+			f.parked = append(f.parked, m)
 		}
 	}
-}
-
-// extends reports whether the arrival rec (adjusted key prefix k) can join
-// the current run after the last emitted record without violating the run's
-// direction.
-func (f *Former) extends(rec []byte, k uint64, last []byte, lastKey uint64) bool {
-	if k != lastKey {
-		return k > lastKey
-	}
-	c := bytes.Compare(rec, last)
-	if f.desc {
-		return c <= 0
-	}
-	return c >= 0
+	f.live, f.node = f.live[:0], f.node[:0]
 }

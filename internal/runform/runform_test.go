@@ -7,6 +7,7 @@ import (
 	"fmt"
 	"math/rand"
 	"sort"
+	"strings"
 	"testing"
 
 	"colsort/internal/record"
@@ -30,8 +31,8 @@ type formedRun struct {
 	recs record.Slice
 }
 
-// former is the surface the drivers below need, so one driver runs both the
-// Former and the heap oracle it is checked against.
+// former is the surface the drivers below need, so one driver runs the Former
+// and each former it is checked against.
 type former interface {
 	NextRun() (desc, ok bool, err error)
 	Fill(out record.Slice) (int, error)
@@ -231,6 +232,49 @@ func TestEdgeSizes(t *testing.T) {
 	}
 }
 
+// TestRunLengthTable pins the runs formed over 8 capacities of input — the
+// shape of the bench/ hier-* workloads, whose runform.runs and
+// runform.run_len_over_cap are these two columns — at four capacities,
+// three of them with pages of one record and hier-uniform's own (2¹⁷, pages
+// of 64). Random and duplicate-heavy input must keep the 5 runs of mean
+// length 1.6× capacity that classic replacement selection forms here;
+// nearly-sorted and reversed input must each stay ONE run.
+func TestRunLengthTable(t *testing.T) {
+	const z = 16
+	for _, tc := range []struct {
+		input string
+		runs  int
+		desc  bool
+	}{
+		{"uniform", 5, false},
+		{"nearly-sorted", 1, false},
+		{"reverse", 1, true},
+		{"dup", 5, false},
+	} {
+		var gen func(rec []byte, i, n int)
+		for _, in := range oracleInputs {
+			if in.name == tc.input {
+				gen = in.gen
+			}
+		}
+		for _, capacity := range []int{1 << 9, 1 << 11, 1 << 13, 1 << 17} {
+			n := 8 * capacity
+			src := makeInput(gen, n, z)
+			runs := drive(t, New(capacity, z, nil, sliceReader(src, new(int))), z, 1<<13, nil)
+			if capacity < 1<<17 { // checkRuns' reference sort of 2²⁰ records would take seconds
+				checkRuns(t, src, runs)
+			}
+			ratio := float64(n) / float64(len(runs)) / float64(capacity)
+			if len(runs) != tc.runs || ratio < 8/float64(tc.runs) {
+				t.Errorf("%s at capacity %d: %d runs, %.2f× capacity; want %d runs, %.2f×", tc.input, capacity, len(runs), ratio, tc.runs, 8/float64(tc.runs))
+			}
+			if tc.runs == 1 && runs[0].desc != tc.desc {
+				t.Errorf("%s at capacity %d: the one run has desc=%v", tc.input, capacity, runs[0].desc)
+			}
+		}
+	}
+}
+
 // TestReadErrorPropagates: input failures surface from NextRun (initial
 // fill) and Fill (steady state) without corrupting internal state.
 func TestReadErrorPropagates(t *testing.T) {
@@ -277,11 +321,14 @@ func TestReadErrorPropagates(t *testing.T) {
 }
 
 // oracleInputs are the distributions the differential table and the
-// benchmarks draw from. The two "dup" inputs have only four distinct key
+// benchmarks draw from. The "dup" inputs have only four distinct key
 // prefixes — 0, 1, MaxKey−1, MaxKey — so nearly every match is a prefix tie
-// and live records carry the very prefix parked slots play (MaxKey
-// ascending, 0 descending); dup-down steps down through them once, which
-// tips later runs descending.
+// and live records carry the very prefix an exhausted mini-run plays (MaxKey
+// ascending, 0 descending); the "-down" ones step down through them once,
+// which tips later runs descending. The "twins" inputs are those records
+// with the payload zeroed — four distinct records in all — so the mini-runs
+// tie on whole records (which one emits decides which page frees first) and
+// arrivals equal to a run's last record must join it in both directions.
 var oracleInputs = []struct {
 	name string
 	gen  func(rec []byte, i, n int)
@@ -297,6 +344,16 @@ var oracleInputs = []struct {
 	}},
 	{"dup-down", func(rec []byte, i, n int) {
 		record.Uniform{Seed: 5}.Gen(rec, int64(i))
+		record.PutKey(rec, dupPrefixes[3-4*i/n])
+	}},
+	{"twins", func(rec []byte, i, n int) {
+		record.Uniform{Seed: 5}.Gen(rec, int64(i))
+		k := dupPrefixes[rec[0]&3]
+		clear(rec)
+		record.PutKey(rec, k)
+	}},
+	{"twins-down", func(rec []byte, i, n int) {
+		clear(rec)
 		record.PutKey(rec, dupPrefixes[3-4*i/n])
 	}},
 }
@@ -316,24 +373,35 @@ func makeInput(gen func(rec []byte, i, n int), n, z int) record.Slice {
 func sameRuns(t testing.TB, got, want []formedRun) {
 	t.Helper()
 	if len(got) != len(want) {
-		t.Fatalf("formed %d runs, the heap oracle %d", len(got), len(want))
+		t.Fatalf("formed %d runs, the batched oracle %d", len(got), len(want))
 	}
 	for i := range got {
 		if got[i].desc != want[i].desc || got[i].recs.Len() != want[i].recs.Len() {
-			t.Fatalf("run %d: desc=%v len=%d, the heap oracle desc=%v len=%d",
+			t.Fatalf("run %d: desc=%v len=%d, the batched oracle desc=%v len=%d",
 				i, got[i].desc, got[i].recs.Len(), want[i].desc, want[i].recs.Len())
 		}
 		if !bytes.Equal(got[i].recs.Data, want[i].recs.Data) {
-			t.Fatalf("run %d: bytes differ from the heap oracle's", i)
+			t.Fatalf("run %d: bytes differ from the batched oracle's", i)
 		}
 	}
 }
 
-// TestOracleDifferential: the tournament Former and the heap former it
-// replaced emit the same runs — same direction, same length, same bytes —
-// on every distribution, at degenerate and odd capacities, at the input
-// lengths around a capacity boundary, with and without BreakRun injected at
-// seeded points.
+// withinHeapYardstick requires got to form no more than ¼ more runs (plus
+// one) than classic replacement selection — heapFormer — over the same
+// input and break points: the run lengths batching may give up.
+func withinHeapYardstick(t testing.TB, got, heap []formedRun) {
+	t.Helper()
+	if h := len(heap); len(got) > h+(h+3)/4+1 {
+		t.Fatalf("formed %d runs, classic replacement selection %d: more than %d + ⌈%d/4⌉ + 1", len(got), h, h, h)
+	}
+}
+
+// TestOracleDifferential: the Former and the naive spelling of its
+// definition (batchOracle) emit the same runs — same direction, same length,
+// same bytes — on every distribution, at degenerate and odd capacities, at
+// the input lengths around a capacity boundary, with and without BreakRun
+// injected at seeded points; and it forms at most ¼ more runs (plus one) than
+// the classic heap former on each.
 func TestOracleDifferential(t *testing.T) {
 	for _, in := range oracleInputs {
 		t.Run(in.name, func(t *testing.T) {
@@ -344,7 +412,7 @@ func TestOracleDifferential(t *testing.T) {
 						src := makeInput(in.gen, n, z)
 						for _, breaks := range []bool{false, true} {
 							// Break points are a function of (seed, records
-							// emitted), so both formers are cut at the same ones.
+							// emitted), so every former is cut at the same ones.
 							breakAt := func() func(int) bool {
 								if !breaks {
 									return nil
@@ -362,12 +430,14 @@ func TestOracleDifferential(t *testing.T) {
 							tc := inCase{t, fmt.Sprintf("cap=%d z=%d n=%d breaks=%v", capacity, z, n, breaks)}
 							read := 0
 							got := drive(tc, New(capacity, z, nil, sliceReader(src, &read)), z, 37, breakAt())
-							want := drive(tc, newHeapFormer(capacity, z, nil, sliceReader(src, new(int))), z, 37, breakAt())
+							want := drive(tc, newBatchOracle(capacity, z, sliceReader(src, new(int))), z, 37, breakAt())
+							heap := drive(tc, newHeapFormer(capacity, z, nil, sliceReader(src, new(int))), z, 37, breakAt())
 							if read != n {
 								tc.Fatalf("the former read %d records", read)
 							}
 							checkRuns(tc, src, got)
 							sameRuns(tc, got, want)
+							withinHeapYardstick(tc, got, heap)
 							for _, r := range got {
 								sawDesc = sawDesc || r.desc
 							}
@@ -375,7 +445,7 @@ func TestOracleDifferential(t *testing.T) {
 					}
 				}
 			}
-			if in.name == "dup-down" && !sawDesc {
+			if strings.HasSuffix(in.name, "-down") && !sawDesc {
 				t.Error("no descending run formed: the descending tie path went untested")
 			}
 		})
@@ -395,8 +465,9 @@ func (c inCase) Fatalf(format string, args ...any) {
 
 // FuzzFormer: arbitrary records (drawn from few prefixes, so ties and the
 // maximal-prefix cases are common), capacity and break cadence. Every run is
-// monotone in its declared direction, the multiset is preserved, and the
-// runs equal the heap oracle's; nothing panics.
+// monotone in its declared direction, the multiset is preserved, the runs
+// equal the batched oracle's and number at most ¼ more (plus one) than the
+// heap former's; nothing panics.
 func FuzzFormer(f *testing.F) {
 	f.Add([]byte{}, uint16(4), uint8(0))
 	f.Add([]byte("\x07a\x07b\x00c\x07a\x06z\x00c\x07a"), uint16(3), uint8(2))
@@ -405,7 +476,7 @@ func FuzzFormer(f *testing.F) {
 	prefixes := [8]uint64{0, 1, 2, 1 << 32, 1 << 63, record.MaxKey - 2, record.MaxKey - 1, record.MaxKey}
 	f.Fuzz(func(t *testing.T, data []byte, width uint16, breakEvery uint8) {
 		const z = 16
-		capacity := int(width % 300) // wider tournaments are the table's job; keep execs fast
+		capacity := int(width % 300) // wider arenas are the table's job; keep execs fast
 		in := record.Make(len(data)/2, z)
 		for i := 0; i < in.Len(); i++ {
 			in.SetKey(i, prefixes[data[2*i]&7])
@@ -419,9 +490,11 @@ func FuzzFormer(f *testing.F) {
 			}
 		}
 		got := drive(t, New(capacity, z, nil, sliceReader(in, new(int))), z, 7, breakAt())
-		want := drive(t, newHeapFormer(capacity, z, nil, sliceReader(in, new(int))), z, 7, breakAt())
+		want := drive(t, newBatchOracle(capacity, z, sliceReader(in, new(int))), z, 7, breakAt())
+		heap := drive(t, newHeapFormer(capacity, z, nil, sliceReader(in, new(int))), z, 7, breakAt())
 		checkRuns(t, in, got)
 		sameRuns(t, got, want)
+		withinHeapYardstick(t, got, heap)
 	})
 }
 
@@ -450,9 +523,9 @@ func TestFillAllocsPerRun(t *testing.T) {
 }
 
 // heapFormer is the binary-heap replacement-selection former this package
-// shipped before the tournament kernel, kept verbatim (minus its unused
-// Consumed counter) as the reference the Former is cross-checked against —
-// the way heapMergeRunsInto cross-checks sortalg's loser tree.
+// shipped first, kept verbatim (minus its unused Consumed counter) as classic
+// replacement selection: the run-count yardstick the batched Former is held
+// to (withinHeapYardstick).
 type heapFormer struct {
 	z        int
 	capacity int

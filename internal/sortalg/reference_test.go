@@ -106,6 +106,6 @@ func heapSortInto(src record.Slice) record.Slice {
 		kvs[i] = kv{key: src.Key(i), idx: int32(i)}
 	}
 	heapsortKV(kvs, src)
-	gather([]record.Slice{dst}, src, kvs)
+	gather([]record.Slice{dst}, false, src, kvs)
 	return dst
 }

@@ -110,21 +110,21 @@ func (sc *Scratch) SortInto(dst, src record.Slice) {
 // SortIntoAlg sorts src into dst with an explicit algorithm choice, reusing
 // the scratch buffers.
 func (sc *Scratch) SortIntoAlg(dst, src record.Slice, alg Algorithm) {
-	sc.sortDealt([]record.Slice{dst}, src, alg)
+	sc.sortSlices([]record.Slice{dst}, false, src, alg)
 }
 
-// SortDealt sorts src with the radix kernel and deals the result round-robin
-// over lanes: rank i lands in lanes[i mod L] at position ⌊i/L⌋, so each lane
-// is itself sorted. Dealt over one lane it is SortInto. The lanes must have
-// src's record size and the lengths the deal gives them, and must not alias
-// src.
-func (sc *Scratch) SortDealt(lanes []record.Slice, src record.Slice) {
-	sc.sortDealt(lanes, src, Radix)
+// SortSlices sorts src with the radix kernel into lanes — filled one after
+// another, or (deal) dealt round-robin: rank i lands in lanes[i mod L] at
+// position ⌊i/L⌋, so each lane is itself sorted — as MergeSlices writes its
+// lanes. Into one lane it is SortInto. The lanes must have src's record size
+// and hold exactly its records in the chosen layout, and must not alias src.
+func (sc *Scratch) SortSlices(lanes []record.Slice, deal bool, src record.Slice) {
+	sc.sortSlices(lanes, deal, src, Radix)
 }
 
-func (sc *Scratch) sortDealt(lanes []record.Slice, src record.Slice, alg Algorithm) {
+func (sc *Scratch) sortSlices(lanes []record.Slice, deal bool, src record.Slice, alg Algorithm) {
 	n := src.Len()
-	checkLanes(lanes, true, n, src.Size)
+	checkLanes(lanes, deal, n, src.Size)
 	kvs := pairs(&sc.kvs, n)
 	// and/or fold to the bits on which the keys do not all agree — what the
 	// radix kernel picks its digit from — at no extra pass over src.
@@ -145,12 +145,21 @@ func (sc *Scratch) sortDealt(lanes []record.Slice, src record.Slice, alg Algorit
 	default:
 		panic(badAlg(alg))
 	}
-	gather(lanes, src, kvs)
+	gather(lanes, deal, src, kvs)
 }
 
-// gather deals the records of src, in the order kvs lists them, round-robin
-// over lanes.
-func gather(lanes []record.Slice, src record.Slice, kvs []kv) {
+// gather writes the records of src, in the order kvs lists them, into lanes:
+// filled one after another, or dealt round-robin.
+func gather(lanes []record.Slice, deal bool, src record.Slice, kvs []kv) {
+	if !deal {
+		for _, l := range lanes {
+			for row, e := range kvs[:l.Len()] {
+				l.CopyRecord(row, src, int(e.idx))
+			}
+			kvs = kvs[l.Len():]
+		}
+		return
+	}
 	d, row := 0, 0
 	for _, e := range kvs {
 		lanes[d].CopyRecord(row, src, int(e.idx))
@@ -162,7 +171,7 @@ func gather(lanes []record.Slice, src record.Slice, kvs []kv) {
 
 // MergeSlices is the one k-way merge: it merges the sorted slices runs, in
 // total order, into lanes — filled one after another, or (deal) dealt
-// round-robin as SortDealt deals — reading every record where it lies and
+// round-robin as SortSlices deals — reading every record where it lies and
 // writing it once, straight into the buffer it leaves in. Runs may be empty
 // but carry their record size, the lanes must hold exactly the records of the
 // runs, and no lane may alias a run. It reuses the scratch's loser-tree state.

@@ -342,7 +342,7 @@ func TestMergeRunsStrided(t *testing.T) {
 			SortInto(want, src)
 			var sc Scratch
 			lanes := dealLanes(n, k, 16)
-			sc.SortDealt(lanes, src)
+			sc.SortSlices(lanes, true, src)
 			for d, l := range lanes {
 				for i := 0; i < l.Len(); i++ {
 					if !bytes.Equal(l.Record(i), want.Record(d+i*k)) {
@@ -367,6 +367,36 @@ func TestMergeRunsStrided(t *testing.T) {
 }
 
 // dealLanes makes the k lanes a deal of n records of size z fills.
+// TestSortSlicesFilled: sorted into lanes filled one after another — of any
+// lengths, empty ones included, the layout a caller gets when the free
+// space it sorts into lies in pieces — the records are the sort, cut at the
+// lanes' boundaries.
+func TestSortSlicesFilled(t *testing.T) {
+	rng := rand.New(rand.NewSource(7))
+	for trial := 0; trial < 40; trial++ {
+		n := rng.Intn(3000)
+		src := record.Make(n, 32)
+		fillRandom(src, uint64(trial))
+		want := record.Make(n, 32)
+		SortInto(want, src)
+		var lanes []record.Slice
+		for left := n; left > 0 || len(lanes) == 0; {
+			l := min(left, rng.Intn(300))
+			lanes = append(lanes, record.Make(l, 32))
+			left -= l
+		}
+		var sc Scratch
+		sc.SortSlices(lanes, false, src)
+		var got []byte
+		for _, l := range lanes {
+			got = append(got, l.Data...)
+		}
+		if !bytes.Equal(got, want.Data) {
+			t.Fatalf("n=%d over %d lanes: the filled lanes are not the sort", n, len(lanes))
+		}
+	}
+}
+
 func dealLanes(n, k, z int) []record.Slice {
 	lanes := make([]record.Slice, k)
 	for d := range lanes {

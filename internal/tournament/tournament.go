@@ -1,6 +1,6 @@
 // Package tournament is the loser-tree kernel shared by the in-memory
-// k-way merge (internal/sortalg), replacement-selection run formation
-// (internal/runform) and the streaming merge of spilled runs
+// k-way merge (internal/sortalg), the merge of sorted mini-runs that forms
+// runs (internal/runform) and the streaming merge of spilled runs
 // (internal/merge): Knuth's tree of losers (TAOCP vol. 3 §5.4.1) over n
 // contestants, with each contestant's 8-byte key prefix held INLINE in the
 // tree so the common match is one 16-byte node load and one uint64 compare.
@@ -14,25 +14,19 @@
 // heap's sift-down (child index → key → next child index) must.
 //
 // Smaller keys win. What a key MEANS is the caller's business: callers put
-// the maximal key on a contestant with nothing to offer (an exhausted run, a
-// parked slot) and tell it apart from a live record carrying the same
-// prefix in their tie function, which the kernel reaches only when two
-// prefixes are equal — no interface or function call sits on the hot
-// compare: tie(o, w) reports whether contestant o beats contestant w. A
-// contestant with nothing to offer must lose to every live one; among live
-// contestants tie must be a strict order.
+// the maximal key on a contestant with nothing to offer (an exhausted run)
+// and tell it apart from a live record carrying the same prefix in their tie
+// function, which the kernel reaches only when two prefixes are equal — no
+// interface or function call sits on the hot compare: tie(o, w) reports
+// whether contestant o beats contestant w. A contestant with nothing to offer
+// must lose to every live one; among live contestants tie must be a strict
+// order.
 package tournament
 
 // Node is one tournament entry: a contestant and its current key prefix.
-//
-// Aux is not part of the entry. It is the word of padding the entry leaves
-// free, lent to the caller as per-CONTESTANT state: node[id].Aux belongs to
-// contestant id, whichever entry the tournament currently keeps at index
-// id. Play and Replay never read or write it.
 type Node struct {
 	Key uint64
 	ID  int32
-	Aux uint32
 }
 
 // Play runs the whole tournament over len(node) contestants, leaf(id)
