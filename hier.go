@@ -48,12 +48,13 @@ const defaultRedoBudget = 2
 const formationName = "replacement-select"
 
 // mergeChunkRecs sizes the per-run read chunk and the emit chunk of the
-// merges: half a column buffer by default, shrunk so that fanIn read
-// streams plus the emit queue stay within a WithMaxMemory cap, clamped so
-// chunks stay large enough to amortize per-chunk costs yet bounded in
-// memory. The cap m is divided step by step, ⌊⌊m/z⌋/(fanIn+4)⌋, which equals
-// ⌊m/((fanIn+4)·z)⌋ but never forms that product: any fan-in ≥ 2 is legal,
-// and a huge one would overflow it.
+// merges: half a column buffer by default, shrunk so that a merge's
+// fanIn + 4 chunks — fanIn reader frames, the 3 chunks cycling through its
+// pop, verify and emit stages, and the job's run-writer frame — stay within
+// a WithMaxMemory cap, clamped so chunks stay large enough to amortize
+// per-chunk costs yet bounded in memory. The cap m is divided step by step,
+// ⌊⌊m/z⌋/(fanIn+4)⌋, which equals ⌊m/((fanIn+4)·z)⌋ but never forms that
+// product: any fan-in ≥ 2 is legal, and a huge one would overflow it.
 func (e *Engine) mergeChunkRecs(o sortOptions, fanIn int) int {
 	c := e.cfg.MemPerProc / 2
 	if o.maxMemory > 0 {
@@ -622,11 +623,12 @@ func (h *hierJob) mergeGroup(ctx context.Context, in []hierRun, opt merge.Option
 }
 
 // mergePhase reduces the run set level by level and streams the final merge
-// into the sink, verifying order in-stream and the multiset at end of
-// stream. Under checkpointing each intermediate merge output becomes
-// durable (fsync + "merged" WAL entry) before its consumed inputs are
-// removed, so a crash at any point leaves a run set that re-merges to
-// byte-identical output; on success the checkpoint state is retired.
+// into the sink, verifying order in-stream on the merge's verify stage and
+// the multiset at end of stream. Under checkpointing each intermediate merge
+// output becomes durable (fsync + "merged" WAL entry) before its consumed
+// inputs are removed, so a crash at any point leaves a run set that
+// re-merges to byte-identical output; on success the checkpoint state is
+// retired.
 func (h *hierJob) mergePhase(ctx context.Context, dst Sink) (*Result, error) {
 	opt := merge.Options{ChunkRecs: h.chunk, Faults: &h.faults, Pool: h.pool}
 	if h.o.progress != nil {
@@ -636,7 +638,8 @@ func (h *hierJob) mergePhase(ctx context.Context, dst Sink) (*Result, error) {
 	// Merge tree: reduce the run set level by level until one merge fans
 	// into the sink. The merges verify every CRC frame they load, healing
 	// transient read corruption with a reread and counting both into the
-	// job's fault stats.
+	// job's fault stats, and check every level's order; only the final
+	// merge fingerprints its multiset, the one the ingest checksum meets.
 	for len(h.live) > h.fanIn {
 		h.stats.Levels++
 		if err := h.mergeLevel(ctx, opt); err != nil {
@@ -644,13 +647,15 @@ func (h *hierJob) mergePhase(ctx context.Context, dst Sink) (*Result, error) {
 		}
 	}
 
-	// Final merge: stream straight into the sink, decoding each chunk on
-	// the write-behind worker so the sink's I/O and the codec's work
-	// overlap the compare/copy loop and the runs' prefetch. The emitted
-	// order is checked record by record and the emitted multiset compared
-	// to the ingest checksum at end of stream — streaming verification, at
-	// the cost that a late failure means the sink has already received
-	// bytes that must be discarded (Sort reports the error either way).
+	// Final merge: stream straight into the sink. Three stages overlap
+	// with the runs' prefetch: the merge loop pops and copies; the verify
+	// stage checks each chunk's order in normalized key space and folds it
+	// into the multiset; the emit stage decodes the chunks that passed and
+	// writes them to the sink. The emitted multiset is compared to the
+	// ingest checksum at end of stream — streaming verification, at the
+	// cost that a late failure means the sink has already received bytes
+	// that must be discarded (Sort reports the error either way); a chunk
+	// out of order never reaches the sink.
 	h.stats.Levels++
 	w, err := dst.Open(h.e.cfg.RecordSize)
 	if err != nil {

@@ -3,6 +3,7 @@ package merge
 import (
 	"bytes"
 	"context"
+	"encoding/binary"
 	"errors"
 	"fmt"
 	"sync"
@@ -24,9 +25,9 @@ var ErrCorrupt = errors.New("merge: run chunk failed CRC verification")
 // Options tunes one merge.
 type Options struct {
 	// ChunkRecs is the records per emitted chunk (< 1 selects
-	// DefaultChunkRecs); each run reader loads one CRC frame at a time. Peak
-	// merge memory is roughly k frames plus (emitDepth + 1) · ChunkRecs ·
-	// recSize bytes for k runs.
+	// DefaultChunkRecs); each run reader loads one CRC frame at a time. A
+	// merge of k runs holds k reader frames plus emitDepth emitted chunks of
+	// ChunkRecs · recSize bytes each.
 	ChunkRecs int
 	// Progress, when non-nil, receives the cumulative emitted record count
 	// after each chunk. Called from the merge goroutine, sequentially.
@@ -34,16 +35,17 @@ type Options struct {
 	// Faults, when non-nil, counts CRC corruption detections and
 	// reread heals observed while loading the input runs.
 	Faults *pdm.FaultStats
-	// Pool, when non-nil, lends the run readers their chunk buffers for the
-	// duration of the merge.
+	// Pool, when non-nil, lends the run readers their frames and the stages
+	// their chunks for the duration of the merge.
 	Pool *record.Pool
 }
 
 // DefaultChunkRecs is the chunk size used when Options does not set one.
 const DefaultChunkRecs = 1 << 12
 
-// emitDepth is the write-behind depth of the emit stage: chunks in flight
-// between the merge loop and the consumer.
+// emitDepth is the number of chunk buffers cycling through the merge's
+// three stages: one each for the merge loop, the verifier and emit to hold
+// at once.
 const emitDepth = 3
 
 // Stats reports what one merge moved.
@@ -54,24 +56,49 @@ type Stats struct {
 
 // Merge combines the sorted runs into one sorted stream, calling emit with
 // successive chunks of records in total order. The records flow straight
-// from the run disks to emit — nothing is materialized — and emit runs on a
-// background goroutine (write-behind on the merged output), overlapping the
-// sink's own I/O with the merge's compare/copy work and the runs' prefetch.
+// from the run disks to emit — nothing is materialized — through three
+// goroutine stages joined by emitDepth recycled chunk buffers: the merge
+// loop pops the tournament and copies the winners into a chunk; the verify
+// stage checks the chunk's order and folds it into the multiset checksum;
+// emit runs on a third goroutine (write-behind on the merged output),
+// overlapping the sink's own I/O with the other two stages and the runs'
+// prefetch.
 //
-// The stream is verified as it flows: every emitted record is checked
-// against its predecessor (ErrOrder on violation — a corrupt run can never
-// produce a silently unsorted output) and the returned Checksum fingerprints
-// the emitted multiset for the caller to compare against its ingest
-// checksum. Ties between runs break by run index, so a merge is
-// deterministic for any input.
+// The stream is verified as it flows: every record is checked against its
+// predecessor before emit sees its chunk (ErrOrder, naming the record's
+// index, on violation — a corrupt run can never produce a silently
+// unsorted output, and the sink never receives the chunk that breaks the
+// order or any after it), and the returned Checksum fingerprints the
+// emitted multiset for the caller to compare against its ingest checksum.
+// Ties between runs break by run index, so a merge is deterministic for
+// any input.
 //
-// Cancelling ctx aborts between chunks; the emit goroutine is always joined
-// before Merge returns, whatever the outcome, so no goroutine outlives the
-// call. Chunk buffers are recycled internally; emit must not retain its
-// argument past return.
+// The first error of any stage — a run read or CRC failure, ErrOrder,
+// emit's error, ctx's — stops the other two between chunks and is the one
+// returned; every stage is joined before Merge returns, whatever the
+// outcome, so no goroutine outlives the call. Chunk buffers are recycled
+// internally; emit must not retain its argument past return.
 func Merge(ctx context.Context, runs []*Run, emit func(record.Slice) error, opt Options) (record.Checksum, Stats, error) {
-	var cs record.Checksum
-	var st Stats
+	return merge(ctx, runs, emit, opt, true)
+}
+
+// MergeToRun merges runs into the new run w writes — one node of a
+// multi-level merge tree. On success the returned Run owns w's disk; on
+// error the caller still owns it. The level's order and its inputs' CRC
+// frames are checked as in Merge; its multiset is not fingerprinted, since
+// the final merge's checksum covers every record the tree emits.
+func MergeToRun(ctx context.Context, runs []*Run, w *Writer, opt Options) (*Run, Stats, error) {
+	_, st, err := merge(ctx, runs, w.Append, opt, false)
+	if err != nil {
+		return nil, st, err
+	}
+	out, err := w.Finish()
+	return out, st, err
+}
+
+// merge is Merge, folding the emitted multiset into the returned checksum
+// only when fold is set.
+func merge(ctx context.Context, runs []*Run, emit func(record.Slice) error, opt Options, fold bool) (cs record.Checksum, st Stats, err error) {
 	if len(runs) == 0 {
 		return cs, st, nil
 	}
@@ -91,6 +118,12 @@ func Merge(ctx context.Context, runs []*Run, emit func(record.Slice) error, opt 
 		readers[i] = *NewReader(r, opt.Pool)
 		readers[i].faults = opt.Faults
 	}
+	defer func() {
+		for i := range readers {
+			st.BytesRead += readers[i].BytesRead()
+			opt.Pool.PutBytes(readers[i].chunk)
+		}
+	}()
 	for i := range readers {
 		if err := readers[i].Prime(); err != nil {
 			return cs, st, err
@@ -98,107 +131,158 @@ func Merge(ctx context.Context, runs []*Run, emit func(record.Slice) error, opt 
 	}
 	t := newTourney(readers)
 
-	// Emit write-behind: the worker drains full chunks and recycles the
-	// buffers; after its first error it stops calling emit but keeps
-	// recycling, so the merge loop can never deadlock on a dead sink.
-	full := make(chan record.Slice, emitDepth)
-	free := make(chan record.Slice, emitDepth)
-	for i := 0; i < emitDepth; i++ {
-		free <- record.Make(chunkRecs, z)
+	bufs := make([]record.Slice, emitDepth)
+	for i := range bufs {
+		bufs[i] = opt.Pool.Get(chunkRecs, z)
 	}
-	var emitMu sync.Mutex
-	var emitErr error
-	var done sync.WaitGroup
-	done.Add(1)
-	go func() {
-		defer done.Done()
-		for c := range full {
-			emitMu.Lock()
-			failed := emitErr != nil
-			emitMu.Unlock()
-			if !failed {
-				if err := emit(c); err != nil {
-					emitMu.Lock()
-					emitErr = err
-					emitMu.Unlock()
-				}
-			}
-			free <- c.Sub(0, chunkRecs)
+	defer func() {
+		for _, b := range bufs {
+			opt.Pool.Put(b)
 		}
 	}()
-	finish := func(err error) (record.Checksum, Stats, error) {
-		close(full)
-		done.Wait()
-		for i := range readers {
-			st.BytesRead += readers[i].BytesRead()
-			opt.Pool.PutBytes(readers[i].chunk)
+	v := verifier{prev: make([]byte, z)}
+	p := startStages(ctx, bufs, func(c record.Slice) error {
+		if err := v.check(c); err != nil {
+			return err
 		}
-		if err == nil {
-			emitMu.Lock()
-			err = emitErr
-			emitMu.Unlock()
+		if fold {
+			cs.AddSlice(c)
 		}
-		return cs, st, err
-	}
+		return nil
+	}, emit)
 
-	prev := make([]byte, z) // last emitted record, for the order check
-	havePrev := false
 	var emitted, total int64
 	for _, r := range runs {
 		total += r.Records
 	}
 	for emitted < total {
-		if err := ctx.Err(); err != nil {
-			return finish(err)
+		buf, ok := p.next()
+		if !ok {
+			break
 		}
-		emitMu.Lock()
-		failed := emitErr != nil
-		emitMu.Unlock()
-		if failed {
-			return finish(nil) // finish surfaces emitErr
-		}
-		buf := <-free
 		want := chunkRecs
 		if left := total - emitted; left < int64(want) {
 			want = int(left)
 		}
 		out := buf.Sub(0, want)
-		for i := 0; i < want; i++ {
-			rec := t.winner()
-			if rec == nil {
-				return finish(fmt.Errorf("merge: runs exhausted after %d of %d records (inconsistent run lengths)", emitted+int64(i), total))
-			}
-			if havePrev && bytes.Compare(rec, prev) < 0 {
-				return finish(fmt.Errorf("%w at record %d", ErrOrder, emitted+int64(i)))
-			}
-			copy(prev, rec)
-			havePrev = true
-			copy(out.Record(i), rec)
-			if err := t.pop(); err != nil {
-				return finish(err)
-			}
+		if err := t.fill(out, emitted, total); err != nil {
+			p.fail(err)
+			break
 		}
-		cs.AddSlice(out)
 		emitted += int64(want)
 		st.BytesWritten += int64(want * z)
-		full <- out
+		p.toCheck <- out
 		if opt.Progress != nil {
 			opt.Progress(emitted)
 		}
 	}
-	return finish(nil)
+	err = p.wait() // before cs is read: the verify stage folds into it
+	return cs, st, err
 }
 
-// MergeToRun merges runs into the new run w writes — one node of a
-// multi-level merge tree. On success the returned Run owns w's disk; on
-// error the caller still owns it.
-func MergeToRun(ctx context.Context, runs []*Run, w *Writer, opt Options) (*Run, Stats, error) {
-	_, st, err := Merge(ctx, runs, w.Append, opt)
-	if err != nil {
-		return nil, st, err
+// stages is the plumbing of Merge's pipeline. The merge loop, on the
+// calling goroutine, takes a free chunk (next), fills it and hands it to the
+// verify goroutine (toCheck), which passes each chunk that checks to the emit
+// goroutine, which returns it to the free list. Each channel can hold every
+// chunk there is, so no send blocks: only the merge loop waits, for a free
+// chunk, and each stage frees every chunk it is handed whether it fails or
+// not. The first failure of any stage cancels ctx with the failure as its
+// cause, as ctx's own end does.
+type stages struct {
+	ctx                   context.Context
+	fail                  context.CancelCauseFunc
+	free, toCheck, toEmit chan record.Slice
+	wg                    sync.WaitGroup
+}
+
+// startStages starts the verify and emit goroutines over the chunk buffers
+// bufs: check runs on each chunk the merge loop sends, emit on each chunk
+// check passed, both in stream order.
+func startStages(ctx context.Context, bufs []record.Slice, check, emit func(record.Slice) error) *stages {
+	n := len(bufs)
+	p := &stages{free: make(chan record.Slice, n), toCheck: make(chan record.Slice, n), toEmit: make(chan record.Slice, n)}
+	p.ctx, p.fail = context.WithCancelCause(ctx)
+	for _, b := range bufs {
+		p.free <- b
 	}
-	out, err := w.Finish()
-	return out, st, err
+	p.wg.Add(2)
+	go func() {
+		defer p.wg.Done()
+		defer close(p.toEmit)
+		p.stage(p.toCheck, check, p.toEmit)
+	}()
+	go func() {
+		defer p.wg.Done()
+		p.stage(p.toEmit, emit, p.free)
+	}()
+	return p
+}
+
+// stage applies f to the chunks arriving on in and passes each chunk f
+// accepts to out; a chunk f fails goes back to the free list, and so does
+// every chunk after the first failure, unseen by f.
+func (p *stages) stage(in <-chan record.Slice, f func(record.Slice) error, out chan<- record.Slice) {
+	for c := range in {
+		if p.ctx.Err() == nil {
+			err := f(c)
+			if err == nil {
+				out <- c
+				continue
+			}
+			p.fail(err)
+		}
+		p.free <- c
+	}
+}
+
+// next returns a free chunk for the merge loop to fill, or false once any
+// stage has failed or ctx is done.
+func (p *stages) next() (record.Slice, bool) {
+	c := <-p.free
+	return c, p.ctx.Err() == nil
+}
+
+// wait ends the stream, joins the verify and emit goroutines and returns
+// the first failure, nil if there was none.
+func (p *stages) wait() error {
+	close(p.toCheck)
+	p.wg.Wait()
+	err := context.Cause(p.ctx)
+	p.fail(nil)
+	return err
+}
+
+// verifier is the verify stage's order check. It sees the chunks in stream
+// order and keeps the last record of the one before.
+type verifier struct {
+	prev    []byte // last record of the previous chunk
+	checked int64  // records checked so far
+}
+
+// check returns ErrOrder, naming the record's index in the stream, at the
+// first record of c smaller than its predecessor; the first record of c is
+// compared with the previous chunk's last. Records are compared before
+// decode, in the normalized key space where byte order is record order: the
+// 8-byte big-endian key prefix first, and bytes.Compare over the whole
+// records only when the prefixes tie.
+func (v *verifier) check(c record.Slice) error {
+	z, d := c.Size, c.Data
+	prev := v.prev
+	if v.checked == 0 {
+		prev = d[:z] // the stream's first record has no predecessor
+	}
+	pk := binary.BigEndian.Uint64(prev)
+	for off := 0; off < len(d); off += z {
+		rec := d[off : off+z]
+		k := binary.BigEndian.Uint64(rec)
+		if k < pk || k == pk && bytes.Compare(rec, prev) < 0 {
+			return fmt.Errorf("%w at record %d", ErrOrder, v.checked+int64(off/z))
+		}
+		prev, pk = rec, k
+	}
+	copy(v.prev, prev)
+	v.checked += int64(c.Len())
+	return nil
 }
 
 // tourney is the k-way tournament over the runs' readers, on the shared
@@ -246,6 +330,23 @@ func (t *tourney) tieBeats(o, w int32) bool {
 // winner returns the current smallest record, or nil when all runs are
 // exhausted.
 func (t *tourney) winner() []byte { return t.readers[t.node[0].ID].Cur() }
+
+// fill pops the next out.Len() records into out, which starts at record
+// emitted of a stream of total.
+func (t *tourney) fill(out record.Slice, emitted, total int64) error {
+	z := out.Size
+	for off := 0; off < len(out.Data); off += z {
+		rec := t.winner()
+		if rec == nil {
+			return fmt.Errorf("merge: runs exhausted after %d of %d records (inconsistent run lengths)", emitted+int64(off/z), total)
+		}
+		copy(out.Data[off:off+z], rec)
+		if err := t.pop(); err != nil {
+			return err
+		}
+	}
+	return nil
+}
 
 // pop advances the winning run and replays its path to the root.
 func (t *tourney) pop() error {

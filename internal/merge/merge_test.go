@@ -14,7 +14,7 @@ import (
 
 // buildRun spills the records of recs (sorted here for convenience) onto a
 // fresh disk of the given machine and returns the run.
-func buildRun(t *testing.T, m pdm.Machine, recs record.Slice, chunkRecs int) *Run {
+func buildRun(t testing.TB, m pdm.Machine, recs record.Slice, chunkRecs int) *Run {
 	t.Helper()
 	sortSlice(recs)
 	d, err := m.NewSpillDisk(0)
@@ -49,7 +49,7 @@ func sortSlice(s record.Slice) {
 }
 
 // genRuns cuts n generated records into k runs of uneven sizes.
-func genRuns(t *testing.T, m pdm.Machine, n, k, z, chunkRecs int, seed uint64) ([]*Run, record.Slice) {
+func genRuns(t testing.TB, m pdm.Machine, n, k, z, chunkRecs int, seed uint64) ([]*Run, record.Slice) {
 	t.Helper()
 	all := record.Make(n, z)
 	record.Fill(all, record.Uniform{Seed: seed}, 0)
@@ -170,7 +170,7 @@ func TestMergeToRunLevels(t *testing.T) {
 
 // TestMergeInjectedFault wires a FaultDisk under one run: the injected read
 // error must abort the merge, surface via errors.Is(err, pdm.ErrInjected),
-// and leave no goroutines behind (the emit worker is joined).
+// and leave no goroutines behind (the verify and emit stages are joined).
 func TestMergeInjectedFault(t *testing.T) {
 	testutil.CheckGoroutines(t)
 	const n, z, k = 4096, 16, 4
@@ -208,7 +208,7 @@ func TestMergeInjectedFaultAsync(t *testing.T) {
 }
 
 // TestMergeCancel cancels mid-merge via the progress hook; the merge must
-// stop with the context's error and join its emit worker.
+// stop with the context's error and join its verify and emit stages.
 func TestMergeCancel(t *testing.T) {
 	testutil.CheckGoroutines(t)
 	const n, z = 8192, 16

@@ -6,7 +6,12 @@
 // engineered on top of the paper's algorithms. The tree is the shared kernel
 // (internal/tournament, one of its three users); what this package adds is
 // everything around a pop: chunked reads that can block and fail, CRC
-// verification with one healing reread, prefetch hints, the order check.
+// verification with one healing reread, prefetch hints — and the stages
+// after it. A merge is three goroutines joined by three recycled chunks: the
+// pop loop fills a chunk with the tournament's winners, the verify stage
+// checks its order (and, in the final merge, folds it into the multiset
+// checksum), and the emit stage hands it to the sink or the next level's
+// run writer. The first failure of any stage stops the other two.
 //
 // A Run lives on one pdm.Disk as a flat sequence of fixed-size records in
 // sorted order. What that disk is, is the machine's business
