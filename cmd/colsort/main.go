@@ -194,12 +194,7 @@ func main() {
 	switch alg := res.Plan.Alg; {
 	case *inPath != "":
 		fmt.Printf("sorted %d records of %s into %s (plan: %s)\n", res.RealRecords(), *inPath, *outPath, res.Plan.String())
-		if res.Merge != nil {
-			fmt.Println("verified in-stream: every run verified, merge order checked, multiset preserved")
-		} else {
-			// Single-run file sorts verify BEFORE -out is written.
-			fmt.Println("verified: output sorted, multiset preserved")
-		}
+		fmt.Println("verified as emitted: order checked record by record, multiset preserved")
 	case alg != colsort.BaselineIO3 && alg != colsort.BaselineIO4:
 		if err := res.Verify(); err != nil {
 			fmt.Fprintln(os.Stderr, "VERIFICATION FAILED:", err)
@@ -207,7 +202,7 @@ func main() {
 		}
 		fmt.Println("plan:", res.Plan.String())
 		if res.Merge != nil {
-			fmt.Println("verified in-stream: every run verified, merge order checked, multiset preserved")
+			fmt.Println("verified as emitted: order checked record by record, multiset preserved")
 		} else {
 			fmt.Println("verified: output sorted in PDM order, multiset preserved")
 		}

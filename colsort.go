@@ -162,10 +162,6 @@ type Result struct {
 	// realN is the number of caller records when the sort was padded to a
 	// power of two; 0 means unpadded.
 	realN int64
-	// codec is the compiled KeySpec of the run: Result.Output holds records
-	// in its normalized key space, and every egress path decodes through
-	// it. The zero codec is the identity (native key layout).
-	codec record.KeyCodec
 	// JobID is the engine job number of this sort — the id that names its
 	// scratch-file namespace (pdm.JobScratchPrefix) and attributes it in
 	// engine stats. Ids are unique per engine, assigned in admission order.
@@ -280,14 +276,16 @@ func (r *Result) Summary() ResultSummary {
 
 // Verify checks that the output is globally sorted (in the PDM column-major
 // order of footnote 6) and that the record multiset was preserved. For
-// padded sorts it verifies the real prefix and that only pads follow.
+// padded sorts it verifies the real prefix and that only pads follow. It is
+// for the Output of a sort with a nil Sink: a Sort with a Sink verified
+// every record as it emitted it.
 func (r *Result) Verify() error {
 	if r.Output == nil {
-		// Hierarchical sorts verify in-stream: each run passes the engine's
-		// output verification before it may feed the merge, the merge
-		// checks the emitted order record by record, and the emitted
-		// multiset is compared against the ingest checksum at end of
-		// stream. A Result exists only when all of those passed.
+		// Hierarchical sorts verify in-stream: the runs are formed by the
+		// former and CRC-framed on their spills, every merge checks the
+		// order it emits record by record, and the final merge's multiset
+		// meets the ingest checksum before the sink is closed. A Result
+		// exists only when all of those passed.
 		return nil
 	}
 	if r.realN > 0 && r.realN < r.Plan.N {

@@ -647,39 +647,26 @@ func (h *hierJob) mergePhase(ctx context.Context, dst Sink) (*Result, error) {
 		}
 	}
 
-	// Final merge: stream straight into the sink. Three stages overlap
-	// with the runs' prefetch: the merge loop pops and copies; the verify
-	// stage checks each chunk's order in normalized key space and folds it
-	// into the multiset; the emit stage decodes the chunks that passed and
-	// writes them to the sink. The emitted multiset is compared to the
-	// ingest checksum at end of stream — streaming verification, at the
-	// cost that a late failure means the sink has already received bytes
-	// that must be discarded (Sort reports the error either way); a chunk
-	// out of order never reaches the sink.
+	// Final merge: stream straight into the sink through the egress. Three
+	// stages overlap with the runs' prefetch: the merge loop pops and
+	// copies; the verify stage checks each chunk's order in normalized key
+	// space and folds it into the multiset; the emit stage decodes the
+	// chunks that passed and writes them to the sink. A chunk out of order
+	// never reaches the sink, and the multiset meets the ingest checksum
+	// before the writer is closed — a late failure aborts it instead.
 	h.stats.Levels++
-	w, err := dst.Open(h.e.cfg.RecordSize)
-	if err != nil {
-		return nil, err
-	}
 	runs := make([]*merge.Run, len(h.live))
 	for i, r := range h.live {
 		runs[i] = r.run
 	}
-	got, st, err := merge.Merge(ctx, runs, func(c record.Slice) error {
-		h.codec.Decode(c)
-		return w.Write(c)
-	}, opt)
-	h.stats.BytesRead += st.BytesRead
-	h.stats.BytesWritten += st.BytesWritten
+	err := egress(dst, h.e.cfg.RecordSize, h.codec, h.want, func(emit func(record.Slice) error) (record.Checksum, error) {
+		got, st, err := merge.Merge(ctx, runs, emit, opt)
+		h.stats.BytesRead += st.BytesRead
+		h.stats.BytesWritten += st.BytesWritten
+		return got, err
+	})
 	if err != nil {
-		w.Close()
 		return nil, err
-	}
-	if err := w.Close(); err != nil {
-		return nil, err
-	}
-	if !got.Equal(h.want) {
-		return nil, fmt.Errorf("colsort: streaming verification failed: the merged output's multiset (%d records) differs from the input's (%d); discard the sink's contents", got.Count, h.want.Count)
 	}
 	if h.ckpt != nil {
 		// The sink holds the verified output: record completion and retire
@@ -715,9 +702,7 @@ func (h *hierJob) mergePhase(ctx context.Context, dst Sink) (*Result, error) {
 	}
 	return &Result{
 		Result: &core.Result{Plan: h.runPl, PassCounters: passCnts},
-		want:   h.want,
 		realN:  h.n,
-		codec:  h.codec,
 		Merge:  h.stats,
 	}, nil
 }

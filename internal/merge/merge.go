@@ -3,7 +3,6 @@ package merge
 import (
 	"bytes"
 	"context"
-	"encoding/binary"
 	"errors"
 	"fmt"
 	"sync"
@@ -11,6 +10,7 @@ import (
 	"colsort/internal/pdm"
 	"colsort/internal/record"
 	"colsort/internal/tournament"
+	"colsort/internal/verify"
 )
 
 // ErrOrder reports a merge input that was not actually sorted — streaming
@@ -44,7 +44,7 @@ type Options struct {
 const DefaultChunkRecs = 1 << 12
 
 // emitDepth is the number of chunk buffers cycling through the merge's
-// three stages: one each for the merge loop, the verifier and emit to hold
+// three stages: one each for the merge loop, the verify stage and emit to hold
 // at once.
 const emitDepth = 3
 
@@ -140,11 +140,13 @@ func merge(ctx context.Context, runs []*Run, emit func(record.Slice) error, opt 
 			opt.Pool.Put(b)
 		}
 	}()
-	v := verifier{prev: make([]byte, z)}
+	var order verify.Order
+	var checked int64 // records the verify stage has passed
 	p := startStages(ctx, bufs, func(c record.Slice) error {
-		if err := v.check(c); err != nil {
-			return err
+		if i := order.Check(c); i >= 0 {
+			return fmt.Errorf("%w at record %d", ErrOrder, checked+int64(i))
 		}
+		checked += int64(c.Len())
 		if fold {
 			cs.AddSlice(c)
 		}
@@ -250,39 +252,6 @@ func (p *stages) wait() error {
 	err := context.Cause(p.ctx)
 	p.fail(nil)
 	return err
-}
-
-// verifier is the verify stage's order check. It sees the chunks in stream
-// order and keeps the last record of the one before.
-type verifier struct {
-	prev    []byte // last record of the previous chunk
-	checked int64  // records checked so far
-}
-
-// check returns ErrOrder, naming the record's index in the stream, at the
-// first record of c smaller than its predecessor; the first record of c is
-// compared with the previous chunk's last. Records are compared before
-// decode, in the normalized key space where byte order is record order: the
-// 8-byte big-endian key prefix first, and bytes.Compare over the whole
-// records only when the prefixes tie.
-func (v *verifier) check(c record.Slice) error {
-	z, d := c.Size, c.Data
-	prev := v.prev
-	if v.checked == 0 {
-		prev = d[:z] // the stream's first record has no predecessor
-	}
-	pk := binary.BigEndian.Uint64(prev)
-	for off := 0; off < len(d); off += z {
-		rec := d[off : off+z]
-		k := binary.BigEndian.Uint64(rec)
-		if k < pk || k == pk && bytes.Compare(rec, prev) < 0 {
-			return fmt.Errorf("%w at record %d", ErrOrder, v.checked+int64(off/z))
-		}
-		prev, pk = rec, k
-	}
-	copy(v.prev, prev)
-	v.checked += int64(c.Len())
-	return nil
 }
 
 // tourney is the k-way tournament over the runs' readers, on the shared

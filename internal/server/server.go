@@ -448,9 +448,7 @@ func (s *Server) launchFileJob(ctx context.Context, cancel context.CancelFunc, e
 		s.wal.Append(walRecord{ID: id, State: jobRunning}) //nolint:errcheck // degrade, don't refuse
 		res, err := s.eng.Sort(ctx, colsort.FromFile(in), colsort.ToFile(out), opts...)
 		if err != nil {
-			// A failed sort must not leave a plausible-looking output
-			// file behind (the Sink contract: on error, discard).
-			os.Remove(out) //nolint:errcheck // best effort; may not exist
+			// ToFile leaves out as it was: a failed sort publishes nothing.
 			entry.finish(nil, err)
 			if errors.Is(err, context.Canceled) && s.draining.Load() {
 				// Shutdown interrupted the job, not the job itself: keep the

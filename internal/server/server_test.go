@@ -623,6 +623,62 @@ func TestFileJobLifecycle(t *testing.T) {
 	}
 }
 
+// TestFileJobCancelledMidMergeLeavesNoOutput: a file job cancelled through
+// DELETE while its final merge streams into the output publishes nothing —
+// ToFile removes its partial file itself, so no out file and no partial file
+// is left in the data directory. The disks are modeled slow enough that the
+// merge outlasts the DELETE.
+func TestFileJobCancelledMidMergeLeavesNoOutput(t *testing.T) {
+	dir := t.TempDir()
+	data := filepath.Join(dir, "data")
+	if err := os.MkdirAll(data, 0o755); err != nil {
+		t.Fatal(err)
+	}
+	cfg := testBase(filepath.Join(dir, "scratch"))
+	cfg.DiskSeekMicros, cfg.DiskMBps = 20000, 1
+	env := newEnv(t, colsort.EngineConfig{Config: cfg}, Config{DataDir: data})
+	n := 3 * env.eng.MaxRecords(colsort.Threaded)
+	if err := os.WriteFile(filepath.Join(data, "in.dat"), makeInput(n, 5), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	resp, err := env.ts.Client().Post(env.ts.URL+"/v1/jobs", "application/json",
+		strings.NewReader(`{"input":"in.dat","output":"out.dat"}`))
+	if err != nil {
+		t.Fatal(err)
+	}
+	var info jobInfo
+	err = json.NewDecoder(resp.Body).Decode(&info)
+	resp.Body.Close() //nolint:errcheck
+	if err != nil {
+		t.Fatal(err)
+	}
+	entry := env.srv.jobs.get(info.ID)
+	for deadline := time.Now().Add(30 * time.Second); ; time.Sleep(time.Millisecond) {
+		if snap, _ := entry.snapshot(); snap.Progress != nil && snap.Progress.Phase == "merge" {
+			break
+		}
+		if time.Now().After(deadline) {
+			t.Fatal("the job never reached its merge")
+		}
+	}
+	req, err := http.NewRequest(http.MethodDelete, env.ts.URL+"/v1/jobs/"+info.ID, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	delResp, err := env.ts.Client().Do(req)
+	if err != nil {
+		t.Fatal(err)
+	}
+	delResp.Body.Close() //nolint:errcheck
+	final := waitJobState(t, env, info.ID, jobFailed)
+	if !strings.Contains(final.Error, "context canceled") {
+		t.Fatalf("job error %q, want a context cancellation", final.Error)
+	}
+	if left := testutil.StrayFiles(data, "out.dat"); len(left) > 0 {
+		t.Errorf("the cancelled job left %v in the data directory", left)
+	}
+}
+
 // TestFileJobsDisabled: without -data the endpoint refuses outright — the
 // streaming endpoint is the only surface that exists by default.
 func TestFileJobsDisabled(t *testing.T) {

@@ -5,6 +5,9 @@
 package verify
 
 import (
+	"bytes"
+	"context"
+	"encoding/binary"
 	"fmt"
 
 	"colsort/internal/pdm"
@@ -37,7 +40,15 @@ func Output(st *pdm.Store, want record.Checksum) error {
 // records, making prefix trimming exact. Used by the non-power-of-two
 // support in the public API.
 func OutputPrefix(st *pdm.Store, n int64, want record.Checksum) error {
-	got, err := scanPrefix(st, n)
+	got, err := scan(context.Background(), st, n, func(j, lo int, real record.Slice, pad []byte, _ int64) error {
+		for k, b := range pad {
+			if b != 0xff {
+				return &Error{Kind: "pad violation", Column: j, Row: lo + real.Len() + k/st.RecSize,
+					Detail: "non-pad record beyond the real prefix"}
+			}
+		}
+		return nil
+	})
 	if err != nil {
 		return err
 	}
@@ -49,42 +60,88 @@ func OutputPrefix(st *pdm.Store, n int64, want record.Checksum) error {
 	return nil
 }
 
-// scanPrefix is the one scan every store check is: the order of the first n
-// records — record to record inside a segment, against a copy of the previous
-// segment's last record across a boundary — their checksum, and the pads
-// behind them. ScanRows prefetches one segment ahead, so on async disks the
-// checks overlap the next segment's read.
-func scanPrefix(st *pdm.Store, n int64) (record.Checksum, error) {
-	var got record.Checksum
-	var lastValid bool
-	last := record.Make(1, st.RecSize)
-	follows := func(j, row int, key, prev uint64) error {
-		return &Error{Kind: "order violation", Column: j, Row: row,
-			Detail: fmt.Sprintf("key %x follows %x", key, prev)}
-	}
-	err := st.ScanRows(func(j, lo int, chunk record.Slice) error {
-		real := chunk.Sub(0, int(min(int64(chunk.Len()), n)))
-		n -= int64(real.Len())
-		if real.Len() > 0 {
-			if lastValid && record.Compare(real, 0, last, 0) < 0 {
-				return follows(j, lo, real.Key(0), last.Key(0))
-			}
-			for i := 1; i < real.Len(); i++ {
-				if real.Less(i, i-1) {
-					return follows(j, lo+i, real.Key(i), real.Key(i-1))
-				}
-			}
-			last.CopyRecord(0, real, real.Len()-1)
-			lastValid = true
-			got.AddSlice(real)
+// Drain streams the first n records of the sorted store st into emit, chunk
+// by chunk in global column-major order, and returns their multiset
+// checksum for the caller to compare with its own. Each chunk is checked
+// and folded before emit sees it, so emit may rewrite it in place, and a
+// chunk out of order never reaches emit. The scan stops behind the n-th
+// record: the pads are never read, and need not be, since a sorted prefix
+// whose multiset is the input's leaves nothing but pads behind it.
+func Drain(ctx context.Context, st *pdm.Store, n int64, emit func(record.Slice) error) (record.Checksum, error) {
+	return scan(ctx, st, n, func(_, _ int, real record.Slice, _ []byte, left int64) error {
+		if err := emit(real); err != nil {
+			return err
 		}
-		for k, b := range chunk.Data[len(real.Data):] {
-			if b != 0xff {
-				return &Error{Kind: "pad violation", Column: j, Row: lo + real.Len() + k/st.RecSize,
-					Detail: "non-pad record beyond the real prefix"}
-			}
+		if left == 0 {
+			return pdm.ErrStopScan
 		}
 		return nil
 	})
-	return got, err
+}
+
+// scan is the one loop of the store checks. It reads st's segments in
+// global column-major order (ScanRows prefetches one ahead), checks the
+// order of the real records among the first n — a violation is an *Error
+// at its column and row — and folds them into the returned checksum. Then
+// visit sees the segment at rows lo… of column j: its real records, the pad
+// bytes behind them, and how many real records are left; visit may end the
+// scan with pdm.ErrStopScan.
+func scan(ctx context.Context, st *pdm.Store, n int64, visit func(j, lo int, real record.Slice, pad []byte, left int64) error) (record.Checksum, error) {
+	var order Order
+	var sum record.Checksum
+	err := st.ScanRows(func(j, lo int, chunk record.Slice) error {
+		if err := ctx.Err(); err != nil {
+			return err
+		}
+		real := chunk.Sub(0, int(min(int64(chunk.Len()), n)))
+		n -= int64(real.Len())
+		if i := order.Check(real); i >= 0 {
+			prev := order.prev
+			if i > 0 {
+				prev = real.Record(i - 1)
+			}
+			return &Error{Kind: "order violation", Column: j, Row: lo + i,
+				Detail: fmt.Sprintf("key %x follows %x", real.Key(i), binary.BigEndian.Uint64(prev))}
+		}
+		sum.AddSlice(real)
+		return visit(j, lo, real, chunk.Data[len(real.Data):], n)
+	})
+	return sum, err
+}
+
+// Order is the one order check of every sorted stream the engine checks:
+// the merge's verify stage, the store scan above, and colsort-paper's
+// check of a distributed sort. It sees the stream's chunks in order and
+// keeps a copy of the last record of the chunk before.
+type Order struct {
+	prev []byte // last record of the previous chunk; nil before the first
+}
+
+// Check returns the index in c of the first record smaller than its
+// predecessor — c's first record is compared with the previous chunk's
+// last — or -1 when c continues the stream in order; the caller reports the
+// position in its own terms. Records are compared as bytes, the order of the
+// engine's normalized key space: the 8-byte big-endian key prefix first,
+// and bytes.Compare over the whole records only when the prefixes tie.
+func (o *Order) Check(c record.Slice) int {
+	z, d := c.Size, c.Data
+	if len(d) == 0 {
+		return -1
+	}
+	prev := o.prev
+	if prev == nil {
+		prev = d[:z] // the stream's first record has no predecessor
+		o.prev = make([]byte, z)
+	}
+	pk := binary.BigEndian.Uint64(prev)
+	for off := 0; off < len(d); off += z {
+		rec := d[off : off+z]
+		k := binary.BigEndian.Uint64(rec)
+		if k < pk || k == pk && bytes.Compare(rec, prev) < 0 {
+			return off / z
+		}
+		prev, pk = rec, k
+	}
+	copy(o.prev, prev)
+	return -1
 }

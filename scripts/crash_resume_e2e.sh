@@ -3,7 +3,8 @@
 # middle of a checkpointed hierarchical file job — once mid-merge, once
 # mid-run-formation — restart it over the same -data and scratch
 # directories, and require the re-adopted job to finish under its original
-# id with output byte-identical to an uninterrupted reference sort.
+# id with output byte-identical to an uninterrupted reference sort and no
+# partial output file left in -data.
 #
 # The metrics surface proves HOW it finished:
 #   - merge-phase kill:   colsort_engine_runs_resumed_total equals
@@ -102,6 +103,14 @@ wait_manifest() {
   fail "job $1's manifest never showed $4"
 }
 
+# no_partial SCENARIO: a finished file job publishes its output by renaming
+# the partial file it wrote beside it (colsort.ToFile), so none may be left
+# in -data — not even the one the kill interrupted.
+no_partial() {
+  left=$(find "$DIR/data" -name '*.partial')
+  [ -z "$left" ] || fail "$1: partial output left in -data: $left"
+}
+
 # metric NAME FILE -> value (fails if the metric is absent).
 metric() {
   v=$(awk -v n="$1" '$1 == n {print $2}' "$2")
@@ -137,6 +146,7 @@ start_server
 wait_job "$id1" '"state": "done"' "completion after the mid-merge restart"
 cmp "$DIR/data/out-merge.dat" "$DIR/ref.dat" \
   || fail "scenario 1: resumed output differs from the reference"
+no_partial "scenario 1"
 curl -sf "$URL/metrics" >"$DIR/metrics1.txt" || fail "scenario 1: metrics scrape"
 grep -q '^colsort_server_jobs_readopted_total 1$' "$DIR/metrics1.txt" \
   || fail "scenario 1: job was not re-adopted from the WAL"
@@ -184,6 +194,7 @@ exec 9<&-
 wait_job "$id2" '"state": "done"' "completion after the mid-formation restart"
 cmp "$DIR/data/out-form.dat" "$DIR/ref.dat" \
   || fail "scenario 2: restarted output differs from the reference"
+no_partial "scenario 2"
 curl -sf "$URL/metrics" >"$DIR/metrics2.txt" || fail "scenario 2: metrics scrape"
 grep -q '^colsort_server_jobs_readopted_total 1$' "$DIR/metrics2.txt" \
   || fail "scenario 2: job was not re-adopted from the WAL"

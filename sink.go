@@ -2,6 +2,7 @@ package colsort
 
 import (
 	"bufio"
+	"cmp"
 	"fmt"
 	"io"
 	"os"
@@ -11,14 +12,9 @@ import (
 
 // A Sink receives a Sort's output: the real records (padding excluded), in
 // global column-major sorted order, with any KeySpec normalization already
-// undone. Single-run sorts verify the output (sortedness + multiset)
-// BEFORE opening the sink, so a failed sort never emits a plausible-looking
-// result. Hierarchical (above-bound) sorts necessarily verify in-stream —
-// every run is verified before merging, the merged order is checked record
-// by record, and the multiset at end of stream — so bytes may reach the
-// sink before a late failure is detected: when Sort returns an error, the
-// sink's contents must be discarded. Implementations should therefore not
-// publish or commit their output before Sort itself returns nil.
+// undone. An order violation never reaches the sink, and when Sort returns
+// an error a caller's own sink must discard what it received, while ToFile
+// does that itself.
 type Sink interface {
 	// Open prepares the sink for records of recSize bytes. Sort writes the
 	// whole output and then closes the writer exactly once.
@@ -34,7 +30,48 @@ type RecordWriter interface {
 	Close() error
 }
 
-// ToFile writes the sorted records into a newly created file at path.
+// aborter is the writer of a library sink that can discard its output: on a
+// failed Sort the egress calls Abort instead of Close.
+type aborter interface{ Abort() }
+
+// egress is the one way a sorted output leaves the engine, on both sides of
+// the bound. It opens dst and runs stream, which checks each chunk's order
+// in the normalized key space and folds the chunk into the multiset it
+// returns before handing it to emit; emit decodes the chunk back to the
+// caller's layout and writes it. The multiset is compared with want, the
+// ingest checksum, before the writer is closed: Close is the job's commit
+// point, where ToFile publishes. On any failure a library writer is aborted
+// instead, and a caller's own is closed.
+func egress(dst Sink, recSize int, codec record.KeyCodec, want record.Checksum, stream func(emit func(record.Slice) error) (record.Checksum, error)) error {
+	w, err := dst.Open(recSize)
+	if err != nil {
+		return err
+	}
+	got, err := stream(func(c record.Slice) error {
+		codec.Decode(c)
+		return w.Write(c)
+	})
+	if err == nil && !got.Equal(want) {
+		err = fmt.Errorf("colsort: output verification failed: the output's multiset differs from the input's (%d records emitted, %d ingested)", got.Count, want.Count)
+	}
+	if err == nil {
+		return w.Close()
+	}
+	if a, ok := w.(aborter); ok {
+		a.Abort()
+	} else {
+		w.Close() //nolint:errcheck // the stream's failure is the one to report
+	}
+	return err
+}
+
+// ToFile writes the sorted records into the file at path, which a failed
+// Sort leaves exactly as it was. The records go to a partial file beside it,
+// path + ".partial"; a successful Sort renames that onto path, a failed one
+// removes it. The name is fixed so that a Sort continuing a crashed job
+// overwrites the partial file the crash left. A path that is a symlink or
+// not a regular file (a device such as /dev/null, a FIFO) is written in
+// place.
 func ToFile(path string) Sink {
 	return &fileSink{path: path}
 }
@@ -42,17 +79,23 @@ func ToFile(path string) Sink {
 type fileSink struct{ path string }
 
 func (s *fileSink) Open(int) (RecordWriter, error) {
-	f, err := os.Create(s.path)
+	fw := &fileWriter{path: s.path}
+	if fi, err := os.Lstat(s.path); err != nil || fi.Mode().IsRegular() {
+		fw.partial = s.path + ".partial"
+	}
+	f, err := os.Create(cmp.Or(fw.partial, s.path))
 	if err != nil {
 		return nil, fmt.Errorf("colsort: %w", err)
 	}
-	return &fileWriter{path: s.path, f: f, w: bufio.NewWriterSize(f, 1<<20)}, nil
+	fw.f, fw.w = f, bufio.NewWriterSize(f, 1<<20)
+	return fw, nil
 }
 
 type fileWriter struct {
-	path string
-	f    *os.File
-	w    *bufio.Writer
+	path    string
+	partial string // the file written, renamed onto path at Close; "" writes path in place
+	f       *os.File
+	w       *bufio.Writer
 }
 
 func (fw *fileWriter) Write(recs record.Slice) error {
@@ -62,15 +105,30 @@ func (fw *fileWriter) Write(recs record.Slice) error {
 	return nil
 }
 
+// Close flushes the output and publishes it: the partial file is renamed
+// onto path. If any step fails, the output is discarded as by Abort.
 func (fw *fileWriter) Close() error {
-	if err := fw.w.Flush(); err != nil {
-		fw.f.Close()
+	err := fw.w.Flush()
+	if cerr := fw.f.Close(); err == nil {
+		err = cerr
+	}
+	if err == nil && fw.partial != "" {
+		err = os.Rename(fw.partial, fw.path)
+	}
+	if err != nil {
+		fw.Abort()
 		return fmt.Errorf("colsort: write %s: %w", fw.path, err)
 	}
-	if err := fw.f.Close(); err != nil {
-		return fmt.Errorf("colsort: close %s: %w", fw.path, err)
-	}
 	return nil
+}
+
+// Abort discards the output: the partial file is removed, so path keeps
+// what it held before the Sort.
+func (fw *fileWriter) Abort() {
+	fw.f.Close() //nolint:errcheck // the output is being discarded
+	if fw.partial != "" {
+		os.Remove(fw.partial) //nolint:errcheck // best effort; the Sort's error is the one reported
+	}
 }
 
 // ToWriter streams the sorted records into w, which is not closed.

@@ -7,6 +7,7 @@ import (
 	"colsort/internal/core"
 	"colsort/internal/pdm"
 	"colsort/internal/record"
+	"colsort/internal/verify"
 )
 
 // Sort submits one sorting job to the engine: the records of src are
@@ -18,10 +19,13 @@ import (
 //
 // The input is ingested once, in index order, onto the simulated cluster's
 // disks (never more than one column portion in memory), sorted by the
-// configured algorithm, verified (global sortedness in PDM column-major
-// order plus multiset preservation) and — when dst is non-nil — streamed
-// into the sink with any padding trimmed and any KeySpec normalization
-// undone. A nil dst keeps the sorted data in Result.Output only. The
+// configured algorithm and — when dst is non-nil — streamed into the sink
+// with any padding trimmed and any KeySpec normalization undone, verified
+// as it is emitted: each chunk's order (global sortedness in PDM
+// column-major order) before the sink sees it, multiset preservation
+// before the writer is closed. A failed Sort never publishes a ToFile
+// output (see Sink). A nil dst keeps the sorted data in Result.Output
+// only, for Result.Verify to check. The
 // baselines (BaselineIO3, BaselineIO4) move records without sorting them, so
 // they take only a nil dst: with a Sink they are refused before a record is
 // read.
@@ -98,7 +102,8 @@ func (e *Engine) Sort(ctx context.Context, src Source, dst Sink, opts ...Option)
 }
 
 // sortSingle executes one admitted single-run job: ingest into a fresh store
-// of the plan's shape, the pl columnsort run, verify, and drain into dst.
+// of the plan's shape, the pl columnsort run, and the verifying drain into
+// dst.
 func (j *job) sortSingle(ctx context.Context, rd RecordReader, dst Sink, o sortOptions, codec record.KeyCodec, n int64, pl core.Plan) (*Result, error) {
 	input, err := pl.NewStore(j.m)
 	if err != nil {
@@ -116,18 +121,18 @@ func (j *job) sortSingle(ctx context.Context, rd RecordReader, dst Sink, o sortO
 	if err != nil {
 		return nil, err
 	}
-	out := &Result{Result: res, want: want, codec: codec}
+	out := &Result{Result: res, want: want}
 	if n < pl.N {
 		out.realN = n
 	}
 	if dst != nil {
-		// Verify BEFORE emitting: a failed sort must never hand the sink a
-		// plausible-looking output.
-		if err := out.Verify(); err != nil {
-			out.Close()
-			return nil, fmt.Errorf("colsort: refusing to emit output: %w", err)
-		}
-		if err := out.drainTo(ctx, dst); err != nil {
+		// One scan: the drain checks each chunk's order and folds its
+		// multiset as it emits. The pads are never read — a sorted real
+		// prefix with the input's multiset leaves only pads behind it.
+		err := egress(dst, out.Output.RecSize, codec, want, func(emit func(record.Slice) error) (record.Checksum, error) {
+			return verify.Drain(ctx, out.Output, out.RealRecords(), emit)
+		})
+		if err != nil {
 			out.Close()
 			return nil, err
 		}
@@ -162,55 +167,4 @@ func fillStore(ctx context.Context, st *pdm.Store, rd RecordReader, codec record
 		return nil
 	})
 	return want, err
-}
-
-// drainTo streams the result's real records into the sink, decoding each
-// chunk back to the caller's byte layout. Each owned row segment is
-// prefetched one step ahead, so an async-backed store overlaps the sink
-// writes with its disk service time.
-func (r *Result) drainTo(ctx context.Context, dst Sink) error {
-	if r.Output == nil {
-		return fmt.Errorf("colsort: hierarchical result holds no output store: the sorted records were already streamed to the Sort call's Sink")
-	}
-	w, err := dst.Open(r.Output.RecSize)
-	if err != nil {
-		return err
-	}
-	err = scanRealPrefix(ctx, r.Output, r.RealRecords(), func(chunk record.Slice) error {
-		r.codec.Decode(chunk)
-		return w.Write(chunk)
-	})
-	if err != nil {
-		w.Close()
-		return err
-	}
-	return w.Close()
-}
-
-// WriteFile streams the sorted records (excluding any power-of-two padding,
-// and decoded back to the caller's key layout) into a newly created file at
-// path, in the global column-major sorted order.
-func (r *Result) WriteFile(path string) error {
-	return r.drainTo(context.Background(), ToFile(path))
-}
-
-// scanRealPrefix streams the real (non-pad) prefix of a sorted store in
-// global column-major order, invoking emit with successive record chunks.
-// The scan stops behind the last real record (ErrStopScan), so the pad tail
-// is not read, and each owned segment is prefetched one step ahead by
-// ScanSegments.
-func scanRealPrefix(ctx context.Context, st *pdm.Store, real int64, emit func(record.Slice) error) error {
-	return st.ScanRows(func(_, _ int, chunk record.Slice) error {
-		if err := ctx.Err(); err != nil {
-			return err
-		}
-		chunk = chunk.Sub(0, int(min(int64(chunk.Len()), real)))
-		if err := emit(chunk); err != nil {
-			return err
-		}
-		if real -= int64(chunk.Len()); real == 0 {
-			return pdm.ErrStopScan
-		}
-		return nil
-	})
 }
