@@ -159,8 +159,7 @@ func New(cfg Config) (*Sorter, error) {
 type Result struct {
 	*core.Result
 	want record.Checksum
-	// realN is the number of caller records when the sort was padded to a
-	// power of two; 0 means unpadded.
+	// realN is the number of caller records: the padding is excluded.
 	realN int64
 	// JobID is the engine job number of this sort — the id that names its
 	// scratch-file namespace (pdm.JobScratchPrefix) and attributes it in
@@ -288,21 +287,13 @@ func (r *Result) Verify() error {
 		// exists only when all of those passed.
 		return nil
 	}
-	if r.realN > 0 && r.realN < r.Plan.N {
-		return verify.OutputPrefix(r.Output, r.realN, r.want)
-	}
-	return verify.Output(r.Output, r.want)
+	return verify.OutputPrefix(r.Output, r.realN, r.want)
 }
 
 // RealRecords returns the number of caller records in the output (excluding
 // padding): the sorted data is the first RealRecords records in column-major
 // order.
-func (r *Result) RealRecords() int64 {
-	if r.realN > 0 {
-		return r.realN
-	}
-	return r.Plan.N
-}
+func (r *Result) RealRecords() int64 { return r.realN }
 
 // EstimateBeowulf prices the run on the paper's testbed via the calibrated
 // cost model.

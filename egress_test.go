@@ -10,6 +10,7 @@ import (
 	"bytes"
 	"context"
 	"errors"
+	"fmt"
 	"os"
 	"path/filepath"
 	"sync"
@@ -33,9 +34,9 @@ func egressSorter(t *testing.T) *Sorter {
 	return s
 }
 
-// failAbove sorts 3× the bound from a file into ToFile(out) and cancels the
-// Sort at the first merge event — with the final merge's sink open.
-func failAbove(t *testing.T, s *Sorter, dir, out string) {
+// failAbove sorts 3× the bound from a file into dst and cancels the Sort at
+// the first merge event — with the final merge's sink open.
+func failAbove(t *testing.T, s *Sorter, dir string, dst Sink) {
 	t.Helper()
 	in := filepath.Join(dir, "in.dat")
 	raw := genRaw(int(3*s.MaxRecords(Threaded)), egressZ, record.Uniform{Seed: 41})
@@ -45,7 +46,7 @@ func failAbove(t *testing.T, s *Sorter, dir, out string) {
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
 	var once sync.Once
-	res, err := s.Sort(ctx, FromFile(in), ToFile(out), WithAlgorithm(Threaded),
+	res, err := s.Sort(ctx, FromFile(in), dst, WithAlgorithm(Threaded),
 		WithProgress(func(ev Progress) {
 			if ev.Pass == 0 && ev.MergedRecords > 0 {
 				once.Do(cancel)
@@ -60,11 +61,11 @@ func failAbove(t *testing.T, s *Sorter, dir, out string) {
 	}
 }
 
-// failBelow sorts one run into ToFile(out) under seeded bit flips on the
-// store's reads, which the drain's verification must refuse.
-func failBelow(t *testing.T, s *Sorter, out string) {
+// failBelow sorts one run into dst under seeded bit flips on the store's
+// reads, which the drain's verification must refuse.
+func failBelow(t *testing.T, s *Sorter, dst Sink) {
 	t.Helper()
-	res, err := s.Sort(context.Background(), Generate(record.Uniform{Seed: 43}, s.MaxRecords(Threaded)), ToFile(out),
+	res, err := s.Sort(context.Background(), Generate(record.Uniform{Seed: 43}, s.MaxRecords(Threaded)), dst,
 		WithAlgorithm(Threaded), WithChaos(&ChaosConfig{Seed: 7, PBitFlip: 0.5}))
 	if err == nil {
 		res.Close()
@@ -72,62 +73,88 @@ func failBelow(t *testing.T, s *Sorter, out string) {
 	}
 }
 
-// checkUntouched fails unless path holds want (nil: no file) and no partial
-// file is left beside it.
-func checkUntouched(t *testing.T, path string, want []byte) {
-	t.Helper()
-	got, err := os.ReadFile(path)
-	switch {
-	case want == nil && !os.IsNotExist(err):
-		t.Errorf("a failed Sort left a file at its path (read err %v)", err)
-	case want != nil && !bytes.Equal(got, want):
-		t.Errorf("a failed Sort changed the file at its path (%d bytes, want %d; err %v)", len(got), len(want), err)
-	}
-	if _, err := os.Stat(path + ".partial"); !os.IsNotExist(err) {
-		t.Errorf("a failed Sort left its partial file behind (stat err %v)", err)
-	}
+// passSink is a caller's own sink around another: it forwards Open, Write
+// and Close, and has no way to abort what it wraps.
+type passSink struct{ inner Sink }
+
+func (s passSink) Open(z int) (RecordWriter, error) {
+	w, err := s.inner.Open(z)
+	return passWriter{w}, err
 }
 
-// TestEgressCancelMidMergeLeavesNoFile: above the bound, a ToFile Sort
-// cancelled once its final merge is streaming into the file publishes
-// nothing.
-func TestEgressCancelMidMergeLeavesNoFile(t *testing.T) {
-	testutil.CheckGoroutines(t)
-	dir := t.TempDir()
-	out := filepath.Join(dir, "out.dat")
-	failAbove(t, egressSorter(t), dir, out)
-	checkUntouched(t, out, nil)
-}
+type passWriter struct{ w RecordWriter }
 
-// TestEgressBitFlipBelowBoundLeavesNoFile: below the bound, a Sort whose
-// store reads are corrupted fails in the drain and publishes nothing.
-func TestEgressBitFlipBelowBoundLeavesNoFile(t *testing.T) {
-	testutil.CheckGoroutines(t)
-	out := filepath.Join(t.TempDir(), "out.dat")
-	failBelow(t, egressSorter(t), out)
-	checkUntouched(t, out, nil)
-}
+func (w passWriter) Write(c record.Slice) error { return w.w.Write(c) }
+func (w passWriter) Close() error               { return w.w.Close() }
 
-// TestEgressFailedSortKeepsExistingFile: a regular file already at the
-// path comes through a failed Sort byte-identical, on both sides of the
-// bound — the drain below it opens the sink before the multiset verdict.
-func TestEgressFailedSortKeepsExistingFile(t *testing.T) {
+// TestEgressFailedSortLeavesPathAsItWas: on both sides of the bound, a
+// failed Sort into ToFile leaves its path exactly as it was — no file, or
+// the file already there byte-identical — and no partial file beside it.
+// Wrapped in a caller's sink, which is never closed on failure, ToFile
+// publishes nothing either; its partial file is the caller's to discard.
+func TestEgressFailedSortLeavesPathAsItWas(t *testing.T) {
 	for _, side := range []string{"above", "below"} {
-		t.Run(side, func(t *testing.T) {
-			testutil.CheckGoroutines(t)
-			dir := t.TempDir()
-			out := filepath.Join(dir, "out.dat")
-			before := []byte("the previous output, which a failed Sort must keep\n")
-			if err := os.WriteFile(out, before, 0o644); err != nil {
-				t.Fatal(err)
+		for _, before := range [][]byte{nil, []byte("the previous output, which a failed Sort must keep\n")} {
+			for _, wrapped := range []bool{false, true} {
+				t.Run(fmt.Sprintf("%s/existing=%v/wrapped=%v", side, before != nil, wrapped), func(t *testing.T) {
+					testutil.CheckGoroutines(t)
+					dir := t.TempDir()
+					out := filepath.Join(dir, "out.dat")
+					if before != nil {
+						if err := os.WriteFile(out, before, 0o644); err != nil {
+							t.Fatal(err)
+						}
+					}
+					dst := ToFile(out)
+					if wrapped {
+						dst = passSink{dst}
+					}
+					if s := egressSorter(t); side == "above" {
+						failAbove(t, s, dir, dst)
+					} else {
+						failBelow(t, s, dst)
+					}
+					got, err := os.ReadFile(out)
+					switch {
+					case before == nil && !os.IsNotExist(err):
+						t.Errorf("a failed Sort left a file at its path (read err %v)", err)
+					case before != nil && !bytes.Equal(got, before):
+						t.Errorf("a failed Sort changed the file at its path (%d bytes, want %d; err %v)", len(got), len(before), err)
+					}
+					if _, err := os.Stat(out + ".partial"); !wrapped && !os.IsNotExist(err) {
+						t.Errorf("a failed Sort left its partial file behind (stat err %v)", err)
+					}
+				})
 			}
-			if s := egressSorter(t); side == "above" {
-				failAbove(t, s, dir, out)
-			} else {
-				failBelow(t, s, out)
-			}
-			checkUntouched(t, out, before)
-		})
+		}
+	}
+}
+
+// TestEgressKeepsFileMode: a successful Sort publishes over an existing
+// file by rename, and the new file keeps the old one's mode.
+func TestEgressKeepsFileMode(t *testing.T) {
+	testutil.CheckGoroutines(t)
+	s := egressSorter(t)
+	for _, n := range []int64{s.MaxRecords(Threaded) / 2, 3 * s.MaxRecords(Threaded)} {
+		out := filepath.Join(t.TempDir(), "out.dat")
+		if err := os.WriteFile(out, nil, 0o600); err != nil {
+			t.Fatal(err)
+		}
+		if err := os.Chmod(out, 0o600); err != nil {
+			t.Fatal(err)
+		}
+		res, err := s.Sort(context.Background(), Generate(record.Uniform{Seed: 53}, n), ToFile(out))
+		if err != nil {
+			t.Fatalf("n=%d: %v", n, err)
+		}
+		res.Close()
+		fi, err := os.Stat(out)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if fi.Mode().Perm() != 0o600 || fi.Size() != n*egressZ {
+			t.Errorf("n=%d: output mode %v size %d, want 0600 and %d bytes", n, fi.Mode(), fi.Size(), n*egressZ)
+		}
 	}
 }
 

@@ -187,7 +187,10 @@ func writeBusy(w http.ResponseWriter, format string, args ...any) {
 // writer: headers (including the exact Content-Length — the output of an
 // n-record sort is exactly n·z bytes) go out with the first sorted chunk,
 // and every chunk is flushed so the client streams instead of waiting for
-// the handler to return.
+// the handler to return. The stream's last record is held back until Sort
+// has returned nil (finish): the egress compares the multiset only at end
+// of stream, so a failure there must still leave the body short of its
+// Content-Length.
 type streamSink struct {
 	w       http.ResponseWriter
 	rc      *http.ResponseController
@@ -195,15 +198,11 @@ type streamSink struct {
 	jobID   string
 	timeout time.Duration // per-write deadline; re-armed before every chunk
 	started bool
-	written int64
+	sent    int64  // body bytes sent
+	tail    []byte // the body's last cap(tail) bytes, one record: sent by finish
 }
 
 func (sw *streamSink) Write(p []byte) (int, error) {
-	if sw.timeout > 0 {
-		// Re-arm rather than set once: a long sort must survive, a stalled
-		// client must not hold the handler hostage.
-		sw.rc.SetWriteDeadline(time.Now().Add(sw.timeout)) //nolint:errcheck // unsupported writer: no deadline
-	}
 	if !sw.started {
 		h := sw.w.Header()
 		h.Set("Content-Type", "application/octet-stream")
@@ -212,12 +211,31 @@ func (sw *streamSink) Write(p []byte) (int, error) {
 		sw.w.WriteHeader(http.StatusOK)
 		sw.started = true
 	}
-	n, err := sw.w.Write(p)
-	sw.written += int64(n)
+	// Send the bytes before the body's last record; hold back the rest.
+	n := min(int64(len(p)), max(0, sw.total-int64(cap(sw.tail))-sw.sent))
+	if err := sw.send(p[:n]); err != nil {
+		return 0, err
+	}
+	sw.tail = append(sw.tail, p[n:]...)
+	return len(p), nil
+}
+
+// finish sends the held-back tail, once the output is verified.
+func (sw *streamSink) finish() error { return sw.send(sw.tail) }
+
+// send writes b to the client and flushes it.
+func (sw *streamSink) send(b []byte) error {
+	if sw.timeout > 0 {
+		// Re-arm rather than set once: a long sort must survive, a stalled
+		// client must not hold the handler hostage.
+		sw.rc.SetWriteDeadline(time.Now().Add(sw.timeout)) //nolint:errcheck // unsupported writer: no deadline
+	}
+	n, err := sw.w.Write(b)
+	sw.sent += int64(n)
 	if err == nil {
 		err = sw.rc.Flush()
 	}
-	return n, err
+	return err
 }
 
 // handleSortStream is the tentpole endpoint: POST /v1/sort streams the
@@ -233,39 +251,11 @@ func (s *Server) handleSortStream(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	z := int64(s.recSize)
-	n := int64(-1)
-	if v := r.URL.Query().Get("records"); v != "" {
-		parsed, err := strconv.ParseInt(v, 10, 64)
-		if err != nil || parsed < 1 {
-			writeError(w, http.StatusBadRequest, "records=%q is not a positive integer", v)
-			return
-		}
-		n = parsed
-		if n > math.MaxInt64/z {
-			writeError(w, http.StatusBadRequest,
-				"records=%d overflows a 64-bit byte count at %d bytes a record", n, z)
-			return
-		}
-		if r.ContentLength >= 0 && r.ContentLength != n*z {
-			writeError(w, http.StatusBadRequest,
-				"records=%d disagrees with Content-Length %d (want %d×%d = %d bytes)",
-				n, r.ContentLength, n, z, n*z)
-			return
-		}
-	} else {
-		switch {
-		case r.ContentLength < 0:
-			writeError(w, http.StatusBadRequest,
-				"chunked upload without a record count: pass ?records=N (records are %d bytes each)", z)
-			return
-		case r.ContentLength == 0 || r.ContentLength%z != 0:
-			writeError(w, http.StatusBadRequest,
-				"Content-Length %d is not a positive multiple of the record size %d", r.ContentLength, z)
-			return
-		}
-		n = r.ContentLength / z
+	n, err := streamRecords(r, z)
+	var opts []colsort.Option
+	if err == nil {
+		opts, err = optspell.Parse(r.URL.Query(), "records")
 	}
-	opts, err := optspell.Parse(r.URL.Query(), "records")
 	if err != nil {
 		writeError(w, http.StatusBadRequest, "%v", err)
 		return
@@ -286,16 +276,23 @@ func (s *Server) handleSortStream(w http.ResponseWriter, r *http.Request) {
 	opts = append(opts, colsort.WithProgress(entry.onProgress))
 
 	sink := &streamSink{w: w, rc: http.NewResponseController(w), total: n * z,
-		jobID: entry.info.ID, timeout: s.cfg.WriteTimeout}
+		jobID: entry.info.ID, timeout: s.cfg.WriteTimeout, tail: make([]byte, 0, z)}
 	res, err := s.eng.Sort(ctx, colsort.FromReader(r.Body, n), colsort.ToWriter(sink), opts...)
+	if err == nil {
+		// The output is verified: release its held-back last record.
+		if err = sink.finish(); err != nil {
+			res.Close()
+		}
+	}
 	if err != nil {
 		entry.finish(nil, err)
 		if sink.started {
 			// Sorted bytes already left: the status line is spent. Abort
-			// the connection so the client sees a truncated body (the
-			// advertised Content-Length makes the truncation detectable)
-			// rather than a plausible-looking short output. The Sink
-			// contract says exactly this: on error, discard.
+			// the connection so the client sees a truncated body — at
+			// least the held-back last record is missing, and the
+			// advertised Content-Length makes that detectable — rather
+			// than a plausible-looking output. The Sink contract says
+			// exactly this: on error, discard.
 			panic(http.ErrAbortHandler)
 		}
 		switch {
@@ -314,14 +311,37 @@ func (s *Server) handleSortStream(w http.ResponseWriter, r *http.Request) {
 		}
 		return
 	}
+	// A body short of its Content-Length cannot happen while the library
+	// honors its Sink contract; if it did, net/http would close the
+	// connection, so the truncation would still be detectable.
 	sum := res.Summary()
 	res.Close()
 	entry.finish(&sum, nil)
-	if sink.written != sink.total {
-		// Cannot happen while the library honors its Sink contract; guard
-		// so a future regression truncates loudly instead of silently.
-		panic(http.ErrAbortHandler)
+}
+
+// streamRecords is the record count of a streaming sort of z-byte records:
+// ?records=N, or Content-Length over z; when both are given they must agree.
+func streamRecords(r *http.Request, z int64) (int64, error) {
+	v := r.URL.Query().Get("records")
+	if v == "" {
+		switch {
+		case r.ContentLength < 0:
+			return 0, fmt.Errorf("chunked upload without a record count: pass ?records=N (records are %d bytes each)", z)
+		case r.ContentLength == 0 || r.ContentLength%z != 0:
+			return 0, fmt.Errorf("Content-Length %d is not a positive multiple of the record size %d", r.ContentLength, z)
+		}
+		return r.ContentLength / z, nil
 	}
+	n, err := strconv.ParseInt(v, 10, 64)
+	switch {
+	case err != nil || n < 1:
+		return 0, fmt.Errorf("records=%q is not a positive integer", v)
+	case n > math.MaxInt64/z:
+		return 0, fmt.Errorf("records=%d overflows a 64-bit byte count at %d bytes a record", n, z)
+	case r.ContentLength >= 0 && r.ContentLength != n*z:
+		return 0, fmt.Errorf("records=%d disagrees with Content-Length %d (want %d×%d = %d bytes)", n, r.ContentLength, n, z, n*z)
+	}
+	return n, nil
 }
 
 // jobRequest is the POST /v1/jobs submission body.

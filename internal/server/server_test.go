@@ -198,6 +198,52 @@ func TestStreamSortRoundTrip(t *testing.T) {
 	}
 }
 
+// TestStreamSortLateFailureTruncates: below the bound, seeded bit flips on
+// the store's reads make sorts fail in the drain, most of them only at the
+// end-of-stream multiset comparison — after every other record has been
+// sent. The client must never read a complete body from a failed sort: a
+// 200 whose body reads to its Content-Length is the reference output, and
+// a failed job's body ends short, with a read error.
+func TestStreamSortLateFailureTruncates(t *testing.T) {
+	dir := t.TempDir()
+	env := newEnv(t, colsort.EngineConfig{Config: testBase(filepath.Join(dir, "scratch"))}, Config{})
+	n := env.eng.MaxRecords(colsort.Threaded)
+	input := makeInput(n, 9)
+	want := refSort(t, filepath.Join(dir, "ref"), input)
+	late := 0
+	for seed := 1; seed <= 8; seed++ {
+		resp, err := env.ts.Client().Post(fmt.Sprintf("%s/v1/sort?chaos-seed=%d&chaos-p-bitflip=0.2", env.ts.URL, seed),
+			"application/octet-stream", bytes.NewReader(input))
+		if err != nil {
+			t.Fatal(err)
+		}
+		body, rerr := io.ReadAll(resp.Body)
+		resp.Body.Close() //nolint:errcheck
+		if resp.StatusCode != http.StatusOK {
+			continue // refused before the first byte
+		}
+		// The handler records a success once the last record is sent.
+		info := getJob(t, env, resp.Header.Get("X-Colsort-Job"))
+		for info.State != jobDone && info.State != jobFailed {
+			time.Sleep(time.Millisecond)
+			info = getJob(t, env, info.ID)
+		}
+		switch {
+		case info.State == jobDone:
+			if rerr != nil || !bytes.Equal(body, want) {
+				t.Errorf("seed %d: a successful sort's body (%d bytes, read err %v) differs from the reference", seed, len(body), rerr)
+			}
+		case rerr == nil || int64(len(body)) >= n*testZ:
+			t.Errorf("seed %d: the failed sort (%s) sent a complete %d-byte body", seed, info.Error, len(body))
+		case strings.Contains(info.Error, "multiset"):
+			late++
+		}
+	}
+	if late == 0 {
+		t.Fatal("no seed failed at the end-of-stream multiset comparison; the late case went untested")
+	}
+}
+
 // TestStreamSortRejections covers the strict request validation of the
 // streaming endpoint: every bad request is refused with 400 and a JSON
 // error before a single record enters the engine.

@@ -12,12 +12,14 @@ import (
 
 // A Sink receives a Sort's output: the real records (padding excluded), in
 // global column-major sorted order, with any KeySpec normalization already
-// undone. An order violation never reaches the sink, and when Sort returns
-// an error a caller's own sink must discard what it received, while ToFile
-// does that itself.
+// undone. An order violation never reaches the sink, and Sort closes the
+// writer only once the whole output is verified, so a sink may commit in
+// Close; when Sort returns an error the writer is never closed, and a
+// caller's own sink must discard what it received, while ToFile does that
+// itself.
 type Sink interface {
 	// Open prepares the sink for records of recSize bytes. Sort writes the
-	// whole output and then closes the writer exactly once.
+	// whole output and closes the writer exactly once, on success only.
 	Open(recSize int) (w RecordWriter, err error)
 }
 
@@ -26,7 +28,8 @@ type RecordWriter interface {
 	// Write appends the records of recs. The slice's backing memory is
 	// reused after Write returns; implementations must copy what they keep.
 	Write(recs record.Slice) error
-	// Close flushes and releases the writer.
+	// Close flushes, commits and releases the writer. Sort calls it only
+	// once the output has been verified; a failed Sort never does.
 	Close() error
 }
 
@@ -40,8 +43,9 @@ type aborter interface{ Abort() }
 // returns before handing it to emit; emit decodes the chunk back to the
 // caller's layout and writes it. The multiset is compared with want, the
 // ingest checksum, before the writer is closed: Close is the job's commit
-// point, where ToFile publishes. On any failure a library writer is aborted
-// instead, and a caller's own is closed.
+// point, where ToFile publishes. On any failure the writer is not closed:
+// a library writer is aborted, and a caller's own is left to the caller,
+// whom Sort's error tells to discard it.
 func egress(dst Sink, recSize int, codec record.KeyCodec, want record.Checksum, stream func(emit func(record.Slice) error) (record.Checksum, error)) error {
 	w, err := dst.Open(recSize)
 	if err != nil {
@@ -59,8 +63,6 @@ func egress(dst Sink, recSize int, codec record.KeyCodec, want record.Checksum, 
 	}
 	if a, ok := w.(aborter); ok {
 		a.Abort()
-	} else {
-		w.Close() //nolint:errcheck // the stream's failure is the one to report
 	}
 	return err
 }
@@ -69,9 +71,12 @@ func egress(dst Sink, recSize int, codec record.KeyCodec, want record.Checksum, 
 // Sort leaves exactly as it was. The records go to a partial file beside it,
 // path + ".partial"; a successful Sort renames that onto path, a failed one
 // removes it. The name is fixed so that a Sort continuing a crashed job
-// overwrites the partial file the crash left. A path that is a symlink or
-// not a regular file (a device such as /dev/null, a FIFO) is written in
-// place.
+// overwrites the partial file the crash left. The rename gives path a new
+// inode with the old file's mode: hard links to the old file keep the old
+// output. A path that is a symlink or not a regular file (a device such as
+// /dev/null, a FIFO) is written in place. Wrapped in a caller's sink,
+// ToFile publishes when the wrapper closes it, and a failed Sort leaves
+// path as it was and the partial file behind.
 func ToFile(path string) Sink {
 	return &fileSink{path: path}
 }
@@ -80,10 +85,19 @@ type fileSink struct{ path string }
 
 func (s *fileSink) Open(int) (RecordWriter, error) {
 	fw := &fileWriter{path: s.path}
-	if fi, err := os.Lstat(s.path); err != nil || fi.Mode().IsRegular() {
+	fi, err := os.Lstat(s.path)
+	regular := err == nil && fi.Mode().IsRegular()
+	if err != nil || regular {
 		fw.partial = s.path + ".partial"
 	}
 	f, err := os.Create(cmp.Or(fw.partial, s.path))
+	if err == nil && regular {
+		// The rename replaces path's inode: keep the file's mode.
+		if err = f.Chmod(fi.Mode()); err != nil {
+			f.Close()             //nolint:errcheck // the Chmod failure is the one to report
+			os.Remove(fw.partial) //nolint:errcheck // best effort
+		}
+	}
 	if err != nil {
 		return nil, fmt.Errorf("colsort: %w", err)
 	}

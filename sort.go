@@ -121,10 +121,7 @@ func (j *job) sortSingle(ctx context.Context, rd RecordReader, dst Sink, o sortO
 	if err != nil {
 		return nil, err
 	}
-	out := &Result{Result: res, want: want}
-	if n < pl.N {
-		out.realN = n
-	}
+	out := &Result{Result: res, want: want, realN: n}
 	if dst != nil {
 		// One scan: the drain checks each chunk's order and folds its
 		// multiset as it emits. The pads are never read — a sorted real

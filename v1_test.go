@@ -46,7 +46,7 @@ func rawEngineRun(t *testing.T, s *Sorter, alg Algorithm, n int64, g record.Gene
 	if err != nil {
 		t.Fatal(err)
 	}
-	return &Result{Result: res, want: record.OfGenerated(g, n, s.cfg.RecordSize)}
+	return &Result{Result: res, want: record.OfGenerated(g, n, s.cfg.RecordSize), realN: n}
 }
 
 func TestSortMatchesLegacyEngine(t *testing.T) {
@@ -104,7 +104,7 @@ func TestSortHybridMatchesLegacyEngine(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	legacy := &Result{Result: res, want: record.OfGenerated(gen, n, z)}
+	legacy := &Result{Result: res, want: record.OfGenerated(gen, n, z), realN: n}
 	defer legacy.Close()
 
 	v1, err := newSorter(t, p, mem, z).Sort(context.Background(),
