@@ -29,6 +29,7 @@ import (
 	"colsort/internal/record"
 	"colsort/internal/runform"
 	"colsort/internal/sim"
+	"colsort/internal/sortalg"
 )
 
 // defaultMergeFanIn is the runs-per-merge bound when WithMergeFanIn is not
@@ -226,14 +227,12 @@ func (h *hierJob) commitRun(run *merge.Run) error {
 // Run formation is a pipeline of three stages, each on its own goroutine,
 // joined by bounded channels of pooled chunk buffers (DESIGN.md §12):
 //
-//	ingest ──chunks──▶ select ──formMsgs──▶ spill-and-commit
+//	ingest ──sorted chunks──▶ select ──formMsgs──▶ spill-and-commit
 //
-// The channel bounds are the memory bound: three ingest chunks (one filling,
-// one queued, one being consumed) and three emit chunks (one filling, one
-// queued, one being written) — five more than the one buffer a single
-// goroutine needs. The queued ingest chunk is there because the former reads
-// in bursts: it stages an eighth of its capacity at a time, which is more
-// than one ingest chunk, and would otherwise wait for ingest at every burst.
+// The channel bounds are the memory bound: ingest's staging buffer, the
+// sorted chunk it is handing over and the one select is admitting (back in
+// the pool once copied into the former's pages), and three emit chunks (one
+// filling, one queued, one being written).
 
 // A formMsg is what the select stage hands the spill stage: the next chunk
 // of the current run, or — with no chunk — that run's end and direction.
@@ -244,13 +243,14 @@ type formMsg struct {
 
 // formReplacementRuns is the run producer: variable-length sorted runs
 // formed by the former, consuming the source stream directly. Records are
-// encoded into normalized key space as they arrive (ingest), the former's
-// resident set (runPl.N records — the memory the job's admission lease
-// charges) emits each run in its chosen direction (select, on the calling
-// goroutine: the former, BreakRun and every Progress call stay here, in one
-// order whatever the scheduler does), descending runs marked for the merge's
-// backwards read, and each run is spilled, verified and committed in run
-// order (spillRuns) while the next one is being selected. The engine's
+// encoded into normalized key space as they arrive and handed over as
+// sorted chunks (ingest), the former's resident set (runPl.N records — the
+// memory the job's admission lease charges) emits each run in its chosen
+// direction (select, on the calling goroutine: the former, BreakRun and
+// every Progress call stay here, in one order whatever the scheduler does),
+// descending runs marked for the merge's backwards read, and each run is
+// spilled, verified and committed in run order (spillRuns) while the next
+// one is being selected. The engine's
 // fabric is never involved: order comes from the former, and end-to-end
 // verification from the merge's in-stream order check plus the final
 // multiset comparison against the ingest checksum.
@@ -276,7 +276,7 @@ func (h *hierJob) formReplacementRuns(ctx context.Context, rd RecordReader) erro
 			}
 		}()
 	}
-	chunks := make(chan record.Slice, 1)
+	chunks := make(chan runform.Chunk)
 	msgs := make(chan formMsg, 1)
 	stage(func() error { return h.ingest(ctx, rd, chunks) })
 	stage(func() error { return h.spillRuns(ctx, msgs) })
@@ -286,16 +286,23 @@ func (h *hierJob) formReplacementRuns(ctx context.Context, rd RecordReader) erro
 	return context.Cause(ctx)
 }
 
-// ingest is the first formation stage and the only reader of rd: it fills
-// pooled chunks of up to h.chunk records, encodes them into normalized key
-// space, folds them into the ingest checksum and sends them on, closing the
-// channel behind the last one.
-func (h *hierJob) ingest(ctx context.Context, rd RecordReader, out chan<- record.Slice) error {
+// ingest is the first formation stage and the only reader of rd: it reads
+// the stream in chunks of the former's chunk length into its staging buffer,
+// encodes each into normalized key space and folds it into the ingest
+// checksum — before the sort, so the checksum fingerprints what was read —
+// then has runform.SortChunk tally its key steps and radix-sort it into a
+// pooled buffer, which it sends on; it closes the channel behind the last.
+func (h *hierJob) ingest(ctx context.Context, rd RecordReader, out chan<- runform.Chunk) error {
+	z := h.e.cfg.RecordSize
+	stage := h.pool.Get(runform.ChunkLen(int(h.runPl.N)), z)
+	defer h.pool.Put(stage)
+	sc := sortalg.GetScratch()
+	defer sortalg.PutScratch(sc)
 	for idx := int64(0); idx < h.n; {
 		if ctx.Err() != nil {
 			return context.Cause(ctx)
 		}
-		buf := h.pool.Get(int(min(int64(h.chunk), h.n-idx)), h.e.cfg.RecordSize)
+		buf := stage.Sub(0, int(min(int64(stage.Len()), h.n-idx)))
 		got, err := readRecords(rd, buf)
 		if err != nil {
 			return fmt.Errorf("colsort: reading record %d: %w", idx+int64(got), err)
@@ -303,9 +310,11 @@ func (h *hierJob) ingest(ctx context.Context, rd RecordReader, out chan<- record
 		h.codec.Encode(buf)
 		h.want.AddSlice(buf)
 		idx += int64(got)
+		c := runform.SortChunk(sc, h.pool.Get(got, z), buf)
 		select {
-		case out <- buf:
+		case out <- c:
 		case <-ctx.Done():
+			h.pool.Put(c.Recs)
 			return context.Cause(ctx)
 		}
 	}
@@ -314,37 +323,25 @@ func (h *hierJob) ingest(ctx context.Context, rd RecordReader, out chan<- record
 }
 
 // selectRuns is the middle formation stage: batched replacement selection
-// over the ingested chunks, until the stream or ctx ends. The former reads by
-// copying the next record of the current ingest chunk into its staging
-// buffer, and sorts and admits its own chunk of arrivals — an eighth of its
-// pages — whenever that many pages are free, inside Fill on this goroutine:
-// a rule of page state alone, so how far ingest has run ahead never changes
-// a run. Each Fill goes into a fresh pooled h.chunk-record buffer that the
-// spill stage recycles.
+// over the ingested chunks, until the stream or ctx ends. The former admits
+// the next sorted chunk — copying it into free pages, then putting its
+// buffer back — whenever a chunk's worth of its pages is free, inside Fill
+// on this goroutine: a rule of page state alone, so how far ingest has run
+// ahead never changes a run. Each Fill goes into a fresh pooled
+// h.chunk-record buffer that the spill stage recycles.
 //
 // With retention armed (see spillRuns) a run is cut at 2× the former's
 // capacity — above the ~1.9× random input forms — so the memory a redo
 // needs stays within two extra resident sets' worth, at the cost of splitting
 // longer-than-expected runs while scrubbing.
-func (h *hierJob) selectRuns(ctx context.Context, in <-chan record.Slice, out chan<- formMsg) {
-	var cur record.Slice
-	pos, end := 0, 0 // the next record of cur, and its length
-	read := func(rec []byte) (bool, error) {
-		if pos == end {
-			h.pool.Put(cur)
-			var ok bool
-			select {
-			case cur, ok = <-in:
-			case <-ctx.Done():
-			}
-			if pos, end = 0, 0; !ok {
-				return false, context.Cause(ctx) // nil: the ingest stage closed the stream behind its last record
-			}
-			end = cur.Len()
+func (h *hierJob) selectRuns(ctx context.Context, in <-chan runform.Chunk, out chan<- formMsg) {
+	next := func() (runform.Chunk, error) {
+		select {
+		case c := <-in:
+			return c, nil // no records once the ingest stage has closed the stream behind its last chunk
+		case <-ctx.Done():
+			return runform.Chunk{}, context.Cause(ctx)
 		}
-		copy(rec, cur.Record(pos))
-		pos++
-		return true, nil
 	}
 	sent := func(m formMsg) bool {
 		select {
@@ -354,7 +351,7 @@ func (h *hierJob) selectRuns(ctx context.Context, in <-chan record.Slice, out ch
 			return false
 		}
 	}
-	f := runform.New(int(h.runPl.N), h.e.cfg.RecordSize, h.pool, read)
+	f := runform.NewChunked(int(h.runPl.N), h.e.cfg.RecordSize, h.pool, next)
 	defer f.Close()
 	var formed int64
 	for runIdx := 1; ; runIdx++ {

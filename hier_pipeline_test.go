@@ -22,9 +22,11 @@ import (
 	"sync/atomic"
 	"testing"
 	"testing/iotest"
+	"time"
 
 	"colsort/internal/pdm"
 	"colsort/internal/record"
+	"colsort/internal/runform"
 	"colsort/internal/testutil"
 )
 
@@ -188,6 +190,46 @@ func TestHierarchicalCancelMidFormation(t *testing.T) {
 		t.Fatalf("Sort after cancel: %v", err)
 	}
 	ok.Close()
+
+	// Cancel while ingest is parked on its hand-off: the select stage stalls
+	// in the first progress call until the reader has stopped moving — ingest
+	// has read, sorted and offered its next chunk and waits for select to
+	// take it — then cancels. The waiting chunk must not keep Sort from
+	// returning.
+	t.Run("ingest blocked on the hand-off", func(t *testing.T) {
+		testutil.CheckGoroutines(t)
+		const z = 32
+		raw := genRaw(int(n), z, record.Uniform{Seed: 7})
+		var at atomic.Int64
+		src := &strictSource{t: t, raw: raw, z: z, failAt: -1, at: func(k int) { at.Store(int64(k)) }}
+		ctx, cancel := context.WithCancel(context.Background())
+		defer cancel()
+		var parkedAt int64
+		var cancelled time.Time
+		res, err := s.Sort(ctx, src, Discard(), WithAlgorithm(Threaded), WithProgress(func(Progress) {
+			if !cancelled.IsZero() {
+				return
+			}
+			for parkedAt = -1; at.Load() != parkedAt; time.Sleep(20 * time.Millisecond) {
+				parkedAt = at.Load()
+			}
+			cancel()
+			cancelled = time.Now()
+		}))
+		if err == nil {
+			res.Close()
+			t.Fatal("cancelled hierarchical sort returned no error")
+		}
+		if !errors.Is(err, context.Canceled) {
+			t.Fatalf("err = %v, want errors.Is(err, context.Canceled)", err)
+		}
+		if parkedAt >= n-1 {
+			t.Fatalf("the reader reached record %d of %d: ingest was not parked on its hand-off", parkedAt, n)
+		}
+		if d := time.Since(cancelled); d > 5*time.Second {
+			t.Errorf("Sort returned %v after the cancel", d)
+		}
+	})
 }
 
 // TestFormationFaultPaths drives every failure formation knows through the
@@ -207,6 +249,10 @@ func TestFormationFaultPaths(t *testing.T) {
 	n := int(4*probe.MaxRecords(Threaded)) + 11
 	raw := genRaw(n, z, record.Uniform{Seed: 47})
 	cut := (n/2)*z + 5 // the stream dies inside record n/2
+	// … or inside the third ingest chunk: the first two are sorted and
+	// handed over, and the select stage owns them, when the read fails.
+	chunk := runform.ChunkLen(int(probe.MaxRecords(Threaded)))
+	late := 2*chunk + chunk/2
 
 	for _, tc := range []struct {
 		name    string
@@ -221,6 +267,9 @@ func TestFormationFaultPaths(t *testing.T) {
 			src:     FromReader(io.MultiReader(bytes.NewReader(raw[:cut]), iotest.ErrReader(errSource)), int64(n)),
 			opt:     scrub,
 			wantErr: fmt.Sprintf("colsort: reading record %d: colsort: read input: ", n/2), cause: errSource},
+		{name: "source error after sorted chunks were handed over is returned as is",
+			src:     FromReader(io.MultiReader(bytes.NewReader(raw[:late*z+5]), iotest.ErrReader(errSource)), int64(n)),
+			wantErr: fmt.Sprintf("colsort: reading record %d: colsort: read input: ", late), cause: errSource},
 		{name: "spill disk dies mid-run, retained run is redone",
 			backend: laneFaultBackend{ordinals: first, at: midRun, err: lost}, opt: scrub, redos: 1},
 		{name: "spill failure without retention is terminal",
@@ -333,9 +382,10 @@ func TestFormationSchedulingNotObservable(t *testing.T) {
 // TestHierarchicalSortAllocBytes pins what a warm engine allocates for one
 // above-bound sort: the former's page table and mini-run lists (≈ 40 KiB
 // here), the writer's frame buffer and the merge's per-run bookkeeping —
-// not the former's arena and staging buffer, the pipeline's chunks or the
-// merge's read frames and emit chunks, which are the job's pooled buffers,
-// nor the chunk sort's scratch, which sortalg's free list keeps. The shape
+// not the former's arena, ingest's staging buffer and sorted chunks, the
+// emit chunks or the merge's read frames and emit chunks, which are the
+// job's pooled buffers, nor the chunk sort's scratch, which sortalg's free
+// list keeps. The shape
 // is the benchmark's hier-uniform at one eighth (input 8× the memory cap),
 // where a sort allocates 0.11 MiB (0.12 under the race detector) and the
 // merge's three emit chunks, drawn from the heap, would add 0.16 MiB.

@@ -13,7 +13,11 @@ import (
 // differently: uniform (a merge of ~20 mini-runs, chunks split in the
 // middle), nearly-sorted (one ascending run), reverse (one descending run,
 // every mini-run read backwards) and heavy-dup (every match a prefix tie).
-// It reports the runs formed and their mean length over the capacity, so
+// Each shape is fed both ways: feed=records through New's per-record adapter
+// (what bench/replay.go times), feed=chunks through NewChunked with every
+// chunk made by SortChunk inside the timed loop, as the pipeline's ingest
+// stage makes them. It reports the runs formed and their mean length over
+// the capacity, so
 //
 //	go test -run '^$' -bench 'BenchmarkFormer/z=64/uniform' ./internal/runform
 //
@@ -28,29 +32,32 @@ func BenchmarkFormer(b *testing.B) {
 			default:
 				continue
 			}
-			b.Run(fmt.Sprintf("z=%d/%s", z, in.name), func(b *testing.B) {
-				src := makeInput(in.gen, n, z)
-				buf := record.Make(chunk, z)
-				b.SetBytes(int64(n) * int64(z))
-				b.ResetTimer()
-				runs := 0
-				for i := 0; i < b.N; i++ {
-					f := New(capacity, z, nil, sliceReader(src, new(int)))
-					for runs = 0; ; runs++ {
-						if _, ok, err := f.NextRun(); err != nil || !ok {
-							break
-						}
-						for {
-							if got, _ := f.Fill(buf); got == 0 {
+			src := makeInput(in.gen, n, z)
+			for _, feed := range feeds {
+				b.Run(fmt.Sprintf("z=%d/%s/feed=%s", z, in.name, feed.name), func(b *testing.B) {
+					pool := record.NewPool()
+					buf := record.Make(chunk, z)
+					b.SetBytes(int64(n) * int64(z))
+					b.ResetTimer()
+					runs := 0
+					for i := 0; i < b.N; i++ {
+						f := feed.new(capacity, src, pool, new(int))
+						for runs = 0; ; runs++ {
+							if _, ok, err := f.NextRun(); err != nil || !ok {
 								break
 							}
+							for {
+								if got, _ := f.Fill(buf); got == 0 {
+									break
+								}
+							}
 						}
+						f.Close()
 					}
-					f.Close()
-				}
-				b.ReportMetric(float64(runs), "runs")
-				b.ReportMetric(float64(n)/float64(runs)/capacity, "run_len_over_cap")
-			})
+					b.ReportMetric(float64(runs), "runs")
+					b.ReportMetric(float64(n)/float64(runs)/capacity, "run_len_over_cap")
+				})
+			}
 		}
 	}
 }

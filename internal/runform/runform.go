@@ -7,9 +7,11 @@
 // chunks in play rather than as memory.
 //
 // A Former holds `capacity` normalized records in one arena cut into pages
-// of clamp(capacity/2048, 1, 64) records. It stages a chunk of arrivals — an
-// eighth of the pages' worth — radix-sorts it into free pages and splits it
-// by one binary search at the run's last emitted record: the part that can
+// of clamp(capacity/2048, 1, 64) records. It takes its arrivals as sorted
+// chunks of up to an eighth of the pages' worth (ChunkLen), each sorted and
+// tallied by SortChunk on the producer's side — the caller's own stage, or
+// New's per-record adapter — copies each into free pages and splits it by
+// one binary search at the run's last emitted record: the part that can
 // still extend the run becomes a mini-run of this run, the rest is parked
 // for the next. The run itself is a k-way merge of its live mini-runs on
 // internal/tournament's loser tree — k is at most ~20 on random input —
@@ -21,8 +23,10 @@
 // yields a single run.
 //
 // Runs may be ascending or descending: before each run starts, the
-// key-step tally of the arrivals observed since the previous run began
-// picks the direction, and descending needs a decisive supermajority of
+// key-step tally of the arrivals admitted since the previous run began —
+// each chunk's own steps in arrival order, plus the step from the previous
+// chunk's last arrival when that chunk was admitted since then — picks the
+// direction, and descending needs a decisive supermajority of
 // downward steps — so monotonically decreasing inputs (the mirror of the
 // nearly-sorted production case) collapse to one run, while random input
 // always forms ascending runs. The supermajority matters: on random input
@@ -41,7 +45,6 @@ package runform
 
 import (
 	"bytes"
-	"encoding/binary"
 	"slices"
 	"sort"
 
@@ -50,20 +53,17 @@ import (
 	"colsort/internal/tournament"
 )
 
-// Former produces sorted runs from a record stream by batched replacement
-// selection. It is single-goroutine; the caller drives it with NextRun /
-// Fill and must Close it to return the pooled arena, staging buffer and
-// sort scratch.
+// Former produces sorted runs from a stream of sorted chunks by batched
+// replacement selection. It is single-goroutine; the caller drives it with
+// NextRun / Fill and must Close it to return the pooled arena.
 type Former struct {
 	pool *record.Pool
-	read func(rec []byte) (bool, error)
-	sc   *sortalg.Scratch
+	src  func() (Chunk, error)
+	done func() // returns what New's adapter holds; nil from NewChunked
 
-	arena record.Slice   // the resident records: len(holders) pages of `page` records
-	page  int            // records per page
-	stage record.Slice   // the next chunk's arrivals, in arrival order
-	lanes []record.Slice // the free pages a staged chunk is sorted into
-	need  int            // free pages that admit a chunk: stage.Len() / page
+	arena record.Slice // the resident records: len(holders) pages of `page` records
+	page  int          // records per page
+	need  int          // free pages that admit a chunk: ChunkLen / page
 
 	// The page table. A chunk's pages are linked in its sorted order (next,
 	// prev); holders[p] counts the mini-runs with records not yet emitted
@@ -85,11 +85,23 @@ type Former struct {
 	// The next run goes descending only on a decisive supermajority of
 	// downward steps; anything noisier defaults to ascending.
 	ups, downs int64
-	prevKey    uint64
-	haveSeen   bool
+	prevKey    uint64 // the last admitted arrival's key prefix
+	haveSeen   bool   // a chunk was admitted since the tally was reset
 
 	eof     bool
 	started bool
+}
+
+// A Chunk is a batch of arrivals as the Former admits it: Recs holds them
+// sorted ascending, in a buffer the Former puts back into its pool once it
+// has copied them into its pages, and the tally describes them in arrival
+// order — the up- and down-steps between consecutive arrivals' key
+// prefixes, and the first and last arrival's prefix — which is all the
+// direction heuristic reads. A Chunk with no records ends the stream.
+type Chunk struct {
+	Recs        record.Slice
+	Ups, Downs  int64
+	First, Last uint64
 }
 
 // miniRun is the remaining part of one sorted chunk that belongs to one run:
@@ -102,24 +114,98 @@ type miniRun struct {
 	seq    uint64 // the chunk's admission number: equal records go older first
 }
 
-// New builds a Former over a record stream. capacity is the number of
-// resident records, z the record size in bytes. read fills rec with the next
-// input record, returning false at end of stream; records must already be in
-// normalized (memcmp-ordered) key space. The arena and the staging buffer
-// are taken from pool (which may be nil).
-func New(capacity, z int, pool *record.Pool, read func(rec []byte) (bool, error)) *Former {
+// geometry is the arena of a Former of the given capacity: pages of page
+// records, and the pages one chunk fills.
+func geometry(capacity int) (page, pages, need int) {
 	capacity = max(capacity, 1)
-	page := min(max(capacity/2048, 1), 64)
-	pages := capacity / page
-	need := max(pages/8, 1)
+	page = min(max(capacity/2048, 1), 64)
+	pages = capacity / page
+	return page, pages, max(pages/8, 1)
+}
+
+// ChunkLen is the most records one Chunk may hold for a Former of the given
+// capacity: C = p·max(⌊H/p⌋/8, 1), an eighth of the arena. A producer hands
+// over chunks of exactly C records but the last, so that the runs are a
+// function of the input alone.
+func ChunkLen(capacity int) int {
+	page, _, need := geometry(capacity)
+	return need * page
+}
+
+// SortChunk makes the Chunk of the arrivals src: it tallies their key steps
+// in arrival order and radix-sorts them into dst, a buffer as long as src
+// that does not alias it (and that the Former will put back into its pool).
+// sc is the caller's: the Former sorts nothing itself.
+func SortChunk(sc *sortalg.Scratch, dst, src record.Slice) Chunk {
+	c := Chunk{Recs: dst}
+	if n := src.Len(); n > 0 {
+		c.First, c.Last = src.Key(0), src.Key(n-1)
+		for i := 1; i < n; i++ {
+			step(&c.Ups, &c.Downs, src.Key(i-1), src.Key(i))
+		}
+		sc.SortInto(dst, src)
+	}
+	return c
+}
+
+// step counts the key step from a to b as an up- or a down-step.
+func step(ups, downs *int64, a, b uint64) {
+	if b > a {
+		*ups++
+	} else if b < a {
+		*downs++
+	}
+}
+
+// New builds a Former over a record stream, one record at a time. capacity is
+// the number of resident records, z the record size in bytes. read fills rec
+// with the next input record, returning false at end of stream; records must
+// already be in normalized (memcmp-ordered) key space. It is an adapter over
+// NewChunked: it stages ChunkLen arrivals at a time into a buffer of its own
+// and feeds the Former what SortChunk makes of them. The arena, the staging
+// buffer and the chunks are taken from pool; with a nil pool, from one of
+// the Former's own, so the chunks still cycle through one buffer.
+func New(capacity, z int, pool *record.Pool, read func(rec []byte) (bool, error)) *Former {
+	if pool == nil {
+		pool = record.NewPool()
+	}
+	stage, sc := pool.Get(ChunkLen(capacity), z), sortalg.GetScratch()
+	eof := false
+	f := NewChunked(capacity, z, pool, func() (Chunk, error) {
+		got := 0
+		for ; got < stage.Len() && !eof; got++ {
+			ok, err := read(stage.Record(got))
+			if err != nil {
+				return Chunk{}, err
+			}
+			if !ok {
+				eof = true
+				break
+			}
+		}
+		return SortChunk(sc, pool.Get(got, z), stage.Sub(0, got)), nil
+	})
+	f.done = func() {
+		pool.Put(stage)
+		sortalg.PutScratch(sc)
+	}
+	return f
+}
+
+// NewChunked builds a Former over a stream of sorted chunks. capacity is the
+// number of resident records, z the record size in bytes. next returns the
+// next Chunk — at most ChunkLen(capacity) records, all of them full-length
+// chunks but the last, made by SortChunk from records in normalized
+// (memcmp-ordered) key space — or one with no records at end of stream; it
+// is not called again after that or after an error. The arena is taken from
+// pool (which may be nil), and every admitted chunk's buffer goes back to it.
+func NewChunked(capacity, z int, pool *record.Pool, next func() (Chunk, error)) *Former {
+	page, pages, need := geometry(capacity)
 	f := &Former{
 		pool:    pool,
-		read:    read,
-		sc:      sortalg.GetScratch(),
+		src:     next,
 		arena:   pool.Get(pages*page, z),
 		page:    page,
-		stage:   pool.Get(need*page, z),
-		lanes:   make([]record.Slice, need),
 		need:    need,
 		free:    make([]int32, pages),
 		next:    make([]int32, pages),
@@ -135,38 +221,16 @@ func New(capacity, z int, pool *record.Pool, read func(rec []byte) (bool, error)
 	return f
 }
 
-// Close returns the arena, the staging buffer and the sort scratch. The
-// Former must not be used after.
+// Close returns the arena (and what New's adapter holds). The Former must not
+// be used after.
 func (f *Former) Close() {
 	if f.arena.Data != nil {
 		f.pool.Put(f.arena)
-		f.pool.Put(f.stage)
-		sortalg.PutScratch(f.sc)
-		f.arena, f.stage, f.sc = record.Slice{}, record.Slice{}, nil
-	}
-}
-
-// readInto fills rec from the input, feeding the direction heuristic. ok is
-// false (and eof latched) at end of stream.
-func (f *Former) readInto(rec []byte) (ok bool, err error) {
-	if ok, err = f.read(rec); err != nil {
-		return false, err
-	}
-	if !ok {
-		f.eof = true
-		return false, nil
-	}
-	k := binary.BigEndian.Uint64(rec)
-	if f.haveSeen {
-		if k > f.prevKey {
-			f.ups++
-		} else if k < f.prevKey {
-			f.downs++
+		f.arena = record.Slice{}
+		if f.done != nil {
+			f.done()
 		}
 	}
-	f.prevKey = k
-	f.haveSeen = true
-	return true, nil
 }
 
 // NextRun starts the next run, choosing its direction from the arrival
@@ -316,47 +380,50 @@ func (f *Former) release(pg int32) {
 	}
 }
 
-// admit stages the next chunk of arrivals, sorts it into free pages and
-// splits it at last, the run's last emitted record: what can still extend
-// the run joins it as a mini-run, the rest is parked for the next run. With
-// no last (the initial fill) the whole chunk is parked.
+// admit takes the next sorted chunk, copies it into free pages — then puts
+// its buffer back — and splits it at last, the run's last emitted record:
+// what can still extend the run joins it as a mini-run, the rest is parked
+// for the next run. With no last (the initial fill) the whole chunk is
+// parked.
 func (f *Former) admit(last []byte) error {
-	got, room := 0, f.stage.Len()
-	for ; got < room; got++ {
-		ok, err := f.readInto(f.stage.Record(got))
-		if err != nil {
-			return err
-		}
-		if !ok {
-			break
-		}
+	c, err := f.src()
+	if err != nil {
+		return err
 	}
-	if got == 0 {
+	if len(c.Recs.Data) == 0 {
+		f.eof = true
 		return nil
+	}
+	got := c.Recs.Len()
+	if f.haveSeen { // the step from the previous chunk, if the tally has seen it
+		step(&f.ups, &f.downs, f.prevKey, c.First)
+	}
+	f.ups, f.downs, f.prevKey, f.haveSeen = f.ups+c.Ups, f.downs+c.Downs, c.Last, true
+
+	// Sorted positions [0, s) of the chunk precede last (descending: do not
+	// follow it) and [s, got) do not: an ascending run takes the upper part,
+	// a descending one the lower.
+	s := 0
+	if last != nil {
+		s = f.split(c.Recs, last)
 	}
 	np := (got + f.page - 1) / f.page
 	pages := f.free[len(f.free)-np:]
 	f.free = f.free[:len(f.free)-np]
-	lanes := f.lanes[:np]
 	for i, pg := range pages {
 		lo := int(pg) * f.page
-		lanes[i] = f.arena.Sub(lo, lo+min(f.page, got-i*f.page))
+		f.arena.Sub(lo, lo+min(f.page, got-i*f.page)).Copy(c.Recs.Sub(i*f.page, got))
 		f.holders[pg] = 1
 		if i > 0 {
 			f.next[pages[i-1]], f.prev[pg] = pg, pages[i-1]
 		}
 	}
-	f.sc.SortSlices(lanes, false, f.stage.Sub(0, got))
+	f.pool.Put(c.Recs)
 	f.chunks++
 	if last == nil {
 		f.parked = append(f.parked, f.part(pages, 0, got))
 		return nil
 	}
-
-	// Sorted positions [0, s) of the chunk precede last (descending: do not
-	// follow it) and [s, got) do not: an ascending run takes the upper part,
-	// a descending one the lower.
-	s := f.split(lanes, last)
 	if s%f.page != 0 && s < got {
 		f.holders[pages[s/f.page]] = 2 // the split page holds both parts
 	}
@@ -376,13 +443,12 @@ func (f *Former) admit(last []byte) error {
 	return nil
 }
 
-// split returns the number of records of the sorted lanes that precede last
+// split returns the number of records of the sorted chunk that precede last
 // in the run's direction: those below it, and for a descending run those
 // equal to it too.
-func (f *Former) split(lanes []record.Slice, last []byte) int {
-	n := (len(lanes)-1)*f.page + lanes[len(lanes)-1].Len()
-	return sort.Search(n, func(i int) bool {
-		c := bytes.Compare(lanes[i/f.page].Record(i%f.page), last)
+func (f *Former) split(chunk record.Slice, last []byte) int {
+	return sort.Search(chunk.Len(), func(i int) bool {
+		c := bytes.Compare(chunk.Record(i), last)
 		return c > 0 || c == 0 && !f.desc
 	})
 }

@@ -11,9 +11,10 @@ import (
 	"testing"
 
 	"colsort/internal/record"
+	"colsort/internal/sortalg"
 )
 
-// sliceReader feeds the records of s to a former one at a time; *read
+// sliceReader feeds the records of s to New's adapter one at a time; *read
 // counts the records handed out.
 func sliceReader(s record.Slice, read *int) func(rec []byte) (bool, error) {
 	return func(rec []byte) (bool, error) {
@@ -24,6 +25,35 @@ func sliceReader(s record.Slice, read *int) func(rec []byte) (bool, error) {
 		*read++
 		return true, nil
 	}
+}
+
+// chunkFeed feeds the records of s to NewChunked as a pipeline's ingest
+// stage does: ChunkLen(capacity) arrivals at a time, tallied and sorted by
+// SortChunk into a buffer from pool (which may be nil); *read counts the
+// records handed out.
+func chunkFeed(s record.Slice, capacity int, pool *record.Pool, read *int) func() (Chunk, error) {
+	sc := new(sortalg.Scratch)
+	return func() (Chunk, error) {
+		n := min(ChunkLen(capacity), s.Len()-*read)
+		src := s.Sub(*read, *read+n)
+		*read += n
+		return SortChunk(sc, pool.Get(n, s.Size), src), nil
+	}
+}
+
+// feeds are the two ways a Former is fed — record by record through New's
+// adapter, and sorted chunks through NewChunked — which must form the same
+// runs; pool may be nil, and *read counts the records handed out.
+var feeds = []struct {
+	name string
+	new  func(capacity int, in record.Slice, pool *record.Pool, read *int) *Former
+}{
+	{"records", func(capacity int, in record.Slice, pool *record.Pool, read *int) *Former {
+		return New(capacity, in.Size, pool, sliceReader(in, read))
+	}},
+	{"chunks", func(capacity int, in record.Slice, pool *record.Pool, read *int) *Former {
+		return NewChunked(capacity, in.Size, pool, chunkFeed(in, capacity, pool, read))
+	}},
 }
 
 type formedRun struct {
@@ -76,15 +106,24 @@ func drive(t testing.TB, f former, z, chunk int, breakAt func(emitted int) bool)
 	}
 }
 
-// formAll drives a Former over in and returns every run it emits.
+// formAll drives a Former over in through each feed and returns every run it
+// emits, the same through both.
 func formAll(t *testing.T, capacity int, in record.Slice) []formedRun {
 	t.Helper()
-	read := 0
-	runs := drive(t, New(capacity, in.Size, nil, sliceReader(in, &read)), in.Size, 64, nil)
-	if read != in.Len() {
-		t.Fatalf("the former read %d records of %d", read, in.Len())
+	var first []formedRun
+	for _, feed := range feeds {
+		read := 0
+		runs := drive(t, feed.new(capacity, in, nil, &read), in.Size, 64, nil)
+		if read != in.Len() {
+			t.Fatalf("fed by %s, the former read %d records of %d", feed.name, read, in.Len())
+		}
+		if first == nil {
+			first = runs
+		} else {
+			sameRuns(t, runs, first)
+		}
 	}
-	return runs
+	return first
 }
 
 // checkRuns verifies every run is monotone in its declared direction and
@@ -225,10 +264,12 @@ func TestEdgeSizes(t *testing.T) {
 	checkRuns(t, in, runs)
 
 	empty := record.Make(0, z)
-	f := New(8, z, nil, sliceReader(empty, new(int)))
-	defer f.Close()
-	if _, ok, err := f.NextRun(); err != nil || ok {
-		t.Fatalf("empty input: NextRun = (ok=%v, err=%v), want no run", ok, err)
+	for _, feed := range feeds {
+		f := feed.new(8, empty, nil, new(int))
+		defer f.Close()
+		if _, ok, err := f.NextRun(); err != nil || ok {
+			t.Fatalf("empty input fed by %s: NextRun = (ok=%v, err=%v), want no run", feed.name, ok, err)
+		}
 	}
 }
 
@@ -300,12 +341,51 @@ func TestReadErrorPropagates(t *testing.T) {
 	}
 	f2 := New(8, z, nil, flaky)
 	defer f2.Close()
-	if _, ok, err := f2.NextRun(); err != nil || !ok {
+	checkFailsInFill(t, f2, boom)
+}
+
+// TestChunkErrorPropagates is TestReadErrorPropagates fed by sorted chunks:
+// a failing source fails NextRun, and one that fails after handing over some
+// chunks fails a later Fill with its error, never another Chunk requested.
+func TestChunkErrorPropagates(t *testing.T) {
+	boom := errors.New("input exploded")
+	const capacity, z = 64, 16 // chunks of 8
+	f := NewChunked(capacity, z, nil, func() (Chunk, error) { return Chunk{}, boom })
+	defer f.Close()
+	if _, _, err := f.NextRun(); !errors.Is(err, boom) {
+		t.Fatalf("NextRun err = %v, want the source's error", err)
+	}
+
+	in := record.Make(500, z)
+	record.Fill(in, record.Uniform{Seed: 1}, 0)
+	next := chunkFeed(in, capacity, nil, new(int))
+	handed, failed := 0, false
+	flaky := func() (Chunk, error) {
+		if failed {
+			t.Fatal("the former asked for a chunk after the source failed")
+		}
+		if handed == 12 { // past the initial fill's eight
+			failed = true
+			return Chunk{}, boom
+		}
+		handed++
+		return next()
+	}
+	f2 := NewChunked(capacity, z, nil, flaky)
+	defer f2.Close()
+	checkFailsInFill(t, f2, boom)
+}
+
+// checkFailsInFill drives f, whose input fails with boom after its initial
+// fill, until a Fill returns boom.
+func checkFailsInFill(t *testing.T, f *Former, boom error) {
+	t.Helper()
+	if _, ok, err := f.NextRun(); err != nil || !ok {
 		t.Fatalf("NextRun = (ok=%v, err=%v), want a run", ok, err)
 	}
-	buf := record.Make(64, z)
+	buf := record.Make(64, f.arena.Size)
 	for {
-		m, err := f2.Fill(buf)
+		m, err := f.Fill(buf)
 		if err != nil {
 			if !errors.Is(err, boom) {
 				t.Fatalf("Fill err = %v, want the input's error", err)
@@ -313,7 +393,7 @@ func TestReadErrorPropagates(t *testing.T) {
 			return
 		}
 		if m == 0 { // run boundary before the error point: start the next run
-			if _, ok, err := f2.NextRun(); err != nil || !ok {
+			if _, ok, err := f.NextRun(); err != nil || !ok {
 				t.Fatalf("NextRun = (ok=%v, err=%v) before the input's error surfaced", ok, err)
 			}
 		}
@@ -368,20 +448,20 @@ func makeInput(gen func(rec []byte, i, n int), n, z int) record.Slice {
 	return in
 }
 
-// sameRuns requires got to equal the oracle's runs in direction, length and
-// bytes.
+// sameRuns requires got to equal the reference runs (the batched oracle's,
+// or the other feed's) in direction, length and bytes.
 func sameRuns(t testing.TB, got, want []formedRun) {
 	t.Helper()
 	if len(got) != len(want) {
-		t.Fatalf("formed %d runs, the batched oracle %d", len(got), len(want))
+		t.Fatalf("formed %d runs, the reference %d", len(got), len(want))
 	}
 	for i := range got {
 		if got[i].desc != want[i].desc || got[i].recs.Len() != want[i].recs.Len() {
-			t.Fatalf("run %d: desc=%v len=%d, the batched oracle desc=%v len=%d",
+			t.Fatalf("run %d: desc=%v len=%d, the reference desc=%v len=%d",
 				i, got[i].desc, got[i].recs.Len(), want[i].desc, want[i].recs.Len())
 		}
 		if !bytes.Equal(got[i].recs.Data, want[i].recs.Data) {
-			t.Fatalf("run %d: bytes differ from the batched oracle's", i)
+			t.Fatalf("run %d: bytes differ from the reference's", i)
 		}
 	}
 }
@@ -396,19 +476,21 @@ func withinHeapYardstick(t testing.TB, got, heap []formedRun) {
 	}
 }
 
-// TestOracleDifferential: the Former and the naive spelling of its
-// definition (batchOracle) emit the same runs — same direction, same length,
-// same bytes — on every distribution, at degenerate and odd capacities, at
-// the input lengths around a capacity boundary, with and without BreakRun
-// injected at seeded points; and it forms at most ¼ more runs (plus one) than
-// the classic heap former on each.
+// TestOracleDifferential: the Former, fed record by record and by sorted
+// chunks, and the naive spelling of its definition (batchOracle) emit the
+// same runs — same direction, same length, same bytes — on every
+// distribution, at degenerate and odd capacities, at the input lengths
+// around a capacity boundary and a chunk boundary (k·C, k·C − 1, under C,
+// none), with and without BreakRun injected at seeded points; and it forms
+// at most ¼ more runs (plus one) than the classic heap former on each.
 func TestOracleDifferential(t *testing.T) {
 	for _, in := range oracleInputs {
 		t.Run(in.name, func(t *testing.T) {
 			sawDesc := false
 			for _, capacity := range []int{1, 2, 3, 5, 1000, 4096} {
+				c := ChunkLen(capacity)
 				for _, z := range []int{16, 64} {
-					for _, n := range []int{0, 1, capacity - 1, capacity, capacity + 1, 7*capacity + 321} {
+					for _, n := range []int{0, 1, c - 1, 3 * c, 3*c - 1, capacity - 1, capacity, capacity + 1, 7*capacity + 321} {
 						src := makeInput(in.gen, n, z)
 						for _, breaks := range []bool{false, true} {
 							// Break points are a function of (seed, records
@@ -428,18 +510,21 @@ func TestOracleDifferential(t *testing.T) {
 								}
 							}
 							tc := inCase{t, fmt.Sprintf("cap=%d z=%d n=%d breaks=%v", capacity, z, n, breaks)}
-							read := 0
-							got := drive(tc, New(capacity, z, nil, sliceReader(src, &read)), z, 37, breakAt())
 							want := drive(tc, newBatchOracle(capacity, z, sliceReader(src, new(int))), z, 37, breakAt())
 							heap := drive(tc, newHeapFormer(capacity, z, nil, sliceReader(src, new(int))), z, 37, breakAt())
-							if read != n {
-								tc.Fatalf("the former read %d records", read)
-							}
-							checkRuns(tc, src, got)
-							sameRuns(tc, got, want)
-							withinHeapYardstick(tc, got, heap)
-							for _, r := range got {
-								sawDesc = sawDesc || r.desc
+							for _, feed := range feeds {
+								tc := inCase{t, tc.name + " feed=" + feed.name}
+								read := 0
+								got := drive(tc, feed.new(capacity, src, nil, &read), z, 37, breakAt())
+								if read != n {
+									tc.Fatalf("the former read %d records", read)
+								}
+								checkRuns(tc, src, got)
+								sameRuns(tc, got, want)
+								withinHeapYardstick(tc, got, heap)
+								for _, r := range got {
+									sawDesc = sawDesc || r.desc
+								}
 							}
 						}
 					}
@@ -449,6 +534,42 @@ func TestOracleDifferential(t *testing.T) {
 				t.Error("no descending run formed: the descending tie path went untested")
 			}
 		})
+	}
+}
+
+// TestDirectionAcrossChunkBoundary pins which key steps the direction
+// heuristic counts, at a capacity of 8 (one-record chunks, so every step is
+// a chunk boundary): not the step into the first chunk admitted after
+// NextRun resets the tally, which reaches back to an arrival of the previous
+// tally, and every step after it. Run 1 ascends over 100..107 and admits
+// 50, then seven x; with x = 50 run 2 has no counted step and ascends,
+// with x = 40 it has one downward step and descends — where counting the
+// reset's boundary step (107 → 50) would make both descend.
+func TestDirectionAcrossChunkBoundary(t *testing.T) {
+	const capacity, z = 8, 16
+	for _, tc := range []struct {
+		x    uint64
+		desc bool
+	}{{50, false}, {40, true}} {
+		in := record.Make(16, z)
+		for i := 0; i < in.Len(); i++ {
+			key := tc.x
+			switch {
+			case i < 8:
+				key = 100 + uint64(i)
+			case i == 8:
+				key = 50
+			}
+			in.SetKey(i, key)
+			in.Record(i)[record.KeyBytes] = byte(i) // equal keys still order their records
+		}
+		want := drive(t, newBatchOracle(capacity, z, sliceReader(in, new(int))), z, 5, nil)
+		if len(want) != 2 || want[0].desc || want[1].desc != tc.desc {
+			t.Fatalf("x = %d: the batched oracle formed %d runs, want run 1 ascending and run 2 desc=%v", tc.x, len(want), tc.desc)
+		}
+		for _, feed := range feeds {
+			sameRuns(inCase{t, fmt.Sprintf("x=%d feed=%s", tc.x, feed.name)}, drive(t, feed.new(capacity, in, nil, new(int)), z, 5, nil), want)
+		}
 	}
 }
 
@@ -464,9 +585,9 @@ func (c inCase) Fatalf(format string, args ...any) {
 }
 
 // FuzzFormer: arbitrary records (drawn from few prefixes, so ties and the
-// maximal-prefix cases are common), capacity and break cadence. Every run is
-// monotone in its declared direction, the multiset is preserved, the runs
-// equal the batched oracle's and number at most ¼ more (plus one) than the
+// maximal-prefix cases are common), capacity and break cadence. Fed either
+// way, every run is monotone in its declared direction, the multiset is
+// preserved, the runs equal the batched oracle's and number at most ¼ more (plus one) than the
 // heap former's; nothing panics.
 func FuzzFormer(f *testing.F) {
 	f.Add([]byte{}, uint16(4), uint8(0))
@@ -489,36 +610,43 @@ func FuzzFormer(f *testing.F) {
 				return breakEvery > 0 && fills%int(breakEvery) == 0
 			}
 		}
-		got := drive(t, New(capacity, z, nil, sliceReader(in, new(int))), z, 7, breakAt())
 		want := drive(t, newBatchOracle(capacity, z, sliceReader(in, new(int))), z, 7, breakAt())
 		heap := drive(t, newHeapFormer(capacity, z, nil, sliceReader(in, new(int))), z, 7, breakAt())
-		checkRuns(t, in, got)
-		sameRuns(t, got, want)
-		withinHeapYardstick(t, got, heap)
+		for _, feed := range feeds {
+			got := drive(t, feed.new(capacity, in, nil, new(int)), z, 7, breakAt())
+			checkRuns(t, in, got)
+			sameRuns(t, got, want)
+			withinHeapYardstick(t, got, heap)
+		}
 	})
 }
 
-// TestFillAllocsPerRun: a steady-state Fill touches the allocator not at all.
+// TestFillAllocsPerRun: a steady-state Fill touches the allocator not at all,
+// fed either way: an admitted chunk's buffer goes back to the pool the next
+// chunk comes from.
 func TestFillAllocsPerRun(t *testing.T) {
 	const capacity, z = 1 << 10, 64
 	src := makeInput(oracleInputs[0].gen, 64*capacity, z)
-	f := New(capacity, z, nil, sliceReader(src, new(int)))
-	defer f.Close()
-	buf := record.Make(64, z)
-	fill := func() {
-		n, err := f.Fill(buf)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if n == 0 {
-			if _, ok, err := f.NextRun(); err != nil || !ok {
-				t.Fatalf("NextRun = (ok=%v, err=%v) with input left", ok, err)
+	pool := record.NewPool()
+	for _, feed := range feeds {
+		f := feed.new(capacity, src, pool, new(int))
+		defer f.Close()
+		buf := record.Make(ChunkLen(capacity), z) // every Fill admits a chunk
+		fill := func() {
+			n, err := f.Fill(buf)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if n == 0 {
+				if _, ok, err := f.NextRun(); err != nil || !ok {
+					t.Fatalf("NextRun = (ok=%v, err=%v) with input left", ok, err)
+				}
 			}
 		}
-	}
-	fill() // first run started
-	if allocs := testing.AllocsPerRun(200, fill); allocs != 0 {
-		t.Errorf("%v allocs per steady-state Fill, want 0", allocs)
+		fill() // first run started
+		if allocs := testing.AllocsPerRun(200, fill); allocs != 0 {
+			t.Errorf("fed by %s: %v allocs per steady-state Fill, want 0", feed.name, allocs)
+		}
 	}
 }
 
