@@ -19,13 +19,13 @@ import (
 	"math"
 	"math/bits"
 	"os"
-	"sync"
 
 	"context"
 
 	"colsort/internal/core"
 	"colsort/internal/merge"
 	"colsort/internal/pdm"
+	"colsort/internal/pipeline"
 	"colsort/internal/record"
 	"colsort/internal/runform"
 	"colsort/internal/sim"
@@ -255,35 +255,23 @@ type formMsg struct {
 // verification from the merge's in-stream order check plus the final
 // multiset comparison against the ingest checksum.
 //
-// The first failure of any stage — or the caller's cancellation — is the
-// pipeline context's cause: it stops the other stages, every channel wait
-// selects on it, and it is what the call returns, once both goroutines have
-// exited. The ingest stage is the only code that touches rd, so the caller
-// may then close it.
+// Ingest and spill run on a pipeline.Group: the first failure of any stage
+// — or the caller's cancellation — is the group's cause: it stops the other
+// stages, every channel wait is a pipeline.Send or Recv on it, and it is
+// what the call returns, once both goroutines have exited. The ingest stage
+// is the only code that touches rd, so the caller may then close it.
 func (h *hierJob) formReplacementRuns(ctx context.Context, rd RecordReader) error {
 	if h.runPl.N > math.MaxInt32 { // the former's arena indices are int32
 		return fmt.Errorf("colsort: run plan of %d records exceeds the former's 2³¹−1 slots; set WithMaxMemory", h.runPl.N)
 	}
-	ctx, cancel := context.WithCancelCause(ctx)
-	defer cancel(nil)
-	var stages sync.WaitGroup
-	stage := func(run func() error) {
-		stages.Add(1)
-		go func() {
-			defer stages.Done()
-			if err := run(); err != nil {
-				cancel(err)
-			}
-		}()
-	}
+	g := pipeline.NewGroup(ctx)
 	chunks := make(chan runform.Chunk)
 	msgs := make(chan formMsg, 1)
-	stage(func() error { return h.ingest(ctx, rd, chunks) })
-	stage(func() error { return h.spillRuns(ctx, msgs) })
-	h.selectRuns(ctx, chunks, msgs)
+	g.Go(func() error { return h.ingest(g.Context(), rd, chunks) })
+	g.Go(func() error { return h.spillRuns(g.Context(), msgs) })
+	h.selectRuns(g.Context(), chunks, msgs)
 	close(msgs)
-	stages.Wait()
-	return context.Cause(ctx)
+	return g.Wait()
 }
 
 // ingest is the first formation stage and the only reader of rd: it reads
@@ -311,11 +299,9 @@ func (h *hierJob) ingest(ctx context.Context, rd RecordReader, out chan<- runfor
 		h.want.AddSlice(buf)
 		idx += int64(got)
 		c := runform.SortChunk(sc, h.pool.Get(got, z), buf)
-		select {
-		case out <- c:
-		case <-ctx.Done():
+		if err := pipeline.Send(ctx, out, c); err != nil {
 			h.pool.Put(c.Recs)
-			return context.Cause(ctx)
+			return err
 		}
 	}
 	close(out)
@@ -335,23 +321,10 @@ func (h *hierJob) ingest(ctx context.Context, rd RecordReader, out chan<- runfor
 // needs stays within two extra resident sets' worth, at the cost of splitting
 // longer-than-expected runs while scrubbing.
 func (h *hierJob) selectRuns(ctx context.Context, in <-chan runform.Chunk, out chan<- formMsg) {
-	next := func() (runform.Chunk, error) {
-		select {
-		case c := <-in:
-			return c, nil // no records once the ingest stage has closed the stream behind its last chunk
-		case <-ctx.Done():
-			return runform.Chunk{}, context.Cause(ctx)
-		}
-	}
-	sent := func(m formMsg) bool {
-		select {
-		case out <- m:
-			return true
-		case <-ctx.Done():
-			return false
-		}
-	}
-	f := runform.NewChunked(int(h.runPl.N), h.e.cfg.RecordSize, h.pool, next)
+	f := runform.NewChunked(int(h.runPl.N), h.e.cfg.RecordSize, h.pool, func() (runform.Chunk, error) {
+		c, _, err := pipeline.Recv(ctx, in)
+		return c, err // no records once the ingest stage has closed the stream behind its last chunk
+	})
 	defer f.Close()
 	var formed int64
 	for runIdx := 1; ; runIdx++ {
@@ -379,14 +352,14 @@ func (h *hierJob) selectRuns(ctx context.Context, in <-chan runform.Chunk, out c
 			if h.o.progress != nil {
 				h.o.progress(Progress{Batch: runIdx, FormedRecords: formed, TotalRecords: h.n})
 			}
-			if !sent(formMsg{chunk: buf.Sub(0, got)}) {
+			if pipeline.Send(ctx, out, formMsg{chunk: buf.Sub(0, got)}) != nil {
 				return
 			}
 			if h.retain() && recs >= 2*h.runPl.N {
 				f.BreakRun() // bound redo memory; the rest becomes the next run
 			}
 		}
-		if !sent(formMsg{desc: desc}) {
+		if pipeline.Send(ctx, out, formMsg{desc: desc}) != nil {
 			return
 		}
 	}
@@ -454,15 +427,9 @@ func (h *hierJob) spillRuns(ctx context.Context, in <-chan formMsg) error {
 	}
 	runIdx := 1
 	for {
-		var m formMsg
-		var ok bool
-		select {
-		case m, ok = <-in:
-		case <-ctx.Done():
-			return context.Cause(ctx)
-		}
+		m, ok, err := pipeline.Recv(ctx, in)
 		if !ok {
-			return nil
+			return err
 		}
 		if m.chunk.Data != nil {
 			write(m.chunk)

@@ -363,6 +363,59 @@ func TestDiskFaultPropagates(t *testing.T) {
 	}
 }
 
+// finalFaultBackend builds memory disks, wrapping those of the store built
+// after the first skip disks in a FaultDisk of the given budget.
+type finalFaultBackend struct {
+	skip, made int
+	budget     int64
+}
+
+func (b *finalFaultBackend) NewDisk(int) (pdm.Disk, error) {
+	b.made++
+	if b.made <= b.skip {
+		return pdm.NewMemDisk(), nil
+	}
+	return &pdm.FaultDisk{Inner: pdm.NewMemDisk(), Budget: b.budget}, nil
+}
+
+// TestAsyncDeferredWriteFailsPass: on async disks a write fails only when
+// its queue drains, so a fault in the final pass's last write surfaces
+// only when the pass flushes its output. Each disk of the final pass's
+// output store may take one byte fewer than the pass writes to it: Run must
+// fail with the injected fault, for each kind of final pass (the g = 1
+// boundary pass, the group merge pass at g = P, the baseline's copy pass),
+// and a budget of exactly those bytes must succeed.
+func TestAsyncDeferredWriteFailsPass(t *testing.T) {
+	for _, alg := range []Algorithm{Threaded, MColumn, BaselineIO3} {
+		t.Run(alg.String(), func(t *testing.T) {
+			pl, err := NewPlan(alg, 512*8, 2, 2, 512, 16)
+			if err != nil {
+				t.Fatal(err)
+			}
+			perDisk := int64(pl.R) * int64(pl.S) * int64(pl.Z) / int64(pl.D)
+			for _, spare := range []int64{0, 1} {
+				// The input and the alg.Passes()−1 stores before the output.
+				b := &finalFaultBackend{skip: alg.Passes() * pl.D, budget: perDisk - spare}
+				m := pdm.Machine{P: pl.P, D: pl.D, Backend: b, Async: &pdm.AsyncConfig{}}
+				input, err := pl.NewInput(m, record.Uniform{Seed: 51})
+				if err != nil {
+					t.Fatal(err)
+				}
+				res, err := Run(context.Background(), pl, m, input, Hooks{})
+				input.Close()
+				if spare == 0 {
+					if err != nil {
+						t.Fatalf("a budget of every byte written failed the run: %v", err)
+					}
+					res.Output.Close()
+				} else if !errors.Is(err, pdm.ErrInjected) {
+					t.Fatalf("err = %v, want the injected fault of the final pass's last write", err)
+				}
+			}
+		})
+	}
+}
+
 func TestAlgorithmMeta(t *testing.T) {
 	if Threaded.Passes() != 3 || Subblock.Passes() != 4 || MColumn.Passes() != 3 ||
 		Combined.Passes() != 4 || Threaded4.Passes() != 4 ||

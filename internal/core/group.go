@@ -2,6 +2,7 @@ package core
 
 import (
 	"cmp"
+	"context"
 	"fmt"
 	"slices"
 
@@ -474,9 +475,10 @@ func runGroupScatterPass(pr *cluster.Proc, pl Plan, spec groupSpec, in, out *pdm
 		return nil
 	}
 
-	err = pipeline.RunDrain(pipeDepth, st.src, write,
-		func() error { return out.Flush(q) },
-		st.read, st.sort, exchange, replay)
+	err = pipeline.Run(context.Background(), pipeDepth, st.src, write, st.read, st.sort, exchange, replay)
+	if err == nil {
+		err = out.Flush(q) // a deferred write failure fails the pass
+	}
 	for _, ct := range []sim.Counters{cRead, cSort, cComm, cPerm, cWrite} {
 		cnt.Add(ct)
 	}
@@ -644,9 +646,10 @@ func runGroupMergePass(pr *cluster.Proc, pl Plan, spec groupSpec, in, out *pdm.S
 		return nil
 	}
 
-	err = pipeline.RunDrain(pipeDepth, st.src, write,
-		func() error { return out.Flush(q) },
-		st.read, st.sort, boundary)
+	err = pipeline.Run(context.Background(), pipeDepth, st.src, write, st.read, st.sort, boundary)
+	if err == nil {
+		err = out.Flush(q) // a deferred write failure fails the pass
+	}
 	for _, ct := range []sim.Counters{cRead, cSort, cBound, cWrite} {
 		cnt.Add(ct)
 	}

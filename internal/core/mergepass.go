@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"fmt"
 
 	"colsort/internal/cluster"
@@ -116,9 +117,10 @@ func runMergePass(pr *cluster.Proc, pl Plan, spec groupSpec, in, out *pdm.Store,
 		return nil
 	}
 
-	err = pipeline.RunDrain(pipeDepth, st.src, write,
-		func() error { return out.Flush(p) },
-		st.read, st.sort, comm1, mergeStage, comm2)
+	err = pipeline.Run(context.Background(), pipeDepth, st.src, write, st.read, st.sort, comm1, mergeStage, comm2)
+	if err == nil {
+		err = out.Flush(p) // a deferred write failure fails the pass
+	}
 	for _, c := range []sim.Counters{cRead, cSort, cComm1, cMerge, cComm2, cWrite} {
 		cnt.Add(c)
 	}

@@ -319,8 +319,10 @@ func runBaselinePass(pr *cluster.Proc, pl Plan, in, out *pdm.Store, pool *record
 		return nil
 	}
 
-	err := pipeline.RunDrain(pipeDepth, src, write,
-		func() error { return out.Flush(p) }, read)
+	err := pipeline.Run(context.Background(), pipeDepth, src, write, read)
+	if err == nil {
+		err = out.Flush(p) // a deferred write failure fails the pass
+	}
 	cnt.Add(cRead)
 	cnt.Add(cWrite)
 	if err != nil {

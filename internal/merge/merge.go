@@ -5,9 +5,9 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"sync"
 
 	"colsort/internal/pdm"
+	"colsort/internal/pipeline"
 	"colsort/internal/record"
 	"colsort/internal/tournament"
 	"colsort/internal/verify"
@@ -57,12 +57,12 @@ type Stats struct {
 // Merge combines the sorted runs into one sorted stream, calling emit with
 // successive chunks of records in total order. The records flow straight
 // from the run disks to emit — nothing is materialized — through three
-// goroutine stages joined by emitDepth recycled chunk buffers: the merge
-// loop pops the tournament and copies the winners into a chunk; the verify
-// stage checks the chunk's order and folds it into the multiset checksum;
-// emit runs on a third goroutine (write-behind on the merged output),
-// overlapping the sink's own I/O with the other two stages and the runs'
-// prefetch.
+// goroutine stages of one pipeline.Chain, over emitDepth chunk buffers
+// recycled through a free list: the merge loop pops the tournament and
+// copies the winners into a chunk; the verify stage checks the chunk's
+// order and folds it into the multiset checksum; emit runs on a third
+// goroutine (write-behind on the merged output), overlapping the sink's own
+// I/O with the other two stages and the runs' prefetch.
 //
 // The stream is verified as it flows: every record is checked against its
 // predecessor before emit sees its chunk (ErrOrder, naming the record's
@@ -142,116 +142,57 @@ func merge(ctx context.Context, runs []*Run, emit func(record.Slice) error, opt 
 	}()
 	var order verify.Order
 	var checked int64 // records the verify stage has passed
-	p := startStages(ctx, bufs, func(c record.Slice) error {
+	check := func(c record.Slice) (record.Slice, error) {
 		if i := order.Check(c); i >= 0 {
-			return fmt.Errorf("%w at record %d", ErrOrder, checked+int64(i))
+			return c, fmt.Errorf("%w at record %d", ErrOrder, checked+int64(i))
 		}
 		checked += int64(c.Len())
 		if fold {
 			cs.AddSlice(c)
 		}
-		return nil
-	}, emit)
+		return c, nil
+	}
 
-	var emitted, total int64
+	// The pop loop takes a free chunk, fills it and hands it on; emit puts
+	// each chunk back on the free list. Every channel holds every chunk
+	// there is, so no send blocks: only the pop loop waits, for a free chunk.
+	free := make(chan record.Slice, emitDepth)
+	for _, b := range bufs {
+		free <- b
+	}
+	var total int64
 	for _, r := range runs {
 		total += r.Records
 	}
-	for emitted < total {
-		buf, ok := p.next()
-		if !ok {
-			break
-		}
-		want := chunkRecs
-		if left := total - emitted; left < int64(want) {
-			want = int(left)
-		}
-		out := buf.Sub(0, want)
-		if err := t.fill(out, emitted, total); err != nil {
-			p.fail(err)
-			break
-		}
-		emitted += int64(want)
-		st.BytesWritten += int64(want * z)
-		p.toCheck <- out
-		if opt.Progress != nil {
-			opt.Progress(emitted)
-		}
-	}
-	err = p.wait() // before cs is read: the verify stage folds into it
-	return cs, st, err
-}
-
-// stages is the plumbing of Merge's pipeline. The merge loop, on the
-// calling goroutine, takes a free chunk (next), fills it and hands it to the
-// verify goroutine (toCheck), which passes each chunk that checks to the emit
-// goroutine, which returns it to the free list. Each channel can hold every
-// chunk there is, so no send blocks: only the merge loop waits, for a free
-// chunk, and each stage frees every chunk it is handed whether it fails or
-// not. The first failure of any stage cancels ctx with the failure as its
-// cause, as ctx's own end does.
-type stages struct {
-	ctx                   context.Context
-	fail                  context.CancelCauseFunc
-	free, toCheck, toEmit chan record.Slice
-	wg                    sync.WaitGroup
-}
-
-// startStages starts the verify and emit goroutines over the chunk buffers
-// bufs: check runs on each chunk the merge loop sends, emit on each chunk
-// check passed, both in stream order.
-func startStages(ctx context.Context, bufs []record.Slice, check, emit func(record.Slice) error) *stages {
-	n := len(bufs)
-	p := &stages{free: make(chan record.Slice, n), toCheck: make(chan record.Slice, n), toEmit: make(chan record.Slice, n)}
-	p.ctx, p.fail = context.WithCancelCause(ctx)
-	for _, b := range bufs {
-		p.free <- b
-	}
-	p.wg.Add(2)
-	go func() {
-		defer p.wg.Done()
-		defer close(p.toEmit)
-		p.stage(p.toCheck, check, p.toEmit)
-	}()
-	go func() {
-		defer p.wg.Done()
-		p.stage(p.toEmit, emit, p.free)
-	}()
-	return p
-}
-
-// stage applies f to the chunks arriving on in and passes each chunk f
-// accepts to out; a chunk f fails goes back to the free list, and so does
-// every chunk after the first failure, unseen by f.
-func (p *stages) stage(in <-chan record.Slice, f func(record.Slice) error, out chan<- record.Slice) {
-	for c := range in {
-		if p.ctx.Err() == nil {
-			err := f(c)
-			if err == nil {
-				out <- c
-				continue
+	g := pipeline.NewGroup(ctx)
+	pop := func(send func(record.Slice) error) error {
+		for emitted := int64(0); emitted < total; {
+			buf, _, err := pipeline.Recv(g.Context(), free)
+			if err != nil {
+				return err
 			}
-			p.fail(err)
+			out := buf.Sub(0, int(min(int64(chunkRecs), total-emitted)))
+			if err := t.fill(out, emitted, total); err != nil {
+				return err
+			}
+			emitted += int64(out.Len())
+			st.BytesWritten += int64(len(out.Data))
+			if err := send(out); err != nil {
+				return err
+			}
+			if opt.Progress != nil {
+				opt.Progress(emitted)
+			}
 		}
-		p.free <- c
+		return nil
 	}
-}
-
-// next returns a free chunk for the merge loop to fill, or false once any
-// stage has failed or ctx is done.
-func (p *stages) next() (record.Slice, bool) {
-	c := <-p.free
-	return c, p.ctx.Err() == nil
-}
-
-// wait ends the stream, joins the verify and emit goroutines and returns
-// the first failure, nil if there was none.
-func (p *stages) wait() error {
-	close(p.toCheck)
-	p.wg.Wait()
-	err := context.Cause(p.ctx)
-	p.fail(nil)
-	return err
+	pipeline.Chain(g, emitDepth, pop, func(c record.Slice) error {
+		err := emit(c)
+		free <- c
+		return err
+	}, check)
+	err = g.Wait() // before cs and st are read: the stages write them
+	return cs, st, err
 }
 
 // tourney is the k-way tournament over the runs' readers, on the shared

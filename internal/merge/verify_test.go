@@ -65,126 +65,6 @@ func TestMergeOrderViolationStopsBeforeEmit(t *testing.T) {
 	}
 }
 
-// driveStages runs the merge loop's side of the stages over chunks of
-// chunk records, numbering chunk i by its first byte, until next refuses a
-// chunk or n chunks have been sent; hold, when non-nil, runs on chunk 2
-// before it is sent.
-func driveStages(p *stages, n int, hold func()) error {
-	for i := 0; i < n; i++ {
-		c, ok := p.next()
-		if !ok {
-			break
-		}
-		c.Data[0] = byte(i)
-		if i == 2 && hold != nil {
-			hold()
-		}
-		p.toCheck <- c
-	}
-	return p.wait()
-}
-
-func stageBufs() []record.Slice {
-	bufs := make([]record.Slice, emitDepth)
-	for i := range bufs {
-		bufs[i] = record.Make(4, 8)
-	}
-	return bufs
-}
-
-// TestStagesFirstFailureWins pins that when emit fails on one chunk while
-// the verify stage fails on a later one, Merge's pipeline returns whichever
-// failure came first, and emit never sees the chunk that failed
-// verification.
-func TestStagesFirstFailureWins(t *testing.T) {
-	errEmit := errors.New("sink failed")
-	errOrder := fmt.Errorf("%w at record 4", ErrOrder)
-	for _, emitFirst := range []bool{true, false} {
-		t.Run(fmt.Sprintf("emitFirst=%v", emitFirst), func(t *testing.T) {
-			testutil.CheckGoroutines(t)
-			var p *stages
-			checking, emitting := make(chan struct{}), make(chan struct{})
-			var emitted []byte
-			check := func(c record.Slice) error {
-				if c.Data[0] != 1 {
-					return nil
-				}
-				close(checking)
-				if emitFirst {
-					<-p.ctx.Done() // emit's failure is recorded
-				} else {
-					<-emitting
-				}
-				return errOrder
-			}
-			emit := func(c record.Slice) error {
-				emitted = append(emitted, c.Data[0])
-				if c.Data[0] != 0 {
-					return nil
-				}
-				close(emitting)
-				if emitFirst {
-					<-checking
-				} else {
-					<-p.ctx.Done() // the order failure is recorded
-				}
-				return errEmit
-			}
-			p = startStages(context.Background(), stageBufs(), check, emit)
-			err := driveStages(p, 8, nil)
-			want := errOrder
-			if emitFirst {
-				want = errEmit
-			}
-			if err != want {
-				t.Fatalf("err = %v, want %v", err, want)
-			}
-			if !bytes.Equal(emitted, []byte{0}) {
-				t.Fatalf("emit saw chunks %v, want only chunk 0", emitted)
-			}
-		})
-	}
-}
-
-// TestStagesCancelWhileEveryStageHolds cancels while emit holds chunk 0,
-// the verify stage chunk 1 and the merge loop chunk 2 — every buffer there
-// is: the pipeline must return the context's error with every goroutine
-// joined, and emit must see the chunks it does see in order.
-func TestStagesCancelWhileEveryStageHolds(t *testing.T) {
-	testutil.CheckGoroutines(t)
-	ctx, cancel := context.WithCancel(context.Background())
-	defer cancel()
-	held := make(chan struct{}, 2)
-	hold := func(c record.Slice, i byte) {
-		if c.Data[0] == i {
-			held <- struct{}{}
-			<-ctx.Done()
-		}
-	}
-	var emitted []byte
-	p := startStages(ctx, stageBufs(), func(c record.Slice) error {
-		hold(c, 1)
-		return nil
-	}, func(c record.Slice) error {
-		emitted = append(emitted, c.Data[0])
-		hold(c, 0)
-		return nil
-	})
-	err := driveStages(p, 1<<20, func() {
-		<-held
-		<-held
-		cancel()
-	})
-	if !errors.Is(err, context.Canceled) {
-		t.Fatalf("err = %v, want context.Canceled", err)
-	}
-	for i, c := range emitted {
-		if int(c) != i {
-			t.Fatalf("emit saw chunks %v, want a prefix of the stream", emitted)
-		}
-	}
-}
-
 // TestMergeCancelWithSinkBlocked cancels a merge whose sink blocks on its
 // first chunk: the merge loop, out of free chunks, must stop waiting for
 // one, and Merge must return the context's error once the sink returns.

@@ -1,11 +1,15 @@
 package pipeline
 
 import (
+	"context"
 	"errors"
+	"fmt"
 	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
+
+	"colsort/internal/testutil"
 )
 
 // rounds is a source emitting the integers [0, n).
@@ -21,11 +25,12 @@ func rounds(n int) func(emit func(int) error) error {
 }
 
 func TestOrderPreserved(t *testing.T) {
+	testutil.CheckGoroutines(t)
 	var got []int
 	double := func(x int) (int, error) { return x * 2, nil }
 	inc := func(x int) (int, error) { return x + 1, nil }
-	err := RunDrain(1, rounds(100),
-		func(x int) error { got = append(got, x); return nil }, nil,
+	err := Run(context.Background(), 1, rounds(100),
+		func(x int) error { got = append(got, x); return nil },
 		double, inc)
 	if err != nil {
 		t.Fatal(err)
@@ -41,8 +46,9 @@ func TestOrderPreserved(t *testing.T) {
 }
 
 func TestNoStages(t *testing.T) {
+	testutil.CheckGoroutines(t)
 	sum := 0
-	err := RunDrain(0, rounds(10), func(x int) error { sum += x; return nil }, nil)
+	err := Run(context.Background(), 0, rounds(10), func(x int) error { sum += x; return nil })
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -52,12 +58,13 @@ func TestNoStages(t *testing.T) {
 }
 
 func TestStagesOverlap(t *testing.T) {
+	testutil.CheckGoroutines(t)
 	// Two stages that sleep must overlap: total wall time for n items
 	// through 2 stages of d delay each must be well under serial 2·n·d.
 	const n, d = 8, 10 * time.Millisecond
 	slow := func(x int) (int, error) { time.Sleep(d); return x, nil }
 	start := time.Now()
-	err := RunDrain(1, rounds(n), func(int) error { return nil }, nil, slow, slow)
+	err := Run(context.Background(), 1, rounds(n), func(int) error { return nil }, slow, slow)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -69,9 +76,10 @@ func TestStagesOverlap(t *testing.T) {
 }
 
 func TestStageErrorPropagates(t *testing.T) {
+	testutil.CheckGoroutines(t)
 	boom := errors.New("boom")
-	err := RunDrain(1, rounds(1000),
-		func(int) error { return nil }, nil,
+	err := Run(context.Background(), 1, rounds(1000),
+		func(int) error { return nil },
 		func(x int) (int, error) {
 			if x == 5 {
 				return 0, boom
@@ -84,9 +92,10 @@ func TestStageErrorPropagates(t *testing.T) {
 }
 
 func TestSourceErrorPropagates(t *testing.T) {
+	testutil.CheckGoroutines(t)
 	boom := errors.New("src")
-	err := RunDrain(1, func(emit func(int) error) error { return boom },
-		func(int) error { return nil }, nil,
+	err := Run(context.Background(), 1, func(emit func(int) error) error { return boom },
+		func(int) error { return nil },
 		func(x int) (int, error) { return x, nil })
 	if !errors.Is(err, boom) {
 		t.Fatalf("want src error, got %v", err)
@@ -94,14 +103,15 @@ func TestSourceErrorPropagates(t *testing.T) {
 }
 
 func TestSinkErrorPropagates(t *testing.T) {
+	testutil.CheckGoroutines(t)
 	boom := errors.New("sink")
-	err := RunDrain(2, rounds(1000),
+	err := Run(context.Background(), 2, rounds(1000),
 		func(x int) error {
 			if x == 3 {
 				return boom
 			}
 			return nil
-		}, nil,
+		},
 		func(x int) (int, error) { return x, nil })
 	if !errors.Is(err, boom) {
 		t.Fatalf("want sink error, got %v", err)
@@ -109,13 +119,14 @@ func TestSinkErrorPropagates(t *testing.T) {
 }
 
 func TestErrorUnblocksFastSource(t *testing.T) {
+	testutil.CheckGoroutines(t)
 	// The source emits many items into a tiny channel; an early sink error
 	// must unblock the source promptly rather than deadlock.
 	boom := errors.New("early")
 	done := make(chan error, 1)
 	go func() {
-		done <- RunDrain(0, rounds(1_000_000),
-			func(x int) error { return boom }, nil,
+		done <- Run(context.Background(), 0, rounds(1_000_000),
+			func(x int) error { return boom },
 			func(x int) (int, error) { return x, nil })
 	}()
 	select {
@@ -129,12 +140,14 @@ func TestErrorUnblocksFastSource(t *testing.T) {
 }
 
 func TestNegativeCapacity(t *testing.T) {
-	if err := RunDrain(-1, rounds(1), func(int) error { return nil }, nil); err == nil {
+	testutil.CheckGoroutines(t)
+	if err := Run(context.Background(), -1, rounds(1), func(int) error { return nil }); err == nil {
 		t.Fatal("negative capacity accepted")
 	}
 }
 
 func TestBoundedInFlight(t *testing.T) {
+	testutil.CheckGoroutines(t)
 	// With capacity 1 and three stages, the number of rounds past the
 	// source but not yet through the sink must stay bounded.
 	var inFlight, maxInFlight int64
@@ -152,7 +165,7 @@ func TestBoundedInFlight(t *testing.T) {
 		atomic.AddInt64(&inFlight, -1)
 		return nil
 	}
-	err := RunDrain(1, rounds(200), leave, nil, enter,
+	err := Run(context.Background(), 1, rounds(200), leave, enter,
 		func(x int) (int, error) { time.Sleep(time.Microsecond); return x, nil },
 		func(x int) (int, error) { return x, nil })
 	if err != nil {
@@ -165,6 +178,7 @@ func TestBoundedInFlight(t *testing.T) {
 }
 
 func TestConcurrentPipelines(t *testing.T) {
+	testutil.CheckGoroutines(t)
 	// Many pipelines in parallel (as P processors each run one) must not
 	// interfere.
 	var wg sync.WaitGroup
@@ -174,8 +188,8 @@ func TestConcurrentPipelines(t *testing.T) {
 		go func(k int) {
 			defer wg.Done()
 			sum := 0
-			errs[k] = RunDrain(1, rounds(50),
-				func(x int) error { sum += x; return nil }, nil,
+			errs[k] = Run(context.Background(), 1, rounds(50),
+				func(x int) error { sum += x; return nil },
 				func(x int) (int, error) { return x + k, nil })
 			if errs[k] == nil && sum != 50*49/2+50*k {
 				errs[k] = errors.New("bad sum")
@@ -190,64 +204,165 @@ func TestConcurrentPipelines(t *testing.T) {
 	}
 }
 
-func TestRunDrainCalledAfterSink(t *testing.T) {
-	var mu sync.Mutex
-	var consumed int
-	drained := false
-	err := RunDrain(1, rounds(5),
-		func(int) error {
-			mu.Lock()
-			defer mu.Unlock()
-			if drained {
-				t.Error("drain ran before the sink finished")
+// TestChainFirstFailureWins fails the sink on item 0 while the stage fails
+// on item 1, each waiting for the other to hold its item first: Wait
+// returns whichever failure came first, and the sink never sees the item
+// the stage failed on.
+func TestChainFirstFailureWins(t *testing.T) {
+	errSink, errStage := errors.New("sink failed"), errors.New("stage failed")
+	for _, sinkFirst := range []bool{true, false} {
+		t.Run(fmt.Sprintf("sinkFirst=%v", sinkFirst), func(t *testing.T) {
+			testutil.CheckGoroutines(t)
+			g := NewGroup(context.Background())
+			failed := g.Context().Done()
+			staging, sinking := make(chan struct{}), make(chan struct{})
+			var sunk []int
+			stage := func(x int) (int, error) {
+				if x != 1 {
+					return x, nil
+				}
+				close(staging)
+				if sinkFirst {
+					<-failed // the sink's failure is recorded
+				} else {
+					<-sinking
+				}
+				return 0, errStage
 			}
-			consumed++
-			return nil
-		},
-		func() error {
-			mu.Lock()
-			defer mu.Unlock()
-			if consumed != 5 {
-				t.Errorf("drain ran after %d of 5 items", consumed)
+			sink := func(x int) error {
+				sunk = append(sunk, x)
+				if x != 0 {
+					return nil
+				}
+				close(sinking)
+				if sinkFirst {
+					<-staging
+				} else {
+					<-failed // the stage's failure is recorded
+				}
+				return errSink
 			}
-			drained = true
-			return nil
-		},
-		func(x int) (int, error) { return x, nil })
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !drained {
-		t.Fatal("drain never ran")
-	}
-}
-
-func TestRunDrainErrorPropagates(t *testing.T) {
-	want := errors.New("deferred write failure")
-	err := RunDrain(1, rounds(3),
-		func(int) error { return nil },
-		func() error { return want })
-	if !errors.Is(err, want) {
-		t.Fatalf("err = %v, want drain error", err)
-	}
-}
-
-func TestRunDrainSkippedOnFailure(t *testing.T) {
-	boom := errors.New("stage failure")
-	var drainRan atomic.Bool
-	err := RunDrain(1, rounds(10),
-		func(int) error { return nil },
-		func() error { drainRan.Store(true); return nil },
-		func(x int) (int, error) {
-			if x == 2 {
-				return 0, boom
+			Chain(g, 3, rounds(8), sink, stage)
+			err := g.Wait()
+			want := errStage
+			if sinkFirst {
+				want = errSink
 			}
-			return x, nil
+			if !errors.Is(err, want) {
+				t.Fatalf("err = %v, want %v", err, want)
+			}
+			if len(sunk) != 1 || sunk[0] != 0 {
+				t.Fatalf("the sink saw items %v, want only item 0", sunk)
+			}
 		})
-	if !errors.Is(err, boom) {
-		t.Fatalf("err = %v, want stage error", err)
 	}
-	if drainRan.Load() {
-		t.Fatal("drain ran on a failed pipeline")
+}
+
+// TestChainCancelWhileEveryStageHolds cancels the parent while the sink
+// holds item 0, the stage item 1 and the source item 2: Wait must return
+// the parent's cause with every goroutine joined, and the sink must have
+// seen a prefix of the stream.
+func TestChainCancelWhileEveryStageHolds(t *testing.T) {
+	testutil.CheckGoroutines(t)
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	held := make(chan struct{}, 2)
+	hold := func(x, at int) {
+		if x == at {
+			held <- struct{}{}
+			<-ctx.Done()
+		}
+	}
+	source := func(emit func(int) error) error {
+		for x := 0; ; x++ {
+			if x == 2 {
+				<-held
+				<-held
+				cancel()
+			}
+			if err := emit(x); err != nil {
+				return err
+			}
+		}
+	}
+	var sunk []int
+	g := NewGroup(ctx)
+	Chain(g, 3, source, func(x int) error {
+		sunk = append(sunk, x)
+		hold(x, 0)
+		return nil
+	}, func(x int) (int, error) {
+		hold(x, 1)
+		return x, nil
+	})
+	if err := g.Wait(); !errors.Is(err, context.Canceled) {
+		t.Fatalf("err = %v, want context.Canceled", err)
+	}
+	for i, x := range sunk {
+		if x != i {
+			t.Fatalf("the sink saw items %v, want a prefix of the stream", sunk)
+		}
+	}
+}
+
+func TestGroupWaitNilOnSuccess(t *testing.T) {
+	testutil.CheckGoroutines(t)
+	g := NewGroup(context.Background())
+	var ran atomic.Int32
+	for range 3 {
+		g.Go(func() error { ran.Add(1); return nil })
+	}
+	if err := g.Wait(); err != nil {
+		t.Fatalf("err = %v, want nil", err)
+	}
+	if ran.Load() != 3 {
+		t.Fatalf("%d of 3 goroutines ran", ran.Load())
+	}
+}
+
+// TestGroupParentEndedFirst: a parent that ends first is the group's
+// cause, not the failure a stage returns after it.
+func TestGroupParentEndedFirst(t *testing.T) {
+	testutil.CheckGoroutines(t)
+	parent, cancel := context.WithCancelCause(context.Background())
+	g := NewGroup(parent)
+	g.Go(func() error {
+		<-g.Context().Done()
+		return errors.New("stage failed after the parent ended")
+	})
+	deadline := errors.New("deadline of the caller")
+	cancel(deadline)
+	if err := g.Wait(); !errors.Is(err, deadline) {
+		t.Fatalf("err = %v, want the parent's cause", err)
+	}
+}
+
+// TestSendRecvUnblockOnFail: a Send nobody receives and a Recv nobody sends
+// to both return the group's cause once it fails; a Recv from a closed
+// channel reports it with ok false and no error.
+func TestSendRecvUnblockOnFail(t *testing.T) {
+	testutil.CheckGoroutines(t)
+	g := NewGroup(context.Background())
+	var sendErr, recvErr error
+	g.Go(func() error {
+		sendErr = Send(g.Context(), make(chan int), 1)
+		return nil
+	})
+	g.Go(func() error {
+		_, _, recvErr = Recv(g.Context(), make(chan int))
+		return nil
+	})
+	boom := errors.New("boom")
+	g.Fail(boom)
+	if err := g.Wait(); !errors.Is(err, boom) {
+		t.Fatalf("Wait = %v, want boom", err)
+	}
+	if !errors.Is(sendErr, boom) || !errors.Is(recvErr, boom) {
+		t.Fatalf("Send = %v, Recv = %v, want boom from both", sendErr, recvErr)
+	}
+	closed := make(chan int)
+	close(closed)
+	if _, ok, err := Recv(context.Background(), closed); ok || err != nil {
+		t.Fatalf("Recv on a closed channel = ok %v, err %v", ok, err)
 	}
 }

@@ -37,6 +37,7 @@ import (
 
 	"colsort"
 	"colsort/internal/optspell"
+	"colsort/internal/record"
 	"colsort/internal/wal"
 )
 
@@ -183,14 +184,14 @@ func writeBusy(w http.ResponseWriter, format string, args ...any) {
 	writeError(w, http.StatusTooManyRequests, format, args...)
 }
 
-// streamSink adapts the http.ResponseWriter into the Sort call's Sink
-// writer: headers (including the exact Content-Length — the output of an
-// n-record sort is exactly n·z bytes) go out with the first sorted chunk,
-// and every chunk is flushed so the client streams instead of waiting for
-// the handler to return. The stream's last record is held back until Sort
-// has returned nil (finish): the egress compares the multiset only at end
-// of stream, so a failure there must still leave the body short of its
-// Content-Length.
+// streamSink is the Sort call's Sink over the http.ResponseWriter: headers
+// (including the exact Content-Length — the output of an n-record sort is
+// exactly n·z bytes) go out with the first sorted chunk, and every chunk is
+// flushed so the client streams instead of waiting for the handler to
+// return. The stream's last record is held back until Sort closes the
+// writer, which it does only once the output is verified: the egress
+// compares the multiset only at end of stream, so a failure there must
+// still leave the body short of its Content-Length.
 type streamSink struct {
 	w       http.ResponseWriter
 	rc      *http.ResponseController
@@ -199,10 +200,14 @@ type streamSink struct {
 	timeout time.Duration // per-write deadline; re-armed before every chunk
 	started bool
 	sent    int64  // body bytes sent
-	tail    []byte // the body's last cap(tail) bytes, one record: sent by finish
+	tail    []byte // the body's last cap(tail) bytes, one record: sent by Close
 }
 
-func (sw *streamSink) Write(p []byte) (int, error) {
+// Open returns the sink itself: a streaming request runs one Sort.
+func (sw *streamSink) Open(int) (colsort.RecordWriter, error) { return sw, nil }
+
+func (sw *streamSink) Write(recs record.Slice) error {
+	p := recs.Data
 	if !sw.started {
 		h := sw.w.Header()
 		h.Set("Content-Type", "application/octet-stream")
@@ -214,14 +219,14 @@ func (sw *streamSink) Write(p []byte) (int, error) {
 	// Send the bytes before the body's last record; hold back the rest.
 	n := min(int64(len(p)), max(0, sw.total-int64(cap(sw.tail))-sw.sent))
 	if err := sw.send(p[:n]); err != nil {
-		return 0, err
+		return err
 	}
 	sw.tail = append(sw.tail, p[n:]...)
-	return len(p), nil
+	return nil
 }
 
-// finish sends the held-back tail, once the output is verified.
-func (sw *streamSink) finish() error { return sw.send(sw.tail) }
+// Close sends the held-back tail: Sort calls it once the output is verified.
+func (sw *streamSink) Close() error { return sw.send(sw.tail) }
 
 // send writes b to the client and flushes it.
 func (sw *streamSink) send(b []byte) error {
@@ -235,7 +240,10 @@ func (sw *streamSink) send(b []byte) error {
 	if err == nil {
 		err = sw.rc.Flush()
 	}
-	return err
+	if err != nil {
+		return fmt.Errorf("server: write response: %w", err)
+	}
+	return nil
 }
 
 // handleSortStream is the tentpole endpoint: POST /v1/sort streams the
@@ -277,13 +285,7 @@ func (s *Server) handleSortStream(w http.ResponseWriter, r *http.Request) {
 
 	sink := &streamSink{w: w, rc: http.NewResponseController(w), total: n * z,
 		jobID: entry.info.ID, timeout: s.cfg.WriteTimeout, tail: make([]byte, 0, z)}
-	res, err := s.eng.Sort(ctx, colsort.FromReader(r.Body, n), colsort.ToWriter(sink), opts...)
-	if err == nil {
-		// The output is verified: release its held-back last record.
-		if err = sink.finish(); err != nil {
-			res.Close()
-		}
-	}
+	res, err := s.eng.Sort(ctx, colsort.FromReader(r.Body, n), sink, opts...)
 	if err != nil {
 		entry.finish(nil, err)
 		if sink.started {
