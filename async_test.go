@@ -74,6 +74,7 @@ func TestSortFile(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	defer s.Close()
 	res, err := s.Sort(context.Background(), FromFile(in), ToFile(out), WithAlgorithm(Threaded))
 	if err != nil {
 		t.Fatal(err)

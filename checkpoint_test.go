@@ -36,6 +36,7 @@ func ckptConfig(t *testing.T, dir string) *Sorter {
 	if err != nil {
 		t.Fatal(err)
 	}
+	t.Cleanup(func() { s.Close() })
 	return s
 }
 

@@ -67,6 +67,9 @@ type Engine struct {
 	cfg   Config
 	total int64
 	m     pdm.Machine
+	// pool recycles the scratch files of the engine's jobs under Config.Dir
+	// (nil without one); Close removes what it holds.
+	pool *pdm.FilePool
 
 	// jobSeq numbers jobs for scratch namespacing and Result.JobID.
 	jobSeq atomic.Int64
@@ -137,30 +140,34 @@ func NewEngine(cfg EngineConfig) (*Engine, error) {
 		a.Close()
 	}
 	e := &Engine{cfg: c, total: cfg.TotalMemory, m: m}
+	if c.Dir != "" { // after the probe, which removed its files: a new engine's Dir holds none
+		e.pool = &pdm.FilePool{}
+		e.m.Backend = pdm.FileBackend{Dir: c.Dir, Pool: e.pool}
+	}
 	e.drained = sync.NewCond(&e.mu)
 	return e, nil
 }
 
 // Close marks the engine closed, fails every queued job with
-// ErrEngineClosed, and blocks until the active jobs drain. Idempotent;
-// always returns nil (the jobs own their errors).
+// ErrEngineClosed, blocks until the active jobs drain, and removes the
+// scratch files the engine kept for reuse. Idempotent; always returns nil
+// (the jobs own their errors).
 func (e *Engine) Close() error {
 	e.mu.Lock()
 	defer e.mu.Unlock()
-	if e.closed {
-		for e.active > 0 {
-			e.drained.Wait()
+	if !e.closed {
+		e.closed = true
+		for _, w := range e.queue {
+			w.err = ErrEngineClosed
+			close(w.ready)
 		}
-		return nil
+		e.queue = nil
 	}
-	e.closed = true
-	for _, w := range e.queue {
-		w.err = ErrEngineClosed
-		close(w.ready)
-	}
-	e.queue = nil
 	for e.active > 0 {
 		e.drained.Wait()
+	}
+	if e.pool != nil {
+		e.pool.Close()
 	}
 	return nil
 }

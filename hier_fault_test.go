@@ -32,6 +32,7 @@ func chaosSorter(t *testing.T, dir string, z int) *Sorter {
 	if err != nil {
 		t.Fatal(err)
 	}
+	t.Cleanup(func() { s.Close() })
 	return s
 }
 

@@ -160,6 +160,7 @@ func TestHierarchicalCancelMidFormation(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	defer s.Close()
 	bound := s.MaxRecords(Threaded)
 	n := 6 * bound
 	ctx, cancel := context.WithCancel(context.Background())

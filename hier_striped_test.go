@@ -48,6 +48,7 @@ func sorterOf(t *testing.T, cfg Config) *Sorter {
 	if err != nil {
 		t.Fatal(err)
 	}
+	t.Cleanup(func() { s.Close() })
 	return s
 }
 

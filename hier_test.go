@@ -92,6 +92,7 @@ func TestHierarchicalFileBacked3x(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
+			defer fs.Close()
 			ks := KeySpec{Offset: 8, Width: 8, Order: order}
 			res, err := fs.Sort(context.Background(), FromFile(in), ToFile(out),
 				WithAlgorithm(Threaded), WithKeySpec(ks))
@@ -136,6 +137,7 @@ func TestHierarchicalCancelMidMerge(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	defer s.Close()
 	bound := s.MaxRecords(Threaded)
 	n := 4 * bound
 	ctx, cancel := context.WithCancel(context.Background())

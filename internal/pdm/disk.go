@@ -136,9 +136,20 @@ func (d *MemDisk) Close() error {
 }
 
 // FileDisk is a disk backed by one file, for genuinely out-of-core runs.
+// Size is the written extent this disk tracks, not the file's fstat size:
+// a disk built on a recycled file (see FilePool) starts at Size 0 over a
+// file that may still hold a previous user's bytes, and ReadAt zero-fills
+// past the extent exactly as a fresh file zero-fills past EOF, so no job
+// reads bytes another left behind. The disk keeps its own path because
+// os.File.Name goes stale after a rename.
 type FileDisk struct {
-	f    *os.File
-	keep bool // Close leaves the file on disk (checkpointed spill runs)
+	f      *os.File // nil once closed
+	name   string
+	size   int64     // written extent
+	length int64     // the file's length: size, or more in a recycled file
+	keep   bool      // Close leaves the file on disk (checkpointed spill runs)
+	pool   *FilePool // Close hands the file back to it (nil: Close removes it)
+	failed bool      // an I/O error was seen: the file is never recycled
 }
 
 // NewFileDisk creates (or truncates) the file at path.
@@ -147,7 +158,7 @@ func NewFileDisk(path string) (*FileDisk, error) {
 	if err != nil {
 		return nil, fmt.Errorf("pdm: %w", err)
 	}
-	return &FileDisk{f: f}, nil
+	return &FileDisk{f: f, name: path}, nil
 }
 
 // NewKeepFileDisk creates (or truncates) the file at path, like NewFileDisk,
@@ -165,81 +176,98 @@ func NewKeepFileDisk(path string) (*FileDisk, error) {
 
 // OpenFileDisk opens an EXISTING file at path read-write without
 // truncating, keep-on-close — the resume path's reopen of a spilled run
-// that a previous process wrote and fsync'd.
+// that a previous process wrote and fsync'd. Its extent starts at the
+// file's size.
 func OpenFileDisk(path string) (*FileDisk, error) {
 	f, err := os.OpenFile(path, os.O_RDWR, 0o644)
 	if err != nil {
 		return nil, fmt.Errorf("pdm: %w", err)
 	}
-	return &FileDisk{f: f, keep: true}, nil
+	info, err := f.Stat()
+	if err != nil {
+		f.Close()
+		return nil, fmt.Errorf("pdm: %w", err)
+	}
+	return &FileDisk{f: f, name: path, size: info.Size(), length: info.Size(), keep: true}, nil
 }
 
-// ReadAt reads from the file, zero-filling beyond EOF.
+// ReadAt reads from the file, zero-filling beyond the written extent.
 func (d *FileDisk) ReadAt(p []byte, off int64) error {
-	n, err := d.f.ReadAt(p, off)
-	if err != nil {
-		if !errors.Is(err, os.ErrClosed) && n < len(p) && isEOF(err) {
-			for i := n; i < len(p); i++ {
-				p[i] = 0
-			}
-			return nil
-		}
-		return fmt.Errorf("pdm: read %s: %w", d.f.Name(), err)
+	n := min(max(d.size-off, 0), int64(len(p)))
+	m, err := d.f.ReadAt(p[:n], off)
+	if err != nil && !errors.Is(err, io.EOF) {
+		d.failed = true
+		return fmt.Errorf("pdm: read %s: %w", d.name, err)
 	}
+	clear(p[m:])
 	return nil
 }
-
-// isEOF matches io.EOF through any wrapping (a string comparison would
-// misclassify wrapped EOFs, turning a benign short read into a hard error).
-func isEOF(err error) bool { return errors.Is(err, io.EOF) }
 
 // WriteAt writes to the file at the given offset (sparse growth). An
 // out-of-space failure is classified permanent and carries ErrNoSpace, so
 // the retry layer fails fast instead of backing off against a full disk.
 func (d *FileDisk) WriteAt(p []byte, off int64) error {
-	if _, err := d.f.WriteAt(p, off); err != nil {
-		if isNoSpace(err) {
-			return MarkPermanent(fmt.Errorf("pdm: write %s: %w (%v)", d.f.Name(), ErrNoSpace, err))
+	for off > d.size && d.length > d.size {
+		// A write past the extent of a recycled file leaves a gap that must
+		// read as zeros, as a fresh file's hole does: overwrite the previous
+		// user's bytes in it.
+		if err := d.WriteAt(zeros[:min(min(off, d.length)-d.size, int64(len(zeros)))], d.size); err != nil {
+			return err
 		}
-		return fmt.Errorf("pdm: write %s: %w", d.f.Name(), err)
 	}
+	if _, err := d.f.WriteAt(p, off); err != nil {
+		d.failed = true
+		if isNoSpace(err) {
+			return MarkPermanent(fmt.Errorf("pdm: write %s: %w (%v)", d.name, ErrNoSpace, err))
+		}
+		return fmt.Errorf("pdm: write %s: %w", d.name, err)
+	}
+	d.size, d.length = max(d.size, off+int64(len(p))), max(d.length, off+int64(len(p)))
 	return nil
 }
 
-// Size returns the current file size.
-func (d *FileDisk) Size() int64 {
-	info, err := d.f.Stat()
-	if err != nil {
-		return 0
-	}
-	return info.Size()
-}
+// zeros is the source of FileDisk's gap writes.
+var zeros [64 << 10]byte
+
+// Size returns the written extent.
+func (d *FileDisk) Size() int64 { return d.size }
 
 // Path returns the backing file's path.
-func (d *FileDisk) Path() string { return d.f.Name() }
+func (d *FileDisk) Path() string { return d.name }
 
 // Sync flushes the file's dirty pages to stable storage — the fsync point
 // a manifest entry depends on before it may claim the run durable.
 func (d *FileDisk) Sync() error {
 	if err := d.f.Sync(); err != nil {
-		return fmt.Errorf("pdm: sync %s: %w", d.f.Name(), err)
+		d.failed = true
+		return fmt.Errorf("pdm: sync %s: %w", d.name, err)
 	}
 	return nil
 }
 
-// Close closes and removes the backing file; simulated disks own scratch
-// space, so nothing should outlive the run. Keep-on-close disks (see
-// NewKeepFileDisk) only close: their files are checkpoint state that a
-// resume must find.
+// Close ends the disk; simulated disks own scratch space, so nothing of it
+// should outlive the run. A disk with a pool hands its file back (see
+// FilePool) unless one of its operations failed; otherwise the file is
+// closed and removed. Keep-on-close disks (see NewKeepFileDisk) only close:
+// their files are checkpoint state that a resume must find.
 func (d *FileDisk) Close() error {
-	name := d.f.Name()
-	if err := d.f.Close(); err != nil {
-		return err
+	f := d.f
+	if f == nil {
+		return fmt.Errorf("pdm: close %s: %w", d.name, os.ErrClosed)
 	}
+	d.f = nil
 	if d.keep {
+		return f.Close()
+	}
+	if d.pool != nil && !d.failed && d.pool.recycle(f, d.name, d.size, d.length) {
 		return nil
 	}
-	return os.Remove(name)
+	err := f.Close()
+	if rerr := os.Remove(d.name); err == nil {
+		err = rerr
+	}
+	d.pool.release(nil)
+	return err
 }
 
 // FaultDisk wraps a Disk and fails every operation after a byte budget is
@@ -302,29 +330,31 @@ type FileBackend struct {
 	Prefix string
 	// Keep makes every created disk keep-on-close (see NewKeepFileDisk):
 	// the backend of a checkpointed job, whose spilled runs are durable
-	// state rather than scratch.
+	// state rather than scratch. Keep disks never use the Pool.
 	Keep bool
+	// Pool, when non-nil, recycles the files of closed disks: a new disk
+	// takes a pooled file (renamed to its own name) before creating one.
+	Pool *FilePool
 }
 
 var fileDiskSeq atomic.Int64
 
 func (b FileBackend) NewDisk(idx int) (Disk, error) {
-	if err := os.MkdirAll(b.Dir, 0o755); err != nil {
-		return nil, err
-	}
 	for {
-		gen := fileDiskSeq.Add(1)
-		path := filepath.Join(b.Dir, fmt.Sprintf("%sdisk%03d-g%05d.dat", b.Prefix, idx, gen))
-		if b.Keep {
-			// A keep backend's directory outlives the process: a resumed job
-			// forms new runs beside runs a DEAD process left, and the fresh
-			// generation counter must not truncate one of those survivors.
-			if _, err := os.Lstat(path); err == nil {
-				continue
-			}
-			return NewKeepFileDisk(path)
+		path := filepath.Join(b.Dir, fmt.Sprintf("%sdisk%03d-g%05d.dat", b.Prefix, idx, fileDiskSeq.Add(1)))
+		if !b.Keep {
+			return b.Pool.newDisk(b.Dir, path)
 		}
-		return NewFileDisk(path)
+		if err := os.MkdirAll(b.Dir, 0o755); err != nil {
+			return nil, err
+		}
+		// A keep backend's directory outlives the process: a resumed job
+		// forms new runs beside runs a DEAD process left, and the fresh
+		// generation counter must not truncate one of those survivors.
+		if _, err := os.Lstat(path); err == nil {
+			continue
+		}
+		return NewKeepFileDisk(path)
 	}
 }
 

@@ -481,6 +481,19 @@ func TestFileDiskErrorPaths(t *testing.T) {
 	if err := d2.Close(); err != nil {
 		t.Fatal(err)
 	}
+	// Size is the written extent, not fstat: a reopened file starts at its
+	// size on disk.
+	if err := os.WriteFile(filepath.Join(dir, "kept.dat"), []byte("0123456789"), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	d3, err := OpenFileDisk(filepath.Join(dir, "kept.dat"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer d3.Close()
+	if d3.Size() != 10 {
+		t.Fatalf("reopened file has size %d, want 10", d3.Size())
+	}
 }
 
 func TestFaultDiskPassthrough(t *testing.T) {

@@ -1,0 +1,188 @@
+package pdm
+
+import (
+	"bytes"
+	"fmt"
+	"os"
+	"path/filepath"
+	"strings"
+	"testing"
+
+	"colsort/internal/record"
+	"colsort/internal/sim"
+)
+
+// names lists the base names of the files under dir.
+func names(t *testing.T, dir string) []string {
+	t.Helper()
+	entries, err := os.ReadDir(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var out []string
+	for _, e := range entries {
+		out = append(out, e.Name())
+	}
+	return out
+}
+
+// TestRecycledFileDisk: a disk on a pooled file starts empty whatever the
+// file held — Size 0, zeros past its extent and in a gap below it — names
+// its own path, and is removed rather than pooled once an operation failed.
+func TestRecycledFileDisk(t *testing.T) {
+	dir := t.TempDir()
+	pool := &FilePool{}
+	b := FileBackend{Dir: dir, Prefix: "job00001-", Pool: pool}
+	poison := bytes.Repeat([]byte{0xA5}, 8192)
+
+	d1, err := b.NewDisk(0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := d1.WriteAt(poison, 0); err != nil {
+		t.Fatal(err)
+	}
+	if err := d1.Close(); err != nil {
+		t.Fatal(err)
+	}
+	got := names(t, dir)
+	if len(got) != 1 || strings.HasPrefix(got[0], b.Prefix) {
+		t.Fatalf("after Close the directory holds %v, want one pool file without the job prefix", got)
+	}
+	pooled, err := os.Stat(filepath.Join(dir, got[0]))
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	b.Prefix = "job00002-"
+	disk, err := b.NewDisk(1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	d2 := disk.(*FileDisk)
+	if got := names(t, dir); len(got) != 1 || got[0] != filepath.Base(d2.Path()) || !strings.HasPrefix(got[0], b.Prefix) {
+		t.Fatalf("recycled disk's file is %v, Path %q", got, d2.Path())
+	}
+	if fi, err := os.Stat(d2.Path()); err != nil || !os.SameFile(fi, pooled) {
+		t.Fatalf("second disk is not on the first one's file")
+	}
+	if d2.Size() != 0 {
+		t.Fatalf("recycled disk has Size %d, want 0", d2.Size())
+	}
+	buf := make([]byte, 16)
+	if err := d2.ReadAt(buf, 0); err != nil || !bytes.Equal(buf, make([]byte, 16)) {
+		t.Fatalf("read of an empty recycled disk = %x, %v; want zeros", buf, err)
+	}
+	// A short extent, then a write past a gap: both the tail past the
+	// extent and the gap read as zeros, as in a fresh sparse file.
+	if err := d2.WriteAt([]byte("abc"), 0); err != nil {
+		t.Fatal(err)
+	}
+	if err := d2.ReadAt(buf[:8], 0); err != nil || !bytes.Equal(buf[:8], []byte{'a', 'b', 'c', 0, 0, 0, 0, 0}) {
+		t.Fatalf("read across the extent = %q, %v", buf[:8], err)
+	}
+	if err := d2.WriteAt([]byte("xyz"), 4096); err != nil {
+		t.Fatal(err)
+	}
+	if d2.Size() != 4099 {
+		t.Fatalf("Size = %d, want 4099", d2.Size())
+	}
+	gap := make([]byte, 4096)
+	if err := d2.ReadAt(gap, 3); err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(gap[:4093], make([]byte, 4093)) || string(gap[4093:]) != "xyz" {
+		t.Fatalf("gap below the extent holds the previous user's bytes")
+	}
+
+	// The file closed underneath the disk: the write fails, names the
+	// disk's current path, and Close removes the file instead of pooling it.
+	d2.f.Close()
+	err = d2.WriteAt([]byte("late"), 0)
+	if err == nil || !strings.Contains(err.Error(), d2.Path()) {
+		t.Fatalf("write to a closed file: %v, want an error naming %s", err, d2.Path())
+	}
+	d2.Close()
+	if got := names(t, dir); len(got) != 0 {
+		t.Fatalf("failed disk left %v behind", got)
+	}
+	if _, _, free := pool.Stats(); free != 0 {
+		t.Fatalf("failed disk's file pooled")
+	}
+	d3, err := b.NewDisk(2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if open, peak, _ := pool.Stats(); d3.(*FileDisk).length != 0 || open != 1 || peak != 1 {
+		t.Fatalf("after a failed disk: length %d, %d open, peak %d; want a fresh file", d3.(*FileDisk).length, open, peak)
+	}
+	if err := d3.Close(); err != nil {
+		t.Fatal(err)
+	}
+	pool.Close()
+	if got := names(t, dir); len(got) != 0 {
+		t.Fatalf("closed pool left %v behind", got)
+	}
+	// A disk closed after its pool removes its own file.
+	d4, err := b.NewDisk(3)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := d4.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if got := names(t, dir); len(got) != 0 {
+		t.Fatalf("disk closed after its pool left %v behind", got)
+	}
+}
+
+// BenchmarkStorePass is one pass over a file-backed store — every column
+// written, then read back — on new files (pool=none, each disk created and
+// unlinked) and on recycled ones (pool=warm).
+func BenchmarkStorePass(b *testing.B) {
+	const r, s, z, p = 8192, 16, 64, 2
+	cols := make([]record.Slice, s)
+	for j := range cols {
+		cols[j] = record.Make(r, z)
+		record.Fill(cols[j], record.Uniform{Seed: uint64(j)}, 0)
+	}
+	dst := record.Make(r, z)
+	for _, warm := range []bool{false, true} {
+		b.Run(fmt.Sprintf("pool=%s", map[bool]string{false: "none", true: "warm"}[warm]), func(b *testing.B) {
+			backend := FileBackend{Dir: b.TempDir()}
+			if warm {
+				backend.Pool = &FilePool{}
+				defer backend.Pool.Close()
+			}
+			m := Machine{P: p, D: p, Backend: backend}
+			pass := func() {
+				st, err := m.NewStore(r, s, z, ColumnOwned)
+				if err != nil {
+					b.Fatal(err)
+				}
+				var cnt sim.Counters
+				for j := range cols {
+					if err := st.WriteRows(&cnt, st.Owner(0, j), j, 0, cols[j]); err != nil {
+						b.Fatal(err)
+					}
+				}
+				for j := range cols {
+					if err := st.ReadRows(&cnt, st.Owner(0, j), j, 0, dst); err != nil {
+						b.Fatal(err)
+					}
+				}
+				if err := st.Close(); err != nil {
+					b.Fatal(err)
+				}
+			}
+			if warm {
+				pass()
+			}
+			b.SetBytes(r * s * z)
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				pass()
+			}
+		})
+	}
+}

@@ -243,6 +243,7 @@ func TestSortCancelTearsDown(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	defer s.Close()
 
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
@@ -289,6 +290,7 @@ func TestSortCancelDuringIngest(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	defer s.Close()
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel() // already dead: ingest must notice before the engine starts
 	if _, err := s.Sort(ctx, Generate(record.Uniform{Seed: 1}, 1<<15), nil); !errors.Is(err, context.Canceled) {
