@@ -30,8 +30,9 @@
 //
 // Inputs beyond the selected algorithm's problem-size bound — or beyond a
 // -max-memory-mib cap — sort hierarchically: replacement-selection runs
-// formed over one run's memory, streamed through a loser-tree k-way merge
-// (-merge-fanin) into the output file. -plan prints which of the two a
+// formed over H resident records (the cap's records, or without one the
+// algorithm's largest single run), merged by loser-tree k-way merges
+// (-merge-fanin), the last streaming into the output file. -plan prints which of the two a
 // command line would execute (Engine.PlanSort) and exits.
 //
 // -checkpoint DIR persists a run manifest while a hierarchical sort spills
@@ -193,21 +194,21 @@ func main() {
 	wall := time.Since(start)
 	switch alg := res.Plan.Alg; {
 	case *inPath != "":
-		fmt.Printf("sorted %d records of %s into %s (plan: %s)\n", res.RealRecords(), *inPath, *outPath, res.Plan.String())
+		fmt.Printf("sorted %d records of %s into %s (plan: %s)\n", res.RealRecords(), *inPath, *outPath, res.Summary().Plan)
 		fmt.Println("verified as emitted: order checked record by record, multiset preserved")
 	case alg != colsort.BaselineIO3 && alg != colsort.BaselineIO4:
 		if err := res.Verify(); err != nil {
 			fmt.Fprintln(os.Stderr, "VERIFICATION FAILED:", err)
 			os.Exit(1)
 		}
-		fmt.Println("plan:", res.Plan.String())
+		fmt.Println("plan:", res.Summary().Plan)
 		if res.Merge != nil {
 			fmt.Println("verified as emitted: order checked record by record, multiset preserved")
 		} else {
 			fmt.Println("verified: output sorted in PDM order, multiset preserved")
 		}
 	default:
-		fmt.Println("plan:", res.Plan.String())
+		fmt.Println("plan:", res.Summary().Plan)
 	}
 	report(res, wall)
 }

@@ -74,9 +74,10 @@ var ErrHeightRestriction = core.ErrHeightRestriction
 // hierarchical path). Detect with errors.Is.
 var ErrSinkRequired = errors.New("colsort: a non-nil Sink is required")
 
-// ErrMemoryTooSmall marks a WithMaxMemory cap under which no single run is
-// plannable, so the hierarchical path cannot form runs at all. Detect with
-// errors.Is.
+// ErrMemoryTooSmall marks a WithMaxMemory cap too small for the
+// hierarchical path's merges: it cannot hold f + 4 merge chunks of 64
+// records, f being the runs one merge takes (the fan-in, or the worst-case
+// run count when that is fewer). Detect with errors.Is.
 var ErrMemoryTooSmall = errors.New("colsort: the WithMaxMemory cap is too small")
 
 // ErrNoSpace marks a spill write that failed because the underlying device
@@ -176,12 +177,12 @@ type Result struct {
 	// Merge, non-nil after a hierarchical (above-bound) sort, reports the
 	// run formation and merge statistics. Hierarchical results have a nil
 	// Output — the sorted records were streamed to the Sink, verified on
-	// the way — and their Plan describes ONE run of Merge.RunRecords
-	// records, not the whole input. PassCounters (and therefore Estimate /
-	// EstimateBeowulf) hold two synthetic passes — the former's
-	// selection work and the merge tree's — because no engine pass runs
-	// above the bound; the byte traffic itself is reported here in
-	// BytesRead/BytesWritten.
+	// the way — and no columnsort run: their Plan names only the algorithm
+	// asked for and the machine (Summary().Plan says what ran).
+	// PassCounters (and therefore Estimate / EstimateBeowulf) hold two
+	// synthetic passes — the former's selection work and the merge tree's
+	// — because no engine pass runs above the bound; the byte traffic
+	// itself is reported here in BytesRead/BytesWritten.
 	Merge *MergeStats
 }
 
@@ -209,9 +210,9 @@ func (r *Result) TotalCounters() sim.Counters {
 // colsort-server's job summaries; TestWireEncodingGolden pins them.
 type MergeStats struct {
 	Runs       int   `json:"runs"`        // sorted runs formed
-	Levels     int   `json:"levels"`      // merge-tree levels, including the final merge into the Sink
+	Levels     int   `json:"levels"`      // height of the merge tree this process merged, the final merge into the Sink included; adopted runs are its leaves
 	FanIn      int   `json:"fan_in"`      // maximum runs merged at once
-	RunRecords int64 `json:"run_records"` // records one run's memory budget holds (the single-run plan's N, the former's capacity); runs average ~2× it on random input
+	RunRecords int64 `json:"run_records"` // H: the records replacement selection holds resident, the former's arena (SortPlan.RunRecords); runs average ~2× it on random input
 
 	BytesRead    int64 `json:"bytes_read"`    // bytes read back from spilled runs by the merges
 	BytesWritten int64 `json:"bytes_written"` // bytes written to run spills (formation and intermediate levels) plus streamed to the Sink
@@ -242,8 +243,10 @@ type ResultSummary struct {
 	JobID int64 `json:"job_id"`
 	// Records is the number of caller records sorted (padding excluded).
 	Records int64 `json:"records"`
-	// Plan is the human-readable execution plan. For hierarchical sorts it
-	// describes ONE run's memory budget; see Merge for the overall shape.
+	// Plan is the human-readable execution plan: the columnsort run, or
+	// for a hierarchical sort what ran above the bound — runs + merge, H,
+	// the fan-in, the worst-case run count and merge depth, as
+	// SortPlan.String prints them; see Merge for what the sort measured.
 	Plan string `json:"plan"`
 	// Merge is non-nil after a hierarchical (above-bound) sort.
 	Merge *MergeStats `json:"merge,omitempty"`
@@ -269,6 +272,7 @@ func (r *Result) Summary() ResultSummary {
 	if r.Merge != nil {
 		m := *r.Merge
 		s.Merge = &m
+		s.Plan = SortPlan{MaxRuns: int((r.realN-1)/m.RunRecords + 1), RunRecords: m.RunRecords, FanIn: m.FanIn}.String()
 	}
 	return s
 }

@@ -5,8 +5,8 @@ package colsort
 // record.Pool arenas, the spill-disk scratch directory — and hands out
 // per-job leases so N concurrent Engine.Sort calls share warm buffers
 // instead of each fragmenting its own. Admission is controlled by memory
-// budget: each job asks for the bytes its run plan needs (or its
-// WithMaxMemory cap, when given), the asks are debited against
+// budget: each job asks for the bytes of the records it holds at a time (or
+// its WithMaxMemory cap, when given), the asks are debited against
 // EngineConfig.TotalMemory, and jobs that do not fit queue FIFO with
 // ctx-aware waiting (or fail fast under WithNoWait). Fault counters,
 // progress callbacks and cancellation stay job-scoped; the engine
@@ -43,11 +43,11 @@ type EngineConfig struct {
 	Config
 	// TotalMemory is the engine-wide memory budget, in bytes, that
 	// concurrent jobs' asks are debited against. A job's ask is its
-	// WithMaxMemory cap when given, otherwise the record bytes of its run
-	// plan (N·RecordSize of the single run it executes — the dominant
-	// term of a job's footprint; stores, pools and merge chunks are all
-	// sized from it). 0 disables admission control: every job is admitted
-	// immediately.
+	// WithMaxMemory cap when given, otherwise the record bytes of what it
+	// holds in memory at a time (SortPlan.RunRecords · RecordSize: the
+	// single run it executes, or above the bound the former's resident set
+	// — the dominant term of a job's footprint). 0 disables admission
+	// control: every job is admitted immediately.
 	TotalMemory int64
 }
 

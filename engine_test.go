@@ -395,9 +395,11 @@ func TestEngineClose(t *testing.T) {
 }
 
 // hierOpts forces a small hierarchical sort: a run cap that splits n into
-// several spilled runs, so the spill/merge fault machinery engages.
+// several spilled runs, so the spill/merge fault machinery engages, at a
+// fan-in of 4, whose merges' 4 + 4 chunks of 64 records a 512-record cap
+// holds.
 func hierOpts(cap int64) []Option {
-	return []Option{WithMaxMemory(cap)}
+	return []Option{WithMaxMemory(cap), WithMergeFanIn(4)}
 }
 
 // TestConfigOptionPrecedence pins that fault injection is job-scoped: a
@@ -546,7 +548,7 @@ func TestEngineStatsAccumulate(t *testing.T) {
 		}
 	}
 	ctx := context.Background()
-	hier := []Option{WithMaxMemory(512 * z)} // several spilled runs of n
+	hier := []Option{WithMaxMemory(512 * z), WithMergeFanIn(4)} // several spilled runs of n; the cap holds a fan-in-4 merge
 	for i := 0; i < 3; i++ {
 		fold(e.Sort(ctx, Generate(record.Uniform{Seed: uint64(i)}, 1024), nil, WithPadding(PadNever)))
 	}

@@ -4,23 +4,23 @@ package colsort
 // columnsort run's problem-size bound. When n exceeds what one run can hold
 // (the algorithm's restriction, or a WithMaxMemory cap), the source stream
 // is cut into sorted runs by batched replacement selection over a resident
-// set one run plan's records large (internal/runform: sorted chunks split at
-// the run's last record, merged as mini-runs), each run spilled CRC-framed
-// and verified; and the runs are combined by a loser-tree k-way
-// merge with prefetch on the run reads and write-behind on the merged
-// output, streaming straight into the Sink — no extra materialization
-// pass. The columnsort engine is not on this path: the paper's passes run
+// set of H records (SortPlan.RunRecords; internal/runform: sorted chunks
+// split at the run's last record, merged as mini-runs), each run spilled
+// CRC-framed and verified; and the runs are combined by loser-tree k-way
+// merges in Huffman's optimal merge pattern (schedule), with prefetch on
+// the run reads and write-behind on the merged output, the last streaming
+// straight into the Sink — no extra materialization pass. The columnsort engine is not on this path: the paper's passes run
 // below the bound, replacement selection + merge above it. See DESIGN.md §7
 // and §12.
 
 import (
+	"cmp"
+	"context"
 	"errors"
 	"fmt"
-	"math"
 	"math/bits"
 	"os"
-
-	"context"
+	"slices"
 
 	"colsort/internal/core"
 	"colsort/internal/merge"
@@ -55,22 +55,21 @@ const formationName = "replacement-select"
 // a WithMaxMemory cap, clamped so chunks stay large enough to amortize
 // per-chunk costs yet bounded in memory. The cap m is divided step by step,
 // ⌊⌊m/z⌋/(fanIn+4)⌋, which equals ⌊m/((fanIn+4)·z)⌋ but never forms that
-// product: any fan-in ≥ 2 is legal, and a huge one would overflow it.
+// product: any fan-in ≥ 2 is legal, and a huge one would overflow it. A cap
+// whose chunks would fall below minMergeChunk is refused by resolve
+// (ErrMemoryTooSmall).
 func (e *Engine) mergeChunkRecs(o sortOptions, fanIn int) int {
-	c := e.cfg.MemPerProc / 2
+	c := uint64(e.cfg.MemPerProc / 2)
 	if o.maxMemory > 0 {
-		if byBudget := uint64(o.maxMemory/int64(e.cfg.RecordSize)) / (uint64(fanIn) + 4); byBudget < uint64(c) {
-			c = int(byBudget)
-		}
+		c = min(c, uint64(o.maxMemory/int64(e.cfg.RecordSize))/(uint64(fanIn)+4))
 	}
-	if c < 64 {
-		c = 64
-	}
-	if c > 1<<16 {
-		c = 1 << 16
-	}
-	return c
+	return int(min(max(c, minMergeChunk), 1<<16))
 }
+
+// minMergeChunk is the fewest records a merge chunk holds: the merge's
+// floor, (fanIn + 4)·minMergeChunk records, is the smallest cap a
+// hierarchical sort accepts.
+const minMergeChunk = 64
 
 // hierRun is one live run of a hierarchical sort and the manifest id that
 // names it (0 when the job is not checkpointed).
@@ -80,17 +79,17 @@ type hierRun struct {
 }
 
 // hierJob owns ALL the state of one hierarchical sort: what was asked
-// (options, codec, n, the run plan), what that resolves to (fan-in, merge
-// chunk, the redo policy), and what the sort accumulates — the spill-disk
+// (options, codec, n, the run capacity), what that resolves to (fan-in,
+// merge chunk, the redo policy), and what the sort accumulates — the spill-disk
 // sequence, the ingest checksum, stats, the manifest log and the live run
 // set. The phases are its methods; the run set is closed once,
 // by sortHierarchical's defer, on every path.
 type hierJob struct {
 	*job
-	o     sortOptions
-	codec record.KeyCodec
-	n     int64
-	runPl core.Plan
+	o       sortOptions
+	codec   record.KeyCodec
+	n       int64
+	runRecs int // H: the former's capacity, below its 2³¹−1 slots (resolve)
 
 	fanIn, chunk int
 	pool         *record.Pool // chunk buffers: formation's pipeline, the merges' run readers
@@ -118,18 +117,15 @@ type hierJob struct {
 	resumed    bool  // formation happened in a previous process; this one only merges
 }
 
-// newHierJob resolves the options of a hierarchical sort of n records in
-// runPl-sized runs into the job value its phases run on. The caller has
-// already compiled the codec, validated the options and chosen runPl.
-func (j *job) newHierJob(o sortOptions, codec record.KeyCodec, n int64, runPl core.Plan) *hierJob {
-	h := &hierJob{job: j, o: o, codec: codec, n: n, runPl: runPl, pool: j.m.Pools[0],
-		fanIn: o.fanIn, redoBudget: defaultRedoBudget, scrub: j.m.Chaos != nil}
-	if h.fanIn == 0 {
-		h.fanIn = defaultMergeFanIn
-	}
+// newHierJob resolves the options of a hierarchical sort of n records as
+// resolve planned it (sp) into the job value its phases run on. The caller
+// has already compiled the codec and validated the options.
+func (j *job) newHierJob(o sortOptions, codec record.KeyCodec, n int64, sp SortPlan) *hierJob {
+	h := &hierJob{job: j, o: o, codec: codec, n: n, runRecs: int(sp.RunRecords), pool: j.m.Pools[0],
+		fanIn: sp.FanIn, redoBudget: defaultRedoBudget, scrub: j.m.Chaos != nil}
 	h.chunk = j.e.mergeChunkRecs(o, h.fanIn)
 	h.w = merge.NewWriter(nil, j.e.cfg.RecordSize, h.chunk)
-	h.stats = &MergeStats{FanIn: h.fanIn, RunRecords: runPl.N, Formation: formationName}
+	h.stats = &MergeStats{FanIn: h.fanIn, RunRecords: sp.RunRecords, Formation: formationName}
 	if o.retry != nil {
 		if o.retry.RedoBudget != 0 {
 			h.redoBudget = max(o.retry.RedoBudget, 0)
@@ -174,14 +170,12 @@ func (h *hierJob) sortHierarchical(ctx context.Context, rd RecordReader, dst Sin
 	return h.mergePhase(ctx, dst)
 }
 
-// closeRuns closes every run still in the live set.
+// closeRuns closes every run still in the live set and empties it.
 func (h *hierJob) closeRuns() {
-	for i, r := range h.live {
-		if r.run != nil {
-			r.run.Close()
-			h.live[i] = hierRun{}
-		}
+	for _, r := range h.live {
+		r.run.Close()
 	}
+	h.live = nil
 }
 
 // newSpill allocates the job's next spill disk and arms the job's writer on
@@ -208,9 +202,7 @@ func (h *hierJob) commitRun(run *merge.Run) error {
 	if h.stats.MinRunRecords == 0 || run.Records < h.stats.MinRunRecords {
 		h.stats.MinRunRecords = run.Records
 	}
-	if run.Records > h.stats.MaxRunRecords {
-		h.stats.MaxRunRecords = run.Records
-	}
+	h.stats.MaxRunRecords = max(h.stats.MaxRunRecords, run.Records)
 	if h.ckpt == nil {
 		return nil
 	}
@@ -244,7 +236,7 @@ type formMsg struct {
 // formReplacementRuns is the run producer: variable-length sorted runs
 // formed by the former, consuming the source stream directly. Records are
 // encoded into normalized key space as they arrive and handed over as
-// sorted chunks (ingest), the former's resident set (runPl.N records — the
+// sorted chunks (ingest), the former's resident set (runRecs records — the
 // memory the job's admission lease charges) emits each run in its chosen
 // direction (select, on the calling goroutine: the former, BreakRun and
 // every Progress call stay here, in one order whatever the scheduler does),
@@ -261,9 +253,6 @@ type formMsg struct {
 // what the call returns, once both goroutines have exited. The ingest stage
 // is the only code that touches rd, so the caller may then close it.
 func (h *hierJob) formReplacementRuns(ctx context.Context, rd RecordReader) error {
-	if h.runPl.N > math.MaxInt32 { // the former's arena indices are int32
-		return fmt.Errorf("colsort: run plan of %d records exceeds the former's 2³¹−1 slots; set WithMaxMemory", h.runPl.N)
-	}
 	g := pipeline.NewGroup(ctx)
 	chunks := make(chan runform.Chunk)
 	msgs := make(chan formMsg, 1)
@@ -282,7 +271,7 @@ func (h *hierJob) formReplacementRuns(ctx context.Context, rd RecordReader) erro
 // pooled buffer, which it sends on; it closes the channel behind the last.
 func (h *hierJob) ingest(ctx context.Context, rd RecordReader, out chan<- runform.Chunk) error {
 	z := h.e.cfg.RecordSize
-	stage := h.pool.Get(runform.ChunkLen(int(h.runPl.N)), z)
+	stage := h.pool.Get(runform.ChunkLen(h.runRecs), z)
 	defer h.pool.Put(stage)
 	sc := sortalg.GetScratch()
 	defer sortalg.PutScratch(sc)
@@ -321,7 +310,7 @@ func (h *hierJob) ingest(ctx context.Context, rd RecordReader, out chan<- runfor
 // needs stays within two extra resident sets' worth, at the cost of splitting
 // longer-than-expected runs while scrubbing.
 func (h *hierJob) selectRuns(ctx context.Context, in <-chan runform.Chunk, out chan<- formMsg) {
-	f := runform.NewChunked(int(h.runPl.N), h.e.cfg.RecordSize, h.pool, func() (runform.Chunk, error) {
+	f := runform.NewChunked(h.runRecs, h.e.cfg.RecordSize, h.pool, func() (runform.Chunk, error) {
 		c, _, err := pipeline.Recv(ctx, in)
 		return c, err // no records once the ingest stage has closed the stream behind its last chunk
 	})
@@ -355,7 +344,7 @@ func (h *hierJob) selectRuns(ctx context.Context, in <-chan runform.Chunk, out c
 			if pipeline.Send(ctx, out, formMsg{chunk: buf.Sub(0, got)}) != nil {
 				return
 			}
-			if h.retain() && recs >= 2*h.runPl.N {
+			if h.retain() && recs >= 2*int64(h.runRecs) {
 				f.BreakRun() // bound redo memory; the rest becomes the next run
 			}
 		}
@@ -471,45 +460,53 @@ func (h *hierJob) spillRuns(ctx context.Context, in <-chan formMsg) error {
 	}
 }
 
-// span is one group [lo, hi) of a merge level.
-type span struct{ lo, hi int }
-
-// mergeGroups is the shape of one merge-tree level over k runs: consecutive
-// groups of up to fanIn. A group of one — the lone leftover — passes through
-// to the next level unrewritten.
-func mergeGroups(k, fanIn int) []span {
-	groups := make([]span, 0, (k+fanIn-1)/fanIn)
-	for lo := 0; lo < k; lo += fanIn {
-		groups = append(groups, span{lo, min(lo+fanIn, k)})
+// schedule is the merge schedule: Huffman's optimal merge pattern (Knuth,
+// TAOCP vol. 3 §5.4.9) over runs of the given record counts, in live-set
+// order. While more than f runs are live, the next merge takes the
+// ((k−2) mod (f−1)) + 2 smallest of the k runs — f in steady state — ties
+// going to the earlier position, and its output joins the live set at the
+// end (retire); the final merge takes the rest. It returns the merges in
+// order, each the ascending positions of its inputs in the live set as it
+// stands then, the records they emit together, and the height of the tree,
+// the final merge's level included, over the runs it starts from as leaves.
+// It is a function of the live set alone, so a resumed job, whose manifest
+// replays the live runs in log order, continues the same schedule. It
+// consumes lens.
+func schedule(lens []int64, fanIn int) (merges [][]int, records int64, height int) {
+	heights := make([]int, len(lens))
+	for k := len(lens); k > fanIn; k = len(lens) {
+		pos := make([]int, k)
+		for i := range pos {
+			pos[i] = i
+		}
+		slices.SortStableFunc(pos, func(a, b int) int { return cmp.Compare(lens[a], lens[b]) })
+		pick := pos[:(k-2)%(fanIn-1)+2]
+		slices.Sort(pick)
+		var sum int64
+		up := 0
+		for _, i := range pick {
+			sum, up = sum+lens[i], max(up, heights[i]+1)
+		}
+		merges, records = append(merges, pick), records+sum
+		lens, heights = retire(lens, pick, sum), retire(heights, pick, up)
 	}
-	return groups
+	return merges, records, slices.Max(heights) + 1
+}
+
+// retire is one step of the schedule on a live set: it removes the entries
+// at the ascending positions pick, keeping the others in order, and appends
+// the merge's output.
+func retire[T any](live []T, pick []int, out T) []T {
+	for _, p := range slices.Backward(pick) {
+		live = slices.Delete(live, p, p+1)
+	}
+	return append(live, out)
 }
 
 // mergeProgress builds the merge phase's progress emitter. Merge progress
-// is cumulative across EVERY level, against the total record count all
-// merges together will emit — and clamped monotonic in the emitter: with
-// variable-length runs (and pass-through leftovers) a per-level percent
-// could otherwise regress between levels.
-func (h *hierJob) mergeProgress() func(merged int64) {
-	sizes := make([]int64, len(h.live))
-	for i, r := range h.live {
-		sizes[i] = r.run.Records
-	}
-	mergeTotal := h.n // the final merge emits every record
-	for len(sizes) > h.fanIn {
-		var next []int64
-		for _, g := range mergeGroups(len(sizes), h.fanIn) {
-			var sum int64
-			for _, v := range sizes[g.lo:g.hi] {
-				sum += v
-			}
-			if g.hi-g.lo > 1 {
-				mergeTotal += sum
-			}
-			next = append(next, sum)
-		}
-		sizes = next
-	}
+// is cumulative across EVERY merge, against mergeTotal, the record count
+// all merges together will emit — and clamped monotonic in the emitter.
+func (h *hierJob) mergeProgress(mergeTotal int64) func(merged int64) {
 	runs := len(h.live)
 	var lastEmitted int64
 	return func(merged int64) {
@@ -519,46 +516,23 @@ func (h *hierJob) mergeProgress() func(merged int64) {
 	}
 }
 
-// mergeLevel runs one intermediate level of the merge tree, rewriting
-// h.live in place: each group's output lands at or before the slots its
-// inputs vacate, so at every instant — an error return included — each
-// open run sits in h.live exactly once.
-func (h *hierJob) mergeLevel(ctx context.Context, opt merge.Options) error {
-	w := 0
-	for _, g := range mergeGroups(len(h.live), h.fanIn) {
-		out := h.live[g.lo]
-		if g.hi-g.lo > 1 {
-			var err error
-			if out, err = h.mergeGroup(ctx, h.live[g.lo:g.hi], opt); err != nil {
-				return err
-			}
-		}
-		for i := g.lo; i < g.hi; i++ {
-			h.live[i] = hierRun{}
-		}
-		h.live[w] = out
-		w++
-	}
-	h.live = h.live[:w]
-	return nil
-}
-
-// mergeGroup merges one group of live runs into a new spilled run and
-// retires the inputs. On error the inputs are untouched.
-func (h *hierJob) mergeGroup(ctx context.Context, in []hierRun, opt merge.Options) (hierRun, error) {
-	runs := make([]*merge.Run, len(in))
-	ids := make([]int, len(in))
-	for i, r := range in {
-		runs[i], ids[i] = r.run, r.id
+// mergeInto runs one intermediate merge of the schedule: the live runs at
+// positions pick, merged into a new spilled run, leave the live set, and the
+// new run joins it at the end. On error the live set is untouched.
+func (h *hierJob) mergeInto(ctx context.Context, pick []int, opt merge.Options) error {
+	runs := make([]*merge.Run, len(pick))
+	ids := make([]int, len(pick))
+	for i, p := range pick {
+		runs[i], ids[i] = h.live[p].run, h.live[p].id
 	}
 	d, err := h.newSpill()
 	if err != nil {
-		return hierRun{}, err
+		return err
 	}
 	out, st, err := merge.MergeToRun(ctx, runs, h.w, opt)
 	if err != nil {
 		d.Close()
-		return hierRun{}, err
+		return err
 	}
 	h.stats.BytesRead += st.BytesRead
 	h.stats.BytesWritten += st.BytesWritten
@@ -573,40 +547,47 @@ func (h *hierJob) mergeGroup(ctx context.Context, in []hierRun, opt merge.Option
 		// — never a gap in the data.
 		if err := pdm.SyncDisk(out.Disk); err != nil {
 			out.Close()
-			return hierRun{}, err
+			return err
 		}
 		if merged.id, err = h.ckpt.logMerged(out, ids); err != nil {
 			out.Close()
-			return hierRun{}, err
+			return err
 		}
 	}
 	for _, r := range runs {
 		h.closeConsumedRun(r)
 	}
-	return merged, nil
+	h.live = retire(h.live, pick, merged)
+	return nil
 }
 
-// mergePhase reduces the run set level by level and streams the final merge
-// into the sink, verifying order in-stream on the merge's verify stage and
-// the multiset at end of stream. Under checkpointing each intermediate merge
+// mergePhase reduces the run set merge by merge, as schedule orders, and
+// streams the final merge into the sink, verifying order in-stream on the
+// merge's verify stage and the multiset at end of stream. Under checkpointing each intermediate merge
 // output becomes durable (fsync + "merged" WAL entry) before its consumed
 // inputs are removed, so a crash at any point leaves a run set that
 // re-merges to byte-identical output; on success the checkpoint state is
 // retired.
 func (h *hierJob) mergePhase(ctx context.Context, dst Sink) (*Result, error) {
 	opt := merge.Options{ChunkRecs: h.chunk, Faults: &h.faults, Pool: h.pool}
+	lens := make([]int64, len(h.live))
+	for i, r := range h.live {
+		lens[i] = r.run.Records
+	}
+	merges, records, levels := schedule(lens, h.fanIn)
+	h.stats.Levels = levels
 	if h.o.progress != nil {
-		opt.Progress = h.mergeProgress()
+		opt.Progress = h.mergeProgress(h.n + records) // the final merge emits every record
 	}
 
-	// Merge tree: reduce the run set level by level until one merge fans
-	// into the sink. The merges verify every CRC frame they load, healing
-	// transient read corruption with a reread and counting both into the
-	// job's fault stats, and check every level's order; only the final
-	// merge fingerprints its multiset, the one the ingest checksum meets.
-	for len(h.live) > h.fanIn {
-		h.stats.Levels++
-		if err := h.mergeLevel(ctx, opt); err != nil {
+	// Merge tree: reduce the run set one scheduled merge at a time until
+	// one merge fans into the sink. The merges verify every CRC frame they
+	// load, healing transient read corruption with a reread and counting
+	// both into the job's fault stats, and check every merge's order; only
+	// the final merge fingerprints its multiset, the one the ingest checksum
+	// meets.
+	for _, pick := range merges {
+		if err := h.mergeInto(ctx, pick, opt); err != nil {
 			return nil, err
 		}
 	}
@@ -618,7 +599,6 @@ func (h *hierJob) mergePhase(ctx context.Context, dst Sink) (*Result, error) {
 	// chunks that passed and writes them to the sink. A chunk out of order
 	// never reaches the sink, and the multiset meets the ingest checksum
 	// before the writer is closed — a late failure aborts it instead.
-	h.stats.Levels++
 	runs := make([]*merge.Run, len(h.live))
 	for i, r := range h.live {
 		runs[i] = r.run
@@ -644,8 +624,8 @@ func (h *hierJob) mergePhase(ctx context.Context, dst Sink) (*Result, error) {
 	// happened before a crash — the former's selection before it. Engine.Stats'
 	// cumulative counters (and the server's /metrics derived from them) stay
 	// meaningful.
-	z := int64(h.runPl.Z)
-	mergeRecs := h.mergedBase + h.n // every record each merge level emitted
+	z := int64(h.e.cfg.RecordSize)
+	mergeRecs := h.mergedBase + h.n // every record each merge emitted
 	mergePass := []sim.Counters{{
 		CompareUnits:   mergeRecs * int64(bits.Len64(uint64(h.fanIn))),
 		DiskReadBytes:  h.stats.BytesRead,
@@ -657,15 +637,18 @@ func (h *hierJob) mergePhase(ctx context.Context, dst Sink) (*Result, error) {
 	passCnts := [][]sim.Counters{mergePass}
 	if !h.resumed {
 		formPass := []sim.Counters{{
-			CompareUnits:   h.n * int64(bits.Len64(uint64(h.runPl.N))),
+			CompareUnits:   h.n * int64(bits.Len64(uint64(h.runRecs))),
 			DiskWriteBytes: h.formSpill,
 			DiskWriteOps:   int64(h.stats.Runs),
 			MovedBytes:     2 * h.n * z, // arrival + run emit; the chunk sort's gather is not charged
 		}}
 		passCnts = [][]sim.Counters{formPass, mergePass}
 	}
+	// No columnsort run executed: the plan names only the algorithm asked
+	// for and the machine, whose D the cost model's estimate reads.
+	c := h.e.cfg
 	return &Result{
-		Result: &core.Result{Plan: h.runPl, PassCounters: passCnts},
+		Result: &core.Result{Plan: core.Plan{Alg: h.o.alg, Z: c.RecordSize, P: c.Procs, D: c.Disks}, PassCounters: passCnts},
 		realN:  h.n,
 		Merge:  h.stats,
 	}, nil

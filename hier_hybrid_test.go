@@ -1,7 +1,7 @@
 package colsort
 
-// A hybrid group is a g like any other above the bound too: its plan sizes
-// the replacement-selection run, the manifest's begin line carries the group
+// A hybrid group is a g like any other above the bound too: it goes
+// hierarchical over the cap, the manifest's begin line carries the group
 // size, and a Sort over the checkpoint continues the job only when it asks
 // for the same group (a hybrid job once could not go hierarchical at all).
 
@@ -20,8 +20,8 @@ import (
 
 // TestHybridHierarchicalResume: a WithHybridGroup(2) job over its cap under
 // WithCheckpoint, crashed after formation, is continued by the same Sort to
-// byte-identical output adopting every run, on the run capacity the g = 2
-// plan resolved; the same Sort without the hybrid options is refused.
+// byte-identical output adopting every run, on the run capacity the cap
+// resolved; the same Sort without the hybrid options is refused.
 func TestHybridHierarchicalResume(t *testing.T) {
 	const z, g, runRecs = 32, 2, 2048
 	dir := t.TempDir()
@@ -29,8 +29,8 @@ func TestHybridHierarchicalResume(t *testing.T) {
 	hybrid := []Option{WithHybridGroup(g), WithMaxMemory(runRecs * z), WithMergeFanIn(2)}
 	n := 6*runRecs + 5
 	sp, err := s.PlanSort(int64(n), hybrid...)
-	if err != nil || sp.MaxRuns == 0 || sp.N != runRecs || sp.Alg != Hybrid || sp.Group != g {
-		t.Fatalf("PlanSort = %v, %v; want hierarchical over the %d-record g = %d plan", sp, err, runRecs, g)
+	if err != nil || sp.MaxRuns == 0 || sp.RunRecords != runRecs {
+		t.Fatalf("PlanSort = %v, %v; want hierarchical over H = %d records", sp, err, runRecs)
 	}
 	raw := genRaw(n, z, record.Uniform{Seed: 71})
 	ckptDir := filepath.Join(dir, "ckpt")
@@ -82,7 +82,7 @@ func TestHybridHierarchicalResume(t *testing.T) {
 		t.Errorf("resumed %d of %d runs over %d-record capacity, %d redos; want all %d over %d, none",
 			m.ResumedRuns, m.Runs, m.RunRecords, rres.Faults.BatchRedos, runs, runRecs)
 	}
-	if rres.Plan.Alg != Hybrid || rres.Plan.Group != g {
-		t.Errorf("resumed under plan [%v], want the g = %d hybrid plan", rres.Plan, g)
+	if rres.Plan.Alg != Hybrid {
+		t.Errorf("resumed under plan [%v], want the hybrid job's", rres.Plan)
 	}
 }

@@ -16,12 +16,11 @@ import (
 	"math"
 	"os"
 	"path/filepath"
+	"runtime"
 	"sort"
-	"strings"
 	"sync"
 	"testing"
 
-	"colsort/internal/core"
 	"colsort/internal/record"
 	"colsort/internal/testutil"
 )
@@ -174,7 +173,8 @@ func TestHierarchicalCancelMidMerge(t *testing.T) {
 
 // TestHierarchicalFanInLevels forces a multi-level merge tree (fan-in 2
 // over the 8 runs this input forms) and checks the output still matches the
-// reference exactly.
+// reference exactly. The schedule's tree over these 8 Zipf runs is 4 high;
+// a balanced tree of 3 levels would rewrite no fewer records.
 func TestHierarchicalFanInLevels(t *testing.T) {
 	testutil.CheckGoroutines(t)
 	const p, mem, z = 4, 256, 16
@@ -195,8 +195,8 @@ func TestHierarchicalFanInLevels(t *testing.T) {
 	if res.Merge.Runs != 8 { // formation is deterministic for a seeded input
 		t.Errorf("formed %d runs, want 8", res.Merge.Runs)
 	}
-	if res.Merge.Levels != 3 {
-		t.Errorf("merge tree has %d levels, want 3 with fan-in 2 over 8 runs", res.Merge.Levels)
+	if res.Merge.Levels != 4 {
+		t.Errorf("merge tree has %d levels, want the schedule's 4 with fan-in 2 over these 8 runs", res.Merge.Levels)
 	}
 	if !bytes.Equal(out.Bytes(), refSortBytes(t, raw, z, KeySpec{})) {
 		t.Error("multi-level merge output differs from the reference sort")
@@ -555,13 +555,26 @@ func TestMergeProgressMonotoneMultiLevel(t *testing.T) {
 	}
 }
 
-// TestFormerCapacityGuard: the former's slot ids are int32, so a run plan
-// past 2³¹−1 records is refused before anything is read or allocated — the
-// job below has no engine, reader or pool to touch.
+// TestFormerCapacityGuard: the former's slot ids are int32, so resolve
+// clamps H below 2³¹−1, where PlanSort and Sort agree before admission,
+// instead of a run refusing it after. On a machine whose largest run is
+// past 2³¹ records, a terabyte cap and no cap both plan a 2⁴⁰-record sort,
+// and planning allocates nothing of H's 128 GiB.
 func TestFormerCapacityGuard(t *testing.T) {
-	h := &hierJob{runPl: core.Plan{N: 1 << 31}}
-	err := h.formReplacementRuns(context.Background(), nil)
-	if err == nil || !strings.Contains(err.Error(), "run plan of 2147483648 records exceeds the former's 2³¹−1 slots; set WithMaxMemory") {
-		t.Fatalf("formReplacementRuns over a 2³¹-record plan: err = %v, want the capacity refusal", err)
+	e := &Engine{cfg: Config{Procs: 16, Disks: 16, MemPerProc: 1 << 24, RecordSize: 64}}
+	if largest := e.MaxRecords(Threaded); largest <= math.MaxInt32 {
+		t.Fatalf("largest threaded run %d: the machine must plan past 2³¹−1", largest)
+	}
+	for _, opts := range [][]Option{{WithMaxMemory(1 << 40)}, nil} {
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		sp, err := e.PlanSort(1<<40, opts...)
+		runtime.ReadMemStats(&after)
+		if err != nil || sp.MaxRuns == 0 || sp.RunRecords > math.MaxInt32 || sp.RunRecords < math.MaxInt32-64 {
+			t.Errorf("PlanSort(2⁴⁰, %d options) = %v, %v; want runs + merge over H just below 2³¹−1", len(opts), sp, err)
+		}
+		if got := after.TotalAlloc - before.TotalAlloc; got > 1<<20 {
+			t.Errorf("PlanSort allocated %d bytes", got)
+		}
 	}
 }

@@ -287,6 +287,9 @@ func (pl Plan) NewInput(m pdm.Machine, g record.Generator) (*pdm.Store, error) {
 }
 
 func (pl Plan) String() string {
+	if pl.N == 0 { // no shape: the zero Plan, or a hierarchical result's machine
+		return fmt.Sprintf("%v: no columnsort run, Z=%dB, P=%d, D=%d", pl.Alg, pl.Z, pl.P, pl.D)
+	}
 	return fmt.Sprintf("%v: N=%d as %d×%d, Z=%dB, P=%d, D=%d, %v, %d passes × %d rounds",
 		pl.Alg, pl.N, pl.R, pl.S, pl.Z, pl.P, pl.D, pl.Layout, pl.Alg.Passes(), pl.Rounds())
 }

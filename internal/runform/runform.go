@@ -123,6 +123,14 @@ func geometry(capacity int) (page, pages, need int) {
 	return page, pages, max(pages/8, 1)
 }
 
+// Capacity is the arena a Former of the given capacity allocates: the
+// capacity rounded down to whole pages. A Former of capacity Capacity(c)
+// allocates exactly that.
+func Capacity(capacity int) int {
+	page, pages, _ := geometry(capacity)
+	return page * pages
+}
+
 // ChunkLen is the most records one Chunk may hold for a Former of the given
 // capacity: C = p·max(⌊H/p⌋/8, 1), an eighth of the arena. A producer hands
 // over chunks of exactly C records but the last, so that the runs are a

@@ -7,7 +7,10 @@
 // The contract, stated once (DESIGN.md §13):
 //
 //   - Append marshals one entry, writes it with its newline, and fsyncs:
-//     one Sync per entry, no group commit.
+//     one Sync per entry, no group commit. A failed write or Sync latches:
+//     every later Append returns that first error and touches the file no
+//     more — after a failed fsync the kernel may have dropped the dirty
+//     pages, so a later Sync that succeeds proves nothing about them.
 //   - A final fragment WITHOUT a terminating newline is torn: the crash hit
 //     mid-append, the entry's durability point was never reached. Replay
 //     skips it, and Open truncates it before the first new append — so a
@@ -36,8 +39,9 @@ var ErrCorrupt = errors.New("wal: corrupt entry")
 // Log is the append side of one log file. A nil *Log is a valid no-op log,
 // so callers whose durability is optional append unconditionally.
 type Log struct {
-	mu sync.Mutex
-	f  *os.File
+	mu  sync.Mutex
+	f   *os.File
+	err error // the first failed write or Sync; latched
 }
 
 // Open opens the log at path for appending, creating it and its parent
@@ -77,13 +81,15 @@ func (l *Log) Append(v any) error {
 	data = append(data, '\n')
 	l.mu.Lock()
 	defer l.mu.Unlock()
+	if l.err != nil {
+		return l.err
+	}
 	if _, err := l.f.Write(data); err != nil {
-		return fmt.Errorf("wal: appending entry: %w", err)
+		l.err = fmt.Errorf("wal: appending entry: %w", err)
+	} else if err := l.f.Sync(); err != nil {
+		l.err = fmt.Errorf("wal: syncing entry: %w", err)
 	}
-	if err := l.f.Sync(); err != nil {
-		return fmt.Errorf("wal: syncing entry: %w", err)
-	}
-	return nil
+	return l.err
 }
 
 // Close releases the file handle. Every appended entry is already durable;

@@ -5,7 +5,7 @@ package colsort
 // the job's checkpoint directory, appended and fsync'd at each durability
 // point:
 //
-//	begin        the resolved job parameters (n, record size, run plan,
+//	begin        the resolved job parameters (n, record size, run capacity,
 //	             fan-in, formation, key spec, caps) — written once, first
 //	run          one verified spilled run: its file path, record count,
 //	             direction and CRC32C sidecar — appended only AFTER the
@@ -120,7 +120,7 @@ func (h *hierJob) begin() manifestEntry {
 		Type:       "begin",
 		N:          h.n,
 		RecordSize: h.e.cfg.RecordSize,
-		RunRecords: h.runPl.N,
+		RunRecords: int64(h.runRecs),
 		FanIn:      h.fanIn,
 		Formation:  formationName,
 		Alg:        int(h.o.alg),

@@ -137,23 +137,27 @@ func WithPadding(p PaddingPolicy) Option {
 	return func(o *sortOptions) { o.padding = p }
 }
 
-// WithMaxMemory caps, in bytes, the records one columnsort run may hold.
-// A sort whose input exceeds the cap — or the selected algorithm's own
-// problem-size bound — transparently takes the hierarchical path: the
-// input stream is cut into maximal sorted runs by replacement selection
-// over a resident set of one run's records (runs average ~2× the cap on random
-// input and collapse to one on nearly-sorted input, ascending or
-// descending), and the runs are streamed through a loser-tree k-way merge
-// into the Sink (see WithMergeFanIn). 0 (the default) leaves only the
-// algorithm's bound in force. Engine.PlanSort states what the hierarchical
-// path requires.
+// WithMaxMemory caps, in bytes, the records a job holds in memory at a
+// time. A sort whose one columnsort run exceeds the cap — or the selected
+// algorithm's own problem-size bound — transparently takes the
+// hierarchical path: the input stream is cut into maximal sorted runs by
+// replacement selection over a resident set of ⌊cap / RecordSize⌋ records
+// (runs average ~2× that on random input and collapse to one on
+// nearly-sorted input, ascending or descending), and the runs are merged
+// by loser-tree k-way merges into the Sink (see WithMergeFanIn). Above the
+// bound the cap covers that resident set and, after formation, the
+// merges' chunks; it does not cover the formation pipeline's chunk buffers
+// or the engine's warm pools. 0 (the default) leaves only the algorithm's
+// bound in force. Engine.PlanSort states what the hierarchical path
+// requires.
 func WithMaxMemory(bytes int64) Option {
 	return func(o *sortOptions) { o.maxMemory = bytes }
 }
 
 // WithMergeFanIn sets the maximum number of sorted runs the hierarchical
-// merge combines at once (0: the default, 16; otherwise at least 2). When run formation
-// produces more runs than the fan-in, intermediate merge levels reduce the
+// merge combines at once (0: the default, 16; otherwise at least 2). When
+// run formation produces more runs than the fan-in, intermediate merges —
+// the smallest runs first, in Huffman's optimal merge pattern — reduce the
 // set until one final merge streams into the Sink. Larger fan-ins mean
 // fewer passes over the spilled data but more read streams (and prefetch
 // buffers) competing at once.

@@ -30,7 +30,8 @@ import (
 
 func TestRuleBook(t *testing.T) {
 	// P = 4 so a hybrid group of 2 exists; the smallest run of every
-	// algorithm holds 2 MiB, so a 1 MiB cap — the wire's unit — is too small.
+	// algorithm holds 2 MiB, so a 1 MiB cap — the wire's unit — sizes the
+	// runs of a hierarchical sort instead.
 	const z, mem = 64, 1 << 13
 	const mib = 1 << 20
 	const smallest = 4 * mem // the smallest threaded and hybrid run: 2 MiB
@@ -130,12 +131,12 @@ func TestRuleBook(t *testing.T) {
 			"core: hybrid group size g=0 must be a power of 2 with 2 ≤ g ≤ P/2=2"},
 		{"hybrid group of 3", 1000, []colsort.Option{colsort.WithHybridGroup(3)}, "alg=hybrid&group=3",
 			"core: hybrid group size g=3 must be a power of 2 with 2 ≤ g ≤ P/2=2"},
-		{"cap below the smallest run", smallest + 1, []colsort.Option{colsort.WithMaxMemory(mib)}, "max-memory-mib=1",
-			"WithMaxMemory(1048576) admits no single threaded run"},
+		{"cap below the smallest run", smallest + 1, []colsort.Option{colsort.WithMaxMemory(mib)}, "max-memory-mib=1", ""},
+		{"cap below the merge floor", 300 * mib / z, []colsort.Option{colsort.WithMaxMemory(mib), colsort.WithMergeFanIn(512)}, "max-memory-mib=1&merge-fanin=512",
+			"WithMaxMemory(1048576) holds 16384 records of 64 B, fewer than a merge of 300 runs needs: 300 + 4 chunks of 64 records"},
 		{"hierarchical + PadNever", 2 * smallest, exactCap(2), "padding=never&max-memory-mib=2",
 			"colsort: WithMaxMemory(2097152): the one run of 65536 records holds 4194304 bytes, and cutting it into runs + merge needs PadAuto"},
-		{"hybrid: cap below the smallest run", smallest, hybridCap(1), "alg=hybrid&group=2&max-memory-mib=1",
-			"WithMaxMemory(1048576) admits no single hybrid run"},
+		{"hybrid: cap below the smallest run", smallest, hybridCap(1), "alg=hybrid&group=2&max-memory-mib=1", ""},
 
 		// The two combinations the wire used to refuse on sight are resolve's
 		// to answer: they run whenever the one run fits the cap.
@@ -161,7 +162,7 @@ func TestRuleBook(t *testing.T) {
 					if serr == nil || serr.Error() != perr.Error() {
 						t.Errorf("Sort returned %v, PlanSort %q: one rule book, one sentence", serr, perr)
 					}
-					if strings.Contains(tc.want, "admits no single") != errors.Is(perr, colsort.ErrMemoryTooSmall) {
+					if strings.Contains(tc.want, "fewer than a merge") != errors.Is(perr, colsort.ErrMemoryTooSmall) {
 						t.Errorf("errors.Is(ErrMemoryTooSmall) = %v for %q", errors.Is(perr, colsort.ErrMemoryTooSmall), perr)
 					}
 					sentence = perr.Error() // the endpoints must return it whole

@@ -64,8 +64,8 @@ sigkill_server() {
 }
 
 # submit OUTPUT -> job id. max-memory-mib=4 forces the 32 MiB input through
-# the hierarchical path as ~5 runs of ~8 MiB + k-way merge (4 MiB = 65536
-# records is the smallest plannable run at this shape, and the heap's size).
+# the hierarchical path as ~5 runs of ~8 MiB + k-way merge (the cap's 4 MiB
+# = 65536 records is the former's resident set).
 submit() {
   curl -sf -X POST "$URL/v1/jobs" -H 'Content-Type: application/json' \
     -d "{\"input\":\"input.dat\",\"output\":\"$1\",\"options\":{\"max-memory-mib\":\"4\"}}" \

@@ -33,8 +33,8 @@ import (
 // Sort is unbounded in n: when the record count exceeds the selected
 // algorithm's problem-size bound (or a WithMaxMemory cap), the input is
 // transparently cut into maximal sorted runs by replacement selection, and
-// the runs are combined by a loser-tree k-way merge (WithMergeFanIn)
-// streaming straight into dst with prefetch on the run reads, write-behind
+// the runs are combined by loser-tree k-way merges (WithMergeFanIn), the
+// last streaming straight into dst with prefetch on the run reads, write-behind
 // on the output, and in-stream verification — see Result.Merge and
 // DESIGN.md §7. PlanSort tells beforehand which of the two a call executes
 // and states the rule; the merged output only exists as a stream, so a
@@ -42,7 +42,7 @@ import (
 //
 // Concurrent Sort calls are admitted against the engine's TotalMemory
 // budget: each job's ask is its WithMaxMemory cap when given, otherwise
-// its run plan's record bytes. A job that does not fit waits FIFO for
+// the record bytes it holds at a time (SortPlan.RunRecords). A job that does not fit waits FIFO for
 // earlier jobs to release their leases — cancel ctx to stop waiting, or
 // pass WithNoWait to fail fast with ErrBusy. Admitted jobs run fully in
 // parallel: they share the engine's warm buffer pools and backend but
@@ -75,9 +75,9 @@ func (e *Engine) Sort(ctx context.Context, src Source, dst Sink, opts ...Option)
 	}
 	defer rd.Close()
 
-	// Settle the plan of the one run this job holds in memory at a time —
-	// the whole sort below the bound, one run's capacity above it — BEFORE
-	// admission: its record bytes are the job's ask. Plan-level failures
+	// Settle what this job holds in memory at a time — the whole sort below
+	// the bound, the former's resident set above it — BEFORE admission: its
+	// record bytes are the job's ask. Plan-level failures
 	// (unplannable count, hierarchical sort without a Sink, a baseline with
 	// one) surface here, before the job can occupy budget.
 	sp, codec, err := e.resolve(o, n)
@@ -93,9 +93,9 @@ func (e *Engine) Sort(ctx context.Context, src Source, dst Sink, opts ...Option)
 	if dst != nil && (o.alg == BaselineIO3 || o.alg == BaselineIO4) {
 		return nil, fmt.Errorf("colsort: WithAlgorithm(%v) with a Sink: a baseline moves records without sorting them, so it has no output to emit; pass a nil Sink", o.alg)
 	}
-	return e.runJob(ctx, o, sp.N*int64(sp.Z), func(j *job) (*Result, error) {
+	return e.runJob(ctx, o, sp.RunRecords*int64(e.cfg.RecordSize), func(j *job) (*Result, error) {
 		if sp.MaxRuns > 0 {
-			return j.newHierJob(o, codec, n, sp.Plan).sortHierarchical(ctx, rd, dst)
+			return j.newHierJob(o, codec, n, sp).sortHierarchical(ctx, rd, dst)
 		}
 		return j.sortSingle(ctx, rd, dst, o, codec, n, sp.Plan)
 	})
