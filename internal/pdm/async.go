@@ -18,7 +18,8 @@ import (
 // overlapped by WRITE-BEHIND: WriteAt snapshots the caller's buffer into a
 // bounded queue and returns, and the worker retires the queue in issue
 // order; callers observe deferred write errors on every later operation, on
-// Flush, and on Close.
+// Flush, and on Close. A disk serves one phase at a time, as every scratch
+// disk is used: writes, then reads.
 //
 // I/O accounting is unaffected by the layer on purpose: DiskArray charges
 // sim.Counters when an operation is ISSUED (bytes and contiguity of the
@@ -69,8 +70,8 @@ const (
 )
 
 // fetch is one staged read-ahead extent, keyed by offset. doomed marks an
-// entry invalidated (by an overlapping write, or claimed by a direct read)
-// whose buffer the worker must discard rather than publish.
+// entry claimed by a direct read, consumed, or whose staging read failed:
+// its buffer is discarded, never published.
 type fetch struct {
 	off    int64
 	data   []byte
@@ -84,12 +85,13 @@ type writeOp struct {
 }
 
 // AsyncDisk wraps a Disk with a single background worker providing
-// prefetched reads and write-behind. It preserves the Disk contract:
+// prefetched reads and write-behind, one phase at a time:
 //
-//   - Writes complete in issue order, so later reads and Size observe a
-//     prefix of the issued writes plus anything already flushed.
-//   - ReadAt is coherent with pending writes: a read overlapping a queued
-//     write waits for that write to retire first.
+//   - Writes retire in issue order. The first ReadAt or Prefetch ends the
+//     write phase for good: ReadAt waits for the whole write queue to
+//     drain, a hint given while writes are still queued is dropped, and
+//     every later WriteAt is refused. A read therefore observes every
+//     write, and a staged extent can never go stale.
 //   - The first deferred write error is latched and returned by every
 //     subsequent WriteAt/ReadAt, by Flush, and by Close, so a failure can
 //     not be silently dropped between pipeline rounds.
@@ -109,7 +111,7 @@ type AsyncDisk struct {
 	cond    *sync.Cond
 	writes  []writeOp // issue-order queue; writes[0] may be in flight
 	werr    error     // first deferred write error, latched
-	maxEnd  int64     // end of the furthest write ever queued
+	reading bool      // the first ReadAt or Prefetch ended the write phase
 	fetches map[int64]*fetch
 	fetchq  []*fetch // FIFO of queued fetches
 	closing bool
@@ -161,7 +163,7 @@ func (d *AsyncDisk) worker() {
 			err := d.inner.ReadAt(f.data, f.off)
 			d.ioMu.Unlock()
 			d.mu.Lock()
-			if err != nil || f.doomed {
+			if err != nil {
 				d.discardFetch(f)
 			} else {
 				f.state = fetchDone
@@ -209,37 +211,18 @@ func (d *AsyncDisk) discardFetch(f *fetch) {
 	}
 }
 
-// overlapsPendingWrite reports whether [off, off+n) intersects any queued
-// (or in-flight) write. Caller holds mu.
-func (d *AsyncDisk) overlapsPendingWrite(off int64, n int) bool {
-	end := off + int64(n)
-	for _, op := range d.writes {
-		if off < op.off+int64(len(op.data)) && op.off < end {
-			return true
-		}
-	}
-	return false
-}
-
-// Prefetch stages a background read of [off, off+n). Hints beyond the
-// DefaultReadAhead budget, duplicates, and hints shadowed by pending writes are
-// dropped: correctness never depends on a hint.
+// Prefetch stages a background read of [off, off+n) and ends the write
+// phase. Hints beyond the DefaultReadAhead budget, duplicates, and hints
+// given while writes are still queued are dropped: correctness never depends
+// on a hint.
 func (d *AsyncDisk) Prefetch(off int64, n int) {
-	if off < 0 || n <= 0 {
-		return
-	}
 	d.mu.Lock()
 	defer d.mu.Unlock()
-	if d.closing || d.werr != nil {
+	d.reading = true
+	if off < 0 || n <= 0 || d.closing || d.werr != nil || len(d.writes) > 0 {
 		return
 	}
-	if _, ok := d.fetches[off]; ok {
-		return
-	}
-	if len(d.fetches) >= DefaultReadAhead {
-		return
-	}
-	if d.overlapsPendingWrite(off, n) {
+	if _, ok := d.fetches[off]; ok || len(d.fetches) >= DefaultReadAhead {
 		return
 	}
 	f := &fetch{off: off, data: d.cfg.Pool.GetBytes(n)}
@@ -248,53 +231,35 @@ func (d *AsyncDisk) Prefetch(off int64, n int) {
 	d.cond.Broadcast()
 }
 
-// ReadAt serves the read from a completed prefetch when one covers the
-// range, waiting out any overlapping pending write first; otherwise it
-// reads through. A consumed prefetch entry is released. Reads are
-// guaranteed to observe every write issued before the read began: any wait
-// (for a pending write or an in-flight fetch) loops back to the coherence
-// check before a read-through, since new writes may have queued meanwhile.
+// ReadAt ends the write phase, waits for the write queue to drain, and
+// serves the read from a completed prefetch when one covers the range;
+// otherwise it reads through. A consumed prefetch entry is released.
 func (d *AsyncDisk) ReadAt(p []byte, off int64) error {
 	d.mu.Lock()
-	for {
-		for d.werr == nil && d.overlapsPendingWrite(off, len(p)) {
-			d.cond.Wait()
-		}
-		if d.werr != nil {
-			err := d.werr
-			d.mu.Unlock()
-			return err
-		}
-		f, ok := d.fetches[off]
-		if !ok || f.doomed || len(f.data) < len(p) {
-			break // no usable staged extent: read through
-		}
+	d.reading = true
+	for d.werr == nil && len(d.writes) > 0 {
+		d.cond.Wait()
+	}
+	if err := d.werr; err != nil {
+		d.mu.Unlock()
+		return err
+	}
+	if f, ok := d.fetches[off]; ok && len(f.data) >= len(p) {
 		if f.state == fetchQueued {
 			// Claim it: a direct read now beats waiting behind the worker's
 			// queue. Unmap so the offset can be hinted again; the queue
 			// entry is discarded (and its buffer recycled) when popped.
 			f.doomed = true
 			delete(d.fetches, off)
-			break
 		}
-		if f.state == fetchDone {
-			// A write overlapping this extent would have doomed it, so a
-			// live done entry is coherent with the queue.
-			copy(p, f.data[:len(p)])
-			delete(d.fetches, f.off)
-			d.cfg.Pool.PutBytes(f.data)
-			d.mu.Unlock()
-			return nil
-		}
-		// In flight: wait for completion, then re-establish coherence —
-		// a write may have arrived (and doomed the fetch) while we waited.
+		// In flight: wait for completion, unless the staging read failed
+		// and the worker discarded the fetch.
 		for f.state == fetchInFlight && !f.doomed {
 			d.cond.Wait()
 		}
-		if f.state == fetchDone && !f.doomed {
+		if !f.doomed {
 			copy(p, f.data[:len(p)])
-			delete(d.fetches, f.off)
-			d.cfg.Pool.PutBytes(f.data)
+			d.discardFetch(f)
 			d.mu.Unlock()
 			return nil
 		}
@@ -308,14 +273,13 @@ func (d *AsyncDisk) ReadAt(p []byte, off int64) error {
 
 // WriteAt snapshots p into the write-behind queue and returns once queued.
 // A full queue blocks (back-pressure bounds memory); a latched write error
-// fails fast. Staged prefetches overlapping the range are invalidated.
+// fails fast, and a write after the first ReadAt or Prefetch is refused.
 func (d *AsyncDisk) WriteAt(p []byte, off int64) error {
 	if off < 0 {
 		return fmt.Errorf("pdm: negative offset %d", off)
 	}
 	d.mu.Lock()
 	defer d.mu.Unlock()
-	end := off + int64(len(p))
 	for {
 		if d.werr != nil {
 			return d.werr
@@ -325,23 +289,8 @@ func (d *AsyncDisk) WriteAt(p []byte, off int64) error {
 			// than enqueue data no worker will ever retire.
 			return fmt.Errorf("pdm: write on closing async disk")
 		}
-		// Invalidate staged prefetches overlapping the range — re-run after
-		// every wait, since a hint may be staged while we were blocked and
-		// would otherwise serve pre-write data to a later read.
-		for _, f := range d.fetches {
-			if f.doomed {
-				continue
-			}
-			if off < f.off+int64(len(f.data)) && f.off < end {
-				if f.state == fetchInFlight {
-					// The worker is filling the buffer: only mark it; the
-					// completion path discards it.
-					f.doomed = true
-					delete(d.fetches, f.off)
-				} else {
-					d.discardFetch(f)
-				}
-			}
+		if d.reading {
+			return errWriteAfterRead(off)
 		}
 		if len(d.writes) < DefaultWriteBehind {
 			break
@@ -351,11 +300,14 @@ func (d *AsyncDisk) WriteAt(p []byte, off int64) error {
 	buf := d.cfg.Pool.GetBytes(len(p))
 	copy(buf, p)
 	d.writes = append(d.writes, writeOp{off: off, data: buf})
-	if end > d.maxEnd {
-		d.maxEnd = end
-	}
 	d.cond.Broadcast()
 	return nil
+}
+
+// errWriteAfterRead refuses a write issued after a disk's first read or
+// hint: a scratch disk is written, then read.
+func errWriteAfterRead(off int64) error {
+	return fmt.Errorf("pdm: write at offset %d after the disk was read; a scratch disk is written, then read", off)
 }
 
 // Flush blocks until the write queue has drained and returns the first
@@ -367,20 +319,6 @@ func (d *AsyncDisk) Flush() error {
 		d.cond.Wait()
 	}
 	return d.werr
-}
-
-// Size reflects both flushed and still-queued writes.
-func (d *AsyncDisk) Size() int64 {
-	d.mu.Lock()
-	queued := d.maxEnd
-	d.mu.Unlock()
-	d.ioMu.Lock()
-	flushed := d.inner.Size()
-	d.ioMu.Unlock()
-	if queued > flushed {
-		return queued
-	}
-	return flushed
 }
 
 // Close drains pending writes, stops the worker, closes the wrapped disk,
@@ -519,5 +457,4 @@ func (d *DelayDisk) WriteAt(p []byte, off int64) error {
 	return d.Inner.WriteAt(p, off)
 }
 
-func (d *DelayDisk) Size() int64  { return d.Inner.Size() }
 func (d *DelayDisk) Close() error { return d.Inner.Close() }

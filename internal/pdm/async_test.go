@@ -3,6 +3,8 @@ package pdm
 import (
 	"bytes"
 	"errors"
+	"runtime"
+	"strings"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -39,16 +41,14 @@ func TestAsyncDiskRoundTrip(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	// Reads must observe queued (possibly unflushed) writes.
-	got := make([]byte, len(data))
+	// Reads must observe queued (possibly unflushed) writes, and zeros past
+	// the last of them.
+	got := make([]byte, len(data)+64)
 	if err := d.ReadAt(got, 0); err != nil {
 		t.Fatal(err)
 	}
-	if !bytes.Equal(got, data) {
+	if !bytes.Equal(got[:len(data)], data) || !bytes.Equal(got[len(data):], make([]byte, 64)) {
 		t.Fatal("read not coherent with write-behind queue")
-	}
-	if d.Size() != int64(len(data)) {
-		t.Fatalf("Size = %d, want %d", d.Size(), len(data))
 	}
 	if err := d.Flush(); err != nil {
 		t.Fatal(err)
@@ -98,28 +98,105 @@ func TestAsyncDiskPrefetchServesRead(t *testing.T) {
 	}
 }
 
-func TestAsyncDiskWriteInvalidatesPrefetch(t *testing.T) {
-	d := NewAsyncDisk(NewMemDisk(), AsyncConfig{})
+// TestAsyncDiskRefusesWriteAfterRead: an async disk serves its writes,
+// then its reads. The first Prefetch or ReadAt ends the write phase for
+// good: a later write is refused, naming its offset, and the bytes written
+// before still read back — on a plain async disk and on a striped spill's
+// lane alike.
+func TestAsyncDiskRefusesWriteAfterRead(t *testing.T) {
+	m := Machine{P: 1, D: 2, StripeBytes: 64, Async: &AsyncConfig{}}
+	for _, read := range []struct {
+		name string
+		do   func(d *AsyncDisk) error
+	}{
+		{"Prefetch", func(d *AsyncDisk) error { d.Prefetch(0, 64); return nil }},
+		{"ReadAt", func(d *AsyncDisk) error { return d.ReadAt(make([]byte, 64), 0) }},
+	} {
+		spill := m.WrapSpillDisk(NewMemDisk(), 0).(*stripedDisk)
+		plain := NewAsyncDisk(NewMemDisk(), AsyncConfig{})
+		for _, d := range []*AsyncDisk{plain, spill.arr.Disks[1].(*AsyncDisk)} {
+			if err := d.WriteAt(pattern(64, 1), 0); err != nil {
+				t.Fatal(err)
+			}
+			if err := read.do(d); err != nil {
+				t.Fatal(err)
+			}
+			if err := d.WriteAt(pattern(64, 2), 64); err == nil || !strings.Contains(err.Error(), "offset 64") {
+				t.Errorf("write after %s: %v, want a refusal naming offset 64", read.name, err)
+			}
+			got := make([]byte, 128)
+			if err := d.ReadAt(got, 0); err != nil || !bytes.Equal(got, append(pattern(64, 1), make([]byte, 64)...)) {
+				t.Errorf("after %s and a refused write: read %v, want the first write and zeros", read.name, err)
+			}
+		}
+		if err := plain.Close(); err != nil {
+			t.Fatal(err)
+		}
+		if err := spill.Close(); err != nil {
+			t.Fatal(err)
+		}
+	}
+}
+
+// failFirstRead blocks its first ReadAt until gate closes and then fails
+// it; later reads pass through.
+type failFirstRead struct {
+	Disk
+	entered, gate chan struct{}
+	reads         atomic.Int64
+}
+
+func (d *failFirstRead) ReadAt(p []byte, off int64) error {
+	if d.reads.Add(1) == 1 {
+		close(d.entered)
+		<-d.gate
+		return errors.New("staging read failed")
+	}
+	return d.Disk.ReadAt(p, off)
+}
+
+// parkedInReadAt reports whether some goroutine waits on an AsyncDisk's
+// condition variable inside ReadAt.
+func parkedInReadAt() bool {
+	buf := make([]byte, 1<<20)
+	for _, g := range strings.Split(string(buf[:runtime.Stack(buf, true)]), "\n\n") {
+		if strings.Contains(g, "sync.(*Cond).Wait") && strings.Contains(g, "(*AsyncDisk).ReadAt") {
+			return true
+		}
+	}
+	return false
+}
+
+// TestAsyncDiskReadOutlivesFailedPrefetch: a ReadAt that waits on an
+// in-flight prefetch whose staging read then fails must leave the wait and
+// read through, not hang on a fetch the worker discarded.
+func TestAsyncDiskReadOutlivesFailedPrefetch(t *testing.T) {
+	inner := &failFirstRead{Disk: NewMemDisk(), entered: make(chan struct{}), gate: make(chan struct{})}
+	want := pattern(256, 5)
+	if err := inner.Disk.WriteAt(want, 0); err != nil {
+		t.Fatal(err)
+	}
+	d := NewAsyncDisk(inner, AsyncConfig{})
 	defer d.Close()
-	old := bytes.Repeat([]byte{1}, 256)
-	if err := d.WriteAt(old, 0); err != nil {
-		t.Fatal(err)
+	d.Prefetch(0, len(want))
+	<-inner.entered // the fetch is in flight, its staging read held at the gate
+	got := make([]byte, len(want))
+	done := make(chan error, 1)
+	go func() { done <- d.ReadAt(got, 0) }()
+	// Open the gate only once the read is parked on the in-flight fetch.
+	for deadline := time.Now().Add(5 * time.Second); !parkedInReadAt(); time.Sleep(time.Millisecond) {
+		if time.Now().After(deadline) {
+			t.Fatal("ReadAt never waited on the in-flight prefetch")
+		}
 	}
-	if err := d.Flush(); err != nil {
-		t.Fatal(err)
-	}
-	d.Prefetch(0, 256)
-	time.Sleep(5 * time.Millisecond) // let the fetch (likely) complete
-	fresh := bytes.Repeat([]byte{2}, 256)
-	if err := d.WriteAt(fresh, 0); err != nil {
-		t.Fatal(err)
-	}
-	got := make([]byte, 256)
-	if err := d.ReadAt(got, 0); err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(got, fresh) {
-		t.Fatal("read served a prefetch staged before an overlapping write")
+	close(inner.gate)
+	select {
+	case err := <-done:
+		if err != nil || !bytes.Equal(got, want) {
+			t.Fatalf("read through after the failed staging read: %v, data equal %v", err, bytes.Equal(got, want))
+		}
+	case <-time.After(5 * time.Second):
+		t.Fatal("ReadAt still waits on a prefetch whose staging read failed")
 	}
 }
 
@@ -225,15 +302,12 @@ func TestDelayDiskRoundTrip(t *testing.T) {
 	if err := d.WriteAt([]byte("abc"), 10); err != nil {
 		t.Fatal(err)
 	}
-	got := make([]byte, 3)
+	got := make([]byte, 5)
 	if err := d.ReadAt(got, 10); err != nil {
 		t.Fatal(err)
 	}
-	if string(got) != "abc" {
+	if string(got) != "abc\x00\x00" {
 		t.Fatalf("got %q", got)
-	}
-	if d.Size() != 13 {
-		t.Fatalf("Size = %d", d.Size())
 	}
 	if err := d.Close(); err != nil {
 		t.Fatal(err)

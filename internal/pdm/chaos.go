@@ -175,16 +175,6 @@ func (d *ChaosDisk) WriteAt(p []byte, off int64) error {
 	return d.inner.WriteAt(p, off)
 }
 
-func (d *ChaosDisk) Size() int64 {
-	d.mu.Lock()
-	dead := d.dead
-	d.mu.Unlock()
-	if dead {
-		return 0
-	}
-	return d.inner.Size()
-}
-
 // Close always releases the wrapped disk, even after permanent death —
 // scratch space must not leak because its disk "failed".
 func (d *ChaosDisk) Close() error { return d.inner.Close() }

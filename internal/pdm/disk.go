@@ -36,11 +36,12 @@ func isNoSpace(err error) bool {
 
 // Disk is one simulated disk: a flat byte address space with sparse
 // semantics (reads beyond the written extent return zeros, as with POSIX
-// sparse files).
+// sparse files). A scratch disk is written, then read: every store of a pass
+// and every spilled run is complete before anything reads it, and the
+// asynchronous layer (AsyncDisk) refuses a write after the first read.
 type Disk interface {
 	ReadAt(p []byte, off int64) error
 	WriteAt(p []byte, off int64) error
-	Size() int64
 	Close() error
 }
 
@@ -122,9 +123,6 @@ func (d *MemDisk) WriteAt(p []byte, off int64) error {
 	return nil
 }
 
-// Size returns the written extent in bytes.
-func (d *MemDisk) Size() int64 { return int64(len(d.data)) }
-
 // Close releases the backing storage, recycling it into the pool when the
 // disk is pool-backed.
 func (d *MemDisk) Close() error {
@@ -136,11 +134,11 @@ func (d *MemDisk) Close() error {
 }
 
 // FileDisk is a disk backed by one file, for genuinely out-of-core runs.
-// Size is the written extent this disk tracks, not the file's fstat size:
-// a disk built on a recycled file (see FilePool) starts at Size 0 over a
-// file that may still hold a previous user's bytes, and ReadAt zero-fills
-// past the extent exactly as a fresh file zero-fills past EOF, so no job
-// reads bytes another left behind. The disk keeps its own path because
+// It tracks its own written extent, not the file's fstat size: a disk built
+// on a recycled file (see FilePool) starts at extent 0 over a file that may
+// still hold a previous user's bytes, and ReadAt zero-fills past the extent
+// exactly as a fresh file zero-fills past EOF, so no job reads bytes another
+// left behind. The disk keeps its own path because
 // os.File.Name goes stale after a rename.
 type FileDisk struct {
 	f      *os.File // nil once closed
@@ -229,9 +227,6 @@ func (d *FileDisk) WriteAt(p []byte, off int64) error {
 // zeros is the source of FileDisk's gap writes.
 var zeros [64 << 10]byte
 
-// Size returns the written extent.
-func (d *FileDisk) Size() int64 { return d.size }
-
 // Path returns the backing file's path.
 func (d *FileDisk) Path() string { return d.name }
 
@@ -295,7 +290,6 @@ func (d *FaultDisk) WriteAt(p []byte, off int64) error {
 	return d.Inner.WriteAt(p, off)
 }
 
-func (d *FaultDisk) Size() int64  { return d.Inner.Size() }
 func (d *FaultDisk) Close() error { return d.Inner.Close() }
 
 // Backend constructs the disks of one machine.

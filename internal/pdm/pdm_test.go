@@ -17,8 +17,8 @@ func TestMemDiskSparse(t *testing.T) {
 	if err := d.WriteAt([]byte{1, 2, 3}, 100); err != nil {
 		t.Fatal(err)
 	}
-	if d.Size() != 103 {
-		t.Fatalf("Size = %d, want 103", d.Size())
+	if len(d.data) != 103 {
+		t.Fatalf("extent = %d, want 103", len(d.data))
 	}
 	buf := make([]byte, 5)
 	if err := d.ReadAt(buf, 99); err != nil {
@@ -128,8 +128,8 @@ func TestDiskArrayDistributesAcrossDisks(t *testing.T) {
 	if err := a.WriteAt(&cnt, make([]byte, 64), 0); err != nil {
 		t.Fatal(err)
 	}
-	if d0.Size() != 32 || d1.Size() != 32 {
-		t.Fatalf("stripe imbalance: %d vs %d", d0.Size(), d1.Size())
+	if len(d0.data) != 32 || len(d1.data) != 32 {
+		t.Fatalf("stripe imbalance: %d vs %d", len(d0.data), len(d1.data))
 	}
 }
 
@@ -475,14 +475,14 @@ func TestFileDiskErrorPaths(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if d2.Size() != 0 {
-		t.Fatalf("reopened disk has size %d, want 0", d2.Size())
+	if d2.size != 0 {
+		t.Fatalf("reopened disk has extent %d, want 0", d2.size)
 	}
 	if err := d2.Close(); err != nil {
 		t.Fatal(err)
 	}
-	// Size is the written extent, not fstat: a reopened file starts at its
-	// size on disk.
+	// The extent is the written one, not fstat: a reopened file starts at
+	// its size on disk.
 	if err := os.WriteFile(filepath.Join(dir, "kept.dat"), []byte("0123456789"), 0o644); err != nil {
 		t.Fatal(err)
 	}
@@ -491,8 +491,8 @@ func TestFileDiskErrorPaths(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer d3.Close()
-	if d3.Size() != 10 {
-		t.Fatalf("reopened file has size %d, want 10", d3.Size())
+	if d3.size != 10 {
+		t.Fatalf("reopened file has extent %d, want 10", d3.size)
 	}
 }
 
@@ -502,8 +502,8 @@ func TestFaultDiskPassthrough(t *testing.T) {
 	if err := d.WriteAt([]byte("xyz"), 5); err != nil {
 		t.Fatal(err)
 	}
-	if d.Size() != inner.Size() || d.Size() != 8 {
-		t.Fatalf("Size = %d, want 8", d.Size())
+	if len(inner.data) != 8 {
+		t.Fatalf("extent = %d, want 8", len(inner.data))
 	}
 	// Exactly exhausting the budget still succeeds; the next byte fails.
 	if err := d.WriteAt(make([]byte, 97), 8); err != nil {

@@ -66,8 +66,8 @@ func TestRecycledFileDisk(t *testing.T) {
 	if fi, err := os.Stat(d2.Path()); err != nil || !os.SameFile(fi, pooled) {
 		t.Fatalf("second disk is not on the first one's file")
 	}
-	if d2.Size() != 0 {
-		t.Fatalf("recycled disk has Size %d, want 0", d2.Size())
+	if d2.size != 0 {
+		t.Fatalf("recycled disk has extent %d, want 0", d2.size)
 	}
 	buf := make([]byte, 16)
 	if err := d2.ReadAt(buf, 0); err != nil || !bytes.Equal(buf, make([]byte, 16)) {
@@ -84,8 +84,8 @@ func TestRecycledFileDisk(t *testing.T) {
 	if err := d2.WriteAt([]byte("xyz"), 4096); err != nil {
 		t.Fatal(err)
 	}
-	if d2.Size() != 4099 {
-		t.Fatalf("Size = %d, want 4099", d2.Size())
+	if d2.size != 4099 {
+		t.Fatalf("extent = %d, want 4099", d2.size)
 	}
 	gap := make([]byte, 4096)
 	if err := d2.ReadAt(gap, 3); err != nil {

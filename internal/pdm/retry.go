@@ -211,8 +211,6 @@ func (d *RetryDisk) WriteAt(p []byte, off int64) error {
 	return d.do("write", len(p), off, func() error { return d.inner.WriteAt(p, off) })
 }
 
-func (d *RetryDisk) Size() int64 { return d.inner.Size() }
-
 // Close passes through: close failures are terminal by nature and the
 // wrapped disks already name themselves in their close errors.
 func (d *RetryDisk) Close() error { return d.inner.Close() }

@@ -38,7 +38,6 @@ func (d *flakyDisk) WriteAt(p []byte, off int64) error {
 	return d.inner.WriteAt(p, off)
 }
 
-func (d *flakyDisk) Size() int64  { return d.inner.Size() }
 func (d *flakyDisk) Close() error { return d.inner.Close() }
 
 func TestErrorClassification(t *testing.T) {

@@ -19,9 +19,13 @@ import "sync"
 // backing are laid out exactly as an unstriped spill lays them out.
 //
 // Like any DiskArray, a stripedDisk has one owner at a time: a run is
-// written by one goroutine, then read by one.
+// written by one goroutine, then read by one. The front end latches the
+// first read or hint and refuses every later write, as an AsyncDisk does,
+// so a write is never split between lanes that take it and lanes that
+// refuse it.
 type stripedDisk struct {
-	arr *DiskArray // the front end: the D lane stacks, striped
+	arr  *DiskArray // the front end: the D lane stacks, striped
+	read bool       // a read or hint was issued: writes are refused
 
 	mu      sync.Mutex // the lanes' workers share backing, which need not be concurrency-safe
 	backing Disk
@@ -37,24 +41,26 @@ func newStripedDisk(backing Disk, d, stripeBytes int, wrap func(view Disk, lane 
 	return s
 }
 
-func (s *stripedDisk) ReadAt(p []byte, off int64) error  { return s.arr.ReadAt(nil, p, off) }
-func (s *stripedDisk) WriteAt(p []byte, off int64) error { return s.arr.WriteAt(nil, p, off) }
-func (s *stripedDisk) Prefetch(off int64, n int)         { s.arr.Prefetch(off, n) }
+func (s *stripedDisk) ReadAt(p []byte, off int64) error {
+	s.read = true
+	return s.arr.ReadAt(nil, p, off)
+}
+
+func (s *stripedDisk) WriteAt(p []byte, off int64) error {
+	if s.read {
+		return errWriteAfterRead(off)
+	}
+	return s.arr.WriteAt(nil, p, off)
+}
+
+func (s *stripedDisk) Prefetch(off int64, n int) {
+	s.read = true
+	s.arr.Prefetch(off, n)
+}
 
 // Flush drains every lane's write-behind queue and returns the first
 // deferred write error latched on any of them.
 func (s *stripedDisk) Flush() error { return s.arr.Flush() }
-
-// Size is the furthest logical end any lane reports, queued writes included.
-func (s *stripedDisk) Size() int64 {
-	var size int64
-	for l, d := range s.arr.Disks {
-		if n := d.Size(); n > 0 {
-			size = max(size, s.logical(int64(l), n-1)+1)
-		}
-	}
-	return size
-}
 
 // Close drains and stops every lane, then closes the backing disk once.
 func (s *stripedDisk) Close() error {
@@ -63,13 +69,6 @@ func (s *stripedDisk) Close() error {
 		err = cerr
 	}
 	return err
-}
-
-// logical maps lane-local offset phys of the given lane to its logical
-// offset — the inverse of DiskArray.locate.
-func (s *stripedDisk) logical(lane, phys int64) int64 {
-	stripe, d := s.arr.StripeBytes, int64(len(s.arr.Disks))
-	return (phys/stripe*d+lane)*stripe + phys%stripe
 }
 
 // spillLane is the bottom of one lane's stack: the lane's byte address space
@@ -92,7 +91,9 @@ func (l spillLane) transfer(p []byte, off int64, read bool) error {
 	for len(p) > 0 {
 		n := min(int64(len(p)), stripe-off%stripe)
 		var err error
-		if at := l.s.logical(l.lane, off); read {
+		// The inverse of DiskArray.locate: lane-local off to its logical offset.
+		at := (off/stripe*int64(len(l.s.arr.Disks))+l.lane)*stripe + off%stripe
+		if read {
 			err = l.s.backing.ReadAt(p[:n], at)
 		} else {
 			err = l.s.backing.WriteAt(p[:n], at)
@@ -104,16 +105,6 @@ func (l spillLane) transfer(p []byte, off int64, read bool) error {
 		off += n
 	}
 	return nil
-}
-
-// Size is the lane-local extent of the backing disk's bytes.
-func (l spillLane) Size() int64 {
-	stripe := l.s.arr.StripeBytes
-	row := stripe * int64(len(l.s.arr.Disks))
-	l.s.mu.Lock()
-	size := l.s.backing.Size()
-	l.s.mu.Unlock()
-	return size/row*stripe + min(max(size%row-l.lane*stripe, 0), stripe)
 }
 
 // Close is a no-op: the stripedDisk closes the shared backing disk once,

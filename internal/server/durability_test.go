@@ -310,32 +310,38 @@ func TestHugeMergeFanInFileJob(t *testing.T) {
 
 // TestBootSweepsOrphanScratch drops dead-process scratch into the engine's
 // scratch directory and boots a server over it: the job-namespaced files
-// must be gone, anything else untouched, and the sweep counted on /metrics.
+// and the pooled file must be gone, anything else untouched, and the sweep
+// counted on /metrics.
 func TestBootSweepsOrphanScratch(t *testing.T) {
 	dir := t.TempDir()
 	scratch := filepath.Join(dir, "scratch")
 	if err := os.MkdirAll(scratch, 0o755); err != nil {
 		t.Fatal(err)
 	}
-	for _, name := range []string{"job00001-disk000-g00001.dat", "job00042-store.dat"} {
+	orphans := []string{"job00001-disk000-g00001.dat", "job00042-store.dat", "pool-g00007.dat"}
+	for _, name := range orphans {
 		if err := os.WriteFile(filepath.Join(scratch, name), []byte("stale"), 0o644); err != nil {
 			t.Fatal(err)
 		}
 	}
-	if err := os.WriteFile(filepath.Join(scratch, "unrelated.txt"), []byte("keep"), 0o644); err != nil {
-		t.Fatal(err)
+	for _, name := range []string{"unrelated.txt", "pool-g00007.dat.bak"} {
+		if err := os.WriteFile(filepath.Join(scratch, name), []byte("keep"), 0o644); err != nil {
+			t.Fatal(err)
+		}
 	}
 
 	env := newEnv(t, colsort.EngineConfig{Config: testBase(scratch)}, Config{})
-	for _, name := range []string{"job00001-disk000-g00001.dat", "job00042-store.dat"} {
+	for _, name := range orphans {
 		if _, err := os.Stat(filepath.Join(scratch, name)); !os.IsNotExist(err) {
 			t.Errorf("orphan %s survived the boot sweep (stat err %v)", name, err)
 		}
 	}
-	if _, err := os.Stat(filepath.Join(scratch, "unrelated.txt")); err != nil {
-		t.Errorf("sweep removed a non-job file: %v", err)
+	for _, name := range []string{"unrelated.txt", "pool-g00007.dat.bak"} {
+		if _, err := os.Stat(filepath.Join(scratch, name)); err != nil {
+			t.Errorf("sweep removed a file it does not own: %v", err)
+		}
 	}
-	if line := scrapeMetric(t, env, "colsort_orphan_scratch_cleaned_total"); line != "colsort_orphan_scratch_cleaned_total 2" {
+	if line := scrapeMetric(t, env, "colsort_orphan_scratch_cleaned_total"); line != "colsort_orphan_scratch_cleaned_total 3" {
 		t.Errorf("orphan sweep metric: %q", line)
 	}
 }

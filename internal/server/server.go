@@ -80,7 +80,7 @@ type Server struct {
 	// recovery counters /metrics exposes.
 	wal            *wal.Log
 	resumedJobs    atomic.Int64 // file jobs re-adopted from the WAL at startup
-	orphansCleaned atomic.Int64 // orphan job-scoped scratch files removed at startup
+	orphansCleaned atomic.Int64 // orphan job-scoped and pooled scratch files removed at startup
 }
 
 // New builds a Server over an engine the caller owns (Drain closes it),

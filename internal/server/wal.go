@@ -20,10 +20,11 @@ package server
 // nothing to resume for a client that is gone.
 //
 // Startup also sweeps the engine's scratch directory for orphaned
-// job-scoped files (the jobNNNNN- namespace pdm.JobScratchPrefix assigns):
-// a SIGKILL leaves the dead process's spill and store files behind, and no
+// job-scoped files (the jobNNNNN- namespace pdm.JobScratchPrefix assigns)
+// and pooled scratch files (pdm.FilePool's pool-gNNNNN.dat): a SIGKILL
+// leaves the dead process's spill, store and pool files behind, and no
 // future job will ever reference them. The sweep runs before any job is
-// admitted, so every job-prefixed file it sees is garbage by construction.
+// admitted, so every such file it sees is garbage by construction.
 
 import (
 	"context"
@@ -119,12 +120,13 @@ func (s *Server) ckptDir(id string) string {
 }
 
 // orphanScratchPat matches the per-job scratch namespace prefix
-// (pdm.JobScratchPrefix's job%05d- rendering) at the start of a file name.
-var orphanScratchPat = regexp.MustCompile(`^job\d+-`)
+// (pdm.JobScratchPrefix's job%05d- rendering) at the start of a file name,
+// and the name of a pooled scratch file (pdm.FilePool's pool-g%05d.dat).
+var orphanScratchPat = regexp.MustCompile(`^job\d+-|^pool-g\d+\.dat$`)
 
-// sweepOrphanScratch removes job-namespaced files from the engine's scratch
-// directory. It must run before any job is admitted: at that point every
-// job-prefixed file belongs to a dead process.
+// sweepOrphanScratch removes job-namespaced and pooled files from the
+// engine's scratch directory. It must run before any job is admitted: at
+// that point every such file belongs to a dead process.
 func sweepOrphanScratch(scratchDir string) int {
 	if scratchDir == "" {
 		return 0

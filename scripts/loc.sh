@@ -38,12 +38,17 @@
 # (mergeGroups, span, mergeLevel and the progress total's copy of it), the
 # emptied-slot checks it needed and the former's runtime capacity refusal
 # are gone, for the Huffman schedule (schedule, retire), the cap-sized H
-# and its merge floor in resolve, and the WAL's latched failure: 9984). It
-# also
+# and its merge floor in resolve, and the WAL's latched failure: 9984;
+# scratch disks written, then read, -76: Disk.Size and its extent arithmetic
+# in every wrapper and in the striped spill's lanes are gone, and AsyncDisk
+# serves one phase at a time — overlapsPendingWrite, the write's
+# invalidation of staged prefetches and the read's re-check loop are gone,
+# for the phase latch, its refusal and the striped front end's latch: 9908).
+# It also
 # prints the same count per package, largest first — the numbers ROADMAP's
 # largest-packages line quotes.
 set -euo pipefail
-max_go_lines=9984
+max_go_lines=9908
 cd "$(dirname "$0")/.."
 per_pkg=$(find . -name '*.go' ! -name '*_test.go' \
   ! -path './bench/*' ! -path './examples/*' ! -path './.bench_build/*' -print0 |
