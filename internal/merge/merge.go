@@ -131,15 +131,8 @@ func merge(ctx context.Context, runs []*Run, emit func(record.Slice) error, opt 
 	}
 	t := newTourney(readers)
 
-	bufs := make([]record.Slice, emitDepth)
-	for i := range bufs {
-		bufs[i] = opt.Pool.Get(chunkRecs, z)
-	}
-	defer func() {
-		for _, b := range bufs {
-			opt.Pool.Put(b)
-		}
-	}()
+	free := pipeline.NewFreeList(emitDepth, func() record.Slice { return opt.Pool.Get(chunkRecs, z) })
+	defer free.Release(opt.Pool.Put)
 	var order verify.Order
 	var checked int64 // records the verify stage has passed
 	check := func(c record.Slice) (record.Slice, error) {
@@ -153,13 +146,9 @@ func merge(ctx context.Context, runs []*Run, emit func(record.Slice) error, opt 
 		return c, nil
 	}
 
-	// The pop loop takes a free chunk, fills it and hands it on; emit puts
-	// each chunk back on the free list. Every channel holds every chunk
+	// The pop loop takes a free chunk, fills it and hands it on; the sink
+	// puts each chunk back on the free list. Every channel holds every chunk
 	// there is, so no send blocks: only the pop loop waits, for a free chunk.
-	free := make(chan record.Slice, emitDepth)
-	for _, b := range bufs {
-		free <- b
-	}
 	var total int64
 	for _, r := range runs {
 		total += r.Records
@@ -167,7 +156,7 @@ func merge(ctx context.Context, runs []*Run, emit func(record.Slice) error, opt 
 	g := pipeline.NewGroup(ctx)
 	pop := func(send func(record.Slice) error) error {
 		for emitted := int64(0); emitted < total; {
-			buf, _, err := pipeline.Recv(g.Context(), free)
+			buf, err := free.Get(g.Context())
 			if err != nil {
 				return err
 			}
@@ -186,11 +175,7 @@ func merge(ctx context.Context, runs []*Run, emit func(record.Slice) error, opt 
 		}
 		return nil
 	}
-	pipeline.Chain(g, emitDepth, pop, func(c record.Slice) error {
-		err := emit(c)
-		free <- c
-		return err
-	}, check)
+	pipeline.Chain(g, emitDepth, pop, free.Sink(emit), check)
 	err = g.Wait() // before cs and st are read: the stages write them
 	return cs, st, err
 }

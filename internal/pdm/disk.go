@@ -16,6 +16,8 @@ import (
 	"io"
 	"os"
 	"path/filepath"
+	"slices"
+	"sort"
 	"sync/atomic"
 	"syscall"
 
@@ -135,20 +137,27 @@ func (d *MemDisk) Close() error {
 
 // FileDisk is a disk backed by one file, for genuinely out-of-core runs.
 // It tracks its own written extent, not the file's fstat size: a disk built
-// on a recycled file (see FilePool) starts at extent 0 over a file that may
-// still hold a previous user's bytes, and ReadAt zero-fills past the extent
-// exactly as a fresh file zero-fills past EOF, so no job reads bytes another
-// left behind. The disk keeps its own path because
-// os.File.Name goes stale after a rename.
+// on a recycled file (see FilePool) starts at extent 0 over a file whose
+// stale prefix still holds a previous user's bytes, and reads as a fresh
+// sparse file would — zeros past the extent, and zeros in every hole below
+// it — so no job reads bytes another left behind. The holes are zeroed
+// once, at the first read (zeroHoles), not at each write past the extent:
+// the writes of a pass store arrive out of order and fill most holes
+// themselves. The disk keeps its own path because os.File.Name goes stale
+// after a rename. Like every Disk it serves one caller at a time.
 type FileDisk struct {
 	f      *os.File // nil once closed
 	name   string
 	size   int64     // written extent
-	length int64     // the file's length: size, or more in a recycled file
+	stale  int64     // the previous user's bytes fill [0, stale) where spans do not
+	spans  []span    // what the disk wrote inside [0, stale): sorted, disjoint, not touching
 	keep   bool      // Close leaves the file on disk (checkpointed spill runs)
 	pool   *FilePool // Close hands the file back to it (nil: Close removes it)
 	failed bool      // an I/O error was seen: the file is never recycled
 }
+
+// span is the byte range [lo, hi) of a FileDisk.
+type span struct{ lo, hi int64 }
 
 // NewFileDisk creates (or truncates) the file at path.
 func NewFileDisk(path string) (*FileDisk, error) {
@@ -186,11 +195,14 @@ func OpenFileDisk(path string) (*FileDisk, error) {
 		f.Close()
 		return nil, fmt.Errorf("pdm: %w", err)
 	}
-	return &FileDisk{f: f, name: path, size: info.Size(), length: info.Size(), keep: true}, nil
+	return &FileDisk{f: f, name: path, size: info.Size(), keep: true}, nil
 }
 
 // ReadAt reads from the file, zero-filling beyond the written extent.
 func (d *FileDisk) ReadAt(p []byte, off int64) error {
+	if err := d.zeroHoles(); err != nil {
+		return err
+	}
 	n := min(max(d.size-off, 0), int64(len(p)))
 	m, err := d.f.ReadAt(p[:n], off)
 	if err != nil && !errors.Is(err, io.EOF) {
@@ -205,14 +217,6 @@ func (d *FileDisk) ReadAt(p []byte, off int64) error {
 // out-of-space failure is classified permanent and carries ErrNoSpace, so
 // the retry layer fails fast instead of backing off against a full disk.
 func (d *FileDisk) WriteAt(p []byte, off int64) error {
-	for off > d.size && d.length > d.size {
-		// A write past the extent of a recycled file leaves a gap that must
-		// read as zeros, as a fresh file's hole does: overwrite the previous
-		// user's bytes in it.
-		if err := d.WriteAt(zeros[:min(min(off, d.length)-d.size, int64(len(zeros)))], d.size); err != nil {
-			return err
-		}
-	}
 	if _, err := d.f.WriteAt(p, off); err != nil {
 		d.failed = true
 		if isNoSpace(err) {
@@ -220,11 +224,54 @@ func (d *FileDisk) WriteAt(p []byte, off int64) error {
 		}
 		return fmt.Errorf("pdm: write %s: %w", d.name, err)
 	}
-	d.size, d.length = max(d.size, off+int64(len(p))), max(d.length, off+int64(len(p)))
+	end := off + int64(len(p))
+	d.size = max(d.size, end)
+	if off < min(end, d.stale) {
+		d.cover(off, min(end, d.stale))
+	}
 	return nil
 }
 
-// zeros is the source of FileDisk's gap writes.
+// cover records that the disk wrote [lo, hi) of the stale prefix, merging
+// the span in place with those it overlaps or touches. Once the spans cover
+// the whole prefix, nothing of the previous user is left.
+func (d *FileDisk) cover(lo, hi int64) {
+	s := d.spans
+	i := sort.Search(len(s), func(k int) bool { return s[k].hi >= lo })
+	j := i
+	for ; j < len(s) && s[j].lo <= hi; j++ {
+		lo, hi = min(lo, s[j].lo), max(hi, s[j].hi)
+	}
+	d.spans = slices.Replace(s, i, j, span{lo, hi})
+	if d.spans[0] == (span{0, d.stale}) {
+		d.stale, d.spans = 0, d.spans[:0]
+	}
+}
+
+// zeroHoles overwrites with zeros what is left of the previous user's bytes
+// below the extent — the holes a fresh sparse file would read as zeros — so
+// the file below the extent is the disk's own: the first hole, a piece at a
+// time, until the first span reaches the extent. Only the first read after
+// a write past a hole finds one.
+func (d *FileDisk) zeroHoles() error {
+	for {
+		at, end, s := int64(0), min(d.size, d.stale), d.spans
+		if len(s) > 0 && s[0].lo == 0 {
+			at, s = s[0].hi, s[1:]
+		}
+		if len(s) > 0 {
+			end = min(end, s[0].lo)
+		}
+		if at >= end {
+			return nil
+		}
+		if err := d.WriteAt(zeros[:min(end-at, int64(len(zeros)))], at); err != nil {
+			return err
+		}
+	}
+}
+
+// zeros is the source of FileDisk's hole fill.
 var zeros [64 << 10]byte
 
 // Path returns the backing file's path.
@@ -254,7 +301,7 @@ func (d *FileDisk) Close() error {
 	if d.keep {
 		return f.Close()
 	}
-	if d.pool != nil && !d.failed && d.pool.recycle(f, d.name, d.size, d.length) {
+	if d.pool != nil && !d.failed && d.pool.recycle(f, d.name, d.size, max(d.size, d.stale)) {
 		return nil
 	}
 	err := f.Close()

@@ -19,7 +19,7 @@ import (
 // pool recycles nothing.
 type FilePool struct {
 	mu         sync.Mutex
-	free       []*FileDisk // closed: f open, name the pool path, length the file's
+	free       []*FileDisk // closed: f open, name the pool path, stale the file's length
 	open, peak int
 	closed     bool
 }
@@ -39,7 +39,7 @@ func (p *FilePool) newDisk(dir, path string) (Disk, error) {
 	}
 	if pf != nil {
 		if os.Rename(pf.name, path) == nil {
-			return &FileDisk{f: pf.f, name: path, length: pf.length, pool: p}, nil
+			return &FileDisk{f: pf.f, name: path, stale: pf.stale, pool: p}, nil
 		}
 		pf.discard()
 	}
@@ -64,7 +64,7 @@ func (p *FilePool) recycle(f *os.File, name string, size, length int64) bool {
 	if length > size && f.Truncate(size) != nil || os.Rename(name, path) != nil {
 		return false
 	}
-	p.release(&FileDisk{f: f, name: path, length: size})
+	p.release(&FileDisk{f: f, name: path, stale: size})
 	return true
 }
 

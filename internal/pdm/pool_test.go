@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
+	"slices"
 	"strings"
 	"testing"
 
@@ -27,8 +28,10 @@ func names(t *testing.T, dir string) []string {
 }
 
 // TestRecycledFileDisk: a disk on a pooled file starts empty whatever the
-// file held — Size 0, zeros past its extent and in a gap below it — names
-// its own path, and is removed rather than pooled once an operation failed.
+// file held — extent 0, zeros past its extent and in every hole below it,
+// before and after a read — names its own path, and is removed rather than
+// pooled once an operation failed. Writes that fill the stale prefix out of
+// order leave nothing to zero at the first read.
 func TestRecycledFileDisk(t *testing.T) {
 	dir := t.TempDir()
 	pool := &FilePool{}
@@ -94,6 +97,29 @@ func TestRecycledFileDisk(t *testing.T) {
 	if !bytes.Equal(gap[:4093], make([]byte, 4093)) || string(gap[4093:]) != "xyz" {
 		t.Fatalf("gap below the extent holds the previous user's bytes")
 	}
+	// Holes made after that read, one of them written before the next read,
+	// one after it: each reads back as written, the rest as zeros.
+	for _, w := range []struct {
+		off int64
+		s   string
+	}{{6000, "q"}, {7000, "r"}, {6500, "s"}} {
+		if err := d2.WriteAt([]byte(w.s), w.off); err != nil {
+			t.Fatal(err)
+		}
+	}
+	want := make([]byte, 7001-4099)
+	want[6000-4099], want[6500-4099], want[7000-4099] = 'q', 's', 'r'
+	holes := make([]byte, len(want))
+	if err := d2.ReadAt(holes, 4099); err != nil || !bytes.Equal(holes, want) {
+		t.Fatalf("holes written after a read: %v, or the previous user's bytes show", err)
+	}
+	if err := d2.WriteAt([]byte("t"), 5000); err != nil {
+		t.Fatal(err)
+	}
+	want[5000-4099] = 't'
+	if err := d2.ReadAt(holes, 4099); err != nil || !bytes.Equal(holes, want) {
+		t.Fatalf("a write into a zeroed hole: %v, or it does not read back", err)
+	}
 
 	// The file closed underneath the disk: the write fails, names the
 	// disk's current path, and Close removes the file instead of pooling it.
@@ -113,8 +139,8 @@ func TestRecycledFileDisk(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if open, peak, _ := pool.Stats(); d3.(*FileDisk).length != 0 || open != 1 || peak != 1 {
-		t.Fatalf("after a failed disk: length %d, %d open, peak %d; want a fresh file", d3.(*FileDisk).length, open, peak)
+	if open, peak, _ := pool.Stats(); d3.(*FileDisk).stale != 0 || open != 1 || peak != 1 {
+		t.Fatalf("after a failed disk: stale %d, %d open, peak %d; want a fresh file", d3.(*FileDisk).stale, open, peak)
 	}
 	if err := d3.Close(); err != nil {
 		t.Fatal(err)
@@ -133,6 +159,46 @@ func TestRecycledFileDisk(t *testing.T) {
 	}
 	if got := names(t, dir); len(got) != 0 {
 		t.Fatalf("disk closed after its pool left %v behind", got)
+	}
+
+	// An out-of-order fill of a whole poisoned file: the spans coalesce as
+	// the blocks land, and nothing of the previous user is left to zero.
+	b = FileBackend{Dir: t.TempDir(), Pool: &FilePool{}}
+	defer b.Pool.Close()
+	const block = 4096
+	d5, err := b.NewDisk(4)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := d5.WriteAt(bytes.Repeat(poison[:1], 4*block), 0); err != nil {
+		t.Fatal(err)
+	}
+	d5.Close()
+	disk, err = b.NewDisk(5)
+	if err != nil {
+		t.Fatal(err)
+	}
+	d6 := disk.(*FileDisk)
+	defer d6.Close()
+	data := make([]byte, 4*block)
+	for i := range data {
+		data[i] = byte(i / block)
+	}
+	for k, blk := range []int64{2, 0, 3, 1} {
+		if err := d6.WriteAt(data[blk*block:(blk+1)*block], blk*block); err != nil {
+			t.Fatal(err)
+		}
+		wantSpans := [][]span{{{2 * block, 3 * block}}, {{0, block}, {2 * block, 3 * block}}, {{0, block}, {2 * block, 4 * block}}, nil}[k]
+		if !slices.Equal(d6.spans, wantSpans) {
+			t.Fatalf("after block %d the written spans are %v, want %v", blk, d6.spans, wantSpans)
+		}
+	}
+	if d6.stale != 0 || len(d6.spans) != 0 {
+		t.Fatalf("a filled file keeps a stale prefix of %d bytes and spans %v", d6.stale, d6.spans)
+	}
+	back := make([]byte, len(data))
+	if err := d6.ReadAt(back, 0); err != nil || !bytes.Equal(back, data) {
+		t.Fatalf("read back of the out-of-order fill: %v, or it differs", err)
 	}
 }
 

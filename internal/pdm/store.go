@@ -1,10 +1,11 @@
 package pdm
 
 import (
-	"errors"
+	"context"
 	"fmt"
 	"sync"
 
+	"colsort/internal/pipeline"
 	"colsort/internal/record"
 	"colsort/internal/sim"
 )
@@ -52,9 +53,9 @@ type Store struct {
 	G       int          // processors sharing a column
 	Layout  Layout       // the name G goes by
 	Arrays  []*DiskArray // one per processor
-	// Pool, when non-nil, lends the serial scans their one-column buffer
-	// (ScanRows; the ingest of the root package): a machine's stores share
-	// its processor-0 pool, so a warm engine scans without allocating.
+	// Pool, when non-nil, lends the staged scans (FillRows, StreamRows)
+	// their segment buffers: a machine's stores share its processor-0
+	// pool, so a warm engine scans without allocating.
 	Pool *record.Pool
 
 	closeOnce sync.Once
@@ -434,36 +435,121 @@ func (st *Store) Close() error {
 // j·r + i to the record at (row i, column j) — i.e. generator order is
 // column-major, matching the input convention of the sorters.
 func (st *Store) Fill(g record.Generator) error {
-	return st.FillRows(func(j, lo int, chunk record.Slice) error {
+	return st.FillRows(context.Background(), func(j, lo int, chunk record.Slice) error {
 		record.Fill(chunk, g, int64(j)*int64(st.R)+int64(lo))
 		return nil
 	})
 }
 
-// FillRows is ScanRows' writing counterpart: it visits every owned segment
-// in global column-major order with one pooled buffer of its rows, writes
-// what fill left there to rows lo… of column j, and flushes every processor
-// at the end. fill must overwrite the whole chunk: the buffer is not zeroed.
-// Nothing is prefetched — the store is being written, not read.
-func (st *Store) FillRows(fill func(j, lo int, chunk record.Slice) error) error {
+// A RowVisitor sees the records of rows lo… of column j in a chunk of a
+// staged scan; it may use the chunk until it returns.
+type RowVisitor func(j, lo int, chunk record.Slice) error
+
+// FillRows is StreamRows' writing counterpart: fill writes every owned
+// segment's rows, in global column-major order on the chain's source — it
+// must overwrite the whole chunk, since the buffer is not zeroed — each of
+// stages then sees the chunk on a goroutine of its own, and the chunk is
+// written to rows lo… of column j. Every processor is flushed at the end.
+// Nothing is prefetched — the store is being written, not read: on an
+// AsyncDisk a hint would end the write phase.
+func (st *Store) FillRows(ctx context.Context, fill RowVisitor, stages ...RowVisitor) error {
 	var cnt sim.Counters
-	buf := st.Pool.Get(st.R, st.RecSize)
-	defer st.Pool.Put(buf)
-	for _, sg := range st.segments() {
-		chunk := buf.Sub(0, sg.hi-sg.lo)
-		if err := fill(sg.j, sg.lo, chunk); err != nil {
-			return err
+	err := st.stream(ctx, func(c *rowChunk, _ []segment) (bool, error) {
+		return true, fill(c.j, c.lo, c.recs)
+	}, append(stages[:len(stages):len(stages)], func(j, lo int, chunk record.Slice) error {
+		return st.WriteRows(&cnt, st.Owner(lo, j), j, lo, chunk)
+	}))
+	for p := 0; err == nil && p < st.P; p++ {
+		err = st.Flush(p)
+	}
+	return err
+}
+
+// StreamRows reads the store's first n records in global column-major
+// order — the order in which the sorted records appear — one owned segment
+// at a time, prefetching the next segment it will read before it reads
+// one, so on async-backed disks the read overlaps the visitors. Each of
+// the visitors (at least one) sees every chunk in order, trimmed to the
+// first n records, on a goroutine of its own; the store's scans (Snapshot,
+// Checksum, verification, the output drain) are built on it.
+func (st *Store) StreamRows(ctx context.Context, n int64, visits ...RowVisitor) error {
+	var cnt sim.Counters
+	return st.stream(ctx, func(c *rowChunk, next []segment) (bool, error) {
+		if len(next) > 0 && n > int64(c.hi-c.lo) {
+			st.PrefetchRows(next[0].p, next[0].j, next[0].lo, next[0].hi-next[0].lo)
 		}
-		if err := st.WriteRows(&cnt, sg.p, sg.j, sg.lo, chunk); err != nil {
-			return err
+		if err := st.ReadRows(&cnt, c.p, c.j, c.lo, c.recs); err != nil {
+			return false, err
+		}
+		c.recs = c.recs.Sub(0, int(min(int64(c.recs.Len()), n)))
+		n -= int64(c.recs.Len())
+		return n > 0, nil
+	}, visits)
+}
+
+// stream is the one chain of the store's staged scans, over a free list of
+// segment buffers from the store's pool: src fills each owned segment's
+// chunk, in global column-major order, on the source goroutine — next is
+// the segments after it — and says whether the scan goes on; each visitor
+// runs on a goroutine of its own.
+// A visitor's error travels with its chunk to the last visitor, which
+// fails the chain there, so every chunk before it is visited to the end;
+// the first failure, or ctx's end, stops every stage and is what stream
+// returns.
+func (st *Store) stream(ctx context.Context, src func(c *rowChunk, next []segment) (more bool, err error), visits []RowVisitor) error {
+	rows := st.R / st.G
+	depth := len(visits) + 1
+	free := pipeline.NewFreeList(depth, func() *rowChunk { return &rowChunk{buf: st.Pool.Get(rows, st.RecSize)} })
+	defer free.Release(func(c *rowChunk) { st.Pool.Put(c.buf) })
+	g := pipeline.NewGroup(ctx)
+	segs := st.segments()
+	source := func(send func(*rowChunk) error) error {
+		for i, sg := range segs {
+			if err := ctx.Err(); err != nil {
+				return err
+			}
+			c, err := free.Get(g.Context())
+			if err != nil {
+				return err
+			}
+			c.segment, c.recs, c.err = sg, c.buf.Sub(0, sg.hi-sg.lo), nil
+			more, err := src(c, segs[i+1:])
+			if err != nil {
+				return err
+			}
+			if err := send(c); err != nil || !more {
+				return err
+			}
+		}
+		return nil
+	}
+	stages := make([]pipeline.Stage[*rowChunk], len(visits)-1)
+	for k, visit := range visits[:len(visits)-1] {
+		stages[k] = func(c *rowChunk) (*rowChunk, error) {
+			if c.err == nil {
+				c.err = visit(c.j, c.lo, c.recs)
+			}
+			return c, nil
 		}
 	}
-	for p := 0; p < st.P; p++ {
-		if err := st.Flush(p); err != nil {
-			return err
+	// The channels are as deep as the free list, so no send blocks: only
+	// the source waits, for a free buffer.
+	last := visits[len(visits)-1]
+	pipeline.Chain(g, depth, source, free.Sink(func(c *rowChunk) error {
+		if c.err != nil {
+			return c.err
 		}
-	}
-	return nil
+		return last(c.j, c.lo, c.recs)
+	}), stages...)
+	return g.Wait()
+}
+
+// rowChunk is one owned segment in flight through a staged scan.
+type rowChunk struct {
+	segment
+	buf  record.Slice // the whole buffer, from the store's pool
+	recs record.Slice // the segment's rows in buf
+	err  error        // a visitor's verdict, carried to the last one
 }
 
 // segment is one processor's owned rows [lo, hi) of column j.
@@ -483,55 +569,10 @@ func (st *Store) segments() []segment {
 	return segs
 }
 
-// ErrStopScan, returned by a ScanSegments visitor, ends the scan early and
-// successfully — before the remaining segments are visited or prefetched.
-var ErrStopScan = errors.New("pdm: stop scan")
-
-// ScanSegments visits every owned (processor, column, row-range) segment of
-// the store in global column-major order — the order in which the sorted
-// records appear — prefetching each segment one step ahead of the visit, so
-// on async-backed disks the caller's per-segment processing overlaps the
-// next segment's read. All the store's serial scans (Snapshot, Checksum,
-// verification, output streaming) are built on it, through ScanRows. A
-// visitor returning ErrStopScan ends the scan without error and without
-// staging further prefetches (the stopping visit's one-ahead hint has already been issued;
-// at most that one staged extent goes unconsumed until Close).
-func (st *Store) ScanSegments(visit func(p, j, lo, hi int) error) error {
-	segs := st.segments()
-	for i, sg := range segs {
-		if i+1 < len(segs) {
-			nx := segs[i+1]
-			st.PrefetchRows(nx.p, nx.j, nx.lo, nx.hi-nx.lo)
-		}
-		if err := visit(sg.p, sg.j, sg.lo, sg.hi); err != nil {
-			if errors.Is(err, ErrStopScan) {
-				return nil
-			}
-			return err
-		}
-	}
-	return nil
-}
-
-// ScanRows is ScanSegments with each segment read: visit receives the records
-// of rows lo… of column j, in a buffer it may use until it returns.
-func (st *Store) ScanRows(visit func(j, lo int, chunk record.Slice) error) error {
-	var cnt sim.Counters
-	buf := st.Pool.Get(st.R, st.RecSize)
-	defer st.Pool.Put(buf)
-	return st.ScanSegments(func(p, j, lo, hi int) error {
-		chunk := buf.Sub(0, hi-lo)
-		if err := st.ReadRows(&cnt, p, j, lo, chunk); err != nil {
-			return err
-		}
-		return visit(j, lo, chunk)
-	})
-}
-
 // Snapshot reads the whole matrix into memory (tests and verification).
 func (st *Store) Snapshot() (record.Slice, error) {
 	out := record.Make(st.R*st.S, st.RecSize)
-	err := st.ScanRows(func(j, lo int, chunk record.Slice) error {
+	err := st.StreamRows(context.Background(), int64(st.R)*int64(st.S), func(j, lo int, chunk record.Slice) error {
 		out.Sub(j*st.R+lo, j*st.R+lo+chunk.Len()).Copy(chunk)
 		return nil
 	})
@@ -542,10 +583,10 @@ func (st *Store) Snapshot() (record.Slice, error) {
 }
 
 // Checksum computes the order-independent multiset checksum of the store's
-// contents without holding more than one column in memory.
+// contents without holding more than a few segments in memory.
 func (st *Store) Checksum() (record.Checksum, error) {
 	var c record.Checksum
-	err := st.ScanRows(func(_, _ int, chunk record.Slice) error {
+	err := st.StreamRows(context.Background(), int64(st.R)*int64(st.S), func(_, _ int, chunk record.Slice) error {
 		c.AddSlice(chunk)
 		return nil
 	})

@@ -1,5 +1,6 @@
 // Package pipeline runs every staged pipeline of the engine: the
-// out-of-core columnsort passes, run formation and the merges.
+// out-of-core columnsort passes, run formation, the merges, and the ingest
+// and drain of a single-run sort.
 //
 // The paper's threaded implementation [CC02] gives each processor a small
 // set of threads (read/write I/O, sort, communicate, permute) connected into
@@ -145,4 +146,47 @@ func Run[T any](ctx context.Context, chanCap int, source func(emit func(T) error
 	g := NewGroup(ctx)
 	Chain(g, chanCap, source, sink, stages...)
 	return g.Wait()
+}
+
+// A FreeList is a fixed set of buffers cycling through a Chain — the
+// paper's fixed buffer pool: the source takes a free buffer with Get, the
+// sink hands it back (Sink), and once the group has been joined Release
+// returns every buffer to its owner, whatever the outcome. The list holds
+// every buffer there is, so a put-back never blocks; only Get waits.
+type FreeList[T any] struct {
+	all  []T
+	free chan T
+}
+
+// NewFreeList returns a list of n buffers made by alloc, all free.
+func NewFreeList[T any](n int, alloc func() T) *FreeList[T] {
+	l := &FreeList[T]{all: make([]T, n), free: make(chan T, n)}
+	for i := range l.all {
+		l.all[i] = alloc()
+		l.free <- l.all[i]
+	}
+	return l
+}
+
+// Get takes a free buffer, waiting for one until ctx is done.
+func (l *FreeList[T]) Get(ctx context.Context) (T, error) {
+	v, _, err := Recv(ctx, l.free)
+	return v, err
+}
+
+// Sink wraps a chain's sink so that every buffer it is handed goes back on
+// the list after f, whatever f returns.
+func (l *FreeList[T]) Sink(f func(T) error) func(T) error {
+	return func(v T) error {
+		err := f(v)
+		l.free <- v
+		return err
+	}
+}
+
+// Release hands every buffer to put; call it after the group's Wait.
+func (l *FreeList[T]) Release(put func(T)) {
+	for _, v := range l.all {
+		put(v)
+	}
 }

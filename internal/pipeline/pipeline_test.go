@@ -366,3 +366,62 @@ func TestSendRecvUnblockOnFail(t *testing.T) {
 		t.Fatalf("Recv on a closed channel = ok %v, err %v", ok, err)
 	}
 }
+
+// TestFreeListCycles: two buffers carry ten items through a two-stage
+// chain — the source waits for the sink to put one back. After a clean
+// run both are back on the list; after a failed one some may be held by a
+// stage that stopped, and Release still sees each buffer exactly once. A
+// Get on an empty list ends with the group.
+func TestFreeListCycles(t *testing.T) {
+	testutil.CheckGoroutines(t)
+	boom := errors.New("boom")
+	for _, failAt := range []int{-1, 6} {
+		made := 0
+		l := NewFreeList(2, func() *int { made++; return new(int) })
+		var got []int
+		g := NewGroup(context.Background())
+		Chain(g, 2, func(send func(*int) error) error {
+			for i := 0; i < 10; i++ {
+				b, err := l.Get(g.Context())
+				if err != nil {
+					return err
+				}
+				*b = i
+				if err := send(b); err != nil {
+					return err
+				}
+			}
+			return nil
+		}, l.Sink(func(b *int) error {
+			if *b == failAt {
+				return boom
+			}
+			got = append(got, *b)
+			return nil
+		}), func(b *int) (*int, error) { return b, nil })
+		err := g.Wait()
+		if failAt < 0 && (err != nil || len(got) != 10 || len(l.free) != 2) ||
+			failAt >= 0 && (!errors.Is(err, boom) || len(got) != failAt) {
+			t.Fatalf("fail at %d: Wait = %v after %d items, %d buffers free", failAt, err, len(got), len(l.free))
+		}
+		seen := map[*int]bool{}
+		l.Release(func(b *int) { seen[b] = true })
+		if made != 2 || len(seen) != 2 {
+			t.Fatalf("fail at %d: made %d buffers, released %d distinct ones; want 2 and 2", failAt, made, len(seen))
+		}
+	}
+	l := NewFreeList(1, func() int { return 0 })
+	g := NewGroup(context.Background())
+	g.Go(func() error {
+		for range 2 {
+			if _, err := l.Get(g.Context()); err != nil {
+				return err
+			}
+		}
+		return nil
+	})
+	time.AfterFunc(10*time.Millisecond, func() { g.Fail(boom) })
+	if err := g.Wait(); !errors.Is(err, boom) {
+		t.Fatalf("Get on an empty list: Wait = %v, want boom", err)
+	}
+}

@@ -40,8 +40,15 @@ func Output(st *pdm.Store, want record.Checksum) error {
 // records, making prefix trimming exact. Used by the non-power-of-two
 // support in the public API.
 func OutputPrefix(st *pdm.Store, n int64, want record.Checksum) error {
-	got, err := scan(context.Background(), st, n, func(j, lo int, real record.Slice, pad []byte, _ int64) error {
-		for k, b := range pad {
+	var order Order
+	var got record.Checksum
+	err := st.StreamRows(context.Background(), int64(st.R)*int64(st.S), func(j, lo int, chunk record.Slice) error {
+		real := chunk.Sub(0, int(min(int64(chunk.Len()), max(n-int64(j)*int64(st.R)-int64(lo), 0))))
+		if err := order.check(j, lo, real); err != nil {
+			return err
+		}
+		got.AddSlice(real)
+		for k, b := range chunk.Data[len(real.Data):] {
 			if b != 0xff {
 				return &Error{Kind: "pad violation", Column: j, Row: lo + real.Len() + k/st.RecSize,
 					Detail: "non-pad record beyond the real prefix"}
@@ -62,55 +69,45 @@ func OutputPrefix(st *pdm.Store, n int64, want record.Checksum) error {
 
 // Drain streams the first n records of the sorted store st into emit, chunk
 // by chunk in global column-major order, and returns their multiset
-// checksum for the caller to compare with its own. Each chunk is checked
-// and folded before emit sees it, so emit may rewrite it in place, and a
-// chunk out of order never reaches emit. The scan stops behind the n-th
+// checksum for the caller to compare with its own. It is three stages of
+// one Store.StreamRows chain: the read (prefetching a segment ahead) ‖ the
+// order check and the fold ‖ emit. Each chunk is checked and folded before
+// emit sees it, so emit may rewrite it in place; a chunk out of order
+// never reaches emit, nor any after it, while every chunk before it does.
+// The first failure — a read, the order, emit's error, ctx's end — stops
+// every stage and is what Drain returns. The scan stops behind the n-th
 // record: the pads are never read, and need not be, since a sorted prefix
 // whose multiset is the input's leaves nothing but pads behind it.
 func Drain(ctx context.Context, st *pdm.Store, n int64, emit func(record.Slice) error) (record.Checksum, error) {
-	return scan(ctx, st, n, func(_, _ int, real record.Slice, _ []byte, left int64) error {
-		if err := emit(real); err != nil {
-			return err
-		}
-		if left == 0 {
-			return pdm.ErrStopScan
-		}
-		return nil
-	})
-}
-
-// scan is the one loop of the store checks. It reads st's segments in
-// global column-major order (ScanRows prefetches one ahead), checks the
-// order of the real records among the first n — a violation is an *Error
-// at its column and row — and folds them into the returned checksum. Then
-// visit sees the segment at rows lo… of column j: its real records, the pad
-// bytes behind them, and how many real records are left; visit may end the
-// scan with pdm.ErrStopScan.
-func scan(ctx context.Context, st *pdm.Store, n int64, visit func(j, lo int, real record.Slice, pad []byte, left int64) error) (record.Checksum, error) {
 	var order Order
 	var sum record.Checksum
-	err := st.ScanRows(func(j, lo int, chunk record.Slice) error {
-		if err := ctx.Err(); err != nil {
+	err := st.StreamRows(ctx, n, func(j, lo int, real record.Slice) error {
+		if err := order.check(j, lo, real); err != nil {
 			return err
 		}
-		real := chunk.Sub(0, int(min(int64(chunk.Len()), n)))
-		n -= int64(real.Len())
-		if i := order.Check(real); i >= 0 {
-			prev := order.prev
-			if i > 0 {
-				prev = real.Record(i - 1)
-			}
-			return &Error{Kind: "order violation", Column: j, Row: lo + i,
-				Detail: fmt.Sprintf("key %x follows %x", real.Key(i), binary.BigEndian.Uint64(prev))}
-		}
 		sum.AddSlice(real)
-		return visit(j, lo, real, chunk.Data[len(real.Data):], n)
-	})
+		return nil
+	}, func(_, _ int, real record.Slice) error { return emit(real) })
 	return sum, err
 }
 
+// check is Check reporting a violation as an *Error at its column and row,
+// for c holding rows lo… of column j.
+func (o *Order) check(j, lo int, c record.Slice) error {
+	i := o.Check(c)
+	if i < 0 {
+		return nil
+	}
+	prev := o.prev // Check keeps the previous chunk's last record on failure
+	if i > 0 {
+		prev = c.Record(i - 1)
+	}
+	return &Error{Kind: "order violation", Column: j, Row: lo + i,
+		Detail: fmt.Sprintf("key %x follows %x", c.Key(i), binary.BigEndian.Uint64(prev))}
+}
+
 // Order is the one order check of every sorted stream the engine checks:
-// the merge's verify stage, the store scan above, and colsort-paper's
+// the merge's verify stage, the store scans above, and colsort-paper's
 // check of a distributed sort. It sees the stream's chunks in order and
 // keeps a copy of the last record of the chunk before.
 type Order struct {

@@ -139,28 +139,34 @@ func (j *job) sortSingle(ctx context.Context, rd RecordReader, dst Sink, o sortO
 
 // fillStore streams the source's records into the store in global
 // column-major index order — the order Store.Fill assigns, through the same
-// Store.FillRows loop, one bulk read per owned-rows chunk — normalizing each
+// Store.FillRows chain, one bulk read per owned segment — normalizing each
 // record through the codec, folding the real records into the returned
 // checksum, and padding any remainder with all-0xFF records, which are
 // maximal in the normalized space, so they sort to the end for every KeySpec.
+// Three stages overlap: the read, encode and pad on FillRows' source (the
+// only reader of rd) ‖ the fold ‖ the store write.
 func fillStore(ctx context.Context, st *pdm.Store, rd RecordReader, codec record.KeyCodec, n int64) (record.Checksum, error) {
 	var want record.Checksum
-	var idx int64
-	err := st.FillRows(func(_, _ int, chunk record.Slice) error {
-		if err := ctx.Err(); err != nil {
-			return err
-		}
-		real := chunk.Sub(0, int(min(int64(chunk.Len()), max(n-idx, 0))))
+	// realPart returns the real records of rows lo… of column j, and the
+	// first one's index.
+	realPart := func(j, lo int, chunk record.Slice) (record.Slice, int64) {
+		idx := int64(j)*int64(st.R) + int64(lo)
+		return chunk.Sub(0, int(min(int64(chunk.Len()), max(n-idx, 0)))), idx
+	}
+	err := st.FillRows(ctx, func(j, lo int, chunk record.Slice) error {
+		real, idx := realPart(j, lo, chunk)
 		if got, err := readRecords(rd, real); err != nil {
 			return fmt.Errorf("colsort: input record %d: %w", idx+int64(got), err)
 		}
 		codec.Encode(real)
-		want.AddSlice(real)
 		pad := chunk.Data[len(real.Data):]
 		for k := range pad {
 			pad[k] = 0xff
 		}
-		idx += int64(chunk.Len())
+		return nil
+	}, func(j, lo int, chunk record.Slice) error {
+		real, _ := realPart(j, lo, chunk)
+		want.AddSlice(real)
 		return nil
 	})
 	return want, err
