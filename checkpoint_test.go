@@ -215,10 +215,10 @@ func TestCheckpointResumeMidFormation(t *testing.T) {
 	var once sync.Once
 	res, err := s.Sort(ctx, FromBytes(raw), Discard(), WithCheckpoint(ckptDir),
 		WithProgress(func(ev Progress) {
-			// Forming run 4 of 8: runs 1 and 2 are durable. Run 3 need not
-			// be — the spill stage commits a run while the next is being
-			// selected, at most one end-of-run message behind (§12).
-			if ev.Batch >= 4 {
+			// Forming run 5 of 8: runs 1 and 2 are durable. Runs 3 and 4
+			// need not be — durability lags select by at most two runs:
+			// one being spilled while the one before it is committed (§12).
+			if ev.Batch >= 5 {
 				once.Do(cancel)
 			}
 		}))

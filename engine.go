@@ -141,7 +141,7 @@ func NewEngine(cfg EngineConfig) (*Engine, error) {
 	}
 	e := &Engine{cfg: c, total: cfg.TotalMemory, m: m}
 	if c.Dir != "" { // after the probe, which removed its files: a new engine's Dir holds none
-		e.pool = &pdm.FilePool{}
+		e.pool = pdm.NewFilePool(c.Dir)
 		e.m.Backend = pdm.FileBackend{Dir: c.Dir, Pool: e.pool}
 	}
 	e.drained = sync.NewCond(&e.mu)
@@ -304,10 +304,11 @@ func (e *Engine) newJob(ctx context.Context, o sortOptions) *job {
 	if o.checkpoint != "" {
 		// Checkpointed jobs spill their hierarchical runs into the manifest
 		// directory as keep-on-close files — the durable state a later Sort
-		// under the same directory reopens. Array disks (ingest stores,
-		// pipeline scratch) stay on the ordinary scratch backend: they are
-		// recomputed, never resumed.
-		j.m.SpillBackend = pdm.FileBackend{Dir: o.checkpoint, Prefix: ckptRunPrefix, Keep: true}
+		// under the same directory reopens — drawn from the engine's pool
+		// and retired to it once a durable entry consumed them. Array disks
+		// (ingest stores, pipeline scratch) stay on the ordinary scratch
+		// backend: they are recomputed, never resumed.
+		j.m.SpillBackend = pdm.FileBackend{Dir: o.checkpoint, Prefix: ckptRunPrefix, Keep: true, Pool: e.pool}
 	}
 	return j
 }

@@ -19,7 +19,6 @@ import (
 	"errors"
 	"fmt"
 	"math/bits"
-	"os"
 	"slices"
 
 	"colsort/internal/core"
@@ -178,6 +177,16 @@ func (h *hierJob) closeRuns() {
 	h.live = nil
 }
 
+// retireRun closes a run that a durable entry has consumed — the merged
+// entry of the merge that read it, or done — as scratch: its file goes back
+// to the engine's pool, or off the disk when it has none or an operation on
+// it failed. A checkpointed run must be retired no earlier: until then a
+// resume may need it.
+func retireRun(r *merge.Run) {
+	pdm.Retire(r.Disk)
+	r.Close()
+}
+
 // newSpill allocates the job's next spill disk and arms the job's writer on
 // it. Formation runs, redone runs and merge outputs draw from the one
 // sequence, so no two spills of a job share an ordinal (which names the file
@@ -192,9 +201,24 @@ func (h *hierJob) newSpill() (pdm.Disk, error) {
 	return d, err
 }
 
-// commitRun admits a formed, verified run to the live set and accounts it.
+// commitRun makes a formed, verified run durable under a checkpoint, then
+// admits it to the live set and accounts it. A run it fails on stays the
+// caller's.
 func (h *hierJob) commitRun(run *merge.Run) error {
-	h.live = append(h.live, hierRun{run: run})
+	id := 0
+	if h.ckpt != nil {
+		// Durability point: the run's bytes (already scrubbed when armed)
+		// reach stable storage before the manifest entry that claims them
+		// does.
+		if err := pdm.SyncDisk(run.Disk); err != nil {
+			return err
+		}
+		var err error
+		if id, err = h.ckpt.logRun(run); err != nil {
+			return err
+		}
+	}
+	h.live = append(h.live, hierRun{run: run, id: id})
 	h.stats.BytesWritten += run.Bytes() // run formation's spill
 	if run.Descending {
 		h.stats.DownRuns++
@@ -203,28 +227,21 @@ func (h *hierJob) commitRun(run *merge.Run) error {
 		h.stats.MinRunRecords = run.Records
 	}
 	h.stats.MaxRunRecords = max(h.stats.MaxRunRecords, run.Records)
-	if h.ckpt == nil {
-		return nil
-	}
-	// Durability point: the run's bytes (already scrubbed when armed) reach
-	// stable storage before the manifest entry that claims them does.
-	if err := pdm.SyncDisk(run.Disk); err != nil {
-		return err
-	}
-	id, err := h.ckpt.logRun(run)
-	h.live[len(h.live)-1].id = id
-	return err
+	return nil
 }
 
-// Run formation is a pipeline of three stages, each on its own goroutine,
-// joined by bounded channels of pooled chunk buffers (DESIGN.md §12):
+// Run formation is a pipeline of four stages, each on its own goroutine,
+// joined by bounded channels (DESIGN.md §12):
 //
-//	ingest ──sorted chunks──▶ select ──formMsgs──▶ spill-and-commit
+//	ingest ──sorted chunks──▶ select ──formMsgs──▶ spill ──runs──▶ commit
 //
-// The channel bounds are the memory bound: ingest's staging buffer, the
-// sorted chunk it is handing over and the one select is admitting (back in
-// the pool once copied into the former's pages), and three emit chunks (one
-// filling, one queued, one being written).
+// The chunk channels' bounds are the memory bound: ingest's staging buffer,
+// the sorted chunk it is handing over and the one select is admitting (back
+// in the pool once copied into the former's pages), and three emit chunks
+// (one filling, one queued, one being written). A run handed to commit is on
+// its disk, holding no buffer; the hand-off is unbuffered, so a run's fsync
+// overlaps the next run's spill and durability lags select by at most two
+// runs.
 
 // A formMsg is what the select stage hands the spill stage: the next chunk
 // of the current run, or — with no chunk — that run's end and direction.
@@ -241,23 +258,26 @@ type formMsg struct {
 // direction (select, on the calling goroutine: the former, BreakRun and
 // every Progress call stay here, in one order whatever the scheduler does),
 // descending runs marked for the merge's backwards read, and each run is
-// spilled, verified and committed in run order (spillRuns) while the next
-// one is being selected. The engine's
+// spilled and verified (spillRuns) while the next one is being selected,
+// then committed in run order (commitRuns) while the next is spilled. The engine's
 // fabric is never involved: order comes from the former, and end-to-end
 // verification from the merge's in-stream order check plus the final
 // multiset comparison against the ingest checksum.
 //
-// Ingest and spill run on a pipeline.Group: the first failure of any stage
-// — or the caller's cancellation — is the group's cause: it stops the other
-// stages, every channel wait is a pipeline.Send or Recv on it, and it is
-// what the call returns, once both goroutines have exited. The ingest stage
-// is the only code that touches rd, so the caller may then close it.
+// Ingest, spill and commit run on a pipeline.Group: the first failure of
+// any stage — or the caller's cancellation — is the group's cause: it stops
+// the other stages, every channel wait that could outlive its neighbour is a
+// pipeline.Send or Recv on it, and it is what the call returns, once every
+// goroutine has exited. The ingest stage is the only code that touches rd,
+// so the caller may then close it.
 func (h *hierJob) formReplacementRuns(ctx context.Context, rd RecordReader) error {
 	g := pipeline.NewGroup(ctx)
 	chunks := make(chan runform.Chunk)
 	msgs := make(chan formMsg, 1)
+	runs := make(chan *merge.Run)
 	g.Go(func() error { return h.ingest(g.Context(), rd, chunks) })
-	g.Go(func() error { return h.spillRuns(g.Context(), msgs) })
+	g.Go(func() error { return h.spillRuns(g.Context(), msgs, runs) })
+	g.Go(func() error { return h.commitRuns(g, runs) })
 	h.selectRuns(g.Context(), chunks, msgs)
 	close(msgs)
 	return g.Wait()
@@ -360,15 +380,16 @@ func (h *hierJob) selectRuns(ctx context.Context, in <-chan runform.Chunk, out c
 // permanent spill or scrub failure is terminal.
 func (h *hierJob) retain() bool { return h.scrub && h.redoBudget > 0 }
 
-// spillRuns is the last formation stage. For the duration of formation it
-// owns the job's run writer, spill sequence, live set, stats and manifest
-// log: it writes each run's chunks onto a fresh spill disk through the
-// CRC-framing writer and, at the run's end, drains the write-behind queue,
-// reads the spilled bytes back against their frames when the scrub is armed
-// — NOW, while the run can still be redone; at merge time its producer is
-// gone and persistent spill corruption is fatal — and commits the run
-// (fsync, then the manifest line), in run order, while the select stage is
-// already forming the next run.
+// spillRuns is the third formation stage. For the duration of formation it
+// owns the job's run writer and spill sequence: it writes each run's chunks
+// onto a fresh spill disk through the CRC-framing writer and, at the run's
+// end, drains the write-behind queue, reads the spilled bytes back against
+// their frames when the scrub is armed — NOW, while the run can still be
+// redone; at merge time its producer is gone and persistent spill
+// corruption is fatal — and hands the verified run to the commit stage, in
+// run order, while the select stage is already forming the next run. It
+// closes out behind the last run, and a run it could not hand over it
+// closes itself.
 //
 // A run that cannot be trusted — the spill disk failed permanently
 // mid-write, the scrub found persistent corruption (a torn write) — is
@@ -379,10 +400,11 @@ func (h *hierJob) retain() bool { return h.scrub && h.redoBudget > 0 }
 // spill failure with retention armed stops writing and keeps receiving: the
 // kept chunks are then the only copy of those records. A spill disk that
 // cannot be allocated behaves as one whose first write fails.
-func (h *hierJob) spillRuns(ctx context.Context, in <-chan formMsg) error {
+func (h *hierJob) spillRuns(ctx context.Context, in <-chan formMsg, out chan<- *merge.Run) error {
 	var d pdm.Disk // the current attempt's disk, nil before its first chunk and once it failed
 	var werr error // why the current attempt cannot be trusted
 	var kept []record.Slice
+	defer close(out)
 	defer func() {
 		if d != nil {
 			d.Close()
@@ -453,11 +475,33 @@ func (h *hierJob) spillRuns(ctx context.Context, in <-chan formMsg) error {
 			h.pool.Put(c)
 		}
 		kept = kept[:0]
-		if err := h.commitRun(run); err != nil {
+		if err := pipeline.Send(ctx, out, run); err != nil {
+			run.Close()
 			return err
 		}
 		runIdx++
 	}
+}
+
+// commitRuns is the last formation stage. For the duration of formation it
+// owns the live set, the run stats and the manifest log: it commits each
+// verified run in run order (commitRun: under a checkpoint the run's fsync,
+// then its manifest line; then its admission) while the spill stage writes
+// the next. Once the group has ended — by its own failure, which it reports
+// at once, or another's — it commits nothing more: it closes every run it is
+// still handed, until the spill stage closes in behind its last.
+func (h *hierJob) commitRuns(g *pipeline.Group, in <-chan *merge.Run) error {
+	var err error
+	for run := range in {
+		if err == nil && g.Context().Err() == nil {
+			if err = h.commitRun(run); err == nil {
+				continue
+			}
+			g.Fail(err) // stop the other stages now; the spill stage then closes in
+		}
+		run.Close()
+	}
+	return err
 }
 
 // schedule is the merge schedule: Huffman's optimal merge pattern (Knuth,
@@ -541,10 +585,10 @@ func (h *hierJob) mergeInto(ctx context.Context, pick []int, opt merge.Options) 
 	if h.ckpt != nil {
 		// Durability points, in order: the merged output reaches stable
 		// storage; the WAL records it (with the input ids it consumed);
-		// only then are the consumed input files removed. A crash between
-		// any two steps leaves either the inputs live (the merge is
-		// redone) or the output live with orphan inputs (swept at resume)
-		// — never a gap in the data.
+		// only then are the consumed inputs retired. A crash between any
+		// two steps leaves either the inputs live (the merge is redone) or
+		// the output live with orphan inputs (swept at resume) — never a
+		// gap in the data.
 		if err := pdm.SyncDisk(out.Disk); err != nil {
 			out.Close()
 			return err
@@ -555,7 +599,7 @@ func (h *hierJob) mergeInto(ctx context.Context, pick []int, opt merge.Options) 
 		}
 	}
 	for _, r := range runs {
-		h.closeConsumedRun(r)
+		retireRun(r)
 	}
 	h.live = retire(h.live, pick, merged)
 	return nil
@@ -565,7 +609,7 @@ func (h *hierJob) mergeInto(ctx context.Context, pick []int, opt merge.Options) 
 // streams the final merge into the sink, verifying order in-stream on the
 // merge's verify stage and the multiset at end of stream. Under checkpointing each intermediate merge
 // output becomes durable (fsync + "merged" WAL entry) before its consumed
-// inputs are removed, so a crash at any point leaves a run set that
+// inputs are retired, so a crash at any point leaves a run set that
 // re-merges to byte-identical output; on success the checkpoint state is
 // retired.
 func (h *hierJob) mergePhase(ctx context.Context, dst Sink) (*Result, error) {
@@ -613,10 +657,17 @@ func (h *hierJob) mergePhase(ctx context.Context, dst Sink) (*Result, error) {
 		return nil, err
 	}
 	if h.ckpt != nil {
-		// The sink holds the verified output: record completion and retire
-		// the checkpoint state (manifest and remaining run files).
+		// The sink holds the verified output: record completion; once that
+		// is durable the final merge's inputs retire, and the rest of the
+		// checkpoint state (manifest, leftover run files) goes.
+		if h.ckpt.logDone() == nil {
+			for _, r := range h.live {
+				retireRun(r.run)
+			}
+			h.live = nil
+		}
 		h.closeRuns()
-		h.ckpt.complete()
+		h.ckpt.remove()
 		h.ckpt = nil
 	}
 	// The engine fabric does not run on this path, so the real work is
@@ -652,18 +703,4 @@ func (h *hierJob) mergePhase(ctx context.Context, dst Sink) (*Result, error) {
 		realN:  h.n,
 		Merge:  h.stats,
 	}, nil
-}
-
-// closeConsumedRun closes a merge input run and, under checkpointing (whose
-// spill files survive Close), removes its durable file — legal only after
-// the WAL entry of the merge that consumed it is durable.
-func (h *hierJob) closeConsumedRun(r *merge.Run) {
-	var path string
-	if h.ckpt != nil {
-		path = pdm.DiskPath(r.Disk)
-	}
-	r.Close()
-	if path != "" {
-		_ = os.Remove(path)
-	}
 }

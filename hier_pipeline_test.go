@@ -1,10 +1,10 @@
 package colsort
 
 // Tests of the run-formation pipeline (DESIGN.md §12: ingest ‖ select ‖
-// spill-and-commit): what it promises a RecordReader, how it stops, what
+// spill ‖ commit): what it promises a RecordReader, how it stops, what
 // every fault does on its way through the stages, and that none of it —
 // output, counters, progress, manifest — depends on how the scheduler
-// interleaves the three goroutines.
+// interleaves the four goroutines.
 
 import (
 	"bytes"
@@ -24,7 +24,9 @@ import (
 	"testing/iotest"
 	"time"
 
+	"colsort/internal/merge"
 	"colsort/internal/pdm"
+	"colsort/internal/pipeline"
 	"colsort/internal/record"
 	"colsort/internal/runform"
 	"colsort/internal/testutil"
@@ -149,10 +151,11 @@ func TestRecordReaderContract(t *testing.T) {
 	}
 }
 
-// TestHierarchicalCancelMidFormation cancels while all three formation
+// TestHierarchicalCancelMidFormation cancels while all four formation
 // stages are live (half the input has been selected, so runs are being
-// spilled behind it and chunks read ahead of it): the sort must unwind with
-// context.Canceled, no stage parked on a channel, no scratch or spill file.
+// spilled and committed behind it and chunks read ahead of it): the sort
+// must unwind with context.Canceled, no stage parked on a channel, every
+// spill disk closed and no job's file left under Dir.
 func TestHierarchicalCancelMidFormation(t *testing.T) {
 	dir := t.TempDir()
 	testutil.CheckLeaks(t, dir)
@@ -184,6 +187,10 @@ func TestHierarchicalCancelMidFormation(t *testing.T) {
 	if sawMerge {
 		t.Error("the merge started: formation outran its own cancellation")
 	}
+	if open, _, _ := s.pool.Stats(); open != 0 {
+		t.Errorf("the cancelled formation left %d disks open", open)
+	}
+	testutil.CheckNoStray(t, dir, "job")
 
 	// The sorter remains usable after the cancelled formation.
 	ok, err := s.Sort(context.Background(), Generate(record.Uniform{Seed: 6}, 2*bound), Discard())
@@ -315,6 +322,102 @@ func TestFormationFaultPaths(t *testing.T) {
 			if f := s.Stats().Faults; f.BatchRedos != tc.redos {
 				t.Errorf("BatchRedos = %d, want %d (faults %+v)", f.BatchRedos, tc.redos, f)
 			}
+		})
+	}
+}
+
+// failFlush is a run disk whose write-behind flush fails: the commit
+// stage's fsync of it fails.
+type failFlush struct{ pdm.Disk }
+
+var errFlush = errors.New("flush failed")
+
+func (failFlush) Flush() error { return errFlush }
+
+// TestFormationCommitStage drives the commit stage over three verified runs
+// on a file-backed engine: under a checkpoint it commits the first (fsync,
+// manifest line, admission), fails on the second's fsync and closes it and
+// the third, which it was handed but did not commit; once the group has
+// ended by another stage's failure it commits nothing and closes every run
+// it is handed. Either way no disk is left open but the committed run's, and
+// no job's file is left under Dir.
+func TestFormationCommitStage(t *testing.T) {
+	const z = 32
+	for _, checkpointed := range []bool{true, false} {
+		t.Run(fmt.Sprintf("checkpoint=%v", checkpointed), func(t *testing.T) {
+			testutil.CheckGoroutines(t)
+			dir := t.TempDir()
+			scratch := filepath.Join(dir, "scratch")
+			s, err := New(Config{Procs: 4, MemPerProc: 256, RecordSize: z, Dir: scratch})
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer s.Close()
+			var o sortOptions
+			if checkpointed {
+				o.checkpoint = filepath.Join(dir, "ckpt")
+			}
+			h := &hierJob{job: s.newJob(context.Background(), o), stats: &MergeStats{}}
+			h.w = merge.NewWriter(nil, z, 64)
+			raw := genRaw(3*100, z, record.Uniform{Seed: 3})
+			runs := make([]*merge.Run, 3)
+			for i := range runs {
+				if _, err := h.newSpill(); err != nil {
+					t.Fatal(err)
+				}
+				if err := h.w.Append(record.NewSlice(raw[i*100*z:(i+1)*100*z], z)); err != nil {
+					t.Fatal(err)
+				}
+				if runs[i], err = h.w.Finish(); err != nil {
+					t.Fatal(err)
+				}
+			}
+			in := make(chan *merge.Run, len(runs))
+			for _, r := range runs {
+				in <- r
+			}
+			close(in)
+			g := pipeline.NewGroup(context.Background())
+			wantCommitted, wantErr := 0, error(nil)
+			if checkpointed {
+				if h.ckpt, err = openManifestLog(o.checkpoint, 0); err != nil {
+					t.Fatal(err)
+				}
+				defer h.ckpt.close()
+				if err := h.ckpt.append(manifestEntry{Type: "begin", Formation: formationName}); err != nil {
+					t.Fatal(err)
+				}
+				runs[1].Disk = failFlush{runs[1].Disk}
+				wantCommitted, wantErr = 1, errFlush
+			} else {
+				g.Fail(errSource) // another stage failed first
+			}
+			if err := h.commitRuns(g, in); !errors.Is(err, wantErr) {
+				t.Errorf("commitRuns = %v, want %v", err, wantErr)
+			}
+			if err := g.Wait(); !errors.Is(err, errFlush) && !errors.Is(err, errSource) {
+				t.Errorf("the group ended with %v", err)
+			}
+			if len(h.live) != wantCommitted {
+				t.Fatalf("%d runs committed, want %d", len(h.live), wantCommitted)
+			}
+			for i, r := range runs[wantCommitted:] {
+				if r.Disk != nil {
+					t.Errorf("run %d was handed to commit but not committed, and is still open", wantCommitted+i+1)
+				}
+			}
+			if checkpointed {
+				h.ckpt.close()
+				st, err := readManifest(o.checkpoint)
+				if err != nil || len(st.live) != 1 || st.live[0].Records != 100 {
+					t.Errorf("manifest after the failed commit: %+v, %v; want the first run only", st, err)
+				}
+			}
+			h.closeRuns()
+			if open, _, _ := s.pool.Stats(); open != 0 {
+				t.Errorf("%d disks left open", open)
+			}
+			testutil.CheckNoStray(t, scratch, "job")
 		})
 	}
 }

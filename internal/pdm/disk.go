@@ -151,7 +151,7 @@ type FileDisk struct {
 	size   int64     // written extent
 	stale  int64     // the previous user's bytes fill [0, stale) where spans do not
 	spans  []span    // what the disk wrote inside [0, stale): sorted, disjoint, not touching
-	keep   bool      // Close leaves the file on disk (checkpointed spill runs)
+	keep   bool      // Close leaves the file on disk (checkpointed spill runs; see Retire)
 	pool   *FilePool // Close hands the file back to it (nil: Close removes it)
 	failed bool      // an I/O error was seen: the file is never recycled
 }
@@ -166,19 +166,6 @@ func NewFileDisk(path string) (*FileDisk, error) {
 		return nil, fmt.Errorf("pdm: %w", err)
 	}
 	return &FileDisk{f: f, name: path}, nil
-}
-
-// NewKeepFileDisk creates (or truncates) the file at path, like NewFileDisk,
-// but Close leaves the file behind: the durability unit of a checkpointed
-// sort, whose spilled runs must survive the process so a resume can reopen
-// them.
-func NewKeepFileDisk(path string) (*FileDisk, error) {
-	d, err := NewFileDisk(path)
-	if err != nil {
-		return nil, err
-	}
-	d.keep = true
-	return d, nil
 }
 
 // OpenFileDisk opens an EXISTING file at path read-write without
@@ -278,8 +265,21 @@ var zeros [64 << 10]byte
 func (d *FileDisk) Path() string { return d.name }
 
 // Sync flushes the file's dirty pages to stable storage — the fsync point
-// a manifest entry depends on before it may claim the run durable.
+// a manifest entry depends on before it may claim the run durable. A file
+// the disk got from its pool first becomes the disk's own bytes only: the
+// holes below the extent are zeroed and a tail past it is cut off, so no
+// byte of a previous user sits behind the entry.
 func (d *FileDisk) Sync() error {
+	if err := d.zeroHoles(); err != nil {
+		return err
+	}
+	if d.stale > d.size {
+		if err := d.f.Truncate(d.size); err != nil {
+			d.failed = true
+			return fmt.Errorf("pdm: truncate %s: %w", d.name, err)
+		}
+	}
+	d.stale, d.spans = 0, d.spans[:0]
 	if err := d.f.Sync(); err != nil {
 		d.failed = true
 		return fmt.Errorf("pdm: sync %s: %w", d.name, err)
@@ -290,8 +290,9 @@ func (d *FileDisk) Sync() error {
 // Close ends the disk; simulated disks own scratch space, so nothing of it
 // should outlive the run. A disk with a pool hands its file back (see
 // FilePool) unless one of its operations failed; otherwise the file is
-// closed and removed. Keep-on-close disks (see NewKeepFileDisk) only close:
-// their files are checkpoint state that a resume must find.
+// closed and removed. A keep-on-close disk (a checkpointed job's run, see
+// FileBackend.Keep) counts itself closed and leaves its file where it is:
+// checkpoint state that a resume must find, until Retire.
 func (d *FileDisk) Close() error {
 	f := d.f
 	if f == nil {
@@ -299,6 +300,7 @@ func (d *FileDisk) Close() error {
 	}
 	d.f = nil
 	if d.keep {
+		d.pool.release(nil)
 		return f.Close()
 	}
 	if d.pool != nil && !d.failed && d.pool.recycle(f, d.name, d.size, max(d.size, d.stale)) {
@@ -310,6 +312,16 @@ func (d *FileDisk) Close() error {
 	}
 	d.pool.release(nil)
 	return err
+}
+
+// Retire makes the file under d (a possibly wrapped disk) scratch again
+// before d is closed: a keep-on-close run whose consuming manifest entry is
+// durable then goes back to its pool on Close, or off the disk without one,
+// like any scratch disk's file. It does nothing to other disks.
+func Retire(d Disk) {
+	if fd := DiskFile(d); fd != nil {
+		fd.keep = false
+	}
 }
 
 // FaultDisk wraps a Disk and fails every operation after a byte budget is
@@ -369,9 +381,9 @@ func (b MemBackend) NewDisk(idx int) (Disk, error) {
 type FileBackend struct {
 	Dir    string
 	Prefix string
-	// Keep makes every created disk keep-on-close (see NewKeepFileDisk):
-	// the backend of a checkpointed job, whose spilled runs are durable
-	// state rather than scratch. Keep disks never use the Pool.
+	// Keep makes every created disk keep-on-close: the backend of a
+	// checkpointed job, whose spilled runs are durable state rather than
+	// scratch (see FileDisk.Close and Retire).
 	Keep bool
 	// Pool, when non-nil, recycles the files of closed disks: a new disk
 	// takes a pooled file (renamed to its own name) before creating one.
@@ -383,19 +395,15 @@ var fileDiskSeq atomic.Int64
 func (b FileBackend) NewDisk(idx int) (Disk, error) {
 	for {
 		path := filepath.Join(b.Dir, fmt.Sprintf("%sdisk%03d-g%05d.dat", b.Prefix, idx, fileDiskSeq.Add(1)))
-		if !b.Keep {
-			return b.Pool.newDisk(b.Dir, path)
-		}
-		if err := os.MkdirAll(b.Dir, 0o755); err != nil {
-			return nil, err
-		}
 		// A keep backend's directory outlives the process: a resumed job
 		// forms new runs beside runs a DEAD process left, and the fresh
 		// generation counter must not truncate one of those survivors.
-		if _, err := os.Lstat(path); err == nil {
-			continue
+		if b.Keep {
+			if _, err := os.Lstat(path); err == nil {
+				continue
+			}
 		}
-		return NewKeepFileDisk(path)
+		return b.Pool.newDisk(b.Dir, path, b.Keep)
 	}
 }
 

@@ -12,12 +12,21 @@ import (
 	"testing"
 )
 
-func TestKeepFileDiskSurvivesClose(t *testing.T) {
-	path := filepath.Join(t.TempDir(), "run.dat")
-	d, err := NewKeepFileDisk(path)
+// newKeepDisk creates a keep-on-close file disk at path, as a checkpointed
+// job's spill backend makes its runs.
+func newKeepDisk(t *testing.T, path string) *FileDisk {
+	t.Helper()
+	d, err := NewFileDisk(path)
 	if err != nil {
 		t.Fatal(err)
 	}
+	d.keep = true
+	return d
+}
+
+func TestKeepFileDiskSurvivesClose(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "run.dat")
+	d := newKeepDisk(t, path)
 	if d.Path() != path {
 		t.Errorf("Path() = %q, want %q", d.Path(), path)
 	}
@@ -95,10 +104,7 @@ func TestKeepFileBackend(t *testing.T) {
 
 func TestDiskWalkersThroughWrappers(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "wrapped.dat")
-	fd, err := NewKeepFileDisk(path)
-	if err != nil {
-		t.Fatal(err)
-	}
+	fd := newKeepDisk(t, path)
 	m := Machine{P: 1, D: 1, Async: &AsyncConfig{}, Retry: &RetryConfig{}}
 	d := m.WrapSpillDisk(fd, 0)
 	if got := DiskFile(d); got != fd {

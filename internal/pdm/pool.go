@@ -8,25 +8,32 @@ import (
 )
 
 // FilePool is an engine's free list of scratch files: the still-open files
-// of closed scratch disks, kept in their directory under a name that carries
-// no job prefix. A FileBackend with a pool hands the next disk a pooled file
-// before it creates one, so every pass store and spilled run overwrites
-// page-cache pages a previous disk left warm, instead of allocating fresh
-// pages and freeing them again at the unlink. A file is created only when
-// the pool is empty, so the files a pool's disks hold never outnumber the
-// peak count of its disks open at once; a returned file is truncated to its
-// last written extent. All methods are safe for concurrent use, and a nil
-// pool recycles nothing.
+// of closed scratch disks, kept in the pool's home directory under a name
+// that carries no job prefix. A FileBackend with a pool hands the next disk a
+// pooled file before it creates one, so every pass store and spilled run —
+// a checkpointed job's durable runs too, renamed into its checkpoint
+// directory — overwrites page-cache pages a previous disk left warm, instead
+// of allocating fresh pages and freeing them again at the unlink. A file is
+// created only when the pool is empty, so the files a pool's disks hold never
+// outnumber the peak count of its disks open at once; a returned file is
+// truncated to its last written extent and renamed back home. All methods
+// are safe for concurrent use, and a nil pool recycles nothing.
 type FilePool struct {
+	dir        string // home: where every pooled file waits
 	mu         sync.Mutex
 	free       []*FileDisk // closed: f open, name the pool path, stale the file's length
 	open, peak int
 	closed     bool
 }
 
-// newDisk returns a scratch disk at path, counted open: on the last pooled
-// file, renamed to path, or on a new file when the pool is empty.
-func (p *FilePool) newDisk(dir, path string) (Disk, error) {
+// NewFilePool returns an empty pool whose files wait in dir.
+func NewFilePool(dir string) *FilePool { return &FilePool{dir: dir} }
+
+// newDisk returns a disk at path, counted open: on the last pooled file,
+// renamed to path, or on a new file when the pool is empty or the rename
+// fails (path on another filesystem: the pooled file stays in the pool).
+// keep makes it keep-on-close.
+func (p *FilePool) newDisk(dir, path string, keep bool) (Disk, error) {
 	var pf *FileDisk
 	if p != nil {
 		p.mu.Lock()
@@ -39,9 +46,9 @@ func (p *FilePool) newDisk(dir, path string) (Disk, error) {
 	}
 	if pf != nil {
 		if os.Rename(pf.name, path) == nil {
-			return &FileDisk{f: pf.f, name: path, stale: pf.stale, pool: p}, nil
+			return &FileDisk{f: pf.f, name: path, stale: pf.stale, pool: p, keep: keep}, nil
 		}
-		pf.discard()
+		p.put(pf, 0)
 	}
 	err := os.MkdirAll(dir, 0o755)
 	var d *FileDisk
@@ -52,15 +59,15 @@ func (p *FilePool) newDisk(dir, path string) (Disk, error) {
 		p.release(nil)
 		return nil, err
 	}
-	d.pool = p
+	d.pool, d.keep = p, keep
 	return d, nil
 }
 
 // recycle truncates a closed disk's file to its written extent, renames it
-// to a pool name and returns it to the pool. It reports false, leaving the
-// file to the caller, when either file operation fails.
+// to a pool name in the pool's home and returns it to the pool. It reports
+// false, leaving the file to the caller, when either file operation fails.
 func (p *FilePool) recycle(f *os.File, name string, size, length int64) bool {
-	path := filepath.Join(filepath.Dir(name), fmt.Sprintf("pool-g%05d.dat", fileDiskSeq.Add(1)))
+	path := filepath.Join(p.dir, fmt.Sprintf("pool-g%05d.dat", fileDiskSeq.Add(1)))
 	if length > size && f.Truncate(size) != nil || os.Rename(name, path) != nil {
 		return false
 	}
@@ -68,14 +75,18 @@ func (p *FilePool) recycle(f *os.File, name string, size, length int64) bool {
 	return true
 }
 
-// release counts one disk closed and, when pf is non-nil, frees its file:
+// release counts one disk closed and, when pf is non-nil, frees its file
+// (see put).
+func (p *FilePool) release(pf *FileDisk) { p.put(pf, 1) }
+
+// put counts closed disks closed and, when pf is non-nil, frees its file:
 // into the pool, or — once the pool is closed — off the disk.
-func (p *FilePool) release(pf *FileDisk) {
+func (p *FilePool) put(pf *FileDisk, closed int) {
 	if p == nil {
 		return
 	}
 	p.mu.Lock()
-	p.open--
+	p.open -= closed
 	if pf != nil && !p.closed {
 		p.free, pf = append(p.free, pf), nil
 	}

@@ -34,7 +34,7 @@ func names(t *testing.T, dir string) []string {
 // order leave nothing to zero at the first read.
 func TestRecycledFileDisk(t *testing.T) {
 	dir := t.TempDir()
-	pool := &FilePool{}
+	pool := NewFilePool(dir)
 	b := FileBackend{Dir: dir, Prefix: "job00001-", Pool: pool}
 	poison := bytes.Repeat([]byte{0xA5}, 8192)
 
@@ -163,7 +163,8 @@ func TestRecycledFileDisk(t *testing.T) {
 
 	// An out-of-order fill of a whole poisoned file: the spans coalesce as
 	// the blocks land, and nothing of the previous user is left to zero.
-	b = FileBackend{Dir: t.TempDir(), Pool: &FilePool{}}
+	dir = t.TempDir()
+	b = FileBackend{Dir: dir, Pool: NewFilePool(dir)}
 	defer b.Pool.Close()
 	const block = 4096
 	d5, err := b.NewDisk(4)
@@ -202,6 +203,130 @@ func TestRecycledFileDisk(t *testing.T) {
 	}
 }
 
+// TestKeepDiskFromPool: a keep backend (a checkpointed job's runs) takes a
+// pooled file and renames it into its own directory — or creates one when the
+// rename fails — and Sync leaves the file exactly the disk's bytes. Close
+// leaves a keep disk's file where it is; a retired one goes back to the
+// pool's home, unless an operation failed, and then it is removed.
+func TestKeepDiskFromPool(t *testing.T) {
+	home, ckpt := t.TempDir(), t.TempDir()
+	pool := NewFilePool(home)
+	defer pool.Close()
+	scratch := FileBackend{Dir: home, Prefix: "job00001-", Pool: pool}
+	keep := FileBackend{Dir: ckpt, Prefix: "ckpt-", Keep: true, Pool: pool}
+	seed := func() {
+		d, err := scratch.NewDisk(0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := d.WriteAt(bytes.Repeat([]byte{0xA5}, 8192), 0); err != nil {
+			t.Fatal(err)
+		}
+		d.Close()
+	}
+	stats := func(wantOpen, wantFree int) {
+		t.Helper()
+		if open, _, free := pool.Stats(); open != wantOpen || free != wantFree {
+			t.Fatalf("pool has %d open, %d free; want %d and %d", open, free, wantOpen, wantFree)
+		}
+	}
+	payload := []byte("a run's own bytes")
+
+	// Drawn from the pool, synced, closed: the file stays in the checkpoint
+	// directory, holding the payload and nothing of the 0xA5 file it was.
+	seed()
+	pooled := names(t, home)
+	disk, err := keep.NewDisk(0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	d1 := disk.(*FileDisk)
+	if filepath.Dir(d1.Path()) != ckpt || len(names(t, home)) != 0 {
+		t.Fatalf("keep disk at %s, home holds %v; want the pooled file %v moved into %s", d1.Path(), names(t, home), pooled, ckpt)
+	}
+	stats(1, 0)
+	if err := d1.WriteAt(payload, 0); err != nil {
+		t.Fatal(err)
+	}
+	if err := SyncDisk(d1); err != nil {
+		t.Fatal(err)
+	}
+	if got, err := os.ReadFile(d1.Path()); err != nil || !bytes.Equal(got, payload) {
+		t.Fatalf("synced recycled file holds %q (%v), want exactly %q", got, err, payload)
+	}
+	if err := d1.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := os.Stat(d1.Path()); err != nil {
+		t.Fatalf("keep disk's Close removed its file: %v", err)
+	}
+	stats(0, 0)
+
+	// Retired: back home under a pool name, for the next disk.
+	seed()
+	d2, err := keep.NewDisk(1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := d2.WriteAt(payload, 0); err != nil {
+		t.Fatal(err)
+	}
+	Retire(d2)
+	if err := d2.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := os.Stat(DiskPath(d2)); !os.IsNotExist(err) {
+		t.Fatalf("retired keep disk's file is still at %s (%v)", DiskPath(d2), err)
+	}
+	if got := names(t, home); len(got) != 1 || !strings.HasPrefix(got[0], "pool-") {
+		t.Fatalf("home holds %v after the retire, want one pool file", got)
+	}
+	stats(0, 1)
+
+	// A failed Sync: retired, the file is removed, never pooled.
+	disk, err = keep.NewDisk(2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	d3 := disk.(*FileDisk)
+	stats(1, 0)
+	if err := d3.WriteAt(payload, 0); err != nil {
+		t.Fatal(err)
+	}
+	d3.f.Close() // the file fails underneath the disk
+	if err := SyncDisk(d3); err == nil {
+		t.Fatal("Sync of a closed file succeeded")
+	}
+	Retire(d3)
+	d3.Close()
+	if _, err := os.Stat(d3.Path()); !os.IsNotExist(err) {
+		t.Fatalf("a run whose Sync failed left %s (%v)", d3.Path(), err)
+	}
+	if got := names(t, home); len(got) != 0 {
+		t.Fatalf("a run whose Sync failed was pooled: home holds %v", got)
+	}
+	stats(0, 0)
+
+	// The rename fails (the directory is gone, as across filesystems): the
+	// pooled file stays in the pool, for the next disk, and this one gets a
+	// new file.
+	seed()
+	pooled = names(t, home)
+	gone := filepath.Join(ckpt, "gone")
+	disk, err = FileBackend{Dir: gone, Keep: true, Pool: pool}.NewDisk(3)
+	if err != nil {
+		t.Fatal(err)
+	}
+	d4 := disk.(*FileDisk)
+	if got := names(t, home); filepath.Dir(d4.Path()) != gone || d4.stale != 0 || !slices.Equal(got, pooled) {
+		t.Fatalf("after a failed rename: disk at %s, stale %d, home %v; want a new file in %s and home still %v",
+			d4.Path(), d4.stale, got, gone, pooled)
+	}
+	stats(1, 1)
+	d4.Close()
+	stats(0, 1)
+}
+
 // BenchmarkStorePass is one pass over a file-backed store — every column
 // written, then read back — on new files (pool=none, each disk created and
 // unlinked) and on recycled ones (pool=warm).
@@ -217,7 +342,7 @@ func BenchmarkStorePass(b *testing.B) {
 		b.Run(fmt.Sprintf("pool=%s", map[bool]string{false: "none", true: "warm"}[warm]), func(b *testing.B) {
 			backend := FileBackend{Dir: b.TempDir()}
 			if warm {
-				backend.Pool = &FilePool{}
+				backend.Pool = NewFilePool(backend.Dir)
 				defer backend.Pool.Close()
 			}
 			m := Machine{P: p, D: p, Backend: backend}

@@ -230,10 +230,7 @@ func TestStripedSpillLaneErrorSurfaces(t *testing.T) {
 // unstriped spill lays them out.
 func TestStripedSpillOneFile(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "striped.dat")
-	fd, err := NewKeepFileDisk(path)
-	if err != nil {
-		t.Fatal(err)
-	}
+	fd := newKeepDisk(t, path)
 	m := modelMachine()
 	m.Retry = &RetryConfig{}
 	d := m.WrapSpillDisk(fd, 0)

@@ -72,8 +72,9 @@ type former interface {
 
 // drive runs f to exhaustion through a chunk-record buffer and returns every
 // run it emits. breakAt, when non-nil, is asked after each Fill (with the
-// records emitted so far) whether to BreakRun there.
-func drive(t testing.TB, f former, z, chunk int, breakAt func(emitted int) bool) []formedRun {
+// records emitted so far, and those of the current run) whether to BreakRun
+// there.
+func drive(t testing.TB, f former, z, chunk int, breakAt func(emitted, run int) bool) []formedRun {
 	t.Helper()
 	defer f.Close()
 	buf := record.Make(chunk, z)
@@ -98,7 +99,7 @@ func drive(t testing.TB, f former, z, chunk int, breakAt func(emitted int) bool)
 			}
 			out.Write(buf.Sub(0, n).Data)
 			emitted += n
-			if breakAt != nil && breakAt(emitted) {
+			if breakAt != nil && breakAt(emitted, out.Len()/z) {
 				f.BreakRun()
 			}
 		}
@@ -495,13 +496,13 @@ func TestOracleDifferential(t *testing.T) {
 						for _, breaks := range []bool{false, true} {
 							// Break points are a function of (seed, records
 							// emitted), so every former is cut at the same ones.
-							breakAt := func() func(int) bool {
+							breakAt := func() func(int, int) bool {
 								if !breaks {
 									return nil
 								}
 								rng := rand.New(rand.NewSource(int64(capacity*131 + n)))
 								next := rng.Intn(2*capacity + 1)
-								return func(emitted int) bool {
+								return func(emitted, _ int) bool {
 									if emitted < next {
 										return false
 									}
@@ -585,40 +586,84 @@ func (c inCase) Fatalf(format string, args ...any) {
 }
 
 // FuzzFormer: arbitrary records (drawn from few prefixes, so ties and the
-// maximal-prefix cases are common), capacity and break cadence. Fed either
-// way, every run is monotone in its declared direction, the multiset is
-// preserved, the runs equal the batched oracle's and number at most ¼ more (plus one) than the
-// heap former's; nothing panics.
+// maximal-prefix cases are common), capacity and break cadence, checked by
+// checkFormer; nothing panics.
 func FuzzFormer(f *testing.F) {
 	f.Add([]byte{}, uint16(4), uint8(0))
 	f.Add([]byte("\x07a\x07b\x00c\x07a\x06z\x00c\x07a"), uint16(3), uint8(2))
 	f.Add([]byte("9876543210zyxwvutsrqponmlkjihgfedcba"), uint16(5), uint8(0))
 	f.Add([]byte("abcabcabcabcabcabc"), uint16(1), uint8(3))
-	prefixes := [8]uint64{0, 1, 2, 1 << 32, 1 << 63, record.MaxKey - 2, record.MaxKey - 1, record.MaxKey}
 	f.Fuzz(func(t *testing.T, data []byte, width uint16, breakEvery uint8) {
-		const z = 16
-		capacity := int(width % 300) // wider arenas are the table's job; keep execs fast
-		in := record.Make(len(data)/2, z)
-		for i := 0; i < in.Len(); i++ {
-			in.SetKey(i, prefixes[data[2*i]&7])
-			in.Record(i)[record.KeyBytes] = data[2*i+1]
-		}
-		breakAt := func() func(int) bool {
-			fills := 0
-			return func(int) bool {
-				fills++
-				return breakEvery > 0 && fills%int(breakEvery) == 0
-			}
-		}
-		want := drive(t, newBatchOracle(capacity, z, sliceReader(in, new(int))), z, 7, breakAt())
-		heap := drive(t, newHeapFormer(capacity, z, nil, sliceReader(in, new(int))), z, 7, breakAt())
-		for _, feed := range feeds {
-			got := drive(t, feed.new(capacity, in, nil, new(int)), z, 7, breakAt())
-			checkRuns(t, in, got)
-			sameRuns(t, got, want)
-			withinHeapYardstick(t, got, heap)
-		}
+		checkFormer(t, data, int(width%300), int(breakEvery)) // wider arenas are the table's job; keep execs fast
 	})
+}
+
+// TestFormerFillCadence runs checkFormer on the shapes where a cut every k-th
+// Fill makes the Former form more runs than the heap former's yardstick
+// allows (570 records at capacity 97 cut every 25 fills: 7 runs against 4),
+// though it forms the oracle's runs: sawtooth inputs, ramps of the given
+// step that alternate direction every block bytes.
+func TestFormerFillCadence(t *testing.T) {
+	for _, tc := range []struct{ n, width, every, block, step int }{
+		{570, 97, 25, 2, 3},
+		{563, 30, 9, 2, 1},
+		{300, 50, 13, 11, 7},
+	} {
+		t.Run(fmt.Sprintf("n=%d/width=%d/every=%d", tc.n, tc.width, tc.every), func(t *testing.T) {
+			data := make([]byte, 2*tc.n)
+			for i := range data {
+				data[i] = byte(i * tc.step)
+				if (i/tc.block)%2 == 1 {
+					data[i] = 255 - data[i]
+				}
+			}
+			checkFormer(t, data, tc.width, tc.every)
+		})
+	}
+}
+
+// checkFormer decodes data into records (two bytes each: one of eight key
+// prefixes, then a tie-breaking byte) and forms them at the given capacity,
+// fed either way. With a BreakRun every breakEvery-th Fill (0: none), every
+// run is monotone in its declared direction, the multiset is preserved and
+// the runs equal the batched oracle's. The run count is held to the heap
+// former's yardstick only where the formers are cut alike: a cut at a Fill
+// count lands at a different point of each former's runs and can add a short
+// run per cut, so the yardstick drives are uncut, or cut where production
+// cuts, once a run reaches twice the capacity (hier.go).
+func checkFormer(t *testing.T, data []byte, capacity, breakEvery int) {
+	const z = 16
+	prefixes := [8]uint64{0, 1, 2, 1 << 32, 1 << 63, record.MaxKey - 2, record.MaxKey - 1, record.MaxKey}
+	in := record.Make(len(data)/2, z)
+	for i := 0; i < in.Len(); i++ {
+		in.SetKey(i, prefixes[data[2*i]&7])
+		in.Record(i)[record.KeyBytes] = data[2*i+1]
+	}
+	cadence := func() func(int, int) bool {
+		fills := 0
+		return func(int, int) bool {
+			fills++
+			return breakEvery > 0 && fills%breakEvery == 0
+		}
+	}
+	want := drive(t, newBatchOracle(capacity, z, sliceReader(in, new(int))), z, 7, cadence())
+	got := make([][]formedRun, len(feeds))
+	for i, feed := range feeds {
+		got[i] = drive(t, feed.new(capacity, in, nil, new(int)), z, 7, cadence())
+		checkRuns(t, in, got[i])
+		sameRuns(t, got[i], want)
+	}
+	var byLength func(int, int) bool
+	if breakEvery > 0 {
+		byLength = func(_, run int) bool { return run >= 2*max(capacity, 1) }
+		for i, feed := range feeds {
+			got[i] = drive(t, feed.new(capacity, in, nil, new(int)), z, 7, byLength)
+		}
+	}
+	heap := drive(t, newHeapFormer(capacity, z, nil, sliceReader(in, new(int))), z, 7, byLength)
+	for i := range feeds {
+		withinHeapYardstick(t, got[i], heap)
+	}
 }
 
 // TestFillAllocsPerRun: a steady-state Fill touches the allocator not at all,

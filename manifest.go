@@ -15,8 +15,9 @@ package colsort
 //	merged       one intermediate merge: the output run (same fields as
 //	             "run") and the ids of the inputs it consumed — appended
 //	             after the output is fsync'd and BEFORE the input files are
-//	             removed, so a crash between the two only leaves orphans
-//	done         the sort completed and the sink holds the verified output
+//	             retired, so a crash between the two only leaves orphans
+//	done         the sort completed and the sink holds the verified output;
+//	             the final merge's inputs are retired after it
 //
 // Replay (readManifest) folds the log into the live run set: every "run"
 // and "merged" output not consumed by a later "merged" entry. The log
@@ -82,9 +83,9 @@ type manifestEntry struct {
 
 // manifestLog is the append side of the WAL. A nil *manifestLog appends and
 // closes as a no-op, so a job that is not checkpointed logs its phase
-// boundaries unconditionally; logRun, logMerged and complete — which issue
-// ids and touch the directory — sit behind the caller's "checkpointing?"
-// guard together with the fsyncs they follow.
+// boundaries unconditionally; logRun, logMerged, logDone and remove — which
+// issue ids, retire runs and touch the directory — sit behind the caller's
+// "checkpointing?" guard together with the fsyncs they follow.
 type manifestLog struct {
 	dir    string
 	w      *wal.Log
@@ -176,20 +177,27 @@ func (l *manifestLog) logIngestDone(want record.Checksum) error {
 
 // logMerged records one intermediate merge output and the input ids it
 // consumed, returning the output's manifest id. Call it after the output
-// is fsync'd and before the input files are removed.
+// is fsync'd and before the inputs are retired.
 func (l *manifestLog) logMerged(out *merge.Run, inputs []int) (int, error) {
 	l.runSeq++
 	id := l.runSeq
 	return id, l.append(manifestEntry{Type: "merged", Run: describeRun(id, out), Inputs: inputs})
 }
 
-// complete writes the done entry, closes the WAL, and best-effort removes
-// the checkpoint directory's contents — the sort succeeded, so the
-// checkpoint state has served its purpose. Cleanup failures are swallowed:
-// the output is already delivered, and the next Sort under the same
-// directory sweeps a leftover manifest recording "done".
-func (l *manifestLog) complete() {
-	_ = l.append(manifestEntry{Type: "done"})
+// logDone records that the sort completed: the sink holds the verified
+// output, so no run is needed any more once the entry is durable.
+func (l *manifestLog) logDone() error {
+	return l.append(manifestEntry{Type: "done"})
+}
+
+// remove closes the WAL and best-effort removes the checkpoint directory's
+// contents once the sort succeeded — the checkpoint state has served its
+// purpose: every run file the done entry left behind (the files of failed
+// spill attempts, the final merge's inputs when that entry could not be
+// written), the manifest, then the directory. Cleanup failures are
+// swallowed: the output is already delivered, and the next Sort under the
+// same directory sweeps a leftover manifest recording "done".
+func (l *manifestLog) remove() {
 	l.close()
 	sweepOrphanRuns(l.dir, nil) // no run is live any more: every spill file goes
 	_ = os.Remove(filepath.Join(l.dir, manifestName))

@@ -11,9 +11,9 @@ import (
 	"crypto/sha256"
 	"encoding/json"
 	"fmt"
+	"os"
 	"path/filepath"
 	"slices"
-	"strings"
 	"sync"
 	"testing"
 
@@ -133,8 +133,8 @@ func TestPoisonedPoolDifferential(t *testing.T) {
 // TestScratchPoolBound runs jobs on both sides of the bound, one after
 // another and then 2·P at once, on one file-backed engine: the files under
 // Dir never outnumber the engine's peak count of open scratch disks, each
-// job's namespace is empty the moment it ends, a checkpointed job's runs
-// neither come from the pool nor enter it, and Close leaves Dir empty.
+// job's namespace is empty the moment it ends, a checkpointed job draws its
+// run files from the pool and returns them, and Close leaves Dir empty.
 func TestScratchPoolBound(t *testing.T) {
 	const p, z = 4, 32
 	dir := t.TempDir()
@@ -199,20 +199,100 @@ func TestScratchPoolBound(t *testing.T) {
 	close(done)
 	<-polled
 
-	// Every disk came back; a checkpointed hierarchical job opens only
-	// spill disks, all of them keep-on-close runs in its own directory.
+	// Every disk came back. A checkpointed hierarchical job opens only
+	// spill disks: its runs are pooled files renamed into its own
+	// directory, and they all come back once it is done.
 	open, _, free := e.pool.Stats()
 	if open != 0 || free == 0 {
 		t.Fatalf("after the jobs the pool has %d disks open, %d files free; want 0 and some", open, free)
 	}
 	pooled := testutil.StrayFiles(scratch, "")
-	sortJob(1, WithCheckpoint(filepath.Join(dir, "ckpt")))
-	if after := testutil.StrayFiles(scratch, ""); strings.Join(after, " ") != strings.Join(pooled, " ") {
-		t.Errorf("checkpointed job touched the pool: %v, then %v", pooled, after)
+	ckpt := filepath.Join(dir, "ckpt")
+	sortJob(1, WithCheckpoint(ckpt))
+	if open, _, after := e.pool.Stats(); open != 0 || after != free {
+		t.Errorf("after the checkpointed job the pool has %d disks open, %d files free; want 0 and %d", open, after, free)
+	}
+	if after := testutil.StrayFiles(scratch, ""); slices.Equal(after, pooled) {
+		t.Errorf("checkpointed job's runs did not come from the pool: Dir holds %v before and after", pooled)
+	}
+	if _, err := os.Stat(ckpt); !os.IsNotExist(err) {
+		t.Errorf("the finished checkpointed job left its directory (stat err %v)", err)
 	}
 
 	e.Close()
 	if stray := testutil.StrayFiles(scratch, ""); len(stray) != 0 {
 		t.Errorf("Close left %v under Dir", stray)
+	}
+}
+
+// TestCheckpointOnPoisonedPool cancels a checkpointed job mid-merge on an
+// engine whose pool holds oversized files full of 0xA5, which its runs are
+// drawn from: each durable run file is exactly its run's bytes, every disk
+// is closed, no goroutine is left, and the Sort called again outputs the
+// reference bytes and hands its runs back to the pool.
+func TestCheckpointOnPoisonedPool(t *testing.T) {
+	const z = 32
+	dir := t.TempDir()
+	scratch, ckpt := filepath.Join(dir, "scratch"), filepath.Join(dir, "ckpt")
+	testutil.CheckLeaks(t, scratch)
+	e, err := NewEngine(EngineConfig{Config: Config{Procs: 4, MemPerProc: 256, RecordSize: z, Dir: scratch, Async: true}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer e.Close()
+	n := 12 * e.MaxRecords(Threaded)
+	raw := genRaw(int(n), z, record.Uniform{Seed: 61})
+	poisonPool(t, e, 24, n*z+4096)
+	opts := []Option{WithAlgorithm(Threaded), WithMergeFanIn(2), WithCheckpoint(ckpt)}
+
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	var once sync.Once
+	res, err := e.Sort(ctx, FromBytes(raw), Discard(), append(opts, WithProgress(func(ev Progress) {
+		if ev.MergedRecords > 0 {
+			once.Do(cancel) // inside the first merge: every formation run is durable
+		}
+	}))...)
+	if err == nil {
+		res.Close()
+		t.Fatal("cancelled checkpointed sort returned no error")
+	}
+	st, err := readManifest(ckpt)
+	if err != nil || st == nil || !st.ingestDone {
+		t.Fatalf("crashed manifest: %+v, %v; want formation complete", st, err)
+	}
+	for _, r := range st.live {
+		fi, err := os.Stat(r.Path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if fi.Size() != r.Records*z {
+			t.Fatalf("durable run %d holds %d bytes; want exactly its %d records' %d", r.ID, fi.Size(), r.Records, r.Records*z)
+		}
+	}
+	open, _, free := e.pool.Stats()
+	if open != 0 {
+		t.Fatalf("the cancelled job left %d disks open", open)
+	}
+
+	var out bytes.Buffer
+	res, err = e.Sort(context.Background(), FromBytes(raw), ToWriter(&out), opts...)
+	if err != nil {
+		t.Fatalf("Sort over the checkpoint: %v", err)
+	}
+	defer res.Close()
+	if !bytes.Equal(out.Bytes(), refSortBytes(t, raw, z, KeySpec{})) {
+		t.Error("resumed output is not byte-identical to the reference")
+	}
+	if res.Merge.ResumedRuns != len(st.live) || res.Merge.BytesWritten == 0 {
+		t.Errorf("ResumedRuns = %d, %d bytes spilled; want the %d durable runs, merged through runs of its own",
+			res.Merge.ResumedRuns, res.Merge.BytesWritten, len(st.live))
+	}
+	if open, peak, after := e.pool.Stats(); open != 0 || after < free || len(testutil.StrayFiles(scratch, "")) > peak {
+		t.Errorf("after the resume the pool has %d open, %d free (%d before), %d files under Dir (peak %d); want 0 open, no fewer free, at most the peak",
+			open, after, free, len(testutil.StrayFiles(scratch, "")), peak)
+	}
+	if _, err := os.Stat(ckpt); !os.IsNotExist(err) {
+		t.Errorf("the finished job left its checkpoint directory (stat err %v)", err)
 	}
 }
