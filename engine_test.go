@@ -211,6 +211,58 @@ func waitFor(t *testing.T, what string, cond func() bool) {
 // TestEngineAdmissionQueuesThenRuns pins the FIFO admission contract: a
 // job over the remaining budget queues while the budget is held and runs
 // to completion once it frees.
+// TestConcurrentScatterShapesShareFreeLists runs a Subblock job and an
+// M-columnsort job at once on one engine, again and again. Their scatter
+// passes draw table sets and sort scratch from the same process-wide free
+// lists, each job building into sets the other's shape left, so each output
+// must still be byte-identical to the job's serial run.
+func TestConcurrentScatterShapesShareFreeLists(t *testing.T) {
+	const p, r, z, rounds = 4, 512, 16, 6
+	e, err := NewEngine(EngineConfig{Config: Config{Procs: p, MemPerProc: r, RecordSize: z}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer e.Close()
+	algs := []Algorithm{Subblock, MColumn}
+	inputs := make([][]byte, len(algs))
+	serial := make([][]byte, len(algs))
+	sortInto := func(i int, out *bytes.Buffer) error {
+		res, err := e.Sort(context.Background(), FromBytes(inputs[i]), ToWriter(out), WithAlgorithm(algs[i]))
+		if err != nil {
+			return fmt.Errorf("%v: %w", algs[i], err)
+		}
+		res.Close()
+		return nil
+	}
+	for i := range algs {
+		inputs[i] = genRaw(16*r, z, record.Uniform{Seed: uint64(40 + i)})
+		var out bytes.Buffer
+		if err := sortInto(i, &out); err != nil {
+			t.Fatal(err)
+		}
+		serial[i] = out.Bytes()
+	}
+	for round := 0; round < rounds; round++ {
+		outs := make([]bytes.Buffer, len(algs))
+		var wg sync.WaitGroup
+		for i := range algs {
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				if err := sortInto(i, &outs[i]); err != nil {
+					t.Error(err)
+				}
+			}()
+		}
+		wg.Wait()
+		for i := range algs {
+			if !bytes.Equal(outs[i].Bytes(), serial[i]) {
+				t.Fatalf("round %d: %v's output beside %v differs from its serial run", round, algs[i], algs[1-i])
+			}
+		}
+	}
+}
+
 func TestEngineAdmissionQueuesThenRuns(t *testing.T) {
 	testutil.CheckGoroutines(t)
 	const n = 1024

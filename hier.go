@@ -107,7 +107,7 @@ type hierJob struct {
 	ckpt *manifestLog
 
 	spillSeq   int             // next spill-disk ordinal: one sequence for formation, redos and merge outputs
-	w          *merge.Writer   // the job's one run writer (and frame buffer), armed on a disk per spill
+	w          *merge.Writer   // the job's one run writer, armed on a disk per spill
 	live       []hierRun       // the current run set, in merge order
 	want       record.Checksum // ingest multiset, in the codec's normalized key space
 	stats      *MergeStats
@@ -124,6 +124,7 @@ func (j *job) newHierJob(o sortOptions, codec record.KeyCodec, n int64, sp SortP
 		fanIn: sp.FanIn, redoBudget: defaultRedoBudget, scrub: j.m.Chaos != nil}
 	h.chunk = j.e.mergeChunkRecs(o, h.fanIn)
 	h.w = merge.NewWriter(nil, j.e.cfg.RecordSize, h.chunk)
+	h.w.Pool = h.pool
 	h.stats = &MergeStats{FanIn: h.fanIn, RunRecords: sp.RunRecords, Formation: formationName}
 	if o.retry != nil {
 		if o.retry.RedoBudget != 0 {
@@ -191,7 +192,7 @@ func retireRun(r *merge.Run) {
 // it. Formation runs, redone runs and merge outputs draw from the one
 // sequence, so no two spills of a job share an ordinal (which names the file
 // and keys the chaos scripts); they are written one at a time, so they also
-// share one writer and its frame buffer.
+// share one writer.
 func (h *hierJob) newSpill() (pdm.Disk, error) {
 	d, err := h.m.NewSpillDisk(h.spillSeq)
 	h.spillSeq++

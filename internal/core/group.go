@@ -164,7 +164,8 @@ type groupRound struct {
 
 	// Scatter pass: the round's tables, the buffers the exchange delivered
 	// (one per source processor) and, per target column, this round's arrival
-	// chunk (nil entries receive nothing).
+	// chunk (nil entries receive nothing): views of buf, which the replay
+	// fills and the write stage hands back.
 	tab    *scatterTables
 	inMsgs []record.Slice
 	perCol []record.Slice
@@ -256,6 +257,12 @@ type scatterTables struct {
 	direct bool
 }
 
+// tableSpares keeps the table sets of finished passes for the next pass, of
+// this job or any other. A pass has at most pipeDepth+2 sets out per
+// processor; the bound covers two P = 4 jobs in flight, and a warm set of a
+// 16384-record column holds about 256 KiB.
+var tableSpares = record.NewSpares[*scatterTables](32)
+
 // groupScatter is processor q's shape of one distribution pass.
 type groupScatter struct {
 	spec                      groupSpec
@@ -287,10 +294,15 @@ func (gs *groupScatter) build(tb *scatterTables, t int) error {
 	if gs.spec.period == 1 {
 		nKeep = g
 	}
-	if len(tb.keep) != nKeep {
-		tb.keep = make([]colPlan, nKeep)
+	// A recycled set may come from a pass of another shape: resize it, keeping
+	// its backing arrays.
+	if k := cap(tb.keep); k < nKeep {
+		tb.keep = append(tb.keep[:k], make([]colPlan, nKeep-k)...)
+	}
+	if cap(tb.colTotal) < gs.s {
 		tb.colTotal = make([]int32, gs.s)
 	}
+	tb.keep, tb.colTotal = tb.keep[:nKeep], tb.colTotal[:gs.s]
 	// proc is the processor a rank of source column j goes to: the member of
 	// the target column's group whose share the rank's occurrence falls in.
 	// (tj mod ng)·g + ⌊occ/share⌋, on powers of two.
@@ -316,7 +328,9 @@ func (gs *groupScatter) build(tb *scatterTables, t int) error {
 		}
 	}
 	tb.direct = stay == gs.P*rb && !gs.spec.redistribute // all ng·r records of the round
-	if !tb.direct {
+	if tb.direct {
+		tb.send.Counts, tb.send.Exts = tb.send.Counts[:0], tb.send.Exts[:0]
+	} else {
 		j, lo := t*ng+q/g, int64(q%g)*int64(rb)
 		buildSendPlan(&tb.send, func(i int) int { d, _ := proc(lo+int64(i), j); return d }, rb, gs.P)
 	}
@@ -365,31 +379,35 @@ func runGroupScatterPass(pr *cluster.Proc, pl Plan, spec groupSpec, in, out *pdm
 	// has one, the subblock permutation √s/ng — builds each set once, in the
 	// exchange stage of the first round that needs it, and shares it read-only
 	// thereafter. One with more (step 5 alone: every round its own) rebuilds a
-	// set per round; the set travels with the round and returns through spare
-	// once the replay stage is done with it. Either way at most pipeDepth+2
-	// sets exist: the replay stage holds one round, the exchange stage
-	// another, and pipeDepth wait between them.
+	// set per round; the set travels with the round and goes back to the free
+	// list once the replay stage is done with it. Either way at most
+	// pipeDepth+2 sets are out at once: the replay stage holds one round, the
+	// exchange stage another, and pipeDepth wait between them. Every set comes
+	// from the free list (tableSpares) and returns to it, so a warm engine's
+	// pass builds into the backing arrays of an earlier one.
 	classes := gs.classes()
 	few := classes <= pipeDepth+2
 	var cached []*scatterTables
 	if few {
 		cached = make([]*scatterTables, classes)
+		defer func() { // after pipeline.Run has joined the stages that read them
+			for _, tab := range cached {
+				if tab != nil {
+					tableSpares.Put(tab)
+				}
+			}
+		}()
 	}
-	spare := make(chan *scatterTables, pipeDepth+2)
 	tables := func(t int) (*scatterTables, error) {
-		var tab *scatterTables
-		if few {
-			if tab = cached[t%classes]; tab != nil {
-				return tab, nil
-			}
+		if few && cached[t%classes] != nil {
+			return cached[t%classes], nil
+		}
+		tab, ok := tableSpares.Get()
+		if !ok {
 			tab = new(scatterTables)
+		}
+		if few {
 			cached[t%classes] = tab
-		} else {
-			select {
-			case tab = <-spare:
-			default:
-				tab = new(scatterTables)
-			}
 		}
 		return tab, gs.build(tab, t)
 	}
@@ -424,11 +442,20 @@ func runGroupScatterPass(pr *cluster.Proc, pl Plan, spec groupSpec, in, out *pdm
 		// Replay every source's rank range in order; my arrivals for each
 		// target column land contiguously in (source group, occurrence)
 		// order — one block-local segment per column per round.
+		// The round's chunks share one pooled buffer: a chunk per column
+		// would keep s/P buffers of one small class per round in flight,
+		// more than the pool keeps.
 		tab := rd.tab
+		total := 0
+		for _, n := range tab.colTotal {
+			total += int(n)
+		}
+		rd.buf = pool.Get(total, z)
 		rd.perCol = record.GetHeaders(s)
-		for tj := 0; tj < s; tj++ {
-			if tab.colTotal[tj] > 0 {
-				rd.perCol[tj] = pool.Get(int(tab.colTotal[tj]), z)
+		for tj, off := 0, 0; tj < s; tj++ {
+			if n := int(tab.colTotal[tj]); n > 0 {
+				rd.perCol[tj] = rd.buf.Sub(off, off+n)
+				off += n
 			}
 			fillCol[tj] = 0
 		}
@@ -446,10 +473,7 @@ func runGroupScatterPass(pr *cluster.Proc, pl Plan, spec groupSpec, in, out *pdm
 		record.PutHeaders(rd.inMsgs)
 		rd.inMsgs, rd.tab = nil, nil
 		if !few {
-			select {
-			case spare <- tab:
-			default:
-			}
+			tableSpares.Put(tab)
 		}
 		return rd, nil
 	}
@@ -465,10 +489,10 @@ func runGroupScatterPass(pr *cluster.Proc, pl Plan, spec groupSpec, in, out *pdm
 				return err
 			}
 			written[tj] += chunk.Len()
-			pool.Put(chunk)
 		}
+		pool.Put(rd.buf)
 		record.PutHeaders(rd.perCol)
-		rd.perCol = nil
+		rd.perCol, rd.buf = nil, record.Slice{}
 		if onRound != nil {
 			onRound()
 		}

@@ -23,9 +23,12 @@ import (
 // sorted block and runs the round through the exchange board.
 //
 // For passes whose destination map does depend on the source column (the
-// subblock permutation, step 5 alone), the tables are rebuilt per round into
-// recycled table sets, which reuse their backing arrays and therefore still
-// allocate nothing in steady state.
+// subblock permutation, step 5 alone), the tables are rebuilt per round. Every
+// set, of every pass, comes from a process-wide bounded free list
+// (tableSpares) and goes back to it; a build resizes the set to its pass's
+// shape and keeps the backing arrays, so once the sets have grown to the
+// largest shape they serve, a pass — of this sort or the next — allocates no
+// tables at all.
 
 // extent is a maximal run of consecutive sorted positions sharing one
 // destination: Dst is a destination processor on the send side and a target
@@ -63,7 +66,7 @@ func buildSendPlan(sp *sendPlan, dest func(i int) int, n, P int) {
 	for d := range sp.Counts {
 		sp.Counts[d] = 0
 	}
-	if cap(sp.Exts) == 0 {
+	if cap(sp.Exts) < n {
 		sp.Exts = make([]extent, 0, n) // extents never outnumber positions
 	}
 	sp.Exts = sp.Exts[:0]

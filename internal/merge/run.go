@@ -176,12 +176,17 @@ func (r *Run) Close() error {
 // (and an async disk overlaps them with the producer). The caller owns the
 // disk until Finish succeeds, after which the returned Run does. A Writer
 // writes one run at a time and any number of them in turn: Reset re-arms it
-// on the next disk with the frame buffer it already has.
+// on the next disk.
 type Writer struct {
+	// Pool lends the frame buffer a chunk that straddles a frame boundary is
+	// staged in, from the first staged byte until the frame is written (nil:
+	// the heap).
+	Pool *record.Pool
+
 	d       pdm.Disk
 	recSize int
-	buf     []byte
-	used    int
+	frame   int    // frame length, bytes
+	buf     []byte // the staged part of the next frame; nil when none is
 	off     int64
 	records int64
 	crcs    []uint32
@@ -190,41 +195,43 @@ type Writer struct {
 // NewWriter starts a run of recSize-byte records on d, buffering chunkRecs
 // records per write.
 func NewWriter(d pdm.Disk, recSize, chunkRecs int) *Writer {
-	if chunkRecs < 1 {
-		chunkRecs = 1
-	}
-	return &Writer{d: d, recSize: recSize, buf: make([]byte, chunkRecs*recSize)}
+	return &Writer{d: d, recSize: recSize, frame: max(chunkRecs, 1) * recSize}
 }
 
 // Reset abandons whatever the writer holds and starts a new run on d, with
-// the same record size and frame length. The previous run, finished or
+// the same record size, frame length and pool. The previous run, finished or
 // failed, is unaffected: a Run owns its CRC index, and the disk layers
-// snapshot what they defer, so nothing still references the frame buffer.
+// snapshot what they defer, so nothing still references a frame buffer.
 func (w *Writer) Reset(d pdm.Disk) {
-	*w = Writer{d: d, recSize: w.recSize, buf: w.buf}
+	w.Pool.PutBytes(w.buf)
+	*w = Writer{Pool: w.Pool, d: d, recSize: w.recSize, frame: w.frame}
 }
 
 // Append adds the records of recs to the run. A whole frame that arrives
 // contiguous and on the frame grid — the producers hand over chunkRecs-record
 // chunks — is framed and written from where it lies: WriteAt does not keep
 // its argument (the disk layers snapshot what they defer), so only a chunk
-// that straddles a frame boundary is staged through the frame buffer.
+// that straddles a frame boundary, a run's short last chunk among them, is
+// staged through a frame buffer.
 func (w *Writer) Append(recs record.Slice) error {
 	if recs.Size != w.recSize {
 		return fmt.Errorf("merge: appending %d-byte records to a %d-byte run", recs.Size, w.recSize)
 	}
 	for data := recs.Data; len(data) > 0; {
-		if w.used == 0 && len(data) >= len(w.buf) {
-			if err := w.writeFrame(data[:len(w.buf)]); err != nil {
+		if w.buf == nil && len(data) >= w.frame {
+			if err := w.writeFrame(data[:w.frame]); err != nil {
 				return err
 			}
-			data = data[len(w.buf):]
+			data = data[w.frame:]
 			continue
 		}
-		n := copy(w.buf[w.used:], data)
-		w.used += n
+		if w.buf == nil {
+			w.buf = w.Pool.GetBytes(w.frame)[:0]
+		}
+		n := min(w.frame-len(w.buf), len(data))
+		w.buf = append(w.buf, data[:n]...)
 		data = data[n:]
-		if w.used == len(w.buf) {
+		if len(w.buf) == w.frame {
 			if err := w.flush(); err != nil {
 				return err
 			}
@@ -234,13 +241,14 @@ func (w *Writer) Append(recs record.Slice) error {
 	return nil
 }
 
-// flush writes the staged partial frame, if any.
+// flush writes the staged partial frame, if any, and hands its buffer back.
 func (w *Writer) flush() error {
-	if w.used == 0 {
+	if w.buf == nil {
 		return nil
 	}
-	err := w.writeFrame(w.buf[:w.used])
-	w.used = 0
+	err := w.writeFrame(w.buf)
+	w.Pool.PutBytes(w.buf)
+	w.buf = nil
 	return err
 }
 
@@ -271,7 +279,7 @@ func (w *Writer) Finish() (*Run, error) {
 		}
 	}
 	return &Run{Disk: w.d, RecSize: w.recSize, Records: w.records,
-		FrameBytes: len(w.buf), crcs: w.crcs}, nil
+		FrameBytes: w.frame, crcs: w.crcs}, nil
 }
 
 // Reader streams a run's records in ASCENDING order, whichever way the run

@@ -154,6 +154,10 @@ type FileDisk struct {
 	keep   bool      // Close leaves the file on disk (checkpointed spill runs; see Retire)
 	pool   *FilePool // Close hands the file back to it (nil: Close removes it)
 	failed bool      // an I/O error was seen: the file is never recycled
+	// syncErr is the first failed truncate or fsync of Sync, which every
+	// later Sync returns: after a failed fsync the kernel may have dropped
+	// the dirty pages, and a retry that succeeds proves nothing about them.
+	syncErr error
 }
 
 // span is the byte range [lo, hi) of a FileDisk.
@@ -268,23 +272,32 @@ func (d *FileDisk) Path() string { return d.name }
 // a manifest entry depends on before it may claim the run durable. A file
 // the disk got from its pool first becomes the disk's own bytes only: the
 // holes below the extent are zeroed and a tail past it is cut off, so no
-// byte of a previous user sits behind the entry.
+// byte of a previous user sits behind the entry. A truncate or fsync that
+// fails fails every later Sync of the disk with the same error.
 func (d *FileDisk) Sync() error {
+	if d.syncErr != nil {
+		return d.syncErr
+	}
 	if err := d.zeroHoles(); err != nil {
 		return err
 	}
 	if d.stale > d.size {
 		if err := d.f.Truncate(d.size); err != nil {
-			d.failed = true
-			return fmt.Errorf("pdm: truncate %s: %w", d.name, err)
+			return d.syncFailed("truncate", err)
 		}
 	}
 	d.stale, d.spans = 0, d.spans[:0]
 	if err := d.f.Sync(); err != nil {
-		d.failed = true
-		return fmt.Errorf("pdm: sync %s: %w", d.name, err)
+		return d.syncFailed("sync", err)
 	}
 	return nil
+}
+
+// syncFailed latches Sync's failure of op.
+func (d *FileDisk) syncFailed(op string, err error) error {
+	d.failed = true
+	d.syncErr = fmt.Errorf("pdm: %s %s: %w", op, d.name, err)
+	return d.syncErr
 }
 
 // Close ends the disk; simulated disks own scratch space, so nothing of it

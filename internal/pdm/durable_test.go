@@ -158,3 +158,32 @@ func TestNoSpaceClassifiedPermanent(t *testing.T) {
 		t.Error("classified error does not match ErrNoSpace")
 	}
 }
+
+// TestFileDiskSyncFailureLatches: after one failed fsync the dirty pages may
+// be gone, so a disk whose Sync failed fails every later Sync with the first
+// error, even once the file under it would sync again.
+func TestFileDiskSyncFailureLatches(t *testing.T) {
+	d, err := NewFileDisk(filepath.Join(t.TempDir(), "run.dat"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer d.Close()
+	if err := d.WriteAt([]byte("run bytes"), 0); err != nil {
+		t.Fatal(err)
+	}
+	closed, err := os.Create(filepath.Join(t.TempDir(), "closed"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	closed.Close()
+	f := d.f
+	d.f = closed
+	first := d.Sync()
+	d.f = f
+	if first == nil {
+		t.Fatal("Sync of a closed file succeeded")
+	}
+	if err := d.Sync(); !errors.Is(err, first) {
+		t.Fatalf("the Sync after a failed one returned %v, want the first failure %v", err, first)
+	}
+}

@@ -156,51 +156,72 @@ func (p *Pool) FreeBytes() int64 {
 	return total
 }
 
-// headerFree recycles the small []Slice scratch arrays (per-destination
-// message vectors, per-column write vectors) that travel between pipeline
-// stages alongside pooled record buffers. A plain free list rather than a
-// sync.Pool: the arrays are tiny but requested on every pipeline round, and
-// sync.Pool's per-GC clearing would turn each collection into a fresh burst
-// of allocations.
-var (
-	headerMu   sync.Mutex
-	headerFree [][]Slice
-)
+// Spares is a bounded free list of reusable working memory — a pass's sort
+// scratch, its scatter tables, the slice headers below — that a finished
+// user hands back for the next one, of this job or any other. Get takes the
+// most recently returned value (warmest in cache); Put keeps a value unless
+// max of them are already kept, and drops it to the GC otherwise. A plain
+// mutex-guarded list rather than a sync.Pool: the values are requested on
+// every pass or round, and sync.Pool's per-GC clearing would turn each
+// collection into a fresh burst of allocations.
+type Spares[T any] struct {
+	mu   sync.Mutex
+	free []T
+	max  int
+}
 
-const maxFreeHeaders = 256
+// NewSpares returns an empty list that keeps at most max values.
+func NewSpares[T any](max int) *Spares[T] { return &Spares[T]{max: max} }
+
+// Get pops a kept value; ok is false when the list is empty.
+func (l *Spares[T]) Get() (x T, ok bool) {
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	n := len(l.free)
+	if n == 0 {
+		return x, false
+	}
+	x, l.free[n-1] = l.free[n-1], x
+	l.free = l.free[:n-1]
+	return x, true
+}
+
+// Put keeps x for a later Get, if the list has room. The caller must not
+// use x afterwards.
+func (l *Spares[T]) Put(x T) {
+	l.mu.Lock()
+	if len(l.free) < l.max {
+		l.free = append(l.free, x)
+	}
+	l.mu.Unlock()
+}
+
+// headers recycles the small []Slice arrays (per-destination message
+// vectors, per-column write vectors) that travel between pipeline stages
+// alongside pooled record buffers.
+var headers = NewSpares[[]Slice](256)
 
 // GetHeaders returns a []Slice of length n with all elements zeroed.
 func GetHeaders(n int) []Slice {
-	headerMu.Lock()
-	for ln := len(headerFree); ln > 0; ln = len(headerFree) {
-		h := headerFree[ln-1]
-		headerFree[ln-1] = nil
-		headerFree = headerFree[:ln-1]
-		if cap(h) < n {
-			continue // too small: drop and keep popping
+	for {
+		h, ok := headers.Get()
+		if !ok {
+			return make([]Slice, n)
 		}
-		headerMu.Unlock()
-		h = h[:n]
-		for i := range h {
-			h[i] = Slice{}
+		if cap(h) >= n { // a shorter one is dropped
+			h = h[:n]
+			clear(h)
+			return h
 		}
-		return h
 	}
-	headerMu.Unlock()
-	return make([]Slice, n)
 }
 
 // PutHeaders recycles a []Slice obtained from GetHeaders. The caller must
 // not retain the slice (or any alias of it) afterwards.
 func PutHeaders(h []Slice) {
-	if cap(h) == 0 {
-		return
+	if cap(h) > 0 {
+		headers.Put(h[:0])
 	}
-	headerMu.Lock()
-	if len(headerFree) < maxFreeHeaders {
-		headerFree = append(headerFree, h[:0])
-	}
-	headerMu.Unlock()
 }
 
 // NewPools builds one pool per processor of a simulated machine.

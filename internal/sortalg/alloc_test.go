@@ -48,10 +48,10 @@ func TestScratchFreeList(t *testing.T) {
 	for i := 0; i < 2*maxFreeScratch; i++ {
 		PutScratch(new(Scratch))
 	}
-	scratchMu.Lock()
-	held := len(scratchFree)
-	scratchFree = nil
-	scratchMu.Unlock()
+	held := 0
+	for _, ok := scratchFree.Get(); ok; _, ok = scratchFree.Get() {
+		held++
+	}
 	if held != maxFreeScratch {
 		t.Fatalf("free list holds %d scratches, want the bound %d", held, maxFreeScratch)
 	}

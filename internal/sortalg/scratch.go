@@ -8,8 +8,6 @@
 package sortalg
 
 import (
-	"sync"
-
 	"colsort/internal/record"
 	"colsort/internal/tournament"
 )
@@ -30,40 +28,25 @@ type Scratch struct {
 }
 
 // scratchFree keeps the Scratches of finished passes for the next pass — of
-// this job or any other — so the pair arrays are allocated once per pipeline
-// slot of the process, not once per pass of every sort. A plain bounded free
-// list, as record.GetHeaders: sync.Pool would drop them at every collection.
-var (
-	scratchMu   sync.Mutex
-	scratchFree []*Scratch
-)
+// this job or any other — so the pair arrays are allocated once per
+// pipeline slot of the process, not once per pass of every sort. Its bound
+// covers the sort stages of eight P = 4 jobs in flight; a warm Scratch of a
+// 16384-record column holds about half a MiB.
+var scratchFree = record.NewSpares[*Scratch](maxFreeScratch)
 
-// maxFreeScratch covers the sort stages of eight P = 4 jobs in flight; a warm
-// Scratch of a 16384-record column holds about half a MiB.
 const maxFreeScratch = 32
 
 // GetScratch returns a Scratch for one sorting client, warm when a finished
 // one is available. Hand it back with PutScratch.
 func GetScratch() *Scratch {
-	scratchMu.Lock()
-	defer scratchMu.Unlock()
-	if n := len(scratchFree); n > 0 {
-		sc := scratchFree[n-1]
-		scratchFree[n-1] = nil
-		scratchFree = scratchFree[:n-1]
+	if sc, ok := scratchFree.Get(); ok {
 		return sc
 	}
 	return new(Scratch)
 }
 
 // PutScratch recycles a Scratch no goroutine uses any more.
-func PutScratch(sc *Scratch) {
-	scratchMu.Lock()
-	if len(scratchFree) < maxFreeScratch {
-		scratchFree = append(scratchFree, sc)
-	}
-	scratchMu.Unlock()
-}
+func PutScratch(sc *Scratch) { scratchFree.Put(sc) }
 
 // pairs returns *buf at length n, reallocated when it is too short.
 func pairs(buf *[]kv, n int) []kv {

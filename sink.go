@@ -1,7 +1,6 @@
 package colsort
 
 import (
-	"bufio"
 	"cmp"
 	"fmt"
 	"io"
@@ -101,31 +100,30 @@ func (s *fileSink) Open(int) (RecordWriter, error) {
 	if err != nil {
 		return nil, fmt.Errorf("colsort: %w", err)
 	}
-	fw.f, fw.w = f, bufio.NewWriterSize(f, 1<<20)
+	fw.f = f
 	return fw, nil
 }
 
+// fileWriter writes each chunk straight to the file: the egress hands over
+// chunks of hundreds of KiB (a drain segment, a merge chunk), so a buffer
+// would only add a copy of the output.
 type fileWriter struct {
 	path    string
 	partial string // the file written, renamed onto path at Close; "" writes path in place
 	f       *os.File
-	w       *bufio.Writer
 }
 
 func (fw *fileWriter) Write(recs record.Slice) error {
-	if _, err := fw.w.Write(recs.Data); err != nil {
+	if _, err := fw.f.Write(recs.Data); err != nil {
 		return fmt.Errorf("colsort: write %s: %w", fw.path, err)
 	}
 	return nil
 }
 
-// Close flushes the output and publishes it: the partial file is renamed
+// Close closes the output and publishes it: the partial file is renamed
 // onto path. If any step fails, the output is discarded as by Abort.
 func (fw *fileWriter) Close() error {
-	err := fw.w.Flush()
-	if cerr := fw.f.Close(); err == nil {
-		err = cerr
-	}
+	err := fw.f.Close()
 	if err == nil && fw.partial != "" {
 		err = os.Rename(fw.partial, fw.path)
 	}
