@@ -275,16 +275,6 @@ func BenchmarkMergeRuns(b *testing.B) {
 	}
 }
 
-func BenchmarkChecksum(b *testing.B) {
-	s := record.Make(1<<14, 64)
-	record.Fill(s, record.Uniform{Seed: 1}, 0)
-	b.SetBytes(int64(s.Len()) * 64)
-	for i := 0; i < b.N; i++ {
-		var c record.Checksum
-		c.AddSlice(s)
-	}
-}
-
 func BenchmarkAllToAll(b *testing.B) {
 	const p, n, z = 8, 1 << 10, 64
 	for i := 0; i < b.N; i++ {

@@ -31,13 +31,15 @@ func (c *Checksum) fold(h uint64) {
 }
 
 // AddSlice folds every record of s into the checksum: the values Add gives
-// record by record, computed four records at a time. A record's hash is a
-// chain of one splitmix64 per word (a Slice's record size is a whole number
-// of them), each waiting on the last; four chains of four different records
-// have no such wait between them.
+// record by record. A record's hash is a chain of one splitmix64 per word (a
+// Slice's record size is a whole number of them), each waiting on the last;
+// chains of different records have no such wait between them. Where the CPU
+// has AVX-512, foldBlocks runs sixteen chains at a time (checksum_amd64.s);
+// the records behind its last block, or all of them without it, go four at
+// a time.
 func (c *Checksum) AddSlice(s Slice) {
 	n, z := s.Len(), s.Size
-	i := 0
+	i := c.foldBlocks(s)
 	for ; i+4 <= n; i += 4 {
 		r0, r1, r2, r3 := s.Record(i), s.Record(i+1), s.Record(i+2), s.Record(i+3)
 		h0, h1, h2, h3 := hashSeed, hashSeed, hashSeed, hashSeed
@@ -85,13 +87,15 @@ func hashRecord(rec []byte) uint64 {
 
 // OfGenerated computes the checksum that Fill(s, g, 0) over n records of the
 // given size would produce, without materializing them all at once. Used to
-// verify out-of-core outputs against the logical input.
+// verify out-of-core outputs against the logical input. It generates and
+// folds at most 1024 records at a time.
 func OfGenerated(g Generator, n int64, size int) Checksum {
 	var c Checksum
-	rec := make([]byte, size)
-	for i := int64(0); i < n; i++ {
-		g.Gen(rec, i)
-		c.Add(rec)
+	buf := Make(int(max(0, min(n, 1024))), size)
+	for i := int64(0); i < n; i += int64(buf.Len()) {
+		s := buf.Sub(0, int(min(n-i, int64(buf.Len()))))
+		Fill(s, g, i)
+		c.AddSlice(s)
 	}
 	return c
 }

@@ -75,3 +75,32 @@ func FuzzKeySpecRoundTrip(f *testing.F) {
 		}
 	})
 }
+
+// FuzzChecksum holds AddSlice — the AVX-512 kernel where this CPU has it, the
+// four-lane loop behind it — to Add record by record: n ∈ [0, 300] records of
+// z = 8k bytes, k ∈ [1, 32], taken from the fuzzer's bytes (repeated to
+// length, each repetition xored with its number so records differ) from a
+// start offset that need not be word-aligned.
+func FuzzChecksum(f *testing.F) {
+	f.Add([]byte("columnsort"), uint8(7), uint16(33), uint8(0))
+	f.Add([]byte{0xff, 0, 0x80}, uint8(0), uint16(16), uint8(3))
+	f.Add([]byte{}, uint8(16), uint16(300), uint8(9))
+	f.Fuzz(func(t *testing.T, data []byte, k uint8, n uint16, off uint8) {
+		z, cnt, lo := 8*(int(k)%32+1), int(n)%301, int(off)%64
+		buf := make([]byte, lo+cnt*z)
+		for i := range buf {
+			if len(data) > 0 {
+				buf[i] = data[i%len(data)] ^ byte(i/len(data))
+			}
+		}
+		s := Slice{Data: buf[lo:], Size: z}
+		var bulk, one Checksum
+		bulk.AddSlice(s)
+		for i := 0; i < cnt; i++ {
+			one.Add(s.Record(i))
+		}
+		if bulk != one {
+			t.Fatalf("%d records of %d bytes at offset %d: AddSlice %+v, Add %+v", cnt, z, lo, bulk, one)
+		}
+	})
+}

@@ -2,6 +2,7 @@ package record
 
 import (
 	"bytes"
+	"fmt"
 	"testing"
 	"testing/quick"
 )
@@ -307,38 +308,72 @@ func TestChecksumMergeMatchesWhole(t *testing.T) {
 	}
 }
 
-// TestAddSliceMatchesAdd: AddSlice hashes four records at a time; every
-// count around its groups of four, at every record size class and from
-// sub-slices that start mid-buffer, must give Add's values record by record
-// (manifests persist them).
+// kernelCPU is whether this CPU and OS run AddSlice's AVX-512 kernel.
+var kernelCPU = avx512
+
+// useFold switches AddSlice to the AVX-512 kernel ("kernel") or to the
+// portable four-lane path ("portable") until tb ends; a CPU without the
+// kernel skips the first.
+func useFold(tb testing.TB, path string) {
+	if path == "kernel" && !kernelCPU {
+		tb.Skip("this CPU or OS has no AVX-512 state: only the portable path runs")
+	}
+	avx512 = path == "kernel"
+	tb.Cleanup(func() { avx512 = kernelCPU })
+}
+
+// TestAddSliceMatchesAdd: AddSlice hashes sixteen records at a time with the
+// kernel and four at a time behind it; every count around both block sizes,
+// at every record size class and from sub-slices that start mid-buffer, must
+// give Add's values record by record (manifests persist them).
 func TestAddSliceMatchesAdd(t *testing.T) {
-	for _, z := range []int{8, 16, 24, 32, 64, 128, 136} {
-		buf := Make(12, z)
-		Fill(buf, Uniform{Seed: uint64(z)}, 0)
-		for lo := 0; lo <= 3; lo++ {
-			for n := 0; n <= 9; n++ {
-				s := buf.Sub(lo, lo+n)
-				var bulk, one Checksum
-				bulk.AddSlice(s)
-				for i := 0; i < n; i++ {
-					one.Add(s.Record(i))
-				}
-				if bulk != one {
-					t.Fatalf("z=%d records [%d,%d): AddSlice %+v, Add %+v", z, lo, lo+n, bulk, one)
+	for _, path := range []string{"kernel", "portable"} {
+		t.Run(path, func(t *testing.T) {
+			useFold(t, path)
+			for _, z := range []int{8, 16, 24, 32, 64, 128, 136, 256} {
+				buf := Make(43, z)
+				Fill(buf, Uniform{Seed: uint64(z)}, 0)
+				for lo := 0; lo <= 3; lo++ {
+					for n := 0; n <= 40; n++ {
+						s := buf.Sub(lo, lo+n)
+						var bulk, one Checksum
+						bulk.AddSlice(s)
+						for i := 0; i < n; i++ {
+							one.Add(s.Record(i))
+						}
+						if bulk != one {
+							t.Fatalf("z=%d records [%d,%d): AddSlice %+v, Add %+v", z, lo, lo+n, bulk, one)
+						}
+					}
 				}
 			}
-		}
+			// Past the 4096 blocks one kernel call covers.
+			big := Make(4096*16*2+37, 8)
+			Fill(big, Uniform{Seed: 3}, 0)
+			var bulk, one Checksum
+			bulk.AddSlice(big)
+			for i := 0; i < big.Len(); i++ {
+				one.Add(big.Record(i))
+			}
+			if bulk != one {
+				t.Fatalf("%d records: AddSlice %+v, Add %+v", big.Len(), bulk, one)
+			}
+		})
 	}
 }
 
+// TestOfGeneratedMatchesFill: OfGenerated folds 1024-record chunks; counts
+// inside one chunk and across two chunk edges give Fill+AddSlice's values.
 func TestOfGeneratedMatchesFill(t *testing.T) {
 	g := Uniform{Seed: 123}
-	s := Make(500, 64)
-	Fill(s, g, 0)
-	var direct Checksum
-	direct.AddSlice(s)
-	if got := OfGenerated(g, 500, 64); !got.Equal(direct) {
-		t.Fatal("OfGenerated disagrees with Fill+AddSlice")
+	for _, n := range []int{0, 500, 2500} {
+		s := Make(n, 64)
+		Fill(s, g, 0)
+		var direct Checksum
+		direct.AddSlice(s)
+		if got := OfGenerated(g, int64(n), 64); !got.Equal(direct) {
+			t.Fatalf("n=%d: OfGenerated disagrees with Fill+AddSlice", n)
+		}
 	}
 }
 
@@ -372,5 +407,29 @@ func TestHash64Mixes(t *testing.T) {
 	// Sanity: nearby inputs map to far-apart outputs.
 	if Hash64(1) == Hash64(2) {
 		t.Fatal("Hash64 collision on adjacent inputs")
+	}
+}
+
+// checksumSink keeps BenchmarkChecksum's result live.
+var checksumSink Checksum
+
+// BenchmarkChecksum: AddSlice over 2¹⁴ uniform records at the paper's 64-byte
+// size and at 136 bytes (17 words), with the AVX-512 kernel and on the
+// portable four-lane path.
+func BenchmarkChecksum(b *testing.B) {
+	for _, z := range []int{64, 136} {
+		s := Make(1<<14, z)
+		Fill(s, Uniform{Seed: 1}, 0)
+		for _, path := range []string{"kernel", "portable"} {
+			b.Run(fmt.Sprintf("z=%d/%s", z, path), func(b *testing.B) {
+				useFold(b, path)
+				b.SetBytes(int64(len(s.Data)))
+				for i := 0; i < b.N; i++ {
+					var c Checksum
+					c.AddSlice(s)
+					checksumSink = c
+				}
+			})
+		}
 	}
 }

@@ -60,12 +60,17 @@
 # and the scatter table sets, the table sets' resize and return, the
 # replay's one buffer per round and FileDisk's latched Sync error, less the
 # two hand-rolled free lists, the spare-set channel, ToFile's bufio plumbing
-# and the run writer's eager frame buffer: 10024).
+# and the run writer's eager frame buffer: 10024; the AVX-512 multiset
+# checksum kernel, +36: its CPUID/XGETBV detection, foldBlocks (the lane sum
+# and the bounded calls that keep a goroutine preemptible), the assembly's
+# Go declarations, the stub off amd64 and OfGenerated's chunk buffer; the
+# kernel itself, checksum_amd64.s, is assembly and outside this count:
+# 10060).
 # It also
 # prints the same count per package, largest first — the numbers ROADMAP's
 # largest-packages line quotes.
 set -euo pipefail
-max_go_lines=10024
+max_go_lines=10060
 cd "$(dirname "$0")/.."
 per_pkg=$(find . -name '*.go' ! -name '*_test.go' \
   ! -path './bench/*' ! -path './examples/*' ! -path './.bench_build/*' -print0 |
