@@ -30,7 +30,7 @@ func TestFlagsDocumented(t *testing.T) {
 			t.Errorf("flag -%s is not in README's CLI flag table", f.Name)
 		}
 	})
-	if count < 38 {
-		t.Fatalf("found only %d registered flags, want at least 38 (16 of the command's own, 22 sort keys)", count)
+	if count < 30 {
+		t.Fatalf("found only %d registered flags, want at least 30 (16 of the command's own, 14 sort keys)", count)
 	}
 }

@@ -142,10 +142,6 @@ type Config struct {
 	DiskMBps       int
 }
 
-// ChaosConfig configures the seeded storage-fault injection harness; see
-// WithChaos.
-type ChaosConfig = pdm.ChaosConfig
-
 // Sorter is the engine under the name single-job callers have always used:
 // New builds one with no admission budget.
 type Sorter = Engine

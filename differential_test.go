@@ -20,6 +20,8 @@ import (
 	"strings"
 	"testing"
 
+	"colsort/internal/faultinject"
+	"colsort/internal/pdm"
 	"colsort/internal/record"
 )
 
@@ -32,6 +34,7 @@ type diffCase struct {
 	onFiles bool   // file-backed disks, FromFile → ToFile; else memory, FromBytes → ToWriter
 	ckpt    bool   // WithCheckpoint: the manifest is part of the outcome
 	opts    []Option
+	inject  pdm.Injector // the job's fault injector; nil = none
 	ks      KeySpec
 	gen     record.Generator
 }
@@ -65,11 +68,11 @@ func diffCases() []diffCase {
 		}
 	}
 
-	chaos := WithChaos(&ChaosConfig{Seed: 7, PTransient: 0.02, TornSpillWrite: 1, FlipSpillRead: 2, DeadSpillDisk: 3, DeadSpillAfter: 8192})
+	chaos := faultinject.Injector(faultinject.ChaosConfig{Seed: 7, PTransient: 0.02, TornSpillWrite: 1, FlipSpillRead: 2, DeadSpillDisk: 3, DeadSpillAfter: 8192})
 	scrub := WithRetry(RetryPolicy{Scrub: true})
 	add(diffCase{name: "mem", cfg: base}, gens...)
 	add(diffCase{name: "file", cfg: base, onFiles: true}, gens...)
-	add(diffCase{name: "chaos", cfg: base, onFiles: true, opts: []Option{chaos}}, gens...)
+	add(diffCase{name: "chaos", cfg: base, onFiles: true, inject: chaos}, gens...)
 	add(diffCase{name: "scrub", cfg: base, onFiles: true, opts: []Option{scrub}}, gens...)
 	add(diffCase{name: "checkpoint", cfg: base, onFiles: true, ckpt: true}, gens...)
 
@@ -153,7 +156,7 @@ func (c diffCase) run(t *testing.T) []string {
 	if c.ckpt {
 		opts = append(opts, WithCheckpoint(ckptDir))
 	}
-	res, err := s.Sort(context.Background(), src, dst, opts...)
+	res, err := s.Sort(pdm.WithInjector(context.Background(), c.inject), src, dst, opts...)
 	if err != nil {
 		t.Fatalf("%s: %v", c.name, err)
 	}

@@ -16,6 +16,7 @@ import (
 	"sync"
 	"testing"
 
+	"colsort/internal/faultinject"
 	"colsort/internal/pdm"
 	"colsort/internal/record"
 	"colsort/internal/sim"
@@ -65,8 +66,8 @@ func failAbove(t *testing.T, s *Sorter, dir string, dst Sink) {
 // reads, which the drain's verification must refuse.
 func failBelow(t *testing.T, s *Sorter, dst Sink) {
 	t.Helper()
-	res, err := s.Sort(context.Background(), Generate(record.Uniform{Seed: 43}, s.MaxRecords(Threaded)), dst,
-		WithAlgorithm(Threaded), WithChaos(&ChaosConfig{Seed: 7, PBitFlip: 0.5}))
+	res, err := s.Sort(chaosCtx(faultinject.ChaosConfig{Seed: 7, PBitFlip: 0.5}),
+		Generate(record.Uniform{Seed: 43}, s.MaxRecords(Threaded)), dst, WithAlgorithm(Threaded))
 	if err == nil {
 		res.Close()
 		t.Fatal("a Sort under bit flips succeeded")

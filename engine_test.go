@@ -17,6 +17,7 @@ import (
 	"testing"
 	"time"
 
+	"colsort/internal/faultinject"
 	"colsort/internal/pdm"
 	"colsort/internal/record"
 	"colsort/internal/testutil"
@@ -454,17 +455,17 @@ func hierOpts(cap int64) []Option {
 	return []Option{WithMaxMemory(cap), WithMergeFanIn(4)}
 }
 
-// TestConfigOptionPrecedence pins that fault injection is job-scoped: a
-// per-job WithChaos injects faults while a concurrent clean job on the same
-// engine sees none, and after a chaotic job the next one — WithChaos(nil),
-// the default spelled out — runs clean.
+// TestConfigOptionPrecedence pins that fault injection is job-scoped: a job
+// whose context carries an injector sees faults while a concurrent clean job
+// on the same engine sees none, and after a chaotic job the next one — a
+// context carrying a nil injector, the default spelled out — runs clean.
 func TestConfigOptionPrecedence(t *testing.T) {
 	const p, mem, z, n = 2, 256, 16, 4096
 	cap := int64(512 * z) // run cap: forces the hierarchical path with several runs
 	// FlipSpillRead=1 corrupts the first read of the first spill disk; the
 	// CRC layer detects it and heals with a reread, so the sort succeeds
 	// and the job's fault counters record the event.
-	chaos := &ChaosConfig{Seed: 11, FlipSpillRead: 1}
+	chaos := chaosCtx(faultinject.ChaosConfig{Seed: 11, FlipSpillRead: 1})
 
 	t.Run("option-enables-chaos", func(t *testing.T) {
 		e, err := NewEngine(EngineConfig{Config: Config{Procs: p, MemPerProc: mem, RecordSize: z}})
@@ -486,14 +487,14 @@ func TestConfigOptionPrecedence(t *testing.T) {
 			cleanFaults = res.Faults
 			res.Close()
 		}()
-		res, err := e.Sort(context.Background(), Generate(record.Uniform{Seed: 20}, n),
-			Discard(), append(hierOpts(cap), WithChaos(chaos))...)
+		res, err := e.Sort(chaos, Generate(record.Uniform{Seed: 20}, n),
+			Discard(), hierOpts(cap)...)
 		if err != nil {
 			t.Fatal(err)
 		}
 		defer res.Close()
 		if res.Faults.CorruptChunks == 0 {
-			t.Errorf("WithChaos on a clean engine produced no corrupt chunks: %+v", res.Faults)
+			t.Errorf("an injector on a clean engine produced no corrupt chunks: %+v", res.Faults)
 		}
 		wg.Wait()
 		if cleanFaults.Any() {
@@ -507,25 +508,25 @@ func TestConfigOptionPrecedence(t *testing.T) {
 			t.Fatal(err)
 		}
 		defer e.Close()
-		res, err := e.Sort(context.Background(), Generate(record.Uniform{Seed: 22}, n),
-			Discard(), append(hierOpts(cap), WithChaos(chaos))...)
+		res, err := e.Sort(chaos, Generate(record.Uniform{Seed: 22}, n),
+			Discard(), hierOpts(cap)...)
 		if err != nil {
 			t.Fatal(err)
 		}
 		if res.Faults.CorruptChunks == 0 {
-			t.Errorf("WithChaos did not reach its job: %+v", res.Faults)
+			t.Errorf("the injector did not reach its job: %+v", res.Faults)
 		}
 		res.Close()
-		// The next job's WithChaos(nil) is no injection: nothing of the
+		// The next job's nil injector is no injection: nothing of the
 		// chaotic job's injector outlives it.
-		res, err = e.Sort(context.Background(), Generate(record.Uniform{Seed: 23}, n),
-			Discard(), append(hierOpts(cap), WithChaos(nil))...)
+		res, err = e.Sort(pdm.WithInjector(context.Background(), nil), Generate(record.Uniform{Seed: 23}, n),
+			Discard(), hierOpts(cap)...)
 		if err != nil {
 			t.Fatal(err)
 		}
 		defer res.Close()
 		if res.Faults.Any() {
-			t.Errorf("WithChaos(nil) job still saw faults: %+v", res.Faults)
+			t.Errorf("the nil-injector job still saw faults: %+v", res.Faults)
 		}
 	})
 }
@@ -629,8 +630,8 @@ func TestEngineStatsAccumulate(t *testing.T) {
 		t.Fatal("a source 924 records short was sorted")
 	}
 	fold(res, err)
-	fold(e.Sort(ctx, Generate(record.Uniform{Seed: 5}, n), Discard(),
-		append(hier, WithChaos(&ChaosConfig{Seed: 11, FlipSpillRead: 1}))...))
+	fold(e.Sort(chaosCtx(faultinject.ChaosConfig{Seed: 11, FlipSpillRead: 1}),
+		Generate(record.Uniform{Seed: 5}, n), Discard(), hier...))
 
 	// The mix reaches every cumulative field, so a field the ledger dropped
 	// or double-counted shows.

@@ -95,10 +95,11 @@ type hierJob struct {
 
 	// Recovery policy: how many times a run may be re-produced and
 	// re-spilled, and whether every spilled run gets a post-spill CRC
-	// readback. The scrub is always on under chaos injection (the only way
-	// a torn spill write is caught while its run can still be redone) and
-	// opt-in otherwise — on healthy storage it costs one extra sequential
-	// read of every spilled byte to detect nothing.
+	// readback. The scrub is always on when the job's machine carries a
+	// fault injector (the only way a torn spill write is caught while its
+	// run can still be redone) and opt-in otherwise — on healthy storage it
+	// costs one extra sequential read of every spilled byte to detect
+	// nothing.
 	redoBudget int
 	scrub      bool
 
@@ -121,7 +122,7 @@ type hierJob struct {
 // has already compiled the codec and validated the options.
 func (j *job) newHierJob(o sortOptions, codec record.KeyCodec, n int64, sp SortPlan) *hierJob {
 	h := &hierJob{job: j, o: o, codec: codec, n: n, runRecs: int(sp.RunRecords), pool: j.m.Pools[0],
-		fanIn: sp.FanIn, redoBudget: defaultRedoBudget, scrub: j.m.Chaos != nil}
+		fanIn: sp.FanIn, redoBudget: defaultRedoBudget, scrub: j.m.Inject != nil}
 	h.chunk = j.e.mergeChunkRecs(o, h.fanIn)
 	h.w = merge.NewWriter(nil, j.e.cfg.RecordSize, h.chunk)
 	h.w.Pool = h.pool
@@ -191,8 +192,8 @@ func retireRun(r *merge.Run) {
 // newSpill allocates the job's next spill disk and arms the job's writer on
 // it. Formation runs, redone runs and merge outputs draw from the one
 // sequence, so no two spills of a job share an ordinal (which names the file
-// and keys the chaos scripts); they are written one at a time, so they also
-// share one writer.
+// and keys an injector's scripted faults); they are written one at a time,
+// so they also share one writer.
 func (h *hierJob) newSpill() (pdm.Disk, error) {
 	d, err := h.m.NewSpillDisk(h.spillSeq)
 	h.spillSeq++

@@ -2,7 +2,7 @@ package colsort
 
 // Fault-tolerance tests of the storage stack (DESIGN.md §9): transient
 // faults healed by retry, CRC-framed spill runs, batch-level recovery, and
-// the seeded chaos harness driving them.
+// the seeded chaos harness (internal/faultinject) driving them.
 //
 // The acceptance bar (ISSUE 6): a file-backed sort ≥3× the single-run bound
 // completes byte-identical to a fault-free run under seeded chaos combining
@@ -15,8 +15,11 @@ import (
 	"errors"
 	"os"
 	"path/filepath"
+	"strconv"
 	"testing"
+	"time"
 
+	"colsort/internal/faultinject"
 	"colsort/internal/merge"
 	"colsort/internal/pdm"
 	"colsort/internal/record"
@@ -24,7 +27,7 @@ import (
 )
 
 // chaosSorter builds a file-backed async sorter under dir/scratch, for
-// jobs run WithChaos.
+// jobs run under chaosCtx.
 func chaosSorter(t *testing.T, dir string, z int) *Sorter {
 	t.Helper()
 	s, err := New(Config{Procs: 4, MemPerProc: 256, RecordSize: z,
@@ -34,6 +37,12 @@ func chaosSorter(t *testing.T, dir string, z int) *Sorter {
 	}
 	t.Cleanup(func() { s.Close() })
 	return s
+}
+
+// chaosCtx is a context whose Sort jobs run every disk under the seeded
+// fault model c.
+func chaosCtx(c faultinject.ChaosConfig) context.Context {
+	return pdm.WithInjector(context.Background(), faultinject.Injector(c))
 }
 
 // TestChaosAcceptance is the headline run: a file-backed input >3× the
@@ -70,15 +79,15 @@ func TestChaosAcceptance(t *testing.T) {
 	// seed is one under which the ~200 operations of this small sort draw at
 	// least one.
 	s := chaosSorter(t, dir, z)
-	res, err := s.Sort(context.Background(), FromFile(in), ToFile(out),
-		WithAlgorithm(Threaded), WithChaos(&ChaosConfig{
-			Seed:           uint64(2),
-			PTransient:     0.01,
-			TornSpillWrite: 1,
-			DeadSpillDisk:  3,
-			DeadSpillAfter: 16 << 10,
-			FlipSpillRead:  4,
-		}))
+	ctx := chaosCtx(faultinject.ChaosConfig{
+		Seed:           uint64(2),
+		PTransient:     0.01,
+		TornSpillWrite: 1,
+		DeadSpillDisk:  3,
+		DeadSpillAfter: 16 << 10,
+		FlipSpillRead:  4,
+	})
+	res, err := s.Sort(ctx, FromFile(in), ToFile(out), WithAlgorithm(Threaded))
 	if err != nil {
 		t.Fatalf("sort under chaos: %v", err)
 	}
@@ -132,8 +141,8 @@ func TestChaosTransientsHealMidMerge(t *testing.T) {
 	n := int(3 * bound)
 	raw := genRaw(n, z, record.Zipf{Seed: 13})
 	var out bytes.Buffer
-	res, err := s.Sort(context.Background(), FromBytes(raw), ToWriter(&out),
-		WithAlgorithm(Threaded), WithChaos(&ChaosConfig{Seed: 2, PTransient: 0.01}))
+	res, err := s.Sort(chaosCtx(faultinject.ChaosConfig{Seed: 2, PTransient: 0.01}),
+		FromBytes(raw), ToWriter(&out), WithAlgorithm(Threaded))
 	if err != nil {
 		t.Fatalf("sort under transient chaos: %v", err)
 	}
@@ -163,8 +172,8 @@ func TestChaosBatchRedoAfterDeadSpillDisk(t *testing.T) {
 	n := int(2 * bound)
 	raw := genRaw(n, z, record.Uniform{Seed: 17})
 	var out bytes.Buffer
-	res, err := s.Sort(context.Background(), FromBytes(raw), ToWriter(&out),
-		WithAlgorithm(Threaded), WithChaos(&ChaosConfig{Seed: 3, DeadSpillDisk: 1, DeadSpillAfter: 1 << 10}))
+	res, err := s.Sort(chaosCtx(faultinject.ChaosConfig{Seed: 3, DeadSpillDisk: 1, DeadSpillAfter: 1 << 10}),
+		FromBytes(raw), ToWriter(&out), WithAlgorithm(Threaded))
 	if err != nil {
 		t.Fatalf("sort across a dead spill disk: %v", err)
 	}
@@ -189,11 +198,10 @@ func TestChaosCorruptionNeverSilent(t *testing.T) {
 	}
 	bound := s.MaxRecords(Threaded)
 	n := int(2 * bound)
-	res, err := s.Sort(context.Background(),
+	res, err := s.Sort(chaosCtx(faultinject.ChaosConfig{Seed: 4, TornSpillWrite: 1}),
 		Generate(record.Uniform{Seed: 19}, int64(n)), Discard(),
 		WithAlgorithm(Threaded),
-		WithRetry(RetryPolicy{RedoBudget: -1}),
-		WithChaos(&ChaosConfig{Seed: 4, TornSpillWrite: 1}))
+		WithRetry(RetryPolicy{RedoBudget: -1}))
 	if err == nil {
 		res.Close()
 		t.Fatal("torn spill write with redo disabled produced a 'successful' sort")
@@ -213,19 +221,88 @@ func TestRetryGiveUpCarriesContext(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := s.Sort(context.Background(),
+	res, err := s.Sort(chaosCtx(faultinject.ChaosConfig{Seed: 5, PTransient: 1}),
 		Generate(record.Uniform{Seed: 23}, 1024), nil,
-		WithRetry(RetryPolicy{MaxAttempts: 1, RedoBudget: -1}),
-		WithChaos(&ChaosConfig{Seed: 5, PTransient: 1}))
+		WithRetry(RetryPolicy{MaxAttempts: 1, RedoBudget: -1}))
 	if err == nil {
 		res.Close()
 		t.Fatal("sort succeeded with every disk operation failing")
 	}
-	if !errors.Is(err, pdm.ErrInjected) {
+	if !errors.Is(err, faultinject.ErrInjected) {
 		t.Errorf("err = %v, want the injected-fault sentinel preserved", err)
 	}
 	var oe *pdm.OpError
 	if !errors.As(err, &oe) {
 		t.Errorf("err = %v, want OpError operation/disk/extent context", err)
+	}
+}
+
+// TestChaosSoak is the nightly chaos soak (scripts/chaos_soak.sh runs it
+// under -race; it skips unless CHAOS_SOAK_RECORDS is set): a file-backed
+// hierarchical sort of CHAOS_SOAK_RECORDS 64-byte records — 8 MiB runs and
+// a k-way merge — under seeded transient faults, a torn first spill write, a
+// bit-flipped spill read and a spill disk that dies permanently mid-write
+// must finish byte-identical to the fault-free run of the same input,
+// leaving no scratch file behind. The seed comes from COLSORT_CHAOS_SEED
+// (replay), else from the date, so every night draws a new fault pattern;
+// a failure prints it.
+func TestChaosSoak(t *testing.T) {
+	records, err := strconv.Atoi(os.Getenv("CHAOS_SOAK_RECORDS"))
+	if err != nil {
+		t.Skip("set CHAOS_SOAK_RECORDS to run the chaos soak")
+	}
+	seed, err := strconv.ParseUint(os.Getenv("COLSORT_CHAOS_SEED"), 10, 64)
+	if err != nil {
+		seed, _ = strconv.ParseUint(time.Now().Format("20060102"), 10, 64)
+	}
+	t.Cleanup(func() {
+		if t.Failed() {
+			t.Logf("CHAOS SOAK FAILED (seed %d); replay with: COLSORT_CHAOS_SEED=%d scripts/chaos_soak.sh", seed, seed)
+		}
+	})
+
+	const z = 64
+	dir := t.TempDir()
+	scratch := filepath.Join(dir, "scratch")
+	testutil.CheckLeaks(t, scratch)
+	in := filepath.Join(dir, "input.dat")
+	if err := os.WriteFile(in, genRaw(records, z, record.Uniform{Seed: seed}), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	sortInto := func(ctx context.Context, out string) FaultStats {
+		t.Helper()
+		s, err := New(Config{Procs: 4, MemPerProc: 16384, RecordSize: z, Dir: scratch, Async: true})
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer s.Close()
+		res, err := s.Sort(ctx, FromFile(in), ToFile(out), WithAlgorithm(Threaded), WithMaxMemory(8<<20))
+		if err != nil {
+			t.Fatalf("%s: %v", filepath.Base(out), err)
+		}
+		defer res.Close()
+		return res.Faults
+	}
+
+	// Spill ordinals: run 1 spills to ordinal 1 (torn first write → scrub
+	// fails → redo onto 2, whose first merge read is bit-flipped and healed
+	// by a CRC reread); run 2 spills to ordinal 3 (dies after 4 MiB → redo
+	// onto 4); transient faults land everywhere and are retried.
+	ref, out := filepath.Join(dir, "ref.dat"), filepath.Join(dir, "out.dat")
+	sortInto(context.Background(), ref)
+	faults := sortInto(chaosCtx(faultinject.ChaosConfig{Seed: seed, PTransient: 0.002,
+		TornSpillWrite: 1, FlipSpillRead: 2, DeadSpillDisk: 3, DeadSpillAfter: 4096 << 10}), out)
+	t.Logf("seed %d, %d records: %+v", seed, records, faults)
+
+	want, err := os.ReadFile(ref)
+	if err != nil {
+		t.Fatal(err)
+	}
+	got, err := os.ReadFile(out)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(got, want) {
+		t.Error("output under chaos differs from the fault-free run")
 	}
 }

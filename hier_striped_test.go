@@ -21,6 +21,7 @@ import (
 	"testing"
 	"time"
 
+	"colsort/internal/faultinject"
 	"colsort/internal/pdm"
 	"colsort/internal/record"
 	"colsort/internal/sim"
@@ -56,16 +57,16 @@ func sorterOf(t *testing.T, cfg Config) *Sorter {
 func TestStripedChaosRecovery(t *testing.T) {
 	for _, tc := range []struct {
 		name  string
-		chaos ChaosConfig
+		chaos faultinject.ChaosConfig
 		check func(*testing.T, FaultStats)
 	}{
-		{"torn spill write is scrubbed and redone", ChaosConfig{Seed: 1, TornSpillWrite: 1},
+		{"torn spill write is scrubbed and redone", faultinject.ChaosConfig{Seed: 1, TornSpillWrite: 1},
 			func(t *testing.T, f FaultStats) {
 				if f.CorruptChunks == 0 || f.BatchRedos != 1 {
 					t.Errorf("faults %+v, want the torn frame detected and its run redone once", f)
 				}
 			}},
-		{"transient faults heal under each lane's async layer", ChaosConfig{Seed: 2, PTransient: 0.02},
+		{"transient faults heal under each lane's async layer", faultinject.ChaosConfig{Seed: 2, PTransient: 0.02},
 			func(t *testing.T, f FaultStats) {
 				if f.DiskRetries == 0 || f.DiskGiveUps != 0 || f.BatchRedos != 0 {
 					t.Errorf("faults %+v, want retries only: a transient fault must heal before a lane latches it", f)
@@ -78,7 +79,7 @@ func TestStripedChaosRecovery(t *testing.T) {
 			s := sorterOf(t, stripedConfig(dir))
 			raw := genRaw(int(6*s.MaxRecords(Threaded))+77, stripedZ, record.Uniform{Seed: 41})
 			var out bytes.Buffer
-			res, err := s.Sort(context.Background(), FromBytes(raw), ToWriter(&out), WithAlgorithm(Threaded), WithChaos(&tc.chaos))
+			res, err := s.Sort(chaosCtx(tc.chaos), FromBytes(raw), ToWriter(&out), WithAlgorithm(Threaded))
 			if err != nil {
 				t.Fatalf("sort under chaos: %v", err)
 			}

@@ -6,6 +6,7 @@ import (
 	"strings"
 	"testing"
 
+	"colsort/internal/faultinject"
 	"colsort/internal/pdm"
 	"colsort/internal/record"
 	"colsort/internal/verify"
@@ -353,7 +354,7 @@ func TestDiskFaultPropagates(t *testing.T) {
 	defer input.Close()
 	// Wrap processor 1's disk so it fails partway through pass 1 reads.
 	inner := input.Arrays[1].Disks[0]
-	input.Arrays[1].Disks[0] = &pdm.FaultDisk{Inner: inner, Budget: 3 * 512 * 16 / 2}
+	input.Arrays[1].Disks[0] = &faultinject.FaultDisk{Inner: inner, Budget: 3 * 512 * 16 / 2}
 	_, err = Run(context.Background(), pl, m, input, Hooks{})
 	if err == nil {
 		t.Fatal("injected disk fault did not surface")
@@ -375,7 +376,7 @@ func (b *finalFaultBackend) NewDisk(int) (pdm.Disk, error) {
 	if b.made <= b.skip {
 		return pdm.NewMemDisk(), nil
 	}
-	return &pdm.FaultDisk{Inner: pdm.NewMemDisk(), Budget: b.budget}, nil
+	return &faultinject.FaultDisk{Inner: pdm.NewMemDisk(), Budget: b.budget}, nil
 }
 
 // TestAsyncDeferredWriteFailsPass: on async disks a write fails only when
@@ -408,7 +409,7 @@ func TestAsyncDeferredWriteFailsPass(t *testing.T) {
 						t.Fatalf("a budget of every byte written failed the run: %v", err)
 					}
 					res.Output.Close()
-				} else if !errors.Is(err, pdm.ErrInjected) {
+				} else if !errors.Is(err, faultinject.ErrInjected) {
 					t.Fatalf("err = %v, want the injected fault of the final pass's last write", err)
 				}
 			}

@@ -1,9 +1,20 @@
-package pdm
+// Package faultinject is the seeded disk-fault model the fault-tolerance
+// layers are tested against. Only tests import it: the product's one seam is
+// pdm.Injector, which a test puts on a Sort's context with pdm.WithInjector —
+//
+//	ctx = pdm.WithInjector(ctx, faultinject.Injector(faultinject.ChaosConfig{Seed: 7, PTransient: 0.01}))
+//
+// — and every disk of that job is built through it, between the service-time
+// model and the retry layer. FaultDisk, the byte-budget trip wire, wraps a
+// disk directly.
+package faultinject
 
 import (
 	"errors"
 	"fmt"
 	"sync"
+
+	"colsort/internal/pdm"
 )
 
 // ChaosDisk is the seeded fault-injection harness the fault-tolerance
@@ -26,7 +37,7 @@ import (
 // seed and per-disk operation sequence; tests and the nightly soak print
 // the seed on failure for replay (COLSORT_CHAOS_SEED).
 type ChaosDisk struct {
-	inner Disk
+	inner pdm.Disk
 	cfg   ChaosConfig
 	disk  int
 	spill bool
@@ -77,6 +88,18 @@ type ChaosConfig struct {
 	DeadSpillAfter int64
 }
 
+// Injector returns the machine seam's view of c: every disk it is handed
+// gets a ChaosDisk over the configuration of its lane, and a lane that can
+// inject nothing gets no layer at all.
+func Injector(c ChaosConfig) pdm.Injector {
+	return func(d pdm.Disk, idx, lane int, spill bool) pdm.Disk {
+		if l := c.forLane(lane); l.enabled() {
+			return NewChaosDisk(d, l, idx, spill)
+		}
+		return d
+	}
+}
+
 // enabled reports whether the configuration can inject anything.
 func (c ChaosConfig) enabled() bool {
 	return c.PTransient > 0 || c.PBitFlip > 0 || c.PTorn > 0 ||
@@ -98,11 +121,11 @@ func (c ChaosConfig) forLane(l int) ChaosConfig {
 }
 
 // ErrDiskDead is the permanent failure of a chaos-killed disk.
-var ErrDiskDead = errors.New("pdm: disk failed permanently")
+var ErrDiskDead = errors.New("faultinject: disk failed permanently")
 
 // NewChaosDisk wraps inner with the fault model for disk index idx (spill
 // ordinal when spill).
-func NewChaosDisk(inner Disk, cfg ChaosConfig, idx int, spill bool) *ChaosDisk {
+func NewChaosDisk(inner pdm.Disk, cfg ChaosConfig, idx int, spill bool) *ChaosDisk {
 	seed := cfg.Seed ^ (uint64(idx+1) << 1)
 	if spill {
 		seed ^= 0xdead << 40
@@ -120,11 +143,11 @@ func (d *ChaosDisk) ReadAt(p []byte, off int64) error {
 	d.mu.Lock()
 	if d.dead {
 		d.mu.Unlock()
-		return MarkPermanent(ErrDiskDead)
+		return pdm.MarkPermanent(ErrDiskDead)
 	}
 	if d.cfg.PTransient > 0 && d.draw() < d.cfg.PTransient {
 		d.mu.Unlock()
-		return MarkTransient(fmt.Errorf("chaos: transient read fault: %w", ErrInjected))
+		return pdm.MarkTransient(fmt.Errorf("chaos: transient read fault: %w", ErrInjected))
 	}
 	d.reads++
 	flip := int64(-1)
@@ -149,14 +172,14 @@ func (d *ChaosDisk) WriteAt(p []byte, off int64) error {
 	d.mu.Lock()
 	if d.dead {
 		d.mu.Unlock()
-		return MarkPermanent(ErrDiskDead)
+		return pdm.MarkPermanent(ErrDiskDead)
 	}
 	d.writes++
 	d.wrote += int64(len(p))
 	if d.spill && d.cfg.DeadSpillDisk == d.disk+1 && d.wrote >= d.cfg.DeadSpillAfter {
 		d.dead = true
 		d.mu.Unlock()
-		return MarkPermanent(fmt.Errorf("chaos: spill disk %d: %w", d.disk, ErrDiskDead))
+		return pdm.MarkPermanent(fmt.Errorf("chaos: spill disk %d: %w", d.disk, ErrDiskDead))
 	}
 	torn := d.spill && d.cfg.TornSpillWrite == d.disk+1 && d.writes == 1
 	if !torn && d.cfg.PTorn > 0 && d.draw() < d.cfg.PTorn {
@@ -164,7 +187,7 @@ func (d *ChaosDisk) WriteAt(p []byte, off int64) error {
 	}
 	if !torn && d.cfg.PTransient > 0 && d.draw() < d.cfg.PTransient {
 		d.mu.Unlock()
-		return MarkTransient(fmt.Errorf("chaos: transient write fault: %w", ErrInjected))
+		return pdm.MarkTransient(fmt.Errorf("chaos: transient write fault: %w", ErrInjected))
 	}
 	d.mu.Unlock()
 	if torn && len(p) > 1 {
@@ -175,6 +198,50 @@ func (d *ChaosDisk) WriteAt(p []byte, off int64) error {
 	return d.inner.WriteAt(p, off)
 }
 
+// Unwrap returns the disk under the fault model (see pdm.DiskFile).
+func (d *ChaosDisk) Unwrap() pdm.Disk { return d.inner }
+
 // Close always releases the wrapped disk, even after permanent death —
 // scratch space must not leak because its disk "failed".
 func (d *ChaosDisk) Close() error { return d.inner.Close() }
+
+// FaultDisk wraps a Disk and fails every operation after a byte budget is
+// exhausted, for failure-injection tests.
+type FaultDisk struct {
+	Inner  pdm.Disk
+	Budget int64 // bytes of traffic allowed before failures begin
+	used   int64
+}
+
+// ErrInjected is the failure returned by an exhausted FaultDisk.
+var ErrInjected = errors.New("faultinject: injected disk fault")
+
+func (d *FaultDisk) ReadAt(p []byte, off int64) error {
+	if d.used += int64(len(p)); d.used > d.Budget {
+		return ErrInjected
+	}
+	return d.Inner.ReadAt(p, off)
+}
+
+func (d *FaultDisk) WriteAt(p []byte, off int64) error {
+	if d.used += int64(len(p)); d.used > d.Budget {
+		return ErrInjected
+	}
+	return d.Inner.WriteAt(p, off)
+}
+
+// Unwrap returns the disk under the trip wire (see pdm.DiskFile).
+func (d *FaultDisk) Unwrap() pdm.Disk { return d.Inner }
+
+func (d *FaultDisk) Close() error { return d.Inner.Close() }
+
+// splitmix64 advances the state and returns the next value of the SplitMix64
+// generator — a copy of pdm's unexported one, so a seed draws the same
+// per-disk fault stream as it always has.
+func splitmix64(state *uint64) uint64 {
+	*state += 0x9e3779b97f4a7c15
+	z := *state
+	z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9
+	z = (z ^ (z >> 27)) * 0x94d049bb133111eb
+	return z ^ (z >> 31)
+}

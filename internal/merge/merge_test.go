@@ -7,6 +7,7 @@ import (
 	"sort"
 	"testing"
 
+	"colsort/internal/faultinject"
 	"colsort/internal/pdm"
 	"colsort/internal/record"
 	"colsort/internal/testutil"
@@ -169,7 +170,7 @@ func TestMergeToRunLevels(t *testing.T) {
 }
 
 // TestMergeInjectedFault wires a FaultDisk under one run: the injected read
-// error must abort the merge, surface via errors.Is(err, pdm.ErrInjected),
+// error must abort the merge, surface via errors.Is(err, faultinject.ErrInjected),
 // and leave no goroutines behind (the verify and emit stages are joined).
 func TestMergeInjectedFault(t *testing.T) {
 	testutil.CheckGoroutines(t)
@@ -177,13 +178,13 @@ func TestMergeInjectedFault(t *testing.T) {
 	m := pdm.Machine{P: 1, D: 1}
 	runs, _ := genRuns(t, m, n, k, z, 64, 5)
 	// Budget passes the first chunk of run 1 and fails afterwards.
-	runs[1].Disk = &pdm.FaultDisk{Inner: runs[1].Disk, Budget: 64 * z}
+	runs[1].Disk = &faultinject.FaultDisk{Inner: runs[1].Disk, Budget: 64 * z}
 	_, _, _, err := collect(t, context.Background(), runs, z, Options{ChunkRecs: 64})
 	if err == nil {
 		t.Fatal("merge over a faulting run reported success")
 	}
-	if !errors.Is(err, pdm.ErrInjected) {
-		t.Fatalf("err = %v, want errors.Is(err, pdm.ErrInjected)", err)
+	if !errors.Is(err, faultinject.ErrInjected) {
+		t.Fatalf("err = %v, want errors.Is(err, faultinject.ErrInjected)", err)
 	}
 	for _, r := range runs {
 		r.Close()
@@ -197,10 +198,10 @@ func TestMergeInjectedFaultAsync(t *testing.T) {
 	const n, z, k = 4096, 16, 3
 	m := pdm.Machine{P: 1, D: 1}
 	runs, _ := genRuns(t, m, n, k, z, 64, 6)
-	runs[0].Disk = pdm.NewAsyncDisk(&pdm.FaultDisk{Inner: runs[0].Disk, Budget: 64 * z}, pdm.AsyncConfig{})
+	runs[0].Disk = pdm.NewAsyncDisk(&faultinject.FaultDisk{Inner: runs[0].Disk, Budget: 64 * z}, pdm.AsyncConfig{})
 	_, _, _, err := collect(t, context.Background(), runs, z, Options{ChunkRecs: 64})
-	if !errors.Is(err, pdm.ErrInjected) {
-		t.Fatalf("err = %v, want errors.Is(err, pdm.ErrInjected)", err)
+	if !errors.Is(err, faultinject.ErrInjected) {
+		t.Fatalf("err = %v, want errors.Is(err, faultinject.ErrInjected)", err)
 	}
 	for _, r := range runs {
 		r.Close()

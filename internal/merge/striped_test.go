@@ -13,6 +13,7 @@ import (
 	"testing"
 	"time"
 
+	"colsort/internal/faultinject"
 	"colsort/internal/pdm"
 	"colsort/internal/record"
 	"colsort/internal/testutil"
@@ -95,9 +96,9 @@ func TestWriterReset(t *testing.T) {
 	firstCRCs := append([]uint32(nil), first.CRCs()...)
 
 	// A run abandoned with a partial frame buffered leaves nothing behind.
-	dead := &pdm.FaultDisk{Inner: pdm.NewMemDisk(), Budget: 0}
+	dead := &faultinject.FaultDisk{Inner: pdm.NewMemDisk(), Budget: 0}
 	w.Reset(dead)
-	if err := w.Append(recs.Sub(0, 100)); !errors.Is(err, pdm.ErrInjected) {
+	if err := w.Append(recs.Sub(0, 100)); !errors.Is(err, faultinject.ErrInjected) {
 		t.Fatalf("append to a dead disk: %v, want the injected fault", err)
 	}
 

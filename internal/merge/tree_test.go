@@ -14,6 +14,7 @@ import (
 	"strings"
 	"testing"
 
+	"colsort/internal/faultinject"
 	"colsort/internal/pdm"
 	"colsort/internal/record"
 	"colsort/internal/testutil"
@@ -215,8 +216,8 @@ func TestMergeTreeEdges(t *testing.T) {
 		heals   int64
 	}{
 		{name: "k=1", k: 1},
-		{name: "advance fails on a chunk boundary", k: 4, wantErr: pdm.ErrInjected,
-			wrap: func(d pdm.Disk) pdm.Disk { return &pdm.FaultDisk{Inner: d, Budget: chunk * z} }},
+		{name: "advance fails on a chunk boundary", k: 4, wantErr: faultinject.ErrInjected,
+			wrap: func(d pdm.Disk) pdm.Disk { return &faultinject.FaultDisk{Inner: d, Budget: chunk * z} }},
 		{name: "corrupt frame healed mid-merge", k: 4, heals: 1,
 			wrap: func(d pdm.Disk) pdm.Disk { return &corruptReadDisk{Disk: d, skip: 2} }},
 	} {

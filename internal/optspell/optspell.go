@@ -6,8 +6,8 @@
 // spelling reads the same from every front end.
 //
 // Parse checks spelling only — a closed key set, each key once, non-empty and
-// well-typed (a count of MiB, KiB, ms or µs is an int64 once scaled), and the
-// one place a Go option is spelled with two keys (alg=hybrid ⇔ group) — so a
+// well-typed (a count of MiB, ms or µs is an int64 once scaled), and the one
+// place a Go option is spelled with two keys (alg=hybrid ⇔ group) — so a
 // typo never silently selects a default. What a value may BE is the
 // library's to say (colsort's resolve, plan.go), in its own sentence. A zero
 // means what it means in Go: the option's default. DESIGN.md §11 holds the
@@ -45,13 +45,11 @@ func (k Key) IsBool() bool { return k.Type == boolType }
 // accumulator collects what the keys spell: options a key emits on its own,
 // and the fields of the options several keys spell together.
 type accumulator struct {
-	opts    []colsort.Option
-	alg     colsort.Algorithm
-	group   int
-	ks      colsort.KeySpec
-	retry   colsort.RetryPolicy
-	chaos   colsort.ChaosConfig
-	chaosOn bool // some chaos-* key was given
+	opts  []colsort.Option
+	alg   colsort.Algorithm
+	group int
+	ks    colsort.KeySpec
+	retry colsort.RetryPolicy
 }
 
 func (a *accumulator) add(o colsort.Option) { a.opts = append(a.opts, o) }
@@ -71,7 +69,7 @@ func intKey(name string, put func(*accumulator, int64)) Key {
 	return key(name, "an integer", func(s string) (int64, error) { return strconv.ParseInt(s, 10, 64) }, put)
 }
 
-// scaledKey is an integer key counted in units of unit (a MiB, a KiB, a
+// scaledKey is an integer key counted in units of unit (a MiB, a
 // millisecond, a microsecond), put as the bytes or nanoseconds the option
 // takes. A count whose product would overflow int64 is ill-typed: wrapped, it
 // would spell some other value, and 2^44 MiB would be no cap at all.
@@ -88,22 +86,6 @@ func scaledKey(name string, unit int64, put func(*accumulator, int64)) Key {
 
 func boolKey(name string, put func(*accumulator, bool)) Key {
 	return key(name, boolType, strconv.ParseBool, put)
-}
-
-// chaosKey is a chaos-* key: giving any of them enables job-scoped injection.
-func chaosKey[T any](name, typ string, parse func(string) (T, error), field func(*colsort.ChaosConfig) *T) Key {
-	return key(name, typ, parse, func(a *accumulator, v T) { *field(&a.chaos), a.chaosOn = v, true })
-}
-
-// probKey is a chaos-p-* key: any number is well-typed here; the library says
-// which numbers are probabilities.
-func probKey(name string, field func(*colsort.ChaosConfig) *float64) Key {
-	return chaosKey(name, "a number", func(s string) (float64, error) { return strconv.ParseFloat(s, 64) }, field)
-}
-
-// spillKey is a scripted chaos-*-spill key: a 1-based spill-disk ordinal.
-func spillKey(name string, field func(*colsort.ChaosConfig) *int) Key {
-	return chaosKey(name, "an integer", strconv.Atoi, field)
 }
 
 // enumKey is a key whose values are a closed set of names.
@@ -150,14 +132,6 @@ var Keys = []Key{
 	scaledKey("retry-base-us", int64(time.Microsecond), func(a *accumulator, v int64) { a.retry.BaseDelay = time.Duration(v) }),
 	intKey("redo-budget", func(a *accumulator, v int64) { a.retry.RedoBudget = int(v) }),
 	boolKey("scrub", func(a *accumulator, v bool) { a.retry.Scrub = v }),
-	intKey("chaos-seed", func(a *accumulator, v int64) { a.chaos.Seed, a.chaosOn = uint64(v), true }),
-	probKey("chaos-p-transient", func(c *colsort.ChaosConfig) *float64 { return &c.PTransient }),
-	probKey("chaos-p-bitflip", func(c *colsort.ChaosConfig) *float64 { return &c.PBitFlip }),
-	probKey("chaos-p-torn", func(c *colsort.ChaosConfig) *float64 { return &c.PTorn }),
-	spillKey("chaos-torn-spill", func(c *colsort.ChaosConfig) *int { return &c.TornSpillWrite }),
-	spillKey("chaos-flip-spill", func(c *colsort.ChaosConfig) *int { return &c.FlipSpillRead }),
-	spillKey("chaos-dead-spill", func(c *colsort.ChaosConfig) *int { return &c.DeadSpillDisk }),
-	scaledKey("chaos-dead-after-kib", 1<<10, func(a *accumulator, v int64) { a.chaos.DeadSpillAfter, a.chaosOn = v, true }),
 }
 
 // knownKeyList renders the closed key set for error messages.
@@ -178,7 +152,7 @@ func Parse(q url.Values, extra ...string) ([]colsort.Option, error) {
 			return nil, fmt.Errorf("unknown option %q (known: %s)", k, knownKeyList())
 		}
 	}
-	a := accumulator{alg: colsort.Threaded, chaos: colsort.ChaosConfig{Seed: 1}}
+	a := accumulator{alg: colsort.Threaded}
 	for _, k := range Keys {
 		switch vs, given := q[k.Name]; {
 		case !given:
@@ -208,9 +182,6 @@ func Parse(q url.Values, extra ...string) ([]colsort.Option, error) {
 	}
 	if a.retry != (colsort.RetryPolicy{}) {
 		a.add(colsort.WithRetry(a.retry))
-	}
-	if a.chaosOn {
-		a.add(colsort.WithChaos(&a.chaos))
 	}
 	return a.opts, nil
 }

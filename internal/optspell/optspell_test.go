@@ -5,8 +5,8 @@ import (
 	"time"
 )
 
-// TestScaledKeysPutProducts: a count in KiB or µs reaches the option it
-// spells as its bytes or nanoseconds. (The wire's TestParseSortOptions*
+// TestScaledKeysPutProducts: a count in µs reaches the option it spells as
+// its nanoseconds, at its limit too. (The wire's TestParseSortOptions*
 // hold every key's spelling; the MiB and ms keys' products show in the
 // library sentences of their rows there.)
 func TestScaledKeysPutProducts(t *testing.T) {
@@ -16,8 +16,7 @@ func TestScaledKeysPutProducts(t *testing.T) {
 		want       int64
 	}{
 		{"retry-base-us", "200", func(a *accumulator) int64 { return int64(a.retry.BaseDelay) }, int64(200 * time.Microsecond)},
-		{"chaos-dead-after-kib", "4", func(a *accumulator) int64 { return a.chaos.DeadSpillAfter }, 4 << 10},
-		{"chaos-dead-after-kib", "-9007199254740991", func(a *accumulator) int64 { return a.chaos.DeadSpillAfter }, -9007199254740991 << 10},
+		{"retry-base-us", "-9223372036854775", func(a *accumulator) int64 { return int64(a.retry.BaseDelay) }, -9223372036854775 * int64(time.Microsecond)},
 	} {
 		var a accumulator
 		for _, k := range Keys {

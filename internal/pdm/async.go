@@ -98,7 +98,7 @@ type writeOp struct {
 //
 // An AsyncDisk is safe for concurrent use even when the wrapped disk is not
 // (all inner access is serialized), which is what lets it wrap MemDisk and
-// FaultDisk in tests as well as FileDisk in real runs.
+// injected fault layers in tests as well as FileDisk in real runs.
 type AsyncDisk struct {
 	inner Disk
 	cfg   AsyncConfig
@@ -321,6 +321,9 @@ func (d *AsyncDisk) Flush() error {
 	return d.werr
 }
 
+// Unwrap returns the disk under the async layer (see DiskFile).
+func (d *AsyncDisk) Unwrap() Disk { return d.inner }
+
 // Close drains pending writes, stops the worker, closes the wrapped disk,
 // and surfaces any deferred write error — the last chance for a
 // write-behind failure to be observed.
@@ -456,5 +459,8 @@ func (d *DelayDisk) WriteAt(p []byte, off int64) error {
 	d.charge(len(p), off, &d.lastWrite)
 	return d.Inner.WriteAt(p, off)
 }
+
+// Unwrap returns the modeled disk (see DiskFile).
+func (d *DelayDisk) Unwrap() Disk { return d.Inner }
 
 func (d *DelayDisk) Close() error { return d.Inner.Close() }

@@ -218,31 +218,6 @@ func TestAsyncDiskDropsExcessHints(t *testing.T) {
 	}
 }
 
-func TestAsyncDiskWriteErrorPropagation(t *testing.T) {
-	// The fault budget admits the first write only; the second fails in the
-	// background and must surface on the next operation, on Flush, and on
-	// Close.
-	d := NewAsyncDisk(&FaultDisk{Inner: NewMemDisk(), Budget: 8}, AsyncConfig{})
-	if err := d.WriteAt(make([]byte, 8), 0); err != nil {
-		t.Fatal(err)
-	}
-	if err := d.WriteAt(make([]byte, 8), 8); err != nil && !errors.Is(err, ErrInjected) {
-		t.Fatalf("queued write failed with unexpected error %v", err)
-	}
-	if err := d.Flush(); !errors.Is(err, ErrInjected) {
-		t.Fatalf("Flush = %v, want injected fault", err)
-	}
-	if err := d.WriteAt(make([]byte, 8), 16); !errors.Is(err, ErrInjected) {
-		t.Fatalf("WriteAt after fault = %v, want latched error", err)
-	}
-	if err := d.ReadAt(make([]byte, 8), 0); !errors.Is(err, ErrInjected) {
-		t.Fatalf("ReadAt after fault = %v, want latched error", err)
-	}
-	if err := d.Close(); !errors.Is(err, ErrInjected) {
-		t.Fatalf("Close = %v, want injected fault", err)
-	}
-}
-
 func TestAsyncDiskCloseDrainsWrites(t *testing.T) {
 	inner := &countingDisk{Disk: NewMemDisk()}
 	d := NewAsyncDisk(inner, AsyncConfig{})

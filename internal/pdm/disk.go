@@ -337,33 +337,6 @@ func Retire(d Disk) {
 	}
 }
 
-// FaultDisk wraps a Disk and fails every operation after a byte budget is
-// exhausted, for failure-injection tests.
-type FaultDisk struct {
-	Inner  Disk
-	Budget int64 // bytes of traffic allowed before failures begin
-	used   int64
-}
-
-// ErrInjected is the failure returned by an exhausted FaultDisk.
-var ErrInjected = errors.New("pdm: injected disk fault")
-
-func (d *FaultDisk) ReadAt(p []byte, off int64) error {
-	if d.used += int64(len(p)); d.used > d.Budget {
-		return ErrInjected
-	}
-	return d.Inner.ReadAt(p, off)
-}
-
-func (d *FaultDisk) WriteAt(p []byte, off int64) error {
-	if d.used += int64(len(p)); d.used > d.Budget {
-		return ErrInjected
-	}
-	return d.Inner.WriteAt(p, off)
-}
-
-func (d *FaultDisk) Close() error { return d.Inner.Close() }
-
 // Backend constructs the disks of one machine.
 type Backend interface {
 	// NewDisk creates disk number idx (0 ≤ idx < D).
@@ -421,32 +394,21 @@ func (b FileBackend) NewDisk(idx int) (Disk, error) {
 }
 
 // DiskFile walks a wrapped disk stack — a striped spill's one backing disk,
-// async, retry, chaos, delay and fault layers in any order — down to its
-// backing *FileDisk. It returns nil
-// when the stack bottoms out on anything else (a MemDisk): the caller's
-// durability machinery has nothing to persist there.
+// the async, retry and delay layers and any injected fault layer, in any
+// order, each reached through its Unwrap — down to its backing *FileDisk.
+// It returns nil when the stack bottoms out on anything else (a MemDisk):
+// the caller's durability machinery has nothing to persist there.
 func DiskFile(d Disk) *FileDisk {
-	for d != nil {
+	for {
 		switch v := d.(type) {
 		case *FileDisk:
 			return v
-		case *stripedDisk:
-			d = v.backing
-		case *AsyncDisk:
-			d = v.inner
-		case *RetryDisk:
-			d = v.inner
-		case *ChaosDisk:
-			d = v.inner
-		case *DelayDisk:
-			d = v.Inner
-		case *FaultDisk:
-			d = v.Inner
+		case interface{ Unwrap() Disk }:
+			d = v.Unwrap()
 		default:
 			return nil
 		}
 	}
-	return nil
 }
 
 // DiskPath returns the backing file path of a (possibly wrapped) file

@@ -2,7 +2,6 @@ package pdm
 
 import (
 	"bytes"
-	"errors"
 	"os"
 	"path/filepath"
 	"testing"
@@ -75,19 +74,6 @@ func TestFileDiskRoundTrip(t *testing.T) {
 	}
 	if _, err := os.Stat(path); !os.IsNotExist(err) {
 		t.Fatal("Close did not remove backing file")
-	}
-}
-
-func TestFaultDisk(t *testing.T) {
-	d := &FaultDisk{Inner: NewMemDisk(), Budget: 10}
-	if err := d.WriteAt(make([]byte, 8), 0); err != nil {
-		t.Fatal(err)
-	}
-	if err := d.WriteAt(make([]byte, 8), 8); !errors.Is(err, ErrInjected) {
-		t.Fatalf("want injected fault, got %v", err)
-	}
-	if err := d.ReadAt(make([]byte, 1), 0); !errors.Is(err, ErrInjected) {
-		t.Fatal("reads should fail after budget exhaustion")
 	}
 }
 
@@ -493,26 +479,5 @@ func TestFileDiskErrorPaths(t *testing.T) {
 	defer d3.Close()
 	if d3.size != 10 {
 		t.Fatalf("reopened file has extent %d, want 10", d3.size)
-	}
-}
-
-func TestFaultDiskPassthrough(t *testing.T) {
-	inner := NewMemDisk()
-	d := &FaultDisk{Inner: inner, Budget: 100}
-	if err := d.WriteAt([]byte("xyz"), 5); err != nil {
-		t.Fatal(err)
-	}
-	if len(inner.data) != 8 {
-		t.Fatalf("extent = %d, want 8", len(inner.data))
-	}
-	// Exactly exhausting the budget still succeeds; the next byte fails.
-	if err := d.WriteAt(make([]byte, 97), 8); err != nil {
-		t.Fatal(err)
-	}
-	if err := d.ReadAt(make([]byte, 1), 0); !errors.Is(err, ErrInjected) {
-		t.Fatal("budget boundary not enforced")
-	}
-	if err := d.Close(); err != nil {
-		t.Fatal(err)
 	}
 }

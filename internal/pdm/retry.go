@@ -12,12 +12,15 @@ import (
 // multi-hour sorts over many disks see transient read/write errors that a
 // bounded retry absorbs and permanent failures that must surface fast; the
 // distinction is an explicit error taxonomy (MarkTransient / MarkPermanent,
-// queried by Transient) rather than a guess, because the disks
-// here are simulated and every fault has a known producer (ChaosDisk, the
-// OS, a test). RetryDisk applies the policy — bounded exponential backoff
-// with jitter, cancellable between attempts — and wraps every escaping
-// error with the exact operation, disk and byte extent, so a failed 64 MiB
-// sort names the extent instead of returning a bare "injected disk fault".
+// queried by Transient) rather than a guess. Only an error marked transient
+// is retried, and no product code marks one: FileDisk marks ENOSPC
+// permanent and leaves every other OS error unmarked, so the transient
+// faults RetryDisk heals come from tests' fault injectors
+// (internal/faultinject). RetryDisk applies the policy — bounded
+// exponential backoff with jitter, cancellable between attempts — and wraps
+// every escaping error with the exact operation, disk and byte extent, so a
+// failed 64 MiB sort names the extent instead of returning a bare "injected
+// disk fault".
 //
 // RetryDisk sits BELOW AsyncDisk in the machine's wrapper stack: a deferred
 // write-behind operation is retried by the async worker's inner call before
@@ -211,6 +214,9 @@ func (d *RetryDisk) WriteAt(p []byte, off int64) error {
 	return d.do("write", len(p), off, func() error { return d.inner.WriteAt(p, off) })
 }
 
+// Unwrap returns the disk under the retry layer (see DiskFile).
+func (d *RetryDisk) Unwrap() Disk { return d.inner }
+
 // Close passes through: close failures are terminal by nature and the
 // wrapped disks already name themselves in their close errors.
 func (d *RetryDisk) Close() error { return d.inner.Close() }
@@ -269,7 +275,8 @@ func (d *RetryDisk) backoff(attempt int) bool {
 }
 
 // splitmix64 advances the state and returns the next value of the SplitMix64
-// generator — the same cheap seeded PRNG the chaos layer uses.
+// generator — the same cheap seeded PRNG internal/faultinject's fault model
+// keeps a copy of.
 func splitmix64(state *uint64) uint64 {
 	*state += 0x9e3779b97f4a7c15
 	z := *state

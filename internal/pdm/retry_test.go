@@ -7,6 +7,12 @@ import (
 	"time"
 )
 
+// Sentinels of the faults flakyDisk returns.
+var (
+	errInjected = errors.New("pdm test: injected disk fault")
+	errDiskDead = errors.New("pdm test: disk failed permanently")
+)
+
 // flakyDisk fails its first failN operations (reads and writes combined)
 // with err, then behaves like the inner MemDisk.
 type flakyDisk struct {
@@ -58,9 +64,9 @@ func TestErrorClassification(t *testing.T) {
 	// Classification wraps: sentinel matching keeps working through it and
 	// through OpError.
 	wrapped := &OpError{Op: "read", Disk: 3, Off: 64, Len: 8,
-		Err: MarkTransient(fmt.Errorf("chaos: %w", ErrInjected))}
-	if !errors.Is(wrapped, ErrInjected) {
-		t.Error("errors.Is(ErrInjected) lost through OpError + classification")
+		Err: MarkTransient(fmt.Errorf("flaky: %w", errInjected))}
+	if !errors.Is(wrapped, errInjected) {
+		t.Error("errors.Is(errInjected) lost through OpError + classification")
 	}
 	if !Transient(wrapped) {
 		t.Error("transient classification lost through OpError")
@@ -69,7 +75,7 @@ func TestErrorClassification(t *testing.T) {
 
 func TestRetryDiskHealsTransient(t *testing.T) {
 	var stats FaultStats
-	fd := &flakyDisk{inner: NewMemDisk(), err: MarkTransient(ErrInjected), failN: 2}
+	fd := &flakyDisk{inner: NewMemDisk(), err: MarkTransient(errInjected), failN: 2}
 	d := NewRetryDisk(fd, RetryConfig{MaxAttempts: 4, BaseDelay: -1, Stats: &stats}, 0, false)
 	if err := d.WriteAt([]byte{1, 2, 3, 4}, 0); err != nil {
 		t.Fatalf("WriteAt after 2 transient faults: %v", err)
@@ -91,14 +97,14 @@ func TestRetryDiskHealsTransient(t *testing.T) {
 
 func TestRetryDiskGivesUpWithContext(t *testing.T) {
 	var stats FaultStats
-	fd := &flakyDisk{inner: NewMemDisk(), err: MarkTransient(ErrInjected), failN: 99}
+	fd := &flakyDisk{inner: NewMemDisk(), err: MarkTransient(errInjected), failN: 99}
 	d := NewRetryDisk(fd, RetryConfig{MaxAttempts: 3, BaseDelay: -1, Stats: &stats}, 5, true)
 	err := d.ReadAt(make([]byte, 16), 128)
 	if err == nil {
 		t.Fatal("want failure after exhausting attempts")
 	}
-	if !errors.Is(err, ErrInjected) {
-		t.Errorf("errors.Is(ErrInjected) = false: %v", err)
+	if !errors.Is(err, errInjected) {
+		t.Errorf("errors.Is(errInjected) = false: %v", err)
 	}
 	var oe *OpError
 	if !errors.As(err, &oe) {
@@ -118,11 +124,11 @@ func TestRetryDiskGivesUpWithContext(t *testing.T) {
 
 func TestRetryDiskFailsFastOnPermanent(t *testing.T) {
 	var stats FaultStats
-	fd := &flakyDisk{inner: NewMemDisk(), err: MarkPermanent(ErrDiskDead), failN: 99}
+	fd := &flakyDisk{inner: NewMemDisk(), err: MarkPermanent(errDiskDead), failN: 99}
 	d := NewRetryDisk(fd, RetryConfig{MaxAttempts: 4, BaseDelay: -1, Stats: &stats}, 1, false)
 	err := d.WriteAt(make([]byte, 8), 0)
-	if !errors.Is(err, ErrDiskDead) {
-		t.Fatalf("err = %v, want ErrDiskDead", err)
+	if !errors.Is(err, errDiskDead) {
+		t.Fatalf("err = %v, want errDiskDead", err)
 	}
 	if fd.ops != 1 {
 		t.Errorf("permanent fault retried: %d inner ops", fd.ops)
@@ -131,9 +137,9 @@ func TestRetryDiskFailsFastOnPermanent(t *testing.T) {
 		t.Errorf("Retries = %d on a permanent fault", stats.Retries.Load())
 	}
 	// Unclassified errors are equally final.
-	fd2 := &flakyDisk{inner: NewMemDisk(), err: ErrInjected, failN: 99}
+	fd2 := &flakyDisk{inner: NewMemDisk(), err: errInjected, failN: 99}
 	d2 := NewRetryDisk(fd2, RetryConfig{MaxAttempts: 4, BaseDelay: -1}, 0, false)
-	if err := d2.ReadAt(make([]byte, 1), 0); !errors.Is(err, ErrInjected) {
+	if err := d2.ReadAt(make([]byte, 1), 0); !errors.Is(err, errInjected) {
 		t.Fatalf("err = %v", err)
 	}
 	if fd2.ops != 1 {
@@ -144,14 +150,14 @@ func TestRetryDiskFailsFastOnPermanent(t *testing.T) {
 func TestRetryDiskCancelAbortsBackoff(t *testing.T) {
 	cancel := make(chan struct{})
 	close(cancel)
-	fd := &flakyDisk{inner: NewMemDisk(), err: MarkTransient(ErrInjected), failN: 99}
+	fd := &flakyDisk{inner: NewMemDisk(), err: MarkTransient(errInjected), failN: 99}
 	// An hour-scale backoff: only the fired Cancel channel lets this finish.
 	d := NewRetryDisk(fd, RetryConfig{
 		MaxAttempts: 4, BaseDelay: time.Hour, MaxDelay: time.Hour, Cancel: cancel,
 	}, 0, false)
 	start := time.Now()
 	err := d.ReadAt(make([]byte, 1), 0)
-	if !errors.Is(err, ErrInjected) {
+	if !errors.Is(err, errInjected) {
 		t.Fatalf("err = %v", err)
 	}
 	if elapsed := time.Since(start); elapsed > 10*time.Second {
@@ -167,7 +173,7 @@ func TestRetryDiskCancelAbortsBackoff(t *testing.T) {
 // worker's inner call and never latches the AsyncDisk.
 func TestRetryBelowAsyncHealsBeforeLatch(t *testing.T) {
 	var stats FaultStats
-	fd := &flakyDisk{inner: NewMemDisk(), err: MarkTransient(ErrInjected), failN: 1}
+	fd := &flakyDisk{inner: NewMemDisk(), err: MarkTransient(errInjected), failN: 1}
 	r := NewRetryDisk(fd, RetryConfig{MaxAttempts: 4, BaseDelay: -1, Stats: &stats}, 0, false)
 	a := NewAsyncDisk(r, AsyncConfig{})
 	if err := a.WriteAt([]byte{9, 9}, 0); err != nil {

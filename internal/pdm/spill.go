@@ -5,7 +5,7 @@ import "sync"
 // stripedDisk is one spilled run presented as a striped object over the
 // machine's D disks, the way a store column is: D LANES at stripe
 // granularity over the run's single backing disk. Each lane is a full
-// per-disk layer stack of its own (service-time head, chaos, retry,
+// per-disk layer stack of its own (service-time head, injector, retry,
 // write-behind / prefetch worker), so a run is written and read at D disks'
 // bandwidth; the backing stays ONE disk — one file, one fsync, one manifest
 // line — and everything above (merge.Writer, merge.Reader, Run.Scrub,
@@ -61,6 +61,9 @@ func (s *stripedDisk) Prefetch(off int64, n int) {
 // Flush drains every lane's write-behind queue and returns the first
 // deferred write error latched on any of them.
 func (s *stripedDisk) Flush() error { return s.arr.Flush() }
+
+// Unwrap returns the run's one backing disk (see DiskFile).
+func (s *stripedDisk) Unwrap() Disk { return s.backing }
 
 // Close drains and stops every lane, then closes the backing disk once.
 func (s *stripedDisk) Close() error {

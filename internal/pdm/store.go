@@ -248,10 +248,10 @@ type Machine struct {
 	// before its failure can latch the AsyncDisk.
 	Retry *RetryConfig
 
-	// Chaos, when non-nil and enabled, wraps every disk in a seeded
-	// ChaosDisk fault injector (below the retry layer, standing in for the
-	// failing hardware). Production configurations leave it nil.
-	Chaos *ChaosConfig
+	// Inject, when non-nil, wraps every disk in the fault layer it returns
+	// (below the retry layer, standing in for the failing hardware). Only
+	// tests set it, through WithInjector on the job's context.
+	Inject Injector
 
 	// CopyFabric selects the copying interconnect: message payloads are
 	// deep-copied through a fabric pool at send time instead of transferring
@@ -308,9 +308,9 @@ func (m Machine) NewArrays() ([]*DiskArray, error) {
 
 // NewSpillDisk builds the disk of one hierarchical-merge run on the
 // machine's spill backend, wrapped by WrapSpillDisk. idx only names the
-// backing file (and keys the chaos scripts); the backend's generation suffix
-// keeps concurrent spills distinct. The caller owns Close (which removes a
-// file-backed spill).
+// backing file (and keys an injector's scripted faults); the backend's
+// generation suffix keeps concurrent spills distinct. The caller owns Close
+// (which removes a file-backed spill).
 func (m Machine) NewSpillDisk(idx int) (Disk, error) {
 	backend := m.SpillBackend
 	if backend == nil {
@@ -330,9 +330,9 @@ func (m Machine) NewSpillDisk(idx int) (Disk, error) {
 // one constructor behind a fresh spill (NewSpillDisk) and a checkpoint run
 // the resume path reopened. Where the machine has a per-disk layer to
 // multiply (an async layer or a disk model) and D > 1, the run is striped
-// over D lanes, each with the machine's delay → chaos → retry → async stack
-// of its own (see stripedDisk): run writes retire, and run reads are staged,
-// on D disks at once. Otherwise the stack sits on the backing disk directly —
+// over D lanes, each with the machine's delay → injector → retry → async
+// stack of its own (see stripedDisk): run writes retire, and run reads are
+// staged, on D disks at once. Otherwise the stack sits on the backing disk directly —
 // with neither layer there is nothing per-disk to stripe.
 func (m Machine) WrapSpillDisk(d Disk, idx int) Disk {
 	if m.D > 1 && (m.Async != nil || m.Delay != nil) {
@@ -364,13 +364,13 @@ func (m Machine) diskStack(d Disk, idx, lane int, spill bool) Disk {
 	return d
 }
 
-// wrapFaultLayers stacks the service-time model, the chaos injector, and
-// the retry policy under one disk, in that order: delay models the physical
-// disk (so a retried attempt pays service time again), chaos stands in for
-// its failures, and retry heals the transient ones before the async layer
-// above can latch them. A spill lane charges one of the machine's shared
-// heads (see Machine.Heads), when it has them; an array disk (lane 0) a head
-// of its own.
+// wrapFaultLayers stacks the service-time model, the injector, and the
+// retry policy under one disk, in that order: delay models the physical
+// disk (so a retried attempt pays service time again), an injected layer
+// stands in for its failures, and retry heals the transient ones before
+// the async layer above can latch them. A spill lane charges one of the
+// machine's shared heads (see Machine.Heads), when it has them; an array
+// disk (lane 0) a head of its own.
 func (m Machine) wrapFaultLayers(d Disk, idx, lane int, spill bool) Disk {
 	if m.Delay != nil {
 		head := new(Head)
@@ -379,10 +379,8 @@ func (m Machine) wrapFaultLayers(d Disk, idx, lane int, spill bool) Disk {
 		}
 		d = newDelayDisk(d, *m.Delay, head)
 	}
-	if m.Chaos != nil {
-		if c := m.Chaos.forLane(lane); c.enabled() {
-			d = NewChaosDisk(d, c, idx, spill)
-		}
+	if m.Inject != nil {
+		d = m.Inject(d, idx, lane, spill)
 	}
 	if m.Retry != nil {
 		d = NewRetryDisk(d, *m.Retry, idx, spill)

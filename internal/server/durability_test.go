@@ -122,9 +122,9 @@ func scrapeMetric(t *testing.T, env *testEnv, name string) string {
 // boots a server over it: the job must run to completion under its ORIGINAL
 // id, the output must match a reference sort with the persisted options, and
 // fresh submissions must mint ids beyond the re-adopted one. The record
-// carries options older binaries persisted — "run-formation", "fabric" and
-// "chaos=off" — which no request may carry any more: they must not fail the
-// re-adoption.
+// carries options older binaries persisted — "run-formation", "fabric",
+// "chaos=off" and chaos-* keys — which no request may carry any more: they
+// must not fail the re-adoption.
 func TestBootReadoptsQueuedJob(t *testing.T) {
 	dir := t.TempDir()
 	data := filepath.Join(dir, "data")
@@ -141,7 +141,8 @@ func TestBootReadoptsQueuedJob(t *testing.T) {
 	}
 	if err := jw.Append(walRecord{ID: "j000007", State: jobQueued,
 		Input: "in.dat", Output: "out.dat",
-		Options: map[string]string{"order": "desc", "run-formation": "fixed-batch", "fabric": "copying", "chaos": "off"}}); err != nil {
+		Options: map[string]string{"order": "desc", "run-formation": "fixed-batch", "fabric": "copying", "chaos": "off",
+			"chaos-seed": "7", "chaos-p-transient": "0.01", "chaos-dead-after-kib": "4"}}); err != nil {
 		t.Fatal(err)
 	}
 	jw.Close()

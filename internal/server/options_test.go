@@ -33,8 +33,6 @@ func TestParseSortOptionsAccepts(t *testing.T) {
 		{"machine overrides", "nowait=true"},
 		{"retry policy", "retries=4&retry-base-us=50&redo-budget=2&scrub=true"},
 		{"redo disabled", "redo-budget=-1"},
-		{"chaos on", "chaos-seed=7&chaos-p-transient=0.01&chaos-p-bitflip=0.001&chaos-p-torn=0"},
-		{"scripted chaos", "chaos-torn-spill=1&chaos-flip-spill=2&chaos-dead-spill=3&chaos-dead-after-kib=4096"},
 		// Sort refuses a baseline that would emit output; the spelling is fine.
 		{"baseline algorithms are spelled", "alg=baseline-io-3pass"},
 		{"caller-handled extra", "records=100"},
@@ -42,8 +40,8 @@ func TestParseSortOptionsAccepts(t *testing.T) {
 		{"cap with hybrid", "alg=hybrid&group=2&max-memory-mib=64"},
 		{"cap with padding=never", "padding=never&max-memory-mib=64"},
 		{"a zero is the default", "max-memory-mib=0&merge-fanin=0&retries=0&retry-base-us=0&key-width=0&deadline-ms=0"},
-		{"scaled counts", "max-memory-mib=64&retry-base-us=200&chaos-dead-after-kib=4"},
-		{"scaled counts at their limits", "max-memory-mib=8796093022207&deadline-ms=9223372036854&retry-base-us=9223372036854775&chaos-dead-after-kib=9007199254740991"},
+		{"scaled counts", "max-memory-mib=64&retry-base-us=200"},
+		{"scaled counts at their limits", "max-memory-mib=8796093022207&deadline-ms=9223372036854&retry-base-us=9223372036854775"},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -87,13 +85,11 @@ func TestParseSortOptionsRejects(t *testing.T) {
 		{"group without hybrid", "group=2", false, `only applies to alg=hybrid`},
 		{"group with non-hybrid", "alg=threaded&group=2", false, `only applies to alg=hybrid`},
 		{"bad run formation", "run-formation=fixed-batch", false, `unknown option "run-formation" (known: alg, `},
-		// chaos=off shielded a job from engine-wide chaos, which is gone:
-		// WithChaos is the one spelling, and no key means none.
+		// chaos=off shielded a job from engine-wide chaos, which is gone, as
+		// are the chaos-* keys: fault injection is for tests only.
 		{"chaos off is gone", "chaos=off", false, `unknown option "chaos" (known: alg, `},
 		{"chaos not off", "chaos=on", false, `unknown option "chaos" (known: alg, `},
 		{"chaos off with params", "chaos=off&chaos-seed=1", false, `unknown option "chaos" (known: alg, `},
-		{"probability not a number", "chaos-p-torn=often", false, "want a number"},
-		{"spill ordinal not an integer", "chaos-torn-spill=first", false, `option "chaos-torn-spill": want an integer, got "first"`},
 		{"two bad types name the first", "scrub=2&nowait=3", false, `option "nowait"`},
 		// A count whose scaled form overflows int64 is ill-typed, not wrapped
 		// into another value (2^44 MiB would be 0: no cap).
@@ -101,8 +97,6 @@ func TestParseSortOptionsRejects(t *testing.T) {
 		{"deadline-ms overflows", "deadline-ms=18446744073709", false, `option "deadline-ms": want an integer in [-9223372036854, 9223372036854]`},
 		{"retry-base-us overflows", "retry-base-us=-9223372036854776", false, `option "retry-base-us": want an integer in [-9223372036854775, 9223372036854775]`},
 		{"retry-base-us overflows upward", "retry-base-us=92233720368547758", false, `option "retry-base-us": want an integer in [-9223372036854775, 9223372036854775]`},
-		{"chaos-dead-after-kib past its limit", "chaos-dead-after-kib=9007199254740992", false, `option "chaos-dead-after-kib": want an integer in [-9007199254740991, 9007199254740991], got "9007199254740992"`},
-		{"chaos-dead-after-kib far below its limit", "chaos-dead-after-kib=-18014398509481984", false, `option "chaos-dead-after-kib": want an integer in [-9007199254740991, 9007199254740991]`},
 		// A scaled count reaches the library as its product.
 		{"negative deadline at its limit", "deadline-ms=-9223372036854", true, "colsort: WithDeadline(-2562047h47m16.854s)"},
 		{"negative cap", "max-memory-mib=-1", true, "colsort: WithMaxMemory(-1048576)"},
@@ -110,8 +104,6 @@ func TestParseSortOptionsRejects(t *testing.T) {
 
 		{"negative key offset", "key-offset=-1", true, "colsort: record: key field [-1:7) outside"},
 		{"fan-in of one", "merge-fanin=1", true, "colsort: WithMergeFanIn(1)"},
-		{"probability above one", "chaos-p-bitflip=1.5", true, "colsort: ChaosConfig.PBitFlip = 1.5"},
-		{"two bad probabilities name the first", "chaos-p-torn=2&chaos-p-transient=3", true, "colsort: ChaosConfig.PTransient = 3"},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -174,7 +166,7 @@ func TestWireKeysDocumented(t *testing.T) {
 	if strings.Contains(sec, "`async`") {
 		t.Error("DESIGN.md §11 still documents the removed wire key `async`")
 	}
-	if strings.Contains(sec, "| `chaos` |") {
-		t.Error("DESIGN.md §11 still documents the removed wire key `chaos`")
+	if strings.Contains(sec, "| `chaos` |") || strings.Contains(sec, "| `chaos-") {
+		t.Error("DESIGN.md §11 still documents a removed wire key `chaos` or `chaos-*`")
 	}
 }

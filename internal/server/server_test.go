@@ -17,10 +17,13 @@ import (
 	"os"
 	"path/filepath"
 	"strings"
+	"sync/atomic"
 	"testing"
 	"time"
 
 	"colsort"
+	"colsort/internal/faultinject"
+	"colsort/internal/pdm"
 	"colsort/internal/record"
 	"colsort/internal/testutil"
 )
@@ -210,10 +213,19 @@ func TestStreamSortLateFailureTruncates(t *testing.T) {
 	n := env.eng.MaxRecords(colsort.Threaded)
 	input := makeInput(n, 9)
 	want := refSort(t, filepath.Join(dir, "ref"), input)
+	// The server's handler under the fault model: each request's Sort runs
+	// under bit flips seeded by the loop's current seed.
+	var seed atomic.Uint64
+	h := env.srv.Handler()
+	chaos := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		inj := faultinject.Injector(faultinject.ChaosConfig{Seed: seed.Load(), PBitFlip: 0.2})
+		h.ServeHTTP(w, r.WithContext(pdm.WithInjector(r.Context(), inj)))
+	}))
+	t.Cleanup(chaos.Close)
 	late := 0
-	for seed := 1; seed <= 8; seed++ {
-		resp, err := env.ts.Client().Post(fmt.Sprintf("%s/v1/sort?chaos-seed=%d&chaos-p-bitflip=0.2", env.ts.URL, seed),
-			"application/octet-stream", bytes.NewReader(input))
+	for s := uint64(1); s <= 8; s++ {
+		seed.Store(s)
+		resp, err := chaos.Client().Post(chaos.URL+"/v1/sort", "application/octet-stream", bytes.NewReader(input))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -231,10 +243,10 @@ func TestStreamSortLateFailureTruncates(t *testing.T) {
 		switch {
 		case info.State == jobDone:
 			if rerr != nil || !bytes.Equal(body, want) {
-				t.Errorf("seed %d: a successful sort's body (%d bytes, read err %v) differs from the reference", seed, len(body), rerr)
+				t.Errorf("seed %d: a successful sort's body (%d bytes, read err %v) differs from the reference", s, len(body), rerr)
 			}
 		case rerr == nil || int64(len(body)) >= n*testZ:
-			t.Errorf("seed %d: the failed sort (%s) sent a complete %d-byte body", seed, info.Error, len(body))
+			t.Errorf("seed %d: the failed sort (%s) sent a complete %d-byte body", s, info.Error, len(body))
 		case strings.Contains(info.Error, "multiset"):
 			late++
 		}

@@ -209,12 +209,15 @@ func (s *Server) readoptJob(rec walRecord) error {
 		return fmt.Errorf("readopt %s: input: %w", rec.ID, err)
 	}
 	// Older builds accepted and persisted options this one no longer has:
-	// "run-formation", "fabric", "async", and "chaos" (chaos=off, a no-op on
-	// a server, whose engine never injected chaos). None ever changed a job's
+	// "run-formation", "fabric", "async", "chaos" (chaos=off, a no-op on a
+	// server, whose engine never injected chaos) and the chaos-* keys of
+	// seeded fault injection, which is test-only. None ever changed a job's
 	// output bytes, so a job an older binary queued is re-adopted without
 	// them rather than failed as an unknown option.
-	for _, gone := range []string{"run-formation", "fabric", "async", "chaos"} {
-		delete(rec.Options, gone)
+	for k := range rec.Options {
+		if k == "run-formation" || k == "fabric" || k == "async" || k == "chaos" || strings.HasPrefix(k, "chaos-") {
+			delete(rec.Options, k)
+		}
 	}
 	opts, err := optspell.Parse(valuesFromMap(rec.Options))
 	if err != nil {

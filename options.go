@@ -68,11 +68,11 @@ type RetryPolicy struct {
 	// verification or its spill disk fails permanently (default 2).
 	// Negative disables run redo entirely.
 	RedoBudget int
-	// Scrub forces the post-spill CRC readback of every run even when no
-	// chaos injection is configured (under chaos it is always on). It
-	// catches persistent write-path corruption — a torn write, bit rot —
-	// while the run's retained chunks can still be re-spilled, at the
-	// cost of one extra sequential read of every spilled byte.
+	// Scrub forces the post-spill CRC readback of every run (a job under a
+	// test's fault injector always scrubs). It catches persistent
+	// write-path corruption — a torn write, bit rot — while the run's
+	// retained chunks can still be re-spilled, at the cost of one extra
+	// sequential read of every spilled byte.
 	Scrub bool
 }
 
@@ -90,7 +90,6 @@ type sortOptions struct {
 	noWait     bool          // fail with ErrBusy instead of queueing for admission
 	checkpoint string        // manifest directory of a durable job; "" = no checkpointing
 	deadline   time.Duration // per-job wall-clock budget; 0 = none
-	chaos      *ChaosConfig  // seeded fault injection; nil = none
 }
 
 // newSortOptions applies opts over the defaults.
@@ -184,15 +183,6 @@ func WithRetry(p RetryPolicy) Option {
 // to wait; cancelling the job's context abandons the wait either way.
 func WithNoWait() Option {
 	return func(o *sortOptions) { o.noWait = true }
-}
-
-// WithChaos injects seeded storage faults under this job's disks, below the
-// retry layer: transient read/write errors, silent bit-flip and torn-write
-// corruption, and scripted permanent spill-disk death. It exists to exercise
-// the fault-tolerance layers; concurrent jobs on the same engine stay
-// healthy, and a nil c (the default) injects nothing. See DESIGN.md §9.
-func WithChaos(c *ChaosConfig) Option {
-	return func(o *sortOptions) { o.chaos = c }
 }
 
 // WithCheckpoint makes a hierarchical sort crash-safe: every verified

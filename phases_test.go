@@ -16,6 +16,7 @@ import (
 	"testing"
 	"testing/iotest"
 
+	"colsort/internal/faultinject"
 	"colsort/internal/pdm"
 	"colsort/internal/record"
 	"colsort/internal/testutil"
@@ -43,7 +44,7 @@ func phaseStore(t *testing.T, budget int64) *pdm.Store {
 	for p := range arrays {
 		var d pdm.Disk = pdm.NewMemDisk()
 		if p == 1 && budget >= 0 {
-			d = &pdm.FaultDisk{Inner: d, Budget: budget}
+			d = &faultinject.FaultDisk{Inner: d, Budget: budget}
 		}
 		arrays[p] = pdm.NewDiskArray([]pdm.Disk{d}, pdm.DefaultStripeBytes)
 	}
@@ -117,7 +118,7 @@ func TestIngestStages(t *testing.T) {
 		{"read", -1, func(context.CancelFunc) RecordReader { return readerOf(t, FromReader(failingAt(raw, 209), n)) },
 			errInput, "input record 209"},
 		{"write", 64 * phaseZ, func(context.CancelFunc) RecordReader { return readerOf(t, FromBytes(raw)) },
-			pdm.ErrInjected, ""},
+			faultinject.ErrInjected, ""},
 		{"cancel", -1, func(cancel context.CancelFunc) RecordReader {
 			return &cancellingReader{g: rawGen(raw), k: 200, cancel: cancel}
 		}, context.Canceled, ""},
@@ -207,7 +208,7 @@ func TestDrainStages(t *testing.T) {
 		seen   int // records the writer must have seen; -1: any prefix of the output
 	}{
 		{"read", 2 * 64 * phaseZ, func(*pdm.Store) {}, failingWriter{},
-			func(err error) bool { return errors.Is(err, pdm.ErrInjected) }, -1},
+			func(err error) bool { return errors.Is(err, faultinject.ErrInjected) }, -1},
 		{"order", -1, func(st *pdm.Store) {
 			editRows(t, st, 2, 10, 2, func(recs record.Slice) {
 				a := append([]byte(nil), recs.Record(0)...)
@@ -316,7 +317,7 @@ func TestSortStagedPhaseErrors(t *testing.T) {
 				return errors.Is(err, errInput) && strings.Contains(err.Error(), "input record 1234")
 			}},
 		{"ingest-write", FromBytes(raw), 0, nil, failingWriter{},
-			func(err error) bool { return errors.Is(err, pdm.ErrInjected) }},
+			func(err error) bool { return errors.Is(err, faultinject.ErrInjected) }},
 		{"drain-order", FromBytes(raw), -1, swap, failingWriter{}, func(err error) bool {
 			var ve *verify.Error
 			return errors.As(err, &ve) && ve.Kind == "order violation"
@@ -336,7 +337,7 @@ func TestSortStagedPhaseErrors(t *testing.T) {
 			d := s.m.D
 			s.m.Backend = testBackend{made: new(atomic.Int64), wrap: func(disk pdm.Disk, ordinal int64) pdm.Disk {
 				if ordinal < int64(d) && tc.fault >= 0 {
-					disk = &pdm.FaultDisk{Inner: disk, Budget: tc.fault}
+					disk = &faultinject.FaultDisk{Inner: disk, Budget: tc.fault}
 				}
 				if tc.edit != nil {
 					disk = armedDisk{Disk: disk, armed: &armed, done: &done, edit: tc.edit}

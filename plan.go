@@ -118,13 +118,6 @@ func (e *Engine) check(o sortOptions) (record.KeyCodec, error) {
 	if o.retry != nil {
 		retry = *o.retry
 	}
-	var chaos ChaosConfig
-	if o.chaos != nil {
-		chaos = *o.chaos
-	}
-	probability := func(field string, p float64) error {
-		return fmt.Errorf("ChaosConfig.%s = %v: a probability must be in [0, 1]", field, p)
-	}
 	var err error
 	switch {
 	case o.maxMemory < 0:
@@ -137,12 +130,6 @@ func (e *Engine) check(o sortOptions) (record.KeyCodec, error) {
 		err = fmt.Errorf("WithRetry: MaxAttempts %d must be ≥ 0 (0: the default, %d; 1 disables retries)", retry.MaxAttempts, pdm.DefaultRetryAttempts)
 	case retry.BaseDelay < 0:
 		err = fmt.Errorf("WithRetry: BaseDelay %v must be ≥ 0 (0: the default, %v)", retry.BaseDelay, pdm.DefaultRetryBaseDelay)
-	case !(chaos.PTransient >= 0 && chaos.PTransient <= 1):
-		err = probability("PTransient", chaos.PTransient)
-	case !(chaos.PBitFlip >= 0 && chaos.PBitFlip <= 1):
-		err = probability("PBitFlip", chaos.PBitFlip)
-	case !(chaos.PTorn >= 0 && chaos.PTorn <= 1):
-		err = probability("PTorn", chaos.PTorn)
 	}
 	if err != nil {
 		return record.KeyCodec{}, fmt.Errorf("colsort: %w", err)

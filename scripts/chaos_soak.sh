@@ -1,53 +1,16 @@
 #!/usr/bin/env bash
-# Nightly chaos soak (DESIGN.md §9): a 64 MiB file-backed hierarchical sort
-# under seeded storage-fault injection — probabilistic transient faults, a
-# torn first spill write, a bit-flipped spill read, and a spill disk that
-# dies permanently mid-write — must finish and produce output byte-identical
-# to the fault-free run. The binary is built with -race so the retry layer,
-# the async disk workers and the chaos injector race-soak each other.
+# Nightly chaos soak (DESIGN.md §9): runs TestChaosSoak under -race — a
+# 64 MiB file-backed hierarchical sort under seeded storage-fault injection
+# (probabilistic transient faults, a torn first spill write, a bit-flipped
+# spill read, and a spill disk that dies permanently mid-write) must finish
+# and produce output byte-identical to the fault-free run, so the retry
+# layer, the async disk workers and the injector race-soak each other.
 #
 # The seed is taken from COLSORT_CHAOS_SEED when set (replay mode),
 # otherwise derived from the date so every night exercises a new fault
-# pattern; it is printed on failure for replay.
+# pattern; the test prints it on failure for replay. CHAOS_SOAK_RECORDS
+# sizes the input (default 1000000 64-byte records, 64 MiB).
 set -eu
-
-SEED="${COLSORT_CHAOS_SEED:-$(date +%Y%m%d)}"
-DIR="${1:-/tmp/chaos-soak}"
-RECORDS="${CHAOS_SOAK_RECORDS:-1000000}" # 64 MiB of 64-byte records
-
-fail() {
-  echo "CHAOS SOAK FAILED ($1)" >&2
-  echo "replay with: COLSORT_CHAOS_SEED=$SEED scripts/chaos_soak.sh" >&2
-  exit 1
-}
-
-rm -rf "$DIR"
-mkdir -p "$DIR"
-go build -race -o "$DIR/colsort-bin" ./cmd/colsort
-dd if=/dev/urandom of="$DIR/input.dat" bs=64 count="$RECORDS" status=none
-
-# Fault-free reference: the same hierarchical shape (8 MiB runs + k-way
-# merge) with no injection.
-"$DIR/colsort-bin" -alg threaded -in "$DIR/input.dat" -out "$DIR/ref.dat" \
-  -p 4 -mem 16384 -z 64 -dir "$DIR/scratch" -async -max-memory-mib 8 \
-  || fail "fault-free reference run"
-
-# Chaos run. Spill ordinals: batch 1 spills to ordinal 1 (torn first write
-# → scrub fails → redo onto 2, whose first merge read is bit-flipped and
-# healed by a CRC reread); batch 2 spills to ordinal 3 (dies after 4 MiB →
-# redo onto 4); transient faults land everywhere and are retried.
-"$DIR/colsort-bin" -alg threaded -in "$DIR/input.dat" -out "$DIR/out.dat" \
-  -p 4 -mem 16384 -z 64 -dir "$DIR/scratch" -async -max-memory-mib 8 \
-  -chaos-seed "$SEED" -chaos-p-transient 0.002 \
-  -chaos-torn-spill 1 -chaos-flip-spill 2 \
-  -chaos-dead-spill 3 -chaos-dead-after-kib 4096 \
-  || fail "chaos run (seed $SEED)"
-
-cmp "$DIR/out.dat" "$DIR/ref.dat" || fail "output differs from fault-free run (seed $SEED)"
-
-# Scratch hygiene: every spill and store backing — including the torn and
-# dead disks' — must have been removed.
-stray=$(find "$DIR/scratch" -type f 2>/dev/null | wc -l)
-[ "$stray" -eq 0 ] || fail "$stray scratch files leaked (seed $SEED)"
-
-echo "chaos soak passed (seed $SEED, $RECORDS records)"
+cd "$(dirname "$0")/.."
+export CHAOS_SOAK_RECORDS="${CHAOS_SOAK_RECORDS:-1000000}"
+exec go test -race -count 1 -timeout 60m -run '^TestChaosSoak$' -v .

@@ -65,12 +65,17 @@
 # and the bounded calls that keep a goroutine preemptible), the assembly's
 # Go declarations, the stub off amd64 and OfGenerated's chunk buffer; the
 # kernel itself, checksum_amd64.s, is assembly and outside this count:
-# 10060).
+# 10060; one fault injector, compiled only into tests, -18: WithChaos, the
+# ChaosConfig alias, the three probability rules of check, optspell's
+# chaos keys and accumulator, Machine.Chaos and DiskFile's type switch are
+# gone, for pdm.Injector and its context carrier and one Unwrap per
+# wrapper; the fault model moved to internal/faultinject, which stays in
+# this count — moved lines are no reduction: 10042).
 # It also
 # prints the same count per package, largest first — the numbers ROADMAP's
 # largest-packages line quotes.
 set -euo pipefail
-max_go_lines=10060
+max_go_lines=10042
 cd "$(dirname "$0")/.."
 per_pkg=$(find . -name '*.go' ! -name '*_test.go' \
   ! -path './bench/*' ! -path './examples/*' ! -path './.bench_build/*' -print0 |

@@ -1,7 +1,7 @@
 #!/usr/bin/env bash
 # The rule book is one (DESIGN.md §7, "One rule book"): what a job may ask
 # for is stated once, in the library's resolver, and cmd/colsort and the
-# server's two endpoints only spell options. Six command lines that used to
+# server's two endpoints only spell options. Five command lines that used to
 # sort on defaults nobody asked for must now exit non-zero with the library's
 # sentence, and the same refusal must come back as a 400 — same sentence —
 # from POST /v1/sort and POST /v1/jobs. (TestRuleBook holds the full table
@@ -47,7 +47,6 @@ refused -max-memory-mib -1 -- "colsort: WithMaxMemory(-1048576): the cap must be
 refused -group 4 -- 'option "group" only applies to alg=hybrid'
 refused -retries -7 -- "colsort: WithRetry: MaxAttempts -7 must be ≥ 0"
 refused -deadline-ms -5000 -- "colsort: WithDeadline(-5s): the deadline must be ≥ 0"
-refused -chaos-p-transient 1.5 -- "colsort: ChaosConfig.PTransient = 1.5: a probability must be in [0, 1]"
 
 "$DIR/colsort-server" -listen "localhost:$PORT" -mem 1024 -data "$DIR/data" >"$DIR/server.log" 2>&1 &
 SERVER_PID=$!
