@@ -19,9 +19,9 @@
 // -disk-*), the input (-n -gen -seed -in -out) and the run (-progress,
 // -plan, -checkpoint). Every other flag is a key of the sort-option table
 // the server's wire shares (internal/optspell; README's CLI table): -alg,
-// -group, -key-offset/-key-width/-order, -max-memory-mib, -merge-fanin,
-// -deadline-ms and the retry keys, each spelled and refused exactly as
-// key=value on POST /v1/sort. Ctrl-C cancels the run,
+// -group, -key-offset/-key-width/-order, -padding, -max-memory-mib,
+// -merge-fanin, -deadline-ms, -nowait, -redo-budget and -scrub, each spelled
+// and refused exactly as key=value on POST /v1/sort. Ctrl-C cancels the run,
 // tearing down all processors and scratch files before exiting.
 //
 // -async enables the prefetch/write-behind disk layer; -disk-seek-us and

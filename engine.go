@@ -294,12 +294,7 @@ func (e *Engine) newJob(ctx context.Context, o sortOptions) *job {
 		// never move spill bytes faster than D disks would.
 		m.Heads = pdm.NewHeads(m.D)
 	}
-	rc := pdm.RetryConfig{Cancel: ctx.Done(), Stats: &j.faults}
-	if p := o.retry; p != nil {
-		rc.MaxAttempts = p.MaxAttempts
-		rc.BaseDelay = p.BaseDelay
-	}
-	m.Retry = &rc
+	m.Retry = &pdm.RetryConfig{Cancel: ctx.Done(), Stats: &j.faults}
 	j.m = m.Namespaced(pdm.JobScratchPrefix(j.id))
 	if o.checkpoint != "" {
 		// Checkpointed jobs spill their hierarchical runs into the manifest

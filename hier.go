@@ -37,7 +37,7 @@ import (
 const defaultMergeFanIn = 16
 
 // defaultRedoBudget is how many run redos a hierarchical sort may spend
-// when RetryPolicy does not set one: enough to survive a failed spill disk
+// when WithRetry's RedoBudget is 0: enough to survive a failed spill disk
 // plus one unlucky verification, small enough that a systematically failing
 // storage stack still fails the sort promptly.
 const defaultRedoBudget = 2

@@ -212,9 +212,9 @@ func TestChaosCorruptionNeverSilent(t *testing.T) {
 }
 
 // TestRetryGiveUpCarriesContext drowns every disk operation in transient
-// faults with a single-attempt policy: the failure must surface promptly
-// and carry the exact operation/disk/extent context plus the underlying
-// sentinel.
+// faults, so each exhausts the fixed retry budget: the failure must surface
+// promptly and carry the exact operation/disk/extent context plus the
+// underlying sentinel.
 func TestRetryGiveUpCarriesContext(t *testing.T) {
 	testutil.CheckGoroutines(t)
 	s, err := New(Config{Procs: 2, MemPerProc: 256, RecordSize: 16})
@@ -223,7 +223,7 @@ func TestRetryGiveUpCarriesContext(t *testing.T) {
 	}
 	res, err := s.Sort(chaosCtx(faultinject.ChaosConfig{Seed: 5, PTransient: 1}),
 		Generate(record.Uniform{Seed: 23}, 1024), nil,
-		WithRetry(RetryPolicy{MaxAttempts: 1, RedoBudget: -1}))
+		WithRetry(RetryPolicy{RedoBudget: -1}))
 	if err == nil {
 		res.Close()
 		t.Fatal("sort succeeded with every disk operation failing")
@@ -286,13 +286,20 @@ func TestChaosSoak(t *testing.T) {
 
 	// Spill ordinals: run 1 spills to ordinal 1 (torn first write → scrub
 	// fails → redo onto 2, whose first merge read is bit-flipped and healed
-	// by a CRC reread); run 2 spills to ordinal 3 (dies after 4 MiB → redo
-	// onto 4); transient faults land everywhere and are retried.
+	// by a CRC reread); run 2 spills to ordinal 3 (dies after 4 MiB of the
+	// run → redo onto 4); transient faults land everywhere and are retried.
+	// A run is striped over the machine's D = 4 lanes and the scripted
+	// faults sit on lane 0, so the death counts lane 0's quarter of those
+	// 4 MiB.
+	const lanes = 4
 	ref, out := filepath.Join(dir, "ref.dat"), filepath.Join(dir, "out.dat")
 	sortInto(context.Background(), ref)
 	faults := sortInto(chaosCtx(faultinject.ChaosConfig{Seed: seed, PTransient: 0.002,
-		TornSpillWrite: 1, FlipSpillRead: 2, DeadSpillDisk: 3, DeadSpillAfter: 4096 << 10}), out)
+		TornSpillWrite: 1, FlipSpillRead: 2, DeadSpillDisk: 3, DeadSpillAfter: (4 << 20) / lanes}), out)
 	t.Logf("seed %d, %d records: %+v", seed, records, faults)
+	if faults.BatchRedos < 2 {
+		t.Errorf("BatchRedos = %d, want ≥ 2: the torn write's redo and the dead spill disk's", faults.BatchRedos)
+	}
 
 	want, err := os.ReadFile(ref)
 	if err != nil {

@@ -128,8 +128,6 @@ var Keys = []Key{
 			a.add(colsort.WithNoWait())
 		}
 	}),
-	intKey("retries", func(a *accumulator, v int64) { a.retry.MaxAttempts = int(v) }),
-	scaledKey("retry-base-us", int64(time.Microsecond), func(a *accumulator, v int64) { a.retry.BaseDelay = time.Duration(v) }),
 	intKey("redo-budget", func(a *accumulator, v int64) { a.retry.RedoBudget = int(v) }),
 	boolKey("scrub", func(a *accumulator, v bool) { a.retry.Scrub = v }),
 }

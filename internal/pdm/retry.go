@@ -140,18 +140,9 @@ func (s *FaultStats) Snapshot() FaultCounts {
 	}
 }
 
-// RetryConfig is the transient-fault retry policy of one machine's disks.
+// RetryConfig wires one machine's retry layers to their job: the policy
+// itself is fixed (the constants below).
 type RetryConfig struct {
-	// MaxAttempts is the total attempts per operation, including the
-	// first; ≤ 1 disables retrying (errors still gain OpError context).
-	// 0 selects DefaultRetryAttempts.
-	MaxAttempts int
-	// BaseDelay is the backoff before the first retry; it doubles per
-	// attempt up to MaxDelay, with ±50% jitter. 0 selects
-	// DefaultRetryBaseDelay; negative disables sleeping.
-	BaseDelay time.Duration
-	// MaxDelay caps the backoff. 0 selects DefaultRetryMaxDelay.
-	MaxDelay time.Duration
 	// Cancel, when non-nil, aborts backoff sleeps (typically the sort
 	// context's Done channel): a cancelled sort must not sit out a
 	// multi-millisecond backoff per in-flight operation.
@@ -160,27 +151,16 @@ type RetryConfig struct {
 	Stats *FaultStats
 }
 
-// Default retry policy: a handful of attempts spaced microseconds to
-// milliseconds apart — enough to ride out scheduler-scale hiccups without
-// stalling a pass behind a genuinely dead disk.
+// The retry policy: a handful of attempts spaced microseconds to
+// milliseconds apart, with ±50% jitter — enough to ride out
+// scheduler-scale hiccups without stalling a pass behind a genuinely dead
+// disk. It is a constant, not an option: no product error is transient, so
+// there is nothing a caller could tune it against.
 const (
-	DefaultRetryAttempts  = 4
-	DefaultRetryBaseDelay = 200 * time.Microsecond
-	DefaultRetryMaxDelay  = 10 * time.Millisecond
+	retryAttempts  = 4                      // issues per operation, the first included
+	retryBaseDelay = 200 * time.Microsecond // backoff before the first re-issue; doubles per attempt
+	retryMaxDelay  = 10 * time.Millisecond  // backoff cap
 )
-
-func (c RetryConfig) withDefaults() RetryConfig {
-	if c.MaxAttempts == 0 {
-		c.MaxAttempts = DefaultRetryAttempts
-	}
-	if c.BaseDelay == 0 {
-		c.BaseDelay = DefaultRetryBaseDelay
-	}
-	if c.MaxDelay == 0 {
-		c.MaxDelay = DefaultRetryMaxDelay
-	}
-	return c
-}
 
 // RetryDisk wraps a Disk with the transient-fault retry policy and with
 // OpError context on every escaping failure. Classification drives it:
@@ -191,6 +171,11 @@ type RetryDisk struct {
 	cfg   RetryConfig
 	disk  int
 	spill bool
+
+	// The policy, copied from the constants; only this package's tests
+	// set other values.
+	attempts            int
+	baseDelay, maxDelay time.Duration
 
 	mu  sync.Mutex
 	rng uint64 // jitter state; deterministic per disk identity
@@ -203,7 +188,9 @@ func NewRetryDisk(inner Disk, cfg RetryConfig, idx int, spill bool) *RetryDisk {
 	if spill {
 		seed += 1 << 32
 	}
-	return &RetryDisk{inner: inner, cfg: cfg.withDefaults(), disk: idx, spill: spill, rng: splitmix64(&seed)}
+	return &RetryDisk{inner: inner, cfg: cfg, disk: idx, spill: spill,
+		attempts: retryAttempts, baseDelay: retryBaseDelay, maxDelay: retryMaxDelay,
+		rng: splitmix64(&seed)}
 }
 
 func (d *RetryDisk) ReadAt(p []byte, off int64) error {
@@ -232,7 +219,7 @@ func (d *RetryDisk) do(op string, n int, off int64, fn func() error) error {
 		if !Transient(err) {
 			break // permanent or unclassified: fail fast, with context
 		}
-		if attempt >= d.cfg.MaxAttempts {
+		if attempt >= d.attempts {
 			if d.cfg.Stats != nil {
 				d.cfg.Stats.GaveUps.Add(1)
 			}
@@ -251,13 +238,7 @@ func (d *RetryDisk) do(op string, n int, off int64, fn func() error) error {
 // backoff sleeps the jittered exponential delay for the given attempt
 // number, returning false if the Cancel channel fired first.
 func (d *RetryDisk) backoff(attempt int) bool {
-	if d.cfg.BaseDelay < 0 {
-		return true
-	}
-	delay := d.cfg.BaseDelay << (attempt - 1)
-	if delay > d.cfg.MaxDelay || delay <= 0 {
-		delay = d.cfg.MaxDelay
-	}
+	delay := min(d.baseDelay<<(attempt-1), d.maxDelay)
 	// ±50% decorrelating jitter: concurrent retries against one contended
 	// resource should not re-collide in lockstep.
 	d.mu.Lock()

@@ -76,7 +76,7 @@ func TestErrorClassification(t *testing.T) {
 func TestRetryDiskHealsTransient(t *testing.T) {
 	var stats FaultStats
 	fd := &flakyDisk{inner: NewMemDisk(), err: MarkTransient(errInjected), failN: 2}
-	d := NewRetryDisk(fd, RetryConfig{MaxAttempts: 4, BaseDelay: -1, Stats: &stats}, 0, false)
+	d := NewRetryDisk(fd, RetryConfig{Stats: &stats}, 0, false)
 	if err := d.WriteAt([]byte{1, 2, 3, 4}, 0); err != nil {
 		t.Fatalf("WriteAt after 2 transient faults: %v", err)
 	}
@@ -98,7 +98,7 @@ func TestRetryDiskHealsTransient(t *testing.T) {
 func TestRetryDiskGivesUpWithContext(t *testing.T) {
 	var stats FaultStats
 	fd := &flakyDisk{inner: NewMemDisk(), err: MarkTransient(errInjected), failN: 99}
-	d := NewRetryDisk(fd, RetryConfig{MaxAttempts: 3, BaseDelay: -1, Stats: &stats}, 5, true)
+	d := NewRetryDisk(fd, RetryConfig{Stats: &stats}, 5, true)
 	err := d.ReadAt(make([]byte, 16), 128)
 	if err == nil {
 		t.Fatal("want failure after exhausting attempts")
@@ -113,11 +113,11 @@ func TestRetryDiskGivesUpWithContext(t *testing.T) {
 	if oe.Op != "read" || oe.Disk != 5 || !oe.Spill || oe.Off != 128 || oe.Len != 16 {
 		t.Errorf("OpError = %+v", oe)
 	}
-	if fd.ops != 3 {
-		t.Errorf("inner ops = %d, want exactly MaxAttempts", fd.ops)
+	if fd.ops != retryAttempts {
+		t.Errorf("inner ops = %d, want exactly the policy's %d attempts", fd.ops, retryAttempts)
 	}
-	if stats.Retries.Load() != 2 || stats.GaveUps.Load() != 1 {
-		t.Errorf("stats = %d retries, %d gave-ups; want 2, 1",
+	if stats.Retries.Load() != 3 || stats.GaveUps.Load() != 1 {
+		t.Errorf("stats = %d retries, %d gave-ups; want 3, 1",
 			stats.Retries.Load(), stats.GaveUps.Load())
 	}
 }
@@ -125,7 +125,7 @@ func TestRetryDiskGivesUpWithContext(t *testing.T) {
 func TestRetryDiskFailsFastOnPermanent(t *testing.T) {
 	var stats FaultStats
 	fd := &flakyDisk{inner: NewMemDisk(), err: MarkPermanent(errDiskDead), failN: 99}
-	d := NewRetryDisk(fd, RetryConfig{MaxAttempts: 4, BaseDelay: -1, Stats: &stats}, 1, false)
+	d := NewRetryDisk(fd, RetryConfig{Stats: &stats}, 1, false)
 	err := d.WriteAt(make([]byte, 8), 0)
 	if !errors.Is(err, errDiskDead) {
 		t.Fatalf("err = %v, want errDiskDead", err)
@@ -138,7 +138,7 @@ func TestRetryDiskFailsFastOnPermanent(t *testing.T) {
 	}
 	// Unclassified errors are equally final.
 	fd2 := &flakyDisk{inner: NewMemDisk(), err: errInjected, failN: 99}
-	d2 := NewRetryDisk(fd2, RetryConfig{MaxAttempts: 4, BaseDelay: -1}, 0, false)
+	d2 := NewRetryDisk(fd2, RetryConfig{}, 0, false)
 	if err := d2.ReadAt(make([]byte, 1), 0); !errors.Is(err, errInjected) {
 		t.Fatalf("err = %v", err)
 	}
@@ -152,9 +152,8 @@ func TestRetryDiskCancelAbortsBackoff(t *testing.T) {
 	close(cancel)
 	fd := &flakyDisk{inner: NewMemDisk(), err: MarkTransient(errInjected), failN: 99}
 	// An hour-scale backoff: only the fired Cancel channel lets this finish.
-	d := NewRetryDisk(fd, RetryConfig{
-		MaxAttempts: 4, BaseDelay: time.Hour, MaxDelay: time.Hour, Cancel: cancel,
-	}, 0, false)
+	d := NewRetryDisk(fd, RetryConfig{Cancel: cancel}, 0, false)
+	d.baseDelay, d.maxDelay = time.Hour, time.Hour
 	start := time.Now()
 	err := d.ReadAt(make([]byte, 1), 0)
 	if !errors.Is(err, errInjected) {
@@ -174,7 +173,7 @@ func TestRetryDiskCancelAbortsBackoff(t *testing.T) {
 func TestRetryBelowAsyncHealsBeforeLatch(t *testing.T) {
 	var stats FaultStats
 	fd := &flakyDisk{inner: NewMemDisk(), err: MarkTransient(errInjected), failN: 1}
-	r := NewRetryDisk(fd, RetryConfig{MaxAttempts: 4, BaseDelay: -1, Stats: &stats}, 0, false)
+	r := NewRetryDisk(fd, RetryConfig{Stats: &stats}, 0, false)
 	a := NewAsyncDisk(r, AsyncConfig{})
 	if err := a.WriteAt([]byte{9, 9}, 0); err != nil {
 		t.Fatalf("WriteAt: %v", err)

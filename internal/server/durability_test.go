@@ -142,7 +142,8 @@ func TestBootReadoptsQueuedJob(t *testing.T) {
 	if err := jw.Append(walRecord{ID: "j000007", State: jobQueued,
 		Input: "in.dat", Output: "out.dat",
 		Options: map[string]string{"order": "desc", "run-formation": "fixed-batch", "fabric": "copying", "chaos": "off",
-			"chaos-seed": "7", "chaos-p-transient": "0.01", "chaos-dead-after-kib": "4"}}); err != nil {
+			"chaos-seed": "7", "chaos-p-transient": "0.01", "chaos-dead-after-kib": "4",
+			"retries": "4", "retry-base-us": "50"}}); err != nil {
 		t.Fatal(err)
 	}
 	jw.Close()

@@ -31,7 +31,7 @@ func TestParseSortOptionsAccepts(t *testing.T) {
 		{"padding", "padding=never"},
 		{"hierarchical knobs", "max-memory-mib=64&merge-fanin=8"},
 		{"machine overrides", "nowait=true"},
-		{"retry policy", "retries=4&retry-base-us=50&redo-budget=2&scrub=true"},
+		{"retry policy", "redo-budget=2&scrub=true"},
 		{"redo disabled", "redo-budget=-1"},
 		// Sort refuses a baseline that would emit output; the spelling is fine.
 		{"baseline algorithms are spelled", "alg=baseline-io-3pass"},
@@ -39,9 +39,9 @@ func TestParseSortOptionsAccepts(t *testing.T) {
 		// Spelled fine: whether the job may run is resolve's to say.
 		{"cap with hybrid", "alg=hybrid&group=2&max-memory-mib=64"},
 		{"cap with padding=never", "padding=never&max-memory-mib=64"},
-		{"a zero is the default", "max-memory-mib=0&merge-fanin=0&retries=0&retry-base-us=0&key-width=0&deadline-ms=0"},
-		{"scaled counts", "max-memory-mib=64&retry-base-us=200"},
-		{"scaled counts at their limits", "max-memory-mib=8796093022207&deadline-ms=9223372036854&retry-base-us=9223372036854775"},
+		{"a zero is the default", "max-memory-mib=0&merge-fanin=0&redo-budget=0&key-width=0&deadline-ms=0"},
+		{"scaled counts", "max-memory-mib=64&deadline-ms=200"},
+		{"scaled counts at their limits", "max-memory-mib=8796093022207&deadline-ms=9223372036854"},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -90,17 +90,16 @@ func TestParseSortOptionsRejects(t *testing.T) {
 		{"chaos off is gone", "chaos=off", false, `unknown option "chaos" (known: alg, `},
 		{"chaos not off", "chaos=on", false, `unknown option "chaos" (known: alg, `},
 		{"chaos off with params", "chaos=off&chaos-seed=1", false, `unknown option "chaos" (known: alg, `},
+		// The retry policy is fixed: its two keys are gone.
+		{"retries is gone", "retries=4", false, `unknown option "retries"`},
 		{"two bad types name the first", "scrub=2&nowait=3", false, `option "nowait"`},
 		// A count whose scaled form overflows int64 is ill-typed, not wrapped
 		// into another value (2^44 MiB would be 0: no cap).
 		{"max-memory-mib overflows", "max-memory-mib=17592186044416", false, `option "max-memory-mib": want an integer in [-8796093022207, 8796093022207], got "17592186044416"`},
 		{"deadline-ms overflows", "deadline-ms=18446744073709", false, `option "deadline-ms": want an integer in [-9223372036854, 9223372036854]`},
-		{"retry-base-us overflows", "retry-base-us=-9223372036854776", false, `option "retry-base-us": want an integer in [-9223372036854775, 9223372036854775]`},
-		{"retry-base-us overflows upward", "retry-base-us=92233720368547758", false, `option "retry-base-us": want an integer in [-9223372036854775, 9223372036854775]`},
 		// A scaled count reaches the library as its product.
 		{"negative deadline at its limit", "deadline-ms=-9223372036854", true, "colsort: WithDeadline(-2562047h47m16.854s)"},
 		{"negative cap", "max-memory-mib=-1", true, "colsort: WithMaxMemory(-1048576)"},
-		{"negative backoff", "retry-base-us=-200", true, "colsort: WithRetry: BaseDelay -200µs"},
 
 		{"negative key offset", "key-offset=-1", true, "colsort: record: key field [-1:7) outside"},
 		{"fan-in of one", "merge-fanin=1", true, "colsort: WithMergeFanIn(1)"},

@@ -211,11 +211,13 @@ func (s *Server) readoptJob(rec walRecord) error {
 	// Older builds accepted and persisted options this one no longer has:
 	// "run-formation", "fabric", "async", "chaos" (chaos=off, a no-op on a
 	// server, whose engine never injected chaos) and the chaos-* keys of
-	// seeded fault injection, which is test-only. None ever changed a job's
-	// output bytes, so a job an older binary queued is re-adopted without
-	// them rather than failed as an unknown option.
+	// seeded fault injection, which is test-only, and "retries" and
+	// "retry-base-us", the knobs of a retry policy that is now fixed. None
+	// ever changed a job's output bytes, so a job an older binary queued is
+	// re-adopted without them rather than failed as an unknown option.
 	for k := range rec.Options {
-		if k == "run-formation" || k == "fabric" || k == "async" || k == "chaos" || strings.HasPrefix(k, "chaos-") {
+		if k == "run-formation" || k == "fabric" || k == "async" || k == "chaos" ||
+			k == "retries" || k == "retry-base-us" || strings.HasPrefix(k, "chaos-") {
 			delete(rec.Options, k)
 		}
 	}

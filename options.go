@@ -51,18 +51,9 @@ const (
 	PadNever
 )
 
-// RetryPolicy tunes the storage fault-tolerance layers of one Sort call;
-// see WithRetry. The zero value of each field selects its default; negative
-// attempts and delays are refused.
+// RetryPolicy tunes the run-level fault-tolerance of one Sort call; see
+// WithRetry. The zero value of each field selects its default.
 type RetryPolicy struct {
-	// MaxAttempts is the number of times each disk operation is issued
-	// before a transient fault is given up on (default 4). 1 disables
-	// retries: the first failure escapes immediately.
-	MaxAttempts int
-	// BaseDelay is the backoff before the first re-issue (default 200µs);
-	// it doubles per attempt up to 10ms, with ±50% jitter. Cancelling the
-	// sort's context interrupts any backoff sleep.
-	BaseDelay time.Duration
 	// RedoBudget is how many times a hierarchical sort may re-spill a
 	// formed run onto a fresh disk after its spilled bytes fail
 	// verification or its spill disk fails permanently (default 2).
@@ -164,14 +155,15 @@ func WithMergeFanIn(k int) Option {
 	return func(o *sortOptions) { o.fanIn = k }
 }
 
-// WithRetry overrides the sort's storage fault-tolerance policy. Every
-// Sort already runs with the default policy — transient disk faults are
-// retried under bounded exponential backoff with jitter, every escaping
-// disk error carries operation/disk/offset context, spilled runs are
-// CRC32C-framed, and a hierarchical run whose spill fails verification is
-// re-spilled within the redo budget — so WithRetry exists to
-// tune the budgets (or, with MaxAttempts 1 and a negative RedoBudget, to
-// fail fast). Retries and redos are visible in Result.Faults and the
+// WithRetry overrides the sort's run-level fault-tolerance policy. Every
+// Sort already runs with the default policy — a transient disk fault is
+// re-issued under a fixed bounded backoff (4 attempts, 200µs doubling to
+// 10ms, with jitter; not an option, since no product error is transient),
+// every escaping disk error carries operation/disk/offset context, spilled
+// runs are CRC32C-framed, and a hierarchical run whose spill fails
+// verification is re-spilled within the redo budget — so WithRetry exists
+// to tune the redo budget (a negative RedoBudget fails fast) and to force
+// the spill scrub. Retries and redos are visible in Result.Faults and the
 // fault-tolerance fields of Result.TotalCounters.
 func WithRetry(p RetryPolicy) Option {
 	return func(o *sortOptions) { o.retry = &p }

@@ -13,7 +13,6 @@ import (
 	"math/bits"
 
 	"colsort/internal/core"
-	"colsort/internal/pdm"
 	"colsort/internal/record"
 	"colsort/internal/runform"
 )
@@ -114,10 +113,6 @@ func (e *Engine) MaxRecords(alg Algorithm) int64 {
 // below. It also compiles the key codec, whose own checks are the KeySpec's
 // rules.
 func (e *Engine) check(o sortOptions) (record.KeyCodec, error) {
-	var retry RetryPolicy
-	if o.retry != nil {
-		retry = *o.retry
-	}
 	var err error
 	switch {
 	case o.maxMemory < 0:
@@ -126,10 +121,6 @@ func (e *Engine) check(o sortOptions) (record.KeyCodec, error) {
 		err = fmt.Errorf("WithMergeFanIn(%d): the fan-in must be ≥ 2 (0: the default, %d)", o.fanIn, defaultMergeFanIn)
 	case o.deadline < 0:
 		err = fmt.Errorf("WithDeadline(%v): the deadline must be ≥ 0 (0: none)", o.deadline)
-	case retry.MaxAttempts < 0:
-		err = fmt.Errorf("WithRetry: MaxAttempts %d must be ≥ 0 (0: the default, %d; 1 disables retries)", retry.MaxAttempts, pdm.DefaultRetryAttempts)
-	case retry.BaseDelay < 0:
-		err = fmt.Errorf("WithRetry: BaseDelay %v must be ≥ 0 (0: the default, %v)", retry.BaseDelay, pdm.DefaultRetryBaseDelay)
 	}
 	if err != nil {
 		return record.KeyCodec{}, fmt.Errorf("colsort: %w", err)

@@ -115,10 +115,6 @@ func TestRuleBook(t *testing.T) {
 			"colsort: WithMergeFanIn(-3): the fan-in must be ≥ 2"},
 		{"negative deadline", 1000, []colsort.Option{colsort.WithDeadline(-5 * time.Millisecond)}, "deadline-ms=-5",
 			"colsort: WithDeadline(-5ms): the deadline must be ≥ 0"},
-		{"negative attempts", 1000, []colsort.Option{colsort.WithRetry(colsort.RetryPolicy{MaxAttempts: -7})}, "retries=-7",
-			"colsort: WithRetry: MaxAttempts -7 must be ≥ 0"},
-		{"negative backoff", 1000, []colsort.Option{colsort.WithRetry(colsort.RetryPolicy{BaseDelay: -time.Microsecond})}, "retry-base-us=-1",
-			"colsort: WithRetry: BaseDelay -1µs must be ≥ 0 (0: the default, 200µs)"},
 		{"key field past the record's end", 1000, []colsort.Option{colsort.WithKeySpec(colsort.KeySpec{Offset: 60, Width: 8})}, "key-offset=60&key-width=8",
 			"colsort: record: key field [60:68) outside 64-byte record"},
 		{"group without hybrid", 1000, nil, "group=2",

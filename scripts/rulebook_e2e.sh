@@ -45,7 +45,7 @@ refused() {
 refused -merge-fanin -3 -- "colsort: WithMergeFanIn(-3): the fan-in must be ≥ 2"
 refused -max-memory-mib -1 -- "colsort: WithMaxMemory(-1048576): the cap must be ≥ 0"
 refused -group 4 -- 'option "group" only applies to alg=hybrid'
-refused -retries -7 -- "colsort: WithRetry: MaxAttempts -7 must be ≥ 0"
+refused -key-offset 60 -key-width 8 -- "colsort: record: key field [60:68) outside"
 refused -deadline-ms -5000 -- "colsort: WithDeadline(-5s): the deadline must be ≥ 0"
 
 "$DIR/colsort-server" -listen "localhost:$PORT" -mem 1024 -data "$DIR/data" >"$DIR/server.log" 2>&1 &
@@ -69,4 +69,4 @@ for req in \
     *) fail "${req##* } answered \"$got\", want 400 and \"$want\"" ;;
   esac
 done
-echo "rulebook e2e passed: 6 command lines and 2 endpoints, one sentence each"
+echo "rulebook e2e passed: 5 command lines and 2 endpoints, one sentence each"
