@@ -75,10 +75,7 @@ func checkFormationRestarted(t *testing.T, ckptDir string, stale []string) func(
 // job died during the merge phase: the output must be byte-identical to the
 // uninterrupted sort and NOTHING re-sorted — every run is adopted from the
 // manifest (ResumedRuns == the full live set, BatchRedos == 0). The
-// checkpoint is either this build's ("replacement-select": a job crashed at
-// its first merge event) or one an older fixed-batch job left at the same
-// point ("fixed-batch": fixedBatchManifest, manifest_test.go) — the mode is
-// gone, its checkpoints still resume.
+// checkpoint is this build's: a job crashed at its first merge event.
 func TestCheckpointResumeMidMerge(t *testing.T) {
 	resume := func(t *testing.T, s *Sorter, ckptDir string, raw []byte, z int) {
 		var out bytes.Buffer
@@ -93,7 +90,7 @@ func TestCheckpointResumeMidMerge(t *testing.T) {
 		if rres.Merge == nil {
 			t.Fatal("resumed sort reports no merge stats")
 		}
-		// Both checkpoints hold 4 runs at fan-in 2, so an intermediate merge
+		// The checkpoint holds 4 runs at fan-in 2, so an intermediate merge
 		// level came first and the crash left formation runs live.
 		if rres.Merge.Runs != 4 || rres.Merge.ResumedRuns != rres.Merge.Runs {
 			t.Errorf("ResumedRuns = %d of %d runs, want all 4: a merge-phase resume re-sorts nothing",
@@ -139,14 +136,6 @@ func TestCheckpointResumeMidMerge(t *testing.T) {
 			t.Fatalf("crashed job left no manifest: %v", err)
 		}
 		resume(t, s, ckptDir, raw, 32)
-	})
-
-	t.Run("fixed-batch", func(t *testing.T) {
-		dir := t.TempDir()
-		raw := genRaw(1024, 16, record.Uniform{Seed: 51})
-		ckptDir := filepath.Join(dir, "ckpt")
-		legacyCheckpoint(t, ckptDir, fixedBatchManifest, raw)
-		resume(t, legacySorter(t, filepath.Join(dir, "scratch")), ckptDir, raw, 16)
 	})
 }
 

@@ -16,6 +16,7 @@ import (
 	"os"
 	"path/filepath"
 	"strconv"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -237,13 +238,35 @@ func TestRetryGiveUpCarriesContext(t *testing.T) {
 	}
 }
 
+// countDisk counts the reads and writes sent to the disk under it.
+type countDisk struct {
+	pdm.Disk
+	ops *atomic.Int64
+}
+
+func (d countDisk) ReadAt(p []byte, off int64) error {
+	d.ops.Add(1)
+	return d.Disk.ReadAt(p, off)
+}
+
+func (d countDisk) WriteAt(p []byte, off int64) error {
+	d.ops.Add(1)
+	return d.Disk.WriteAt(p, off)
+}
+
+func (d countDisk) Unwrap() pdm.Disk { return d.Disk }
+
 // TestChaosSoak is the nightly chaos soak (scripts/chaos_soak.sh runs it
 // under -race; it skips unless CHAOS_SOAK_RECORDS is set): a file-backed
 // hierarchical sort of CHAOS_SOAK_RECORDS 64-byte records — 8 MiB runs and
 // a k-way merge — under seeded transient faults, a torn first spill write, a
 // bit-flipped spill read and a spill disk that dies permanently mid-write
 // must finish byte-identical to the fault-free run of the same input,
-// leaving no scratch file behind. The seed comes from COLSORT_CHAOS_SEED
+// leaving no scratch file behind. Transient faults are drawn per disk
+// operation, and a hierarchical sort makes few, large ones, so their
+// probability is scaled to the operations the fault-free run made: every
+// size expects the same number, and the soak fails unless at least one was
+// retried. The seed comes from COLSORT_CHAOS_SEED
 // (replay), else from the date, so every night draws a new fault pattern;
 // a failure prints it.
 func TestChaosSoak(t *testing.T) {
@@ -291,14 +314,21 @@ func TestChaosSoak(t *testing.T) {
 	// A run is striped over the machine's D = 4 lanes and the scripted
 	// faults sit on lane 0, so the death counts lane 0's quarter of those
 	// 4 MiB.
-	const lanes = 4
+	const lanes, transients = 4, 16
 	ref, out := filepath.Join(dir, "ref.dat"), filepath.Join(dir, "out.dat")
-	sortInto(context.Background(), ref)
-	faults := sortInto(chaosCtx(faultinject.ChaosConfig{Seed: seed, PTransient: 0.002,
+	var ops atomic.Int64
+	sortInto(pdm.WithInjector(context.Background(), func(d pdm.Disk, _, _ int, _ bool) pdm.Disk {
+		return countDisk{d, &ops}
+	}), ref)
+	pTransient := transients / float64(ops.Load())
+	faults := sortInto(chaosCtx(faultinject.ChaosConfig{Seed: seed, PTransient: pTransient,
 		TornSpillWrite: 1, FlipSpillRead: 2, DeadSpillDisk: 3, DeadSpillAfter: (4 << 20) / lanes}), out)
-	t.Logf("seed %d, %d records: %+v", seed, records, faults)
+	t.Logf("seed %d, %d records, %d disk operations, PTransient %.3g: %+v", seed, records, ops.Load(), pTransient, faults)
 	if faults.BatchRedos < 2 {
 		t.Errorf("BatchRedos = %d, want ≥ 2: the torn write's redo and the dead spill disk's", faults.BatchRedos)
+	}
+	if faults.DiskRetries < 1 {
+		t.Errorf("DiskRetries = 0, want ≥ 1: the soak expects %d transient faults", transients)
 	}
 
 	want, err := os.ReadFile(ref)

@@ -1,10 +1,11 @@
 package server
 
-// Tests of the server's durable-job layer (DESIGN.md §13): the jobs WAL's
-// replay and compaction, boot-time re-adoption of interrupted file jobs —
-// both a queued job restarted from scratch and a mid-merge job resumed from
-// its checkpoint manifest — the orphan scratch sweep, and the wire mapping
-// of the deadline option. A "crash" here is durable state written by one
+// Tests of the server's durable-job layer (DESIGN.md §13): the job file
+// (its format, the 503 when it cannot be written, the boot scan over job
+// directories and the refusal of an older build's jobs.wal), boot-time
+// re-adoption of interrupted file jobs — both a queued job restarted from
+// scratch and a mid-merge job resumed from its checkpoint manifest — the
+// orphan scratch sweep, and the wire mapping of the deadline option. A "crash" here is durable state written by one
 // engine/server and recovered by a fresh one over the same directories; the
 // process-level SIGKILL version of the same contract lives in
 // scripts/crash_resume_e2e.sh.
@@ -16,6 +17,7 @@ import (
 	"errors"
 	"io"
 	"net/http"
+	"net/http/httptest"
 	"net/url"
 	"os"
 	"path/filepath"
@@ -24,71 +26,94 @@ import (
 	"strings"
 	"sync"
 	"testing"
+	"time"
 
 	"colsort"
 	"colsort/internal/optspell"
 	"colsort/internal/wal"
 )
 
-func TestJobsWALReplayAndCompaction(t *testing.T) {
-	data := t.TempDir()
-	jw, err := wal.Open(jobsWALPath(data))
+// writeJobFile writes the job file a submit of req as job id leaves behind.
+func writeJobFile(t *testing.T, data, id string, req jobRequest) {
+	t.Helper()
+	if err := wal.Rewrite(filepath.Join(data, serverStateDir, "ckpt", id, jobFileName), []jobRequest{req}); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// TestBootScansJobDirectories boots a server over three job directories: one
+// with a job file is re-adopted and runs to done; one without — a submit
+// that died before its job file was durable — is removed; one whose input is
+// gone finishes failed, and a second boot does not retry it. Fresh ids
+// continue past the directories boot found.
+func TestBootScansJobDirectories(t *testing.T) {
+	dir := t.TempDir()
+	data := filepath.Join(dir, "data")
+	ckpt := func(id string) string { return filepath.Join(data, serverStateDir, "ckpt", id) }
+	if err := os.MkdirAll(ckpt("j000004"), 0o755); err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(filepath.Join(ckpt("j000004"), jobFileName+".tmp"), []byte(`{"input":"in`), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	input := makeInput(4096, 12)
+	if err := os.WriteFile(filepath.Join(data, "in.dat"), input, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	writeJobFile(t, data, "j000002", jobRequest{Input: "in.dat", Output: "out.dat", Options: map[string]string{"order": "desc"}})
+	writeJobFile(t, data, "j000005", jobRequest{Input: "gone.dat", Output: "gone.out"})
+
+	env := newEnv(t, colsort.EngineConfig{Config: testBase(filepath.Join(dir, "scratch"))}, Config{DataDir: data})
+	waitJobState(t, env, "j000002", jobDone)
+	got, err := os.ReadFile(filepath.Join(data, "out.dat"))
 	if err != nil {
 		t.Fatal(err)
 	}
-	recs := []walRecord{
-		{ID: "j000001", State: jobQueued, Input: "a.dat", Output: "a.out", Options: map[string]string{"order": "desc"}},
-		{ID: "j000001", State: jobRunning},
-		{ID: "j000002", State: jobQueued, Input: "b.dat", Output: "b.out"},
-		{ID: "j000001", State: jobDone},
-		{ID: "j000003", State: jobQueued, Input: "c.dat", Output: "c.out"},
-		{ID: "j000003", State: jobRunning},
-		{ID: "j000003", State: jobFailed, Error: "boom"},
+	if !bytes.Equal(got, refSort(t, dir, input, colsort.WithKeySpec(colsort.KeySpec{Order: colsort.Descending}))) {
+		t.Error("re-adopted job's output differs from the reference")
 	}
-	for _, r := range recs {
-		if err := jw.Append(r); err != nil {
-			t.Fatal(err)
+	if failed := waitJobState(t, env, "j000005", jobFailed); !strings.Contains(failed.Error, "gone.dat") {
+		t.Errorf("job with a missing input failed with %q, want the input named", failed.Error)
+	}
+	for _, id := range []string{"j000002", "j000004", "j000005"} {
+		if _, err := os.Stat(ckpt(id)); !os.IsNotExist(err) {
+			t.Errorf("directory %s survived boot and its job (stat err %v)", id, err)
 		}
 	}
-	jw.Close()
-	path := filepath.Join(data, serverStateDir, jobsWALName)
-
-	// A torn final line — the crash hit mid-append — must be ignored.
-	f, err := os.OpenFile(path, os.O_WRONLY|os.O_APPEND, 0o644)
+	if line := scrapeMetric(t, env, "colsort_server_jobs_readopted_total"); line != "colsort_server_jobs_readopted_total 1" {
+		t.Errorf("readopted metric: %q", line)
+	}
+	body, _ := json.Marshal(jobRequest{Input: "in.dat", Output: "out2.dat"})
+	resp, err := env.ts.Client().Post(env.ts.URL+"/v1/jobs", "application/json", bytes.NewReader(body))
 	if err != nil {
 		t.Fatal(err)
 	}
-	f.WriteString(`{"id":"j000004","state":"que`)
-	f.Close()
-
-	got, err := foldJobsWAL(path)
+	var info jobInfo
+	err = json.NewDecoder(resp.Body).Decode(&info)
+	resp.Body.Close()
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(got) != 3 {
-		t.Fatalf("replay returned %d jobs, want 3: %+v", len(got), got)
+	if jobIDNum(info.ID) <= 5 {
+		t.Errorf("fresh submission minted %s, inside the id space boot found", info.ID)
 	}
-	// First-seen order, last state, queued record's restart parameters kept.
-	if got[0].ID != "j000001" || got[0].State != jobDone || got[0].Input != "a.dat" || got[0].Options["order"] != "desc" {
-		t.Errorf("job 1 folded wrong: %+v", got[0])
-	}
-	if got[1].ID != "j000002" || got[1].State != jobQueued {
-		t.Errorf("job 2 folded wrong: %+v", got[1])
-	}
-	if got[2].ID != "j000003" || got[2].State != jobFailed || got[2].Error != "boom" {
-		t.Errorf("job 3 folded wrong: %+v", got[2])
-	}
+	waitJobState(t, env, info.ID, jobDone)
 
-	// Compaction keeps exactly the pending set.
-	if err := wal.Rewrite(path, []walRecord{got[1]}); err != nil {
-		t.Fatal(err)
-	}
-	after, err := foldJobsWAL(path)
+	// A second boot finds nothing to re-adopt: the failure was not retried.
+	eng, err := colsort.NewEngine(colsort.EngineConfig{Config: testBase(filepath.Join(dir, "scratch2"))})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(after) != 1 || after[0].ID != "j000002" || after[0].Input != "b.dat" {
-		t.Fatalf("compacted WAL replays %+v, want only j000002", after)
+	srv, err := New(eng, Config{DataDir: data})
+	if err != nil {
+		eng.Close()
+		t.Fatal(err)
+	}
+	if n, jobs := srv.resumedJobs.Load(), srv.jobs.list(); n != 0 || len(jobs) != 0 {
+		t.Errorf("second boot re-adopted %d jobs and lists %+v, want none", n, jobs)
+	}
+	if err := srv.Drain(context.Background()); err != nil {
+		t.Fatal(err)
 	}
 
 	if n := jobIDNum("j000042"); n != 42 {
@@ -118,13 +143,10 @@ func scrapeMetric(t *testing.T, env *testEnv, name string) string {
 }
 
 // TestBootReadoptsQueuedJob writes the durable state a crash leaves behind a
-// job that never started — a WAL queued record and the input file — and
-// boots a server over it: the job must run to completion under its ORIGINAL
-// id, the output must match a reference sort with the persisted options, and
-// fresh submissions must mint ids beyond the re-adopted one. The record
-// carries options older binaries persisted — "run-formation", "fabric",
-// "chaos=off" and chaos-* keys — which no request may carry any more: they
-// must not fail the re-adoption.
+// job that never started — its job file and the input file — and boots a
+// server over it: the job must run to completion under its ORIGINAL id, the
+// output must match a reference sort with the persisted options, and fresh
+// submissions must mint ids beyond the re-adopted one.
 func TestBootReadoptsQueuedJob(t *testing.T) {
 	dir := t.TempDir()
 	data := filepath.Join(dir, "data")
@@ -135,18 +157,7 @@ func TestBootReadoptsQueuedJob(t *testing.T) {
 	if err := os.WriteFile(filepath.Join(data, "in.dat"), input, 0o644); err != nil {
 		t.Fatal(err)
 	}
-	jw, err := wal.Open(jobsWALPath(data))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := jw.Append(walRecord{ID: "j000007", State: jobQueued,
-		Input: "in.dat", Output: "out.dat",
-		Options: map[string]string{"order": "desc", "run-formation": "fixed-batch", "fabric": "copying", "chaos": "off",
-			"chaos-seed": "7", "chaos-p-transient": "0.01", "chaos-dead-after-kib": "4",
-			"retries": "4", "retry-base-us": "50"}}); err != nil {
-		t.Fatal(err)
-	}
-	jw.Close()
+	writeJobFile(t, data, "j000007", jobRequest{Input: "in.dat", Output: "out.dat", Options: map[string]string{"order": "desc"}})
 
 	env := newEnv(t, colsort.EngineConfig{Config: testBase(filepath.Join(dir, "scratch"))},
 		Config{DataDir: data})
@@ -166,7 +177,7 @@ func TestBootReadoptsQueuedJob(t *testing.T) {
 		t.Errorf("readopted metric: %q", line)
 	}
 
-	// The id sequence was seeded past the WAL's ids.
+	// The id sequence was seeded past the re-adopted id.
 	body, _ := json.Marshal(jobRequest{Input: "in.dat", Output: "out2.dat"})
 	resp, err := env.ts.Client().Post(env.ts.URL+"/v1/jobs", "application/json", bytes.NewReader(body))
 	if err != nil {
@@ -229,14 +240,7 @@ func TestBootResumesMidMergeJob(t *testing.T) {
 		t.Fatalf("no checkpoint survived the interruption (%v)", err)
 	}
 
-	jw, err := wal.Open(jobsWALPath(data))
-	if err != nil {
-		t.Fatal(err)
-	}
-	jw.Append(walRecord{ID: id, State: jobQueued, Input: "in.dat", Output: "out.dat",
-		Options: map[string]string{"merge-fanin": "2"}})
-	jw.Append(walRecord{ID: id, State: jobRunning})
-	jw.Close()
+	writeJobFile(t, data, id, jobRequest{Input: "in.dat", Output: "out.dat", Options: map[string]string{"merge-fanin": "2"}})
 
 	env := newEnv(t, colsort.EngineConfig{Config: testBase(filepath.Join(dir, "scratch2"))},
 		Config{DataDir: data})
@@ -257,9 +261,73 @@ func TestBootResumesMidMergeJob(t *testing.T) {
 	if line := scrapeMetric(t, env, "colsort_engine_runs_resumed_total"); line == "colsort_engine_runs_resumed_total 0" {
 		t.Errorf("runs-resumed metric stayed zero: %q", line)
 	}
-	// Success retires the checkpoint directory.
+	// Success removes the job's directory.
 	if _, err := os.Stat(ckpt); !os.IsNotExist(err) {
 		t.Errorf("checkpoint directory survived the completed resume (stat err %v)", err)
+	}
+}
+
+// TestDrainCancelledJobResumesAtBoot: a job a drain cancels is not over. Its
+// directory — job file and checkpoint — stays, and the next boot re-adopts
+// it under the same id and finishes it to the reference output. The first
+// engine's disks are modeled slow enough that the job outlasts the drain.
+func TestDrainCancelledJobResumesAtBoot(t *testing.T) {
+	dir := t.TempDir()
+	data := filepath.Join(dir, "data")
+	if err := os.MkdirAll(data, 0o755); err != nil {
+		t.Fatal(err)
+	}
+	slow := testBase(filepath.Join(dir, "scratch1"))
+	slow.DiskSeekMicros, slow.DiskMBps = 20000, 1
+	eng, err := colsort.NewEngine(colsort.EngineConfig{Config: slow})
+	if err != nil {
+		t.Fatal(err)
+	}
+	srv, err := New(eng, Config{DataDir: data})
+	if err != nil {
+		eng.Close()
+		t.Fatal(err)
+	}
+	input := makeInput(3*eng.MaxRecords(colsort.Threaded), 21)
+	if err := os.WriteFile(filepath.Join(data, "in.dat"), input, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	rec := httptest.NewRecorder()
+	srv.Handler().ServeHTTP(rec, httptest.NewRequest(http.MethodPost, "/v1/jobs",
+		strings.NewReader(`{"input":"in.dat","output":"out.dat"}`)))
+	var info jobInfo
+	if err := json.NewDecoder(rec.Body).Decode(&info); err != nil || rec.Code != http.StatusAccepted {
+		t.Fatalf("POST /v1/jobs: status %d, err %v", rec.Code, err)
+	}
+	entry := srv.jobs.get(info.ID)
+	for deadline := time.Now().Add(30 * time.Second); ; time.Sleep(time.Millisecond) {
+		if snap, _ := entry.snapshot(); snap.Progress != nil {
+			break
+		}
+		if time.Now().After(deadline) {
+			t.Fatal("the job never started")
+		}
+	}
+	expired, cancel := context.WithCancel(context.Background())
+	cancel()
+	if err := srv.Drain(expired); err != nil {
+		t.Fatal(err)
+	}
+	if final, _ := entry.snapshot(); final.State != jobFailed || !strings.Contains(final.Error, "context canceled") {
+		t.Fatalf("drained job ended %q (%q), want failed by cancellation", final.State, final.Error)
+	}
+	if _, err := os.Stat(filepath.Join(data, serverStateDir, "ckpt", info.ID, jobFileName)); err != nil {
+		t.Fatalf("the drain-cancelled job lost its job file: %v", err)
+	}
+
+	env := newEnv(t, colsort.EngineConfig{Config: testBase(filepath.Join(dir, "scratch2"))}, Config{DataDir: data})
+	waitJobState(t, env, info.ID, jobDone)
+	got, err := os.ReadFile(filepath.Join(data, "out.dat"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(got, refSort(t, dir, input)) {
+		t.Error("the resumed job's output differs from the reference")
 	}
 }
 
@@ -267,8 +335,8 @@ func TestBootResumesMidMergeJob(t *testing.T) {
 // wraps is a legal wire value, so a file job carrying it passes the 202 and
 // runs on a background goroutine with no recover. It must reach a terminal
 // state — done, byte-identical to the reference — with the server still
-// answering, not take the process down (and, re-adopted from the jobs WAL,
-// down again at every boot).
+// answering, not take the process down (and, re-adopted from its job
+// directory, down again at every boot).
 func TestHugeMergeFanInFileJob(t *testing.T) {
 	dir := t.TempDir()
 	data := filepath.Join(dir, "data")
@@ -394,68 +462,135 @@ func TestDeadlineParam(t *testing.T) {
 	}
 }
 
-// TestJobsWALFormatPin holds one jobs.wal line of every state exactly as
-// the commit before internal/wal existed wrote them: a job log left by any
-// earlier build must be re-adopted by this one, so each line has to decode
-// to the same record and re-encode — through both write paths, Append and
-// the compaction Rewrite — to the same bytes.
-func TestJobsWALFormatPin(t *testing.T) {
-	lines := []string{
-		`{"id":"j000001","state":"queued","input":"a.dat","output":"a.out","options":{"deadline":"30s","order":"desc"}}`,
-		`{"id":"j000001","state":"running"}`,
-		`{"id":"j000001","state":"done"}`,
-		`{"id":"j000002","state":"queued","input":"b.dat","output":"b.out"}`,
-		`{"id":"j000002","state":"failed","error":"boom"}`,
-	}
-	pinned := strings.Join(lines, "\n") + "\n"
-	path := jobsWALPath(t.TempDir())
+// TestJobFileFormatPin holds a job file exactly as the submit handler writes
+// it: the bytes must decode to the same request, re-encode through the same
+// write path to the same bytes, and boot into a re-adopted job that
+// finishes with the persisted options honored.
+func TestJobFileFormatPin(t *testing.T) {
+	const pinned = `{"input":"a.dat","output":"a.out","options":{"deadline-ms":"30000","order":"desc"}}` + "\n"
+	want := jobRequest{Input: "a.dat", Output: "a.out", Options: map[string]string{"deadline-ms": "30000", "order": "desc"}}
+	dir := t.TempDir()
+	data := filepath.Join(dir, "data")
+	path := filepath.Join(data, serverStateDir, "ckpt", "j000001", jobFileName)
 	if err := os.MkdirAll(filepath.Dir(path), 0o755); err != nil {
 		t.Fatal(err)
 	}
 	if err := os.WriteFile(path, []byte(pinned), 0o644); err != nil {
 		t.Fatal(err)
 	}
-	got, err := foldJobsWAL(path)
+	got, err := readJobFile(path)
 	if err != nil {
 		t.Fatal(err)
-	}
-	want := []walRecord{
-		{ID: "j000001", State: jobDone, Input: "a.dat", Output: "a.out", Options: map[string]string{"deadline": "30s", "order": "desc"}},
-		{ID: "j000002", State: jobFailed, Input: "b.dat", Output: "b.out", Error: "boom"},
 	}
 	if !reflect.DeepEqual(got, want) {
-		t.Errorf("pinned log folds to %+v, want %+v", got, want)
+		t.Errorf("pinned job file decodes to %+v, want %+v", got, want)
+	}
+	rewritten := filepath.Join(dir, "rewritten", jobFileName)
+	if err := wal.Rewrite(rewritten, []jobRequest{got}); err != nil {
+		t.Fatal(err)
+	}
+	if b, err := os.ReadFile(rewritten); err != nil || string(b) != pinned {
+		t.Errorf("re-encoded job file differs from the pinned bytes (err %v):\n got %s\nwant %s", err, b, pinned)
 	}
 
-	var recs []walRecord
-	for i, line := range lines {
-		var rec walRecord
-		if err := json.Unmarshal([]byte(line), &rec); err != nil {
-			t.Fatalf("line %d: %v", i+1, err)
-		}
-		recs = append(recs, rec)
+	input := makeInput(4096, 3)
+	if err := os.WriteFile(filepath.Join(data, "a.dat"), input, 0o644); err != nil {
+		t.Fatal(err)
 	}
-	appended, rewritten := jobsWALPath(t.TempDir()), jobsWALPath(t.TempDir())
-	jw, err := wal.Open(appended)
+	env := newEnv(t, colsort.EngineConfig{Config: testBase(filepath.Join(dir, "scratch"))}, Config{DataDir: data})
+	waitJobState(t, env, "j000001", jobDone)
+	out, err := os.ReadFile(filepath.Join(data, "a.out"))
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, rec := range recs {
-		if err := jw.Append(rec); err != nil {
-			t.Fatal(err)
-		}
+	if !bytes.Equal(out, refSort(t, dir, input, colsort.WithKeySpec(colsort.KeySpec{Order: colsort.Descending}))) {
+		t.Error("the pinned job's output differs from the reference")
 	}
-	jw.Close()
-	if err := wal.Rewrite(rewritten, recs); err != nil {
+}
+
+// TestSubmitAnswers503WhenJobFileFails: a submission whose job file cannot
+// be written is refused with 503 and Retry-After, naming the write, and never
+// runs; its slot is released, so the same submission is accepted once the
+// write can succeed. A regular file where ckpt/ belongs stops the write
+// (permission bits would not stop root).
+func TestSubmitAnswers503WhenJobFileFails(t *testing.T) {
+	dir := t.TempDir()
+	data := filepath.Join(dir, "data")
+	ckpt := filepath.Join(data, serverStateDir, "ckpt")
+	if err := os.MkdirAll(filepath.Dir(ckpt), 0o755); err != nil {
 		t.Fatal(err)
 	}
-	for _, p := range []string{appended, rewritten} {
-		b, err := os.ReadFile(p)
+	input := makeInput(4096, 8)
+	if err := os.WriteFile(filepath.Join(data, "in.dat"), input, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	env := newEnv(t, colsort.EngineConfig{Config: testBase(filepath.Join(dir, "scratch"))}, Config{DataDir: data, MaxJobs: 1})
+	if err := os.WriteFile(ckpt, []byte("not a directory"), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	submit := func() *http.Response {
+		t.Helper()
+		resp, err := env.ts.Client().Post(env.ts.URL+"/v1/jobs", "application/json",
+			strings.NewReader(`{"input":"in.dat","output":"out.dat"}`))
 		if err != nil {
 			t.Fatal(err)
 		}
-		if string(b) != pinned {
-			t.Errorf("re-encoded jobs.wal differs from the pinned bytes:\n got %s\nwant %s", b, pinned)
+		return resp
+	}
+	resp := submit()
+	body, _ := io.ReadAll(resp.Body)
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusServiceUnavailable || resp.Header.Get("Retry-After") == "" ||
+		!strings.Contains(string(body), "job file") {
+		t.Fatalf("submit over an unwritable ckpt/: status %d, Retry-After %q, body %s; want 503 naming the job file",
+			resp.StatusCode, resp.Header.Get("Retry-After"), body)
+	}
+	if jobs := env.srv.jobs.list(); len(jobs) != 0 {
+		t.Errorf("a job that was never recorded is listed: %+v", jobs)
+	}
+	if _, err := os.Stat(filepath.Join(data, "out.dat")); !os.IsNotExist(err) {
+		t.Errorf("a job that was never recorded wrote its output (stat err %v)", err)
+	}
+
+	if err := os.Remove(ckpt); err != nil {
+		t.Fatal(err)
+	}
+	resp = submit()
+	var info jobInfo
+	err := json.NewDecoder(resp.Body).Decode(&info)
+	resp.Body.Close()
+	if err != nil || resp.StatusCode != http.StatusAccepted {
+		t.Fatalf("submit after the write can succeed: status %d, err %v (was the slot released?)", resp.StatusCode, err)
+	}
+	waitJobState(t, env, info.ID, jobDone)
+}
+
+// TestBootRefusesJobsWAL: an older build's jobs.wal is not read, and
+// server.New refuses to start while one exists, naming the file and the last
+// build that reads it, with every file left as it was.
+func TestBootRefusesJobsWAL(t *testing.T) {
+	dir := t.TempDir()
+	data := filepath.Join(dir, "data")
+	old := filepath.Join(data, serverStateDir, "jobs.wal")
+	orphan := filepath.Join(data, serverStateDir, "ckpt", "j000003")
+	if err := os.MkdirAll(orphan, 0o755); err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(old, []byte(`{"id":"j000003","state":"queued","input":"a.dat","output":"a.out"}`+"\n"), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	eng, err := colsort.NewEngine(colsort.EngineConfig{Config: testBase(filepath.Join(dir, "scratch"))})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer eng.Close()
+	_, err = New(eng, Config{DataDir: data})
+	if err == nil || !strings.Contains(err.Error(), old) || !strings.Contains(err.Error(), "83a821b") {
+		t.Fatalf("New over a jobs.wal: err = %v, want a refusal naming %s and the last build that reads it", err, old)
+	}
+	for _, p := range []string{old, orphan} {
+		if _, err := os.Stat(p); err != nil {
+			t.Errorf("the refused boot touched %s: %v", p, err)
 		}
 	}
 }

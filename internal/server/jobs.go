@@ -160,26 +160,20 @@ func newJobRegistry(retain int) *jobRegistry {
 	return &jobRegistry{jobs: make(map[string]*jobEntry), retain: retain}
 }
 
-// add mints a new entry in state queued.
-func (r *jobRegistry) add(info jobInfo, cancel context.CancelFunc) *jobEntry {
+// nextID mints a fresh job id.
+func (r *jobRegistry) nextID() string {
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	r.seq++
-	return r.addLocked(fmt.Sprintf("j%06d", r.seq), info, cancel)
+	return fmt.Sprintf("j%06d", r.seq)
 }
 
-// addWithID registers an entry under a caller-chosen id — boot re-adoption
-// restarting a WAL-recorded job under its original identity. The registry's
-// sequence must already be seeded past the id (seedSeq), so fresh
-// submissions never collide with re-adopted jobs.
-func (r *jobRegistry) addWithID(id string, info jobInfo, cancel context.CancelFunc) *jobEntry {
+// add registers an entry in state queued under id: one nextID minted, or
+// the original id of a job boot re-adopts, which seedSeq has already put
+// behind the sequence.
+func (r *jobRegistry) add(id string, info jobInfo, cancel context.CancelFunc) *jobEntry {
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	return r.addLocked(id, info, cancel)
-}
-
-// addLocked registers an entry in state queued. Caller holds r.mu.
-func (r *jobRegistry) addLocked(id string, info jobInfo, cancel context.CancelFunc) *jobEntry {
 	info.ID = id
 	info.State = jobQueued
 	info.Submitted = time.Now()
@@ -195,7 +189,7 @@ func (r *jobRegistry) addLocked(id string, info jobInfo, cancel context.CancelFu
 }
 
 // seedSeq advances the id sequence to at least n, so ids minted after a
-// restart never collide with ids persisted in the jobs WAL.
+// restart never collide with the ids of the job directories boot found.
 func (r *jobRegistry) seedSeq(n int64) {
 	r.mu.Lock()
 	defer r.mu.Unlock()

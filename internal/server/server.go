@@ -76,20 +76,18 @@ type Server struct {
 	draining atomic.Bool
 	slots    chan struct{} // MaxJobs semaphore; nil when unbounded
 
-	// Durable-job state (see wal.go): the jobs WAL, and the boot-time
-	// recovery counters /metrics exposes.
-	wal            *wal.Log
-	resumedJobs    atomic.Int64 // file jobs re-adopted from the WAL at startup
+	// The boot-time recovery counters /metrics exposes (see wal.go).
+	resumedJobs    atomic.Int64 // file jobs re-adopted from their directories at startup
 	orphansCleaned atomic.Int64 // orphan job-scoped and pooled scratch files removed at startup
 }
 
 // New builds a Server over an engine the caller owns (Drain closes it),
 // recovering durable job state first: the engine's scratch directory is
-// swept of orphaned job files, and — when DataDir is set — the jobs WAL is
-// replayed, interrupted file jobs are re-adopted (resumed from their
-// checkpoint manifests where those survived), and the WAL is compacted. A
-// recovery error means the durable state could not be read or rewritten;
-// the engine itself is untouched by it.
+// swept of orphaned job files, and — when DataDir is set — every file job
+// whose directory survived is re-adopted (resumed from its checkpoint
+// manifest where one survived). A recovery error means the durable state
+// could not be read, and nothing was touched; the engine itself is
+// untouched by it.
 func New(eng *colsort.Engine, cfg Config) (*Server, error) {
 	s := &Server{
 		eng:     eng,
@@ -142,9 +140,7 @@ func (s *Server) Drain(ctx context.Context) error {
 		s.jobs.cancelAll()
 		<-done
 	}
-	err := s.eng.Close()
-	s.wal.Close() //nolint:errcheck // every appended entry is already fsync'd
-	return err
+	return s.eng.Close()
 }
 
 // acquireSlot takes one MaxJobs slot without blocking; ok=false means the
@@ -280,7 +276,7 @@ func (s *Server) handleSortStream(w http.ResponseWriter, r *http.Request) {
 	// http.Server.Shutdown deadline) cancels the sort.
 	ctx, cancel := context.WithCancel(r.Context())
 	defer cancel()
-	entry := s.jobs.add(jobInfo{Streaming: true}, cancel)
+	entry := s.jobs.add(s.jobs.nextID(), jobInfo{Streaming: true}, cancel)
 	opts = append(opts, colsort.WithProgress(entry.onProgress))
 
 	sink := &streamSink{w: w, rc: http.NewResponseController(w), total: n * z,
@@ -380,8 +376,8 @@ func (s *Server) resolveDataPath(p string) (string, error) {
 
 // handleJobSubmit accepts an asynchronous sort of server-side files: the
 // job runs in the background under its own context; the response is 202
-// with the job's id. Progress, state, result summary and cancellation are
-// all served off the registry entry.
+// with the job's id, once its job file is durable. Progress, state, result
+// summary and cancellation are all served off the registry entry.
 func (s *Server) handleJobSubmit(w http.ResponseWriter, r *http.Request) {
 	if s.draining.Load() {
 		writeError(w, http.StatusServiceUnavailable, "server is draining")
@@ -426,13 +422,18 @@ func (s *Server) handleJobSubmit(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 
-	ctx, cancel := context.WithCancel(context.Background())
-	entry := s.jobs.add(jobInfo{Input: req.Input, Output: req.Output}, cancel)
 	// Durability point: the submission is recorded — with everything needed
 	// to restart it — before the job runs. A crash from here on re-adopts
-	// the job at the next boot.
-	s.wal.Append(walRecord{ID: entry.info.ID, State: jobQueued, //nolint:errcheck // degrade, don't refuse
-		Input: req.Input, Output: req.Output, Options: req.Options})
+	// the job at the next boot; a job that cannot be recorded never runs.
+	id := s.jobs.nextID()
+	if err := wal.Rewrite(filepath.Join(s.ckptDir(id), jobFileName), []jobRequest{req}); err != nil {
+		release()
+		w.Header().Set("Retry-After", "1")
+		writeError(w, http.StatusServiceUnavailable, "job %s not accepted: writing its job file: %v", id, err)
+		return
+	}
+	ctx, cancel := context.WithCancel(context.Background())
+	entry := s.jobs.add(id, jobInfo{Input: req.Input, Output: req.Output}, cancel)
 	s.launchFileJob(ctx, cancel, entry, in, out, opts, release)
 	info, _ := entry.snapshot()
 	writeJSON(w, http.StatusAccepted, info)
@@ -455,9 +456,10 @@ func (s *Server) planFileJob(in string, opts []colsort.Option) error {
 // launchFileJob runs one file job in the background, a Sort under the job's
 // own checkpoint directory — so a re-adopted job continues from whatever
 // that directory holds, adopting the durable runs the dead process
-// verified. State transitions are written through the jobs WAL — except
-// when a drain cancels the job, which deliberately leaves the WAL at
-// "running" so the next boot picks the job back up from its checkpoint.
+// verified. A done or failed job's directory is removed — before the
+// registry shows the terminal state — except when a drain cancels the
+// job, which deliberately leaves it so the next boot picks the job back up
+// from its checkpoint.
 func (s *Server) launchFileJob(ctx context.Context, cancel context.CancelFunc, entry *jobEntry, in, out string, opts []colsort.Option, release func()) {
 	id := entry.info.ID
 	ckpt := s.ckptDir(id)
@@ -467,25 +469,22 @@ func (s *Server) launchFileJob(ctx context.Context, cancel context.CancelFunc, e
 		defer s.jobs.wg.Done()
 		defer release()
 		defer cancel()
-		s.wal.Append(walRecord{ID: id, State: jobRunning}) //nolint:errcheck // degrade, don't refuse
+		// ToFile leaves out as it was if the sort fails: it publishes nothing.
 		res, err := s.eng.Sort(ctx, colsort.FromFile(in), colsort.ToFile(out), opts...)
-		if err != nil {
-			// ToFile leaves out as it was: a failed sort publishes nothing.
+		var sum *colsort.ResultSummary
+		switch {
+		case err == nil:
+			rs := res.Summary()
+			res.Close()
+			sum = &rs
+		case errors.Is(err, context.Canceled) && s.draining.Load():
+			// Shutdown interrupted the job, not the job itself: keep its
+			// directory, so the next boot resumes instead of rerunning.
 			entry.finish(nil, err)
-			if errors.Is(err, context.Canceled) && s.draining.Load() {
-				// Shutdown interrupted the job, not the job itself: keep the
-				// WAL at "running" and the checkpoint on disk, so the next
-				// boot resumes instead of rerunning.
-				return
-			}
-			s.wal.Append(walRecord{ID: id, State: jobFailed, Error: err.Error()}) //nolint:errcheck // degrade
-			os.RemoveAll(ckpt)                                                    //nolint:errcheck // the failure is durable; the checkpoint is garbage
 			return
 		}
-		sum := res.Summary()
-		res.Close()
-		entry.finish(&sum, nil)
-		s.wal.Append(walRecord{ID: id, State: jobDone}) //nolint:errcheck // degrade, don't refuse
+		os.RemoveAll(ckpt) //nolint:errcheck // left behind, the job re-runs once at the next boot, to the same output
+		entry.finish(sum, err)
 	}()
 }
 

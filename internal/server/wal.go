@@ -1,19 +1,22 @@
 package server
 
-// Server-side job durability. File jobs (POST /v1/jobs) write their state
-// transitions through a JSON-lines WAL at DataDir/.colsort/jobs.wal —
-// queued (with the submitted paths and wire options), running, done/failed
-// — each line fsync'd before the transition is acted on. The log mechanics
-// (append+fsync, torn-tail replay and repair, compaction by rename) are
-// internal/wal's; this file holds the record type, its fold and recovery.
+// Server-side job durability (DESIGN.md §13, "A file job is its
+// directory"). A file job (POST /v1/jobs) is durable as one directory,
+// DataDir/.colsort/ckpt/<id>/. Before the submit handler answers 202 it
+// writes the submitted request to the directory's job.json through
+// wal.Rewrite (a temp file, fsync'd, renamed into place), and the job runs
+// as a Sort checkpointed in the same directory, whose manifest records how
+// far it got. A done or failed job's directory is removed; a job a drain
+// cancelled keeps it.
 //
-// On startup the server replays the WAL: jobs that were queued or running
-// when the process died are RE-ADOPTED — restarted under their original ids
-// as the same checkpointed Sort, which continues from the job's checkpoint
-// manifest when one survived (so completed run formation and merge work is
-// not redone) — and the WAL is compacted down to the re-adopted entries.
-// Terminal entries are dropped: the registry's retained tail is an
-// in-memory convenience, not durable state.
+// On startup the server lists ckpt/ and RE-ADOPTS, in id order, every
+// directory that holds a job file: the job restarts under its original id
+// as the same checkpointed Sort, which continues from the job's manifest
+// when one survived (so completed run formation and merge work is not
+// redone). A directory without a job file is removed: its submit never
+// became durable and was never answered 202. A directory whose removal
+// failed is re-adopted at the next boot and runs once more, to the same
+// output.
 //
 // Streaming jobs (POST /v1/sort) are deliberately absent: their output is
 // the response body of a connection that died with the process — there is
@@ -27,6 +30,7 @@ package server
 // admitted, so every such file it sees is garbage by construction.
 
 import (
+	"cmp"
 	"context"
 	"encoding/json"
 	"errors"
@@ -35,6 +39,7 @@ import (
 	"os"
 	"path/filepath"
 	"regexp"
+	"slices"
 	"strconv"
 	"strings"
 
@@ -43,63 +48,26 @@ import (
 )
 
 // serverStateDir is the DataDir subdirectory holding the server's durable
-// state: the jobs WAL and the per-job checkpoint directories.
+// state: one directory per file job, under ckpt/.
 const serverStateDir = ".colsort"
 
-// jobsWALName is the job-state WAL's file name inside serverStateDir.
-const jobsWALName = "jobs.wal"
+// jobFileName is the name of a job's durable request inside its directory.
+const jobFileName = "job.json"
 
-// walRecord is one jobs.wal line: a state transition of one file job. The
-// queued record carries everything needed to restart the job; later
-// records for the same id carry only the transition.
-type walRecord struct {
-	ID      string            `json:"id"`
-	State   string            `json:"state"`
-	Input   string            `json:"input,omitempty"`
-	Output  string            `json:"output,omitempty"`
-	Options map[string]string `json:"options,omitempty"`
-	Error   string            `json:"error,omitempty"`
-}
-
-// jobsWALPath is where the job-state WAL of a server rooted at dataDir lives.
-func jobsWALPath(dataDir string) string {
-	return filepath.Join(dataDir, serverStateDir, jobsWALName)
-}
-
-// foldJobsWAL folds the WAL into the last observed state of every job, in
-// first-seen order (internal/wal skips a torn final line: the transition it
-// recorded never took effect). A WAL that does not exist yet folds to
-// nothing.
-func foldJobsWAL(path string) ([]walRecord, error) {
-	byID := make(map[string]*walRecord)
-	var order []string
+// readJobFile decodes the job file at path, which holds exactly one record:
+// anything else — a record that does not decode, none, or more than one —
+// is wal.ErrCorrupt naming the file. A missing file is the os error.
+func readJobFile(path string) (jobRequest, error) {
+	var req jobRequest
+	n := 0
 	err := wal.Replay(path, func(line []byte) error {
-		var rec walRecord
-		if err := json.Unmarshal(line, &rec); err != nil {
-			return err
-		}
-		prev, ok := byID[rec.ID]
-		if !ok {
-			byID[rec.ID] = &rec
-			order = append(order, rec.ID)
-			return nil
-		}
-		// Later transitions update state but keep the queued record's
-		// restart parameters.
-		prev.State = rec.State
-		if rec.Error != "" {
-			prev.Error = rec.Error
-		}
-		return nil
+		n++
+		return json.Unmarshal(line, &req)
 	})
-	if err != nil && !errors.Is(err, fs.ErrNotExist) {
-		return nil, fmt.Errorf("jobs wal: %w", err)
+	if err == nil && n != 1 {
+		err = fmt.Errorf("%w: %s holds %d records, want 1", wal.ErrCorrupt, path, n)
 	}
-	out := make([]walRecord, 0, len(order))
-	for _, id := range order {
-		out = append(out, *byID[id])
-	}
-	return out, nil
+	return req, err
 }
 
 // jobIDNum extracts the numeric part of a j%06d job id; 0 if malformed.
@@ -147,47 +115,59 @@ func sweepOrphanScratch(scratchDir string) int {
 	return removed
 }
 
-// recover replays the jobs WAL, sweeps orphan scratch, and re-adopts every
-// job the crash interrupted. Called from New before the server accepts
-// requests; errors are reported to the caller (the server still serves —
-// durability degrades, availability does not).
+// recover sweeps orphan scratch and re-adopts every file job whose
+// directory survived. Called from New before the server accepts requests.
+// Every job file is read before anything is touched: an older build's job
+// log, an unreadable ckpt/ or a damaged job file fails New with the files
+// as they were.
 func (s *Server) recover() error {
-	cleaned := sweepOrphanScratch(s.eng.Config().Dir)
-	s.orphansCleaned.Add(int64(cleaned))
-	if s.cfg.DataDir == "" {
-		return nil
+	type bootJob struct {
+		id  string
+		req jobRequest
 	}
-	path := jobsWALPath(s.cfg.DataDir)
-	records, err := foldJobsWAL(path)
-	if err != nil {
-		return err
-	}
-	var pending []walRecord
-	var maxSeq int64
-	for _, rec := range records {
-		if n := jobIDNum(rec.ID); n > maxSeq {
-			maxSeq = n
+	var jobs []bootJob
+	var unsubmitted []string
+	if s.cfg.DataDir != "" {
+		state := filepath.Join(s.cfg.DataDir, serverStateDir)
+		old := filepath.Join(state, "jobs.wal")
+		if _, err := os.Lstat(old); err == nil {
+			return fmt.Errorf("server: %s is the job log of an older build, which this one does not read: finish those jobs with commit 83a821b, the last build that reads it, or remove the file", old)
 		}
-		if rec.State == jobQueued || rec.State == jobRunning {
-			pending = append(pending, rec)
+		ents, err := os.ReadDir(filepath.Join(state, "ckpt"))
+		if err != nil && !errors.Is(err, fs.ErrNotExist) {
+			return fmt.Errorf("server: %w", err)
 		}
-	}
-	s.jobs.seedSeq(maxSeq)
-	if err := wal.Rewrite(path, pending); err != nil {
-		return fmt.Errorf("jobs wal: %w", err)
-	}
-	if s.wal, err = wal.Open(path); err != nil {
-		return fmt.Errorf("jobs wal: %w", err)
+		for _, de := range ents {
+			if !de.IsDir() {
+				continue
+			}
+			s.jobs.seedSeq(jobIDNum(de.Name()))
+			req, err := readJobFile(filepath.Join(s.ckptDir(de.Name()), jobFileName))
+			switch {
+			case errors.Is(err, fs.ErrNotExist):
+				unsubmitted = append(unsubmitted, de.Name())
+			case err != nil:
+				return fmt.Errorf("server: %w", err)
+			default:
+				jobs = append(jobs, bootJob{de.Name(), req})
+			}
+		}
 	}
 
-	for _, rec := range pending {
-		if err := s.readoptJob(rec); err != nil {
+	cleaned := sweepOrphanScratch(s.eng.Config().Dir)
+	s.orphansCleaned.Add(int64(cleaned))
+	for _, id := range unsubmitted {
+		os.RemoveAll(s.ckptDir(id)) //nolint:errcheck // left behind, it is removed at the next boot
+	}
+	slices.SortStableFunc(jobs, func(a, b bootJob) int { return cmp.Compare(jobIDNum(a.id), jobIDNum(b.id)) })
+	for _, j := range jobs {
+		if err := s.readoptJob(j.id, j.req); err != nil {
 			// The job cannot be restarted (bad persisted options, input
-			// gone): record the failure durably so it is not retried on the
-			// next boot, and surface it through the registry.
-			entry := s.jobs.addWithID(rec.ID, jobInfo{Input: rec.Input, Output: rec.Output}, func() {})
+			// gone): it fails, and its directory goes with it, so the next
+			// boot does not retry it.
+			entry := s.jobs.add(j.id, jobInfo{Input: j.req.Input, Output: j.req.Output}, func() {})
+			os.RemoveAll(s.ckptDir(j.id)) //nolint:errcheck // left behind, the next boot fails it again
 			entry.finish(nil, err)
-			s.wal.Append(walRecord{ID: rec.ID, State: jobFailed, Error: err.Error()}) //nolint:errcheck // best effort
 		}
 	}
 	return nil
@@ -196,37 +176,24 @@ func (s *Server) recover() error {
 // readoptJob restarts one interrupted file job under its original id, as
 // the checkpointed Sort it was: the library continues from whatever the
 // job's checkpoint directory holds.
-func (s *Server) readoptJob(rec walRecord) error {
-	in, err := s.resolveDataPath(rec.Input)
+func (s *Server) readoptJob(id string, req jobRequest) error {
+	in, err := s.resolveDataPath(req.Input)
 	if err != nil {
-		return fmt.Errorf("readopt %s: input: %w", rec.ID, err)
+		return fmt.Errorf("readopt %s: input: %w", id, err)
 	}
-	out, err := s.resolveDataPath(rec.Output)
+	out, err := s.resolveDataPath(req.Output)
 	if err != nil {
-		return fmt.Errorf("readopt %s: output: %w", rec.ID, err)
+		return fmt.Errorf("readopt %s: output: %w", id, err)
 	}
 	if _, err := os.Stat(in); err != nil {
-		return fmt.Errorf("readopt %s: input: %w", rec.ID, err)
+		return fmt.Errorf("readopt %s: input: %w", id, err)
 	}
-	// Older builds accepted and persisted options this one no longer has:
-	// "run-formation", "fabric", "async", "chaos" (chaos=off, a no-op on a
-	// server, whose engine never injected chaos) and the chaos-* keys of
-	// seeded fault injection, which is test-only, and "retries" and
-	// "retry-base-us", the knobs of a retry policy that is now fixed. None
-	// ever changed a job's output bytes, so a job an older binary queued is
-	// re-adopted without them rather than failed as an unknown option.
-	for k := range rec.Options {
-		if k == "run-formation" || k == "fabric" || k == "async" || k == "chaos" ||
-			k == "retries" || k == "retry-base-us" || strings.HasPrefix(k, "chaos-") {
-			delete(rec.Options, k)
-		}
-	}
-	opts, err := optspell.Parse(valuesFromMap(rec.Options))
+	opts, err := optspell.Parse(valuesFromMap(req.Options))
 	if err != nil {
-		return fmt.Errorf("readopt %s: %w", rec.ID, err)
+		return fmt.Errorf("readopt %s: %w", id, err)
 	}
 	ctx, cancel := context.WithCancel(context.Background())
-	entry := s.jobs.addWithID(rec.ID, jobInfo{Input: rec.Input, Output: rec.Output}, cancel)
+	entry := s.jobs.add(id, jobInfo{Input: req.Input, Output: req.Output}, cancel)
 	s.resumedJobs.Add(1)
 	s.launchFileJob(ctx, cancel, entry, in, out, opts, func() {})
 	return nil

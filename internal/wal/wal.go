@@ -1,8 +1,9 @@
 // Package wal is the one write-ahead-log implementation behind every
 // durable state file in the repo: the hierarchical sort's run manifest
-// (manifest.wal) and the server's job-state log (jobs.wal). A log is a
-// JSON-lines file; an entry is durable when — and only when — its line,
-// terminating newline included, has been fsync'd.
+// (manifest.wal), appended entry by entry, and the server's job file
+// (ckpt/<id>/job.json), one entry written by Rewrite and read by Replay. A
+// log is a JSON-lines file; an entry is durable when — and only when — its
+// line, terminating newline included, has been fsync'd.
 //
 // The contract, stated once (DESIGN.md §13):
 //
@@ -17,8 +18,8 @@
 //     new entry can never be glued onto the fragment and lost with it.
 //   - A newline-terminated line the caller cannot decode is not torn, it is
 //     damage: Replay fails with ErrCorrupt naming the line.
-//   - Rewrite compacts by writing a sibling temp file, fsyncing it, and
-//     renaming it over the log.
+//   - Rewrite replaces a file whole by writing a sibling temp file,
+//     fsyncing it, and renaming it over the file.
 package wal
 
 import (
@@ -127,8 +128,8 @@ func Replay(path string, fn func(line []byte) error) error {
 	}
 }
 
-// Rewrite atomically replaces the log at path with exactly entries — the
-// compaction step. A crash leaves either the old log or the new one.
+// Rewrite atomically replaces the log at path with exactly entries. A crash
+// leaves either the old log (none, for a new file) or the new one.
 func Rewrite[T any](path string, entries []T) error {
 	if err := os.MkdirAll(filepath.Dir(path), 0o755); err != nil {
 		return fmt.Errorf("wal: %w", err)

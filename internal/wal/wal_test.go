@@ -7,6 +7,7 @@ import (
 	"errors"
 	"os"
 	"path/filepath"
+	"strings"
 	"testing"
 
 	"colsort"
@@ -108,25 +109,28 @@ func TestLogContract(t *testing.T) {
 	}
 }
 
-// FuzzReplay is the one fuzz target of both durable logs. It takes a real
-// manifest.wal or jobs.wal (testdata/, lines as the owners write them),
-// truncates it at an arbitrary offset — every crash a log can suffer — and/or
-// flips one byte, then requires:
+// FuzzReplay is the one fuzz target of both durable files read through
+// Replay. It takes a real manifest.wal or a server job file (testdata/, as
+// their owners write them), truncates it at an arbitrary offset — every
+// crash a file can suffer — and/or flips one byte, then requires:
 //
-//   - nothing panics, in Replay or in either owner's fold;
+//   - nothing panics, in Replay or in either owner's reader;
 //   - after a truncation alone, Replay yields exactly a prefix of the
-//     original entries, and Open + one Append replays as that prefix plus
-//     the new entry (the torn tail neither hides nor swallows it);
-//   - after a flip, Replay returns a clean result or ErrCorrupt, and so do
-//     the folds, driven through their owners' entry points: the manifest
-//     fold is the first step of a Sort under WithCheckpoint — called with
-//     the seed job's record count and options, so an intact begin entry is
-//     this job's — the jobs fold is server.New's recovery. A flip that
-//     leaves the JSON valid is the CRC sidecar's and reopenRuns' job to
-//     catch, not the log's.
+//     original entries, and for the manifest Open + one Append replays as
+//     that prefix plus the new entry (the torn tail neither hides nor
+//     swallows it);
+//   - after a flip, Replay returns a clean result or ErrCorrupt;
+//   - both owners, driven through their entry points, return a clean result
+//     or ErrCorrupt: the manifest fold is the first step of a Sort under
+//     WithCheckpoint — called with the seed job's record count and options,
+//     so an intact begin entry is this job's — and the job file, at
+//     ckpt/j000001/job.json, is read by server.New's boot scan, which must
+//     leave a file it refuses as it was. A flip that leaves the manifest's
+//     JSON valid is the CRC sidecar's and reopenRuns' job to catch, not the
+//     log's.
 func FuzzReplay(f *testing.F) {
 	seeds := map[bool][]byte{}
-	for isJobs, name := range map[bool]string{false: "manifest.wal", true: "jobs.wal"} {
+	for isJobs, name := range map[bool]string{false: "manifest.wal", true: "job.json"} {
 		data, err := os.ReadFile(filepath.Join("testdata", name))
 		if err != nil {
 			f.Fatal(err)
@@ -136,7 +140,7 @@ func FuzzReplay(f *testing.F) {
 		f.Add(isJobs, uint16(len(data)-9), uint16(0), uint8(0))  // torn mid-line
 		f.Add(isJobs, uint16(len(data)), uint16(40), uint8(0x1)) // one flipped bit
 		f.Add(isJobs, uint16(len(data)/2), uint16(7), uint8(0x80))
-		f.Add(isJobs, uint16(len(data)-16), uint16(len(data)-40), uint8(0x1)) // no done line, one digit changed
+		f.Add(isJobs, uint16(len(data)-16), uint16(len(data)-40), uint8(0x1)) // torn, one more byte changed
 	}
 	engCfg := colsort.EngineConfig{Config: colsort.Config{Procs: 4, MemPerProc: 64, RecordSize: 16}}
 	// The shape the manifest seed was written on: its 1024 records sort as
@@ -157,7 +161,7 @@ func FuzzReplay(f *testing.F) {
 		dir := t.TempDir()
 		path := filepath.Join(dir, "manifest.wal")
 		if isJobs {
-			path = filepath.Join(dir, ".colsort", "jobs.wal")
+			path = filepath.Join(dir, ".colsort", "ckpt", "j000001", "job.json")
 		}
 		if err := os.MkdirAll(filepath.Dir(path), 0o755); err != nil {
 			t.Fatal(err)
@@ -167,7 +171,8 @@ func FuzzReplay(f *testing.F) {
 		}
 
 		got, err := replayLines(path)
-		if !flipped {
+		switch {
+		case !flipped:
 			prefix := bytes.SplitAfter(data, []byte("\n"))
 			prefix = prefix[:len(prefix)-1] // the torn fragment (or "" after a final newline)
 			if err != nil || len(got) != len(prefix) {
@@ -178,6 +183,35 @@ func FuzzReplay(f *testing.F) {
 					t.Fatalf("entry %d = %s, want %s", i, got[i], prefix[i])
 				}
 			}
+		case err != nil && !errors.Is(err, wal.ErrCorrupt):
+			t.Fatalf("replay of a flipped log: untyped error %v", err)
+		}
+
+		if isJobs {
+			// The boot scan re-adopts the job or refuses its file (the
+			// seed's input does not exist, so re-adoption fails fast). The
+			// server owns its engine.
+			e, err := colsort.NewEngine(engCfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			s, err := server.New(e, server.Config{DataDir: dir})
+			if err != nil {
+				e.Close()
+				if !errors.Is(err, wal.ErrCorrupt) || !strings.Contains(err.Error(), path) {
+					t.Fatalf("boot over a damaged job file: err %v, want ErrCorrupt naming %s", err, path)
+				}
+				if left, rerr := os.ReadFile(path); rerr != nil || !bytes.Equal(left, data) {
+					t.Fatalf("boot refused the job file but did not leave it as it was (read err %v)", rerr)
+				}
+				return
+			}
+			if err := s.Drain(context.Background()); err != nil {
+				t.Fatal(err)
+			}
+			return
+		}
+		if !flipped {
 			l, err := wal.Open(path)
 			if err != nil {
 				t.Fatal(err)
@@ -189,31 +223,6 @@ func FuzzReplay(f *testing.F) {
 			again, err := replayLines(path)
 			if err != nil || len(again) != len(got)+1 || string(again[len(got)]) != `{"k":"new","v":1}` {
 				t.Fatalf("after Open+Append: err %v, %d entries (had %d): %s", err, len(again), len(got), again)
-			}
-			return
-		}
-		if err != nil && !errors.Is(err, wal.ErrCorrupt) {
-			t.Fatalf("replay of a flipped log: untyped error %v", err)
-		}
-
-		if isJobs {
-			// Recovery folds the log, compacts it and re-adopts what was
-			// pending (the seed's inputs do not exist, so re-adoption fails
-			// fast and durably). The server owns its engine.
-			e, err := colsort.NewEngine(engCfg)
-			if err != nil {
-				t.Fatal(err)
-			}
-			s, err := server.New(e, server.Config{DataDir: dir})
-			if err != nil {
-				e.Close()
-				if !errors.Is(err, wal.ErrCorrupt) {
-					t.Fatalf("server recovery over a flipped jobs.wal: untyped error %v", err)
-				}
-				return
-			}
-			if err := s.Drain(context.Background()); err != nil {
-				t.Fatal(err)
 			}
 			return
 		}

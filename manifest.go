@@ -137,9 +137,8 @@ func (h *hierJob) begin() manifestEntry {
 
 // params renders a begin entry's job parameters: everything that shapes the
 // job's runs, so two begin entries describe the same job exactly when their
-// params are equal. formation and alg_name are left out — they only name
-// things — so a manifest an older build began as "fixed-batch" still
-// continues.
+// params are equal. formation and alg_name are left out: they only name
+// things.
 func (e manifestEntry) params() string {
 	var ks KeySpec
 	if e.KeySpec != nil {
@@ -247,12 +246,7 @@ func readManifest(dir string) (*manifestState, error) {
 			if haveBegin {
 				return fmt.Errorf("duplicate begin entry")
 			}
-			// Builds up to PR 12 had a second mode, "fixed-batch", whose
-			// manifests must keep resuming. Its runs are ordinary ascending
-			// runs (each logged with a "consumed" position and a cumulative
-			// "want" that nothing reads any more), so such a manifest resumes
-			// under the same two rules as any other.
-			if e.Formation != formationName && e.Formation != "fixed-batch" {
+			if e.Formation != formationName {
 				return fmt.Errorf("unknown formation %q", e.Formation)
 			}
 			st.begin, haveBegin = e, true

@@ -19,7 +19,7 @@ import (
 // build must resume on this one, so these bytes are the format:
 // TestManifestFormatPin fails if a line stops decoding to the same state or
 // stops re-encoding to the same bytes. (What the other mode of those builds
-// wrote — "fixed-batch", "consumed"/"want" on every run — is decode-only;
+// wrote — "consumed"/"want" on every run — is decode-only;
 // fixedBatchManifest below holds it.)
 var manifestPinLines = []string{
 	`{"type":"begin","n":1536,"record_size":16,"run_records":256,"fan_in":2,"formation":"replacement-select","alg":1,"alg_name":"threaded","key_spec":{"Offset":4,"Width":8,"Order":1},"max_memory":1048576}`,
@@ -93,10 +93,12 @@ func TestManifestFormatPin(t *testing.T) {
 
 // fixedBatchManifest is what PR 12's build logged for a fixed-batch job
 // (P=2, MemPerProc=64, 16-byte records, Uniform{Seed: 51}, 4×256 records,
-// fan-in 2) up to the moment it was killed at its first merge event — the
-// mode this build no longer has, whose manifests it must still resume.
+// fan-in 2) up to the moment it was killed at its first merge event, with
+// its begin entry naming this build's formation: its runs are ordinary
+// ascending runs, so it is a checkpoint this build continues, and the
+// fixture the sidecar checks damage.
 var fixedBatchManifest = []string{
-	`{"type":"begin","n":1024,"record_size":16,"run_records":256,"fan_in":2,"formation":"fixed-batch","alg":1,"alg_name":"threaded"}`,
+	`{"type":"begin","n":1024,"record_size":16,"run_records":256,"fan_in":2,"formation":"replacement-select","alg":1,"alg_name":"threaded"}`,
 	`{"type":"run","run":{"id":1,"path":"/ckpt/ckpt-disk000-g00005.dat","records":256,"frame_bytes":1024,"crcs":[1160893933,557955388,3770670801,42478674]},"consumed":256,"want":{"Count":256,"Sum":150657351123244877,"Mix":10498265333998259962}}`,
 	`{"type":"run","run":{"id":2,"path":"/ckpt/ckpt-disk001-g00014.dat","records":256,"frame_bytes":1024,"crcs":[2779026189,2585021601,3993389118,2826461587]},"consumed":512,"want":{"Count":512,"Sum":9267754758240447532,"Mix":14220258636889188969}}`,
 	`{"type":"run","run":{"id":3,"path":"/ckpt/ckpt-disk002-g00023.dat","records":256,"frame_bytes":1024,"crcs":[1240922557,3824438625,1489289456,1946116916]},"consumed":768,"want":{"Count":768,"Sum":10046159279695104041,"Mix":14659790030842237799}}`,
@@ -148,40 +150,34 @@ func legacySorter(t *testing.T, scratch string) *Sorter {
 	return s
 }
 
-// TestResumeLegacyManifest continues what an older build's fixed-batch job
-// killed DURING FORMATION left behind (TestCheckpointResumeMidMerge/
-// fixed-batch holds the formation-complete case): the rule is the one every manifest
-// gets — the durable runs are swept, the manifest re-begun, formation
-// restarted, the output the reference sort's. A formation string no build
-// ever wrote is still refused.
+// TestResumeLegacyManifest: a checkpoint an older build began as
+// "fixed-batch" — that mode is gone, and so is its acceptance — is refused
+// with the unknown-formation sentence, and every file of it is left as it
+// was.
 func TestResumeLegacyManifest(t *testing.T) {
 	raw := genRaw(1024, 16, record.Uniform{Seed: 51})
-	t.Run("killed after two runs", func(t *testing.T) {
-		tmp := t.TempDir()
-		dir := filepath.Join(tmp, "ckpt")
-		runFiles := legacyCheckpoint(t, dir, fixedBatchManifest[:3], raw)
-		var out bytes.Buffer
-		res, err := legacySorter(t, filepath.Join(tmp, "scratch")).Sort(context.Background(), FromBytes(raw), ToWriter(&out),
-			WithMergeFanIn(2), WithCheckpoint(dir), WithProgress(checkFormationRestarted(t, dir, runFiles)))
-		if err != nil {
-			t.Fatalf("Sort over the checkpoint: %v", err)
-		}
-		defer res.Close()
-		if !bytes.Equal(out.Bytes(), refSortBytes(t, raw, 16, KeySpec{})) {
-			t.Error("restarted output is not byte-identical to the reference sort")
-		}
-		if res.Merge.ResumedRuns != 0 {
-			t.Errorf("ResumedRuns = %d after a formation-phase resume, want 0", res.Merge.ResumedRuns)
-		}
-	})
 	t.Run("unknown formation", func(t *testing.T) {
 		tmp := t.TempDir()
 		dir := filepath.Join(tmp, "ckpt")
-		legacyCheckpoint(t, dir, []string{strings.Replace(fixedBatchManifest[0], "fixed-batch", "heapsort", 1)}, raw)
-		_, err := legacySorter(t, filepath.Join(tmp, "scratch")).Sort(context.Background(), FromBytes(raw), Discard(),
+		lines := append([]string(nil), fixedBatchManifest...)
+		lines[0] = strings.Replace(lines[0], formationName, "fixed-batch", 1)
+		runFiles := legacyCheckpoint(t, dir, lines, raw)
+		before, err := os.ReadFile(filepath.Join(dir, manifestName))
+		if err != nil {
+			t.Fatal(err)
+		}
+		_, err = legacySorter(t, filepath.Join(tmp, "scratch")).Sort(context.Background(), FromBytes(raw), Discard(),
 			WithMergeFanIn(2), WithCheckpoint(dir))
-		if err == nil || !strings.Contains(err.Error(), `unknown formation "heapsort"`) {
+		if err == nil || !strings.Contains(err.Error(), `unknown formation "fixed-batch"`) {
 			t.Fatalf("Sort over the checkpoint: err = %v, want the unknown formation refused", err)
+		}
+		if after, err := os.ReadFile(filepath.Join(dir, manifestName)); err != nil || !bytes.Equal(after, before) {
+			t.Errorf("the refused manifest was touched (read err %v)", err)
+		}
+		for _, f := range runFiles {
+			if _, err := os.Stat(f); err != nil {
+				t.Errorf("the refused checkpoint lost a run file: %v", err)
+			}
 		}
 	})
 }

@@ -6,6 +6,10 @@
 # id with output byte-identical to an uninterrupted reference sort and no
 # partial output file left in -data.
 #
+# A file job is its directory, DATA/.colsort/ckpt/<id>/: its job.json must
+# survive each kill, the directory must be gone once the job is done, and
+# no jobs.wal may ever appear.
+#
 # The metrics surface proves HOW it finished:
 #   - merge-phase kill:   colsort_engine_runs_resumed_total equals
 #     colsort_merge_runs_formed_total — every run was adopted from the
@@ -111,6 +115,23 @@ no_partial() {
   [ -z "$left" ] || fail "$1: partial output left in -data: $left"
 }
 
+# job_dir_killed SCENARIO ID: the killed job's job file survived, and the
+# server keeps no other job log.
+job_dir_killed() {
+  [ -f "$DIR/data/.colsort/ckpt/$2/job.json" ] || fail "$1: no job file survived the kill"
+  no_jobs_wal "$1"
+}
+
+# job_dir_done SCENARIO ID: a finished job's directory is gone.
+job_dir_done() {
+  [ ! -e "$DIR/data/.colsort/ckpt/$2" ] || fail "$1: the finished job's directory is still there: $(ls -A "$DIR/data/.colsort/ckpt/$2")"
+  no_jobs_wal "$1"
+}
+
+no_jobs_wal() {
+  [ ! -e "$DIR/data/.colsort/jobs.wal" ] || fail "$1: the server created a jobs.wal"
+}
+
 # metric NAME FILE -> value (fails if the metric is absent).
 metric() {
   v=$(awk -v n="$1" '$1 == n {print $2}' "$2")
@@ -141,15 +162,17 @@ wait_manifest "$id1" '"type":"ingest_done"' 1 "the merge phase (ingest_done)"
 sigkill_server
 [ -f "$DIR/data/.colsort/ckpt/$id1/manifest.wal" ] \
   || fail "scenario 1: no manifest survived the kill"
+job_dir_killed "scenario 1" "$id1"
 
 start_server
 wait_job "$id1" '"state": "done"' "completion after the mid-merge restart"
 cmp "$DIR/data/out-merge.dat" "$DIR/ref.dat" \
   || fail "scenario 1: resumed output differs from the reference"
 no_partial "scenario 1"
+job_dir_done "scenario 1" "$id1"
 curl -sf "$URL/metrics" >"$DIR/metrics1.txt" || fail "scenario 1: metrics scrape"
 grep -q '^colsort_server_jobs_readopted_total 1$' "$DIR/metrics1.txt" \
-  || fail "scenario 1: job was not re-adopted from the WAL"
+  || fail "scenario 1: job was not re-adopted from its directory"
 resumed=$(metric colsort_engine_runs_resumed_total "$DIR/metrics1.txt")
 formed1=$(metric colsort_merge_runs_formed_total "$DIR/metrics1.txt")
 [ "$resumed" -ge 2 ] || fail "scenario 1: only $resumed runs resumed"
@@ -169,6 +192,7 @@ sigkill_server
 if grep -q '"type":"ingest_done"' "$manifest2"; then
   fail "scenario 2: formation had already completed at the kill"
 fi
+job_dir_killed "scenario 2" "$id2"
 # Hold the crashed manifest open across the restart: its inode cannot be
 # reused while fd 9 lives, so a manifest at the same path under another
 # inode is one the restarted job began afresh (a resume that adopted runs
@@ -195,9 +219,10 @@ wait_job "$id2" '"state": "done"' "completion after the mid-formation restart"
 cmp "$DIR/data/out-form.dat" "$DIR/ref.dat" \
   || fail "scenario 2: restarted output differs from the reference"
 no_partial "scenario 2"
+job_dir_done "scenario 2" "$id2"
 curl -sf "$URL/metrics" >"$DIR/metrics2.txt" || fail "scenario 2: metrics scrape"
 grep -q '^colsort_server_jobs_readopted_total 1$' "$DIR/metrics2.txt" \
-  || fail "scenario 2: job was not re-adopted from the WAL"
+  || fail "scenario 2: job was not re-adopted from its directory"
 resumed=$(metric colsort_engine_runs_resumed_total "$DIR/metrics2.txt")
 formed=$(metric colsort_merge_runs_formed_total "$DIR/metrics2.txt")
 [ "$resumed" -eq 0 ] || fail "scenario 2: $resumed runs adopted from a formation-phase manifest"
@@ -211,5 +236,6 @@ drain_ok=0
 if wait "$SERVER_PID"; then drain_ok=1; fi
 SERVER_PID=""
 [ "$drain_ok" -eq 1 ] || fail "final SIGTERM drain exited nonzero"
+no_jobs_wal "final drain"
 
 echo "crash resume e2e passed ($RECORDS records; mid-merge and mid-formation kills both finished byte-identical)"

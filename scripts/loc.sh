@@ -74,12 +74,17 @@
 # retry knobs, -34: RetryPolicy's MaxAttempts and BaseDelay, newJob's copy
 # of them, check's two rules, optspell's retries/retry-base-us keys and
 # pdm.RetryConfig's three policy fields and withDefaults are gone, for the
-# policy as pdm constants held in RetryDisk's unexported fields: 10008).
+# policy as pdm constants held in RetryDisk's unexported fields: 10008; a
+# file job is its directory, -24: the server's jobs.wal — walRecord, its
+# fold, the boot compaction, Server.wal and its five unchecked appends — and
+# readoptJob's list of keys older builds persisted are gone, as is the
+# manifest's fixed-batch acceptance, for the job file written before the
+# 202, the boot scan over job directories and the jobs.wal refusal: 9984).
 # It also
 # prints the same count per package, largest first — the numbers ROADMAP's
 # largest-packages line quotes.
 set -euo pipefail
-max_go_lines=10008
+max_go_lines=9984
 cd "$(dirname "$0")/.."
 per_pkg=$(find . -name '*.go' ! -name '*_test.go' \
   ! -path './bench/*' ! -path './examples/*' ! -path './.bench_build/*' -print0 |
