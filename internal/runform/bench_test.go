@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"colsort/internal/record"
+	"colsort/internal/sortalg"
 )
 
 // BenchmarkFormer times the Former alone, fed from memory and drained into
@@ -58,6 +59,28 @@ func BenchmarkFormer(b *testing.B) {
 					b.ReportMetric(float64(n)/float64(runs)/capacity, "run_len_over_cap")
 				})
 			}
+		}
+	}
+}
+
+// BenchmarkSortChunk times the ingest stage's work on one chunk — the key-step
+// tally and the radix sort — at the hier-* workloads' chunk length
+// (ChunkLen(2¹⁷) = 16384 records), on random keys and on nearly-sorted ones.
+func BenchmarkSortChunk(b *testing.B) {
+	n := ChunkLen(1 << 17)
+	for _, z := range []int{16, 64} {
+		for _, in := range oracleInputs {
+			if in.name != "uniform" && in.name != "nearly-sorted" {
+				continue
+			}
+			src, dst := makeInput(in.gen, n, z), record.Make(n, z)
+			b.Run(fmt.Sprintf("z=%d/%s", z, in.name), func(b *testing.B) {
+				var sc sortalg.Scratch
+				b.SetBytes(int64(n) * int64(z))
+				for i := 0; i < b.N; i++ {
+					SortChunk(&sc, dst, src)
+				}
+			})
 		}
 	}
 }

@@ -45,6 +45,7 @@ package runform
 
 import (
 	"bytes"
+	"math/bits"
 	"slices"
 	"sort"
 
@@ -147,22 +148,23 @@ func ChunkLen(capacity int) int {
 func SortChunk(sc *sortalg.Scratch, dst, src record.Slice) Chunk {
 	c := Chunk{Recs: dst}
 	if n := src.Len(); n > 0 {
-		c.First, c.Last = src.Key(0), src.Key(n-1)
-		for i := 1; i < n; i++ {
-			step(&c.Ups, &c.Downs, src.Key(i-1), src.Key(i))
+		c.First, c.Last = src.Key(0), src.Key(0)
+		for i := 1; i < n; i++ { // each key loaded once, carried in c.Last
+			k := src.Key(i)
+			up, down := step(c.Last, k)
+			c.Ups, c.Downs, c.Last = c.Ups+up, c.Downs+down, k
 		}
 		sc.SortInto(dst, src)
 	}
 	return c
 }
 
-// step counts the key step from a to b as an up- or a down-step.
-func step(ups, downs *int64, a, b uint64) {
-	if b > a {
-		*ups++
-	} else if b < a {
-		*downs++
-	}
+// step is the key step from a to b: (1, 0) up, (0, 1) down, (0, 0) flat. It
+// takes no branch, since on random keys the direction is a coin flip.
+func step(a, b uint64) (up, down int64) {
+	_, u := bits.Sub64(a, b, 0)
+	_, d := bits.Sub64(b, a, 0)
+	return int64(u), int64(d)
 }
 
 // New builds a Former over a record stream, one record at a time. capacity is
@@ -404,7 +406,8 @@ func (f *Former) admit(last []byte) error {
 	}
 	got := c.Recs.Len()
 	if f.haveSeen { // the step from the previous chunk, if the tally has seen it
-		step(&f.ups, &f.downs, f.prevKey, c.First)
+		up, down := step(f.prevKey, c.First)
+		f.ups, f.downs = f.ups+up, f.downs+down
 	}
 	f.ups, f.downs, f.prevKey, f.haveSeen = f.ups+c.Ups, f.downs+c.Downs, c.Last, true
 

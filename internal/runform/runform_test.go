@@ -574,6 +574,37 @@ func TestDirectionAcrossChunkBoundary(t *testing.T) {
 	}
 }
 
+// TestSortChunkTally holds SortChunk's tally — first and last key, up- and
+// down-steps in arrival order — to the definition, on every input shape and
+// at the lengths where a chunk has no step or one.
+func TestSortChunkTally(t *testing.T) {
+	var sc sortalg.Scratch
+	for _, in := range oracleInputs {
+		for _, n := range []int{0, 1, 2, 1000} {
+			src := makeInput(in.gen, n, 16)
+			var want Chunk
+			if n > 0 {
+				want.First, want.Last = src.Key(0), src.Key(n-1)
+			}
+			for i := 1; i < n; i++ {
+				if a, b := src.Key(i-1), src.Key(i); b > a {
+					want.Ups++
+				} else if b < a {
+					want.Downs++
+				}
+			}
+			got := SortChunk(&sc, record.Make(n, 16), src)
+			if got.First != want.First || got.Last != want.Last || got.Ups != want.Ups || got.Downs != want.Downs {
+				t.Fatalf("%s n=%d: tally %d/%d ups/downs, keys %x..%x; want %d/%d, %x..%x", in.name, n,
+					got.Ups, got.Downs, got.First, got.Last, want.Ups, want.Downs, want.First, want.Last)
+			}
+			if !got.Recs.IsSorted() {
+				t.Fatalf("%s n=%d: chunk not sorted", in.name, n)
+			}
+		}
+	}
+}
+
 // inCase prefixes a table case's failures with its parameters.
 type inCase struct {
 	testing.TB

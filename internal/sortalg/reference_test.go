@@ -70,20 +70,39 @@ func TestAgainstStdlibReference(t *testing.T) {
 	}
 }
 
-// FuzzSortInto lets `go test -fuzz` explore raw key streams; under plain
-// `go test` only the seed corpus runs.
+// FuzzSortInto holds the kernel and introsort to the stdlib reference on n
+// records of 16 bytes (n up to 8192, past the two-digit level's threshold):
+// the first ones read from raw, the rest drawn from seed with payloads of
+// few values. Every key keeps only its low `free` bits under one shared
+// random prefix, and takes an earlier record's key with probability dup/256.
+// Under plain `go test` only the seed corpus runs.
 func FuzzSortInto(f *testing.F) {
-	f.Add([]byte{1, 2, 3, 4, 5, 6, 7, 8, 8, 7, 6, 5, 4, 3, 2, 1})
-	f.Add(make([]byte, 64))
+	f.Add(uint16(2), uint8(64), uint8(0), int64(0), []byte{1, 2, 3, 4, 5, 6, 7, 8, 8, 7, 6, 5, 4, 3, 2, 1})
+	f.Add(uint16(4), uint8(64), uint8(0), int64(0), make([]byte, 64))
+	f.Add(uint16(8192), uint8(64), uint8(0), int64(1), []byte{})
+	f.Add(uint16(8192), uint8(22), uint8(64), int64(2), []byte{})
+	f.Add(uint16(700), uint8(40), uint8(200), int64(3), []byte{})
 	for _, src := range kernelCases() {
-		f.Add(src.Data)
+		f.Add(uint16(src.Len()), uint8(64), uint8(0), int64(0), src.Data)
 	}
-	f.Fuzz(func(t *testing.T, raw []byte) {
-		n := len(raw) / 16
-		if n == 0 {
-			return
+	f.Fuzz(func(t *testing.T, n16 uint16, free, dup uint8, seed int64, raw []byte) {
+		n := int(n16) % 8193
+		rng := rand.New(rand.NewSource(seed))
+		mask := ^uint64(0) >> (64 - min(uint(free), 64))
+		prefix := rng.Uint64() &^ mask
+		src := record.Make(n, 16)
+		copy(src.Data, raw)
+		for i := 0; i < n; i++ {
+			if (i+1)*16 > len(raw) {
+				src.SetKey(i, rng.Uint64())
+				binary.BigEndian.PutUint64(src.Record(i)[8:], uint64(rng.Intn(3)))
+			}
+			k := src.Key(i)
+			if i > 0 && rng.Intn(256) < int(dup) {
+				k = src.Key(rng.Intn(i))
+			}
+			src.SetKey(i, prefix|k&mask)
 		}
-		src := record.NewSlice(append([]byte(nil), raw[:n*16]...), 16)
 		want := referenceSort(src)
 		for _, alg := range []Algorithm{Intro, Radix} {
 			dst := record.Make(n, 16)

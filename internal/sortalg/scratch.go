@@ -8,6 +8,8 @@
 package sortalg
 
 import (
+	"math/bits"
+
 	"colsort/internal/record"
 	"colsort/internal/tournament"
 )
@@ -21,7 +23,7 @@ import (
 type Scratch struct {
 	kvs   []kv              // (key, index) pairs of the buffer being sorted
 	tmp   []kv              // radix ping-pong buffer
-	count []int             // radix digit histogram
+	count []int             // radix digit histograms
 	node  []tournament.Node // loser tree: the tournament (key + run id)
 	cur   []runCursor       // loser tree: per-run cursors
 	runs  []record.Slice    // views of one buffer's runs (Chunks, MergeRunsInto)
@@ -56,10 +58,11 @@ func pairs(buf *[]kv, n int) []kv {
 	return (*buf)[:n]
 }
 
-// countBuf returns radixKV's histogram for n pairs: its digit has under n/4
-// values, so a small sort does not pay for a large one's 32 KiB.
+// countBuf returns radixKV's histogram for n pairs: its digits never have
+// more than n values between them, so a small sort does not pay for a large
+// one's 64 KiB.
 func (sc *Scratch) countBuf(n int) []int {
-	if w := min(n, 1<<radixMaxBits); cap(sc.count) < w {
+	if w := min(n, 2<<radixMaxBits); cap(sc.count) < w {
 		sc.count = make([]int, w)
 	}
 	return sc.count[:cap(sc.count)]
@@ -110,21 +113,23 @@ func (sc *Scratch) sortSlices(lanes []record.Slice, deal bool, src record.Slice,
 	checkLanes(lanes, deal, n, src.Size)
 	kvs := pairs(&sc.kvs, n)
 	// and/or fold to the bits on which the keys do not all agree — what the
-	// radix kernel picks its digit from — at no extra pass over src.
-	and, or := ^uint64(0), uint64(0)
+	// radix kernel picks its digits from — and count the keys that fall below
+	// the one before, which tell it whether they come nearly in order, at no
+	// extra pass over src.
+	and, or, prev, falls := ^uint64(0), uint64(0), uint64(0), uint64(0)
 	for i := range kvs {
 		k := src.Key(i)
 		kvs[i] = kv{key: k, idx: int32(i)}
 		and &= k
 		or |= k
+		_, f := bits.Sub64(k, prev, 0)
+		falls, prev = falls+f, k
 	}
 	switch alg {
 	case Intro:
 		introsort(kvs, src, maxDepth(n))
 	case Radix:
-		kvs = radixKV(kvs, pairs(&sc.tmp, n), and^or, src, sc.countBuf(n))
-	case Insertion:
-		insertionKV(kvs, src, 0, n)
+		kvs = radixKV(kvs, pairs(&sc.tmp, n), and^or, falls < uint64(n/16), src, sc.countBuf(n))
 	default:
 		panic(badAlg(alg))
 	}

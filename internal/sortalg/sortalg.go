@@ -36,13 +36,10 @@ const (
 	// recursion depth degenerates. The radix kernel's base case, and the
 	// comparison sort the tests hold it against.
 	Intro Algorithm = iota
-	// Radix is adaptive MSD radix sort on the key bits the records do not
-	// share (radixKV), finished by comparison inside the buckets so the
-	// result respects the full total order. What SortInto runs.
+	// Radix is adaptive radix sort on the key bits the records do not share
+	// (radixKV), finished by comparison inside the groups its digits leave
+	// equal so the result respects the full total order. What SortInto runs.
 	Radix
-	// Insertion is plain binary insertion sort; only sensible for tiny
-	// inputs and as the introsort base case.
-	Insertion
 )
 
 func (a Algorithm) String() string {
@@ -51,8 +48,6 @@ func (a Algorithm) String() string {
 		return "intro"
 	case Radix:
 		return "radix"
-	case Insertion:
-		return "insertion"
 	}
 	return fmt.Sprintf("Algorithm(%d)", int(a))
 }
@@ -198,66 +193,112 @@ func siftDown(kvs []kv, root, end int, src record.Slice) {
 	}
 }
 
-// Limits of radixKV, set by BenchmarkLocalSort's matrix: a pass distributes on
-// at most radixMaxBits bits (a 32 KiB histogram: one bit less leaves a
-// 16384-record column buckets of eight, one more doubles the histogram for no
-// measured gain at 65536), and up to radixSmall pairs insertion beats another
-// pass — at twice that a reversed bucket loses to introsort.
+// Limits of radixKV, set by BenchmarkLocalSort's matrix. A digit has at most
+// radixMaxBits bits: the one-digit level reaches that at 16384 pairs (a
+// 4096-counter histogram), the two-digit level at 2^18 (two of them, 64 KiB).
+// Up to radixSmall pairs insertion beats another level — at twice that a
+// reversed group loses to introsort.
 const (
 	radixMaxBits = 12
 	radixSmall   = 16
 )
 
 // radixKV sorts a in the total order and returns the buffer that holds the
-// result: a, or its ping-pong partner b (len(b) == len(a)). It is MSD radix
-// sort whose digit comes from the data. diff has a bit set wherever two keys
-// of a differ, so the bits above its highest one are a prefix every key
-// shares and carry no order: one counting pass and one scatter distribute on
-// the b ≈ lg n − 2 bits just below it (buckets of about four pairs), and the
-// order inside a bucket is finished by insertion when it is small, by this
-// function on the bucket's own remaining bits when it is large, and by
-// introsort once the key bits are spent — payload ties, which no digit can
-// see. Every level consumes at least one key bit before it recurses and the
-// last resort is introsort, so the worst case stays O(n lg n). count is the
-// caller's histogram, min(n, 1<<radixMaxBits) wide or more; no level needs it
-// once its scatter is done, so the recursion shares it.
-func radixKV(a, b []kv, diff uint64, src record.Slice, count []int) []kv {
+// result: a, or its ping-pong partner b (len(b) == len(a)). It is radix sort
+// whose digits come from the data. diff has a bit set wherever two keys of a
+// differ, so the bits above its highest one are a prefix every key shares and
+// carry no order. A level sorts on the key bits just below that prefix:
+//
+//   - two stable LSD digits of d = min(⌊(lg n + 6)/2⌋, radixMaxBits) bits
+//     each, when the keys differ in at least 2d bits and n pairs fill the two
+//     histograms: one counting read, two scatters (a → b → a), and only
+//     pairs equal in all 2d bits — about one in 64 on uniform keys — are
+//     left out of order;
+//   - else, or when the caller found the keys nearly in order (ordered: the
+//     LSD digits' scatters would not stream where one MSD digit's does), one
+//     MSD digit of min(lg n − 2, radixMaxBits) bits, one counting read and
+//     one scatter into b: buckets of about four pairs.
+//
+// A group of pairs the level left equal on its bits is then finished by
+// insertion when it is small, by this function on the group's own remaining
+// bits when it is large, and by introsort once the key bits are spent —
+// payload ties, which no digit can see. Every level consumes at least one key
+// bit before it recurses and the last resort is introsort, so the worst case
+// stays O(n lg n). count is the caller's histogram, min(n, 2<<radixMaxBits)
+// wide or more; no level needs it once its scatters are done, so the
+// recursion shares it.
+func radixKV(a, b []kv, diff uint64, ordered bool, src record.Slice, count []int) []kv {
 	n := len(a)
 	top := bits.Len64(diff)
 	if n <= radixSmall || top == 0 {
 		introsort(a, src, maxDepth(n))
 		return a
 	}
-	nb := min(bits.Len(uint(n))-3, radixMaxBits, top)
-	shift := uint(top - nb)
-	mask := uint64(1)<<nb - 1
-	count = count[:mask+1]
-	clear(count)
-	for _, e := range a {
-		count[e.key>>shift&mask]++
+	if d := lsdBits(n); !ordered && 2*d <= top && 2<<d <= n {
+		shift, mask := uint(top-2*d), uint64(1)<<d-1
+		lo, hi := count[:1<<d], count[1<<d:2<<d]
+		clear(count[:2<<d])
+		for _, e := range a {
+			k := e.key >> shift
+			lo[k&mask]++
+			hi[k>>d&mask]++
+		}
+		offsets(lo)
+		offsets(hi)
+		scatter(b, a, lo, shift, mask)
+		scatter(a, b, hi, shift+uint(d), mask)
+		finish(a, b, shift, src, count)
+		return a
 	}
+	nb := min(bits.Len(uint(n))-3, radixMaxBits, top)
+	shift, mask := uint(top-nb), uint64(1)<<nb-1
+	h := count[:mask+1]
+	clear(h)
+	for _, e := range a {
+		h[e.key>>shift&mask]++
+	}
+	offsets(h)
+	scatter(b, a, h, shift, mask)
+	finish(b, a, shift, src, count)
+	return b
+}
+
+// lsdBits is the width d of each digit of the two-digit level over n pairs.
+func lsdBits(n int) int { return min((bits.Len(uint(n))+5)/2, radixMaxBits) }
+
+// offsets turns a digit histogram into each digit's first position.
+func offsets(count []int) {
 	sum := 0
 	for d, c := range count {
 		count[d] = sum
 		sum += c
 	}
-	for _, e := range a {
+}
+
+// scatter copies the pairs of src into dst by their digit key>>shift&mask,
+// from the positions at: stably, so pairs of one digit keep their order.
+func scatter(dst, src []kv, at []int, shift uint, mask uint64) {
+	for _, e := range src {
 		d := e.key >> shift & mask
-		b[count[d]] = e
-		count[d]++
+		dst[at[d]] = e
+		at[d]++
 	}
-	// Buckets are found by their digit, not read back from count: the
-	// recursion below has reused it by then.
-	for lo, hi := 0, 0; lo < n; lo = hi {
-		d, bdiff := b[lo].key>>shift, uint64(0)
-		for hi = lo + 1; hi < n && b[hi].key>>shift == d; hi++ {
-			bdiff |= b[hi].key ^ b[lo].key
+}
+
+// finish orders each group of x whose keys agree above shift — what a level's
+// digits could not see — leaving the result in x, with y (as long) as the
+// groups' ping-pong buffer. Groups are found by their keys, not read back from
+// count: the recursion reuses it.
+func finish(x, y []kv, shift uint, src record.Slice, count []int) {
+	for lo, hi := 0, 0; lo < len(x); lo = hi {
+		d, bdiff := x[lo].key>>shift, uint64(0)
+		for hi = lo + 1; hi < len(x) && x[hi].key>>shift == d; hi++ {
+			bdiff |= x[hi].key ^ x[lo].key
 		}
 		if hi-lo <= radixSmall {
-			insertionKV(b, src, lo, hi)
-		} else if r := radixKV(b[lo:hi], a[lo:hi], bdiff, src, count); &r[0] != &b[lo] {
-			copy(b[lo:hi], r)
+			insertionKV(x, src, lo, hi)
+		} else if r := radixKV(x[lo:hi], y[lo:hi], bdiff, false, src, count); &r[0] != &x[lo] {
+			copy(x[lo:hi], r)
 		}
 	}
-	return b
 }

@@ -23,7 +23,7 @@ func checksum(s record.Slice) record.Checksum {
 }
 
 func TestSortIntoAllAlgorithms(t *testing.T) {
-	algs := []Algorithm{Intro, Radix, Insertion}
+	algs := []Algorithm{Intro, Radix}
 	sizes := []int{0, 1, 2, 3, 15, 64, 257, 1000}
 	gens := []record.Generator{
 		record.Uniform{Seed: 1},
@@ -58,14 +58,10 @@ func TestAlgorithmsAgreeExactly(t *testing.T) {
 	record.Fill(src, record.Dup{Seed: 7, K: 5}, 0)
 	ref := record.Make(512, 32)
 	SortIntoAlg(ref, src, Intro)
-	for _, alg := range []Algorithm{Radix, Insertion} {
-		dst := record.Make(512, 32)
-		SortIntoAlg(dst, src, alg)
-		for i := 0; i < 512*32; i++ {
-			if dst.Data[i] != ref.Data[i] {
-				t.Fatalf("%v output differs from intro at byte %d", alg, i)
-			}
-		}
+	dst := record.Make(512, 32)
+	SortIntoAlg(dst, src, Radix)
+	if !bytes.Equal(dst.Data, ref.Data) {
+		t.Fatal("radix output differs from intro")
 	}
 	if !bytes.Equal(heapSortInto(src).Data, ref.Data) {
 		t.Fatal("heapsort output differs from intro")
@@ -153,6 +149,52 @@ func kernelCases() map[string]record.Slice {
 		// 48 shared prefix bits: the digit starts at bit 15, not bit 63.
 		"common-prefix": build(1000, func(int) uint64 { return 0xfeedfacecafe0000 | uint64(rng.Intn(65536)) }),
 		"organ-pipe":    build(4096, organ),
+		// The two-digit level (d = 9 at n = 4096, on bits 46..63): every
+		// eighth key shares its top 32 bits, a group of 512 equal on all 2d
+		// bits that must recurse — on two digits of its own.
+		"equal-digit-group": build(4096, func(i int) uint64 {
+			if i%8 == 0 {
+				return 0x12345678<<32 | uint64(rng.Uint32())
+			}
+			return rng.Uint64()
+		}),
+		// Keys of exactly 2d = 18 bits whose high digit is 0 or 511: each
+		// high bucket holds ~2048 keys that differ only in the low digit, so
+		// a second scatter that is not stable leaves them out of order.
+		"high-equal-low-differs": build(4096, func(i int) uint64 {
+			return uint64(i%2)*511<<9 | uint64(rng.Intn(512))
+		}),
+		// Keys of 14 bits: fewer than 2d = 18, so the level falls back to
+		// one digit of lg n − 2 = 10 bits over buckets of four.
+		"narrow-keys": build(4096, func(int) uint64 { return uint64(rng.Intn(1 << 14)) }),
+		// Wide keys that come in ascending order: the one-digit level, whose
+		// scatter streams, though the keys differ in 2d bits.
+		"ascending-wide": build(4096, func(i int) uint64 { return uint64(i)<<20 | uint64(rng.Intn(1<<20)) }),
+		// n at the histograms' edge: at 128 pairs the two 2^6-counter
+		// histograms take exactly n counters; at 127 they do not fit.
+		"histogram-fits": build(128, func(int) uint64 { return rng.Uint64() }),
+		"histogram-over": build(127, func(int) uint64 { return rng.Uint64() }),
+	}
+}
+
+// TestKernelCasesSteer holds the two-digit cases of kernelCases to the digit
+// rule they were built for, so a new rule cannot quietly leave them on
+// another path.
+func TestKernelCasesSteer(t *testing.T) {
+	d := lsdBits(4096)
+	for _, c := range []struct {
+		name string
+		ok   bool
+	}{
+		{"equal-digit-group", 2*d <= 32 && 2<<d <= 4096},
+		{"high-equal-low-differs", 2*d == 18},
+		{"narrow-keys", 14 < 2*d},
+		{"histogram-fits", 2<<lsdBits(128) == 128},
+		{"histogram-over", 2<<lsdBits(127) > 127},
+	} {
+		if !c.ok {
+			t.Errorf("%s no longer steers the level it was built for (d = %d at n = 4096)", c.name, d)
+		}
 	}
 }
 
@@ -503,7 +545,7 @@ func TestDetectRunsThenMergeEqualsSort(t *testing.T) {
 }
 
 func TestAlgorithmString(t *testing.T) {
-	if Intro.String() != "intro" || Radix.String() != "radix" || Insertion.String() != "insertion" {
+	if Intro.String() != "intro" || Radix.String() != "radix" {
 		t.Fatal("Algorithm.String wrong")
 	}
 	if Algorithm(99).String() != "Algorithm(99)" {

@@ -79,12 +79,17 @@
 # fold, the boot compaction, Server.wal and its five unchecked appends — and
 # readoptJob's list of keys older builds persisted are gone, as is the
 # manifest's fixed-batch acceptance, for the job file written before the
-# 202, the boot scan over job directories and the jobs.wal refusal: 9984).
+# 202, the boot scan over job directories and the jobs.wal refusal: 9984;
+# the sort kernel's two-digit level, +25: radixKV's two stable LSD
+# scatters and their digit rule, the scatter/offsets/finish helpers both
+# levels share, the key-extraction loop's count of falling keys, less the
+# test-only Insertion algorithm (+23 in internal/sortalg), and the chunk's
+# branchless key-step tally (+2 in internal/runform): 10009).
 # It also
 # prints the same count per package, largest first — the numbers ROADMAP's
 # largest-packages line quotes.
 set -euo pipefail
-max_go_lines=9984
+max_go_lines=10009
 cd "$(dirname "$0")/.."
 per_pkg=$(find . -name '*.go' ! -name '*_test.go' \
   ! -path './bench/*' ! -path './examples/*' ! -path './.bench_build/*' -print0 |
