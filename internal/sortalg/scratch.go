@@ -112,28 +112,33 @@ func (sc *Scratch) sortSlices(lanes []record.Slice, deal bool, src record.Slice,
 	n := src.Len()
 	checkLanes(lanes, deal, n, src.Size)
 	kvs := pairs(&sc.kvs, n)
-	// and/or fold to the bits on which the keys do not all agree — what the
-	// radix kernel picks its digits from — and count the keys that fall below
-	// the one before, which tell it whether they come nearly in order, at no
-	// extra pass over src.
-	and, or, prev, falls := ^uint64(0), uint64(0), uint64(0), uint64(0)
+	diff, falls := extract(kvs, src)
+	switch alg {
+	case Intro:
+		introsort(kvs, src, maxDepth(n))
+	case Radix:
+		kvs = radixKV(kvs, pairs(&sc.tmp, n), diff, nearlyOrdered(falls, n), src, sc.countBuf(n))
+	default:
+		panic(badAlg(alg))
+	}
+	gather(lanes, deal, src, kvs)
+}
+
+// extract fills kvs with the (key, index) pairs of src and returns what the
+// radix kernel picks its level from, at no extra pass over src: the bits on
+// which the keys do not all agree (an and/or fold) and how many keys fall
+// below the one before.
+func extract(kvs []kv, src record.Slice) (diff uint64, falls int) {
+	and, or, prev, f := ^uint64(0), uint64(0), uint64(0), uint64(0)
 	for i := range kvs {
 		k := src.Key(i)
 		kvs[i] = kv{key: k, idx: int32(i)}
 		and &= k
 		or |= k
-		_, f := bits.Sub64(k, prev, 0)
-		falls, prev = falls+f, k
+		_, b := bits.Sub64(k, prev, 0)
+		f, prev = f+b, k
 	}
-	switch alg {
-	case Intro:
-		introsort(kvs, src, maxDepth(n))
-	case Radix:
-		kvs = radixKV(kvs, pairs(&sc.tmp, n), and^or, falls < uint64(n/16), src, sc.countBuf(n))
-	default:
-		panic(badAlg(alg))
-	}
-	gather(lanes, deal, src, kvs)
+	return and ^ or, int(f)
 }
 
 // gather writes the records of src, in the order kvs lists them, into lanes:

@@ -214,10 +214,9 @@ const (
 //     histograms: one counting read, two scatters (a → b → a), and only
 //     pairs equal in all 2d bits — about one in 64 on uniform keys — are
 //     left out of order;
-//   - else, or when the caller found the keys nearly in order (ordered: the
-//     LSD digits' scatters would not stream where one MSD digit's does), one
-//     MSD digit of min(lg n − 2, radixMaxBits) bits, one counting read and
-//     one scatter into b: buckets of about four pairs.
+//   - else, or when the caller found the keys nearly in order (ordered, see
+//     nearlyOrdered), one MSD digit of min(lg n − 2, radixMaxBits) bits, one
+//     counting read and one scatter into b: buckets of about four pairs.
 //
 // A group of pairs the level left equal on its bits is then finished by
 // insertion when it is small, by this function on the group's own remaining
@@ -234,7 +233,7 @@ func radixKV(a, b []kv, diff uint64, ordered bool, src record.Slice, count []int
 		introsort(a, src, maxDepth(n))
 		return a
 	}
-	if d := lsdBits(n); !ordered && 2*d <= top && 2<<d <= n {
+	if d := lsdBits(n, top, ordered); d > 0 {
 		shift, mask := uint(top-2*d), uint64(1)<<d-1
 		lo, hi := count[:1<<d], count[1<<d:2<<d]
 		clear(count[:2<<d])
@@ -263,8 +262,25 @@ func radixKV(a, b []kv, diff uint64, ordered bool, src record.Slice, count []int
 	return b
 }
 
-// lsdBits is the width d of each digit of the two-digit level over n pairs.
-func lsdBits(n int) int { return min((bits.Len(uint(n))+5)/2, radixMaxBits) }
+// nearlyOrdered reports whether n keys, falls of which are below their
+// predecessor, come nearly in order — radixKV's first level then takes one
+// MSD digit, whose scatter streams over them. The cutoff is where
+// BenchmarkRadixLevels' ascending dense keys (record.NearlySorted's shape)
+// with outliers cross over: one digit ahead up to n/32 falls from 4096 to
+// 65536 pairs, two digits ahead from n/8 at 16384 pairs and up (DESIGN §2
+// "Why two digits").
+func nearlyOrdered(falls, n int) bool { return falls < n/16 }
+
+// lsdBits is the width d of each digit of radixKV's two-digit level over n
+// pairs whose keys differ in their low top bits, or 0 when the level takes
+// one digit: the keys are nearly ordered, differ in fewer than 2d bits, or
+// do not fill the two 2^d-counter histograms.
+func lsdBits(n, top int, ordered bool) int {
+	if d := min((bits.Len(uint(n))+5)/2, radixMaxBits); !ordered && 2*d <= top && 2<<d <= n {
+		return d
+	}
+	return 0
+}
 
 // offsets turns a digit histogram into each digit's first position.
 func offsets(count []int) {

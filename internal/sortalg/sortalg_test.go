@@ -134,6 +134,16 @@ func kernelCases() map[string]record.Slice {
 		}
 		return uint64(4096 - i)
 	}
+	ascending := func(swaps int) record.Slice {
+		keys := make([]uint64, 4096)
+		for i := range keys {
+			keys[i] = uint64(i)<<20 | uint64(rng.Intn(1<<20))
+		}
+		for _, p := range rng.Perm(len(keys) / 2)[:swaps] {
+			keys[2*p], keys[2*p+1] = keys[2*p+1], keys[2*p]
+		}
+		return build(len(keys), func(i int) uint64 { return keys[i] })
+	}
 	return map[string]record.Slice{
 		// No key bit differs: the payload refinement alone orders them.
 		"all-equal": build(1000, func(int) uint64 { return 42 }),
@@ -168,8 +178,12 @@ func kernelCases() map[string]record.Slice {
 		// one digit of lg n − 2 = 10 bits over buckets of four.
 		"narrow-keys": build(4096, func(int) uint64 { return uint64(rng.Intn(1 << 14)) }),
 		// Wide keys that come in ascending order: the one-digit level, whose
-		// scatter streams, though the keys differ in 2d bits.
-		"ascending-wide": build(4096, func(i int) uint64 { return uint64(i)<<20 | uint64(rng.Intn(1<<20)) }),
+		// scatter streams, though the keys differ in 2d bits — and with
+		// n/16 − 1 and n/16 neighbour pairs swapped, one fall each, the last
+		// key count below and at the nearly-ordered cutoff.
+		"ascending-wide":     ascending(0),
+		"falls-under-cutoff": ascending(4096/16 - 1),
+		"falls-at-cutoff":    ascending(4096 / 16),
 		// n at the histograms' edge: at 128 pairs the two 2^6-counter
 		// histograms take exactly n counters; at 127 they do not fit.
 		"histogram-fits": build(128, func(int) uint64 { return rng.Uint64() }),
@@ -177,23 +191,25 @@ func kernelCases() map[string]record.Slice {
 	}
 }
 
-// TestKernelCasesSteer holds the two-digit cases of kernelCases to the digit
-// rule they were built for, so a new rule cannot quietly leave them on
-// another path.
+// TestKernelCasesSteer holds each case of kernelCases that was built for one
+// first level to it, through the selection sortSlices and radixKV make: the
+// digit width of the two-digit level, or 0 for the one-digit level.
 func TestKernelCasesSteer(t *testing.T) {
-	d := lsdBits(4096)
-	for _, c := range []struct {
-		name string
-		ok   bool
-	}{
-		{"equal-digit-group", 2*d <= 32 && 2<<d <= 4096},
-		{"high-equal-low-differs", 2*d == 18},
-		{"narrow-keys", 14 < 2*d},
-		{"histogram-fits", 2<<lsdBits(128) == 128},
-		{"histogram-over", 2<<lsdBits(127) > 127},
+	cases := kernelCases()
+	for name, want := range map[string]int{
+		"equal-digit-group":      9,
+		"high-equal-low-differs": 9,
+		"narrow-keys":            0,
+		"ascending-wide":         0,
+		"falls-under-cutoff":     0,
+		"falls-at-cutoff":        9,
+		"histogram-fits":         6,
+		"histogram-over":         0,
 	} {
-		if !c.ok {
-			t.Errorf("%s no longer steers the level it was built for (d = %d at n = 4096)", c.name, d)
+		src := cases[name]
+		diff, falls := extract(make([]kv, src.Len()), src)
+		if got := lsdBits(src.Len(), bits.Len64(diff), nearlyOrdered(falls, src.Len())); got != want {
+			t.Errorf("%s: first level takes digits of %d bits, want %d (0: one digit)", name, got, want)
 		}
 	}
 }
