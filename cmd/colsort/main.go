@@ -243,8 +243,8 @@ func report(res *colsort.Result, wall time.Duration) {
 	fmt.Printf("cpu:   %d M compare-units, %d MiB moved\n",
 		tot.CompareUnits>>20, tot.MovedBytes>>20)
 	if f := res.Faults; f.Any() {
-		fmt.Printf("faults: %d transient retried (%d gave up), %d corrupt chunks (%d healed by reread), %d batch redos\n",
-			f.DiskRetries, f.DiskGiveUps, f.CorruptChunks, f.ChunkRereads, f.BatchRedos)
+		fmt.Printf("faults: %d corrupt chunks (%d healed by reread), %d batch redos\n",
+			f.CorruptChunks, f.ChunkRereads, f.BatchRedos)
 	}
 
 	est := res.EstimateBeowulf()

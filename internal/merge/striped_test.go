@@ -22,7 +22,7 @@ import (
 // stripedMachine has four asynchronous modeled disks on a stripe the 1 KiB
 // frames of these tests do not divide into, and the shared heads of one job.
 func stripedMachine() pdm.Machine {
-	return pdm.Machine{P: 1, D: 4, StripeBytes: 600, Async: &pdm.AsyncConfig{}, Retry: &pdm.RetryConfig{},
+	return pdm.Machine{P: 1, D: 4, StripeBytes: 600, Async: &pdm.AsyncConfig{},
 		Delay: &pdm.DelayConfig{Seek: 10 * time.Microsecond, BytesPerSec: 256 << 20}, Heads: pdm.NewHeads(4)}
 }
 
@@ -179,7 +179,7 @@ var errLastStripe = errors.New("last stripe lost")
 
 func (d lastStripeFails) WriteAt(p []byte, off int64) error {
 	if off <= d.at && d.at < off+int64(len(p)) {
-		return pdm.MarkPermanent(errLastStripe)
+		return errLastStripe
 	}
 	return d.Disk.WriteAt(p, off)
 }

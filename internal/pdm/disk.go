@@ -25,10 +25,9 @@ import (
 )
 
 // ErrNoSpace reports a write that failed because the filesystem is out of
-// space (ENOSPC) or over quota (EDQUOT). It is classified permanent at the
-// source: retrying a full disk burns the whole backoff budget to arrive at
-// the same failure, and a batch redo re-spills into the same full
-// filesystem. Jobs should fail fast with this sentinel instead.
+// space (ENOSPC) or over quota (EDQUOT). It is named at the source because
+// a batch redo would re-spill into the same full filesystem: jobs fail fast
+// with this sentinel instead.
 var ErrNoSpace = errors.New("pdm: no space left on device")
 
 // isNoSpace matches the out-of-space errno family through any wrapping.
@@ -205,13 +204,13 @@ func (d *FileDisk) ReadAt(p []byte, off int64) error {
 }
 
 // WriteAt writes to the file at the given offset (sparse growth). An
-// out-of-space failure is classified permanent and carries ErrNoSpace, so
-// the retry layer fails fast instead of backing off against a full disk.
+// out-of-space failure carries ErrNoSpace, so the run redo fails fast
+// instead of re-spilling into a full filesystem; no error is re-issued.
 func (d *FileDisk) WriteAt(p []byte, off int64) error {
 	if _, err := d.f.WriteAt(p, off); err != nil {
 		d.failed = true
 		if isNoSpace(err) {
-			return MarkPermanent(fmt.Errorf("pdm: write %s: %w (%v)", d.name, ErrNoSpace, err))
+			return fmt.Errorf("pdm: write %s: %w (%v)", d.name, ErrNoSpace, err)
 		}
 		return fmt.Errorf("pdm: write %s: %w", d.name, err)
 	}
@@ -394,7 +393,7 @@ func (b FileBackend) NewDisk(idx int) (Disk, error) {
 }
 
 // DiskFile walks a wrapped disk stack — a striped spill's one backing disk,
-// the async, retry and delay layers and any injected fault layer, in any
+// the async, context and delay layers and any injected fault layer, in any
 // order, each reached through its Unwrap — down to its backing *FileDisk.
 // It returns nil when the stack bottoms out on anything else (a MemDisk):
 // the caller's durability machinery has nothing to persist there.

@@ -2,7 +2,7 @@ package pdm
 
 // Tests of the durability primitives the checkpoint/resume layer builds on:
 // keep-on-close file disks, the wrapper-stack walkers, and the ENOSPC
-// classification that keeps a full disk from burning retry budget.
+// classification that keeps a full disk from burning redo budget.
 
 import (
 	"errors"
@@ -105,7 +105,7 @@ func TestKeepFileBackend(t *testing.T) {
 func TestDiskWalkersThroughWrappers(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "wrapped.dat")
 	fd := newKeepDisk(t, path)
-	m := Machine{P: 1, D: 1, Async: &AsyncConfig{}, Retry: &RetryConfig{}}
+	m := Machine{P: 1, D: 1, Async: &AsyncConfig{}}
 	d := m.WrapSpillDisk(fd, 0)
 	if got := DiskFile(d); got != fd {
 		t.Errorf("DiskFile through the wrapper stack = %v, want the base FileDisk", got)
@@ -136,6 +136,9 @@ func TestDiskWalkersThroughWrappers(t *testing.T) {
 	}
 }
 
+// TestNoSpaceClassifiedPermanent: ENOSPC and EDQUOT are recognized through
+// any wrapping, so FileDisk.WriteAt names them ErrNoSpace — the one spill
+// failure the run redo never retries.
 func TestNoSpaceClassifiedPermanent(t *testing.T) {
 	wrapped := &os.PathError{Op: "write", Path: "x", Err: syscall.ENOSPC}
 	if !isNoSpace(wrapped) {
@@ -146,16 +149,6 @@ func TestNoSpaceClassifiedPermanent(t *testing.T) {
 	}
 	if isNoSpace(errors.New("disk on fire")) {
 		t.Error("arbitrary error misclassified as no-space")
-	}
-
-	// The classified error is permanent (fails fast, never retried) and
-	// matches ErrNoSpace via errors.Is.
-	err := MarkPermanent(ErrNoSpace)
-	if !Permanent(err) || Transient(err) {
-		t.Error("no-space error is not classified permanent")
-	}
-	if !errors.Is(err, ErrNoSpace) {
-		t.Error("classified error does not match ErrNoSpace")
 	}
 }
 

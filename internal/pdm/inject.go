@@ -5,11 +5,10 @@ import "context"
 // An Injector wraps one disk of a machine in a fault layer: disk idx's lane
 // lane — an array disk (lane 0), or a lane of spill ordinal idx when spill.
 // It returns d itself to inject nothing there. The machine calls it between
-// the service-time model and the retry layer (see wrapFaultLayers), so an
-// injected transient fault is healed by RetryDisk and an injected corruption
-// is met by the layers above exactly as a failing disk's would be. A layer
-// it adds implements Unwrap() Disk, so DiskFile still reaches the file under
-// it.
+// the service-time model and the context layer (see wrapFaultLayers), so an
+// injected failure is named and met by the layers above exactly as a
+// failing disk's would be. A layer it adds implements Unwrap() Disk, so
+// DiskFile still reaches the file under it.
 //
 // No product code builds one: the seeded fault model lives in
 // internal/faultinject, which only tests import.

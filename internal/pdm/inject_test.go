@@ -30,7 +30,7 @@ func chaosFaultPattern(cfg faultinject.ChaosConfig, n int) []bool {
 }
 
 func TestChaosSeededReproducibility(t *testing.T) {
-	cfg := faultinject.ChaosConfig{Seed: 42, PTransient: 0.2, PBitFlip: 0.2}
+	cfg := faultinject.ChaosConfig{Seed: 42, PBitFlip: 0.2}
 	a := chaosFaultPattern(cfg, 200)
 	b := chaosFaultPattern(cfg, 200)
 	faults := 0
@@ -56,20 +56,6 @@ func TestChaosSeededReproducibility(t *testing.T) {
 	}
 	if same {
 		t.Error("different seeds produced identical fault patterns")
-	}
-}
-
-func TestChaosTransientClassification(t *testing.T) {
-	d := faultinject.NewChaosDisk(pdm.NewMemDisk(), faultinject.ChaosConfig{Seed: 1, PTransient: 1}, 0, false)
-	err := d.ReadAt(make([]byte, 8), 0)
-	if err == nil {
-		t.Fatal("p=1 transient injected nothing")
-	}
-	if !pdm.Transient(err) {
-		t.Errorf("chaos transient fault not classified transient: %v", err)
-	}
-	if !errors.Is(err, faultinject.ErrInjected) {
-		t.Errorf("chaos fault lost the ErrInjected sentinel: %v", err)
 	}
 }
 
@@ -154,9 +140,6 @@ func TestChaosScriptedDeadSpillDisk(t *testing.T) {
 	if !errors.Is(err, faultinject.ErrDiskDead) {
 		t.Fatalf("err = %v, want ErrDiskDead once traffic exceeds the budget", err)
 	}
-	if !pdm.Permanent(err) || pdm.Transient(err) {
-		t.Error("disk death must classify permanent")
-	}
 	if err := d.ReadAt(make([]byte, 8), 0); !errors.Is(err, faultinject.ErrDiskDead) {
 		t.Errorf("read from dead disk: %v", err)
 	}
@@ -190,7 +173,7 @@ func TestInjectedLayerReachesFile(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	m := pdm.Machine{P: 1, D: 2, Async: &pdm.AsyncConfig{}, Retry: &pdm.RetryConfig{},
+	m := pdm.Machine{P: 1, D: 2, Async: &pdm.AsyncConfig{},
 		Inject: faultinject.Injector(faultinject.ChaosConfig{Seed: 1, PBitFlip: 0.5})}
 	d := m.WrapSpillDisk(fd, 0)
 	defer d.Close()

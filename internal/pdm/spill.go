@@ -5,7 +5,7 @@ import "sync"
 // stripedDisk is one spilled run presented as a striped object over the
 // machine's D disks, the way a store column is: D LANES at stripe
 // granularity over the run's single backing disk. Each lane is a full
-// per-disk layer stack of its own (service-time head, injector, retry,
+// per-disk layer stack of its own (service-time head, injector, context,
 // write-behind / prefetch worker), so a run is written and read at D disks'
 // bandwidth; the backing stays ONE disk — one file, one fsync, one manifest
 // line — and everything above (merge.Writer, merge.Reader, Run.Scrub,

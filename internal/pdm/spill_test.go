@@ -196,7 +196,7 @@ var errLane = errors.New("lane write failed")
 
 func (f failLane) WriteAt(p []byte, off int64) error {
 	if off/f.stripe%f.d == f.lane {
-		return MarkPermanent(errLane)
+		return errLane
 	}
 	return f.Disk.WriteAt(p, off)
 }
@@ -206,7 +206,7 @@ func (f failLane) WriteAt(p []byte, off int64) error {
 // later write can report it — and requires Flush and SyncDisk to.
 func TestStripedSpillLaneErrorSurfaces(t *testing.T) {
 	for lane := int64(0); lane < modelD; lane++ {
-		m := Machine{P: 1, D: modelD, StripeBytes: modelStripe, Async: &AsyncConfig{}, Retry: &RetryConfig{}}
+		m := Machine{P: 1, D: modelD, StripeBytes: modelStripe, Async: &AsyncConfig{}}
 		d := m.WrapSpillDisk(failLane{NewMemDisk(), lane, modelD, modelStripe}, 0)
 		if err := d.WriteAt(pattern(modelD*modelStripe, 0), 0); err != nil && !errors.Is(err, errLane) {
 			t.Fatal(err)
@@ -232,7 +232,6 @@ func TestStripedSpillOneFile(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "striped.dat")
 	fd := newKeepDisk(t, path)
 	m := modelMachine()
-	m.Retry = &RetryConfig{}
 	d := m.WrapSpillDisk(fd, 0)
 	if DiskFile(d) != fd || DiskPath(d) != path {
 		t.Errorf("walkers through the lanes: DiskFile %v, DiskPath %q; want the one backing file %q", DiskFile(d), DiskPath(d), path)
@@ -263,7 +262,7 @@ func TestSpillStackShape(t *testing.T) {
 		m       Machine
 		striped bool
 	}{
-		{"sync, no model", Machine{P: 4, D: 4, Retry: &RetryConfig{}}, false},
+		{"sync, no model", Machine{P: 4, D: 4}, false},
 		{"async", Machine{P: 4, D: 4, Async: &AsyncConfig{}}, true},
 		{"model only", Machine{P: 4, D: 4, Delay: &modelDelay}, true},
 		{"async + model, one disk", Machine{P: 1, D: 1, Async: &AsyncConfig{}, Delay: &modelDelay}, false},
@@ -325,7 +324,7 @@ func FuzzStripedSpill(f *testing.F) {
 
 	f.Fuzz(func(t *testing.T, lanes uint8, stripe uint32, script []byte) {
 		m := Machine{P: 1, D: 1 + int(lanes%4), StripeBytes: 1 + int(stripe%(1<<16)),
-			Async: &AsyncConfig{}, Retry: &RetryConfig{}}
+			Async: &AsyncConfig{}}
 		backing, oracle := NewMemDisk(), NewMemDisk()
 		d := m.WrapSpillDisk(backing, 0)
 		read := false

@@ -241,15 +241,8 @@ type Machine struct {
 	// not affected: each models its own head, as ever.
 	Heads []*Head
 
-	// Retry, when non-nil, wraps every disk in a RetryDisk: transient
-	// faults are re-issued under the bounded backoff policy and every
-	// escaping error carries op/disk/offset context. The wrapper sits
-	// BELOW the async layer, so a deferred write-behind operation retries
-	// before its failure can latch the AsyncDisk.
-	Retry *RetryConfig
-
 	// Inject, when non-nil, wraps every disk in the fault layer it returns
-	// (below the retry layer, standing in for the failing hardware). Only
+	// (below the context layer, standing in for the failing hardware). Only
 	// tests set it, through WithInjector on the job's context.
 	Inject Injector
 
@@ -330,7 +323,7 @@ func (m Machine) NewSpillDisk(idx int) (Disk, error) {
 // one constructor behind a fresh spill (NewSpillDisk) and a checkpoint run
 // the resume path reopened. Where the machine has a per-disk layer to
 // multiply (an async layer or a disk model) and D > 1, the run is striped
-// over D lanes, each with the machine's delay → injector → retry → async
+// over D lanes, each with the machine's delay → injector → context → async
 // stack of its own (see stripedDisk): run writes retire, and run reads are
 // staged, on D disks at once. Otherwise the stack sits on the backing disk directly —
 // with neither layer there is nothing per-disk to stripe.
@@ -365,12 +358,12 @@ func (m Machine) diskStack(d Disk, idx, lane int, spill bool) Disk {
 }
 
 // wrapFaultLayers stacks the service-time model, the injector, and the
-// retry policy under one disk, in that order: delay models the physical
-// disk (so a retried attempt pays service time again), an injected layer
-// stands in for its failures, and retry heals the transient ones before
-// the async layer above can latch them. A spill lane charges one of the
-// machine's shared heads (see Machine.Heads), when it has them; an array
-// disk (lane 0) a head of its own.
+// context layer under one disk, in that order: delay models the physical
+// disk, an injected layer stands in for its failures, and opDisk names
+// every failure with its operation, disk and extent before the async layer
+// above can latch it. A spill lane charges one of the machine's shared
+// heads (see Machine.Heads), when it has them; an array disk (lane 0) a
+// head of its own.
 func (m Machine) wrapFaultLayers(d Disk, idx, lane int, spill bool) Disk {
 	if m.Delay != nil {
 		head := new(Head)
@@ -382,10 +375,7 @@ func (m Machine) wrapFaultLayers(d Disk, idx, lane int, spill bool) Disk {
 	if m.Inject != nil {
 		d = m.Inject(d, idx, lane, spill)
 	}
-	if m.Retry != nil {
-		d = NewRetryDisk(d, *m.Retry, idx, spill)
-	}
-	return d
+	return opDisk{d, idx, spill}
 }
 
 // NewStore allocates a fresh store for an r×s matrix under a layout name:

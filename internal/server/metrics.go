@@ -171,8 +171,6 @@ func writeMetrics(w io.Writer, st colsort.EngineStats, draining bool, m *metrics
 		name, help string
 		v          int64
 	}{
-		{"colsort_faults_disk_retries_total", "Transient disk faults healed by retry.", f.DiskRetries},
-		{"colsort_faults_disk_give_ups_total", "Transient faults that exhausted the retry budget.", f.DiskGiveUps},
 		{"colsort_faults_corrupt_chunks_total", "Spill-run chunks that failed CRC32C verification.", f.CorruptChunks},
 		{"colsort_faults_chunk_rereads_total", "Corrupt chunks healed by an invalidate-and-reread.", f.ChunkRereads},
 		{"colsort_faults_batch_redos_total", "Formed runs re-spilled onto a fresh disk.", f.BatchRedos},

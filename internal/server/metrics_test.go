@@ -126,7 +126,7 @@ func TestMetricsPrometheusFormat(t *testing.T) {
 		"colsort_sim_net_bytes_total",
 		"colsort_sim_compare_units_total",
 		"colsort_sim_moved_bytes_total",
-		"colsort_faults_disk_retries_total",
+		"colsort_faults_chunk_rereads_total",
 		"colsort_faults_corrupt_chunks_total",
 		"colsort_faults_batch_redos_total",
 		"colsort_server_draining",

@@ -90,7 +90,7 @@ func TestParseSortOptionsRejects(t *testing.T) {
 		{"chaos off is gone", "chaos=off", false, `unknown option "chaos" (known: alg, `},
 		{"chaos not off", "chaos=on", false, `unknown option "chaos" (known: alg, `},
 		{"chaos off with params", "chaos=off&chaos-seed=1", false, `unknown option "chaos" (known: alg, `},
-		// The retry policy is fixed: its two keys are gone.
+		// No disk error is re-issued, so the retry keys are gone.
 		{"retries is gone", "retries=4", false, `unknown option "retries"`},
 		{"two bad types name the first", "scrub=2&nowait=3", false, `option "nowait"`},
 		// A count whose scaled form overflows int64 is ill-typed, not wrapped

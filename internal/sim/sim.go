@@ -53,11 +53,8 @@ type Counters struct {
 	// Rounds counts pipeline rounds this processor participated in.
 	Rounds int64 `json:"rounds"`
 
-	// Fault tolerance: what the storage fault layers absorbed or detected.
-	// Zero on a healthy run; none of these feed the cost model (a retry's
-	// cost is its re-issued disk traffic, charged above).
-	DiskRetries   int64 `json:"disk_retries"`   // transient disk faults healed by retry
-	DiskGiveUps   int64 `json:"disk_give_ups"`  // transient faults that exhausted the retry budget
+	// Fault tolerance: what the recovery paths detected and healed.
+	// Zero on a healthy run; none of these feed the cost model.
 	CorruptChunks int64 `json:"corrupt_chunks"` // spill-run chunks failing CRC32C verification
 	ChunkRereads  int64 `json:"chunk_rereads"`  // corrupt chunks healed by an invalidate-and-reread
 	BatchRedos    int64 `json:"batch_redos"`    // hierarchical batches re-sorted/re-spilled
@@ -76,8 +73,6 @@ func (c *Counters) Add(o Counters) {
 	c.CompareUnits += o.CompareUnits
 	c.MovedBytes += o.MovedBytes
 	c.Rounds += o.Rounds
-	c.DiskRetries += o.DiskRetries
-	c.DiskGiveUps += o.DiskGiveUps
 	c.CorruptChunks += o.CorruptChunks
 	c.ChunkRereads += o.ChunkRereads
 	c.BatchRedos += o.BatchRedos

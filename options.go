@@ -54,16 +54,16 @@ const (
 // RetryPolicy tunes the run-level fault-tolerance of one Sort call; see
 // WithRetry. The zero value of each field selects its default.
 type RetryPolicy struct {
-	// RedoBudget is how many times a hierarchical sort may re-spill a
-	// formed run onto a fresh disk after its spilled bytes fail
+	// RedoBudget is how many times a hierarchical sort with Scrub may
+	// re-spill a formed run onto a fresh disk after its spilled bytes fail
 	// verification or its spill disk fails permanently (default 2).
 	// Negative disables run redo entirely.
 	RedoBudget int
-	// Scrub forces the post-spill CRC readback of every run (a job under a
-	// test's fault injector always scrubs). It catches persistent
-	// write-path corruption — a torn write, bit rot — while the run's
-	// retained chunks can still be re-spilled, at the cost of one extra
-	// sequential read of every spilled byte.
+	// Scrub arms the post-spill CRC readback of every run (default off).
+	// It catches persistent write-path corruption — a torn write, bit rot —
+	// while the run's retained chunks can still be re-spilled, at the cost
+	// of one extra sequential read of every spilled byte; without it a
+	// failed spill is terminal.
 	Scrub bool
 }
 
@@ -155,16 +155,16 @@ func WithMergeFanIn(k int) Option {
 	return func(o *sortOptions) { o.fanIn = k }
 }
 
-// WithRetry overrides the sort's run-level fault-tolerance policy. Every
-// Sort already runs with the default policy — a transient disk fault is
-// re-issued under a fixed bounded backoff (4 attempts, 200µs doubling to
-// 10ms, with jitter; not an option, since no product error is transient),
-// every escaping disk error carries operation/disk/offset context, spilled
-// runs are CRC32C-framed, and a hierarchical run whose spill fails
-// verification is re-spilled within the redo budget — so WithRetry exists
-// to tune the redo budget (a negative RedoBudget fails fast) and to force
-// the spill scrub. Retries and redos are visible in Result.Faults and the
-// fault-tolerance fields of Result.TotalCounters.
+// WithRetry sets the sort's run-level fault-tolerance policy. Every Sort
+// runs the default one: every escaping disk error carries
+// operation/disk/offset context, spilled runs are CRC32C-framed, and a
+// corrupt chunk is reread once at merge time. A disk error is never
+// re-issued, and without the scrub a failed spill is terminal; WithRetry
+// arms the spill scrub — which retains each run until its spill verifies,
+// so a dead or torn spill disk is redone onto a fresh one within the redo
+// budget — and tunes that budget (a negative RedoBudget fails fast).
+// Rereads and redos are visible in Result.Faults and the fault-tolerance
+// fields of Result.TotalCounters.
 func WithRetry(p RetryPolicy) Option {
 	return func(o *sortOptions) { o.retry = &p }
 }

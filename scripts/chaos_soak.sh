@@ -1,10 +1,11 @@
 #!/usr/bin/env bash
 # Nightly chaos soak (DESIGN.md §9): runs TestChaosSoak under -race — a
 # 64 MiB file-backed hierarchical sort under seeded storage-fault injection
-# (probabilistic transient faults, a torn first spill write, a bit-flipped
-# spill read, and a spill disk that dies permanently mid-write) must finish
-# and produce output byte-identical to the fault-free run, so the retry
-# layer, the async disk workers and the injector race-soak each other.
+# (a torn first spill write, a bit-flipped spill read, and a spill disk that
+# dies permanently mid-write, with the scrub armed) must finish and produce
+# output byte-identical to the fault-free run, so the scrub, the run redo,
+# the CRC reread, the async disk workers and the injector race-soak each
+# other.
 #
 # The seed is taken from COLSORT_CHAOS_SEED when set (replay mode),
 # otherwise derived from the date so every night exercises a new fault

@@ -73,8 +73,8 @@
 # this count — moved lines are no reduction: 10042; one retry policy, no
 # retry knobs, -34: RetryPolicy's MaxAttempts and BaseDelay, newJob's copy
 # of them, check's two rules, optspell's retries/retry-base-us keys and
-# pdm.RetryConfig's three policy fields and withDefaults are gone, for the
-# policy as pdm constants held in RetryDisk's unexported fields: 10008; a
+# the retry config's three policy fields and withDefaults are gone, for the
+# policy as pdm constants held in the retry layer's unexported fields: 10008; a
 # file job is its directory, -24: the server's jobs.wal — walRecord, its
 # fold, the boot compaction, Server.wal and its five unchecked appends — and
 # readoptJob's list of keys older builds persisted are gone, as is the
@@ -88,12 +88,17 @@
 # level choice in one place, +10: lsdBits picks the level from n, the keys'
 # width and nearlyOrdered's measured cutoff, and extract is the
 # key-extraction loop as a function, so the steer test asks the code radixKV
-# asks: 10019).
+# asks: 10019; one recovery stack for every job, -125: the retry wrapper, its
+# config, backoff, jitter PRNG and attempt constants, the transient/permanent
+# error taxonomy, the retry and give-up counters (FaultStats, sim.Counters,
+# the fold, the CLI summary and two /metrics lines), newJob's retry wiring
+# and the fault model's transient draws are gone, for opDisk, the loop-free
+# layer that names a failure's operation, disk and extent: 9894).
 # It also
 # prints the same count per package, largest first — the numbers ROADMAP's
 # largest-packages line quotes.
 set -euo pipefail
-max_go_lines=10019
+max_go_lines=9894
 cd "$(dirname "$0")/.."
 per_pkg=$(find . -name '*.go' ! -name '*_test.go' \
   ! -path './bench/*' ! -path './examples/*' ! -path './.bench_build/*' -print0 |

@@ -20,11 +20,11 @@ func TestWireEncodingGolden(t *testing.T) {
 		DiskReadBytes: 1, DiskWriteBytes: 2, DiskReadOps: 3, DiskWriteOps: 4,
 		NetBytes: 5, NetMsgs: 6, LocalBytes: 7, LocalMsgs: 8,
 		CompareUnits: 9, MovedBytes: 10, Rounds: 11,
-		DiskRetries: 12, DiskGiveUps: 13, CorruptChunks: 14, ChunkRereads: 15, BatchRedos: 16,
+		CorruptChunks: 14, ChunkRereads: 15, BatchRedos: 16,
 	}
 	const countersJSON = `{"disk_read_bytes":1,"disk_write_bytes":2,"disk_read_ops":3,"disk_write_ops":4,` +
 		`"net_bytes":5,"net_msgs":6,"local_bytes":7,"local_msgs":8,"compare_units":9,"moved_bytes":10,` +
-		`"rounds":11,"disk_retries":12,"disk_give_ups":13,"corrupt_chunks":14,"chunk_rereads":15,"batch_redos":16}`
+		`"rounds":11,"corrupt_chunks":14,"chunk_rereads":15,"batch_redos":16}`
 
 	cases := []struct {
 		name string
@@ -67,8 +67,8 @@ func TestWireEncodingGolden(t *testing.T) {
 		},
 		{
 			name: "fault stats",
-			v:    FaultStats{DiskRetries: 1, DiskGiveUps: 2, CorruptChunks: 3, ChunkRereads: 4, BatchRedos: 5},
-			want: `{"disk_retries":1,"disk_give_ups":2,"corrupt_chunks":3,"chunk_rereads":4,"batch_redos":5}`,
+			v:    FaultStats{CorruptChunks: 3, ChunkRereads: 4, BatchRedos: 5},
+			want: `{"corrupt_chunks":3,"chunk_rereads":4,"batch_redos":5}`,
 		},
 		{
 			name: "sim counters",
@@ -82,12 +82,12 @@ func TestWireEncodingGolden(t *testing.T) {
 				LeasedBytes: 5, PeakLeasedBytes: 6, TotalMemory: 7,
 				PoolFreeBuffers: 8, PoolFreeBytes: 9,
 				Counters: fullCounters,
-				Faults:   FaultStats{DiskRetries: 17},
+				Faults:   FaultStats{CorruptChunks: 17},
 			},
 			want: `{"active_jobs":1,"queued_jobs":2,"completed_jobs":3,"failed_jobs":4,` +
 				`"leased_bytes":5,"peak_leased_bytes":6,"total_memory":7,"pool_free_buffers":8,"pool_free_bytes":9,` +
 				`"counters":` + countersJSON + `,` +
-				`"faults":{"disk_retries":17,"disk_give_ups":0,"corrupt_chunks":0,"chunk_rereads":0,"batch_redos":0}}`,
+				`"faults":{"corrupt_chunks":17,"chunk_rereads":0,"batch_redos":0}}`,
 		},
 		{
 			name: "engine stats with run formation",
@@ -99,8 +99,8 @@ func TestWireEncodingGolden(t *testing.T) {
 				`"leased_bytes":0,"peak_leased_bytes":0,"total_memory":0,"pool_free_buffers":0,"pool_free_bytes":0,` +
 				`"counters":{"disk_read_bytes":0,"disk_write_bytes":0,"disk_read_ops":0,"disk_write_ops":0,` +
 				`"net_bytes":0,"net_msgs":0,"local_bytes":0,"local_msgs":0,"compare_units":0,"moved_bytes":0,` +
-				`"rounds":0,"disk_retries":0,"disk_give_ups":0,"corrupt_chunks":0,"chunk_rereads":0,"batch_redos":0},` +
-				`"faults":{"disk_retries":0,"disk_give_ups":0,"corrupt_chunks":0,"chunk_rereads":0,"batch_redos":0},` +
+				`"rounds":0,"corrupt_chunks":0,"chunk_rereads":0,"batch_redos":0},` +
+				`"faults":{"corrupt_chunks":0,"chunk_rereads":0,"batch_redos":0},` +
 				`"runs_formed":6,"down_runs_formed":2,"run_records_formed":40000,"merge_levels_run":1}`,
 		},
 		{
@@ -110,10 +110,10 @@ func TestWireEncodingGolden(t *testing.T) {
 				Counters: sim.Counters{DiskReadBytes: 1},
 			},
 			want: `{"job_id":7,"records":1000,"plan":"threaded r=256 s=4",` +
-				`"faults":{"disk_retries":0,"disk_give_ups":0,"corrupt_chunks":0,"chunk_rereads":0,"batch_redos":0},` +
+				`"faults":{"corrupt_chunks":0,"chunk_rereads":0,"batch_redos":0},` +
 				`"counters":{"disk_read_bytes":1,"disk_write_bytes":0,"disk_read_ops":0,"disk_write_ops":0,` +
 				`"net_bytes":0,"net_msgs":0,"local_bytes":0,"local_msgs":0,"compare_units":0,"moved_bytes":0,` +
-				`"rounds":0,"disk_retries":0,"disk_give_ups":0,"corrupt_chunks":0,"chunk_rereads":0,"batch_redos":0}}`,
+				`"rounds":0,"corrupt_chunks":0,"chunk_rereads":0,"batch_redos":0}}`,
 		},
 		{
 			name: "result summary hierarchical",
@@ -123,10 +123,10 @@ func TestWireEncodingGolden(t *testing.T) {
 			},
 			want: `{"job_id":8,"records":3000,"plan":"threaded r=256 s=4",` +
 				`"merge":{"runs":3,"levels":1,"fan_in":16,"run_records":1024,"bytes_read":0,"bytes_written":0},` +
-				`"faults":{"disk_retries":0,"disk_give_ups":0,"corrupt_chunks":0,"chunk_rereads":0,"batch_redos":0},` +
+				`"faults":{"corrupt_chunks":0,"chunk_rereads":0,"batch_redos":0},` +
 				`"counters":{"disk_read_bytes":0,"disk_write_bytes":0,"disk_read_ops":0,"disk_write_ops":0,` +
 				`"net_bytes":0,"net_msgs":0,"local_bytes":0,"local_msgs":0,"compare_units":0,"moved_bytes":0,` +
-				`"rounds":0,"disk_retries":0,"disk_give_ups":0,"corrupt_chunks":0,"chunk_rereads":0,"batch_redos":0}}`,
+				`"rounds":0,"corrupt_chunks":0,"chunk_rereads":0,"batch_redos":0}}`,
 		},
 	}
 	for _, tc := range cases {
