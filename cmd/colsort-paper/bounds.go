@@ -135,7 +135,7 @@ func printHybrid(z int) {
 			fmt.Fprintln(os.Stderr, err)
 			os.Exit(1)
 		}
-		est := cm.EstimateRun(passes, pl.D/pl.P)
+		est := cm.EstimateRun(passes, pl.D)
 		fmt.Printf("%4d %12s %6d", g, bounds.HumanBytes(bounds.MaxBytes(bounds.Threaded, int64(g)*mp*p, p, z)), pl.S)
 		var total int64
 		var netS float64

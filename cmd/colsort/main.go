@@ -20,8 +20,8 @@
 // -plan, -checkpoint). Every other flag is a key of the sort-option table
 // the server's wire shares (internal/optspell; README's CLI table): -alg,
 // -group, -key-offset/-key-width/-order, -padding, -max-memory-mib,
-// -merge-fanin, -deadline-ms, -nowait, -redo-budget and -scrub, each spelled
-// and refused exactly as key=value on POST /v1/sort. Ctrl-C cancels the run,
+// -merge-fanin, -deadline-ms, -nowait and -scrub, each spelled and refused
+// exactly as key=value on POST /v1/sort. Ctrl-C cancels the run,
 // tearing down all processors and scratch files before exiting.
 //
 // -async enables the prefetch/write-behind disk layer; -disk-seek-us and

@@ -30,7 +30,7 @@ func TestFlagsDocumented(t *testing.T) {
 			t.Errorf("flag -%s is not in README's CLI flag table", f.Name)
 		}
 	})
-	if count < 28 {
-		t.Fatalf("found only %d registered flags, want at least 28 (16 of the command's own, 12 sort keys)", count)
+	if count < 27 {
+		t.Fatalf("found only %d registered flags, want at least 27 (16 of the command's own, 11 sort keys)", count)
 	}
 }

@@ -185,18 +185,6 @@ type Result struct {
 // Result.Faults and DESIGN.md §9 for the failure model.
 type FaultStats = pdm.FaultCounts
 
-// TotalCounters sums all passes and processors, folding the sort's
-// fault-tolerance activity (Result.Faults) into the counters' fault fields —
-// the engine's per-pass counters cannot carry those, because rereads and
-// redos happen outside any single processor's accounting.
-func (r *Result) TotalCounters() sim.Counters {
-	c := r.Result.TotalCounters()
-	c.CorruptChunks += r.Faults.CorruptChunks
-	c.ChunkRereads += r.Faults.ChunkRereads
-	c.BatchRedos += r.Faults.BatchRedos
-	return c
-}
-
 // MergeStats describes the hierarchical execution of an above-bound sort:
 // how the input was cut into sorted runs and how the runs were merged
 // back into one stream. The JSON tags are the wire representation of the
@@ -245,8 +233,8 @@ type ResultSummary struct {
 	Merge *MergeStats `json:"merge,omitempty"`
 	// Faults reports the fault-tolerance activity of the sort.
 	Faults FaultStats `json:"faults"`
-	// Counters sums all passes and processors, fault fields folded in
-	// (Result.TotalCounters).
+	// Counters sums all passes and processors (Result.TotalCounters);
+	// the sort's faults are reported in Faults alone.
 	Counters sim.Counters `json:"counters"`
 }
 

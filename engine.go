@@ -383,9 +383,8 @@ type EngineStats struct {
 	PoolFreeBuffers int   `json:"pool_free_buffers"`
 	PoolFreeBytes   int64 `json:"pool_free_bytes"`
 	// Counters is the cumulative engine-pass accounting of every completed
-	// job (the sum of their Result.TotalCounters without fault fields);
-	// Faults the cumulative fault-tolerance activity of every job, failed
-	// jobs included.
+	// job (the sum of their Result.TotalCounters); Faults the cumulative
+	// fault-tolerance activity of every job, failed jobs included.
 	Counters sim.Counters `json:"counters"`
 	Faults   FaultStats   `json:"faults"`
 	// Hierarchical run-formation accounting of every completed job that

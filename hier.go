@@ -36,11 +36,11 @@ import (
 // level, narrow enough that the read streams' prefetch buffers stay small.
 const defaultMergeFanIn = 16
 
-// defaultRedoBudget is how many run redos a hierarchical sort may spend
-// when WithRetry's RedoBudget is 0: enough to survive a failed spill disk
-// plus one unlucky verification, small enough that a systematically failing
-// storage stack still fails the sort promptly.
-const defaultRedoBudget = 2
+// maxRedos is how many run redos a hierarchical sort under the scrub may
+// spend: enough to survive a failed spill disk plus one unlucky
+// verification, small enough that a systematically failing storage stack
+// still fails the sort promptly.
+const maxRedos = 2
 
 // formationName is what MergeStats.Formation and the manifest's begin entry
 // record. There is one way to form runs; the fields stay so that Result JSON
@@ -93,15 +93,14 @@ type hierJob struct {
 	fanIn, chunk int
 	pool         *record.Pool // chunk buffers: formation's pipeline, the merges' run readers
 
-	// Recovery policy: how many times a run may be re-produced and
-	// re-spilled, and whether every spilled run gets a post-spill CRC
-	// readback. The scrub is opt-in (WithRetry) for every job: it is the
-	// only way a torn spill write is caught while its run can still be
-	// redone, and on healthy storage it costs one extra sequential read of
-	// every spilled byte to detect nothing. Without it a spill failure is
-	// terminal.
-	redoBudget int
-	scrub      bool
+	// scrub is the recovery switch: every spilled run gets a post-spill
+	// CRC readback, and its chunks are retained until that verifies, so a
+	// run whose spill failed is redone, up to maxRedos times. It is
+	// opt-in (WithRetry) for every job: it is the only way a torn spill
+	// write is caught while its run can still be redone, and on healthy
+	// storage it costs one extra sequential read of every spilled byte to
+	// detect nothing. Without it a spill failure is terminal.
+	scrub bool
 
 	// ckpt is the manifest WAL under WithCheckpoint; nil otherwise (see
 	// manifestLog for what a nil log still answers).
@@ -122,17 +121,11 @@ type hierJob struct {
 // has already compiled the codec and validated the options.
 func (j *job) newHierJob(o sortOptions, codec record.KeyCodec, n int64, sp SortPlan) *hierJob {
 	h := &hierJob{job: j, o: o, codec: codec, n: n, runRecs: int(sp.RunRecords), pool: j.m.Pools[0],
-		fanIn: sp.FanIn, redoBudget: defaultRedoBudget}
+		fanIn: sp.FanIn, scrub: o.scrub}
 	h.chunk = j.e.mergeChunkRecs(o, h.fanIn)
 	h.w = merge.NewWriter(nil, j.e.cfg.RecordSize, h.chunk)
 	h.w.Pool = h.pool
 	h.stats = &MergeStats{FanIn: h.fanIn, RunRecords: sp.RunRecords, Formation: formationName}
-	if o.retry != nil {
-		if o.retry.RedoBudget != 0 {
-			h.redoBudget = max(o.retry.RedoBudget, 0)
-		}
-		h.scrub = o.retry.Scrub
-	}
 	return h
 }
 
@@ -366,7 +359,7 @@ func (h *hierJob) selectRuns(ctx context.Context, in <-chan runform.Chunk, out c
 			if pipeline.Send(ctx, out, formMsg{chunk: buf.Sub(0, got)}) != nil {
 				return
 			}
-			if h.retain() && recs >= 2*int64(h.runRecs) {
+			if h.scrub && recs >= 2*int64(h.runRecs) {
 				f.BreakRun() // bound redo memory; the rest becomes the next run
 			}
 		}
@@ -375,12 +368,6 @@ func (h *hierJob) selectRuns(ctx context.Context, in <-chan runform.Chunk, out c
 		}
 	}
 }
-
-// retain reports whether each run's chunks are kept in memory until its
-// spill has been verified: the source stream that fed a run is consumed as
-// the run forms, so a redo can only replay what was kept. Without it any
-// permanent spill or scrub failure is terminal.
-func (h *hierJob) retain() bool { return h.scrub && h.redoBudget > 0 }
 
 // spillRuns is the third formation stage. For the duration of formation it
 // owns the job's run writer and spill sequence: it writes each run's chunks
@@ -395,12 +382,13 @@ func (h *hierJob) retain() bool { return h.scrub && h.redoBudget > 0 }
 //
 // A run that cannot be trusted — the spill disk failed permanently
 // mid-write, the scrub found persistent corruption (a torn write) — is
-// re-spilled onto a fresh disk from the chunks retention kept (they are the
+// re-spilled onto a fresh disk from the chunks the scrub kept (they are the
 // select stage's own buffers, recycled only once the run has verified; the
 // bounded channel is what stops the select stage running further ahead),
 // each redo consuming one unit of the budget and counting in BatchRedos. A
-// spill failure with retention armed stops writing and keeps receiving: the
-// kept chunks are then the only copy of those records. A spill disk that
+// spill failure under the scrub stops writing and keeps receiving: the kept
+// chunks are then the only copy of those records; without the scrub nothing
+// was kept to redo from, and the failure is terminal. A spill disk that
 // cannot be allocated behaves as one whose first write fails.
 func (h *hierJob) spillRuns(ctx context.Context, in <-chan formMsg, out chan<- *merge.Run) error {
 	var d pdm.Disk // the current attempt's disk, nil before its first chunk and once it failed
@@ -446,7 +434,7 @@ func (h *hierJob) spillRuns(ctx context.Context, in <-chan formMsg, out chan<- *
 		}
 		if m.chunk.Data != nil {
 			write(m.chunk)
-			if h.retain() {
+			if h.scrub { // the stream that fed the run is consumed: a redo replays only what is kept
 				kept = append(kept, m.chunk)
 				continue
 			}
@@ -461,11 +449,11 @@ func (h *hierJob) spillRuns(ctx context.Context, in <-chan formMsg, out chan<- *
 			// A full filesystem cannot be redone onto: every redo re-spills
 			// into the same exhausted space. Fail fast without burning the redo
 			// budget so the job's error names the real cause.
-			if ctx.Err() != nil || !h.retain() || errors.Is(err, pdm.ErrNoSpace) {
+			if ctx.Err() != nil || !h.scrub || errors.Is(err, pdm.ErrNoSpace) {
 				return fmt.Errorf("colsort: run %d: %w", runIdx, err)
 			}
-			if attempt >= h.redoBudget {
-				return fmt.Errorf("colsort: redo budget (%d) exhausted: run %d: %w", h.redoBudget, runIdx, err)
+			if attempt >= maxRedos {
+				return fmt.Errorf("colsort: redo budget (%d) exhausted: run %d: %w", maxRedos, runIdx, err)
 			}
 			h.faults.BatchRedos.Add(1)
 			for _, c := range kept {

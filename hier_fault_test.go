@@ -114,13 +114,6 @@ func TestChaosAcceptance(t *testing.T) {
 	if f.BatchRedos < 2 {
 		t.Errorf("BatchRedos = %d, want ≥ 2 (torn spill + dead spill disk)", f.BatchRedos)
 	}
-
-	// The fault activity folds into the counters report.
-	tot := res.TotalCounters()
-	if tot.BatchRedos != f.BatchRedos ||
-		tot.CorruptChunks != f.CorruptChunks || tot.ChunkRereads != f.ChunkRereads {
-		t.Errorf("TotalCounters fault fields %+v do not match Result.Faults %+v", tot, f)
-	}
 }
 
 // TestChaosBatchRedoAfterDeadSpillDisk kills the first spill disk almost

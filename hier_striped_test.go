@@ -349,7 +349,7 @@ func TestHierarchicalEstimateDisks(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer below.Close()
-	if got, want := below.Estimate(cm), cm.EstimateRun(below.PassCounters, 8/4); below.Merge != nil || !reflect.DeepEqual(got, want) {
+	if got, want := below.Estimate(cm), cm.EstimateRun(below.PassCounters, 8); below.Merge != nil || !reflect.DeepEqual(got, want) {
 		t.Errorf("below-bound estimate %+v, want D/P disks per processor as ever: %+v", got, want)
 	}
 }

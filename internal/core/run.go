@@ -24,18 +24,10 @@ type Result struct {
 	PassCounters [][]sim.Counters
 }
 
-// Estimate applies a cost model to the measured counters (experiment E1).
-// The counter sets of a pass split the machine's D disks evenly: each of an
-// engine pass's P sets is served by its processor's D/P disks, the single
-// set of a hierarchical pass by all D.
+// Estimate applies a cost model to the measured counters on the plan's D
+// disks (experiment E1; sim.CostModel.EstimateRun).
 func (res *Result) Estimate(cm sim.CostModel) sim.RunEstimate {
-	var run sim.RunEstimate
-	for _, pass := range res.PassCounters {
-		e := cm.EstimatePass(pass, res.Plan.D/max(len(pass), 1))
-		run.Passes = append(run.Passes, e)
-		run.Total += e.Total
-	}
-	return run
+	return cm.EstimateRun(res.PassCounters, res.Plan.D)
 }
 
 // TotalCounters sums all passes and processors.

@@ -112,7 +112,7 @@ func Evaluate(pt *Point, cm sim.CostModel) error {
 	if err != nil {
 		return err
 	}
-	pt.Est = cm.EstimateRun(counters, pt.D/pt.P)
+	pt.Est = cm.EstimateRun(counters, pt.D)
 	pt.SecsPerGBProc = pt.Est.Total / pt.GBPerProc()
 	return nil
 }

@@ -128,7 +128,6 @@ var Keys = []Key{
 			a.add(colsort.WithNoWait())
 		}
 	}),
-	intKey("redo-budget", func(a *accumulator, v int64) { a.retry.RedoBudget = int(v) }),
 	boolKey("scrub", func(a *accumulator, v bool) { a.retry.Scrub = v }),
 }
 

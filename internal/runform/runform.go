@@ -141,20 +141,17 @@ func ChunkLen(capacity int) int {
 	return need * page
 }
 
-// SortChunk makes the Chunk of the arrivals src: it tallies their key steps
-// in arrival order and radix-sorts them into dst, a buffer as long as src
-// that does not alias it (and that the Former will put back into its pool).
-// sc is the caller's: the Former sorts nothing itself.
+// SortChunk makes the Chunk of the arrivals src: it radix-sorts them into
+// dst, a buffer as long as src that does not alias it (and that the Former
+// will put back into its pool), and keeps the key steps in arrival order
+// that the kernel counted as it read the keys. sc is the caller's: the
+// Former sorts nothing itself.
 func SortChunk(sc *sortalg.Scratch, dst, src record.Slice) Chunk {
 	c := Chunk{Recs: dst}
 	if n := src.Len(); n > 0 {
-		c.First, c.Last = src.Key(0), src.Key(0)
-		for i := 1; i < n; i++ { // each key loaded once, carried in c.Last
-			k := src.Key(i)
-			up, down := step(c.Last, k)
-			c.Ups, c.Downs, c.Last = c.Ups+up, c.Downs+down, k
-		}
-		sc.SortInto(dst, src)
+		c.First, c.Last = src.Key(0), src.Key(n-1)
+		ups, downs := sc.SortInto(dst, src)
+		c.Ups, c.Downs = int64(ups), int64(downs)
 	}
 	return c
 }

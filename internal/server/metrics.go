@@ -102,8 +102,8 @@ func (m *metrics) instrument(route string, h http.HandlerFunc) http.HandlerFunc 
 // and fault counters, the server's drain state and durability counters, and
 // per-endpoint HTTP accounting. Metric names are the catalogue DESIGN.md
 // §11 documents. readopted and orphansCleaned are the boot-recovery
-// counters: WAL jobs restarted at startup and orphan job-scoped and pooled
-// scratch files swept.
+// counters: file jobs restarted at startup from their directories' job.json,
+// and orphan job-scoped and pooled scratch files swept.
 func writeMetrics(w io.Writer, st colsort.EngineStats, draining bool, m *metrics, readopted, orphansCleaned int64) {
 	b := func(v bool) float64 {
 		if v {
@@ -163,7 +163,7 @@ func writeMetrics(w io.Writer, st colsort.EngineStats, draining bool, m *metrics
 	// Durability: checkpoint/resume work saved and recovered (DESIGN.md §13).
 	counter("colsort_engine_jobs_resumed_total", "Jobs that adopted durable runs from a checkpoint manifest instead of re-sorting them.", float64(st.JobsResumed))
 	counter("colsort_engine_runs_resumed_total", "Durable spilled runs adopted by resumed jobs without re-sorting.", float64(st.RunsResumed))
-	counter("colsort_server_jobs_readopted_total", "Interrupted file jobs re-adopted from the jobs WAL at startup.", float64(readopted))
+	counter("colsort_server_jobs_readopted_total", "Interrupted file jobs re-adopted from their job directories' job.json at startup.", float64(readopted))
 	counter("colsort_orphan_scratch_cleaned_total", "Orphaned job-scoped and pooled scratch files removed by the startup sweep.", float64(orphansCleaned))
 
 	f := st.Faults

@@ -31,15 +31,14 @@ func TestParseSortOptionsAccepts(t *testing.T) {
 		{"padding", "padding=never"},
 		{"hierarchical knobs", "max-memory-mib=64&merge-fanin=8"},
 		{"machine overrides", "nowait=true"},
-		{"retry policy", "redo-budget=2&scrub=true"},
-		{"redo disabled", "redo-budget=-1"},
+		{"retry policy", "scrub=true"},
 		// Sort refuses a baseline that would emit output; the spelling is fine.
 		{"baseline algorithms are spelled", "alg=baseline-io-3pass"},
 		{"caller-handled extra", "records=100"},
 		// Spelled fine: whether the job may run is resolve's to say.
 		{"cap with hybrid", "alg=hybrid&group=2&max-memory-mib=64"},
 		{"cap with padding=never", "padding=never&max-memory-mib=64"},
-		{"a zero is the default", "max-memory-mib=0&merge-fanin=0&redo-budget=0&key-width=0&deadline-ms=0"},
+		{"a zero is the default", "max-memory-mib=0&merge-fanin=0&key-width=0&deadline-ms=0"},
 		{"scaled counts", "max-memory-mib=64&deadline-ms=200"},
 		{"scaled counts at their limits", "max-memory-mib=8796093022207&deadline-ms=9223372036854"},
 	}
@@ -92,6 +91,10 @@ func TestParseSortOptionsRejects(t *testing.T) {
 		{"chaos off with params", "chaos=off&chaos-seed=1", false, `unknown option "chaos" (known: alg, `},
 		// No disk error is re-issued, so the retry keys are gone.
 		{"retries is gone", "retries=4", false, `unknown option "retries"`},
+		// The redo budget is a constant: the scrub is the one recovery switch.
+		{"redo budget is gone", "redo-budget=2&scrub=true", false, `unknown option "redo-budget" (known: alg, `},
+		{"redo disabled is gone", "redo-budget=-1", false, `unknown option "redo-budget" (known: alg, `},
+		{"a zero redo budget is gone", "redo-budget=0", false, `unknown option "redo-budget" (known: alg, `},
 		{"two bad types name the first", "scrub=2&nowait=3", false, `option "nowait"`},
 		// A count whose scaled form overflows int64 is ill-typed, not wrapped
 		// into another value (2^44 MiB would be 0: no cap).

@@ -20,6 +20,7 @@ package sim
 import (
 	"fmt"
 	"math"
+	"math/bits"
 )
 
 // Counters accumulates the operations one processor performs during one
@@ -52,12 +53,6 @@ type Counters struct {
 
 	// Rounds counts pipeline rounds this processor participated in.
 	Rounds int64 `json:"rounds"`
-
-	// Fault tolerance: what the recovery paths detected and healed.
-	// Zero on a healthy run; none of these feed the cost model.
-	CorruptChunks int64 `json:"corrupt_chunks"` // spill-run chunks failing CRC32C verification
-	ChunkRereads  int64 `json:"chunk_rereads"`  // corrupt chunks healed by an invalidate-and-reread
-	BatchRedos    int64 `json:"batch_redos"`    // hierarchical batches re-sorted/re-spilled
 }
 
 // Add accumulates o into c.
@@ -73,9 +68,6 @@ func (c *Counters) Add(o Counters) {
 	c.CompareUnits += o.CompareUnits
 	c.MovedBytes += o.MovedBytes
 	c.Rounds += o.Rounds
-	c.CorruptChunks += o.CorruptChunks
-	c.ChunkRereads += o.ChunkRereads
-	c.BatchRedos += o.BatchRedos
 }
 
 // SortWork returns the CompareUnits charge for a comparison sort of n
@@ -84,7 +76,7 @@ func SortWork(n int) int64 {
 	if n <= 1 {
 		return int64(n)
 	}
-	return int64(n) * int64(ceilLog2(n))
+	return int64(n) * int64(bits.Len(uint(n-1)))
 }
 
 // MergeWork returns the CompareUnits charge for a k-way merge of n total
@@ -93,15 +85,7 @@ func MergeWork(n, k int) int64 {
 	if k <= 1 {
 		return 0
 	}
-	return int64(n) * int64(ceilLog2(k))
-}
-
-func ceilLog2(x int) int {
-	n := 0
-	for (1 << n) < x {
-		n++
-	}
-	return n
+	return int64(n) * int64(bits.Len(uint(k-1)))
 }
 
 // CostModel holds the calibrated constants of the reference machine.
@@ -182,12 +166,15 @@ type RunEstimate struct {
 	Total  float64
 }
 
-// EstimateRun estimates a multi-pass run: passes do not overlap each other
-// (each pass must finish writing before the next can read).
-func (cm CostModel) EstimateRun(passes [][]Counters, disksPerProc int) RunEstimate {
+// EstimateRun estimates a multi-pass run on a machine of d disks: passes do
+// not overlap each other (each pass must finish writing before the next can
+// read). The counter sets of a pass split the d disks evenly: each of an
+// engine pass's P sets is served by its processor's d/P disks, the single
+// set of a hierarchical pass by all d.
+func (cm CostModel) EstimateRun(passes [][]Counters, d int) RunEstimate {
 	var run RunEstimate
 	for _, pc := range passes {
-		e := cm.EstimatePass(pc, disksPerProc)
+		e := cm.EstimatePass(pc, d/max(len(pc), 1))
 		run.Passes = append(run.Passes, e)
 		run.Total += e.Total
 	}

@@ -107,6 +107,20 @@ func TestEstimateRunSumsPasses(t *testing.T) {
 	}
 }
 
+// TestEstimateRunSplitsDisks: each pass's counter sets share the machine's
+// disks evenly — an engine pass's P sets D/P each, a single set all D.
+func TestEstimateRunSplitsDisks(t *testing.T) {
+	cm := Beowulf2003()
+	c := Counters{DiskReadBytes: 1 << 28, DiskReadOps: 64}
+	run := cm.EstimateRun([][]Counters{{c, c, c, c}, {c}}, 8)
+	if want := cm.EstimatePass([]Counters{c, c, c, c}, 2); run.Passes[0] != want {
+		t.Errorf("4-set pass on 8 disks: %+v, want 2 disks per set: %+v", run.Passes[0], want)
+	}
+	if want := cm.EstimatePass([]Counters{c}, 8); run.Passes[1] != want {
+		t.Errorf("1-set pass on 8 disks: %+v, want all 8 disks: %+v", run.Passes[1], want)
+	}
+}
+
 func TestRoundOverheadCharged(t *testing.T) {
 	cm := Beowulf2003()
 	a := cm.EstimatePass([]Counters{{Rounds: 10}}, 1)

@@ -63,7 +63,7 @@ func BenchmarkRadixLevels(b *testing.B) {
 				src := fallsInput(n, min(falls, n/2), wide, outliers, int64(n+share))
 				b.Run(fmt.Sprintf("%s/n=%d/falls=1:%d", form, n, share), func(b *testing.B) {
 					pairs, tmp, count := make([]kv, n), make([]kv, n), make([]int, 2<<radixMaxBits)
-					diff, falls := extract(pairs, src)
+					diff, _, falls := extract(pairs, src)
 					work := make([]kv, n)
 					var took [2]time.Duration
 					for i := 0; i < b.N; i++ {

@@ -88,9 +88,11 @@ func (sc *Scratch) views(k int) []record.Slice {
 
 // SortInto sorts the records of src into dst with the adaptive radix kernel
 // (radixKV), reusing the scratch buffers. dst and src must have the same
-// record size and length and must not alias.
-func (sc *Scratch) SortInto(dst, src record.Slice) {
-	sc.SortIntoAlg(dst, src, Radix)
+// record size and length and must not alias. It returns the key steps of src
+// in its given order, which the kernel counts as it reads the keys: rises are
+// the keys above the one before, falls those below.
+func (sc *Scratch) SortInto(dst, src record.Slice) (rises, falls int) {
+	return sc.sortSlices([]record.Slice{dst}, false, src, Radix)
 }
 
 // SortIntoAlg sorts src into dst with an explicit algorithm choice, reusing
@@ -108,11 +110,11 @@ func (sc *Scratch) SortSlices(lanes []record.Slice, deal bool, src record.Slice)
 	sc.sortSlices(lanes, deal, src, Radix)
 }
 
-func (sc *Scratch) sortSlices(lanes []record.Slice, deal bool, src record.Slice, alg Algorithm) {
+func (sc *Scratch) sortSlices(lanes []record.Slice, deal bool, src record.Slice, alg Algorithm) (rises, falls int) {
 	n := src.Len()
 	checkLanes(lanes, deal, n, src.Size)
 	kvs := pairs(&sc.kvs, n)
-	diff, falls := extract(kvs, src)
+	diff, rises, falls := extract(kvs, src)
 	switch alg {
 	case Intro:
 		introsort(kvs, src, maxDepth(n))
@@ -122,23 +124,29 @@ func (sc *Scratch) sortSlices(lanes []record.Slice, deal bool, src record.Slice,
 		panic(badAlg(alg))
 	}
 	gather(lanes, deal, src, kvs)
+	return rises, falls
 }
 
-// extract fills kvs with the (key, index) pairs of src and returns what the
-// radix kernel picks its level from, at no extra pass over src: the bits on
-// which the keys do not all agree (an and/or fold) and how many keys fall
-// below the one before.
-func extract(kvs []kv, src record.Slice) (diff uint64, falls int) {
-	and, or, prev, f := ^uint64(0), uint64(0), uint64(0), uint64(0)
+// extract fills kvs with the (key, index) pairs of src and returns, at no
+// extra pass over src, what the radix kernel picks its level from — the bits
+// on which the keys do not all agree (an and/or fold) and how many keys fall
+// below the one before — and how many rise above it. The steps are counted
+// without a branch, since on random keys the direction is a coin flip.
+func extract(kvs []kv, src record.Slice) (diff uint64, rises, falls int) {
+	and, or, prev, r, f := ^uint64(0), uint64(0), uint64(0), uint64(0), uint64(0)
+	if len(kvs) > 0 {
+		prev = src.Key(0)
+	}
 	for i := range kvs {
 		k := src.Key(i)
 		kvs[i] = kv{key: k, idx: int32(i)}
 		and &= k
 		or |= k
-		_, b := bits.Sub64(k, prev, 0)
-		f, prev = f+b, k
+		_, u := bits.Sub64(prev, k, 0)
+		_, d := bits.Sub64(k, prev, 0)
+		r, f, prev = r+u, f+d, k
 	}
-	return and ^ or, int(f)
+	return and ^ or, int(r), int(f)
 }
 
 // gather writes the records of src, in the order kvs lists them, into lanes:

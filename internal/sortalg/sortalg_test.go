@@ -207,7 +207,7 @@ func TestKernelCasesSteer(t *testing.T) {
 		"histogram-over":         0,
 	} {
 		src := cases[name]
-		diff, falls := extract(make([]kv, src.Len()), src)
+		diff, _, falls := extract(make([]kv, src.Len()), src)
 		if got := lsdBits(src.Len(), bits.Len64(diff), nearlyOrdered(falls, src.Len())); got != want {
 			t.Errorf("%s: first level takes digits of %d bits, want %d (0: one digit)", name, got, want)
 		}

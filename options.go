@@ -51,19 +51,17 @@ const (
 	PadNever
 )
 
-// RetryPolicy tunes the run-level fault-tolerance of one Sort call; see
-// WithRetry. The zero value of each field selects its default.
+// RetryPolicy is the run-level fault-tolerance of one Sort call; see
+// WithRetry. The zero value is the default policy.
 type RetryPolicy struct {
-	// RedoBudget is how many times a hierarchical sort with Scrub may
-	// re-spill a formed run onto a fresh disk after its spilled bytes fail
-	// verification or its spill disk fails permanently (default 2).
-	// Negative disables run redo entirely.
-	RedoBudget int
-	// Scrub arms the post-spill CRC readback of every run (default off).
-	// It catches persistent write-path corruption — a torn write, bit rot —
-	// while the run's retained chunks can still be re-spilled, at the cost
-	// of one extra sequential read of every spilled byte; without it a
-	// failed spill is terminal.
+	// Scrub arms run recovery on the hierarchical path (default off): the
+	// post-spill CRC readback of every run, the retention of each run's
+	// chunks until that readback verifies, and up to two redos of a run
+	// onto a fresh spill disk after its spilled bytes fail verification or
+	// its spill disk fails permanently. It catches persistent write-path
+	// corruption — a torn write, bit rot — at the cost of one extra
+	// sequential read of every spilled byte; without it a failed spill is
+	// terminal.
 	Scrub bool
 }
 
@@ -77,7 +75,7 @@ type sortOptions struct {
 	progress   func(Progress)
 	maxMemory  int64 // bytes one run may hold; 0 = only the algorithm's bound
 	fanIn      int   // merge fan-in; 0 = defaultMergeFanIn
-	retry      *RetryPolicy
+	scrub      bool
 	noWait     bool          // fail with ErrBusy instead of queueing for admission
 	checkpoint string        // manifest directory of a durable job; "" = no checkpointing
 	deadline   time.Duration // per-job wall-clock budget; 0 = none
@@ -159,14 +157,13 @@ func WithMergeFanIn(k int) Option {
 // runs the default one: every escaping disk error carries
 // operation/disk/offset context, spilled runs are CRC32C-framed, and a
 // corrupt chunk is reread once at merge time. A disk error is never
-// re-issued, and without the scrub a failed spill is terminal; WithRetry
-// arms the spill scrub — which retains each run until its spill verifies,
-// so a dead or torn spill disk is redone onto a fresh one within the redo
-// budget — and tunes that budget (a negative RedoBudget fails fast).
-// Rereads and redos are visible in Result.Faults and the fault-tolerance
-// fields of Result.TotalCounters.
+// re-issued, and without the scrub a failed spill is terminal.
+// WithRetry(RetryPolicy{Scrub: true}) is the one switch that arms the spill
+// scrub, which retains each run until its spill verifies, so a dead or torn
+// spill disk is redone onto a fresh one, at most twice per run. Rereads and
+// redos are reported in Result.Faults.
 func WithRetry(p RetryPolicy) Option {
-	return func(o *sortOptions) { o.retry = &p }
+	return func(o *sortOptions) { o.scrub = p.Scrub }
 }
 
 // WithNoWait makes the Sort fail fast with ErrBusy when the engine cannot

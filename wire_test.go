@@ -20,11 +20,10 @@ func TestWireEncodingGolden(t *testing.T) {
 		DiskReadBytes: 1, DiskWriteBytes: 2, DiskReadOps: 3, DiskWriteOps: 4,
 		NetBytes: 5, NetMsgs: 6, LocalBytes: 7, LocalMsgs: 8,
 		CompareUnits: 9, MovedBytes: 10, Rounds: 11,
-		CorruptChunks: 14, ChunkRereads: 15, BatchRedos: 16,
 	}
 	const countersJSON = `{"disk_read_bytes":1,"disk_write_bytes":2,"disk_read_ops":3,"disk_write_ops":4,` +
 		`"net_bytes":5,"net_msgs":6,"local_bytes":7,"local_msgs":8,"compare_units":9,"moved_bytes":10,` +
-		`"rounds":11,"corrupt_chunks":14,"chunk_rereads":15,"batch_redos":16}`
+		`"rounds":11}`
 
 	cases := []struct {
 		name string
@@ -99,7 +98,7 @@ func TestWireEncodingGolden(t *testing.T) {
 				`"leased_bytes":0,"peak_leased_bytes":0,"total_memory":0,"pool_free_buffers":0,"pool_free_bytes":0,` +
 				`"counters":{"disk_read_bytes":0,"disk_write_bytes":0,"disk_read_ops":0,"disk_write_ops":0,` +
 				`"net_bytes":0,"net_msgs":0,"local_bytes":0,"local_msgs":0,"compare_units":0,"moved_bytes":0,` +
-				`"rounds":0,"corrupt_chunks":0,"chunk_rereads":0,"batch_redos":0},` +
+				`"rounds":0},` +
 				`"faults":{"corrupt_chunks":0,"chunk_rereads":0,"batch_redos":0},` +
 				`"runs_formed":6,"down_runs_formed":2,"run_records_formed":40000,"merge_levels_run":1}`,
 		},
@@ -113,7 +112,7 @@ func TestWireEncodingGolden(t *testing.T) {
 				`"faults":{"corrupt_chunks":0,"chunk_rereads":0,"batch_redos":0},` +
 				`"counters":{"disk_read_bytes":1,"disk_write_bytes":0,"disk_read_ops":0,"disk_write_ops":0,` +
 				`"net_bytes":0,"net_msgs":0,"local_bytes":0,"local_msgs":0,"compare_units":0,"moved_bytes":0,` +
-				`"rounds":0,"corrupt_chunks":0,"chunk_rereads":0,"batch_redos":0}}`,
+				`"rounds":0}}`,
 		},
 		{
 			name: "result summary hierarchical",
@@ -126,7 +125,7 @@ func TestWireEncodingGolden(t *testing.T) {
 				`"faults":{"corrupt_chunks":0,"chunk_rereads":0,"batch_redos":0},` +
 				`"counters":{"disk_read_bytes":0,"disk_write_bytes":0,"disk_read_ops":0,"disk_write_ops":0,` +
 				`"net_bytes":0,"net_msgs":0,"local_bytes":0,"local_msgs":0,"compare_units":0,"moved_bytes":0,` +
-				`"rounds":0,"corrupt_chunks":0,"chunk_rereads":0,"batch_redos":0}}`,
+				`"rounds":0}}`,
 		},
 	}
 	for _, tc := range cases {
