@@ -283,11 +283,13 @@ func (h *hierJob) formReplacementRuns(ctx context.Context, rd RecordReader) erro
 // encodes each into normalized key space and folds it into the ingest
 // checksum — before the sort, so the checksum fingerprints what was read —
 // then has runform.SortChunk tally its key steps and radix-sort it into a
-// pooled buffer, which it sends on; it closes the channel behind the last.
+// pooled buffer, which it sends on; it closes the channel behind the last. A
+// chunk already in order is sent as the staging buffer itself, and the
+// pooled buffer becomes the stage.
 func (h *hierJob) ingest(ctx context.Context, rd RecordReader, out chan<- runform.Chunk) error {
 	z := h.e.cfg.RecordSize
 	stage := h.pool.Get(runform.ChunkLen(h.runRecs), z)
-	defer h.pool.Put(stage)
+	defer func() { h.pool.Put(stage) }()
 	sc := sortalg.GetScratch()
 	defer sortalg.PutScratch(sc)
 	for idx := int64(0); idx < h.n; {
@@ -302,7 +304,11 @@ func (h *hierJob) ingest(ctx context.Context, rd RecordReader, out chan<- runfor
 		h.codec.Encode(buf)
 		h.want.AddSlice(buf)
 		idx += int64(got)
-		c := runform.SortChunk(sc, h.pool.Get(got, z), buf)
+		dst := h.pool.Get(got, z)
+		c, inPlace := runform.SortChunk(sc, dst, buf)
+		if inPlace {
+			stage = dst // short only at the end of the stream, when nothing more is staged
+		}
 		if err := pipeline.Send(ctx, out, c); err != nil {
 			h.pool.Put(c.Recs)
 			return err

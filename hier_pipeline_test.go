@@ -527,6 +527,47 @@ func TestHierarchicalSortAllocBytes(t *testing.T) {
 	}
 }
 
+// TestInOrderChunksKeepThePool sorts above the bound, on one engine, a
+// uniform input, one whose keys all rise and one whose keys all fall, three
+// times over: every sort must match the reference sort's sha256, and once
+// each input has warmed the engine's pools, every sort must leave them
+// holding the same number of free buffers. A chunk already in order goes to
+// the former as ingest's own staging buffer, and ingest stages the next chunk
+// in the buffer it would have sorted into: a buffer put back twice would
+// raise that count, one never put back would lower it.
+func TestInOrderChunksKeepThePool(t *testing.T) {
+	const z, capBytes, n = 64, 1 << 20, 8 * (1 << 20) / 64
+	e, err := New(Config{Procs: 4, MemPerProc: 2048, RecordSize: z})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer e.Close()
+	warm := -1
+	for round := 0; round < 3; round++ {
+		for _, g := range []record.Generator{record.Uniform{Seed: 4}, record.NearlySorted{Seed: 4}, record.NearlyReverse{Seed: 4}} {
+			raw := genRaw(n, z, g)
+			var out bytes.Buffer
+			res, err := e.Sort(context.Background(), FromBytes(raw), ToWriter(&out), WithAlgorithm(Threaded), WithMaxMemory(capBytes))
+			if err != nil {
+				t.Fatal(err)
+			}
+			res.Close()
+			if res.Merge == nil {
+				t.Fatalf("%s: the sort did not go above the bound", g.Name())
+			}
+			if sha256.Sum256(out.Bytes()) != sha256.Sum256(refSortBytes(t, raw, z, KeySpec{})) {
+				t.Fatalf("%s round %d: output differs from the reference sort", g.Name(), round)
+			}
+			free := e.Stats().PoolFreeBuffers
+			if round == 0 {
+				warm = free
+			} else if free != warm {
+				t.Fatalf("%s round %d: the pools hold %d free buffers, %d after the warm-up", g.Name(), round, free, warm)
+			}
+		}
+	}
+}
+
 // TestSingleRunSortAllocBytes is the same pin below the bound: on a warm
 // engine the ingest, verify and drain scans borrow their column buffer from
 // the pool, the sort stages their (key, index) arrays from sortalg's free

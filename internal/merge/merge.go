@@ -227,18 +227,29 @@ func (t *tourney) tieBeats(o, w int32) bool {
 func (t *tourney) winner() []byte { return t.readers[t.node[0].ID].Cur() }
 
 // fill pops the next out.Len() records into out, which starts at record
-// emitted of a stream of total.
+// emitted of a stream of total. The one run of a fan-in-1 merge wins every
+// pop, so an ascending one is moved as it lies, a loaded frame's records at
+// a time.
 func (t *tourney) fill(out record.Slice, emitted, total int64) error {
 	z := out.Size
-	for off := 0; off < len(out.Data); off += z {
+	for off := 0; off < len(out.Data); {
 		rec := t.winner()
 		if rec == nil {
 			return fmt.Errorf("merge: runs exhausted after %d of %d records (inconsistent run lengths)", emitted+int64(off/z), total)
+		}
+		if len(t.readers) == 1 && t.readers[0].step > 0 {
+			n, err := t.readers[0].take(out.Data[off:])
+			if err != nil {
+				return fmt.Errorf("merge: run 0: %w", err)
+			}
+			off += n
+			continue
 		}
 		copy(out.Data[off:off+z], rec)
 		if err := t.pop(); err != nil {
 			return err
 		}
+		off += z
 	}
 	return nil
 }

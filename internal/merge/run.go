@@ -405,5 +405,15 @@ func (r *Reader) Advance() error {
 	return nil
 }
 
+// take copies the records of an ascending run's loaded frame into dst from
+// the current one on, as many as fit, and moves past them as that many
+// Advance calls would; it returns the bytes copied. The reader must not be
+// exhausted, and dst must hold a record.
+func (r *Reader) take(dst []byte) (int, error) {
+	n := copy(dst, r.cur[r.pos:]) // whole records, as dst and the frame both hold
+	r.pos += n - r.run.RecSize    // onto the last record copied
+	return n, r.Advance()
+}
+
 // BytesRead returns the bytes loaded so far (stats).
 func (r *Reader) BytesRead() int64 { return r.bytesRead }

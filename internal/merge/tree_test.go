@@ -258,3 +258,71 @@ func TestMergeTreeEdges(t *testing.T) {
 		})
 	}
 }
+
+// TestMergeFanInAndTies merges one run (ascending, and descending) and
+// k ∈ {2, 5} runs, the last one spilled descending: blocks of 200 keys that
+// one run holds alone alternate with blocks every run shares — key prefixes
+// tied across runs under different payloads, and whole records repeated in
+// every run, which only the run index orders — and each run ends on live
+// records with the all-ones prefix an exhausted run plays. The tourney and
+// the reference tree are popped in lockstep: same record from the same run at
+// every step; then Merge's stream must be the reference's, in chunks that
+// end inside a run's frames and across them — where a fan-in-1 merge moves
+// its run a frame's span at a time.
+func TestMergeFanInAndTies(t *testing.T) {
+	const z, blocks, block = 16, 6, 200
+	for _, tc := range []struct {
+		k    int
+		desc bool // the last run is spilled descending
+	}{{1, false}, {1, true}, {2, true}, {5, true}} {
+		m := pdm.Machine{P: 1, D: 1}
+		runs := make([]*Run, tc.k)
+		for r := range runs {
+			recs := record.Make(blocks*block+3, z)
+			for i := 0; i < recs.Len(); i++ {
+				rec, b, j := recs.Record(i), i/block, i%block
+				key := uint64(b)<<32 | uint64(r)<<20 | uint64(j) // a block of run r's own
+				if b%2 == 1 {
+					key = uint64(b)<<32 | uint64(j/3) // shared: three records a prefix
+					rec[z-1] = byte(j % 3 / 2)        // two of them the same record in every run
+				}
+				if b == blocks {
+					key = record.MaxKey
+				}
+				record.PutKey(rec, key)
+			}
+			if r == tc.k-1 && tc.desc {
+				runs[r] = buildDescRun(t, m, recs, 64)
+			} else {
+				runs[r] = buildRun(t, m, recs, 64)
+			}
+			defer runs[r].Close()
+		}
+
+		var ref refTree
+		ref.init(primedReaders(t, runs))
+		got := newTourney(primedReaders(t, runs))
+		var want bytes.Buffer
+		for n := 0; ref.winner() != nil; n++ {
+			if a, b := ref.winner(), got.winner(); !bytes.Equal(a, b) || ref.node[0] != int(got.node[0].ID) {
+				t.Fatalf("%+v pop %d: tourney yields %x from run %d, reference tree %x from run %d", tc, n, b, got.node[0].ID, a, ref.node[0])
+			}
+			want.Write(ref.winner())
+			if err := errors.Join(ref.pop(), got.pop()); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if got.winner() != nil {
+			t.Fatalf("%+v: the tourney outlasts the reference tree", tc)
+		}
+		for _, chunk := range []int{1, 97, 4096} {
+			out, _, _, err := collect(t, context.Background(), runs, z, Options{ChunkRecs: chunk})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !bytes.Equal(out.Data, want.Bytes()) {
+				t.Fatalf("%+v, chunks of %d: Merge's stream differs from the reference tree's", tc, chunk)
+			}
+		}
+	}
+}

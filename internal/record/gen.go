@@ -89,11 +89,14 @@ func (g Reverse) Gen(rec []byte, idx int64) {
 	fillPayload(rec, splitmix64(g.Seed^uint64(idx)))
 }
 
-// NearlySorted generates keys equal to the index plus a bounded random
-// displacement, modelling timestamped log data that is almost in order.
+// NearlySorted generates strictly ascending keys: record idx's key is a
+// random draw from its own window [idx·Window, (idx+1)·Window), so the windows
+// space the keys apart and never reorder them — timestamped log data written
+// in order, with gaps. Every key exceeds the one before. For bounded local
+// disorder, keys displaced among their neighbours, use Disordered.
 type NearlySorted struct {
 	Seed   uint64
-	Window uint64 // max displacement; 0 means 1024
+	Window uint64 // the width of each key's window; 0 means 1024
 }
 
 func (g NearlySorted) Name() string { return "nearly-sorted" }
@@ -109,13 +112,14 @@ func (g NearlySorted) Gen(rec []byte, idx int64) {
 	fillPayload(rec, h)
 }
 
-// NearlyReverse is the descending mirror of NearlySorted: keys decrease
-// with the index up to a bounded random displacement, modelling a log
-// re-sorted into the opposite order. Replacement selection should absorb
-// it into very few descending runs.
+// NearlyReverse is the descending mirror of NearlySorted: strictly
+// descending keys, record idx's MaxUint64 − idx·Window less a random draw
+// below Window, modelling a log re-sorted into the opposite order.
+// Every key is below the one before; replacement selection forms one
+// descending run of it. For bounded local disorder use Disordered.
 type NearlyReverse struct {
 	Seed   uint64
-	Window uint64 // max displacement; 0 means 1024
+	Window uint64 // the width of each key's window; 0 means 1024
 }
 
 func (g NearlyReverse) Name() string { return "nearly-reverse" }

@@ -12,7 +12,9 @@ import (
 // memory: capacity 2¹⁷ records over 2²⁰ (8 capacities — the shape of the
 // bench/ hier-* workloads), at both record sizes, on the inputs that use it
 // differently: uniform (a merge of ~20 mini-runs, chunks split in the
-// middle), nearly-sorted (one ascending run), reverse (one descending run,
+// middle), nearly-sorted (one ascending run of chunks already in order),
+// k-disordered (one ascending run of chunks that still need sorting, each
+// mini-run winning long streaks), reverse (one descending run,
 // every mini-run read backwards) and heavy-dup (every match a prefix tie).
 // Each shape is fed both ways: feed=records through New's per-record adapter
 // (what bench/replay.go times), feed=chunks through NewChunked with every
@@ -29,7 +31,7 @@ func BenchmarkFormer(b *testing.B) {
 	for _, z := range []int{16, 64} {
 		for _, in := range oracleInputs {
 			switch in.name {
-			case "uniform", "nearly-sorted", "reverse", "dup":
+			case "uniform", "nearly-sorted", "k-disordered", "reverse", "dup":
 			default:
 				continue
 			}
@@ -65,12 +67,16 @@ func BenchmarkFormer(b *testing.B) {
 
 // BenchmarkSortChunk times the ingest stage's work on one chunk — the key-step
 // tally and the radix sort — at the hier-* workloads' chunk length
-// (ChunkLen(2¹⁷) = 16384 records), on random keys and on nearly-sorted ones.
+// (ChunkLen(2¹⁷) = 16384 records), on random keys, on nearly-sorted ones
+// (in order as they arrive: the chunk is the arrivals themselves) and on
+// k-disordered ones (bounded local disorder: the radix still runs).
 func BenchmarkSortChunk(b *testing.B) {
 	n := ChunkLen(1 << 17)
 	for _, z := range []int{16, 64} {
 		for _, in := range oracleInputs {
-			if in.name != "uniform" && in.name != "nearly-sorted" {
+			switch in.name {
+			case "uniform", "nearly-sorted", "k-disordered":
+			default:
 				continue
 			}
 			src, dst := makeInput(in.gen, n, z), record.Make(n, z)

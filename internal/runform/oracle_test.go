@@ -49,7 +49,22 @@ type batchOracle struct {
 	seen       bool
 
 	eof, started bool
+
+	// The tree skip's cases, counted as the Former meets them: an emission
+	// from the mini-run that made the last streakLen emissions in a row
+	// (since the tree was last played: at NextRun, or an admission that added
+	// a live mini-run) whose next key prefix — the tree's key — is below
+	// every other live mini-run's (a skipped replay), and of those the ones
+	// after which a chunk is admitted or that descend; or is equal to the
+	// least of them (a tie with the bound, which the tree's tie rule orders).
+	streak                               int
+	streakOf                             *oracleMini
+	skips, skipAdmits, descSkips, bounds int
 }
+
+// streakLen is the first emission of a streak whose replay the Former can
+// skip: the one after skipAfter replays the same mini-run has won.
+const streakLen = skipAfter + 1
 
 // oracleMini is one mini-run: its remaining records, ascending, and the page
 // each one lies on.
@@ -113,6 +128,7 @@ func (o *batchOracle) stage(last []byte) error {
 	o.pageID += (len(recs) + o.page - 1) / o.page
 	if len(run.recs) > 0 {
 		o.live = append(o.live, run)
+		o.streakOf = nil
 	}
 	if len(park.recs) > 0 {
 		o.parked = append(o.parked, park)
@@ -141,7 +157,7 @@ func (o *batchOracle) NextRun() (desc, ok bool, err error) {
 	}
 	o.desc = o.downs > 4*o.ups
 	o.ups, o.downs, o.seen = 0, 0, false
-	o.live, o.parked = o.parked, nil
+	o.live, o.parked, o.streakOf = o.parked, nil, nil
 	return o.desc, true, nil
 }
 
@@ -183,7 +199,9 @@ func (o *batchOracle) Fill(out record.Slice) (int, error) {
 		}
 		best.recs = append(best.recs[:bestAt], best.recs[bestAt+1:]...)
 		best.page = append(best.page[:bestAt], best.page[bestAt+1:]...)
-		if o.freePages() >= o.chunk/o.page && !o.eof {
+		admit := o.freePages() >= o.chunk/o.page && !o.eof
+		o.countSkip(best, admit)
+		if admit {
 			if err := o.stage(last); err != nil {
 				return n, err
 			}
@@ -199,4 +217,45 @@ func (o *batchOracle) BreakRun() {
 		}
 	}
 	o.live = nil
+}
+
+// countSkip counts the tree skip's cases at an emission from best, the
+// record that admits a chunk when admit is set.
+func (o *batchOracle) countSkip(best *oracleMini, admit bool) {
+	if best != o.streakOf {
+		o.streak, o.streakOf = 0, best
+	}
+	if o.streak++; o.streak < streakLen {
+		return
+	}
+	bound := record.MaxKey
+	for _, m := range o.live {
+		if m != best {
+			bound = min(bound, o.treeKey(m))
+		}
+	}
+	switch next := o.treeKey(best); {
+	case next < bound:
+		o.skips++
+		if admit {
+			o.skipAdmits++
+		}
+		if o.desc {
+			o.descSkips++
+		}
+	case next == bound:
+		o.bounds++
+	}
+}
+
+// treeKey is m's key in the Former's tree: its next record's prefix in the
+// run's direction, or the maximal key once it is exhausted.
+func (o *batchOracle) treeKey(m *oracleMini) uint64 {
+	if len(m.recs) == 0 {
+		return record.MaxKey
+	}
+	if o.desc {
+		return ^binary.BigEndian.Uint64(m.recs[len(m.recs)-1])
+	}
+	return binary.BigEndian.Uint64(m.recs[0])
 }

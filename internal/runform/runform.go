@@ -76,6 +76,8 @@ type Former struct {
 	live   []miniRun         // the current run's mini-runs: contestant i is live[i]
 	parked []miniRun         // mini-runs of the next run
 	node   []tournament.Node // the tournament over live: prefix XOR flip, or MaxKey once exhausted
+	wins   int               // replays in a row the winner has won
+	bound  uint64            // during a streak of skipAfter wins, the winner's tournament.Bound; else 0
 	chunks uint64            // chunks admitted: the last one's sequence number
 
 	desc bool   // current run emits in descending order
@@ -142,18 +144,23 @@ func ChunkLen(capacity int) int {
 }
 
 // SortChunk makes the Chunk of the arrivals src: it radix-sorts them into
-// dst, a buffer as long as src that does not alias it (and that the Former
-// will put back into its pool), and keeps the key steps in arrival order
-// that the kernel counted as it read the keys. sc is the caller's: the
-// Former sorts nothing itself.
-func SortChunk(sc *sortalg.Scratch, dst, src record.Slice) Chunk {
-	c := Chunk{Recs: dst}
+// dst, a buffer as long as src that does not alias it, and keeps the key
+// steps in arrival order that the kernel counted as it read the keys.
+// Arrivals whose keys all rise are sorted as they stand: then the Chunk holds
+// src itself, dst is not written, and inPlace is true. The Former puts the
+// Chunk's buffer back into its pool, so the caller keeps the other one — src,
+// or with inPlace, dst. sc is the caller's: the Former sorts nothing itself.
+func SortChunk(sc *sortalg.Scratch, dst, src record.Slice) (c Chunk, inPlace bool) {
+	c.Recs = dst
 	if n := src.Len(); n > 0 {
 		c.First, c.Last = src.Key(0), src.Key(n-1)
-		ups, downs := sc.SortInto(dst, src)
+		ups, downs, kept := sc.SortIntoOrKeep(dst, src)
 		c.Ups, c.Downs = int64(ups), int64(downs)
+		if kept {
+			c.Recs, inPlace = src, true
+		}
 	}
-	return c
+	return c, inPlace
 }
 
 // step is the key step from a to b: (1, 0) up, (0, 1) down, (0, 0) flat. It
@@ -190,7 +197,12 @@ func New(capacity, z int, pool *record.Pool, read func(rec []byte) (bool, error)
 				break
 			}
 		}
-		return SortChunk(sc, pool.Get(got, z), stage.Sub(0, got)), nil
+		dst := pool.Get(got, z)
+		c, inPlace := SortChunk(sc, dst, stage.Sub(0, got))
+		if inPlace {
+			stage = dst // short only at the end of the stream, when nothing more is staged
+		}
+		return c, nil
 	})
 	f.done = func() {
 		pool.Put(stage)
@@ -291,6 +303,7 @@ func (f *Former) front(m *miniRun) int {
 func (f *Former) play() {
 	f.live = slices.DeleteFunc(f.live, func(m miniRun) bool { return m.rem == 0 })
 	f.node = append(f.node[:0], make([]tournament.Node, len(f.live))...)
+	f.wins, f.bound = 0, 0
 	if len(f.live) > 0 {
 		tournament.Play(f.node, f.enter, f.tieBeats)
 	}
@@ -342,7 +355,12 @@ func (f *Former) Fill(out record.Slice) (int, error) {
 		if f.advance(m) {
 			key = f.arena.Key(f.front(m)) ^ f.flip
 		}
-		tournament.Replay(f.node, w, key, tie)
+		if key < f.bound { // still below every other mini-run's key: no stored loser changes
+			f.node[0].Key = key
+		} else {
+			tournament.Replay(f.node, w, key, tie)
+			f.count(w)
+		}
 		if len(f.free) >= f.need && !f.eof {
 			if err := f.admit(last); err != nil {
 				return n, err
@@ -350,6 +368,27 @@ func (f *Former) Fill(out record.Slice) (int, error) {
 		}
 	}
 	return n, nil
+}
+
+// skipAfter is how many replays in a row the same mini-run must win before
+// the Former looks up its bound. On random input the winner changes at
+// nearly every record and a bound would be paid for and not used; a mini-run
+// that has won this long — it holds a key range alone, as every chunk of
+// presorted input does — usually keeps winning for many records more.
+const skipAfter = 4
+
+// count records the outcome of the replay of winner w: the streak it extends
+// or ends, and once the streak is skipAfter wins long, w's bound — which
+// Fill's next keys from w must stay below to win without a replay.
+func (f *Former) count(w int32) {
+	wins := f.wins + 1
+	if f.node[0].ID != w { // a coin flip on random input: a conditional move, not a branch
+		wins = 0
+	}
+	f.wins, f.bound = wins, 0
+	if wins >= skipAfter {
+		f.bound = tournament.Bound(f.node, w)
+	}
 }
 
 // advance steps m past its emitted front, releasing the page it leaves, and

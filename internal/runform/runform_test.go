@@ -30,14 +30,20 @@ func sliceReader(s record.Slice, read *int) func(rec []byte) (bool, error) {
 // chunkFeed feeds the records of s to NewChunked as a pipeline's ingest
 // stage does: ChunkLen(capacity) arrivals at a time, tallied and sorted by
 // SortChunk into a buffer from pool (which may be nil); *read counts the
-// records handed out.
+// records handed out. Arrivals already in order are copied into that buffer,
+// since the Former puts a chunk's buffer into its pool and this one is s.
 func chunkFeed(s record.Slice, capacity int, pool *record.Pool, read *int) func() (Chunk, error) {
 	sc := new(sortalg.Scratch)
 	return func() (Chunk, error) {
 		n := min(ChunkLen(capacity), s.Len()-*read)
-		src := s.Sub(*read, *read+n)
+		src, dst := s.Sub(*read, *read+n), pool.Get(n, s.Size)
 		*read += n
-		return SortChunk(sc, pool.Get(n, s.Size), src), nil
+		c, inPlace := SortChunk(sc, dst, src)
+		if inPlace {
+			dst.Copy(src)
+			c.Recs = dst
+		}
+		return c, nil
 	}
 }
 
@@ -410,6 +416,11 @@ func checkFailsInFill(t *testing.T, f *Former, boom error) {
 // with the payload zeroed — four distinct records in all — so the mini-runs
 // tie on whole records (which one emits decides which page frees first) and
 // arrivals equal to a run's last record must join it in both directions.
+// The "k-disordered" input is in order but for inversions within 64
+// positions; the "outliers" ones are in order (descending: "-down") but for
+// one record in 16 with a random key, so the mini-run that holds a key range
+// wins long streaks broken at random and pages free out of step with them:
+// chunks are admitted in the middle of a streak.
 var oracleInputs = []struct {
 	name string
 	gen  func(rec []byte, i, n int)
@@ -419,6 +430,19 @@ var oracleInputs = []struct {
 	{"reverse", func(rec []byte, i, n int) { record.Reverse{Seed: 5}.Gen(rec, int64(i)) }},
 	{"nearly-sorted", func(rec []byte, i, n int) { record.NearlySorted{Seed: 5, Window: 64}.Gen(rec, int64(i)) }},
 	{"nearly-reverse", func(rec []byte, i, n int) { record.NearlyReverse{Seed: 5, Window: 64}.Gen(rec, int64(i)) }},
+	{"k-disordered", func(rec []byte, i, n int) { record.Disordered{Seed: 5, K: 64}.Gen(rec, int64(i)) }},
+	{"outliers", func(rec []byte, i, n int) {
+		record.Uniform{Seed: 5}.Gen(rec, int64(i))
+		if rec[record.KeyBytes]%16 != 0 {
+			record.PutKey(rec, uint64(i)<<40)
+		}
+	}},
+	{"outliers-down", func(rec []byte, i, n int) {
+		record.Uniform{Seed: 5}.Gen(rec, int64(i))
+		if rec[record.KeyBytes]%16 != 0 {
+			record.PutKey(rec, uint64(n-i)<<40)
+		}
+	}},
 	{"dup", func(rec []byte, i, n int) {
 		record.Uniform{Seed: 5}.Gen(rec, int64(i))
 		record.PutKey(rec, dupPrefixes[rec[0]&3])
@@ -483,8 +507,18 @@ func withinHeapYardstick(t testing.TB, got, heap []formedRun) {
 // distribution, at degenerate and odd capacities, at the input lengths
 // around a capacity boundary and a chunk boundary (k·C, k·C − 1, under C,
 // none), with and without BreakRun injected at seeded points; and it forms
-// at most ¼ more runs (plus one) than the classic heap former on each.
+// at most ¼ more runs (plus one) than the classic heap former on each. The
+// inputs must take the Former's tree through every case of its skipped
+// replays (as the oracle counts them): skips, a chunk admitted while the
+// winner skips, skips in a descending run, and keys tied with the bound.
 func TestOracleDifferential(t *testing.T) {
+	var skips, skipAdmits, descSkips, bounds int
+	defer func() {
+		t.Logf("skipped replays: %d, %d of them admitting a chunk, %d descending; %d keys tied with the bound", skips, skipAdmits, descSkips, bounds)
+		if skipAdmits == 0 || descSkips == 0 || bounds == 0 {
+			t.Error("a case of the skipped replays went untested")
+		}
+	}()
 	for _, in := range oracleInputs {
 		t.Run(in.name, func(t *testing.T) {
 			sawDesc := false
@@ -511,7 +545,9 @@ func TestOracleDifferential(t *testing.T) {
 								}
 							}
 							tc := inCase{t, fmt.Sprintf("cap=%d z=%d n=%d breaks=%v", capacity, z, n, breaks)}
-							want := drive(tc, newBatchOracle(capacity, z, sliceReader(src, new(int))), z, 37, breakAt())
+							o := newBatchOracle(capacity, z, sliceReader(src, new(int)))
+							want := drive(tc, o, z, 37, breakAt())
+							skips, skipAdmits, descSkips, bounds = skips+o.skips, skipAdmits+o.skipAdmits, descSkips+o.descSkips, bounds+o.bounds
 							heap := drive(tc, newHeapFormer(capacity, z, nil, sliceReader(src, new(int))), z, 37, breakAt())
 							for _, feed := range feeds {
 								tc := inCase{t, tc.name + " feed=" + feed.name}
@@ -574,13 +610,42 @@ func TestDirectionAcrossChunkBoundary(t *testing.T) {
 	}
 }
 
+// chunkShapes are the arrivals whose keys decide how SortChunk sorts them:
+// strictly rising (the chunk is the arrivals themselves), strictly falling
+// (a reversal), and rising but for one flat step, whose two records only
+// their payloads order — here against their arrival order.
+var chunkShapes = []struct {
+	name string
+	gen  func(rec []byte, i, n int)
+}{
+	{"rising", func(rec []byte, i, n int) {
+		record.Uniform{Seed: 6}.Gen(rec, int64(i))
+		record.PutKey(rec, uint64(3*i))
+	}},
+	{"falling", func(rec []byte, i, n int) {
+		record.Uniform{Seed: 6}.Gen(rec, int64(i))
+		record.PutKey(rec, uint64(3*(n-i)))
+	}},
+	{"one-flat-step", func(rec []byte, i, n int) {
+		k := 3 * i
+		if i > 0 && i >= n/2 {
+			k -= 3 // record n/2 ties record n/2 − 1, and its payload is below that one's
+		}
+		clear(rec)
+		rec[record.KeyBytes] = byte(^i)
+		record.PutKey(rec, uint64(k))
+	}},
+}
+
 // TestSortChunkTally holds SortChunk's tally — first and last key, up- and
-// down-steps in arrival order — to the definition, on every input shape and
-// at the lengths where a chunk has no step or one.
+// down-steps in arrival order — to the definition, and its chunk to
+// introsort's sort of the arrivals, on every input shape and at the lengths
+// where a chunk has no step or one; it must hand back the arrivals
+// themselves exactly when their keys all rise.
 func TestSortChunkTally(t *testing.T) {
 	var sc sortalg.Scratch
-	for _, in := range oracleInputs {
-		for _, n := range []int{0, 1, 2, 1000} {
+	for _, in := range append(oracleInputs[:len(oracleInputs):len(oracleInputs)], chunkShapes...) {
+		for _, n := range []int{0, 1, 2, 3, 1000} {
 			src := makeInput(in.gen, n, 16)
 			var want Chunk
 			if n > 0 {
@@ -593,13 +658,18 @@ func TestSortChunkTally(t *testing.T) {
 					want.Downs++
 				}
 			}
-			got := SortChunk(&sc, record.Make(n, 16), src)
+			sorted := record.Make(n, 16)
+			sortalg.SortIntoAlg(sorted, src, sortalg.Intro)
+			got, inPlace := SortChunk(&sc, record.Make(n, 16), src)
 			if got.First != want.First || got.Last != want.Last || got.Ups != want.Ups || got.Downs != want.Downs {
 				t.Fatalf("%s n=%d: tally %d/%d ups/downs, keys %x..%x; want %d/%d, %x..%x", in.name, n,
 					got.Ups, got.Downs, got.First, got.Last, want.Ups, want.Downs, want.First, want.Last)
 			}
-			if !got.Recs.IsSorted() {
-				t.Fatalf("%s n=%d: chunk not sorted", in.name, n)
+			if !bytes.Equal(got.Recs.Data, sorted.Data) {
+				t.Fatalf("%s n=%d: chunk differs from introsort's", in.name, n)
+			}
+			if rising := n > 0 && want.Ups == int64(n-1); inPlace != rising || inPlace && &got.Recs.Data[0] != &src.Data[0] {
+				t.Fatalf("%s n=%d: inPlace=%v, want %v and the chunk to be the arrivals' own buffer", in.name, n, inPlace, rising)
 			}
 		}
 	}

@@ -9,6 +9,7 @@ package sortalg
 
 import (
 	"math/bits"
+	"slices"
 
 	"colsort/internal/record"
 	"colsort/internal/tournament"
@@ -88,11 +89,9 @@ func (sc *Scratch) views(k int) []record.Slice {
 
 // SortInto sorts the records of src into dst with the adaptive radix kernel
 // (radixKV), reusing the scratch buffers. dst and src must have the same
-// record size and length and must not alias. It returns the key steps of src
-// in its given order, which the kernel counts as it reads the keys: rises are
-// the keys above the one before, falls those below.
-func (sc *Scratch) SortInto(dst, src record.Slice) (rises, falls int) {
-	return sc.sortSlices([]record.Slice{dst}, false, src, Radix)
+// record size and length and must not alias.
+func (sc *Scratch) SortInto(dst, src record.Slice) {
+	sc.sortSlices([]record.Slice{dst}, false, src, Radix)
 }
 
 // SortIntoAlg sorts src into dst with an explicit algorithm choice, reusing
@@ -110,21 +109,48 @@ func (sc *Scratch) SortSlices(lanes []record.Slice, deal bool, src record.Slice)
 	sc.sortSlices(lanes, deal, src, Radix)
 }
 
-func (sc *Scratch) sortSlices(lanes []record.Slice, deal bool, src record.Slice, alg Algorithm) (rises, falls int) {
+// SortIntoOrKeep is SortInto for a caller that can take src itself in place
+// of a sorted copy: when every key of src rises above the one before, src is
+// in order already, dst is not written and kept is true. It returns the key
+// steps of src in its given order, which the kernel counts as it reads the
+// keys: rises are the keys above the one before, falls those below.
+func (sc *Scratch) SortIntoOrKeep(dst, src record.Slice) (rises, falls int, kept bool) {
 	n := src.Len()
-	checkLanes(lanes, deal, n, src.Size)
-	kvs := pairs(&sc.kvs, n)
-	diff, rises, falls := extract(kvs, src)
-	switch alg {
-	case Intro:
-		introsort(kvs, src, maxDepth(n))
-	case Radix:
-		kvs = radixKV(kvs, pairs(&sc.tmp, n), diff, nearlyOrdered(falls, n), src, sc.countBuf(n))
-	default:
-		panic(badAlg(alg))
+	checkLanes([]record.Slice{dst}, false, n, src.Size)
+	kvs, rises, falls := sc.order(src, Radix)
+	if kept = n > 0 && rises == n-1; !kept {
+		gather([]record.Slice{dst}, false, src, kvs)
 	}
+	return rises, falls, kept
+}
+
+func (sc *Scratch) sortSlices(lanes []record.Slice, deal bool, src record.Slice, alg Algorithm) {
+	checkLanes(lanes, deal, src.Len(), src.Size)
+	kvs, _, _ := sc.order(src, alg)
 	gather(lanes, deal, src, kvs)
-	return rises, falls
+}
+
+// order returns the (key, index) pairs of src in the total order, and the key
+// steps of src in its given order. The radix kernel runs only on keys that
+// need it: keys that all rise are in order as they stand, and keys that all
+// fall need only reversing — flat steps, equal keys, are ordered by their
+// payloads and take the full sort.
+func (sc *Scratch) order(src record.Slice, alg Algorithm) (kvs []kv, rises, falls int) {
+	n := src.Len()
+	kvs = pairs(&sc.kvs, n)
+	diff, rises, falls := extract(kvs, src)
+	switch {
+	case alg == Intro:
+		introsort(kvs, src, maxDepth(n))
+	case alg != Radix:
+		panic(badAlg(alg))
+	case rises == n-1:
+	case falls == n-1:
+		slices.Reverse(kvs)
+	default:
+		kvs = radixKV(kvs, pairs(&sc.tmp, n), diff, nearlyOrdered(falls, n), src, sc.countBuf(n))
+	}
+	return kvs, rises, falls
 }
 
 // extract fills kvs with the (key, index) pairs of src and returns, at no

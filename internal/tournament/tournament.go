@@ -72,3 +72,15 @@ func Replay(node []Node, w int32, key uint64, tie func(o, w int32) bool) {
 	}
 	node[0].Key, node[0].ID = key, w
 }
+
+// Bound returns the smallest key stored on contestant w's path to the root:
+// the least key among the contestants w has not yet met in the matches above
+// it, and every other contestant's key once w is the winner — its runner-up's.
+// A tournament of one has no path, and its bound is the maximal key.
+func Bound(node []Node, w int32) uint64 {
+	b := ^uint64(0)
+	for i := (int(w) + len(node)) >> 1; i > 0; i >>= 1 {
+		b = min(b, node[i].Key)
+	}
+	return b
+}

@@ -46,3 +46,51 @@ func TestPlayReplayOrder(t *testing.T) {
 		}
 	}
 }
+
+// TestBound plays tournaments of every width up to 70 and replays each
+// winner with a random key — the maximal key among them, both on contestants
+// marked exhausted and on live ones — and after every replay requires the
+// winner's Bound to be the least key of every other contestant, found by
+// brute force.
+func TestBound(t *testing.T) {
+	const maxKey = ^uint64(0)
+	for n := 1; n <= 70; n++ {
+		rng := rand.New(rand.NewSource(int64(n)))
+		draw := func() uint64 {
+			switch rng.Intn(4) {
+			case 0:
+				return maxKey
+			case 1:
+				return uint64(rng.Intn(3))
+			}
+			return rng.Uint64()
+		}
+		keys, done := make([]uint64, n), make([]bool, n)
+		for i := range keys {
+			keys[i] = draw()
+		}
+		tie := func(o, w int32) bool {
+			if done[o] || done[w] {
+				return !done[o]
+			}
+			return o < w
+		}
+		node := make([]Node, n)
+		Play(node, func(id int32) Node { return Node{Key: keys[id], ID: id} }, tie)
+		for step := 0; step < 4*n; step++ {
+			w := node[0].ID
+			want := maxKey
+			for i, k := range keys {
+				if int32(i) != w {
+					want = min(want, k)
+				}
+			}
+			if got := Bound(node, w); got != want {
+				t.Fatalf("n=%d step %d: Bound of winner %d is %x, want %x", n, step, w, got, want)
+			}
+			keys[w] = draw()
+			done[w] = keys[w] == maxKey && rng.Intn(2) == 0
+			Replay(node, w, keys[w], tie)
+		}
+	}
+}
